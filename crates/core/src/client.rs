@@ -328,8 +328,13 @@ fn fetch_merge_inner(
 
 /// A singleflight table: dedups identical in-flight
 /// `(owner, requester, referral)` fetches within one scatter window, so
-/// a burst of identical requests hits each store **once** and every
-/// duplicate is served a clone of the first answer.
+/// a burst of identical requests hits each store **once**.
+///
+/// Answers are held, not handed out: [`Singleflight::fetch_merge`]
+/// returns a [`FlightTicket`] and the window's worker redeems its
+/// tickets with [`Singleflight::collect`] once the window's fetches are
+/// done. The last ticket on an answer takes the original, so an answer
+/// nobody duplicated is never copied; only actual duplicates clone.
 ///
 /// The table is window-scoped by construction: callers create one per
 /// scatter-gather batch (stores are quiescent within a window) and drop
@@ -338,12 +343,19 @@ fn fetch_merge_inner(
 /// [`crate::cache::CachedClient`]'s job.
 #[derive(Debug, Default)]
 pub struct Singleflight {
-    table: HashMap<String, Vec<Element>>,
+    /// Coalescing key → position in `answers`.
+    table: HashMap<String, usize>,
+    /// Each fetched answer with the number of tickets still out on it.
+    answers: Vec<(Vec<Element>, usize)>,
     /// Fetches answered from the table.
     pub hits: u64,
     /// Fetches that went to the stores.
     pub misses: u64,
 }
+
+/// A claim on one answer held by a [`Singleflight`] window.
+#[derive(Debug)]
+pub struct FlightTicket(usize);
 
 impl Singleflight {
     /// An empty table for one scatter window.
@@ -372,7 +384,7 @@ impl Singleflight {
     }
 
     /// [`fetch_merge`] through the table: a duplicate of an in-window
-    /// fetch returns a clone of the first answer without touching the
+    /// fetch gets a ticket on the first answer without touching the
     /// pool. `batch` selects the batched cost model on a miss; errors
     /// are never cached (the next duplicate retries the stores).
     #[allow(clippy::too_many_arguments)]
@@ -386,20 +398,34 @@ impl Singleflight {
         keys: &MergeKeys,
         batch: bool,
         mut tracer: Option<&mut Tracer>,
-    ) -> Result<Vec<Element>, GupsterError> {
+    ) -> Result<FlightTicket, GupsterError> {
         let key = Self::key(referral, requester);
-        if let Some(hit) = self.table.get(&key) {
+        if let Some(&slot) = self.table.get(&key) {
             self.hits += 1;
             if let Some(t) = tracer.as_deref_mut() {
                 t.hub().counters().singleflight_hits.fetch_add(1, Ordering::Relaxed);
                 t.span(stage::SINGLEFLIGHT_HIT, SimTime::micros(1));
             }
-            return Ok(hit.clone());
+            self.answers[slot].1 += 1;
+            return Ok(FlightTicket(slot));
         }
         let out = fetch_merge_inner(pool, referral, store_signer, now, keys, tracer, batch)?;
         self.misses += 1;
-        self.table.insert(key, out.clone());
-        Ok(out)
+        self.table.insert(key, self.answers.len());
+        self.answers.push((out, 1));
+        Ok(FlightTicket(self.answers.len() - 1))
+    }
+
+    /// Redeems a ticket: a clone of the answer while other tickets are
+    /// still out on it, the answer itself for the last one.
+    pub fn collect(&mut self, ticket: FlightTicket) -> Vec<Element> {
+        let (answer, outstanding) = &mut self.answers[ticket.0];
+        *outstanding -= 1;
+        if *outstanding == 0 {
+            std::mem::take(answer)
+        } else {
+            answer.clone()
+        }
     }
 }
 
@@ -628,8 +654,11 @@ mod tests {
         let second = sf
             .fetch_merge(&pool, &out.referral, "arnaud", &signer, 110, &keys(), false, None)
             .unwrap();
-        assert_eq!(first, second);
         assert_eq!((sf.hits, sf.misses), (1, 1));
+        let first = sf.collect(first);
+        let second = sf.collect(second);
+        assert_eq!(first, second);
+        assert_eq!(first, fetch_merge(&pool, &out.referral, &signer, 110, &keys()).unwrap());
         // A different requester never coalesces onto another principal's
         // answer.
         assert_ne!(Singleflight::key(&out.referral, "arnaud"), Singleflight::key(&out.referral, "mallory"));

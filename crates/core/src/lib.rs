@@ -57,7 +57,7 @@ pub use admission::{
 };
 pub use client::{
     fetch_merge, fetch_merge_batched, fetch_merge_batched_traced, fetch_merge_traced,
-    Singleflight, StorePool,
+    FlightTicket, Singleflight, StorePool,
 };
 pub use constellation::Constellation;
 pub use coverage::{CoverageMap, CoverageMatch, MatchStats};

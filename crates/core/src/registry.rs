@@ -97,15 +97,22 @@ pub struct Gupster {
     /// producing the same rewritten path set reuse the signed token
     /// while it is inside the first half of its freshness window,
     /// skipping the HMAC pass. `None` = disabled (the default).
-    token_cache: Option<HashMap<TokenCacheKey, SignedQuery>>,
+    token_cache: Option<TokenCache>,
     /// Per-owner write generations (DESIGN.md §13): bumped by every
     /// committed sync touching the owner's profile, alongside dropping
     /// the owner's derived registry state (memo, token cache).
     write_gens: HashMap<String, u64>,
 }
 
-/// Token-cache key: (owner, requester, rewritten path set).
-type TokenCacheKey = (String, String, Vec<String>);
+/// The referral-token cache, keyed owner first so a profile write
+/// drops one owner's tokens without visiting anyone else's: owner →
+/// (requester, rewritten path set) → token.
+#[derive(Debug, Default)]
+struct TokenCache {
+    by_owner: HashMap<String, HashMap<(String, Vec<String>), SignedQuery>>,
+    /// Tokens held across all owners.
+    len: usize,
+}
 
 impl Gupster {
     /// Creates a server over a schema with a shared signing key.
@@ -135,7 +142,7 @@ impl Gupster {
     /// enabling it changes simulated costs, so experiments opt in.
     pub fn enable_token_cache(&mut self) {
         if self.token_cache.is_none() {
-            self.token_cache = Some(HashMap::new());
+            self.token_cache = Some(TokenCache::default());
         }
     }
 
@@ -168,9 +175,10 @@ impl Gupster {
         *self.write_gens.entry(owner.to_string()).or_insert(0) += 1;
         let mut dropped = self.memo.invalidate_owner(owner);
         if let Some(cache) = &mut self.token_cache {
-            let before = cache.len();
-            cache.retain(|(o, _, _), _| o != owner);
-            dropped += before - cache.len();
+            if let Some(tokens) = cache.by_owner.remove(owner) {
+                cache.len -= tokens.len();
+                dropped += tokens.len();
+            }
         }
         self.telemetry.counters().invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
@@ -363,9 +371,10 @@ impl Gupster {
         };
 
         // 3. Privacy shield: decide and rewrite. The decision memo is
-        // consulted first (a hit costs ~1µs and touches no rule); a
-        // miss runs the PDP over the bucketed candidate rules, charged
-        // per rule examined (~2µs each: condition eval + overlap test).
+        // consulted first (a hit touches no rule and is charged 1µs of
+        // simulated time); a miss runs the PDP over the bucketed
+        // candidate rules, charged per rule examined (2µs each:
+        // condition eval + overlap test).
         let ctx = self.context(owner, requester, purpose, time);
         tracer.enter(stage::POLICY_DECIDE);
         let generation = self.pap.repository.generation();
@@ -459,8 +468,8 @@ impl Gupster {
         let mut token_cached = false;
         let token = match &mut self.token_cache {
             Some(cache) => {
-                let key = (owner.to_string(), requester.to_string(), paths.clone());
-                match cache.get(&key) {
+                let key = (requester.to_string(), paths);
+                match cache.by_owner.get(owner).and_then(|tokens| tokens.get(&key)) {
                     Some(t)
                         if now >= t.issued_at
                             && now - t.issued_at <= self.signer.freshness_window / 2 =>
@@ -471,11 +480,15 @@ impl Gupster {
                         t.clone()
                     }
                     _ => {
-                        if cache.len() >= 65_536 {
-                            cache.clear();
+                        if cache.len >= 65_536 {
+                            cache.by_owner.clear();
+                            cache.len = 0;
                         }
-                        let t = self.signer.sign(owner, requester, paths, now);
-                        cache.insert(key, t.clone());
+                        let t = self.signer.sign(owner, requester, key.1.clone(), now);
+                        let tokens = cache.by_owner.entry(owner.to_string()).or_default();
+                        if tokens.insert(key, t.clone()).is_none() {
+                            cache.len += 1;
+                        }
                         tracer.charge(SimTime::micros(20));
                         t
                     }
@@ -844,6 +857,38 @@ mod tests {
         // A different context (other requester) never shares an entry.
         let err = g.lookup("arnaud", &presence, "spy", Purpose::Query, noon(), 4);
         assert!(matches!(err, Err(GupsterError::AccessDenied { .. })));
+    }
+
+    #[test]
+    fn note_write_drops_the_written_owner_only() {
+        let mut g = server();
+        g.enable_token_cache();
+        g.register_component("bob", p("/user[@id='bob']/presence"), sid("gup.spcs.com")).unwrap();
+        let ask = |g: &mut Gupster, owner: &str, component: &str, now: u64| {
+            let path = p(&format!("/user[@id='{owner}']/{component}"));
+            g.lookup(owner, &path, owner, Purpose::Query, noon(), now).unwrap().referral.token_cached
+        };
+        // Two decisions and two tokens for arnaud, one of each for bob.
+        assert!(!ask(&mut g, "arnaud", "address-book", 0));
+        assert!(!ask(&mut g, "arnaud", "presence", 0));
+        assert!(!ask(&mut g, "bob", "presence", 0));
+        assert_eq!(g.memo_stats(), (3, 0, 3));
+
+        assert_eq!(g.note_write("arnaud", &[]), 0, "nothing changed, nothing dropped");
+        assert_eq!(g.note_write("arnaud", &[p("/user[@id='arnaud']/presence")]), 4);
+        assert_eq!(g.telemetry().counter_snapshot().invalidations, 4);
+        assert_eq!((g.write_generation("arnaud"), g.write_generation("bob")), (1, 0));
+        assert_eq!(g.memo_stats(), (1, 0, 3));
+
+        // Bob rides his memo entry and his token; arnaud starts over.
+        assert!(ask(&mut g, "bob", "presence", 1));
+        assert_eq!(g.memo_stats(), (1, 1, 3));
+        assert!(!ask(&mut g, "arnaud", "presence", 1));
+        assert_eq!(g.memo_stats(), (2, 1, 4));
+        assert!(ask(&mut g, "arnaud", "presence", 2));
+        // A second write finds only what was rebuilt since.
+        assert_eq!(g.note_write("arnaud", &[p("/user[@id='arnaud']/presence")]), 2);
+        assert_eq!(g.telemetry().counter_snapshot().invalidations, 6);
     }
 
     #[test]

@@ -472,14 +472,39 @@ impl ShardedRegistry {
         total
     }
 
+    /// Counts `requests` into the hot-user and hot-path views. Keys
+    /// are looked up borrowed (paths rendered into one reused buffer);
+    /// only a first-seen key allocates.
+    fn note_hot_keys<'a>(&mut self, requests: impl Iterator<Item = &'a ShardRequest>) {
+        use std::fmt::Write;
+        fn bump(counts: &mut BTreeMap<String, u64>, key: &str) {
+            match counts.get_mut(key) {
+                Some(n) => *n += 1,
+                None => {
+                    counts.insert(key.to_string(), 1);
+                }
+            }
+        }
+        let mut path = String::new();
+        for r in requests {
+            bump(&mut self.hot_users, &r.owner);
+            path.clear();
+            write!(path, "{}", r.path).expect("writing to a String cannot fail");
+            bump(&mut self.hot_paths, &path);
+        }
+    }
+
     /// Scatter-gather core: partitions `requests` by owner, runs one
     /// scoped worker thread per non-empty shard (each request under its
     /// own `shard.request` trace), and gathers results by the original
-    /// request index.
-    fn scatter<R, F>(
+    /// request index. `work` answers one request, possibly with a claim
+    /// on the worker's singleflight window; once the shard's slice is
+    /// done, `finish` turns each claim into the result.
+    fn scatter<P, R, F, G>(
         &mut self,
         requests: &[ShardRequest],
         work: F,
+        finish: G,
     ) -> (Vec<Result<R, GupsterError>>, BatchReport)
     where
         R: Send,
@@ -488,21 +513,21 @@ impl ShardedRegistry {
                 &mut Singleflight,
                 &ShardRequest,
                 &mut Tracer,
-            ) -> Result<R, GupsterError>
+            ) -> Result<P, GupsterError>
             + Sync,
+        G: Fn(&mut Singleflight, P) -> R + Sync,
     {
         let n = self.shards.len();
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, r) in requests.iter().enumerate() {
             buckets[self.shard_of(&r.owner)].push(i);
-            *self.hot_users.entry(r.owner.clone()).or_default() += 1;
-            *self.hot_paths.entry(r.path.to_string()).or_default() += 1;
         }
+        self.note_hot_keys(requests.iter());
 
         let mut slots: Vec<Option<Result<R, GupsterError>>> =
             (0..requests.len()).map(|_| None).collect();
         let mut shard_sim = vec![SimTime::ZERO; n];
-        let work = &work;
+        let (work, finish) = (&work, &finish);
         let key_base = self.ops;
 
         thread::scope(|scope| {
@@ -519,7 +544,7 @@ impl ShardedRegistry {
                     // duplicates within it are safe to coalesce.
                     let mut flight = Singleflight::new();
                     let mut busy = SimTime::ZERO;
-                    let mut out: Vec<(usize, Result<R, GupsterError>)> =
+                    let mut pending: Vec<(usize, Result<P, GupsterError>)> =
                         Vec::with_capacity(bucket.len());
                     for &i in bucket {
                         let mut tracer = hub.tracer(stage::SHARD_REQUEST);
@@ -529,8 +554,12 @@ impl ShardedRegistry {
                         tracer.set_key(key_base + i as u64);
                         let res = work(gupster, &mut flight, &requests[i], &mut tracer);
                         busy += tracer.now();
-                        out.push((i, res));
+                        pending.push((i, res));
                     }
+                    let out: Vec<(usize, Result<R, GupsterError>)> = pending
+                        .into_iter()
+                        .map(|(i, res)| (i, res.map(|p| finish(&mut flight, p))))
+                        .collect();
                     (busy, out)
                 })));
             }
@@ -571,9 +600,13 @@ impl ShardedRegistry {
         &mut self,
         requests: &[ShardRequest],
     ) -> (Vec<Result<LookupOutcome, GupsterError>>, BatchReport) {
-        self.scatter(requests, |g, _flight, r, tracer| {
-            g.lookup_traced(&r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, tracer)
-        })
+        self.scatter(
+            requests,
+            |g, _flight, r, tracer| {
+                g.lookup_traced(&r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, tracer)
+            },
+            |_flight, outcome| outcome,
+        )
     }
 
     /// Runs a batch of full answers: lookup on the owning shard, then
@@ -587,22 +620,26 @@ impl ShardedRegistry {
         keys: &MergeKeys,
         batch_fetches: bool,
     ) -> (Vec<Result<Vec<Element>, GupsterError>>, BatchReport) {
-        self.scatter(requests, |g, flight, r, tracer| {
-            let out = g.lookup_traced(
-                &r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, tracer,
-            )?;
-            let signer = g.signer();
-            flight.fetch_merge(
-                pool,
-                &out.referral,
-                &r.requester,
-                &signer,
-                r.now,
-                keys,
-                batch_fetches,
-                Some(tracer),
-            )
-        })
+        self.scatter(
+            requests,
+            |g, flight, r, tracer| {
+                let out = g.lookup_traced(
+                    &r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, tracer,
+                )?;
+                let signer = g.signer();
+                flight.fetch_merge(
+                    pool,
+                    &out.referral,
+                    &r.requester,
+                    &signer,
+                    r.now,
+                    keys,
+                    batch_fetches,
+                    Some(tracer),
+                )
+            },
+            Singleflight::collect,
+        )
     }
 
     /// Open-loop execution under admission control (DESIGN.md §11).
@@ -652,10 +689,9 @@ impl ShardedRegistry {
 
         // Hot-key views and per-shard routing gauges are fleet-level
         // bookkeeping: same values at any shard count.
+        self.note_hot_keys(arrivals.iter().map(|a| &a.request));
         let mut routed = vec![0u64; n_shards];
         for a in arrivals {
-            *self.hot_users.entry(a.request.owner.clone()).or_default() += 1;
-            *self.hot_paths.entry(a.request.path.to_string()).or_default() += 1;
             routed[route_shard(&a.request.owner)] += 1;
             match a.class {
                 Priority::CallDelivery => report.offered_calls += 1,

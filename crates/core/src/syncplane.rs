@@ -9,7 +9,14 @@
 //! each shard's reconciliation on its own scoped thread — users are
 //! disjoint across shards, so the outcome stream is **invariant at any
 //! shard count**: per-user outcomes are deterministic and the plane
-//! re-sorts them by owner before anything downstream observes them.
+//! reports them in owner order, whichever shard produced them.
+//!
+//! A reconcile pass costs what was edited, not what is registered: the
+//! plane keeps a **dirty set** — an edit marks its star, and a pass runs
+//! sessions and compaction for marked stars only (a star whose pass did
+//! not converge, or errored, stays marked). An idle star is not touched;
+//! it is still reported, as converged with zero sessions, so a report
+//! always carries one row per registered user.
 //!
 //! Reconciliation itself is the delta fast path of `gupster-sync`
 //! ([`gupster_sync::delta_two_way_sync_traced`]): two hub-centred
@@ -57,6 +64,18 @@ struct UserReplicas {
     /// Target paths of every edit accepted since the last reconcile,
     /// in arrival order — drained into [`UserOutcome::changed`].
     pending: Vec<NodePath>,
+    /// Membership in the plane's dirty set: the next reconcile pass
+    /// runs this star's sessions.
+    dirty: bool,
+}
+
+impl UserReplicas {
+    /// Records an accepted local edit: its target is pending
+    /// publication and the star needs a reconcile.
+    fn note_edit(&mut self, target: NodePath) {
+        self.pending.push(target);
+        self.dirty = true;
+    }
 }
 
 /// Per-user outcome of one reconcile pass.
@@ -64,7 +83,7 @@ struct UserReplicas {
 pub struct UserOutcome {
     /// The profile owner.
     pub owner: String,
-    /// Sync sessions run (2 rounds × devices).
+    /// Sync sessions run (2 rounds × devices; none for an idle star).
     pub sessions: usize,
     /// Bytes shipped across all of the user's sessions.
     pub bytes_exchanged: usize,
@@ -85,7 +104,8 @@ pub struct UserOutcome {
     pub errors: usize,
     /// Log entries removed by post-sync compaction (all replicas).
     pub compacted: usize,
-    /// True when every device document equals the hub's after the pass.
+    /// True when every device document equals the hub's after the pass
+    /// (an idle star stays as its last pass left it: converged).
     pub converged: bool,
     /// Registry-side paths touched since the last reconcile, first-
     /// appearance order. Names-only (keys and indices dropped):
@@ -191,7 +211,14 @@ impl SyncPlane {
             .collect();
         self.users.insert(
             owner.to_string(),
-            UserReplicas { owner: owner.to_string(), component, hub, devices, pending: Vec::new() },
+            UserReplicas {
+                owner: owner.to_string(),
+                component,
+                hub,
+                devices,
+                pending: Vec::new(),
+                dirty: false,
+            },
         );
     }
 
@@ -205,7 +232,7 @@ impl SyncPlane {
         let u = self.users.get_mut(owner).unwrap_or_else(|| panic!("unknown user {owner}"));
         let target = op.target().clone();
         let seq = u.devices[device].edit(op)?;
-        u.pending.push(target);
+        u.note_edit(target);
         Ok(seq)
     }
 
@@ -215,7 +242,7 @@ impl SyncPlane {
         let u = self.users.get_mut(owner).unwrap_or_else(|| panic!("unknown user {owner}"));
         let target = op.target().clone();
         let seq = u.hub.edit(op)?;
-        u.pending.push(target);
+        u.note_edit(target);
         Ok(seq)
     }
 
@@ -238,40 +265,50 @@ impl SyncPlane {
             .sum()
     }
 
-    /// Runs one reconcile pass: every shard's users in parallel, two
-    /// hub-centred rounds each, then per-replica log compaction (delta
-    /// mode only). The returned report is sorted by owner and is
-    /// byte-identical at any shard count.
+    /// Runs one reconcile pass over the dirty stars: every shard's in
+    /// parallel, two hub-centred rounds each, then per-replica log
+    /// compaction (delta mode only). Idle stars get their converged,
+    /// zero-session row without being visited. The returned report has
+    /// one row per user, sorted by owner, and is byte-identical at any
+    /// shard count.
     pub fn reconcile(&mut self, telemetry: &Arc<TelemetryHub>) -> PlaneReport {
         let shards = self.shards;
         let policy = self.policy;
         let oracle = self.use_oracle;
-        let mut buckets: Vec<Vec<&mut UserReplicas>> = (0..shards).map(|_| Vec::new()).collect();
-        for u in self.users.values_mut() {
-            let s = (shard_hash(&u.owner) % shards as u64) as usize;
-            buckets[s].push(u);
+        // `users` iterates in owner order, so the rows are born sorted;
+        // a dirty star's row is replaced by its pass's outcome.
+        let mut rows: Vec<UserOutcome> = Vec::with_capacity(self.users.len());
+        let mut buckets: Vec<Vec<(usize, &mut UserReplicas)>> =
+            (0..shards).map(|_| Vec::new()).collect();
+        for (row, u) in self.users.values_mut().enumerate() {
+            rows.push(UserOutcome { owner: u.owner.clone(), converged: true, ..Default::default() });
+            if u.dirty {
+                buckets[(shard_hash(&u.owner) % shards as u64) as usize].push((row, u));
+            }
         }
-        let per_shard: Vec<Vec<UserOutcome>> = std::thread::scope(|scope| {
+        let per_shard: Vec<Vec<(usize, UserOutcome)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = buckets
                 .into_iter()
+                .filter(|bucket| !bucket.is_empty())
                 .map(|bucket| {
                     scope.spawn(move || {
                         bucket
                             .into_iter()
-                            .map(|u| reconcile_user(u, policy, oracle, telemetry))
+                            .map(|(row, u)| (row, reconcile_user(u, policy, oracle, telemetry)))
                             .collect::<Vec<_>>()
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("sync shard worker panicked")).collect()
         });
-        let mut users: Vec<UserOutcome> = per_shard.into_iter().flatten().collect();
-        users.sort_by(|a, b| a.owner.cmp(&b.owner));
-        PlaneReport::from_users(users)
+        for (row, outcome) in per_shard.into_iter().flatten() {
+            rows[row] = outcome;
+        }
+        PlaneReport::from_users(rows)
     }
 }
 
-/// Reconciles one user's star: two rounds of hub↔device sessions (the
+/// Reconciles one dirty star: two rounds of hub↔device sessions (the
 /// hub is the *first* replica, so [`ReconcilePolicy::PreferFirst`]
 /// means "the primary copy wins"), then log compaction against live
 /// anchors.
@@ -297,6 +334,8 @@ fn reconcile_user(
         }
     }
     outcome.converged = u.devices.iter().all(|d| d.doc == u.hub.doc);
+    // Unfinished business keeps the star in the dirty set.
+    u.dirty = !outcome.converged || outcome.errors > 0;
     if !oracle {
         // The star topology makes compaction anchors exact: devices
         // sync only against the hub, so the hub's live anchors are
@@ -435,6 +474,82 @@ mod tests {
         }
         assert_eq!(reports[0], reports[1], "1 vs 2 shards");
         assert_eq!(reports[0], reports[2], "1 vs 8 shards");
+    }
+
+    /// Marks every star, as the pass did before the dirty set existed.
+    fn mark_all(plane: &mut SyncPlane) {
+        plane.users.values_mut().for_each(|u| u.dirty = true);
+    }
+
+    #[test]
+    fn a_pass_runs_sessions_for_edited_stars_only() {
+        const USERS: usize = 6;
+        for oracle in [false, true] {
+            let mut reports = Vec::new();
+            for shards in [1, 2, 8] {
+                let hub = Arc::new(TelemetryHub::new());
+                let mut lazy = plane(shards, USERS, 2);
+                lazy.use_oracle = oracle;
+                let mut full_scan = plane(shards, USERS, 2);
+                full_scan.use_oracle = oracle;
+
+                // Nothing edited: nothing runs, everyone is reported.
+                let idle = lazy.reconcile(&hub);
+                assert_eq!((idle.users.len(), idle.converged_users, idle.sessions), (USERS, USERS, 0));
+
+                lazy.edit_device("user3", 0, set_name("edited")).unwrap();
+                full_scan.edit_device("user3", 0, set_name("edited")).unwrap();
+                let report = lazy.reconcile(&hub);
+                mark_all(&mut full_scan);
+                let control = full_scan.reconcile(&hub);
+
+                assert_eq!((report.users.len(), report.converged_users), (USERS, USERS));
+                assert_eq!(report.sessions, 4, "2 rounds x 2 devices of the one edited star");
+                assert_eq!(control.sessions, 4 * USERS);
+                for (i, (u, c)) in report.users.iter().zip(&control.users).enumerate() {
+                    assert_eq!(u.owner, format!("user{i}"));
+                    assert_eq!(u.sessions, if i == 3 { 4 } else { 0 }, "{}", u.owner);
+                    assert!(u.converged && u.errors == 0, "{}", u.owner);
+                    assert_eq!(u.changed, c.changed, "{}", u.owner);
+                    assert_eq!(lazy.hub_doc(&u.owner), full_scan.hub_doc(&u.owner));
+                    for d in 0..2 {
+                        assert_eq!(lazy.device_doc(&u.owner, d), full_scan.device_doc(&u.owner, d));
+                    }
+                }
+                assert_eq!(report.users[3], control.users[3]);
+                assert_eq!(lazy.log_entries(), full_scan.log_entries());
+                reports.push(report.users);
+            }
+            assert_eq!(reports[0], reports[1], "1 vs 2 shards (oracle: {oracle})");
+            assert_eq!(reports[0], reports[2], "1 vs 8 shards (oracle: {oracle})");
+        }
+    }
+
+    #[test]
+    fn an_unfinished_star_is_revisited_until_it_settles() {
+        let hub = Arc::new(TelemetryHub::new());
+        let mut plane = plane(2, 3, 2);
+        // A device that no longer holds the hub's component: its
+        // sessions error, so the star cannot converge.
+        plane.users.get_mut("user1").unwrap().devices[0].doc.name = "calendar".into();
+        plane.edit_hub("user1", insert_item("2")).unwrap();
+        let first = plane.reconcile(&hub);
+        assert_eq!((first.users[1].errors, first.users[1].converged), (2, false));
+        assert_eq!(first.users[1].changed.len(), 1);
+        assert_eq!(first.converged_users, 2);
+
+        // No new edit, yet it comes round again; the idle stars do not.
+        let second = plane.reconcile(&hub);
+        assert_eq!((second.users[1].errors, second.users[1].sessions), (2, 2));
+        assert_eq!(second.sessions, 2);
+        assert!(second.users[1].changed.is_empty(), "changed paths are published once");
+
+        // Once the cause is gone the star settles and drops out.
+        plane.users.get_mut("user1").unwrap().devices[0].doc.name = "address-book".into();
+        let third = plane.reconcile(&hub);
+        assert_eq!((third.users[1].errors, third.converged_users), (0, 3));
+        assert_eq!(plane.device_doc("user1", 0), plane.hub_doc("user1"));
+        assert_eq!(plane.reconcile(&hub).sessions, 0);
     }
 
     #[test]
