@@ -7,12 +7,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 
 use gupster_netsim::SimTime;
-use gupster_store::{DataStore, StoreError, StoreId, UpdateOp};
+use gupster_store::{DataStore, Fragment, StoreError, StoreId, UpdateOp};
 use gupster_telemetry::{stage, Tracer};
-use gupster_xml::{ArenaDoc, Element, MergeKeys, MergeOut, MergeStats};
+use gupster_xml::{Element, MergeKeys, MergeOut, MergeStats};
 
 use crate::error::GupsterError;
-use crate::referral::Referral;
+use crate::referral::{Referral, ReferralEntry};
 use crate::token::Signer;
 
 /// Synthetic per-fragment fetch cost: ~50µs of store work plus ~10µs
@@ -202,12 +202,22 @@ fn fetch_merge_inner(
         .verify(&referral.token, now)
         .map_err(|e| GupsterError::Token(e.to_string()))?;
 
-    let mut fragments: Vec<Element> = Vec::new();
-    let record_fetch = |tracer: &mut Option<&mut Tracer>, got: &[Element]| {
-        if let Some(t) = tracer.as_deref_mut() {
-            let bytes: usize = got.iter().map(Element::byte_size).sum();
-            t.span(stage::STORE_FETCH, fetch_cost(bytes));
-        }
+    // What the stores answered, in referral-entry order: subtrees lent
+    // out of their resident documents (or documents an adapter built),
+    // never copies. A fragment's serialized size only feeds the
+    // simulated charges, so it is counted once, and only when tracing.
+    let mut fragments: Vec<Fragment<'_>> = Vec::new();
+    let mut fragment_bytes = 0usize;
+    let traced = tracer.is_some();
+    let mut fetch = |entry: &ReferralEntry| {
+        let store = pool
+            .get(&entry.store)
+            .ok_or_else(|| GupsterError::Store(format!("store {} unreachable", entry.store)))?;
+        let got = store.fragments(&entry.path).map_err(|e| GupsterError::Store(e.to_string()))?;
+        let bytes: usize = if traced { got.iter().map(Fragment::byte_size).sum() } else { 0 };
+        fragment_bytes += bytes;
+        fragments.extend(got);
+        Ok::<usize, GupsterError>(bytes)
     };
     if referral.merge_required && batch {
         // Batched: fragments bound for the same store share one fetch
@@ -215,87 +225,68 @@ fn fetch_merge_inner(
         // and error precedence to the unbatched arm below); only the
         // cost accounting coalesces — one header charge per store over
         // the group's total bytes.
-        let mut group_order: Vec<&StoreId> = Vec::new();
-        let mut group_bytes: HashMap<&StoreId, usize> = HashMap::new();
+        let mut groups: Vec<(&StoreId, usize)> = Vec::new();
         for entry in &referral.entries {
-            let store = pool.get(&entry.store).ok_or_else(|| {
-                GupsterError::Store(format!("store {} unreachable", entry.store))
-            })?;
-            let got =
-                store.query(&entry.path).map_err(|e| GupsterError::Store(e.to_string()))?;
-            let bytes: usize = got.iter().map(Element::byte_size).sum();
-            if !group_bytes.contains_key(&entry.store) {
-                group_order.push(&entry.store);
+            let bytes = fetch(entry)?;
+            match groups.iter_mut().find(|(store, _)| *store == &entry.store) {
+                Some((_, total)) => *total += bytes,
+                None => groups.push((&entry.store, bytes)),
             }
-            *group_bytes.entry(&entry.store).or_default() += bytes;
-            fragments.extend(got);
         }
         if let Some(t) = tracer.as_deref_mut() {
-            for store in &group_order {
+            for (_, bytes) in &groups {
                 t.hub().counters().batched_fetches.fetch_add(1, Ordering::Relaxed);
-                t.span(stage::STORE_FETCH, fetch_cost(group_bytes[store]));
+                t.span(stage::STORE_FETCH, fetch_cost(*bytes));
             }
         }
     } else if referral.merge_required {
         // Every fragment source must answer (there is no alternative
         // holding the same fragment unless it was listed as a choice).
         for entry in &referral.entries {
-            let store = pool.get(&entry.store).ok_or_else(|| {
-                GupsterError::Store(format!("store {} unreachable", entry.store))
-            })?;
-            let got =
-                store.query(&entry.path).map_err(|e| GupsterError::Store(e.to_string()))?;
-            record_fetch(&mut tracer, &got);
-            fragments.extend(got);
+            let bytes = fetch(entry)?;
+            if let Some(t) = tracer.as_deref_mut() {
+                t.span(stage::STORE_FETCH, fetch_cost(bytes));
+            }
         }
     } else {
         // Choice referral (`||`): the alternatives are interchangeable —
         // fail over down the list (Req. 12 reliability: any replica
         // answers).
-        let mut last_err = None;
+        let mut last_err = GupsterError::Store("referral had no choices".into());
         let mut served = false;
         for entry in referral.choices() {
-            match pool.get(&entry.store) {
-                None => {
-                    last_err =
-                        Some(GupsterError::Store(format!("store {} unreachable", entry.store)));
-                }
-                Some(store) => match store.query(&entry.path) {
-                    Ok(got) => {
-                        record_fetch(&mut tracer, &got);
-                        fragments.extend(got);
-                        served = true;
-                        break;
+            match fetch(entry) {
+                Ok(bytes) => {
+                    if let Some(t) = tracer.as_deref_mut() {
+                        t.span(stage::STORE_FETCH, fetch_cost(bytes));
                     }
-                    Err(e) => last_err = Some(GupsterError::Store(e.to_string())),
-                },
+                    served = true;
+                    break;
+                }
+                Err(e) => last_err = e,
             }
         }
         if !served {
-            return Err(last_err
-                .unwrap_or_else(|| GupsterError::Store("referral had no choices".into())));
+            return Err(last_err);
         }
     }
 
-    // Merge fragments denoting the same logical node — on the zero-copy
-    // hot path: each fragment is adopted into an arena document once,
-    // and accumulators graft unchanged subtrees by id-reference so only
-    // the changed spine is ever allocated. The result is byte-identical
-    // to the old owned deep-union (the arena merge mirrors its grammar,
-    // key precedence and conflict rules exactly).
-    let docs: Vec<ArenaDoc> = fragments.iter().map(ArenaDoc::from_element).collect();
+    // Merge fragments denoting the same logical node, straight over the
+    // lent subtrees: accumulators graft unchanged subtrees by
+    // id-reference so only the changed spine is ever allocated. The
+    // result is byte-identical to the owned deep-union (the arena merge
+    // mirrors its grammar, key precedence and conflict rules exactly).
     if let Some(t) = tracer.as_deref_mut() {
-        let bytes: usize = fragments.iter().map(Element::byte_size).sum();
-        t.span(stage::XML_PARSE, parse_compute_cost(bytes));
+        t.span(stage::XML_PARSE, parse_compute_cost(fragment_bytes));
     }
     let mut out: Vec<MergeOut<'_>> = Vec::new();
-    'next: for doc in &docs {
-        let frag = MergeOut::from_doc(doc);
+    'next: for f in &fragments {
+        let frag = MergeOut::from_node(f.doc(), f.node());
         for existing in &mut out {
             if existing.root_name() == frag.root_name()
                 && existing.root_identity(keys) == frag.root_identity(keys)
             {
-                match existing.merge_with(doc, keys) {
+                match existing.merge_with_node(f.doc(), f.node(), keys) {
                     Ok(m) => {
                         *existing = m;
                         continue 'next;
@@ -310,6 +301,8 @@ fn fetch_merge_inner(
         }
         out.push(frag);
     }
+    // The one materialization of the answer, at the `Vec<Element>`
+    // boundary the callers fix.
     let result: Vec<Element> = out.iter().map(MergeOut::to_element).collect();
     if let Some(t) = tracer {
         let mut spine = MergeStats::default();
@@ -436,7 +429,7 @@ mod tests {
     use gupster_policy::{Purpose, WeekTime};
     use gupster_schema::gup_schema;
     use gupster_store::XmlStore;
-    use gupster_xml::parse;
+    use gupster_xml::{parse, ArenaDoc};
     use gupster_xpath::Path;
 
     fn p(s: &str) -> Path {
@@ -631,6 +624,109 @@ mod tests {
         let plain = fetch_merge(&pool, &out.referral, &signer, 110, &keys()).unwrap();
         let batched = fetch_merge_batched(&pool, &out.referral, &signer, 110, &keys()).unwrap();
         assert_eq!(plain, batched);
+    }
+
+    /// A store that cannot lend: every fragment is a document built for
+    /// the answer, the way an LDAP or relational adapter answers.
+    struct BuildingStore(XmlStore);
+
+    impl DataStore for BuildingStore {
+        fn id(&self) -> &StoreId {
+            self.0.id()
+        }
+        fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError> {
+            let built = self.0.query(path)?;
+            Ok(built.iter().map(|e| Fragment::built(ArenaDoc::from_element(e))).collect())
+        }
+        fn update(&mut self, user: &str, op: &UpdateOp) -> Result<(), StoreError> {
+            self.0.update(user, op)
+        }
+        fn users(&self) -> Vec<String> {
+            self.0.users()
+        }
+        fn generation(&self) -> u64 {
+            self.0.generation()
+        }
+        fn capabilities(&self) -> gupster_store::Capabilities {
+            self.0.capabilities()
+        }
+        fn drain_events(&mut self) -> Vec<gupster_store::ChangeEvent> {
+            self.0.drain_events()
+        }
+    }
+
+    #[test]
+    fn lent_and_built_fragments_give_the_same_answers() {
+        let profile = |store: &str, items: &str| {
+            let mut s = XmlStore::new(store);
+            s.put_profile(
+                parse(&format!(
+                    r#"<user id="a"><address-book>{items}</address-book><presence>on &amp; off</presence></user>"#
+                ))
+                .unwrap(),
+            )
+            .unwrap();
+            s
+        };
+        let stores = [
+            profile("s1", r#"<item id="1" type="personal"><name>Mom</name></item><item id="2"><name>Bob</name></item>"#),
+            profile("s2", r#"<item id="3" type="corporate"><name>Rick</name></item><item id="2"><phone>555</phone></item>"#),
+            // Disagrees with s1 about item 1: a conflicting copy.
+            profile("s3", r#"<item id="1" type="personal"><name>Mother</name></item>"#),
+        ];
+        let (mut lent, mut built) = (StorePool::new(), StorePool::new());
+        for s in stores {
+            built.add(Box::new(BuildingStore(s.clone())));
+            lent.add(Box::new(s));
+        }
+
+        let signer = Signer::new(b"k", 30);
+        let referral = |entries: &[(&str, &str)], merge_required: bool| Referral {
+            entries: entries
+                .iter()
+                .map(|(store, path)| ReferralEntry {
+                    store: StoreId::new(*store),
+                    path: p(path),
+                    complete: !merge_required,
+                })
+                .collect(),
+            merge_required,
+            token: signer.sign("a", "a", entries.iter().map(|(_, path)| path.to_string()).collect(), 100),
+            token_cached: false,
+        };
+        let book = "/user[@id='a']/address-book";
+        let cases = [
+            ("merge", referral(&[("s1", book), ("s2", book)], true), 110),
+            ("merge of items", referral(&[("s1", "/user[@id='a']/address-book/item"), ("s2", "//item")], true), 110),
+            ("conflicting copies", referral(&[("s1", book), ("s3", book), ("s2", book)], true), 110),
+            ("choice", referral(&[("s2", book), ("s1", book)], false), 110),
+            ("choice fails over", referral(&[("down", book), ("s3", "/user[@id='a']/presence")], false), 110),
+            ("nothing selected", referral(&[("s1", "/user[@id='ghost']/presence")], true), 110),
+            ("merge source down", referral(&[("s1", book), ("down", book)], true), 110),
+            ("every choice down", referral(&[("down", book)], false), 110),
+            ("no choices", referral(&[], false), 110),
+            ("expired token", referral(&[("s1", book)], true), 100 + 31),
+        ];
+        let render = |r: Result<Vec<Element>, GupsterError>| match r {
+            Ok(es) => Ok(es.iter().map(Element::to_xml).collect::<Vec<_>>()),
+            Err(e) => Err(e.to_string()),
+        };
+        for (what, referral, now) in &cases {
+            let plain = render(fetch_merge(&lent, referral, &signer, *now, &keys()));
+            assert_eq!(plain, render(fetch_merge(&built, referral, &signer, *now, &keys())), "{what}");
+            let batched = render(fetch_merge_batched(&lent, referral, &signer, *now, &keys()));
+            assert_eq!(batched, render(fetch_merge_batched(&built, referral, &signer, *now, &keys())), "{what} (batched)");
+            assert_eq!(plain, batched, "{what}: batching changes charges, not answers");
+        }
+        // The cases are what their names say.
+        let answer = |i: usize| render(fetch_merge(&lent, &cases[i].1, &signer, cases[i].2, &keys()));
+        assert_eq!(answer(0).unwrap().len(), 1, "one merged book");
+        assert_eq!(answer(2).unwrap().len(), 2, "the conflicting copy is kept beside the merge");
+        assert_eq!(answer(4).unwrap(), vec!["<presence>on &amp; off</presence>".to_string()]);
+        assert_eq!(answer(5).unwrap(), Vec::<String>::new());
+        for (i, (what, ..)) in cases.iter().enumerate().skip(6) {
+            assert!(answer(i).is_err(), "{what}");
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 
 use std::collections::BTreeMap;
 
-use gupster_store::{Capabilities, ChangeEvent, DataStore, StoreError, StoreId, UpdateOp};
+use gupster_store::{
+    Capabilities, ChangeEvent, DataStore, Fragment, StoreError, StoreId, UpdateOp,
+};
 use gupster_xml::Element;
 use gupster_xpath::{NameTest, Path, Predicate};
 
@@ -104,7 +106,7 @@ impl DataStore for PstnAdapter {
         &self.id
     }
 
-    fn query(&self, path: &Path) -> Result<Vec<Element>, StoreError> {
+    fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError> {
         let users = match Self::path_user(path) {
             Some(u) => vec![u],
             None => self.users(),
@@ -112,7 +114,7 @@ impl DataStore for PstnAdapter {
         let mut out = Vec::new();
         for u in users {
             if let Some(view) = self.gup_view(&u) {
-                out.extend(path.select(&view).into_iter().cloned());
+                out.extend(Fragment::select_built(path, &view));
             }
         }
         Ok(out)

@@ -105,10 +105,10 @@ impl gupster_store::DataStore for PresenceAdapter {
         &self.id
     }
 
-    fn query(
+    fn fragments(
         &self,
         path: &gupster_xpath::Path,
-    ) -> Result<Vec<gupster_xml::Element>, gupster_store::StoreError> {
+    ) -> Result<Vec<gupster_store::Fragment<'_>>, gupster_store::StoreError> {
         use gupster_xpath::Predicate;
         let user = path.steps.first().and_then(|s| {
             s.predicates.iter().find_map(|p| match p {
@@ -123,7 +123,7 @@ impl gupster_store::DataStore for PresenceAdapter {
         let mut out = Vec::new();
         for u in users {
             let view = self.view(&u);
-            out.extend(path.select(&view).into_iter().cloned());
+            out.extend(gupster_store::Fragment::select_built(path, &view));
         }
         Ok(out)
     }

@@ -11,7 +11,7 @@ use gupster_xml::Element;
 use gupster_xpath::{Path, Predicate};
 
 use crate::error::StoreError;
-use crate::store_trait::{Capabilities, ChangeEvent, DataStore, StoreId, UpdateOp};
+use crate::store_trait::{Capabilities, ChangeEvent, DataStore, Fragment, StoreId, UpdateOp};
 
 /// A GUP adapter over an LDAP [`Directory`].
 #[derive(Debug, Clone)]
@@ -160,7 +160,7 @@ impl DataStore for LdapAdapter {
         &self.id
     }
 
-    fn query(&self, path: &Path) -> Result<Vec<Element>, StoreError> {
+    fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError> {
         let users = match Self::path_user(path) {
             Some(u) => vec![u],
             None => self.users(),
@@ -168,7 +168,7 @@ impl DataStore for LdapAdapter {
         let mut out = Vec::new();
         for u in users {
             if let Some(view) = self.gup_view(&u) {
-                out.extend(path.select(&view).into_iter().cloned());
+                out.extend(Fragment::select_built(path, &view));
             }
         }
         Ok(out)

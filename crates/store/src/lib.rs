@@ -30,5 +30,5 @@ mod xmlstore;
 pub use error::StoreError;
 pub use ldap_adapter::LdapAdapter;
 pub use relational::RelationalAdapter;
-pub use store_trait::{Capabilities, ChangeEvent, DataStore, StoreId, UpdateOp};
+pub use store_trait::{Capabilities, ChangeEvent, DataStore, Fragment, StoreId, UpdateOp};
 pub use xmlstore::XmlStore;

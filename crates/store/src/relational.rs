@@ -14,7 +14,7 @@ use gupster_xml::Element;
 use gupster_xpath::{Path, Predicate};
 
 use crate::error::StoreError;
-use crate::store_trait::{Capabilities, ChangeEvent, DataStore, StoreId, UpdateOp};
+use crate::store_trait::{Capabilities, ChangeEvent, DataStore, Fragment, StoreId, UpdateOp};
 
 /// A column value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -324,7 +324,7 @@ impl DataStore for RelationalAdapter {
         &self.id
     }
 
-    fn query(&self, path: &Path) -> Result<Vec<Element>, StoreError> {
+    fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError> {
         let users: Vec<String> = match Self::path_user(path) {
             Some(u) => vec![u],
             None => self
@@ -336,7 +336,7 @@ impl DataStore for RelationalAdapter {
         let mut out = Vec::new();
         for u in users {
             if let Some(view) = self.gup_view(&u) {
-                out.extend(path.select(&view).into_iter().cloned());
+                out.extend(Fragment::select_built(path, &view));
             }
         }
         Ok(out)

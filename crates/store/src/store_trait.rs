@@ -1,8 +1,9 @@
 //! The GUP-compliant data-store interface.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use gupster_xml::Element;
+use gupster_xml::{ArenaDoc, Element, NodeId};
 use gupster_xpath::Path;
 
 use crate::error::StoreError;
@@ -85,6 +86,59 @@ pub struct ChangeEvent {
     pub generation: u64,
 }
 
+/// One fragment of a store's answer: a subtree of an arena document,
+/// either **lent** out of a document the store keeps resident (nothing
+/// is copied; the borrow keeps the store read-only while the answer is
+/// in use) or **built** for this answer by a store whose backend is not
+/// XML (an adapter's translated view).
+///
+/// Readers do not care which: [`Fragment::doc`] and [`Fragment::node`]
+/// are what the arena merge and serializer take.
+#[derive(Debug)]
+pub struct Fragment<'a> {
+    doc: Cow<'a, ArenaDoc>,
+    node: NodeId,
+}
+
+impl<'a> Fragment<'a> {
+    /// The subtree of the resident `doc` at `node`.
+    pub fn lent(doc: &'a ArenaDoc, node: NodeId) -> Self {
+        Fragment { doc: Cow::Borrowed(doc), node }
+    }
+
+    /// A document built for this answer; the fragment is all of it.
+    pub fn built(doc: ArenaDoc) -> Self {
+        let node = doc.root();
+        Fragment { doc: Cow::Owned(doc), node }
+    }
+
+    /// What `path` selects in `view`, each as a built fragment — how an
+    /// adapter answers from the GUP view it translated its backend into.
+    pub fn select_built(path: &Path, view: &Element) -> Vec<Self> {
+        path.select(view).into_iter().map(|e| Fragment::built(ArenaDoc::from_element(e))).collect()
+    }
+
+    /// The document the fragment lives in.
+    pub fn doc(&self) -> &ArenaDoc {
+        &self.doc
+    }
+
+    /// The fragment's root within [`Fragment::doc`].
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// The fragment as an owned tree.
+    pub fn to_element(&self) -> Element {
+        self.doc.to_element(self.node)
+    }
+
+    /// Serialized size of the fragment, counted without serializing.
+    pub fn byte_size(&self) -> usize {
+        self.doc.byte_size(self.node)
+    }
+}
+
 /// The GUP-compliant interface every participating store exposes
 /// (natively or through an adapter).
 ///
@@ -96,10 +150,16 @@ pub trait DataStore: Send + Sync {
     /// The store's identity (referral target).
     fn id(&self) -> &StoreId;
 
-    /// Evaluates a query path and returns the selected fragments
-    /// (copies). A request like `/user[@id='arnaud']/address-book`
-    /// returns the address-book subtree(s).
-    fn query(&self, path: &Path) -> Result<Vec<Element>, StoreError>;
+    /// Evaluates a query path and returns the selected fragments —
+    /// the store's one read. A request like
+    /// `/user[@id='arnaud']/address-book` returns the address-book
+    /// subtree(s), lent or built (see [`Fragment`]).
+    fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError>;
+
+    /// [`DataStore::fragments`] as owned trees (copies).
+    fn query(&self, path: &Path) -> Result<Vec<Element>, StoreError> {
+        Ok(self.fragments(path)?.iter().map(Fragment::to_element).collect())
+    }
 
     /// Applies an update for the given user.
     fn update(&mut self, user: &str, op: &UpdateOp) -> Result<(), StoreError>;
@@ -118,11 +178,11 @@ pub trait DataStore: Send + Sync {
     /// these (§5.2).
     fn drain_events(&mut self) -> Vec<ChangeEvent>;
 
-    /// Approximate serialized size of the result a query would return —
-    /// used by the network simulator to charge transfer time without
-    /// materializing twice.
+    /// Serialized size of the result a query would return — used by the
+    /// network simulator to charge transfer time without materializing
+    /// the answer.
     fn result_bytes(&self, path: &Path) -> usize {
-        self.query(path).map(|es| es.iter().map(Element::byte_size).sum()).unwrap_or(0)
+        self.fragments(path).map(|fs| fs.iter().map(Fragment::byte_size).sum()).unwrap_or(0)
     }
 }
 

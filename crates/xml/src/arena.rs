@@ -26,10 +26,13 @@
 use std::borrow::Cow;
 
 use crate::error::ParseError;
-use crate::escape::{escape_attr, escape_text, resolve_entity};
+use crate::escape::{
+    escape_attr, escape_text, escaped_attr_len, escaped_text_len, resolve_entity,
+};
 use crate::intern::{NameId, NameInterner};
 use crate::node::{Element, Node};
 use crate::parser::{is_name_char, is_name_start};
+use crate::writer::tag_len;
 
 /// Index of an element node inside an [`ArenaDoc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -85,6 +88,9 @@ pub struct ArenaDoc {
     kids: Vec<AKid>,
     texts: Vec<AVal>,
     root: NodeId,
+    /// Rows of the four tables no longer reachable from `root`: what
+    /// the in-place edits below orphaned. See [`ArenaDoc::compact`].
+    dead: usize,
 }
 
 impl ArenaDoc {
@@ -115,57 +121,129 @@ impl ArenaDoc {
             return Err(p.err("trailing content after document element"));
         }
         let ArenaParser { elems, attrs, kids, texts, .. } = p;
-        Ok(ArenaDoc { buf: input, elems, attrs, kids, texts, root })
+        Ok(ArenaDoc { buf: input, elems, attrs, kids, texts, root, dead: 0 })
     }
 
-    /// Converts an owned tree into arena form, losslessly (no
-    /// whitespace normalization — the tree is taken as-is). Names are
-    /// interned; values are held owned since there is no source buffer.
-    pub fn from_element(e: &Element) -> ArenaDoc {
-        let mut doc = ArenaDoc {
+    fn empty() -> ArenaDoc {
+        ArenaDoc {
             buf: String::new(),
             elems: Vec::new(),
             attrs: Vec::new(),
             kids: Vec::new(),
             texts: Vec::new(),
             root: NodeId(0),
-        };
-        let mut scratch: Vec<AKid> = Vec::new();
-        let root = doc.add_element(e, &mut scratch);
-        doc.root = root;
+            dead: 0,
+        }
+    }
+
+    /// Converts an owned tree into arena form, losslessly (no
+    /// whitespace normalization — the tree is taken as-is). Names are
+    /// interned; values are held owned since there is no source buffer.
+    pub fn from_element(e: &Element) -> ArenaDoc {
+        let mut doc = ArenaDoc::sized_for(e);
+        doc.root = doc.add_element(e, &mut Vec::new());
         doc
     }
 
+    /// [`ArenaDoc::from_element`] of a tree the caller is done with:
+    /// every text and attribute value is moved into the arena, none is
+    /// copied. What a store does with a document it is handed to keep.
+    pub fn from_owned(e: Element) -> ArenaDoc {
+        let mut doc = ArenaDoc::sized_for(&e);
+        doc.root = doc.add_owned(e, &mut Vec::new());
+        doc
+    }
+
+    /// An empty document whose tables have exactly the room `e` needs:
+    /// one allocation per table, none regrown, no slack kept resident.
+    fn sized_for(e: &Element) -> ArenaDoc {
+        fn tally(e: &Element, rows: &mut [usize; 4]) {
+            rows[0] += 1;
+            rows[1] += e.attrs.len();
+            rows[2] += e.children.len();
+            for ch in &e.children {
+                match ch {
+                    Node::Element(c) => tally(c, rows),
+                    Node::Text(_) => rows[3] += 1,
+                }
+            }
+        }
+        let mut rows = [0; 4];
+        tally(e, &mut rows);
+        ArenaDoc {
+            elems: Vec::with_capacity(rows[0]),
+            attrs: Vec::with_capacity(rows[1]),
+            kids: Vec::with_capacity(rows[2]),
+            texts: Vec::with_capacity(rows[3]),
+            ..ArenaDoc::empty()
+        }
+    }
+
+    /// Starts an element whose attribute rows (from `attr_start` on) are
+    /// already in place; its children collect in `scratch` above the
+    /// returned mark until [`ArenaDoc::close`].
+    fn open(&mut self, name: NameId, attr_start: usize, scratch: &[AKid]) -> (NodeId, usize) {
+        let id = NodeId(self.elems.len() as u32);
+        self.elems.push(AElem {
+            name,
+            attr_start: attr_start as u32,
+            attr_end: self.attrs.len() as u32,
+            kid_start: 0,
+            kid_end: 0,
+        });
+        (id, scratch.len())
+    }
+
+    /// Moves the children collected since `mark` into one contiguous
+    /// range of the child table.
+    fn close(&mut self, id: NodeId, mark: usize, scratch: &mut Vec<AKid>) -> NodeId {
+        let kid_start = self.kids.len() as u32;
+        self.kids.extend(scratch.drain(mark..));
+        let slot = &mut self.elems[id.0 as usize];
+        slot.kid_start = kid_start;
+        slot.kid_end = self.kids.len() as u32;
+        id
+    }
+
+    fn add_text(&mut self, v: AVal, scratch: &mut Vec<AKid>) {
+        scratch.push(AKid::Text(self.texts.len() as u32));
+        self.texts.push(v);
+    }
+
     fn add_element(&mut self, e: &Element, scratch: &mut Vec<AKid>) -> NodeId {
-        let name = NameInterner::intern(&e.name);
-        let attr_start = self.attrs.len() as u32;
+        let attr_start = self.attrs.len();
         for (n, v) in &e.attrs {
             self.attrs.push((NameInterner::intern(n), AVal::Owned(v.clone())));
         }
-        let attr_end = self.attrs.len() as u32;
-        let id = NodeId(self.elems.len() as u32);
-        self.elems.push(AElem { name, attr_start, attr_end, kid_start: 0, kid_end: 0 });
-        let mark = scratch.len();
+        let (id, mark) = self.open(NameInterner::intern(&e.name), attr_start, scratch);
         for ch in &e.children {
             match ch {
                 Node::Element(c) => {
                     let cid = self.add_element(c, scratch);
                     scratch.push(AKid::Elem(cid));
                 }
-                Node::Text(t) => {
-                    let ti = self.texts.len() as u32;
-                    self.texts.push(AVal::Owned(t.clone()));
-                    scratch.push(AKid::Text(ti));
-                }
+                Node::Text(t) => self.add_text(AVal::Owned(t.clone()), scratch),
             }
         }
-        let kid_start = self.kids.len() as u32;
-        self.kids.extend(scratch.drain(mark..));
-        let kid_end = self.kids.len() as u32;
-        let slot = &mut self.elems[id.0 as usize];
-        slot.kid_start = kid_start;
-        slot.kid_end = kid_end;
-        id
+        self.close(id, mark, scratch)
+    }
+
+    fn add_owned(&mut self, e: Element, scratch: &mut Vec<AKid>) -> NodeId {
+        let attr_start = self.attrs.len();
+        for (n, v) in e.attrs {
+            self.attrs.push((NameInterner::intern(&n), AVal::Owned(v)));
+        }
+        let (id, mark) = self.open(NameInterner::intern(&e.name), attr_start, scratch);
+        for ch in e.children {
+            match ch {
+                Node::Element(c) => {
+                    let cid = self.add_owned(c, scratch);
+                    scratch.push(AKid::Elem(cid));
+                }
+                Node::Text(t) => self.add_text(AVal::Owned(t), scratch),
+            }
+        }
+        self.close(id, mark, scratch)
     }
 
     /// The document element.
@@ -320,8 +398,12 @@ impl ArenaDoc {
         // Attribute counts can change (a rename onto an existing `to`
         // collapses two attributes into one), so rebuild the flat table.
         let mut rebuilt: Vec<(NameId, AVal)> = Vec::with_capacity(self.attrs.len());
+        // Rows no header points at (superseded by an edit) are not
+        // carried over, so they stop counting as dead.
+        let mut orphaned = self.attrs.len();
         for e in &mut self.elems {
             let slice = &self.attrs[e.attr_start as usize..e.attr_end as usize];
+            orphaned -= slice.len();
             let start = rebuilt.len() as u32;
             let moved = (e.name == on_id)
                 .then(|| slice.iter().position(|(n, _)| *n == from_id))
@@ -351,6 +433,7 @@ impl ArenaDoc {
             e.attr_end = rebuilt.len() as u32;
         }
         self.attrs = rebuilt;
+        self.dead -= orphaned;
     }
 
     /// Converts the subtree at `id` back into an owned [`Element`].
@@ -414,6 +497,26 @@ impl ArenaDoc {
         out
     }
 
+    /// Length of [`ArenaDoc::serialize_node`]'s output for `id`, counted
+    /// without building it — the arena twin of [`Element::byte_size`].
+    pub fn byte_size(&self, id: NodeId) -> usize {
+        let e = &self.elems[id.0 as usize];
+        let attrs: usize = self.attrs[e.attr_start as usize..e.attr_end as usize]
+            .iter()
+            .map(|(n, v)| {
+                tag_len::attr(NameInterner::resolve(*n).len(), escaped_attr_len(self.val(v)))
+            })
+            .sum();
+        let kids: usize = self.kids[e.kid_start as usize..e.kid_end as usize]
+            .iter()
+            .map(|k| match k {
+                AKid::Elem(c) => self.byte_size(*c),
+                AKid::Text(t) => escaped_text_len(self.val(&self.texts[*t as usize])),
+            })
+            .sum();
+        tag_len::element(self.name(id).len(), attrs, e.kid_start == e.kid_end, kids)
+    }
+
     /// Structural equality of two subtrees, possibly across documents,
     /// with the same semantics as `Element == Element`: attribute
     /// *sets* (order-insensitive), children order-sensitive.
@@ -446,21 +549,22 @@ impl ArenaDoc {
 }
 
 /// In-place edits. The sync delta path applies accepted remote ops
-/// through the arena instead of the owned tree ([`crate::apply_arena`]).
+/// through the arena instead of the owned tree ([`crate::apply_arena`]),
+/// and a native store applies its updates here.
 ///
 /// Edits are **append-range**: a mutated element gets a fresh attribute
 /// or child range appended to the flat tables and its header repointed,
 /// while every untouched node keeps its rows — the same structural-
 /// sharing discipline as [`crate::MergeOut`]. Superseded rows become
-/// arena garbage; a long-lived document under heavy editing should be
-/// rebuilt occasionally (e.g. at a sync rebase) via
-/// [`ArenaDoc::from_element`]`(&doc.root_element())`.
+/// arena garbage, which the document counts ([`ArenaDoc::dead_rows`]);
+/// whoever keeps a document under editing bounds it by calling
+/// [`ArenaDoc::compact`] once the dead rows outnumber the live ones.
 impl ArenaDoc {
     /// Converts `e` into arena rows, returning the fresh subtree's root
-    /// id. The subtree is unattached until a [`ArenaDoc::push_child`].
+    /// id. The subtree is unattached until a [`ArenaDoc::push_child`]
+    /// or [`ArenaDoc::replace_child`].
     pub fn graft_element(&mut self, e: &Element) -> NodeId {
-        let mut scratch: Vec<AKid> = Vec::new();
-        self.add_element(e, &mut scratch)
+        self.add_element(e, &mut Vec::new())
     }
 
     fn rewrite_kids(&mut self, id: NodeId, new: Vec<AKid>) {
@@ -468,23 +572,52 @@ impl ArenaDoc {
         self.kids.extend(new);
         let end = self.kids.len() as u32;
         let e = &mut self.elems[id.0 as usize];
+        self.dead += (e.kid_end - e.kid_start) as usize;
         e.kid_start = start;
         e.kid_end = end;
+    }
+
+    /// Rows of the four tables the subtree at `id` occupies.
+    fn subtree_rows(&self, id: NodeId) -> usize {
+        let e = &self.elems[id.0 as usize];
+        let own = 1 + (e.attr_end - e.attr_start) as usize + (e.kid_end - e.kid_start) as usize;
+        self.kids[e.kid_start as usize..e.kid_end as usize]
+            .iter()
+            .map(|k| match k {
+                AKid::Elem(c) => self.subtree_rows(*c),
+                AKid::Text(_) => 1,
+            })
+            .sum::<usize>()
+            + own
     }
 
     /// Replaces all text children of `id` with a single text node at
     /// the end of the child list — exactly [`Element::set_text`].
     pub fn set_text(&mut self, id: NodeId, text: &str) {
         let e = self.elems[id.0 as usize];
-        let mut kids: Vec<AKid> = self.kids[e.kid_start as usize..e.kid_end as usize]
-            .iter()
-            .filter(|k| matches!(k, AKid::Elem(_)))
-            .copied()
-            .collect();
+        let old = &self.kids[e.kid_start as usize..e.kid_end as usize];
+        let mut kids: Vec<AKid> =
+            old.iter().filter(|k| matches!(k, AKid::Elem(_))).copied().collect();
+        self.dead += old.len() - kids.len();
         let ti = self.texts.len() as u32;
         self.texts.push(AVal::Owned(text.to_string()));
         kids.push(AKid::Text(ti));
         self.rewrite_kids(id, kids);
+    }
+
+    fn rewrite_attrs(&mut self, id: NodeId, keep: impl Fn(NameId) -> bool) {
+        let e = self.elems[id.0 as usize];
+        let start = self.attrs.len() as u32;
+        for slot in e.attr_start as usize..e.attr_end as usize {
+            if keep(self.attrs[slot].0) {
+                let copied = self.attrs[slot].clone();
+                self.attrs.push(copied);
+            }
+        }
+        self.dead += (e.attr_end - e.attr_start) as usize;
+        let slot = &mut self.elems[id.0 as usize];
+        slot.attr_start = start;
+        slot.attr_end = self.attrs.len() as u32;
     }
 
     /// Sets an attribute on `id`, replacing any existing value for the
@@ -499,38 +632,19 @@ impl ArenaDoc {
                 return;
             }
         }
-        let start = self.attrs.len() as u32;
-        for slot in e.attr_start as usize..e.attr_end as usize {
-            let copied = self.attrs[slot].clone();
-            self.attrs.push(copied);
-        }
+        self.rewrite_attrs(id, |_| true);
         self.attrs.push((nid, AVal::Owned(value.to_string())));
-        let end = self.attrs.len() as u32;
-        let slot = &mut self.elems[id.0 as usize];
-        slot.attr_start = start;
-        slot.attr_end = end;
+        self.elems[id.0 as usize].attr_end += 1;
     }
 
     /// Removes the named attribute from `id`, preserving the order of
     /// the rest. Returns whether it was present.
     pub fn remove_attr(&mut self, id: NodeId, name: &str) -> bool {
         let Some(nid) = NameInterner::lookup(name) else { return false };
-        let e = self.elems[id.0 as usize];
-        let range = e.attr_start as usize..e.attr_end as usize;
-        if !self.attrs[range.clone()].iter().any(|(n, _)| *n == nid) {
+        if self.attr_by_id(id, nid).is_none() {
             return false;
         }
-        let start = self.attrs.len() as u32;
-        for slot in range {
-            if self.attrs[slot].0 != nid {
-                let copied = self.attrs[slot].clone();
-                self.attrs.push(copied);
-            }
-        }
-        let end = self.attrs.len() as u32;
-        let slot = &mut self.elems[id.0 as usize];
-        slot.attr_start = start;
-        slot.attr_end = end;
+        self.rewrite_attrs(id, |n| n != nid);
         true
     }
 
@@ -544,22 +658,104 @@ impl ArenaDoc {
         self.rewrite_kids(parent, kids);
     }
 
+    fn kid_slot(&self, parent: NodeId, child: NodeId) -> Option<usize> {
+        let e = &self.elems[parent.0 as usize];
+        (e.kid_start as usize..e.kid_end as usize)
+            .find(|&slot| matches!(self.kids[slot], AKid::Elem(c) if c == child))
+    }
+
     /// Removes element `child` from `parent`'s child list, preserving
     /// the order of the rest. Returns whether it was present. The
     /// removed subtree's rows become arena garbage.
     pub fn remove_child(&mut self, parent: NodeId, child: NodeId) -> bool {
-        let e = self.elems[parent.0 as usize];
-        let range = e.kid_start as usize..e.kid_end as usize;
-        if !self.kids[range.clone()].iter().any(|k| matches!(k, AKid::Elem(c) if *c == child)) {
+        if self.kid_slot(parent, child).is_none() {
             return false;
         }
-        let kids: Vec<AKid> = self.kids[range]
+        self.dead += self.subtree_rows(child);
+        let e = self.elems[parent.0 as usize];
+        let kids: Vec<AKid> = self.kids[e.kid_start as usize..e.kid_end as usize]
             .iter()
             .filter(|k| !matches!(k, AKid::Elem(c) if *c == child))
             .copied()
             .collect();
         self.rewrite_kids(parent, kids);
         true
+    }
+
+    /// Puts `new` (a node of this document, typically fresh from
+    /// [`ArenaDoc::graft_element`]) where `old` stands in `parent`'s
+    /// child list. Returns whether `old` was there. The child row is
+    /// overwritten where it is; only `old`'s subtree becomes garbage.
+    pub fn replace_child(&mut self, parent: NodeId, old: NodeId, new: NodeId) -> bool {
+        let Some(slot) = self.kid_slot(parent, old) else { return false };
+        self.dead += self.subtree_rows(old);
+        self.kids[slot] = AKid::Elem(new);
+        true
+    }
+
+    /// The parent of every element reachable from the root, indexed by
+    /// [`NodeId`] (`None` for the root and for garbage rows). One walk
+    /// of the live tree — for edits that start from selected ids and
+    /// need the list each one hangs in.
+    pub fn parents(&self) -> Vec<Option<NodeId>> {
+        let mut out = vec![None; self.elems.len()];
+        let mut stack = vec![self.root];
+        while let Some(p) = stack.pop() {
+            for c in self.child_elements(p) {
+                out[c.0 as usize] = Some(p);
+                stack.push(c);
+            }
+        }
+        out
+    }
+
+    /// Table rows orphaned by edits since the document was built or
+    /// last compacted.
+    pub fn dead_rows(&self) -> usize {
+        self.dead
+    }
+
+    /// Table rows reachable from the root. (Saturating: `rename_attr`
+    /// can collapse two attribute rows of an already dead element into
+    /// one, which leaves `dead` a row high.)
+    pub fn live_rows(&self) -> usize {
+        (self.elems.len() + self.attrs.len() + self.kids.len() + self.texts.len())
+            .saturating_sub(self.dead)
+    }
+
+    /// Rebuilds the tables from the live tree, moving every value, so
+    /// nothing dead is left. Every [`NodeId`] handed out before is
+    /// invalid afterwards.
+    pub fn compact(&mut self) {
+        let mut old = std::mem::replace(self, ArenaDoc::empty());
+        self.buf = std::mem::take(&mut old.buf);
+        let root = old.root;
+        self.root = self.move_subtree(&mut old, root, &mut Vec::new());
+    }
+
+    fn move_subtree(&mut self, old: &mut ArenaDoc, id: NodeId, scratch: &mut Vec<AKid>) -> NodeId {
+        // Each live row hangs in exactly one place, so its value can be
+        // taken; the placeholder left behind is never read.
+        let taken = |v: &mut AVal| std::mem::replace(v, AVal::Slice(0, 0));
+        let e = old.elems[id.0 as usize];
+        let attr_start = self.attrs.len();
+        for (n, v) in &mut old.attrs[e.attr_start as usize..e.attr_end as usize] {
+            self.attrs.push((*n, taken(v)));
+        }
+        let (new_id, mark) = self.open(e.name, attr_start, scratch);
+        for slot in e.kid_start as usize..e.kid_end as usize {
+            match old.kids[slot] {
+                AKid::Elem(c) => {
+                    let cid = self.move_subtree(old, c, scratch);
+                    scratch.push(AKid::Elem(cid));
+                }
+                AKid::Text(t) => {
+                    let v = taken(&mut old.texts[t as usize]);
+                    self.add_text(v, scratch);
+                }
+            }
+        }
+        self.close(new_id, mark, scratch)
     }
 }
 
@@ -1059,6 +1255,132 @@ mod tests {
         let d = ArenaDoc::from_element(&e);
         assert_eq!(d.root_element(), e);
         assert_eq!(d.to_xml(), e.to_xml());
+    }
+
+    #[test]
+    fn from_owned_moves_the_same_tree_in() {
+        let e = Element::new("a")
+            .with_attr("id", "1 & 2")
+            .with_text("  ")
+            .with_child(Element::new("b").with_attr("k", "\"q\"").with_text("x < y"))
+            .with_text("tail");
+        let borrowed = ArenaDoc::from_element(&e);
+        let moved = ArenaDoc::from_owned(e.clone());
+        assert_eq!(moved.root_element(), e);
+        assert_eq!(moved.to_xml(), borrowed.to_xml());
+        assert_eq!(moved.node_count(), borrowed.node_count());
+    }
+
+    #[test]
+    fn byte_size_counts_what_the_serializer_writes() {
+        for src in [
+            "<a/>",
+            r#"<a k="v"/>"#,
+            r#"<a k="&lt;&amp;&quot;&apos;&gt;">A&amp;B&lt;c&gt;<![CDATA[<raw>]]></a>"#,
+            r#"<user id="u"><book><item id="1" type="p"><name>Mom &amp; Dad</name></item><item id="2"/></book>tail</user>"#,
+            "<café note=\"déjà\">vü</café>",
+        ] {
+            let d = ArenaDoc::parse(src).unwrap();
+            let mut ids = vec![d.root()];
+            while let Some(id) = ids.pop() {
+                let mut out = String::new();
+                d.serialize_node(id, &mut out);
+                assert_eq!(d.byte_size(id), out.len(), "{src} at {id:?}");
+                assert_eq!(d.to_element(id).byte_size(), out.len(), "{src} at {id:?}");
+                ids.extend(d.child_elements(id));
+            }
+        }
+    }
+
+    fn book(items: usize) -> Element {
+        let mut b = Element::new("book");
+        for i in 0..items {
+            b.push_child(
+                Element::new("item")
+                    .with_attr("id", i.to_string())
+                    .with_child(Element::new("name").with_text(format!("N{i}"))),
+            );
+        }
+        b
+    }
+
+    #[test]
+    fn edits_count_the_rows_they_orphan_and_compact_drops_them() {
+        let owned = Element::new("user").with_attr("id", "u").with_child(book(3));
+        let mut d = ArenaDoc::from_element(&owned);
+        let rows = d.live_rows();
+        assert_eq!(d.dead_rows(), 0);
+        let b = d.child_elements(d.root()).next().unwrap();
+        let first = d.child_elements(b).next().unwrap();
+
+        // Same tree after every edit as the owned tree edited alike.
+        let mut model = owned.clone();
+        let fresh = d.graft_element(&book(1).children[0].as_element().unwrap().clone());
+        assert!(d.replace_child(b, first, fresh));
+        assert!(!d.replace_child(b, first, fresh), "the old child is gone");
+        let mb = model.child_mut("book").unwrap();
+        mb.children[0] = book(1).children[0].clone();
+        assert_eq!(d.root_element(), model);
+        // <item id><name>text</name></item>: 2 elements, 1 attribute,
+        // 2 child rows, 1 text row — and the child row was overwritten.
+        assert_eq!(d.dead_rows(), 6);
+        assert_eq!(d.live_rows(), rows);
+
+        let second = d.child_elements(b).nth(1).unwrap();
+        assert!(d.remove_child(b, second));
+        model.child_mut("book").unwrap().children.remove(1);
+        assert_eq!(d.root_element(), model);
+        assert_eq!(d.dead_rows(), 6 + 6 + 3, "subtree plus the rewritten 3-row child list");
+
+        d.set_text(fresh, "t");
+        d.set_text(fresh, "u");
+        d.set_attr(fresh, "mark", "1");
+        d.set_attr(fresh, "mark", "2");
+        assert!(d.remove_attr(fresh, "id"));
+        let item = model.child_mut("book").unwrap().child_mut("item").unwrap();
+        item.set_text("u");
+        item.set_attr("mark", "2");
+        item.remove_attr("id");
+        assert_eq!(d.root_element(), model);
+
+        let (before, xml) = (d.live_rows(), d.to_xml());
+        assert!(d.dead_rows() > 0);
+        d.compact();
+        assert_eq!(d.dead_rows(), 0);
+        assert_eq!(d.live_rows(), before, "compaction keeps exactly the live rows");
+        assert_eq!(d.to_xml(), xml);
+        assert_eq!(d.root_element(), model);
+        assert_eq!(d.node_count(), model.subtree_size());
+    }
+
+    #[test]
+    fn compact_keeps_slices_over_the_retained_buffer() {
+        let mut d =
+            ArenaDoc::parse(r#"<u id="x"><a>one</a><b k="v">two &amp; three</b></u>"#).unwrap();
+        let a = d.child_elements(d.root()).next().unwrap();
+        let root = d.root();
+        assert!(d.remove_child(root, a));
+        let owned_before = d.owned_value_bytes();
+        d.compact();
+        assert_eq!(d.to_xml(), r#"<u id="x"><b k="v">two &amp; three</b></u>"#);
+        assert_eq!(d.owned_value_bytes(), owned_before, "no slice was copied out");
+    }
+
+    #[test]
+    fn parents_cover_the_live_tree_only() {
+        let mut d = ArenaDoc::parse("<r><a><b/></a><c/></r>").unwrap();
+        let kids: Vec<NodeId> = d.child_elements(d.root()).collect();
+        let b = d.child_elements(kids[0]).next().unwrap();
+        let p = d.parents();
+        assert_eq!(p[d.root().0 as usize], None);
+        assert_eq!(p[kids[0].0 as usize], Some(d.root()));
+        assert_eq!(p[b.0 as usize], Some(kids[0]));
+        let root = d.root();
+        d.remove_child(root, kids[0]);
+        let p = d.parents();
+        assert_eq!(p[kids[0].0 as usize], None);
+        assert_eq!(p[b.0 as usize], None);
+        assert_eq!(p[kids[1].0 as usize], Some(root));
     }
 
     #[test]

@@ -83,14 +83,20 @@ impl<'a> MergeOut<'a> {
     /// Wraps a single document as a merge result: the whole tree is one
     /// graft, nothing is allocated.
     pub fn from_doc(doc: &'a ArenaDoc) -> MergeOut<'a> {
+        Self::from_node(doc, doc.root())
+    }
+
+    /// [`MergeOut::from_doc`] for the subtree of `doc` at `node` — a
+    /// fragment a store lends out of a larger resident document.
+    pub fn from_node(doc: &'a ArenaDoc, node: NodeId) -> MergeOut<'a> {
         let mut out = MergeOut {
             docs: vec![doc],
             nodes: Vec::new(),
-            root: MKid::Shared(0, doc.root()),
+            root: MKid::Shared(0, node),
             stats: MergeStats::default(),
         };
         out.stats.shared_subtrees = 1;
-        out.stats.shared_nodes = doc.subtree_size(doc.root()) as u64;
+        out.stats.shared_nodes = doc.subtree_size(node) as u64;
         out
     }
 
@@ -99,11 +105,21 @@ impl<'a> MergeOut<'a> {
     /// existing result is untouched (the fetch pipeline's
     /// keep-both-on-conflict fallback depends on this).
     pub fn merge_with(&self, doc: &'a ArenaDoc, keys: &MergeKeys) -> Result<MergeOut<'a>, XmlError> {
+        self.merge_with_node(doc, doc.root(), keys)
+    }
+
+    /// [`MergeOut::merge_with`] for the subtree of `doc` at `node`.
+    pub fn merge_with_node(
+        &self,
+        doc: &'a ArenaDoc,
+        node: NodeId,
+        keys: &MergeKeys,
+    ) -> Result<MergeOut<'a>, XmlError> {
         let mut next = self.clone();
         next.docs.push(doc);
         let d = (next.docs.len() - 1) as u32;
         let root = next.kid_handle(&next.root.clone());
-        let merged = next.merge_h(root, H::Arena(d, doc.root()), keys)?;
+        let merged = next.merge_h(root, H::Arena(d, node), keys)?;
         next.root = MKid::New(merged);
         Ok(next)
     }
@@ -620,6 +636,60 @@ mod tests {
         assert_eq!(NameInterner::resolve(name), "u");
         assert_eq!(idv, "id=7");
         assert_eq!(m.root_name(), name);
+    }
+
+    /// A lent subtree merges exactly like a document made of that
+    /// subtree alone: same answer (or conflict), same work counters.
+    #[test]
+    fn merging_a_subtree_equals_merging_a_document_of_it() {
+        use gupster_rng::check::{self, cases};
+        use gupster_rng::Rng;
+        let k = keys();
+        cases(200, 0x13_0d, |rng| {
+            // Two profiles whose books overlap on some item ids, agree
+            // on some of those and conflict on others.
+            let profile = |rng: &mut gupster_rng::StdRng| {
+                let mut book = Element::new("address-book");
+                for _ in 0..rng.gen_range(0..6usize) {
+                    let mut item = Element::new("item").with_attr("id", rng.gen_range(0..5u32).to_string());
+                    if rng.gen_bool(0.7) {
+                        item.push_child(Element::new("name").with_text(check::lowercase(rng, 1, 2)));
+                    }
+                    if rng.gen_bool(0.3) {
+                        item.push_child(Element::new("phone").with_text("555 & <0>"));
+                    }
+                    book.push_child(item);
+                }
+                Element::new("user")
+                    .with_attr("id", "u")
+                    .with_child(Element::new("presence").with_text("on"))
+                    .with_child(book)
+            };
+            let (pa, pb) = (profile(rng), profile(rng));
+            let (da, db) = (ArenaDoc::from_element(&pa), ArenaDoc::from_element(&pb));
+            let book_of = |d: &ArenaDoc| d.child_elements(d.root()).nth(1).unwrap();
+            let (na, nb) = (book_of(&da), book_of(&db));
+            let (sa, sb) = (
+                ArenaDoc::from_element(pa.child("address-book").unwrap()),
+                ArenaDoc::from_element(pb.child("address-book").unwrap()),
+            );
+
+            let lent = MergeOut::from_node(&da, na);
+            let whole = MergeOut::from_doc(&sa);
+            assert_eq!(lent.to_element(), whole.to_element());
+            assert_eq!(lent.stats(), whole.stats());
+            assert_eq!(lent.root_name(), whole.root_name());
+            assert_eq!(lent.root_identity(&k), whole.root_identity(&k));
+            match (lent.merge_with_node(&db, nb, &k), whole.merge_with(&sb, &k)) {
+                (Ok(l), Ok(w)) => {
+                    assert_eq!(l.to_element(), w.to_element());
+                    assert_eq!(l.to_xml(), w.to_xml());
+                    assert_eq!(l.stats(), w.stats());
+                }
+                (Err(l), Err(w)) => assert_eq!(l, w),
+                (l, w) => panic!("lent {l:?} vs whole {w:?}"),
+            }
+        });
     }
 
     #[test]

@@ -56,6 +56,25 @@ pub(crate) fn escape_attr(s: &str, out: &mut String) {
     out.push_str(&escape_attr_cow(s));
 }
 
+/// Length of `s` once escaped as text content ([`escape_text`]).
+pub(crate) fn escaped_text_len(s: &str) -> usize {
+    s.bytes().fold(s.len(), |n, b| match b {
+        b'&' => n + 4,
+        b'<' | b'>' => n + 3,
+        _ => n,
+    })
+}
+
+/// Length of `s` once escaped as an attribute value ([`escape_attr`]).
+pub(crate) fn escaped_attr_len(s: &str) -> usize {
+    s.bytes().fold(s.len(), |n, b| match b {
+        b'&' => n + 4,
+        b'<' | b'>' => n + 3,
+        b'"' | b'\'' => n + 5,
+        _ => n,
+    })
+}
+
 /// Resolves one entity reference starting *after* the `&`. Returns the
 /// decoded char and the number of input bytes consumed (excluding `&`),
 /// or `None` if the reference is malformed.
@@ -97,6 +116,14 @@ mod tests {
         let mut a = String::new();
         escape_attr(r#"say "hi" & 'bye'"#, &mut a);
         assert_eq!(a, "say &quot;hi&quot; &amp; &apos;bye&apos;");
+    }
+
+    #[test]
+    fn escaped_lengths_match_the_escapers() {
+        for s in ["", "plain", "a<b&c>d", r#"say "hi" & 'bye'"#, "déjà <vü>"] {
+            assert_eq!(escaped_text_len(s), escape_text_cow(s).len(), "{s}");
+            assert_eq!(escaped_attr_len(s), escape_attr_cow(s).len(), "{s}");
+        }
     }
 
     #[test]

@@ -197,10 +197,11 @@ impl Element {
         1 + self.child_elements().map(Element::depth).max().unwrap_or(0)
     }
 
-    /// Serialized size in bytes of the compact form. Used by the network
+    /// Serialized size in bytes of the compact form — `to_xml().len()`,
+    /// counted without building the string. Used by the network
     /// simulator to charge transfer time for profile payloads.
     pub fn byte_size(&self) -> usize {
-        self.to_xml().len()
+        writer::compact_len(self)
     }
 
     /// Compact (single-line) XML serialization.

@@ -1,6 +1,6 @@
 //! XML serialization (compact and pretty).
 
-use crate::escape::{escape_attr, escape_text};
+use crate::escape::{escape_attr, escape_text, escaped_attr_len, escaped_text_len};
 use crate::node::{Element, Node};
 
 pub(crate) fn write_compact(e: &Element, out: &mut String) {
@@ -27,6 +27,39 @@ pub(crate) fn write_compact(e: &Element, out: &mut String) {
     out.push_str("</");
     out.push_str(&e.name);
     out.push('>');
+}
+
+/// `write_compact`'s output length, without the output.
+pub(crate) fn compact_len(e: &Element) -> usize {
+    let attrs: usize =
+        e.attrs.iter().map(|(n, v)| tag_len::attr(n.len(), escaped_attr_len(v))).sum();
+    let kids: usize = e
+        .children
+        .iter()
+        .map(|ch| match ch {
+            Node::Element(c) => compact_len(c),
+            Node::Text(t) => escaped_text_len(t),
+        })
+        .sum();
+    tag_len::element(e.name.len(), attrs, e.children.is_empty(), kids)
+}
+
+/// Byte counts of the compact form's punctuation, shared by the owned
+/// and the arena counting walks (each is tested against its writer).
+pub(crate) mod tag_len {
+    /// ` name="value"`.
+    pub(crate) fn attr(name: usize, escaped_value: usize) -> usize {
+        1 + name + 2 + escaped_value + 1
+    }
+
+    /// `<name attrs/>` or `<name attrs>kids</name>`.
+    pub(crate) fn element(name: usize, attrs: usize, empty: bool, kids: usize) -> usize {
+        if empty {
+            1 + name + attrs + 2
+        } else {
+            1 + name + attrs + 1 + kids + 2 + name + 1
+        }
+    }
 }
 
 pub(crate) fn write_pretty(e: &Element, indent: usize, out: &mut String) {

@@ -4,7 +4,7 @@
 
 use gupster_rng::check::{self, cases};
 use gupster_rng::Rng;
-use gupster_xml::{parse, Element, NodePath};
+use gupster_xml::{parse, ArenaDoc, Element, NodePath};
 
 /// The parser must never panic, whatever bytes arrive (stores parse
 /// fragments received from untrusted peers).
@@ -45,6 +45,39 @@ fn attr_values_roundtrip() {
         let e = Element::new("e").with_attr("k", value.clone());
         let back = parse(&e.to_xml()).unwrap();
         assert_eq!(back.attr("k"), Some(value.as_str()));
+    });
+}
+
+/// Both counting walks report exactly what the serializer writes,
+/// whatever needs escaping, at every node — not only at the root.
+#[test]
+fn byte_size_counts_the_serialized_form() {
+    fn tree(rng: &mut gupster_rng::StdRng, depth: u32) -> Element {
+        let mut e = Element::new(*rng.pick(&["a", "item", "name"]));
+        for k in ["k", "id"] {
+            if rng.gen_bool(0.5) {
+                e.set_attr(k, check::printable(rng, 0, 12));
+            }
+        }
+        for _ in 0..rng.gen_range(0usize..4) {
+            if depth == 0 || rng.gen_bool(0.4) {
+                e.push_text(check::printable(rng, 0, 12));
+            } else {
+                e.push_child(tree(rng, depth - 1));
+            }
+        }
+        e
+    }
+    cases(256, 0x1ab7, |rng| {
+        let e = tree(rng, 3);
+        let doc = ArenaDoc::from_owned(e.clone());
+        let mut pending = vec![(doc.root(), &e)];
+        while let Some((id, owned)) = pending.pop() {
+            let bytes = owned.to_xml().len();
+            assert_eq!(owned.byte_size(), bytes);
+            assert_eq!(doc.byte_size(id), bytes);
+            pending.extend(doc.child_elements(id).zip(owned.child_elements()));
+        }
     });
 }
 

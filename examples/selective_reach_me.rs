@@ -66,7 +66,7 @@ fn main() {
             .portal
             .store
             .profile("alice")
-            .map(|p| Path::parse("/user/devices/device").unwrap().select(p).len())
+            .map(|p| Path::parse("/user/devices/device").unwrap().select(&p).len())
             .unwrap_or(0);
 
         let decision = decide(when, &presence, office_line.busy, on_air);

@@ -20,7 +20,7 @@ use gupster::netsim::{Domain, Network, NodeId};
 use gupster::policy::{Effect, Purpose, WeekTime};
 use gupster::schema::gup_schema;
 use gupster::store::{
-    Capabilities, ChangeEvent, DataStore, StoreError, StoreId, UpdateOp, XmlStore,
+    Capabilities, ChangeEvent, DataStore, Fragment, StoreError, StoreId, UpdateOp, XmlStore,
 };
 use gupster::xml::Element;
 use gupster::xpath::Path;
@@ -113,8 +113,8 @@ fn sharded_answers_byte_identical_across_shards_and_batching() {
 
 // -------------------------------------------------- singleflight —
 
-/// A store wrapper counting `query` calls — proof the singleflight
-/// table actually deduplicates, not just that answers agree.
+/// A store wrapper counting reads — proof the singleflight table
+/// actually deduplicates, not just that answers agree.
 struct CountingStore {
     inner: XmlStore,
     queries: Arc<AtomicU64>,
@@ -124,9 +124,9 @@ impl DataStore for CountingStore {
     fn id(&self) -> &StoreId {
         self.inner.id()
     }
-    fn query(&self, path: &Path) -> Result<Vec<Element>, StoreError> {
+    fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.inner.query(path)
+        self.inner.fragments(path)
     }
     fn update(&mut self, user: &str, op: &UpdateOp) -> Result<(), StoreError> {
         self.inner.update(user, op)
