@@ -14,8 +14,8 @@ fn main() {
     let mut r = rng(1);
     bench("cache_zipf_get_put", || {
         let u = user_id(zipf.sample(&mut r));
-        if cache.get(&u, &path).is_none() {
-            cache.put(&u, &path, vec![Element::new("presence").with_text("x")]);
+        if cache.get(&u, &u, &path).is_none() {
+            cache.put(&u, &u, &path, vec![Element::new("presence").with_text("x")], 0);
         }
     });
 
@@ -23,7 +23,8 @@ fn main() {
     let item = Path::parse("/user/address-book/item[@id='5']").unwrap();
     let mut cache = ResultCache::new(1_000);
     for i in 0..500 {
-        cache.put(&user_id(i), &book, vec![Element::new("address-book")]);
+        let u = user_id(i);
+        cache.put(&u, &u, &book, vec![Element::new("address-book")], 0);
     }
     bench("cache_invalidate_overlap", || cache.invalidate(&user_id(250), &item));
 }

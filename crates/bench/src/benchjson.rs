@@ -5,7 +5,7 @@
 //! fails the build when the *simulated* referral-path throughput
 //! regresses. The format is deliberately line-oriented JSON — the
 //! workspace is dependency-free, so both sides use the hand-rolled
-//! writer/scanner here instead of a serde stack.
+//! writer here and [`gupster_telemetry::scan`] instead of a serde stack.
 //!
 //! Only the `*_sim_ops` columns participate in the CI gate: simulated
 //! ops/sec is derived from the deterministic stage cost model (µs per
@@ -13,6 +13,8 @@
 //! Wall-clock columns are informative only.
 
 use std::fmt::Write as _;
+
+use gupster_telemetry::scan::{scan_f64, scan_str};
 
 /// One benchmark comparison row.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,39 +81,17 @@ pub fn parse(text: &str) -> Result<Vec<BenchRow>, String> {
         if !line.contains("\"kind\"") {
             continue;
         }
-        let kind = scan_str(line, "kind").ok_or_else(|| format!("no kind in: {line}"))?;
-        let row = BenchRow {
-            kind,
-            scale: scan_num(line, "scale").ok_or_else(|| format!("no scale in: {line}"))?
-                as u64,
-            naive_sim_ops: scan_num(line, "naive_sim_ops")
-                .ok_or_else(|| format!("no naive_sim_ops in: {line}"))?,
-            indexed_sim_ops: scan_num(line, "indexed_sim_ops")
-                .ok_or_else(|| format!("no indexed_sim_ops in: {line}"))?,
-            naive_wall_ops: scan_num(line, "naive_wall_ops").unwrap_or(0.0),
-            indexed_wall_ops: scan_num(line, "indexed_wall_ops").unwrap_or(0.0),
-            mean_candidates: scan_num(line, "mean_candidates").unwrap_or(0.0),
-        };
-        rows.push(row);
+        rows.push(BenchRow {
+            kind: scan_str(line, "kind")?,
+            scale: scan_f64(line, "scale")? as u64,
+            naive_sim_ops: scan_f64(line, "naive_sim_ops")?,
+            indexed_sim_ops: scan_f64(line, "indexed_sim_ops")?,
+            naive_wall_ops: scan_f64(line, "naive_wall_ops").unwrap_or(0.0),
+            indexed_wall_ops: scan_f64(line, "indexed_wall_ops").unwrap_or(0.0),
+            mean_candidates: scan_f64(line, "mean_candidates").unwrap_or(0.0),
+        });
     }
     Ok(rows)
-}
-
-fn scan_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    Some(line[at..].trim_start())
-}
-
-fn scan_num(line: &str, key: &str) -> Option<f64> {
-    let rest = scan_after(line, key)?;
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn scan_str(line: &str, key: &str) -> Option<String> {
-    let rest = scan_after(line, key)?.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
 }
 
 #[cfg(test)]
@@ -137,6 +117,41 @@ mod tests {
         assert!(text.contains("\"mode\": \"full\""));
         let back = parse(&text).unwrap();
         assert_eq!(back, rows);
+    }
+
+    /// Every line-JSON reader in the workspace, fed damaged rows: each
+    /// must refuse with an `Err` naming the offending key — never
+    /// panic, never read a damaged row as a smaller valid one.
+    #[test]
+    fn damaged_rows_are_errors_in_every_reader() {
+        use gupster_telemetry::slo::parse_slo_json;
+        use gupster_telemetry::ObsSnapshot;
+
+        let bench = |t: &str| parse(t).map(drop);
+        let slo = |t: &str| parse_slo_json(t).map(drop);
+        let obs = |t: &str| ObsSnapshot::parse_json(t).map(drop);
+        type Reader<'a> = &'a dyn Fn(&str) -> Result<(), String>;
+        let table: [(&str, Reader, &str, &str); 12] = [
+            // truncated mid-string, mid-number's key, and mid-row
+            ("bench", &bench, r#"{"kind": "cover"#, "kind"),
+            ("bench", &bench, r#"{"kind": "coverage", "scale": 5, "naive_sim_"#, "naive_sim_ops"),
+            ("slo", &slo, r#"{"name": "p99", "stage": "shard.req"#, "stage"),
+            ("slo", &slo, r#"{"shard": 0, "stage": "x", "count": 3, "p99_us": 7, "share""#, "share"),
+            ("obs", &obs, r#"{"row": "fleet", "requests": 10, "busy_"#, "busy_us"),
+            ("obs", &obs, r#"{"row": "hot_user", "name": "u7"#, "name"),
+            // a required key missing
+            ("bench", &bench, r#"{"kind": "coverage", "scale": 5, "naive_sim_ops": 1.0}"#, "indexed_sim_ops"),
+            ("slo", &slo, r#"{"name": "p99", "stage": "s", "budget_us": 9, "burn_rate": 1.0}"#, "target"),
+            ("obs", &obs, r#"{"row": "layout", "makespan_us": 4}"#, "shards"),
+            // a number that is not one
+            ("bench", &bench, r#"{"kind": "coverage", "scale": many}"#, "scale"),
+            ("slo", &slo, r#"{"shard": 0, "stage": "x", "count": -3, "p99_us": 7, "share": 0.5}"#, "count"),
+            ("obs", &obs, r#"{"row": "fleet", "requests": 1e3, "busy_us": 5}"#, "requests"),
+        ];
+        for (reader, read, text, key) in table {
+            let err = read(text).expect_err(text);
+            assert!(err.contains(key), "{reader} on {text}: {err}");
+        }
     }
 
     #[test]

@@ -38,8 +38,9 @@ pub fn run() {
                     versions[u] += 1;
                     cache.invalidate(&user, &path);
                 } else {
-                    match cache.get(&user, &path) {
-                        Some(hit) => {
+                    // The owner's own view; entries carry no stamp here.
+                    match cache.get(&user, &user, &path) {
+                        Some((hit, _)) => {
                             let got: u32 =
                                 hit[0].text().parse().expect("numeric payload");
                             if got != versions[u] {
@@ -49,9 +50,11 @@ pub fn run() {
                         None => {
                             cache.put(
                                 &user,
+                                &user,
                                 &path,
                                 vec![Element::new("presence")
                                     .with_text(versions[u].to_string())],
+                                0,
                             );
                         }
                     }
@@ -176,8 +179,8 @@ mod tests {
             let path = Path::parse("/user/presence").unwrap();
             for _ in 0..20_000 {
                 let user = user_id(zipf.sample(&mut r));
-                if cache.get(&user, &path).is_none() {
-                    cache.put(&user, &path, vec![Element::new("presence")]);
+                if cache.get(&user, &user, &path).is_none() {
+                    cache.put(&user, &user, &path, vec![Element::new("presence")], 0);
                 }
             }
             cache.hit_ratio()
@@ -189,9 +192,9 @@ mod tests {
     fn invalidation_prevents_stale_reads() {
         let mut cache = ResultCache::new(10);
         let path = Path::parse("/user/presence").unwrap();
-        cache.put("u", &path, vec![Element::new("presence").with_text("0")]);
+        cache.put("u", "u", &path, vec![Element::new("presence").with_text("0")], 0);
         cache.invalidate("u", &path);
-        assert!(cache.get("u", &path).is_none(), "stale entry must be gone");
+        assert!(cache.get("u", "u", &path).is_none(), "stale entry must be gone");
     }
 
     #[test]

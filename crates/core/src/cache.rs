@@ -2,23 +2,25 @@
 //! offer some caching services", "GUPster should probably also offer
 //! some caching to make the access to user profile components faster").
 
-use std::collections::HashMap;
-
 use gupster_xml::Element;
-use gupster_xpath::{may_overlap, Path};
+use gupster_xpath::{may_overlap, KeyDigest, OwnedKey, OwnerLru, Path};
 
-/// An LRU cache of merged query results, keyed by (user, path).
+/// An LRU cache of merged query results, keyed by (owner, requester,
+/// path) — one requester's view of one owner's component. Each entry
+/// carries a caller-chosen `u64` stamp (an expiry instant, a fetch
+/// time).
 ///
-/// Invalidation: when a store reports a change at some path for a user,
-/// every cached entry whose path overlaps it is dropped — the trigger
-/// mechanism Req. 7 asks for ("triggers to indicate when data has
-/// become stale").
+/// Keys include the **requester**: serving one principal's cached
+/// result to another would bypass the privacy shield.
+///
+/// Invalidation: when a store reports a change at some path for an
+/// owner, every requester's entry whose path overlaps it is dropped —
+/// the trigger mechanism Req. 7 asks for ("triggers to indicate when
+/// data has become stale"). Storage is the shared [`OwnerLru`]
+/// (DESIGN.md §7).
 #[derive(Debug)]
 pub struct ResultCache {
-    capacity: usize,
-    /// Key → (result, last-use tick, path for invalidation).
-    entries: HashMap<(String, String), CacheEntry>,
-    tick: u64,
+    entries: OwnerLru<ViewKey, (Vec<Element>, u64)>,
     /// Cache hits.
     pub hits: u64,
     /// Cache misses.
@@ -27,91 +29,69 @@ pub struct ResultCache {
     pub invalidations: u64,
 }
 
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    result: Vec<Element>,
-    last_use: u64,
+#[derive(Debug, PartialEq)]
+struct ViewKey {
+    owner: String,
+    requester: String,
     path: Path,
+}
+
+impl OwnedKey for ViewKey {
+    fn owner(&self) -> &str {
+        &self.owner
+    }
 }
 
 impl ResultCache {
     /// A cache bounded to `capacity` entries.
     pub fn new(capacity: usize) -> Self {
-        ResultCache {
-            capacity: capacity.max(1),
-            entries: HashMap::new(),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            invalidations: 0,
-        }
+        ResultCache { entries: OwnerLru::new(capacity), hits: 0, misses: 0, invalidations: 0 }
     }
 
-    fn key(user: &str, path: &Path) -> (String, String) {
-        (user.to_string(), path.to_string())
-    }
-
-    /// Looks up a cached result.
-    pub fn get(&mut self, user: &str, path: &Path) -> Option<Vec<Element>> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(&Self::key(user, path)) {
-            Some(e) => {
-                e.last_use = tick;
-                self.hits += 1;
-                Some(e.result.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts a result, evicting the least-recently-used entry when
-    /// full.
-    pub fn put(&mut self, user: &str, path: &Path, result: Vec<Element>) {
-        self.tick += 1;
-        if self.entries.len() >= self.capacity
-            && !self.entries.contains_key(&Self::key(user, path))
-        {
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
-            }
-        }
-        self.entries.insert(
-            Self::key(user, path),
-            CacheEntry { result, last_use: self.tick, path: path.clone() },
-        );
-    }
-
-    /// Invalidates every entry of `user` overlapping `changed`. Returns
-    /// how many entries were dropped.
-    pub fn invalidate(&mut self, user: &str, changed: &Path) -> usize {
-        self.invalidate_matching(&|u| u == user, changed)
-    }
-
-    /// Invalidates every entry whose user key satisfies `pred` and
-    /// whose path overlaps `changed` — write-through invalidation for
-    /// callers whose keys scope one owner to many requesters
-    /// (`owner\0requester`). Returns how many entries were dropped.
-    pub fn invalidate_matching(&mut self, pred: &dyn Fn(&str) -> bool, changed: &Path) -> usize {
-        let victims: Vec<_> = self
+    /// Looks up a cached result and its stamp.
+    pub fn get(
+        &mut self,
+        owner: &str,
+        requester: &str,
+        path: &Path,
+    ) -> Option<(Vec<Element>, u64)> {
+        let digest = KeyDigest::new(owner, &(requester, path)).key;
+        let hit = self
             .entries
-            .iter()
-            .filter(|((u, _), e)| pred(u) && may_overlap(&e.path, changed))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for v in &victims {
-            self.entries.remove(v);
+            .get(digest, |k| k.owner == owner && k.requester == requester && k.path == *path)
+            .cloned();
+        match hit {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
-        self.invalidations += victims.len() as u64;
-        victims.len()
+        hit
+    }
+
+    /// Inserts a stamped result, evicting the least-recently-used entry
+    /// when full.
+    pub fn put(
+        &mut self,
+        owner: &str,
+        requester: &str,
+        path: &Path,
+        result: Vec<Element>,
+        stamp: u64,
+    ) {
+        let key = ViewKey {
+            owner: owner.to_string(),
+            requester: requester.to_string(),
+            path: path.clone(),
+        };
+        self.entries.put(KeyDigest::new(owner, &(requester, path)), key, (result, stamp));
+    }
+
+    /// Invalidates every requester's entry of `owner` overlapping
+    /// `changed`, walking that owner's entries only. Returns how many
+    /// entries were dropped.
+    pub fn invalidate(&mut self, owner: &str, changed: &Path) -> usize {
+        let dropped = self.entries.retain_owner(owner, |k, _| !may_overlap(&k.path, changed));
+        self.invalidations += dropped as u64;
+        dropped
     }
 
     /// Current number of cached entries.
@@ -137,28 +117,22 @@ impl ResultCache {
 
 /// A caching front end over the full lookup+fetch pipeline.
 ///
-/// Cache keys include the **requester**: serving one principal's cached
-/// result to another would bypass the privacy shield. Entries also
-/// carry the decision time and expire after `ttl` seconds, bounding how
-/// long a *time-conditioned* permission (e.g. "co-workers during
-/// working hours") can outlive its window; store-update invalidations
-/// arrive through [`CachedClient::pump_invalidations`].
+/// Entries are stamped with their expiry instant and stop being served
+/// `ttl` seconds after the fetch, bounding how long a *time-conditioned*
+/// permission (e.g. "co-workers during working hours") can outlive its
+/// window; store-update invalidations arrive through
+/// [`CachedClient::pump_invalidations`].
 #[derive(Debug)]
 pub struct CachedClient {
     cache: ResultCache,
     /// Seconds a permitted result may be served from cache.
     pub ttl: u64,
-    expiry: HashMap<(String, String), u64>,
 }
 
 impl CachedClient {
     /// A client with the given cache capacity and TTL (seconds).
     pub fn new(capacity: usize, ttl: u64) -> Self {
-        CachedClient { cache: ResultCache::new(capacity), ttl, expiry: HashMap::new() }
-    }
-
-    fn key_user(owner: &str, requester: &str) -> String {
-        format!("{owner}\u{0}{requester}")
+        CachedClient { cache: ResultCache::new(capacity), ttl }
     }
 
     /// Looks up and fetches through the cache. On a hit, no shield
@@ -183,18 +157,13 @@ impl CachedClient {
 
         let hub = gupster.telemetry();
         let mut tracer = hub.tracer("cache.fetch");
-        let cache_user = Self::key_user(owner, requester);
-        if let Some(hit) = self.cache.get(&cache_user, request) {
-            let fresh = self
-                .expiry
-                .get(&(cache_user.clone(), request.to_string()))
-                .is_some_and(|&exp| now < exp);
-            if fresh {
-                hub.counters().cache_hits.fetch_add(1, Ordering::Relaxed);
-                tracer.mark(stage::CACHE_HIT);
-                return Ok(hit);
-            }
-            self.cache.invalidate(&cache_user, request);
+        // An expired entry is not served; the re-fetch below replaces it.
+        if let Some((hit, _)) =
+            self.cache.get(owner, requester, request).filter(|&(_, expiry)| now < expiry)
+        {
+            hub.counters().cache_hits.fetch_add(1, Ordering::Relaxed);
+            tracer.mark(stage::CACHE_HIT);
+            return Ok(hit);
         }
         hub.counters().cache_misses.fetch_add(1, Ordering::Relaxed);
         tracer.mark(stage::CACHE_MISS);
@@ -216,8 +185,7 @@ impl CachedClient {
             keys,
             &mut tracer,
         )?;
-        self.cache.put(&cache_user, request, result.clone());
-        self.expiry.insert((cache_user, request.to_string()), now + self.ttl);
+        self.cache.put(owner, requester, request, result.clone(), now + self.ttl);
         Ok(result)
     }
 
@@ -225,20 +193,9 @@ impl CachedClient {
     /// for **every** requester's view of the changed owner (the trigger
     /// of Req. 7). Returns the number of entries dropped.
     pub fn pump_invalidations(&mut self, pool: &mut crate::client::StorePool) -> usize {
-        let mut dropped = 0;
-        for (_store, event) in pool.drain_all_events() {
-            // Invalidate all requester-scoped keys for this owner.
-            let owners: Vec<String> = self
-                .expiry
-                .keys()
-                .map(|(u, _)| u.clone())
-                .filter(|u| u.starts_with(&format!("{}\u{0}", event.user)))
-                .collect();
-            for u in owners {
-                dropped += self.cache.invalidate(&u, &event.path);
-            }
-        }
-        dropped
+        pool.drain_all_events()
+            .map(|(_store, event)| self.cache.invalidate(&event.user, &event.path))
+            .sum()
     }
 
     /// Write-through invalidation (DESIGN.md §13): a committed sync
@@ -246,12 +203,7 @@ impl CachedClient {
     /// requester's cached view of them so no post-sync fetch serves a
     /// pre-write result. Returns the number of entries dropped.
     pub fn note_write(&mut self, owner: &str, changed: &[Path]) -> usize {
-        let prefix = format!("{owner}\u{0}");
-        let mut dropped = 0;
-        for path in changed {
-            dropped += self.cache.invalidate_matching(&|u| u.starts_with(&prefix), path);
-        }
-        dropped
+        changed.iter().map(|path| self.cache.invalidate(owner, path)).sum()
     }
 
     /// Cache statistics (hits, misses, invalidations).
@@ -276,10 +228,11 @@ mod tests {
     #[test]
     fn hit_after_put() {
         let mut c = ResultCache::new(4);
-        assert!(c.get("a", &p("/user/presence")).is_none());
-        c.put("a", &p("/user/presence"), result("<presence>online</presence>"));
-        let r = c.get("a", &p("/user/presence")).unwrap();
+        assert!(c.get("a", "a", &p("/user/presence")).is_none());
+        c.put("a", "a", &p("/user/presence"), result("<presence>online</presence>"), 7);
+        let (r, stamp) = c.get("a", "a", &p("/user/presence")).unwrap();
         assert_eq!(r[0].text(), "online");
+        assert_eq!(stamp, 7);
         assert_eq!(c.hits, 1);
         assert_eq!(c.misses, 1);
         assert!((c.hit_ratio() - 0.5).abs() < 1e-9);
@@ -288,38 +241,41 @@ mod tests {
     #[test]
     fn per_user_keys() {
         let mut c = ResultCache::new(4);
-        c.put("a", &p("/user/presence"), result("<presence>a</presence>"));
-        assert!(c.get("b", &p("/user/presence")).is_none());
+        c.put("a", "a", &p("/user/presence"), result("<presence>a</presence>"), 0);
+        assert!(c.get("b", "b", &p("/user/presence")).is_none());
+        assert!(c.get("a", "b", &p("/user/presence")).is_none(), "nor another requester's view");
     }
 
     #[test]
     fn lru_eviction() {
         let mut c = ResultCache::new(2);
-        c.put("a", &p("/user/presence"), result("<presence>1</presence>"));
-        c.put("a", &p("/user/calendar"), result("<calendar/>"));
+        c.put("a", "a", &p("/user/presence"), result("<presence>1</presence>"), 0);
+        c.put("a", "a", &p("/user/calendar"), result("<calendar/>"), 0);
         // Touch presence so calendar is the LRU.
-        c.get("a", &p("/user/presence"));
-        c.put("a", &p("/user/devices"), result("<devices/>"));
-        assert!(c.get("a", &p("/user/presence")).is_some());
-        assert!(c.get("a", &p("/user/calendar")).is_none());
+        c.get("a", "a", &p("/user/presence"));
+        c.put("a", "a", &p("/user/devices"), result("<devices/>"), 0);
+        assert!(c.get("a", "a", &p("/user/presence")).is_some());
+        assert!(c.get("a", "a", &p("/user/calendar")).is_none());
         assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn invalidation_by_overlap() {
         let mut c = ResultCache::new(8);
-        c.put("a", &p("/user/address-book"), result("<address-book/>"));
-        c.put("a", &p("/user/address-book/item[@type='personal']"), result("<item/>"));
-        c.put("a", &p("/user/presence"), result("<presence/>"));
-        c.put("b", &p("/user/address-book"), result("<address-book/>"));
-        // A change inside a's address book kills both book entries but
-        // not presence, and not b's book.
+        c.put("a", "a", &p("/user/address-book"), result("<address-book/>"), 0);
+        c.put("a", "a", &p("/user/address-book/item[@type='personal']"), result("<item/>"), 0);
+        c.put("a", "a", &p("/user/presence"), result("<presence/>"), 0);
+        c.put("b", "b", &p("/user/address-book"), result("<address-book/>"), 0);
+        c.put("a", "b", &p("/user/address-book"), result("<address-book/>"), 0);
+        // A change inside a's address book kills both book entries and
+        // b's view of a's book, but not presence, and not b's own book.
         let n = c.invalidate("a", &p("/user/address-book/item[@id='3']"));
-        assert_eq!(n, 2);
-        assert!(c.get("a", &p("/user/presence")).is_some());
-        assert!(c.get("b", &p("/user/address-book")).is_some());
-        assert!(c.get("a", &p("/user/address-book")).is_none());
-        assert_eq!(c.invalidations, 2);
+        assert_eq!(n, 3);
+        assert!(c.get("a", "b", &p("/user/address-book")).is_none());
+        assert!(c.get("a", "a", &p("/user/presence")).is_some());
+        assert!(c.get("b", "b", &p("/user/address-book")).is_some());
+        assert!(c.get("a", "a", &p("/user/address-book")).is_none());
+        assert_eq!(c.invalidations, 3);
     }
 
     mod cached_client {
@@ -425,6 +381,30 @@ mod tests {
         }
 
         #[test]
+        fn a_thousand_distinct_views_leave_at_most_capacity_behind() {
+            let (mut g, pool) = world();
+            g.pap
+                .provision("alice", "anyone", Effect::Permit, "/user/presence", "relationship='third-party'", 0)
+                .unwrap();
+            let mut cc = CachedClient::new(4, 60);
+            let keys = MergeKeys::new();
+            let req = p("/user[@id='alice']/presence");
+            let t = WeekTime::at(0, 10, 0);
+            for i in 0..1_000 {
+                cc.fetch(&mut g, &pool, "alice", &req, &format!("caller{i:04}"), t, 0, &keys).unwrap();
+            }
+            assert_eq!(cc.cache().len(), 4);
+            // Everything the client retains, not just the LRU's count:
+            // no side table may remember an evicted view.
+            let retained = format!("{cc:?}");
+            let remembered: std::collections::BTreeSet<&str> = retained
+                .match_indices("caller")
+                .filter_map(|(at, _)| retained.get(at..at + 10))
+                .collect();
+            assert_eq!(remembered.len(), 4, "evicted views must leave nothing behind");
+        }
+
+        #[test]
         fn store_update_invalidates_before_stale_read() {
             let (mut g, mut pool) = world();
             let mut cc = CachedClient::new(16, 600);
@@ -448,11 +428,11 @@ mod tests {
     #[test]
     fn replace_does_not_evict_others() {
         let mut c = ResultCache::new(2);
-        c.put("a", &p("/user/presence"), result("<presence>1</presence>"));
-        c.put("a", &p("/user/calendar"), result("<calendar/>"));
-        c.put("a", &p("/user/presence"), result("<presence>2</presence>"));
+        c.put("a", "a", &p("/user/presence"), result("<presence>1</presence>"), 0);
+        c.put("a", "a", &p("/user/calendar"), result("<calendar/>"), 0);
+        c.put("a", "a", &p("/user/presence"), result("<presence>2</presence>"), 0);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get("a", &p("/user/presence")).unwrap()[0].text(), "2");
-        assert!(c.get("a", &p("/user/calendar")).is_some());
+        assert_eq!(c.get("a", "a", &p("/user/presence")).unwrap().0[0].text(), "2");
+        assert!(c.get("a", "a", &p("/user/calendar")).is_some());
     }
 }

@@ -9,7 +9,7 @@ use gupster_policy::{pep, DecisionMemo, MemoKey, Pap, Pdp, Purpose, RequestConte
 use gupster_schema::Schema;
 use gupster_store::StoreId;
 use gupster_telemetry::{stage, TelemetryHub, Tracer};
-use gupster_xpath::Path;
+use gupster_xpath::{KeyDigest, OwnedKey, OwnerLru, Path};
 
 use crate::coverage::CoverageMap;
 use crate::error::GupsterError;
@@ -93,25 +93,34 @@ pub struct Gupster {
     /// path) triples skip the PDP entirely. Generation-stamped against
     /// the policy repository, so PAP writes invalidate it exactly.
     memo: DecisionMemo,
-    /// Referral-token cache (DESIGN.md §11), opt-in: repeated lookups
+    /// Referral-token cache (DESIGN.md §7), opt-in: repeated lookups
     /// producing the same rewritten path set reuse the signed token
     /// while it is inside the first half of its freshness window,
     /// skipping the HMAC pass. `None` = disabled (the default).
-    token_cache: Option<TokenCache>,
+    token_cache: Option<OwnerLru<TokenKey, SignedQuery>>,
     /// Per-owner write generations (DESIGN.md §13): bumped by every
     /// committed sync touching the owner's profile, alongside dropping
     /// the owner's derived registry state (memo, token cache).
     write_gens: HashMap<String, u64>,
 }
 
-/// The referral-token cache, keyed owner first so a profile write
-/// drops one owner's tokens without visiting anyone else's: owner →
-/// (requester, rewritten path set) → token.
-#[derive(Debug, Default)]
-struct TokenCache {
-    by_owner: HashMap<String, HashMap<(String, Vec<String>), SignedQuery>>,
-    /// Tokens held across all owners.
-    len: usize,
+/// Tokens the referral-token cache holds before the least recently
+/// used one gives way.
+const TOKEN_CACHE_CAPACITY: usize = 65_536;
+
+/// What a cached referral token was signed for.
+#[derive(Debug, PartialEq)]
+struct TokenKey {
+    owner: String,
+    requester: String,
+    /// The rewritten path set, serialized.
+    paths: Vec<String>,
+}
+
+impl OwnedKey for TokenKey {
+    fn owner(&self) -> &str {
+        &self.owner
+    }
 }
 
 impl Gupster {
@@ -141,9 +150,7 @@ impl Gupster {
     /// too (see the client's `token.verify` charge). Off by default —
     /// enabling it changes simulated costs, so experiments opt in.
     pub fn enable_token_cache(&mut self) {
-        if self.token_cache.is_none() {
-            self.token_cache = Some(TokenCache::default());
-        }
+        self.token_cache.get_or_insert_with(|| OwnerLru::new(TOKEN_CACHE_CAPACITY));
     }
 
     /// Sets the signer's token freshness window (seconds). Deployments
@@ -175,10 +182,7 @@ impl Gupster {
         *self.write_gens.entry(owner.to_string()).or_insert(0) += 1;
         let mut dropped = self.memo.invalidate_owner(owner);
         if let Some(cache) = &mut self.token_cache {
-            if let Some(tokens) = cache.by_owner.remove(owner) {
-                cache.len -= tokens.len();
-                dropped += tokens.len();
-            }
+            dropped += cache.invalidate_owner(owner);
         }
         self.telemetry.counters().invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
@@ -468,8 +472,11 @@ impl Gupster {
         let mut token_cached = false;
         let token = match &mut self.token_cache {
             Some(cache) => {
-                let key = (requester.to_string(), paths);
-                match cache.by_owner.get(owner).and_then(|tokens| tokens.get(&key)) {
+                let digest = KeyDigest::new(owner, &(requester, &paths));
+                let held = cache.get(digest.key, |k| {
+                    k.owner == owner && k.requester == requester && k.paths == paths
+                });
+                match held {
                     Some(t)
                         if now >= t.issued_at
                             && now - t.issued_at <= self.signer.freshness_window / 2 =>
@@ -480,15 +487,13 @@ impl Gupster {
                         t.clone()
                     }
                     _ => {
-                        if cache.len >= 65_536 {
-                            cache.by_owner.clear();
-                            cache.len = 0;
-                        }
-                        let t = self.signer.sign(owner, requester, key.1.clone(), now);
-                        let tokens = cache.by_owner.entry(owner.to_string()).or_default();
-                        if tokens.insert(key, t.clone()).is_none() {
-                            cache.len += 1;
-                        }
+                        let key = TokenKey {
+                            owner: owner.to_string(),
+                            requester: requester.to_string(),
+                            paths: paths.clone(),
+                        };
+                        let t = self.signer.sign(owner, requester, paths, now);
+                        cache.put(digest, key, t.clone());
                         tracer.charge(SimTime::micros(20));
                         t
                     }
@@ -889,6 +894,32 @@ mod tests {
         // A second write finds only what was rebuilt since.
         assert_eq!(g.note_write("arnaud", &[p("/user[@id='arnaud']/presence")]), 2);
         assert_eq!(g.telemetry().counter_snapshot().invalidations, 6);
+    }
+
+    #[test]
+    fn a_full_token_cache_evicts_one_token_not_all_of_them() {
+        let mut g = server();
+        // The seam: the shipped bound is 65 536; three shows the same.
+        g.token_cache = Some(OwnerLru::new(3));
+        for u in ["u1", "u2", "u3", "u4"] {
+            g.register_component(u, p(&format!("/user[@id='{u}']/presence")), sid("s")).unwrap();
+        }
+        let ask = |g: &mut Gupster, owner: &str, now: u64| {
+            let path = p(&format!("/user[@id='{owner}']/presence"));
+            g.lookup(owner, &path, owner, Purpose::Query, noon(), now).unwrap().referral.token_cached
+        };
+        for u in ["u1", "u2", "u3"] {
+            assert!(!ask(&mut g, u, 0));
+        }
+        // Reusing u1's token leaves u2's the least recently used…
+        assert!(ask(&mut g, "u1", 1));
+        // …so one token past the bound costs u2's alone.
+        assert!(!ask(&mut g, "u4", 1));
+        for u in ["u1", "u3", "u4"] {
+            assert!(ask(&mut g, u, 2), "{u}'s token must survive the eviction");
+        }
+        assert!(!ask(&mut g, "u2", 2));
+        assert_eq!(g.token_cache.as_ref().map(OwnerLru::len), Some(3));
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! [`ServedVia`] provenance and an explicit staleness flag, so callers
 //! can never mistake a degraded answer for a fresh one.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 use gupster_netsim::SimTime;
@@ -117,8 +116,12 @@ pub struct ResilientExecutor<'a> {
     pub budget: SimTime,
     /// The degradation ladder, tried in order.
     pub ladder: Vec<QueryPattern>,
+    /// Last fresh answer per (owner, requester, path), stamped with
+    /// its fetch time. Keyed per requester, like
+    /// [`crate::cache::CachedClient`]: a stale serve replays only an
+    /// answer this requester was already granted — it never bypasses
+    /// the privacy shield for a principal who was refused.
     stale: ResultCache,
-    stale_at: HashMap<(String, String), u64>,
     seed: u64,
 }
 
@@ -136,7 +139,6 @@ impl<'a> ResilientExecutor<'a> {
                 QueryPattern::Recruiting,
             ],
             stale: ResultCache::new(256),
-            stale_at: HashMap::new(),
             seed,
         }
     }
@@ -178,20 +180,7 @@ impl<'a> ResilientExecutor<'a> {
     /// stale copy of an overlapping path is dropped. Returns the number
     /// of entries dropped.
     pub fn note_write(&mut self, owner: &str, changed: &[Path]) -> usize {
-        let prefix = format!("{owner}\u{0}");
-        let mut dropped = 0;
-        for path in changed {
-            dropped += self.stale.invalidate_matching(&|u| u.starts_with(&prefix), path);
-        }
-        dropped
-    }
-
-    fn stale_key(owner: &str, requester: &str) -> String {
-        // Keyed per (owner, requester) pair, like [`crate::cache::CachedClient`]:
-        // a stale serve replays only an answer this requester was
-        // already granted — it never bypasses the privacy shield for a
-        // principal who was refused.
-        format!("{owner}\u{0}{requester}")
+        changed.iter().map(|path| self.stale.invalidate(owner, path)).sum()
     }
 
     /// Runs one request through the ladder.
@@ -306,19 +295,14 @@ impl<'a> ResilientExecutor<'a> {
 
         // Ladder exhausted (or deadline hit): last rung is the stale
         // cache.
-        let key = Self::stale_key(owner, requester);
-        if let Some(result) = self.stale.get(&key, request) {
-            let age = self
-                .stale_at
-                .get(&(key, request.to_string()))
-                .map(|&at| now.saturating_sub(at));
+        if let Some((result, fetched_at)) = self.stale.get(owner, requester, request) {
             tracer.mark(stage::STALE_SERVE);
             tracer.hub().counters().stale_serves.fetch_add(1, Ordering::Relaxed);
             return Ok(ResilientRun {
                 result,
                 served: ServedVia::StaleCache,
                 stale: true,
-                stale_age: age,
+                stale_age: Some(now.saturating_sub(fetched_at)),
                 fallbacks,
                 retries,
                 wall: tracer.now(),
@@ -355,9 +339,7 @@ impl<'a> ResilientExecutor<'a> {
     ) -> ResilientRun {
         // Refresh the stale cache so the next outage can degrade to
         // this answer.
-        let key = Self::stale_key(owner, requester);
-        self.stale.put(&key, request, run.result.clone());
-        self.stale_at.insert((key, request.to_string()), now);
+        self.stale.put(owner, requester, request, run.result.clone(), now);
         ResilientRun {
             result: run.result,
             served: ServedVia::Pattern(pattern),

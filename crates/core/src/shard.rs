@@ -28,7 +28,7 @@
 //! shard state — zero external deps, and the borrow checker proves the
 //! partitioning (each worker holds `&mut` to exactly one shard).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::thread;
 
@@ -65,13 +65,19 @@ const _: () = {
 /// Stable FNV-1a over the user id — the shard route must not depend on
 /// `std` hasher seeding, so per-shard counters and load factors are
 /// reproducible run to run.
-pub(crate) fn shard_hash(user: &str) -> u64 {
+fn shard_hash(user: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in user.as_bytes() {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The one owner → partition route: which of `shards` partitions (registry
+/// shards, fanout managers, sync shards, ingress queues) owns `owner`.
+pub(crate) fn shard_index(owner: &str, shards: usize) -> usize {
+    (shard_hash(owner) % shards as u64) as usize
 }
 
 /// One request in a scatter batch.
@@ -213,13 +219,6 @@ impl OverloadReport {
     }
 }
 
-/// The stale-cache key the admission plane shares shape with the
-/// resilience ladder: a NUL can appear in neither a user id nor a
-/// requester id.
-fn stale_key(owner: &str, requester: &str) -> String {
-    format!("{owner}\u{0}{requester}")
-}
-
 /// Cumulative per-shard execution gauges, maintained at every
 /// scatter-gather join (never inside the workers, so reading them can
 /// never observe a torn mid-window state).
@@ -287,7 +286,7 @@ impl ShardedRegistry {
 
     /// The shard index owning `user`.
     pub fn shard_of(&self, user: &str) -> usize {
-        (shard_hash(user) % self.shards.len() as u64) as usize
+        shard_index(user, self.shards.len())
     }
 
     /// The shard owning `user`.
@@ -684,15 +683,13 @@ impl ShardedRegistry {
         report.horizon = arrivals[n - 1].arrival;
         let n_shards = self.shards.len();
         let key_base = self.ops;
-        let route_shard =
-            |owner: &str| -> usize { (shard_hash(owner) % n_shards as u64) as usize };
 
         // Hot-key views and per-shard routing gauges are fleet-level
         // bookkeeping: same values at any shard count.
         self.note_hot_keys(arrivals.iter().map(|a| &a.request));
         let mut routed = vec![0u64; n_shards];
         for a in arrivals {
-            routed[route_shard(&a.request.owner)] += 1;
+            routed[shard_index(&a.request.owner, n_shards)] += 1;
             match a.class {
                 Priority::CallDelivery => report.offered_calls += 1,
                 Priority::ProfileEdit => report.offered_edits += 1,
@@ -706,31 +703,35 @@ impl ShardedRegistry {
         let mut outcomes: Vec<Option<RequestOutcome>> = (0..n).map(|_| None).collect();
         let mut exec_busy = vec![SimTime::ZERO; n_shards];
         let mut stale = ResultCache::new(config.stale_capacity);
-        let mut stale_at: HashMap<(String, String), u64> = HashMap::new();
         let mut completions: Vec<Completion> = Vec::new();
+        // Runs arrival `j` at `start`; the mutable run state is passed
+        // in so the borrow ends with each queue call.
+        let run = |shards: &mut [Gupster],
+                   results: &mut [Option<Result<Vec<Element>, GupsterError>>],
+                   exec_busy: &mut [SimTime],
+                   j: usize,
+                   start: SimTime| {
+            let (res, cost) =
+                execute_open(shards, pool, keys, &arrivals[j], probe, key_base + j as u64, start);
+            exec_busy[shard_index(&arrivals[j].request.owner, n_shards)] += cost;
+            results[j] = Some(res);
+            cost
+        };
 
         for (i, a) in arrivals.iter().enumerate() {
-            let owner_shard = route_shard(&a.request.owner);
+            let owner_shard = shard_index(&a.request.owner, n_shards);
             // The admission decision itself is a per-request fixed-cost
             // stage charged to the owning shard's hub, so the fleet
             // `admission.decide` histogram is shard-count invariant.
             self.shards[owner_shard]
                 .telemetry()
                 .record_stage(stage::ADMISSION_DECIDE, config.decide_cost);
-            let q = (shard_hash(&a.request.owner) % config.queues as u64) as usize;
+            let q = shard_index(&a.request.owner, config.queues);
 
             completions.clear();
             let offer = {
-                let shards = &mut self.shards;
-                let results = &mut results;
-                let exec_busy = &mut exec_busy;
-                let mut exec = |j: usize, start: SimTime| -> SimTime {
-                    let (res, cost) = execute_open(
-                        shards, pool, keys, &arrivals[j], probe, key_base + j as u64, start,
-                    );
-                    exec_busy[route_shard(&arrivals[j].request.owner)] += cost;
-                    results[j] = Some(res);
-                    cost
+                let mut exec = |j: usize, start: SimTime| {
+                    run(&mut self.shards, &mut results, &mut exec_busy, j, start)
                 };
                 // Advance every queue to this arrival first, so the
                 // stale cache holds exactly the answers completed
@@ -744,7 +745,7 @@ impl ShardedRegistry {
             // finish order, not queue order.
             completions.sort_by_key(|c| (c.finished, c.idx));
             for c in &completions {
-                self.settle_open(arrivals, c, &mut results, &mut outcomes, &mut stale, &mut stale_at, &mut report);
+                self.settle_open(arrivals, c, &mut results, &mut outcomes, &mut stale, &mut report);
             }
             if offer.preempted {
                 report.preemptions += 1;
@@ -755,23 +756,15 @@ impl ShardedRegistry {
                     .fetch_add(1, Ordering::Relaxed);
             }
             if let Some(shed) = offer.shed {
-                self.shed_open(arrivals, shed, &mut outcomes, &mut stale, &stale_at, &mut report);
+                self.shed_open(arrivals, shed, &mut outcomes, &mut stale, &mut report);
             }
         }
 
         // Drain the backlog to quiescence.
         completions.clear();
         {
-            let shards = &mut self.shards;
-            let results = &mut results;
-            let exec_busy = &mut exec_busy;
-            let mut exec = |j: usize, start: SimTime| -> SimTime {
-                let (res, cost) = execute_open(
-                    shards, pool, keys, &arrivals[j], probe, key_base + j as u64, start,
-                );
-                exec_busy[route_shard(&arrivals[j].request.owner)] += cost;
-                results[j] = Some(res);
-                cost
+            let mut exec = |j: usize, start: SimTime| {
+                run(&mut self.shards, &mut results, &mut exec_busy, j, start)
             };
             for queue in queues.iter_mut() {
                 queue.drain(&mut exec, &mut completions);
@@ -779,7 +772,7 @@ impl ShardedRegistry {
         }
         completions.sort_by_key(|c| (c.finished, c.idx));
         for c in &completions {
-            self.settle_open(arrivals, c, &mut results, &mut outcomes, &mut stale, &mut stale_at, &mut report);
+            self.settle_open(arrivals, c, &mut results, &mut outcomes, &mut stale, &mut report);
         }
 
         report.max_queue_depth = queues.iter().map(IngressQueue::max_depth).max().unwrap_or(0);
@@ -819,12 +812,11 @@ impl ShardedRegistry {
         results: &mut [Option<Result<Vec<Element>, GupsterError>>],
         outcomes: &mut [Option<RequestOutcome>],
         stale: &mut ResultCache,
-        stale_at: &mut HashMap<(String, String), u64>,
         report: &mut OverloadReport,
     ) {
         let a = &arrivals[c.idx];
         let r = &a.request;
-        let hub = self.shards[(shard_hash(&r.owner) % self.shards.len() as u64) as usize].telemetry();
+        let hub = self.shard(&r.owner).telemetry();
         let sojourn = c.finished.saturating_sub(c.arrived);
         match a.class {
             Priority::CallDelivery => {
@@ -840,26 +832,20 @@ impl ShardedRegistry {
         report.admitted += 1;
         report.horizon = report.horizon.max(c.finished);
         let res = results[c.idx].take().expect("completed service without an executed result");
-        let key = stale_key(&r.owner, &r.requester);
         let outcome = match res {
             Ok(elems) => {
                 report.fresh += 1;
-                stale.put(&key, &r.path, elems.clone());
-                stale_at.insert((key, r.path.to_string()), r.now);
+                stale.put(&r.owner, &r.requester, &r.path, elems.clone(), r.now);
                 RequestOutcome::Answer(Ok(elems))
             }
             Err(e) if is_transient(&e) => {
                 // A fault window bit the execution: the open-loop
                 // analogue of the ladder's stale rung.
-                match stale.get(&key, &r.path) {
-                    Some(result) => {
-                        let age = stale_at
-                            .get(&(key, r.path.to_string()))
-                            .map(|&at| r.now.saturating_sub(at))
-                            .unwrap_or(0);
+                match stale_outcome(stale, r) {
+                    Some(served) => {
                         hub.counters().stale_serves.fetch_add(1, Ordering::Relaxed);
                         report.stale_served += 1;
-                        RequestOutcome::Stale { result, age }
+                        served
                     }
                     None => RequestOutcome::Answer(Err(e)),
                 }
@@ -877,13 +863,12 @@ impl ShardedRegistry {
         shed: Shed,
         outcomes: &mut [Option<RequestOutcome>],
         stale: &mut ResultCache,
-        stale_at: &HashMap<(String, String), u64>,
         report: &mut OverloadReport,
     ) {
         let a = &arrivals[shed.idx];
         let r = &a.request;
         debug_assert_eq!(a.class, shed.cause.class, "shed class must match the request's");
-        let hub = self.shards[(shard_hash(&r.owner) % self.shards.len() as u64) as usize].telemetry();
+        let hub = self.shard(&r.owner).telemetry();
         match a.class {
             Priority::CallDelivery => {
                 hub.counters().shed_calls.fetch_add(1, Ordering::Relaxed);
@@ -894,22 +879,24 @@ impl ShardedRegistry {
                 report.shed_edits += 1;
             }
         }
-        let key = stale_key(&r.owner, &r.requester);
-        let outcome = match stale.get(&key, &r.path) {
-            Some(result) => {
-                let age = stale_at
-                    .get(&(key, r.path.to_string()))
-                    .map(|&at| r.now.saturating_sub(at))
-                    .unwrap_or(0);
+        let outcome = match stale_outcome(stale, r) {
+            Some(served) => {
                 hub.counters().overload_stale_serves.fetch_add(1, Ordering::Relaxed);
                 report.stale_served += 1;
-                RequestOutcome::Stale { result, age }
+                served
             }
             None => RequestOutcome::Overloaded(shed.cause),
         };
         debug_assert!(outcomes[shed.idx].is_none(), "a request must resolve exactly once");
         outcomes[shed.idx] = Some(outcome);
     }
+}
+
+/// The admission plane's stale rung: the last answer completed for the
+/// request's (owner, requester, path), aged against the request's clock.
+fn stale_outcome(stale: &mut ResultCache, r: &ShardRequest) -> Option<RequestOutcome> {
+    let (result, answered_at) = stale.get(&r.owner, &r.requester, &r.path)?;
+    Some(RequestOutcome::Stale { result, age: r.now.saturating_sub(answered_at) })
 }
 
 /// Runs one admitted request's full pipeline on its owning shard at its
@@ -924,8 +911,7 @@ fn execute_open(
     key: u64,
     start: SimTime,
 ) -> (Result<Vec<Element>, GupsterError>, SimTime) {
-    let shard = (shard_hash(&a.request.owner) % shards.len() as u64) as usize;
-    let g = &mut shards[shard];
+    let g = &mut shards[shard_index(&a.request.owner, shards.len())];
     let hub = g.telemetry();
     let mut tracer = hub.tracer(stage::SHARD_REQUEST);
     tracer.set_key(key);

@@ -41,6 +41,7 @@
 //! counter and staged notifications keep global event-arrival order,
 //! so delivery is byte-identical at any shard count.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
@@ -54,7 +55,7 @@ use crate::client::StorePool;
 use crate::error::GupsterError;
 use crate::index::CoverageTrie;
 use crate::registry::Gupster;
-use crate::shard::shard_hash;
+use crate::shard::shard_index;
 
 /// Decision-memo capacity of the fanout filter. Sized for the hub
 /// stress shape (100k+ watchers of one owner): each watcher's first
@@ -110,13 +111,6 @@ pub struct WindowOutcome {
     /// Returned so the policy-leak differential can assert each one is
     /// also refused on the direct query path.
     pub suppressed: Vec<Notification>,
-}
-
-impl WindowOutcome {
-    fn absorb(&mut self, mut other: WindowOutcome) {
-        self.staged += other.staged;
-        self.suppressed.append(&mut other.suppressed);
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -424,13 +418,7 @@ impl SubscriptionManager {
         pool: &mut StorePool,
         time: WeekTime,
     ) -> WindowOutcome {
-        let hub = gupster.telemetry();
-        let mut outcome = WindowOutcome::default();
-        for (_store, event) in pool.drain_all_events() {
-            let matched = self.match_event(&event, Some(&hub));
-            outcome.absorb(self.filter_into_pending(gupster, matched.notifications, time, &hub));
-        }
-        outcome
+        self.stage_own(gupster, pool.drain_all_events().map(|(_store, event)| event), time)
     }
 
     /// [`stage_window`](Self::stage_window) over an already-drained
@@ -442,55 +430,20 @@ impl SubscriptionManager {
         events: &[ChangeEvent],
         time: WeekTime,
     ) -> WindowOutcome {
-        let hub = gupster.telemetry();
-        let mut outcome = WindowOutcome::default();
-        for event in events {
-            let matched = self.match_event(event, Some(&hub));
-            outcome.absorb(self.filter_into_pending(gupster, matched.notifications, time, &hub));
-        }
-        outcome
+        self.stage_own(gupster, events.iter(), time)
     }
 
-    /// [`stage_window`](Self::stage_window) for one already-drained
-    /// event — [`ShardedFanout`] routes events here so the pending
-    /// queue it owns keeps global arrival order.
-    fn stage_event(
+    /// Stages into this manager's own window: a lone manager is a
+    /// one-shard plane.
+    fn stage_own(
         &mut self,
         gupster: &Gupster,
-        event: &ChangeEvent,
+        events: impl Iterator<Item = impl Borrow<ChangeEvent>>,
         time: WeekTime,
-        hub: &TelemetryHub,
-        pending: &mut Vec<Notification>,
     ) -> WindowOutcome {
-        let matched = self.match_event(event, Some(hub));
-        let mut outcome = WindowOutcome::default();
-        for n in matched.notifications {
-            if self.permit(gupster, &n, time, hub) {
-                pending.push(n);
-                outcome.staged += 1;
-            } else {
-                outcome.suppressed.push(n);
-            }
-        }
-        outcome
-    }
-
-    fn filter_into_pending(
-        &mut self,
-        gupster: &Gupster,
-        notifications: Vec<Notification>,
-        time: WeekTime,
-        hub: &TelemetryHub,
-    ) -> WindowOutcome {
-        let mut outcome = WindowOutcome::default();
-        for n in notifications {
-            if self.permit(gupster, &n, time, hub) {
-                self.pending.push(n);
-                outcome.staged += 1;
-            } else {
-                outcome.suppressed.push(n);
-            }
-        }
+        let mut pending = std::mem::take(&mut self.pending);
+        let outcome = stage(std::slice::from_mut(self), gupster, events, time, &mut pending);
+        self.pending = pending;
         outcome
     }
 
@@ -535,6 +488,34 @@ impl SubscriptionManager {
     }
 }
 
+/// The one staging routine: each event routes to its owner's manager,
+/// is matched through that manager's index, and every match is passed
+/// through the policy filter — permitted notifications append to
+/// `pending` in event-arrival order, refused ones are reported.
+fn stage(
+    managers: &mut [SubscriptionManager],
+    gupster: &Gupster,
+    events: impl Iterator<Item = impl Borrow<ChangeEvent>>,
+    time: WeekTime,
+    pending: &mut Vec<Notification>,
+) -> WindowOutcome {
+    let hub = gupster.telemetry();
+    let mut outcome = WindowOutcome::default();
+    for event in events {
+        let event = event.borrow();
+        let manager = &mut managers[shard_index(&event.user, managers.len())];
+        for n in manager.match_event(event, Some(&hub)).notifications {
+            if manager.permit(gupster, &n, time, &hub) {
+                pending.push(n);
+                outcome.staged += 1;
+            } else {
+                outcome.suppressed.push(n);
+            }
+        }
+    }
+    outcome
+}
+
 /// Collapses a pending window into per-subscriber batches, deduping
 /// identical `(owner, path)` payloads within a batch. Shared between
 /// [`SubscriptionManager`] and [`ShardedFanout`] so the sharded plane
@@ -574,7 +555,7 @@ fn coalesce(pending: &mut Vec<Notification>, hub: Option<&TelemetryHub>) -> Vec<
 }
 
 /// The sharded fanout plane: owners hash-partition across per-shard
-/// [`SubscriptionManager`]s with the same `shard_hash` as
+/// [`SubscriptionManager`]s with the same `shard_index` as
 /// [`crate::ShardedRegistry`], ids come from one shared counter, and
 /// the pending window lives here in global event-arrival order — so
 /// staging, filtering, and coalescing are byte-identical at 1, 2, or
@@ -605,10 +586,6 @@ impl ShardedFanout {
         self.managers.len()
     }
 
-    fn shard_of(&self, owner: &str) -> usize {
-        (shard_hash(owner) % self.managers.len() as u64) as usize
-    }
-
     /// Subscribes on the owner's shard; the id comes from the shared
     /// counter so it is shard-count invariant.
     pub fn subscribe(
@@ -621,7 +598,7 @@ impl ShardedFanout {
         now: u64,
     ) -> Result<u64, GupsterError> {
         let id = self.next_id;
-        let shard = self.shard_of(owner);
+        let shard = shard_index(owner, self.managers.len());
         self.managers[shard].subscribe_with_id(gupster, owner, path, subscriber, time, now, id)?;
         self.next_id = id + 1;
         Ok(id)
@@ -669,20 +646,8 @@ impl ShardedFanout {
         pool: &mut StorePool,
         time: WeekTime,
     ) -> WindowOutcome {
-        let hub = gupster.telemetry();
-        let shards = self.managers.len() as u64;
-        let mut outcome = WindowOutcome::default();
-        for (_store, event) in pool.drain_all_events() {
-            let shard = (shard_hash(&event.user) % shards) as usize;
-            outcome.absorb(self.managers[shard].stage_event(
-                gupster,
-                &event,
-                time,
-                &hub,
-                &mut self.pending,
-            ));
-        }
-        outcome
+        let events = pool.drain_all_events().map(|(_store, event)| event);
+        stage(&mut self.managers, gupster, events, time, &mut self.pending)
     }
 
     /// [`stage_window`](Self::stage_window) over an already-drained
@@ -693,20 +658,7 @@ impl ShardedFanout {
         events: &[ChangeEvent],
         time: WeekTime,
     ) -> WindowOutcome {
-        let hub = gupster.telemetry();
-        let shards = self.managers.len() as u64;
-        let mut outcome = WindowOutcome::default();
-        for event in events {
-            let shard = (shard_hash(&event.user) % shards) as usize;
-            outcome.absorb(self.managers[shard].stage_event(
-                gupster,
-                event,
-                time,
-                &hub,
-                &mut self.pending,
-            ));
-        }
-        outcome
+        stage(&mut self.managers, gupster, events.iter(), time, &mut self.pending)
     }
 
     /// Closes the delivery window — same coalescing as

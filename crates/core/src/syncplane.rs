@@ -4,7 +4,7 @@
 //! Each user's profile component lives as an N-replica star: a **hub**
 //! replica (the primary copy, Req. 4) plus device replicas that only
 //! ever sync against the hub. The plane partitions users across
-//! owner-hashed shards (the same stable `shard_hash` as
+//! owner-hashed shards (the same stable `shard_index` as
 //! [`crate::ShardedRegistry`] and [`crate::ShardedFanout`]) and runs
 //! each shard's reconciliation on its own scoped thread — users are
 //! disjoint across shards, so the outcome stream is **invariant at any
@@ -48,7 +48,7 @@ use gupster_xml::{EditOp, Element, MergeKeys, NodePath, XmlError};
 use gupster_xpath::Path;
 
 use crate::registry::Gupster;
-use crate::shard::shard_hash;
+use crate::shard::shard_index;
 
 /// One user's replica star: the hub (primary copy) plus device
 /// replicas.
@@ -283,7 +283,7 @@ impl SyncPlane {
         for (row, u) in self.users.values_mut().enumerate() {
             rows.push(UserOutcome { owner: u.owner.clone(), converged: true, ..Default::default() });
             if u.dirty {
-                buckets[(shard_hash(&u.owner) % shards as u64) as usize].push((row, u));
+                buckets[shard_index(&u.owner, shards)].push((row, u));
             }
         }
         let per_shard: Vec<Vec<(usize, UserOutcome)>> = std::thread::scope(|scope| {

@@ -4,14 +4,8 @@
 //! request path)` triple over and over — HLR-style lookup storms replay
 //! identical queries. The memo caches the [`Decision`] keyed by that
 //! triple, digested once per lookup so every later step compares
-//! integers.
-//!
-//! Every operation costs what it touches, never the population: entries
-//! live in a slab threaded by two intrusive lists — one in recency order
-//! (the LRU victim is its tail) and one per profile owner (a profile
-//! write drops that owner's decisions without visiting anyone else's) —
-//! behind an index from key digest to slot. The key is stored once, in
-//! its slot.
+//! integers. Storage, recency and per-owner invalidation are the shared
+//! [`OwnerLru`]'s; the memo adds the generation check.
 //!
 //! Invalidation is by **generation**: every entry is stamped with the
 //! [`crate::PolicyRepository::generation`] it was computed under, and a
@@ -20,11 +14,7 @@
 //! so no stale decision can ever be served — without the memo having to
 //! know *which* rules changed.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-
-use gupster_xpath::Path;
+use gupster_xpath::{KeyDigest, OwnedKey, OwnerLru, Path};
 
 use crate::context::RequestContext;
 use crate::pdp::Decision;
@@ -47,61 +37,22 @@ impl MemoKey {
     /// collision between *simultaneously live* keys of one owner.
     /// Nothing is interned: a dropped key leaves no trace.
     pub fn new(owner: &str, ctx: &RequestContext, request: &Path) -> MemoKey {
-        let mut h = owner_hasher(owner);
-        // `finish` does not consume: the full digest continues the
-        // owner's.
-        let owner_digest = h.finish();
-        ctx.hash(&mut h);
-        request.hash(&mut h);
-        MemoKey { owner: owner.to_string(), owner_digest, digest: h.finish() }
+        let d = KeyDigest::new(owner, &(ctx, request));
+        MemoKey { owner: owner.to_string(), owner_digest: d.owner, digest: d.key }
     }
 }
 
-/// An unkeyed hasher fed `owner`: digests are stable across memos,
-/// shards and runs.
-fn owner_hasher(owner: &str) -> DefaultHasher {
-    let mut h = DefaultHasher::new();
-    owner.hash(&mut h);
-    h
-}
-
-/// "No slot" in the intrusive lists.
-const NIL: u32 = u32::MAX;
-
-/// A slot's neighbours in one intrusive list.
-#[derive(Debug, Clone, Copy)]
-struct Links {
-    prev: u32,
-    next: u32,
-}
-
-#[derive(Debug, Clone)]
-struct Slot {
-    key: MemoKey,
-    decision: Decision,
-    /// Repository generation at compute time.
-    generation: u64,
-    /// Recency list, most recently used first.
-    recency: Links,
-    /// The list of entries whose owner digest equals this one's.
-    same_owner: Links,
+impl OwnedKey for MemoKey {
+    fn owner(&self) -> &str {
+        &self.owner
+    }
 }
 
 /// A bounded, generation-checked LRU memo of PDP decisions.
 #[derive(Debug, Clone)]
 pub struct DecisionMemo {
-    capacity: usize,
-    slots: Vec<Option<Slot>>,
-    /// Vacant positions of `slots`.
-    free: Vec<u32>,
-    /// Key digest → slot. The digests are unkeyed hashes of request
-    /// data, so the maps keep std's keyed hasher over them.
-    index: HashMap<u64, u32>,
-    /// Owner digest → head of that owner's entry list.
-    owners: HashMap<u64, u32>,
-    /// Most and least recently used slots.
-    head: u32,
-    tail: u32,
+    /// Key → (decision, repository generation at compute time).
+    entries: OwnerLru<MemoKey, (Decision, u64)>,
     /// Lookups answered from the memo.
     pub hits: u64,
     /// Lookups that missed (absent or stale).
@@ -111,30 +62,22 @@ pub struct DecisionMemo {
 impl DecisionMemo {
     /// A memo bounded to `capacity` decisions.
     pub fn new(capacity: usize) -> Self {
-        DecisionMemo {
-            capacity: capacity.max(1),
-            slots: Vec::new(),
-            free: Vec::new(),
-            index: HashMap::new(),
-            owners: HashMap::new(),
-            head: NIL,
-            tail: NIL,
-            hits: 0,
-            misses: 0,
-        }
+        DecisionMemo { entries: OwnerLru::new(capacity), hits: 0, misses: 0 }
     }
 
     /// Looks up a decision computed under the given repository
     /// generation. Entries stamped with any other generation are stale
     /// (the rules changed since) and are dropped on sight.
     pub fn get(&mut self, key: &MemoKey, generation: u64) -> Option<Decision> {
-        if let Some(s) = self.find(key) {
-            if self.slot(s).generation == generation {
-                self.touch(s);
+        match self.entries.get(key.digest, |k| k == key) {
+            Some((decision, stamp)) if *stamp == generation => {
                 self.hits += 1;
-                return Some(self.slot(s).decision.clone());
+                return Some(decision.clone());
             }
-            self.remove(s);
+            Some(_) => {
+                self.entries.remove(key.digest, |k| k == key);
+            }
+            None => {}
         }
         self.misses += 1;
         None
@@ -143,61 +86,23 @@ impl DecisionMemo {
     /// Stores a decision computed under the given generation, evicting
     /// the least-recently-used entry at capacity.
     pub fn put(&mut self, key: MemoKey, generation: u64, decision: Decision) {
-        if let Some(&s) = self.index.get(&key.digest) {
-            if self.slot(s).key == key {
-                let slot = self.slot_mut(s);
-                slot.decision = decision;
-                slot.generation = generation;
-                self.touch(s);
-                return;
-            }
-            // Another owner's key with the same 64-bit digest: the
-            // resident gives way (a future miss, never a wrong answer).
-            self.remove(s);
-        }
-        if self.len() >= self.capacity {
-            self.remove(self.tail);
-        }
-        let s = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(None);
-                u32::try_from(self.slots.len() - 1).expect("memo capacity fits u32")
-            }
-        };
-        let next = self.owners.insert(key.owner_digest, s).unwrap_or(NIL);
-        if next != NIL {
-            self.slot_mut(next).same_owner.prev = s;
-        }
-        self.index.insert(key.digest, s);
-        self.slots[s as usize] = Some(Slot {
-            key,
-            decision,
-            generation,
-            recency: Links { prev: NIL, next: NIL },
-            same_owner: Links { prev: NIL, next },
-        });
-        self.push_front(s);
+        let digest = KeyDigest { owner: key.owner_digest, key: key.digest };
+        self.entries.put(digest, key, (decision, generation));
     }
 
     /// Number of memoized decisions.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.entries.len()
     }
 
     /// True when nothing is memoized.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.entries.is_empty()
     }
 
     /// Drops every entry (counters are kept).
     pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.index.clear();
-        self.owners.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        self.entries.clear();
     }
 
     /// Drops every memoized decision about `owner`'s profile — the
@@ -207,83 +112,7 @@ impl DecisionMemo {
     /// recomputed. Walks the owner's own entry list only. Returns how
     /// many entries were dropped.
     pub fn invalidate_owner(&mut self, owner: &str) -> usize {
-        let mut dropped = 0;
-        let mut s = self.owners.get(&owner_hasher(owner).finish()).copied().unwrap_or(NIL);
-        while s != NIL {
-            let slot = self.slot(s);
-            let next = slot.same_owner.next;
-            // The list is per owner *digest*; skip a colliding owner.
-            if slot.key.owner == owner {
-                self.remove(s);
-                dropped += 1;
-            }
-            s = next;
-        }
-        dropped
-    }
-
-    fn slot(&self, s: u32) -> &Slot {
-        self.slots[s as usize].as_ref().expect("linked slots are occupied")
-    }
-
-    fn slot_mut(&mut self, s: u32) -> &mut Slot {
-        self.slots[s as usize].as_mut().expect("linked slots are occupied")
-    }
-
-    /// The slot holding exactly `key`.
-    fn find(&self, key: &MemoKey) -> Option<u32> {
-        self.index.get(&key.digest).copied().filter(|&s| self.slot(s).key == *key)
-    }
-
-    /// Makes `s` the most recently used slot.
-    fn touch(&mut self, s: u32) {
-        if self.head != s {
-            self.unlink_recency(s);
-            self.push_front(s);
-        }
-    }
-
-    fn push_front(&mut self, s: u32) {
-        let old = self.head;
-        self.slot_mut(s).recency = Links { prev: NIL, next: old };
-        match old {
-            NIL => self.tail = s,
-            _ => self.slot_mut(old).recency.prev = s,
-        }
-        self.head = s;
-    }
-
-    fn unlink_recency(&mut self, s: u32) {
-        let Links { prev, next } = self.slot(s).recency;
-        match prev {
-            NIL => self.head = next,
-            _ => self.slot_mut(prev).recency.next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            _ => self.slot_mut(next).recency.prev = prev,
-        }
-    }
-
-    /// Vacates slot `s`: out of both lists and the index.
-    fn remove(&mut self, s: u32) {
-        self.unlink_recency(s);
-        let slot = self.slots[s as usize].take().expect("linked slots are occupied");
-        let Links { prev, next } = slot.same_owner;
-        if next != NIL {
-            self.slot_mut(next).same_owner.prev = prev;
-        }
-        match (prev, next) {
-            (NIL, NIL) => {
-                self.owners.remove(&slot.key.owner_digest);
-            }
-            (NIL, _) => {
-                self.owners.insert(slot.key.owner_digest, next);
-            }
-            _ => self.slot_mut(prev).same_owner.next = next,
-        }
-        self.index.remove(&slot.key.digest);
-        self.free.push(s);
+        self.entries.invalidate_owner(owner)
     }
 }
 
@@ -291,7 +120,6 @@ impl DecisionMemo {
 mod tests {
     use super::*;
     use crate::context::WeekTime;
-    use gupster_rng::{check, Rng};
 
     fn key(owner: &str, requester: &str, path: &str) -> MemoKey {
         let ctx = RequestContext::query(requester, "family", WeekTime::at(1, 10, 0));
@@ -361,126 +189,5 @@ mod tests {
         assert_eq!(memo.invalidate_owner("alice"), 0);
         assert_eq!(memo.invalidate_owner("bob"), 1);
         assert!(memo.is_empty());
-    }
-
-    /// The memo as it was before the slab: one map, a use tick per
-    /// entry, the victim found by scanning for the smallest tick and an
-    /// owner's entries by scanning every key. Kept as the model the
-    /// O(1) structure must be indistinguishable from.
-    struct ScanningMemo {
-        capacity: usize,
-        entries: HashMap<MemoKey, (Decision, u64, u64)>,
-        tick: u64,
-        hits: u64,
-        misses: u64,
-    }
-
-    impl ScanningMemo {
-        fn get(&mut self, key: &MemoKey, generation: u64) -> Option<Decision> {
-            self.tick += 1;
-            let tick = self.tick;
-            let stale = match self.entries.get_mut(key) {
-                Some((decision, gen, last_use)) if *gen == generation => {
-                    *last_use = tick;
-                    self.hits += 1;
-                    return Some(decision.clone());
-                }
-                Some(_) => true,
-                None => false,
-            };
-            if stale {
-                self.entries.remove(key);
-            }
-            self.misses += 1;
-            None
-        }
-
-        fn put(&mut self, key: MemoKey, generation: u64, decision: Decision) {
-            self.tick += 1;
-            if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-                if let Some(victim) = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (_, _, last_use))| *last_use)
-                    .map(|(k, _)| k.clone())
-                {
-                    self.entries.remove(&victim);
-                }
-            }
-            self.entries.insert(key, (decision, generation, self.tick));
-        }
-
-        fn invalidate_owner(&mut self, owner: &str) -> usize {
-            let before = self.entries.len();
-            self.entries.retain(|k, _| k.owner != owner);
-            before - self.entries.len()
-        }
-    }
-
-    #[test]
-    fn random_operations_match_the_scanning_model() {
-        const OWNERS: [&str; 5] = ["alice", "bob", "carol", "dave", "erin"];
-        const REQUESTERS: [&str; 3] = ["mom", "boss", "spy"];
-        const PATHS: [&str; 3] = ["/user/presence", "/user/calendar", "/user/address-book"];
-        check::cases(40, 0x1207, |rng| {
-            let capacity = rng.gen_range(1..=12);
-            let mut memo = DecisionMemo::new(capacity);
-            let mut model = ScanningMemo {
-                capacity,
-                entries: HashMap::new(),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-            };
-            // 45 keys against at most 12 slots: eviction is constant.
-            let mut generation = 1;
-            for step in 0..600 {
-                let (owner, requester, path) =
-                    (*rng.pick(&OWNERS), *rng.pick(&REQUESTERS), *rng.pick(&PATHS));
-                let k = key(owner, requester, path);
-                match rng.gen_range(0..100) {
-                    0..=44 => {
-                        assert_eq!(memo.get(&k, generation), model.get(&k, generation), "get @{step}");
-                    }
-                    45..=84 => {
-                        let decision = match rng.gen_range(0..3) {
-                            0 => Decision::Permit,
-                            1 => Decision::Deny,
-                            _ => Decision::PermitNarrowed(vec![Path::parse(path).unwrap()]),
-                        };
-                        // Sometimes a laggard writer stamps an old generation.
-                        let stamp = generation - rng.gen_range(0..2);
-                        memo.put(k.clone(), stamp, decision.clone());
-                        model.put(k, stamp, decision);
-                    }
-                    85..=94 => {
-                        assert_eq!(
-                            memo.invalidate_owner(owner),
-                            model.invalidate_owner(owner),
-                            "invalidate_owner @{step}"
-                        );
-                    }
-                    95..=97 => generation += 1,
-                    _ => {
-                        memo.clear();
-                        model.entries.clear();
-                    }
-                }
-                assert_eq!(memo.len(), model.entries.len(), "len @{step}");
-                assert_eq!((memo.hits, memo.misses), (model.hits, model.misses), "counters @{step}");
-            }
-            // Same survivors — so every victim along the way was the
-            // model's — with the same decisions, in the same recency
-            // order (read back without disturbing it).
-            let mut by_recency: Vec<(&MemoKey, &(Decision, u64, u64))> = model.entries.iter().collect();
-            by_recency.sort_by_key(|(_, (_, _, last_use))| std::cmp::Reverse(*last_use));
-            let mut s = memo.head;
-            for (k, (decision, gen, _)) in by_recency {
-                let slot = memo.slot(s);
-                assert_eq!((&slot.key, &slot.decision, slot.generation), (k, decision, *gen));
-                s = slot.recency.next;
-            }
-            assert_eq!(s, NIL);
-        });
     }
 }

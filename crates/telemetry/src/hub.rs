@@ -70,7 +70,7 @@ pub struct Counters {
     /// Shed requests answered from the admission stale cache.
     pub overload_stale_serves: AtomicU64,
     /// Referral tokens reused from the registry's token cache instead
-    /// of freshly signed (DESIGN.md §11).
+    /// of freshly signed (DESIGN.md §7).
     pub token_reuse: AtomicU64,
     /// Write events matched through the inverted subscription index
     /// (DESIGN.md §12) instead of the linear watcher scan.

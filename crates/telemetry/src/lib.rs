@@ -27,6 +27,7 @@ pub mod histogram;
 pub mod hub;
 pub mod intern;
 pub mod obs;
+pub mod scan;
 pub mod slo;
 pub mod span;
 pub mod table;

@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 use gupster_netsim::SimTime;
 
 use crate::hub::{CounterSnapshot, Exemplar, StageStats};
+use crate::scan::{scan_f64, scan_str, scan_u64};
 use crate::{stage, table};
 
 /// One shard's gauges at snapshot time.
@@ -289,7 +290,7 @@ impl ObsSnapshot {
             if !line.contains("\"row\"") {
                 continue;
             }
-            let row = scan_str(line, "row").ok_or_else(|| format!("no row kind in: {line}"))?;
+            let row = scan_str(line, "row")?;
             match row.as_str() {
                 "fleet" => {
                     saw_fleet = true;
@@ -304,10 +305,8 @@ impl ObsSnapshot {
                     }
                 }
                 "counter" => {
-                    let scope =
-                        scan_str(line, "scope").ok_or_else(|| format!("no scope in: {line}"))?;
-                    let name =
-                        scan_str(line, "name").ok_or_else(|| format!("no name in: {line}"))?;
+                    let scope = scan_str(line, "scope")?;
+                    let name = scan_str(line, "name")?;
                     let value = scan_u64(line, "value")?;
                     let target = if scope == "fleet" {
                         &mut fleet.totals
@@ -323,8 +322,7 @@ impl ObsSnapshot {
                     }
                 }
                 "stage" => {
-                    let label = scan_str(line, "stage")
-                        .ok_or_else(|| format!("no stage label in: {line}"))?;
+                    let label = scan_str(line, "stage")?;
                     fleet.stages.push(StageRow {
                         stage: label,
                         stats: StageStats {
@@ -338,8 +336,7 @@ impl ObsSnapshot {
                     });
                 }
                 "exemplar" => {
-                    let breakdown_text = scan_str(line, "breakdown")
-                        .ok_or_else(|| format!("no breakdown in: {line}"))?;
+                    let breakdown_text = scan_str(line, "breakdown")?;
                     let mut breakdown = Vec::new();
                     for part in breakdown_text.split(';').filter(|p| !p.is_empty()) {
                         let (label, us) = part
@@ -352,15 +349,13 @@ impl ObsSnapshot {
                     fleet.exemplars.push(ExemplarSummary {
                         key: scan_u64(line, "key")?,
                         duration: SimTime(scan_u64(line, "duration_us")?),
-                        provenance: scan_str(line, "provenance")
-                            .ok_or_else(|| format!("no provenance in: {line}"))?,
+                        provenance: scan_str(line, "provenance")?,
                         breakdown,
                     });
                 }
                 "hot_user" | "hot_path" => {
                     let key = HotKey {
-                        name: scan_str(line, "name")
-                            .ok_or_else(|| format!("no name in: {line}"))?,
+                        name: scan_str(line, "name")?,
                         count: scan_u64(line, "count")?,
                     };
                     if row == "hot_user" {
@@ -536,29 +531,6 @@ fn shard_slot(shards: &mut Vec<ShardObs>, idx: usize) -> &mut ShardObs {
         });
     }
     &mut shards[idx]
-}
-
-fn scan_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    Some(line[at..].trim_start())
-}
-
-fn scan_str(line: &str, key: &str) -> Option<String> {
-    let rest = scan_after(line, key)?.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn scan_u64(line: &str, key: &str) -> Result<u64, String> {
-    let rest = scan_after(line, key).ok_or_else(|| format!("no {key} in: {line}"))?;
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().map_err(|e| format!("bad {key}: {e}"))
-}
-
-fn scan_f64(line: &str, key: &str) -> Result<f64, String> {
-    let rest = scan_after(line, key).ok_or_else(|| format!("no {key} in: {line}"))?;
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().map_err(|e| format!("bad {key}: {e}"))
 }
 
 #[cfg(test)]

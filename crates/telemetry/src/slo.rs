@@ -26,6 +26,7 @@ use std::fmt::Write as _;
 use gupster_netsim::SimTime;
 
 use crate::histogram::Histogram;
+use crate::scan::{scan_f64, scan_str, scan_u64};
 
 /// One service-level objective.
 #[derive(Debug, Clone, PartialEq)]
@@ -210,11 +211,13 @@ pub fn render_slo_json(
 pub fn parse_slo_json(text: &str) -> Result<(Vec<SloOutcome>, Vec<AttributionRow>), String> {
     let mut outcomes = Vec::new();
     let mut attribution = Vec::new();
+    // Rows are recognised by their *first* key, so a row cut short
+    // anywhere after it is an error, not a skipped line.
     for line in text.lines() {
-        if line.contains("\"burn_rate\"") {
+        if line.contains("\"name\"") {
             let spec = SloSpec {
-                name: scan_str(line, "name").ok_or_else(|| format!("no name in: {line}"))?,
-                stage: scan_str(line, "stage").ok_or_else(|| format!("no stage in: {line}"))?,
+                name: scan_str(line, "name")?,
+                stage: scan_str(line, "stage")?,
                 p99_budget: SimTime(scan_u64(line, "budget_us")?),
                 target: scan_f64(line, "target")?,
             };
@@ -223,10 +226,10 @@ pub fn parse_slo_json(text: &str) -> Result<(Vec<SloOutcome>, Vec<AttributionRow
             let bad = scan_u64(line, "bad")?;
             let window = SimTime(scan_u64(line, "window_us")?);
             outcomes.push(finish(spec, count, p99, bad, window));
-        } else if line.contains("\"share\"") {
+        } else if line.contains("\"shard\"") {
             attribution.push(AttributionRow {
                 shard: scan_u64(line, "shard")? as usize,
-                stage: scan_str(line, "stage").ok_or_else(|| format!("no stage in: {line}"))?,
+                stage: scan_str(line, "stage")?,
                 count: scan_u64(line, "count")?,
                 p99: SimTime(scan_u64(line, "p99_us")?),
                 share: scan_f64(line, "share")?,
@@ -234,29 +237,6 @@ pub fn parse_slo_json(text: &str) -> Result<(Vec<SloOutcome>, Vec<AttributionRow
         }
     }
     Ok((outcomes, attribution))
-}
-
-fn scan_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    Some(line[at..].trim_start())
-}
-
-fn scan_str(line: &str, key: &str) -> Option<String> {
-    let rest = scan_after(line, key)?.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn scan_u64(line: &str, key: &str) -> Result<u64, String> {
-    let rest = scan_after(line, key).ok_or_else(|| format!("no {key} in: {line}"))?;
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().map_err(|e| format!("bad {key}: {e}"))
-}
-
-fn scan_f64(line: &str, key: &str) -> Result<f64, String> {
-    let rest = scan_after(line, key).ok_or_else(|| format!("no {key} in: {line}"))?;
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().map_err(|e| format!("bad {key}: {e}"))
 }
 
 #[cfg(test)]

@@ -23,6 +23,7 @@ use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
 use crate::ast::{Axis, NameTest, Path, Predicate};
+use crate::lru::{KeyDigest, OwnerLru};
 use crate::parser::XPathError;
 
 /// An interned string id. Two `Sym`s are equal iff the strings they
@@ -140,9 +141,7 @@ impl InternedPath {
 /// Failures are not cached — bad queries stay cheap to re-reject.
 #[derive(Debug)]
 pub struct PathCache {
-    capacity: usize,
-    entries: HashMap<String, (Path, u64)>,
-    tick: u64,
+    entries: OwnerLru<String, Path>,
     /// Parse calls answered from the memo.
     pub hits: u64,
     /// Parse calls that ran the parser.
@@ -152,35 +151,20 @@ pub struct PathCache {
 impl PathCache {
     /// A cache bounded to `capacity` parsed paths.
     pub fn new(capacity: usize) -> Self {
-        PathCache {
-            capacity: capacity.max(1),
-            entries: HashMap::new(),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
+        PathCache { entries: OwnerLru::new(capacity), hits: 0, misses: 0 }
     }
 
     /// Parses `s`, serving repeats from the memo. Least-recently-used
     /// entries are evicted at capacity.
     pub fn parse(&mut self, s: &str) -> Result<Path, XPathError> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((path, last_use)) = self.entries.get_mut(s) {
-            *last_use = tick;
+        let digest = KeyDigest::new("", s);
+        if let Some(path) = self.entries.get(digest.key, |k| k == s) {
             self.hits += 1;
             return Ok(path.clone());
         }
         self.misses += 1;
         let path = Path::parse(s)?;
-        if self.entries.len() >= self.capacity {
-            if let Some(victim) =
-                self.entries.iter().min_by_key(|(_, (_, t))| *t).map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
-            }
-        }
-        self.entries.insert(s.to_string(), (path.clone(), tick));
+        self.entries.put(digest, s.to_string(), path.clone());
         Ok(path)
     }
 

@@ -33,9 +33,11 @@ mod eval;
 mod intern;
 mod lexer;
 mod locate;
+mod lru;
 mod parser;
 
 pub use ast::{Axis, LocStep, NameTest, Path, Predicate};
 pub use containment::{contains, covers, may_overlap};
 pub use intern::{InternedPath, InternedStep, PathCache, PathInterner, Sym};
+pub use lru::{KeyDigest, OwnedKey, OwnerLru};
 pub use parser::XPathError;

@@ -148,3 +148,41 @@ fn deadline_budget_is_a_typed_error_when_nothing_can_serve() {
     }
     assert_eq!(w.gupster.telemetry().counter_snapshot().deadline_exceeded, 1);
 }
+
+#[test]
+fn the_stale_cache_remembers_no_more_views_than_it_holds() {
+    let mut w = world();
+    let keys = merge_keys();
+    w.gupster
+        .pap
+        .provision(
+            "alice",
+            "anyone",
+            gupster::policy::Effect::Permit,
+            "/user/address-book",
+            "relationship='third-party'",
+            0,
+        )
+        .unwrap();
+    let exec = PatternExecutor {
+        net: &w.net,
+        client: w.client,
+        gupster_node: w.gupster_node,
+        store_nodes: w.node_map.clone(),
+        batch_fetches: false,
+    };
+    let mut rex = ResilientExecutor::new(exec, 7);
+    let t = WeekTime::at(0, 12, 0);
+    for i in 0..1_000 {
+        let caller = format!("caller{i:04}");
+        rex.fetch(&mut w.gupster, &w.pool, "alice", &request(), &caller, t, 0, &keys).unwrap();
+    }
+    // The stale cache is bounded to 256 views. Everything the executor
+    // retains, not just the cache's own count: no side table may
+    // remember an evicted view.
+    assert_eq!(rex.stale_cache().len(), 256);
+    let retained = format!("{rex:?}");
+    let remembered: std::collections::BTreeSet<&str> =
+        retained.match_indices("caller").filter_map(|(at, _)| retained.get(at..at + 10)).collect();
+    assert_eq!(remembered.len(), 256, "evicted views must leave nothing behind");
+}
