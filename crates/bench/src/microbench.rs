@@ -1,7 +1,7 @@
 //! A minimal wall-clock micro-benchmark harness.
 //!
 //! The benches under `benches/` are plain `main()` binaries
-//! (`harness = false`) built on this module: [`bench`] warms the body
+//! (`harness = false`) built on this module: [`bench()`] warms the body
 //! up, sizes a measurement batch from the warm-up rate, and prints one
 //! `ns/iter` line per benchmark. No statistics beyond the mean — these
 //! exist to catch order-of-magnitude regressions and to be runnable in

@@ -16,7 +16,7 @@
 //! Three layers sit on top of that seed behaviour (DESIGN.md §12):
 //!
 //! - **Inverted subscription index.** Each owner's subscriptions are
-//!   registered into a [`CoverageTrie`] keyed by the scope's interned
+//!   registered into a `CoverageTrie` keyed by the scope's interned
 //!   path spine (wildcard scopes land in the trie's always-scanned
 //!   fallback bucket). A write walks the trie once and confirms only
 //!   the pruned candidate set with [`may_overlap`] — instead of the

@@ -45,7 +45,7 @@ use gupster_sync::{
 };
 use gupster_telemetry::TelemetryHub;
 use gupster_xml::{EditOp, Element, MergeKeys, NodePath, XmlError};
-use gupster_xpath::Path;
+use gupster_xpath::{LocStep, Path};
 
 use crate::registry::Gupster;
 use crate::shard::shard_index;
@@ -351,10 +351,10 @@ fn reconcile_user(
             outcome.compacted += compact_traced(d, &[anchor], &mut tracer).dropped();
         }
     }
-    let mut seen: HashSet<String> = HashSet::new();
+    let mut seen: HashSet<Path> = HashSet::new();
     for p in u.pending.drain(..) {
         let registry = registry_path(&u.owner, &u.component, &p);
-        if seen.insert(registry.to_string()) {
+        if seen.insert(registry.clone()) {
             outcome.changed.push(registry);
         }
     }
@@ -364,14 +364,13 @@ fn reconcile_user(
 /// Converts a component-local [`NodePath`] into the registry-side
 /// [`Path`] `/user[@id='owner']/component/...`, keeping element names
 /// only — keys and indices are dropped, so the published path covers at
-/// least everything the edit touched.
+/// least everything the edit touched. Built step by step, not parsed:
+/// an owner id or element name need not be valid XPath text.
 fn registry_path(owner: &str, component: &str, p: &NodePath) -> Path {
-    let mut s = format!("/user[@id='{owner}']/{component}");
-    for step in &p.steps {
-        s.push('/');
-        s.push_str(&step.name);
-    }
-    Path::parse(&s).unwrap_or_else(|e| panic!("constructed path {s:?} must parse: {e:?}"))
+    let mut steps =
+        vec![LocStep::child("user").with_attr_eq("id", owner), LocStep::child(component)];
+    steps.extend(p.steps.iter().map(|step| LocStep::child(step.name.as_str())));
+    Path { steps }
 }
 
 /// Commits a reconcile pass against the registry: every touched owner's
@@ -608,5 +607,43 @@ mod tests {
             &NodePath::root().keyed("item", "id", "3").child("name", 0),
         );
         assert_eq!(p.to_string(), "/user[@id='alice']/address-book/item/name");
+        // For ordinary names the built path is the parsed one.
+        for (owner, component, path) in [
+            ("alice", "address-book", NodePath::root().keyed("item", "id", "3").child("name", 0)),
+            ("bob-2", "calendar", NodePath::root()),
+            ("user_7", "buddy.list", NodePath::root().child("group", 1).child("buddy", 0)),
+        ] {
+            let mut text = format!("/user[@id='{owner}']/{component}");
+            for step in &path.steps {
+                text = format!("{text}/{}", step.name);
+            }
+            let parsed = Path::parse(&text).unwrap();
+            assert_eq!(registry_path(owner, component, &path), parsed, "{text}");
+        }
+    }
+
+    #[test]
+    fn owner_ids_and_names_outside_xpath_syntax_reconcile() {
+        let set_note =
+            EditOp::SetText { path: NodePath::root().child("vc:note", 0), text: "y".into() };
+        // A quote in the owner id; a `:` the XML parser accepts in a name.
+        for (owner, op, names) in
+            [("o'brien", set_name("Mum"), &["item", "name"][..]), ("carol", set_note, &["vc:note"])]
+        {
+            let hub = Arc::new(TelemetryHub::new());
+            let mut plane = SyncPlane::new(2, ReconcilePolicy::LastWriterWins);
+            let doc = parse(
+                r#"<address-book><item id="1"><name>Mom</name></item><vc:note>x</vc:note></address-book>"#,
+            )
+            .unwrap();
+            plane.add_user(owner, doc, keys(), 2);
+            plane.edit_device(owner, 0, op).unwrap();
+            let report = plane.reconcile(&hub);
+            assert_eq!(report.converged_users, 1, "{owner}");
+            let mut steps = vec![LocStep::child("user").with_attr_eq("id", owner)];
+            steps.extend(["address-book"].iter().chain(names).map(|n| LocStep::child(*n)));
+            assert_eq!(report.users[0].changed, vec![Path { steps }], "{owner}");
+            assert_eq!(plane.device_doc(owner, 1), plane.hub_doc(owner), "{owner}");
+        }
     }
 }

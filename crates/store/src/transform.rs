@@ -6,7 +6,7 @@
 //! [`Transform`] pipeline is the mediator's rule set; adapters apply it
 //! on the way out (publish as GUP) and, where invertible, on the way in.
 
-use gupster_xml::{ArenaDoc, Element, Node};
+use gupster_xml::{Element, Node};
 
 /// One transformation rule applied to every element of a tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,32 +82,6 @@ impl Pipeline {
             e = apply_rule(rule, e);
         }
         e
-    }
-
-    /// Applies the pipeline to an arena document.
-    ///
-    /// The rename rules — the common virtual-mediation case of §5.3 —
-    /// are pure interned-name rewrites over the arena's flat tables: no
-    /// tree is walked and no subtree is cloned. The structural rules
-    /// (wrap/drop/text moves) fall back to the owned mediator and
-    /// re-adopt the result; either way the output is exactly what
-    /// [`Pipeline::apply`] produces on the equivalent owned tree.
-    pub fn apply_arena(&self, input: &ArenaDoc) -> ArenaDoc {
-        let mut doc = input.clone();
-        for (i, rule) in self.rules.iter().enumerate() {
-            match rule {
-                Transform::RenameTag { from, to } => doc.rename_tags(from, to),
-                Transform::RenameAttr { on, from, to } => doc.rename_attr(on, from, to),
-                _ => {
-                    let mut e = doc.root_element();
-                    for r in &self.rules[i..] {
-                        e = apply_rule(r, e);
-                    }
-                    return ArenaDoc::from_element(&e);
-                }
-            }
-        }
-        doc
     }
 }
 
@@ -214,6 +188,18 @@ mod tests {
             .apply(&input);
         assert_eq!(out.child("item").unwrap().attr("id"), Some("1"));
         assert_eq!(out.child("note").unwrap().attr("uid"), Some("2"));
+
+        // Onto an existing attribute: the pair collapses into one that
+        // keeps the target's position and takes the renamed value.
+        let input = parse(r#"<book><entry uid="1" kind="a"/><entry uid="2"/></book>"#).unwrap();
+        let out = Pipeline::new()
+            .then(Transform::RenameAttr {
+                on: "entry".into(),
+                from: "uid".into(),
+                to: "kind".into(),
+            })
+            .apply(&input);
+        assert_eq!(out.to_xml(), r#"<book><entry kind="1"/><entry kind="2"/></book>"#);
     }
 
     #[test]
@@ -262,56 +248,42 @@ mod tests {
             .then(Transform::WrapEach { each: "item".into(), wrapper: "cell".into() })
             .apply(&input);
         assert_eq!(out.to_xml(), "<b><cell><item/></cell></b>");
+
+        // Rename → wrap → drop → normalise, each rule seeing the last's
+        // output.
+        let input = parse(concat!(
+            r#"<book flavor="x"><entry uid="1">Mom</entry><entry uid="2"><deep uid="9"/></entry>"#,
+            "<secret><x/></secret><phone>(908) 582-4393</phone></book>",
+        ))
+        .unwrap();
+        let out = Pipeline::new()
+            .then(Transform::RenameTag { from: "entry".into(), to: "item".into() })
+            .then(Transform::WrapEach { each: "item".into(), wrapper: "cell".into() })
+            .then(Transform::Drop { tag: "secret".into() })
+            .then(Transform::NormalizeText { on: "phone".into(), normalizer: "phone".into() })
+            .apply(&input);
+        assert_eq!(
+            out.to_xml(),
+            concat!(
+                r#"<book flavor="x"><cell><item uid="1">Mom</item></cell>"#,
+                r#"<cell><item uid="2"><deep uid="9"/></item></cell><phone>9085824393</phone></book>"#,
+            )
+        );
     }
 
     #[test]
     fn identity_pipeline() {
         let input = parse(r#"<a x="1"><b>t</b></a>"#).unwrap();
         assert_eq!(Pipeline::new().apply(&input), input);
-    }
-
-    /// `apply_arena` must produce exactly what `apply` produces on the
-    /// equivalent owned tree — both for the in-place rename fast path
-    /// and for the structural fallback.
-    #[test]
-    fn arena_pipeline_matches_owned() {
-        let src = r#"<book flavor="x"><entry uid="1" kind="a">Mom</entry><entry uid="2"><deep uid="9"/></entry><secret><x/></secret><phone>(908) 582-4393</phone></book>"#;
-        let pipelines = [
-            Pipeline::new().then(Transform::RenameTag { from: "entry".into(), to: "item".into() }),
-            Pipeline::new().then(Transform::RenameAttr {
-                on: "entry".into(),
-                from: "uid".into(),
-                to: "id".into(),
-            }),
-            // Rename onto an existing attribute collapses the pair.
-            Pipeline::new().then(Transform::RenameAttr {
-                on: "entry".into(),
-                from: "uid".into(),
-                to: "kind".into(),
-            }),
-            // Rules never interned anywhere are no-ops on both paths.
-            Pipeline::new()
-                .then(Transform::RenameTag { from: "never-seen".into(), to: "x".into() })
-                .then(Transform::RenameAttr {
-                    on: "entry".into(),
-                    from: "never-seen".into(),
-                    to: "x".into(),
-                }),
-            // Renames followed by a structural rule: fast path hands off
-            // to the owned fallback mid-pipeline.
-            Pipeline::new()
-                .then(Transform::RenameTag { from: "entry".into(), to: "item".into() })
-                .then(Transform::WrapEach { each: "item".into(), wrapper: "cell".into() })
-                .then(Transform::Drop { tag: "secret".into() })
-                .then(Transform::NormalizeText { on: "phone".into(), normalizer: "phone".into() }),
-        ];
-        for p in &pipelines {
-            let owned = parse(src).unwrap();
-            let doc = ArenaDoc::parse(src).unwrap();
-            let want = p.apply(&owned);
-            let got = p.apply_arena(&doc);
-            assert_eq!(got.root_element(), want, "pipeline {p:?}");
-            assert_eq!(got.to_xml(), want.to_xml(), "pipeline {p:?}");
-        }
+        // Rules naming tags and attributes the document never uses.
+        let out = Pipeline::new()
+            .then(Transform::RenameTag { from: "never-seen".into(), to: "x".into() })
+            .then(Transform::RenameAttr {
+                on: "a".into(),
+                from: "never-seen".into(),
+                to: "x".into(),
+            })
+            .apply(&input);
+        assert_eq!(out, input);
     }
 }

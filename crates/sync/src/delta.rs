@@ -1,9 +1,12 @@
 //! Delta-encoded sync sessions.
 //!
-//! [`crate::two_way_sync`] reconciles with a pairwise `|a| × |b|` scan,
-//! ships every op with its full owned path string, and applies through
-//! the owned tree. Under a 10k-edit write storm all three hurt. This
-//! module rebuilds the fast path:
+//! [`crate::two_way_sync`] reconciles with a pairwise `|a| × |b|` scan
+//! and ships every op with its full owned path string. Under a
+//! 10k-edit write storm both hurt. This module supplies the fast
+//! path's two replacements, which [`delta_two_way_sync`] hands to the
+//! session body it shares with the oracle — anchors, conflict
+//! resolution, application to each replica's own document and the
+//! slow-sync fallback are that one body's:
 //!
 //! * **Touched-path index** ([`TouchedIndex`]) — a trie keyed by
 //!   [`NodePath`] steps over one side's new ops. A conflicting pair
@@ -19,25 +22,21 @@
 //!   fixed-size header plus a dictionary reference and its payload.
 //!   [`SyncReport::bytes_exchanged`] measures the saving against the
 //!   oracle's owned-path framing.
-//! * **Arena application** — accepted remote ops replay through
-//!   [`ArenaDoc`] ([`gupster_xml::apply_arena`]), append-range
-//!   structural sharing instead of owned-tree mutation; the owned
-//!   document is written back once per session.
 //!
-//! [`two_way_sync`](crate::two_way_sync) is retained untouched as the
-//! byte-identical differential oracle (`tests/sync_differential.rs`).
+//! `tests/sync_differential.rs` checks that both engines leave
+//! byte-identical replicas.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 use gupster_telemetry::{stage, SimTime, Tracer};
-use gupster_xml::{apply_arena, ArenaDoc, EditOp, NodePath, Step};
+use gupster_xml::{EditOp, NodePath, Step};
 
 use crate::changelog::{CompactStats, LogEntry};
 use crate::intern::PathId;
 use crate::reconcile::ReconcilePolicy;
 use crate::replica::Replica;
-use crate::session::{canonicalize, op_bytes, ops_conflict, run_slow_sync, SyncError, SyncReport};
+use crate::session::{run_session, run_traced, SyncError, SyncReport};
 
 /// A trie over [`NodePath`] steps indexing one side's new ops by target
 /// path. Conflict candidates for a probe path are the ops at every node
@@ -160,7 +159,7 @@ impl TryInsertLike for HashMap<PathId, u16> {
 }
 
 /// [`crate::two_way_sync`] on the delta fast path: indexed conflict
-/// detection, dictionary-encoded shipping, arena application.
+/// detection and dictionary-encoded shipping.
 ///
 /// Semantics are identical to the oracle — same conflicts, same
 /// winners under every [`ReconcilePolicy`], same queued pairs, same
@@ -174,146 +173,12 @@ pub fn delta_two_way_sync(
     b: &mut Replica,
     policy: ReconcilePolicy,
 ) -> Result<SyncReport, SyncError> {
-    if a.doc.name != b.doc.name {
-        return Err(SyncError::ComponentMismatch(a.doc.name.clone(), b.doc.name.clone()));
-    }
-    let mut report = SyncReport { fast_path: true, ..Default::default() };
-
-    let anchors_ok = a.anchors.consistent_with(&b.id, b.log.head())
-        && b.anchors.consistent_with(&a.id, a.log.head());
-
-    if anchors_ok {
-        let a_new: Vec<LogEntry> = a
-            .log
-            .since(b.anchors.last_seen(&a.id))
-            .iter()
-            .filter(|e| !b.seen.contains(&(e.actor, e.timestamp)))
-            .cloned()
-            .collect();
-        let b_new: Vec<LogEntry> = b
-            .log
-            .since(a.anchors.last_seen(&b.id))
-            .iter()
-            .filter(|e| !a.seen.contains(&(e.actor, e.timestamp)))
-            .cloned()
-            .collect();
-
-        // Indexed conflict detection: probe each a-op against the trie
-        // of b-ops. Candidate pairs are a superset of conflicting pairs
-        // and are examined in the oracle's (i, j) order.
-        let index = TouchedIndex::build(&b_new);
-        let mut a_drop = vec![false; a_new.len()];
-        let mut b_drop = vec![false; b_new.len()];
-        let mut cands: Vec<usize> = Vec::new();
-        for (i, ea) in a_new.iter().enumerate() {
-            index.candidates(ea.op.target(), &mut cands);
-            report.compared += cands.len();
-            for &j in &cands {
-                let eb = &b_new[j];
-                if ops_conflict(&ea.op, &eb.op, &a.keys) {
-                    report.conflicts += 1;
-                    match policy {
-                        ReconcilePolicy::Manual => {
-                            a_drop[i] = true;
-                            b_drop[j] = true;
-                            report.queued.push((ea.op.clone(), eb.op.clone()));
-                        }
-                        _ => {
-                            if policy.first_wins(
-                                ea.timestamp,
-                                ea.actor_str(),
-                                eb.timestamp,
-                                eb.actor_str(),
-                            ) {
-                                report.first_wins += 1;
-                                b_drop[j] = true;
-                            } else {
-                                a_drop[i] = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Ship surviving ops as dictionary-encoded delta batches and
-        // apply them through the arena; the owned doc is written back
-        // once per direction.
-        let mut codec = DeltaCodec::default();
-        let mut diverged = false;
-        if b_new.iter().enumerate().any(|(j, _)| !b_drop[j]) {
-            let mut arena = ArenaDoc::from_element(&a.doc);
-            for (j, eb) in b_new.iter().enumerate() {
-                if b_drop[j] {
-                    a.mark_seen(eb.actor, eb.timestamp);
-                    continue;
-                }
-                report.bytes_exchanged += codec.encode(&eb.op);
-                if apply_arena(&eb.op, &mut arena).is_err() {
-                    diverged = true;
-                } else {
-                    a.record_remote(&eb.op, eb.actor, eb.timestamp);
-                    report.shipped_to_first += 1;
-                }
-            }
-            a.doc = arena.root_element();
-        } else {
-            for (j, eb) in b_new.iter().enumerate() {
-                debug_assert!(b_drop[j] || b_new.is_empty());
-                if b_drop[j] {
-                    a.mark_seen(eb.actor, eb.timestamp);
-                }
-            }
-        }
-        if a_new.iter().enumerate().any(|(i, _)| !a_drop[i]) {
-            let mut arena = ArenaDoc::from_element(&b.doc);
-            for (i, ea) in a_new.iter().enumerate() {
-                if a_drop[i] {
-                    b.mark_seen(ea.actor, ea.timestamp);
-                    continue;
-                }
-                report.bytes_exchanged += codec.encode(&ea.op);
-                if apply_arena(&ea.op, &mut arena).is_err() {
-                    diverged = true;
-                } else {
-                    b.record_remote(&ea.op, ea.actor, ea.timestamp);
-                    report.shipped_to_second += 1;
-                }
-            }
-            b.doc = arena.root_element();
-        } else {
-            for (i, ea) in a_new.iter().enumerate() {
-                if a_drop[i] {
-                    b.mark_seen(ea.actor, ea.timestamp);
-                }
-            }
-        }
-
-        a.anchors.advance(&b.id, b.log.head());
-        b.anchors.advance(&a.id, a.log.head());
-
-        canonicalize(&mut a.doc, &a.keys);
-        canonicalize(&mut b.doc, &b.keys);
-
-        if !diverged && a.doc == b.doc {
-            report.converged = true;
-            return Ok(report);
-        }
-        if policy == ReconcilePolicy::Manual && !report.queued.is_empty() {
-            report.converged = a.doc == b.doc;
-            return Ok(report);
-        }
-    }
-
-    run_slow_sync(a, b, policy, &mut report);
-    Ok(report)
-}
-
-/// What the oracle would have charged for the same surviving ops under
-/// owned-path framing — kept on the report path so experiments can
-/// print the bytes saving without a second full run.
-pub fn naive_batch_bytes(ops: &[&EditOp]) -> usize {
-    ops.iter().map(|op| op_bytes(op)).sum()
+    let touched = |b_new: &[LogEntry]| {
+        let index = TouchedIndex::build(b_new);
+        move |target: &NodePath, out: &mut Vec<usize>| index.candidates(target, out)
+    };
+    let mut codec = DeltaCodec::default();
+    run_session(a, b, policy, touched, |op| codec.encode(op))
 }
 
 /// [`delta_two_way_sync`] under a telemetry [`Tracer`], charging the
@@ -331,29 +196,7 @@ pub fn delta_two_way_sync_traced(
     policy: ReconcilePolicy,
     tracer: &mut Tracer,
 ) -> Result<SyncReport, SyncError> {
-    tracer.enter(stage::SYNC_SESSION);
-    let result = delta_two_way_sync(a, b, policy);
-    if let Ok(report) = &result {
-        let kb_us = |bytes: usize, per_kb: u64| (bytes as u64 * per_kb) / 1024;
-        let shipped = (report.shipped_to_first + report.shipped_to_second) as u64;
-        tracer.span(stage::SYNC_SHIP, SimTime::micros(5 + kb_us(report.bytes_exchanged, 10)));
-        tracer.span(
-            stage::SYNC_RECONCILE,
-            SimTime::micros(2 * report.compared as u64 + 3 * report.conflicts as u64),
-        );
-        tracer.span(stage::SYNC_DELTA, SimTime::micros(1 + report.compared as u64 + shipped));
-        tracer.span(stage::SYNC_APPLY, SimTime::micros(5 * shipped));
-        if report.slow_sync {
-            tracer.span(stage::SYNC_SLOW, SimTime::micros(20 + kb_us(report.bytes_exchanged, 20)));
-        }
-        let counters = tracer.hub().counters();
-        counters.sync_sessions.fetch_add(1, Ordering::Relaxed);
-        counters.sync_ops_shipped.fetch_add(shipped, Ordering::Relaxed);
-        counters.sync_conflicts.fetch_add(report.conflicts as u64, Ordering::Relaxed);
-        counters.sync_slow_paths.fetch_add(report.slow_sync as u64, Ordering::Relaxed);
-    }
-    tracer.exit();
-    result
+    run_traced(tracer, true, || delta_two_way_sync(a, b, policy))
 }
 
 /// Compacts `r`'s change log against `anchors` under a telemetry
@@ -375,6 +218,7 @@ pub fn compact_traced(r: &mut Replica, anchors: &[u64], tracer: &mut Tracer) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ops_conflict;
     use crate::two_way_sync;
     use gupster_xml::{parse, Element, MergeKeys};
 
@@ -406,6 +250,19 @@ mod tests {
         }
     }
 
+    /// Asserts two replicas hold the same document and the same sync
+    /// bookkeeping: log entries and head, dedup set, clock, and anchor
+    /// into `peer`.
+    fn assert_same_replica(oracle: &Replica, delta: &Replica, peer: &str) {
+        let who = &oracle.id;
+        assert_eq!(oracle.doc, delta.doc, "{who}: document diverged from oracle");
+        assert_eq!(oracle.log.since(0), delta.log.since(0), "{who}: log entries");
+        assert_eq!(oracle.log.head(), delta.log.head(), "{who}: log head");
+        assert_eq!(oracle.seen, delta.seen, "{who}: seen set");
+        assert_eq!(oracle.clock, delta.clock, "{who}: clock");
+        assert_eq!(oracle.anchors.last_seen(peer), delta.anchors.last_seen(peer), "{who}: anchor");
+    }
+
     /// Runs the same session through the oracle and the delta path on
     /// independent replica pairs; asserts identical semantics.
     fn check_against_oracle(edits_a: &[EditOp], edits_b: &[EditOp], policy: ReconcilePolicy) {
@@ -421,8 +278,8 @@ mod tests {
         }
         let ro = two_way_sync(&mut oa, &mut ob, policy).unwrap();
         let rd = delta_two_way_sync(&mut da, &mut db, policy).unwrap();
-        assert_eq!(oa.doc, da.doc, "first replica diverged from oracle");
-        assert_eq!(ob.doc, db.doc, "second replica diverged from oracle");
+        assert_same_replica(&oa, &da, &ob.id);
+        assert_same_replica(&ob, &db, &oa.id);
         assert_eq!(ro.conflicts, rd.conflicts);
         assert_eq!(ro.first_wins, rd.first_wins);
         assert_eq!(ro.queued, rd.queued);

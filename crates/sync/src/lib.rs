@@ -23,10 +23,9 @@
 //!   paths ([`ActorId`], [`PathId`]), anchor-safe **changelog
 //!   compaction** ([`ChangeLog::compact`]), and **delta-encoded
 //!   sessions** ([`delta_two_way_sync`]) — a touched-path trie replaces
-//!   the pairwise conflict scan, dictionary encoding replaces
-//!   owned-path framing, and accepted ops replay through the arena.
-//!   [`two_way_sync`] is retained as the byte-identical differential
-//!   oracle.
+//!   the pairwise conflict scan and dictionary encoding replaces
+//!   owned-path framing. Everything else is one session body shared
+//!   with [`two_way_sync`], the byte-identical differential oracle.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,8 +41,7 @@ mod session;
 pub use anchor::Anchors;
 pub use changelog::{ChangeLog, CompactStats, LogEntry};
 pub use delta::{
-    compact_traced, delta_two_way_sync, delta_two_way_sync_traced, naive_batch_bytes, DeltaCodec,
-    TouchedIndex,
+    compact_traced, delta_two_way_sync, delta_two_way_sync_traced, DeltaCodec, TouchedIndex,
 };
 pub use intern::{ActorId, PathId};
 pub use reconcile::ReconcilePolicy;

@@ -73,18 +73,10 @@ impl Replica {
         remote_ts: u64,
     ) -> Result<(), XmlError> {
         op.apply(&mut self.doc)?;
-        self.record_remote(op, actor, remote_ts);
-        Ok(())
-    }
-
-    /// The bookkeeping half of [`Replica::apply_remote`] — log, dedup
-    /// set and clock — for callers that applied the op to a different
-    /// document representation (the delta path applies through the
-    /// arena and writes the owned tree back once per session).
-    pub(crate) fn record_remote(&mut self, op: &EditOp, actor: ActorId, remote_ts: u64) {
         self.clock = self.clock.max(remote_ts) + 1;
         self.seen.insert((actor, remote_ts));
         self.log.append(op.clone(), actor, remote_ts);
+        Ok(())
     }
 
     /// Marks an op incorporated without applying it (the losing side of

@@ -4,8 +4,9 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 
 use gupster_telemetry::{stage, SimTime, Tracer};
-use gupster_xml::{diff, merge, EditOp};
+use gupster_xml::{diff, merge, EditOp, NodePath};
 
+use crate::changelog::LogEntry;
 use crate::reconcile::ReconcilePolicy;
 use crate::replica::Replica;
 
@@ -42,8 +43,9 @@ pub struct SyncReport {
     /// Conflicts queued for manual resolution (policy `Manual`).
     pub queued: Vec<(EditOp, EditOp)>,
     /// Edit pairs examined during conflict detection (`|a_new| × |b_new|`
-    /// on the fast path) — the work the reconcile phase actually did,
-    /// which the traced variant charges simulated time for.
+    /// in [`two_way_sync`], the index candidates in
+    /// [`crate::delta_two_way_sync`]) — the work the reconcile phase
+    /// actually did, which the traced variant charges simulated time for.
     pub compared: usize,
     /// Whether the fast (log-based) path sufficed.
     pub fast_path: bool,
@@ -67,10 +69,39 @@ pub struct SyncReport {
 /// deep-merge both documents (union of entries; conflicting scalar
 /// fields resolved per the policy by preferring the winning side's
 /// document order) and rebase both replicas on the result.
+///
+/// This is the reference session: it compares every pair of new ops
+/// and frames each shipped op with its full path.
+/// [`crate::delta_two_way_sync`] runs the same session with a path
+/// index and delta framing.
 pub fn two_way_sync(
     a: &mut Replica,
     b: &mut Replica,
     policy: ReconcilePolicy,
+) -> Result<SyncReport, SyncError> {
+    let every_pair = |b_new: &[LogEntry]| {
+        let n = b_new.len();
+        move |_: &NodePath, out: &mut Vec<usize>| {
+            out.clear();
+            out.extend(0..n);
+        }
+    };
+    run_session(a, b, policy, every_pair, op_bytes)
+}
+
+/// The one session body behind [`two_way_sync`] and
+/// [`crate::delta_two_way_sync`]. They differ only in what the two
+/// arguments measure: `index` turns the second side's new ops into a
+/// probe that lists, ascending, the ops a first-side target may
+/// conflict with (every op, or the [`crate::TouchedIndex`] candidates
+/// — a superset of the conflicting ones, so both examine conflicts in
+/// the same `(i, j)` order), and `wire_size` is one shipped op's cost.
+pub(crate) fn run_session<P: FnMut(&NodePath, &mut Vec<usize>)>(
+    a: &mut Replica,
+    b: &mut Replica,
+    policy: ReconcilePolicy,
+    index: impl FnOnce(&[LogEntry]) -> P,
+    mut wire_size: impl FnMut(&EditOp) -> usize,
 ) -> Result<SyncReport, SyncError> {
     if a.doc.name != b.doc.name {
         return Err(SyncError::ComponentMismatch(a.doc.name.clone(), b.doc.name.clone()));
@@ -100,11 +131,15 @@ pub fn two_way_sync(
             .collect();
 
         // Conflict detection: overlapping targets across the two sets.
-        report.compared = a_new.len() * b_new.len();
+        let mut probe = index(&b_new);
+        let mut cands: Vec<usize> = Vec::new();
         let mut a_drop = vec![false; a_new.len()];
         let mut b_drop = vec![false; b_new.len()];
         for (i, ea) in a_new.iter().enumerate() {
-            for (j, eb) in b_new.iter().enumerate() {
+            probe(ea.op.target(), &mut cands);
+            report.compared += cands.len();
+            for &j in &cands {
+                let eb = &b_new[j];
                 if ops_conflict(&ea.op, &eb.op, &a.keys) {
                     report.conflicts += 1;
                     match policy {
@@ -136,7 +171,7 @@ pub fn two_way_sync(
                 a.mark_seen(eb.actor, eb.timestamp);
                 continue;
             }
-            report.bytes_exchanged += op_bytes(&eb.op);
+            report.bytes_exchanged += wire_size(&eb.op);
             if a.apply_remote(&eb.op, eb.actor, eb.timestamp).is_err() {
                 diverged = true;
             } else {
@@ -148,7 +183,7 @@ pub fn two_way_sync(
                 b.mark_seen(ea.actor, ea.timestamp);
                 continue;
             }
-            report.bytes_exchanged += op_bytes(&ea.op);
+            report.bytes_exchanged += wire_size(&ea.op);
             if b.apply_remote(&ea.op, ea.actor, ea.timestamp).is_err() {
                 diverged = true;
             } else {
@@ -181,9 +216,9 @@ pub fn two_way_sync(
 
 /// The slow (full-state) sync: deep-merge document states; on merge
 /// conflict, take the winning side's subtree by diffing the loser onto
-/// the winner. Shared by the oracle and the delta path — the documents
-/// being shipped whole, there is nothing to delta-encode here.
-pub(crate) fn run_slow_sync(
+/// the winner. The documents are shipped whole, so there is nothing to
+/// delta-encode here.
+fn run_slow_sync(
     a: &mut Replica,
     b: &mut Replica,
     policy: ReconcilePolicy,
@@ -245,8 +280,19 @@ pub fn two_way_sync_traced(
     policy: ReconcilePolicy,
     tracer: &mut Tracer,
 ) -> Result<SyncReport, SyncError> {
+    run_traced(tracer, false, || two_way_sync(a, b, policy))
+}
+
+/// Runs `session` inside a [`stage::SYNC_SESSION`] span and charges
+/// its report by the cost model of [`two_way_sync_traced`];
+/// `delta_stage` adds the fast path's [`stage::SYNC_DELTA`] span.
+pub(crate) fn run_traced(
+    tracer: &mut Tracer,
+    delta_stage: bool,
+    session: impl FnOnce() -> Result<SyncReport, SyncError>,
+) -> Result<SyncReport, SyncError> {
     tracer.enter(stage::SYNC_SESSION);
-    let result = two_way_sync(a, b, policy);
+    let result = session();
     if let Ok(report) = &result {
         let kb_us = |bytes: usize, per_kb: u64| (bytes as u64 * per_kb) / 1024;
         let shipped = (report.shipped_to_first + report.shipped_to_second) as u64;
@@ -255,6 +301,9 @@ pub fn two_way_sync_traced(
             stage::SYNC_RECONCILE,
             SimTime::micros(2 * report.compared as u64 + 3 * report.conflicts as u64),
         );
+        if delta_stage {
+            tracer.span(stage::SYNC_DELTA, SimTime::micros(1 + report.compared as u64 + shipped));
+        }
         tracer.span(stage::SYNC_APPLY, SimTime::micros(5 * shipped));
         if report.slow_sync {
             tracer.span(stage::SYNC_SLOW, SimTime::micros(20 + kb_us(report.bytes_exchanged, 20)));
@@ -298,7 +347,7 @@ pub(crate) fn ops_conflict(a: &EditOp, b: &EditOp, keys: &gupster_xml::MergeKeys
 
 /// Stable-sorts element children by (tag, identity key) at every level.
 /// Only applies to element-content nodes (mixed content keeps order).
-pub(crate) fn canonicalize(e: &mut gupster_xml::Element, keys: &gupster_xml::MergeKeys) {
+fn canonicalize(e: &mut gupster_xml::Element, keys: &gupster_xml::MergeKeys) {
     use gupster_xml::Node;
     for ch in e.child_elements_mut() {
         canonicalize(ch, keys);
@@ -317,7 +366,7 @@ pub(crate) fn canonicalize(e: &mut gupster_xml::Element, keys: &gupster_xml::Mer
     }
 }
 
-pub(crate) fn op_bytes(op: &EditOp) -> usize {
+fn op_bytes(op: &EditOp) -> usize {
     match op {
         EditOp::Insert { element, .. } => 32 + element.byte_size(),
         EditOp::Delete { path } => 16 + path.to_string().len(),

@@ -361,81 +361,6 @@ impl ArenaDoc {
             + self.attrs.iter().map(|(_, v)| owned(v)).sum::<usize>()
     }
 
-    /// Renames every element tagged `from` to `to`, in place.
-    ///
-    /// A pure interned-name rewrite over the flat element table — no
-    /// node is visited twice and no subtree is cloned. Mirrors the
-    /// recursive owned `RenameTag` mediator rule exactly.
-    pub fn rename_tags(&mut self, from: &str, to: &str) {
-        // A tag that was never interned cannot be on any node.
-        let Some(f) = NameInterner::lookup(from) else { return };
-        let t = NameInterner::intern(to);
-        for e in &mut self.elems {
-            if e.name == f {
-                e.name = t;
-            }
-        }
-    }
-
-    /// Renames attribute `from` to `to` on every element tagged `on`,
-    /// mirroring the owned mediator rule (`remove_attr` then
-    /// `set_attr`): the renamed attribute keeps `to`'s position if `to`
-    /// already existed, and otherwise moves to the end of the list.
-    pub fn rename_attr(&mut self, on: &str, from: &str, to: &str) {
-        let (Some(on_id), Some(from_id)) =
-            (NameInterner::lookup(on), NameInterner::lookup(from))
-        else {
-            return;
-        };
-        if !self
-            .elems
-            .iter()
-            .any(|e| e.name == on_id && self.attrs[e.attr_start as usize..e.attr_end as usize].iter().any(|(n, _)| *n == from_id))
-        {
-            return;
-        }
-        let to_id = NameInterner::intern(to);
-        // Attribute counts can change (a rename onto an existing `to`
-        // collapses two attributes into one), so rebuild the flat table.
-        let mut rebuilt: Vec<(NameId, AVal)> = Vec::with_capacity(self.attrs.len());
-        // Rows no header points at (superseded by an edit) are not
-        // carried over, so they stop counting as dead.
-        let mut orphaned = self.attrs.len();
-        for e in &mut self.elems {
-            let slice = &self.attrs[e.attr_start as usize..e.attr_end as usize];
-            orphaned -= slice.len();
-            let start = rebuilt.len() as u32;
-            let moved = (e.name == on_id)
-                .then(|| slice.iter().position(|(n, _)| *n == from_id))
-                .flatten();
-            match moved {
-                Some(fi) => {
-                    let val = slice[fi].1.clone();
-                    let mut replaced = false;
-                    for (i, (n, v)) in slice.iter().enumerate() {
-                        if i == fi {
-                            continue;
-                        }
-                        if !replaced && *n == to_id {
-                            rebuilt.push((to_id, val.clone()));
-                            replaced = true;
-                        } else {
-                            rebuilt.push((*n, v.clone()));
-                        }
-                    }
-                    if !replaced {
-                        rebuilt.push((to_id, val));
-                    }
-                }
-                None => rebuilt.extend_from_slice(slice),
-            }
-            e.attr_start = start;
-            e.attr_end = rebuilt.len() as u32;
-        }
-        self.attrs = rebuilt;
-        self.dead -= orphaned;
-    }
-
     /// Converts the subtree at `id` back into an owned [`Element`].
     pub fn to_element(&self, id: NodeId) -> Element {
         let e = &self.elems[id.0 as usize];
@@ -548,9 +473,7 @@ impl ArenaDoc {
     }
 }
 
-/// In-place edits. The sync delta path applies accepted remote ops
-/// through the arena instead of the owned tree ([`crate::apply_arena`]),
-/// and a native store applies its updates here.
+/// In-place edits: a native store applies its updates here.
 ///
 /// Edits are **append-range**: a mutated element gets a fresh attribute
 /// or child range appended to the flat tables and its header repointed,
@@ -605,47 +528,24 @@ impl ArenaDoc {
         self.rewrite_kids(id, kids);
     }
 
-    fn rewrite_attrs(&mut self, id: NodeId, keep: impl Fn(NameId) -> bool) {
-        let e = self.elems[id.0 as usize];
-        let start = self.attrs.len() as u32;
-        for slot in e.attr_start as usize..e.attr_end as usize {
-            if keep(self.attrs[slot].0) {
-                let copied = self.attrs[slot].clone();
-                self.attrs.push(copied);
-            }
-        }
-        self.dead += (e.attr_end - e.attr_start) as usize;
-        let slot = &mut self.elems[id.0 as usize];
-        slot.attr_start = start;
-        slot.attr_end = self.attrs.len() as u32;
-    }
-
     /// Sets an attribute on `id`, replacing any existing value for the
     /// same name (in place, keeping its position) or appending —
     /// exactly [`Element::set_attr`].
     pub fn set_attr(&mut self, id: NodeId, name: &str, value: &str) {
         let nid = NameInterner::intern(name);
         let e = self.elems[id.0 as usize];
-        for slot in e.attr_start as usize..e.attr_end as usize {
-            if self.attrs[slot].0 == nid {
-                self.attrs[slot].1 = AVal::Owned(value.to_string());
-                return;
-            }
+        let old = e.attr_start as usize..e.attr_end as usize;
+        if let Some(slot) = old.clone().find(|&slot| self.attrs[slot].0 == nid) {
+            self.attrs[slot].1 = AVal::Owned(value.to_string());
+            return;
         }
-        self.rewrite_attrs(id, |_| true);
+        let start = self.attrs.len() as u32;
+        self.dead += old.len();
+        self.attrs.extend_from_within(old);
         self.attrs.push((nid, AVal::Owned(value.to_string())));
-        self.elems[id.0 as usize].attr_end += 1;
-    }
-
-    /// Removes the named attribute from `id`, preserving the order of
-    /// the rest. Returns whether it was present.
-    pub fn remove_attr(&mut self, id: NodeId, name: &str) -> bool {
-        let Some(nid) = NameInterner::lookup(name) else { return false };
-        if self.attr_by_id(id, nid).is_none() {
-            return false;
-        }
-        self.rewrite_attrs(id, |n| n != nid);
-        true
+        let slot = &mut self.elems[id.0 as usize];
+        slot.attr_start = start;
+        slot.attr_end = self.attrs.len() as u32;
     }
 
     /// Appends `child` (a node of this document, typically fresh from
@@ -715,12 +615,9 @@ impl ArenaDoc {
         self.dead
     }
 
-    /// Table rows reachable from the root. (Saturating: `rename_attr`
-    /// can collapse two attribute rows of an already dead element into
-    /// one, which leaves `dead` a row high.)
+    /// Table rows reachable from the root.
     pub fn live_rows(&self) -> usize {
-        (self.elems.len() + self.attrs.len() + self.kids.len() + self.texts.len())
-            .saturating_sub(self.dead)
+        self.elems.len() + self.attrs.len() + self.kids.len() + self.texts.len() - self.dead
     }
 
     /// Rebuilds the tables from the live tree, moving every value, so
@@ -1336,11 +1233,9 @@ mod tests {
         d.set_text(fresh, "u");
         d.set_attr(fresh, "mark", "1");
         d.set_attr(fresh, "mark", "2");
-        assert!(d.remove_attr(fresh, "id"));
         let item = model.child_mut("book").unwrap().child_mut("item").unwrap();
         item.set_text("u");
         item.set_attr("mark", "2");
-        item.remove_attr("id");
         assert_eq!(d.root_element(), model);
 
         let (before, xml) = (d.live_rows(), d.to_xml());
