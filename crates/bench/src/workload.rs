@@ -65,7 +65,7 @@ pub fn build_federation(n_users: usize, n_portals: usize, contacts_per_user: usi
         let mut portal_doc = Element::new("user").with_attr("id", user.clone());
         let mut carrier_doc = Element::new("user").with_attr("id", user.clone());
         for child in doc.child_elements() {
-            match child.name.as_str() {
+            match &*child.name {
                 "presence" | "devices" => carrier_doc.push_child(child.clone()),
                 _ => portal_doc.push_child(child.clone()),
             }

@@ -4,12 +4,13 @@
 //! GUP data stores").
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write;
 use std::sync::atomic::Ordering;
 
 use gupster_netsim::SimTime;
 use gupster_store::{DataStore, Fragment, StoreError, StoreId, UpdateOp};
 use gupster_telemetry::{stage, Tracer};
-use gupster_xml::{Element, MergeKeys, MergeOut, MergeStats};
+use gupster_xml::{Element, Identity, MergeKeys, MergeOut, MergeStats, NameId};
 
 use crate::error::GupsterError;
 use crate::referral::{Referral, ReferralEntry};
@@ -279,28 +280,7 @@ fn fetch_merge_inner(
     if let Some(t) = tracer.as_deref_mut() {
         t.span(stage::XML_PARSE, parse_compute_cost(fragment_bytes));
     }
-    let mut out: Vec<MergeOut<'_>> = Vec::new();
-    'next: for f in &fragments {
-        let frag = MergeOut::from_node(f.doc(), f.node());
-        for existing in &mut out {
-            if existing.root_name() == frag.root_name()
-                && existing.root_identity(keys) == frag.root_identity(keys)
-            {
-                match existing.merge_with_node(f.doc(), f.node(), keys) {
-                    Ok(m) => {
-                        *existing = m;
-                        continue 'next;
-                    }
-                    Err(_) => {
-                        // Conflicting copies from different stores: keep
-                        // both; reconciliation (Req. 6) is a separate
-                        // concern handled by gupster-sync.
-                    }
-                }
-            }
-        }
-        out.push(frag);
-    }
+    let out = fold(&fragments, keys);
     // The one materialization of the answer, at the `Vec<Element>`
     // boundary the callers fix.
     let result: Vec<Element> = out.iter().map(MergeOut::to_element).collect();
@@ -317,6 +297,38 @@ fn fetch_merge_inner(
         t.span(stage::XML_SERIALIZE, serialize_compute_cost(bytes));
     }
     Ok(result)
+}
+
+/// Folds fragments, in order, into answers: each fragment merges into
+/// the first earlier answer with the same root tag and root identity
+/// that accepts it, and otherwise stands alone. Answers are indexed by
+/// that pair, so a fragment meets only its candidates rather than every
+/// answer so far; the pair never needs re-keying, because merging two
+/// roots of equal identity keeps that identity.
+fn fold<'a>(fragments: &'a [Fragment<'_>], keys: &MergeKeys) -> Vec<MergeOut<'a>> {
+    let mut out: Vec<MergeOut<'a>> = Vec::new();
+    let mut by_root: HashMap<(NameId, Option<Identity<'a>>), Vec<usize>> = HashMap::new();
+    for f in fragments {
+        let frag = MergeOut::from_node(f.doc(), f.node());
+        let candidates = by_root.entry((frag.root_name(), frag.root_identity(keys))).or_default();
+        let merged = candidates.iter().any(|&at| {
+            match out[at].merge_with_node(f.doc(), f.node(), keys) {
+                Ok(m) => {
+                    out[at] = m;
+                    true
+                }
+                // Conflicting copies from different stores: keep both;
+                // reconciliation (Req. 6) is a separate concern handled
+                // by gupster-sync.
+                Err(_) => false,
+            }
+        });
+        if !merged {
+            candidates.push(out.len());
+            out.push(frag);
+        }
+    }
+    out
 }
 
 /// A singleflight table: dedups identical in-flight
@@ -371,7 +383,7 @@ impl Singleflight {
             k.push('\u{0}');
             k.push_str(&e.store.0);
             k.push('=');
-            k.push_str(&e.path.to_string());
+            write!(k, "{}", e.path).expect("writing to a String cannot fail");
         }
         k
     }
@@ -727,6 +739,74 @@ mod tests {
         for (i, (what, ..)) in cases.iter().enumerate().skip(6) {
             assert!(answer(i).is_err(), "{what}");
         }
+    }
+
+    /// The fold before answers were indexed: every fragment meets every
+    /// answer built so far. The model [`fold`] must agree with.
+    fn nested_loop_fold<'a>(fragments: &'a [Fragment<'_>], keys: &MergeKeys) -> Vec<MergeOut<'a>> {
+        let mut out: Vec<MergeOut<'a>> = Vec::new();
+        'next: for f in fragments {
+            let frag = MergeOut::from_node(f.doc(), f.node());
+            for existing in &mut out {
+                if existing.root_name() == frag.root_name()
+                    && existing.root_identity(keys) == frag.root_identity(keys)
+                {
+                    if let Ok(m) = existing.merge_with_node(f.doc(), f.node(), keys) {
+                        *existing = m;
+                        continue 'next;
+                    }
+                }
+            }
+            out.push(frag);
+        }
+        out
+    }
+
+    #[test]
+    fn indexed_fold_matches_the_nested_loop() {
+        use gupster_rng::check::{self, cases};
+        use gupster_rng::Rng;
+        cases(300, 0x19_f0, |rng| {
+            // Three stores whose items share ids (copies that merge or
+            // conflict, by their names), some items with no key at all
+            // (identity-less roots), answered item by item.
+            let stores: Vec<XmlStore> = (0..3)
+                .map(|s| {
+                    let mut book = Element::new("address-book");
+                    for _ in 0..rng.gen_range(0..8usize) {
+                        let mut item = Element::new("item");
+                        if rng.gen_bool(0.8) {
+                            item.set_attr("id", rng.gen_range(0..4u32).to_string());
+                        }
+                        if rng.gen_bool(0.3) {
+                            item.set_attr("type", "personal");
+                        }
+                        if rng.gen_bool(0.6) {
+                            item.push_child(Element::new("name").with_text(check::lowercase(rng, 1, 1)));
+                        }
+                        if rng.gen_bool(0.3) {
+                            item.push_child(Element::new("phone").with_text("555"));
+                        }
+                        book.push_child(item);
+                    }
+                    let mut store = XmlStore::new(format!("s{s}"));
+                    store.put_profile(Element::new("user").with_attr("id", "a").with_child(book)).unwrap();
+                    store
+                })
+                .collect();
+            let path = p(if rng.gen_bool(0.8) { "/user[@id='a']/address-book/item" } else { "/user[@id='a']/address-book" });
+            let fragments: Vec<Fragment<'_>> =
+                stores.iter().flat_map(|s| s.fragments(&path).unwrap()).collect();
+            let keys = if rng.gen_bool(0.5) { keys() } else { MergeKeys::new() };
+            let render = |out: Vec<MergeOut<'_>>| {
+                out.iter().map(|m| (m.to_xml(), m.stats())).collect::<Vec<_>>()
+            };
+            assert_eq!(
+                render(fold(&fragments, &keys)),
+                render(nested_loop_fold(&fragments, &keys)),
+                "{path}"
+            );
+        });
     }
 
     #[test]

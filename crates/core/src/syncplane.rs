@@ -204,7 +204,7 @@ impl SyncPlane {
     /// Registers a user's component: a hub replica seeded with `doc`
     /// plus `device_count` device replicas holding the same baseline.
     pub fn add_user(&mut self, owner: &str, doc: Element, keys: MergeKeys, device_count: usize) {
-        let component = doc.name.clone();
+        let component = doc.name.to_string();
         let hub = Replica::new(&format!("{owner}#hub"), doc.clone(), keys.clone());
         let devices = (0..device_count)
             .map(|i| Replica::new(&format!("{owner}#dev{i}"), doc.clone(), keys.clone()))

@@ -95,10 +95,10 @@ impl Schema {
         let mut errs = Vec::new();
         if doc.name != self.root {
             errs.push(ValidationError {
-                location: doc.name.clone(),
+                location: doc.name.to_string(),
                 kind: ValidationErrorKind::WrongRoot {
                     expected: self.root.clone(),
-                    found: doc.name.clone(),
+                    found: doc.name.to_string(),
                 },
             });
             return errs;
@@ -110,7 +110,7 @@ impl Schema {
     /// Validates a subtree whose root may be any declared element — used
     /// when a store returns a *component* rather than a full profile.
     pub fn validate_fragment(&self, frag: &Element, errs: &mut Vec<ValidationError>) {
-        self.validate_at(frag, frag.name.clone(), errs);
+        self.validate_at(frag, frag.name.to_string(), errs);
     }
 
     fn validate_at(&self, e: &Element, location: String, errs: &mut Vec<ValidationError>) {
@@ -160,7 +160,7 @@ impl Schema {
                 if decl.attr_decl(n).is_none() {
                     errs.push(ValidationError {
                         location: location.to_string(),
-                        kind: ValidationErrorKind::UnexpectedAttr(n.clone()),
+                        kind: ValidationErrorKind::UnexpectedAttr(n.to_string()),
                     });
                 }
             }
@@ -251,7 +251,7 @@ impl Schema {
                 if decl.child_decl(&ch.name).is_none() {
                     errs.push(ValidationError {
                         location: location.to_string(),
-                        kind: ValidationErrorKind::UnexpectedChild(ch.name.clone()),
+                        kind: ValidationErrorKind::UnexpectedChild(ch.name.to_string()),
                     });
                 }
             }

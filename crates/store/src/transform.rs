@@ -107,7 +107,7 @@ fn apply_rule(rule: &Transform, mut e: Element) -> Element {
     match rule {
         Transform::RenameTag { from, to } => {
             if e.name == *from {
-                e.name = to.clone();
+                e.name = to.clone().into();
             }
         }
         Transform::RenameAttr { on, from, to } => {

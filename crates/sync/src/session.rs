@@ -104,7 +104,7 @@ pub(crate) fn run_session<P: FnMut(&NodePath, &mut Vec<usize>)>(
     mut wire_size: impl FnMut(&EditOp) -> usize,
 ) -> Result<SyncReport, SyncError> {
     if a.doc.name != b.doc.name {
-        return Err(SyncError::ComponentMismatch(a.doc.name.clone(), b.doc.name.clone()));
+        return Err(SyncError::ComponentMismatch(a.doc.name.to_string(), b.doc.name.to_string()));
     }
     let mut report = SyncReport { fast_path: true, ..Default::default() };
 

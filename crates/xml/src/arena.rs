@@ -1,9 +1,12 @@
 //! Arena XML documents: the zero-copy hot-path representation.
 //!
-//! The owned [`Element`] tree allocates a `String` for every tag name,
-//! attribute and text run, and a `Vec` for every child list — at
-//! millions of fetches that is the dominant cost of the read path once
-//! lookups are indexed (DESIGN.md §10). An [`ArenaDoc`] stores the
+//! The owned [`Element`] tree allocates a `String` for every attribute
+//! value and text run, and a `Vec` for every child and attribute list —
+//! at millions of fetches that is the dominant cost of the read path
+//! once lookups are indexed (DESIGN.md §10). Its tag and attribute
+//! *names* are a [`crate::Name`], so a tree materialized from an arena
+//! ([`ArenaDoc::to_element`]) borrows the interned names instead of
+//! allocating one per element and attribute. An [`ArenaDoc`] stores the
 //! same document as flat `Vec`s addressed by [`NodeId`]:
 //!
 //! * element and attribute **names** are interned through
@@ -270,10 +273,16 @@ impl ArenaDoc {
 
     /// The attributes of `id` in document order.
     pub fn attrs(&self, id: NodeId) -> impl Iterator<Item = (&'static str, &str)> {
+        self.attr_rows(id).map(|(n, v)| (NameInterner::resolve(n), v))
+    }
+
+    /// The attribute rows of `id` with their interned names — what the
+    /// merge reads, with no resolve-then-intern round trip.
+    pub(crate) fn attr_rows(&self, id: NodeId) -> impl Iterator<Item = (NameId, &str)> {
         let e = &self.elems[id.0 as usize];
         self.attrs[e.attr_start as usize..e.attr_end as usize]
             .iter()
-            .map(|(n, v)| (NameInterner::resolve(*n), self.val(v)))
+            .map(|(n, v)| (*n, self.val(v)))
     }
 
     /// The value of the named attribute of `id`, if present.
@@ -286,11 +295,7 @@ impl ArenaDoc {
     /// [`ArenaDoc::attr`] with a pre-interned name — integer probes
     /// only, for the merge hot path.
     pub fn attr_by_id(&self, id: NodeId, name: NameId) -> Option<&str> {
-        let e = &self.elems[id.0 as usize];
-        self.attrs[e.attr_start as usize..e.attr_end as usize]
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| self.val(v))
+        self.attr_rows(id).find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 
     /// Number of attributes on `id`.
@@ -361,15 +366,13 @@ impl ArenaDoc {
             + self.attrs.iter().map(|(_, v)| owned(v)).sum::<usize>()
     }
 
-    /// Converts the subtree at `id` back into an owned [`Element`].
+    /// Converts the subtree at `id` back into an owned [`Element`]. Its
+    /// names borrow the interned `&'static str`s; values are copied.
     pub fn to_element(&self, id: NodeId) -> Element {
         let e = &self.elems[id.0 as usize];
         Element {
-            name: self.name(id).to_string(),
-            attrs: self.attrs[e.attr_start as usize..e.attr_end as usize]
-                .iter()
-                .map(|(n, v)| (NameInterner::resolve(*n).to_string(), self.val(v).to_string()))
-                .collect(),
+            name: Cow::Borrowed(self.name(id)),
+            attrs: self.attrs(id).map(|(n, v)| (Cow::Borrowed(n), v.to_string())).collect(),
             children: self.kids[e.kid_start as usize..e.kid_end as usize]
                 .iter()
                 .map(|k| match k {

@@ -12,10 +12,15 @@
 //! the arenas, following grafts, so a merged document is never
 //! materialized as an owned tree unless the caller asks for one.
 //!
+//! Nothing the merge reads is copied: spine attribute values and merged
+//! text borrow from the source documents, and siblings are matched on
+//! a borrowed [`Identity`] rather than a formatted key string.
+//!
 //! [`MergeStats`] counts fresh spine nodes vs. shared subtree nodes;
 //! the bench harness (E19) and the fetch pipeline's simulated
 //! `xml.merge` stage cost both derive from these deterministic counts.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::arena::{ArenaChild, ArenaDoc, NodeId};
@@ -37,33 +42,41 @@ pub struct MergeStats {
     pub shared_nodes: u64,
 }
 
+/// The merge identity of an element among its siblings, borrowed from
+/// the source documents: `(tag, key attribute, key value)`. Two
+/// identities are equal exactly when [`MergeKeys::identity`]'s
+/// `"attr=value"` strings are, since an XML name cannot contain `=`.
+pub type Identity<'a> = (NameId, NameId, &'a str);
+
 /// A merge result over one or more source [`ArenaDoc`]s: freshly
 /// allocated spine nodes plus id-references into the sources.
 #[derive(Debug, Clone)]
 pub struct MergeOut<'a> {
     docs: Vec<&'a ArenaDoc>,
-    nodes: Vec<MNode>,
-    root: MKid,
+    nodes: Vec<MNode<'a>>,
+    root: MKid<'a>,
     stats: MergeStats,
 }
 
-/// A freshly allocated merge-spine node.
+/// A freshly allocated merge-spine node. Attribute values borrow from
+/// the source documents.
 #[derive(Debug, Clone)]
-struct MNode {
+struct MNode<'a> {
     name: NameId,
-    attrs: Vec<(NameId, String)>,
-    kids: Vec<MKid>,
+    attrs: Vec<(NameId, &'a str)>,
+    kids: Vec<MKid<'a>>,
 }
 
 /// A child slot in the merge result.
 #[derive(Debug, Clone)]
-enum MKid {
+enum MKid<'a> {
     /// A spine node allocated by this merge.
     New(u32),
     /// An unchanged subtree grafted from `docs[d]` at the given node.
     Shared(u32, NodeId),
-    /// A text run (merged text is always materialized — it is tiny).
-    Text(String),
+    /// A text run: borrowed from a source, owned only when a source
+    /// concatenated several runs.
+    Text(Cow<'a, str>),
 }
 
 /// A handle over either representation during the recursive merge.
@@ -74,9 +87,9 @@ enum H {
 }
 
 /// A child handle: element or text, for oracle-equality checks.
-enum KidH {
+enum KidH<'s> {
     Elem(H),
-    Text(String),
+    Text(&'s str),
 }
 
 impl<'a> MergeOut<'a> {
@@ -118,7 +131,7 @@ impl<'a> MergeOut<'a> {
         let mut next = self.clone();
         next.docs.push(doc);
         let d = (next.docs.len() - 1) as u32;
-        let root = next.kid_handle(&next.root.clone());
+        let root = next.kid_handle(&next.root);
         let merged = next.merge_h(root, H::Arena(d, node), keys)?;
         next.root = MKid::New(merged);
         Ok(next)
@@ -131,9 +144,9 @@ impl<'a> MergeOut<'a> {
     }
 
     /// The merge identity of the result root under `keys` — same
-    /// precedence as [`MergeKeys::identity`], with the tag as a
-    /// [`NameId`].
-    pub fn root_identity(&self, keys: &MergeKeys) -> Option<(NameId, String)> {
+    /// precedence as [`MergeKeys::identity`]. Merging a result with a
+    /// fragment of equal identity keeps that identity.
+    pub fn root_identity(&self, keys: &MergeKeys) -> Option<Identity<'a>> {
         let h = self.kid_handle(&self.root);
         self.identity_of(h, keys)
     }
@@ -144,7 +157,8 @@ impl<'a> MergeOut<'a> {
     }
 
     /// Materializes the result as an owned [`Element`] — byte-identical
-    /// to what the owned [`crate::merge`] would have produced.
+    /// to what the owned [`crate::merge`] would have produced. Names are
+    /// borrowed from the interner, not copied.
     pub fn to_element(&self) -> Element {
         match self.kid_node(&self.root) {
             Node::Element(e) => e,
@@ -165,7 +179,7 @@ impl<'a> MergeOut<'a> {
         out
     }
 
-    fn write_kid(&self, k: &MKid, out: &mut String) {
+    fn write_kid(&self, k: &MKid<'a>, out: &mut String) {
         match k {
             MKid::Shared(d, n) => self.docs[*d as usize].serialize_node(*n, out),
             MKid::Text(t) => escape_text(t, out),
@@ -195,18 +209,18 @@ impl<'a> MergeOut<'a> {
         }
     }
 
-    fn kid_node(&self, k: &MKid) -> Node {
+    fn kid_node(&self, k: &MKid<'a>) -> Node {
         match k {
             MKid::Shared(d, n) => Node::Element(self.docs[*d as usize].to_element(*n)),
-            MKid::Text(t) => Node::Text(t.clone()),
+            MKid::Text(t) => Node::Text(t.to_string()),
             MKid::New(i) => {
                 let node = &self.nodes[*i as usize];
                 Node::Element(Element {
-                    name: NameInterner::resolve(node.name).to_string(),
+                    name: Cow::Borrowed(NameInterner::resolve(node.name)),
                     attrs: node
                         .attrs
                         .iter()
-                        .map(|(n, v)| (NameInterner::resolve(*n).to_string(), v.clone()))
+                        .map(|(n, v)| (Cow::Borrowed(NameInterner::resolve(*n)), v.to_string()))
                         .collect(),
                     children: node.kids.iter().map(|k| self.kid_node(k)).collect(),
                 })
@@ -214,7 +228,7 @@ impl<'a> MergeOut<'a> {
         }
     }
 
-    fn kid_handle(&self, k: &MKid) -> H {
+    fn kid_handle(&self, k: &MKid<'a>) -> H {
         match k {
             MKid::Shared(d, n) => H::Arena(*d, *n),
             MKid::New(i) => H::M(*i),
@@ -222,60 +236,53 @@ impl<'a> MergeOut<'a> {
         }
     }
 
+    fn doc(&self, d: u32) -> &'a ArenaDoc {
+        self.docs[d as usize]
+    }
+
     fn name_of(&self, h: H) -> NameId {
         match h {
-            H::Arena(d, n) => self.docs[d as usize].name_id(n),
+            H::Arena(d, n) => self.doc(d).name_id(n),
             H::M(i) => self.nodes[i as usize].name,
         }
     }
 
-    fn attrs_of(&self, h: H) -> Vec<(NameId, String)> {
+    fn attrs_of(&self, h: H) -> Vec<(NameId, &'a str)> {
         match h {
-            H::Arena(d, n) => {
-                let doc = self.docs[d as usize];
-                doc.attrs(n)
-                    .map(|(name, v)| (NameInterner::intern(name), v.to_string()))
-                    .collect()
-            }
+            H::Arena(d, n) => self.doc(d).attr_rows(n).collect(),
             H::M(i) => self.nodes[i as usize].attrs.clone(),
         }
     }
 
-    fn attr_of(&self, h: H, name: &str) -> Option<String> {
+    fn attr_of(&self, h: H, name: NameId) -> Option<&'a str> {
         match h {
-            H::Arena(d, n) => self.docs[d as usize].attr(n, name).map(str::to_string),
+            H::Arena(d, n) => self.doc(d).attr_by_id(n, name),
             H::M(i) => {
-                let nid = NameInterner::lookup(name)?;
-                self.nodes[i as usize]
-                    .attrs
-                    .iter()
-                    .find(|(n, _)| *n == nid)
-                    .map(|(_, v)| v.clone())
+                self.nodes[i as usize].attrs.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
             }
         }
     }
 
-    /// Direct-text concatenation, matching [`Element::text`].
-    fn text_of(&self, h: H) -> String {
+    /// Direct text, matching [`Element::text`]. A spine node holds at
+    /// most one text kid — [`MergeOut::merge_h`] pushes the merged text
+    /// last and nothing else adds one.
+    fn text_of(&self, h: H) -> Cow<'a, str> {
         match h {
-            H::Arena(d, n) => self.docs[d as usize].text(n).into_owned(),
-            H::M(i) => {
-                let mut out = String::new();
-                for k in &self.nodes[i as usize].kids {
-                    if let MKid::Text(t) = k {
-                        out.push_str(t);
-                    }
-                }
-                out
-            }
+            H::Arena(d, n) => self.doc(d).text(n),
+            H::M(i) => self.nodes[i as usize]
+                .kids
+                .iter()
+                .find_map(|k| match k {
+                    MKid::Text(t) => Some(t.clone()),
+                    _ => None,
+                })
+                .unwrap_or(Cow::Borrowed("")),
         }
     }
 
     fn elem_kids(&self, h: H) -> Vec<H> {
         match h {
-            H::Arena(d, n) => {
-                self.docs[d as usize].child_elements(n).map(|c| H::Arena(d, c)).collect()
-            }
+            H::Arena(d, n) => self.doc(d).child_elements(n).map(|c| H::Arena(d, c)).collect(),
             H::M(i) => self.nodes[i as usize]
                 .kids
                 .iter()
@@ -285,20 +292,21 @@ impl<'a> MergeOut<'a> {
         }
     }
 
-    fn all_kids(&self, h: H) -> Vec<KidH> {
+    fn all_kids(&self, h: H) -> Vec<KidH<'_>> {
         match h {
-            H::Arena(d, n) => self.docs[d as usize]
+            H::Arena(d, n) => self
+                .doc(d)
                 .children(n)
                 .map(|k| match k {
                     ArenaChild::Elem(c) => KidH::Elem(H::Arena(d, c)),
-                    ArenaChild::Text(t) => KidH::Text(t.to_string()),
+                    ArenaChild::Text(t) => KidH::Text(t),
                 })
                 .collect(),
             H::M(i) => self.nodes[i as usize]
                 .kids
                 .iter()
                 .map(|k| match k {
-                    MKid::Text(t) => KidH::Text(t.clone()),
+                    MKid::Text(t) => KidH::Text(t),
                     other => KidH::Elem(self.kid_handle(other)),
                 })
                 .collect(),
@@ -308,18 +316,18 @@ impl<'a> MergeOut<'a> {
     /// Identity under `keys`: explicit key first (and *only* that
     /// attribute if the tag has one), then the default `id`/`name`/
     /// `type` fallback — the exact precedence of [`MergeKeys::identity`].
-    fn identity_of(&self, h: H, keys: &MergeKeys) -> Option<(NameId, String)> {
+    fn identity_of(&self, h: H, keys: &MergeKeys) -> Option<Identity<'a>> {
         let name = self.name_of(h);
-        let tag = NameInterner::resolve(name);
-        if let Some(attr) = keys.key_attr(tag) {
-            return self.attr_of(h, attr).map(|v| (name, format!("{attr}={v}")));
+        let probe = |attr: &str| {
+            // A name that was never interned is on no node.
+            let attr = NameInterner::lookup(attr)?;
+            self.attr_of(h, attr).map(|v| (name, attr, v))
+        };
+        if let Some(attr) = keys.key_attr(NameInterner::resolve(name)) {
+            return probe(attr);
         }
         if keys.use_default_keys {
-            for attr in ["id", "name", "type"] {
-                if let Some(v) = self.attr_of(h, attr) {
-                    return Some((name, format!("{attr}={v}")));
-                }
-            }
+            return ["id", "name", "type"].into_iter().find_map(probe);
         }
         None
     }
@@ -353,11 +361,11 @@ impl<'a> MergeOut<'a> {
 
     /// Records `h` as a result child without copying: arena subtrees
     /// graft by reference, already-fresh spine nodes pass through.
-    fn share_kid(&mut self, h: H) -> MKid {
+    fn share_kid(&mut self, h: H) -> MKid<'a> {
         match h {
             H::Arena(d, n) => {
                 self.stats.shared_subtrees += 1;
-                self.stats.shared_nodes += self.docs[d as usize].subtree_size(n) as u64;
+                self.stats.shared_nodes += self.doc(d).subtree_size(n) as u64;
                 MKid::Shared(d, n)
             }
             H::M(i) => MKid::New(i),
@@ -406,23 +414,22 @@ impl<'a> MergeOut<'a> {
         // Text: non-whitespace direct text must agree.
         let ta = self.text_of(a);
         let tb = self.text_of(b);
-        let (ta_t, tb_t) = (ta.trim().to_string(), tb.trim().to_string());
-        let merged_text = if ta_t.is_empty() {
-            tb
-        } else if tb_t.is_empty() || ta_t == tb_t {
-            ta
-        } else {
+        let (ta_t, tb_t) = (ta.trim(), tb.trim());
+        let take_b = ta_t.is_empty();
+        if !take_b && !tb_t.is_empty() && ta_t != tb_t {
             return Err(XmlError::MergeConflict {
                 tag: tag.to_string(),
                 detail: format!("text differs: '{ta_t}' vs '{tb_t}'"),
             });
-        };
+        }
+        let merged_text = if take_b { tb } else { ta };
 
         // Children: identical two-pass structure to the owned merge.
         let a_kids = self.elem_kids(a);
         let b_kids = self.elem_kids(b);
-        let mut merged: Vec<MKid> = Vec::new();
-        let mut index: HashMap<(NameId, String), usize> = HashMap::new();
+        let mut merged: Vec<MKid<'a>> = Vec::with_capacity(a_kids.len() + b_kids.len() + 1);
+        let mut index: HashMap<Identity<'a>, usize> =
+            HashMap::with_capacity(a_kids.len() + b_kids.len());
         self.add_side(&a_kids, &b_kids, true, keys, &mut merged, &mut index)?;
         self.add_side(&b_kids, &a_kids, false, keys, &mut merged, &mut index)?;
 
@@ -441,8 +448,8 @@ impl<'a> MergeOut<'a> {
         other: &[H],
         first_pass: bool,
         keys: &MergeKeys,
-        merged: &mut Vec<MKid>,
-        index: &mut HashMap<(NameId, String), usize>,
+        merged: &mut Vec<MKid<'a>>,
+        index: &mut HashMap<Identity<'a>, usize>,
     ) -> Result<(), XmlError> {
         for &ch in side {
             match self.identity_of(ch, keys) {
@@ -579,6 +586,42 @@ mod tests {
             r#"<l><entry id="x"><b>2</b></entry></l>"#,
             &plain,
         );
+        let items = |a: &str, b: &str, keys: &MergeKeys, tag: &str| {
+            let (da, db) = (ArenaDoc::parse(a).unwrap(), ArenaDoc::parse(b).unwrap());
+            let m = merge_arena(&da, &db, keys).unwrap();
+            m.to_element().children_named(tag).count()
+        };
+        // Same value under different key attributes: two identities.
+        let (a, b) = (r#"<l><e id="x"><a>1</a></e></l>"#, r#"<l><e name="x"><b>2</b></e></l>"#);
+        agree(a, b, &plain);
+        assert_eq!(items(a, b, &plain, "e"), 2);
+        // An explicit key the element lacks leaves it without identity:
+        // no fall back to `id`, so item 1 is not merged across sides.
+        let sku = MergeKeys::new().with_key("item", "sku");
+        let (a, b) = (
+            r#"<b><item id="1"><n>A</n></item><item id="2"><n>B</n></item></b>"#,
+            r#"<b><item id="1"><m>C</m></item></b>"#,
+        );
+        agree(a, b, &sku);
+        assert_eq!(items(a, b, &sku, "item"), 3);
+    }
+
+    #[test]
+    fn materialized_names_are_borrowed() {
+        fn all_borrowed(e: &Element) -> bool {
+            matches!(e.name, Cow::Borrowed(_))
+                && e.attrs.iter().all(|(n, _)| matches!(n, Cow::Borrowed(_)))
+                && e.child_elements().all(all_borrowed)
+        }
+        let a = ArenaDoc::parse(r#"<b k="1"><item id="1" type="p"><n>A</n></item>t</b>"#).unwrap();
+        let b = ArenaDoc::parse(r#"<b j="2"><item id="1"><m x="y"/></item><item id="2"/></b>"#)
+            .unwrap();
+        assert!(all_borrowed(&a.root_element()));
+        let m = merge_arena(&a, &b, &keys()).unwrap();
+        // Both kinds of node: a fresh spine (<b>, item 1) and grafts.
+        assert_eq!(m.stats().fresh_nodes, 2);
+        assert!(m.stats().shared_subtrees > 2);
+        assert!(all_borrowed(&m.to_element()));
     }
 
     #[test]
@@ -632,9 +675,9 @@ mod tests {
         assert_eq!(acc.root_identity(&k), None);
         let m = acc.merge_with(&b, &k).unwrap();
         // After the union the root carries id=7, and identity sees it.
-        let (name, idv) = m.root_identity(&k).unwrap();
+        let (name, attr, value) = m.root_identity(&k).unwrap();
         assert_eq!(NameInterner::resolve(name), "u");
-        assert_eq!(idv, "id=7");
+        assert_eq!((NameInterner::resolve(attr), value), ("id", "7"));
         assert_eq!(m.root_name(), name);
     }
 

@@ -42,11 +42,11 @@ mod tree_diff;
 mod writer;
 
 pub use arena::{ArenaChild, ArenaDoc, NodeId};
-pub use arena_merge::{merge_arena, merge_arena_all, MergeOut, MergeStats};
+pub use arena_merge::{merge_arena, merge_arena_all, Identity, MergeOut, MergeStats};
 pub use error::{ParseError, XmlError};
 pub use intern::{NameId, NameInterner};
 pub use merge::{merge, merge_all, MergeKeys};
-pub use node::{Element, Node};
+pub use node::{Element, Name, Node};
 pub use parser::parse;
 pub use path::{NodePath, Step};
 pub use tree_diff::{diff, EditOp};

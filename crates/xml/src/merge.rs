@@ -60,13 +60,13 @@ impl MergeKeys {
     /// when a key attribute applies and is present. Two siblings with
     /// equal identity denote the same logical node.
     pub fn identity(&self, e: &Element) -> Option<(String, String)> {
-        if let Some(attr) = self.keys.get(&e.name) {
-            return e.attr(attr).map(|v| (e.name.clone(), format!("{attr}={v}")));
+        if let Some(attr) = self.keys.get(&*e.name) {
+            return e.attr(attr).map(|v| (e.name.to_string(), format!("{attr}={v}")));
         }
         if self.use_default_keys {
             for attr in ["id", "name", "type"] {
                 if let Some(v) = e.attr(attr) {
-                    return Some((e.name.clone(), format!("{attr}={v}")));
+                    return Some((e.name.to_string(), format!("{attr}={v}")));
                 }
             }
         }
@@ -96,7 +96,7 @@ impl MergeKeys {
 pub fn merge(a: &Element, b: &Element, keys: &MergeKeys) -> Result<Element, XmlError> {
     if a.name != b.name {
         return Err(XmlError::MergeConflict {
-            tag: a.name.clone(),
+            tag: a.name.to_string(),
             detail: format!("cannot merge <{}> with <{}>", a.name, b.name),
         });
     }
@@ -112,7 +112,7 @@ pub fn merge(a: &Element, b: &Element, keys: &MergeKeys) -> Result<Element, XmlE
             Some(existing) if existing == v => {}
             Some(existing) => {
                 return Err(XmlError::MergeConflict {
-                    tag: a.name.clone(),
+                    tag: a.name.to_string(),
                     detail: format!("attribute '{n}' differs: '{existing}' vs '{v}'"),
                 })
             }
@@ -129,7 +129,7 @@ pub fn merge(a: &Element, b: &Element, keys: &MergeKeys) -> Result<Element, XmlE
         ta
     } else {
         return Err(XmlError::MergeConflict {
-            tag: a.name.clone(),
+            tag: a.name.to_string(),
             detail: format!("text differs: '{ta_t}' vs '{tb_t}'"),
         });
     };

@@ -1,8 +1,17 @@
 //! The owned XML tree value model.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::writer;
+
+/// An element or attribute name in an owned [`Element`]. Trees built by
+/// the parser and the builders own their names; trees materialized out
+/// of an arena ([`crate::ArenaDoc::to_element`],
+/// [`crate::MergeOut::to_element`]) borrow the interned `&'static str`
+/// instead of copying it. Equality, hashing and serialization see only
+/// the characters, never which of the two a name is.
+pub type Name = Cow<'static, str>;
 
 /// A child of an [`Element`]: either a nested element or a text run.
 ///
@@ -52,9 +61,9 @@ impl Node {
 #[derive(Debug, Clone, Default)]
 pub struct Element {
     /// Tag name (no namespace handling; GUP schema names are plain).
-    pub name: String,
+    pub name: Name,
     /// Attributes in document order.
-    pub attrs: Vec<(String, String)>,
+    pub attrs: Vec<(Name, String)>,
     /// Children in document order.
     pub children: Vec<Node>,
 }
@@ -62,7 +71,7 @@ pub struct Element {
 impl Element {
     /// Creates an empty element with the given tag name.
     pub fn new(name: impl Into<String>) -> Self {
-        Element { name: name.into(), attrs: Vec::new(), children: Vec::new() }
+        Element { name: Cow::Owned(name.into()), attrs: Vec::new(), children: Vec::new() }
     }
 
     /// Builder: adds (or replaces) an attribute and returns `self`.
@@ -94,7 +103,7 @@ impl Element {
         let value = value.into();
         match self.attrs.iter_mut().find(|(n, _)| *n == name) {
             Some(slot) => slot.1 = value,
-            None => self.attrs.push((name, value)),
+            None => self.attrs.push((Cow::Owned(name), value)),
         }
     }
 
@@ -143,8 +152,7 @@ impl Element {
     /// The concatenation of all *direct* text children. Borrows when
     /// there is at most one text child (the overwhelmingly common case
     /// for profile leaves) — no allocation on that fast path.
-    pub fn text(&self) -> std::borrow::Cow<'_, str> {
-        use std::borrow::Cow;
+    pub fn text(&self) -> Cow<'_, str> {
         let mut texts = self.children.iter().filter_map(Node::as_text);
         let Some(first) = texts.next() else { return Cow::Borrowed("") };
         match texts.next() {
@@ -352,6 +360,34 @@ mod tests {
         a.hash(&mut ha);
         b.hash(&mut hb);
         assert_eq!(ha.finish(), hb.finish());
+    }
+
+    #[test]
+    fn owned_and_borrowed_names_are_the_same_element() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let owned = Element::new("user")
+            .with_attr("id", "a & b")
+            .with_child(Element::new("presence").with_attr("note", "<x>").with_text("on"));
+        let borrowed = Element {
+            name: Cow::Borrowed("user"),
+            attrs: vec![(Cow::Borrowed("id"), "a & b".into())],
+            children: vec![Node::Element(Element {
+                name: Cow::Borrowed("presence"),
+                attrs: vec![(Cow::Borrowed("note"), "<x>".into())],
+                children: vec![Node::Text("on".into())],
+            })],
+        };
+        assert!(matches!(owned.name, Cow::Owned(_)));
+        assert_eq!(owned, borrowed);
+        let hash = |e: &Element| {
+            let mut h = DefaultHasher::new();
+            e.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&owned), hash(&borrowed));
+        assert_eq!(owned.to_xml(), borrowed.to_xml());
+        assert_eq!(owned.byte_size(), borrowed.byte_size());
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl<'a> Parser<'a> {
                     if elem.attr(&an).is_some() {
                         return Err(self.err(format!("duplicate attribute '{an}'")));
                     }
-                    elem.attrs.push((an, av));
+                    elem.attrs.push((an.into(), av));
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }

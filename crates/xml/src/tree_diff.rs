@@ -139,12 +139,12 @@ fn diff_into(a: &Element, b: &Element, keys: &MergeKeys, at: NodePath, ops: &mut
     // Attributes.
     for (n, v) in &b.attrs {
         if a.attr(n) != Some(v.as_str()) {
-            ops.push(EditOp::SetAttr { path: at.clone(), name: n.clone(), value: v.clone() });
+            ops.push(EditOp::SetAttr { path: at.clone(), name: n.to_string(), value: v.clone() });
         }
     }
     for (n, _) in &a.attrs {
         if b.attr(n).is_none() {
-            ops.push(EditOp::RemoveAttr { path: at.clone(), name: n.clone() });
+            ops.push(EditOp::RemoveAttr { path: at.clone(), name: n.to_string() });
         }
     }
 
@@ -165,7 +165,7 @@ fn diff_into(a: &Element, b: &Element, keys: &MergeKeys, at: NodePath, ops: &mut
         for ch in e.child_elements() {
             match key_of(ch, keys) {
                 Some((ka, kv)) => {
-                    ix.keyed.insert((ch.name.clone(), ka, kv), ch);
+                    ix.keyed.insert((ch.name.to_string(), ka, kv), ch);
                 }
                 None => ix.unkeyed.push(ch),
             }
@@ -214,7 +214,7 @@ fn diff_into(a: &Element, b: &Element, keys: &MergeKeys, at: NodePath, ops: &mut
     let mut deletions: Vec<NodePath> = Vec::new();
     let mut occurrence: HashMap<&str, usize> = HashMap::new();
     for ea in &ia.unkeyed {
-        let occ = occurrence.entry(ea.name.as_str()).or_insert(0);
+        let occ = occurrence.entry(&*ea.name).or_insert(0);
         let this_occ = *occ;
         *occ += 1;
         if singleton(&ea.name) {

@@ -89,7 +89,7 @@ enum Located {
 fn push_children(e: &Element, at: &NodePath, test: &NameTest, out: &mut Vec<NodePath>) {
     let mut occurrence: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
     for c in e.child_elements() {
-        let occ = occurrence.entry(c.name.as_str()).or_insert(0);
+        let occ = occurrence.entry(&*c.name).or_insert(0);
         let this = *occ;
         *occ += 1;
         if test.accepts(&c.name) {
@@ -101,7 +101,7 @@ fn push_children(e: &Element, at: &NodePath, test: &NameTest, out: &mut Vec<Node
 fn collect_descendants(e: &Element, at: NodePath, test: &NameTest, out: &mut Vec<NodePath>) {
     let mut occurrence: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
     for c in e.child_elements() {
-        let occ = occurrence.entry(c.name.as_str()).or_insert(0);
+        let occ = occurrence.entry(&*c.name).or_insert(0);
         let this = *occ;
         *occ += 1;
         let cp = at.clone().child(c.name.clone(), this);
