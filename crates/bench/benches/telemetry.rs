@@ -1,12 +1,6 @@
 //! Microbench for the telemetry hot path (DESIGN.md §9): interned
-//! stage recording vs. owned-label batches, and the tracer lifecycle
-//! that every sharded request pays.
-//!
-//! The interesting comparison is the first two rows: `record_stages`
-//! re-interns each `String` label on every call, while
-//! `record_stage_ids` feeds pre-interned [`StageId`]s straight into
-//! the histogram vector — the difference is the per-span win of
-//! keeping `StageId` in the span hot path instead of `String`.
+//! stage recording, and the tracer lifecycle that every sharded request
+//! pays.
 
 use std::sync::Arc;
 
@@ -28,13 +22,6 @@ fn main() {
     suite("telemetry");
 
     let hub = TelemetryHub::new();
-    let strings: Vec<(String, SimTime)> = LABELS
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (l.to_string(), SimTime::micros(i as u64 + 1)))
-        .collect();
-    bench("record_stages_string_batch(8)", || hub.record_stages(&strings));
-
     let ids: Vec<(StageId, SimTime)> = LABELS
         .iter()
         .enumerate()

@@ -1,6 +1,5 @@
-//! The CI microbench gate: compares a fresh `BENCH_registry.json`
-//! against the checked-in baseline and fails (exit 1) when simulated
-//! referral-path throughput regresses by more than 15% on any row.
+//! The CI determinism gate for the checked-in `BENCH_*.json` baselines:
+//! a fresh quick-mode run must reproduce its baseline line for line.
 //!
 //! ```text
 //! GUPSTER_E16_QUICK=1 GUPSTER_BENCH_OUT=/tmp/fresh.json \
@@ -9,392 +8,73 @@
 //!     BENCH_registry.json /tmp/fresh.json
 //! ```
 //!
-//! Rows are matched on `(kind, scale)`; baseline rows absent from the
-//! fresh run (the full sweep's 100k/1M rows when CI runs the quick
-//! sweep) are skipped, as are rows without a simulated measurement.
-//! Only `indexed_sim_ops` is gated — it derives from the deterministic
-//! stage cost model, so the threshold never flakes on machine speed.
-//!
-//! `BENCH_shards.json` (E17) rides the same row gate plus one extra
-//! check: the *scaling ratio* (`indexed_sim_ops / naive_sim_ops`, i.e.
-//! sharded throughput over the 1-shard run) at the widest common shard
-//! count must stay within 15% of the baseline ratio — a change can
-//! keep absolute throughput while quietly flattening the scaling
-//! curve, and this catches that.
-//!
-//! `BENCH_overload.json` (E20) also rides the row gate plus two extra
-//! checks: the goodput *knee point* (peak `indexed_sim_ops` across the
-//! load sweep) must stay within 15% of the baseline knee, and the
-//! call-class p99 at every load point at or below saturation must be
-//! inside the simulated 256µs call-setup budget.
-//!
-//! `BENCH_subs.json` (E21) rides the row gate plus two absolute
-//! checks: every `subs` row must keep the index-vs-naive simulated
-//! match speedup at or above 10×, and every `fanout` row's coalesced
-//! message pairs per staged notification must stay at or below the
-//! 0.5 ceiling — both scale-independent, so the quick CI sweep gates
-//! them at its own sizes.
-//!
-//! `BENCH_sync.json` (E22) rides the row gate plus two absolute
-//! checks: every `sync` row at 10k+ edits must keep the delta session
-//! at or above 5× the naive pairwise session's simulated throughput,
-//! and must ship at least 3× fewer bytes than full-path framing.
-//!
-//! `--slo <fresh_slo.json> [baseline_slo.json]` gates E18's
-//! `BENCH_slo.json` instead: every objective must hold with the
-//! verdict re-derived from the recorded observations (p99 within
-//! budget, availability at target, burn rate ≤ 1.0), and with a
-//! baseline no burn rate may grow past 2× its baseline value.
+//! Every value an experiment writes is simulated and seeded, except the
+//! `naive_wall_ops` / `indexed_wall_ops` wall-clock columns. The gate
+//! drops those two values and then compares the files byte for byte:
+//! a row present on one side only, a changed `"mode"`, a truncated
+//! line or any other differing byte fails (exit 1). The same rule
+//! covers `BENCH_slo.json`, which has no wall-clock fields. Absolute
+//! floors — speedups, p99 budgets, SLO verdicts — are asserted inside
+//! the experiments themselves, so a run that breaks one exits non-zero
+//! before this gate runs; relative floors follow from equality.
 
-use gupster_bench::benchjson::{parse, BenchRow};
-use gupster_telemetry::slo::{parse_slo_json, SloOutcome};
+/// The keys whose values are measured on the wall clock, and so differ
+/// from run to run.
+const WALL_KEYS: [&str; 2] = ["\"naive_wall_ops\":", "\"indexed_wall_ops\":"];
 
-/// Allowed fraction of baseline throughput before the gate trips.
-const FLOOR: f64 = 0.85;
-/// Allowed growth of an SLO burn rate over its baseline before the
-/// `--slo` gate trips (on top of the hard burn ≤ 1.0 verdict).
-const BURN_GROWTH: f64 = 2.0;
+/// `line` with the value after every wall-clock key cut out, up to the
+/// next `,` or `}`.
+fn mask_wall(line: &str) -> String {
+    let mut out = String::with_capacity(line.len());
+    let mut rest = line;
+    while let Some(end_of_key) =
+        WALL_KEYS.iter().filter_map(|k| rest.find(k).map(|at| at + k.len())).min()
+    {
+        out.push_str(&rest[..end_of_key]);
+        rest = &rest[end_of_key..];
+        rest = &rest[rest.find([',', '}']).unwrap_or(rest.len())..];
+    }
+    out.push_str(rest);
+    out
+}
 
-fn load(path: &str) -> Vec<BenchRow> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+/// A differing line: its 1-based number and both sides' masked text,
+/// `None` past a file's end.
+type Difference = (usize, Option<String>, Option<String>);
+
+/// The first line at which the two files differ once the wall-clock
+/// values are masked; `None` when they are equal. Lines are split on
+/// `\n` alone, so a lost trailing newline is a difference too.
+fn first_difference(baseline: &str, fresh: &str) -> Option<Difference> {
+    let b: Vec<&str> = baseline.split('\n').collect();
+    let f: Vec<&str> = fresh.split('\n').collect();
+    (0..b.len().max(f.len())).find_map(|i| {
+        let (bl, fl) = (b.get(i).map(|l| mask_wall(l)), f.get(i).map(|l| mask_wall(l)));
+        (bl != fl).then_some((i + 1, bl, fl))
+    })
+}
+
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("bench_compare: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    parse(&text).unwrap_or_else(|e| {
-        eprintln!("bench_compare: cannot parse {path}: {e}");
         std::process::exit(2);
     })
 }
 
-/// Loads a `BENCH_slo.json`. `parse_slo_json` re-derives every `ok`
-/// flag from the recorded observations, so a stale or tampered flag in
-/// the file cannot pass the gate.
-fn load_slo(path: &str) -> Vec<SloOutcome> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench_compare: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let (outcomes, _) = parse_slo_json(&text).unwrap_or_else(|e| {
-        eprintln!("bench_compare: cannot parse {path}: {e}");
-        std::process::exit(2);
-    });
-    if outcomes.is_empty() {
-        eprintln!("bench_compare: {path} has no SLO rows");
-        std::process::exit(2);
-    }
-    outcomes
-}
-
-/// The `--slo` gate: every objective in the fresh run must hold
-/// (re-derived p99 ≤ budget, availability ≥ target, burn ≤ 1.0); with
-/// a baseline, a burn rate may also not grow past `BURN_GROWTH`× its
-/// baseline value — a run can stay under budget while quietly eating
-/// it, and this catches that.
-fn run_slo_gate(fresh_path: &str, baseline_path: Option<&str>) -> ! {
-    let fresh = load_slo(fresh_path);
-    let baseline = baseline_path.map(load_slo);
-    let mut failed = 0;
-    println!(
-        "{:<22} {:>9} {:>12} {:>12} {:>13} {:>8}  verdict",
-        "objective", "events", "p99", "budget", "availability", "burn"
-    );
-    for o in &fresh {
-        let mut verdicts = Vec::new();
-        if !o.ok {
-            verdicts.push("OBJECTIVE VIOLATED".to_string());
-        }
-        if let Some(base) = baseline.as_ref().and_then(|b| {
-            b.iter().find(|x| x.spec.name == o.spec.name)
-        }) {
-            // Only meaningful once the baseline burn is visible above
-            // rounding; a 0.00 → 0.01 step is not a regression.
-            if base.burn_rate > 0.05 && o.burn_rate > base.burn_rate * BURN_GROWTH {
-                failed += 1;
-                verdicts.push(format!(
-                    "BURN REGRESSION ({:.2} vs baseline {:.2})",
-                    o.burn_rate, base.burn_rate
-                ));
-            }
-        }
-        if !o.ok {
-            failed += 1;
-        }
-        let verdict = if verdicts.is_empty() { "ok".to_string() } else { verdicts.join("; ") };
-        println!(
-            "{:<22} {:>9} {:>12} {:>12} {:>12.4}% {:>8.2}  {verdict}",
-            o.spec.name,
-            o.count,
-            o.p99.to_string(),
-            if o.spec.p99_budget.0 == 0 { "-".to_string() } else { o.spec.p99_budget.to_string() },
-            o.availability * 100.0,
-            o.burn_rate,
-        );
-    }
-    if failed > 0 {
-        eprintln!("bench_compare: {failed} SLO check(s) failed in {fresh_path}");
-        std::process::exit(1);
-    }
-    println!("bench_compare: all {} SLOs hold in {fresh_path}", fresh.len());
-    std::process::exit(0);
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--slo") {
-        match &args[1..] {
-            [fresh] => run_slo_gate(fresh, None),
-            [fresh, baseline] => run_slo_gate(fresh, Some(baseline)),
-            _ => {
-                eprintln!("usage: bench_compare --slo <fresh_slo.json> [baseline_slo.json]");
-                std::process::exit(2);
-            }
-        }
-    }
     let [baseline_path, fresh_path] = &args[..] else {
-        eprintln!(
-            "usage: bench_compare <baseline.json> <fresh.json>\n\
-             \x20      bench_compare --slo <fresh_slo.json> [baseline_slo.json]"
-        );
+        eprintln!("usage: bench_compare <baseline.json> <fresh.json>");
         std::process::exit(2);
     };
-    let baseline = load(baseline_path);
-    let fresh = load(fresh_path);
-    if fresh.is_empty() {
-        eprintln!("bench_compare: {fresh_path} has no rows");
-        std::process::exit(2);
+    match first_difference(&read(baseline_path), &read(fresh_path)) {
+        None => println!("bench_compare: {fresh_path} reproduces {baseline_path}"),
+        Some((line, b, f)) => {
+            eprintln!("bench_compare: {fresh_path} differs from {baseline_path} at line {line}");
+            let show = |l: Option<String>| l.unwrap_or_else(|| "<end of file>".into());
+            eprintln!("  baseline: {}", show(b));
+            eprintln!("  fresh:    {}", show(f));
+            std::process::exit(1);
+        }
     }
-
-    let mut compared = 0;
-    let mut failed = 0;
-    println!("{:<10} {:>9} {:>18} {:>18} {:>8}  verdict", "kind", "scale", "baseline sim ops", "fresh sim ops", "ratio");
-    for b in &baseline {
-        if b.indexed_sim_ops <= 0.0 {
-            continue;
-        }
-        let Some(f) = fresh.iter().find(|f| f.kind == b.kind && f.scale == b.scale) else {
-            println!("{:<10} {:>9} {:>18.1} {:>18} {:>8}  skipped (not in fresh run)", b.kind, b.scale, b.indexed_sim_ops, "-", "-");
-            continue;
-        };
-        if f.indexed_sim_ops <= 0.0 {
-            continue;
-        }
-        compared += 1;
-        let ratio = f.indexed_sim_ops / b.indexed_sim_ops;
-        let ok = ratio >= FLOOR;
-        if !ok {
-            failed += 1;
-        }
-        println!(
-            "{:<10} {:>9} {:>18.1} {:>18.1} {:>7.2}x  {}",
-            b.kind,
-            b.scale,
-            b.indexed_sim_ops,
-            f.indexed_sim_ops,
-            ratio,
-            if ok { "ok" } else { "REGRESSION (>15% below baseline)" }
-        );
-    }
-    if compared == 0 {
-        eprintln!("bench_compare: no comparable rows between {baseline_path} and {fresh_path}");
-        std::process::exit(2);
-    }
-    failed += check_scaling(&baseline, &fresh);
-    failed += check_overload(&baseline, &fresh);
-    failed += check_subs(&fresh);
-    failed += check_sync(&fresh);
-    if failed > 0 {
-        eprintln!("bench_compare: {failed}/{compared} rows regressed past the {:.0}% floor", FLOOR * 100.0);
-        std::process::exit(1);
-    }
-    println!("bench_compare: {compared} rows within {:.0}% of baseline", FLOOR * 100.0);
-}
-
-/// Simulated call-path p99 budget for E20 `overload` rows at or below
-/// saturation (`scale` ≤ 100); mirrors `CALL_P99_BUDGET` in the
-/// experiment itself.
-const CALL_P99_BUDGET_US: f64 = 256.0;
-
-/// The E20 overload gate, on top of the per-row goodput floor:
-///
-/// 1. the *knee point* — peak goodput (`indexed_sim_ops`) across the
-///    whole sweep — must stay within the floor of the baseline's knee;
-///    a change can keep every individual row above 85% while still
-///    shaving the plateau, and this catches that;
-/// 2. at every fresh load point at or below saturation (`scale` ≤
-///    100), the call-class p99 (`mean_candidates`, µs) must be inside
-///    the simulated 256µs call-setup budget — an absolute SLO, not a
-///    relative one, so it holds even on a fresh baseline.
-///
-/// Returns the number of failures (0 when neither file carries
-/// `overload` rows).
-fn check_overload(baseline: &[BenchRow], fresh: &[BenchRow]) -> usize {
-    let knee = |rows: &[BenchRow]| -> Option<f64> {
-        rows.iter()
-            .filter(|r| r.kind == "overload" && r.indexed_sim_ops > 0.0)
-            .map(|r| r.indexed_sim_ops)
-            .fold(None, |m: Option<f64>, v| Some(m.map_or(v, |m| m.max(v))))
-    };
-    let mut failed = 0;
-    for f in fresh.iter().filter(|f| f.kind == "overload" && f.scale <= 100) {
-        let ok = f.mean_candidates <= CALL_P99_BUDGET_US;
-        if !ok {
-            failed += 1;
-        }
-        println!(
-            "overload call p99 @ {:>3}% load: {:.0}us (budget {CALL_P99_BUDGET_US:.0}us)  {}",
-            f.scale,
-            f.mean_candidates,
-            if ok { "ok" } else { "SLO BREACH (call path over budget below saturation)" }
-        );
-    }
-    if let (Some(base), Some(new)) = (knee(baseline), knee(fresh)) {
-        let ratio = new / base;
-        let ok = ratio >= FLOOR;
-        if !ok {
-            failed += 1;
-        }
-        println!(
-            "overload knee: baseline {base:.0}/s, fresh {new:.0}/s ({ratio:.2} of baseline)  {}",
-            if ok { "ok" } else { "REGRESSION (goodput plateau dropped >15%)" }
-        );
-    }
-    failed
-}
-
-/// Simulated index-vs-naive match speedup floor for E21 `subs` rows;
-/// mirrors `SPEEDUP_FLOOR` in the experiment itself.
-const SUBS_SPEEDUP_FLOOR: f64 = 10.0;
-/// Ceiling on coalesced message pairs per staged notification for E21
-/// `fanout` rows; mirrors `MPN_CEILING` in the experiment.
-const FANOUT_MPN_CEILING: f64 = 0.5;
-
-/// The E21 fanout gate, on top of the per-row throughput floor. Both
-/// checks are absolute (like the E20 p99 SLO), so they hold at the
-/// quick sweep's scales too:
-///
-/// 1. every `subs` row must keep the inverted index at or above
-///    `SUBS_SPEEDUP_FLOOR`× the naive matcher's simulated throughput;
-/// 2. every `fanout` row's coalesced message pairs per staged
-///    notification (`mean_candidates`) must stay at or below
-///    `FANOUT_MPN_CEILING` — coalescing quietly turned off would send
-///    one pair per notification (1.0) and trip this.
-///
-/// Returns the number of failures (0 when the fresh file carries no
-/// `subs`/`fanout` rows).
-fn check_subs(fresh: &[BenchRow]) -> usize {
-    let mut failed = 0;
-    for f in fresh.iter().filter(|f| f.kind == "subs" && f.naive_sim_ops > 0.0) {
-        let speedup = f.indexed_sim_ops / f.naive_sim_ops;
-        let ok = speedup >= SUBS_SPEEDUP_FLOOR;
-        if !ok {
-            failed += 1;
-        }
-        println!(
-            "subs speedup @ {:>7} subs: {speedup:.1}x (floor {SUBS_SPEEDUP_FLOOR:.0}x)  {}",
-            f.scale,
-            if ok { "ok" } else { "REGRESSION (index speedup under the floor)" }
-        );
-    }
-    for f in fresh.iter().filter(|f| f.kind == "fanout") {
-        let ok = f.mean_candidates <= FANOUT_MPN_CEILING;
-        if !ok {
-            failed += 1;
-        }
-        println!(
-            "fanout pairs/notification @ {:>7} watchers: {:.2} (ceiling {FANOUT_MPN_CEILING})  {}",
-            f.scale,
-            f.mean_candidates,
-            if ok { "ok" } else { "REGRESSION (delivery no longer coalesces)" }
-        );
-    }
-    failed
-}
-
-/// Simulated delta-vs-naive sync-session speedup floor for E22 `sync`
-/// rows at or above `SYNC_GATE_SCALE` edits; mirrors `SPEEDUP_FLOOR`
-/// in the experiment itself.
-const SYNC_SPEEDUP_FLOOR: f64 = 5.0;
-/// Floor on the naive/delta bytes-on-the-wire ratio (`mean_candidates`
-/// carries it) for the same rows; mirrors `BYTES_RATIO_FLOOR`.
-const SYNC_BYTES_RATIO_FLOOR: f64 = 3.0;
-/// Smallest storm the absolute sync floors apply to — tiny storms have
-/// too little history for the pairwise scan to go quadratic, so only
-/// the relative per-row gate covers them.
-const SYNC_GATE_SCALE: u64 = 10_000;
-
-/// The E22 sync gate, on top of the per-row throughput floor. Both
-/// checks are absolute and mirror the experiment's in-run acceptance
-/// asserts, so the quick CI sweep gates them at its own sizes:
-///
-/// 1. every `sync` row at or above `SYNC_GATE_SCALE` edits must keep
-///    the delta session at or above `SYNC_SPEEDUP_FLOOR`× the naive
-///    pairwise session's simulated throughput;
-/// 2. the same rows must ship at least `SYNC_BYTES_RATIO_FLOOR`× fewer
-///    bytes than the naive full-path framing — the dictionary codec
-///    quietly turned off would push this toward 1.0 and trip here.
-///
-/// Returns the number of failures (0 when the fresh file carries no
-/// `sync` rows).
-fn check_sync(fresh: &[BenchRow]) -> usize {
-    let mut failed = 0;
-    for f in fresh.iter().filter(|f| {
-        f.kind == "sync" && f.scale >= SYNC_GATE_SCALE && f.naive_sim_ops > 0.0
-    }) {
-        let speedup = f.indexed_sim_ops / f.naive_sim_ops;
-        let ok = speedup >= SYNC_SPEEDUP_FLOOR;
-        if !ok {
-            failed += 1;
-        }
-        println!(
-            "sync speedup @ {:>7} edits: {speedup:.1}x (floor {SYNC_SPEEDUP_FLOOR:.0}x)  {}",
-            f.scale,
-            if ok { "ok" } else { "REGRESSION (delta session speedup under the floor)" }
-        );
-        let bytes_ok = f.mean_candidates >= SYNC_BYTES_RATIO_FLOOR;
-        if !bytes_ok {
-            failed += 1;
-        }
-        println!(
-            "sync bytes ratio @ {:>7} edits: {:.1}x (floor {SYNC_BYTES_RATIO_FLOOR:.0}x)  {}",
-            f.scale,
-            f.mean_candidates,
-            if bytes_ok { "ok" } else { "REGRESSION (delta encoding no longer shrinks sessions)" }
-        );
-    }
-    failed
-}
-
-/// The E17 shards gate: at the widest shard count present in both
-/// files, the speedup over the 1-shard run must stay within the floor
-/// of the baseline's speedup. Returns the number of failures (0 when
-/// neither file carries `shards` rows).
-fn check_scaling(baseline: &[BenchRow], fresh: &[BenchRow]) -> usize {
-    let speedup_at_max = |rows: &[BenchRow], scale: u64| -> Option<f64> {
-        let r = rows.iter().find(|r| r.kind == "shards" && r.scale == scale)?;
-        if r.naive_sim_ops <= 0.0 {
-            return None;
-        }
-        Some(r.indexed_sim_ops / r.naive_sim_ops)
-    };
-    let Some(scale) = baseline
-        .iter()
-        .filter(|b| {
-            b.kind == "shards" && fresh.iter().any(|f| f.kind == "shards" && f.scale == b.scale)
-        })
-        .map(|b| b.scale)
-        .max()
-    else {
-        return 0;
-    };
-    let (Some(base), Some(new)) = (speedup_at_max(baseline, scale), speedup_at_max(fresh, scale))
-    else {
-        return 0;
-    };
-    let ratio = new / base;
-    let ok = ratio >= FLOOR;
-    println!(
-        "scaling @ {scale} shards: baseline {base:.2}x, fresh {new:.2}x ({ratio:.2} of baseline)  {}",
-        if ok { "ok" } else { "REGRESSION (scaling curve flattened >15%)" }
-    );
-    usize::from(!ok)
 }

@@ -16,10 +16,10 @@
 //!
 //! Every row lands in `BENCH_registry.json` (see [`crate::benchjson`]);
 //! CI re-runs the reduced sweep (`GUPSTER_E16_QUICK=1`) and
-//! `bench_compare` fails the build when simulated referral-path
-//! throughput regresses. Simulated ops/sec mirrors the registry's
+//! `bench_compare` fails the build unless it reproduces the checked-in
+//! quick-mode file exactly. Simulated ops/sec mirrors the registry's
 //! deterministic stage cost model (~1µs per entry examined), so the
-//! gate is machine-independent; wall-clock columns are informative.
+//! gate is machine-independent; it ignores the wall-clock columns.
 
 use std::time::Instant;
 

@@ -21,7 +21,8 @@
 //!    ladder counts, hottest users/paths, tail exemplars).
 //!
 //! Artifacts: `BENCH_slo.json` (SLO outcomes + per-shard p99
-//! attribution, gated in CI by `bench_compare --slo`) and
+//! attribution; CI's `bench_compare` requires a quick run to reproduce
+//! the checked-in file exactly) and
 //! `OBS_snapshot.json` (the full snapshot; re-render it any time with
 //! `experiments dashboard OBS_snapshot.json`). `GUPSTER_E18_QUICK=1`
 //! shrinks the stream for CI; the SLO verdicts and the identity

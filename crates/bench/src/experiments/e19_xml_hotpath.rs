@@ -25,10 +25,9 @@
 //! cost model: 16 units per allocated node, 1 per copied or per-char
 //! escaped byte, 2 per flat-table record or grafted subtree). Wall
 //! columns are informative only. Rows land in `BENCH_xml.json`;
-//! `bench_compare` fails the build when the arena path's simulated
-//! throughput regresses below 0.85× the checked-in baseline, and
-//! `run()` asserts the acceptance bar directly: ≥2× on `merge_all` at
-//! the largest scale swept.
+//! `bench_compare` fails the build unless a quick run reproduces the
+//! checked-in file exactly, and `run()` asserts the acceptance bar
+//! directly: ≥2× on `merge_all` at the largest scale swept.
 
 use std::time::Instant;
 

@@ -21,10 +21,10 @@
 //! shedding during on-windows, but the call p99 budget still holds.
 //!
 //! Rows land in `BENCH_overload.json`; CI re-runs the reduced sweep
-//! (`GUPSTER_E20_QUICK=1`) and `bench_compare` gates the knee point
-//! (peak goodput, >15% regression fails) and the call-path p99 SLO at
-//! ≤1× load. The sweep is fully simulated and seeded, so the fresh
-//! rows must reproduce the checked-in baseline byte-for-byte.
+//! (`GUPSTER_E20_QUICK=1`), whose in-run asserts hold the call-path p99
+//! budget at every load. The sweep is fully simulated and seeded, so
+//! `bench_compare` requires the fresh rows to reproduce the checked-in
+//! baseline byte-for-byte outside the wall-clock columns.
 
 use gupster_core::{
     AdmissionConfig, OpenLoopRequest, Priority, ShardRequest, ShardedRegistry, StorePool,

@@ -19,9 +19,9 @@
 //! an 8-byte header plus a once-per-session dictionary entry), and
 //! apply/slow-sync costs are common to both. The acceptance bars — ≥5×
 //! simulated session throughput and ≥3× fewer bytes at the 10k-edit
-//! storm and above — are asserted in-run and re-gated by
-//! `bench_compare`'s `check_sync` against the checked-in
-//! `BENCH_sync.json`.
+//! storm and above — are asserted in-run; `bench_compare` then
+//! requires a quick run to reproduce the checked-in `BENCH_sync.json`
+//! exactly.
 //!
 //! The compaction column shows the other half of the story: after the
 //! delta pass every replica's changelog truncates behind its live peer
@@ -68,8 +68,7 @@ const SHARED_EVERY: usize = 10;
 /// every probe — so they are deliberately rare, as profile-item
 /// creation is next to field edits.
 const INSERT_EVERY: usize = 128;
-/// Acceptance floors (mirrored by `check_sync` in `bench_compare`),
-/// enforced at `GATE_SCALE` edits and above.
+/// Acceptance floors, enforced in-run at `GATE_SCALE` edits and above.
 const SPEEDUP_FLOOR: f64 = 5.0;
 const BYTES_RATIO_FLOOR: f64 = 3.0;
 const GATE_SCALE: u64 = 10_000;

@@ -394,17 +394,6 @@ impl SubscriptionManager {
         out
     }
 
-    /// [`pump`](Self::pump) through the naive linear matcher — the
-    /// differential oracle for the whole drain-and-match cycle.
-    pub fn pump_naive(&mut self, pool: &mut StorePool) -> Vec<Notification> {
-        let mut out = Vec::new();
-        for (_store, event) in pool.drain_all_events() {
-            out.append(&mut self.on_event_naive(&event).notifications);
-        }
-        self.delivered += out.len() as u64;
-        out
-    }
-
     /// Stages one delivery window: drains change events, matches them
     /// through the index, and passes every candidate notification
     /// through the PDP **with the subscriber as requester** before it

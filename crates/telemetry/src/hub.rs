@@ -11,328 +11,132 @@ use crate::histogram::Histogram;
 use crate::intern::{StageId, StageInterner};
 use crate::span::{RequestId, Span, Tracer};
 
-/// Pipeline event counters. Plain atomics so instrumented code can bump
-/// them without holding the hub's histogram lock.
-#[derive(Debug, Default)]
-pub struct Counters {
+/// Declares the pipeline counters once: the atomic [`Counters`], the
+/// plain [`CounterSnapshot`] and every per-field routine between them
+/// are generated from one list, in its order — the column order of the
+/// snapshot exporters and the dashboard.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)+) => {
+        /// Pipeline event counters. Plain atomics so instrumented code can bump
+        /// them without holding the hub's histogram lock.
+        #[derive(Debug, Default)]
+        pub struct Counters {
+            $($(#[$doc])* pub $name: AtomicU64,)+
+        }
+
+        /// A point-in-time copy of the [`Counters`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct CounterSnapshot {
+            $($(#[$doc])* pub $name: u64,)+
+        }
+
+        impl CounterSnapshot {
+            /// Adds `other` into `self`, field by field — shard harnesses use
+            /// this to aggregate per-shard hubs into fleet-wide totals.
+            pub fn absorb(&mut self, other: &CounterSnapshot) {
+                $(self.$name += other.$name;)+
+            }
+
+            /// The counter's fields as `(name, value)` rows in declaration
+            /// order — the single source of truth the snapshot exporters and
+            /// the dashboard iterate, so a newly added counter cannot be
+            /// silently missing from one of them.
+            pub fn named_fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name)),+]
+            }
+
+            /// Sets the field called `name` to `value`; false when no counter
+            /// has that name. The snapshot parser uses this as the inverse of
+            /// [`CounterSnapshot::named_fields`].
+            pub fn set_field(&mut self, name: &str, value: u64) -> bool {
+                let slot = match name {
+                    $(stringify!($name) => &mut self.$name,)+
+                    _ => return false,
+                };
+                *slot = value;
+                true
+            }
+        }
+
+        impl Counters {
+            fn snapshot(&self) -> CounterSnapshot {
+                CounterSnapshot { $($name: self.$name.load(Ordering::Relaxed),)+ }
+            }
+
+            fn reset(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)+
+            }
+        }
+    };
+}
+
+counters! {
     /// Lookup requests traced.
-    pub lookups: AtomicU64,
+    lookups,
     /// Referrals issued.
-    pub referrals: AtomicU64,
+    referrals,
     /// Requests refused by the privacy shield.
-    pub policy_denials: AtomicU64,
+    policy_denials,
     /// Cache hits.
-    pub cache_hits: AtomicU64,
+    cache_hits,
     /// Cache misses.
-    pub cache_misses: AtomicU64,
+    cache_misses,
     /// Signature verifications performed by data stores.
-    pub signature_verifications: AtomicU64,
+    signature_verifications,
     /// Retry attempts issued by the resilience layer.
-    pub retries: AtomicU64,
+    retries,
     /// Fallbacks to a lower rung of the degradation ladder.
-    pub fallbacks: AtomicU64,
+    fallbacks,
     /// Requests that exhausted their deadline budget.
-    pub deadline_exceeded: AtomicU64,
+    deadline_exceeded,
     /// Results served from the stale cache after every rung failed.
-    pub stale_serves: AtomicU64,
+    stale_serves,
     /// Coverage matches answered by the path-trie index.
-    pub trie_hits: AtomicU64,
+    trie_hits,
     /// Policy decisions served from the decision memo.
-    pub memo_hits: AtomicU64,
+    memo_hits,
     /// Coverage matches that fell back to the naive full scan.
-    pub fallback_scans: AtomicU64,
+    fallback_scans,
     /// Duplicate in-flight fetches coalesced by a singleflight table.
-    pub singleflight_hits: AtomicU64,
+    singleflight_hits,
     /// Per-store batch RPCs issued in place of per-fragment fetches.
-    pub batched_fetches: AtomicU64,
+    batched_fetches,
     /// Two-way sync sessions completed.
-    pub sync_sessions: AtomicU64,
+    sync_sessions,
     /// Changelog operations shipped during sync sessions.
-    pub sync_ops_shipped: AtomicU64,
+    sync_ops_shipped,
     /// Conflicting change pairs detected during sync reconciliation.
-    pub sync_conflicts: AtomicU64,
+    sync_conflicts,
     /// Sync sessions that fell back to the slow full-document path.
-    pub sync_slow_paths: AtomicU64,
+    sync_slow_paths,
     /// Changelog entries removed by compaction (truncated, coalesced,
     /// or annihilated) across the fleet.
-    pub compacted_ops: AtomicU64,
+    compacted_ops,
     /// Cache/memo entries invalidated by write-through invalidation
     /// after committed syncs.
-    pub invalidations: AtomicU64,
+    invalidations,
     /// Open-loop requests admitted through the ingress queues.
-    pub admitted: AtomicU64,
+    admitted,
     /// Call-delivery requests shed by admission control.
-    pub shed_calls: AtomicU64,
+    shed_calls,
     /// Profile-edit / bulk requests shed by admission control.
-    pub shed_edits: AtomicU64,
+    shed_edits,
     /// Bulk services preempted by call-delivery arrivals.
-    pub preemptions: AtomicU64,
+    preemptions,
     /// Shed requests answered from the admission stale cache.
-    pub overload_stale_serves: AtomicU64,
+    overload_stale_serves,
     /// Referral tokens reused from the registry's token cache instead
     /// of freshly signed (DESIGN.md §7).
-    pub token_reuse: AtomicU64,
+    token_reuse,
     /// Write events matched through the inverted subscription index
     /// (DESIGN.md §12) instead of the linear watcher scan.
-    pub index_hits: AtomicU64,
+    index_hits,
     /// Coalesced notification batches delivered (one message pair per
     /// subscriber per delivery window).
-    pub fanout_batched: AtomicU64,
+    fanout_batched,
     /// Notifications absorbed into an earlier message of the same
     /// delivery window (dedup + per-subscriber coalescing).
-    pub fanout_coalesced: AtomicU64,
-}
-
-/// A point-in-time copy of the [`Counters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// Lookup requests traced.
-    pub lookups: u64,
-    /// Referrals issued.
-    pub referrals: u64,
-    /// Requests refused by the privacy shield.
-    pub policy_denials: u64,
-    /// Cache hits.
-    pub cache_hits: u64,
-    /// Cache misses.
-    pub cache_misses: u64,
-    /// Signature verifications performed by data stores.
-    pub signature_verifications: u64,
-    /// Retry attempts issued by the resilience layer.
-    pub retries: u64,
-    /// Fallbacks to a lower rung of the degradation ladder.
-    pub fallbacks: u64,
-    /// Requests that exhausted their deadline budget.
-    pub deadline_exceeded: u64,
-    /// Results served from the stale cache after every rung failed.
-    pub stale_serves: u64,
-    /// Coverage matches answered by the path-trie index.
-    pub trie_hits: u64,
-    /// Policy decisions served from the decision memo.
-    pub memo_hits: u64,
-    /// Coverage matches that fell back to the naive full scan.
-    pub fallback_scans: u64,
-    /// Duplicate in-flight fetches coalesced by a singleflight table.
-    pub singleflight_hits: u64,
-    /// Per-store batch RPCs issued in place of per-fragment fetches.
-    pub batched_fetches: u64,
-    /// Two-way sync sessions completed.
-    pub sync_sessions: u64,
-    /// Changelog operations shipped during sync sessions.
-    pub sync_ops_shipped: u64,
-    /// Conflicting change pairs detected during sync reconciliation.
-    pub sync_conflicts: u64,
-    /// Sync sessions that fell back to the slow full-document path.
-    pub sync_slow_paths: u64,
-    /// Changelog entries removed by compaction across the fleet.
-    pub compacted_ops: u64,
-    /// Cache/memo entries invalidated after committed syncs.
-    pub invalidations: u64,
-    /// Open-loop requests admitted through the ingress queues.
-    pub admitted: u64,
-    /// Call-delivery requests shed by admission control.
-    pub shed_calls: u64,
-    /// Profile-edit / bulk requests shed by admission control.
-    pub shed_edits: u64,
-    /// Bulk services preempted by call-delivery arrivals.
-    pub preemptions: u64,
-    /// Shed requests answered from the admission stale cache.
-    pub overload_stale_serves: u64,
-    /// Referral tokens reused from the token cache.
-    pub token_reuse: u64,
-    /// Write events matched through the inverted subscription index.
-    pub index_hits: u64,
-    /// Coalesced notification batches delivered.
-    pub fanout_batched: u64,
-    /// Notifications absorbed into an earlier batch message.
-    pub fanout_coalesced: u64,
-}
-
-impl CounterSnapshot {
-    /// Adds `other` into `self`, field by field — shard harnesses use
-    /// this to aggregate per-shard hubs into fleet-wide totals.
-    pub fn absorb(&mut self, other: &CounterSnapshot) {
-        self.lookups += other.lookups;
-        self.referrals += other.referrals;
-        self.policy_denials += other.policy_denials;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.signature_verifications += other.signature_verifications;
-        self.retries += other.retries;
-        self.fallbacks += other.fallbacks;
-        self.deadline_exceeded += other.deadline_exceeded;
-        self.stale_serves += other.stale_serves;
-        self.trie_hits += other.trie_hits;
-        self.memo_hits += other.memo_hits;
-        self.fallback_scans += other.fallback_scans;
-        self.singleflight_hits += other.singleflight_hits;
-        self.batched_fetches += other.batched_fetches;
-        self.sync_sessions += other.sync_sessions;
-        self.sync_ops_shipped += other.sync_ops_shipped;
-        self.sync_conflicts += other.sync_conflicts;
-        self.sync_slow_paths += other.sync_slow_paths;
-        self.compacted_ops += other.compacted_ops;
-        self.invalidations += other.invalidations;
-        self.admitted += other.admitted;
-        self.shed_calls += other.shed_calls;
-        self.shed_edits += other.shed_edits;
-        self.preemptions += other.preemptions;
-        self.overload_stale_serves += other.overload_stale_serves;
-        self.token_reuse += other.token_reuse;
-        self.index_hits += other.index_hits;
-        self.fanout_batched += other.fanout_batched;
-        self.fanout_coalesced += other.fanout_coalesced;
-    }
-
-    /// The counter's fields as `(name, value)` rows in declaration
-    /// order — the single source of truth the snapshot exporters and
-    /// the dashboard iterate, so a newly added counter cannot be
-    /// silently missing from one of them.
-    pub fn named_fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("lookups", self.lookups),
-            ("referrals", self.referrals),
-            ("policy_denials", self.policy_denials),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("signature_verifications", self.signature_verifications),
-            ("retries", self.retries),
-            ("fallbacks", self.fallbacks),
-            ("deadline_exceeded", self.deadline_exceeded),
-            ("stale_serves", self.stale_serves),
-            ("trie_hits", self.trie_hits),
-            ("memo_hits", self.memo_hits),
-            ("fallback_scans", self.fallback_scans),
-            ("singleflight_hits", self.singleflight_hits),
-            ("batched_fetches", self.batched_fetches),
-            ("sync_sessions", self.sync_sessions),
-            ("sync_ops_shipped", self.sync_ops_shipped),
-            ("sync_conflicts", self.sync_conflicts),
-            ("sync_slow_paths", self.sync_slow_paths),
-            ("compacted_ops", self.compacted_ops),
-            ("invalidations", self.invalidations),
-            ("admitted", self.admitted),
-            ("shed_calls", self.shed_calls),
-            ("shed_edits", self.shed_edits),
-            ("preemptions", self.preemptions),
-            ("overload_stale_serves", self.overload_stale_serves),
-            ("token_reuse", self.token_reuse),
-            ("index_hits", self.index_hits),
-            ("fanout_batched", self.fanout_batched),
-            ("fanout_coalesced", self.fanout_coalesced),
-        ]
-    }
-
-    /// Sets the field called `name` to `value`; false when no counter
-    /// has that name. The snapshot parser uses this as the inverse of
-    /// [`CounterSnapshot::named_fields`].
-    pub fn set_field(&mut self, name: &str, value: u64) -> bool {
-        let slot = match name {
-            "lookups" => &mut self.lookups,
-            "referrals" => &mut self.referrals,
-            "policy_denials" => &mut self.policy_denials,
-            "cache_hits" => &mut self.cache_hits,
-            "cache_misses" => &mut self.cache_misses,
-            "signature_verifications" => &mut self.signature_verifications,
-            "retries" => &mut self.retries,
-            "fallbacks" => &mut self.fallbacks,
-            "deadline_exceeded" => &mut self.deadline_exceeded,
-            "stale_serves" => &mut self.stale_serves,
-            "trie_hits" => &mut self.trie_hits,
-            "memo_hits" => &mut self.memo_hits,
-            "fallback_scans" => &mut self.fallback_scans,
-            "singleflight_hits" => &mut self.singleflight_hits,
-            "batched_fetches" => &mut self.batched_fetches,
-            "sync_sessions" => &mut self.sync_sessions,
-            "sync_ops_shipped" => &mut self.sync_ops_shipped,
-            "sync_conflicts" => &mut self.sync_conflicts,
-            "sync_slow_paths" => &mut self.sync_slow_paths,
-            "compacted_ops" => &mut self.compacted_ops,
-            "invalidations" => &mut self.invalidations,
-            "admitted" => &mut self.admitted,
-            "shed_calls" => &mut self.shed_calls,
-            "shed_edits" => &mut self.shed_edits,
-            "preemptions" => &mut self.preemptions,
-            "overload_stale_serves" => &mut self.overload_stale_serves,
-            "token_reuse" => &mut self.token_reuse,
-            "index_hits" => &mut self.index_hits,
-            "fanout_batched" => &mut self.fanout_batched,
-            "fanout_coalesced" => &mut self.fanout_coalesced,
-            _ => return false,
-        };
-        *slot = value;
-        true
-    }
-}
-
-impl Counters {
-    fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            referrals: self.referrals.load(Ordering::Relaxed),
-            policy_denials: self.policy_denials.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            signature_verifications: self.signature_verifications.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            stale_serves: self.stale_serves.load(Ordering::Relaxed),
-            trie_hits: self.trie_hits.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            fallback_scans: self.fallback_scans.load(Ordering::Relaxed),
-            singleflight_hits: self.singleflight_hits.load(Ordering::Relaxed),
-            batched_fetches: self.batched_fetches.load(Ordering::Relaxed),
-            sync_sessions: self.sync_sessions.load(Ordering::Relaxed),
-            sync_ops_shipped: self.sync_ops_shipped.load(Ordering::Relaxed),
-            sync_conflicts: self.sync_conflicts.load(Ordering::Relaxed),
-            sync_slow_paths: self.sync_slow_paths.load(Ordering::Relaxed),
-            compacted_ops: self.compacted_ops.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed_calls: self.shed_calls.load(Ordering::Relaxed),
-            shed_edits: self.shed_edits.load(Ordering::Relaxed),
-            preemptions: self.preemptions.load(Ordering::Relaxed),
-            overload_stale_serves: self.overload_stale_serves.load(Ordering::Relaxed),
-            token_reuse: self.token_reuse.load(Ordering::Relaxed),
-            index_hits: self.index_hits.load(Ordering::Relaxed),
-            fanout_batched: self.fanout_batched.load(Ordering::Relaxed),
-            fanout_coalesced: self.fanout_coalesced.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.lookups.store(0, Ordering::Relaxed);
-        self.referrals.store(0, Ordering::Relaxed);
-        self.policy_denials.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.signature_verifications.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.fallbacks.store(0, Ordering::Relaxed);
-        self.deadline_exceeded.store(0, Ordering::Relaxed);
-        self.stale_serves.store(0, Ordering::Relaxed);
-        self.trie_hits.store(0, Ordering::Relaxed);
-        self.memo_hits.store(0, Ordering::Relaxed);
-        self.fallback_scans.store(0, Ordering::Relaxed);
-        self.singleflight_hits.store(0, Ordering::Relaxed);
-        self.batched_fetches.store(0, Ordering::Relaxed);
-        self.sync_sessions.store(0, Ordering::Relaxed);
-        self.sync_ops_shipped.store(0, Ordering::Relaxed);
-        self.sync_conflicts.store(0, Ordering::Relaxed);
-        self.sync_slow_paths.store(0, Ordering::Relaxed);
-        self.compacted_ops.store(0, Ordering::Relaxed);
-        self.invalidations.store(0, Ordering::Relaxed);
-        self.admitted.store(0, Ordering::Relaxed);
-        self.shed_calls.store(0, Ordering::Relaxed);
-        self.shed_edits.store(0, Ordering::Relaxed);
-        self.preemptions.store(0, Ordering::Relaxed);
-        self.overload_stale_serves.store(0, Ordering::Relaxed);
-        self.token_reuse.store(0, Ordering::Relaxed);
-        self.index_hits.store(0, Ordering::Relaxed);
-        self.fanout_batched.store(0, Ordering::Relaxed);
-        self.fanout_coalesced.store(0, Ordering::Relaxed);
-    }
+    fanout_coalesced,
 }
 
 /// Aggregate latency statistics of one stage.
@@ -488,22 +292,6 @@ impl TelemetryHub {
                 stages.resize_with(idx + 1, Histogram::default);
             }
             stages[idx].record(duration);
-        }
-    }
-
-    /// Owned-label variant of [`TelemetryHub::record_stage_ids`], kept
-    /// for callers (and benchmarks) that still hold `String` batches.
-    pub fn record_stages(&self, batch: &[(String, SimTime)]) {
-        if batch.is_empty() {
-            return;
-        }
-        let mut stages = self.lock_stages();
-        for (stage, duration) in batch {
-            let idx = StageInterner::intern(stage).0 as usize;
-            if idx >= stages.len() {
-                stages.resize_with(idx + 1, Histogram::default);
-            }
-            stages[idx].record(*duration);
         }
     }
 
@@ -707,9 +495,9 @@ mod tests {
         for i in 1..=20u64 {
             a.record_stage("s", SimTime::micros(i));
         }
-        let batch: Vec<(String, SimTime)> =
-            (1..=20u64).map(|i| ("s".to_string(), SimTime::micros(i))).collect();
-        b.record_stages(&batch);
+        let s = StageInterner::intern("s");
+        let batch: Vec<(StageId, SimTime)> = (1..=20u64).map(|i| (s, SimTime::micros(i))).collect();
+        b.record_stage_ids(&batch);
         assert_eq!(a.stage_stats("s"), b.stage_stats("s"));
     }
 
@@ -738,6 +526,24 @@ mod tests {
         assert_eq!(total.lookups, 7);
         assert_eq!(total.singleflight_hits, 2);
         assert_eq!(total.batched_fetches, 5);
+    }
+
+    #[test]
+    fn every_counter_round_trips_by_name_and_absorbs() {
+        let mut snap = CounterSnapshot::default();
+        let names: Vec<&str> = snap.named_fields().into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names.len(), 30);
+        for (i, name) in names.iter().enumerate() {
+            assert!(snap.set_field(name, i as u64 + 1), "{name}");
+        }
+        assert!(!snap.set_field("no_such_counter", 1));
+        let expect: Vec<(&str, u64)> =
+            names.iter().enumerate().map(|(i, &name)| (name, i as u64 + 1)).collect();
+        assert_eq!(snap.named_fields(), expect);
+        let copy = snap;
+        snap.absorb(&copy);
+        let doubled: Vec<(&str, u64)> = expect.iter().map(|&(name, v)| (name, 2 * v)).collect();
+        assert_eq!(snap.named_fields(), doubled);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! [`crate::Histogram::count_over`], so it is deterministic,
 //! merge-stable and conservative by at most one log₂ bucket. Every
 //! evaluation happens on simulated time, so the artifact is
-//! byte-identical run to run and across shard counts, and
-//! `bench_compare --slo` re-derives the verdict from the recorded
+//! byte-identical run to run and across shard counts — CI requires a
+//! fresh run to reproduce the checked-in file exactly — and
+//! [`parse_slo_json`] re-derives the verdict from the recorded
 //! observations instead of trusting a pre-computed pass flag.
 
 use std::fmt::Write as _;
@@ -98,8 +99,8 @@ fn finish(spec: SloSpec, count: u64, p99: SimTime, bad: u64, window: SimTime) ->
     }
 }
 
-/// The pass/fail rule, shared by the evaluator and the CI gate (which
-/// re-derives it from the recorded observations): the observed p99
+/// The pass/fail rule, shared by the evaluator and [`parse_slo_json`]
+/// (which re-derives it from the recorded observations): the observed p99
 /// must fit the latency budget, and the availability must meet the
 /// target — equivalently, the burn rate must not exceed 1.0.
 pub fn verdict(
@@ -205,9 +206,9 @@ pub fn render_slo_json(
 }
 
 /// Parses [`render_slo_json`] output back into outcomes and
-/// attribution rows. The recorded `ok` flag is ignored — callers
-/// re-derive the verdict via [`verdict`] so a tampered or stale flag
-/// cannot pass the gate.
+/// attribution rows. The recorded `ok` flag is ignored — the verdict
+/// is re-derived via [`verdict`], so a tampered or stale flag cannot
+/// pass.
 pub fn parse_slo_json(text: &str) -> Result<(Vec<SloOutcome>, Vec<AttributionRow>), String> {
     let mut outcomes = Vec::new();
     let mut attribution = Vec::new();
