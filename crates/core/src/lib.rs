@@ -71,5 +71,5 @@ pub use sha256::{hmac_sha256, sha256_hex};
 pub use subs::{
     DeliveryBatch, MatchOutcome, Notification, ShardedFanout, SubscriptionManager, WindowOutcome,
 };
-pub use syncplane::{write_through, PlaneReport, SyncPlane, UserOutcome};
+pub use syncplane::{write_through, EditError, PlaneReport, SyncPlane, UserOutcome};
 pub use token::{SignedQuery, Signer, TokenError};

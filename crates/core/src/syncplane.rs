@@ -35,7 +35,8 @@
 //! see pre-write cache entries (asserted by
 //! `tests/sync_differential.rs`).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 use gupster_store::ChangeEvent;
@@ -170,6 +171,43 @@ impl PlaneReport {
     }
 }
 
+/// Why [`SyncPlane::edit_device`] or [`SyncPlane::edit_hub`] refused an
+/// edit. Nothing was applied or logged.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EditError {
+    /// No replica star is registered for this owner.
+    UnknownOwner(String),
+    /// The owner's star has no device with this number.
+    UnknownDevice {
+        /// The profile owner.
+        owner: String,
+        /// The device number asked for.
+        device: usize,
+    },
+    /// The edit does not apply to the replica's document.
+    Xml(XmlError),
+}
+
+impl fmt::Display for EditError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EditError::UnknownOwner(owner) => write!(f, "no replica star for owner {owner}"),
+            EditError::UnknownDevice { owner, device } => {
+                write!(f, "owner {owner} has no device {device}")
+            }
+            EditError::Xml(e) => write!(f, "edit does not apply: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for EditError {}
+
+impl From<XmlError> for EditError {
+    fn from(e: XmlError) -> Self {
+        EditError::Xml(e)
+    }
+}
+
 /// The sharded reconciliation plane over every user's replica star.
 #[derive(Debug)]
 pub struct SyncPlane {
@@ -223,27 +261,30 @@ impl SyncPlane {
     }
 
     /// Applies a local edit on one of the user's device replicas.
-    pub fn edit_device(
-        &mut self,
-        owner: &str,
-        device: usize,
-        op: EditOp,
-    ) -> Result<u64, XmlError> {
-        let u = self.users.get_mut(owner).unwrap_or_else(|| panic!("unknown user {owner}"));
+    pub fn edit_device(&mut self, owner: &str, device: usize, op: EditOp) -> Result<u64, EditError> {
+        let u = self.star(owner)?;
         let target = op.target().clone();
-        let seq = u.devices[device].edit(op)?;
+        let replica = u.devices.get_mut(device).ok_or_else(|| EditError::UnknownDevice {
+            owner: owner.to_string(),
+            device,
+        })?;
+        let seq = replica.edit(op)?;
         u.note_edit(target);
         Ok(seq)
     }
 
     /// Applies a local edit on the user's hub replica (a portal-side
     /// write).
-    pub fn edit_hub(&mut self, owner: &str, op: EditOp) -> Result<u64, XmlError> {
-        let u = self.users.get_mut(owner).unwrap_or_else(|| panic!("unknown user {owner}"));
+    pub fn edit_hub(&mut self, owner: &str, op: EditOp) -> Result<u64, EditError> {
+        let u = self.star(owner)?;
         let target = op.target().clone();
         let seq = u.hub.edit(op)?;
         u.note_edit(target);
         Ok(seq)
+    }
+
+    fn star(&mut self, owner: &str) -> Result<&mut UserReplicas, EditError> {
+        self.users.get_mut(owner).ok_or_else(|| EditError::UnknownOwner(owner.to_string()))
     }
 
     /// The hub document of a user (for assertions and reads).
@@ -350,11 +391,19 @@ fn reconcile_user(
             let anchor = u.hub.anchors.last_seen(&d.id);
             outcome.compacted += compact_traced(d, &[anchor], &mut tracer).dropped();
         }
+        // `seen` only filters log entries, and no log holds one now;
+        // every later entry carries a fresh `(actor, ts)`, since an
+        // actor's Lamport clock only grows. So the dedup sets have
+        // nothing left to guard, and clearing them bounds each by the
+        // edits since the star's last fully compacted pass.
+        if u.hub.log.is_empty() && u.devices.iter().all(|d| d.log.is_empty()) {
+            u.hub.seen.clear();
+            u.devices.iter_mut().for_each(|d| d.seen.clear());
+        }
     }
-    let mut seen: HashSet<Path> = HashSet::new();
     for p in u.pending.drain(..) {
         let registry = registry_path(&u.owner, &u.component, &p);
-        if seen.insert(registry.clone()) {
+        if !outcome.changed.contains(&registry) {
             outcome.changed.push(registry);
         }
     }
@@ -645,5 +694,155 @@ mod tests {
             assert_eq!(report.users[0].changed, vec![Path { steps }], "{owner}");
             assert_eq!(plane.device_doc(owner, 1), plane.hub_doc(owner), "{owner}");
         }
+    }
+
+    #[test]
+    fn a_device_edit_for_an_unknown_owner_is_an_error() {
+        let mut plane = plane(2, 2, 2);
+        let err = plane.edit_device("ghost", 0, set_name("x")).unwrap_err();
+        assert_eq!(err, EditError::UnknownOwner("ghost".into()));
+        assert!(err.to_string().contains("ghost"), "{err}");
+        assert_eq!(plane.reconcile(&Arc::new(TelemetryHub::new())).sessions, 0);
+    }
+
+    #[test]
+    fn a_hub_edit_for_an_unknown_owner_is_an_error() {
+        let mut plane = plane(2, 2, 2);
+        let err = plane.edit_hub("ghost", set_name("x")).unwrap_err();
+        assert_eq!(err, EditError::UnknownOwner("ghost".into()));
+        assert!(err.to_string().contains("ghost"), "{err}");
+        assert_eq!(plane.reconcile(&Arc::new(TelemetryHub::new())).sessions, 0);
+    }
+
+    #[test]
+    fn an_edit_on_a_device_the_star_lacks_is_an_error() {
+        let mut plane = plane(2, 2, 2);
+        let err = plane.edit_device("user1", 2, set_name("x")).unwrap_err();
+        assert_eq!(err, EditError::UnknownDevice { owner: "user1".into(), device: 2 });
+        assert!(err.to_string().contains("user1") && err.to_string().contains('2'), "{err}");
+        // Nothing was applied, logged or marked for the next pass.
+        assert_eq!(plane.log_entries(), 0);
+        assert_eq!(plane.reconcile(&Arc::new(TelemetryHub::new())).sessions, 0);
+    }
+
+    /// `seen` pruning is invisible to sync and bounds the dedup sets. A
+    /// seeded interleaving of hub and device edits and passes runs on a
+    /// delta plane, which prunes, and on an oracle plane, which never
+    /// compacts and so never prunes; one star is held unconverged for a
+    /// while by a device that holds another component.
+    #[test]
+    fn seen_pruning_keeps_sync_exact_and_empties_settled_stars() {
+        use gupster_rng::check::cases;
+        use gupster_rng::Rng;
+
+        const USERS: usize = 4;
+        const DEVICES: usize = 3;
+        const STUCK: &str = "user1";
+        let book = || {
+            let mut book = Element::new("address-book");
+            for i in 0..4 {
+                book.push_child(
+                    Element::new("item")
+                        .with_attr("id", format!("c{i}"))
+                        .with_child(Element::new("name").with_text(format!("Contact {i}"))),
+                );
+            }
+            book
+        };
+        let rename = |id: String, text: String| EditOp::SetText {
+            path: NodePath::root().keyed("item", "id", id).child("name", 0),
+            text,
+        };
+        let seen_sets = |plane: &SyncPlane, owner: &str| {
+            let u = &plane.users[owner];
+            std::iter::once(&u.hub).chain(&u.devices).map(|r| r.seen.clone()).collect::<Vec<_>>()
+        };
+        cases(12, 0x5EE2, |r| {
+            let hub = Arc::new(TelemetryHub::new());
+            hub.set_span_limit(0);
+            // Not last-writer-wins: a peer that rejoins after lagging
+            // applies fewer (compacted) remote ops on the delta plane, so
+            // its Lamport clock, and with it later tie-breaks, differs
+            // from the oracle plane's with or without pruning.
+            let mut delta = SyncPlane::new(2, ReconcilePolicy::PreferFirst);
+            let mut oracle = SyncPlane::new(2, ReconcilePolicy::PreferFirst);
+            oracle.use_oracle = true;
+            for plane in [&mut delta, &mut oracle] {
+                for u in 0..USERS {
+                    plane.add_user(&format!("user{u}"), book(), keys(), DEVICES);
+                }
+                plane.users.get_mut(STUCK).unwrap().devices[0].doc.name = "calendar".into();
+                plane.edit_device(STUCK, 0, rename("c0".into(), "unsynced".into())).unwrap();
+            }
+            let (mut settled, mut held, mut converged, mut serial) = (0, 0, 0, 0usize);
+            for pass in 0..8 {
+                if pass == 4 {
+                    for plane in [&mut delta, &mut oracle] {
+                        plane.users.get_mut(STUCK).unwrap().devices[0].doc.name =
+                            "address-book".into();
+                    }
+                }
+                // Concurrent writes collide only on identical targets and
+                // only the hub deletes, so every session stays on the fast
+                // path and both planes must agree exactly.
+                for _ in 0..r.gen_range(0..30usize) {
+                    serial += 1;
+                    let owner = format!("user{}", r.gen_range(0..USERS));
+                    let replica = r.gen_range(0..=DEVICES);
+                    let op = match r.gen_range(0..6u32) {
+                        0 => EditOp::Insert {
+                            parent: NodePath::root(),
+                            element: Element::new("item").with_attr("id", format!("n{serial}")),
+                        },
+                        1 if replica == DEVICES => EditOp::Delete {
+                            path: NodePath::root()
+                                .keyed("item", "id", format!("n{}", r.gen_range(0..serial))),
+                        },
+                        _ => rename(format!("c{}", r.gen_range(0..4u32)), format!("t{serial}")),
+                    };
+                    for plane in [&mut delta, &mut oracle] {
+                        let _ = if replica == DEVICES {
+                            plane.edit_hub(&owner, op.clone())
+                        } else {
+                            plane.edit_device(&owner, replica, op.clone())
+                        };
+                    }
+                }
+                let before = seen_sets(&delta, STUCK);
+                let rd = delta.reconcile(&hub);
+                let ro = oracle.reconcile(&hub);
+                assert_eq!((rd.slow_syncs, ro.slow_syncs), (0, 0), "pass {pass}");
+                converged = rd.converged_users;
+                for (d, o) in rd.users.iter().zip(&ro.users) {
+                    let owner = &d.owner;
+                    assert_eq!(d.converged, o.converged, "pass {pass}: {owner}");
+                    assert_eq!(delta.hub_doc(owner), oracle.hub_doc(owner), "pass {pass}: {owner}");
+                    for dev in 0..DEVICES {
+                        assert_eq!(
+                            delta.device_doc(owner, dev),
+                            oracle.device_doc(owner, dev),
+                            "pass {pass}: {owner} dev{dev}"
+                        );
+                    }
+                    let u = &delta.users[owner];
+                    let replicas = || std::iter::once(&u.hub).chain(&u.devices);
+                    if d.converged && replicas().all(|r| r.log.is_empty()) {
+                        assert!(replicas().all(|r| r.seen.is_empty()), "pass {pass}: {owner}");
+                        settled += 1;
+                    }
+                }
+                let stuck = &delta.users[STUCK];
+                if !stuck.devices[0].log.is_empty() {
+                    // Not every log compacted away: nothing is forgotten.
+                    for (was, is) in before.iter().zip(seen_sets(&delta, STUCK)) {
+                        assert!(was.is_subset(&is), "pass {pass}: {STUCK} lost a seen entry");
+                    }
+                    assert!(!stuck.devices[0].seen.is_empty());
+                    held += 1;
+                }
+            }
+            assert_eq!(converged, USERS, "the stuck star settles once fixed");
+            assert!(settled > 0 && held == 4, "settled {settled}, held {held}");
+        });
     }
 }

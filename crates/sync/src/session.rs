@@ -1,10 +1,11 @@
 //! Two-way sync sessions.
 
+use std::cmp;
 use std::fmt;
 use std::sync::atomic::Ordering;
 
 use gupster_telemetry::{stage, SimTime, Tracer};
-use gupster_xml::{diff, merge, EditOp, NodePath};
+use gupster_xml::{diff, merge, EditOp, Element, MergeKeys, Node, NodePath};
 
 use crate::changelog::LogEntry;
 use crate::reconcile::ReconcilePolicy;
@@ -333,7 +334,7 @@ pub(crate) fn ops_conflict(a: &EditOp, b: &EditOp, keys: &gupster_xml::MergeKeys
                 return false;
             }
             match (keys.identity(ea), keys.identity(eb)) {
-                (Some(ia), Some(ib)) => ia == ib,
+                (Some(ia), Some(ib)) => ea.name == eb.name && ia == ib,
                 _ => ea == eb,
             }
         }
@@ -345,25 +346,49 @@ pub(crate) fn ops_conflict(a: &EditOp, b: &EditOp, keys: &gupster_xml::MergeKeys
     }
 }
 
-/// Stable-sorts element children by (tag, identity key) at every level.
-/// Only applies to element-content nodes (mixed content keeps order).
-fn canonicalize(e: &mut gupster_xml::Element, keys: &gupster_xml::MergeKeys) {
-    use gupster_xml::Node;
+/// Stable-sorts element children by [`canonical_order`] at every level.
+/// Only element-content nodes are sorted (mixed content keeps order),
+/// and a child list already in order is left untouched — the common
+/// case after a session, which nothing is allocated for.
+fn canonicalize(e: &mut Element, keys: &MergeKeys) {
     for ch in e.child_elements_mut() {
         canonicalize(ch, keys);
     }
-    let all_elements = e.children.iter().all(|c| matches!(c, Node::Element(_)));
-    if all_elements {
-        e.children.sort_by(|x, y| {
-            let key = |n: &Node| match n {
-                Node::Element(el) => {
-                    (el.name.clone(), keys.identity(el).map(|(_, k)| k).unwrap_or_default())
-                }
-                Node::Text(_) => unreachable!("all_elements checked"),
-            };
-            key(x).cmp(&key(y))
+    if e.children.len() < 2 || !e.children.iter().all(|c| matches!(c, Node::Element(_))) {
+        return;
+    }
+    let in_order = e
+        .children
+        .iter()
+        .filter_map(Node::as_element)
+        .map(|el| (&*el.name, keys.identity(el)))
+        .is_sorted_by(|x, y| canonical_order(*x, *y).is_le());
+    if !in_order {
+        e.children.sort_by(|x, y| match (x, y) {
+            (Node::Element(x), Node::Element(y)) => {
+                canonical_order((&*x.name, keys.identity(x)), (&*y.name, keys.identity(y)))
+            }
+            _ => cmp::Ordering::Equal,
         });
     }
+}
+
+/// A sibling's tag and [`MergeKeys::identity`] key.
+type SortKey<'e> = (&'e str, Option<(&'e str, &'e str)>);
+
+/// Canonical order: tag, then the bytes `attr=value` of the key (empty
+/// when keyless, so a keyless sibling sorts first within its tag),
+/// compared in place rather than formatted.
+fn canonical_order((x_tag, x): SortKey, (y_tag, y): SortKey) -> cmp::Ordering {
+    x_tag.cmp(y_tag).then_with(|| match (x, y) {
+        // Equal attribute names: the bytes differ first in the values.
+        (Some((a, x)), Some((b, y))) if a == b => x.cmp(y),
+        _ => key_bytes(x).cmp(key_bytes(y)),
+    })
+}
+
+fn key_bytes<'e>(key: Option<(&'e str, &'e str)>) -> impl Iterator<Item = u8> + 'e {
+    key.into_iter().flat_map(|(attr, value)| attr.bytes().chain([b'=']).chain(value.bytes()))
 }
 
 fn op_bytes(op: &EditOp) -> usize {
@@ -586,6 +611,79 @@ mod tests {
         let mut a = Replica::new("x", book("<address-book/>"), keys());
         let mut b = Replica::new("y", book("<calendar/>"), keys());
         assert!(two_way_sync(&mut a, &mut b, ReconcilePolicy::LastWriterWins).is_err());
+    }
+
+    /// The model: the allocating sort that [`canonicalize`] replaced,
+    /// which formats each sibling's `(tag, "attr=value")` key for every
+    /// comparison and re-sorts whether or not the list is in order.
+    fn canonicalize_model(e: &mut Element, keys: &MergeKeys) {
+        for ch in e.child_elements_mut() {
+            canonicalize_model(ch, keys);
+        }
+        let all_elements = e.children.iter().all(|c| matches!(c, Node::Element(_)));
+        if all_elements {
+            e.children.sort_by(|x, y| {
+                let key = |n: &Node| match n {
+                    Node::Element(el) => (
+                        el.name.clone(),
+                        keys.identity(el).map(|(a, v)| format!("{a}={v}")).unwrap_or_default(),
+                    ),
+                    Node::Text(_) => unreachable!("all_elements checked"),
+                };
+                key(x).cmp(&key(y))
+            });
+        }
+    }
+
+    /// Random sibling lists: tags that prefix each other, explicit and
+    /// default keys, keyless elements, key attributes that prefix each
+    /// other (`id` / `idx`), values containing `=`, text children, and
+    /// nested lists.
+    fn random_element(r: &mut gupster_rng::StdRng, depth: usize) -> Element {
+        use gupster_rng::check::string_of;
+        use gupster_rng::Rng;
+        const TAGS: [&str; 4] = ["item", "items", "entry", "e"];
+        const ATTRS: [&str; 6] = ["id", "idx", "name", "type", "k", "id-x"];
+        let mut e = Element::new(*r.pick(&TAGS));
+        for attr in ATTRS {
+            if r.gen_bool(0.3) {
+                e.set_attr(attr, string_of(r, &['a', 'b', '=', '-', 'x'], 0, 3));
+            }
+        }
+        if depth > 0 {
+            for _ in 0..r.gen_range(0..7usize) {
+                e.push_child(random_element(r, depth - 1));
+            }
+        }
+        if r.gen_bool(0.15) {
+            e.push_text(string_of(r, &['t', ' '], 1, 2));
+        }
+        e
+    }
+
+    #[test]
+    fn canonical_order_matches_the_allocating_model() {
+        use gupster_rng::check::cases;
+        use gupster_rng::Rng;
+        cases(400, 0xCA11, |r| {
+            let mut keys = MergeKeys::new();
+            keys.use_default_keys = r.gen_bool(0.8);
+            for (tag, attr) in [("item", "idx"), ("items", "id"), ("e", "k")] {
+                if r.gen_bool(0.5) {
+                    keys = keys.with_key(tag, attr);
+                }
+            }
+            let mut doc = random_element(r, 3);
+            if r.gen_bool(0.3) {
+                // Already in order: the fast path must leave it as is.
+                canonicalize_model(&mut doc, &keys);
+            }
+            let mut model = doc.clone();
+            canonicalize_model(&mut model, &keys);
+            canonicalize(&mut doc, &keys);
+            assert_eq!(doc.to_xml(), model.to_xml(), "{keys:?}");
+            assert_eq!(doc, model);
+        });
     }
 
     #[test]

@@ -46,29 +46,25 @@ impl MergeKeys {
     }
 
     /// Returns the explicitly configured key attribute for `tag`, if any.
-    pub fn explicit_key(&self, tag: &str) -> Option<String> {
-        self.keys.get(tag).cloned()
-    }
-
-    /// Borrowed form of [`MergeKeys::explicit_key`] for the arena merge
-    /// hot path: no clone per identity probe.
     pub fn key_attr(&self, tag: &str) -> Option<&str> {
         self.keys.get(tag).map(String::as_str)
     }
 
-    /// Returns the identity of `e` among its siblings: `(tag, key-value)`
-    /// when a key attribute applies and is present. Two siblings with
-    /// equal identity denote the same logical node.
-    pub fn identity(&self, e: &Element) -> Option<(String, String)> {
+    /// Returns the key of `e` among its siblings, `(attribute, value)`
+    /// borrowed from `e`, when a key attribute applies and is present:
+    /// the tag's explicit key attribute (and *only* that one if the tag
+    /// has one), else the first of `id`, `name`, `type` that `e` carries.
+    /// Two siblings with the same tag and equal key denote the same
+    /// logical node.
+    pub fn identity<'e>(&self, e: &'e Element) -> Option<(&'e str, &'e str)> {
+        let probe = |attr: &str| {
+            e.attrs.iter().find(|(n, _)| n == attr).map(|(n, v)| (&**n, v.as_str()))
+        };
         if let Some(attr) = self.keys.get(&*e.name) {
-            return e.attr(attr).map(|v| (e.name.to_string(), format!("{attr}={v}")));
+            return probe(attr);
         }
         if self.use_default_keys {
-            for attr in ["id", "name", "type"] {
-                if let Some(v) = e.attr(attr) {
-                    return Some((e.name.to_string(), format!("{attr}={v}")));
-                }
-            }
+            return ["id", "name", "type"].into_iter().find_map(probe);
         }
         None
     }
@@ -93,7 +89,7 @@ impl MergeKeys {
 /// let book = merge(&yahoo, &lucent, &keys).unwrap();
 /// assert_eq!(book.children_named("item").count(), 2);
 /// ```
-pub fn merge(a: &Element, b: &Element, keys: &MergeKeys) -> Result<Element, XmlError> {
+pub fn merge<'e>(a: &'e Element, b: &'e Element, keys: &MergeKeys) -> Result<Element, XmlError> {
     if a.name != b.name {
         return Err(XmlError::MergeConflict {
             tag: a.name.to_string(),
@@ -141,7 +137,8 @@ pub fn merge(a: &Element, b: &Element, keys: &MergeKeys) -> Result<Element, XmlE
     // silently duplicated. All other unkeyed children are unioned with
     // exact-duplicate suppression.
     let mut merged: Vec<Node> = Vec::new();
-    let mut index: HashMap<(String, String), usize> = HashMap::new();
+    // Keyed children by (tag, key attribute, key value).
+    let mut index: HashMap<(&str, &str, &str), usize> = HashMap::new();
 
     let count_unkeyed = |side: &Element, tag: &str| {
         side.child_elements()
@@ -149,15 +146,16 @@ pub fn merge(a: &Element, b: &Element, keys: &MergeKeys) -> Result<Element, XmlE
             .count()
     };
 
-    let add_side = |side: &Element,
+    let add_side = |side: &'e Element,
                         other: &Element,
                         first_pass: bool,
                         merged: &mut Vec<Node>,
-                        index: &mut HashMap<(String, String), usize>|
+                        index: &mut HashMap<(&'e str, &'e str, &'e str), usize>|
      -> Result<(), XmlError> {
         for ch in side.child_elements() {
             match keys.identity(ch) {
-                Some(idn) => {
+                Some((attr, value)) => {
+                    let idn = (&*ch.name, attr, value);
                     if let Some(&at) = index.get(&idn) {
                         let existing = match &merged[at] {
                             Node::Element(e) => e.clone(),

@@ -120,21 +120,6 @@ pub fn diff(a: &Element, b: &Element, keys: &MergeKeys) -> Vec<EditOp> {
     ops
 }
 
-fn key_of(e: &Element, keys: &MergeKeys) -> Option<(String, String)> {
-    // Mirror MergeKeys::identity: explicit key first, then defaults.
-    if let Some(attr) = keys.explicit_key(&e.name) {
-        return e.attr(&attr).map(|v| (attr, v.to_string()));
-    }
-    if keys.use_default_keys {
-        for attr in ["id", "name", "type"] {
-            if let Some(v) = e.attr(attr) {
-                return Some((attr.to_string(), v.to_string()));
-            }
-        }
-    }
-    None
-}
-
 fn diff_into(a: &Element, b: &Element, keys: &MergeKeys, at: NodePath, ops: &mut Vec<EditOp>) {
     // Attributes.
     for (n, v) in &b.attrs {
@@ -157,15 +142,15 @@ fn diff_into(a: &Element, b: &Element, keys: &MergeKeys, at: NodePath, ops: &mut
     // Children: match keyed by identity, unkeyed by equality.
     #[derive(Default)]
     struct SideIndex<'e> {
-        keyed: HashMap<(String, String, String), &'e Element>,
+        keyed: HashMap<(&'e str, &'e str, &'e str), &'e Element>,
         unkeyed: Vec<&'e Element>,
     }
     fn index<'e>(e: &'e Element, keys: &MergeKeys) -> SideIndex<'e> {
         let mut ix = SideIndex::default();
         for ch in e.child_elements() {
-            match key_of(ch, keys) {
+            match keys.identity(ch) {
                 Some((ka, kv)) => {
-                    ix.keyed.insert((ch.name.to_string(), ka, kv), ch);
+                    ix.keyed.insert((&*ch.name, ka, kv), ch);
                 }
                 None => ix.unkeyed.push(ch),
             }
@@ -178,7 +163,7 @@ fn diff_into(a: &Element, b: &Element, keys: &MergeKeys, at: NodePath, ops: &mut
 
     // Keyed: present in both → recurse; only in a → delete; only in b → insert.
     for (k, ea) in &ia.keyed {
-        let step = Step::keyed(k.0.clone(), k.1.clone(), k.2.clone());
+        let step = Step::keyed(k.0, k.1, k.2);
         let mut child_path = at.clone();
         child_path.steps.push(step);
         match ib.keyed.get(k) {
