@@ -300,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn slo_rows_hold_and_round_trip() {
+    fn slo_rows_hold_and_shares_partition() {
         let w = build_workload(60, 1_024, 5);
         let (reg, snap) = obs_pass(&w, 2, SimTime(u64::MAX), 0);
         let slos = evaluate_slos(&reg, &snap);
@@ -313,15 +313,5 @@ mod tests {
         assert_eq!(attr.len(), 2);
         let total_share: f64 = attr.iter().map(|a| a.share).sum();
         assert!((total_share - 1.0).abs() < 1e-9, "busy shares must partition: {total_share}");
-        let text = render_slo_json("e18_observability", "test", &slos, &attr);
-        let (back, back_attr) = gupster_telemetry::slo::parse_slo_json(&text).unwrap();
-        assert_eq!(back, slos);
-        // Shares are serialized at 4 decimals, so compare through the
-        // quantization: re-rendering the parse is byte-identical.
-        for (b, a) in back_attr.iter().zip(&attr) {
-            assert_eq!((b.shard, &b.stage, b.count, b.p99), (a.shard, &a.stage, a.count, a.p99));
-            assert!((b.share - a.share).abs() < 1e-4, "{} vs {}", b.share, a.share);
-        }
-        assert_eq!(render_slo_json("e18_observability", "test", &back, &back_attr), text);
     }
 }

@@ -47,16 +47,6 @@ pub enum Priority {
     ProfileEdit,
 }
 
-impl Priority {
-    /// Stable lowercase label for telemetry and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Priority::CallDelivery => "call-delivery",
-            Priority::ProfileEdit => "profile-edit",
-        }
-    }
-}
-
 /// Sizing of the admission plane.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
@@ -112,18 +102,6 @@ pub struct ShedCause {
     pub evicted: bool,
 }
 
-impl ShedCause {
-    /// The typed error corresponding to this shed, for callers that
-    /// thread outcomes through the error channel (resilience ladder).
-    pub fn to_error(self) -> GupsterError {
-        GupsterError::Overloaded {
-            queue: self.queue,
-            depth: self.depth,
-            capacity: self.capacity,
-        }
-    }
-}
-
 /// The resolution of one open-loop request. Exactly one of these per
 /// arrival — the no-silent-drop guarantee.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,18 +121,6 @@ pub enum RequestOutcome {
     /// Admission control refused the request and no stale answer
     /// covered it.
     Overloaded(ShedCause),
-}
-
-impl RequestOutcome {
-    /// Collapses the outcome into a plain result: stale serves count as
-    /// answers, sheds become [`GupsterError::Overloaded`].
-    pub fn into_result(self) -> Result<Vec<Element>, GupsterError> {
-        match self {
-            RequestOutcome::Answer(r) => r,
-            RequestOutcome::Stale { result, .. } => Ok(result),
-            RequestOutcome::Overloaded(cause) => Err(cause.to_error()),
-        }
-    }
 }
 
 /// One completed service: the job index given to [`IngressQueue::offer`]
@@ -193,7 +159,7 @@ pub struct OfferOutcome {
 /// Service cost oracle: maps (job index, service-start instant) to the
 /// job's service time. Called exactly once per admitted job — a
 /// preempted job resumes with its remaining time, it is not re-costed.
-pub type CostFn<'a> = &'a mut dyn FnMut(usize, SimTime) -> SimTime;
+pub(crate) type CostFn<'a> = &'a mut dyn FnMut(usize, SimTime) -> SimTime;
 
 #[derive(Debug, Clone, Copy)]
 struct Waiting {
@@ -247,7 +213,7 @@ impl IngressQueue {
     }
 
     /// Jobs in the waiting room (excludes the one in service).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.calls.len() + self.edits.len()
     }
 
@@ -257,7 +223,7 @@ impl IngressQueue {
     }
 
     /// Bulk services preempted by call arrivals so far.
-    pub fn preemptions(&self) -> u64 {
+    pub(crate) fn preemptions(&self) -> u64 {
         self.preemptions
     }
 
@@ -269,7 +235,7 @@ impl IngressQueue {
     /// service finishing at or before `now` (pushed onto `done`) and
     /// starts waiting jobs — calls strictly before bulk, FIFO within a
     /// class, a preempted job resuming with its remaining time.
-    pub fn run_until(&mut self, now: SimTime, cost: CostFn<'_>, done: &mut Vec<Completion>) {
+    pub(crate) fn run_until(&mut self, now: SimTime, cost: CostFn<'_>, done: &mut Vec<Completion>) {
         loop {
             if let Some(run) = self.current {
                 if run.finish > now {

@@ -120,8 +120,8 @@ impl ResultCache {
 /// Entries are stamped with their expiry instant and stop being served
 /// `ttl` seconds after the fetch, bounding how long a *time-conditioned*
 /// permission (e.g. "co-workers during working hours") can outlive its
-/// window; store-update invalidations arrive through
-/// [`CachedClient::pump_invalidations`].
+/// window; write-through invalidations arrive through
+/// [`CachedClient::note_write`].
 #[derive(Debug)]
 pub struct CachedClient {
     cache: ResultCache,
@@ -187,15 +187,6 @@ impl CachedClient {
         )?;
         self.cache.put(owner, requester, request, result.clone(), now + self.ttl);
         Ok(result)
-    }
-
-    /// Drains store change events and invalidates overlapping entries
-    /// for **every** requester's view of the changed owner (the trigger
-    /// of Req. 7). Returns the number of entries dropped.
-    pub fn pump_invalidations(&mut self, pool: &mut crate::client::StorePool) -> usize {
-        pool.drain_all_events()
-            .map(|(_store, event)| self.cache.invalidate(&event.user, &event.path))
-            .sum()
     }
 
     /// Write-through invalidation (DESIGN.md §13): a committed sync
@@ -290,6 +281,15 @@ mod tests {
 
         fn p(s: &str) -> Path {
             Path::parse(s).unwrap()
+        }
+
+        /// Drains store change events and invalidates overlapping entries
+        /// for every requester's view of the changed owner (the trigger
+        /// of Req. 7). Returns the number of entries dropped.
+        fn pump_invalidations(cc: &mut CachedClient, pool: &mut StorePool) -> usize {
+            pool.drain_all_events()
+                .map(|(_store, event)| cc.cache.invalidate(&event.user, &event.path))
+                .sum()
         }
 
         fn world() -> (Gupster, StorePool) {
@@ -418,7 +418,7 @@ mod tests {
                 &UpdateOp::SetText(p("/user/presence"), "busy".into()),
             )
             .unwrap();
-            let dropped = cc.pump_invalidations(&mut pool);
+            let dropped = pump_invalidations(&mut cc, &mut pool);
             assert_eq!(dropped, 1);
             let r = cc.fetch(&mut g, &pool, "alice", &req, "alice", t, 1, &keys).unwrap();
             assert_eq!(r[0].text(), "busy", "must re-fetch, not serve stale");

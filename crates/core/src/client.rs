@@ -73,20 +73,6 @@ impl StorePool {
         self.stores.get(id).map(|b| b.as_ref())
     }
 
-    /// Mutable access.
-    pub fn get_mut(&mut self, id: &StoreId) -> Option<&mut (dyn DataStore + '_)> {
-        match self.stores.get_mut(id) {
-            Some(b) => Some(b.as_mut()),
-            None => None,
-        }
-    }
-
-    /// All store ids, in key order. Borrows instead of cloning — the
-    /// pool may hold thousands of ids and callers usually just iterate.
-    pub fn ids(&self) -> impl Iterator<Item = &StoreId> + '_ {
-        self.stores.keys()
-    }
-
     /// Applies an update to one store.
     pub fn update(
         &mut self,
@@ -335,9 +321,9 @@ fn fold<'a>(fragments: &'a [Fragment<'_>], keys: &MergeKeys) -> Vec<MergeOut<'a>
 /// `(owner, requester, referral)` fetches within one scatter window, so
 /// a burst of identical requests hits each store **once**.
 ///
-/// Answers are held, not handed out: [`Singleflight::fetch_merge`]
+/// Answers are held, not handed out: `Singleflight::fetch_merge`
 /// returns a [`FlightTicket`] and the window's worker redeems its
-/// tickets with [`Singleflight::collect`] once the window's fetches are
+/// tickets with `Singleflight::collect` once the window's fetches are
 /// done. The last ticket on an answer takes the original, so an answer
 /// nobody duplicated is never copied; only actual duplicates clone.
 ///
@@ -364,7 +350,7 @@ pub struct FlightTicket(usize);
 
 impl Singleflight {
     /// An empty table for one scatter window.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Singleflight::default()
     }
 
@@ -372,7 +358,7 @@ impl Singleflight {
     /// (every `store=path` entry plus the merge/choice marker). Two
     /// requests coalesce only when the registry resolved them to the
     /// same fragments for the same principal.
-    pub fn key(referral: &Referral, requester: &str) -> String {
+    pub(crate) fn key(referral: &Referral, requester: &str) -> String {
         let mut k = String::with_capacity(64);
         k.push_str(&referral.token.user);
         k.push('\u{0}');
@@ -393,7 +379,7 @@ impl Singleflight {
     /// pool. `batch` selects the batched cost model on a miss; errors
     /// are never cached (the next duplicate retries the stores).
     #[allow(clippy::too_many_arguments)]
-    pub fn fetch_merge(
+    pub(crate) fn fetch_merge(
         &mut self,
         pool: &StorePool,
         referral: &Referral,
@@ -423,7 +409,7 @@ impl Singleflight {
 
     /// Redeems a ticket: a clone of the answer while other tickets are
     /// still out on it, the answer itself for the last one.
-    pub fn collect(&mut self, ticket: FlightTicket) -> Vec<Element> {
+    pub(crate) fn collect(&mut self, ticket: FlightTicket) -> Vec<Element> {
         let (answer, outstanding) = &mut self.answers[ticket.0];
         *outstanding -= 1;
         if *outstanding == 0 {
@@ -852,7 +838,7 @@ mod tests {
         let events: Vec<_> = pool.drain_all_events().map(|(id, e)| (id.clone(), e)).collect();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].0, StoreId::new("gup.yahoo.com"));
-        assert_eq!(pool.ids().count(), 2);
+        assert_eq!(pool.stores.len(), 2);
         assert!(pool
             .update(&StoreId::new("ghost"), "arnaud", &UpdateOp::Delete(p("/user/presence")))
             .is_err());

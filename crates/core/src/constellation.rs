@@ -20,7 +20,6 @@ use gupster_xpath::Path;
 
 use crate::error::GupsterError;
 use crate::registry::{Gupster, LookupOutcome};
-use crate::token::Signer;
 
 /// A family of mirrored GUPster servers behind one logical entry point.
 #[derive(Debug)]
@@ -53,11 +52,6 @@ impl Constellation {
     /// True when there is no mirror (never happens via [`Self::new`]).
     pub fn is_empty(&self) -> bool {
         self.mirrors.is_empty()
-    }
-
-    /// The shared signer (all mirrors sign identically).
-    pub fn signer(&self) -> Signer {
-        self.mirrors[0].signer()
     }
 
     /// Marks a mirror down (outage injection).
@@ -128,15 +122,6 @@ impl Constellation {
             .unwrap_or_else(|| Err(GupsterError::Store("no reachable GUPster mirror".into())))
     }
 
-    /// Drops a store's registrations for a user on every reachable
-    /// mirror. Returns `false` when the whole constellation was down.
-    pub fn unregister_store(&mut self, user: &str, store: &StoreId) -> bool {
-        self.broadcast::<()>(|g| {
-            g.unregister_store(user, store);
-            Ok(())
-        })
-        .is_some()
-    }
 
     /// Provisions a relationship everywhere. Returns `false` when the
     /// whole constellation was down.
@@ -289,14 +274,6 @@ mod tests {
         let out = c
             .lookup("alice", &p("/user[@id='alice']/presence"), "alice", Purpose::Query, noon(), 5)
             .unwrap();
-        assert!(c.signer().verify(&out.referral.token, 6).is_ok());
-    }
-
-    #[test]
-    fn export_coverage_lists_everything() {
-        let c = constellation();
-        let exported = c.mirror(0).export_coverage();
-        assert_eq!(exported.len(), 1);
-        assert_eq!(exported[0].0, "alice");
+        assert!(c.mirror(1).signer().verify(&out.referral.token, 6).is_ok());
     }
 }

@@ -102,11 +102,6 @@ impl CoverageTrie {
         self.nodes[node].entries.push(idx);
     }
 
-    /// Number of entries in the always-scanned wildcard bucket.
-    pub(crate) fn fallback_len(&self) -> usize {
-        self.fallback.len()
-    }
-
     /// Collects into `out` every entry index that can possibly cover or
     /// overlap `request` (a sorted, deduplicated superset). Returns
     /// `false` when the request leaves the core fragment — the caller
@@ -254,7 +249,7 @@ mod tests {
         let mut trie = CoverageTrie::default();
         trie.insert(&p("//item"), 0);
         trie.insert(&p("/u/presence"), 1);
-        assert_eq!(trie.fallback_len(), 1);
+        assert_eq!(trie.fallback.len(), 1);
         let got = cands(&trie, "/u/calendar").unwrap();
         assert_eq!(got, vec![0]);
     }

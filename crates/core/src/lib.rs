@@ -19,12 +19,12 @@
 //!   converged network with full latency/byte accounting;
 //! * [`subs`] — push subscriptions vs. polling (§5.2);
 //! * [`cache`] — result caching with invalidation-on-update (§5.3);
-//! * [`resilience`] — deadline budgets, deterministic retry/backoff and
+//! * `resilience` — deadline budgets, deterministic retry/backoff and
 //!   the referral → chaining → recruiting → stale-cache degradation
 //!   ladder (Req. 12 availability);
 //! * [`mdm`] — centralized vs. user-distributed (white pages, listed or
 //!   unlisted) vs. hierarchical meta-data management (§5.1.2);
-//! * [`syncplane`] — the fleet write path (DESIGN.md §13):
+//! * `syncplane` — the fleet write path (DESIGN.md §13):
 //!   owner-sharded N-replica reconciliation over `gupster-sync`'s delta
 //!   sessions, with write-through invalidation of the decision memo,
 //!   token cache, result/stale caches and the push-fanout plane.
@@ -32,23 +32,23 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod admission;
+pub(crate) mod admission;
 pub mod cache;
 mod client;
-pub mod constellation;
+pub(crate) mod constellation;
 mod coverage;
 mod error;
 mod index;
 pub mod mdm;
 pub mod patterns;
-pub mod provenance;
+pub(crate) mod provenance;
 mod referral;
 mod registry;
-pub mod resilience;
+pub(crate) mod resilience;
 mod sha256;
-pub mod shard;
+pub(crate) mod shard;
 pub mod subs;
-pub mod syncplane;
+pub(crate) mod syncplane;
 mod token;
 
 pub use admission::{
@@ -67,7 +67,6 @@ pub use referral::{Referral, ReferralEntry};
 pub use registry::{Gupster, LookupOutcome, RegistryStats};
 pub use resilience::{ResilientExecutor, ResilientRun, RetryPolicy, ServedVia};
 pub use shard::{BatchReport, OpenLoopRequest, OverloadReport, ShardRequest, ShardedRegistry};
-pub use sha256::{hmac_sha256, sha256_hex};
 pub use subs::{
     DeliveryBatch, MatchOutcome, Notification, ShardedFanout, SubscriptionManager, WindowOutcome,
 };

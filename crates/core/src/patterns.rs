@@ -39,7 +39,7 @@ impl QueryPattern {
     /// The stage label of this pattern's root span — the three trees
     /// are shaped identically so experiment E5 can compare them per
     /// stage.
-    pub fn stage(&self) -> &'static str {
+    pub(crate) fn stage(&self) -> &'static str {
         match self {
             QueryPattern::Referral => "pattern.referral",
             QueryPattern::Chaining => "pattern.chaining",
@@ -201,7 +201,7 @@ impl<'a> PatternExecutor<'a> {
     /// of one request shares a single rooted span tree. The caller owns
     /// `begin_request`/`end_request` on the network.
     #[allow(clippy::too_many_arguments)]
-    pub fn execute_traced(
+    pub(crate) fn execute_traced(
         &self,
         pattern: QueryPattern,
         gupster: &mut Gupster,

@@ -72,18 +72,13 @@ struct Head {
 }
 
 impl ProvenanceLog {
-    /// An unbounded log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A log retaining at most `retention` records.
-    pub fn with_retention(retention: usize) -> Self {
+    pub(crate) fn with_retention(retention: usize) -> Self {
         ProvenanceLog { retention, ..Default::default() }
     }
 
     /// Appends a disclosure.
-    pub fn record(&mut self, d: Disclosure) {
+    pub(crate) fn record(&mut self, d: Disclosure) {
         self.total_recorded += 1;
         let start = self.bytes.len();
         let w = &mut self.bytes;
@@ -121,19 +116,6 @@ impl ProvenanceLog {
             }
         }
         out
-    }
-
-    /// Disclosures to a given requester across all owners (the reverse
-    /// audit: "what has this application been told?").
-    pub fn received_by(&self, requester: &str) -> Vec<Disclosure> {
-        self.records()
-            .filter(|(_, r)| {
-                let mut r = r.clone();
-                r.skip_str();
-                r.str_is(requester)
-            })
-            .map(unpack)
-            .collect()
     }
 
     /// Currently retained records.
@@ -257,11 +239,6 @@ impl Reader<'_> {
         String::from_utf8(self.0.by_ref().take(len).copied().collect()).expect("packed from a str")
     }
 
-    fn skip_str(&mut self) {
-        let len = self.num();
-        self.0.by_ref().take(len).for_each(drop);
-    }
-
     /// True if the next string is `s` (reading stops at the first
     /// difference).
     fn str_is(&mut self, s: &str) -> bool {
@@ -318,19 +295,18 @@ mod tests {
 
     #[test]
     fn owner_audit_trail() {
-        let mut log = ProvenanceLog::new();
+        let mut log = ProvenanceLog::default();
         log.record(disclosure(1, "alice", "rick", "/user/presence"));
         log.record(disclosure(2, "alice", "mom", "/user/address-book"));
         log.record(disclosure(3, "bob", "rick", "/user/presence"));
         let alice = log.disclosures_of("alice");
         assert_eq!(alice.len(), 2);
         assert_eq!(alice[0].requester, "rick");
-        assert_eq!(log.received_by("rick").len(), 2);
     }
 
     #[test]
     fn accessors_use_overlap_semantics() {
-        let mut log = ProvenanceLog::new();
+        let mut log = ProvenanceLog::default();
         log.record(disclosure(1, "alice", "mom", "/user/address-book/item[@type='personal']"));
         log.record(disclosure(2, "alice", "rick", "/user/presence"));
         log.record(disclosure(3, "alice", "mom", "/user/address-book"));
@@ -356,8 +332,8 @@ mod tests {
     }
 
     /// Whatever goes in comes back out field for field, across trimming
-    /// — including strings no path syntax could quote, a requester that
-    /// is a prefix of another, and positions past `u32`.
+    /// — including strings no path syntax could quote, an owner or
+    /// requester that is a prefix of another, and positions past `u32`.
     #[test]
     fn packed_records_decode_exactly() {
         use gupster_rng::check::{self, cases};
@@ -405,11 +381,8 @@ mod tests {
             };
             assert_eq!(log.len(), kept.len());
             for who in ["o", "o2", "p", "r", "r2", "s", ""] {
-                let of = |f: fn(&Disclosure) -> &str| -> Vec<Disclosure> {
-                    kept.iter().filter(|d| f(d) == who).cloned().collect()
-                };
-                assert_eq!(log.disclosures_of(who), of(|d| &d.owner), "owner {who:?}");
-                assert_eq!(log.received_by(who), of(|d| &d.requester), "requester {who:?}");
+                let of: Vec<Disclosure> = kept.iter().filter(|d| d.owner == who).cloned().collect();
+                assert_eq!(log.disclosures_of(who), of, "owner {who:?}");
             }
         });
     }

@@ -51,11 +51,6 @@ impl Referral {
         self.entries.iter().filter(|e| e.complete)
     }
 
-    /// The fragment entries (all must be fetched).
-    pub fn fragments(&self) -> impl Iterator<Item = &ReferralEntry> {
-        self.entries.iter().filter(|e| !e.complete)
-    }
-
     /// Approximate serialized size in bytes (for network charging).
     pub fn byte_size(&self) -> usize {
         self.entries
@@ -107,12 +102,12 @@ mod tests {
     fn choice_vs_fragments() {
         let r = referral(&[true, true]);
         assert_eq!(r.choices().count(), 2);
-        assert_eq!(r.fragments().count(), 0);
+        assert!(r.entries.iter().all(|e| e.complete));
         assert!(!r.merge_required);
         assert!(r.to_string().contains(" || "));
 
         let r = referral(&[false, false]);
-        assert_eq!(r.fragments().count(), 2);
+        assert!(r.entries.iter().all(|e| !e.complete));
         assert!(r.merge_required);
         assert!(r.to_string().contains(" ++ "));
     }

@@ -56,7 +56,7 @@ impl RetryPolicy {
     /// The wait before retry number `retry` (1-based): full jitter,
     /// uniform in `[0, min(max_backoff, base_backoff · 2^(retry-1))]`.
     /// Deterministic for a given RNG state.
-    pub fn backoff(&self, retry: u32, rng: &mut StdRng) -> SimTime {
+    pub(crate) fn backoff(&self, retry: u32, rng: &mut StdRng) -> SimTime {
         let ceiling = self
             .base_backoff
             .0
@@ -143,21 +143,9 @@ impl<'a> ResilientExecutor<'a> {
         }
     }
 
-    /// Replaces the retry policy.
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Replaces the per-request deadline budget.
     pub fn with_budget(mut self, budget: SimTime) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Replaces the degradation ladder.
-    pub fn with_ladder(mut self, ladder: Vec<QueryPattern>) -> Self {
-        self.ladder = ladder;
         self
     }
 

@@ -23,7 +23,7 @@ const H0: [u32; 8] = [
 ];
 
 /// Computes the SHA-256 digest of `data`.
-pub fn sha256(data: &[u8]) -> [u8; 32] {
+pub(crate) fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h = H0;
     let bitlen = (data.len() as u64).wrapping_mul(8);
 
@@ -91,13 +91,8 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     out
 }
 
-/// SHA-256 digest as a lowercase hex string.
-pub fn sha256_hex(data: &[u8]) -> String {
-    hex(&sha256(data))
-}
-
 /// HMAC-SHA256 per RFC 2104.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
+pub(crate) fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     const BLOCK: usize = 64;
     let mut k = [0u8; BLOCK];
     if key.len() > BLOCK {
@@ -119,17 +114,22 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     sha256(&outer)
 }
 
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hex(bytes: &[u8]) -> String {
+        let mut s = String::with_capacity(bytes.len() * 2);
+        for b in bytes {
+            s.push_str(&format!("{b:02x}"));
+        }
+        s
+    }
+
+    /// SHA-256 digest as a lowercase hex string.
+    fn sha256_hex(data: &[u8]) -> String {
+        hex(&sha256(data))
+    }
 
     #[test]
     fn fips_vectors() {

@@ -121,7 +121,7 @@ impl BatchReport {
 /// Fault-injection hook for open-loop runs: invoked once per admitted
 /// request with the service instant and the request; returning `Some`
 /// fails that execution before it reaches the pipeline.
-pub type OpenLoopProbe<'a> = &'a dyn Fn(SimTime, &ShardRequest) -> Option<GupsterError>;
+pub(crate) type OpenLoopProbe<'a> = &'a dyn Fn(SimTime, &ShardRequest) -> Option<GupsterError>;
 
 /// One arrival in an open-loop run: a request plus its arrival instant
 /// and priority class.
@@ -317,16 +317,6 @@ impl ShardedRegistry {
         self.shard_mut(user).register_component(user, path, store)
     }
 
-    /// Unregisters a store's components for `user` on the owning shard.
-    pub fn unregister_store(&mut self, user: &str, store: &StoreId) -> usize {
-        self.shard_mut(user).unregister_store(user, store)
-    }
-
-    /// Provisions a relationship on the owner's shard.
-    pub fn set_relationship(&mut self, owner: &str, requester: &str, relationship: &str) {
-        self.shard_mut(owner).set_relationship(owner, requester, relationship);
-    }
-
     /// Switches on the referral-token cache on every shard (see
     /// [`Gupster::enable_token_cache`]). An owner's requests always land
     /// on the same shard, so per-key cache behavior — and therefore
@@ -338,7 +328,7 @@ impl ShardedRegistry {
     }
 
     /// Sets the token freshness window on every shard's signer (see
-    /// [`Gupster::set_token_freshness`]).
+    /// `Gupster::set_token_freshness`).
     pub fn set_token_freshness(&mut self, window: u64) {
         for g in &mut self.shards {
             g.set_token_freshness(window);
@@ -458,7 +448,7 @@ impl ShardedRegistry {
     }
 
     /// Per-shard counter snapshots, shard order.
-    pub fn shard_counters(&self) -> Vec<CounterSnapshot> {
+    pub(crate) fn shard_counters(&self) -> Vec<CounterSnapshot> {
         self.shards.iter().map(|g| g.telemetry().counter_snapshot()).collect()
     }
 

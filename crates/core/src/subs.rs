@@ -279,21 +279,10 @@ impl SubscriptionManager {
         self.subs.is_empty()
     }
 
-    /// Notifications staged and not yet flushed.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// The staged, not-yet-flushed window, in arrival order — what
     /// per-notification (unbatched) delivery would send.
     pub fn pending(&self) -> &[Notification] {
         &self.pending
-    }
-
-    /// Decision-memo occupancy and hit/miss counts of the fanout
-    /// policy filter.
-    pub fn memo_stats(&self) -> (usize, u64, u64) {
-        (self.memo.len(), self.memo.hits, self.memo.misses)
     }
 
     /// Matches one change event through the inverted index: walk the
@@ -570,11 +559,6 @@ impl ShardedFanout {
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.managers.len()
-    }
-
     /// Subscribes on the owner's shard; the id comes from the shared
     /// counter so it is shard-count invariant.
     pub fn subscribe(
@@ -600,21 +584,6 @@ impl ShardedFanout {
         self.managers.iter_mut().any(|m| m.unsubscribe(id))
     }
 
-    /// Active subscriptions across all shards.
-    pub fn len(&self) -> usize {
-        self.managers.iter().map(SubscriptionManager::len).sum()
-    }
-
-    /// True when nobody is subscribed anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.managers.iter().all(SubscriptionManager::is_empty)
-    }
-
-    /// Shield checks performed across all shards (once per subscribe).
-    pub fn shield_checks(&self) -> u64 {
-        self.managers.iter().map(|m| m.shield_checks).sum()
-    }
-
     /// Notifications staged and not yet flushed.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
@@ -625,22 +594,11 @@ impl ShardedFanout {
         &self.pending
     }
 
-    /// Stages one delivery window: each drained event routes to its
-    /// owner's shard for matching and policy filtering; permitted
+    /// Stages one delivery window from an already-drained event stream
+    /// (see [`SubscriptionManager::stage_events`]): each event routes to
+    /// its owner's shard for matching and policy filtering; permitted
     /// notifications append to the plane-wide pending queue in global
     /// arrival order.
-    pub fn stage_window(
-        &mut self,
-        gupster: &Gupster,
-        pool: &mut StorePool,
-        time: WeekTime,
-    ) -> WindowOutcome {
-        let events = pool.drain_all_events().map(|(_store, event)| event);
-        stage(&mut self.managers, gupster, events, time, &mut self.pending)
-    }
-
-    /// [`stage_window`](Self::stage_window) over an already-drained
-    /// event stream (see [`SubscriptionManager::stage_events`]).
     pub fn stage_events(
         &mut self,
         gupster: &Gupster,
@@ -824,11 +782,11 @@ mod tests {
         .unwrap();
         let staged = subs.stage_window(&g, &mut pool, WeekTime::at(0, 9, 0));
         assert_eq!(staged.staged, 2);
-        assert_eq!(subs.pending_len(), 2);
+        assert_eq!(subs.pending().len(), 2);
         // The regression: unsubscribe mid-window must drop the queued
         // notification; flushing must deliver only the survivor.
         assert!(subs.unsubscribe(drop));
-        assert_eq!(subs.pending_len(), 1);
+        assert_eq!(subs.pending().len(), 1);
         let batches = subs.flush_window(&g);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].notifications.len(), 1);

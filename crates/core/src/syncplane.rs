@@ -229,11 +229,6 @@ impl SyncPlane {
         SyncPlane { shards, users: BTreeMap::new(), policy, use_oracle: false }
     }
 
-    /// Number of shard partitions.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Number of users with replica stars.
     pub fn user_count(&self) -> usize {
         self.users.len()
@@ -424,7 +419,7 @@ fn registry_path(owner: &str, component: &str, p: &NodePath) -> Path {
 
 /// Commits a reconcile pass against the registry: every touched owner's
 /// write generation is bumped and their derived registry state (PDP
-/// memo, referral-token cache) dropped via [`Gupster::note_write`], and
+/// memo, referral-token cache) dropped via `Gupster::note_write`, and
 /// the changed paths come back as [`ChangeEvent`]s — feed them to
 /// [`crate::ShardedFanout::stage_events`] (push subscribers) and to
 /// [`crate::cache::CachedClient::note_write`] /
@@ -725,19 +720,17 @@ mod tests {
         assert_eq!(plane.reconcile(&Arc::new(TelemetryHub::new())).sessions, 0);
     }
 
-    /// `seen` pruning is invisible to sync and bounds the dedup sets. A
-    /// seeded interleaving of hub and device edits and passes runs on a
-    /// delta plane, which prunes, and on an oracle plane, which never
-    /// compacts and so never prunes; one star is held unconverged for a
-    /// while by a device that holds another component.
-    #[test]
-    fn seen_pruning_keeps_sync_exact_and_empties_settled_stars() {
-        use gupster_rng::check::cases;
-        use gupster_rng::Rng;
+    const STORM_USERS: usize = 4;
+    const STORM_DEVICES: usize = 3;
+    /// The star a device holding another component keeps unconverged
+    /// until [`unstick`] fixes it.
+    const STUCK: &str = "user1";
 
-        const USERS: usize = 4;
-        const DEVICES: usize = 3;
-        const STUCK: &str = "user1";
+    /// A delta plane and an oracle plane (which never compacts and so
+    /// never prunes `seen`) over the same stars of four contacts each.
+    /// [`STUCK`]'s first device holds another component and an unsynced
+    /// edit, so its sessions error.
+    fn storm_planes(policy: ReconcilePolicy) -> (SyncPlane, SyncPlane) {
         let book = || {
             let mut book = Element::new("address-book");
             for i in 0..4 {
@@ -749,10 +742,76 @@ mod tests {
             }
             book
         };
-        let rename = |id: String, text: String| EditOp::SetText {
-            path: NodePath::root().keyed("item", "id", id).child("name", 0),
-            text,
-        };
+        let mut delta = SyncPlane::new(2, policy);
+        let mut oracle = SyncPlane::new(2, policy);
+        oracle.use_oracle = true;
+        for plane in [&mut delta, &mut oracle] {
+            for u in 0..STORM_USERS {
+                plane.add_user(&format!("user{u}"), book(), keys(), STORM_DEVICES);
+            }
+            plane.users.get_mut(STUCK).unwrap().devices[0].doc.name = "calendar".into();
+            plane.edit_device(STUCK, 0, storm_rename("c0".into(), "unsynced".into())).unwrap();
+        }
+        (delta, oracle)
+    }
+
+    fn storm_rename(id: String, text: String) -> EditOp {
+        EditOp::SetText { path: NodePath::root().keyed("item", "id", id).child("name", 0), text }
+    }
+
+    /// Gives [`STUCK`]'s first device its component back on both planes.
+    fn unstick(delta: &mut SyncPlane, oracle: &mut SyncPlane) {
+        for plane in [delta, oracle] {
+            plane.users.get_mut(STUCK).unwrap().devices[0].doc.name = "address-book".into();
+        }
+    }
+
+    /// One pass's seeded edits, applied alike to both planes. Concurrent
+    /// writes collide only on identical targets and only the hub
+    /// deletes, so every session stays on the fast path.
+    fn storm_edits(
+        r: &mut gupster_rng::StdRng,
+        serial: &mut usize,
+        delta: &mut SyncPlane,
+        oracle: &mut SyncPlane,
+    ) {
+        use gupster_rng::Rng;
+        for _ in 0..r.gen_range(0..30usize) {
+            *serial += 1;
+            let owner = format!("user{}", r.gen_range(0..STORM_USERS));
+            let replica = r.gen_range(0..=STORM_DEVICES);
+            let op = match r.gen_range(0..6u32) {
+                0 => EditOp::Insert {
+                    parent: NodePath::root(),
+                    element: Element::new("item").with_attr("id", format!("n{serial}")),
+                },
+                1 if replica == STORM_DEVICES => EditOp::Delete {
+                    path: NodePath::root()
+                        .keyed("item", "id", format!("n{}", r.gen_range(0..*serial))),
+                },
+                _ => storm_rename(format!("c{}", r.gen_range(0..4u32)), format!("t{serial}")),
+            };
+            for plane in [&mut *delta, &mut *oracle] {
+                let _ = if replica == STORM_DEVICES {
+                    plane.edit_hub(&owner, op.clone())
+                } else {
+                    plane.edit_device(&owner, replica, op.clone())
+                };
+            }
+        }
+    }
+
+    /// `seen` pruning is invisible to sync and bounds the dedup sets. A
+    /// seeded interleaving of hub and device edits and passes runs on a
+    /// delta plane, which prunes, and on an oracle plane, which never
+    /// compacts and so never prunes; one star is held unconverged for a
+    /// while by a device that holds another component.
+    #[test]
+    fn seen_pruning_keeps_sync_exact_and_empties_settled_stars() {
+        use gupster_rng::check::cases;
+
+        const USERS: usize = STORM_USERS;
+        const DEVICES: usize = STORM_DEVICES;
         let seen_sets = |plane: &SyncPlane, owner: &str| {
             let u = &plane.users[owner];
             std::iter::once(&u.hub).chain(&u.devices).map(|r| r.seen.clone()).collect::<Vec<_>>()
@@ -764,50 +823,14 @@ mod tests {
             // applies fewer (compacted) remote ops on the delta plane, so
             // its Lamport clock, and with it later tie-breaks, differs
             // from the oracle plane's with or without pruning.
-            let mut delta = SyncPlane::new(2, ReconcilePolicy::PreferFirst);
-            let mut oracle = SyncPlane::new(2, ReconcilePolicy::PreferFirst);
-            oracle.use_oracle = true;
-            for plane in [&mut delta, &mut oracle] {
-                for u in 0..USERS {
-                    plane.add_user(&format!("user{u}"), book(), keys(), DEVICES);
-                }
-                plane.users.get_mut(STUCK).unwrap().devices[0].doc.name = "calendar".into();
-                plane.edit_device(STUCK, 0, rename("c0".into(), "unsynced".into())).unwrap();
-            }
+            let (mut delta, mut oracle) = storm_planes(ReconcilePolicy::PreferFirst);
             let (mut settled, mut held, mut converged, mut serial) = (0, 0, 0, 0usize);
             for pass in 0..8 {
                 if pass == 4 {
-                    for plane in [&mut delta, &mut oracle] {
-                        plane.users.get_mut(STUCK).unwrap().devices[0].doc.name =
-                            "address-book".into();
-                    }
+                    unstick(&mut delta, &mut oracle);
                 }
-                // Concurrent writes collide only on identical targets and
-                // only the hub deletes, so every session stays on the fast
-                // path and both planes must agree exactly.
-                for _ in 0..r.gen_range(0..30usize) {
-                    serial += 1;
-                    let owner = format!("user{}", r.gen_range(0..USERS));
-                    let replica = r.gen_range(0..=DEVICES);
-                    let op = match r.gen_range(0..6u32) {
-                        0 => EditOp::Insert {
-                            parent: NodePath::root(),
-                            element: Element::new("item").with_attr("id", format!("n{serial}")),
-                        },
-                        1 if replica == DEVICES => EditOp::Delete {
-                            path: NodePath::root()
-                                .keyed("item", "id", format!("n{}", r.gen_range(0..serial))),
-                        },
-                        _ => rename(format!("c{}", r.gen_range(0..4u32)), format!("t{serial}")),
-                    };
-                    for plane in [&mut delta, &mut oracle] {
-                        let _ = if replica == DEVICES {
-                            plane.edit_hub(&owner, op.clone())
-                        } else {
-                            plane.edit_device(&owner, replica, op.clone())
-                        };
-                    }
-                }
+                // Both planes must agree exactly.
+                storm_edits(r, &mut serial, &mut delta, &mut oracle);
                 let before = seen_sets(&delta, STUCK);
                 let rd = delta.reconcile(&hub);
                 let ro = oracle.reconcile(&hub);
@@ -843,6 +866,53 @@ mod tests {
             }
             assert_eq!(converged, USERS, "the stuck star settles once fixed");
             assert!(settled > 0 && held == 4, "settled {settled}, held {held}");
+        });
+    }
+
+    /// The last-writer-wins contract between the planes (DESIGN.md §13):
+    /// the same storm as above converges every star on each plane once
+    /// the stuck device is fixed, and the planes hold identical
+    /// documents for every star that never lagged. The star that lagged
+    /// may settle on different documents: its device replays the hub's
+    /// compacted suffix on the delta plane, applies fewer remote ops,
+    /// and so carries smaller Lamport timestamps into later tie-breaks.
+    #[test]
+    fn last_writer_wins_planes_converge_and_agree_where_nothing_lagged() {
+        use gupster_rng::check::cases;
+
+        cases(12, 0x5EE2, |r| {
+            let hub = Arc::new(TelemetryHub::new());
+            hub.set_span_limit(0);
+            let (mut delta, mut oracle) = storm_planes(ReconcilePolicy::LastWriterWins);
+            let mut serial = 0usize;
+            for pass in 0..8 {
+                if pass == 4 {
+                    unstick(&mut delta, &mut oracle);
+                }
+                storm_edits(r, &mut serial, &mut delta, &mut oracle);
+                let rd = delta.reconcile(&hub);
+                let ro = oracle.reconcile(&hub);
+                for (plane, report) in [(&delta, &rd), (&oracle, &ro)] {
+                    for u in &report.users {
+                        let owner = &u.owner;
+                        if pass < 4 && owner == STUCK {
+                            continue;
+                        }
+                        assert!(u.converged, "pass {pass}: {owner}");
+                        for dev in 0..STORM_DEVICES {
+                            assert_eq!(
+                                plane.device_doc(owner, dev),
+                                plane.hub_doc(owner),
+                                "pass {pass}: {owner} dev{dev}"
+                            );
+                        }
+                    }
+                }
+                for u in rd.users.iter().filter(|u| u.owner != STUCK) {
+                    let owner = &u.owner;
+                    assert_eq!(delta.hub_doc(owner), oracle.hub_doc(owner), "pass {pass}: {owner}");
+                }
+            }
         });
     }
 }

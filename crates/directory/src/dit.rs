@@ -1,4 +1,4 @@
-//! The Directory Information Tree with search and subtree partitioning.
+//! The Directory Information Tree with search.
 
 use std::collections::BTreeMap;
 
@@ -19,23 +19,6 @@ pub enum Scope {
     Subtree,
 }
 
-/// One search hit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SearchResult {
-    /// The matching entry (a copy).
-    pub entry: Entry,
-}
-
-/// The outcome of a search: hits plus any referrals to partitions that
-/// the search crossed into.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SearchOutcome {
-    /// Matching entries.
-    pub hits: Vec<SearchResult>,
-    /// Servers holding partitioned-away subtrees under the search base.
-    pub referrals: Vec<(Dn, String)>,
-}
-
 /// An in-memory LDAP-style directory server.
 ///
 /// Entries are stored in DN order (a `BTreeMap` keyed by the reversed
@@ -45,12 +28,7 @@ pub struct SearchOutcome {
 pub struct Directory {
     /// Ordered by hierarchical key (ancestors before descendants).
     entries: BTreeMap<Vec<(String, String)>, Entry>,
-    /// Subtrees delegated to other servers: base DN → server locator.
-    partitions: BTreeMap<Vec<(String, String)>, String>,
     registry: ObjectClassRegistry,
-    /// Monotone modification counter (used by adapters for change
-    /// detection).
-    generation: u64,
 }
 
 fn key(dn: &Dn) -> Vec<(String, String)> {
@@ -66,57 +44,12 @@ impl Default for Directory {
 impl Directory {
     /// An empty directory with the standard object classes.
     pub fn new() -> Self {
-        Directory {
-            entries: BTreeMap::new(),
-            partitions: BTreeMap::new(),
-            registry: standard_classes(),
-            generation: 0,
-        }
-    }
-
-    /// Access to the class registry (to register custom classes).
-    pub fn registry_mut(&mut self) -> &mut ObjectClassRegistry {
-        &mut self.registry
-    }
-
-    /// The class registry.
-    pub fn registry(&self) -> &ObjectClassRegistry {
-        &self.registry
-    }
-
-    /// Number of entries held locally.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no entries are held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Modification counter; bumps on every successful write.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    fn partition_for(&self, dn: &Dn) -> Option<(Dn, String)> {
-        let k = key(dn);
-        self.partitions
-            .iter()
-            .filter(|(base, _)| k.starts_with(base))
-            .max_by_key(|(base, _)| base.len())
-            .map(|(base, server)| {
-                let rdns: Vec<_> = base.iter().rev().cloned().collect();
-                (Dn { rdns }, server.clone())
-            })
+        Directory { entries: BTreeMap::new(), registry: standard_classes() }
     }
 
     /// Adds an entry. The parent must exist (except for depth-1 entries),
     /// the entry must validate, and the DN must be free.
     pub fn add(&mut self, entry: Entry) -> Result<(), DirectoryError> {
-        if let Some((dn, server)) = self.partition_for(&entry.dn) {
-            return Err(DirectoryError::Referral { dn, server });
-        }
         entry.validate(&self.registry)?;
         let k = key(&entry.dn);
         if self.entries.contains_key(&k) {
@@ -128,15 +61,11 @@ impl Directory {
             }
         }
         self.entries.insert(k, entry);
-        self.generation += 1;
         Ok(())
     }
 
     /// Reads an entry by DN.
     pub fn get(&self, dn: &Dn) -> Result<&Entry, DirectoryError> {
-        if let Some((pdn, server)) = self.partition_for(dn) {
-            return Err(DirectoryError::Referral { dn: pdn, server });
-        }
         self.entries.get(&key(dn)).ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))
     }
 
@@ -146,9 +75,6 @@ impl Directory {
         dn: &Dn,
         f: impl FnOnce(&mut Entry),
     ) -> Result<(), DirectoryError> {
-        if let Some((pdn, server)) = self.partition_for(dn) {
-            return Err(DirectoryError::Referral { dn: pdn, server });
-        }
         let entry = self
             .entries
             .get_mut(&key(dn))
@@ -157,7 +83,6 @@ impl Directory {
         f(&mut copy);
         copy.validate(&self.registry)?;
         *entry = copy;
-        self.generation += 1;
         Ok(())
     }
 
@@ -175,21 +100,14 @@ impl Directory {
         if has_children {
             return Err(DirectoryError::NotLeaf(dn.clone()));
         }
-        self.generation += 1;
         Ok(self.entries.remove(&k).expect("checked"))
     }
 
-    /// Searches from `base` with the given scope and filter.
-    pub fn search(&self, base: &Dn, scope: Scope, filter: &Filter) -> SearchOutcome {
-        let mut out = SearchOutcome::default();
+    /// Searches from `base` with the given scope and filter: copies of
+    /// the matching entries, in DN order.
+    pub fn search(&self, base: &Dn, scope: Scope, filter: &Filter) -> Vec<Entry> {
+        let mut hits = Vec::new();
         let bk = key(base);
-        // Collect referrals for partitions under the base.
-        for (pk, server) in &self.partitions {
-            if pk.starts_with(&bk) {
-                let rdns: Vec<_> = pk.iter().rev().cloned().collect();
-                out.referrals.push((Dn { rdns }, server.clone()));
-            }
-        }
         let candidates: Vec<&Entry> = match scope {
             Scope::Base => self.entries.get(&bk).into_iter().collect(),
             Scope::OneLevel => self
@@ -212,46 +130,10 @@ impl Directory {
         };
         for e in candidates {
             if filter.eval(e, &self.registry) {
-                out.hits.push(SearchResult { entry: e.clone() });
+                hits.push(e.clone());
             }
         }
-        out
-    }
-
-    /// Moves the subtree at `base` to another server: local entries under
-    /// it are removed and returned, and future operations under `base`
-    /// answer with a referral. This is the "move arbitrary sub-trees to
-    /// different servers" scaling move of §6.
-    pub fn partition_subtree(
-        &mut self,
-        base: &Dn,
-        server: &str,
-    ) -> Result<Vec<Entry>, DirectoryError> {
-        let bk = key(base);
-        let mut moved = Vec::new();
-        let keys: Vec<_> = self
-            .entries
-            .range(bk.clone()..)
-            .take_while(|(k, _)| k.starts_with(&bk))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in keys {
-            moved.push(self.entries.remove(&k).expect("listed"));
-        }
-        self.partitions.insert(bk, server.to_string());
-        self.generation += 1;
-        Ok(moved)
-    }
-
-    /// Bulk-load entries without parent checks (used when receiving a
-    /// partitioned subtree). Entries are still validated.
-    pub fn load(&mut self, entries: Vec<Entry>) -> Result<(), DirectoryError> {
-        for e in entries {
-            e.validate(&self.registry)?;
-            self.entries.insert(key(&e.dn), e);
-        }
-        self.generation += 1;
-        Ok(())
+        hits
     }
 }
 
@@ -302,7 +184,7 @@ mod tests {
         let d = populated();
         let e = d.get(&Dn::parse("cn=alice,ou=people,o=lucent").unwrap()).unwrap();
         assert_eq!(e.first("telephoneNumber"), Some("908-582-1111"));
-        assert_eq!(d.len(), 5);
+        assert_eq!(d.entries.len(), 5);
     }
 
     #[test]
@@ -327,17 +209,14 @@ mod tests {
     fn scopes() {
         let d = populated();
         let base = Dn::parse("ou=people,o=lucent").unwrap();
-        assert_eq!(d.search(&base, Scope::Base, &f("(ou=*)")).hits.len(), 1);
-        assert_eq!(d.search(&base, Scope::OneLevel, &f("(cn=*)")).hits.len(), 3);
-        assert_eq!(d.search(&base, Scope::Subtree, &f("(cn=*)")).hits.len(), 3);
+        assert_eq!(d.search(&base, Scope::Base, &f("(ou=*)")).len(), 1);
+        assert_eq!(d.search(&base, Scope::OneLevel, &f("(cn=*)")).len(), 3);
+        assert_eq!(d.search(&base, Scope::Subtree, &f("(cn=*)")).len(), 3);
         assert_eq!(
-            d.search(&Dn::parse("o=lucent").unwrap(), Scope::OneLevel, &f("(cn=*)")).hits.len(),
+            d.search(&Dn::parse("o=lucent").unwrap(), Scope::OneLevel, &f("(cn=*)")).len(),
             0
         );
-        assert_eq!(
-            d.search(&Dn::root(), Scope::Subtree, &f("(objectClass=*)")).hits.len(),
-            5
-        );
+        assert_eq!(d.search(&Dn::root(), Scope::Subtree, &f("(objectClass=*)")).len(), 5);
     }
 
     #[test]
@@ -345,8 +224,8 @@ mod tests {
         let d = populated();
         let hits =
             d.search(&Dn::root(), Scope::Subtree, &f("(telephoneNumber=908.582.1111)"));
-        assert_eq!(hits.hits.len(), 1);
-        assert_eq!(hits.hits[0].entry.first("cn"), Some("alice"));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].first("cn"), Some("alice"));
     }
 
     #[test]
@@ -357,7 +236,7 @@ mod tests {
         assert_eq!(d.get(&dn).unwrap().first("mail"), Some("alice@lucent.com"));
         // Removing a required attribute is rejected and rolls back.
         let err = d.modify(&dn, |e| {
-            e.remove("sn");
+            e.attrs.remove("sn");
         });
         assert!(err.is_err());
         assert_eq!(d.get(&dn).unwrap().first("sn"), Some("aliceson"));
@@ -372,44 +251,5 @@ mod tests {
         d.delete(&alice).unwrap();
         assert!(d.get(&alice).is_err());
         assert!(matches!(d.delete(&alice), Err(DirectoryError::NoSuchEntry(_))));
-    }
-
-    #[test]
-    fn partition_moves_subtree_and_refers() {
-        let mut d = populated();
-        let people = Dn::parse("ou=people,o=lucent").unwrap();
-        let moved = d.partition_subtree(&people, "ldap://us-east.lucent.com").unwrap();
-        assert_eq!(moved.len(), 4); // ou + 3 people
-        assert_eq!(d.len(), 1);
-        // Reads under the partition answer with a referral.
-        let alice = Dn::parse("cn=alice,ou=people,o=lucent").unwrap();
-        match d.get(&alice) {
-            Err(DirectoryError::Referral { server, .. }) => {
-                assert_eq!(server, "ldap://us-east.lucent.com")
-            }
-            other => panic!("expected referral, got {other:?}"),
-        }
-        // Searches report the referral.
-        let out = d.search(&Dn::parse("o=lucent").unwrap(), Scope::Subtree, &f("(cn=*)"));
-        assert_eq!(out.hits.len(), 0);
-        assert_eq!(out.referrals.len(), 1);
-        // The moved entries can be loaded into another server.
-        let mut d2 = Directory::new();
-        d2.load(moved).unwrap();
-        assert_eq!(
-            d2.search(&people, Scope::Subtree, &f("(cn=*)")).hits.len(),
-            3
-        );
-    }
-
-    #[test]
-    fn generation_bumps_on_writes() {
-        let mut d = populated();
-        let g0 = d.generation();
-        d.modify(&Dn::parse("cn=bob,ou=people,o=lucent").unwrap(), |e| {
-            e.add("mail", "b@lucent.com")
-        })
-        .unwrap();
-        assert!(d.generation() > g0);
     }
 }

@@ -60,13 +60,8 @@ impl Dn {
         }
     }
 
-    /// The leaf RDN.
-    pub fn rdn(&self) -> Option<(&str, &str)> {
-        self.rdns.first().map(|(a, v)| (a.as_str(), v.as_str()))
-    }
-
     /// Depth (number of RDNs).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.rdns.len()
     }
 
@@ -101,7 +96,6 @@ mod tests {
         let dn = Dn::parse("CN=Alice , ou=people, o=lucent").unwrap();
         assert_eq!(dn.to_string(), "cn=Alice,ou=people,o=lucent");
         assert_eq!(dn.depth(), 3);
-        assert_eq!(dn.rdn(), Some(("cn", "Alice")));
     }
 
     #[test]

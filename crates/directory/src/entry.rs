@@ -38,7 +38,7 @@ impl Entry {
 
     /// Adds a value to an attribute (duplicates under byte equality are
     /// ignored, per LDAP set semantics).
-    pub fn add(&mut self, attr: &str, value: impl Into<String>) {
+    pub(crate) fn add(&mut self, attr: &str, value: impl Into<String>) {
         let value = value.into();
         let vs = self.attrs.entry(attr.to_ascii_lowercase()).or_default();
         if !vs.contains(&value) {
@@ -49,11 +49,6 @@ impl Entry {
     /// Replaces all values of an attribute.
     pub fn replace(&mut self, attr: &str, values: Vec<String>) {
         self.attrs.insert(attr.to_ascii_lowercase(), values);
-    }
-
-    /// Removes an attribute entirely; returns its values if present.
-    pub fn remove(&mut self, attr: &str) -> Option<Vec<String>> {
-        self.attrs.remove(&attr.to_ascii_lowercase())
     }
 
     /// All values of an attribute.
@@ -70,27 +65,13 @@ impl Entry {
     }
 
     /// The entry's object classes.
-    pub fn object_classes(&self) -> &[String] {
+    pub(crate) fn object_classes(&self) -> &[String] {
         self.get("objectClass")
-    }
-
-    /// True if the entry carries the class (case-insensitive).
-    pub fn has_class(&self, class: &str) -> bool {
-        self.object_classes().iter().any(|c| c.eq_ignore_ascii_case(class))
-    }
-
-    /// Serialized size in bytes (names + values) — used by experiments
-    /// to charge transfer costs for whole-entry reads.
-    pub fn byte_size(&self) -> usize {
-        self.attrs
-            .iter()
-            .map(|(k, vs)| vs.iter().map(|v| k.len() + v.len() + 2).sum::<usize>())
-            .sum()
     }
 
     /// Validates required attributes for every object class the entry
     /// carries.
-    pub fn validate(&self, registry: &ObjectClassRegistry) -> Result<(), DirectoryError> {
+    pub(crate) fn validate(&self, registry: &ObjectClassRegistry) -> Result<(), DirectoryError> {
         for class in self.object_classes() {
             if registry.class(class).is_none() {
                 return Err(DirectoryError::SchemaViolation {
@@ -138,7 +119,6 @@ mod tests {
     fn case_insensitive_attr_names() {
         let e = alice();
         assert_eq!(e.get("TelephoneNumber").len(), 1);
-        assert!(e.has_class("INETORGPERSON"));
     }
 
     #[test]
@@ -160,17 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn replace_and_remove() {
+    fn replace_sets_every_value() {
         let mut e = alice();
         e.replace("mail", vec!["new@lucent.com".into()]);
         assert_eq!(e.first("mail"), Some("new@lucent.com"));
-        assert_eq!(e.remove("mail"), Some(vec!["new@lucent.com".to_string()]));
-        assert!(e.first("mail").is_none());
-    }
-
-    #[test]
-    fn byte_size_counts_values() {
-        let e = alice();
-        assert!(e.byte_size() > 40);
     }
 }

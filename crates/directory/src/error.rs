@@ -25,14 +25,6 @@ pub enum DirectoryError {
     },
     /// A malformed DN or filter string.
     Malformed(String),
-    /// The operation crossed into a partitioned-away subtree; chase the
-    /// referral.
-    Referral {
-        /// The DN at which the partition was crossed.
-        dn: Dn,
-        /// Opaque server locator (host name in our simulation).
-        server: String,
-    },
 }
 
 impl fmt::Display for DirectoryError {
@@ -46,9 +38,6 @@ impl fmt::Display for DirectoryError {
                 write!(f, "schema violation at {dn}: {detail}")
             }
             DirectoryError::Malformed(s) => write!(f, "malformed input: {s}"),
-            DirectoryError::Referral { dn, server } => {
-                write!(f, "referral at {dn} to {server}")
-            }
         }
     }
 }

@@ -48,7 +48,7 @@ impl Filter {
 
     /// Evaluates the filter against an entry, using the registry's
     /// attribute syntaxes for comparisons.
-    pub fn eval(&self, entry: &Entry, registry: &ObjectClassRegistry) -> bool {
+    pub(crate) fn eval(&self, entry: &Entry, registry: &ObjectClassRegistry) -> bool {
         match self {
             Filter::Eq(attr, value) => {
                 let syn = registry.syntax(attr);

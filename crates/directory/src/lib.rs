@@ -11,8 +11,6 @@
 //!   and (908) 582-4393 should compare as equal"),
 //! * standard object classes (person, inetOrgPerson, device, …) with
 //!   required/optional attribute validation,
-//! * **subtree partitioning** with referrals ("it is straightforward to
-//!   move arbitrary sub-trees to different servers"),
 //! * the **Netscape roaming profile** pattern ([`RoamingStore`]): nested
 //!   data (address book, bookmarks) stored as an opaque blob in one
 //!   attribute — whole-blob get/put only, which is exactly the drawback
@@ -30,11 +28,10 @@ mod objectclass;
 mod roaming;
 mod syntax;
 
-pub use dit::{Directory, Scope, SearchOutcome, SearchResult};
+pub use dit::{Directory, Scope};
 pub use dn::Dn;
 pub use entry::Entry;
 pub use error::DirectoryError;
 pub use filter::Filter;
-pub use objectclass::{standard_classes, ObjectClass, ObjectClassRegistry};
 pub use roaming::{BlobKind, RoamingStore};
 pub use syntax::AttributeSyntax;

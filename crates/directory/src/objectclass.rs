@@ -7,7 +7,7 @@ use crate::syntax::AttributeSyntax;
 
 /// An object class: a named set of required and optional attributes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObjectClass {
+pub(crate) struct ObjectClass {
     /// Class name, e.g. `inetOrgPerson`.
     pub name: String,
     /// Superclass name (`top` has none).
@@ -20,7 +20,7 @@ pub struct ObjectClass {
 
 impl ObjectClass {
     /// Creates an object class.
-    pub fn new(
+    pub(crate) fn new(
         name: &str,
         superior: Option<&str>,
         required: &[&str],
@@ -37,63 +37,46 @@ impl ObjectClass {
 
 /// A registry of object classes plus per-attribute syntaxes.
 #[derive(Debug, Clone, Default)]
-pub struct ObjectClassRegistry {
+pub(crate) struct ObjectClassRegistry {
     classes: BTreeMap<String, ObjectClass>,
     syntaxes: BTreeMap<String, AttributeSyntax>,
 }
 
 impl ObjectClassRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Registers a class.
-    pub fn add_class(&mut self, class: ObjectClass) {
+    pub(crate) fn add_class(&mut self, class: ObjectClass) {
         self.classes.insert(class.name.clone(), class);
     }
 
     /// Declares the syntax of an attribute (default: case-ignore).
-    pub fn set_syntax(&mut self, attr: &str, syntax: AttributeSyntax) {
+    pub(crate) fn set_syntax(&mut self, attr: &str, syntax: AttributeSyntax) {
         self.syntaxes.insert(attr.to_ascii_lowercase(), syntax);
     }
 
     /// The syntax of an attribute.
-    pub fn syntax(&self, attr: &str) -> AttributeSyntax {
+    pub(crate) fn syntax(&self, attr: &str) -> AttributeSyntax {
         self.syntaxes.get(&attr.to_ascii_lowercase()).copied().unwrap_or_default()
     }
 
     /// Looks up a class by name.
-    pub fn class(&self, name: &str) -> Option<&ObjectClass> {
+    pub(crate) fn class(&self, name: &str) -> Option<&ObjectClass> {
         self.classes.get(name)
     }
 
     /// All attributes required by a class, including inherited ones.
     /// Unknown classes contribute nothing.
-    pub fn required_attrs(&self, class: &str) -> Vec<String> {
+    pub(crate) fn required_attrs(&self, class: &str) -> Vec<String> {
         let mut out = Vec::new();
         let mut cur = Some(class.to_string());
         while let Some(name) = cur {
             match self.classes.get(&name) {
                 Some(c) => {
                     out.extend(c.required.iter().cloned());
-                    cur = c.superior.clone();
-                }
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// All attributes allowed by a class chain (required + optional).
-    pub fn allowed_attrs(&self, class: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut cur = Some(class.to_string());
-        while let Some(name) = cur {
-            match self.classes.get(&name) {
-                Some(c) => {
-                    out.extend(c.required.iter().cloned());
-                    out.extend(c.optional.iter().cloned());
                     cur = c.superior.clone();
                 }
                 None => break,
@@ -106,7 +89,7 @@ impl ObjectClassRegistry {
 /// The standard class registry used by the reproduction: classic LDAP
 /// person/org classes, a DEN-flavoured device class, and Netscape's
 /// roaming-profile container class with its opaque blob attributes.
-pub fn standard_classes() -> ObjectClassRegistry {
+pub(crate) fn standard_classes() -> ObjectClassRegistry {
     let mut r = ObjectClassRegistry::new();
     r.add_class(ObjectClass::new("top", None, &["objectClass"], &[]));
     r.add_class(ObjectClass::new("organization", Some("top"), &["o"], &["description"]));
@@ -172,10 +155,6 @@ mod tests {
         assert!(req.contains(&"cn".to_string()));
         assert!(req.contains(&"sn".to_string()));
         assert!(req.contains(&"objectClass".to_string()));
-        let allowed = r.allowed_attrs("inetOrgPerson");
-        assert!(allowed.contains(&"mail".to_string()));
-        assert!(allowed.contains(&"telephoneNumber".to_string()));
-        assert!(allowed.contains(&"title".to_string()));
     }
 
     #[test]

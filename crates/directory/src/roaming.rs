@@ -110,11 +110,6 @@ impl RoamingStore {
         self.put_blob(uid, kind, &new)?;
         Ok((self.bytes_read - before_r) + (self.bytes_written - before_w))
     }
-
-    /// The underlying directory (for inspection).
-    pub fn directory(&self) -> &Directory {
-        &self.dir
-    }
 }
 
 #[cfg(test)]

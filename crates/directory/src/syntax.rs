@@ -77,7 +77,7 @@ impl AttributeSyntax {
 
     /// Ordering comparison (used by `>=` / `<=` filters). Integers
     /// compare numerically; other syntaxes compare normalized strings.
-    pub fn cmp(self, a: &str, b: &str) -> std::cmp::Ordering {
+    pub(crate) fn cmp(self, a: &str, b: &str) -> std::cmp::Ordering {
         if self == AttributeSyntax::Integer {
             let pa: i64 = self.normalize(a).parse().unwrap_or(0);
             let pb: i64 = self.normalize(b).parse().unwrap_or(0);
@@ -88,7 +88,7 @@ impl AttributeSyntax {
     }
 
     /// Substring match (`cn=Ali*`); binary syntax never matches.
-    pub fn matches_substring(self, value: &str, prefix: &str, suffix: &str, parts: &[String]) -> bool {
+    pub(crate) fn matches_substring(self, value: &str, prefix: &str, suffix: &str, parts: &[String]) -> bool {
         if self == AttributeSyntax::Binary {
             return false;
         }

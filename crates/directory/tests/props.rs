@@ -67,9 +67,9 @@ fn scope_monotonicity() {
         }
         let base = Dn::parse("o=x").unwrap();
         let f = Filter::parse("(objectClass=*)").unwrap();
-        let b = dir.search(&base, Scope::Base, &f).hits.len();
-        let one = dir.search(&base, Scope::OneLevel, &f).hits.len();
-        let sub = dir.search(&base, Scope::Subtree, &f).hits.len();
+        let b = dir.search(&base, Scope::Base, &f).len();
+        let one = dir.search(&base, Scope::OneLevel, &f).len();
+        let sub = dir.search(&base, Scope::Subtree, &f).len();
         assert_eq!(b, 1);
         assert_eq!(one, values.len());
         assert_eq!(sub, values.len() + 1);

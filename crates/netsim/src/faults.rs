@@ -47,7 +47,7 @@ pub struct FaultWindow {
 
 impl FaultWindow {
     /// Whether the window covers instant `t`.
-    pub fn active_at(&self, t: SimTime) -> bool {
+    pub(crate) fn active_at(&self, t: SimTime) -> bool {
         self.start <= t && t < self.end
     }
 }
@@ -124,12 +124,6 @@ impl FaultSchedule {
         FaultSchedule::default()
     }
 
-    /// Adds a window to the schedule.
-    pub fn add(&mut self, window: FaultWindow) -> &mut Self {
-        self.windows.push(window);
-        self
-    }
-
     /// Builder: the link between `a` and `b` is down on `[start, end)`.
     pub fn link_down(mut self, a: NodeId, b: NodeId, start: SimTime, end: SimTime) -> Self {
         self.windows.push(FaultWindow { start, end, kind: FaultKind::LinkDown(a, b) });
@@ -143,25 +137,15 @@ impl FaultSchedule {
     }
 
     /// Builder: latencies are multiplied by `factor` on `[start, end)`.
-    pub fn latency_spike(mut self, factor: u64, start: SimTime, end: SimTime) -> Self {
+    pub(crate) fn latency_spike(mut self, factor: u64, start: SimTime, end: SimTime) -> Self {
         self.windows.push(FaultWindow { start, end, kind: FaultKind::LatencySpike(factor) });
         self
     }
 
     /// Builder: the network partitions into `segments` on `[start, end)`.
-    pub fn partition(mut self, segments: Vec<Vec<NodeId>>, start: SimTime, end: SimTime) -> Self {
+    pub(crate) fn partition(mut self, segments: Vec<Vec<NodeId>>, start: SimTime, end: SimTime) -> Self {
         self.windows.push(FaultWindow { start, end, kind: FaultKind::Partition(segments) });
         self
-    }
-
-    /// The scheduled windows.
-    pub fn windows(&self) -> &[FaultWindow] {
-        &self.windows
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
     }
 
     /// Generates a schedule over `[0, horizon)` from a seed: link flaps,
@@ -207,20 +191,13 @@ impl FaultSchedule {
 
     /// The first active fault that blocks a message between `a` and `b`
     /// at instant `t`, or `None` when the message can be delivered.
-    pub fn blocked(&self, t: SimTime, a: NodeId, b: NodeId) -> Option<&FaultKind> {
+    pub(crate) fn blocked(&self, t: SimTime, a: NodeId, b: NodeId) -> Option<&FaultKind> {
         self.windows.iter().find(|w| w.active_at(t) && kind_blocks(&w.kind, a, b)).map(|w| &w.kind)
-    }
-
-    /// Whether `node` is dark at instant `t`.
-    pub fn node_offline_at(&self, t: SimTime, node: NodeId) -> bool {
-        self.windows
-            .iter()
-            .any(|w| w.active_at(t) && matches!(w.kind, FaultKind::NodeOffline(n) if n == node))
     }
 
     /// The latency multiplier at instant `t` (the largest active spike;
     /// 1 when none is active).
-    pub fn latency_factor(&self, t: SimTime) -> u64 {
+    pub(crate) fn latency_factor(&self, t: SimTime) -> u64 {
         self.windows
             .iter()
             .filter(|w| w.active_at(t))
@@ -272,8 +249,7 @@ mod tests {
         assert!(s.blocked(SimTime::millis(5), n(0), n(2)).is_some());
         assert!(s.blocked(SimTime::millis(5), n(2), n(1)).is_some());
         assert!(s.blocked(SimTime::millis(5), n(0), n(1)).is_none());
-        assert!(s.node_offline_at(SimTime::millis(5), n(2)));
-        assert!(!s.node_offline_at(SimTime::secs(2), n(2)));
+        assert!(s.blocked(SimTime::secs(2), n(0), n(2)).is_none(), "the outage ends");
     }
 
     #[test]
@@ -307,7 +283,7 @@ mod tests {
         let a = FaultSchedule::generate(7, &rates, &nodes, SimTime::secs(10));
         let b = FaultSchedule::generate(7, &rates, &nodes, SimTime::secs(10));
         assert_eq!(a, b);
-        assert!(!a.is_empty());
+        assert!(!a.windows.is_empty());
         let c = FaultSchedule::generate(8, &rates, &nodes, SimTime::secs(10));
         assert_ne!(a, c, "different seed, different schedule");
     }
@@ -318,7 +294,7 @@ mod tests {
         let rates = FaultRates::links(0.2).with_partitions(0.05);
         let horizon = SimTime::secs(5);
         let s = FaultSchedule::generate(3, &rates, &nodes, horizon);
-        for w in s.windows() {
+        for w in &s.windows {
             assert!(w.start < horizon);
             assert!(w.end > w.start);
         }

@@ -46,12 +46,6 @@ impl Journey {
         self
     }
 
-    /// Performs a one-way send.
-    pub fn send(&mut self, net: &Network, from: NodeId, to: NodeId, bytes: usize) -> &mut Self {
-        self.elapsed += net.send(from, to, bytes);
-        self
-    }
-
     /// Performs several RPCs in parallel: wall-clock advances by the
     /// slowest branch (all messages are still metered).
     pub fn parallel_rpcs(
@@ -66,13 +60,6 @@ impl Journey {
             .max()
             .unwrap_or(SimTime::ZERO);
         self.elapsed += slowest;
-        self
-    }
-
-    /// Runs several sub-journeys in parallel from the current instant;
-    /// wall-clock advances by the slowest.
-    pub fn parallel(&mut self, branches: &[SimTime]) -> &mut Self {
-        self.elapsed += branches.iter().copied().max().unwrap_or(SimTime::ZERO);
         self
     }
 
@@ -253,7 +240,6 @@ mod tests {
         let (n, c, _, _) = fixed_net();
         let mut j = Journey::start();
         j.parallel_rpcs(&n, c, &[]);
-        j.parallel(&[]);
         assert_eq!(j.elapsed(), SimTime::ZERO);
     }
 }

@@ -12,7 +12,7 @@
 //! charge ([`LatencyModel`]). Synchronous interactions compose with
 //! [`Journey`] (sequential steps, parallel fan-outs — the selective
 //! reach-me aggregation of §2.2 is a parallel fan-out). Every call is
-//! metered in [`Metrics`]. The [`faults`] module adds deterministic
+//! metered in [`Metrics`]. A [`FaultSchedule`] adds deterministic
 //! clock-driven fault injection: link flaps, partitions, latency spikes
 //! and node outages, observed by the fallible `try_*` send paths as
 //! [`NetError`]s.
@@ -34,13 +34,12 @@
 #![forbid(unsafe_code)]
 
 mod clock;
-pub mod faults;
+pub(crate) mod faults;
 mod journey;
 mod link;
 mod metrics;
 mod network;
 pub mod pstn;
-pub mod pstn_adapter;
 pub mod topology;
 pub mod voip;
 pub mod web;

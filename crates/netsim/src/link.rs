@@ -45,7 +45,7 @@ impl LatencyModel {
     /// 2003-era order-of-magnitude figures: SS7 hops in single-digit
     /// milliseconds, managed IP tens of milliseconds, public Internet
     /// tens-to-hundred milliseconds with heavy jitter.
-    pub fn between(a: Domain, b: Domain) -> Self {
+    pub(crate) fn between(a: Domain, b: Domain) -> Self {
         use Domain::*;
         let (base_ms, jitter_ms, per_kb_us) = match (a, b) {
             // Intra-domain.
@@ -72,7 +72,7 @@ impl LatencyModel {
     }
 
     /// Samples the one-way cost of carrying `bytes` across this link.
-    pub fn sample(&self, bytes: usize, rng: &mut impl Rng) -> SimTime {
+    pub(crate) fn sample(&self, bytes: usize, rng: &mut impl Rng) -> SimTime {
         let jitter = if self.jitter.0 == 0 { 0 } else { rng.gen_range(0..=self.jitter.0) };
         let kb = bytes.div_ceil(1024) as u64;
         SimTime(self.base.0 + jitter + self.per_kb.0 * kb)

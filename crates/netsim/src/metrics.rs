@@ -1,6 +1,5 @@
 //! Message and latency accounting.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::clock::SimTime;
@@ -21,14 +20,14 @@ pub struct Hop {
 }
 
 /// Counters recorded by the network. Experiments read these to report
-/// message counts, bytes moved and latency distributions.
+/// message counts, bytes moved and transfer time.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     /// Total one-way messages sent.
     pub messages: u64,
     /// Total payload bytes moved.
     pub bytes: u64,
-    /// Messages dropped by an active fault (see [`crate::faults`]).
+    /// Messages dropped by an active fault (see [`crate::FaultSchedule`]).
     pub dropped: u64,
     /// Coalesced per-destination batch RPCs issued (each one message
     /// pair instead of one pair per fragment).
@@ -44,21 +43,11 @@ pub struct Metrics {
     /// request id was active on the network (see
     /// [`crate::Network::begin_request`]).
     pub per_request: BTreeMap<u64, Vec<Hop>>,
-    latencies_us: Vec<u64>,
-    /// Lazily maintained sorted copy of `latencies_us`; valid while its
-    /// length matches (records only append, so a length match means no
-    /// new data arrived since the last sort).
-    sorted: RefCell<Vec<u64>>,
 }
 
 impl Metrics {
-    /// Records one message.
-    pub fn record(&mut self, from: &str, to: &str, bytes: usize, latency: SimTime) {
-        self.record_for_request(from, to, bytes, latency, None);
-    }
-
     /// Records one message, attributing it to `request` when present.
-    pub fn record_for_request(
+    pub(crate) fn record_for_request(
         &mut self,
         from: &str,
         to: &str,
@@ -70,7 +59,6 @@ impl Metrics {
         self.bytes += bytes as u64;
         self.total_latency += latency;
         *self.per_edge.entry((from.to_string(), to.to_string())).or_default() += 1;
-        self.latencies_us.push(latency.0);
         if let Some(req) = request {
             self.per_request.entry(req).or_default().push(Hop {
                 from: from.to_string(),
@@ -82,7 +70,7 @@ impl Metrics {
     }
 
     /// Resets all counters.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = Metrics::default();
     }
 
@@ -90,46 +78,6 @@ impl Metrics {
     /// tagged messages).
     pub fn hops_of(&self, request: u64) -> &[Hop] {
         self.per_request.get(&request).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    fn with_sorted<R>(&self, f: impl FnOnce(&[u64]) -> R) -> R {
-        let mut cache = self.sorted.borrow_mut();
-        if cache.len() != self.latencies_us.len() {
-            cache.clone_from(&self.latencies_us);
-            cache.sort_unstable();
-        }
-        f(&cache)
-    }
-
-    /// The `q`-quantile (0.0–1.0) of per-message latency. The sorted
-    /// view is cached and reused until a new message is recorded, so a
-    /// report pass asking for several quantiles sorts once.
-    pub fn latency_quantile(&self, q: f64) -> SimTime {
-        self.latency_quantiles(&[q])[0]
-    }
-
-    /// All requested quantiles in one pass over a single sorted view.
-    pub fn latency_quantiles(&self, qs: &[f64]) -> Vec<SimTime> {
-        if self.latencies_us.is_empty() {
-            return vec![SimTime::ZERO; qs.len()];
-        }
-        self.with_sorted(|v| {
-            qs.iter()
-                .map(|q| {
-                    let idx = ((v.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-                    SimTime(v[idx])
-                })
-                .collect()
-        })
-    }
-
-    /// Mean per-message latency.
-    pub fn latency_mean(&self) -> SimTime {
-        self.total_latency
-            .0
-            .checked_div(self.messages)
-            .map(SimTime)
-            .unwrap_or(SimTime::ZERO)
     }
 }
 
@@ -140,54 +88,23 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut m = Metrics::default();
-        m.record("a", "b", 100, SimTime::millis(5));
-        m.record("a", "b", 200, SimTime::millis(15));
-        m.record("b", "c", 50, SimTime::millis(10));
+        m.record_for_request("a", "b", 100, SimTime::millis(5), None);
+        m.record_for_request("a", "b", 200, SimTime::millis(15), None);
+        m.record_for_request("b", "c", 50, SimTime::millis(10), None);
         assert_eq!(m.messages, 3);
         assert_eq!(m.bytes, 350);
+        assert_eq!(m.total_latency, SimTime::millis(30));
         assert_eq!(m.per_edge[&("a".to_string(), "b".to_string())], 2);
-        assert_eq!(m.latency_mean(), SimTime::millis(10));
-        assert_eq!(m.latency_quantile(0.0), SimTime::millis(5));
-        assert_eq!(m.latency_quantile(1.0), SimTime::millis(15));
-        assert_eq!(m.latency_quantile(0.5), SimTime::millis(10));
-    }
-
-    #[test]
-    fn empty_metrics_safe() {
-        let m = Metrics::default();
-        assert_eq!(m.latency_mean(), SimTime::ZERO);
-        assert_eq!(m.latency_quantile(0.5), SimTime::ZERO);
     }
 
     #[test]
     fn reset_clears() {
         let mut m = Metrics::default();
-        m.record("a", "b", 1, SimTime::millis(1));
+        m.record_for_request("a", "b", 1, SimTime::millis(1), None);
         m.reset();
         assert_eq!(m.messages, 0);
         assert_eq!(m.bytes, 0);
         assert!(m.per_request.is_empty());
-    }
-
-    #[test]
-    fn quantiles_single_pass_matches_repeated_calls() {
-        let mut m = Metrics::default();
-        for ms in [9u64, 1, 5, 3, 7] {
-            m.record("a", "b", 0, SimTime::millis(ms));
-        }
-        let qs = m.latency_quantiles(&[0.0, 0.5, 1.0]);
-        assert_eq!(qs, vec![SimTime::millis(1), SimTime::millis(5), SimTime::millis(9)]);
-        assert_eq!(qs[1], m.latency_quantile(0.5));
-    }
-
-    #[test]
-    fn sorted_cache_invalidated_by_new_records() {
-        let mut m = Metrics::default();
-        m.record("a", "b", 0, SimTime::millis(10));
-        assert_eq!(m.latency_quantile(1.0), SimTime::millis(10));
-        m.record("a", "b", 0, SimTime::millis(50));
-        assert_eq!(m.latency_quantile(1.0), SimTime::millis(50));
-        assert_eq!(m.latency_quantile(0.0), SimTime::millis(10));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::faults::{FaultKind, FaultSchedule};
 use crate::link::{Domain, LatencyModel};
 use crate::metrics::Metrics;
 
-/// Why a message could not be delivered (see [`crate::faults`]).
+/// Why a message could not be delivered (see [`crate::FaultSchedule`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
     /// The link between the two nodes was down (flap or partition).
@@ -60,7 +60,6 @@ pub struct Node {
 #[derive(Debug)]
 pub struct Network {
     nodes: Vec<Node>,
-    by_label: HashMap<String, NodeId>,
     /// Explicit per-pair overrides (unordered pair).
     overrides: HashMap<(NodeId, NodeId), LatencyModel>,
     inner: Mutex<Inner>,
@@ -84,7 +83,6 @@ impl Network {
     pub fn new(seed: u64) -> Self {
         Network {
             nodes: Vec::new(),
-            by_label: HashMap::new(),
             overrides: HashMap::new(),
             inner: Mutex::new(Inner {
                 rng: StdRng::seed_from_u64(seed),
@@ -98,26 +96,14 @@ impl Network {
 
     /// Registers a node and returns its id.
     pub fn add_node(&mut self, label: impl Into<String>, domain: Domain) -> NodeId {
-        let label = label.into();
         let id = NodeId(self.nodes.len() as u32);
-        self.by_label.insert(label.clone(), id);
-        self.nodes.push(Node { id, label, domain });
+        self.nodes.push(Node { id, label: label.into(), domain });
         id
-    }
-
-    /// Looks up a node by label.
-    pub fn node_by_label(&self, label: &str) -> Option<NodeId> {
-        self.by_label.get(label).copied()
     }
 
     /// Node metadata.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0 as usize]
-    }
-
-    /// All nodes.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
     }
 
     /// Overrides the latency model between two nodes (both directions).
@@ -138,8 +124,7 @@ impl Network {
     ///
     /// This path is **fault-oblivious**: link flaps and node outages
     /// never drop the message (active latency spikes still apply).
-    /// Fault-aware callers use [`Network::try_send`] /
-    /// [`Network::try_send_at`] instead.
+    /// Fault-aware callers use [`crate::Journey`]'s `try_*` methods instead.
     pub fn send(&self, from: NodeId, to: NodeId, bytes: usize) -> SimTime {
         match self.transmit(from, to, bytes, None) {
             Ok(t) => t,
@@ -147,18 +132,11 @@ impl Network {
         }
     }
 
-    /// Fault-aware send, evaluated at the network's current clock
-    /// ([`Network::now`]). Returns the delivery latency, or the fault
-    /// that dropped the message.
-    pub fn try_send(&self, from: NodeId, to: NodeId, bytes: usize) -> Result<SimTime, NetError> {
-        let now = self.now();
-        self.transmit(from, to, bytes, Some(now))
-    }
-
-    /// Fault-aware send evaluated at absolute instant `at` — journeys
-    /// pass `now() + elapsed` so a fault window opening mid-request is
+    /// Fault-aware send evaluated at absolute instant `at`: the delivery
+    /// latency, or the fault that dropped the message. Journeys pass
+    /// `now() + elapsed` so a fault window opening mid-request is
     /// observed by the legs it covers and not the earlier ones.
-    pub fn try_send_at(
+    pub(crate) fn try_send_at(
         &self,
         from: NodeId,
         to: NodeId,
@@ -212,48 +190,15 @@ impl Network {
         self.lock().faults = schedule;
     }
 
-    /// Removes the fault schedule.
-    pub fn clear_faults(&self) {
-        self.lock().faults = FaultSchedule::new();
-    }
-
-    /// Runs a closure over the installed fault schedule.
-    pub fn with_faults<R>(&self, f: impl FnOnce(&FaultSchedule) -> R) -> R {
-        f(&self.lock().faults)
-    }
-
     /// The global simulation clock (the instant fault windows are
     /// evaluated against).
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.lock().now
-    }
-
-    /// Moves the simulation clock to `t`.
-    pub fn set_now(&self, t: SimTime) {
-        self.lock().now = t;
     }
 
     /// Advances the simulation clock by `dt`.
     pub fn advance(&self, dt: SimTime) {
         self.lock().now += dt;
-    }
-
-    /// Moves the clock forward to the absolute instant `t`, or leaves
-    /// it alone if it is already past `t`. Open-loop load drivers
-    /// replay arrival timestamps through this so each request's fault
-    /// window is evaluated at its own arrival instant without the
-    /// clock ever running backwards.
-    pub fn advance_to(&self, t: SimTime) {
-        let mut inner = self.lock();
-        if t > inner.now {
-            inner.now = t;
-        }
-    }
-
-    /// Whether `node` is dark at the current clock.
-    pub fn node_offline(&self, node: NodeId) -> bool {
-        let inner = self.lock();
-        inner.faults.node_offline_at(inner.now, node)
     }
 
     /// Attributes subsequent sends to `request` until
@@ -296,7 +241,7 @@ impl Network {
     /// Accounts a coalesced batch RPC: `fragments` fragments travelled
     /// to one destination as a single message pair instead of one pair
     /// each (see [`crate::Journey::try_batch_rpcs`]).
-    pub fn note_batch(&self, fragments: u64) {
+    pub(crate) fn note_batch(&self, fragments: u64) {
         let mut inner = self.lock();
         inner.metrics.batched_rpcs += 1;
         inner.metrics.coalesced_fragments += fragments;
@@ -313,6 +258,11 @@ mod tests {
         let msc = n.add_node("msc1.spcs.com", Domain::Wireless);
         let portal = n.add_node("gup.yahoo.com", Domain::Internet);
         (n, hlr, msc, portal)
+    }
+
+    /// Fault-aware send at the network's current clock.
+    fn try_send(n: &Network, from: NodeId, to: NodeId, bytes: usize) -> Result<SimTime, NetError> {
+        n.try_send_at(from, to, bytes, n.now())
     }
 
     #[test]
@@ -351,10 +301,9 @@ mod tests {
     }
 
     #[test]
-    fn label_lookup() {
+    fn node_metadata() {
         let (n, hlr, _, _) = net();
-        assert_eq!(n.node_by_label("hlr.spcs.com"), Some(hlr));
-        assert_eq!(n.node_by_label("ghost"), None);
+        assert_eq!(n.node(hlr).label, "hlr.spcs.com");
         assert_eq!(n.node(hlr).domain, Domain::Wireless);
     }
 
@@ -366,19 +315,19 @@ mod tests {
                 .link_down(hlr, msc, SimTime::millis(100), SimTime::millis(200)),
         );
         // Before the window: delivered.
-        n.set_now(SimTime::millis(50));
-        assert!(n.try_send(hlr, msc, 10).is_ok());
+        n.advance(SimTime::millis(50));
+        assert!(try_send(&n, hlr, msc, 10).is_ok());
         // Inside the window: dropped, metered as a drop.
-        n.set_now(SimTime::millis(150));
-        let err = n.try_send(hlr, msc, 10).unwrap_err();
+        n.advance(SimTime::millis(100));
+        let err = try_send(&n, hlr, msc, 10).unwrap_err();
         assert!(matches!(err, NetError::LinkDown { .. }), "{err:?}");
         assert_eq!(n.metrics().dropped, 1);
         // Other links unaffected; fault-oblivious send unaffected.
-        assert!(n.try_send(hlr, portal, 10).is_ok());
+        assert!(try_send(&n, hlr, portal, 10).is_ok());
         let _ = n.send(hlr, msc, 10);
         // After the window: delivered again.
-        n.set_now(SimTime::millis(250));
-        assert!(n.try_send(hlr, msc, 10).is_ok());
+        n.advance(SimTime::millis(100));
+        assert!(try_send(&n, hlr, msc, 10).is_ok());
     }
 
     #[test]
@@ -387,13 +336,9 @@ mod tests {
         n.install_faults(
             crate::faults::FaultSchedule::new().node_offline(portal, SimTime::ZERO, SimTime::secs(1)),
         );
-        let err = n.try_send(hlr, portal, 10).unwrap_err();
+        let err = try_send(&n, hlr, portal, 10).unwrap_err();
         assert_eq!(err, NetError::NodeOffline { node: "gup.yahoo.com".into() });
-        assert!(n.node_offline(portal));
-        assert!(!n.node_offline(msc));
-        assert!(n.try_send(hlr, msc, 10).is_ok());
-        n.clear_faults();
-        assert!(n.try_send(hlr, portal, 10).is_ok());
+        assert!(try_send(&n, hlr, msc, 10).is_ok());
     }
 
     #[test]
@@ -415,8 +360,8 @@ mod tests {
             crate::faults::FaultSchedule::new().latency_spike(5, SimTime::ZERO, SimTime::secs(1)),
         );
         assert_eq!(n.send(hlr, msc, 0), SimTime::millis(50));
-        assert_eq!(n.try_send(hlr, msc, 0), Ok(SimTime::millis(50)));
-        n.set_now(SimTime::secs(2));
+        assert_eq!(try_send(&n, hlr, msc, 0), Ok(SimTime::millis(50)));
+        n.advance(SimTime::secs(2));
         assert_eq!(n.send(hlr, msc, 0), SimTime::millis(10));
     }
 
@@ -424,7 +369,7 @@ mod tests {
     fn clock_moves() {
         let (n, _, _, _) = net();
         assert_eq!(n.now(), SimTime::ZERO);
-        n.set_now(SimTime::millis(5));
+        n.advance(SimTime::millis(5));
         n.advance(SimTime::millis(3));
         assert_eq!(n.now(), SimTime::millis(8));
     }

@@ -53,33 +53,18 @@ pub struct Class5Switch {
     lines: HashMap<String, LineRecord>,
     /// Operator-performed provisioning operations (the cumbersome path).
     pub operator_provisions: u64,
-    /// Keypad self-provisioning operations (the limited path).
-    pub keypad_provisions: u64,
 }
 
 impl Class5Switch {
     /// Creates a switch.
-    pub fn new(node: NodeId) -> Self {
-        Class5Switch { node, lines: HashMap::new(), operator_provisions: 0, keypad_provisions: 0 }
+    pub(crate) fn new(node: NodeId) -> Self {
+        Class5Switch { node, lines: HashMap::new(), operator_provisions: 0 }
     }
 
     /// Operator provisioning: creates or replaces a whole line record.
-    pub fn provision_line(&mut self, number: &str, record: LineRecord) {
+    pub(crate) fn provision_line(&mut self, number: &str, record: LineRecord) {
         self.operator_provisions += 1;
         self.lines.insert(number.to_string(), record);
-    }
-
-    /// Keypad self-provisioning (§3.1.1): only call forwarding can be
-    /// set this way.
-    pub fn keypad_set_forwarding(&mut self, number: &str, target: Option<&str>) -> bool {
-        match self.lines.get_mut(number) {
-            Some(l) => {
-                self.keypad_provisions += 1;
-                l.forward_to = target.map(str::to_string);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Reads a line record (the GUP adapter for the PSTN uses this).
@@ -99,7 +84,7 @@ impl Class5Switch {
     }
 
     /// Number of provisioned lines.
-    pub fn line_count(&self) -> usize {
+    pub(crate) fn line_count(&self) -> usize {
         self.lines.len()
     }
 
@@ -213,15 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn keypad_vs_operator_provisioning() {
-        let (_, mut sw, _) = setup();
-        assert!(sw.keypad_set_forwarding("908-555-1000", Some("908-555-3000")));
-        assert!(!sw.keypad_set_forwarding("ghost", None));
-        assert_eq!(sw.keypad_provisions, 1);
+    fn operator_provisioning_is_counted() {
+        let (_, sw, _) = setup();
         assert_eq!(sw.operator_provisions, 3);
-        assert_eq!(
-            sw.line("908-555-1000").unwrap().forward_to,
-            Some("908-555-3000".to_string())
-        );
     }
 }

@@ -12,7 +12,7 @@ use crate::network::{Network, NodeId};
 
 /// A registrar binding: SIP address-of-record → endpoint contact.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Binding {
+pub(crate) struct Binding {
     /// The endpoint's contact address (an IP in real life; a node here).
     pub contact: NodeId,
     /// Expiry in simulated time units from registration (informational).
@@ -29,33 +29,23 @@ pub struct SipRegistrar {
 
 impl SipRegistrar {
     /// Creates a registrar.
-    pub fn new(node: NodeId) -> Self {
+    pub(crate) fn new(node: NodeId) -> Self {
         SipRegistrar { node, bindings: HashMap::new() }
     }
 
     /// REGISTER: binds an address-of-record to an endpoint.
-    pub fn register(&mut self, aor: &str, contact: NodeId, expires: SimTime) {
+    pub(crate) fn register(&mut self, aor: &str, contact: NodeId, expires: SimTime) {
         self.bindings.insert(aor.to_string(), Binding { contact, expires });
     }
 
-    /// De-registration.
-    pub fn unregister(&mut self, aor: &str) -> bool {
-        self.bindings.remove(aor).is_some()
-    }
-
     /// Lookup.
-    pub fn lookup(&self, aor: &str) -> Option<&Binding> {
+    pub(crate) fn lookup(&self, aor: &str) -> Option<&Binding> {
         self.bindings.get(aor)
     }
 
     /// Number of bindings.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bindings.len()
-    }
-
-    /// True when no bindings are held.
-    pub fn is_empty(&self) -> bool {
-        self.bindings.is_empty()
     }
 }
 
@@ -77,7 +67,7 @@ pub struct SipProxy {
 
 impl SipProxy {
     /// Creates a proxy.
-    pub fn new(node: NodeId) -> Self {
+    pub(crate) fn new(node: NodeId) -> Self {
         SipProxy { node }
     }
 
@@ -143,8 +133,5 @@ mod tests {
         reg.register("sip:alice@voip.net", bob, SimTime::secs(60));
         assert_eq!(reg.lookup("sip:alice@voip.net").unwrap().contact, bob);
         assert_eq!(reg.len(), 1);
-        assert!(reg.unregister("sip:alice@voip.net"));
-        assert!(!reg.unregister("sip:alice@voip.net"));
-        assert!(reg.is_empty());
     }
 }

@@ -18,7 +18,7 @@ pub struct Portal {
 
 impl Portal {
     /// Creates a portal whose store id matches the node label.
-    pub fn new(node: NodeId, store_id: &str) -> Self {
+    pub(crate) fn new(node: NodeId, store_id: &str) -> Self {
         Portal { node, store: XmlStore::new(store_id) }
     }
 }
@@ -35,7 +35,7 @@ pub struct Enterprise {
 
 impl Enterprise {
     /// Creates an enterprise directory.
-    pub fn new(node: NodeId, store_id: &str, org: &str) -> Self {
+    pub(crate) fn new(node: NodeId, store_id: &str, org: &str) -> Self {
         Enterprise { node, adapter: LdapAdapter::new(store_id, org) }
     }
 }
@@ -51,7 +51,7 @@ pub struct PresenceServer {
 
 impl PresenceServer {
     /// Creates a presence server.
-    pub fn new(node: NodeId) -> Self {
+    pub(crate) fn new(node: NodeId) -> Self {
         PresenceServer { node, online: HashMap::new() }
     }
 
@@ -67,93 +67,8 @@ impl PresenceServer {
     }
 
     /// Number of users with explicit status.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.online.len()
-    }
-
-    /// True when nobody has explicit status.
-    pub fn is_empty(&self) -> bool {
-        self.online.is_empty()
-    }
-}
-
-/// GUP adapter over a [`PresenceServer`] — a **read-only** dynamic
-/// source (presence is produced by the network, not provisioned), which
-/// exercises the capability-discovery side of the DataStore interface.
-#[derive(Debug)]
-pub struct PresenceAdapter {
-    id: gupster_store::StoreId,
-    /// The wrapped presence source.
-    pub server: PresenceServer,
-}
-
-impl PresenceAdapter {
-    /// Wraps a presence server.
-    pub fn new(id: impl Into<String>, server: PresenceServer) -> Self {
-        PresenceAdapter { id: gupster_store::StoreId::new(id), server }
-    }
-
-    fn view(&self, user: &str) -> gupster_xml::Element {
-        gupster_xml::Element::new("user").with_attr("id", user).with_child(
-            gupster_xml::Element::new("presence").with_text(self.server.status(user)),
-        )
-    }
-}
-
-impl gupster_store::DataStore for PresenceAdapter {
-    fn id(&self) -> &gupster_store::StoreId {
-        &self.id
-    }
-
-    fn fragments(
-        &self,
-        path: &gupster_xpath::Path,
-    ) -> Result<Vec<gupster_store::Fragment<'_>>, gupster_store::StoreError> {
-        use gupster_xpath::Predicate;
-        let user = path.steps.first().and_then(|s| {
-            s.predicates.iter().find_map(|p| match p {
-                Predicate::AttrEq(a, v) if a == "id" => Some(v.clone()),
-                _ => None,
-            })
-        });
-        let users = match user {
-            Some(u) => vec![u],
-            None => self.users(),
-        };
-        let mut out = Vec::new();
-        for u in users {
-            let view = self.view(&u);
-            out.extend(gupster_store::Fragment::select_built(path, &view));
-        }
-        Ok(out)
-    }
-
-    fn update(
-        &mut self,
-        _user: &str,
-        op: &gupster_store::UpdateOp,
-    ) -> Result<(), gupster_store::StoreError> {
-        // Presence is set by the network (IM client connections), not by
-        // GUP provisioning.
-        Err(gupster_store::StoreError::Unsupported(format!(
-            "presence is read-only through GUP: {op:?}"
-        )))
-    }
-
-    fn users(&self) -> Vec<String> {
-        Vec::new() // the server tracks status, not a user directory
-    }
-
-    fn generation(&self) -> u64 {
-        self.server.len() as u64
-    }
-
-    fn capabilities(&self) -> gupster_store::Capabilities {
-        gupster_store::Capabilities::READ_ONLY
-    }
-
-    fn drain_events(&mut self) -> Vec<gupster_store::ChangeEvent> {
-        Vec::new()
     }
 }
 
@@ -194,29 +109,6 @@ mod tests {
             .query(&Path::parse("/user[@id='alice']/address-book/item/phone").unwrap())
             .unwrap();
         assert_eq!(r[0].text(), "908-582-4393");
-    }
-
-    #[test]
-    fn presence_adapter_serves_reads_and_refuses_writes() {
-        let mut net = Network::new(1);
-        let node = net.add_node("im.yahoo.com", Domain::Internet);
-        let mut server = PresenceServer::new(node);
-        server.set_status("alice", "available");
-        let mut a = PresenceAdapter::new("gup.im.yahoo.com", server);
-        let r = a.query(&Path::parse("/user[@id='alice']/presence").unwrap()).unwrap();
-        assert_eq!(r[0].text(), "available");
-        // Unknown users read as offline — presence is total.
-        let r = a.query(&Path::parse("/user[@id='ghost']/presence").unwrap()).unwrap();
-        assert_eq!(r[0].text(), "offline");
-        assert!(!a.capabilities().can_update);
-        let err = a.update(
-            "alice",
-            &gupster_store::UpdateOp::SetText(
-                Path::parse("/user/presence").unwrap(),
-                "invisible".into(),
-            ),
-        );
-        assert!(matches!(err, Err(gupster_store::StoreError::Unsupported(_))));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub struct Hlr {
 
 impl Hlr {
     /// Creates an HLR at the given node.
-    pub fn new(node: NodeId) -> Self {
+    pub(crate) fn new(node: NodeId) -> Self {
         let mut db = RelationalDb::new();
         db.create_table("subscriber", &["msisdn", "name", "forward_to", "prepaid"]);
         db.create_table("location", &["msisdn", "vlr", "msc"]);
@@ -61,21 +61,6 @@ impl Hlr {
             ])
             .expect("arity");
         self.updates += 1;
-    }
-
-    /// Sets (or clears) the call-forwarding number — the §3.1.1-style
-    /// self-provisioning operation routed to the HLR.
-    pub fn set_forwarding(&mut self, msisdn: &str, target: Option<&str>) -> bool {
-        self.updates += 1;
-        self.db
-            .table_mut("subscriber")
-            .expect("schema")
-            .update_column(
-                &Value::text(msisdn),
-                "forward_to",
-                target.map(Value::text).unwrap_or(Value::Null),
-            )
-            .is_ok()
     }
 
     /// Records a location update; returns the previous serving VLR label
@@ -107,7 +92,7 @@ impl Hlr {
     }
 
     /// Full subscriber read (used to refresh VLR snapshots).
-    pub fn subscriber(&mut self, msisdn: &str) -> Option<VlrRecord> {
+    pub(crate) fn subscriber(&mut self, msisdn: &str) -> Option<VlrRecord> {
         self.lookups += 1;
         self.db.table("subscriber").expect("schema").get(&Value::text(msisdn)).map(|r| {
             VlrRecord {
@@ -122,7 +107,7 @@ impl Hlr {
     }
 
     /// Number of provisioned subscribers.
-    pub fn subscriber_count(&self) -> usize {
+    pub(crate) fn subscriber_count(&self) -> usize {
         self.db.table("subscriber").map(|t| t.len()).unwrap_or(0)
     }
 }
@@ -150,7 +135,7 @@ pub struct Vlr {
 
 impl Vlr {
     /// Creates an unbounded VLR.
-    pub fn new(node: NodeId, label: impl Into<String>) -> Self {
+    pub(crate) fn new(node: NodeId, label: impl Into<String>) -> Self {
         Vlr {
             node,
             label: label.into(),
@@ -164,7 +149,7 @@ impl Vlr {
 
     /// Installs a snapshot (location update or HLR refresh), evicting
     /// the least-recently-used visitor when over capacity.
-    pub fn install(&mut self, record: VlrRecord) {
+    pub(crate) fn install(&mut self, record: VlrRecord) {
         let key = record.msisdn.clone();
         self.lru.retain(|k| k != &key);
         self.lru.push(key.clone());
@@ -178,7 +163,7 @@ impl Vlr {
     }
 
     /// Cancels a subscriber's record (HLR-initiated after a move).
-    pub fn cancel(&mut self, msisdn: &str) -> bool {
+    pub(crate) fn cancel(&mut self, msisdn: &str) -> bool {
         self.lru.retain(|k| k != msisdn);
         self.cache.remove(msisdn).is_some()
     }
@@ -201,12 +186,12 @@ impl Vlr {
     }
 
     /// Number of cached visitors.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cache.len()
     }
 
     /// True when no visitors are cached.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.cache.is_empty()
     }
 }
@@ -303,11 +288,6 @@ impl Carrier {
         Some((t, serving_msc))
     }
 
-    /// The area a subscriber is currently attached to.
-    pub fn area_of(&self, msisdn: &str) -> Option<usize> {
-        self.attachment.get(msisdn).copied()
-    }
-
     /// Bounds every VLR's visitor database.
     pub fn set_vlr_capacity(&mut self, capacity: usize) {
         for (vlr, _) in &mut self.areas {
@@ -330,7 +310,7 @@ mod tests {
     fn provision_attaches_to_area_zero() {
         let (net, mut c) = setup();
         c.provision(&net, "908-555-0199", "Alice", false);
-        assert_eq!(c.area_of("908-555-0199"), Some(0));
+        assert_eq!(c.attachment.get("908-555-0199"), Some(&0));
         assert_eq!(c.hlr.subscriber_count(), 1);
         assert_eq!(c.areas[0].0.len(), 1);
     }
@@ -341,7 +321,7 @@ mod tests {
         c.provision(&net, "908-555-0199", "Alice", false);
         let t = c.location_update(&net, "908-555-0199", 2);
         assert!(t > SimTime::ZERO);
-        assert_eq!(c.area_of("908-555-0199"), Some(2));
+        assert_eq!(c.attachment.get("908-555-0199"), Some(&2));
         assert!(c.areas[0].0.is_empty(), "old VLR must be cancelled");
         assert_eq!(c.areas[2].0.len(), 1);
         // HLR now routes to area 2.
@@ -395,19 +375,5 @@ mod tests {
         c.call_delivery(&net, originating, "908-555-0199").unwrap();
         assert_eq!(c.areas[0].0.misses, 1);
         assert_eq!(c.areas[0].0.len(), 1, "snapshot restored");
-    }
-
-    #[test]
-    fn forwarding_provisioning() {
-        let (net, mut c) = setup();
-        c.provision(&net, "908-555-0199", "Alice", false);
-        assert!(c.hlr.set_forwarding("908-555-0199", Some("908-555-0000")));
-        assert_eq!(
-            c.hlr.subscriber("908-555-0199").unwrap().forward_to,
-            Some("908-555-0000".to_string())
-        );
-        assert!(c.hlr.set_forwarding("908-555-0199", None));
-        assert_eq!(c.hlr.subscriber("908-555-0199").unwrap().forward_to, None);
-        assert!(!c.hlr.set_forwarding("ghost", None));
     }
 }

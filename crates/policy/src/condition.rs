@@ -462,7 +462,7 @@ mod tests {
         assert!(c.eval(&k));
         let c = Condition::parse("attr:client='thin'").unwrap();
         assert!(!c.eval(&k));
-        let k = k.with_attr("client", "thin");
+        k.attrs.insert("client".into(), "thin".into());
         assert!(c.eval(&k));
     }
 
@@ -504,8 +504,8 @@ mod tests {
             // Semantically identical on a probe of contexts.
             for day in 0..7 {
                 for hour in [0, 9, 12, 18, 23] {
-                    let k = RequestContext::query("x", "co-worker", WeekTime::at(day, hour, 30))
-                        .with_attr("k", "v");
+                    let mut k = RequestContext::query("x", "co-worker", WeekTime::at(day, hour, 30));
+                    k.attrs.insert("k".into(), "v".into());
                     assert_eq!(c.eval(&k), c2.eval(&k), "{s} at {day} {hour}");
                 }
             }

@@ -19,7 +19,7 @@ pub enum Purpose {
 
 impl Purpose {
     /// Parses the lowercase name.
-    pub fn parse(s: &str) -> Option<Purpose> {
+    pub(crate) fn parse(s: &str) -> Option<Purpose> {
         match s {
             "query" => Some(Purpose::Query),
             "cache" => Some(Purpose::Cache),
@@ -51,9 +51,6 @@ pub struct WeekTime {
 }
 
 impl WeekTime {
-    /// Minutes in a week.
-    pub const WEEK: u32 = 7 * 24 * 60;
-
     /// Builds from day (0 = Monday … 6 = Sunday), hour and minute.
     pub fn at(day: u32, hour: u32, minute: u32) -> WeekTime {
         WeekTime { minutes: (day % 7) * 24 * 60 + (hour % 24) * 60 + (minute % 60) }
@@ -70,7 +67,7 @@ impl WeekTime {
     }
 
     /// Parses `Mon 09:30` style day names.
-    pub fn day_from_name(name: &str) -> Option<u32> {
+    pub(crate) fn day_from_name(name: &str) -> Option<u32> {
         match &name.to_ascii_lowercase()[..] {
             "mon" | "monday" => Some(0),
             "tue" | "tuesday" => Some(1),
@@ -123,12 +120,6 @@ impl RequestContext {
         self
     }
 
-    /// Builder: adds an extension attribute.
-    pub fn with_attr(mut self, k: &str, v: &str) -> Self {
-        self.attrs.insert(k.to_string(), v.to_string());
-        self
-    }
-
     /// The owner's own context (always `self` relationship).
     pub fn owner(user: &str, time: WeekTime) -> Self {
         Self::query(user, "self", time)
@@ -167,10 +158,8 @@ mod tests {
     #[test]
     fn context_builders() {
         let c = RequestContext::query("rick", "co-worker", WeekTime::at(1, 10, 0))
-            .with_purpose(Purpose::Subscribe)
-            .with_attr("client", "thin");
+            .with_purpose(Purpose::Subscribe);
         assert_eq!(c.purpose, Purpose::Subscribe);
-        assert_eq!(c.attrs["client"], "thin");
         let o = RequestContext::owner("alice", WeekTime::at(0, 0, 0));
         assert_eq!(o.relationship, "self");
     }

@@ -100,11 +100,6 @@ impl DecisionMemo {
         self.entries.is_empty()
     }
 
-    /// Drops every entry (counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Drops every memoized decision about `owner`'s profile — the
     /// write-through invalidation hook (DESIGN.md §13): a committed
     /// profile write may change what the owner's rules evaluate to
@@ -169,8 +164,6 @@ mod tests {
         assert_eq!(memo.get(&b, 1), None, "LRU victim evicted");
         assert_eq!(memo.get(&a, 1), Some(Decision::Permit));
         assert_eq!(memo.get(&c, 1), Some(Decision::Permit));
-        memo.clear();
-        assert!(memo.is_empty());
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl Pap {
 
     /// Validation without provisioning (the PAP's "checking that the
     /// rules are valid").
-    pub fn validate(
+    pub(crate) fn validate(
         rule_id: &str,
         effect: Effect,
         scope: &str,

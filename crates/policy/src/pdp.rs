@@ -383,7 +383,7 @@ mod tests {
         repo.put("alice", Rule::deny("d", path("/user/presence"), Condition::True));
         repo.put(
             "alice",
-            Rule::permit("p", path("/user/presence"), Condition::True).with_priority(10),
+            Rule { priority: 10, ..Rule::permit("p", path("/user/presence"), Condition::True) },
         );
         assert_eq!(
             pdp.decide(&repo, "alice", &path("/user/presence"), &ctx("boss", 0, 0)),

@@ -38,7 +38,7 @@ pub fn enforce(
 
 /// [`enforce`] plus the PDP's rule-evaluation work, so callers can
 /// charge a rule-proportional cost to their `policy.decide` span.
-pub fn enforce_with_cost(
+pub(crate) fn enforce_with_cost(
     pdp: &Pdp,
     repo: &PolicyRepository,
     owner: &str,

@@ -79,7 +79,7 @@ impl PolicyRepository {
     }
 
     /// All rules for a user (possibly empty).
-    pub fn rules_for(&self, user: &str) -> &[Rule] {
+    pub(crate) fn rules_for(&self, user: &str) -> &[Rule] {
         self.rules.get(user).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -97,7 +97,7 @@ impl PolicyRepository {
     /// names differ can neither contain nor overlap one another.
     /// Returns `None` when the request cannot be bucketed (wildcards,
     /// or a bare `/user` request) — the caller must scan every rule.
-    pub fn candidate_indices(&self, user: &str, request: &Path) -> Option<Vec<usize>> {
+    pub(crate) fn candidate_indices(&self, user: &str, request: &Path) -> Option<Vec<usize>> {
         if !request.is_core_fragment() || request.steps.len() < 2 {
             return None;
         }
@@ -153,11 +153,6 @@ impl PolicyRepository {
     pub fn count_for(&self, user: &str) -> usize {
         self.rules_for(user).len()
     }
-
-    /// Total rules across users.
-    pub fn total(&self) -> usize {
-        self.rules.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -193,7 +188,7 @@ mod tests {
         assert!(repo.remove("alice", "r1"));
         assert!(!repo.remove("alice", "r1"));
         assert!(!repo.remove("ghost", "r1"));
-        assert_eq!(repo.total(), 0);
+        assert_eq!(repo.count_for("alice"), 0);
     }
 
     #[test]
@@ -203,7 +198,6 @@ mod tests {
         repo.put("bob", rule("r1"));
         assert_eq!(repo.count_for("alice"), 1);
         assert_eq!(repo.count_for("bob"), 1);
-        assert_eq!(repo.total(), 2);
         assert!(repo.rules_for("carol").is_empty());
     }
 

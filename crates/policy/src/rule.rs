@@ -51,12 +51,6 @@ impl Rule {
     pub fn deny(id: &str, scope: Path, condition: Condition) -> Rule {
         Rule { id: id.to_string(), scope, condition, effect: Effect::Deny, priority: 0 }
     }
-
-    /// Builder: sets the priority.
-    pub fn with_priority(mut self, priority: i32) -> Rule {
-        self.priority = priority;
-        self
-    }
 }
 
 impl fmt::Display for Rule {
@@ -75,12 +69,14 @@ mod tests {
 
     #[test]
     fn builders_and_display() {
-        let r = Rule::permit(
-            "r1",
-            Path::parse("/user/presence").unwrap(),
-            Condition::parse("relationship='co-worker'").unwrap(),
-        )
-        .with_priority(5);
+        let r = Rule {
+            priority: 5,
+            ..Rule::permit(
+                "r1",
+                Path::parse("/user/presence").unwrap(),
+                Condition::parse("relationship='co-worker'").unwrap(),
+            )
+        };
         assert_eq!(r.effect, Effect::Permit);
         assert_eq!(r.priority, 5);
         let s = r.to_string();

@@ -56,7 +56,7 @@ impl RngCore for StdRng {
 }
 
 /// Integer types that can be drawn uniformly from a range.
-pub trait UniformInt: Copy + PartialOrd {
+pub(crate) trait UniformInt: Copy + PartialOrd {
     /// Widens to u64 (order-preserving for the supported domains).
     fn to_u64(self) -> u64;
     /// Narrows back from u64.

@@ -30,7 +30,7 @@ pub enum DataType {
 
 impl DataType {
     /// Validates a raw string against this type.
-    pub fn is_valid(self, raw: &str) -> bool {
+    pub(crate) fn is_valid(self, raw: &str) -> bool {
         let v = raw.trim();
         match self {
             DataType::Text => true,

@@ -276,7 +276,7 @@ impl ProfileBuilder {
     }
 
     /// Adds a game score (the `Gaming` application of §4.3).
-    pub fn game_score(mut self, game: &str, score: i64) -> Self {
+    pub(crate) fn game_score(mut self, game: &str, score: i64) -> Self {
         let gaming = self.doc.get_or_create_path(&["applications", "Gaming"]);
         gaming.push_child(
             Element::new("game-score").with_attr("game", game).with_text(score.to_string()),

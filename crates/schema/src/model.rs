@@ -15,7 +15,7 @@ pub struct ComponentId(pub String);
 
 impl ComponentId {
     /// Creates a component id.
-    pub fn new(s: impl Into<String>) -> Self {
+    pub(crate) fn new(s: impl Into<String>) -> Self {
         ComponentId(s.into())
     }
 }
@@ -41,66 +41,14 @@ pub struct ProfileComponent {
 
 impl ProfileComponent {
     /// Creates a component with the given id and schema path.
-    pub fn new(id: impl Into<String>, path: Path, description: impl Into<String>) -> Self {
+    pub(crate) fn new(id: impl Into<String>, path: Path, description: impl Into<String>) -> Self {
         ProfileComponent { id: ComponentId::new(id), path, description: description.into() }
-    }
-}
-
-/// A user's profile viewed through the information model: the identity
-/// plus the component instances known to exist for that user.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct GupProfile {
-    /// The user identity linking all components (Fig. 6).
-    pub user_id: String,
-    /// The component types instantiated for this user.
-    pub components: Vec<ComponentId>,
-}
-
-impl GupProfile {
-    /// Creates an empty profile for the identity.
-    pub fn new(user_id: impl Into<String>) -> Self {
-        GupProfile { user_id: user_id.into(), components: Vec::new() }
-    }
-
-    /// Records that a component exists for this user (idempotent).
-    pub fn add_component(&mut self, id: ComponentId) {
-        if !self.components.contains(&id) {
-            self.components.push(id);
-        }
-    }
-
-    /// Forgets a component; returns whether it was present.
-    pub fn remove_component(&mut self, id: &ComponentId) -> bool {
-        let before = self.components.len();
-        self.components.retain(|c| c != id);
-        self.components.len() != before
-    }
-
-    /// True if the component is instantiated for this user.
-    pub fn has_component(&self, id: &ComponentId) -> bool {
-        self.components.contains(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn component_bookkeeping() {
-        let mut p = GupProfile::new("arnaud");
-        let ab = ComponentId::new("address-book");
-        let pr = ComponentId::new("presence");
-        p.add_component(ab.clone());
-        p.add_component(ab.clone());
-        p.add_component(pr.clone());
-        assert_eq!(p.components.len(), 2);
-        assert!(p.has_component(&ab));
-        assert!(p.remove_component(&ab));
-        assert!(!p.remove_component(&ab));
-        assert!(!p.has_component(&ab));
-        assert!(p.has_component(&pr));
-    }
 
     #[test]
     fn component_display() {

@@ -24,22 +24,15 @@ pub struct Occurs {
 
 impl Occurs {
     /// Exactly one.
-    pub const ONE: Occurs = Occurs { min: 1, max: 1 };
+    pub(crate) const ONE: Occurs = Occurs { min: 1, max: 1 };
     /// Zero or one — the paper's evolution-tolerant "optional element".
-    pub const OPTIONAL: Occurs = Occurs { min: 0, max: 1 };
+    pub(crate) const OPTIONAL: Occurs = Occurs { min: 0, max: 1 };
     /// Zero or more.
-    pub const MANY: Occurs = Occurs { min: 0, max: u32::MAX };
-    /// One or more.
-    pub const SOME: Occurs = Occurs { min: 1, max: u32::MAX };
+    pub(crate) const MANY: Occurs = Occurs { min: 0, max: u32::MAX };
 
     /// True if `n` occurrences satisfy the bounds.
-    pub fn admits(self, n: u32) -> bool {
+    pub(crate) fn admits(self, n: u32) -> bool {
         n >= self.min && n <= self.max
-    }
-
-    /// True if every count admitted by `self` is admitted by `other`.
-    pub fn within(self, other: Occurs) -> bool {
-        self.min >= other.min && self.max <= other.max
     }
 }
 
@@ -95,7 +88,7 @@ pub struct ElementDecl {
 
 impl ElementDecl {
     /// A closed element with element content and no attributes.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         ElementDecl {
             name: name.into(),
             attrs: Vec::new(),
@@ -106,36 +99,36 @@ impl ElementDecl {
     }
 
     /// Builder: declare an attribute.
-    pub fn attr(mut self, name: impl Into<String>, datatype: DataType, required: bool) -> Self {
+    pub(crate) fn attr(mut self, name: impl Into<String>, datatype: DataType, required: bool) -> Self {
         self.attrs.push(AttrDecl { name: name.into(), datatype, required });
         self
     }
 
     /// Builder: declare a child slot.
-    pub fn child(mut self, name: impl Into<String>, occurs: Occurs) -> Self {
+    pub(crate) fn child(mut self, name: impl Into<String>, occurs: Occurs) -> Self {
         self.children.push(ChildDecl { name: name.into(), occurs });
         self
     }
 
     /// Builder: set the content model.
-    pub fn content(mut self, content: ContentModel) -> Self {
+    pub(crate) fn content(mut self, content: ContentModel) -> Self {
         self.content = content;
         self
     }
 
     /// Builder: tolerate undeclared children.
-    pub fn open(mut self) -> Self {
+    pub(crate) fn open(mut self) -> Self {
         self.open = true;
         self
     }
 
     /// Returns the declaration of the named attribute.
-    pub fn attr_decl(&self, name: &str) -> Option<&AttrDecl> {
+    pub(crate) fn attr_decl(&self, name: &str) -> Option<&AttrDecl> {
         self.attrs.iter().find(|a| a.name == name)
     }
 
     /// Returns the declaration of the named child slot.
-    pub fn child_decl(&self, name: &str) -> Option<&ChildDecl> {
+    pub(crate) fn child_decl(&self, name: &str) -> Option<&ChildDecl> {
         self.children.iter().find(|c| c.name == name)
     }
 }
@@ -153,23 +146,23 @@ pub struct Schema {
 
 impl Schema {
     /// Creates an empty schema with the given root and version.
-    pub fn new(root: impl Into<String>, version: impl Into<String>) -> Self {
+    pub(crate) fn new(root: impl Into<String>, version: impl Into<String>) -> Self {
         Schema { root: root.into(), elements: BTreeMap::new(), version: version.into() }
     }
 
     /// Adds (or replaces) an element declaration.
-    pub fn declare(&mut self, decl: ElementDecl) {
+    pub(crate) fn declare(&mut self, decl: ElementDecl) {
         self.elements.insert(decl.name.clone(), decl);
     }
 
     /// Builder form of [`Schema::declare`].
-    pub fn with(mut self, decl: ElementDecl) -> Self {
+    pub(crate) fn with(mut self, decl: ElementDecl) -> Self {
         self.declare(decl);
         self
     }
 
     /// Returns the declaration for a tag name.
-    pub fn decl(&self, name: &str) -> Option<&ElementDecl> {
+    pub(crate) fn decl(&self, name: &str) -> Option<&ElementDecl> {
         self.elements.get(name)
     }
 
@@ -298,10 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn occurs_lattice() {
-        assert!(Occurs::ONE.within(Occurs::SOME));
-        assert!(Occurs::ONE.within(Occurs::MANY));
-        assert!(!Occurs::MANY.within(Occurs::ONE));
+    fn occurs_bounds() {
         assert!(Occurs::OPTIONAL.admits(0));
         assert!(!Occurs::ONE.admits(0));
         assert!(Occurs::MANY.admits(1000));

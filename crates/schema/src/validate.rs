@@ -109,7 +109,7 @@ impl Schema {
 
     /// Validates a subtree whose root may be any declared element — used
     /// when a store returns a *component* rather than a full profile.
-    pub fn validate_fragment(&self, frag: &Element, errs: &mut Vec<ValidationError>) {
+    pub(crate) fn validate_fragment(&self, frag: &Element, errs: &mut Vec<ValidationError>) {
         self.validate_at(frag, frag.name.to_string(), errs);
     }
 

@@ -94,7 +94,7 @@ impl LdapAdapter {
     }
 
     /// Builds the virtual GUP view of one user.
-    pub fn gup_view(&self, user: &str) -> Option<Element> {
+    pub(crate) fn gup_view(&self, user: &str) -> Option<Element> {
         let entry = self.dir.get(&self.user_dn(user)).ok()?;
         let mut doc = Element::new("user").with_attr("id", user);
         let mut identity = Element::new("identity");
@@ -111,8 +111,7 @@ impl LdapAdapter {
             Scope::OneLevel,
             &Filter::Present("cn".into()),
         );
-        for h in hits.hits {
-            let e = &h.entry;
+        for e in &hits {
             book.push_child(
                 Element::new("item")
                     .with_attr("id", e.first("cn").unwrap_or_default_str())
@@ -137,11 +136,6 @@ impl LdapAdapter {
                 _ => None,
             })
         })
-    }
-
-    /// The wrapped directory, for inspection.
-    pub fn directory(&self) -> &Directory {
-        &self.dir
     }
 }
 
@@ -242,9 +236,8 @@ impl DataStore for LdapAdapter {
     fn users(&self) -> Vec<String> {
         self.dir
             .search(&self.base, Scope::OneLevel, &Filter::Present("uid".into()))
-            .hits
-            .into_iter()
-            .filter_map(|h| h.entry.first("uid").map(str::to_string))
+            .iter()
+            .filter_map(|e| e.first("uid").map(str::to_string))
             .collect()
     }
 

@@ -12,10 +12,7 @@
 //!   [`RelationalAdapter`] publishing it as GUP XML — the HLR-style
 //!   "main memory relational database" of §3.1.2, wrapped;
 //! * [`LdapAdapter`] — GUP-enabling an LDAP directory ("tools to wrap
-//!   LDAP sites", §6);
-//! * declarative [`transform`]s used by adapters (renames, nesting,
-//!   value normalization) — the "wrappers/mediators in charge of
-//!   transforming the data into the right structure" of §5.3.
+//!   LDAP sites", §6).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,7 +21,6 @@ mod error;
 mod ldap_adapter;
 pub mod relational;
 mod store_trait;
-pub mod transform;
 mod xmlstore;
 
 pub use error::StoreError;

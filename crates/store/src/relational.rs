@@ -132,7 +132,7 @@ impl Table {
     }
 
     /// Updates one column of the row with the given primary key.
-    pub fn update_column(
+    pub(crate) fn update_column(
         &mut self,
         pk: &Value,
         column: &str,
@@ -166,7 +166,7 @@ impl Table {
     }
 
     /// Iterates all rows.
-    pub fn rows(&self) -> impl Iterator<Item = &Vec<Value>> {
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &Vec<Value>> {
         self.rows.values()
     }
 }

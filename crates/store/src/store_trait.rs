@@ -40,11 +40,8 @@ pub struct Capabilities {
 
 impl Capabilities {
     /// Full capabilities.
-    pub const FULL: Capabilities =
+    pub(crate) const FULL: Capabilities =
         Capabilities { can_update: true, can_subscribe: true, can_chain: true };
-    /// Read-only source (e.g. a presence feed).
-    pub const READ_ONLY: Capabilities =
-        Capabilities { can_update: false, can_subscribe: true, can_chain: false };
 }
 
 /// An update operation, targeted by an XPath expression.
@@ -64,7 +61,7 @@ pub enum UpdateOp {
 
 impl UpdateOp {
     /// The target path of the operation.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         match self {
             UpdateOp::SetText(p, _)
             | UpdateOp::SetAttr(p, _, _)
@@ -102,7 +99,7 @@ pub struct Fragment<'a> {
 
 impl<'a> Fragment<'a> {
     /// The subtree of the resident `doc` at `node`.
-    pub fn lent(doc: &'a ArenaDoc, node: NodeId) -> Self {
+    pub(crate) fn lent(doc: &'a ArenaDoc, node: NodeId) -> Self {
         Fragment { doc: Cow::Borrowed(doc), node }
     }
 
@@ -114,7 +111,7 @@ impl<'a> Fragment<'a> {
 
     /// What `path` selects in `view`, each as a built fragment — how an
     /// adapter answers from the GUP view it translated its backend into.
-    pub fn select_built(path: &Path, view: &Element) -> Vec<Self> {
+    pub(crate) fn select_built(path: &Path, view: &Element) -> Vec<Self> {
         path.select(view).into_iter().map(|e| Fragment::built(ArenaDoc::from_element(e))).collect()
     }
 
@@ -129,7 +126,7 @@ impl<'a> Fragment<'a> {
     }
 
     /// The fragment as an owned tree.
-    pub fn to_element(&self) -> Element {
+    pub(crate) fn to_element(&self) -> Element {
         self.doc.to_element(self.node)
     }
 
@@ -205,10 +202,8 @@ mod tests {
     }
 
     #[test]
-    fn capability_presets() {
-        let presets = [Capabilities::FULL, Capabilities::READ_ONLY];
-        let updatable: Vec<bool> = presets.iter().map(|c| c.can_update).collect();
-        assert_eq!(updatable, vec![true, false]);
-        assert!(presets.iter().all(|c| c.can_subscribe));
+    fn full_capabilities() {
+        let c = Capabilities::FULL;
+        assert!(c.can_update && c.can_subscribe && c.can_chain);
     }
 }

@@ -51,19 +51,6 @@ impl XmlStore {
         Ok(())
     }
 
-    /// Removes a user's profile (used when a subscriber churns away —
-    /// the §2.1 carrier-switch scenario) and returns it.
-    pub fn remove_profile(&mut self, user: &str) -> Option<Element> {
-        let doc = self.docs.remove(user)?;
-        self.generation += 1;
-        self.events.push(ChangeEvent {
-            user: user.to_string(),
-            path: Path::from_names(&["user"]),
-            generation: self.generation,
-        });
-        Some(doc.root_element())
-    }
-
     /// A copy of a user's profile document.
     pub fn profile(&self, user: &str) -> Option<Element> {
         self.docs.get(user).map(ArenaDoc::root_element)
@@ -237,6 +224,19 @@ mod tests {
         Path::parse(s).unwrap()
     }
 
+    /// Removes a user's profile (a subscriber churning away, the §2.1
+    /// carrier-switch scenario) and returns it.
+    fn remove_profile(s: &mut XmlStore, user: &str) -> Option<Element> {
+        let doc = s.docs.remove(user)?;
+        s.generation += 1;
+        s.events.push(ChangeEvent {
+            user: user.to_string(),
+            path: Path::from_names(&["user"]),
+            generation: s.generation,
+        });
+        Some(doc.root_element())
+    }
+
     #[test]
     fn query_single_user() {
         let s = store();
@@ -319,8 +319,8 @@ mod tests {
     #[test]
     fn remove_profile_for_churn() {
         let mut s = store();
-        assert!(s.remove_profile("rick").is_some());
-        assert!(s.remove_profile("rick").is_none());
+        assert!(remove_profile(&mut s, "rick").is_some());
+        assert!(remove_profile(&mut s, "rick").is_none());
         assert_eq!(s.users(), vec!["arnaud"]);
     }
 
@@ -338,7 +338,7 @@ mod tests {
         let rick = parse(r#"<user id="rick"><presence>away</presence></user>"#).unwrap();
         assert_eq!(s.profile("rick"), Some(rick.clone()));
         assert_eq!(s.profile("ghost"), None);
-        assert_eq!(s.remove_profile("rick"), Some(rick));
+        assert_eq!(remove_profile(&mut s, "rick"), Some(rick));
         assert_eq!(s.profile("rick"), None);
     }
 
@@ -643,7 +643,7 @@ mod tests {
                         format!("put {user}")
                     }
                     1 => {
-                        assert_eq!(store.remove_profile(user), model.remove_profile(user));
+                        assert_eq!(remove_profile(&mut store, user), model.remove_profile(user));
                         format!("remove {user}")
                     }
                     _ => {

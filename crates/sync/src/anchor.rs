@@ -16,7 +16,7 @@ pub struct Anchors {
 
 impl Anchors {
     /// Fresh anchors (never synced with anyone).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -27,18 +27,13 @@ impl Anchors {
 
     /// Records that this replica has incorporated `peer`'s log up to
     /// `seq`.
-    pub fn advance(&mut self, peer: &str, seq: u64) {
+    pub(crate) fn advance(&mut self, peer: &str, seq: u64) {
         self.seen.insert(peer.to_string(), seq);
-    }
-
-    /// Resets the anchor for a peer (forces the next sync to be slow).
-    pub fn reset(&mut self, peer: &str) {
-        self.seen.remove(peer);
     }
 
     /// True if the recorded anchor is consistent with the peer's current
     /// log head (an anchor *beyond* the head means the peer rebased).
-    pub fn consistent_with(&self, peer: &str, peer_head: u64) -> bool {
+    pub(crate) fn consistent_with(&self, peer: &str, peer_head: u64) -> bool {
         self.last_seen(peer) <= peer_head
     }
 }
@@ -55,8 +50,6 @@ mod tests {
         a.advance("portal", 2);
         assert_eq!(a.last_seen("phone"), 5);
         assert_eq!(a.last_seen("portal"), 2);
-        a.reset("phone");
-        assert_eq!(a.last_seen("phone"), 0);
     }
 
     #[test]

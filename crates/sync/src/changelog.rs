@@ -16,7 +16,7 @@ use crate::intern::{ActorId, PathId};
 
 /// One logged edit.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogEntry {
+pub(crate) struct LogEntry {
     /// Sequence number within this replica's log (1-based, ascending;
     /// sparse after a [`ChangeLog::compact`]).
     pub seq: u64,
@@ -30,12 +30,12 @@ pub struct LogEntry {
 
 impl LogEntry {
     /// The actor id as a string (resolved from the interner).
-    pub fn actor_str(&self) -> &'static str {
+    pub(crate) fn actor_str(&self) -> &'static str {
         self.actor.as_str()
     }
 }
 
-/// What one [`ChangeLog::compact`] call removed.
+/// What one `ChangeLog::compact` call removed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactStats {
     /// Entries below the compaction floor (seen by every live peer).
@@ -65,13 +65,13 @@ pub struct ChangeLog {
 
 impl ChangeLog {
     /// Empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends an edit; returns its sequence number. The actor is an
     /// interned id, so nothing is cloned per append.
-    pub fn append(&mut self, op: EditOp, actor: ActorId, timestamp: u64) -> u64 {
+    pub(crate) fn append(&mut self, op: EditOp, actor: ActorId, timestamp: u64) -> u64 {
         self.head += 1;
         let seq = self.head;
         self.entries.push(LogEntry { seq, op, actor, timestamp });
@@ -81,14 +81,14 @@ impl ChangeLog {
     /// Entries with `seq > after` (i.e. everything the peer hasn't
     /// seen). Binary-searches by sequence number — entry seqs are
     /// ascending but sparse once the log has been compacted.
-    pub fn since(&self, after: u64) -> &[LogEntry] {
+    pub(crate) fn since(&self, after: u64) -> &[LogEntry] {
         let start = self.entries.partition_point(|e| e.seq <= after);
         &self.entries[start..]
     }
 
     /// Highest sequence number ever issued (0 when never appended).
     /// Unchanged by compaction, so peer anchors stay comparable.
-    pub fn head(&self) -> u64 {
+    pub(crate) fn head(&self) -> u64 {
         self.head
     }
 
@@ -105,7 +105,7 @@ impl ChangeLog {
     /// Empties the log **and restarts sequence numbering from zero** —
     /// used after a slow sync establishes a fresh baseline, at which
     /// point peers' anchors into this log are reset anyway.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.head = 0;
     }
@@ -115,7 +115,7 @@ impl ChangeLog {
     /// peer's anchor into this log is at least `seq`: such entries can
     /// never again appear in a [`ChangeLog::since`] answer. Returns the
     /// number of entries dropped.
-    pub fn truncate_through(&mut self, seq: u64) -> usize {
+    pub(crate) fn truncate_through(&mut self, seq: u64) -> usize {
         let cut = self.entries.partition_point(|e| e.seq <= seq);
         self.entries.drain(..cut);
         cut
@@ -151,7 +151,7 @@ impl ChangeLog {
     /// through a third replica) may find the suffix insufficient and
     /// fall back to a slow sync — correct, just slower. The hub
     /// reconciliation plane always lists every device anchor.
-    pub fn compact(&mut self, anchors: &[u64], keys: &MergeKeys) -> CompactStats {
+    pub(crate) fn compact(&mut self, anchors: &[u64], keys: &MergeKeys) -> CompactStats {
         let mut stats = CompactStats::default();
         let floor = anchors.iter().copied().min().unwrap_or(0);
         stats.truncated = self.truncate_through(floor);

@@ -55,7 +55,7 @@ struct TrieNode {
 
 impl TouchedIndex {
     /// Indexes `ops` by target path.
-    pub fn build(ops: &[LogEntry]) -> Self {
+    pub(crate) fn build(ops: &[LogEntry]) -> Self {
         let mut ix = TouchedIndex { nodes: vec![TrieNode::default()] };
         for (j, e) in ops.iter().enumerate() {
             let mut cur = 0usize;
@@ -77,7 +77,7 @@ impl TouchedIndex {
 
     /// Collects (ascending) the indexed ops whose target is a prefix of
     /// `path` or has `path` as a prefix.
-    pub fn candidates(&self, path: &NodePath, out: &mut Vec<usize>) {
+    pub(crate) fn candidates(&self, path: &NodePath, out: &mut Vec<usize>) {
         out.clear();
         let mut cur = 0usize;
         let mut complete = true;
@@ -119,7 +119,7 @@ impl DeltaCodec {
     /// Bytes this op costs on the wire under delta encoding: the fixed
     /// header, the payload, and — first time only — the dictionary
     /// entry for its path.
-    pub fn encode(&mut self, op: &EditOp) -> usize {
+    pub(crate) fn encode(&mut self, op: &EditOp) -> usize {
         let pid = PathId::intern(op.target());
         let mut bytes = OP_HEADER_BYTES;
         let next = self.dict.len() as u16;

@@ -43,7 +43,7 @@ fn actors() -> &'static RwLock<ActorTable> {
 
 impl ActorId {
     /// Interns `s`, returning its stable [`ActorId`]. Idempotent.
-    pub fn intern(s: &str) -> ActorId {
+    pub(crate) fn intern(s: &str) -> ActorId {
         if let Some(id) = Self::lookup(s) {
             return id;
         }
@@ -59,12 +59,12 @@ impl ActorId {
     }
 
     /// The [`ActorId`] of `s` if it was ever interned.
-    pub fn lookup(s: &str) -> Option<ActorId> {
+    pub(crate) fn lookup(s: &str) -> Option<ActorId> {
         actors().read().expect("actor interner lock").map.get(s).copied().map(ActorId)
     }
 
     /// The actor id string this [`ActorId`] was interned from.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         actors().read().expect("actor interner lock").names[self.0 as usize]
     }
 }
@@ -79,7 +79,7 @@ impl fmt::Display for ActorId {
 /// compaction's per-path grouping and the delta codec's dictionary both
 /// hash a `u32` instead of a step vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PathId(pub u32);
+pub(crate) struct PathId(pub u32);
 
 #[derive(Default)]
 struct PathTable {
@@ -94,7 +94,7 @@ fn paths() -> &'static RwLock<PathTable> {
 
 impl PathId {
     /// Interns `p`, returning its stable [`PathId`]. Idempotent.
-    pub fn intern(p: &NodePath) -> PathId {
+    pub(crate) fn intern(p: &NodePath) -> PathId {
         {
             let g = paths().read().expect("path interner lock");
             if let Some(&id) = g.map.get(p) {
@@ -111,16 +111,16 @@ impl PathId {
         g.map.insert(stored, id);
         PathId(id)
     }
-
-    /// The path this [`PathId`] was interned from.
-    pub fn resolve(self) -> &'static NodePath {
-        paths().read().expect("path interner lock").paths[self.0 as usize]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The path a [`PathId`] was interned from.
+    fn resolve(id: PathId) -> &'static NodePath {
+        paths().read().expect("path interner lock").paths[id.0 as usize]
+    }
 
     #[test]
     fn actor_interning_is_stable() {
@@ -143,7 +143,7 @@ mod tests {
         let c = PathId::intern(&q);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(a.resolve(), &p);
-        assert_eq!(c.resolve(), &q);
+        assert_eq!(resolve(a), &p);
+        assert_eq!(resolve(c), &q);
     }
 }

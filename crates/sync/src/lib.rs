@@ -20,8 +20,8 @@
 //!   last-writer-wins, or a manual queue — "end-users should be able to
 //!   provision the policies used to reconcile profile data" (Req. 6),
 //! * the **write path at scale** (DESIGN.md §13): interned actor ids and
-//!   paths ([`ActorId`], [`PathId`]), anchor-safe **changelog
-//!   compaction** ([`ChangeLog::compact`]), and **delta-encoded
+//!   paths ([`ActorId`], `PathId`), anchor-safe **changelog
+//!   compaction** (`ChangeLog::compact`), and **delta-encoded
 //!   sessions** ([`delta_two_way_sync`]) — a touched-path trie replaces
 //!   the pairwise conflict scan and dictionary encoding replaces
 //!   owned-path framing. Everything else is one session body shared
@@ -39,11 +39,11 @@ mod replica;
 mod session;
 
 pub use anchor::Anchors;
-pub use changelog::{ChangeLog, CompactStats, LogEntry};
+pub use changelog::{ChangeLog, CompactStats};
 pub use delta::{
     compact_traced, delta_two_way_sync, delta_two_way_sync_traced, DeltaCodec, TouchedIndex,
 };
-pub use intern::{ActorId, PathId};
+pub use intern::ActorId;
 pub use reconcile::ReconcilePolicy;
 pub use replica::Replica;
 pub use session::{two_way_sync, two_way_sync_traced, SyncError, SyncReport};

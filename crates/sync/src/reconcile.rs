@@ -20,7 +20,7 @@ pub enum ReconcilePolicy {
 impl ReconcilePolicy {
     /// Decides the winner of one conflict: returns `true` when the
     /// *first* replica's edit wins.
-    pub fn first_wins(
+    pub(crate) fn first_wins(
         self,
         first_ts: u64,
         first_actor: &str,

@@ -95,7 +95,7 @@ impl Replica {
     }
 
     /// Compacts this replica's change log against `anchors` (every live
-    /// peer's last-incorporated seq — see [`ChangeLog::compact`]).
+    /// peer's last-incorporated seq — see `ChangeLog::compact`).
     pub fn compact_log(&mut self, anchors: &[u64]) -> crate::changelog::CompactStats {
         self.log.compact(anchors, &self.keys)
     }

@@ -15,7 +15,7 @@ use gupster_netsim::SimTime;
 use crate::span::{RequestId, Span};
 
 /// Serializes one span as a single JSON line (no trailing newline).
-pub fn to_line(s: &Span) -> String {
+pub(crate) fn to_line(s: &Span) -> String {
     let parent = match s.parent {
         Some(p) => p.to_string(),
         None => "null".to_string(),
@@ -88,7 +88,7 @@ pub fn parse(text: &str) -> Result<Vec<Span>, ParseError> {
 }
 
 /// Parses one exported line back into a [`Span`].
-pub fn parse_line(line: &str) -> Result<Span, String> {
+pub(crate) fn parse_line(line: &str) -> Result<Span, String> {
     let mut p = Parser { bytes: line.trim().as_bytes(), pos: 0 };
     p.expect(b'{')?;
     let mut request = None;

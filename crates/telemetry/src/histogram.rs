@@ -5,7 +5,7 @@ use gupster_netsim::SimTime;
 /// Number of buckets: bucket 0 holds exact zeros, bucket `k ≥ 1` holds
 /// durations in `[2^(k-1), 2^k)` microseconds, and the last bucket
 /// absorbs everything from `2^62` µs up (the overflow bucket).
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// A fixed-size log₂-bucket histogram of [`SimTime`] durations.
 ///
@@ -28,7 +28,7 @@ impl Default for Histogram {
 }
 
 /// The bucket index a duration of `us` microseconds falls into.
-pub fn bucket_of(us: u64) -> usize {
+pub(crate) fn bucket_of(us: u64) -> usize {
     if us == 0 {
         0
     } else {
@@ -37,7 +37,7 @@ pub fn bucket_of(us: u64) -> usize {
 }
 
 /// The inclusive upper bound of a bucket, in microseconds.
-pub fn bucket_upper_bound(bucket: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(bucket: usize) -> u64 {
     if bucket == 0 {
         0
     } else if bucket >= BUCKETS - 1 {
@@ -79,7 +79,7 @@ impl Histogram {
     /// The `q`-quantile (0.0–1.0) as the upper bound of the bucket the
     /// rank falls into, clamped to the observed maximum. Zero when
     /// empty.
-    pub fn quantile(&self, q: f64) -> SimTime {
+    pub(crate) fn quantile(&self, q: f64) -> SimTime {
         if self.count == 0 {
             return SimTime::ZERO;
         }
@@ -130,7 +130,7 @@ impl Histogram {
     /// are counted as *within* budget (the under-count is bounded by
     /// one bucket width), so the estimate is conservative, deterministic
     /// and merge-stable.
-    pub fn count_over(&self, threshold: SimTime) -> u64 {
+    pub(crate) fn count_over(&self, threshold: SimTime) -> u64 {
         let cut = bucket_of(threshold.0);
         self.counts.iter().skip(cut + 1).sum()
     }

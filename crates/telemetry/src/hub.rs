@@ -41,14 +41,14 @@ macro_rules! counters {
             /// order — the single source of truth the snapshot exporters and
             /// the dashboard iterate, so a newly added counter cannot be
             /// silently missing from one of them.
-            pub fn named_fields(&self) -> Vec<(&'static str, u64)> {
+            pub(crate) fn named_fields(&self) -> Vec<(&'static str, u64)> {
                 vec![$((stringify!($name), self.$name)),+]
             }
 
             /// Sets the field called `name` to `value`; false when no counter
             /// has that name. The snapshot parser uses this as the inverse of
             /// [`CounterSnapshot::named_fields`].
-            pub fn set_field(&mut self, name: &str, value: u64) -> bool {
+            pub(crate) fn set_field(&mut self, name: &str, value: u64) -> bool {
                 let slot = match name {
                     $(stringify!($name) => &mut self.$name,)+
                     _ => return false,
@@ -61,10 +61,6 @@ macro_rules! counters {
         impl Counters {
             fn snapshot(&self) -> CounterSnapshot {
                 CounterSnapshot { $($name: self.$name.load(Ordering::Relaxed),)+ }
-            }
-
-            fn reset(&self) {
-                $(self.$name.store(0, Ordering::Relaxed);)+
             }
         }
     };
@@ -180,16 +176,16 @@ impl Exemplar {
     /// (duration, key) is what makes top-k selection merge-stable:
     /// the global top-k of a union is always a subset of the union of
     /// per-shard top-k sets.
-    pub fn rank_cmp(&self, other: &Exemplar) -> std::cmp::Ordering {
+    pub(crate) fn rank_cmp(&self, other: &Exemplar) -> std::cmp::Ordering {
         other.duration.cmp(&self.duration).then(self.key.cmp(&other.key))
     }
 }
 
 /// Merges per-hub exemplar sets into the fleet-wide top-`cap`,
-/// deterministically: concatenate, sort by [`Exemplar::rank_cmp`],
-/// truncate. Because each hub already keeps its own top-`cap` under
-/// the same total order, the result is identical for any partitioning
-/// of the requests across hubs.
+/// deterministically: concatenate, sort slowest first (ties to the
+/// smaller [`Exemplar::key`]), truncate. Because each hub already
+/// keeps its own top-`cap` under the same total order, the result is
+/// identical for any partitioning of the requests across hubs.
 pub fn merge_exemplars(sets: Vec<Vec<Exemplar>>, cap: usize) -> Vec<Exemplar> {
     let mut all: Vec<Exemplar> = sets.into_iter().flatten().collect();
     all.sort_by(Exemplar::rank_cmp);
@@ -244,7 +240,7 @@ impl TelemetryHub {
     }
 
     /// Allots the next request id.
-    pub fn next_request(&self) -> RequestId {
+    pub(crate) fn next_request(&self) -> RequestId {
         RequestId(self.next_request.fetch_add(1, Ordering::Relaxed))
     }
 
@@ -262,11 +258,6 @@ impl TelemetryHub {
     /// A copy of the counters.
     pub fn counter_snapshot(&self) -> CounterSnapshot {
         self.counters.snapshot()
-    }
-
-    /// Zeroes the counters (histograms and traces are untouched).
-    pub fn reset_counters(&self) {
-        self.counters.reset();
     }
 
     /// Feeds one closed span's duration into its stage's histogram.
@@ -321,13 +312,8 @@ impl TelemetryHub {
         self.lock_spans().clone()
     }
 
-    /// Number of finished spans held.
-    pub fn span_count(&self) -> usize {
-        self.lock_spans().len()
-    }
-
     /// The stage labels with at least one recorded span, sorted.
-    pub fn stages(&self) -> Vec<String> {
+    pub(crate) fn stages(&self) -> Vec<String> {
         self.stage_histograms().into_iter().map(|(name, _)| name).collect()
     }
 
@@ -362,12 +348,6 @@ impl TelemetryHub {
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows
-    }
-
-    /// Every non-empty stage's [`StageStats`], sorted by label, from
-    /// one consistent histogram read.
-    pub fn stage_rows(&self) -> Vec<(String, StageStats)> {
-        self.stage_histograms().into_iter().map(|(name, h)| (name, stats_of(&h))).collect()
     }
 
     /// Enables tail-latency exemplar capture: any request whose
@@ -413,15 +393,10 @@ impl TelemetryHub {
         limit.saturating_sub(self.lock_spans().len())
     }
 
-    /// Renders the per-stage latency table (see [`crate::table`]).
+    /// Renders the per-stage latency table: one row per stage with
+    /// count, p50, p95, p99 and max.
     pub fn render_stage_table(&self, title: &str) -> String {
         crate::table::render_stage_table(self, title)
-    }
-
-    /// Serializes every finished span as JSON lines (see
-    /// [`crate::export`]).
-    pub fn export_jsonl(&self) -> String {
-        crate::export::export(&self.spans())
     }
 
     fn lock_stages(&self) -> std::sync::MutexGuard<'_, Vec<Histogram>> {
@@ -454,7 +429,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_bump_and_reset() {
+    fn counters_bump() {
         let hub = TelemetryHub::new();
         hub.counters().lookups.fetch_add(3, Ordering::Relaxed);
         hub.counters().cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -468,8 +443,6 @@ mod tests {
         assert_eq!(snap.signature_verifications, 2);
         assert_eq!(snap.policy_denials, 0);
         assert_eq!((snap.trie_hits, snap.memo_hits, snap.fallback_scans), (7, 5, 1));
-        hub.reset_counters();
-        assert_eq!(hub.counter_snapshot(), CounterSnapshot::default());
     }
 
     #[test]
@@ -508,7 +481,7 @@ mod tests {
         for _ in 0..10 {
             hub.tracer("root").span("token.sign", SimTime::micros(1));
         }
-        assert!(hub.span_count() <= 3, "{}", hub.span_count());
+        assert!(hub.spans().len() <= 3, "{}", hub.spans().len());
         // Every span still fed its stage histogram.
         assert_eq!(hub.stage_stats("token.sign").unwrap().count, 10);
     }
@@ -564,7 +537,7 @@ mod tests {
         // The full span tree rides along even with span retention off.
         assert_eq!(exemplars[0].spans.len(), 2);
         assert_eq!(exemplars[0].spans[0].stage, "shard.request");
-        assert_eq!(hub.span_count(), 0);
+        assert!(hub.spans().is_empty());
     }
 
     #[test]
@@ -616,16 +589,5 @@ mod tests {
         assert_eq!(alpha.1.count(), 1);
         // Gap entries (stages interned by other hubs/tests) never leak.
         assert!(rows.iter().all(|(_, h)| h.count() > 0));
-    }
-
-    #[test]
-    fn counter_reset_keeps_histograms() {
-        let hub = Arc::new(TelemetryHub::new());
-        hub.tracer("root").span("xml.merge", SimTime::micros(10));
-        hub.counters().referrals.fetch_add(5, Ordering::Relaxed);
-        hub.reset_counters();
-        assert_eq!(hub.counter_snapshot().referrals, 0);
-        assert_eq!(hub.stage_stats("xml.merge").unwrap().count, 1);
-        assert_eq!(hub.span_count(), 2);
     }
 }

@@ -60,19 +60,14 @@ impl StageInterner {
 
     /// The [`StageId`] of `label` if it was ever interned. Read-lock
     /// only.
-    pub fn lookup(label: &str) -> Option<StageId> {
+    pub(crate) fn lookup(label: &str) -> Option<StageId> {
         global().read().expect("stage interner lock").map.get(label).copied().map(StageId)
     }
 
     /// The label a [`StageId`] was interned from, as a cheaply cloned
     /// shared string.
-    pub fn resolve(id: StageId) -> Arc<str> {
+    pub(crate) fn resolve(id: StageId) -> Arc<str> {
         Arc::clone(&global().read().expect("stage interner lock").names[id.0 as usize])
-    }
-
-    /// Number of distinct labels interned so far.
-    pub fn len() -> usize {
-        global().read().expect("stage interner lock").names.len()
     }
 }
 
@@ -86,6 +81,11 @@ impl fmt::Display for StageId {
 mod tests {
     use super::*;
 
+    /// Number of distinct labels interned so far.
+    fn interned() -> usize {
+        global().read().expect("stage interner lock").names.len()
+    }
+
     #[test]
     fn interning_is_stable_and_comparable() {
         let a = StageInterner::intern("store.fetch");
@@ -96,14 +96,14 @@ mod tests {
         assert_eq!(&*StageInterner::resolve(a), "store.fetch");
         assert_eq!(StageInterner::lookup("store.fetch"), Some(a));
         assert_eq!(a.to_string(), "store.fetch");
-        assert!(StageInterner::len() >= 2);
+        assert!(interned() >= 2);
     }
 
     #[test]
     fn lookup_does_not_grow_the_table() {
-        let before = StageInterner::len();
+        let before = interned();
         assert_eq!(StageInterner::lookup("never-a-stage-label-xyzzy"), None);
-        assert_eq!(StageInterner::len(), before);
+        assert_eq!(interned(), before);
     }
 
     #[test]

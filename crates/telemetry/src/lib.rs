@@ -17,27 +17,26 @@
 //!   [`Counters`].
 //! * Two exporters: a human-readable stage table
 //!   ([`TelemetryHub::render_stage_table`]) and JSON-lines traces
-//!   ([`TelemetryHub::export_jsonl`] / [`export::parse`]).
+//!   ([`export::export`] / [`export::parse`]).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod export;
-pub mod histogram;
-pub mod hub;
-pub mod intern;
+pub(crate) mod histogram;
+pub(crate) mod hub;
+pub(crate) mod intern;
 pub mod obs;
-pub mod scan;
+pub(crate) mod scan;
 pub mod slo;
-pub mod span;
-pub mod table;
+pub(crate) mod span;
+pub(crate) mod table;
 
 pub use gupster_netsim::SimTime;
 pub use histogram::Histogram;
 pub use hub::{merge_exemplars, CounterSnapshot, Counters, Exemplar, StageStats, TelemetryHub};
 pub use intern::{StageId, StageInterner};
 pub use obs::{ExemplarSummary, FleetObs, HotKey, ObsSnapshot, ShardObs, StageRow};
-pub use slo::{AttributionRow, SloOutcome, SloSpec};
 pub use span::{single_rooted_tree, RequestId, Span, Tracer};
 
 /// Canonical stage labels of the referral pipeline. Free-form labels

@@ -272,7 +272,8 @@ impl ObsSnapshot {
 
     /// Parses [`ObsSnapshot::render_json`] output back. Rows may
     /// arrive in any order; unknown row kinds are an error (a
-    /// truncated or foreign artifact must fail loudly).
+    /// truncated or foreign artifact must fail loudly), and so is a
+    /// shard index at or above the number of shard rows the text holds.
     pub fn parse_json(text: &str) -> Result<ObsSnapshot, String> {
         let mut fleet = FleetObs {
             requests: 0,
@@ -285,6 +286,10 @@ impl ObsSnapshot {
         };
         let mut makespan = SimTime::ZERO;
         let mut shards: Vec<ShardObs> = Vec::new();
+        let shard_rows = text
+            .lines()
+            .filter(|l| l.contains("\"row\"") && scan_str(l, "row").is_ok_and(|r| r == "shard"))
+            .count();
         let mut saw_fleet = false;
         for line in text.lines() {
             if !line.contains("\"row\"") {
@@ -299,9 +304,9 @@ impl ObsSnapshot {
                 }
                 "layout" => {
                     makespan = SimTime(scan_u64(line, "makespan_us")?);
-                    let n = scan_u64(line, "shards")? as usize;
+                    let n = scan_u64(line, "shards")?;
                     if n > 0 {
-                        shard_slot(&mut shards, n - 1);
+                        shard_slot(&mut shards, n - 1, shard_rows, "shards")?;
                     }
                 }
                 "counter" => {
@@ -311,11 +316,11 @@ impl ObsSnapshot {
                     let target = if scope == "fleet" {
                         &mut fleet.totals
                     } else {
-                        let idx: usize = scope
+                        let idx: u64 = scope
                             .strip_prefix("shard")
                             .and_then(|s| s.parse().ok())
                             .ok_or_else(|| format!("bad counter scope {scope:?}"))?;
-                        &mut shard_slot(&mut shards, idx).counters
+                        &mut shard_slot(&mut shards, idx, shard_rows, "scope")?.counters
                     };
                     if !target.set_field(&name, value) {
                         return Err(format!("unknown counter {name:?}"));
@@ -365,8 +370,8 @@ impl ObsSnapshot {
                     }
                 }
                 "shard" => {
-                    let idx = scan_u64(line, "shard")? as usize;
-                    let slot = shard_slot(&mut shards, idx);
+                    let idx = scan_u64(line, "shard")?;
+                    let slot = shard_slot(&mut shards, idx, shard_rows, "shard")?;
                     slot.requests = scan_u64(line, "requests")?;
                     slot.busy = SimTime(scan_u64(line, "busy_us")?);
                     slot.utilization = scan_f64(line, "utilization")?;
@@ -515,7 +520,20 @@ impl ObsSnapshot {
     }
 }
 
-fn shard_slot(shards: &mut Vec<ShardObs>, idx: usize) -> &mut ShardObs {
+/// The slot of shard `idx`, growing `shards` up to it. `idx` is read
+/// from the input under `key`, so it must be below `rows`, the number of
+/// shard rows the input holds: a forged index cannot make the reader
+/// allocate for shards the input does not describe.
+fn shard_slot<'a>(
+    shards: &'a mut Vec<ShardObs>,
+    idx: u64,
+    rows: usize,
+    key: &str,
+) -> Result<&'a mut ShardObs, String> {
+    let idx = usize::try_from(idx)
+        .ok()
+        .filter(|&i| i < rows)
+        .ok_or_else(|| format!("bad {key}: shard {idx} but {rows} shard rows"))?;
     while shards.len() <= idx {
         let shard = shards.len();
         shards.push(ShardObs {
@@ -530,7 +548,7 @@ fn shard_slot(shards: &mut Vec<ShardObs>, idx: usize) -> &mut ShardObs {
             counters: CounterSnapshot::default(),
         });
     }
-    &mut shards[idx]
+    Ok(&mut shards[idx])
 }
 
 #[cfg(test)]

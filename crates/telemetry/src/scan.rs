@@ -1,9 +1,8 @@
-//! Field scanners for the one-object-per-line JSON this workspace
-//! writes (`OBS_snapshot.json`, `BENCH_slo.json`). Not a JSON parser:
-//! each reader knows its own writer's line shape and pulls `"key":
-//! value` pairs out of a line. A missing, truncated or unparsable
-//! field is an `Err` naming the key — a damaged artifact must fail
-//! loudly.
+//! Field scanners for the one-object-per-line JSON of
+//! `OBS_snapshot.json`. Not a JSON parser: the reader knows its
+//! writer's line shape and pulls `"key": value` pairs out of a line. A
+//! missing, truncated or unparsable field is an `Err` naming the key —
+//! a damaged artifact must fail loudly.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -24,51 +23,51 @@ where
 }
 
 /// The string value of `key` in `line`.
-pub fn scan_str(line: &str, key: &str) -> Result<String, String> {
+pub(crate) fn scan_str(line: &str, key: &str) -> Result<String, String> {
     let unterminated = || format!("bad {key}: not a closed string in: {line}");
     let rest = scan_after(line, key)?.strip_prefix('"').ok_or_else(unterminated)?;
     Ok(rest[..rest.find('"').ok_or_else(unterminated)?].to_string())
 }
 
 /// The unsigned integer value of `key` in `line`.
-pub fn scan_u64(line: &str, key: &str) -> Result<u64, String> {
+pub(crate) fn scan_u64(line: &str, key: &str) -> Result<u64, String> {
     scan_num(line, key)
 }
 
 /// The floating-point value of `key` in `line`.
-pub fn scan_f64(line: &str, key: &str) -> Result<f64, String> {
+pub(crate) fn scan_f64(line: &str, key: &str) -> Result<f64, String> {
     scan_num(line, key)
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::slo::parse_slo_json;
     use crate::ObsSnapshot;
 
-    /// Every line-JSON reader in the workspace, fed damaged rows: each
-    /// must refuse with an `Err` naming the offending key — never
-    /// panic, never read a damaged row as a smaller valid one.
+    /// The line-JSON reader fed damaged rows: it must refuse each with
+    /// an `Err` naming the offending key — never panic, never read a
+    /// damaged row as a smaller valid one, never allocate for shards
+    /// the input does not hold.
     #[test]
     fn damaged_rows_are_errors_in_every_reader() {
-        let slo = |t: &str| parse_slo_json(t).map(drop);
-        let obs = |t: &str| ObsSnapshot::parse_json(t).map(drop);
-        type Reader<'a> = &'a dyn Fn(&str) -> Result<(), String>;
-        let table: [(&str, Reader, &str, &str); 8] = [
-            // truncated mid-string, mid-number's key, and mid-row
-            ("slo", &slo, r#"{"name": "p99", "stage": "shard.req"#, "stage"),
-            ("slo", &slo, r#"{"shard": 0, "stage": "x", "count": 3, "p99_us": 7, "share""#, "share"),
-            ("obs", &obs, r#"{"row": "fleet", "requests": 10, "busy_"#, "busy_us"),
-            ("obs", &obs, r#"{"row": "hot_user", "name": "u7"#, "name"),
+        let table = [
+            // truncated mid-key and mid-string
+            (r#"{"row": "fleet", "requests": 10, "busy_"#, "busy_us"),
+            (r#"{"row": "hot_user", "name": "u7"#, "name"),
             // a required key missing
-            ("slo", &slo, r#"{"name": "p99", "stage": "s", "budget_us": 9, "burn_rate": 1.0}"#, "target"),
-            ("obs", &obs, r#"{"row": "layout", "makespan_us": 4}"#, "shards"),
+            (r#"{"row": "layout", "makespan_us": 4}"#, "shards"),
             // a number that is not one
-            ("slo", &slo, r#"{"shard": 0, "stage": "x", "count": -3, "p99_us": 7, "share": 0.5}"#, "count"),
-            ("obs", &obs, r#"{"row": "fleet", "requests": 1e3, "busy_us": 5}"#, "requests"),
+            (r#"{"row": "fleet", "requests": 1e3, "busy_us": 5}"#, "requests"),
+            // a shard count or index no shard row backs
+            (r#"{"row": "layout", "shards": 4294967296, "makespan_us": 4}"#, "shards"),
+            (r#"{"row": "counter", "scope": "shard4294967296", "name": "lookups", "value": 1}"#, "scope"),
+            (r#"{"row": "shard", "shard": 4294967296, "requests": 1, "busy_us": 1}"#, "shard"),
+            (r#"{"row": "fleet", "requests": 1, "busy_us": 1}
+{"row": "layout", "shards": 3, "makespan_us": 4}
+{"row": "shard", "shard": 0, "requests": 1, "busy_us": 1, "utilization": 0.5, "windows": 1, "queued_max": 1, "queued_mean": 1.0, "p99_request_us": 1}"#, "shards"),
         ];
-        for (reader, read, text, key) in table {
-            let err = read(text).expect_err(text);
-            assert!(err.contains(key), "{reader} on {text}: {err}");
+        for (text, key) in table {
+            let err = ObsSnapshot::parse_json(text).map(drop).expect_err(text);
+            assert!(err.contains(key), "{text}: {err}");
         }
     }
 }

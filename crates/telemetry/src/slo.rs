@@ -14,20 +14,17 @@
 //!
 //! For latency objectives a request is *bad* when its duration exceeds
 //! the budget; the count comes from
-//! [`crate::Histogram::count_over`], so it is deterministic,
+//! the histogram's count above the budget, so it is deterministic,
 //! merge-stable and conservative by at most one log₂ bucket. Every
 //! evaluation happens on simulated time, so the artifact is
 //! byte-identical run to run and across shard counts — CI requires a
-//! fresh run to reproduce the checked-in file exactly — and
-//! [`parse_slo_json`] re-derives the verdict from the recorded
-//! observations instead of trusting a pre-computed pass flag.
+//! fresh run to reproduce the checked-in file exactly.
 
 use std::fmt::Write as _;
 
 use gupster_netsim::SimTime;
 
 use crate::histogram::Histogram;
-use crate::scan::{scan_f64, scan_str, scan_u64};
 
 /// One service-level objective.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,11 +96,10 @@ fn finish(spec: SloSpec, count: u64, p99: SimTime, bad: u64, window: SimTime) ->
     }
 }
 
-/// The pass/fail rule, shared by the evaluator and [`parse_slo_json`]
-/// (which re-derives it from the recorded observations): the observed p99
-/// must fit the latency budget, and the availability must meet the
-/// target — equivalently, the burn rate must not exceed 1.0.
-pub fn verdict(
+/// The pass/fail rule: the observed p99 must fit the latency budget, and
+/// the availability must meet the target — equivalently, the burn rate
+/// must not exceed 1.0.
+fn verdict(
     p99_budget: SimTime,
     p99: SimTime,
     target: f64,
@@ -205,41 +201,6 @@ pub fn render_slo_json(
     out
 }
 
-/// Parses [`render_slo_json`] output back into outcomes and
-/// attribution rows. The recorded `ok` flag is ignored — the verdict
-/// is re-derived via [`verdict`], so a tampered or stale flag cannot
-/// pass.
-pub fn parse_slo_json(text: &str) -> Result<(Vec<SloOutcome>, Vec<AttributionRow>), String> {
-    let mut outcomes = Vec::new();
-    let mut attribution = Vec::new();
-    // Rows are recognised by their *first* key, so a row cut short
-    // anywhere after it is an error, not a skipped line.
-    for line in text.lines() {
-        if line.contains("\"name\"") {
-            let spec = SloSpec {
-                name: scan_str(line, "name")?,
-                stage: scan_str(line, "stage")?,
-                p99_budget: SimTime(scan_u64(line, "budget_us")?),
-                target: scan_f64(line, "target")?,
-            };
-            let count = scan_u64(line, "count")?;
-            let p99 = SimTime(scan_u64(line, "p99_us")?);
-            let bad = scan_u64(line, "bad")?;
-            let window = SimTime(scan_u64(line, "window_us")?);
-            outcomes.push(finish(spec, count, p99, bad, window));
-        } else if line.contains("\"shard\"") {
-            attribution.push(AttributionRow {
-                shard: scan_u64(line, "shard")? as usize,
-                stage: scan_str(line, "stage")?,
-                count: scan_u64(line, "count")?,
-                p99: SimTime(scan_u64(line, "p99_us")?),
-                share: scan_f64(line, "share")?,
-            });
-        }
-    }
-    Ok((outcomes, attribution))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,37 +295,5 @@ mod tests {
         assert!(o.ok);
         assert_eq!(o.availability, 1.0);
         assert_eq!(o.burn_rate, 0.0);
-    }
-
-    #[test]
-    fn slo_json_round_trips_and_rederives_verdicts() {
-        let mut h = Histogram::new();
-        for i in 1..=100u64 {
-            h.record(SimTime::micros(i * 7));
-        }
-        let outcomes = vec![
-            evaluate_latency(spec("call-path-p99", 2_000, 0.99), &h, SimTime::millis(100)),
-            evaluate_availability(
-                spec("fault-availability", 0, 0.99),
-                990,
-                10,
-                SimTime::micros(900),
-                SimTime::secs(2),
-            ),
-        ];
-        let attribution = vec![AttributionRow {
-            shard: 3,
-            stage: "shard.request".to_string(),
-            count: 250,
-            p99: SimTime::micros(700),
-            share: 0.2512,
-        }];
-        let text = render_slo_json("e18_observability", "full", &outcomes, &attribution);
-        let (back, attr) = parse_slo_json(&text).unwrap();
-        assert_eq!(back, outcomes);
-        assert_eq!(attr, attribution);
-        // The verdict survives the round trip by re-derivation.
-        assert_eq!(back[0].ok, outcomes[0].ok);
-        assert_eq!(render_slo_json("e18_observability", "full", &back, &attr), text);
     }
 }

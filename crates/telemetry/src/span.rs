@@ -39,7 +39,7 @@ pub struct Span {
 
 impl Span {
     /// The span's duration.
-    pub fn duration(&self) -> SimTime {
+    pub(crate) fn duration(&self) -> SimTime {
         SimTime(self.end.0.saturating_sub(self.start.0))
     }
 }

@@ -6,7 +6,7 @@ use crate::hub::TelemetryHub;
 
 /// Formats a duration compactly: microseconds under 1 ms, otherwise
 /// milliseconds with two decimals.
-pub fn fmt_time(t: SimTime) -> String {
+pub(crate) fn fmt_time(t: SimTime) -> String {
     if t.0 < 1_000 {
         format!("{}us", t.0)
     } else {
@@ -16,7 +16,7 @@ pub fn fmt_time(t: SimTime) -> String {
 
 /// Renders the hub's per-stage latency statistics as an aligned table
 /// (same visual shape as the experiment tables in `gupster-bench`).
-pub fn render_stage_table(hub: &TelemetryHub, title: &str) -> String {
+pub(crate) fn render_stage_table(hub: &TelemetryHub, title: &str) -> String {
     let headers = ["stage", "count", "p50", "p95", "p99", "mean", "max"];
     let mut rows: Vec<Vec<String>> = Vec::new();
     for stage in hub.stages() {

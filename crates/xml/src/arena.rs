@@ -68,7 +68,7 @@ enum AKid {
     Text(u32),
 }
 
-/// A child of an arena element, as seen through [`ArenaDoc::children`].
+/// A child of an arena element, as seen through `ArenaDoc::children`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArenaChild<'d> {
     /// A nested element, addressed by id.
@@ -107,7 +107,7 @@ impl ArenaDoc {
 
     /// Like [`ArenaDoc::parse`] but takes ownership of the input
     /// buffer, so nothing is copied at all on the clean path.
-    pub fn parse_owned(input: String) -> Result<ArenaDoc, ParseError> {
+    pub(crate) fn parse_owned(input: String) -> Result<ArenaDoc, ParseError> {
         let mut p = ArenaParser {
             input: &input,
             pos: 0,
@@ -255,7 +255,7 @@ impl ArenaDoc {
     }
 
     /// The interned name of `id`.
-    pub fn name_id(&self, id: NodeId) -> NameId {
+    pub(crate) fn name_id(&self, id: NodeId) -> NameId {
         self.elems[id.0 as usize].name
     }
 
@@ -272,7 +272,7 @@ impl ArenaDoc {
     }
 
     /// The attributes of `id` in document order.
-    pub fn attrs(&self, id: NodeId) -> impl Iterator<Item = (&'static str, &str)> {
+    pub(crate) fn attrs(&self, id: NodeId) -> impl Iterator<Item = (&'static str, &str)> {
         self.attr_rows(id).map(|(n, v)| (NameInterner::resolve(n), v))
     }
 
@@ -294,7 +294,7 @@ impl ArenaDoc {
 
     /// [`ArenaDoc::attr`] with a pre-interned name — integer probes
     /// only, for the merge hot path.
-    pub fn attr_by_id(&self, id: NodeId, name: NameId) -> Option<&str> {
+    pub(crate) fn attr_by_id(&self, id: NodeId, name: NameId) -> Option<&str> {
         self.attr_rows(id).find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 
@@ -305,7 +305,7 @@ impl ArenaDoc {
     }
 
     /// The children of `id` in document order.
-    pub fn children(&self, id: NodeId) -> impl Iterator<Item = ArenaChild<'_>> {
+    pub(crate) fn children(&self, id: NodeId) -> impl Iterator<Item = ArenaChild<'_>> {
         let e = &self.elems[id.0 as usize];
         self.kids[e.kid_start as usize..e.kid_end as usize].iter().map(|k| match k {
             AKid::Elem(c) => ArenaChild::Elem(*c),
@@ -391,7 +391,7 @@ impl ArenaDoc {
     /// Serializes the subtree at `id` in compact form, byte-identical
     /// to [`Element::to_xml`] of the same tree. Values are stored
     /// unescaped, so escaping happens on the way out.
-    pub fn serialize_node(&self, id: NodeId, out: &mut String) {
+    pub(crate) fn serialize_node(&self, id: NodeId, out: &mut String) {
         let e = &self.elems[id.0 as usize];
         out.push('<');
         out.push_str(self.name(id));
@@ -425,7 +425,7 @@ impl ArenaDoc {
         out
     }
 
-    /// Length of [`ArenaDoc::serialize_node`]'s output for `id`, counted
+    /// Length of `ArenaDoc::serialize_node`'s output for `id`, counted
     /// without building it — the arena twin of [`Element::byte_size`].
     pub fn byte_size(&self, id: NodeId) -> usize {
         let e = &self.elems[id.0 as usize];
@@ -443,36 +443,6 @@ impl ArenaDoc {
             })
             .sum();
         tag_len::element(self.name(id).len(), attrs, e.kid_start == e.kid_end, kids)
-    }
-
-    /// Structural equality of two subtrees, possibly across documents,
-    /// with the same semantics as `Element == Element`: attribute
-    /// *sets* (order-insensitive), children order-sensitive.
-    pub fn node_eq(&self, id: NodeId, other: &ArenaDoc, oid: NodeId) -> bool {
-        if self.name_id(id) != other.name_id(oid) || self.attr_count(id) != other.attr_count(oid)
-        {
-            return false;
-        }
-        let e = &self.elems[id.0 as usize];
-        for (n, v) in &self.attrs[e.attr_start as usize..e.attr_end as usize] {
-            if other.attr_by_id(oid, *n) != Some(self.val(v)) {
-                return false;
-            }
-        }
-        let mut a = self.children(id);
-        let mut b = other.children(oid);
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return true,
-                (Some(ArenaChild::Text(x)), Some(ArenaChild::Text(y))) if x == y => {}
-                (Some(ArenaChild::Elem(x)), Some(ArenaChild::Elem(y))) => {
-                    if !self.node_eq(x, other, y) {
-                        return false;
-                    }
-                }
-                _ => return false,
-            }
-        }
     }
 }
 
@@ -1204,6 +1174,11 @@ mod tests {
         b
     }
 
+    /// The first child element of `e` named `name`.
+    fn child_mut<'a>(e: &'a mut Element, name: &str) -> &'a mut Element {
+        e.child_elements_mut().find(|c| c.name == name).unwrap()
+    }
+
     #[test]
     fn edits_count_the_rows_they_orphan_and_compact_drops_them() {
         let owned = Element::new("user").with_attr("id", "u").with_child(book(3));
@@ -1218,7 +1193,7 @@ mod tests {
         let fresh = d.graft_element(&book(1).children[0].as_element().unwrap().clone());
         assert!(d.replace_child(b, first, fresh));
         assert!(!d.replace_child(b, first, fresh), "the old child is gone");
-        let mb = model.child_mut("book").unwrap();
+        let mb = child_mut(&mut model, "book");
         mb.children[0] = book(1).children[0].clone();
         assert_eq!(d.root_element(), model);
         // <item id><name>text</name></item>: 2 elements, 1 attribute,
@@ -1228,7 +1203,7 @@ mod tests {
 
         let second = d.child_elements(b).nth(1).unwrap();
         assert!(d.remove_child(b, second));
-        model.child_mut("book").unwrap().children.remove(1);
+        child_mut(&mut model, "book").children.remove(1);
         assert_eq!(d.root_element(), model);
         assert_eq!(d.dead_rows(), 6 + 6 + 3, "subtree plus the rewritten 3-row child list");
 
@@ -1236,7 +1211,7 @@ mod tests {
         d.set_text(fresh, "u");
         d.set_attr(fresh, "mark", "1");
         d.set_attr(fresh, "mark", "2");
-        let item = model.child_mut("book").unwrap().child_mut("item").unwrap();
+        let item = child_mut(child_mut(&mut model, "book"), "item");
         item.set_text("u");
         item.set_attr("mark", "2");
         assert_eq!(d.root_element(), model);
@@ -1297,12 +1272,11 @@ mod tests {
     }
 
     #[test]
-    fn node_eq_matches_element_eq() {
+    fn root_elements_compare_attribute_sets() {
         let a = ArenaDoc::parse(r#"<e x="1" y="2"><c>t</c></e>"#).unwrap();
         let b = ArenaDoc::parse(r#"<e y="2" x="1"><c>t</c></e>"#).unwrap();
         let c = ArenaDoc::parse(r#"<e x="1" y="3"><c>t</c></e>"#).unwrap();
-        assert!(a.node_eq(a.root(), &b, b.root()));
-        assert!(!a.node_eq(a.root(), &c, c.root()));
         assert_eq!(a.root_element(), b.root_element());
+        assert_ne!(a.root_element(), c.root_element());
     }
 }

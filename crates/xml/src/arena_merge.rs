@@ -168,7 +168,7 @@ impl<'a> MergeOut<'a> {
 
     /// Serializes the result in compact form straight out of the
     /// arenas, following grafts — no owned tree is built.
-    pub fn serialize_into(&self, out: &mut String) {
+    pub(crate) fn serialize_into(&self, out: &mut String) {
         self.write_kid(&self.root, out);
     }
 

@@ -75,7 +75,7 @@ impl NameInterner {
     }
 
     /// Interns `s`, returning its stable [`NameId`]. Idempotent.
-    pub fn intern(s: &str) -> NameId {
+    pub(crate) fn intern(s: &str) -> NameId {
         if let Some(id) = Self::lookup(s) {
             return id;
         }
@@ -94,7 +94,7 @@ impl NameInterner {
     /// The [`NameId`] of `s` if it was ever interned — an attribute
     /// name that was never interned cannot appear on any arena node.
     /// Lock-free unless the table grew since this thread last looked.
-    pub fn lookup(s: &str) -> Option<NameId> {
+    pub(crate) fn lookup(s: &str) -> Option<NameId> {
         SNAPSHOT.with(|snap| {
             let mut snap = snap.borrow_mut();
             if let Some(&id) = snap.map.get(s) {
@@ -110,7 +110,7 @@ impl NameInterner {
 
     /// The name a [`NameId`] was interned from. Lock-free unless the id
     /// is newer than this thread's snapshot.
-    pub fn resolve(id: NameId) -> &'static str {
+    pub(crate) fn resolve(id: NameId) -> &'static str {
         SNAPSHOT.with(|snap| {
             let mut snap = snap.borrow_mut();
             if id.0 as usize >= snap.names.len() {
@@ -118,11 +118,6 @@ impl NameInterner {
             }
             snap.names[id.0 as usize]
         })
-    }
-
-    /// Number of distinct names interned so far.
-    pub fn len() -> usize {
-        global().read().expect("name interner lock").names.len()
     }
 }
 
@@ -136,6 +131,11 @@ impl fmt::Display for NameId {
 mod tests {
     use super::*;
 
+    /// Number of distinct names interned so far.
+    fn interned() -> usize {
+        global().read().expect("name interner lock").names.len()
+    }
+
     #[test]
     fn interning_is_stable_and_comparable() {
         let a = NameInterner::intern("address-book");
@@ -146,14 +146,14 @@ mod tests {
         assert_eq!(NameInterner::resolve(a), "address-book");
         assert_eq!(NameInterner::lookup("address-book"), Some(a));
         assert_eq!(a.to_string(), "address-book");
-        assert!(NameInterner::len() >= 2);
+        assert!(interned() >= 2);
     }
 
     #[test]
     fn lookup_does_not_grow_the_table() {
-        let before = NameInterner::len();
+        let before = interned();
         assert_eq!(NameInterner::lookup("never-interned-name-xyzzy"), None);
-        assert_eq!(NameInterner::len(), before);
+        assert_eq!(interned(), before);
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl MergeKeys {
     }
 
     /// Returns the explicitly configured key attribute for `tag`, if any.
-    pub fn key_attr(&self, tag: &str) -> Option<&str> {
+    pub(crate) fn key_attr(&self, tag: &str) -> Option<&str> {
         self.keys.get(tag).map(String::as_str)
     }
 

@@ -36,7 +36,7 @@ impl Node {
     }
 
     /// Returns the contained element mutably, if this node is one.
-    pub fn as_element_mut(&mut self) -> Option<&mut Element> {
+    pub(crate) fn as_element_mut(&mut self) -> Option<&mut Element> {
         match self {
             Node::Element(e) => Some(e),
             Node::Text(_) => None,
@@ -44,7 +44,7 @@ impl Node {
     }
 
     /// Returns the contained text, if this node is a text run.
-    pub fn as_text(&self) -> Option<&str> {
+    pub(crate) fn as_text(&self) -> Option<&str> {
         match self {
             Node::Element(_) => None,
             Node::Text(t) => Some(t),
@@ -128,11 +128,6 @@ impl Element {
         self.child_elements().find(|e| e.name == name)
     }
 
-    /// Returns the first child element with the given tag name, mutably.
-    pub fn child_mut(&mut self, name: &str) -> Option<&mut Element> {
-        self.child_elements_mut().find(|e| e.name == name)
-    }
-
     /// Iterates over child elements with the given tag name. Borrowing
     /// and lazy — no `Vec` is allocated on this (hot) path.
     pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
@@ -190,19 +185,9 @@ impl Element {
         self.children.push(Node::Text(text.into()));
     }
 
-    /// True if the element has no children at all.
-    pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
-    }
-
     /// Number of element nodes in the subtree, including `self`.
     pub fn subtree_size(&self) -> usize {
         1 + self.child_elements().map(Element::subtree_size).sum::<usize>()
-    }
-
-    /// Depth of the subtree (a leaf element has depth 1).
-    pub fn depth(&self) -> usize {
-        1 + self.child_elements().map(Element::depth).max().unwrap_or(0)
     }
 
     /// Serialized size in bytes of the compact form — `to_xml().len()`,
@@ -226,19 +211,9 @@ impl Element {
         out
     }
 
-    /// Follows a chain of child tag names, returning the first match at
-    /// each step. Convenience for digging into profile documents:
-    /// `profile.get_path(&["MyContacts", "address-book"])`.
-    pub fn get_path(&self, path: &[&str]) -> Option<&Element> {
-        let mut cur = self;
-        for seg in path {
-            cur = cur.child(seg)?;
-        }
-        Some(cur)
-    }
-
-    /// Like [`Element::get_path`] but creates missing intermediate
-    /// elements along the way.
+    /// Follows a chain of child tag names, taking the first match at each
+    /// step and creating missing elements along the way:
+    /// `profile.get_or_create_path(&["MyContacts", "address-book"])`.
     pub fn get_or_create_path(&mut self, path: &[&str]) -> &mut Element {
         let mut cur = self;
         for seg in path {
@@ -414,19 +389,18 @@ mod tests {
     fn get_path_and_create() {
         let mut root = Element::new("MyProfile");
         root.get_or_create_path(&["MyContacts", "address-book"]).set_text("x");
-        assert_eq!(root.get_path(&["MyContacts", "address-book"]).unwrap().text(), "x");
-        assert!(root.get_path(&["Nope"]).is_none());
+        let book = root.child("MyContacts").and_then(|c| c.child("address-book"));
+        assert_eq!(book.unwrap().text(), "x");
         // Re-walking must not duplicate intermediates.
         root.get_or_create_path(&["MyContacts", "address-book"]);
         assert_eq!(root.children_named("MyContacts").count(), 1);
     }
 
     #[test]
-    fn size_and_depth() {
+    fn subtree_size_counts_every_element() {
         let e = Element::new("a")
             .with_child(Element::new("b").with_child(Element::new("c")))
             .with_child(Element::new("d"));
         assert_eq!(e.subtree_size(), 4);
-        assert_eq!(e.depth(), 3);
     }
 }

@@ -25,13 +25,13 @@ pub struct Step {
 
 impl Step {
     /// A step selecting the `index`-th child named `name`.
-    pub fn indexed(name: impl Into<String>, index: usize) -> Self {
+    pub(crate) fn indexed(name: impl Into<String>, index: usize) -> Self {
         Step { name: name.into(), key: None, index }
     }
 
     /// A step selecting the child named `name` whose attribute `attr`
     /// equals `value`.
-    pub fn keyed(
+    pub(crate) fn keyed(
         name: impl Into<String>,
         attr: impl Into<String>,
         value: impl Into<String>,
@@ -93,16 +93,6 @@ impl NodePath {
     ) -> Self {
         self.steps.push(Step::keyed(name, attr, value));
         self
-    }
-
-    /// Number of steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// True for the root path.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
     }
 
     /// True if `self` is a (non-strict) prefix of `other`.

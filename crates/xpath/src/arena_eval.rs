@@ -16,7 +16,7 @@ impl Path {
     /// Arena counterpart of [`Path::select`]: the first step is matched
     /// against the document root, and for a path whose final step is an
     /// attribute step the *owner elements* of matching attributes are
-    /// returned (use [`Path::select_strings_arena`] for the values).
+    /// returned (read the values with `ArenaDoc::attr`).
     pub fn select_arena(&self, doc: &ArenaDoc) -> Vec<NodeId> {
         let mut contexts: Vec<ACtx> = vec![ACtx::Document];
         for step in &self.steps {
@@ -64,33 +64,6 @@ impl Path {
             }
         }
         contexts.into_iter().filter_map(ACtx::node).collect()
-    }
-
-    /// Arena counterpart of [`Path::select_strings`]: attribute values if
-    /// the path targets an attribute, otherwise trimmed direct text.
-    pub fn select_strings_arena(&self, doc: &ArenaDoc) -> Vec<String> {
-        if let Some(last) = self.steps.last() {
-            if last.axis == Axis::Attribute {
-                return self
-                    .select_arena(doc)
-                    .into_iter()
-                    .flat_map(|n| match &last.test {
-                        NameTest::Any => {
-                            doc.attrs(n).map(|(_, v)| v.to_string()).collect::<Vec<_>>()
-                        }
-                        NameTest::Name(a) => {
-                            doc.attr(n, a).map(|v| vec![v.to_string()]).unwrap_or_default()
-                        }
-                    })
-                    .collect();
-            }
-        }
-        self.select_arena(doc).into_iter().map(|n| doc.text(n).trim().to_string()).collect()
-    }
-
-    /// True if the path selects at least one node in `doc`.
-    pub fn matches_arena(&self, doc: &ArenaDoc) -> bool {
-        !self.select_arena(doc).is_empty()
     }
 }
 
@@ -189,8 +162,7 @@ mod tests {
                </user>"#;
 
     /// Asserts the arena evaluator agrees with the owned one on `path`
-    /// over `src`, node for node (compared through serialization) and
-    /// string for string.
+    /// over `src`, node for node (compared through serialization).
     fn agree(src: &str, path: &str) {
         let owned: Element = gupster_xml::parse(src).unwrap();
         let doc = ArenaDoc::parse(src).unwrap();
@@ -199,12 +171,6 @@ mod tests {
         let b: Vec<String> =
             p.select_arena(&doc).iter().map(|&n| doc.to_element(n).to_xml()).collect();
         assert_eq!(a, b, "select disagreement on {path}");
-        assert_eq!(
-            p.select_strings(&owned),
-            p.select_strings_arena(&doc),
-            "select_strings disagreement on {path}"
-        );
-        assert_eq!(p.matches(&owned), p.matches_arena(&doc), "matches disagreement on {path}");
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub enum NameTest {
 
 impl NameTest {
     /// True if this test accepts the given name.
-    pub fn accepts(&self, name: &str) -> bool {
+    pub(crate) fn accepts(&self, name: &str) -> bool {
         match self {
             NameTest::Any => true,
             NameTest::Name(n) => n == name,
@@ -32,7 +32,7 @@ impl NameTest {
     }
 
     /// True if every name accepted by `other` is accepted by `self`.
-    pub fn subsumes(&self, other: &NameTest) -> bool {
+    pub(crate) fn subsumes(&self, other: &NameTest) -> bool {
         match (self, other) {
             (NameTest::Any, _) => true,
             (NameTest::Name(a), NameTest::Name(b)) => a == b,
@@ -41,7 +41,7 @@ impl NameTest {
     }
 
     /// True if some name is accepted by both tests.
-    pub fn compatible(&self, other: &NameTest) -> bool {
+    pub(crate) fn compatible(&self, other: &NameTest) -> bool {
         match (self, other) {
             (NameTest::Name(a), NameTest::Name(b)) => a == b,
             _ => true,
@@ -67,7 +67,7 @@ pub enum Predicate {
 impl Predicate {
     /// True if `self` is implied by `other` (everything satisfying
     /// `other` satisfies `self`).
-    pub fn implied_by(&self, other: &Predicate) -> bool {
+    pub(crate) fn implied_by(&self, other: &Predicate) -> bool {
         if self == other {
             return true;
         }
@@ -80,7 +80,7 @@ impl Predicate {
 
     /// True if `self` and `other` can hold of the same node. Conservative
     /// (only detects syntactic contradictions).
-    pub fn compatible(&self, other: &Predicate) -> bool {
+    pub(crate) fn compatible(&self, other: &Predicate) -> bool {
         match (self, other) {
             (Predicate::AttrEq(a, v), Predicate::AttrEq(b, w)) => a != b || v == w,
             (Predicate::ChildEq(a, v), Predicate::ChildEq(b, w)) => {
@@ -167,11 +167,6 @@ impl Path {
         steps.extend(suffix.steps.iter().cloned());
         Path { steps }
     }
-
-    /// Static depth: number of element steps (attribute step excluded).
-    pub fn element_depth(&self) -> usize {
-        self.steps.iter().filter(|s| s.axis != Axis::Attribute).count()
-    }
 }
 
 impl fmt::Display for NameTest {
@@ -247,7 +242,6 @@ mod tests {
         assert_eq!(p.to_string(), "/user[@id='arnaud']/address-book//*[2]/@type");
         assert!(p.targets_attribute());
         assert!(!p.is_core_fragment());
-        assert_eq!(p.element_depth(), 3);
     }
 
     #[test]

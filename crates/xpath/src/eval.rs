@@ -84,11 +84,6 @@ impl Path {
         }
         self.select(root).into_iter().map(|e| e.text().trim().to_string()).collect()
     }
-
-    /// True if the path selects at least one node in `root`.
-    pub fn matches(&self, root: &Element) -> bool {
-        !self.select(root).is_empty()
-    }
 }
 
 #[derive(Clone, Copy)]

@@ -70,13 +70,8 @@ impl PathInterner {
     }
 
     /// The string a [`Sym`] was interned from.
-    pub fn resolve(sym: Sym) -> String {
+    pub(crate) fn resolve(sym: Sym) -> String {
         global().read().expect("interner lock").names[sym.0 as usize].clone()
-    }
-
-    /// Number of distinct segments interned so far.
-    pub fn len() -> usize {
-        global().read().expect("interner lock").names.len()
     }
 }
 
@@ -167,21 +162,16 @@ impl PathCache {
         self.entries.put(digest, s.to_string(), path.clone());
         Ok(path)
     }
-
-    /// Number of memoized paths.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of distinct segments interned so far.
+    fn interned() -> usize {
+        global().read().expect("interner lock").names.len()
+    }
 
     #[test]
     fn interning_is_stable_and_comparable() {
@@ -193,14 +183,14 @@ mod tests {
         assert_eq!(PathInterner::resolve(a), "address-book");
         assert_eq!(PathInterner::lookup("address-book"), Some(a));
         assert_eq!(a.to_string(), "address-book");
-        assert!(PathInterner::len() >= 2);
+        assert!(interned() >= 2);
     }
 
     #[test]
     fn lookup_does_not_grow_the_table() {
-        let before = PathInterner::len();
+        let before = interned();
         assert_eq!(PathInterner::lookup("never-interned-segment-xyzzy"), None);
-        assert_eq!(PathInterner::len(), before);
+        assert_eq!(interned(), before);
     }
 
     #[test]
@@ -242,11 +232,10 @@ mod tests {
         // Touch presence so calendar is the LRU victim.
         c.parse("/user/presence").unwrap();
         c.parse("/user/devices").unwrap();
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
         c.parse("/user/calendar").unwrap();
         assert_eq!(c.misses, 4, "evicted entry re-parses");
         assert!(c.parse("not a path").is_err());
         assert!(c.parse("not a path").is_err(), "failures are not cached");
-        assert!(!c.is_empty());
     }
 }

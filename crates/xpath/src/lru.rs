@@ -203,16 +203,6 @@ impl<K: OwnedKey + PartialEq, V> OwnerLru<K, V> {
         self.index.is_empty()
     }
 
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.index.clear();
-        self.owners.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
     fn slot(&self, s: u32) -> &Slot<K, V> {
         self.slots[s as usize].as_ref().expect("linked slots are occupied")
     }
@@ -282,6 +272,16 @@ impl<K: OwnedKey + PartialEq, V> OwnerLru<K, V> {
 mod tests {
     use super::*;
     use gupster_rng::{check, Rng};
+
+    /// Drops every entry.
+    fn clear<K, V>(lru: &mut OwnerLru<K, V>) {
+        lru.slots.clear();
+        lru.free.clear();
+        lru.index.clear();
+        lru.owners.clear();
+        lru.head = NIL;
+        lru.tail = NIL;
+    }
 
     #[derive(Debug, Clone, PartialEq)]
     struct Key {
@@ -385,7 +385,7 @@ mod tests {
                         );
                     }
                     _ => {
-                        lru.clear();
+                        clear(&mut lru);
                         model.entries.clear();
                     }
                 }
