@@ -6,8 +6,8 @@
 //! prunes the registrations to a sound candidate superset, and the
 //! exact containment tests run only on those candidates — byte-
 //! identical to the retained naive scan ([`CoverageMap::match_request_naive`]),
-//! which stays as the differential-testing oracle and the fallback for
-//! wildcard requests.
+//! which stays as the differential-testing oracle. Wildcard requests,
+//! which the trie cannot prune, examine every registration.
 
 use std::collections::HashMap;
 
@@ -141,50 +141,75 @@ impl CoverageMap {
 
     /// [`CoverageMap::match_request`] plus how the index answered.
     pub fn match_request_with_stats(&self, request: &Path) -> (CoverageMatch, MatchStats) {
-        let mut candidates = Vec::new();
-        if !self.trie.candidates(request, &mut candidates) {
-            let stats = MatchStats {
-                candidates: self.entries.len(),
-                registered: self.entries.len(),
-                used_index: false,
-            };
-            return (self.match_request_naive(request), stats);
-        }
         let mut m = CoverageMatch::default();
-        for &idx in &candidates {
-            let (path, stores) = &self.entries[idx];
-            self.match_one(path, stores, request, &mut m);
-        }
-        let stats = MatchStats {
-            candidates: candidates.len(),
-            registered: self.entries.len(),
-            used_index: true,
-        };
+        let stats = self.visit_matches(request, |store, registered, full| m.push(store, registered, request, full));
         (m, stats)
     }
 
+    /// The match without the copies: hands each matching registration
+    /// to `visit` as `(store, registered path, full)`, in registration
+    /// order, lending what the map holds. The trie's candidates are
+    /// examined, or every entry when the trie cannot answer the
+    /// request.
+    pub(crate) fn visit_matches<'a>(
+        &'a self,
+        request: &Path,
+        mut visit: impl FnMut(&'a StoreId, &'a Path, bool),
+    ) -> MatchStats {
+        let registered = self.entries.len();
+        let mut candidates = Vec::new();
+        if !self.trie.candidates(request, &mut candidates) {
+            for (path, stores) in &self.entries {
+                match_one(path, stores, request, &mut visit);
+            }
+            return MatchStats { candidates: registered, registered, used_index: false };
+        }
+        for &idx in &candidates {
+            let (path, stores) = &self.entries[idx];
+            match_one(path, stores, request, &mut visit);
+        }
+        MatchStats { candidates: candidates.len(), registered, used_index: true }
+    }
+
     /// The retained naive scan: examines every registration. The
-    /// differential-testing oracle for the trie, and the fallback for
-    /// requests outside the core fragment.
+    /// differential-testing oracle for the trie.
     pub fn match_request_naive(&self, request: &Path) -> CoverageMatch {
         let mut m = CoverageMatch::default();
         for (path, stores) in &self.entries {
-            self.match_one(path, stores, request, &mut m);
+            match_one(path, stores, request, &mut |store, registered, full| {
+                m.push(store, registered, request, full)
+            });
         }
         m
     }
+}
 
-    /// The exact per-entry test, shared by both paths so they cannot
-    /// diverge in semantics — only in which entries they examine.
-    fn match_one(&self, path: &Path, stores: &[StoreId], request: &Path, m: &mut CoverageMatch) {
-        if covers(path, request) {
-            for s in stores {
-                m.full.push((s.clone(), request.clone()));
-            }
-        } else if may_overlap(path, request) {
-            for s in stores {
-                m.partial.push((s.clone(), path.clone()));
-            }
+impl CoverageMatch {
+    /// Records one visited match: a full source is asked for the
+    /// request itself, a partial one is listed with its narrower
+    /// registered path.
+    fn push(&mut self, store: &StoreId, registered: &Path, request: &Path, full: bool) {
+        if full {
+            self.full.push((store.clone(), request.clone()));
+        } else {
+            self.partial.push((store.clone(), registered.clone()));
+        }
+    }
+}
+
+/// The exact per-entry test, shared by the indexed and naive paths so
+/// they cannot diverge in semantics — only in which entries they
+/// examine.
+fn match_one<'a>(
+    path: &'a Path,
+    stores: &'a [StoreId],
+    request: &Path,
+    visit: &mut impl FnMut(&'a StoreId, &'a Path, bool),
+) {
+    let full = covers(path, request);
+    if full || may_overlap(path, request) {
+        for s in stores {
+            visit(s, path, full);
         }
     }
 }

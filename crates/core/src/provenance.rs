@@ -26,6 +26,8 @@ use gupster_policy::Purpose;
 use gupster_store::StoreId;
 use gupster_xpath::{may_overlap, Axis, LocStep, NameTest, Path, Predicate};
 
+use crate::referral::ReferralEntry;
+
 /// One authorized disclosure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Disclosure {
@@ -77,23 +79,30 @@ impl ProvenanceLog {
         ProvenanceLog { retention, ..Default::default() }
     }
 
-    /// Appends a disclosure.
-    pub(crate) fn record(&mut self, d: Disclosure) {
+    /// Appends the disclosure of a referral: `owner`'s data at the
+    /// entries' paths, named to `requester` at `when`. Packs straight
+    /// from the borrowed fields.
+    pub(crate) fn record(
+        &mut self,
+        when: u64,
+        owner: &str,
+        requester: &str,
+        purpose: Purpose,
+        entries: &[ReferralEntry],
+        narrowed: bool,
+    ) {
         self.total_recorded += 1;
         let start = self.bytes.len();
         let w = &mut self.bytes;
-        put_str(w, &d.owner);
-        put_str(w, &d.requester);
-        put_num(w, d.paths.len());
-        for p in &d.paths {
-            put_path(w, p);
-        }
-        put_num(w, d.stores.len());
-        for s in &d.stores {
-            put_str(w, &s.0);
+        put_str(w, owner);
+        put_str(w, requester);
+        put_num(w, entries.len());
+        for e in entries {
+            put_path(w, &e.path);
+            put_str(w, &e.store.0);
         }
         let len = self.bytes.len() - start;
-        self.heads.push_back(Head { when: d.when, purpose: d.purpose, narrowed: d.narrowed, len });
+        self.heads.push_back(Head { when, purpose, narrowed, len });
         while self.retention > 0 && self.heads.len() > self.retention {
             if let Some(oldest) = self.heads.pop_front() {
                 self.bytes.drain(..oldest.len);
@@ -142,13 +151,13 @@ impl ProvenanceLog {
 fn unpack((h, mut r): (&Head, Reader<'_>)) -> Disclosure {
     let owner = r.string();
     let requester = r.string();
-    let paths = (0..r.num()).map(|_| r.path()).collect();
-    let stores = (0..r.num()).map(|_| StoreId::new(r.string())).collect();
+    let (paths, stores) = (0..r.num()).map(|_| (r.path(), StoreId::new(r.string()))).unzip();
     let (when, purpose, narrowed) = (h.when, h.purpose, h.narrowed);
     Disclosure { when, owner, requester, purpose, paths, stores, narrowed }
 }
 
-// The packed part of a record: owner, requester, the paths, the stores.
+// The packed part of a record: owner, requester, then each entry's path
+// and store.
 // Every string and count is length-prefixed, so any content decodes
 // back exactly — no path syntax, quoting or separator is involved.
 
@@ -293,12 +302,25 @@ mod tests {
         }
     }
 
+    /// Records `d` as the referral it describes: one entry per
+    /// (path, store) pair.
+    fn record(log: &mut ProvenanceLog, d: &Disclosure) {
+        assert_eq!(d.paths.len(), d.stores.len(), "a referral names one store per path");
+        let entries: Vec<ReferralEntry> = d
+            .paths
+            .iter()
+            .zip(&d.stores)
+            .map(|(path, store)| ReferralEntry { store: store.clone(), path: path.clone(), complete: true })
+            .collect();
+        log.record(d.when, &d.owner, &d.requester, d.purpose, &entries, d.narrowed);
+    }
+
     #[test]
     fn owner_audit_trail() {
         let mut log = ProvenanceLog::default();
-        log.record(disclosure(1, "alice", "rick", "/user/presence"));
-        log.record(disclosure(2, "alice", "mom", "/user/address-book"));
-        log.record(disclosure(3, "bob", "rick", "/user/presence"));
+        record(&mut log, &disclosure(1, "alice", "rick", "/user/presence"));
+        record(&mut log, &disclosure(2, "alice", "mom", "/user/address-book"));
+        record(&mut log, &disclosure(3, "bob", "rick", "/user/presence"));
         let alice = log.disclosures_of("alice");
         assert_eq!(alice.len(), 2);
         assert_eq!(alice[0].requester, "rick");
@@ -307,9 +329,9 @@ mod tests {
     #[test]
     fn accessors_use_overlap_semantics() {
         let mut log = ProvenanceLog::default();
-        log.record(disclosure(1, "alice", "mom", "/user/address-book/item[@type='personal']"));
-        log.record(disclosure(2, "alice", "rick", "/user/presence"));
-        log.record(disclosure(3, "alice", "mom", "/user/address-book"));
+        record(&mut log, &disclosure(1, "alice", "mom", "/user/address-book/item[@type='personal']"));
+        record(&mut log, &disclosure(2, "alice", "rick", "/user/presence"));
+        record(&mut log, &disclosure(3, "alice", "mom", "/user/address-book"));
         // Who ever saw (part of) the address book?
         let accessors = log.accessors_of("alice", &p("/user/address-book"));
         assert_eq!(accessors, vec!["mom"]);
@@ -324,7 +346,7 @@ mod tests {
     fn retention_trims_oldest() {
         let mut log = ProvenanceLog::with_retention(2);
         for t in 0..5 {
-            log.record(disclosure(t, "alice", "rick", "/user/presence"));
+            record(&mut log, &disclosure(t, "alice", "rick", "/user/presence"));
         }
         assert_eq!(log.len(), 2);
         assert_eq!(log.total_recorded, 5);
@@ -362,18 +384,25 @@ mod tests {
             let mut log = ProvenanceLog::with_retention(retention);
             let purposes = [Purpose::Query, Purpose::Cache, Purpose::Subscribe, Purpose::Provision];
             let written: Vec<Disclosure> = (0..rng.gen_range(1..10usize))
-                .map(|_| Disclosure {
-                    when: rng.gen_range(0..u64::MAX),
-                    owner: ["o", "o2", "p"][rng.gen_range(0..3usize)].to_string(),
-                    requester: ["r", "r2", "s"][rng.gen_range(0..3usize)].to_string(),
-                    purpose: purposes[rng.gen_range(0..4usize)],
-                    paths: check::vec_of(rng, 0, 3, |r| Path { steps: check::vec_of(r, 0, 4, step) }),
-                    stores: check::vec_of(rng, 0, 3, |rng| StoreId::new(text(rng))),
-                    narrowed: rng.gen_bool(0.5),
+                .map(|_| {
+                    let (paths, stores) = check::vec_of(rng, 0, 3, |r| {
+                        (Path { steps: check::vec_of(r, 0, 4, step) }, StoreId::new(text(r)))
+                    })
+                    .into_iter()
+                    .unzip();
+                    Disclosure {
+                        when: rng.gen_range(0..u64::MAX),
+                        owner: ["o", "o2", "p"][rng.gen_range(0..3usize)].to_string(),
+                        requester: ["r", "r2", "s"][rng.gen_range(0..3usize)].to_string(),
+                        purpose: purposes[rng.gen_range(0..4usize)],
+                        paths,
+                        stores,
+                        narrowed: rng.gen_bool(0.5),
+                    }
                 })
                 .collect();
             for d in &written {
-                log.record(d.clone());
+                record(&mut log, d);
             }
             let kept = match retention {
                 0 => &written[..],

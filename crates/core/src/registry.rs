@@ -13,7 +13,7 @@ use gupster_xpath::{KeyDigest, OwnedKey, OwnerLru, Path};
 
 use crate::coverage::CoverageMap;
 use crate::error::GupsterError;
-use crate::provenance::{Disclosure, ProvenanceLog};
+use crate::provenance::ProvenanceLog;
 use crate::referral::{Referral, ReferralEntry};
 use crate::token::{SignedQuery, Signer};
 
@@ -82,8 +82,9 @@ pub struct Gupster {
     pub pap: Pap,
     pdp: Pdp,
     signer: Signer,
-    /// (owner, requester) → relationship, provisioned by owners.
-    relationships: HashMap<(String, String), String>,
+    /// owner → requester → relationship, provisioned by owners. Keyed
+    /// by owner first so a lookup resolves it from two borrowed `&str`s.
+    relationships: HashMap<String, HashMap<String, String>>,
     /// Counters.
     pub stats: RegistryStats,
     /// The disclosure audit trail (§7's provenance challenge).
@@ -97,7 +98,7 @@ pub struct Gupster {
     /// producing the same rewritten path set reuse the signed token
     /// while it is inside the first half of its freshness window,
     /// skipping the HMAC pass. `None` = disabled (the default).
-    token_cache: Option<OwnerLru<TokenKey, SignedQuery>>,
+    token_cache: Option<OwnerLru<TokenKey, CachedToken>>,
     /// Per-owner write generations (DESIGN.md §13): bumped by every
     /// committed sync touching the owner's profile, alongside dropping
     /// the owner's derived registry state (memo, token cache).
@@ -123,6 +124,14 @@ impl OwnedKey for TokenKey {
     }
 }
 
+/// What the referral-token cache keeps of a token besides its key: the
+/// rest of the token is the key's fields.
+#[derive(Debug)]
+struct CachedToken {
+    issued_at: u64,
+    signature: [u8; 32],
+}
+
 impl Gupster {
     /// Creates a server over a schema with a shared signing key.
     pub fn new(schema: Schema, key: &[u8]) -> Self {
@@ -144,11 +153,13 @@ impl Gupster {
 
     /// Switches on the referral-token cache: lookups that rewrite to a
     /// path set signed earlier for the same (owner, requester) reuse
-    /// that token while it is younger than half its freshness window,
-    /// charging ~1µs instead of a ~20µs HMAC pass. Stores see a token
-    /// they have already verified, so their signature check memoizes
-    /// too (see the client's `token.verify` charge). Off by default —
-    /// enabling it changes simulated costs, so experiments opt in.
+    /// that token while it is younger than half its freshness window.
+    /// The cost model charges a reuse 1µs of simulated time instead of
+    /// the 20µs it charges an HMAC pass (a real sign measures ≈0.7–0.9µs
+    /// on the wall, DESIGN.md §7). Stores see a token they have already
+    /// verified, so their signature check memoizes too (see the
+    /// client's `token.verify` charge). Off by default — enabling it
+    /// changes simulated costs, so experiments opt in.
     pub fn enable_token_cache(&mut self) {
         self.token_cache.get_or_insert_with(|| OwnerLru::new(TOKEN_CACHE_CAPACITY));
     }
@@ -262,18 +273,20 @@ impl Gupster {
     /// boss, family are — the shield conditions of §4.6 test these).
     pub fn set_relationship(&mut self, owner: &str, requester: &str, relationship: &str) {
         self.relationships
-            .insert((owner.to_string(), requester.to_string()), relationship.to_string());
+            .entry(owner.to_string())
+            .or_default()
+            .insert(requester.to_string(), relationship.to_string());
     }
 
     /// Resolves the relationship of a requester to an owner.
-    pub(crate) fn relationship(&self, owner: &str, requester: &str) -> String {
+    pub(crate) fn relationship(&self, owner: &str, requester: &str) -> &str {
         if owner == requester {
-            return "self".to_string();
+            return "self";
         }
         self.relationships
-            .get(&(owner.to_string(), requester.to_string()))
-            .cloned()
-            .unwrap_or_else(|| "third-party".to_string())
+            .get(owner)
+            .and_then(|of_owner| of_owner.get(requester))
+            .map_or("third-party", String::as_str)
     }
 
     /// Builds the request context the PDP sees.
@@ -284,7 +297,7 @@ impl Gupster {
         purpose: Purpose,
         time: WeekTime,
     ) -> RequestContext {
-        RequestContext::query(requester, &self.relationship(owner, requester), time)
+        RequestContext::query(requester, self.relationship(owner, requester), time)
             .with_purpose(purpose)
     }
 
@@ -392,13 +405,13 @@ impl Gupster {
             }
             pep::Enforcement::Proceed(paths) => paths,
         };
-        let narrowed = permitted != vec![request.clone()];
+        let narrowed = !matches!(permitted.as_slice(), [only] if only == request);
 
         // 4a. Rewrite: policy scopes omit the user-id predicate;
         // requests to the stores must carry it so multi-tenant stores
         // answer for the right user.
         tracer.enter(stage::QUERY_REWRITE);
-        let rewritten: Vec<Path> = permitted.iter().map(|p| ensure_user_id(p, owner)).collect();
+        let rewritten: Vec<Path> = permitted.into_iter().map(|p| with_user_id(p, owner)).collect();
         tracer.charge(SimTime::micros(rewritten.len() as u64));
         tracer.exit();
 
@@ -406,12 +419,22 @@ impl Gupster {
         // each match to its candidate entries (charged ~1µs per
         // candidate examined, with the walk itself a `coverage.index`
         // child span); wildcard requests fall back to the full scan.
+        //
+        // Every entry a path yields is asked for that path: a full
+        // source answers it whole, and partial sources each return the
+        // fragment they hold under it for the client to deep-union
+        // (Fig. 9) — the narrower registered path only selects *which*
+        // stores participate. Full sources are listed before partial
+        // ones, each store once per path.
         tracer.enter(stage::COVERAGE_MATCH);
         let mut entries: Vec<ReferralEntry> = Vec::new();
-        let mut seen: HashSet<(StoreId, Path)> = HashSet::new();
+        let mut matched: Vec<(&StoreId, bool)> = Vec::new();
+        let mut seen: HashSet<&StoreId> = HashSet::new();
         let mut examined: u64 = 0;
-        for p in &rewritten {
-            let (m, match_stats) = coverage.match_request_with_stats(p);
+        for p in rewritten {
+            matched.clear();
+            let match_stats =
+                coverage.visit_matches(&p, |store, _registered, full| matched.push((store, full)));
             if match_stats.used_index {
                 self.telemetry.counters().trie_hits.fetch_add(1, Ordering::Relaxed);
                 tracer.enter(stage::COVERAGE_INDEX);
@@ -421,20 +444,19 @@ impl Gupster {
                 self.telemetry.counters().fallback_scans.fetch_add(1, Ordering::Relaxed);
             }
             examined += match_stats.candidates as u64;
-            for (store, path) in m.full {
-                let path = ensure_user_id(&path, owner);
-                if seen.insert((store.clone(), path.clone())) {
-                    entries.push(ReferralEntry { store, path, complete: true });
-                }
+            // A path the shield permitted twice names the same stores
+            // again: its first occurrence listed them.
+            if entries.iter().any(|e| e.path == p) {
+                continue;
             }
-            // Partial sources are asked for the *request* path: each
-            // store returns the fragment it holds under it, and the
-            // client deep-unions the fragments (Fig. 9). The narrower
-            // registered path only selects *which* stores participate.
-            for (store, _registered) in m.partial {
-                if seen.insert((store.clone(), p.clone())) {
-                    entries.push(ReferralEntry { store, path: p.clone(), complete: false });
+            matched.sort_by_key(|&(_, full)| !full);
+            seen.clear();
+            matched.retain(|&(store, _)| seen.insert(store));
+            if let Some(((last, last_complete), rest)) = matched.split_last() {
+                for &(store, complete) in rest {
+                    entries.push(ReferralEntry { store: store.clone(), path: p.clone(), complete });
                 }
+                entries.push(ReferralEntry { store: (*last).clone(), path: p, complete: *last_complete });
             }
         }
         tracer.charge(SimTime::micros(1 + examined));
@@ -444,10 +466,13 @@ impl Gupster {
             return Err(GupsterError::NoCoverage(request.to_string()));
         }
 
-        // 5. Sign the rewritten query (one HMAC pass, ~20µs) — or reuse
-        // a cached token for the same (owner, requester, path set)
-        // while it is younger than half its freshness window, so stores
-        // never see a near-expiry token (~1µs).
+        // 5. Sign the rewritten query — or reuse a cached token for the
+        // same (owner, requester, path set) while it is younger than
+        // half its freshness window, so stores never see a near-expiry
+        // token. The charges are the cost model's simulated time: 20µs
+        // for an HMAC pass, 1µs for a reuse. On the wall a sign measures
+        // ≈0.7–0.9µs (two SHA-256 blocks for a presence token; DESIGN.md
+        // §7).
         let merge_required = entries.iter().any(|e| !e.complete);
         let paths: Vec<String> = entries.iter().map(|e| e.path.to_string()).collect();
         tracer.enter(stage::TOKEN_SIGN);
@@ -466,7 +491,13 @@ impl Gupster {
                         token_cached = true;
                         self.telemetry.counters().token_reuse.fetch_add(1, Ordering::Relaxed);
                         tracer.charge(SimTime::micros(1));
-                        t.clone()
+                        SignedQuery {
+                            user: owner.to_string(),
+                            requester: requester.to_string(),
+                            paths,
+                            issued_at: t.issued_at,
+                            signature: t.signature,
+                        }
                     }
                     _ => {
                         let key = TokenKey {
@@ -475,7 +506,7 @@ impl Gupster {
                             paths: paths.clone(),
                         };
                         let t = self.signer.sign(owner, requester, paths, now);
-                        cache.put(digest, key, t.clone());
+                        cache.put(digest, key, CachedToken { issued_at: t.issued_at, signature: t.signature });
                         tracer.charge(SimTime::micros(20));
                         t
                     }
@@ -490,15 +521,7 @@ impl Gupster {
         tracer.exit();
         self.stats.referrals += 1;
         self.telemetry.counters().referrals.fetch_add(1, Ordering::Relaxed);
-        self.provenance.record(Disclosure {
-            when: now,
-            owner: owner.to_string(),
-            requester: requester.to_string(),
-            purpose,
-            paths: entries.iter().map(|e| e.path.clone()).collect(),
-            stores: entries.iter().map(|e| e.store.clone()).collect(),
-            narrowed,
-        });
+        self.provenance.record(now, owner, requester, purpose, &entries, narrowed);
         Ok(LookupOutcome {
             referral: Referral { entries, merge_required, token, token_cached },
             narrowed,
@@ -531,9 +554,8 @@ impl Gupster {
 }
 
 /// Ensures the first step carries `[@id='owner']`.
-fn ensure_user_id(p: &Path, owner: &str) -> Path {
+fn with_user_id(mut p: Path, owner: &str) -> Path {
     use gupster_xpath::Predicate;
-    let mut p = p.clone();
     if let Some(first) = p.steps.first_mut() {
         let has = first
             .predicates
@@ -902,6 +924,16 @@ mod tests {
         }
         assert!(!ask(&mut g, "u2", 2));
         assert_eq!(g.token_cache.as_ref().map(OwnerLru::len), Some(3));
+    }
+
+    #[test]
+    fn debug_output_leaks_no_signing_key() {
+        let g = Gupster::new(gup_schema(), b"secret-key");
+        let shown = format!("{g:?}");
+        assert!(shown.contains("Signer { freshness_window: 30, .. }"), "{shown}");
+        assert!(!shown.contains("secret-key"), "the key text is printed");
+        let bytes: Vec<String> = b"secret-key".iter().map(u8::to_string).collect();
+        assert!(!shown.contains(&bytes.join(", ")), "the key bytes are printed");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use crate::sha256::hmac_sha256;
+use crate::sha256::HmacKey;
 
 /// Why a token was rejected by a data store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,20 +55,6 @@ pub struct SignedQuery {
 }
 
 impl SignedQuery {
-    fn payload(user: &str, requester: &str, paths: &[String], issued_at: u64) -> Vec<u8> {
-        let mut p = Vec::new();
-        p.extend_from_slice(user.as_bytes());
-        p.push(0);
-        p.extend_from_slice(requester.as_bytes());
-        p.push(0);
-        for path in paths {
-            p.extend_from_slice(path.as_bytes());
-            p.push(0);
-        }
-        p.extend_from_slice(&issued_at.to_be_bytes());
-        p
-    }
-
     /// Serialized size (for network charging).
     pub fn byte_size(&self) -> usize {
         self.user.len()
@@ -82,18 +68,39 @@ impl SignedQuery {
 /// The signer role. GUPster holds the key; in the paper's trust model
 /// each data store shares it (or, in a real deployment, holds GUPster's
 /// public key — symmetric HMAC stands in for signatures here).
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Signer {
-    key: Vec<u8>,
+    /// The shared key's HMAC midstates: enough to forge tokens, so
+    /// `Debug` leaves them out.
+    key: HmacKey,
     /// Acceptance window in seconds ("the store will check the
     /// time-stamp").
     pub freshness_window: u64,
 }
 
+impl fmt::Debug for Signer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Signer").field("freshness_window", &self.freshness_window).finish_non_exhaustive()
+    }
+}
+
 impl Signer {
     /// Creates a signer with the shared key and a freshness window.
     pub fn new(key: &[u8], freshness_window: u64) -> Self {
-        Signer { key: key.to_vec(), freshness_window }
+        Signer { key: HmacKey::new(key), freshness_window }
+    }
+
+    /// The MAC of the canonical payload — user, requester and each path,
+    /// each followed by a NUL, then the big-endian issue time — streamed
+    /// into the hasher field by field.
+    fn mac(&self, user: &str, requester: &str, paths: &[String], issued_at: u64) -> [u8; 32] {
+        self.key.mac(|h| {
+            for field in [user, requester].into_iter().chain(paths.iter().map(String::as_str)) {
+                h.update(field.as_bytes());
+                h.update(&[0]);
+            }
+            h.update(&issued_at.to_be_bytes());
+        })
     }
 
     /// Signs a rewritten query at time `now`.
@@ -104,16 +111,14 @@ impl Signer {
         paths: Vec<String>,
         now: u64,
     ) -> SignedQuery {
-        let signature =
-            hmac_sha256(&self.key, &SignedQuery::payload(user, requester, &paths, now));
+        let signature = self.mac(user, requester, &paths, now);
         SignedQuery { user: user.to_string(), requester: requester.to_string(), paths, issued_at: now, signature }
     }
 
     /// Store-side verification: signature plus freshness. A token from
     /// the "future" (clock skew beyond the window) is also rejected.
     pub fn verify(&self, q: &SignedQuery, now: u64) -> Result<(), TokenError> {
-        let expect =
-            hmac_sha256(&self.key, &SignedQuery::payload(&q.user, &q.requester, &q.paths, q.issued_at));
+        let expect = self.mac(&q.user, &q.requester, &q.paths, q.issued_at);
         // Constant-time-ish comparison (accumulate differences).
         let mut diff = 0u8;
         for (a, b) in expect.iter().zip(q.signature.iter()) {
@@ -187,6 +192,62 @@ mod tests {
         let a = s.sign("ali", "ce", vec![], 1);
         let b = s.sign("alice", "", vec![], 1);
         assert_ne!(a.signature, b.signature);
+    }
+
+    /// The payload layout signatures were computed over before the MAC
+    /// streamed it: the fields, NUL-terminated, then the issue time.
+    fn oracle_payload(user: &str, requester: &str, paths: &[String], issued_at: u64) -> Vec<u8> {
+        let mut p = Vec::new();
+        p.extend_from_slice(user.as_bytes());
+        p.push(0);
+        p.extend_from_slice(requester.as_bytes());
+        p.push(0);
+        for path in paths {
+            p.extend_from_slice(path.as_bytes());
+            p.push(0);
+        }
+        p.extend_from_slice(&issued_at.to_be_bytes());
+        p
+    }
+
+    /// No token byte changed: on payloads that end just before, on and
+    /// just after the one- and two-block padding boundaries, the
+    /// streamed signature equals the one-shot HMAC over the old layout.
+    #[test]
+    fn signatures_match_the_one_shot_hmac_at_block_boundaries() {
+        use crate::sha256::tests::oracle_hmac;
+        use gupster_rng::check::{alnum, cases};
+        use gupster_rng::Rng;
+        cases(300, 0x70_4e, |rng| {
+            let key = alnum(rng, 0, 80);
+            let target = [55usize, 56, 63, 64, 119, 120][rng.gen_range(0..6usize)];
+            let n_paths = rng.gen_range(0..4usize);
+            // Text bytes left once the NULs and the timestamp are counted.
+            let mut text = target - 8 - (2 + n_paths);
+            let mut lengths: Vec<usize> = (0..1 + n_paths).map(|_| rng.gen_range(0..=text)).collect();
+            lengths.sort_unstable();
+            let mut fields: Vec<String> = Vec::new();
+            let mut taken = 0;
+            for cut in lengths {
+                fields.push(alnum(rng, cut - taken, cut - taken));
+                taken = cut;
+            }
+            text -= taken;
+            fields.push(alnum(rng, text, text));
+            let (user, requester) = (fields[0].clone(), fields[1].clone());
+            let paths = fields[2..].to_vec();
+            let now = rng.gen_range(0..u64::MAX);
+            let payload = oracle_payload(&user, &requester, &paths, now);
+            assert_eq!(payload.len(), target);
+            let q = Signer::new(key.as_bytes(), 30).sign(&user, &requester, paths, now);
+            assert_eq!(q.signature, oracle_hmac(key.as_bytes(), &payload), "{target}-byte payload");
+        });
+    }
+
+    #[test]
+    fn debug_shows_no_key_material() {
+        let s = Signer::new(b"secret-key", 30);
+        assert_eq!(format!("{s:?}"), "Signer { freshness_window: 30, .. }");
     }
 
     #[test]

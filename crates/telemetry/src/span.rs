@@ -132,6 +132,13 @@ pub struct Tracer {
     stage_buf: Vec<(StageId, SimTime)>,
 }
 
+/// Spans a tracer has room for before its buffers grow: a sharded
+/// answer (lookup, verify, fetch, merge) closes about a dozen.
+const SPANS: usize = 16;
+
+/// Nesting depth a tracer has room for before its stack grows.
+const OPEN_SPANS: usize = 8;
+
 impl Tracer {
     pub(crate) fn new(hub: Arc<TelemetryHub>, request: RequestId, root_stage: &str) -> Self {
         let mut t = Tracer {
@@ -140,9 +147,9 @@ impl Tracer {
             key: request.0,
             cursor: SimTime::ZERO,
             next_id: 0,
-            stack: Vec::new(),
-            done: Vec::new(),
-            stage_buf: Vec::new(),
+            stack: Vec::with_capacity(OPEN_SPANS),
+            done: Vec::with_capacity(SPANS),
+            stage_buf: Vec::with_capacity(SPANS),
         };
         t.enter(root_stage);
         t
