@@ -7,9 +7,10 @@
 //! Each profile is held as one [`ArenaDoc`] — converted once, when the
 //! document is handed over — and that is the only form the store keeps:
 //! reads lend subtrees of it ([`Fragment::lent`]), updates edit it in
-//! place. In-place edits leave superseded rows behind; a document is
-//! compacted whenever its dead rows outnumber its live ones, so it never
-//! grows past about twice what it holds.
+//! place. In-place edits leave superseded rows and values behind; a
+//! document is compacted whenever its dead rows outnumber its live ones
+//! or its dead value bytes outnumber its live ones, so it never grows
+//! past about twice what it holds.
 
 use std::collections::BTreeMap;
 
@@ -41,7 +42,7 @@ impl XmlStore {
             .attr("id")
             .ok_or_else(|| StoreError::Backend("profile root lacks an id attribute".into()))?
             .to_string();
-        self.docs.insert(user.clone(), ArenaDoc::from_owned(doc));
+        self.docs.insert(user.clone(), ArenaDoc::from_element(&doc));
         self.generation += 1;
         self.events.push(ChangeEvent {
             user,
@@ -170,7 +171,7 @@ impl DataStore for XmlStore {
         let applied = apply(doc, op);
         // Also after a refusal: a refused root delete has removed
         // everything else by then.
-        if doc.dead_rows() > doc.live_rows() {
+        if doc.dead_rows() > doc.live_rows() || doc.dead_value_bytes() > doc.live_value_bytes() {
             doc.compact();
         }
         applied?;
@@ -420,6 +421,43 @@ mod tests {
         assert_eq!(s.query(&p("/user/address-book")).unwrap(), vec![book(1000)]);
     }
 
+    /// 1 000 rewrites of a 64 KiB value on a 200-item profile: every
+    /// superseded copy used to stay resident until the dead *rows*
+    /// outnumbered the live ones. Now the document never holds more than
+    /// twice its compacted size plus one value.
+    #[test]
+    fn dead_value_bytes_stay_bounded_under_repeated_set_text() {
+        let mut book = Element::new("address-book");
+        for k in 0..200 {
+            book.push_child(
+                Element::new("item")
+                    .with_attr("id", format!("p{k:03}"))
+                    .with_child(Element::new("name").with_text(format!("Friend {k}"))),
+            );
+        }
+        let profile = Element::new("user")
+            .with_attr("id", "u")
+            .with_child(Element::new("note").with_text("short"))
+            .with_child(book);
+        let mut s = XmlStore::new("t");
+        s.put_profile(profile).unwrap();
+        let value = "x".repeat(64 * 1024);
+        let op = UpdateOp::SetText(p("/user/note"), value.clone());
+        let mut compactions = 0;
+        for round in 1..=1000 {
+            let before = s.docs["u"].dead_value_bytes();
+            s.update("u", &op).unwrap();
+            let doc = &s.docs["u"];
+            let mut packed = doc.clone();
+            packed.compact();
+            let bound = 2 * packed.resident_bytes() + value.len();
+            assert!(doc.resident_bytes() <= bound, "round {round}: {} > {bound}", doc.resident_bytes());
+            compactions += usize::from(doc.dead_value_bytes() < before);
+        }
+        assert!(compactions >= 400, "{compactions}");
+        assert_eq!(s.query(&p("/user/note")).unwrap()[0].text(), value);
+    }
+
     // ------------------------------------------- model: the owned tree —
 
     /// The store as it was before it held arenas: one owned tree per
@@ -667,6 +705,7 @@ mod tests {
                 }
                 for doc in store.docs.values() {
                     assert!(doc.dead_rows() <= doc.live_rows(), "after step {step}: {what}");
+                    assert!(doc.dead_value_bytes() <= doc.live_value_bytes(), "after step {step}: {what}");
                 }
             }
         });

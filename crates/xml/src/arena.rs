@@ -11,20 +11,27 @@
 //!
 //! * element and attribute **names** are interned through
 //!   [`NameInterner`] and stored as 4-byte [`NameId`]s;
-//! * **text and attribute values** are byte-range slices over the
-//!   retained input buffer — parsing copies character data only when
-//!   the source bytes are not literal (entity references, CDATA, or a
-//!   text run interrupted by a comment);
+//! * **text and attribute values** are byte ranges over one value
+//!   buffer. A parse keeps its input as that buffer and copies
+//!   character data only when the source bytes are not literal (entity
+//!   references, CDATA, or a text run interrupted by a comment);
+//!   [`ArenaDoc::from_element`] and [`ArenaDoc::compact`] pack every
+//!   value into a buffer sized exactly for it;
 //! * **child lists and attribute lists** are contiguous ranges in two
-//!   shared vectors, so a document is five allocations regardless of
-//!   node count.
+//!   shared vectors, so a built document is five allocations — four
+//!   tables and the buffer — regardless of node count.
+//!
+//! Edits append rows and hold the values they write as owned strings
+//! until the next [`ArenaDoc::compact`], which packs them back into one
+//! buffer; see the edit methods.
 //!
 //! The owned tree remains the differential oracle: for every input,
 //! [`ArenaDoc::parse`] must accept/reject exactly as [`crate::parse`]
 //! does, [`ArenaDoc::to_element`] must equal the owned parse, and
 //! [`ArenaDoc::to_xml`] must be byte-identical to the owned
 //! serializer. `tests/xml_differential.rs` enforces this over seeded
-//! random documents.
+//! random documents, and `crates/xml/tests/arena_model.rs` holds the
+//! edit methods to the owned tree edited alike.
 
 use std::borrow::Cow;
 
@@ -41,9 +48,9 @@ use crate::writer::tag_len;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-/// A text or attribute value: either a byte range over the retained
-/// input buffer (the zero-copy case) or an owned string (entities,
-/// CDATA, comment-interrupted runs, synthesized documents).
+/// A text or attribute value: either a byte range over the value
+/// buffer or an owned string (a parse's entity, CDATA and
+/// comment-interrupted runs, and values written by edits).
 #[derive(Debug, Clone)]
 enum AVal {
     Slice(u32, u32),
@@ -83,8 +90,8 @@ pub enum ArenaChild<'d> {
 /// conversions to and from the owned tree.
 #[derive(Debug, Clone)]
 pub struct ArenaDoc {
-    /// The retained input buffer value slices point into. Empty for
-    /// documents built via [`ArenaDoc::from_element`].
+    /// The value buffer slices point into: the retained input of a
+    /// parsed document, or the packed values of a built or compacted one.
     buf: String,
     elems: Vec<AElem>,
     attrs: Vec<(NameId, AVal)>,
@@ -93,7 +100,51 @@ pub struct ArenaDoc {
     root: NodeId,
     /// Rows of the four tables no longer reachable from `root`: what
     /// the in-place edits below orphaned. See [`ArenaDoc::compact`].
-    dead: usize,
+    /// The counters are `u32` like every offset here, which keeps the
+    /// struct the size it had without the byte counts: built fragments
+    /// travel by value.
+    dead: u32,
+    /// Value bytes of every attribute and text row, live or dead.
+    value_bytes: u32,
+    /// The part of `value_bytes` held by superseded values.
+    dead_bytes: u32,
+}
+
+/// Exact table and buffer sizes of a document, from one counting walk.
+#[derive(Default)]
+struct Room {
+    elems: usize,
+    attrs: usize,
+    kids: usize,
+    texts: usize,
+    bytes: usize,
+}
+
+impl Room {
+    fn rows(&self) -> usize {
+        self.elems + self.attrs + self.kids + self.texts
+    }
+
+    fn of_element(e: &Element) -> Room {
+        fn tally(e: &Element, r: &mut Room) {
+            r.elems += 1;
+            r.attrs += e.attrs.len();
+            r.kids += e.children.len();
+            r.bytes += e.attrs.iter().map(|(_, v)| v.len()).sum::<usize>();
+            for ch in &e.children {
+                match ch {
+                    Node::Element(c) => tally(c, r),
+                    Node::Text(t) => {
+                        r.texts += 1;
+                        r.bytes += t.len();
+                    }
+                }
+            }
+        }
+        let mut r = Room::default();
+        tally(e, &mut r);
+        r
+    }
 }
 
 impl ArenaDoc {
@@ -116,6 +167,7 @@ impl ArenaDoc {
             kids: Vec::new(),
             texts: Vec::new(),
             scratch: Vec::new(),
+            dropped: Room::default(),
         };
         p.skip_prolog()?;
         let root = p.parse_element()?;
@@ -123,8 +175,12 @@ impl ArenaDoc {
         if p.pos < p.input.len() {
             return Err(p.err("trailing content after document element"));
         }
-        let ArenaParser { elems, attrs, kids, texts, .. } = p;
-        Ok(ArenaDoc { buf: input, elems, attrs, kids, texts, root, dead: 0 })
+        let ArenaParser { elems, attrs, kids, texts, dropped, .. } = p;
+        let mut doc = ArenaDoc { buf: input, elems, attrs, kids, texts, root, ..ArenaDoc::empty() };
+        let values = doc.texts.iter().chain(doc.attrs.iter().map(|(_, v)| v));
+        doc.value_bytes = values.map(|v| doc.val(v).len()).sum::<usize>() as u32;
+        doc.retire(dropped.rows(), dropped.bytes);
+        Ok(doc)
     }
 
     fn empty() -> ArenaDoc {
@@ -136,50 +192,49 @@ impl ArenaDoc {
             texts: Vec::new(),
             root: NodeId(0),
             dead: 0,
+            value_bytes: 0,
+            dead_bytes: 0,
         }
     }
 
     /// Converts an owned tree into arena form, losslessly (no
     /// whitespace normalization — the tree is taken as-is). Names are
-    /// interned; values are held owned since there is no source buffer.
+    /// interned; values are packed into one buffer. The four tables and
+    /// the buffer are sized exactly by one counting walk first: five
+    /// allocations, none regrown, no slack kept resident.
     pub fn from_element(e: &Element) -> ArenaDoc {
-        let mut doc = ArenaDoc::sized_for(e);
-        doc.root = doc.add_element(e, &mut Vec::new());
+        let mut doc = ArenaDoc::with_room(&Room::of_element(e));
+        doc.root = doc.add_element(e, &mut Convert::new(ArenaDoc::pack));
         doc
     }
 
-    /// [`ArenaDoc::from_element`] of a tree the caller is done with:
-    /// every text and attribute value is moved into the arena, none is
-    /// copied. What a store does with a document it is handed to keep.
-    pub fn from_owned(e: Element) -> ArenaDoc {
-        let mut doc = ArenaDoc::sized_for(&e);
-        doc.root = doc.add_owned(e, &mut Vec::new());
-        doc
-    }
-
-    /// An empty document whose tables have exactly the room `e` needs:
-    /// one allocation per table, none regrown, no slack kept resident.
-    fn sized_for(e: &Element) -> ArenaDoc {
-        fn tally(e: &Element, rows: &mut [usize; 4]) {
-            rows[0] += 1;
-            rows[1] += e.attrs.len();
-            rows[2] += e.children.len();
-            for ch in &e.children {
-                match ch {
-                    Node::Element(c) => tally(c, rows),
-                    Node::Text(_) => rows[3] += 1,
-                }
-            }
-        }
-        let mut rows = [0; 4];
-        tally(e, &mut rows);
+    /// An empty document whose tables and buffer have exactly `room`.
+    fn with_room(room: &Room) -> ArenaDoc {
         ArenaDoc {
-            elems: Vec::with_capacity(rows[0]),
-            attrs: Vec::with_capacity(rows[1]),
-            kids: Vec::with_capacity(rows[2]),
-            texts: Vec::with_capacity(rows[3]),
+            buf: String::with_capacity(room.bytes),
+            elems: Vec::with_capacity(room.elems),
+            attrs: Vec::with_capacity(room.attrs),
+            kids: Vec::with_capacity(room.kids),
+            texts: Vec::with_capacity(room.texts),
             ..ArenaDoc::empty()
         }
+    }
+
+    /// A value appended to the buffer — how builders and compaction
+    /// store values.
+    fn pack(&mut self, v: &str) -> AVal {
+        let start = self.buf.len() as u32;
+        self.buf.push_str(v);
+        self.value_bytes += v.len() as u32;
+        let end = u32::try_from(self.buf.len()).expect("a document's values fit u32 offsets");
+        AVal::Slice(start, end)
+    }
+
+    /// A value held on its own — how edits store values until the next
+    /// [`ArenaDoc::compact`], so a write never regrows the buffer.
+    fn own(&mut self, v: &str) -> AVal {
+        self.value_bytes += v.len() as u32;
+        AVal::Owned(v.to_string())
     }
 
     /// Starts an element whose attribute rows (from `attr_start` on) are
@@ -213,40 +268,27 @@ impl ArenaDoc {
         self.texts.push(v);
     }
 
-    fn add_element(&mut self, e: &Element, scratch: &mut Vec<AKid>) -> NodeId {
+    /// Appends the rows of `e`.
+    fn add_element(&mut self, e: &Element, cv: &mut Convert) -> NodeId {
         let attr_start = self.attrs.len();
         for (n, v) in &e.attrs {
-            self.attrs.push((NameInterner::intern(n), AVal::Owned(v.clone())));
+            let v = (cv.store)(self, v);
+            self.attrs.push((cv.intern(n), v));
         }
-        let (id, mark) = self.open(NameInterner::intern(&e.name), attr_start, scratch);
+        let (id, mark) = self.open(cv.intern(&e.name), attr_start, &cv.scratch);
         for ch in &e.children {
             match ch {
                 Node::Element(c) => {
-                    let cid = self.add_element(c, scratch);
-                    scratch.push(AKid::Elem(cid));
+                    let cid = self.add_element(c, cv);
+                    cv.scratch.push(AKid::Elem(cid));
                 }
-                Node::Text(t) => self.add_text(AVal::Owned(t.clone()), scratch),
+                Node::Text(t) => {
+                    let v = (cv.store)(self, t);
+                    self.add_text(v, &mut cv.scratch);
+                }
             }
         }
-        self.close(id, mark, scratch)
-    }
-
-    fn add_owned(&mut self, e: Element, scratch: &mut Vec<AKid>) -> NodeId {
-        let attr_start = self.attrs.len();
-        for (n, v) in e.attrs {
-            self.attrs.push((NameInterner::intern(&n), AVal::Owned(v)));
-        }
-        let (id, mark) = self.open(NameInterner::intern(&e.name), attr_start, scratch);
-        for ch in e.children {
-            match ch {
-                Node::Element(c) => {
-                    let cid = self.add_owned(c, scratch);
-                    scratch.push(AKid::Elem(cid));
-                }
-                Node::Text(t) => self.add_text(AVal::Owned(t), scratch),
-            }
-        }
-        self.close(id, mark, scratch)
+        self.close(id, mark, &mut cv.scratch)
     }
 
     /// The document element.
@@ -354,16 +396,33 @@ impl ArenaDoc {
         1 + self.child_elements(id).map(|c| self.subtree_size(c)).sum::<usize>()
     }
 
-    /// Bytes of character data that had to be copied out of the input
-    /// (entity/CDATA/comment-interrupted runs and synthesized values).
-    /// Zero for a clean parse — the zero-copy claim, measurable.
+    /// The owned values of every row, live or dead.
+    fn owned_values(&self) -> impl Iterator<Item = &String> {
+        self.texts.iter().chain(self.attrs.iter().map(|(_, v)| v)).filter_map(|v| match v {
+            AVal::Slice(..) => None,
+            AVal::Owned(s) => Some(s),
+        })
+    }
+
+    /// Bytes of character data held outside the buffer: entity, CDATA
+    /// and comment-interrupted runs of a parse, and values written by
+    /// edits since the last [`ArenaDoc::compact`]. Zero for a clean
+    /// parse — the zero-copy claim, measurable — and for a built or
+    /// compacted document.
     pub fn owned_value_bytes(&self) -> usize {
-        let owned = |v: &AVal| match v {
-            AVal::Slice(..) => 0,
-            AVal::Owned(s) => s.len(),
-        };
-        self.texts.iter().map(owned).sum::<usize>()
-            + self.attrs.iter().map(|(_, v)| owned(v)).sum::<usize>()
+        self.owned_values().map(String::len).sum()
+    }
+
+    /// Heap bytes the document holds, by capacity: the four tables, the
+    /// buffer and every owned value.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.buf.capacity()
+            + self.elems.capacity() * size_of::<AElem>()
+            + self.attrs.capacity() * size_of::<(NameId, AVal)>()
+            + self.kids.capacity() * size_of::<AKid>()
+            + self.texts.capacity() * size_of::<AVal>()
+            + self.owned_values().map(String::capacity).sum::<usize>()
     }
 
     /// Converts the subtree at `id` back into an owned [`Element`]. Its
@@ -446,21 +505,53 @@ impl ArenaDoc {
     }
 }
 
+/// One conversion of an owned tree into arena rows.
+struct Convert {
+    /// How values are stored: [`ArenaDoc::pack`] or [`ArenaDoc::own`].
+    store: fn(&mut ArenaDoc, &str) -> AVal,
+    /// Children of the open elements, as in [`ArenaDoc::open`].
+    scratch: Vec<AKid>,
+    /// The last few names interned. A profile repeats a handful of tag
+    /// and attribute names, and comparing against these is cheaper
+    /// than the interner's hashed lookup.
+    names: [(&'static str, NameId); 8],
+    next: usize,
+}
+
+impl Convert {
+    fn new(store: fn(&mut ArenaDoc, &str) -> AVal) -> Convert {
+        Convert { store, scratch: Vec::new(), names: [("", NameId(u32::MAX)); 8], next: 0 }
+    }
+
+    fn intern(&mut self, name: &str) -> NameId {
+        let seen = self.names.iter().take(self.next).find(|(n, _)| *n == name);
+        if let Some(&(_, id)) = seen {
+            return id;
+        }
+        let id = NameInterner::intern(name);
+        self.names[self.next % 8] = (NameInterner::resolve(id), id);
+        self.next += 1;
+        id
+    }
+}
+
 /// In-place edits: a native store applies its updates here.
 ///
 /// Edits are **append-range**: a mutated element gets a fresh attribute
 /// or child range appended to the flat tables and its header repointed,
 /// while every untouched node keeps its rows — the same structural-
-/// sharing discipline as [`crate::MergeOut`]. Superseded rows become
-/// arena garbage, which the document counts ([`ArenaDoc::dead_rows`]);
-/// whoever keeps a document under editing bounds it by calling
-/// [`ArenaDoc::compact`] once the dead rows outnumber the live ones.
+/// sharing discipline as [`crate::MergeOut`]. A value an edit writes is
+/// held owned, outside the buffer, until the next compaction. Superseded
+/// rows and values become arena garbage, which the document counts
+/// ([`ArenaDoc::dead_rows`], [`ArenaDoc::dead_value_bytes`]); whoever
+/// keeps a document under editing bounds it by calling
+/// [`ArenaDoc::compact`] once either dead count passes its live one.
 impl ArenaDoc {
     /// Converts `e` into arena rows, returning the fresh subtree's root
     /// id. The subtree is unattached until a [`ArenaDoc::push_child`]
     /// or [`ArenaDoc::replace_child`].
     pub fn graft_element(&mut self, e: &Element) -> NodeId {
-        self.add_element(e, &mut Vec::new())
+        self.add_element(e, &mut Convert::new(ArenaDoc::own))
     }
 
     fn rewrite_kids(&mut self, id: NodeId, new: Vec<AKid>) {
@@ -468,36 +559,63 @@ impl ArenaDoc {
         self.kids.extend(new);
         let end = self.kids.len() as u32;
         let e = &mut self.elems[id.0 as usize];
-        self.dead += (e.kid_end - e.kid_start) as usize;
+        self.dead += e.kid_end - e.kid_start;
         e.kid_start = start;
         e.kid_end = end;
     }
 
-    /// Rows of the four tables the subtree at `id` occupies.
-    fn subtree_rows(&self, id: NodeId) -> usize {
+    /// Table rows and value bytes the subtree at `id` occupies.
+    fn tally(&self, id: NodeId, r: &mut Room) {
         let e = &self.elems[id.0 as usize];
-        let own = 1 + (e.attr_end - e.attr_start) as usize + (e.kid_end - e.kid_start) as usize;
-        self.kids[e.kid_start as usize..e.kid_end as usize]
-            .iter()
-            .map(|k| match k {
-                AKid::Elem(c) => self.subtree_rows(*c),
-                AKid::Text(_) => 1,
-            })
-            .sum::<usize>()
-            + own
+        let attrs = &self.attrs[e.attr_start as usize..e.attr_end as usize];
+        let kids = &self.kids[e.kid_start as usize..e.kid_end as usize];
+        r.elems += 1;
+        r.attrs += attrs.len();
+        r.kids += kids.len();
+        r.bytes += attrs.iter().map(|(_, v)| self.val(v).len()).sum::<usize>();
+        for k in kids {
+            match k {
+                AKid::Elem(c) => self.tally(*c, r),
+                AKid::Text(t) => {
+                    r.texts += 1;
+                    r.bytes += self.val(&self.texts[*t as usize]).len();
+                }
+            }
+        }
+    }
+
+    /// Counts `rows` table rows and `bytes` value bytes as garbage.
+    fn retire(&mut self, rows: usize, bytes: usize) {
+        self.dead += rows as u32;
+        self.dead_bytes += bytes as u32;
+    }
+
+    /// Counts the subtree at `id` as garbage.
+    fn orphan(&mut self, id: NodeId) {
+        let mut r = Room::default();
+        self.tally(id, &mut r);
+        self.retire(r.rows(), r.bytes);
     }
 
     /// Replaces all text children of `id` with a single text node at
     /// the end of the child list — exactly [`Element::set_text`].
     pub fn set_text(&mut self, id: NodeId, text: &str) {
         let e = self.elems[id.0 as usize];
-        let old = &self.kids[e.kid_start as usize..e.kid_end as usize];
-        let mut kids: Vec<AKid> =
-            old.iter().filter(|k| matches!(k, AKid::Elem(_))).copied().collect();
-        self.dead += old.len() - kids.len();
-        let ti = self.texts.len() as u32;
-        self.texts.push(AVal::Owned(text.to_string()));
-        kids.push(AKid::Text(ti));
+        let mut kids = Vec::with_capacity((e.kid_end - e.kid_start) as usize + 1);
+        let (mut rows, mut bytes) = (0, 0);
+        for &k in &self.kids[e.kid_start as usize..e.kid_end as usize] {
+            match k {
+                AKid::Elem(_) => kids.push(k),
+                AKid::Text(t) => {
+                    rows += 1;
+                    bytes += self.val(&self.texts[t as usize]).len();
+                }
+            }
+        }
+        self.retire(rows, bytes);
+        let v = self.own(text);
+        kids.push(AKid::Text(self.texts.len() as u32));
+        self.texts.push(v);
         self.rewrite_kids(id, kids);
     }
 
@@ -508,14 +626,22 @@ impl ArenaDoc {
         let nid = NameInterner::intern(name);
         let e = self.elems[id.0 as usize];
         let old = e.attr_start as usize..e.attr_end as usize;
+        let v = self.own(value);
         if let Some(slot) = old.clone().find(|&slot| self.attrs[slot].0 == nid) {
-            self.attrs[slot].1 = AVal::Owned(value.to_string());
+            let superseded = std::mem::replace(&mut self.attrs[slot].1, v);
+            self.retire(0, self.val(&superseded).len());
             return;
         }
+        // The old rows die; their values move to the new range.
         let start = self.attrs.len() as u32;
-        self.dead += old.len();
-        self.attrs.extend_from_within(old);
-        self.attrs.push((nid, AVal::Owned(value.to_string())));
+        self.retire(old.len(), 0);
+        self.attrs.reserve(old.len() + 1);
+        for slot in old {
+            let (n, moved) = &mut self.attrs[slot];
+            let row = (*n, std::mem::replace(moved, AVal::Slice(0, 0)));
+            self.attrs.push(row);
+        }
+        self.attrs.push((nid, v));
         let slot = &mut self.elems[id.0 as usize];
         slot.attr_start = start;
         slot.attr_end = self.attrs.len() as u32;
@@ -544,7 +670,7 @@ impl ArenaDoc {
         if self.kid_slot(parent, child).is_none() {
             return false;
         }
-        self.dead += self.subtree_rows(child);
+        self.orphan(child);
         let e = self.elems[parent.0 as usize];
         let kids: Vec<AKid> = self.kids[e.kid_start as usize..e.kid_end as usize]
             .iter()
@@ -561,7 +687,7 @@ impl ArenaDoc {
     /// overwritten where it is; only `old`'s subtree becomes garbage.
     pub fn replace_child(&mut self, parent: NodeId, old: NodeId, new: NodeId) -> bool {
         let Some(slot) = self.kid_slot(parent, old) else { return false };
-        self.dead += self.subtree_rows(old);
+        self.orphan(old);
         self.kids[slot] = AKid::Elem(new);
         true
     }
@@ -585,42 +711,52 @@ impl ArenaDoc {
     /// Table rows orphaned by edits since the document was built or
     /// last compacted.
     pub fn dead_rows(&self) -> usize {
-        self.dead
+        self.dead as usize
     }
 
     /// Table rows reachable from the root.
     pub fn live_rows(&self) -> usize {
-        self.elems.len() + self.attrs.len() + self.kids.len() + self.texts.len() - self.dead
+        self.elems.len() + self.attrs.len() + self.kids.len() + self.texts.len() - self.dead_rows()
     }
 
-    /// Rebuilds the tables from the live tree, moving every value, so
-    /// nothing dead is left. Every [`NodeId`] handed out before is
-    /// invalid afterwards.
+    /// Value bytes superseded by edits since the document was built or
+    /// last compacted: orphaned values, and overwritten ones.
+    pub fn dead_value_bytes(&self) -> usize {
+        self.dead_bytes as usize
+    }
+
+    /// Value bytes reachable from the root.
+    pub fn live_value_bytes(&self) -> usize {
+        (self.value_bytes - self.dead_bytes) as usize
+    }
+
+    /// Rebuilds the document from its live tree: the four tables sized
+    /// exactly by one counting walk, every live value packed into a
+    /// fresh, exactly-sized buffer, nothing dead left. Every [`NodeId`]
+    /// handed out before is invalid afterwards.
     pub fn compact(&mut self) {
-        let mut old = std::mem::replace(self, ArenaDoc::empty());
-        self.buf = std::mem::take(&mut old.buf);
-        let root = old.root;
-        self.root = self.move_subtree(&mut old, root, &mut Vec::new());
+        let mut room = Room::default();
+        self.tally(self.root, &mut room);
+        let old = std::mem::replace(self, ArenaDoc::with_room(&room));
+        self.root = self.copy_subtree(&old, old.root, &mut Vec::new());
     }
 
-    fn move_subtree(&mut self, old: &mut ArenaDoc, id: NodeId, scratch: &mut Vec<AKid>) -> NodeId {
-        // Each live row hangs in exactly one place, so its value can be
-        // taken; the placeholder left behind is never read.
-        let taken = |v: &mut AVal| std::mem::replace(v, AVal::Slice(0, 0));
+    fn copy_subtree(&mut self, old: &ArenaDoc, id: NodeId, scratch: &mut Vec<AKid>) -> NodeId {
         let e = old.elems[id.0 as usize];
         let attr_start = self.attrs.len();
-        for (n, v) in &mut old.attrs[e.attr_start as usize..e.attr_end as usize] {
-            self.attrs.push((*n, taken(v)));
+        for (n, v) in &old.attrs[e.attr_start as usize..e.attr_end as usize] {
+            let v = self.pack(old.val(v));
+            self.attrs.push((*n, v));
         }
         let (new_id, mark) = self.open(e.name, attr_start, scratch);
-        for slot in e.kid_start as usize..e.kid_end as usize {
-            match old.kids[slot] {
+        for k in &old.kids[e.kid_start as usize..e.kid_end as usize] {
+            match *k {
                 AKid::Elem(c) => {
-                    let cid = self.move_subtree(old, c, scratch);
+                    let cid = self.copy_subtree(old, c, scratch);
                     scratch.push(AKid::Elem(cid));
                 }
                 AKid::Text(t) => {
-                    let v = taken(&mut old.texts[t as usize]);
+                    let v = self.pack(old.val(&old.texts[t as usize]));
                     self.add_text(v, scratch);
                 }
             }
@@ -719,6 +855,8 @@ struct ArenaParser<'a> {
     /// suffix into the flat `kids` vector when it closes, so child
     /// ranges end up contiguous.
     scratch: Vec<AKid>,
+    /// Whitespace runs normalization dropped: text rows nothing points to.
+    dropped: Room,
 }
 
 impl<'a> ArenaParser<'a> {
@@ -898,7 +1036,12 @@ impl<'a> ArenaParser<'a> {
                         AVal::Slice(s, e) => &self.input[*s as usize..*e as usize],
                         AVal::Owned(s) => s.as_str(),
                     };
-                    !s.chars().all(char::is_whitespace)
+                    let blank = s.chars().all(char::is_whitespace);
+                    if blank {
+                        self.dropped.texts += 1;
+                        self.dropped.bytes += s.len();
+                    }
+                    !blank
                 }
             };
             if keep {
@@ -1128,17 +1271,24 @@ mod tests {
     }
 
     #[test]
-    fn from_owned_moves_the_same_tree_in() {
+    fn from_element_packs_values_into_one_exactly_sized_buffer() {
         let e = Element::new("a")
             .with_attr("id", "1 & 2")
             .with_text("  ")
             .with_child(Element::new("b").with_attr("k", "\"q\"").with_text("x < y"))
             .with_text("tail");
-        let borrowed = ArenaDoc::from_element(&e);
-        let moved = ArenaDoc::from_owned(e.clone());
-        assert_eq!(moved.root_element(), e);
-        assert_eq!(moved.to_xml(), borrowed.to_xml());
-        assert_eq!(moved.node_count(), borrowed.node_count());
+        let d = ArenaDoc::from_element(&e);
+        assert_eq!(d.root_element(), e);
+        assert_eq!(d.to_xml(), e.to_xml());
+        assert_eq!(d.owned_value_bytes(), 0);
+        let bytes = "1 & 2".len() + "  ".len() + "\"q\"".len() + "x < y".len() + "tail".len();
+        assert_eq!((d.buf.len(), d.buf.capacity()), (bytes, bytes));
+        assert_eq!(d.live_value_bytes(), bytes);
+        // Five allocations, none with slack.
+        assert_eq!(d.elems.capacity(), d.elems.len());
+        assert_eq!(d.attrs.capacity(), d.attrs.len());
+        assert_eq!(d.kids.capacity(), d.kids.len());
+        assert_eq!(d.texts.capacity(), d.texts.len());
     }
 
     #[test]
@@ -1227,16 +1377,30 @@ mod tests {
     }
 
     #[test]
-    fn compact_keeps_slices_over_the_retained_buffer() {
-        let mut d =
-            ArenaDoc::parse(r#"<u id="x"><a>one</a><b k="v">two &amp; three</b></u>"#).unwrap();
-        let a = d.child_elements(d.root()).next().unwrap();
+    fn compact_packs_live_values_into_one_buffer() {
+        let src = r#"<u id="x"><a>one</a><b k="v &lt; w">two &amp; three</b><c>drop</c></u>"#;
+        let mut d = ArenaDoc::parse(src).unwrap();
         let root = d.root();
-        assert!(d.remove_child(root, a));
-        let owned_before = d.owned_value_bytes();
+        let kids: Vec<NodeId> = d.child_elements(root).collect();
+        assert!(d.remove_child(root, kids[0]));
+        d.set_text(kids[2], "kept é");
+        d.set_attr(kids[2], "n", "\"q\"");
+        assert!(d.owned_value_bytes() > 0);
+        let (xml, tree, live) = (d.to_xml(), d.root_element(), d.live_value_bytes());
+        assert_eq!(
+            xml,
+            r#"<u id="x"><b k="v &lt; w">two &amp; three</b><c n="&quot;q&quot;">kept é</c></u>"#
+        );
         d.compact();
-        assert_eq!(d.to_xml(), r#"<u id="x"><b k="v">two &amp; three</b></u>"#);
-        assert_eq!(d.owned_value_bytes(), owned_before, "no slice was copied out");
+        assert_eq!(d.owned_value_bytes(), 0, "no value is held outside the buffer");
+        assert_eq!(d.buf.len(), live, "the buffer holds the live values and nothing else");
+        assert_eq!(d.buf.capacity(), live);
+        assert_eq!((d.dead_rows(), d.dead_value_bytes(), d.live_value_bytes()), (0, 0, live));
+        assert_eq!(d.to_xml(), xml);
+        assert_eq!(d.root_element(), tree);
+        let b = d.child_elements(d.root()).next().unwrap();
+        assert_eq!(d.text(b), "two & three", "entity-decoded text survives packing");
+        assert_eq!(d.attr(b, "k"), Some("v < w"));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!
 //! Nothing the merge reads is copied: spine attribute values and merged
 //! text borrow from the source documents, and siblings are matched on
-//! a borrowed [`Identity`] rather than a formatted key string.
+//! a borrowed [`Identity`] rather than a formatted key string. The key
+//! attributes are interned when [`MergeKeys`] is built, so finding a
+//! sibling's identity compares integers and hashes no string.
 //!
 //! [`MergeStats`] counts fresh spine nodes vs. shared subtree nodes;
 //! the bench harness (E19) and the fetch pipeline's simulated
@@ -315,21 +317,15 @@ impl<'a> MergeOut<'a> {
 
     /// Identity under `keys`: explicit key first (and *only* that
     /// attribute if the tag has one), then the default `id`/`name`/
-    /// `type` fallback — the exact precedence of [`MergeKeys::identity`].
+    /// `type` fallback — the exact precedence of [`MergeKeys::identity`],
+    /// on interned ids only.
     fn identity_of(&self, h: H, keys: &MergeKeys) -> Option<Identity<'a>> {
         let name = self.name_of(h);
-        let probe = |attr: &str| {
-            // A name that was never interned is on no node.
-            let attr = NameInterner::lookup(attr)?;
-            self.attr_of(h, attr).map(|v| (name, attr, v))
-        };
-        if let Some(attr) = keys.key_attr(NameInterner::resolve(name)) {
-            return probe(attr);
+        let probe = |attr: NameId| self.attr_of(h, attr).map(|v| (name, attr, v));
+        match keys.explicit(name) {
+            Some(attr) => probe(attr),
+            None => keys.fallback().iter().find_map(|&(a, _)| probe(a)),
         }
-        if keys.use_default_keys {
-            return ["id", "name", "type"].into_iter().find_map(probe);
-        }
-        None
     }
 
     /// Structural equality with `Element == Element` semantics:
@@ -604,6 +600,45 @@ mod tests {
         );
         agree(a, b, &sku);
         assert_eq!(items(a, b, &sku, "item"), 3);
+    }
+
+    /// Key specifications the interned identity must read exactly as the
+    /// owned merge reads them.
+    #[test]
+    fn interned_keys_match_owned_identity() {
+        let (a, b) = (
+            r#"<b><item id="1" sku="x"><n>A</n></item><item id="2" sku="y"><n>B</n></item><v name="k">1</v></b>"#,
+            r#"<b><item id="1" sku="z"><m>C</m></item><item sku="y"><p>D</p></item><v name="k">1</v></b>"#,
+        );
+        // Re-keying a tag: the later key replaces the earlier one, so
+        // items match on `sku` (y with y), not on `id` (which conflicts).
+        let rekeyed = MergeKeys::new().with_key("item", "id").with_key("item", "sku");
+        agree(a, b, &rekeyed);
+        let (da, db) = (ArenaDoc::parse(a).unwrap(), ArenaDoc::parse(b).unwrap());
+        let rk = merge_arena(&da, &db, &rekeyed).unwrap();
+        assert_eq!(rk.to_element().children_named("item").count(), 3);
+        assert!(merge_arena(&da, &db, &MergeKeys::new().with_key("item", "id")).is_err());
+        // A key attribute no document carries: items lose their identity.
+        let absent = MergeKeys::new().with_key("item", "interned-key-on-no-node");
+        agree(a, b, &absent);
+        // No fallback keys at all: only explicit keys identify, so no
+        // item matches another and all four are kept.
+        agree(a, b, &MergeKeys::default());
+        let plain = merge_arena(&da, &db, &MergeKeys::default()).unwrap();
+        assert_eq!(plain.to_element().children_named("item").count(), 4);
+        agree(a, b, &MergeKeys::default().with_key("v", "name"));
+        let mut defaults_on = MergeKeys::default();
+        defaults_on.use_default_keys = true;
+        agree(a, b, &defaults_on);
+        let ea = parse(a).unwrap();
+        for keys in [&rekeyed, &absent, &MergeKeys::default(), &defaults_on] {
+            for (e, n) in ea.child_elements().zip(da.child_elements(da.root())) {
+                let owned = keys.identity(e);
+                let arena = MergeOut::from_node(&da, n).root_identity(keys);
+                let arena = arena.map(|(_, attr, v)| (NameInterner::resolve(attr), v));
+                assert_eq!(arena, owned, "{e:?} under {keys:?}");
+            }
+        }
     }
 
     #[test]

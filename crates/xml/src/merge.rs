@@ -16,38 +16,68 @@
 //! content conflicts surface as [`XmlError::MergeConflict`].
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::error::XmlError;
+use crate::intern::{NameId, NameInterner};
 use crate::node::{Element, Node};
 
 /// Per-tag key attributes driving [`merge`].
 ///
-/// `id` and `name` are treated as default keys: if a tag has no explicit
-/// entry but the element carries an `id` (or, failing that, `name`)
-/// attribute, that attribute is used.
+/// `id`, `name` and `type` are the default keys: if a tag has no
+/// explicit entry but the element carries one of them, the first it
+/// carries is used. [`MergeKeys::new`] turns them on; `Default` does not.
+///
+/// Tags and attributes are interned when a key is declared, so the
+/// arena merge matches siblings on integer ids; the interned names are
+/// kept beside the ids for the owned tree, which compares strings.
 #[derive(Debug, Clone, Default)]
 pub struct MergeKeys {
-    keys: HashMap<String, String>,
-    /// When true (default), fall back to `id`/`name` attributes for tags
+    /// `(tag, key attribute)`, at most one entry per tag.
+    keys: Vec<(Interned, Interned)>,
+    /// When true, fall back to `id`/`name`/`type` attributes for tags
     /// without an explicit key.
     pub use_default_keys: bool,
+}
+
+/// A name with its interned id.
+type Interned = (NameId, &'static str);
+
+fn interned(name: &str) -> Interned {
+    let id = NameInterner::intern(name);
+    (id, NameInterner::resolve(id))
 }
 
 impl MergeKeys {
     /// An empty specification with default-key fallback enabled.
     pub fn new() -> Self {
-        MergeKeys { keys: HashMap::new(), use_default_keys: true }
+        MergeKeys { keys: Vec::new(), use_default_keys: true }
     }
 
-    /// Builder: declares `attr` as the key attribute for `tag`.
-    pub fn with_key(mut self, tag: impl Into<String>, attr: impl Into<String>) -> Self {
-        self.keys.insert(tag.into(), attr.into());
+    /// Builder: declares `attr` as the key attribute for `tag`,
+    /// replacing any key declared for `tag` before.
+    pub fn with_key(mut self, tag: &str, attr: &str) -> Self {
+        let (tag, attr) = (interned(tag), interned(attr));
+        match self.keys.iter_mut().find(|(t, _)| t.0 == tag.0) {
+            Some(slot) => slot.1 = attr,
+            None => self.keys.push((tag, attr)),
+        }
         self
     }
 
-    /// Returns the explicitly configured key attribute for `tag`, if any.
-    pub(crate) fn key_attr(&self, tag: &str) -> Option<&str> {
-        self.keys.get(tag).map(String::as_str)
+    /// The explicitly declared key attribute for `tag`, if any.
+    pub(crate) fn explicit(&self, tag: NameId) -> Option<NameId> {
+        self.keys.iter().find(|(t, _)| t.0 == tag).map(|(_, a)| a.0)
+    }
+
+    /// The fallback key attributes in precedence order: `id`, `name`,
+    /// `type` when [`MergeKeys::use_default_keys`] is set, else none.
+    pub(crate) fn fallback(&self) -> &'static [Interned] {
+        static DEFAULTS: OnceLock<[Interned; 3]> = OnceLock::new();
+        if !self.use_default_keys {
+            return &[];
+        }
+        DEFAULTS.get_or_init(|| ["id", "name", "type"].map(interned))
     }
 
     /// Returns the key of `e` among its siblings, `(attribute, value)`
@@ -57,16 +87,13 @@ impl MergeKeys {
     /// Two siblings with the same tag and equal key denote the same
     /// logical node.
     pub fn identity<'e>(&self, e: &'e Element) -> Option<(&'e str, &'e str)> {
-        let probe = |attr: &str| {
+        let probe = |&(_, attr): &Interned| {
             e.attrs.iter().find(|(n, _)| n == attr).map(|(n, v)| (&**n, v.as_str()))
         };
-        if let Some(attr) = self.keys.get(&*e.name) {
-            return probe(attr);
+        match self.keys.iter().find(|(t, _)| t.1 == e.name) {
+            Some((_, attr)) => probe(attr),
+            None => self.fallback().iter().find_map(probe),
         }
-        if self.use_default_keys {
-            return ["id", "name", "type"].into_iter().find_map(probe);
-        }
-        None
     }
 }
 

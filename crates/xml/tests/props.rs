@@ -70,7 +70,7 @@ fn byte_size_counts_the_serialized_form() {
     }
     cases(256, 0x1ab7, |rng| {
         let e = tree(rng, 3);
-        let doc = ArenaDoc::from_owned(e.clone());
+        let doc = ArenaDoc::from_element(&e);
         let mut pending = vec![(doc.root(), &e)];
         while let Some((id, owned)) = pending.pop() {
             let bytes = owned.to_xml().len();
