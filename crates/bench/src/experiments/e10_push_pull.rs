@@ -4,7 +4,7 @@
 //! subscription handled by GUPster internally would save this extra
 //! work."
 
-use gupster_core::subs::SubscriptionManager;
+use gupster_core::subs::ShardedFanout;
 use gupster_core::{Gupster, StorePool};
 use gupster_policy::{Effect, Purpose, WeekTime};
 use gupster_schema::gup_schema;
@@ -46,7 +46,7 @@ fn simulate(rounds: u32, update_p: f64, poll_every: Option<u32>, seed: u64) -> S
 
     let path = Path::parse("/user[@id='alice']/presence").expect("static");
     let mut r = rng(seed);
-    let mut subs = SubscriptionManager::new();
+    let mut subs = ShardedFanout::new(1);
     let mut shield_checks = 0u64;
     let mut messages = 0u64;
     let mut staleness_sum = 0u64;

@@ -31,7 +31,7 @@
 
 use std::time::Instant;
 
-use gupster_core::{Gupster, StorePool, SubscriptionManager};
+use gupster_core::{Gupster, ShardedFanout, StorePool};
 use gupster_netsim::{Domain, Journey, Network, NodeId, SimTime};
 use gupster_policy::{Effect, WeekTime};
 use gupster_rng::Rng;
@@ -101,7 +101,7 @@ fn open_registry(owners: &[String]) -> Gupster {
 /// trie's always-scanned fallback bucket.
 fn subscribe_population(
     g: &mut Gupster,
-    subs: &mut SubscriptionManager,
+    subs: &mut ShardedFanout,
     owners: &[String],
     n_subs: usize,
     seed: u64,
@@ -160,7 +160,7 @@ fn match_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
     let mut table = Vec::new();
     for &n_subs in scales {
         let mut g = open_registry(&owners);
-        let mut subs = SubscriptionManager::new();
+        let mut subs = ShardedFanout::new(1);
         subscribe_population(&mut g, &mut subs, &owners, n_subs, 2102);
         assert_eq!(subs.len(), n_subs);
 
@@ -235,7 +235,7 @@ fn match_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
 /// The hub world: one owner with a real store, `n_watchers`
 /// subscribers (a slice of them double-subscribed to the whole
 /// profile, so coalescing has duplicates to drop).
-fn hub_world(n_watchers: usize) -> (Gupster, StorePool, SubscriptionManager) {
+fn hub_world(n_watchers: usize) -> (Gupster, StorePool, ShardedFanout) {
     let hub = "hubuser";
     let mut g = Gupster::new(gup_schema(), b"e21");
     g.telemetry().set_span_limit(0); // histograms only
@@ -259,7 +259,7 @@ fn hub_world(n_watchers: usize) -> (Gupster, StorePool, SubscriptionManager) {
     let mut pool = StorePool::new();
     pool.add(Box::new(store));
 
-    let mut subs = SubscriptionManager::new();
+    let mut subs = ShardedFanout::new(1);
     let presence = Path::parse(&format!("/user[@id='{hub}']/presence")).expect("static");
     let whole = Path::parse(&format!("/user[@id='{hub}']")).expect("static");
     for w in 0..n_watchers {
@@ -452,7 +452,7 @@ mod tests {
     fn small_match_sweep_is_identical_and_pruned() {
         let owners: Vec<String> = (0..16).map(user_id).collect();
         let mut g = open_registry(&owners);
-        let mut subs = SubscriptionManager::new();
+        let mut subs = ShardedFanout::new(1);
         subscribe_population(&mut g, &mut subs, &owners, 400, 5);
         assert_eq!(subs.len(), 400);
         for e in write_stream(&owners, 64, 6) {

@@ -53,19 +53,6 @@ pub enum GupsterError {
         /// The budget that was exceeded.
         budget: SimTime,
     },
-    /// Admission control shed the request: the ingress queue it routes
-    /// to was full (or the request was evicted by a higher-priority
-    /// arrival) and no stale answer covered it. Deliberately *not*
-    /// transient — retrying against an overloaded server adds load, so
-    /// the resilience ladder jumps straight to its stale-cache rung.
-    Overloaded {
-        /// The virtual ingress queue that refused the request.
-        queue: usize,
-        /// Waiting-room depth observed at the shed decision.
-        depth: usize,
-        /// The queue's configured waiting-room capacity.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for GupsterError {
@@ -89,9 +76,6 @@ impl fmt::Display for GupsterError {
             ),
             GupsterError::DeadlineExceeded { elapsed, budget } => {
                 write!(f, "deadline exceeded: {elapsed} spent of a {budget} budget")
-            }
-            GupsterError::Overloaded { queue, depth, capacity } => {
-                write!(f, "overloaded: ingress queue {queue} shed at depth {depth}/{capacity}")
             }
         }
     }

@@ -67,8 +67,6 @@ pub use referral::{Referral, ReferralEntry};
 pub use registry::{Gupster, LookupOutcome, RegistryStats};
 pub use resilience::{ResilientExecutor, ResilientRun, RetryPolicy, ServedVia};
 pub use shard::{BatchReport, OpenLoopRequest, OverloadReport, ShardRequest, ShardedRegistry};
-pub use subs::{
-    DeliveryBatch, MatchOutcome, Notification, ShardedFanout, SubscriptionManager, WindowOutcome,
-};
+pub use subs::{DeliveryBatch, MatchOutcome, Notification, ShardedFanout, WindowOutcome};
 pub use syncplane::{write_through, EditError, PlaneReport, SyncPlane, UserOutcome};
 pub use token::{SignedQuery, Signer, TokenError};

@@ -267,14 +267,6 @@ impl<'a> ResilientExecutor<'a> {
                         over_deadline = true;
                         break 'ladder;
                     }
-                    Err(e @ GupsterError::Overloaded { .. }) => {
-                        // An overloaded upstream is not a fault window
-                        // that retries can outwait — retrying only adds
-                        // load. Skip the remaining attempts and rungs
-                        // and drop straight to the stale-cache rung.
-                        errors.push(e);
-                        break 'ladder;
-                    }
                     Err(e) if is_transient(&e) => errors.push(e),
                     Err(e) => return Err(e),
                 }
@@ -343,10 +335,7 @@ impl<'a> ResilientExecutor<'a> {
 }
 
 /// True for errors a retry or fallback can plausibly fix: a fault
-/// window closes, a different rung crosses different links. Notably
-/// *not* [`GupsterError::Overloaded`]: an overloaded server needs less
-/// traffic, not a retry — the ladder (and the open-loop engine in
-/// [`crate::shard`]) route those straight to the stale cache.
+/// window closes, a different rung crosses different links.
 pub(crate) fn is_transient(e: &GupsterError) -> bool {
     matches!(
         e,
@@ -401,8 +390,5 @@ mod tests {
             path: "/user".into(),
             candidates: vec![]
         }));
-        // Overloaded must NOT classify as transient: the ladder jumps
-        // to the stale cache instead of retrying into the overload.
-        assert!(!is_transient(&GupsterError::Overloaded { queue: 3, depth: 32, capacity: 32 }));
     }
 }

@@ -1,14 +1,19 @@
-//! The sharded front end: hash-partitioning the registry by user and
-//! running lookups on real threads.
+//! The owner-sharded executor, and the sharded registry front end that
+//! runs lookups on it.
 //!
 //! The paper sizes GUPster for "hundreds of millions of users" (§3) —
 //! one core doesn't get there. Everything that affects a lookup's
 //! *output* is keyed by the profile owner: the coverage trie, the
 //! decision memo, the owner's policies and relationships. That makes
-//! the registry embarrassingly partitionable: a [`ShardedRegistry`]
-//! owns N independent [`Gupster`] shards and routes every user to
-//! exactly one of them by a stable hash, so shard workers never share
-//! mutable state and never need a lock.
+//! the registry embarrassingly partitionable, and partitioning by owner
+//! is the system's one scaling decision. It lives in one place: the
+//! `Shards` executor below holds N parts, routes every owner to exactly
+//! one of them by a stable hash, and runs the crate's only scatter/gather,
+//! so shard workers never share mutable state and never need a lock.
+//! Every sharded plane keeps its per-shard state in one: a
+//! [`ShardedRegistry`] its [`Gupster`]s (and its open-loop ingress
+//! queues), the sync plane its replica stars, the push fanout plane its
+//! subscription indexes.
 //!
 //! **Determinism argument.** A seeded workload produces byte-identical
 //! referrals and answers to the sequential path regardless of shard
@@ -26,7 +31,7 @@
 //!
 //! Scatter-gather uses `std::thread::scope` workers over persistent
 //! shard state — zero external deps, and the borrow checker proves the
-//! partitioning (each worker holds `&mut` to exactly one shard).
+//! partitioning (each worker holds `&mut` to exactly one part).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -74,10 +79,104 @@ fn shard_hash(user: &str) -> u64 {
     h
 }
 
-/// The one owner → partition route: which of `shards` partitions (registry
-/// shards, fanout managers, sync shards, ingress queues) owns `owner`.
-pub(crate) fn shard_index(owner: &str, shards: usize) -> usize {
-    (shard_hash(owner) % shards as u64) as usize
+/// The owner-sharded executor: `n ≥ 1` parts, each the sole holder of
+/// the profile owners [`index`](Self::index) routes to it.
+#[derive(Debug)]
+pub(crate) struct Shards<T> {
+    parts: Vec<T>,
+}
+
+impl<T> Shards<T> {
+    /// `n` parts, part `i` built by `part(i)`.
+    ///
+    /// # Panics
+    /// When `n` is zero.
+    pub(crate) fn new(n: usize, part: impl FnMut(usize) -> T) -> Self {
+        assert!(n >= 1, "an owner-sharded plane needs at least one shard");
+        Shards { parts: (0..n).map(part).collect() }
+    }
+
+    /// The one owner → part route.
+    pub(crate) fn index(&self, owner: &str) -> usize {
+        (shard_hash(owner) % self.parts.len() as u64) as usize
+    }
+
+    /// The part holding `owner`.
+    pub(crate) fn get(&self, owner: &str) -> &T {
+        &self.parts[self.index(owner)]
+    }
+
+    /// The part holding `owner`, mutably.
+    pub(crate) fn get_mut(&mut self, owner: &str) -> &mut T {
+        let i = self.index(owner);
+        &mut self.parts[i]
+    }
+
+    /// Every part, in part order.
+    pub(crate) fn parts(&self) -> &[T] {
+        &self.parts
+    }
+
+    /// Every part, mutably, in part order.
+    pub(crate) fn parts_mut(&mut self) -> &mut [T] {
+        &mut self.parts
+    }
+
+    /// Scatter/gather: buckets `items` by `owner`, runs one scoped worker
+    /// per non-empty bucket with `&mut` to exactly its part, and gathers
+    /// the results in submission order. `work` gets its part and its
+    /// bucket's item indices (ascending) and returns a summary of the
+    /// part's run plus one result per index, in bucket order. Also
+    /// returns each part's `(bucket depth, summary)`, in part order; a
+    /// part that got nothing reports `(0, S::default())`.
+    pub(crate) fn scatter<'a, I, R, S, F>(
+        &mut self,
+        items: &'a [I],
+        owner: impl Fn(&'a I) -> &'a str,
+        work: F,
+    ) -> (Vec<R>, Vec<(usize, S)>)
+    where
+        T: Send,
+        R: Send,
+        S: Send + Default,
+        F: Fn(&mut T, &[usize]) -> (S, Vec<R>) + Sync,
+    {
+        // Item indices grouped by part, ascending within a part: part
+        // `p`'s bucket is the run of `order` that routes to `p`.
+        let route: Vec<usize> = items.iter().map(|item| self.index(owner(item))).collect();
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        order.sort_unstable_by_key(|&i| (route[i], i));
+        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+        let work = &work;
+        let per_part = thread::scope(|scope| {
+            let mut rest = &order[..];
+            let handles: Vec<_> = self
+                .parts
+                .iter_mut()
+                .enumerate()
+                .map(|(p, part)| {
+                    let (bucket, tail) = rest.split_at(rest.partition_point(|&i| route[i] == p));
+                    rest = tail;
+                    let handle = (!bucket.is_empty()).then(|| scope.spawn(move || work(part, bucket)));
+                    (bucket, handle)
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|(bucket, handle)| {
+                    let Some(handle) = handle else { return (0, S::default()) };
+                    let (summary, out) = handle.join().expect("shard worker panicked");
+                    assert_eq!(out.len(), bucket.len(), "a shard worker must answer its whole bucket");
+                    for (&i, r) in bucket.iter().zip(out) {
+                        slots[i] = Some(r);
+                    }
+                    (bucket.len(), summary)
+                })
+                .collect()
+        });
+        let results = slots.into_iter().map(|r| r.expect("answered above")).collect();
+        (results, per_part)
+    }
 }
 
 /// One request in a scatter batch.
@@ -110,14 +209,6 @@ pub struct BatchReport {
     pub total_sim: SimTime,
 }
 
-impl BatchReport {
-    fn from_shard_sim(shard_sim: Vec<SimTime>) -> Self {
-        let makespan = shard_sim.iter().copied().max().unwrap_or(SimTime::ZERO);
-        let total_sim = SimTime(shard_sim.iter().map(|t| t.0).sum());
-        BatchReport { shard_sim, makespan, total_sim }
-    }
-}
-
 /// Fault-injection hook for open-loop runs: invoked once per admitted
 /// request with the service instant and the request; returning `Some`
 /// fails that execution before it reaches the pipeline.
@@ -137,7 +228,7 @@ pub struct OpenLoopRequest {
 }
 
 /// Aggregate results of one [`ShardedRegistry::answer_open_loop`] run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OverloadReport {
     /// Requests offered (arrivals).
     pub offered: usize,
@@ -172,25 +263,6 @@ pub struct OverloadReport {
 }
 
 impl OverloadReport {
-    fn empty(offered: usize) -> Self {
-        OverloadReport {
-            offered,
-            admitted: 0,
-            fresh: 0,
-            stale_served: 0,
-            shed_calls: 0,
-            shed_edits: 0,
-            offered_calls: 0,
-            offered_edits: 0,
-            preemptions: 0,
-            max_queue_depth: 0,
-            horizon: SimTime::ZERO,
-            busy: SimTime::ZERO,
-            call_latency: Histogram::default(),
-            edit_latency: Histogram::default(),
-        }
-    }
-
     /// Fraction of offered call-delivery requests that were shed.
     pub fn call_shed_rate(&self) -> f64 {
         if self.offered_calls == 0 {
@@ -245,7 +317,7 @@ const HOT_KEY_TOP_K: usize = 10;
 /// and gather in stable request order.
 #[derive(Debug)]
 pub struct ShardedRegistry {
-    shards: Vec<Gupster>,
+    shards: Shards<Gupster>,
     /// Per-shard cumulative gauges, updated at each gather join.
     accum: Vec<ShardAccum>,
     /// Requests submitted across all batches — also the base of the
@@ -268,9 +340,8 @@ impl ShardedRegistry {
     /// # Panics
     /// When `shards` is zero.
     pub fn new(schema: Schema, key: &[u8], shards: usize) -> Self {
-        assert!(shards >= 1, "a ShardedRegistry needs at least one shard");
         ShardedRegistry {
-            shards: (0..shards).map(|_| Gupster::new(schema.clone(), key)).collect(),
+            shards: Shards::new(shards, |_| Gupster::new(schema.clone(), key)),
             accum: vec![ShardAccum::default(); shards],
             ops: 0,
             makespan_total: SimTime::ZERO,
@@ -281,29 +352,28 @@ impl ShardedRegistry {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards().len()
     }
 
     /// The shard index owning `user`.
     pub fn shard_of(&self, user: &str) -> usize {
-        shard_index(user, self.shards.len())
+        self.shards.index(user)
     }
 
     /// The shard owning `user`.
     pub fn shard(&self, user: &str) -> &Gupster {
-        &self.shards[self.shard_of(user)]
+        self.shards.get(user)
     }
 
     /// Mutable access to the shard owning `user` — policy provisioning
     /// and other owner-keyed mutations go through here.
     pub fn shard_mut(&mut self, user: &str) -> &mut Gupster {
-        let s = self.shard_of(user);
-        &mut self.shards[s]
+        self.shards.get_mut(user)
     }
 
     /// All shards, for per-shard inspection (counters, memo stats).
     pub fn shards(&self) -> &[Gupster] {
-        &self.shards
+        self.shards.parts()
     }
 
     /// Registers a component on the owning shard (see
@@ -322,7 +392,7 @@ impl ShardedRegistry {
     /// on the same shard, so per-key cache behavior — and therefore
     /// every simulated cost — is identical at any shard count.
     pub fn enable_token_cache(&mut self) {
-        for g in &mut self.shards {
+        for g in self.shards.parts_mut() {
             g.enable_token_cache();
         }
     }
@@ -330,7 +400,7 @@ impl ShardedRegistry {
     /// Sets the token freshness window on every shard's signer (see
     /// `Gupster::set_token_freshness`).
     pub fn set_token_freshness(&mut self, window: u64) {
-        for g in &mut self.shards {
+        for g in self.shards.parts_mut() {
             g.set_token_freshness(window);
         }
     }
@@ -339,7 +409,7 @@ impl ShardedRegistry {
     /// workloads keep memory flat this way; histograms still aggregate
     /// everything).
     pub fn set_span_limit(&self, limit: usize) {
-        for g in &self.shards {
+        for g in self.shards() {
             g.telemetry().set_span_limit(limit);
         }
     }
@@ -349,7 +419,7 @@ impl ShardedRegistry {
     /// `threshold` keep their full span tree, top-`cap` retained per
     /// shard (and top-`cap` fleet-wide after the deterministic merge).
     pub fn set_exemplar_policy(&self, threshold: SimTime, cap: usize) {
-        for g in &self.shards {
+        for g in self.shards() {
             g.telemetry().set_exemplar_policy(threshold, cap);
         }
     }
@@ -362,32 +432,29 @@ impl ShardedRegistry {
     /// seeded workload.
     pub fn obs_snapshot(&self) -> ObsSnapshot {
         let mut merged: BTreeMap<String, Histogram> = BTreeMap::new();
-        for g in &self.shards {
+        for g in self.shards() {
             for (label, h) in g.telemetry().stage_histograms() {
                 merged.entry(label).or_default().merge(&h);
             }
         }
         let stages: Vec<StageRow> = merged
             .into_iter()
-            .map(|(label, h)| {
-                (
-                    label,
-                    StageStats {
-                        count: h.count(),
-                        p50: h.p50(),
-                        p95: h.p95(),
-                        p99: h.p99(),
-                        mean: h.mean(),
-                        max: h.max(),
-                    },
-                )
+            .map(|(stage, h)| StageRow {
+                stage,
+                stats: StageStats {
+                    count: h.count(),
+                    p50: h.p50(),
+                    p95: h.p95(),
+                    p99: h.p99(),
+                    mean: h.mean(),
+                    max: h.max(),
+                },
             })
-            .map(|(stage, stats)| StageRow { stage, stats })
             .collect();
 
-        let cap = self.shards.iter().map(|g| g.telemetry().exemplar_cap()).max().unwrap_or(0);
+        let cap = self.shards().iter().map(|g| g.telemetry().exemplar_cap()).max().unwrap_or(0);
         let exemplars = merge_exemplars(
-            self.shards.iter().map(|g| g.telemetry().exemplars()).collect(),
+            self.shards().iter().map(|g| g.telemetry().exemplars()).collect(),
             cap,
         )
         .iter()
@@ -403,7 +470,7 @@ impl ShardedRegistry {
         };
 
         let shards = self
-            .shards
+            .shards()
             .iter()
             .zip(&self.accum)
             .enumerate()
@@ -449,7 +516,7 @@ impl ShardedRegistry {
 
     /// Per-shard counter snapshots, shard order.
     pub(crate) fn shard_counters(&self) -> Vec<CounterSnapshot> {
-        self.shards.iter().map(|g| g.telemetry().counter_snapshot()).collect()
+        self.shards().iter().map(|g| g.telemetry().counter_snapshot()).collect()
     }
 
     /// Fleet-wide counter totals (per-shard snapshots summed).
@@ -483,12 +550,11 @@ impl ShardedRegistry {
         }
     }
 
-    /// Scatter-gather core: partitions `requests` by owner, runs one
-    /// scoped worker thread per non-empty shard (each request under its
-    /// own `shard.request` trace), and gathers results by the original
-    /// request index. `work` answers one request, possibly with a claim
-    /// on the worker's singleflight window; once the shard's slice is
-    /// done, `finish` turns each claim into the result.
+    /// Scatter-gather core: runs `requests` on the executor, each under
+    /// its own `shard.request` trace, one singleflight window per shard.
+    /// `work` answers one request, possibly with a claim on the
+    /// worker's singleflight window; once the shard's slice is done,
+    /// `finish` turns each claim into the result.
     fn scatter<P, R, F, G>(
         &mut self,
         requests: &[ShardRequest],
@@ -506,80 +572,60 @@ impl ShardedRegistry {
             + Sync,
         G: Fn(&mut Singleflight, P) -> R + Sync,
     {
-        let n = self.shards.len();
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, r) in requests.iter().enumerate() {
-            buckets[self.shard_of(&r.owner)].push(i);
-        }
         self.note_hot_keys(requests.iter());
-
-        let mut slots: Vec<Option<Result<R, GupsterError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        let mut shard_sim = vec![SimTime::ZERO; n];
-        let (work, finish) = (&work, &finish);
         let key_base = self.ops;
-
-        thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (gupster, bucket) in self.shards.iter_mut().zip(&buckets) {
-                if bucket.is_empty() {
-                    handles.push(None);
-                    continue;
+        let (results, per_shard) = self.shards.scatter(
+            requests,
+            |r| &r.owner,
+            |gupster, bucket| {
+                let hub = gupster.telemetry();
+                // One singleflight window per shard per batch: stores
+                // are quiescent for the batch's duration, so duplicates
+                // within it are safe to coalesce.
+                let mut flight = Singleflight::new();
+                let mut busy = SimTime::ZERO;
+                let mut pending: Vec<Result<P, GupsterError>> = Vec::with_capacity(bucket.len());
+                for &i in bucket {
+                    let mut tracer = hub.tracer(stage::SHARD_REQUEST);
+                    // Exemplar identity must not depend on the
+                    // partitioning, so key by global submission index,
+                    // not the hub-local request id.
+                    tracer.set_key(key_base + i as u64);
+                    pending.push(work(gupster, &mut flight, &requests[i], &mut tracer));
+                    busy += tracer.now();
                 }
-                handles.push(Some(scope.spawn(move || {
-                    let hub = gupster.telemetry();
-                    // One singleflight window per shard per batch:
-                    // stores are quiescent for the batch's duration, so
-                    // duplicates within it are safe to coalesce.
-                    let mut flight = Singleflight::new();
-                    let mut busy = SimTime::ZERO;
-                    let mut pending: Vec<(usize, Result<P, GupsterError>)> =
-                        Vec::with_capacity(bucket.len());
-                    for &i in bucket {
-                        let mut tracer = hub.tracer(stage::SHARD_REQUEST);
-                        // Exemplar identity must not depend on the
-                        // partitioning, so key by global submission
-                        // index, not the hub-local request id.
-                        tracer.set_key(key_base + i as u64);
-                        let res = work(gupster, &mut flight, &requests[i], &mut tracer);
-                        busy += tracer.now();
-                        pending.push((i, res));
-                    }
-                    let out: Vec<(usize, Result<R, GupsterError>)> = pending
-                        .into_iter()
-                        .map(|(i, res)| (i, res.map(|p| finish(&mut flight, p))))
-                        .collect();
-                    (busy, out)
-                })));
-            }
-            for (shard, handle) in handles.into_iter().enumerate() {
-                let Some(handle) = handle else { continue };
-                let (busy, out) = handle.join().expect("shard worker panicked");
-                shard_sim[shard] = busy;
-                for (i, r) in out {
-                    slots[i] = Some(r);
-                }
-            }
-        });
+                let out = pending.into_iter().map(|res| res.map(|p| finish(&mut flight, p)));
+                (busy, out.collect())
+            },
+        );
+        let shard_sim: Vec<SimTime> = per_shard.iter().map(|&(_, busy)| busy).collect();
+        let makespan = shard_sim.iter().copied().max().unwrap_or(SimTime::ZERO);
+        let total_sim = SimTime(shard_sim.iter().map(|t| t.0).sum());
+        let report = BatchReport { shard_sim, makespan, total_sim };
+        self.close_window(requests.len(), report.makespan, per_shard);
+        (results, report)
+    }
 
-        let results = slots
-            .into_iter()
-            .map(|s| s.expect("scatter left a request slot unfilled"))
-            .collect();
-        let report = BatchReport::from_shard_sim(shard_sim);
-        // Gather-join accounting: gauges only ever change here, on the
-        // routing thread, so snapshot readers never see a torn window.
-        self.ops += requests.len() as u64;
-        self.makespan_total += report.makespan;
-        for (shard, acc) in self.accum.iter_mut().enumerate() {
-            let depth = buckets[shard].len() as u64;
+    /// Gather-join accounting for one observation window: `per_shard`
+    /// holds each shard's `(requests routed, simulated busy time)`.
+    /// Gauges only ever change here, on the routing thread, so snapshot
+    /// readers never see a torn window.
+    fn close_window(
+        &mut self,
+        requests: usize,
+        makespan: SimTime,
+        per_shard: impl IntoIterator<Item = (usize, SimTime)>,
+    ) {
+        self.ops += requests as u64;
+        self.makespan_total += makespan;
+        for (acc, (depth, busy)) in self.accum.iter_mut().zip(per_shard) {
+            let depth = depth as u64;
             acc.requests += depth;
-            acc.busy += report.shard_sim[shard];
+            acc.busy += busy;
             acc.windows += 1;
             acc.queued_total += depth;
             acc.queued_max = acc.queued_max.max(depth);
         }
-        (results, report)
     }
 
     /// Runs a batch of lookups across the shards. Results come back in
@@ -658,7 +704,8 @@ impl ShardedRegistry {
         config: &AdmissionConfig,
         probe: Option<OpenLoopProbe<'_>>,
     ) -> (Vec<RequestOutcome>, OverloadReport) {
-        assert!(config.queues >= 1, "admission needs at least one ingress queue");
+        let mut queues =
+            Shards::new(config.queues, |q| IngressQueue::new(q, config.capacity, config.call_slots));
         for w in arrivals.windows(2) {
             assert!(
                 w[0].arrival <= w[1].arrival,
@@ -666,70 +713,80 @@ impl ShardedRegistry {
             );
         }
         let n = arrivals.len();
-        let mut report = OverloadReport::empty(n);
+        let mut report = OverloadReport { offered: n, ..OverloadReport::default() };
         if n == 0 {
             return (Vec::new(), report);
         }
         report.horizon = arrivals[n - 1].arrival;
-        let n_shards = self.shards.len();
         let key_base = self.ops;
 
         // Hot-key views and per-shard routing gauges are fleet-level
-        // bookkeeping: same values at any shard count.
+        // bookkeeping: same values at any shard count. `per_shard` holds
+        // each shard's (requests routed, simulated execution time).
         self.note_hot_keys(arrivals.iter().map(|a| &a.request));
-        let mut routed = vec![0u64; n_shards];
+        let mut per_shard = vec![(0usize, SimTime::ZERO); self.shard_count()];
         for a in arrivals {
-            routed[shard_index(&a.request.owner, n_shards)] += 1;
+            per_shard[self.shard_of(&a.request.owner)].0 += 1;
             match a.class {
                 Priority::CallDelivery => report.offered_calls += 1,
                 Priority::ProfileEdit => report.offered_edits += 1,
             }
         }
 
-        let mut queues: Vec<IngressQueue> =
-            (0..config.queues).map(|q| IngressQueue::new(q, config.capacity, config.call_slots)).collect();
         let mut results: Vec<Option<Result<Vec<Element>, GupsterError>>> =
             (0..n).map(|_| None).collect();
         let mut outcomes: Vec<Option<RequestOutcome>> = (0..n).map(|_| None).collect();
-        let mut exec_busy = vec![SimTime::ZERO; n_shards];
         let mut stale = ResultCache::new(config.stale_capacity);
         let mut completions: Vec<Completion> = Vec::new();
-        // Runs arrival `j` at `start`; the mutable run state is passed
-        // in so the borrow ends with each queue call.
-        let run = |shards: &mut [Gupster],
+        // Runs arrival `j`'s full pipeline on its owner's shard at its
+        // service start instant `start`, under a `shard.request` trace
+        // keyed by global submission index, and returns its traced cost.
+        // The mutable run state is passed in so the borrow ends with
+        // each queue call.
+        let run = |shards: &mut Shards<Gupster>,
                    results: &mut [Option<Result<Vec<Element>, GupsterError>>],
-                   exec_busy: &mut [SimTime],
+                   per_shard: &mut [(usize, SimTime)],
                    j: usize,
                    start: SimTime| {
-            let (res, cost) =
-                execute_open(shards, pool, keys, &arrivals[j], probe, key_base + j as u64, start);
-            exec_busy[shard_index(&arrivals[j].request.owner, n_shards)] += cost;
+            let r = &arrivals[j].request;
+            let g = shards.get_mut(&r.owner);
+            let mut tracer = g.telemetry().tracer(stage::SHARD_REQUEST);
+            tracer.set_key(key_base + j as u64);
+            let res = (|| {
+                if let Some(e) = probe.and_then(|p| p(start, r)) {
+                    return Err(e);
+                }
+                let out = g.lookup_traced(
+                    &r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, &mut tracer,
+                )?;
+                fetch_merge_batched_traced(pool, &out.referral, &g.signer(), r.now, keys, &mut tracer)
+            })();
+            let cost = tracer.now();
+            per_shard[shards.index(&r.owner)].1 += cost;
             results[j] = Some(res);
             cost
         };
 
         for (i, a) in arrivals.iter().enumerate() {
-            let owner_shard = shard_index(&a.request.owner, n_shards);
+            let hub = self.shard(&a.request.owner).telemetry();
             // The admission decision itself is a per-request fixed-cost
             // stage charged to the owning shard's hub, so the fleet
             // `admission.decide` histogram is shard-count invariant.
-            self.shards[owner_shard]
-                .telemetry()
-                .record_stage(stage::ADMISSION_DECIDE, config.decide_cost);
-            let q = shard_index(&a.request.owner, config.queues);
+            hub.record_stage(stage::ADMISSION_DECIDE, config.decide_cost);
 
             completions.clear();
             let offer = {
                 let mut exec = |j: usize, start: SimTime| {
-                    run(&mut self.shards, &mut results, &mut exec_busy, j, start)
+                    run(&mut self.shards, &mut results, &mut per_shard, j, start)
                 };
                 // Advance every queue to this arrival first, so the
                 // stale cache holds exactly the answers completed
                 // before `now` regardless of which queue they ran on.
-                for queue in queues.iter_mut() {
+                for queue in queues.parts_mut() {
                     queue.run_until(a.arrival, &mut exec, &mut completions);
                 }
-                queues[q].offer(i, a.class, a.arrival, &mut exec, &mut completions)
+                let queue = queues.get_mut(&a.request.owner);
+                queue.offer(i, a.class, a.arrival, &mut exec, &mut completions)
             };
             // Per-key freshness is last-completed-wins: settle in
             // finish order, not queue order.
@@ -739,11 +796,7 @@ impl ShardedRegistry {
             }
             if offer.preempted {
                 report.preemptions += 1;
-                self.shards[owner_shard]
-                    .telemetry()
-                    .counters()
-                    .preemptions
-                    .fetch_add(1, Ordering::Relaxed);
+                hub.counters().preemptions.fetch_add(1, Ordering::Relaxed);
             }
             if let Some(shed) = offer.shed {
                 self.shed_open(arrivals, shed, &mut outcomes, &mut stale, &mut report);
@@ -754,9 +807,9 @@ impl ShardedRegistry {
         completions.clear();
         {
             let mut exec = |j: usize, start: SimTime| {
-                run(&mut self.shards, &mut results, &mut exec_busy, j, start)
+                run(&mut self.shards, &mut results, &mut per_shard, j, start)
             };
-            for queue in queues.iter_mut() {
+            for queue in queues.parts_mut() {
                 queue.drain(&mut exec, &mut completions);
             }
         }
@@ -765,24 +818,17 @@ impl ShardedRegistry {
             self.settle_open(arrivals, c, &mut results, &mut outcomes, &mut stale, &mut report);
         }
 
+        let queues = queues.parts();
         report.max_queue_depth = queues.iter().map(IngressQueue::max_depth).max().unwrap_or(0);
-        report.busy = SimTime(exec_busy.iter().map(|t| t.0).sum());
+        report.busy = SimTime(per_shard.iter().map(|(_, busy)| busy.0).sum());
         debug_assert_eq!(
             report.preemptions,
             queues.iter().map(IngressQueue::preemptions).sum::<u64>()
         );
 
-        // Gather-style accounting on the routing thread: the open-loop
-        // run is one observation window whose makespan is its horizon.
-        self.ops += n as u64;
-        self.makespan_total += report.horizon;
-        for (shard, acc) in self.accum.iter_mut().enumerate() {
-            acc.requests += routed[shard];
-            acc.busy += exec_busy[shard];
-            acc.windows += 1;
-            acc.queued_total += routed[shard];
-            acc.queued_max = acc.queued_max.max(routed[shard]);
-        }
+        // The open-loop run is one observation window whose makespan is
+        // its horizon.
+        self.close_window(n, report.horizon, per_shard);
 
         let outcomes = outcomes
             .into_iter()
@@ -889,38 +935,6 @@ fn stale_outcome(stale: &mut ResultCache, r: &ShardRequest) -> Option<RequestOut
     Some(RequestOutcome::Stale { result, age: r.now.saturating_sub(answered_at) })
 }
 
-/// Runs one admitted request's full pipeline on its owning shard at its
-/// service start instant, under a `shard.request` trace keyed by global
-/// submission index. Returns the pipeline result and its traced cost.
-fn execute_open(
-    shards: &mut [Gupster],
-    pool: &StorePool,
-    keys: &MergeKeys,
-    a: &OpenLoopRequest,
-    probe: Option<OpenLoopProbe<'_>>,
-    key: u64,
-    start: SimTime,
-) -> (Result<Vec<Element>, GupsterError>, SimTime) {
-    let g = &mut shards[shard_index(&a.request.owner, shards.len())];
-    let hub = g.telemetry();
-    let mut tracer = hub.tracer(stage::SHARD_REQUEST);
-    tracer.set_key(key);
-    let r = &a.request;
-    let res = (|| {
-        if let Some(p) = probe {
-            if let Some(e) = p(start, r) {
-                return Err(e);
-            }
-        }
-        let out =
-            g.lookup_traced(&r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, &mut tracer)?;
-        let signer = g.signer();
-        fetch_merge_batched_traced(pool, &out.referral, &signer, r.now, keys, &mut tracer)
-    })();
-    let cost = tracer.now();
-    (res, cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -963,6 +977,45 @@ mod tests {
         // FNV is fixed, so the route never moves between runs.
         assert_eq!(shard_hash("alice"), shard_hash("alice"));
         assert_ne!(shard_hash("alice"), shard_hash("bob"));
+    }
+
+    /// The executor over random owner mixes at 1, 2 and 3 parts: every
+    /// item runs exactly once, on the part its owner routes to, and its
+    /// result comes back at its submission index. Parts that receive
+    /// nothing are skipped and report an empty bucket.
+    #[test]
+    fn scatter_runs_each_item_once_on_its_owners_part_and_gathers_in_order() {
+        use gupster_rng::check::cases;
+        use gupster_rng::Rng;
+
+        let mut idle_parts = 0;
+        cases(60, 0x5CA7, |r| {
+            for n in 1..=3 {
+                let owners: Vec<String> =
+                    (0..r.gen_range(0..12usize)).map(|_| format!("u{}", r.gen_range(0..6u32))).collect();
+                // Each part records the items it ran, in order.
+                let mut shards: Shards<Vec<usize>> = Shards::new(n, |_| Vec::new());
+                let (results, per_part) = shards.scatter(&owners, |o| o, |ran, bucket| {
+                    ran.extend_from_slice(bucket);
+                    let out = bucket.iter().map(|&i| (i, owners[i].clone()));
+                    (bucket.len() * 10, out.collect())
+                });
+                let expected: Vec<(usize, String)> = owners.iter().cloned().enumerate().collect();
+                assert_eq!(results, expected, "{n} parts: results out of submission order");
+                let mut runs = vec![0; owners.len()];
+                for (part, ran) in shards.parts().iter().enumerate() {
+                    assert!(ran.windows(2).all(|w| w[0] < w[1]), "part {part} ran out of order");
+                    for &i in ran {
+                        runs[i] += 1;
+                        assert_eq!(shards.index(&owners[i]), part, "{} ran on the wrong part", owners[i]);
+                    }
+                    assert_eq!(per_part[part], (ran.len(), ran.len() * 10), "part {part}'s report");
+                    idle_parts += ran.is_empty() as usize;
+                }
+                assert!(runs.iter().all(|&k| k == 1), "{n} parts: runs per item {runs:?}");
+            }
+        });
+        assert!(idle_parts > 0, "the mixes must leave some part with nothing to do");
     }
 
     #[test]

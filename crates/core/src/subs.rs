@@ -7,10 +7,10 @@
 //! enforce the end-user's privacy shield. Having the subscription
 //! handled by GUPster internally would save this extra work."
 //!
-//! [`SubscriptionManager`] implements the internal (push) variant: the
-//! shield is checked **once** at subscribe time; store change events are
-//! then forwarded to matching subscribers. The polling variant is a
-//! plain repeated lookup, which pays the shield check every round —
+//! [`ShardedFanout`] implements the internal (push) variant: the shield
+//! is checked **once** at subscribe time; store change events are then
+//! forwarded to matching subscribers. The polling variant is a plain
+//! repeated lookup, which pays the shield check every round —
 //! experiment E10 quantifies the difference.
 //!
 //! Three layers sit on top of that seed behaviour (DESIGN.md §12):
@@ -21,25 +21,26 @@
 //!   fallback bucket). A write walks the trie once and confirms only
 //!   the pruned candidate set with [`may_overlap`] — instead of the
 //!   naive scan over every subscription in the system, which is kept
-//!   as [`SubscriptionManager::on_event_naive`], the differential
-//!   oracle. Scopes are interned once at subscribe time; `pump` no
-//!   longer clones the subscription list per cycle.
-//! - **Policy-filtered staging.** [`SubscriptionManager::stage_window`]
+//!   as [`ShardedFanout::on_event_naive`], the differential oracle.
+//!   Scopes are interned once at subscribe time; `pump` no longer
+//!   clones the subscription list per cycle.
+//! - **Policy-filtered staging.** [`ShardedFanout::stage_window`]
 //!   passes every matched notification through the PDP with the
 //!   *subscriber* as requester ([`Purpose::Query`], memoized in a
 //!   [`DecisionMemo`] invalidated by PAP generation bumps), so a push
 //!   can never leak what the equivalent direct query would refuse.
 //! - **Coalesced delivery windows.** Staged notifications accumulate
-//!   until [`SubscriptionManager::flush_window`], which collapses all
+//!   until [`ShardedFanout::flush_window`], which collapses all
 //!   notifications for one subscriber into one [`DeliveryBatch`]
 //!   (one message pair on the wire) and drops duplicate payloads.
 //!   `unsubscribe` purges its queued notifications from the pending
 //!   window, so a cancelled subscription never delivers late.
 //!
-//! [`ShardedFanout`] partitions owners across per-shard managers by
-//! the same hash as [`crate::ShardedRegistry`]; ids come from a shared
-//! counter and staged notifications keep global event-arrival order,
-//! so delivery is byte-identical at any shard count.
+//! The plane keeps each shard's subscription index and policy filter in
+//! the crate's owner-sharded executor (`crate::shard`): an event is
+//! matched and filtered on its owner's shard. Ids come from one plane-wide
+//! counter and the pending window keeps global event-arrival order, so
+//! delivery is byte-identical at any shard count.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -55,7 +56,7 @@ use crate::client::StorePool;
 use crate::error::GupsterError;
 use crate::index::CoverageTrie;
 use crate::registry::Gupster;
-use crate::shard::shard_index;
+use crate::shard::Shards;
 
 /// Decision-memo capacity of the fanout filter. Sized for the hub
 /// stress shape (100k+ watchers of one owner): each watcher's first
@@ -105,7 +106,7 @@ pub struct WindowOutcome {
     /// Notifications queued for the next [`flush_window`]
     /// (policy-permitted matches).
     ///
-    /// [`flush_window`]: SubscriptionManager::flush_window
+    /// [`flush_window`]: ShardedFanout::flush_window
     pub staged: usize,
     /// Matches the shield refused for the subscriber — never delivered.
     /// Returned so the policy-leak differential can assert each one is
@@ -118,6 +119,18 @@ struct Subscription {
     owner: String,
     subscriber: String,
     path: Path,
+}
+
+impl Subscription {
+    /// The notification subscription `id` owes for `event`.
+    fn notify(&self, id: u64, event: &ChangeEvent) -> Notification {
+        Notification {
+            subscription_id: id,
+            subscriber: self.subscriber.clone(),
+            owner: self.owner.clone(),
+            path: event.path.clone(),
+        }
+    }
 }
 
 /// One owner's inverted index: scope trie over slot numbers, plus the
@@ -146,107 +159,31 @@ impl OwnerIndex {
     }
 }
 
-/// GUPster's internal subscription manager.
+/// One shard of the fanout plane: the subscriptions of the owners it
+/// holds, their inverted indexes, and the policy filter's memo.
 #[derive(Debug)]
-pub struct SubscriptionManager {
+struct FanoutShard {
     subs: HashMap<u64, Subscription>,
-    /// Subscription ids in subscribe order — the naive oracle's scan
-    /// order (and, per owner, the trie's slot order).
-    order: Vec<u64>,
     owners: HashMap<String, OwnerIndex>,
-    /// Notifications staged for the current delivery window.
-    pending: Vec<Notification>,
     memo: DecisionMemo,
     pdp: Pdp,
-    next_id: u64,
-    /// Policy checks performed (once per subscribe).
-    pub shield_checks: u64,
-    /// Notifications delivered.
-    pub delivered: u64,
 }
 
-impl Default for SubscriptionManager {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SubscriptionManager {
-    /// Empty manager.
-    pub fn new() -> Self {
-        SubscriptionManager {
+impl FanoutShard {
+    fn new() -> Self {
+        FanoutShard {
             subs: HashMap::new(),
-            order: Vec::new(),
             owners: HashMap::new(),
-            pending: Vec::new(),
             memo: DecisionMemo::new(FANOUT_MEMO_CAPACITY),
             pdp: Pdp::new(),
-            next_id: 0,
-            shield_checks: 0,
-            delivered: 0,
         }
     }
 
-    /// Subscribes to changes under `path` of `owner`'s profile. The
-    /// privacy shield is consulted once, with [`Purpose::Subscribe`] —
-    /// owners can therefore write policies that allow queries but not
-    /// standing subscriptions. The scope's spine is interned into the
-    /// owner's trie here, so matching never re-parses it.
-    pub fn subscribe(
-        &mut self,
-        gupster: &mut Gupster,
-        owner: &str,
-        path: &Path,
-        subscriber: &str,
-        time: WeekTime,
-        now: u64,
-    ) -> Result<u64, GupsterError> {
-        let id = self.next_id;
-        self.subscribe_with_id(gupster, owner, path, subscriber, time, now, id)?;
-        self.next_id = id + 1;
-        Ok(id)
-    }
-
-    /// [`subscribe`](Self::subscribe) with a caller-assigned id —
-    /// [`ShardedFanout`] allocates ids from a shared counter so the id
-    /// sequence is shard-count invariant.
-    #[allow(clippy::too_many_arguments)]
-    fn subscribe_with_id(
-        &mut self,
-        gupster: &mut Gupster,
-        owner: &str,
-        path: &Path,
-        subscriber: &str,
-        time: WeekTime,
-        now: u64,
-        id: u64,
-    ) -> Result<u64, GupsterError> {
-        self.shield_checks += 1;
-        // Reuse the lookup pipeline for the shield + schema checks (the
-        // referral itself is discarded; we only need the permission).
-        gupster.lookup(owner, path, subscriber, Purpose::Subscribe, time, now)?;
-        self.subs.insert(
-            id,
-            Subscription {
-                owner: owner.to_string(),
-                subscriber: subscriber.to_string(),
-                path: path.clone(),
-            },
-        );
-        self.order.push(id);
-        self.owners.entry(owner.to_string()).or_default().insert(path, id);
-        Ok(id)
-    }
-
-    /// Cancels a subscription. Also drops any of its notifications
-    /// still queued in the pending delivery window — an unsubscribe
-    /// between staging and flush must not deliver late.
-    pub fn unsubscribe(&mut self, id: u64) -> bool {
+    /// Drops subscription `id` from this shard's index, if it lives here.
+    fn unsubscribe(&mut self, id: u64) -> bool {
         let Some(sub) = self.subs.remove(&id) else {
             return false;
         };
-        self.order.retain(|&o| o != id);
-        self.pending.retain(|n| n.subscription_id != id);
         let ix = self.owners.get_mut(&sub.owner).expect("owner indexed");
         if let Some(slot) = ix.slot_of.remove(&id) {
             ix.slots[slot] = u64::MAX;
@@ -269,51 +206,8 @@ impl SubscriptionManager {
         true
     }
 
-    /// Number of active subscriptions.
-    pub fn len(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// True when nobody is subscribed.
-    pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
-    }
-
-    /// The staged, not-yet-flushed window, in arrival order — what
-    /// per-notification (unbatched) delivery would send.
-    pub fn pending(&self) -> &[Notification] {
-        &self.pending
-    }
-
-    /// Matches one change event through the inverted index: walk the
-    /// owner's trie once, confirm only the pruned candidates with
-    /// [`may_overlap`]. Events whose path leaves the core fragment
-    /// fall back to scanning that owner's live subscriptions (counted
-    /// via `fallback_scans` when a hub is attached).
-    pub fn on_event(&self, event: &ChangeEvent) -> MatchOutcome {
-        self.match_event(event, None)
-    }
-
-    /// The retained naive matcher — scans **every** subscription in
-    /// the system, like the pre-index `pump` did. Kept as the
-    /// differential oracle: its notification stream must be
-    /// byte-identical to [`on_event`](Self::on_event).
-    pub fn on_event_naive(&self, event: &ChangeEvent) -> MatchOutcome {
-        let mut notifications = Vec::new();
-        for &id in &self.order {
-            let sub = &self.subs[&id];
-            if sub.owner == event.user && may_overlap(&sub.path, &event.path) {
-                notifications.push(Notification {
-                    subscription_id: id,
-                    subscriber: sub.subscriber.clone(),
-                    owner: sub.owner.clone(),
-                    path: event.path.clone(),
-                });
-            }
-        }
-        MatchOutcome { notifications, examined: self.order.len(), indexed: false }
-    }
-
+    /// [`ShardedFanout::on_event`], charging the index stage and its
+    /// counters to `hub` when one is attached.
     fn match_event(&self, event: &ChangeEvent, hub: Option<&TelemetryHub>) -> MatchOutcome {
         let Some(ix) = self.owners.get(&event.user) else {
             return MatchOutcome { notifications: Vec::new(), examined: 0, indexed: true };
@@ -360,69 +254,8 @@ impl SubscriptionManager {
     fn confirm(&self, id: u64, event: &ChangeEvent, out: &mut Vec<Notification>) {
         let sub = &self.subs[&id];
         if may_overlap(&sub.path, &event.path) {
-            out.push(Notification {
-                subscription_id: id,
-                subscriber: sub.subscriber.clone(),
-                owner: sub.owner.clone(),
-                path: event.path.clone(),
-            });
+            out.push(sub.notify(id, event));
         }
-    }
-
-    /// Drains change events from the stores and fans them out to
-    /// matching subscriptions — the push path, now through the
-    /// inverted index. No shield checks happen here; that's the §5.2
-    /// saving (use [`stage_window`](Self::stage_window) for the
-    /// policy-filtered variant).
-    pub fn pump(&mut self, pool: &mut StorePool) -> Vec<Notification> {
-        let mut out = Vec::new();
-        for (_store, event) in pool.drain_all_events() {
-            out.append(&mut self.match_event(&event, None).notifications);
-        }
-        self.delivered += out.len() as u64;
-        out
-    }
-
-    /// Stages one delivery window: drains change events, matches them
-    /// through the index, and passes every candidate notification
-    /// through the PDP **with the subscriber as requester** before it
-    /// may queue — a push never leaks what the equivalent direct query
-    /// would refuse. Decisions are memoized per
-    /// `(owner, subscriber-context, path)` and invalidated when the
-    /// PAP generation moves.
-    pub fn stage_window(
-        &mut self,
-        gupster: &Gupster,
-        pool: &mut StorePool,
-        time: WeekTime,
-    ) -> WindowOutcome {
-        self.stage_own(gupster, pool.drain_all_events().map(|(_store, event)| event), time)
-    }
-
-    /// [`stage_window`](Self::stage_window) over an already-drained
-    /// event stream — replay and differential tests feed identical
-    /// streams to managers at different shard counts through this.
-    pub fn stage_events(
-        &mut self,
-        gupster: &Gupster,
-        events: &[ChangeEvent],
-        time: WeekTime,
-    ) -> WindowOutcome {
-        self.stage_own(gupster, events.iter(), time)
-    }
-
-    /// Stages into this manager's own window: a lone manager is a
-    /// one-shard plane.
-    fn stage_own(
-        &mut self,
-        gupster: &Gupster,
-        events: impl Iterator<Item = impl Borrow<ChangeEvent>>,
-        time: WeekTime,
-    ) -> WindowOutcome {
-        let mut pending = std::mem::take(&mut self.pending);
-        let outcome = stage(std::slice::from_mut(self), gupster, events, time, &mut pending);
-        self.pending = pending;
-        outcome
     }
 
     /// The fanout policy filter: exactly the decision the registry's
@@ -452,115 +285,44 @@ impl SubscriptionManager {
         };
         !matches!(pep::apply(decision, &n.path), pep::Enforcement::Refused)
     }
-
-    /// Closes the delivery window: everything staged for one
-    /// subscriber coalesces into one [`DeliveryBatch`] (one message
-    /// pair on the wire), duplicate payloads dropped. Batches come out
-    /// in subscriber first-appearance order; notifications keep their
-    /// staging order within a batch.
-    pub fn flush_window(&mut self, gupster: &Gupster) -> Vec<DeliveryBatch> {
-        let hub = gupster.telemetry();
-        let batches = coalesce(&mut self.pending, Some(&hub));
-        self.delivered += batches.iter().map(|b| b.notifications.len() as u64).sum::<u64>();
-        batches
-    }
 }
 
-/// The one staging routine: each event routes to its owner's manager,
-/// is matched through that manager's index, and every match is passed
-/// through the policy filter — permitted notifications append to
-/// `pending` in event-arrival order, refused ones are reported.
-fn stage(
-    managers: &mut [SubscriptionManager],
-    gupster: &Gupster,
-    events: impl Iterator<Item = impl Borrow<ChangeEvent>>,
-    time: WeekTime,
-    pending: &mut Vec<Notification>,
-) -> WindowOutcome {
-    let hub = gupster.telemetry();
-    let mut outcome = WindowOutcome::default();
-    for event in events {
-        let event = event.borrow();
-        let manager = &mut managers[shard_index(&event.user, managers.len())];
-        for n in manager.match_event(event, Some(&hub)).notifications {
-            if manager.permit(gupster, &n, time, &hub) {
-                pending.push(n);
-                outcome.staged += 1;
-            } else {
-                outcome.suppressed.push(n);
-            }
-        }
-    }
-    outcome
-}
-
-/// Collapses a pending window into per-subscriber batches, deduping
-/// identical `(owner, path)` payloads within a batch. Shared between
-/// [`SubscriptionManager`] and [`ShardedFanout`] so the sharded plane
-/// coalesces byte-identically to the single manager.
-fn coalesce(pending: &mut Vec<Notification>, hub: Option<&TelemetryHub>) -> Vec<DeliveryBatch> {
-    let raw = pending.len();
-    let mut batches: Vec<DeliveryBatch> = Vec::new();
-    let mut batch_of: HashMap<String, usize> = HashMap::new();
-    for n in pending.drain(..) {
-        let slot = match batch_of.get(n.subscriber.as_str()) {
-            Some(&slot) => slot,
-            None => {
-                batch_of.insert(n.subscriber.clone(), batches.len());
-                batches.push(DeliveryBatch {
-                    subscriber: n.subscriber.clone(),
-                    notifications: Vec::new(),
-                });
-                batches.len() - 1
-            }
-        };
-        let batch = &mut batches[slot];
-        // Same payload already queued for this subscriber (two of
-        // their subscriptions matched the same write, or the same
-        // write repeated inside the window): deliver it once.
-        if batch.notifications.iter().any(|q| q.owner == n.owner && q.path == n.path) {
-            continue;
-        }
-        batch.notifications.push(n);
-    }
-    if let Some(hub) = hub {
-        let emitted: usize = batches.iter().map(|b| b.notifications.len()).sum();
-        let counters = hub.counters();
-        counters.fanout_batched.fetch_add(batches.len() as u64, Ordering::Relaxed);
-        counters.fanout_coalesced.fetch_add((raw - emitted) as u64, Ordering::Relaxed);
-    }
-    batches
-}
-
-/// The sharded fanout plane: owners hash-partition across per-shard
-/// [`SubscriptionManager`]s with the same `shard_index` as
-/// [`crate::ShardedRegistry`], ids come from one shared counter, and
-/// the pending window lives here in global event-arrival order — so
-/// staging, filtering, and coalescing are byte-identical at 1, 2, or
-/// 8 shards (asserted by `tests/subs_differential.rs`).
+/// GUPster's internal push plane. Owners hash-partition across shards
+/// (each with its own subscription index and policy filter), ids come
+/// from one plane-wide counter, and the pending window lives here in
+/// global event-arrival order — so staging, filtering, and coalescing
+/// are byte-identical at 1, 2, or 8 shards (asserted by
+/// `tests/subs_differential.rs`).
 #[derive(Debug)]
 pub struct ShardedFanout {
-    managers: Vec<SubscriptionManager>,
+    shards: Shards<FanoutShard>,
+    /// Notifications staged for the current delivery window.
     pending: Vec<Notification>,
     next_id: u64,
-    /// Notifications delivered across all flushed windows.
+    /// Policy checks performed (once per subscribe).
+    pub shield_checks: u64,
+    /// Notifications delivered across all pumps and flushed windows.
     pub delivered: u64,
 }
 
 impl ShardedFanout {
     /// A fanout plane over `shards` partitions (≥ 1).
     pub fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "at least one shard");
         ShardedFanout {
-            managers: (0..shards).map(|_| SubscriptionManager::new()).collect(),
+            shards: Shards::new(shards, |_| FanoutShard::new()),
             pending: Vec::new(),
             next_id: 0,
+            shield_checks: 0,
             delivered: 0,
         }
     }
 
-    /// Subscribes on the owner's shard; the id comes from the shared
-    /// counter so it is shard-count invariant.
+    /// Subscribes to changes under `path` of `owner`'s profile. The
+    /// privacy shield is consulted once, with [`Purpose::Subscribe`] —
+    /// owners can therefore write policies that allow queries but not
+    /// standing subscriptions. The scope's spine is interned into the
+    /// owner's trie on the owner's shard here, so matching never
+    /// re-parses it. Ids are issued in ascending order.
     pub fn subscribe(
         &mut self,
         gupster: &mut Gupster,
@@ -570,18 +332,41 @@ impl ShardedFanout {
         time: WeekTime,
         now: u64,
     ) -> Result<u64, GupsterError> {
+        self.shield_checks += 1;
+        // Reuse the lookup pipeline for the shield + schema checks (the
+        // referral itself is discarded; we only need the permission).
+        gupster.lookup(owner, path, subscriber, Purpose::Subscribe, time, now)?;
         let id = self.next_id;
-        let shard = shard_index(owner, self.managers.len());
-        self.managers[shard].subscribe_with_id(gupster, owner, path, subscriber, time, now, id)?;
-        self.next_id = id + 1;
+        self.next_id += 1;
+        let shard = self.shards.get_mut(owner);
+        shard.subs.insert(
+            id,
+            Subscription {
+                owner: owner.to_string(),
+                subscriber: subscriber.to_string(),
+                path: path.clone(),
+            },
+        );
+        shard.owners.entry(owner.to_string()).or_default().insert(path, id);
         Ok(id)
     }
 
-    /// Cancels a subscription anywhere in the plane, dropping its
-    /// queued notifications from the pending window.
+    /// Cancels a subscription. Also drops any of its notifications
+    /// still queued in the pending delivery window — an unsubscribe
+    /// between staging and flush must not deliver late.
     pub fn unsubscribe(&mut self, id: u64) -> bool {
         self.pending.retain(|n| n.subscription_id != id);
-        self.managers.iter_mut().any(|m| m.unsubscribe(id))
+        self.shards.parts_mut().iter_mut().any(|shard| shard.unsubscribe(id))
+    }
+
+    /// Number of active subscriptions.
+    pub fn len(&self) -> usize {
+        self.shards.parts().iter().map(|shard| shard.subs.len()).sum()
+    }
+
+    /// True when nobody is subscribed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Notifications staged and not yet flushed.
@@ -589,32 +374,144 @@ impl ShardedFanout {
         self.pending.len()
     }
 
-    /// The staged, not-yet-flushed window, in arrival order.
+    /// The staged, not-yet-flushed window, in arrival order — what
+    /// per-notification (unbatched) delivery would send.
     pub fn pending(&self) -> &[Notification] {
         &self.pending
     }
 
-    /// Stages one delivery window from an already-drained event stream
-    /// (see [`SubscriptionManager::stage_events`]): each event routes to
-    /// its owner's shard for matching and policy filtering; permitted
-    /// notifications append to the plane-wide pending queue in global
-    /// arrival order.
+    /// Matches one change event through the inverted index on its
+    /// owner's shard: walk the owner's trie once, confirm only the
+    /// pruned candidates with [`may_overlap`]. Events whose path leaves
+    /// the core fragment fall back to scanning that owner's live
+    /// subscriptions (counted via `fallback_scans` when staging).
+    pub fn on_event(&self, event: &ChangeEvent) -> MatchOutcome {
+        self.shards.get(&event.user).match_event(event, None)
+    }
+
+    /// The retained naive matcher — scans **every** subscription in
+    /// the plane, like the pre-index `pump` did, and reports matches by
+    /// ascending id (= subscribe order). Kept as the differential
+    /// oracle: its notification stream must be byte-identical to
+    /// [`on_event`](Self::on_event).
+    pub fn on_event_naive(&self, event: &ChangeEvent) -> MatchOutcome {
+        let mut notifications: Vec<Notification> = self
+            .shards
+            .parts()
+            .iter()
+            .flat_map(|shard| &shard.subs)
+            .filter(|(_, sub)| sub.owner == event.user && may_overlap(&sub.path, &event.path))
+            .map(|(&id, sub)| sub.notify(id, event))
+            .collect();
+        notifications.sort_unstable_by_key(|n| n.subscription_id);
+        MatchOutcome { notifications, examined: self.len(), indexed: false }
+    }
+
+    /// Drains change events from the stores and fans them out to
+    /// matching subscriptions — the push path, through the inverted
+    /// index. No shield checks happen here; that's the §5.2 saving (use
+    /// [`stage_window`](Self::stage_window) for the policy-filtered
+    /// variant).
+    pub fn pump(&mut self, pool: &mut StorePool) -> Vec<Notification> {
+        let mut out = Vec::new();
+        for (_store, event) in pool.drain_all_events() {
+            out.append(&mut self.on_event(&event).notifications);
+        }
+        self.delivered += out.len() as u64;
+        out
+    }
+
+    /// Stages one delivery window: drains change events, matches them
+    /// through the index, and passes every candidate notification
+    /// through the PDP **with the subscriber as requester** before it
+    /// may queue — a push never leaks what the equivalent direct query
+    /// would refuse. Decisions are memoized per
+    /// `(owner, subscriber-context, path)` and invalidated when the
+    /// PAP generation moves.
+    pub fn stage_window(
+        &mut self,
+        gupster: &Gupster,
+        pool: &mut StorePool,
+        time: WeekTime,
+    ) -> WindowOutcome {
+        self.stage(gupster, pool.drain_all_events().map(|(_store, event)| event), time)
+    }
+
+    /// [`stage_window`](Self::stage_window) over an already-drained
+    /// event stream — replay and differential tests feed identical
+    /// streams to planes at different shard counts through this.
     pub fn stage_events(
         &mut self,
         gupster: &Gupster,
         events: &[ChangeEvent],
         time: WeekTime,
     ) -> WindowOutcome {
-        stage(&mut self.managers, gupster, events.iter(), time, &mut self.pending)
+        self.stage(gupster, events.iter(), time)
     }
 
-    /// Closes the delivery window — same coalescing as
-    /// [`SubscriptionManager::flush_window`], over the plane-wide
-    /// queue.
-    pub fn flush_window(&mut self, gupster: &Gupster) -> Vec<DeliveryBatch> {
+    /// The one staging routine: each event is matched and
+    /// policy-filtered on its owner's shard; permitted notifications
+    /// append to the pending window in event-arrival order, refused
+    /// ones are reported.
+    fn stage(
+        &mut self,
+        gupster: &Gupster,
+        events: impl Iterator<Item = impl Borrow<ChangeEvent>>,
+        time: WeekTime,
+    ) -> WindowOutcome {
         let hub = gupster.telemetry();
-        let batches = coalesce(&mut self.pending, Some(&hub));
-        self.delivered += batches.iter().map(|b| b.notifications.len() as u64).sum::<u64>();
+        let mut outcome = WindowOutcome::default();
+        for event in events {
+            let event = event.borrow();
+            let shard = self.shards.get_mut(&event.user);
+            for n in shard.match_event(event, Some(&hub)).notifications {
+                if shard.permit(gupster, &n, time, &hub) {
+                    self.pending.push(n);
+                    outcome.staged += 1;
+                } else {
+                    outcome.suppressed.push(n);
+                }
+            }
+        }
+        outcome
+    }
+
+    /// Closes the delivery window: everything staged for one
+    /// subscriber coalesces into one [`DeliveryBatch`] (one message
+    /// pair on the wire), duplicate `(owner, path)` payloads dropped.
+    /// Batches come out in subscriber first-appearance order;
+    /// notifications keep their staging order within a batch.
+    pub fn flush_window(&mut self, gupster: &Gupster) -> Vec<DeliveryBatch> {
+        let raw = self.pending.len();
+        let mut batches: Vec<DeliveryBatch> = Vec::new();
+        let mut batch_of: HashMap<String, usize> = HashMap::new();
+        for n in self.pending.drain(..) {
+            let slot = match batch_of.get(n.subscriber.as_str()) {
+                Some(&slot) => slot,
+                None => {
+                    batch_of.insert(n.subscriber.clone(), batches.len());
+                    batches.push(DeliveryBatch {
+                        subscriber: n.subscriber.clone(),
+                        notifications: Vec::new(),
+                    });
+                    batches.len() - 1
+                }
+            };
+            let batch = &mut batches[slot];
+            // Same payload already queued for this subscriber (two of
+            // their subscriptions matched the same write, or the same
+            // write repeated inside the window): deliver it once.
+            if batch.notifications.iter().any(|q| q.owner == n.owner && q.path == n.path) {
+                continue;
+            }
+            batch.notifications.push(n);
+        }
+        let emitted: usize = batches.iter().map(|b| b.notifications.len()).sum();
+        let hub = gupster.telemetry();
+        let counters = hub.counters();
+        counters.fanout_batched.fetch_add(batches.len() as u64, Ordering::Relaxed);
+        counters.fanout_coalesced.fetch_add((raw - emitted) as u64, Ordering::Relaxed);
+        self.delivered += emitted as u64;
         batches
     }
 }
@@ -656,7 +553,7 @@ mod tests {
     #[test]
     fn push_delivery_after_single_shield_check() {
         let (mut g, mut pool) = world();
-        let mut subs = SubscriptionManager::new();
+        let mut subs = ShardedFanout::new(1);
         let id = subs
             .subscribe(&mut g, "alice", &p("/user[@id='alice']/presence"), "alice", WeekTime::at(0, 9, 0), 0)
             .unwrap();
@@ -684,7 +581,7 @@ mod tests {
     #[test]
     fn unrelated_changes_not_delivered() {
         let (mut g, mut pool) = world();
-        let mut subs = SubscriptionManager::new();
+        let mut subs = ShardedFanout::new(1);
         subs.subscribe(&mut g, "alice", &p("/user[@id='alice']/presence"), "alice", WeekTime::at(0, 9, 0), 0)
             .unwrap();
         pool.update(
@@ -702,7 +599,7 @@ mod tests {
     #[test]
     fn shield_gates_subscriptions() {
         let (mut g, _) = world();
-        let mut subs = SubscriptionManager::new();
+        let mut subs = ShardedFanout::new(1);
         let err = subs.subscribe(
             &mut g,
             "alice",
@@ -740,7 +637,7 @@ mod tests {
             )
             .is_ok());
         // …but a standing subscription is refused.
-        let mut subs = SubscriptionManager::new();
+        let mut subs = ShardedFanout::new(1);
         assert!(subs
             .subscribe(&mut g, "alice", &p("/user[@id='alice']/presence"), "rick", WeekTime::at(0, 9, 0), 0)
             .is_err());
@@ -749,7 +646,7 @@ mod tests {
     #[test]
     fn unsubscribe_stops_delivery() {
         let (mut g, mut pool) = world();
-        let mut subs = SubscriptionManager::new();
+        let mut subs = ShardedFanout::new(1);
         let id = subs
             .subscribe(&mut g, "alice", &p("/user[@id='alice']/presence"), "alice", WeekTime::at(0, 9, 0), 0)
             .unwrap();
@@ -767,7 +664,7 @@ mod tests {
     #[test]
     fn unsubscribe_purges_pending_window() {
         let (mut g, mut pool) = world();
-        let mut subs = SubscriptionManager::new();
+        let mut subs = ShardedFanout::new(1);
         let keep = subs
             .subscribe(&mut g, "alice", &p("/user[@id='alice']/presence"), "alice", WeekTime::at(0, 9, 0), 0)
             .unwrap();
@@ -799,7 +696,7 @@ mod tests {
         g.set_relationship("alice", "bob", "family");
         g.pap.provision("alice", "fam", Effect::Permit, "/user", "relationship='family'", 0)
             .unwrap();
-        let mut subs = SubscriptionManager::new();
+        let mut subs = ShardedFanout::new(1);
         // Bob watches both the whole profile and presence: one write
         // matches twice but must deliver once.
         subs.subscribe(&mut g, "alice", &p("/user[@id='alice']"), "bob", WeekTime::at(0, 9, 0), 0)
@@ -851,7 +748,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let mut subs = SubscriptionManager::new();
+        let mut subs = ShardedFanout::new(1);
         subs.subscribe(&mut g, "alice", &p("/user[@id='alice']/presence"), "rick", WeekTime::at(0, 9, 0), 0)
             .unwrap();
         // …then alice tightens the shield: deny rick outright.
@@ -890,7 +787,7 @@ mod tests {
     #[test]
     fn indexed_matches_naive_on_the_seed_world() {
         let (mut g, mut pool) = world();
-        let mut subs = SubscriptionManager::new();
+        let mut subs = ShardedFanout::new(1);
         subs.subscribe(&mut g, "alice", &p("/user[@id='alice']/presence"), "alice", WeekTime::at(0, 9, 0), 0)
             .unwrap();
         subs.subscribe(&mut g, "alice", &p("/user[@id='alice']"), "alice", WeekTime::at(0, 9, 0), 0)

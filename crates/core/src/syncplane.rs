@@ -3,13 +3,13 @@
 //!
 //! Each user's profile component lives as an N-replica star: a **hub**
 //! replica (the primary copy, Req. 4) plus device replicas that only
-//! ever sync against the hub. The plane partitions users across
-//! owner-hashed shards (the same stable `shard_index` as
-//! [`crate::ShardedRegistry`] and [`crate::ShardedFanout`]) and runs
-//! each shard's reconciliation on its own scoped thread — users are
-//! disjoint across shards, so the outcome stream is **invariant at any
-//! shard count**: per-user outcomes are deterministic and the plane
-//! reports them in owner order, whichever shard produced them.
+//! ever sync against the hub. Each shard of the plane holds the stars of
+//! the owners the crate's owner-sharded executor (`crate::shard`) routes
+//! to it, and a pass scatters the dirty stars over that executor, one
+//! scoped thread per shard with work — users are disjoint across shards,
+//! so the outcome stream is **invariant at any shard count**: per-user
+//! outcomes are deterministic and the plane reports them in owner order,
+//! whichever shard produced them.
 //!
 //! A reconcile pass costs what was edited, not what is registered: the
 //! plane keeps a **dirty set** — an edit marks its star, and a pass runs
@@ -37,6 +37,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use gupster_store::ChangeEvent;
@@ -49,13 +50,12 @@ use gupster_xml::{EditOp, Element, MergeKeys, NodePath, XmlError};
 use gupster_xpath::{LocStep, Path};
 
 use crate::registry::Gupster;
-use crate::shard::shard_index;
+use crate::shard::Shards;
 
 /// One user's replica star: the hub (primary copy) plus device
 /// replicas.
 #[derive(Debug, Clone)]
 struct UserReplicas {
-    owner: String,
     /// The component's root element name (e.g. `address-book`) —
     /// prefixed under `/user[@id='…']/` when changed paths are
     /// published registry-side.
@@ -68,15 +68,6 @@ struct UserReplicas {
     /// Membership in the plane's dirty set: the next reconcile pass
     /// runs this star's sessions.
     dirty: bool,
-}
-
-impl UserReplicas {
-    /// Records an accepted local edit: its target is pending
-    /// publication and the star needs a reconcile.
-    fn note_edit(&mut self, target: NodePath) {
-        self.pending.push(target);
-        self.dirty = true;
-    }
 }
 
 /// Per-user outcome of one reconcile pass.
@@ -202,17 +193,15 @@ impl fmt::Display for EditError {
 
 impl std::error::Error for EditError {}
 
-impl From<XmlError> for EditError {
-    fn from(e: XmlError) -> Self {
-        EditError::Xml(e)
-    }
-}
-
 /// The sharded reconciliation plane over every user's replica star.
 #[derive(Debug)]
 pub struct SyncPlane {
-    shards: usize,
-    users: BTreeMap<String, UserReplicas>,
+    /// Each shard's replica stars, by owner.
+    stars: Shards<BTreeMap<String, UserReplicas>>,
+    /// The shard of every star, in owner order: walking the shards' maps
+    /// in step with it lists every star in owner order without comparing
+    /// owners.
+    shard_by_rank: Vec<usize>,
     /// Conflict policy applied in every session.
     pub policy: ReconcilePolicy,
     /// When true, sessions run through the naive
@@ -225,78 +214,87 @@ pub struct SyncPlane {
 impl SyncPlane {
     /// A plane over `shards` partitions (≥ 1).
     pub fn new(shards: usize, policy: ReconcilePolicy) -> Self {
-        assert!(shards >= 1, "at least one shard");
-        SyncPlane { shards, users: BTreeMap::new(), policy, use_oracle: false }
+        let stars = Shards::new(shards, |_| BTreeMap::new());
+        SyncPlane { stars, shard_by_rank: Vec::new(), policy, use_oracle: false }
     }
 
     /// Number of users with replica stars.
     pub fn user_count(&self) -> usize {
-        self.users.len()
+        self.shard_by_rank.len()
     }
 
     /// Registers a user's component: a hub replica seeded with `doc`
     /// plus `device_count` device replicas holding the same baseline.
     pub fn add_user(&mut self, owner: &str, doc: Element, keys: MergeKeys, device_count: usize) {
-        let component = doc.name.to_string();
-        let hub = Replica::new(&format!("{owner}#hub"), doc.clone(), keys.clone());
-        let devices = (0..device_count)
-            .map(|i| Replica::new(&format!("{owner}#dev{i}"), doc.clone(), keys.clone()))
-            .collect();
-        self.users.insert(
-            owner.to_string(),
-            UserReplicas {
-                owner: owner.to_string(),
-                component,
-                hub,
-                devices,
-                pending: Vec::new(),
-                dirty: false,
-            },
-        );
+        let replica = |id: String| Replica::new(&id, doc.clone(), keys.clone());
+        let star = UserReplicas {
+            component: doc.name.to_string(),
+            hub: replica(format!("{owner}#hub")),
+            devices: (0..device_count).map(|i| replica(format!("{owner}#dev{i}"))).collect(),
+            pending: Vec::new(),
+            dirty: false,
+        };
+        if self.stars.get_mut(owner).insert(owner.to_string(), star).is_none() {
+            let below = (Bound::Unbounded, Bound::Excluded(owner));
+            let rank = self.stars.parts().iter().map(|s| s.range::<str, _>(below).count()).sum();
+            self.shard_by_rank.insert(rank, self.stars.index(owner));
+        }
     }
 
     /// Applies a local edit on one of the user's device replicas.
     pub fn edit_device(&mut self, owner: &str, device: usize, op: EditOp) -> Result<u64, EditError> {
-        let u = self.star(owner)?;
-        let target = op.target().clone();
-        let replica = u.devices.get_mut(device).ok_or_else(|| EditError::UnknownDevice {
-            owner: owner.to_string(),
-            device,
-        })?;
-        let seq = replica.edit(op)?;
-        u.note_edit(target);
-        Ok(seq)
+        self.edit(owner, Some(device), op)
     }
 
     /// Applies a local edit on the user's hub replica (a portal-side
     /// write).
     pub fn edit_hub(&mut self, owner: &str, op: EditOp) -> Result<u64, EditError> {
+        self.edit(owner, None, op)
+    }
+
+    /// Applies a local edit on a device replica, or on the hub when
+    /// `device` is `None`. An accepted edit's target is pending
+    /// publication and its star needs a reconcile.
+    fn edit(&mut self, owner: &str, device: Option<usize>, op: EditOp) -> Result<u64, EditError> {
         let u = self.star(owner)?;
+        let replica = match device {
+            None => &mut u.hub,
+            Some(device) => u.devices.get_mut(device).ok_or_else(|| EditError::UnknownDevice {
+                owner: owner.to_string(),
+                device,
+            })?,
+        };
         let target = op.target().clone();
-        let seq = u.hub.edit(op)?;
-        u.note_edit(target);
+        let seq = replica.edit(op).map_err(EditError::Xml)?;
+        u.pending.push(target);
+        u.dirty = true;
         Ok(seq)
     }
 
     fn star(&mut self, owner: &str) -> Result<&mut UserReplicas, EditError> {
-        self.users.get_mut(owner).ok_or_else(|| EditError::UnknownOwner(owner.to_string()))
+        self.stars
+            .get_mut(owner)
+            .get_mut(owner)
+            .ok_or_else(|| EditError::UnknownOwner(owner.to_string()))
     }
 
     /// The hub document of a user (for assertions and reads).
     pub fn hub_doc(&self, owner: &str) -> &Element {
-        &self.users[owner].hub.doc
+        &self.stars.get(owner)[owner].hub.doc
     }
 
     /// A device document of a user.
     pub fn device_doc(&self, owner: &str, device: usize) -> &Element {
-        &self.users[owner].devices[device].doc
+        &self.stars.get(owner)[owner].devices[device].doc
     }
 
     /// Total retained change-log entries across every replica —
     /// compaction's effect is visible here.
     pub fn log_entries(&self) -> usize {
-        self.users
-            .values()
+        self.stars
+            .parts()
+            .iter()
+            .flat_map(BTreeMap::values)
             .map(|u| u.hub.log.len() + u.devices.iter().map(|d| d.log.len()).sum::<usize>())
             .sum()
     }
@@ -308,36 +306,32 @@ impl SyncPlane {
     /// one row per user, sorted by owner, and is byte-identical at any
     /// shard count.
     pub fn reconcile(&mut self, telemetry: &Arc<TelemetryHub>) -> PlaneReport {
-        let shards = self.shards;
-        let policy = self.policy;
-        let oracle = self.use_oracle;
-        // `users` iterates in owner order, so the rows are born sorted;
-        // a dirty star's row is replaced by its pass's outcome.
-        let mut rows: Vec<UserOutcome> = Vec::with_capacity(self.users.len());
-        let mut buckets: Vec<Vec<(usize, &mut UserReplicas)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        for (row, u) in self.users.values_mut().enumerate() {
-            rows.push(UserOutcome { owner: u.owner.clone(), converged: true, ..Default::default() });
+        let (policy, oracle) = (self.policy, self.use_oracle);
+        // One row per star in owner order; a dirty star's row is
+        // replaced by its pass's outcome.
+        let mut rows: Vec<UserOutcome> = Vec::with_capacity(self.user_count());
+        let mut dirty: Vec<usize> = Vec::with_capacity(rows.capacity());
+        let mut walks: Vec<_> = self.stars.parts().iter().map(BTreeMap::iter).collect();
+        for &shard in &self.shard_by_rank {
+            let (owner, u) = walks[shard].next().expect("one star per rank");
             if u.dirty {
-                buckets[shard_index(&u.owner, shards)].push((row, u));
+                dirty.push(rows.len());
             }
+            rows.push(UserOutcome { owner: owner.clone(), converged: true, ..Default::default() });
         }
-        let per_shard: Vec<Vec<(usize, UserOutcome)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .filter(|bucket| !bucket.is_empty())
-                .map(|bucket| {
-                    scope.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(|(row, u)| (row, reconcile_user(u, policy, oracle, telemetry)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("sync shard worker panicked")).collect()
-        });
-        for (row, outcome) in per_shard.into_iter().flatten() {
+        let (outcomes, _) = self.stars.scatter(
+            &dirty,
+            |&row| &rows[row].owner,
+            |stars, bucket| {
+                let out = bucket.iter().map(|&k| {
+                    let owner = &rows[dirty[k]].owner;
+                    let u = stars.get_mut(owner).expect("a star lives on its owner's shard");
+                    reconcile_user(owner, u, policy, oracle, telemetry)
+                });
+                ((), out.collect())
+            },
+        );
+        for (row, outcome) in dirty.into_iter().zip(outcomes) {
             rows[row] = outcome;
         }
         PlaneReport::from_users(rows)
@@ -349,13 +343,14 @@ impl SyncPlane {
 /// means "the primary copy wins"), then log compaction against live
 /// anchors.
 fn reconcile_user(
+    owner: &str,
     u: &mut UserReplicas,
     policy: ReconcilePolicy,
     oracle: bool,
     telemetry: &Arc<TelemetryHub>,
 ) -> UserOutcome {
     let mut tracer = telemetry.tracer("sync.plane");
-    let mut outcome = UserOutcome { owner: u.owner.clone(), ..Default::default() };
+    let mut outcome = UserOutcome { owner: owner.to_string(), ..Default::default() };
     for _round in 0..2 {
         for d in &mut u.devices {
             let result = if oracle {
@@ -397,7 +392,7 @@ fn reconcile_user(
         }
     }
     for p in u.pending.drain(..) {
-        let registry = registry_path(&u.owner, &u.component, &p);
+        let registry = registry_path(owner, &u.component, &p);
         if !outcome.changed.contains(&registry) {
             outcome.changed.push(registry);
         }
@@ -519,9 +514,41 @@ mod tests {
         assert_eq!(reports[0], reports[2], "1 vs 8 shards");
     }
 
+    /// A user's replica star, wherever the plane keeps it.
+    fn star_of<'p>(plane: &'p SyncPlane, owner: &str) -> &'p UserReplicas {
+        &plane.stars.get(owner)[owner]
+    }
+
+    /// Every dirty star on one shard of a 3-shard plane (the other two
+    /// get nothing to run): the report equals the 1-shard plane's.
+    #[test]
+    fn a_pass_whose_dirty_stars_share_one_shard_matches_one_shard() {
+        let hub = Arc::new(TelemetryHub::new());
+        let mut reference = plane(1, 12, 2);
+        let mut sharded = plane(3, 12, 2);
+        let shard = sharded.stars.index("user0");
+        let edited: Vec<String> = (0..12)
+            .map(|i| format!("user{i}"))
+            .filter(|owner| sharded.stars.index(owner) == shard)
+            .collect();
+        assert!(edited.len() >= 2 && edited.len() < 12, "{edited:?}");
+        for plane in [&mut reference, &mut sharded] {
+            for (i, owner) in edited.iter().enumerate() {
+                plane.edit_device(owner, 0, set_name(&format!("v{i}"))).unwrap();
+                plane.edit_hub(owner, insert_item(&format!("{i}"))).unwrap();
+            }
+        }
+        let (one, three) = (reference.reconcile(&hub), sharded.reconcile(&hub));
+        assert_eq!(three.sessions, 4 * edited.len());
+        assert_eq!(three.users, one.users);
+        for owner in &edited {
+            assert_eq!(sharded.hub_doc(owner), reference.hub_doc(owner), "{owner}");
+        }
+    }
+
     /// Marks every star, as the pass did before the dirty set existed.
     fn mark_all(plane: &mut SyncPlane) {
-        plane.users.values_mut().for_each(|u| u.dirty = true);
+        plane.stars.parts_mut().iter_mut().flat_map(BTreeMap::values_mut).for_each(|u| u.dirty = true);
     }
 
     #[test]
@@ -574,7 +601,7 @@ mod tests {
         let mut plane = plane(2, 3, 2);
         // A device that no longer holds the hub's component: its
         // sessions error, so the star cannot converge.
-        plane.users.get_mut("user1").unwrap().devices[0].doc.name = "calendar".into();
+        plane.star("user1").unwrap().devices[0].doc.name = "calendar".into();
         plane.edit_hub("user1", insert_item("2")).unwrap();
         let first = plane.reconcile(&hub);
         assert_eq!((first.users[1].errors, first.users[1].converged), (2, false));
@@ -588,7 +615,7 @@ mod tests {
         assert!(second.users[1].changed.is_empty(), "changed paths are published once");
 
         // Once the cause is gone the star settles and drops out.
-        plane.users.get_mut("user1").unwrap().devices[0].doc.name = "address-book".into();
+        plane.star("user1").unwrap().devices[0].doc.name = "address-book".into();
         let third = plane.reconcile(&hub);
         assert_eq!((third.users[1].errors, third.converged_users), (0, 3));
         assert_eq!(plane.device_doc("user1", 0), plane.hub_doc("user1"));
@@ -749,7 +776,7 @@ mod tests {
             for u in 0..STORM_USERS {
                 plane.add_user(&format!("user{u}"), book(), keys(), STORM_DEVICES);
             }
-            plane.users.get_mut(STUCK).unwrap().devices[0].doc.name = "calendar".into();
+            plane.star(STUCK).unwrap().devices[0].doc.name = "calendar".into();
             plane.edit_device(STUCK, 0, storm_rename("c0".into(), "unsynced".into())).unwrap();
         }
         (delta, oracle)
@@ -762,7 +789,7 @@ mod tests {
     /// Gives [`STUCK`]'s first device its component back on both planes.
     fn unstick(delta: &mut SyncPlane, oracle: &mut SyncPlane) {
         for plane in [delta, oracle] {
-            plane.users.get_mut(STUCK).unwrap().devices[0].doc.name = "address-book".into();
+            plane.star(STUCK).unwrap().devices[0].doc.name = "address-book".into();
         }
     }
 
@@ -813,7 +840,7 @@ mod tests {
         const USERS: usize = STORM_USERS;
         const DEVICES: usize = STORM_DEVICES;
         let seen_sets = |plane: &SyncPlane, owner: &str| {
-            let u = &plane.users[owner];
+            let u = star_of(plane, owner);
             std::iter::once(&u.hub).chain(&u.devices).map(|r| r.seen.clone()).collect::<Vec<_>>()
         };
         cases(12, 0x5EE2, |r| {
@@ -847,14 +874,14 @@ mod tests {
                             "pass {pass}: {owner} dev{dev}"
                         );
                     }
-                    let u = &delta.users[owner];
+                    let u = star_of(&delta, owner);
                     let replicas = || std::iter::once(&u.hub).chain(&u.devices);
                     if d.converged && replicas().all(|r| r.log.is_empty()) {
                         assert!(replicas().all(|r| r.seen.is_empty()), "pass {pass}: {owner}");
                         settled += 1;
                     }
                 }
-                let stuck = &delta.users[STUCK];
+                let stuck = star_of(&delta, STUCK);
                 if !stuck.devices[0].log.is_empty() {
                     // Not every log compacted away: nothing is forgotten.
                     for (was, is) in before.iter().zip(seen_sets(&delta, STUCK)) {

@@ -10,7 +10,7 @@
 //! cargo run --example enter_once
 //! ```
 
-use gupster::core::subs::SubscriptionManager;
+use gupster::core::subs::ShardedFanout;
 use gupster::core::{fetch_merge, Gupster, StorePool};
 use gupster::policy::{Purpose, WeekTime};
 use gupster::schema::{gup_schema, sample_profile};
@@ -36,7 +36,7 @@ fn main() {
     pool.drain_all_events().for_each(drop);
 
     // Her phone and the enterprise both subscribe to device changes.
-    let mut subs = SubscriptionManager::new();
+    let mut subs = ShardedFanout::new(1);
     let devices = Path::parse("/user[@id='alice']/devices").unwrap();
     subs.subscribe(&mut gupster, "alice", &devices, "alice", WeekTime::at(0, 9, 0), 0)
         .expect("owner may subscribe");

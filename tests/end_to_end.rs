@@ -2,7 +2,7 @@
 //! stores + adapters + sync + netsim, exercising the paper's §2
 //! scenarios end to end.
 
-use gupster::core::subs::SubscriptionManager;
+use gupster::core::subs::ShardedFanout;
 use gupster::core::{fetch_merge, Gupster, GupsterError, StorePool};
 use gupster::netsim::topology::ConvergedNetwork;
 use gupster::policy::{Effect, Purpose, WeekTime};
@@ -141,7 +141,7 @@ fn shield_narrowing_interacts_with_heterogeneous_coverage() {
 #[test]
 fn subscriptions_deliver_across_the_federation() {
     let (mut g, mut pool) = heterogeneous_world();
-    let mut subs = SubscriptionManager::new();
+    let mut subs = ShardedFanout::new(1);
     subs.subscribe(&mut g, "alice", &p("/user[@id='alice']/presence"), "alice", noon(), 0)
         .unwrap();
     pool.update(

@@ -5,7 +5,7 @@
 //! the same byte stream at 1, 2 and 8 shards, and a pushed notification
 //! must never leak what the direct query path would refuse.
 
-use gupster::core::{Gupster, GupsterError, ShardedFanout, SubscriptionManager};
+use gupster::core::{Gupster, GupsterError, ShardedFanout};
 use gupster::policy::{Effect, Purpose, WeekTime};
 use gupster::schema::gup_schema;
 use gupster::store::{ChangeEvent, StoreId};
@@ -102,7 +102,7 @@ fn rand_event(r: &mut StdRng, generation: u64) -> ChangeEvent {
 fn subscribe_population(
     r: &mut StdRng,
     g: &mut Gupster,
-    mgr: &mut SubscriptionManager,
+    mgr: &mut ShardedFanout,
     planes: &mut [ShardedFanout],
 ) -> Vec<u64> {
     let mut ids = Vec::new();
@@ -133,7 +133,7 @@ fn subscribe_population(
 fn indexed_match_is_byte_identical_to_naive_scan() {
     cases(80, 0xFA11, |r| {
         let mut g = open_world();
-        let mut mgr = SubscriptionManager::new();
+        let mut mgr = ShardedFanout::new(1);
         let mut ids = subscribe_population(r, &mut g, &mut mgr, &mut []);
         for i in 0..r.gen_range(10..40) {
             // Churn: occasionally drop a live subscription so the
@@ -164,7 +164,7 @@ fn indexed_match_is_byte_identical_to_naive_scan() {
 fn sharded_staging_is_shard_count_invariant() {
     cases(50, 0x5AAD, |r| {
         let mut g = open_world();
-        let mut mgr = SubscriptionManager::new();
+        let mut mgr = ShardedFanout::new(1);
         let mut planes: Vec<ShardedFanout> =
             SHARD_COUNTS.iter().map(|&s| ShardedFanout::new(s)).collect();
         subscribe_population(r, &mut g, &mut mgr, &mut planes);
@@ -193,7 +193,7 @@ fn sharded_staging_is_shard_count_invariant() {
 fn unsubscribe_mid_window_is_dropped_on_every_plane() {
     cases(40, 0xD1E, |r| {
         let mut g = open_world();
-        let mut mgr = SubscriptionManager::new();
+        let mut mgr = ShardedFanout::new(1);
         let mut planes: Vec<ShardedFanout> =
             SHARD_COUNTS.iter().map(|&s| ShardedFanout::new(s)).collect();
         subscribe_population(r, &mut g, &mut mgr, &mut planes);
@@ -238,7 +238,7 @@ fn push_delivers_exactly_what_a_direct_query_permits() {
     cases(50, 0x1EAC, |r| {
         let mut g = open_world();
         let mut plane = ShardedFanout::new(*r.pick(&SHARD_COUNTS));
-        let mut mgr = SubscriptionManager::new();
+        let mut mgr = ShardedFanout::new(1);
         subscribe_population(r, &mut g, &mut mgr, std::slice::from_mut(&mut plane));
 
         // Tighten: random relationships, then high-priority deny rules

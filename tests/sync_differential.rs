@@ -14,7 +14,7 @@ use std::sync::Arc;
 use common::{book_request, fault_world, keys, p};
 use gupster::core::cache::CachedClient;
 use gupster::core::patterns::PatternExecutor;
-use gupster::core::{write_through, ResilientExecutor, SubscriptionManager, SyncPlane};
+use gupster::core::{write_through, ResilientExecutor, ShardedFanout, SyncPlane};
 use gupster::netsim::{FaultSchedule, SimTime};
 use gupster::policy::{Purpose, WeekTime};
 use gupster::sync::{delta_two_way_sync, two_way_sync, ReconcilePolicy, Replica};
@@ -374,7 +374,7 @@ fn write_through_drops_derived_state_everywhere() {
 
     // The same events drive the push-fanout plane: a permitted
     // subscriber sees the committed write.
-    let mut mgr = SubscriptionManager::new();
+    let mut mgr = ShardedFanout::new(1);
     mgr.subscribe(&mut w.gupster, "alice", &p("/user/address-book"), "alice", t, 40).unwrap();
     let outcome = mgr.stage_events(&w.gupster, &events, t);
     assert!(outcome.staged >= 1, "the committed write must reach push subscribers");
