@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use gupster_bench::microbench::{bench, suite};
-use gupster_telemetry::{stage, SimTime, StageId, StageInterner, TelemetryHub};
+use gupster_telemetry::{stage, SimTime, TelemetryHub};
+use gupster_xml::{NameId, NameInterner};
 
 const LABELS: [&str; 8] = [
     stage::SHARD_REQUEST,
@@ -22,10 +23,10 @@ fn main() {
     suite("telemetry");
 
     let hub = TelemetryHub::new();
-    let ids: Vec<(StageId, SimTime)> = LABELS
+    let ids: Vec<(NameId, SimTime)> = LABELS
         .iter()
         .enumerate()
-        .map(|(i, l)| (StageInterner::intern(l), SimTime::micros(i as u64 + 1)))
+        .map(|(i, l)| (NameInterner::intern(l), SimTime::micros(i as u64 + 1)))
         .collect();
     bench("record_stage_ids_interned(8)", || hub.record_stage_ids(&ids));
 

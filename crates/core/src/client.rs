@@ -153,7 +153,7 @@ pub fn fetch_merge_batched(
 /// [`fetch_merge_batched`] nested under a caller-owned trace; records
 /// one `store.fetch` span per destination store and bumps the
 /// batched-fetch counter per coalesced round.
-pub fn fetch_merge_batched_traced(
+pub(crate) fn fetch_merge_batched_traced(
     pool: &StorePool,
     referral: &Referral,
     store_signer: &Signer,
@@ -335,7 +335,7 @@ fn fold<'a>(fragments: &'a [Fragment<'_>], keys: &MergeKeys) -> Vec<MergeOut<'a>
 /// keeps a hit byte-identical to a recompute. Cross-window caching is
 /// [`crate::cache::CachedClient`]'s job.
 #[derive(Debug, Default)]
-pub struct Singleflight {
+pub(crate) struct Singleflight {
     /// Coalescing key → position in `answers`.
     table: HashMap<String, usize>,
     /// Each fetched answer with the number of tickets still out on it.
@@ -348,7 +348,7 @@ pub struct Singleflight {
 
 /// A claim on one answer held by a [`Singleflight`] window.
 #[derive(Debug)]
-pub struct FlightTicket(usize);
+pub(crate) struct FlightTicket(usize);
 
 impl Singleflight {
     /// An empty table for one scatter window.

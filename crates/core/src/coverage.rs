@@ -2,8 +2,10 @@
 //! (expressed as XPath expressions) and data-stores" (§4.3/§4.5).
 //!
 //! Lookups ride the indexed fast path (DESIGN.md §7): a per-user
-//! [`crate::index::CoverageTrie`] keyed by interned path segments
-//! prunes the registrations to a sound candidate superset, and the
+//! [`crate::index::CoverageTrie`] keyed by interned step names (and by
+//! predicate values, which stay strings in that user's trie and are
+//! never interned) prunes the registrations to a sound candidate
+//! superset, and the
 //! exact containment tests run only on those candidates — byte-
 //! identical to the retained naive scan ([`CoverageMap::match_request_naive`]),
 //! which stays as the differential-testing oracle. Wildcard requests,
@@ -340,5 +342,25 @@ mod tests {
         assert_eq!(m.full.len(), 1);
         assert_eq!(m.full[0].0, sid("gup.yahoo.com"));
         assert_eq!(cov.match_request(&p("/user/presence")), CoverageMatch::default());
+    }
+
+    #[test]
+    fn predicate_values_are_not_interned() {
+        use gupster_policy::{Condition, PolicyRepository, Rule};
+        use gupster_xml::NameInterner;
+
+        let unique = "predicate-value-not-a-name-5e1f";
+        let pinned = p(&format!("/user[@id='{unique}']/presence"));
+        let mut cov = CoverageMap::new();
+        cov.register(pinned.clone(), sid("gup.spcs.com"));
+        let mut rules = PolicyRepository::new();
+        rules.put(unique, Rule::permit("r", pinned.clone(), Condition::True));
+        assert_eq!(NameInterner::lookup(unique), None, "a value reached the name table");
+
+        let m = cov.match_request(&pinned);
+        assert_eq!(m.full, vec![(sid("gup.spcs.com"), pinned)]);
+        let other = p("/user[@id='someone-else']/presence");
+        assert_eq!(cov.match_request(&other), CoverageMatch::default());
+        assert_eq!(NameInterner::lookup(unique), None);
     }
 }

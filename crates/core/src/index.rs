@@ -1,14 +1,16 @@
 //! The per-user coverage trie: the indexed fast path behind
 //! [`crate::CoverageMap::match_request`].
 //!
-//! Registered component paths are laid out as a trie keyed by interned
-//! step segments. An edge is `(name Sym, attribute-axis?)` into a
-//! per-name bucket that splits further on the step's first
-//! `[@attr='value']` predicate: predicate-less steps share the `bare`
-//! slot (the wildcard bucket of a name — such registrations can match
-//! any predicate the request carries), and predicated steps hang off
-//! `(attr, value)` sym pairs so point lookups like `item[@id='4711']`
-//! touch exactly one edge out of 100k siblings.
+//! Registered component paths are laid out as a trie keyed by step
+//! names interned in `gupster-xml`'s process-wide name table. An edge
+//! is `(name NameId, attribute-axis?)` into a per-name bucket that
+//! splits further on the step's first `[@attr='value']` predicate:
+//! predicate-less steps share the `bare` slot (the wildcard bucket of a
+//! name — such registrations can match any predicate the request
+//! carries), and predicated steps hang off `(attr NameId, value)` pairs
+//! so point lookups like `item[@id='4711']` touch exactly one edge out
+//! of 100k siblings. The value is user data, not a name: the trie owns
+//! it as a string, and nothing process-wide ever sees it.
 //!
 //! The trie is a **pruning** index, not a decision procedure: a walk
 //! returns a superset of the entries that can possibly relate to the
@@ -26,7 +28,8 @@
 
 use std::collections::HashMap;
 
-use gupster_xpath::{Axis, InternedPath, NameTest, Path, PathInterner, Predicate, Sym};
+use gupster_xml::{NameId, NameInterner};
+use gupster_xpath::{Axis, InternedPath, NameTest, Path, Predicate};
 
 /// Per-name edge bucket: the predicate-less child plus children keyed
 /// by their discriminating `[@attr='value']` predicate.
@@ -36,15 +39,33 @@ struct NameBucket {
     /// a candidate: a bare registration covers any predicated request
     /// step, and overlaps any of them.
     bare: Option<usize>,
-    /// attr sym → value sym → child node.
-    by_attr: HashMap<Sym, HashMap<Sym, usize>>,
+    /// attr name → value → child node. A step pins one attribute in
+    /// practice, so the attributes are a list sized to fit.
+    by_attr: Vec<(NameId, HashMap<Box<str>, usize>)>,
+}
+
+impl NameBucket {
+    /// The child keyed `[@attr='value']`, keying `fresh` there first
+    /// when there is none.
+    fn child_for(&mut self, attr: NameId, value: &str, fresh: usize) -> usize {
+        if !self.by_attr.iter().any(|(a, _)| *a == attr) {
+            self.by_attr.reserve_exact(1);
+            self.by_attr.push((attr, HashMap::new()));
+        }
+        let (_, values) = self.by_attr.iter_mut().find(|(a, _)| *a == attr).expect("keyed above");
+        if let Some(&child) = values.get(value) {
+            return child;
+        }
+        values.insert(value.into(), fresh);
+        fresh
+    }
 }
 
 /// One trie node: outgoing edges plus the registrations whose spine
 /// terminates here (indices into the owning coverage map's entry list).
 #[derive(Debug, Clone, Default)]
 struct TrieNode {
-    children: HashMap<(Sym, bool), NameBucket>,
+    children: HashMap<(NameId, bool), NameBucket>,
     entries: Vec<usize>,
 }
 
@@ -72,32 +93,15 @@ impl CoverageTrie {
         };
         let mut node = 0usize;
         for step in &compiled.steps {
-            let key = (step.name, step.attribute);
-            let existing = {
-                let bucket = self.nodes[node].children.entry(key).or_default();
-                match step.pred_key {
-                    None => bucket.bare,
-                    Some((a, v)) => {
-                        bucket.by_attr.get(&a).and_then(|m| m.get(&v)).copied()
-                    }
-                }
+            let fresh = self.nodes.len();
+            let bucket = self.nodes[node].children.entry((step.name, step.attribute)).or_default();
+            node = match step.pred_key {
+                None => *bucket.bare.get_or_insert(fresh),
+                Some((a, v)) => bucket.child_for(a, v, fresh),
             };
-            node = match existing {
-                Some(child) => child,
-                None => {
-                    let child = self.nodes.len();
-                    self.nodes.push(TrieNode::default());
-                    let bucket =
-                        self.nodes[node].children.get_mut(&key).expect("just inserted");
-                    match step.pred_key {
-                        None => bucket.bare = Some(child),
-                        Some((a, v)) => {
-                            bucket.by_attr.entry(a).or_default().insert(v, child);
-                        }
-                    }
-                    child
-                }
-            };
+            if node == fresh {
+                self.nodes.push(TrieNode::default());
+            }
         }
         self.nodes[node].entries.push(idx);
     }
@@ -120,7 +124,7 @@ impl CoverageTrie {
                 // Core-fragment paths carry no wildcards.
                 unreachable!("core fragment step has a concrete name")
             };
-            let Some(name_sym) = PathInterner::lookup(name) else {
+            let Some(name_id) = NameInterner::lookup(name) else {
                 // Never-interned name: no registered spine goes deeper.
                 full_walk = false;
                 break;
@@ -128,15 +132,15 @@ impl CoverageTrie {
             // The request step's pinned attributes: an edge keyed
             // `[@a='w']` survives only if the request either pins a to w
             // or does not pin a at all (then they may still overlap).
-            let mut pins: Vec<(Sym, Option<Sym>)> = Vec::new();
+            let mut pins: Vec<(NameId, &str)> = Vec::new();
             for p in &step.predicates {
                 if let Predicate::AttrEq(a, v) = p {
-                    if let Some(a_sym) = PathInterner::lookup(a) {
-                        pins.push((a_sym, PathInterner::lookup(v)));
+                    if let Some(a_id) = NameInterner::lookup(a) {
+                        pins.push((a_id, v));
                     }
                 }
             }
-            let key = (name_sym, step.axis == Axis::Attribute);
+            let key = (name_id, step.axis == Axis::Attribute);
             scratch.clear();
             for &node in &frontier {
                 let Some(bucket) = self.nodes[node].children.get(&key) else { continue };
@@ -148,10 +152,8 @@ impl CoverageTrie {
                     for (a, v) in &pins {
                         if a == attr {
                             pinned = true;
-                            if let Some(v) = v {
-                                if let Some(&child) = values.get(v) {
-                                    scratch.push(child);
-                                }
+                            if let Some(&child) = values.get(*v) {
+                                scratch.push(child);
                             }
                         }
                     }
@@ -179,7 +181,7 @@ impl CoverageTrie {
                         out.extend_from_slice(&self.nodes[bare].entries);
                         stack.push(bare);
                     }
-                    for values in bucket.by_attr.values() {
+                    for (_, values) in &bucket.by_attr {
                         for &child in values.values() {
                             out.extend_from_slice(&self.nodes[child].entries);
                             stack.push(child);

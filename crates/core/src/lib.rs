@@ -55,10 +55,7 @@ pub use admission::{
     AdmissionConfig, Completion, IngressQueue, OfferOutcome, Priority, RequestOutcome, Shed,
     ShedCause,
 };
-pub use client::{
-    fetch_merge, fetch_merge_batched, fetch_merge_batched_traced, fetch_merge_traced,
-    FlightTicket, Singleflight, StorePool,
-};
+pub use client::{fetch_merge, fetch_merge_batched, fetch_merge_traced, StorePool};
 pub use constellation::Constellation;
 pub use coverage::{CoverageMap, CoverageMatch, MatchStats};
 pub use provenance::{Disclosure, ProvenanceLog};
@@ -67,6 +64,6 @@ pub use referral::{Referral, ReferralEntry};
 pub use registry::{Gupster, LookupOutcome, RegistryStats};
 pub use resilience::{ResilientExecutor, ResilientRun, RetryPolicy, ServedVia};
 pub use shard::{BatchReport, OpenLoopRequest, OverloadReport, ShardRequest, ShardedRegistry};
-pub use subs::{DeliveryBatch, MatchOutcome, Notification, ShardedFanout, WindowOutcome};
+pub use subs::ShardedFanout;
 pub use syncplane::{write_through, EditError, PlaneReport, SyncPlane, UserOutcome};
 pub use token::{SignedQuery, Signer, TokenError};

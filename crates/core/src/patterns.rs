@@ -84,7 +84,8 @@ pub struct PatternExecutor<'a> {
     /// store and each group travels as **one** coalesced RPC (one
     /// header charge per destination instead of per fragment — see
     /// [`Journey::try_batch_rpcs`]); the fetch/merge side charges one
-    /// fetch round per store ([`fetch_merge_batched_traced`]). The
+    /// fetch round per store (the traced form of
+    /// [`crate::fetch_merge_batched`]). The
     /// merged answer is byte-identical either way.
     pub batch_fetches: bool,
 }

@@ -264,11 +264,6 @@ impl Gupster {
         self.pap.repository = other.pap.repository.clone();
     }
 
-    /// Number of users with registered coverage.
-    pub fn user_count(&self) -> usize {
-        self.coverage.len()
-    }
-
     /// Provisions a relationship (owners declare who their co-workers,
     /// boss, family are — the shield conditions of §4.6 test these).
     pub fn set_relationship(&mut self, owner: &str, requester: &str, relationship: &str) {

@@ -16,14 +16,15 @@
 //! Three layers sit on top of that seed behaviour (DESIGN.md §12):
 //!
 //! - **Inverted subscription index.** Each owner's subscriptions are
-//!   registered into a `CoverageTrie` keyed by the scope's interned
-//!   path spine (wildcard scopes land in the trie's always-scanned
-//!   fallback bucket). A write walks the trie once and confirms only
+//!   registered into a `CoverageTrie` keyed by the scope's path spine:
+//!   step names interned in `gupster-xml`'s name table, predicate
+//!   values kept as strings in the owner's trie (wildcard scopes land
+//!   in the trie's always-scanned fallback bucket). A write walks the trie once and confirms only
 //!   the pruned candidate set with [`may_overlap`] — instead of the
 //!   naive scan over every subscription in the system, which is kept
 //!   as [`ShardedFanout::on_event_naive`], the differential oracle.
-//!   Scopes are interned once at subscribe time; `pump` no longer
-//!   clones the subscription list per cycle.
+//!   Scopes are compiled into the trie once at subscribe time; `pump`
+//!   no longer clones the subscription list per cycle.
 //! - **Policy-filtered staging.** [`ShardedFanout::stage_window`]
 //!   passes every matched notification through the PDP with the
 //!   *subscriber* as requester ([`Purpose::Query`], memoized in a
@@ -320,7 +321,7 @@ impl ShardedFanout {
     /// Subscribes to changes under `path` of `owner`'s profile. The
     /// privacy shield is consulted once, with [`Purpose::Subscribe`] —
     /// owners can therefore write policies that allow queries but not
-    /// standing subscriptions. The scope's spine is interned into the
+    /// standing subscriptions. The scope's spine is compiled into the
     /// owner's trie on the owner's shard here, so matching never
     /// re-parses it. Ids are issued in ascending order.
     pub fn subscribe(

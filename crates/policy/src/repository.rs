@@ -16,7 +16,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gupster_xpath::{NameTest, Path, PathInterner, Sym};
+use gupster_xml::{NameId, NameInterner};
+use gupster_xpath::{NameTest, Path};
 
 use crate::rule::Rule;
 
@@ -32,7 +33,7 @@ fn next_generation() -> u64 {
 /// fragment, or are too short to have one, live in the catch-all.
 #[derive(Debug, Clone, Default)]
 struct RuleIndex {
-    by_component: HashMap<Sym, Vec<usize>>,
+    by_component: HashMap<NameId, Vec<usize>>,
     catch_all: Vec<usize>,
 }
 
@@ -40,8 +41,8 @@ impl RuleIndex {
     fn build(rules: &[Rule]) -> RuleIndex {
         let mut index = RuleIndex::default();
         for (i, rule) in rules.iter().enumerate() {
-            match bucket_sym_for_scope(&rule.scope) {
-                Some(sym) => index.by_component.entry(sym).or_default().push(i),
+            match bucket_for_scope(&rule.scope) {
+                Some(name) => index.by_component.entry(name).or_default().push(i),
                 None => index.catch_all.push(i),
             }
         }
@@ -53,12 +54,12 @@ impl RuleIndex {
 /// step (`/user/presence` → `presence`). `None` routes to the
 /// catch-all: wildcard scopes, attribute-axis components and scopes of
 /// a single step (`/user`) can relate to any request.
-fn bucket_sym_for_scope(scope: &Path) -> Option<Sym> {
+fn bucket_for_scope(scope: &Path) -> Option<NameId> {
     if !scope.is_core_fragment() || scope.steps.len() < 2 {
         return None;
     }
     match &scope.steps[1].test {
-        NameTest::Name(name) => Some(PathInterner::intern(name)),
+        NameTest::Name(name) => Some(NameInterner::intern(name)),
         _ => None,
     }
 }
@@ -108,13 +109,9 @@ impl PolicyRepository {
             return Some(Vec::new());
         };
         let mut out = index.catch_all.clone();
-        // Read-lock probe: a name no rule scope ever interned cannot
-        // have a bucket.
-        if let Some(sym) = PathInterner::lookup(name) {
-            if let Some(bucket) = index.by_component.get(&sym) {
-                out.extend_from_slice(bucket);
-            }
-        }
+        // A name that was never interned cannot have a bucket.
+        let bucket = NameInterner::lookup(name).and_then(|id| index.by_component.get(&id));
+        out.extend(bucket.into_iter().flatten());
         // Rule order — so the indexed decision weighs rules in the
         // exact order the naive scan would.
         out.sort_unstable();

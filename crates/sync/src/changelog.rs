@@ -12,7 +12,7 @@
 
 use gupster_xml::{EditOp, MergeKeys, NodePath};
 
-use crate::intern::{ActorId, PathId};
+use crate::intern::ActorId;
 
 /// One logged edit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,20 +161,18 @@ impl ChangeLog {
 
         // Coalesce superseded SetText / SetAttr entries (last wins).
         use std::collections::HashMap;
-        let mut last_text: HashMap<PathId, usize> = HashMap::new();
-        let mut last_attr: HashMap<(PathId, String), usize> = HashMap::new();
+        let mut last_text: HashMap<&NodePath, usize> = HashMap::new();
+        let mut last_attr: HashMap<(&NodePath, &str), usize> = HashMap::new();
         for i in 0..n {
             match &self.entries[i].op {
                 EditOp::SetText { path, .. } => {
-                    let pid = PathId::intern(path);
-                    if let Some(prev) = last_text.insert(pid, i) {
+                    if let Some(prev) = last_text.insert(path, i) {
                         drop[prev] = true;
                         stats.coalesced += 1;
                     }
                 }
                 EditOp::SetAttr { path, name, .. } => {
-                    let pid = PathId::intern(path);
-                    if let Some(prev) = last_attr.insert((pid, name.clone()), i) {
+                    if let Some(prev) = last_attr.insert((path, name), i) {
                         // A step keyed on this attribute in an entry
                         // between the pair may resolve through the
                         // intermediate value — keep the earlier write.

@@ -3,10 +3,10 @@
 //! [`crate::two_way_sync`] reconciles with a pairwise `|a| × |b|` scan
 //! and ships every op with its full owned path string. Under a
 //! 10k-edit write storm both hurt. This module supplies the fast
-//! path's two replacements, which [`delta_two_way_sync`] hands to the
-//! session body it shares with the oracle — anchors, conflict
-//! resolution, application to each replica's own document and the
-//! slow-sync fallback are that one body's:
+//! path's two replacements, which the session body [`delta_two_way_sync`]
+//! shares with the oracle switches on — anchors, conflict resolution,
+//! application to each replica's own document and the slow-sync
+//! fallback are that one body's:
 //!
 //! * **Touched-path index** ([`TouchedIndex`]) — a trie keyed by
 //!   [`NodePath`] steps over one side's new ops. A conflicting pair
@@ -26,14 +26,13 @@
 //! `tests/sync_differential.rs` checks that both engines leave
 //! byte-identical replicas.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 
 use gupster_telemetry::{stage, SimTime, Tracer};
 use gupster_xml::{EditOp, NodePath, Step};
 
 use crate::changelog::{CompactStats, LogEntry};
-use crate::intern::PathId;
 use crate::reconcile::ReconcilePolicy;
 use crate::replica::Replica;
 use crate::session::{run_session, run_traced, SyncError, SyncReport};
@@ -43,19 +42,20 @@ use crate::session::{run_session, run_traced, SyncError, SyncReport};
 /// along the walk to it (ancestor targets) plus every op in the subtree
 /// below it (descendant targets) — precisely the pairs with a
 /// step-prefix relation between targets.
-pub struct TouchedIndex {
-    nodes: Vec<TrieNode>,
+pub(crate) struct TouchedIndex<'a> {
+    nodes: Vec<TrieNode<'a>>,
 }
 
+/// One trie node; its edges borrow their steps from the indexed ops.
 #[derive(Default)]
-struct TrieNode {
-    kids: HashMap<Step, usize>,
+struct TrieNode<'a> {
+    kids: HashMap<&'a Step, usize>,
     ops: Vec<usize>,
 }
 
-impl TouchedIndex {
+impl<'a> TouchedIndex<'a> {
     /// Indexes `ops` by target path.
-    pub(crate) fn build(ops: &[LogEntry]) -> Self {
+    pub(crate) fn build(ops: &'a [LogEntry]) -> Self {
         let mut ix = TouchedIndex { nodes: vec![TrieNode::default()] };
         for (j, e) in ops.iter().enumerate() {
             let mut cur = 0usize;
@@ -65,7 +65,7 @@ impl TouchedIndex {
                     None => {
                         let n = ix.nodes.len();
                         ix.nodes.push(TrieNode::default());
-                        ix.nodes[cur].kids.insert(step.clone(), n);
+                        ix.nodes[cur].kids.insert(step, n);
                         n
                     }
                 };
@@ -105,25 +105,26 @@ impl TouchedIndex {
 
 /// Session-scoped delta encoder: a path dictionary shared by both
 /// directions of one session (the SyncML-style session handshake
-/// carries one path table) plus per-op framing.
+/// carries one path table) plus per-op framing. The dictionary is the
+/// set of paths shipped so far, borrowed from the session's ops: only
+/// its size on the wire is measured, so it needs no entry numbers and
+/// no copies.
 #[derive(Default)]
-pub struct DeltaCodec {
-    dict: HashMap<PathId, u16>,
+pub(crate) struct DeltaCodec<'a> {
+    dict: HashSet<&'a NodePath>,
 }
 
 /// Fixed per-op framing: one byte op kind + flags, a 2-byte dictionary
 /// reference, and a varint-class timestamp/actor field.
 const OP_HEADER_BYTES: usize = 8;
 
-impl DeltaCodec {
+impl<'a> DeltaCodec<'a> {
     /// Bytes this op costs on the wire under delta encoding: the fixed
     /// header, the payload, and — first time only — the dictionary
     /// entry for its path.
-    pub(crate) fn encode(&mut self, op: &EditOp) -> usize {
-        let pid = PathId::intern(op.target());
+    pub(crate) fn encode(&mut self, op: &'a EditOp) -> usize {
         let mut bytes = OP_HEADER_BYTES;
-        let next = self.dict.len() as u16;
-        if self.dict.try_insert_like(pid, next) {
+        if self.dict.insert(op.target()) {
             // Dictionary entry: the path string plus a 2-byte ref.
             bytes += op.target().to_string().len() + 2;
         }
@@ -136,25 +137,6 @@ impl DeltaCodec {
             EditOp::RemoveAttr { name, .. } => name.len() + 2,
         };
         bytes
-    }
-}
-
-/// `HashMap::try_insert` is unstable; this is `insert`-if-absent
-/// returning whether an insert happened.
-trait TryInsertLike {
-    fn try_insert_like(&mut self, k: PathId, v: u16) -> bool;
-}
-
-impl TryInsertLike for HashMap<PathId, u16> {
-    fn try_insert_like(&mut self, k: PathId, v: u16) -> bool {
-        use std::collections::hash_map::Entry;
-        match self.entry(k) {
-            Entry::Vacant(e) => {
-                e.insert(v);
-                true
-            }
-            Entry::Occupied(_) => false,
-        }
     }
 }
 
@@ -173,12 +155,7 @@ pub fn delta_two_way_sync(
     b: &mut Replica,
     policy: ReconcilePolicy,
 ) -> Result<SyncReport, SyncError> {
-    let touched = |b_new: &[LogEntry]| {
-        let index = TouchedIndex::build(b_new);
-        move |target: &NodePath, out: &mut Vec<usize>| index.candidates(target, out)
-    };
-    let mut codec = DeltaCodec::default();
-    run_session(a, b, policy, touched, |op| codec.encode(op))
+    run_session(a, b, policy, true)
 }
 
 /// [`delta_two_way_sync`] under a telemetry [`Tracer`], charging the

@@ -1,34 +1,29 @@
-//! Process-wide interning of actor ids and node paths.
+//! Process-wide interning of actor ids.
 //!
-//! PR 4 interned XPath segments (`gupster-xpath`'s `PathInterner`) and
-//! PR 7 interned XML names (`gupster-xml`'s `NameInterner`). The sync
-//! write path extends the same idiom to its own two hot vocabularies:
+//! Every log entry and every element of a replica's dedup set carries
+//! the actor that made the edit. A fleet has a handful of sites per
+//! owner; cloning a `String` per append (and per `seen` probe) is pure
+//! waste. Interning makes a log entry's actor a 4-byte copyable
+//! [`ActorId`] and the dedup set a `(u32, u64)` set.
 //!
-//! * **actor ids** ([`ActorId`]) — every log entry and every element of
-//!   a replica's dedup set carries the actor that made the edit. A
-//!   fleet has a handful of sites; cloning a `String` per append (and
-//!   per `seen` probe) is pure waste. Interning makes a log entry's
-//!   actor a 4-byte copyable id and the dedup set a `(u32, u64)` set.
-//! * **node paths** ([`PathId`]) — compaction groups a log's entries by
-//!   touched [`NodePath`], and delta encoding ships each distinct path
-//!   once per session. Both want a cheap, hashable path handle.
-//!
-//! Interned values are leaked into `'static` storage so `resolve` hands
+//! This is its own table, not `gupster-xml`'s name table: last-writer-
+//! wins resolves actor ids on freshly spawned reconcile workers, where
+//! a per-thread snapshot of the table would be copied on every pass.
+//! Interned ids are leaked into `'static` storage so `as_str` hands
 //! back a reference without cloning or holding the table lock across
-//! the caller's use. Site ids and profile paths are schema/deployment
-//! bounded, so the leak is a small, bounded arena.
+//! the caller's use; site ids are deployment bounded, so the leak is a
+//! small, bounded arena. Node paths are not interned: compaction and
+//! the delta codec borrow them from the log entries they group.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
-use gupster_xml::NodePath;
-
 /// An interned actor (site) id. Two `ActorId`s are equal iff the ids
 /// they were interned from are equal, so dedup-set probes and LWW
 /// tie-breaks compare integers, not strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ActorId(pub u32);
+pub struct ActorId(pub(crate) u32);
 
 #[derive(Default)]
 struct ActorTable {
@@ -75,52 +70,9 @@ impl fmt::Display for ActorId {
     }
 }
 
-/// An interned [`NodePath`]. Equality of ids is equality of paths, so
-/// compaction's per-path grouping and the delta codec's dictionary both
-/// hash a `u32` instead of a step vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct PathId(pub u32);
-
-#[derive(Default)]
-struct PathTable {
-    map: HashMap<&'static NodePath, u32>,
-    paths: Vec<&'static NodePath>,
-}
-
-fn paths() -> &'static RwLock<PathTable> {
-    static GLOBAL: OnceLock<RwLock<PathTable>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(PathTable::default()))
-}
-
-impl PathId {
-    /// Interns `p`, returning its stable [`PathId`]. Idempotent.
-    pub(crate) fn intern(p: &NodePath) -> PathId {
-        {
-            let g = paths().read().expect("path interner lock");
-            if let Some(&id) = g.map.get(p) {
-                return PathId(id);
-            }
-        }
-        let mut g = paths().write().expect("path interner lock");
-        if let Some(&id) = g.map.get(p) {
-            return PathId(id);
-        }
-        let id = g.paths.len() as u32;
-        let stored: &'static NodePath = Box::leak(Box::new(p.clone()));
-        g.paths.push(stored);
-        g.map.insert(stored, id);
-        PathId(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The path a [`PathId`] was interned from.
-    fn resolve(id: PathId) -> &'static NodePath {
-        paths().read().expect("path interner lock").paths[id.0 as usize]
-    }
 
     #[test]
     fn actor_interning_is_stable() {
@@ -132,18 +84,5 @@ mod tests {
         assert_eq!(a.as_str(), "phone");
         assert_eq!(ActorId::lookup("phone"), Some(a));
         assert_eq!(a.to_string(), "phone");
-    }
-
-    #[test]
-    fn path_interning_is_stable() {
-        let p = NodePath::root().keyed("item", "id", "7").child("name", 0);
-        let q = NodePath::root().keyed("item", "id", "8");
-        let a = PathId::intern(&p);
-        let b = PathId::intern(&p);
-        let c = PathId::intern(&q);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(resolve(a), &p);
-        assert_eq!(resolve(c), &q);
     }
 }

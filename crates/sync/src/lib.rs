@@ -19,13 +19,15 @@
 //! * **reconciliation policies** ([`ReconcilePolicy`]): site priority,
 //!   last-writer-wins, or a manual queue — "end-users should be able to
 //!   provision the policies used to reconcile profile data" (Req. 6),
-//! * the **write path at scale** (DESIGN.md §13): interned actor ids and
-//!   paths ([`ActorId`], `PathId`), anchor-safe **changelog
-//!   compaction** (`ChangeLog::compact`), and **delta-encoded
-//!   sessions** ([`delta_two_way_sync`]) — a touched-path trie replaces
-//!   the pairwise conflict scan and dictionary encoding replaces
-//!   owned-path framing. Everything else is one session body shared
-//!   with [`two_way_sync`], the byte-identical differential oracle.
+//! * the **write path at scale** (DESIGN.md §13): interned actor ids
+//!   ([`ActorId`]), anchor-safe **changelog compaction**
+//!   (`ChangeLog::compact`), and **delta-encoded sessions**
+//!   ([`delta_two_way_sync`]) — a touched-path trie replaces the
+//!   pairwise conflict scan and dictionary encoding replaces owned-path
+//!   framing. Node paths are never interned: compaction and the
+//!   dictionary borrow them from the log entries. Everything else is
+//!   one session body shared with [`two_way_sync`], the byte-identical
+//!   differential oracle.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,9 +42,7 @@ mod session;
 
 pub use anchor::Anchors;
 pub use changelog::{ChangeLog, CompactStats};
-pub use delta::{
-    compact_traced, delta_two_way_sync, delta_two_way_sync_traced, DeltaCodec, TouchedIndex,
-};
+pub use delta::{compact_traced, delta_two_way_sync, delta_two_way_sync_traced};
 pub use intern::ActorId;
 pub use reconcile::ReconcilePolicy;
 pub use replica::Replica;

@@ -5,9 +5,9 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 
 use gupster_telemetry::{stage, SimTime, Tracer};
-use gupster_xml::{diff, merge, EditOp, Element, MergeKeys, Node, NodePath};
+use gupster_xml::{diff, merge, EditOp, Element, MergeKeys, Node};
 
-use crate::changelog::LogEntry;
+use crate::delta::{DeltaCodec, TouchedIndex};
 use crate::reconcile::ReconcilePolicy;
 use crate::replica::Replica;
 
@@ -80,29 +80,22 @@ pub fn two_way_sync(
     b: &mut Replica,
     policy: ReconcilePolicy,
 ) -> Result<SyncReport, SyncError> {
-    let every_pair = |b_new: &[LogEntry]| {
-        let n = b_new.len();
-        move |_: &NodePath, out: &mut Vec<usize>| {
-            out.clear();
-            out.extend(0..n);
-        }
-    };
-    run_session(a, b, policy, every_pair, op_bytes)
+    run_session(a, b, policy, false)
 }
 
 /// The one session body behind [`two_way_sync`] and
-/// [`crate::delta_two_way_sync`]. They differ only in what the two
-/// arguments measure: `index` turns the second side's new ops into a
-/// probe that lists, ascending, the ops a first-side target may
-/// conflict with (every op, or the [`crate::TouchedIndex`] candidates
-/// — a superset of the conflicting ones, so both examine conflicts in
-/// the same `(i, j)` order), and `wire_size` is one shipped op's cost.
-pub(crate) fn run_session<P: FnMut(&NodePath, &mut Vec<usize>)>(
+/// [`crate::delta_two_way_sync`]. They differ only in what `delta`
+/// switches on: the [`TouchedIndex`] lists, ascending, the second-side
+/// ops a first-side target may conflict with, where the oracle lists
+/// every op — a superset of the conflicting ones either way, so both
+/// examine conflicts in the same `(i, j)` order — and the
+/// [`DeltaCodec`] prices a shipped op, where the oracle frames each op
+/// with its full path.
+pub(crate) fn run_session(
     a: &mut Replica,
     b: &mut Replica,
     policy: ReconcilePolicy,
-    index: impl FnOnce(&[LogEntry]) -> P,
-    mut wire_size: impl FnMut(&EditOp) -> usize,
+    delta: bool,
 ) -> Result<SyncReport, SyncError> {
     if a.doc.name != b.doc.name {
         return Err(SyncError::ComponentMismatch(a.doc.name.to_string(), b.doc.name.to_string()));
@@ -132,12 +125,18 @@ pub(crate) fn run_session<P: FnMut(&NodePath, &mut Vec<usize>)>(
             .collect();
 
         // Conflict detection: overlapping targets across the two sets.
-        let mut probe = index(&b_new);
+        let index = delta.then(|| TouchedIndex::build(&b_new));
         let mut cands: Vec<usize> = Vec::new();
         let mut a_drop = vec![false; a_new.len()];
         let mut b_drop = vec![false; b_new.len()];
         for (i, ea) in a_new.iter().enumerate() {
-            probe(ea.op.target(), &mut cands);
+            match &index {
+                Some(index) => index.candidates(ea.op.target(), &mut cands),
+                None => {
+                    cands.clear();
+                    cands.extend(0..b_new.len());
+                }
+            }
             report.compared += cands.len();
             for &j in &cands {
                 let eb = &b_new[j];
@@ -166,6 +165,8 @@ pub(crate) fn run_session<P: FnMut(&NodePath, &mut Vec<usize>)>(
 
         // Apply surviving edits cross-wise; losing halves are marked
         // seen so they are never re-shipped.
+        let mut codec = DeltaCodec::default();
+        let mut wire_size = |op| if delta { codec.encode(op) } else { op_bytes(op) };
         let mut diverged = false;
         for (j, eb) in b_new.iter().enumerate() {
             if b_drop[j] {

@@ -6,9 +6,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gupster_netsim::SimTime;
+use gupster_xml::{NameId, NameInterner};
 
 use crate::histogram::Histogram;
-use crate::intern::{StageId, StageInterner};
 use crate::span::{RequestId, Span, Tracer};
 
 /// Declares the pipeline counters once: the atomic [`Counters`], the
@@ -202,10 +202,10 @@ pub fn merge_exemplars(sets: Vec<Vec<Exemplar>>, cap: usize) -> Vec<Exemplar> {
 pub struct TelemetryHub {
     next_request: AtomicU64,
     counters: Counters,
-    /// Per-stage histograms, indexed by [`StageId`] — the interner
-    /// assigns ids process-wide, so a hub's vector may have gaps
-    /// (empty histograms) for stages other subsystems interned.
-    stages: Mutex<Vec<Histogram>>,
+    /// The interned labels of the stages this hub recorded, in first-seen
+    /// order (a few dozen at most, so a scan finds one), and their
+    /// histograms at the same positions.
+    stages: Mutex<(Vec<NameId>, Vec<Histogram>)>,
     spans: Mutex<Vec<Span>>,
     /// Finished-span retention cap: once the store holds this many
     /// spans, further traces feed the stage histograms but are not
@@ -223,7 +223,7 @@ impl Default for TelemetryHub {
         TelemetryHub {
             next_request: AtomicU64::new(0),
             counters: Counters::default(),
-            stages: Mutex::new(Vec::new()),
+            stages: Mutex::default(),
             spans: Mutex::new(Vec::new()),
             span_limit: AtomicUsize::new(usize::MAX),
             exemplar_threshold: AtomicU64::new(u64::MAX),
@@ -264,7 +264,7 @@ impl TelemetryHub {
     /// Public so simulation layers without a [`Tracer`] at hand can
     /// still contribute stage timings.
     pub fn record_stage(&self, stage: &str, duration: SimTime) {
-        self.record_stage_ids(&[(StageInterner::intern(stage), duration)]);
+        self.record_stage_ids(&[(NameInterner::intern(stage), duration)]);
     }
 
     /// Feeds a whole batch of closed-span durations under **one** lock
@@ -272,17 +272,21 @@ impl TelemetryHub {
     /// the [`Tracer`]'s flush path: a request costs one histogram lock
     /// and zero label allocations instead of one `String` per span.
     /// Shard workers hammering a shared hub depend on this.
-    pub fn record_stage_ids(&self, batch: &[(StageId, SimTime)]) {
+    pub fn record_stage_ids(&self, batch: &[(NameId, SimTime)]) {
         if batch.is_empty() {
             return;
         }
-        let mut stages = self.lock_stages();
+        let (ids, histograms) = &mut *self.lock_stages();
         for &(stage, duration) in batch {
-            let idx = stage.0 as usize;
-            if idx >= stages.len() {
-                stages.resize_with(idx + 1, Histogram::default);
-            }
-            stages[idx].record(duration);
+            let at = match ids.iter().position(|&id| id == stage) {
+                Some(at) => at,
+                None => {
+                    ids.push(stage);
+                    histograms.push(Histogram::default());
+                    ids.len() - 1
+                }
+            };
+            histograms[at].record(duration);
         }
     }
 
@@ -319,13 +323,9 @@ impl TelemetryHub {
 
     /// Latency statistics of one stage, `None` when nothing recorded.
     pub fn stage_stats(&self, stage: &str) -> Option<StageStats> {
-        let id = StageInterner::lookup(stage)?;
-        let stages = self.lock_stages();
-        let h = stages.get(id.0 as usize)?;
-        if h.count() == 0 {
-            return None;
-        }
-        Some(stats_of(h))
+        let id = NameInterner::lookup(stage)?;
+        let (ids, histograms) = &*self.lock_stages();
+        Some(stats_of(&histograms[ids.iter().position(|&s| s == id)?]))
     }
 
     /// Every non-empty stage histogram as `(label, histogram)` rows,
@@ -333,19 +333,9 @@ impl TelemetryHub {
     /// the consistent read the scatter-gather merge and the dashboard
     /// snapshot use, so no torn view across stages is possible.
     pub fn stage_histograms(&self) -> Vec<(String, Histogram)> {
-        let copied: Vec<(usize, Histogram)> = {
-            let stages = self.lock_stages();
-            stages
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| h.count() > 0)
-                .map(|(i, h)| (i, h.clone()))
-                .collect()
-        };
-        let mut rows: Vec<(String, Histogram)> = copied
-            .into_iter()
-            .map(|(i, h)| (StageInterner::resolve(StageId(i as u32)).to_string(), h))
-            .collect();
+        let (ids, histograms) = &*self.lock_stages();
+        let mut rows: Vec<(String, Histogram)> =
+            ids.iter().zip(histograms).map(|(id, h)| (id.to_string(), h.clone())).collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows
     }
@@ -399,7 +389,7 @@ impl TelemetryHub {
         crate::table::render_stage_table(self, title)
     }
 
-    fn lock_stages(&self) -> std::sync::MutexGuard<'_, Vec<Histogram>> {
+    fn lock_stages(&self) -> std::sync::MutexGuard<'_, (Vec<NameId>, Vec<Histogram>)> {
         self.stages.lock().expect("telemetry stage mutex poisoned")
     }
 
@@ -468,8 +458,8 @@ mod tests {
         for i in 1..=20u64 {
             a.record_stage("s", SimTime::micros(i));
         }
-        let s = StageInterner::intern("s");
-        let batch: Vec<(StageId, SimTime)> = (1..=20u64).map(|i| (s, SimTime::micros(i))).collect();
+        let s = NameInterner::intern("s");
+        let batch: Vec<(NameId, SimTime)> = (1..=20u64).map(|i| (s, SimTime::micros(i))).collect();
         b.record_stage_ids(&batch);
         assert_eq!(a.stage_stats("s"), b.stage_stats("s"));
     }
@@ -587,7 +577,7 @@ mod tests {
         assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted: {names:?}");
         let alpha = rows.iter().find(|(n, _)| n == "alpha.stage").unwrap();
         assert_eq!(alpha.1.count(), 1);
-        // Gap entries (stages interned by other hubs/tests) never leak.
+        // Stages interned by other hubs/tests never leak in.
         assert!(rows.iter().all(|(_, h)| h.count() > 0));
     }
 }

@@ -11,7 +11,10 @@
 //!
 //! * [`Span`]s carry a monotonically-assigned [`RequestId`], nest via
 //!   parent links and are labelled with pipeline stages
-//!   ([`stage::REGISTRY_LOOKUP`], [`stage::TOKEN_SIGN`], …).
+//!   ([`stage::REGISTRY_LOOKUP`], [`stage::TOKEN_SIGN`], …). On the
+//!   hot path a label is a `NameId` from `gupster-xml`'s process-wide
+//!   name table, the one table for bounded vocabularies; it becomes a
+//!   `String` only when a span is retained or exported.
 //! * The [`TelemetryHub`] aggregates finished spans into per-stage
 //!   log-scale-bucket [`Histogram`]s (p50/p95/p99) and keeps pipeline
 //!   [`Counters`].
@@ -25,7 +28,6 @@
 pub mod export;
 pub(crate) mod histogram;
 pub(crate) mod hub;
-pub(crate) mod intern;
 pub mod obs;
 pub(crate) mod scan;
 pub mod slo;
@@ -35,7 +37,6 @@ pub(crate) mod table;
 pub use gupster_netsim::SimTime;
 pub use histogram::Histogram;
 pub use hub::{merge_exemplars, CounterSnapshot, Counters, Exemplar, StageStats, TelemetryHub};
-pub use intern::{StageId, StageInterner};
 pub use obs::{ExemplarSummary, FleetObs, HotKey, ObsSnapshot, ShardObs, StageRow};
 pub use span::{single_rooted_tree, RequestId, Span, Tracer};
 

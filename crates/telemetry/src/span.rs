@@ -4,9 +4,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use gupster_netsim::SimTime;
+use gupster_xml::{NameId, NameInterner};
 
 use crate::hub::{Exemplar, TelemetryHub};
-use crate::intern::{StageId, StageInterner};
 
 /// Identifier of one end-to-end request, assigned monotonically by the
 /// [`TelemetryHub`] that owns the trace.
@@ -72,38 +72,17 @@ pub fn single_rooted_tree(spans: &[Span]) -> bool {
     roots == 1
 }
 
-#[derive(Debug)]
-struct OpenSpan {
-    id: u64,
-    parent: Option<u64>,
-    stage: StageId,
-    start: SimTime,
-}
-
-/// A closed span in the tracer's hot-path representation: the stage is
-/// an interned [`StageId`], so closing a span allocates nothing. The
-/// owned-label [`Span`] is materialized only when a trace is retained
-/// or captured as an exemplar.
+/// A span in the tracer's hot-path representation: the stage is an
+/// interned [`NameId`], so opening and closing a span allocates
+/// nothing, and `end` is set when the span closes. The owned-label
+/// [`Span`] is materialized only when a trace is retained or captured
+/// as an exemplar.
 #[derive(Debug, Clone, Copy)]
 struct RawSpan {
-    id: u64,
     parent: Option<u64>,
-    stage: StageId,
+    stage: NameId,
     start: SimTime,
     end: SimTime,
-}
-
-impl RawSpan {
-    fn materialize(&self, request: RequestId) -> Span {
-        Span {
-            request,
-            id: self.id,
-            parent: self.parent,
-            stage: StageInterner::resolve(self.stage).to_string(),
-            start: self.start,
-            end: self.end,
-        }
-    }
 }
 
 /// Builds the span tree of one request.
@@ -123,13 +102,14 @@ pub struct Tracer {
     /// hub-local request id.
     key: u64,
     cursor: SimTime,
-    next_id: u64,
-    stack: Vec<OpenSpan>,
-    done: Vec<RawSpan>,
+    /// Every span opened so far, in id order: a span's id is its index.
+    spans: Vec<RawSpan>,
+    /// Ids of the open spans, innermost last.
+    open: Vec<usize>,
     /// Stage timings buffered locally and flushed to the hub's
     /// histograms in one batch on drop, so closing a span never takes
     /// the hub's stage lock (shard workers close thousands per second).
-    stage_buf: Vec<(StageId, SimTime)>,
+    stage_buf: Vec<(NameId, SimTime)>,
 }
 
 /// Spans a tracer has room for before its buffers grow: a sharded
@@ -146,9 +126,8 @@ impl Tracer {
             request,
             key: request.0,
             cursor: SimTime::ZERO,
-            next_id: 0,
-            stack: Vec::with_capacity(OPEN_SPANS),
-            done: Vec::with_capacity(SPANS),
+            spans: Vec::with_capacity(SPANS),
+            open: Vec::with_capacity(OPEN_SPANS),
             stage_buf: Vec::with_capacity(SPANS),
         };
         t.enter(root_stage);
@@ -180,14 +159,13 @@ impl Tracer {
 
     /// Opens a child span under the innermost open span.
     pub fn enter(&mut self, stage: &str) {
-        let parent = self.stack.last().map(|s| s.id);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.stack.push(OpenSpan {
-            id,
+        let parent = self.open.last().map(|&p| p as u64);
+        self.open.push(self.spans.len());
+        self.spans.push(RawSpan {
             parent,
-            stage: StageInterner::intern(stage),
+            stage: NameInterner::intern(stage),
             start: self.cursor,
+            end: self.cursor,
         });
     }
 
@@ -204,7 +182,7 @@ impl Tracer {
     /// # Panics
     /// When only the root span is open.
     pub fn exit(&mut self) {
-        assert!(self.stack.len() > 1, "Tracer::exit would close the root span");
+        assert!(self.open.len() > 1, "Tracer::exit would close the root span");
         self.close_innermost();
     }
 
@@ -231,40 +209,44 @@ impl Tracer {
         self.stage_buf.clear();
     }
 
+    /// The owned-label [`Span`] of span `id`.
+    fn materialize(&self, id: usize) -> Span {
+        let raw = &self.spans[id];
+        Span {
+            request: self.request,
+            id: id as u64,
+            parent: raw.parent,
+            stage: raw.stage.to_string(),
+            start: raw.start,
+            end: raw.end,
+        }
+    }
+
     fn close_innermost(&mut self) {
-        let open = self.stack.pop().expect("close_innermost on empty stack");
-        let span = RawSpan {
-            id: open.id,
-            parent: open.parent,
-            stage: open.stage,
-            start: open.start,
-            end: self.cursor,
-        };
+        let id = self.open.pop().expect("close_innermost on empty stack");
+        let span = &mut self.spans[id];
+        span.end = self.cursor;
         self.stage_buf.push((span.stage, SimTime(span.end.0.saturating_sub(span.start.0))));
-        self.done.push(span);
     }
 }
 
 impl Drop for Tracer {
     fn drop(&mut self) {
-        while !self.stack.is_empty() {
+        while !self.open.is_empty() {
             self.close_innermost();
         }
         // One lock for all buffered stage timings of the request.
         self.hub.record_stage_ids(&std::mem::take(&mut self.stage_buf));
-        // Parents close after their children, so sort by id for a
-        // stable, root-first export order.
-        self.done.sort_by_key(|s| s.id);
         // Labels materialize only when someone will actually hold the
         // spans: the retention store, the exemplar store, or both.
         let exemplify = self.hub.wants_exemplar(self.cursor);
         let retain = self.hub.span_room() > 0;
         if !(exemplify || retain) {
-            self.done.clear();
             return;
         }
-        let spans: Vec<Span> =
-            self.done.drain(..).map(|raw| raw.materialize(self.request)).collect();
+        // Id order is root-first order: a parent opens before its
+        // children.
+        let spans: Vec<Span> = (0..self.spans.len()).map(|id| self.materialize(id)).collect();
         if exemplify {
             let exemplar =
                 Exemplar { key: self.key, duration: self.cursor, spans: spans.clone() };

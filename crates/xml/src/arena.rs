@@ -77,7 +77,7 @@ enum AKid {
 
 /// A child of an arena element, as seen through `ArenaDoc::children`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArenaChild<'d> {
+pub(crate) enum ArenaChild<'d> {
     /// A nested element, addressed by id.
     Elem(NodeId),
     /// A run of character data (entities already resolved).

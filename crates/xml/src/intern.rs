@@ -1,26 +1,34 @@
-//! Process-wide interning of element and attribute names.
+//! The process-wide name table: one [`NameId`] per distinct name, for
+//! every bounded vocabulary in the workspace.
 //!
-//! PR 4 interned XPath *segments* ([`gupster-xpath`]'s `PathInterner`)
-//! so the coverage trie and rule index compare integers instead of
-//! strings. The arena document representation ([`crate::ArenaDoc`])
-//! extends the same pattern down to the XML layer: every element and
-//! attribute name is interned once into a [`NameInterner`], and arena
-//! nodes carry a 4-byte [`NameId`] instead of an owned `String`.
+//! Four vocabularies feed it, all bounded by the GUP schema or by the
+//! code rather than by the number of users:
+//!
+//! * element and attribute names of every document a store accepted
+//!   (arena nodes carry a 4-byte [`NameId`] instead of an owned
+//!   `String`; stores do not validate names against the schema);
+//! * the step names of registered coverage paths and of policy rule
+//!   scopes (`gupster-xpath`'s `InternedPath`, the coverage trie and
+//!   the rule index compare `NameId`s, not strings);
+//! * merge-key tag and attribute names ([`crate::MergeKeys`]);
+//! * telemetry stage labels (spans and histograms key on `NameId`).
+//!
+//! Values are never interned: predicate values such as
+//! `[@id='u4711']`, attribute and text values and sync node paths are
+//! user data, and a leaked table would keep every one of them forever.
 //!
 //! Interned strings are leaked into `'static` storage so
 //! [`NameInterner::resolve`] can hand back a `&'static str` without
-//! taking an allocation. Profile vocabularies are schema-bounded (tag
-//! and attribute names, not values), so the leak is a small, bounded
-//! arena — values are never interned.
+//! taking an allocation.
 //!
 //! The table is append-only, so reads never need the shared lock: each
 //! thread keeps a snapshot (a prefix of the table) and serves
 //! [`NameInterner::lookup`] and [`NameInterner::resolve`] from it. A
 //! snapshot is refreshed only when it is provably behind — a `resolve`
 //! of an id past its end, or a `lookup` miss while the published length
-//! says the table has grown. `to_element`, the merge and XPath selection
-//! call these once per element and attribute, on every shard worker at
-//! once; a shared `RwLock` there made the workers take turns.
+//! says the table has grown. `to_element`, the merge, XPath selection
+//! and every span call these on every shard worker at once; a shared
+//! `RwLock` there made the workers take turns.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -28,20 +36,27 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{OnceLock, RwLock};
 
-/// An interned element/attribute name. Two `NameId`s are equal iff the
-/// names they were interned from are equal, so tag comparison on the
-/// merge hot path is `u32` equality.
+/// An interned name. Two `NameId`s are equal iff the names they were
+/// interned from are equal, so tag comparison on the merge hot path is
+/// `u32` equality.
+///
+/// Ids come only from the table: code outside this crate cannot make
+/// one from an integer, so every `NameId` it holds resolves.
+///
+/// ```compile_fail,E0423
+/// let forged = gupster_xml::NameId(9_999_999);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NameId(pub u32);
+pub struct NameId(pub(crate) u32);
 
 /// The process-wide name interner. All methods are associated
 /// functions over a global append-only table: interning (rare — first
-/// sight of a schema name) takes the write lock; `lookup` and `resolve`
-/// on the hot path read the calling thread's snapshot of the table and
-/// touch the lock only to extend a snapshot that has fallen behind.
+/// sight of a name) takes the write lock; `lookup` and `resolve` on the
+/// hot path read the calling thread's snapshot of the table and touch
+/// the lock only to extend a snapshot that has fallen behind.
 #[derive(Debug, Default)]
 pub struct NameInterner {
-    map: HashMap<&'static str, u32>,
+    map: HashMap<&'static str, NameId>,
     names: Vec<&'static str>,
 }
 
@@ -65,54 +80,57 @@ thread_local! {
 
 impl NameInterner {
     /// Copies the names this snapshot has not seen yet out of the
-    /// global table.
+    /// global table, sized in one step: a freshly spawned shard worker
+    /// copies the whole table on its first read.
     fn catch_up(&mut self) {
         let g = global().read().expect("name interner lock");
-        for &name in &g.names[self.names.len()..] {
-            self.map.insert(name, self.names.len() as u32);
+        let missing = &g.names[self.names.len()..];
+        self.names.reserve(missing.len());
+        self.map.reserve(missing.len());
+        for &name in missing {
+            self.map.insert(name, NameId(self.names.len() as u32));
             self.names.push(name);
         }
     }
 
-    /// Interns `s`, returning its stable [`NameId`]. Idempotent.
-    pub(crate) fn intern(s: &str) -> NameId {
+    /// Interns `s`, returning its stable [`NameId`]. Idempotent. Only
+    /// names belong here (see the module docs): every distinct string
+    /// is kept for the life of the process.
+    pub fn intern(s: &str) -> NameId {
         if let Some(id) = Self::lookup(s) {
             return id;
         }
         let mut g = global().write().expect("name interner lock");
         if let Some(&id) = g.map.get(s) {
-            return NameId(id);
+            return id;
         }
-        let id = g.names.len() as u32;
-        let stored: &'static str = Box::leak(s.to_string().into_boxed_str());
+        let id = NameId(g.names.len() as u32);
+        let stored: &'static str = Box::leak(s.into());
         g.names.push(stored);
         g.map.insert(stored, id);
         PUBLISHED.store(g.names.len(), Ordering::Release);
-        NameId(id)
+        id
     }
 
-    /// The [`NameId`] of `s` if it was ever interned — an attribute
-    /// name that was never interned cannot appear on any arena node.
-    /// Lock-free unless the table grew since this thread last looked.
-    pub(crate) fn lookup(s: &str) -> Option<NameId> {
-        SNAPSHOT.with(|snap| {
-            let mut snap = snap.borrow_mut();
-            if let Some(&id) = snap.map.get(s) {
-                return Some(NameId(id));
+    /// The [`NameId`] of `s` if it was ever interned — a name that was
+    /// never interned appears on no arena node, registered path or
+    /// stage. Never grows the table. Lock-free unless the table grew
+    /// since this thread last looked.
+    pub fn lookup(s: &str) -> Option<NameId> {
+        SNAPSHOT.with_borrow_mut(|snap| match snap.map.get(s) {
+            Some(&id) => Some(id),
+            None if snap.names.len() < PUBLISHED.load(Ordering::Acquire) => {
+                snap.catch_up();
+                snap.map.get(s).copied()
             }
-            if snap.names.len() == PUBLISHED.load(Ordering::Acquire) {
-                return None;
-            }
-            snap.catch_up();
-            snap.map.get(s).copied().map(NameId)
+            None => None,
         })
     }
 
     /// The name a [`NameId`] was interned from. Lock-free unless the id
     /// is newer than this thread's snapshot.
     pub(crate) fn resolve(id: NameId) -> &'static str {
-        SNAPSHOT.with(|snap| {
-            let mut snap = snap.borrow_mut();
+        SNAPSHOT.with_borrow_mut(|snap| {
             if id.0 as usize >= snap.names.len() {
                 snap.catch_up();
             }
@@ -185,5 +203,18 @@ mod tests {
         // both directions of a stale snapshot refresh.
         assert_eq!(NameInterner::lookup("snapshot-test-on-worker"), Some(late));
         assert_eq!(NameInterner::resolve(late), "snapshot-test-on-worker");
+    }
+
+    #[test]
+    fn interner_is_thread_safe() {
+        let ids: Vec<NameId> = std::thread::scope(|s| {
+            (0..4)
+                .map(|_| s.spawn(|| NameInterner::intern("concurrent.stage")))
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert!(ids.windows(2).all(|w| w[0] == w[1]));
     }
 }

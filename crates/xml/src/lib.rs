@@ -41,7 +41,7 @@ mod path;
 mod tree_diff;
 mod writer;
 
-pub use arena::{ArenaChild, ArenaDoc, NodeId};
+pub use arena::{ArenaDoc, NodeId};
 pub use arena_merge::{merge_arena, merge_arena_all, Identity, MergeOut, MergeStats};
 pub use error::{ParseError, XmlError};
 pub use intern::{NameId, NameInterner};

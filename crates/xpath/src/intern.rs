@@ -1,114 +1,61 @@
-//! Segment-level string interning and the compiled path representation
-//! the indexed lookup fast path keys on.
+//! The compiled path representation the indexed lookup fast path keys
+//! on, and the client-side parse memo.
 //!
 //! The registry's hot path compares path-step names millions of times
-//! per second (coverage matching, rule bucketing). Interning every
-//! segment once in a process-wide [`PathInterner`] turns those string
-//! comparisons into integer equality on [`Sym`] ids, and lets the
-//! coverage trie and the policy rule index use dense `HashMap<Sym, _>`
-//! keys instead of hashing strings on every probe.
-//!
-//! [`InternedPath`] is the compiled form of a core-fragment [`Path`]:
-//! each step carries its name `Sym`, its axis kind and the `Sym`-ized
-//! first `[@attr='value']` predicate (the trie's discriminating edge
-//! key). Paths outside the core fragment (`//`, `*`) do not compile —
-//! the indexes place them in always-scanned wildcard buckets instead.
+//! per second (coverage matching, rule bucketing). [`InternedPath`] is
+//! the compiled form of a core-fragment [`Path`]: each step carries its
+//! name as a [`NameId`] from `gupster-xml`'s process-wide
+//! [`NameInterner`] — the same table arena documents use — its axis
+//! kind and its first `[@attr='value']` predicate (the coverage trie's
+//! discriminating edge key). Name comparison is `u32` equality, and
+//! the indexes key dense `HashMap<NameId, _>`s instead of hashing
+//! strings on every probe. The predicate *value* stays a borrowed
+//! string: values are user data (`[@id='u4711']`), unbounded at fleet
+//! scale, and the trie that keys on one owns its copy, which goes when
+//! the trie drops the edge. Paths outside the core fragment (`//`,
+//! `*`) do not compile — the indexes place them in always-scanned
+//! wildcard buckets instead.
 //!
 //! [`PathCache`] is the client-side companion: a bounded memo of parsed
 //! query strings, so a client replaying the same textual queries skips
 //! the lexer/parser entirely.
 
-use std::collections::HashMap;
-use std::fmt;
-use std::sync::{OnceLock, RwLock};
+use gupster_xml::{NameId, NameInterner};
 
 use crate::ast::{Axis, NameTest, Path, Predicate};
 use crate::lru::{KeyDigest, OwnerLru};
 use crate::parser::XPathError;
 
-/// An interned string id. Two `Sym`s are equal iff the strings they
-/// were interned from are equal, so name comparison is `u32` equality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Sym(pub u32);
-
-/// The process-wide segment interner. All methods are associated
-/// functions over a global table behind an `RwLock`: interning (rare —
-/// registration, rule provisioning) takes the write lock; lookups on
-/// the query hot path take the read lock only.
-#[derive(Debug, Default)]
-pub struct PathInterner {
-    map: HashMap<String, u32>,
-    names: Vec<String>,
-}
-
-fn global() -> &'static RwLock<PathInterner> {
-    static GLOBAL: OnceLock<RwLock<PathInterner>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(PathInterner::default()))
-}
-
-impl PathInterner {
-    /// Interns `s`, returning its stable [`Sym`]. Idempotent.
-    pub fn intern(s: &str) -> Sym {
-        if let Some(sym) = Self::lookup(s) {
-            return sym;
-        }
-        let mut g = global().write().expect("interner lock");
-        if let Some(&id) = g.map.get(s) {
-            return Sym(id);
-        }
-        let id = g.names.len() as u32;
-        g.names.push(s.to_string());
-        g.map.insert(s.to_string(), id);
-        Sym(id)
-    }
-
-    /// The [`Sym`] of `s` if it was ever interned. Read-lock only —
-    /// this is the query-side probe: an unknown segment name means no
-    /// registered path can possibly use it.
-    pub fn lookup(s: &str) -> Option<Sym> {
-        global().read().expect("interner lock").map.get(s).copied().map(Sym)
-    }
-
-    /// The string a [`Sym`] was interned from.
-    pub(crate) fn resolve(sym: Sym) -> String {
-        global().read().expect("interner lock").names[sym.0 as usize].clone()
-    }
-}
-
-impl fmt::Display for Sym {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&PathInterner::resolve(*self))
-    }
-}
-
-/// One compiled location step: the name as a [`Sym`], whether it rides
-/// the attribute axis, and the `Sym`-ized first `[@attr='value']`
-/// predicate (the discriminating edge key of the coverage trie).
+/// One compiled location step: the interned name, whether it rides the
+/// attribute axis, and the first `[@attr='value']` predicate (the
+/// discriminating edge key of the coverage trie).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct InternedStep {
+pub struct InternedStep<'a> {
     /// Interned step name.
-    pub name: Sym,
+    pub name: NameId,
     /// True for `@name` (attribute axis) steps.
     pub attribute: bool,
-    /// The first `[@attr='value']` predicate as `(attr, value)` syms,
-    /// if the step has one. Other predicate kinds do not discriminate
+    /// The first `[@attr='value']` predicate as `(attr, value)`, if the
+    /// step has one: the attribute name interned, the value borrowed
+    /// from the source path. Other predicate kinds do not discriminate
     /// trie edges and stay on the retained [`Path`] for exact checks.
-    pub pred_key: Option<(Sym, Sym)>,
+    pub pred_key: Option<(NameId, &'a str)>,
 }
 
-/// A compiled core-fragment path: every step carries its [`Sym`] ids,
+/// A compiled core-fragment path: every step carries its interned name,
 /// so spine walks compare integers, never strings.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct InternedPath {
+pub struct InternedPath<'a> {
     /// The compiled steps, outermost first.
-    pub steps: Vec<InternedStep>,
+    pub steps: Vec<InternedStep<'a>>,
 }
 
-impl InternedPath {
-    /// Compiles a path, interning every segment. Returns `None` when
-    /// the path leaves the core fragment (`//` or `*` anywhere) — such
-    /// paths belong in the indexes' wildcard buckets.
-    pub fn compile(path: &Path) -> Option<InternedPath> {
+impl<'a> InternedPath<'a> {
+    /// Compiles a path, interning every step and predicate-attribute
+    /// name. Returns `None` when the path leaves the core fragment
+    /// (`//` or `*` anywhere) — such paths belong in the indexes'
+    /// wildcard buckets.
+    pub fn compile(path: &'a Path) -> Option<InternedPath<'a>> {
         if !path.is_core_fragment() {
             return None;
         }
@@ -116,13 +63,11 @@ impl InternedPath {
         for step in &path.steps {
             let NameTest::Name(name) = &step.test else { return None };
             let pred_key = step.predicates.iter().find_map(|p| match p {
-                Predicate::AttrEq(a, v) => {
-                    Some((PathInterner::intern(a), PathInterner::intern(v)))
-                }
+                Predicate::AttrEq(a, v) => Some((NameInterner::intern(a), v.as_str())),
                 _ => None,
             });
             steps.push(InternedStep {
-                name: PathInterner::intern(name),
+                name: NameInterner::intern(name),
                 attribute: step.axis == Axis::Attribute,
                 pred_key,
             });
@@ -168,48 +113,17 @@ impl PathCache {
 mod tests {
     use super::*;
 
-    /// Number of distinct segments interned so far.
-    fn interned() -> usize {
-        global().read().expect("interner lock").names.len()
-    }
-
-    #[test]
-    fn interning_is_stable_and_comparable() {
-        let a = PathInterner::intern("address-book");
-        let b = PathInterner::intern("address-book");
-        let c = PathInterner::intern("presence-intern-test");
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(PathInterner::resolve(a), "address-book");
-        assert_eq!(PathInterner::lookup("address-book"), Some(a));
-        assert_eq!(a.to_string(), "address-book");
-        assert!(interned() >= 2);
-    }
-
-    #[test]
-    fn lookup_does_not_grow_the_table() {
-        let before = interned();
-        assert_eq!(PathInterner::lookup("never-interned-segment-xyzzy"), None);
-        assert_eq!(interned(), before);
-    }
-
     #[test]
     fn compile_core_fragment() {
         let p = Path::parse("/user[@id='a']/address-book/item[@type='x'][@id='1']/@ref")
             .unwrap();
         let ip = InternedPath::compile(&p).unwrap();
         assert_eq!(ip.steps.len(), 4);
-        assert_eq!(ip.steps[0].name, PathInterner::intern("user"));
-        assert_eq!(
-            ip.steps[0].pred_key,
-            Some((PathInterner::intern("id"), PathInterner::intern("a")))
-        );
+        assert_eq!(ip.steps[0].name, NameInterner::intern("user"));
+        assert_eq!(ip.steps[0].pred_key, Some((NameInterner::intern("id"), "a")));
         assert!(ip.steps[1].pred_key.is_none());
         // Only the FIRST AttrEq keys the edge.
-        assert_eq!(
-            ip.steps[2].pred_key,
-            Some((PathInterner::intern("type"), PathInterner::intern("x")))
-        );
+        assert_eq!(ip.steps[2].pred_key, Some((NameInterner::intern("type"), "x")));
         assert!(ip.steps[3].attribute);
         assert!(!ip.steps[2].attribute);
     }

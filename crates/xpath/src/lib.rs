@@ -38,6 +38,6 @@ mod parser;
 
 pub use ast::{Axis, LocStep, NameTest, Path, Predicate};
 pub use containment::{contains, covers, may_overlap};
-pub use intern::{InternedPath, InternedStep, PathCache, PathInterner, Sym};
+pub use intern::{InternedPath, InternedStep, PathCache};
 pub use lru::{KeyDigest, OwnedKey, OwnerLru};
 pub use parser::XPathError;
