@@ -129,6 +129,10 @@ impl<T> Shards<T> {
     /// part's run plus one result per index, in bucket order. Also
     /// returns each part's `(bucket depth, summary)`, in part order; a
     /// part that got nothing reports `(0, S::default())`.
+    ///
+    /// A lone non-empty bucket runs on the calling thread: there is
+    /// nothing to overlap it with, and spawning and joining a worker
+    /// costs more than, say, one dirty replica star's reconcile pass.
     pub(crate) fn scatter<'a, I, R, S, F>(
         &mut self,
         items: &'a [I],
@@ -146,34 +150,37 @@ impl<T> Shards<T> {
         let route: Vec<usize> = items.iter().map(|item| self.index(owner(item))).collect();
         let mut order: Vec<usize> = (0..items.len()).collect();
         order.sort_unstable_by_key(|&i| (route[i], i));
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+        let mut rest = &order[..];
+        let buckets: Vec<&[usize]> = (0..self.parts.len())
+            .map(|p| {
+                let (bucket, tail) = rest.split_at(rest.partition_point(|&i| route[i] == p));
+                rest = tail;
+                bucket
+            })
+            .collect();
         let work = &work;
-        let per_part = thread::scope(|scope| {
-            let mut rest = &order[..];
-            let handles: Vec<_> = self
-                .parts
-                .iter_mut()
-                .enumerate()
-                .map(|(p, part)| {
-                    let (bucket, tail) = rest.split_at(rest.partition_point(|&i| route[i] == p));
-                    rest = tail;
-                    let handle = (!bucket.is_empty()).then(|| scope.spawn(move || work(part, bucket)));
-                    (bucket, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(bucket, handle)| {
-                    let Some(handle) = handle else { return (0, S::default()) };
-                    let (summary, out) = handle.join().expect("shard worker panicked");
-                    assert_eq!(out.len(), bucket.len(), "a shard worker must answer its whole bucket");
-                    for (&i, r) in bucket.iter().zip(out) {
-                        slots[i] = Some(r);
-                    }
-                    (bucket.len(), summary)
-                })
-                .collect()
-        });
+        let parts = self.parts.iter_mut().zip(buckets.iter().copied());
+        let runs: Vec<Option<(S, Vec<R>)>> = if buckets.iter().filter(|b| !b.is_empty()).count() <= 1 {
+            parts.map(|(part, bucket)| (!bucket.is_empty()).then(|| work(part, bucket))).collect()
+        } else {
+            thread::scope(|scope| {
+                let handles: Vec<_> = parts
+                    .map(|(part, bucket)| (!bucket.is_empty()).then(|| scope.spawn(move || work(part, bucket))))
+                    .collect();
+                handles.into_iter().map(|h| h.map(|h| h.join().expect("shard worker panicked"))).collect()
+            })
+        };
+        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+        let per_part = (buckets.iter().zip(runs))
+            .map(|(bucket, run)| {
+                let Some((summary, out)) = run else { return (0, S::default()) };
+                assert_eq!(out.len(), bucket.len(), "a shard worker must answer its whole bucket");
+                for (&i, r) in bucket.iter().zip(out) {
+                    slots[i] = Some(r);
+                }
+                (bucket.len(), summary)
+            })
+            .collect();
         let results = slots.into_iter().map(|r| r.expect("answered above")).collect();
         (results, per_part)
     }
