@@ -5,8 +5,9 @@
 //! the same seeded fragment sets, at three document scales:
 //!
 //! * **parse** — adopting fetched fragment text into a tree. The owned
-//!   parser allocates a `String` per name, attribute and text run and a
-//!   `Vec` per element; the arena parser pushes fixed-width records
+//!   parser allocates a `String` per name, a buffer per attribute value
+//!   and text run (each `Value` its own) and a `Vec` per element; the
+//!   arena parser pushes fixed-width records
 //!   onto flat tables and keeps values as byte ranges over the retained
 //!   input, copying only entity-escaped runs.
 //! * **merge_all** — deep-unioning the fragments of one referral. The

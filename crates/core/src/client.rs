@@ -270,7 +270,8 @@ fn fetch_merge_inner(
     }
     let out = fold(&fragments, keys);
     // The one materialization of the answer, at the `Vec<Element>`
-    // boundary the callers fix.
+    // boundary the callers fix. It copies no value bytes: the answer's
+    // values share, and keep alive, the stores' buffers.
     let result: Vec<Element> = out.iter().map(MergeOut::to_element).collect();
     if let Some(t) = tracer {
         let mut spine = MergeStats::default();
@@ -327,7 +328,9 @@ fn fold<'a>(fragments: &'a [Fragment<'_>], keys: &MergeKeys) -> Vec<MergeOut<'a>
 /// returns a [`FlightTicket`] and the window's worker redeems its
 /// tickets with `Singleflight::collect` once the window's fetches are
 /// done. The last ticket on an answer takes the original, so an answer
-/// nobody duplicated is never copied; only actual duplicates clone.
+/// nobody duplicated is never copied; only actual duplicates clone, and
+/// a clone copies the answer's child and attribute lists but no value
+/// bytes: its values share the stores' buffers with the original.
 ///
 /// The table is window-scoped by construction: callers create one per
 /// scatter-gather batch (stores are quiescent within a window) and drop
@@ -409,8 +412,9 @@ impl Singleflight {
         Ok(FlightTicket(self.answers.len() - 1))
     }
 
-    /// Redeems a ticket: a clone of the answer while other tickets are
-    /// still out on it, the answer itself for the last one.
+    /// Redeems a ticket: a clone of the answer (lists copied, value
+    /// bytes shared) while other tickets are still out on it, the answer
+    /// itself for the last one.
     pub(crate) fn collect(&mut self, ticket: FlightTicket) -> Vec<Element> {
         let (answer, outstanding) = &mut self.answers[ticket.0];
         *outstanding -= 1;

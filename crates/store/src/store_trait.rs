@@ -1,6 +1,5 @@
 //! The GUP-compliant data-store interface.
 
-use std::borrow::Cow;
 use std::fmt;
 
 use gupster_xml::{ArenaDoc, Element, NodeId};
@@ -93,20 +92,29 @@ pub struct ChangeEvent {
 /// are what the arena merge and serializer take.
 #[derive(Debug)]
 pub struct Fragment<'a> {
-    doc: Cow<'a, ArenaDoc>,
+    doc: Source<'a>,
     node: NodeId,
+}
+
+/// Where a fragment's document lives. A built one is boxed, so that a
+/// fragment stays three words either way: every fetch collects its
+/// fragments by value.
+#[derive(Debug)]
+enum Source<'a> {
+    Lent(&'a ArenaDoc),
+    Built(Box<ArenaDoc>),
 }
 
 impl<'a> Fragment<'a> {
     /// The subtree of the resident `doc` at `node`.
     pub(crate) fn lent(doc: &'a ArenaDoc, node: NodeId) -> Self {
-        Fragment { doc: Cow::Borrowed(doc), node }
+        Fragment { doc: Source::Lent(doc), node }
     }
 
     /// A document built for this answer; the fragment is all of it.
     pub fn built(doc: ArenaDoc) -> Self {
         let node = doc.root();
-        Fragment { doc: Cow::Owned(doc), node }
+        Fragment { doc: Source::Built(Box::new(doc)), node }
     }
 
     /// What `path` selects in `view`, each as a built fragment — how an
@@ -117,7 +125,10 @@ impl<'a> Fragment<'a> {
 
     /// The document the fragment lives in.
     pub fn doc(&self) -> &ArenaDoc {
-        &self.doc
+        match &self.doc {
+            Source::Lent(doc) => doc,
+            Source::Built(doc) => doc,
+        }
     }
 
     /// The fragment's root within [`Fragment::doc`].
@@ -125,14 +136,15 @@ impl<'a> Fragment<'a> {
         self.node
     }
 
-    /// The fragment as an owned tree.
+    /// The fragment as an owned tree, sharing the document's value
+    /// bytes (see [`ArenaDoc::to_element`]).
     pub(crate) fn to_element(&self) -> Element {
-        self.doc.to_element(self.node)
+        self.doc().to_element(self.node)
     }
 
     /// Serialized size of the fragment, counted without serializing.
     pub fn byte_size(&self) -> usize {
-        self.doc.byte_size(self.node)
+        self.doc().byte_size(self.node)
     }
 }
 
@@ -153,7 +165,8 @@ pub trait DataStore: Send + Sync {
     /// subtree(s), lent or built (see [`Fragment`]).
     fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError>;
 
-    /// [`DataStore::fragments`] as owned trees (copies).
+    /// [`DataStore::fragments`] as owned trees. They copy no value
+    /// bytes: each shares its document's buffer, and keeps it alive.
     fn query(&self, path: &Path) -> Result<Vec<Element>, StoreError> {
         Ok(self.fragments(path)?.iter().map(Fragment::to_element).collect())
     }

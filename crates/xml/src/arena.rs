@@ -1,29 +1,36 @@
 //! Arena XML documents: the zero-copy hot-path representation.
 //!
-//! The owned [`Element`] tree allocates a `String` for every attribute
-//! value and text run, and a `Vec` for every child and attribute list —
-//! at millions of fetches that is the dominant cost of the read path
-//! once lookups are indexed (DESIGN.md §10). Its tag and attribute
-//! *names* are a [`crate::Name`], so a tree materialized from an arena
-//! ([`ArenaDoc::to_element`]) borrows the interned names instead of
-//! allocating one per element and attribute. An [`ArenaDoc`] stores the
-//! same document as flat `Vec`s addressed by [`NodeId`]:
+//! The owned [`Element`] tree allocates a `Vec` for every child and
+//! attribute list, and a parsed or built one a buffer for every
+//! attribute value and text run — at millions of fetches that is the
+//! dominant cost of the read path once lookups are indexed (DESIGN.md
+//! §10). An [`ArenaDoc`] stores the same document as flat `Vec`s
+//! addressed by [`NodeId`]:
 //!
 //! * element and attribute **names** are interned through
 //!   [`NameInterner`] and stored as 4-byte [`NameId`]s;
-//! * **text and attribute values** are byte ranges over one value
-//!   buffer. A parse keeps its input as that buffer and copies
-//!   character data only when the source bytes are not literal (entity
-//!   references, CDATA, or a text run interrupted by a comment);
-//!   [`ArenaDoc::from_element`] and [`ArenaDoc::compact`] pack every
-//!   value into a buffer sized exactly for it;
+//! * **text and attribute values** are byte ranges over one shared
+//!   value buffer. A parse keeps a copy of its input as that buffer and
+//!   holds character data on its own only when the source bytes are not
+//!   literal (entity references, CDATA, or a text run interrupted by a
+//!   comment); [`ArenaDoc::from_element`] and [`ArenaDoc::compact`] pack
+//!   every value into a buffer sized exactly for it;
 //! * **child lists and attribute lists** are contiguous ranges in two
-//!   shared vectors, so a built document is five allocations — four
-//!   tables and the buffer — regardless of node count.
+//!   shared vectors, so a built document is five exactly-sized blocks —
+//!   four tables and the buffer — regardless of node count. (Building
+//!   one allocates a sixth: the `String` the values are packed into
+//!   before they move into the shared buffer.)
 //!
-//! Edits append rows and hold the values they write as owned strings
-//! until the next [`ArenaDoc::compact`], which packs them back into one
-//! buffer; see the edit methods.
+//! A tree materialized from an arena ([`ArenaDoc::to_element`]) copies
+//! neither: its names are the interned `&'static str`s ([`crate::Name`])
+//! and its values are [`Value`]s over the arena's buffer, so the tree
+//! costs only its child and attribute lists. It keeps the buffer alive,
+//! which is what lets an answer outlive the edits and compactions that
+//! follow it unchanged.
+//!
+//! Edits append rows and hold the values they write on their own until
+//! the next [`ArenaDoc::compact`], which packs them into a fresh buffer;
+//! see the edit methods.
 //!
 //! The owned tree remains the differential oracle: for every input,
 //! [`ArenaDoc::parse`] must accept/reject exactly as [`crate::parse`]
@@ -42,6 +49,7 @@ use crate::escape::{
 use crate::intern::{NameId, NameInterner};
 use crate::node::{Element, Node};
 use crate::parser::{is_name_char, is_name_start};
+use crate::value::{offset, Value};
 use crate::writer::tag_len;
 
 /// Index of an element node inside an [`ArenaDoc`].
@@ -49,12 +57,12 @@ use crate::writer::tag_len;
 pub struct NodeId(pub u32);
 
 /// A text or attribute value: either a byte range over the value
-/// buffer or an owned string (a parse's entity, CDATA and
+/// buffer or an index into the held values (a parse's entity, CDATA and
 /// comment-interrupted runs, and values written by edits).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum AVal {
     Slice(u32, u32),
-    Owned(String),
+    Held(u32),
 }
 
 /// One element: interned name plus contiguous ranges into the shared
@@ -91,18 +99,21 @@ pub(crate) enum ArenaChild<'d> {
 #[derive(Debug, Clone)]
 pub struct ArenaDoc {
     /// The value buffer slices point into: the retained input of a
-    /// parsed document, or the packed values of a built or compacted one.
-    buf: String,
+    /// parsed document, or the packed values of a built or compacted
+    /// one. Every value materialized from the document shares it.
+    buf: Value,
     elems: Vec<AElem>,
     attrs: Vec<(NameId, AVal)>,
     kids: Vec<AKid>,
     texts: Vec<AVal>,
+    /// Values held outside the buffer, live or dead, addressed by
+    /// [`AVal::Held`].
+    held: Vec<Value>,
     root: NodeId,
     /// Rows of the four tables no longer reachable from `root`: what
     /// the in-place edits below orphaned. See [`ArenaDoc::compact`].
     /// The counters are `u32` like every offset here, which keeps the
-    /// struct the size it had without the byte counts: built fragments
-    /// travel by value.
+    /// struct small: built fragments travel by value.
     dead: u32,
     /// Value bytes of every attribute and text row, live or dead.
     value_bytes: u32,
@@ -153,19 +164,14 @@ impl ArenaDoc {
     /// the same inputs as the owned [`crate::parse`], and applies the
     /// same whitespace normalization.
     pub fn parse(input: &str) -> Result<ArenaDoc, ParseError> {
-        Self::parse_owned(input.to_string())
-    }
-
-    /// Like [`ArenaDoc::parse`] but takes ownership of the input
-    /// buffer, so nothing is copied at all on the clean path.
-    pub(crate) fn parse_owned(input: String) -> Result<ArenaDoc, ParseError> {
         let mut p = ArenaParser {
-            input: &input,
+            input,
             pos: 0,
             elems: Vec::new(),
             attrs: Vec::new(),
             kids: Vec::new(),
             texts: Vec::new(),
+            held: Vec::new(),
             scratch: Vec::new(),
             dropped: Room::default(),
         };
@@ -175,21 +181,23 @@ impl ArenaDoc {
         if p.pos < p.input.len() {
             return Err(p.err("trailing content after document element"));
         }
-        let ArenaParser { elems, attrs, kids, texts, dropped, .. } = p;
-        let mut doc = ArenaDoc { buf: input, elems, attrs, kids, texts, root, ..ArenaDoc::empty() };
+        let ArenaParser { elems, attrs, kids, texts, held, dropped, .. } = p;
+        let buf = Value::from(input);
+        let mut doc = ArenaDoc { buf, elems, attrs, kids, texts, held, root, ..ArenaDoc::empty() };
         let values = doc.texts.iter().chain(doc.attrs.iter().map(|(_, v)| v));
-        doc.value_bytes = values.map(|v| doc.val(v).len()).sum::<usize>() as u32;
+        doc.value_bytes = values.map(|&v| doc.val(v).len()).sum::<usize>() as u32;
         doc.retire(dropped.rows(), dropped.bytes);
         Ok(doc)
     }
 
     fn empty() -> ArenaDoc {
         ArenaDoc {
-            buf: String::new(),
+            buf: Value::default(),
             elems: Vec::new(),
             attrs: Vec::new(),
             kids: Vec::new(),
             texts: Vec::new(),
+            held: Vec::new(),
             root: NodeId(0),
             dead: 0,
             value_bytes: 0,
@@ -200,18 +208,20 @@ impl ArenaDoc {
     /// Converts an owned tree into arena form, losslessly (no
     /// whitespace normalization — the tree is taken as-is). Names are
     /// interned; values are packed into one buffer. The four tables and
-    /// the buffer are sized exactly by one counting walk first: five
-    /// allocations, none regrown, no slack kept resident.
+    /// the buffer are sized exactly by one counting walk first: none is
+    /// regrown, and no slack is kept resident.
     pub fn from_element(e: &Element) -> ArenaDoc {
-        let mut doc = ArenaDoc::with_room(&Room::of_element(e));
-        doc.root = doc.add_element(e, &mut Convert::new(ArenaDoc::pack));
+        let room = Room::of_element(e);
+        let mut doc = ArenaDoc::with_room(&room);
+        let mut cv = Convert::new(Some(String::with_capacity(room.bytes)));
+        doc.root = doc.add_element(e, &mut cv);
+        doc.buf = Value::from(cv.packed.unwrap_or_default());
         doc
     }
 
-    /// An empty document whose tables and buffer have exactly `room`.
+    /// An empty document whose tables have exactly `room`.
     fn with_room(room: &Room) -> ArenaDoc {
         ArenaDoc {
-            buf: String::with_capacity(room.bytes),
             elems: Vec::with_capacity(room.elems),
             attrs: Vec::with_capacity(room.attrs),
             kids: Vec::with_capacity(room.kids),
@@ -220,21 +230,21 @@ impl ArenaDoc {
         }
     }
 
-    /// A value appended to the buffer — how builders and compaction
-    /// store values.
-    fn pack(&mut self, v: &str) -> AVal {
-        let start = self.buf.len() as u32;
-        self.buf.push_str(v);
+    /// A value appended to `packed`, the buffer-to-be of a build or a
+    /// compaction — how those store values.
+    fn pack(&mut self, packed: &mut String, v: &str) -> AVal {
+        let start = offset(packed.len());
+        packed.push_str(v);
         self.value_bytes += v.len() as u32;
-        let end = u32::try_from(self.buf.len()).expect("a document's values fit u32 offsets");
-        AVal::Slice(start, end)
+        AVal::Slice(start, offset(packed.len()))
     }
 
-    /// A value held on its own — how edits store values until the next
-    /// [`ArenaDoc::compact`], so a write never regrows the buffer.
-    fn own(&mut self, v: &str) -> AVal {
+    /// A value held on its own, its bytes shared rather than copied —
+    /// how edits store values until the next [`ArenaDoc::compact`], so
+    /// a write never copies the buffer.
+    fn hold(&mut self, v: Value) -> AVal {
         self.value_bytes += v.len() as u32;
-        AVal::Owned(v.to_string())
+        hold(&mut self.held, v)
     }
 
     /// Starts an element whose attribute rows (from `attr_start` on) are
@@ -272,7 +282,7 @@ impl ArenaDoc {
     fn add_element(&mut self, e: &Element, cv: &mut Convert) -> NodeId {
         let attr_start = self.attrs.len();
         for (n, v) in &e.attrs {
-            let v = (cv.store)(self, v);
+            let v = cv.store(self, v);
             self.attrs.push((cv.intern(n), v));
         }
         let (id, mark) = self.open(cv.intern(&e.name), attr_start, &cv.scratch);
@@ -283,7 +293,7 @@ impl ArenaDoc {
                     cv.scratch.push(AKid::Elem(cid));
                 }
                 Node::Text(t) => {
-                    let v = (cv.store)(self, t);
+                    let v = cv.store(self, t);
                     self.add_text(v, &mut cv.scratch);
                 }
             }
@@ -306,25 +316,30 @@ impl ArenaDoc {
         NameInterner::resolve(self.name_id(id))
     }
 
-    fn val<'d>(&'d self, v: &'d AVal) -> &'d str {
+    fn val(&self, v: AVal) -> &str {
         match v {
-            AVal::Slice(s, e) => &self.buf[*s as usize..*e as usize],
-            AVal::Owned(s) => s,
+            AVal::Slice(s, e) => &self.buf[s as usize..e as usize],
+            AVal::Held(i) => &self.held[i as usize],
         }
     }
 
-    /// The attributes of `id` in document order.
-    pub(crate) fn attrs(&self, id: NodeId) -> impl Iterator<Item = (&'static str, &str)> {
-        self.attr_rows(id).map(|(n, v)| (NameInterner::resolve(n), v))
+    /// `v` as a [`Value`] that shares its bytes: a range of the buffer
+    /// or a held value, nothing copied.
+    fn value(&self, v: AVal) -> Value {
+        match v {
+            AVal::Slice(s, e) => self.buf.slice(s, e),
+            AVal::Held(i) => self.held[i as usize].clone(),
+        }
     }
 
-    /// The attribute rows of `id` with their interned names — what the
-    /// merge reads, with no resolve-then-intern round trip.
+    /// The attribute rows of `id` in document order, with their interned
+    /// names — what the merge reads, with no resolve-then-intern round
+    /// trip.
     pub(crate) fn attr_rows(&self, id: NodeId) -> impl Iterator<Item = (NameId, &str)> {
         let e = &self.elems[id.0 as usize];
         self.attrs[e.attr_start as usize..e.attr_end as usize]
             .iter()
-            .map(|(n, v)| (*n, self.val(v)))
+            .map(|&(n, v)| (n, self.val(v)))
     }
 
     /// The value of the named attribute of `id`, if present.
@@ -351,7 +366,7 @@ impl ArenaDoc {
         let e = &self.elems[id.0 as usize];
         self.kids[e.kid_start as usize..e.kid_end as usize].iter().map(|k| match k {
             AKid::Elem(c) => ArenaChild::Elem(*c),
-            AKid::Text(t) => ArenaChild::Text(self.val(&self.texts[*t as usize])),
+            AKid::Text(t) => ArenaChild::Text(self.val(self.texts[*t as usize])),
         })
     }
 
@@ -396,47 +411,45 @@ impl ArenaDoc {
         1 + self.child_elements(id).map(|c| self.subtree_size(c)).sum::<usize>()
     }
 
-    /// The owned values of every row, live or dead.
-    fn owned_values(&self) -> impl Iterator<Item = &String> {
-        self.texts.iter().chain(self.attrs.iter().map(|(_, v)| v)).filter_map(|v| match v {
-            AVal::Slice(..) => None,
-            AVal::Owned(s) => Some(s),
-        })
-    }
-
-    /// Bytes of character data held outside the buffer: entity, CDATA
-    /// and comment-interrupted runs of a parse, and values written by
-    /// edits since the last [`ArenaDoc::compact`]. Zero for a clean
-    /// parse — the zero-copy claim, measurable — and for a built or
-    /// compacted document.
+    /// Bytes of character data held outside the buffer, live or dead:
+    /// entity, CDATA and comment-interrupted runs of a parse, and values
+    /// written by edits since the last [`ArenaDoc::compact`]. Zero for a
+    /// clean parse — the zero-copy claim, measurable — and for a built
+    /// or compacted document.
     pub fn owned_value_bytes(&self) -> usize {
-        self.owned_values().map(String::len).sum()
+        self.held.iter().map(|v| v.len()).sum()
     }
 
     /// Heap bytes the document holds, by capacity: the four tables, the
-    /// buffer and every owned value.
+    /// buffer, and every held value with its table.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.buf.capacity()
+        self.buf.len()
             + self.elems.capacity() * size_of::<AElem>()
             + self.attrs.capacity() * size_of::<(NameId, AVal)>()
             + self.kids.capacity() * size_of::<AKid>()
             + self.texts.capacity() * size_of::<AVal>()
-            + self.owned_values().map(String::capacity).sum::<usize>()
+            + self.held.capacity() * size_of::<Value>()
+            + self.owned_value_bytes()
     }
 
     /// Converts the subtree at `id` back into an owned [`Element`]. Its
-    /// names borrow the interned `&'static str`s; values are copied.
+    /// names borrow the interned `&'static str`s and its values share
+    /// the document's bytes ([`Value`]): the only allocations are the
+    /// non-empty child and attribute lists.
     pub fn to_element(&self, id: NodeId) -> Element {
         let e = &self.elems[id.0 as usize];
         Element {
             name: Cow::Borrowed(self.name(id)),
-            attrs: self.attrs(id).map(|(n, v)| (Cow::Borrowed(n), v.to_string())).collect(),
+            attrs: self.attrs[e.attr_start as usize..e.attr_end as usize]
+                .iter()
+                .map(|&(n, v)| (Cow::Borrowed(NameInterner::resolve(n)), self.value(v)))
+                .collect(),
             children: self.kids[e.kid_start as usize..e.kid_end as usize]
                 .iter()
                 .map(|k| match k {
                     AKid::Elem(c) => Node::Element(self.to_element(*c)),
-                    AKid::Text(t) => Node::Text(self.val(&self.texts[*t as usize]).to_string()),
+                    AKid::Text(t) => Node::Text(self.value(self.texts[*t as usize])),
                 })
                 .collect(),
         }
@@ -454,9 +467,9 @@ impl ArenaDoc {
         let e = &self.elems[id.0 as usize];
         out.push('<');
         out.push_str(self.name(id));
-        for (n, v) in &self.attrs[e.attr_start as usize..e.attr_end as usize] {
+        for &(n, v) in &self.attrs[e.attr_start as usize..e.attr_end as usize] {
             out.push(' ');
-            out.push_str(NameInterner::resolve(*n));
+            out.push_str(NameInterner::resolve(n));
             out.push_str("=\"");
             escape_attr(self.val(v), out);
             out.push('"');
@@ -469,7 +482,7 @@ impl ArenaDoc {
         for k in &self.kids[e.kid_start as usize..e.kid_end as usize] {
             match k {
                 AKid::Elem(c) => self.serialize_node(*c, out),
-                AKid::Text(t) => escape_text(self.val(&self.texts[*t as usize]), out),
+                AKid::Text(t) => escape_text(self.val(self.texts[*t as usize]), out),
             }
         }
         out.push_str("</");
@@ -490,15 +503,15 @@ impl ArenaDoc {
         let e = &self.elems[id.0 as usize];
         let attrs: usize = self.attrs[e.attr_start as usize..e.attr_end as usize]
             .iter()
-            .map(|(n, v)| {
-                tag_len::attr(NameInterner::resolve(*n).len(), escaped_attr_len(self.val(v)))
+            .map(|&(n, v)| {
+                tag_len::attr(NameInterner::resolve(n).len(), escaped_attr_len(self.val(v)))
             })
             .sum();
         let kids: usize = self.kids[e.kid_start as usize..e.kid_end as usize]
             .iter()
             .map(|k| match k {
                 AKid::Elem(c) => self.byte_size(*c),
-                AKid::Text(t) => escaped_text_len(self.val(&self.texts[*t as usize])),
+                AKid::Text(t) => escaped_text_len(self.val(self.texts[*t as usize])),
             })
             .sum();
         tag_len::element(self.name(id).len(), attrs, e.kid_start == e.kid_end, kids)
@@ -507,8 +520,9 @@ impl ArenaDoc {
 
 /// One conversion of an owned tree into arena rows.
 struct Convert {
-    /// How values are stored: [`ArenaDoc::pack`] or [`ArenaDoc::own`].
-    store: fn(&mut ArenaDoc, &str) -> AVal,
+    /// Where values go: packed into this buffer-to-be (a build), or
+    /// held as they are, their bytes shared (a graft).
+    packed: Option<String>,
     /// Children of the open elements, as in [`ArenaDoc::open`].
     scratch: Vec<AKid>,
     /// The last few names interned. A profile repeats a handful of tag
@@ -519,8 +533,15 @@ struct Convert {
 }
 
 impl Convert {
-    fn new(store: fn(&mut ArenaDoc, &str) -> AVal) -> Convert {
-        Convert { store, scratch: Vec::new(), names: [("", NameId(u32::MAX)); 8], next: 0 }
+    fn new(packed: Option<String>) -> Convert {
+        Convert { packed, scratch: Vec::new(), names: [("", NameId(u32::MAX)); 8], next: 0 }
+    }
+
+    fn store(&mut self, doc: &mut ArenaDoc, v: &Value) -> AVal {
+        match &mut self.packed {
+            Some(packed) => doc.pack(packed, v),
+            None => doc.hold(v.clone()),
+        }
     }
 
     fn intern(&mut self, name: &str) -> NameId {
@@ -541,7 +562,9 @@ impl Convert {
 /// or child range appended to the flat tables and its header repointed,
 /// while every untouched node keeps its rows — the same structural-
 /// sharing discipline as [`crate::MergeOut`]. A value an edit writes is
-/// held owned, outside the buffer, until the next compaction. Superseded
+/// held on its own, outside the buffer, until the next compaction; a
+/// grafted tree's values are held as they are, sharing their bytes with
+/// the tree (and whatever buffer it was materialized from). Superseded
 /// rows and values become arena garbage, which the document counts
 /// ([`ArenaDoc::dead_rows`], [`ArenaDoc::dead_value_bytes`]); whoever
 /// keeps a document under editing bounds it by calling
@@ -551,7 +574,7 @@ impl ArenaDoc {
     /// id. The subtree is unattached until a [`ArenaDoc::push_child`]
     /// or [`ArenaDoc::replace_child`].
     pub fn graft_element(&mut self, e: &Element) -> NodeId {
-        self.add_element(e, &mut Convert::new(ArenaDoc::own))
+        self.add_element(e, &mut Convert::new(None))
     }
 
     fn rewrite_kids(&mut self, id: NodeId, new: Vec<AKid>) {
@@ -572,13 +595,13 @@ impl ArenaDoc {
         r.elems += 1;
         r.attrs += attrs.len();
         r.kids += kids.len();
-        r.bytes += attrs.iter().map(|(_, v)| self.val(v).len()).sum::<usize>();
+        r.bytes += attrs.iter().map(|&(_, v)| self.val(v).len()).sum::<usize>();
         for k in kids {
             match k {
                 AKid::Elem(c) => self.tally(*c, r),
                 AKid::Text(t) => {
                     r.texts += 1;
-                    r.bytes += self.val(&self.texts[*t as usize]).len();
+                    r.bytes += self.val(self.texts[*t as usize]).len();
                 }
             }
         }
@@ -608,12 +631,12 @@ impl ArenaDoc {
                 AKid::Elem(_) => kids.push(k),
                 AKid::Text(t) => {
                     rows += 1;
-                    bytes += self.val(&self.texts[t as usize]).len();
+                    bytes += self.val(self.texts[t as usize]).len();
                 }
             }
         }
         self.retire(rows, bytes);
-        let v = self.own(text);
+        let v = self.hold(Value::from(text));
         kids.push(AKid::Text(self.texts.len() as u32));
         self.texts.push(v);
         self.rewrite_kids(id, kids);
@@ -626,21 +649,17 @@ impl ArenaDoc {
         let nid = NameInterner::intern(name);
         let e = self.elems[id.0 as usize];
         let old = e.attr_start as usize..e.attr_end as usize;
-        let v = self.own(value);
+        let v = self.hold(Value::from(value));
         if let Some(slot) = old.clone().find(|&slot| self.attrs[slot].0 == nid) {
             let superseded = std::mem::replace(&mut self.attrs[slot].1, v);
-            self.retire(0, self.val(&superseded).len());
+            self.retire(0, self.val(superseded).len());
             return;
         }
         // The old rows die; their values move to the new range.
         let start = self.attrs.len() as u32;
         self.retire(old.len(), 0);
         self.attrs.reserve(old.len() + 1);
-        for slot in old {
-            let (n, moved) = &mut self.attrs[slot];
-            let row = (*n, std::mem::replace(moved, AVal::Slice(0, 0)));
-            self.attrs.push(row);
-        }
+        self.attrs.extend_from_within(old);
         self.attrs.push((nid, v));
         let slot = &mut self.elems[id.0 as usize];
         slot.attr_start = start;
@@ -733,30 +752,40 @@ impl ArenaDoc {
     /// Rebuilds the document from its live tree: the four tables sized
     /// exactly by one counting walk, every live value packed into a
     /// fresh, exactly-sized buffer, nothing dead left. Every [`NodeId`]
-    /// handed out before is invalid afterwards.
+    /// handed out before is invalid afterwards. Values materialized
+    /// before keep the old buffer, and with it the bytes they were read
+    /// with.
     pub fn compact(&mut self) {
         let mut room = Room::default();
         self.tally(self.root, &mut room);
         let old = std::mem::replace(self, ArenaDoc::with_room(&room));
-        self.root = self.copy_subtree(&old, old.root, &mut Vec::new());
+        let mut packed = String::with_capacity(room.bytes);
+        self.root = self.copy_subtree(&old, old.root, &mut packed, &mut Vec::new());
+        self.buf = Value::from(packed);
     }
 
-    fn copy_subtree(&mut self, old: &ArenaDoc, id: NodeId, scratch: &mut Vec<AKid>) -> NodeId {
+    fn copy_subtree(
+        &mut self,
+        old: &ArenaDoc,
+        id: NodeId,
+        packed: &mut String,
+        scratch: &mut Vec<AKid>,
+    ) -> NodeId {
         let e = old.elems[id.0 as usize];
         let attr_start = self.attrs.len();
-        for (n, v) in &old.attrs[e.attr_start as usize..e.attr_end as usize] {
-            let v = self.pack(old.val(v));
-            self.attrs.push((*n, v));
+        for &(n, v) in &old.attrs[e.attr_start as usize..e.attr_end as usize] {
+            let v = self.pack(packed, old.val(v));
+            self.attrs.push((n, v));
         }
         let (new_id, mark) = self.open(e.name, attr_start, scratch);
         for k in &old.kids[e.kid_start as usize..e.kid_end as usize] {
             match *k {
                 AKid::Elem(c) => {
-                    let cid = self.copy_subtree(old, c, scratch);
+                    let cid = self.copy_subtree(old, c, packed, scratch);
                     scratch.push(AKid::Elem(cid));
                 }
                 AKid::Text(t) => {
-                    let v = self.pack(old.val(&old.texts[t as usize]));
+                    let v = self.pack(packed, old.val(old.texts[t as usize]));
                     self.add_text(v, scratch);
                 }
             }
@@ -765,10 +794,16 @@ impl ArenaDoc {
     }
 }
 
+/// `v` appended to `held`, as the row that addresses it.
+fn hold(held: &mut Vec<Value>, v: Value) -> AVal {
+    held.push(v);
+    AVal::Held(offset(held.len() - 1))
+}
+
 /// In-progress text run during content parsing. Tracks whether the run
 /// is still a single contiguous raw segment (→ [`AVal::Slice`]) or has
-/// been forced owned by an entity, CDATA section, or an interrupting
-/// comment/PI splitting it into several segments.
+/// been forced owned (→ [`AVal::Held`]) by an entity, CDATA section, or
+/// an interrupting comment/PI splitting it into several segments.
 struct TextRun {
     seg_start: usize,
     slice: Option<(usize, usize)>,
@@ -827,8 +862,8 @@ impl TextRun {
     }
 
     /// Ends the run at a node boundary, yielding its value if any text
-    /// accumulated.
-    fn finish(&mut self, input: &str, at: usize) -> Option<AVal> {
+    /// accumulated; an owned run goes into `held`.
+    fn finish(&mut self, input: &str, at: usize, held: &mut Vec<Value>) -> Option<AVal> {
         self.close_seg(input, at);
         self.seg_start = at;
         if let Some((s, e)) = self.slice.take() {
@@ -837,7 +872,9 @@ impl TextRun {
         } else if self.acc.is_empty() {
             None
         } else {
-            Some(AVal::Owned(std::mem::take(&mut self.acc)))
+            let v = hold(held, Value::from(self.acc.as_str()));
+            self.acc.clear();
+            Some(v)
         }
     }
 }
@@ -851,6 +888,7 @@ struct ArenaParser<'a> {
     attrs: Vec<(NameId, AVal)>,
     kids: Vec<AKid>,
     texts: Vec<AVal>,
+    held: Vec<Value>,
     /// Pending children of open elements; each element drains its own
     /// suffix into the flat `kids` vector when it closes, so child
     /// ranges end up contiguous.
@@ -1032,9 +1070,9 @@ impl<'a> ArenaParser<'a> {
             let keep = match k {
                 AKid::Elem(_) => true,
                 AKid::Text(t) => {
-                    let s = match &self.texts[t as usize] {
-                        AVal::Slice(s, e) => &self.input[*s as usize..*e as usize],
-                        AVal::Owned(s) => s.as_str(),
+                    let s = match self.texts[t as usize] {
+                        AVal::Slice(s, e) => &self.input[s as usize..e as usize],
+                        AVal::Held(i) => &self.held[i as usize],
                     };
                     let blank = s.chars().all(char::is_whitespace);
                     if blank {
@@ -1090,7 +1128,7 @@ impl<'a> ArenaParser<'a> {
                 None => return Err(self.err("unterminated attribute value")),
                 Some(q) if q == quote => {
                     self.bump(1);
-                    return Ok((name, AVal::Owned(value)));
+                    return Ok((name, hold(&mut self.held, Value::from(value))));
                 }
                 Some(b'<') => return Err(self.err("'<' not allowed in attribute value")),
                 Some(b'&') => {
@@ -1116,7 +1154,7 @@ impl<'a> ArenaParser<'a> {
         let mut run = TextRun::new(self.pos);
         loop {
             if self.starts_with("</") {
-                if let Some(v) = run.finish(self.input, self.pos) {
+                if let Some(v) = run.finish(self.input, self.pos, &mut self.held) {
                     self.push_text(v);
                 }
                 return Ok(());
@@ -1147,7 +1185,7 @@ impl<'a> ArenaParser<'a> {
                         self.skip_pi()?;
                         run.interrupt(self.input, at, self.pos);
                     } else {
-                        if let Some(v) = run.finish(self.input, self.pos) {
+                        if let Some(v) = run.finish(self.input, self.pos, &mut self.held) {
                             self.push_text(v);
                         }
                         let child = self.parse_element()?;
@@ -1282,9 +1320,9 @@ mod tests {
         assert_eq!(d.to_xml(), e.to_xml());
         assert_eq!(d.owned_value_bytes(), 0);
         let bytes = "1 & 2".len() + "  ".len() + "\"q\"".len() + "x < y".len() + "tail".len();
-        assert_eq!((d.buf.len(), d.buf.capacity()), (bytes, bytes));
+        assert_eq!(d.buf.len(), bytes);
         assert_eq!(d.live_value_bytes(), bytes);
-        // Five allocations, none with slack.
+        // No table with slack; the shared buffer has none by construction.
         assert_eq!(d.elems.capacity(), d.elems.len());
         assert_eq!(d.attrs.capacity(), d.attrs.len());
         assert_eq!(d.kids.capacity(), d.kids.len());
@@ -1394,7 +1432,6 @@ mod tests {
         d.compact();
         assert_eq!(d.owned_value_bytes(), 0, "no value is held outside the buffer");
         assert_eq!(d.buf.len(), live, "the buffer holds the live values and nothing else");
-        assert_eq!(d.buf.capacity(), live);
         assert_eq!((d.dead_rows(), d.dead_value_bytes(), d.live_value_bytes()), (0, 0, live));
         assert_eq!(d.to_xml(), xml);
         assert_eq!(d.root_element(), tree);
@@ -1428,7 +1465,7 @@ mod tests {
         assert_eq!(d.attr_count(r), 2);
         assert_eq!(d.attr(r, "b"), Some("2"));
         assert_eq!(d.attr(r, "zz-never-interned"), None);
-        assert_eq!(d.attrs(r).count(), 2);
+        assert_eq!(d.attr_rows(r).count(), 2);
         assert_eq!(d.child_elements(r).count(), 2);
         assert_eq!(d.children(r).count(), 3);
         assert_eq!(d.subtree_size(r), 3);

@@ -23,6 +23,7 @@
 //! `xml.merge` stage cost both derive from these deterministic counts.
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::arena::{ArenaChild, ArenaDoc, NodeId};
@@ -31,6 +32,7 @@ use crate::escape::{escape_attr, escape_text};
 use crate::intern::{NameId, NameInterner};
 use crate::merge::MergeKeys;
 use crate::node::{Element, Node};
+use crate::value::Value;
 
 /// Deterministic work counters for a structural-sharing merge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -160,7 +162,10 @@ impl<'a> MergeOut<'a> {
 
     /// Materializes the result as an owned [`Element`] — byte-identical
     /// to what the owned [`crate::merge`] would have produced. Names are
-    /// borrowed from the interner, not copied.
+    /// borrowed from the interner, and the values of grafted subtrees
+    /// share their source documents' buffers (see
+    /// [`ArenaDoc::to_element`]); only spine values, the attributes of
+    /// merged nodes and merged text, are copied.
     pub fn to_element(&self) -> Element {
         match self.kid_node(&self.root) {
             Node::Element(e) => e,
@@ -214,7 +219,7 @@ impl<'a> MergeOut<'a> {
     fn kid_node(&self, k: &MKid<'a>) -> Node {
         match k {
             MKid::Shared(d, n) => Node::Element(self.docs[*d as usize].to_element(*n)),
-            MKid::Text(t) => Node::Text(t.to_string()),
+            MKid::Text(t) => Node::Text(Value::from(&**t)),
             MKid::New(i) => {
                 let node = &self.nodes[*i as usize];
                 Node::Element(Element {
@@ -222,7 +227,7 @@ impl<'a> MergeOut<'a> {
                     attrs: node
                         .attrs
                         .iter()
-                        .map(|(n, v)| (Cow::Borrowed(NameInterner::resolve(*n)), v.to_string()))
+                        .map(|&(n, v)| (Cow::Borrowed(NameInterner::resolve(n)), Value::from(v)))
                         .collect(),
                     children: node.kids.iter().map(|k| self.kid_node(k)).collect(),
                 })
@@ -449,17 +454,20 @@ impl<'a> MergeOut<'a> {
     ) -> Result<(), XmlError> {
         for &ch in side {
             match self.identity_of(ch, keys) {
-                Some(idn) => {
-                    if let Some(&at) = index.get(&idn) {
+                // One hash of the identity, whether it is new or not.
+                Some(idn) => match index.entry(idn) {
+                    Entry::Occupied(seen) => {
+                        let at = *seen.get();
                         let existing = self.kid_handle(&merged[at]);
                         let m = self.merge_h(existing, ch, keys)?;
                         merged[at] = MKid::New(m);
-                    } else {
-                        index.insert(idn, merged.len());
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(merged.len());
                         let kid = self.share_kid(ch);
                         merged.push(kid);
                     }
-                }
+                },
                 None => {
                     let tag = self.name_of(ch);
                     let singleton = self.count_unkeyed(side, tag, keys) == 1

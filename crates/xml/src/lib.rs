@@ -9,7 +9,8 @@
 //! **merged** on the way back to the client (Figs. 8 & 9). This crate
 //! provides:
 //!
-//! * an owned tree value model ([`Element`], [`Node`]),
+//! * an owned tree value model ([`Element`], [`Node`]) whose text and
+//!   attribute values are shared byte ranges ([`Value`]),
 //! * an XML 1.0 subset parser ([`parse`]),
 //! * a serializer with compact and pretty modes ([`Element::to_xml`],
 //!   [`Element::to_pretty_xml`]),
@@ -39,6 +40,7 @@ mod node;
 mod parser;
 mod path;
 mod tree_diff;
+mod value;
 mod writer;
 
 pub use arena::{ArenaDoc, NodeId};
@@ -50,3 +52,4 @@ pub use node::{Element, Name, Node};
 pub use parser::parse;
 pub use path::{NodePath, Step};
 pub use tree_diff::{diff, EditOp};
+pub use value::Value;

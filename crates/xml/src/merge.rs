@@ -132,7 +132,7 @@ pub fn merge<'e>(a: &'e Element, b: &'e Element, keys: &MergeKeys) -> Result<Ele
     for (n, v) in &b.attrs {
         match out.attr(n) {
             None => out.attrs.push((n.clone(), v.clone())),
-            Some(existing) if existing == v => {}
+            Some(existing) if existing == &**v => {}
             Some(existing) => {
                 return Err(XmlError::MergeConflict {
                     tag: a.name.to_string(),
@@ -224,7 +224,7 @@ pub fn merge<'e>(a: &'e Element, b: &'e Element, keys: &MergeKeys) -> Result<Ele
     add_side(b, a, false, &mut merged, &mut index)?;
 
     if !merged_text.trim().is_empty() {
-        merged.push(Node::Text(merged_text.into_owned()));
+        merged.push(Node::Text(merged_text.into()));
     }
     out.children = merged;
     Ok(out)

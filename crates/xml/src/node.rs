@@ -3,14 +3,17 @@
 use std::borrow::Cow;
 use std::fmt;
 
+use crate::value::Value;
 use crate::writer;
 
 /// An element or attribute name in an owned [`Element`]. Trees built by
-/// the parser and the builders own their names; trees materialized out
-/// of an arena ([`crate::ArenaDoc::to_element`],
-/// [`crate::MergeOut::to_element`]) borrow the interned `&'static str`
-/// instead of copying it. Equality, hashing and serialization see only
-/// the characters, never which of the two a name is.
+/// the parser own their names, and so do the builders unless handed a
+/// `&'static str`, which they borrow; trees materialized out of an arena
+/// ([`crate::ArenaDoc::to_element`], [`crate::MergeOut::to_element`])
+/// borrow the interned `&'static str` instead of copying it. No builder
+/// interns a name. Equality, hashing and serialization see only the
+/// characters, never which of the two a name is. Attribute values and
+/// text runs are [`Value`]s, which share their bytes in the same spirit.
 pub type Name = Cow<'static, str>;
 
 /// A child of an [`Element`]: either a nested element or a text run.
@@ -23,7 +26,7 @@ pub enum Node {
     /// A nested element.
     Element(Element),
     /// A run of character data (entity references already resolved).
-    Text(String),
+    Text(Value),
 }
 
 impl Node {
@@ -54,6 +57,12 @@ impl Node {
 
 /// An XML element: a tag name, ordered attributes, and ordered children.
 ///
+/// A tree materialized out of an arena holds no copied name or value
+/// bytes: names are interned `&'static str`s and values are ranges of
+/// the arena's shared buffer (see [`Name`], [`Value`]). Such a tree
+/// costs one allocation per non-empty child or attribute list, and
+/// cloning it costs the same: the values' bytes are shared, not copied.
+///
 /// Attribute order is preserved for deterministic serialization, but
 /// equality and hashing treat attributes as a set keyed by name (XML
 /// semantics: attribute order is not significant). Duplicate attribute
@@ -63,19 +72,19 @@ pub struct Element {
     /// Tag name (no namespace handling; GUP schema names are plain).
     pub name: Name,
     /// Attributes in document order.
-    pub attrs: Vec<(Name, String)>,
+    pub attrs: Vec<(Name, Value)>,
     /// Children in document order.
     pub children: Vec<Node>,
 }
 
 impl Element {
     /// Creates an empty element with the given tag name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Element { name: Cow::Owned(name.into()), attrs: Vec::new(), children: Vec::new() }
+    pub fn new(name: impl Into<Name>) -> Self {
+        Element { name: name.into(), attrs: Vec::new(), children: Vec::new() }
     }
 
     /// Builder: adds (or replaces) an attribute and returns `self`.
-    pub fn with_attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_attr(mut self, name: impl Into<Name>, value: impl Into<Value>) -> Self {
         self.set_attr(name, value);
         self
     }
@@ -87,7 +96,7 @@ impl Element {
     }
 
     /// Builder: appends a text child and returns `self`.
-    pub fn with_text(mut self, text: impl Into<String>) -> Self {
+    pub fn with_text(mut self, text: impl Into<Value>) -> Self {
         self.children.push(Node::Text(text.into()));
         self
     }
@@ -98,17 +107,17 @@ impl Element {
     }
 
     /// Sets an attribute, replacing any existing value for the same name.
-    pub fn set_attr(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub fn set_attr(&mut self, name: impl Into<Name>, value: impl Into<Value>) {
         let name = name.into();
         let value = value.into();
         match self.attrs.iter_mut().find(|(n, _)| *n == name) {
             Some(slot) => slot.1 = value,
-            None => self.attrs.push((Cow::Owned(name), value)),
+            None => self.attrs.push((name, value)),
         }
     }
 
     /// Removes the named attribute, returning its value if it was present.
-    pub fn remove_attr(&mut self, name: &str) -> Option<String> {
+    pub fn remove_attr(&mut self, name: &str) -> Option<Value> {
         let idx = self.attrs.iter().position(|(n, _)| n == name)?;
         Some(self.attrs.remove(idx).1)
     }
@@ -140,7 +149,7 @@ impl Element {
     }
 
     /// Appends a text child.
-    pub fn push_text(&mut self, text: impl Into<String>) {
+    pub fn push_text(&mut self, text: impl Into<Value>) {
         self.children.push(Node::Text(text.into()));
     }
 
@@ -180,7 +189,7 @@ impl Element {
     }
 
     /// Replaces all text children with a single text node.
-    pub fn set_text(&mut self, text: impl Into<String>) {
+    pub fn set_text(&mut self, text: impl Into<Value>) {
         self.children.retain(|c| matches!(c, Node::Element(_)));
         self.children.push(Node::Text(text.into()));
     }
@@ -224,7 +233,7 @@ impl Element {
             let idx = match pos {
                 Some(i) => i,
                 None => {
-                    cur.children.push(Node::Element(Element::new(*seg)));
+                    cur.children.push(Node::Element(Element::new(seg.to_string())));
                     cur.children.len() - 1
                 }
             };
@@ -341,9 +350,13 @@ mod tests {
     fn owned_and_borrowed_names_are_the_same_element() {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
-        let owned = Element::new("user")
-            .with_attr("id", "a & b")
-            .with_child(Element::new("presence").with_attr("note", "<x>").with_text("on"));
+        let owned = Element::new(String::from("user"))
+            .with_attr(String::from("id"), "a & b")
+            .with_child(
+                Element::new(String::from("presence"))
+                    .with_attr(String::from("note"), "<x>")
+                    .with_text("on"),
+            );
         let borrowed = Element {
             name: Cow::Borrowed("user"),
             attrs: vec![(Cow::Borrowed("id"), "a & b".into())],
@@ -354,6 +367,10 @@ mod tests {
             })],
         };
         assert!(matches!(owned.name, Cow::Owned(_)));
+        // A builder borrows a `&'static str` name rather than copying it.
+        let literal = Element::new("user").with_attr("id", "a & b");
+        assert!(matches!(literal.name, Cow::Borrowed(_)));
+        assert!(matches!(literal.attrs[0].0, Cow::Borrowed(_)));
         assert_eq!(owned, borrowed);
         let hash = |e: &Element| {
             let mut h = DefaultHasher::new();

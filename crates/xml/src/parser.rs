@@ -154,7 +154,7 @@ impl<'a> Parser<'a> {
                     if elem.attr(&an).is_some() {
                         return Err(self.err(format!("duplicate attribute '{an}'")));
                     }
-                    elem.attrs.push((an.into(), av));
+                    elem.attrs.push((an.into(), av.into()));
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
@@ -272,7 +272,8 @@ impl<'a> Parser<'a> {
 
 fn flush_text(text: &mut String, elem: &mut Element) {
     if !text.is_empty() {
-        elem.children.push(Node::Text(std::mem::take(text)));
+        elem.children.push(Node::Text(text.as_str().into()));
+        text.clear();
     }
 }
 

@@ -124,7 +124,7 @@ fn diff_into(a: &Element, b: &Element, keys: &MergeKeys, at: NodePath, ops: &mut
     // Attributes.
     for (n, v) in &b.attrs {
         if a.attr(n) != Some(v.as_str()) {
-            ops.push(EditOp::SetAttr { path: at.clone(), name: n.to_string(), value: v.clone() });
+            ops.push(EditOp::SetAttr { path: at.clone(), name: n.to_string(), value: v.to_string() });
         }
     }
     for (n, _) in &a.attrs {

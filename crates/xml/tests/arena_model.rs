@@ -4,11 +4,13 @@
 //! node — however the document was built and across compactions. The
 //! document's dead-row and dead-byte counts must be exact: a compacted
 //! copy holds precisely the rows and value bytes it reports as live.
+//! A tree materialized before an edit or a compaction shares the
+//! document's bytes, and must still read exactly as it did after.
 //! Deterministic — see `gupster_rng::check`.
 
 use gupster_rng::check::{self, cases};
 use gupster_rng::{Rng, StdRng};
-use gupster_xml::{parse, ArenaDoc, Element, Node, NodeId};
+use gupster_xml::{parse, ArenaDoc, Element, Name, Node, NodeId, Value};
 
 const TAGS: [&str; 4] = ["a", "item", "name", "café"];
 const ATTRS: [&str; 4] = ["id", "k", "n", "mark"];
@@ -96,6 +98,8 @@ fn random_edits_match_the_owned_tree_model() {
         };
         agree(&doc, &model, "as built");
         for step in 0..25 {
+            let earlier = doc.root_element();
+            let earlier_xml = earlier.to_xml();
             let nodes = live(&doc);
             let (id, path) = rng.pick(&nodes).clone();
             let kids: Vec<NodeId> = doc.child_elements(id).collect();
@@ -144,6 +148,22 @@ fn random_edits_match_the_owned_tree_model() {
                 }
             };
             agree(&doc, &model, &format!("step {step}: {what} at {path:?}"));
+            assert_eq!(earlier.to_xml(), earlier_xml, "step {step}: {what} changed an earlier answer");
         }
     });
+}
+
+/// Shared values must not make trees bigger than `String` values did:
+/// a larger node or attribute pair would cost bytes on every answer.
+#[test]
+fn shared_values_keep_the_tree_as_small_as_string_values() {
+    use std::mem::size_of;
+    #[allow(dead_code)]
+    enum StringNode {
+        Element(Element),
+        Text(String),
+    }
+    assert!(size_of::<Node>() <= size_of::<StringNode>());
+    assert!(size_of::<(Name, Value)>() <= size_of::<(Name, String)>());
+    assert_eq!(size_of::<Value>(), size_of::<String>());
 }

@@ -93,7 +93,7 @@ fn attr_store_laws() {
         e.set_attr(k.clone(), v2.clone());
         assert_eq!(e.attr(&k), Some(v2.as_str()));
         assert_eq!(e.attrs.len(), 1);
-        assert_eq!(e.remove_attr(&k), Some(v2));
+        assert_eq!(e.remove_attr(&k), Some(v2.into()));
         assert_eq!(e.attr(&k), None);
     });
 }

@@ -73,7 +73,7 @@ impl Path {
                     .into_iter()
                     .flat_map(|e| match &last.test {
                         NameTest::Any => {
-                            e.attrs.iter().map(|(_, v)| v.clone()).collect::<Vec<_>>()
+                            e.attrs.iter().map(|(_, v)| v.to_string()).collect::<Vec<_>>()
                         }
                         NameTest::Name(n) => {
                             e.attr(n).map(|v| vec![v.to_string()]).unwrap_or_default()
