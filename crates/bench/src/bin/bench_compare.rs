@@ -2,33 +2,34 @@
 //! a fresh quick-mode run must reproduce its baseline line for line.
 //!
 //! ```text
-//! GUPSTER_E16_QUICK=1 GUPSTER_BENCH_OUT=/tmp/fresh.json \
-//!     cargo run --release -p gupster-bench --bin experiments -- e16
+//! GUPSTER_BENCH_OUT=/tmp/fresh.json \
+//!     cargo run --release -p gupster-bench --bin experiments -- --quick e16
 //! cargo run --release -p gupster-bench --bin bench_compare -- \
 //!     BENCH_registry.json /tmp/fresh.json
 //! ```
 //!
-//! Every value an experiment writes is simulated and seeded, except the
-//! `naive_wall_ops` / `indexed_wall_ops` wall-clock columns. The gate
-//! drops those two values and then compares the files byte for byte:
-//! a row present on one side only, a changed `"mode"`, a truncated
-//! line or any other differing byte fails (exit 1). The same rule
-//! covers `BENCH_slo.json`, which has no wall-clock fields. Absolute
-//! floors — speedups, p99 budgets, SLO verdicts — are asserted inside
-//! the experiments themselves, so a run that breaks one exits non-zero
+//! Every value an experiment writes is a count, a seeded simulated
+//! value, or a wall-clock measurement, and the field's name says which
+//! (see `gupster_bench::benchjson`): wall-clock fields are named
+//! `wall_…`. The gate masks the value of every such field and then
+//! compares the files byte for byte: a row present on one side only, a
+//! changed `"mode"`, a missing or renamed field, a truncated line or
+//! any other differing byte fails (exit 1). The same rule covers
+//! `BENCH_slo.json`, which has no wall-clock fields. Absolute floors —
+//! count ratios, p99 budgets, SLO verdicts — are asserted inside the
+//! experiments themselves, so a run that breaks one exits non-zero
 //! before this gate runs; relative floors follow from equality.
 
-/// The keys whose values are measured on the wall clock, and so differ
-/// from run to run.
-const WALL_KEYS: [&str; 2] = ["\"naive_wall_ops\":", "\"indexed_wall_ops\":"];
+use gupster_bench::benchjson::WALL_PREFIX;
 
-/// `line` with the value after every wall-clock key cut out, up to the
+/// `line` with the value of every `"wall_…"` field cut out, up to the
 /// next `,` or `}`.
 fn mask_wall(line: &str) -> String {
+    let key = format!("\"{WALL_PREFIX}");
     let mut out = String::with_capacity(line.len());
     let mut rest = line;
     while let Some(end_of_key) =
-        WALL_KEYS.iter().filter_map(|k| rest.find(k).map(|at| at + k.len())).min()
+        rest.find(&key).and_then(|at| rest[at..].find("\":").map(|colon| at + colon + 2))
     {
         out.push_str(&rest[..end_of_key]);
         rest = &rest[end_of_key..];

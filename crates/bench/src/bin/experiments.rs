@@ -4,12 +4,17 @@
 //! cargo run --release -p gupster-bench --bin experiments -- all
 //! cargo run --release -p gupster-bench --bin experiments -- e5 e10
 //! cargo run --release -p gupster-bench --bin experiments -- --trace-out traces.jsonl e2 e5
+//! cargo run --release -p gupster-bench --bin experiments -- --quick e16 e22
 //! cargo run --release -p gupster-bench --bin experiments -- dashboard OBS_snapshot.json
 //! ```
 //!
 //! `--trace-out <path>` additionally writes every span recorded by the
-//! instrumented experiments (e2, e5, e11, e14, e15) to `path` as JSON
-//! lines; the printed tables are unchanged.
+//! instrumented experiments (e2, e5, e14, e15) to `path` as JSON lines;
+//! the printed tables are unchanged.
+//!
+//! `--quick` runs the scale experiments (e16–e22) on their reduced
+//! sweeps, the ones the checked-in `BENCH_*.json` files record; CI's
+//! `bench_compare` gate runs them this way.
 //!
 //! `dashboard <snapshot.json>` re-renders an `OBS_snapshot.json`
 //! written by E18 as the text dashboard, without re-running anything.
@@ -19,7 +24,7 @@ use gupster_telemetry::ObsSnapshot;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--trace-out <path>] <e1..e22 | all>...\n\
+        "usage: experiments [--quick] [--trace-out <path>] <e1..e22 | all>...\n\
          \x20      experiments dashboard <snapshot.json>"
     );
     std::process::exit(2);
@@ -57,6 +62,9 @@ fn main() {
             };
             experiments::set_trace_out(path.into());
             i += 2;
+        } else if raw[i] == "--quick" {
+            experiments::set_quick();
+            i += 1;
         } else {
             picks.push(raw[i].clone());
             i += 1;

@@ -1,12 +1,9 @@
 //! E11 — Requirements 6 & 7: synchronizing the phone's address book
 //! with the portal's under concurrent editing. Conflict rates, per-
 //! policy outcomes, convergence and bytes (incremental vs. whole-
-//! document shipping).
+//! document shipping), tallied from each session's `SyncReport`.
 
-use std::sync::Arc;
-
-use gupster_sync::{two_way_sync_traced, ReconcilePolicy, Replica};
-use gupster_telemetry::TelemetryHub;
+use gupster_sync::{two_way_sync, ReconcilePolicy, Replica};
 use gupster_xml::{EditOp, Element, MergeKeys, NodePath};
 
 use crate::table::{bytes, f2, print_table};
@@ -26,7 +23,10 @@ fn base_book(entries: usize) -> Element {
     book
 }
 
+#[derive(Default)]
 struct Outcome {
+    sessions: usize,
+    shipped: usize,
     conflicts: usize,
     converged_rounds: usize,
     fast_bytes: usize,
@@ -35,7 +35,6 @@ struct Outcome {
 }
 
 fn drive(
-    hub: &Arc<TelemetryHub>,
     policy: ReconcilePolicy,
     rounds: usize,
     edits_per_round: usize,
@@ -47,8 +46,7 @@ fn drive(
     let mut phone = Replica::new("phone", book.clone(), keys.clone());
     let mut portal = Replica::new("gup.yahoo.com", book, keys);
     let mut r = rng(seed);
-    let mut out =
-        Outcome { conflicts: 0, converged_rounds: 0, fast_bytes: 0, slow_syncs: 0, queued: 0 };
+    let mut out = Outcome::default();
 
     for round in 0..rounds {
         for side in 0..2 {
@@ -62,10 +60,9 @@ fn drive(
                 let _ = replica.edit(op);
             }
         }
-        let mut tracer = hub.tracer("sync.round");
-        let report = two_way_sync_traced(&mut phone, &mut portal, policy, &mut tracer)
-            .expect("same component");
-        drop(tracer);
+        let report = two_way_sync(&mut phone, &mut portal, policy).expect("same component");
+        out.sessions += 1;
+        out.shipped += report.shipped_to_first + report.shipped_to_second;
         out.conflicts += report.conflicts;
         out.fast_bytes += report.bytes_exchanged;
         out.slow_syncs += report.slow_sync as usize;
@@ -81,15 +78,19 @@ fn drive(
 pub fn run() {
     const ROUNDS: usize = 50;
     let whole_doc = base_book(100).byte_size() * 2 * ROUNDS; // naive both-ways shipping
-    let hub = Arc::new(TelemetryHub::new());
     let mut rows = Vec::new();
+    let mut total = Outcome::default();
     for (name, policy) in [
         ("last-writer-wins", ReconcilePolicy::LastWriterWins),
         ("prefer portal (site priority)", ReconcilePolicy::PreferSecond),
         ("prefer phone (site priority)", ReconcilePolicy::PreferFirst),
         ("manual queue", ReconcilePolicy::Manual),
     ] {
-        let o = drive(&hub, policy, ROUNDS, 3, 9);
+        let o = drive(policy, ROUNDS, 3, 9);
+        total.sessions += o.sessions;
+        total.shipped += o.shipped;
+        total.conflicts += o.conflicts;
+        total.slow_syncs += o.slow_syncs;
         rows.push(vec![
             name.to_string(),
             o.conflicts.to_string(),
@@ -113,20 +114,10 @@ pub fn run() {
         ],
         &rows,
     );
-    println!();
     println!(
-        "{}",
-        hub.render_stage_table(&format!(
-            "E11 — per-stage sync session latency ({} sessions across all policies)",
-            4 * ROUNDS
-        ))
+        "  sync counts: sessions={} ops shipped={} conflicts={} slow paths={}",
+        total.sessions, total.shipped, total.conflicts, total.slow_syncs
     );
-    let c = hub.counter_snapshot();
-    println!(
-        "  sync counters: sessions={} ops shipped={} conflicts={} slow paths={}",
-        c.sync_sessions, c.sync_ops_shipped, c.sync_conflicts, c.sync_slow_paths
-    );
-    super::dump_traces(&hub);
 }
 
 #[cfg(test)]
@@ -135,23 +126,17 @@ mod tests {
 
     #[test]
     fn lww_converges_and_ships_less_than_whole_docs() {
-        let hub = Arc::new(TelemetryHub::new());
-        let o = drive(&hub, ReconcilePolicy::LastWriterWins, 20, 2, 3);
+        let o = drive(ReconcilePolicy::LastWriterWins, 20, 2, 3);
         assert_eq!(o.converged_rounds, 20, "LWW must converge every round");
         let whole = base_book(100).byte_size() * 2 * 20;
         assert!(o.fast_bytes < whole, "{} vs {whole}", o.fast_bytes);
-        // The traced sessions left a stage table behind.
-        let c = hub.counter_snapshot();
-        assert_eq!(c.sync_sessions, 20);
-        assert!(hub.stage_stats(gupster_telemetry::stage::SYNC_SESSION).is_some());
+        assert_eq!(o.sessions, 20);
     }
 
     #[test]
     fn manual_policy_queues_conflicts() {
-        let hub = Arc::new(TelemetryHub::new());
-        let o = drive(&hub, ReconcilePolicy::Manual, 10, 5, 4);
+        let o = drive(ReconcilePolicy::Manual, 10, 5, 4);
         assert!(o.queued > 0);
-        assert_eq!(hub.counter_snapshot().sync_conflicts as usize, o.conflicts);
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //!    the telemetry hub.
 //!
 //! Every row lands in `BENCH_registry.json` (see [`crate::benchjson`]);
-//! CI re-runs the reduced sweep (`GUPSTER_E16_QUICK=1`) and
+//! CI re-runs the reduced sweep (`experiments --quick e16`) and
 //! `bench_compare` fails the build unless it reproduces the checked-in
-//! quick-mode file exactly. Simulated ops/sec mirrors the registry's
-//! deterministic stage cost model (~1µs per entry examined), so the
-//! gate is machine-independent; it ignores the wall-clock columns.
+//! quick-mode file exactly. The coverage and policy rows carry the work
+//! each path did — entries or rules examined — which is
+//! machine-independent; the pipeline row carries the registry's
+//! simulated stage cost. The gate ignores the `wall_` fields.
 
 use std::time::Instant;
 
@@ -30,15 +31,11 @@ use gupster_schema::gup_schema;
 use gupster_store::StoreId;
 use gupster_xpath::{Path, PathCache};
 
-use crate::benchjson::{render, BenchRow};
+use crate::benchjson::{self, Row};
 use crate::table::{f2, print_table};
 use crate::workload::{rng, Zipf};
 
 const TRIALS: usize = 500;
-
-fn quick_mode() -> bool {
-    std::env::var("GUPSTER_E16_QUICK").map(|v| v == "1").unwrap_or(false)
-}
 
 fn item_path(i: usize) -> String {
     format!("/user[@id='scale']/address-book/item[@id='{i}']")
@@ -69,8 +66,10 @@ fn ops(count: usize, dt: std::time::Duration) -> f64 {
     count as f64 / dt.as_secs_f64()
 }
 
-/// Coverage sweep: trie-indexed match vs. naive scan.
-fn coverage_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
+/// Coverage sweep: trie-indexed match vs. naive scan. The naive scan
+/// examines every registered entry per request; the trie only its
+/// candidates.
+fn coverage_sweep(quick: bool, rows_out: &mut Vec<Row>) {
     let sizes: &[usize] = if quick { &[1_000, 10_000] } else { &[1_000, 10_000, 100_000] };
     let mut table = Vec::new();
     for &n in sizes {
@@ -96,36 +95,33 @@ fn coverage_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
         let indexed_dt = t1.elapsed();
         assert_eq!(naive, indexed, "indexed coverage match diverged at n={n}");
 
-        // The registry's stage cost model: ~1µs per entry examined + 1.
-        let mean_candidates = candidates_total as f64 / TRIALS as f64;
-        let naive_sim_ops = 1e6 / (1.0 + n as f64);
-        let indexed_sim_ops = 1e6 / (1.0 + mean_candidates);
-        let sim_speedup = indexed_sim_ops / naive_sim_ops;
+        let naive_examined = (n * TRIALS) as u64;
+        let examined_ratio = naive_examined as f64 / candidates_total.max(1) as f64;
         if n >= 10_000 {
             assert!(
-                sim_speedup >= 10.0,
-                "acceptance: ≥10× referral-lookup throughput at n={n}, got {sim_speedup:.1}×"
+                examined_ratio >= 10.0,
+                "acceptance: ≥10× fewer entries examined at n={n}, got {examined_ratio:.1}×"
             );
         }
+        let (naive_ops, indexed_ops) = (ops(TRIALS, naive_dt), ops(TRIALS, indexed_dt));
         table.push(vec![
             n.to_string(),
-            format!("{:.0}", ops(TRIALS, naive_dt)),
-            format!("{:.0}", ops(TRIALS, indexed_dt)),
-            format!("{:.1}x", ops(TRIALS, indexed_dt) / ops(TRIALS, naive_dt)),
-            format!("{naive_sim_ops:.0}"),
-            format!("{indexed_sim_ops:.0}"),
-            format!("{sim_speedup:.0}x"),
-            f2(mean_candidates),
+            n.to_string(),
+            f2(candidates_total as f64 / TRIALS as f64),
+            format!("{examined_ratio:.0}x"),
+            format!("{naive_ops:.0}"),
+            format!("{indexed_ops:.0}"),
+            format!("{:.1}x", indexed_ops / naive_ops),
         ]);
-        rows_out.push(BenchRow {
-            kind: "coverage".to_string(),
-            scale: n as u64,
-            naive_sim_ops,
-            indexed_sim_ops,
-            naive_wall_ops: ops(TRIALS, naive_dt),
-            indexed_wall_ops: ops(TRIALS, indexed_dt),
-            mean_candidates,
-        });
+        rows_out.push(
+            Row::new("coverage")
+                .count("components", n as u64)
+                .count("requests", TRIALS as u64)
+                .count("naive_examined", naive_examined)
+                .count("indexed_examined", candidates_total)
+                .real("wall_naive_ops", naive_ops)
+                .real("wall_indexed_ops", indexed_ops),
+        );
         println!(
             "  n={n}: path cache {} hits / {} misses over {TRIALS} parses",
             cache.hits, cache.misses
@@ -153,40 +149,34 @@ fn coverage_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
         for k in [0usize, 117, 499] {
             assert_eq!(indexed[k], cov.match_request_naive(&reqs[k]), "1M spot check {k}");
         }
-        let mean_candidates = candidates_total as f64 / TRIALS as f64;
-        let indexed_sim_ops = 1e6 / (1.0 + mean_candidates);
         table.push(vec![
             n.to_string(),
             "-".into(),
+            f2(candidates_total as f64 / TRIALS as f64),
+            "-".into(),
+            "-".into(),
             format!("{:.0}", ops(TRIALS, dt)),
             "-".into(),
-            format!("{:.0}", 1e6 / (1.0 + n as f64)),
-            format!("{indexed_sim_ops:.0}"),
-            format!("{:.0}x", indexed_sim_ops * (1.0 + n as f64) / 1e6),
-            f2(mean_candidates),
         ]);
-        rows_out.push(BenchRow {
-            kind: "coverage".to_string(),
-            scale: n as u64,
-            naive_sim_ops: 0.0,
-            indexed_sim_ops,
-            naive_wall_ops: 0.0,
-            indexed_wall_ops: ops(TRIALS, dt),
-            mean_candidates,
-        });
+        rows_out.push(
+            Row::new("coverage")
+                .count("components", n as u64)
+                .count("requests", TRIALS as u64)
+                .count("indexed_examined", candidates_total)
+                .real("wall_indexed_ops", ops(TRIALS, dt)),
+        );
     }
 
     print_table(
         "E16a — coverage match: naive scan vs. path-trie index (Zipf 0.99 point lookups)",
         &[
             "components",
+            "naive examined/op",
+            "indexed examined/op",
+            "examined ratio",
             "naive ops/s",
             "indexed ops/s",
             "wall speedup",
-            "naive sim ops/s",
-            "indexed sim ops/s",
-            "sim speedup",
-            "mean candidates",
         ],
         &table,
     );
@@ -216,7 +206,7 @@ fn build_rules(n_rules: usize) -> PolicyRepository {
 }
 
 /// Policy sweep: bucketed rule index vs. full rule scan.
-fn policy_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
+fn policy_sweep(quick: bool, rows_out: &mut Vec<Row>) {
     let counts: &[usize] = if quick { &[16, 64] } else { &[16, 64, 256] };
     const DECIDE_TRIALS: usize = 2_000;
     let pdp = Pdp::new();
@@ -262,29 +252,24 @@ fn policy_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
         let indexed_dt = t1.elapsed();
         assert_eq!(naive, indexed, "indexed decide diverged at {n_rules} rules");
 
-        // Stage cost model: 1µs + 2µs per rule considered.
-        let naive_sim_ops =
-            1e6 * DECIDE_TRIALS as f64 / (DECIDE_TRIALS as f64 + 2.0 * naive_considered as f64);
-        let indexed_sim_ops = 1e6 * DECIDE_TRIALS as f64
-            / (DECIDE_TRIALS as f64 + 2.0 * indexed_considered as f64);
+        let (naive_ops, indexed_ops) = (ops(DECIDE_TRIALS, naive_dt), ops(DECIDE_TRIALS, indexed_dt));
         table.push(vec![
             n_rules.to_string(),
             format!("{:.1}", naive_considered as f64 / DECIDE_TRIALS as f64),
             format!("{:.1}", indexed_considered as f64 / DECIDE_TRIALS as f64),
-            format!("{:.0}", ops(DECIDE_TRIALS, naive_dt)),
-            format!("{:.0}", ops(DECIDE_TRIALS, indexed_dt)),
-            format!("{naive_sim_ops:.0}"),
-            format!("{indexed_sim_ops:.0}"),
+            format!("{naive_ops:.0}"),
+            format!("{indexed_ops:.0}"),
+            format!("{:.1}x", indexed_ops / naive_ops),
         ]);
-        rows_out.push(BenchRow {
-            kind: "policy".to_string(),
-            scale: n_rules as u64,
-            naive_sim_ops,
-            indexed_sim_ops,
-            naive_wall_ops: ops(DECIDE_TRIALS, naive_dt),
-            indexed_wall_ops: ops(DECIDE_TRIALS, indexed_dt),
-            mean_candidates: indexed_considered as f64 / DECIDE_TRIALS as f64,
-        });
+        rows_out.push(
+            Row::new("policy")
+                .count("rules", n_rules as u64)
+                .count("requests", DECIDE_TRIALS as u64)
+                .count("naive_rules_considered", naive_considered)
+                .count("indexed_rules_considered", indexed_considered)
+                .real("wall_naive_ops", naive_ops)
+                .real("wall_indexed_ops", indexed_ops),
+        );
     }
     print_table(
         "E16b — Pdp::decide: full rule scan vs. bucketed rule index",
@@ -294,8 +279,7 @@ fn policy_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
             "indexed considered/op",
             "naive ops/s",
             "indexed ops/s",
-            "naive sim ops/s",
-            "indexed sim ops/s",
+            "wall speedup",
         ],
         &table,
     );
@@ -303,7 +287,7 @@ fn policy_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
 
 /// Full-pipeline referrals at scale, with the per-stage latency table
 /// and the index counters.
-fn pipeline_at(n: usize, ops_count: usize, rows_out: &mut Vec<BenchRow>) {
+fn pipeline_at(n: usize, ops_count: usize, rows_out: &mut Vec<Row>) {
     let mut g = Gupster::new(gup_schema(), b"bench-key");
     for i in 0..n {
         g.register_component(
@@ -364,24 +348,20 @@ fn pipeline_at(n: usize, ops_count: usize, rows_out: &mut Vec<BenchRow>) {
     // Simulated pipeline throughput from the deterministic stage model.
     let lookup = hub.stage_stats(gupster_telemetry::stage::REGISTRY_LOOKUP).expect("traced");
     let sim_ops = 1e6 / lookup.mean.as_micros().max(1) as f64;
-    rows_out.push(BenchRow {
-        kind: "pipeline".to_string(),
-        scale: n as u64,
-        naive_sim_ops: 0.0,
-        indexed_sim_ops: sim_ops,
-        naive_wall_ops: 0.0,
-        indexed_wall_ops: ops(ops_count, dt),
-        mean_candidates: 0.0,
-    });
+    rows_out.push(
+        Row::new("pipeline")
+            .count("components", n as u64)
+            .real("sim_ops", sim_ops)
+            .real("wall_ops", ops(ops_count, dt)),
+    );
     super::dump_traces(&hub);
 }
 
 /// Runs the experiment.
 pub fn run() {
-    let quick = quick_mode();
-    let mode = if quick { "quick" } else { "full" };
-    println!("\nE16 — registry at scale ({mode} sweep)");
-    let mut rows: Vec<BenchRow> = Vec::new();
+    let quick = super::quick();
+    println!("\nE16 — registry at scale ({} sweep)", super::mode());
+    let mut rows: Vec<Row> = Vec::new();
 
     coverage_sweep(quick, &mut rows);
     policy_sweep(quick, &mut rows);
@@ -393,11 +373,7 @@ pub fn run() {
         pipeline_at(100_000, 5_000, &mut rows);
     }
 
-    let out = std::env::var("GUPSTER_BENCH_OUT").unwrap_or_else(|_| "BENCH_registry.json".into());
-    match std::fs::write(&out, render(mode, &rows)) {
-        Ok(()) => println!("\n  wrote {} rows to {out}", rows.len()),
-        Err(e) => eprintln!("  cannot write {out}: {e}"),
-    }
+    benchjson::write("e16_registry_scale", "BENCH_registry.json", &rows);
 }
 
 #[cfg(test)]

@@ -18,11 +18,11 @@
 //!    availability and simulated throughput per split width.
 //!
 //! Every row lands in `BENCH_shards.json` (see [`crate::benchjson`]);
-//! CI re-runs the reduced sweep (`GUPSTER_E17_QUICK=1`) and
+//! CI re-runs the reduced sweep (`experiments --quick e17`) and
 //! `bench_compare` requires it to reproduce the checked-in file
-//! exactly. Wall-clock columns are informative only and ignored by the
-//! gate — the host may well be single-core; the simulated columns are
-//! machine-independent.
+//! exactly. The `wall_ops` field is informative only and ignored by
+//! the gate — the host may well be single-core; the `sim_` fields and
+//! the message counts are machine-independent.
 
 use std::time::Instant;
 
@@ -36,7 +36,7 @@ use gupster_store::{StoreId, XmlStore};
 use gupster_xml::{Element, MergeKeys};
 use gupster_xpath::Path;
 
-use crate::benchjson::{render_named, BenchRow};
+use crate::benchjson::{self, Row};
 use crate::table::{f2, pct, print_table};
 use crate::workload::{rng, Zipf};
 
@@ -46,10 +46,6 @@ const WINDOW: usize = 512;
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
 /// Split widths swept in section B.
 const SPLITS: [usize; 3] = [2, 4, 8];
-
-fn quick_mode() -> bool {
-    std::env::var("GUPSTER_E17_QUICK").map(|v| v == "1").unwrap_or(false)
-}
 
 // ---------------------------------------------------------------- A —
 
@@ -194,7 +190,7 @@ fn shard_pass(
     (outputs, makespan, busy, wall)
 }
 
-fn shard_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
+fn shard_sweep(quick: bool, rows_out: &mut Vec<Row>) {
     let (n_users, n_requests) = if quick { (300, 4_096) } else { (1_200, 20_480) };
     let w = build_workload(n_users, n_requests, 17);
     let keys = MergeKeys::new().with_key("item", "id");
@@ -228,15 +224,14 @@ fn shard_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
             f2(imbalance),
             makespan.to_string(),
         ]);
-        rows_out.push(BenchRow {
-            kind: "shards".to_string(),
-            scale: shards as u64,
-            naive_sim_ops: base_sim_ops,
-            indexed_sim_ops: sim_ops,
-            naive_wall_ops: 0.0,
-            indexed_wall_ops: wall_ops,
-            mean_candidates: imbalance,
-        });
+        rows_out.push(
+            Row::new("shards")
+                .count("shards", shards as u64)
+                .real("sim_base_ops", base_sim_ops)
+                .real("sim_ops", sim_ops)
+                .ratio("sim_imbalance", imbalance)
+                .real("wall_ops", wall_ops),
+        );
     }
     print_table(
         &format!(
@@ -415,7 +410,7 @@ fn batch_cell(k: usize, rate: f64, batch: bool, seed: u64) -> BatchCell {
     }
 }
 
-fn batch_sweep(rows_out: &mut Vec<BenchRow>) {
+fn batch_sweep(rows_out: &mut Vec<Row>) {
     const RATE: f64 = 0.10; // the E15 ladder's headline fault rate
     let mut table = Vec::new();
     for &k in &SPLITS {
@@ -456,15 +451,14 @@ fn batch_sweep(rows_out: &mut Vec<BenchRow>) {
             pct((plain.fresh + plain.stale) as f64 / 150.0),
             pct((batched.fresh + batched.stale) as f64 / 150.0),
         ]);
-        rows_out.push(BenchRow {
-            kind: "batch".to_string(),
-            scale: k as u64,
-            naive_sim_ops: ops(&plain),
-            indexed_sim_ops: ops(&batched),
-            naive_wall_ops: calm_plain.messages_per_req,
-            indexed_wall_ops: calm_batched.messages_per_req,
-            mean_candidates: calm_batched.messages_per_req,
-        });
+        rows_out.push(
+            Row::new("batch")
+                .count("slices", k as u64)
+                .real("sim_plain_ops", ops(&plain))
+                .real("sim_batched_ops", ops(&batched))
+                .ratio("plain_messages_per_request", calm_plain.messages_per_req)
+                .ratio("batched_messages_per_request", calm_batched.messages_per_req),
+        );
     }
     print_table(
         "E17b — batched vs. unbatched fetches under the E15 fault ladder (150 requests, 10% faults)",
@@ -487,20 +481,14 @@ fn batch_sweep(rows_out: &mut Vec<BenchRow>) {
 
 /// Runs the experiment.
 pub fn run() {
-    let quick = quick_mode();
-    let mode = if quick { "quick" } else { "full" };
-    println!("\nE17 — multi-core sharding and batched fetches ({mode} sweep)");
-    let mut rows: Vec<BenchRow> = Vec::new();
-    shard_sweep(quick, &mut rows);
+    println!("\nE17 — multi-core sharding and batched fetches ({} sweep)", super::mode());
+    let mut rows: Vec<Row> = Vec::new();
+    shard_sweep(super::quick(), &mut rows);
     // Section B is cheap and runs identically in both modes, so the
     // quick CI sweep intersects the checked-in baseline on every row.
     batch_sweep(&mut rows);
 
-    let out = std::env::var("GUPSTER_BENCH_OUT").unwrap_or_else(|_| "BENCH_shards.json".into());
-    match std::fs::write(&out, render_named("e17_shards", mode, &rows)) {
-        Ok(()) => println!("\n  wrote {} rows to {out}", rows.len()),
-        Err(e) => eprintln!("  cannot write {out}: {e}"),
-    }
+    benchjson::write("e17_shards", "BENCH_shards.json", &rows);
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! attribution; CI's `bench_compare` requires a quick run to reproduce
 //! the checked-in file exactly) and
 //! `OBS_snapshot.json` (the full snapshot; re-render it any time with
-//! `experiments dashboard OBS_snapshot.json`). `GUPSTER_E18_QUICK=1`
+//! `experiments dashboard OBS_snapshot.json`). `experiments --quick`
 //! shrinks the stream for CI; the SLO verdicts and the identity
 //! assertions are checked in both modes.
 
@@ -58,10 +58,6 @@ const P99_BUDGET: SimTime = SimTime::micros(256);
 const AVAILABILITY_TARGET: f64 = 0.99;
 /// The E15 fault rate the availability objective is evaluated at.
 const FAULT_RATE: f64 = 0.10;
-
-fn quick_mode() -> bool {
-    std::env::var("GUPSTER_E18_QUICK").map(|v| v == "1").unwrap_or(false)
-}
 
 /// One full pass of the stream at `shards` shards with the exemplar
 /// policy armed, returning the registry (for histogram access) and its
@@ -159,9 +155,8 @@ fn attribution(snap: &ObsSnapshot) -> Vec<AttributionRow> {
 
 /// Runs the experiment.
 pub fn run() {
-    let quick = quick_mode();
-    let mode = if quick { "quick" } else { "full" };
-    let (n_users, n_requests) = if quick { (300, 4_096) } else { (1_200, 20_480) };
+    let mode = super::mode();
+    let (n_users, n_requests) = if super::quick() { (300, 4_096) } else { (1_200, 20_480) };
     println!("\nE18 — fleet observability plane ({mode} sweep)");
     let w = build_workload(n_users, n_requests, 17);
 

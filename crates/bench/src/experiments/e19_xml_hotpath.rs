@@ -21,14 +21,16 @@
 //! Both paths are asserted byte-identical before anything is timed —
 //! the speedup is only worth reporting if the answers agree.
 //!
-//! The CI-gated columns are **simulated ops/sec** from the
-//! deterministic work-unit model below (units ≈ ns on the reference
-//! cost model: 16 units per allocated node, 1 per copied or per-char
-//! escaped byte, 2 per flat-table record or grafted subtree). Wall
-//! columns are informative only. Rows land in `BENCH_xml.json`;
+//! The CI-gated fields are **work counts**: tree nodes and arena
+//! records built, source and copied bytes on parse; nodes the owned
+//! fold allocates against the fresh, shared and grafted nodes of the
+//! arena merge; nodes and bytes written on serialize. The `wall_`
+//! fields are informative only. Rows land in `BENCH_xml.json`;
 //! `bench_compare` fails the build unless a quick run reproduces the
 //! checked-in file exactly, and `run()` asserts the acceptance bar
-//! directly: ≥2× on `merge_all` at the largest scale swept.
+//! directly: the owned fold allocates ≥2× the nodes the arena merge
+//! does at the largest scale swept. The measured wall ratio is printed
+//! beside it.
 
 use std::time::Instant;
 
@@ -36,7 +38,7 @@ use gupster_xml::{
     merge, merge_arena_all, parse, ArenaDoc, Element, MergeKeys, MergeOut, MergeStats,
 };
 
-use crate::benchjson::{render_named, BenchRow};
+use crate::benchjson::{self, Row};
 use crate::table::{f2, print_table};
 use crate::workload::rng;
 use gupster_rng::Rng;
@@ -46,14 +48,9 @@ const FRAGMENTS: usize = 8;
 /// Address-book items per profile, swept smallest to largest.
 const SCALES: [usize; 3] = [64, 512, 4096];
 
-/// Work units per freshly allocated owned node (strings + vecs).
-const UNIT_ALLOC_NODE: u64 = 16;
-/// Work units per flat arena record or grafted shared subtree.
-const UNIT_FLAT_RECORD: u64 = 2;
-
-fn quick_mode() -> bool {
-    std::env::var("GUPSTER_E19_QUICK").map(|v| v == "1").unwrap_or(false)
-}
+/// Acceptance floor: owned-fold nodes allocated per arena-merge fresh
+/// node at the largest scale swept.
+const MERGE_FLOOR: f64 = 2.0;
 
 fn scales(quick: bool) -> &'static [usize] {
     if quick {
@@ -115,19 +112,26 @@ fn wall_ops(reps: usize, mut body: impl FnMut()) -> f64 {
     }
 }
 
-struct StageCells {
-    /// (owned_units, arena_units, owned_wall, arena_wall, mean_candidates)
-    parse: (u64, u64, f64, f64, f64),
-    merge_all: (u64, u64, f64, f64, f64),
-    serialize: (u64, u64, f64, f64, f64),
+/// What the merge floor reads at one scale: owned-fold nodes allocated
+/// per arena-merge fresh node, and the merge's wall speedup.
+struct MergeReading {
+    ratio: f64,
+    wall: f64,
 }
 
-/// Runs all three stages at one scale and checks the two paths agree
-/// byte-for-byte before costing anything.
-fn stage_pass(n: usize, seed: u64) -> StageCells {
+/// Runs all three stages at one scale, checks the two paths agree
+/// byte-for-byte before counting anything, and adds one row and one
+/// table line per stage.
+fn stage_pass(n: usize, seed: u64, rows: &mut Vec<Row>, table: &mut Vec<Vec<String>>) -> MergeReading {
     let srcs = fragment_sources(n, seed);
     let keys = keys();
     let reps = (200_000 / n.max(1)).clamp(2, 400);
+    let mut add = |row: Row, work: String, (owned, arena): (f64, f64)| {
+        let speedup = arena / owned.max(f64::MIN_POSITIVE);
+        table.push(vec![row.kind.to_string(), n.to_string(), work, f2(speedup)]);
+        rows.push(row.real("wall_owned_ops", owned).real("wall_arena_ops", arena));
+        speedup
+    };
 
     // -- parse ---------------------------------------------------------
     let owned: Vec<Element> = srcs.iter().map(|s| parse(s).expect("valid")).collect();
@@ -136,148 +140,133 @@ fn stage_pass(n: usize, seed: u64) -> StageCells {
         assert_eq!(&d.root_element(), e, "arena parse diverged from owned");
     }
     let src_bytes: u64 = srcs.iter().map(|s| s.len() as u64).sum();
-    let owned_nodes: u64 = owned.iter().map(|e| e.subtree_size() as u64).sum();
-    let parse_owned_units = UNIT_ALLOC_NODE * owned_nodes + src_bytes;
+    let nodes: u64 = owned.iter().map(|e| e.subtree_size() as u64).sum();
+    let records: u64 = docs.iter().map(|d| d.node_count() as u64).sum();
     let copied: u64 = docs.iter().map(|d| d.owned_value_bytes() as u64).sum();
-    let arena_nodes: u64 = docs.iter().map(|d| d.node_count() as u64).sum();
-    let parse_arena_units = UNIT_FLAT_RECORD * arena_nodes + copied;
-    let parse_owned_wall = wall_ops(reps, || {
-        for s in &srcs {
-            std::hint::black_box(parse(s).expect("valid"));
-        }
-    });
-    let parse_arena_wall = wall_ops(reps, || {
-        for s in &srcs {
-            std::hint::black_box(ArenaDoc::parse(s).expect("valid"));
-        }
-    });
-    let copied_fraction = copied as f64 / src_bytes.max(1) as f64;
+    assert!(copied < src_bytes, "the arena parse copies only escaped runs");
+    add(
+        Row::new("parse")
+            .count("items", n as u64)
+            .count("source_bytes", src_bytes)
+            .count("owned_nodes", nodes)
+            .count("arena_records", records)
+            .count("arena_copied_bytes", copied),
+        format!("{nodes} nodes / {records} records; {copied} of {src_bytes} bytes copied"),
+        (
+            wall_ops(reps, || {
+                for s in &srcs {
+                    std::hint::black_box(parse(s).expect("valid"));
+                }
+            }),
+            wall_ops(reps, || {
+                for s in &srcs {
+                    std::hint::black_box(ArenaDoc::parse(s).expect("valid"));
+                }
+            }),
+        ),
+    );
 
     // -- merge_all -----------------------------------------------------
-    // The owned fold's cost is what it clones: the whole accumulated
-    // result, every round.
+    // The owned fold allocates the whole accumulated result, every round.
     let mut acc = owned[0].clone();
-    let mut merge_owned_units: u64 = 0;
+    let mut fold_nodes: u64 = 0;
     for f in &owned[1..] {
         acc = merge(&acc, f, &keys).expect("mergeable");
-        merge_owned_units += UNIT_ALLOC_NODE * acc.subtree_size() as u64;
+        fold_nodes += acc.subtree_size() as u64;
     }
     let refs: Vec<&ArenaDoc> = docs.iter().collect();
     let merged: MergeOut<'_> = merge_arena_all(&refs, &keys).expect("mergeable");
     let stats: MergeStats = merged.stats();
-    let merge_arena_units =
-        UNIT_ALLOC_NODE * stats.fresh_nodes + UNIT_FLAT_RECORD * stats.shared_subtrees;
     assert_eq!(merged.to_element(), acc, "arena merge diverged from owned fold");
-    let merge_owned_wall = wall_ops(reps, || {
-        let mut acc = owned[0].clone();
-        for f in &owned[1..] {
-            acc = merge(&acc, f, &keys).expect("mergeable");
-        }
-        std::hint::black_box(acc);
-    });
-    let merge_arena_wall = wall_ops(reps, || {
-        std::hint::black_box(merge_arena_all(&refs, &keys).expect("mergeable"));
-    });
-    let shared_per_fresh = stats.shared_nodes as f64 / stats.fresh_nodes.max(1) as f64;
+    let ratio = fold_nodes as f64 / stats.fresh_nodes.max(1) as f64;
+    let wall = add(
+        Row::new("merge_all")
+            .count("items", n as u64)
+            .count("owned_nodes", fold_nodes)
+            .count("arena_fresh_nodes", stats.fresh_nodes)
+            .count("arena_shared_subtrees", stats.shared_subtrees)
+            .count("arena_shared_nodes", stats.shared_nodes),
+        format!(
+            "{fold_nodes} nodes / {} fresh ({ratio:.1}x), {} shared in {} grafts",
+            stats.fresh_nodes, stats.shared_nodes, stats.shared_subtrees
+        ),
+        (
+            wall_ops(reps, || {
+                let mut acc = owned[0].clone();
+                for f in &owned[1..] {
+                    acc = merge(&acc, f, &keys).expect("mergeable");
+                }
+                std::hint::black_box(acc);
+            }),
+            wall_ops(reps, || {
+                std::hint::black_box(merge_arena_all(&refs, &keys).expect("mergeable"));
+            }),
+        ),
+    );
 
     // -- serialize -----------------------------------------------------
-    let owned_out = acc.to_xml();
-    let arena_out = merged.to_xml();
-    assert_eq!(arena_out, owned_out, "arena serializer diverged from owned");
-    let out_bytes = owned_out.len() as u64;
+    // Both writers emit the same nodes and bytes; only the wall differs.
+    let out = acc.to_xml();
+    assert_eq!(merged.to_xml(), out, "arena serializer diverged from owned");
     let out_nodes = acc.subtree_size() as u64;
-    let ser_owned_units = UNIT_ALLOC_NODE * out_nodes + 4 * out_bytes;
-    let ser_arena_units = UNIT_FLAT_RECORD * out_nodes + out_bytes;
-    let ser_owned_wall = wall_ops(reps, || {
-        std::hint::black_box(acc.to_xml());
-    });
-    let ser_arena_wall = wall_ops(reps, || {
-        std::hint::black_box(merged.to_xml());
-    });
-
-    StageCells {
-        parse: (parse_owned_units, parse_arena_units, parse_owned_wall, parse_arena_wall, copied_fraction),
-        merge_all: (merge_owned_units, merge_arena_units, merge_owned_wall, merge_arena_wall, shared_per_fresh),
-        serialize: (ser_owned_units, ser_arena_units, ser_owned_wall, ser_arena_wall, out_bytes as f64 / out_nodes.max(1) as f64),
-    }
+    add(
+        Row::new("serialize")
+            .count("items", n as u64)
+            .count("nodes", out_nodes)
+            .count("bytes", out.len() as u64),
+        format!("{out_nodes} nodes, {} bytes", out.len()),
+        (
+            wall_ops(reps, || {
+                std::hint::black_box(acc.to_xml());
+            }),
+            wall_ops(reps, || {
+                std::hint::black_box(merged.to_xml());
+            }),
+        ),
+    );
+    MergeReading { ratio, wall }
 }
 
-/// Simulated ops/sec from work units (1 unit ≈ 1ns of model time).
-fn sim_ops(units: u64) -> f64 {
-    1e9 / units.max(1) as f64
-}
-
-fn sweep(quick: bool, rows: &mut Vec<BenchRow>) {
+/// Sweeps every scale into `rows`; returns the largest scale and its
+/// merge reading.
+fn sweep(quick: bool, rows: &mut Vec<Row>) -> (usize, MergeReading) {
     let mut table: Vec<Vec<String>> = Vec::new();
+    let mut largest = None;
     for &n in scales(quick) {
-        let cells = stage_pass(n, 0xe19);
-        for (kind, (ou, au, ow, aw, mc)) in [
-            ("parse", cells.parse),
-            ("merge_all", cells.merge_all),
-            ("serialize", cells.serialize),
-        ] {
-            let (naive, indexed) = (sim_ops(ou), sim_ops(au));
-            table.push(vec![
-                kind.to_string(),
-                n.to_string(),
-                f2(naive),
-                f2(indexed),
-                f2(indexed / naive),
-                f2(aw / ow.max(f64::MIN_POSITIVE)),
-                f2(mc),
-            ]);
-            rows.push(BenchRow {
-                kind: kind.to_string(),
-                scale: n as u64,
-                naive_sim_ops: naive,
-                indexed_sim_ops: indexed,
-                naive_wall_ops: ow,
-                indexed_wall_ops: aw,
-                mean_candidates: mc,
-            });
-        }
+        largest = Some((n, stage_pass(n, 0xe19, rows, &mut table)));
     }
     print_table(
         &format!("E19 — owned vs. arena XML hot path ({FRAGMENTS} fragments per referral)"),
-        &["stage", "items", "owned sim ops/s", "arena sim ops/s", "sim speedup", "wall speedup", "detail"],
+        &["stage", "items", "work (owned / arena)", "wall speedup"],
         &table,
     );
     println!(
         "  paper check: the registry's answer is assembled from per-store fragments on every \
          request — a zero-copy merge path keeps 'share everywhere' from costing a deep copy \
-         everywhere. (detail: parse = copied-byte fraction, merge_all = shared nodes per fresh \
-         node, serialize = bytes per node)"
+         everywhere."
     );
+    largest.expect("at least one scale")
 }
 
 /// Runs the experiment.
 pub fn run() {
-    let quick = quick_mode();
-    let mode = if quick { "quick" } else { "full" };
-    println!("\nE19 — zero-copy XML hot path ({mode} sweep)");
-    let mut rows: Vec<BenchRow> = Vec::new();
-    sweep(quick, &mut rows);
+    println!("\nE19 — zero-copy XML hot path ({} sweep)", super::mode());
+    let mut rows: Vec<Row> = Vec::new();
+    let (n, merge) = sweep(super::quick(), &mut rows);
 
-    // Acceptance bar: ≥2× simulated merge throughput at the largest
-    // scale swept in this mode.
-    let largest = rows
-        .iter()
-        .filter(|r| r.kind == "merge_all")
-        .max_by_key(|r| r.scale)
-        .expect("merge rows");
-    let ratio = largest.indexed_sim_ops / largest.naive_sim_ops;
+    // Acceptance bar: the owned fold allocates ≥2× the nodes the arena
+    // merge builds, at the largest scale swept in this mode.
     assert!(
-        ratio >= 2.0,
-        "structural-sharing merge below acceptance bar at scale {}: {ratio:.2}x",
-        largest.scale
+        merge.ratio >= MERGE_FLOOR,
+        "structural-sharing merge below acceptance bar at scale {n}: {:.2}x",
+        merge.ratio
     );
-    println!("  acceptance: merge_all at {} items: {:.1}x simulated speedup", largest.scale, ratio);
+    println!(
+        "  acceptance: merge_all at {n} items: {:.1}x fewer nodes allocated (wall: {:.1}x)",
+        merge.ratio, merge.wall
+    );
 
-    let out = std::env::var("GUPSTER_BENCH_OUT").unwrap_or_else(|_| "BENCH_xml.json".into());
-    match std::fs::write(&out, render_named("e19_xml_hotpath", mode, &rows)) {
-        Ok(()) => println!("\n  wrote {} rows to {out}", rows.len()),
-        Err(e) => eprintln!("  cannot write {out}: {e}"),
-    }
+    benchjson::write("e19_xml_hotpath", "BENCH_xml.json", &rows);
 }
 
 #[cfg(test)]
@@ -286,15 +275,13 @@ mod tests {
 
     #[test]
     fn paths_agree_and_merge_clears_bar_at_small_scale() {
-        let cells = stage_pass(64, 7);
-        // stage_pass already asserts byte-identity; check the model
-        // favors the arena on every stage at even the smallest scale.
-        let (ou, au, ..) = cells.merge_all;
-        assert!(sim_ops(au) / sim_ops(ou) >= 2.0, "merge sharing ratio collapsed");
-        let (pou, pau, ..) = cells.parse;
-        assert!(pau < pou, "arena parse should cost fewer work units");
-        let (sou, sau, ..) = cells.serialize;
-        assert!(sau < sou, "arena serialize should cost fewer work units");
+        // stage_pass asserts byte-identity and that the arena parse
+        // copies less than its source; check the merge floor holds at
+        // even the smallest scale.
+        let (mut rows, mut table) = (Vec::new(), Vec::new());
+        let merge = stage_pass(64, 7, &mut rows, &mut table);
+        assert!(merge.ratio >= MERGE_FLOOR, "merge sharing ratio collapsed");
+        assert_eq!((rows.len(), table.len()), (3, 3));
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! shedding during on-windows, but the call p99 budget still holds.
 //!
 //! Rows land in `BENCH_overload.json`; CI re-runs the reduced sweep
-//! (`GUPSTER_E20_QUICK=1`), whose in-run asserts hold the call-path p99
-//! budget at every load. The sweep is fully simulated and seeded, so
-//! `bench_compare` requires the fresh rows to reproduce the checked-in
-//! baseline byte-for-byte outside the wall-clock columns.
+//! (`experiments --quick e20`), whose in-run asserts hold the call-path
+//! p99 budget at every load. The sweep is fully simulated and seeded
+//! (every field is `sim_` or the load point), so `bench_compare`
+//! requires the fresh rows to reproduce the checked-in baseline byte
+//! for byte.
 
 use gupster_core::{
     AdmissionConfig, OpenLoopRequest, Priority, ShardRequest, ShardedRegistry, StorePool,
@@ -37,7 +38,7 @@ use gupster_xml::{Element, MergeKeys};
 use gupster_xpath::Path;
 
 use crate::arrivals::ArrivalProcess;
-use crate::benchjson::{render_named, BenchRow};
+use crate::benchjson::{self, Row};
 use crate::experiments::e17_shards::{provision, ShardWorkload};
 use crate::table::{pct, print_table};
 use crate::workload::{rng, Zipf};
@@ -74,10 +75,6 @@ const E20_CALL_SLOTS: usize = 3;
 /// enough that warmed referral tokens stay reusable across the whole
 /// arrival span.
 const TOKEN_WINDOW: u64 = 1 << 16;
-
-fn quick_mode() -> bool {
-    std::env::var("GUPSTER_E20_QUICK").map(|v| v == "1").unwrap_or(false)
-}
 
 /// The E20 store layout: the same six multi-tenant stores and
 /// round-robin placement as E17 (so `e17::provision` registers the
@@ -273,9 +270,7 @@ const HEADERS: [&str; 9] = [
 
 /// Runs the experiment.
 pub fn run() {
-    let quick = quick_mode();
-    let mode = if quick { "quick" } else { "full" };
-    println!("\nE20 — open-loop overload and admission control ({mode} sweep)");
+    println!("\nE20 — open-loop overload and admission control ({} sweep)", super::mode());
 
     let w = build_bulk_workload(N_USERS);
     let stream = request_stream(&w, N_ARRIVALS, 2020);
@@ -293,8 +288,8 @@ pub fn run() {
         config.queues
     );
 
-    let loads: &[u64] = if quick { &LOADS_QUICK } else { &LOADS_FULL };
-    let mut rows: Vec<BenchRow> = Vec::new();
+    let loads: &[u64] = if super::quick() { &LOADS_QUICK } else { &LOADS_FULL };
+    let mut rows: Vec<Row> = Vec::new();
     let mut table = Vec::new();
     let mut points = Vec::new();
     for &load in loads {
@@ -310,15 +305,15 @@ pub fn run() {
         );
         let r = &p.report;
         table.push(point_row(&p));
-        rows.push(BenchRow {
-            kind: "overload".to_string(),
-            scale: load,
-            naive_sim_ops: p.offered_per_sec,
-            indexed_sim_ops: r.goodput_per_sec(),
-            naive_wall_ops: 100.0 * r.edit_shed_rate(),
-            indexed_wall_ops: r.edit_latency.p99().0 as f64,
-            mean_candidates: r.call_latency.p99().0 as f64,
-        });
+        rows.push(
+            Row::new("overload")
+                .count("load_pct", load)
+                .real("sim_offered_ops", p.offered_per_sec)
+                .real("sim_goodput_ops", r.goodput_per_sec())
+                .real("sim_edit_shed_pct", 100.0 * r.edit_shed_rate())
+                .count("sim_edit_p99_us", r.edit_latency.p99().0)
+                .count("sim_call_p99_us", r.call_latency.p99().0),
+        );
         points.push(p);
     }
     print_table(
@@ -397,9 +392,5 @@ pub fn run() {
          load and shape, while profile-edit traffic absorbs the shed."
     );
 
-    let out = std::env::var("GUPSTER_BENCH_OUT").unwrap_or_else(|_| "BENCH_overload.json".into());
-    match std::fs::write(&out, render_named("e20_overload", mode, &rows)) {
-        Ok(()) => println!("\n  wrote {} rows to {out}", rows.len()),
-        Err(e) => eprintln!("  cannot write {out}: {e}"),
-    }
+    benchjson::write("e20_overload", "BENCH_overload.json", &rows);
 }

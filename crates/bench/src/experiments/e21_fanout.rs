@@ -9,11 +9,11 @@
 //!    subscription counts. Every store write is matched through the
 //!    inverted index *and* the retained naive scan; the notification
 //!    streams are asserted byte-identical event by event before any
-//!    number is reported. Simulated cost is the §12 model: 1µs per
-//!    walk plus 1µs per candidate examined — the naive matcher
-//!    examines every subscription in the system, the index only the
-//!    trie's pruned candidate set. The acceptance bar (≥10× simulated
-//!    throughput at the top scale) is asserted in-run.
+//!    number is reported. The rows count subscriptions examined: the
+//!    naive matcher examines every subscription in the system, the
+//!    index only the trie's pruned candidate set. The acceptance bar
+//!    (≥10× fewer examined at every scale) is asserted in-run, with the
+//!    measured wall ratio printed beside it.
 //! 2. **Hub delivery** — one hub owner watched by 100k+ subscribers
 //!    (quick mode shrinks the hub). A delivery window of several
 //!    writes stages through the policy filter, then flushes as
@@ -25,9 +25,10 @@
 //!    messages-per-notification ceiling are asserted in-run.
 //!
 //! Every row lands in `BENCH_subs.json`; CI re-runs the reduced sweep
-//! (`GUPSTER_E21_QUICK=1`) and `bench_compare` requires it to
-//! reproduce the checked-in file exactly. Wall-clock columns are
-//! informative only and ignored by the gate.
+//! (`experiments --quick e21`) and `bench_compare` requires it to
+//! reproduce the checked-in file exactly. The hub row's `sim_` fields
+//! come from netsim latencies; the `wall_` fields are informative only
+//! and ignored by the gate.
 
 use std::time::Instant;
 
@@ -40,7 +41,7 @@ use gupster_store::{ChangeEvent, DataStore, StoreId, UpdateOp, XmlStore};
 use gupster_xml::Element;
 use gupster_xpath::Path;
 
-use crate::benchjson::{render_named, BenchRow};
+use crate::benchjson::{self, Row};
 use crate::table::{f2, print_table};
 use crate::workload::{rng, social_watchers, user_id, Zipf};
 
@@ -52,8 +53,8 @@ const N_OWNERS: usize = 512;
 /// Writes matched per scale in section A.
 const EVENTS_FULL: usize = 1_024;
 const EVENTS_QUICK: usize = 256;
-/// Acceptance floor: simulated index speedup at the top scale.
-const SPEEDUP_FLOOR: f64 = 10.0;
+/// Acceptance floor: naive over indexed subscriptions examined.
+const EXAMINED_FLOOR: f64 = 10.0;
 /// Hub watcher count in section B (the 100k+ social-overlay stress
 /// shape; quick mode shrinks it but keeps the same window shape).
 const HUB_FULL: usize = 120_000;
@@ -62,10 +63,6 @@ const HUB_QUICK: usize = 8_192;
 const SEND_PAIR_US: u64 = 2;
 /// In-run ceiling on coalesced message pairs per staged notification.
 const MPN_CEILING: f64 = 0.5;
-
-fn quick_mode() -> bool {
-    std::env::var("GUPSTER_E21_QUICK").map(|v| v == "1").unwrap_or(false)
-}
 
 fn at() -> WeekTime {
     WeekTime::at(1, 10, 0)
@@ -151,7 +148,7 @@ fn write_stream(owners: &[String], n_events: usize, seed: u64) -> Vec<ChangeEven
         .collect()
 }
 
-fn match_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
+fn match_sweep(quick: bool, rows_out: &mut Vec<Row>) {
     let scales: &[usize] = if quick { &SCALES_QUICK } else { &SCALES_FULL };
     let n_events = if quick { EVENTS_QUICK } else { EVENTS_FULL };
     let owners: Vec<String> = (0..N_OWNERS).map(user_id).collect();
@@ -165,11 +162,10 @@ fn match_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
         assert_eq!(subs.len(), n_subs);
 
         // One pass: match each event both ways, assert the streams are
-        // byte-identical, and accumulate the §12 cost model (1µs walk
-        // + 1µs per candidate examined) plus wall time.
-        let mut naive_us = 0u64;
-        let mut indexed_us = 0u64;
-        let mut examined_sum = 0u64;
+        // byte-identical, and count the subscriptions each examined,
+        // plus wall time.
+        let mut naive_examined = 0u64;
+        let mut indexed_examined = 0u64;
         let mut matched = 0u64;
         let mut naive_wall = std::time::Duration::ZERO;
         let mut indexed_wall = std::time::Duration::ZERO;
@@ -184,44 +180,44 @@ fn match_sweep(quick: bool, rows_out: &mut Vec<BenchRow>) {
                 fast.notifications, slow.notifications,
                 "index diverged from the naive oracle at {n_subs} subs"
             );
-            naive_us += 1 + slow.examined as u64;
-            indexed_us += 1 + fast.examined as u64;
-            examined_sum += fast.examined as u64;
+            naive_examined += slow.examined as u64;
+            indexed_examined += fast.examined as u64;
             matched += fast.notifications.len() as u64;
         }
-        let naive_sim_ops = 1e6 * n_events as f64 / naive_us.max(1) as f64;
-        let indexed_sim_ops = 1e6 * n_events as f64 / indexed_us.max(1) as f64;
-        let speedup = indexed_sim_ops / naive_sim_ops;
+        let examined_ratio = naive_examined as f64 / indexed_examined.max(1) as f64;
         assert!(
-            speedup >= SPEEDUP_FLOOR,
-            "acceptance: ≥{SPEEDUP_FLOOR}× simulated match throughput at {n_subs} subs, \
-             got {speedup:.1}×"
+            examined_ratio >= EXAMINED_FLOOR,
+            "acceptance: ≥{EXAMINED_FLOOR}× fewer subscriptions examined at {n_subs} subs, \
+             got {examined_ratio:.1}×"
         );
-        let mean_examined = examined_sum as f64 / n_events as f64;
+        let naive_ops = n_events as f64 / naive_wall.as_secs_f64().max(1e-9);
+        let indexed_ops = n_events as f64 / indexed_wall.as_secs_f64().max(1e-9);
+        let per_event = |count: u64| count as f64 / n_events as f64;
         table.push(vec![
             n_subs.to_string(),
-            format!("{naive_sim_ops:.0}"),
-            format!("{indexed_sim_ops:.0}"),
-            format!("{speedup:.0}x"),
-            f2(mean_examined),
-            format!("{:.1}", matched as f64 / n_events as f64),
+            format!("{:.0}", per_event(naive_examined)),
+            f2(per_event(indexed_examined)),
+            format!("{examined_ratio:.0}x"),
+            format!("{:.1}x", indexed_ops / naive_ops),
+            format!("{:.1}", per_event(matched)),
         ]);
-        rows_out.push(BenchRow {
-            kind: "subs".to_string(),
-            scale: n_subs as u64,
-            naive_sim_ops,
-            indexed_sim_ops,
-            naive_wall_ops: n_events as f64 / naive_wall.as_secs_f64().max(1e-9),
-            indexed_wall_ops: n_events as f64 / indexed_wall.as_secs_f64().max(1e-9),
-            mean_candidates: mean_examined,
-        });
+        rows_out.push(
+            Row::new("subs")
+                .count("subscriptions", n_subs as u64)
+                .count("events", n_events as u64)
+                .count("naive_examined", naive_examined)
+                .count("indexed_examined", indexed_examined)
+                .count("notifications", matched)
+                .real("wall_naive_ops", naive_ops)
+                .real("wall_indexed_ops", indexed_ops),
+        );
     }
     print_table(
         &format!(
             "E21a — write-vs-watchers match throughput ({n_events} writes over {N_OWNERS} \
              owners, Zipf 0.99 watcher sets)"
         ),
-        &["subs", "naive sim ops/s", "indexed sim ops/s", "speedup", "mean cand", "notes/write"],
+        &["subs", "naive examined", "indexed examined", "examined ratio", "wall speedup", "notes/write"],
         &table,
     );
     println!(
@@ -296,7 +292,7 @@ fn watcher_index(subscriber: &str) -> usize {
     subscriber["watcher".len()..].parse().expect("watcherNNNNNN")
 }
 
-fn hub_delivery(quick: bool, rows_out: &mut Vec<BenchRow>) {
+fn hub_delivery(quick: bool, rows_out: &mut Vec<Row>) {
     let n_watchers = if quick { HUB_QUICK } else { HUB_FULL };
     let (g, mut pool, mut subs) = hub_world(n_watchers);
     let hub_id = StoreId::new("store.net");
@@ -417,31 +413,26 @@ fn hub_delivery(quick: bool, rows_out: &mut Vec<BenchRow>) {
          {poll_pairs} lookup pairs *and* {poll_pairs} fresh shield checks every window."
     );
 
-    rows_out.push(BenchRow {
-        kind: "fanout".to_string(),
-        scale: n_watchers as u64,
-        naive_sim_ops: 1e6 * raw as f64 / unbatched_latency.0.max(1) as f64,
-        indexed_sim_ops: 1e6 * raw as f64 / coalesced_latency.0.max(1) as f64,
-        naive_wall_ops: 0.0,
-        indexed_wall_ops: 0.0,
-        mean_candidates: mpn,
-    });
+    rows_out.push(
+        Row::new("fanout")
+            .count("watchers", n_watchers as u64)
+            .count("staged", raw as u64)
+            .count("coalesced_pairs", coalesced_pairs)
+            .count("unbatched_pairs", unbatched_pairs)
+            .real("sim_unbatched_ops", 1e6 * raw as f64 / unbatched_latency.0.max(1) as f64)
+            .real("sim_coalesced_ops", 1e6 * raw as f64 / coalesced_latency.0.max(1) as f64)
+            .ratio("pairs_per_notification", mpn),
+    );
 }
 
 /// Runs the experiment.
 pub fn run() {
-    let quick = quick_mode();
-    let mode = if quick { "quick" } else { "full" };
-    println!("\nE21 — push fanout at scale ({mode} sweep)");
-    let mut rows: Vec<BenchRow> = Vec::new();
+    let quick = super::quick();
+    println!("\nE21 — push fanout at scale ({} sweep)", super::mode());
+    let mut rows: Vec<Row> = Vec::new();
     match_sweep(quick, &mut rows);
     hub_delivery(quick, &mut rows);
-
-    let out = std::env::var("GUPSTER_BENCH_OUT").unwrap_or_else(|_| "BENCH_subs.json".into());
-    match std::fs::write(&out, render_named("e21_fanout", mode, &rows)) {
-        Ok(()) => println!("\n  wrote {} rows to {out}", rows.len()),
-        Err(e) => eprintln!("  cannot write {out}: {e}"),
-    }
+    benchjson::write("e21_fanout", "BENCH_subs.json", &rows);
 }
 
 #[cfg(test)]

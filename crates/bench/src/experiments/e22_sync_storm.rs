@@ -11,17 +11,17 @@
 //! storm; their converged hub documents are asserted **byte-identical**
 //! before any number is reported.
 //!
-//! Simulated cost is the §13 model, read off each plane's `sync.plane`
-//! root spans: reconcile charges 2µs per op pair examined (the naive
-//! path examines every new-A × new-B pair; the delta path only the
-//! trie's candidate set), shipping charges per byte (the naive session
-//! frames every op with its full path string; the delta session ships
-//! an 8-byte header plus a once-per-session dictionary entry), and
-//! apply/slow-sync costs are common to both. The acceptance bars — ≥5×
-//! simulated session throughput and ≥3× fewer bytes at the 10k-edit
-//! storm and above — are asserted in-run; `bench_compare` then
-//! requires a quick run to reproduce the checked-in `BENCH_sync.json`
-//! exactly.
+//! The rows carry what each plane did, counted off its
+//! [`PlaneReport`]: op pairs examined for conflicts (the naive path
+//! examines every new-A × new-B pair; the delta path only the trie's
+//! candidate set) and bytes shipped (the naive session frames every op
+//! with its full path string; the delta session ships an 8-byte header
+//! plus a once-per-session dictionary entry). The acceptance bars — ≥5×
+//! fewer pairs compared and ≥3× fewer bytes at the 10k-edit storm and
+//! above — are asserted in-run, with the measured wall ratio printed
+//! beside them; `bench_compare` then requires a quick run to reproduce
+//! the checked-in `BENCH_sync.json` exactly, outside its `wall_`
+//! fields.
 //!
 //! The compaction column shows the other half of the story: after the
 //! delta pass every replica's changelog truncates behind its live peer
@@ -37,7 +37,7 @@ use gupster_sync::ReconcilePolicy;
 use gupster_telemetry::TelemetryHub;
 use gupster_xml::{EditOp, Element, MergeKeys, NodePath};
 
-use crate::benchjson::{render_named, BenchRow};
+use crate::benchjson::{self, Row};
 use crate::table::{bytes as fmt_bytes, f2, print_table};
 use crate::workload::rng;
 
@@ -69,13 +69,9 @@ const SHARED_EVERY: usize = 10;
 /// creation is next to field edits.
 const INSERT_EVERY: usize = 128;
 /// Acceptance floors, enforced in-run at `GATE_SCALE` edits and above.
-const SPEEDUP_FLOOR: f64 = 5.0;
+const COMPARED_RATIO_FLOOR: f64 = 5.0;
 const BYTES_RATIO_FLOOR: f64 = 3.0;
 const GATE_SCALE: u64 = 10_000;
-
-fn quick_mode() -> bool {
-    std::env::var("GUPSTER_E22_QUICK").map(|v| v == "1").unwrap_or(false)
-}
 
 fn keys() -> MergeKeys {
     MergeKeys::new().with_key("item", "id")
@@ -134,8 +130,6 @@ fn storm(edits: usize, devices: usize, users: usize, seed: u64) -> Vec<StormEdit
 
 struct PlaneRun {
     report: PlaneReport,
-    /// Total simulated µs across every user's `sync.plane` root span.
-    sim_us: u64,
     wall: Duration,
     /// Changelog entries retained across the whole fleet after the pass.
     log_entries: usize,
@@ -145,7 +139,6 @@ struct PlaneRun {
 
 fn run_plane(devices: usize, users: usize, storm: &[StormEdit], oracle: bool) -> PlaneRun {
     let hub = Arc::new(TelemetryHub::new());
-    hub.set_span_limit(0); // histograms only — 100k-edit storms
     let mut plane = SyncPlane::new(SHARDS, ReconcilePolicy::LastWriterWins);
     plane.use_oracle = oracle;
     for u in 0..users {
@@ -162,15 +155,13 @@ fn run_plane(devices: usize, users: usize, storm: &[StormEdit], oracle: bool) ->
     let t0 = Instant::now();
     let report = plane.reconcile(&hub);
     let wall = t0.elapsed();
-    let stats = hub.stage_stats("sync.plane").expect("plane spans recorded");
-    let sim_us = stats.mean.0 * stats.count;
     let hub_docs = (0..users).map(|u| plane.hub_doc(&format!("user{u:03}")).clone()).collect();
-    PlaneRun { report, sim_us, wall, log_entries: plane.log_entries(), hub_docs }
+    PlaneRun { report, wall, log_entries: plane.log_entries(), hub_docs }
 }
 
 /// Runs one storm shape through both planes, asserts the delta path
 /// against the oracle, and reports the row.
-fn run_config(edits: usize, devices: usize, users: usize, rows_out: &mut Vec<BenchRow>) -> Vec<String> {
+fn run_config(edits: usize, devices: usize, users: usize, rows_out: &mut Vec<Row>) -> Vec<String> {
     let storm = storm(edits, devices, users, 2200 + edits as u64);
     let naive = run_plane(devices, users, &storm, true);
     let delta = run_plane(devices, users, &storm, false);
@@ -188,15 +179,14 @@ fn run_config(edits: usize, devices: usize, users: usize, rows_out: &mut Vec<Ben
     assert_eq!(delta.report.conflicts, naive.report.conflicts);
     assert_eq!(delta.report.shipped, naive.report.shipped);
 
-    let naive_sim_ops = 1e6 * edits as f64 / naive.sim_us.max(1) as f64;
-    let delta_sim_ops = 1e6 * edits as f64 / delta.sim_us.max(1) as f64;
-    let speedup = delta_sim_ops / naive_sim_ops;
-    let bytes_ratio =
-        naive.report.bytes_exchanged as f64 / delta.report.bytes_exchanged.max(1) as f64;
+    let (n, d) = (&naive.report, &delta.report);
+    let compared_ratio = n.compared as f64 / d.compared.max(1) as f64;
+    let bytes_ratio = n.bytes_exchanged as f64 / d.bytes_exchanged.max(1) as f64;
     if edits as u64 >= GATE_SCALE {
         assert!(
-            speedup >= SPEEDUP_FLOOR,
-            "acceptance: ≥{SPEEDUP_FLOOR}× simulated sync throughput at {edits} edits, got {speedup:.1}×"
+            compared_ratio >= COMPARED_RATIO_FLOOR,
+            "acceptance: ≥{COMPARED_RATIO_FLOOR}× fewer pairs compared at {edits} edits, \
+             got {compared_ratio:.1}×"
         );
         assert!(
             bytes_ratio >= BYTES_RATIO_FLOOR,
@@ -204,36 +194,41 @@ fn run_config(edits: usize, devices: usize, users: usize, rows_out: &mut Vec<Ben
         );
     }
 
-    rows_out.push(BenchRow {
-        kind: "sync".to_string(),
-        scale: edits as u64,
-        naive_sim_ops,
-        indexed_sim_ops: delta_sim_ops,
-        naive_wall_ops: edits as f64 / naive.wall.as_secs_f64().max(1e-9),
-        indexed_wall_ops: edits as f64 / delta.wall.as_secs_f64().max(1e-9),
-        mean_candidates: bytes_ratio,
-    });
+    let wall_ops = |run: &PlaneRun| edits as f64 / run.wall.as_secs_f64().max(1e-9);
+    rows_out.push(
+        Row::new("sync")
+            .count("edits", edits as u64)
+            .count("shipped", n.shipped as u64)
+            .count("conflicts", n.conflicts as u64)
+            .count("naive_compared", n.compared as u64)
+            .count("delta_compared", d.compared as u64)
+            .count("naive_bytes", n.bytes_exchanged as u64)
+            .count("delta_bytes", d.bytes_exchanged as u64)
+            .count("delta_compacted", d.compacted as u64)
+            .real("wall_naive_ops", wall_ops(&naive))
+            .real("wall_delta_ops", wall_ops(&delta)),
+    );
     vec![
         format!("{edits}"),
         format!("{users}x{devices}"),
-        format!("{naive_sim_ops:.0}"),
-        format!("{delta_sim_ops:.0}"),
-        format!("{speedup:.1}x"),
-        fmt_bytes(naive.report.bytes_exchanged),
-        fmt_bytes(delta.report.bytes_exchanged),
+        n.compared.to_string(),
+        d.compared.to_string(),
+        format!("{compared_ratio:.1}x"),
+        fmt_bytes(n.bytes_exchanged),
+        fmt_bytes(d.bytes_exchanged),
         f2(bytes_ratio),
-        format!("{}", delta.report.compacted),
+        format!("{:.1}x", wall_ops(&delta) / wall_ops(&naive)),
+        d.compacted.to_string(),
         format!("{}/{}", delta.log_entries, naive.log_entries),
     ]
 }
 
 /// Runs the experiment.
 pub fn run() {
-    let quick = quick_mode();
-    let mode = if quick { "quick" } else { "full" };
-    println!("\nE22 — write path at scale ({mode} sweep)");
-    let scales: &[(usize, usize, usize)] = if quick { &SCALES_QUICK } else { &SCALES_FULL };
-    let mut rows: Vec<BenchRow> = Vec::new();
+    println!("\nE22 — write path at scale ({} sweep)", super::mode());
+    let scales: &[(usize, usize, usize)] =
+        if super::quick() { &SCALES_QUICK } else { &SCALES_FULL };
+    let mut rows: Vec<Row> = Vec::new();
     let mut table = Vec::new();
     for &(edits, devices, users) in scales {
         table.push(run_config(edits, devices, users, &mut rows));
@@ -246,12 +241,13 @@ pub fn run() {
         &[
             "edits",
             "fleet",
-            "naive sim edits/s",
-            "delta sim edits/s",
-            "speedup",
+            "naive compared",
+            "delta compared",
+            "ratio",
             "naive bytes",
             "delta bytes",
             "ratio",
+            "wall speedup",
             "compacted",
             "log after (d/n)",
         ],
@@ -264,11 +260,7 @@ pub fn run() {
          pairwise scan and full-path framing on every session."
     );
 
-    let out = std::env::var("GUPSTER_BENCH_OUT").unwrap_or_else(|_| "BENCH_sync.json".into());
-    match std::fs::write(&out, render_named("e22_sync_storm", mode, &rows)) {
-        Ok(()) => println!("\n  wrote {} rows to {out}", rows.len()),
-        Err(e) => eprintln!("  cannot write {out}: {e}"),
-    }
+    benchjson::write("e22_sync_storm", "BENCH_sync.json", &rows);
 }
 
 #[cfg(test)]
@@ -285,7 +277,6 @@ mod tests {
         assert_eq!(delta.report.conflicts, naive.report.conflicts);
         assert!(delta.report.compared <= naive.report.compared);
         assert!(delta.report.bytes_exchanged < naive.report.bytes_exchanged);
-        assert!(delta.sim_us < naive.sim_us);
         // Compaction ran on the delta plane only.
         assert!(delta.log_entries < naive.log_entries);
     }

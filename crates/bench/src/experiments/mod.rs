@@ -2,7 +2,7 @@
 //! the tables for that experiment; `run_all` runs the suite in order.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use gupster_telemetry::TelemetryHub;
@@ -30,10 +30,32 @@ pub mod e20_overload;
 pub mod e21_fanout;
 pub mod e22_sync_storm;
 
+static QUICK: AtomicBool = AtomicBool::new(false);
 static TRACE_OUT: OnceLock<PathBuf> = OnceLock::new();
 /// Request-id offset for the next dumped hub, so traces from several
 /// independent hubs never collide in one file.
 static TRACE_BASE: AtomicU64 = AtomicU64::new(0);
+
+/// Switches the scale experiments (e16–e22) to their reduced sweeps,
+/// the ones the checked-in `BENCH_*.json` files record (the `--quick`
+/// flag).
+pub fn set_quick() {
+    QUICK.store(true, Ordering::Relaxed);
+}
+
+/// Whether the reduced sweeps were asked for.
+pub fn quick() -> bool {
+    QUICK.load(Ordering::Relaxed)
+}
+
+/// The sweep mode every `BENCH_*.json` file records: `quick` or `full`.
+pub fn mode() -> &'static str {
+    if quick() {
+        "quick"
+    } else {
+        "full"
+    }
+}
 
 /// Routes span traces from instrumented experiments to `path` as JSON
 /// lines (the `--trace-out` flag). First call wins.

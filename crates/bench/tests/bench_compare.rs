@@ -1,33 +1,47 @@
 //! The `bench_compare` contract: a fresh artifact passes only when it
-//! equals the baseline line for line outside the two wall-clock values.
-//! Run against small rendered files of both formats (`BenchRow` rows
-//! and `BENCH_slo.json`).
+//! equals the baseline line for line outside the values of its
+//! `wall_…` fields. Run against small rendered files of both formats
+//! (named-field rows and `BENCH_slo.json`).
 
-use gupster_bench::benchjson::{render_named, BenchRow};
+use gupster_bench::benchjson::{render, Row, WALL_PREFIX};
 use gupster_netsim::SimTime;
 use gupster_telemetry::slo::{
     evaluate_availability, render_slo_json, AttributionRow, SloOutcome, SloSpec,
 };
 
-const WALL_KEYS: [&str; 2] = ["\"naive_wall_ops\":", "\"indexed_wall_ops\":"];
-
-fn rows(wall: f64) -> Vec<BenchRow> {
-    [("coverage", 1_000, 1.0), ("policy", 64, 1.62), ("pipeline", 10_000, 0.0)]
-        .into_iter()
-        .map(|(kind, scale, mean_candidates)| BenchRow {
-            kind: kind.to_string(),
-            scale,
-            naive_sim_ops: 999.0,
-            indexed_sim_ops: 236_183.3,
-            naive_wall_ops: wall,
-            indexed_wall_ops: 2.0 * wall,
-            mean_candidates,
-        })
-        .collect()
+/// One row of each field kind: counts, a simulated rate and ratio, and
+/// wall-clock rates; `rename` swaps one count's name, `drop_count`
+/// leaves it out.
+fn rows_with(wall: f64, rename: bool, drop_count: bool) -> Vec<Row> {
+    let examined = if rename { "naive_scanned" } else { "naive_examined" };
+    let mut coverage = Row::new("coverage").count("components", 1_000);
+    if !drop_count {
+        coverage = coverage.count(examined, 500_000);
+    }
+    vec![
+        coverage
+            .count("indexed_examined", 500)
+            .real("wall_naive_ops", wall)
+            .real("wall_indexed_ops", 2.0 * wall),
+        Row::new("policy")
+            .count("rules", 64)
+            .count("naive_rules_considered", 128_000)
+            .count("indexed_rules_considered", 3_236)
+            .real("wall_naive_ops", 3.0 * wall),
+        Row::new("pipeline")
+            .count("components", 10_000)
+            .real("sim_ops", 38_461.5)
+            .ratio("sim_imbalance", 1.02)
+            .real("wall_ops", wall),
+    ]
 }
 
-fn bench_file(mode: &str, rows: &[BenchRow]) -> String {
-    render_named("e16_registry_scale", mode, rows)
+fn rows(wall: f64) -> Vec<Row> {
+    rows_with(wall, false, false)
+}
+
+fn bench_file(mode: &str, rows: &[Row]) -> String {
+    render("e16_registry_scale", mode, rows)
 }
 
 fn slo_file(attribution: &[AttributionRow]) -> String {
@@ -57,15 +71,14 @@ fn attribution(shards: usize) -> Vec<AttributionRow> {
 /// Byte offsets inside a wall-clock value, i.e. the bytes the gate
 /// ignores.
 fn wall_bytes(text: &str) -> Vec<std::ops::Range<usize>> {
-    let mut out = Vec::new();
-    for key in WALL_KEYS {
-        for (at, _) in text.match_indices(key) {
-            let start = at + key.len();
+    let key = format!("\"{WALL_PREFIX}");
+    text.match_indices(&key)
+        .map(|(at, _)| {
+            let start = at + text[at..].find("\": ").expect("a key") + 3;
             let len = text[start..].find([',', '}']).expect("value is terminated");
-            out.push(start..start + len);
-        }
-    }
-    out
+            start..start + len
+        })
+        .collect()
 }
 
 /// Every copy of `text` with one digit bumped, and whether that digit
@@ -109,11 +122,13 @@ fn gate_passes_only_on_equality_outside_wall_clock_fields() {
     };
     let mut added = rows(466.0);
     added.push(added[0].clone());
-    let cut_mid_row = &bench[..bench.rfind("\"mean_candidates\"").unwrap()];
+    let cut_mid_row = &bench[..bench.rfind("\"sim_imbalance\"").unwrap()];
     let mut table: Vec<(String, &str, String, i32)> = vec![
         ("bench identical".into(), &bench, bench.clone(), 0),
         ("slo identical".into(), &slo, slo.clone(), 0),
         ("bench wall-only".into(), &bench, bench_file("quick", &rows(12_345.6)), 0),
+        ("bench renamed field".into(), &bench, bench_file("quick", &rows_with(466.0, true, false)), 1),
+        ("bench missing field".into(), &bench, bench_file("quick", &rows_with(466.0, false, true)), 1),
         ("bench mode".into(), &bench, bench_file("full", &rows(466.0)), 1),
         ("bench dropped row".into(), &bench, drop_line(&bench, "\"policy\""), 1),
         ("bench added row".into(), &bench, bench_file("quick", &added), 1),
@@ -123,8 +138,8 @@ fn gate_passes_only_on_equality_outside_wall_clock_fields() {
         ("slo added row".into(), &slo, slo_file(&attribution(4)), 1),
         ("slo truncated".into(), &slo, slo.trim_end_matches('\n').to_string(), 1),
     ];
-    // Every digit of both files, `"share"`, `"count"` and
-    // `mean_candidates` included: a bump fails unless it is wall-clock.
+    // Every digit of both files, counts, `sim_` values, `"share"` and
+    // `"count"` included: a bump fails unless it is wall-clock.
     for (base, format) in [(&bench, "bench"), (&slo, "slo")] {
         for (i, (mutated, in_wall)) in digit_mutations(base).into_iter().enumerate() {
             table.push((format!("{format} digit {i}"), base, mutated, if in_wall { 0 } else { 1 }));

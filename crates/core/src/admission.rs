@@ -65,9 +65,6 @@ pub struct AdmissionConfig {
     /// a deterministic latency guarantee, not a statistical one.
     /// `usize::MAX` disables the guard.
     pub call_slots: usize,
-    /// Simulated cost charged per admission decision (the
-    /// `admission.decide` stage).
-    pub decide_cost: SimTime,
     /// Entry bound of the admission stale cache consulted for shed
     /// requests.
     pub stale_capacity: usize,
@@ -79,7 +76,6 @@ impl Default for AdmissionConfig {
             queues: 8,
             capacity: 32,
             call_slots: usize::MAX,
-            decide_cost: SimTime::micros(1),
             stale_capacity: 4096,
         }
     }

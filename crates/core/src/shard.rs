@@ -319,6 +319,10 @@ struct ShardAccum {
 /// How many hottest users/paths the observability snapshot keeps.
 const HOT_KEY_TOP_K: usize = 10;
 
+/// Simulated cost charged per admission decision (the
+/// `admission.decide` stage).
+const ADMISSION_DECIDE_COST: SimTime = SimTime::micros(1);
+
 /// N independent [`Gupster`] shards behind one facade: mutations route
 /// to the owning shard, batches scatter across shard worker threads
 /// and gather in stable request order.
@@ -779,7 +783,7 @@ impl ShardedRegistry {
             // The admission decision itself is a per-request fixed-cost
             // stage charged to the owning shard's hub, so the fleet
             // `admission.decide` histogram is shard-count invariant.
-            hub.record_stage(stage::ADMISSION_DECIDE, config.decide_cost);
+            hub.record_stage(stage::ADMISSION_DECIDE, ADMISSION_DECIDE_COST);
 
             completions.clear();
             let offer = {

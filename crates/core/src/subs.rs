@@ -47,10 +47,9 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
-use gupster_netsim::SimTime;
 use gupster_policy::{pep, DecisionMemo, MemoKey, Pdp, Purpose, WeekTime};
 use gupster_store::ChangeEvent;
-use gupster_telemetry::{stage, TelemetryHub};
+use gupster_telemetry::TelemetryHub;
 use gupster_xpath::{may_overlap, Path};
 
 use crate::client::StorePool;
@@ -207,8 +206,8 @@ impl FanoutShard {
         true
     }
 
-    /// [`ShardedFanout::on_event`], charging the index stage and its
-    /// counters to `hub` when one is attached.
+    /// [`ShardedFanout::on_event`], counting index hits and fallback
+    /// scans on `hub` when one is attached.
     fn match_event(&self, event: &ChangeEvent, hub: Option<&TelemetryHub>) -> MatchOutcome {
         let Some(ix) = self.owners.get(&event.user) else {
             return MatchOutcome { notifications: Vec::new(), examined: 0, indexed: true };
@@ -244,10 +243,6 @@ impl FanoutShard {
             if let Some(hub) = hub {
                 hub.counters().fallback_scans.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        if let Some(hub) = hub {
-            // 1µs for the walk plus 1µs per candidate confirmed.
-            hub.record_stage(stage::SUBS_INDEX, SimTime::micros(1 + examined as u64));
         }
         MatchOutcome { notifications, examined, indexed }
     }

@@ -19,12 +19,14 @@
 //! always carries one row per registered user.
 //!
 //! Reconciliation itself is the delta fast path of `gupster-sync`
-//! ([`gupster_sync::delta_two_way_sync_traced`]): two hub-centred
-//! rounds relay every device's edits to every other device, then each
-//! replica's change log is **compacted** against its live peer anchors.
+//! ([`gupster_sync::delta_two_way_sync`]): two hub-centred rounds relay
+//! every device's edits to every other device, then each replica's
+//! change log is **compacted** against its live peer anchors.
 //! [`SyncPlane::use_oracle`] switches the same plane onto the naive
-//! [`gupster_sync::two_way_sync_traced`] path — the experiment baseline
-//! and the differential-test oracle.
+//! [`gupster_sync::two_way_sync`] path — the experiment baseline and the
+//! differential-test oracle. A pass reports what it did as counts (pairs
+//! compared, ops shipped, bytes, conflicts, slow syncs, entries
+//! compacted) and adds them to the telemetry hub's sync counters.
 //!
 //! A committed reconcile is a profile **write**, and the registry holds
 //! derived state that must not survive one: memoized PDP decisions,
@@ -38,13 +40,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use gupster_store::ChangeEvent;
-use gupster_sync::{
-    compact_traced, delta_two_way_sync_traced, two_way_sync_traced, ReconcilePolicy, Replica,
-    SyncReport,
-};
+use gupster_sync::{delta_two_way_sync, two_way_sync, ReconcilePolicy, Replica, SyncReport};
 use gupster_telemetry::TelemetryHub;
 use gupster_xml::{EditOp, Element, MergeKeys, NodePath, XmlError};
 use gupster_xpath::{LocStep, Path};
@@ -205,7 +205,7 @@ pub struct SyncPlane {
     /// Conflict policy applied in every session.
     pub policy: ReconcilePolicy,
     /// When true, sessions run through the naive
-    /// [`gupster_sync::two_way_sync_traced`] oracle (pairwise conflict
+    /// [`gupster_sync::two_way_sync`] oracle (pairwise conflict
     /// scan, owned-path framing, no compaction) — the measured baseline
     /// for the delta path.
     pub use_oracle: bool,
@@ -304,7 +304,9 @@ impl SyncPlane {
     /// compaction (delta mode only). Idle stars get their converged,
     /// zero-session row without being visited. The returned report has
     /// one row per user, sorted by owner, and is byte-identical at any
-    /// shard count.
+    /// shard count. Its totals are added to `telemetry`'s
+    /// `sync_sessions`, `sync_ops_shipped`, `sync_conflicts`,
+    /// `sync_slow_paths` and `compacted_ops` counters.
     pub fn reconcile(&mut self, telemetry: &Arc<TelemetryHub>) -> PlaneReport {
         let (policy, oracle) = (self.policy, self.use_oracle);
         // One row per star in owner order; a dirty star's row is
@@ -326,7 +328,7 @@ impl SyncPlane {
                 let out = bucket.iter().map(|&k| {
                     let owner = &rows[dirty[k]].owner;
                     let u = stars.get_mut(owner).expect("a star lives on its owner's shard");
-                    reconcile_user(owner, u, policy, oracle, telemetry)
+                    reconcile_user(owner, u, policy, oracle)
                 });
                 ((), out.collect())
             },
@@ -334,7 +336,18 @@ impl SyncPlane {
         for (row, outcome) in dirty.into_iter().zip(outcomes) {
             rows[row] = outcome;
         }
-        PlaneReport::from_users(rows)
+        let report = PlaneReport::from_users(rows);
+        let counters = telemetry.counters();
+        for (counter, total) in [
+            (&counters.sync_sessions, report.sessions),
+            (&counters.sync_ops_shipped, report.shipped),
+            (&counters.sync_conflicts, report.conflicts),
+            (&counters.sync_slow_paths, report.slow_syncs),
+            (&counters.compacted_ops, report.compacted),
+        ] {
+            counter.fetch_add(total as u64, Ordering::Relaxed);
+        }
+        report
     }
 }
 
@@ -347,18 +360,12 @@ fn reconcile_user(
     u: &mut UserReplicas,
     policy: ReconcilePolicy,
     oracle: bool,
-    telemetry: &Arc<TelemetryHub>,
 ) -> UserOutcome {
-    let mut tracer = telemetry.tracer("sync.plane");
+    let session = if oracle { two_way_sync } else { delta_two_way_sync };
     let mut outcome = UserOutcome { owner: owner.to_string(), ..Default::default() };
     for _round in 0..2 {
         for d in &mut u.devices {
-            let result = if oracle {
-                two_way_sync_traced(&mut u.hub, d, policy, &mut tracer)
-            } else {
-                delta_two_way_sync_traced(&mut u.hub, d, policy, &mut tracer)
-            };
-            match result {
+            match session(&mut u.hub, d, policy) {
                 Ok(r) => outcome.absorb(&r),
                 Err(_) => outcome.errors += 1,
             }
@@ -375,11 +382,11 @@ fn reconcile_user(
         let hub_anchors: Vec<u64> =
             u.devices.iter().map(|d| d.anchors.last_seen(&u.hub.id)).collect();
         if !hub_anchors.is_empty() {
-            outcome.compacted += compact_traced(&mut u.hub, &hub_anchors, &mut tracer).dropped();
+            outcome.compacted += u.hub.compact_log(&hub_anchors).dropped();
         }
         for d in &mut u.devices {
             let anchor = u.hub.anchors.last_seen(&d.id);
-            outcome.compacted += compact_traced(d, &[anchor], &mut tracer).dropped();
+            outcome.compacted += d.compact_log(&[anchor]).dropped();
         }
         // `seen` only filters log entries, and no log holds one now;
         // every later entry carries a fresh `(actor, ts)`, since an
@@ -668,6 +675,58 @@ mod tests {
         assert_eq!(delta.shipped, naive.shipped);
         assert!(delta.compared <= naive.compared);
         assert!(delta.bytes_exchanged <= naive.bytes_exchanged);
+    }
+
+    /// A pass adds its report's totals to the hub's five sync counters:
+    /// on delta and oracle planes, at 1 and 2 shards, over a pass with a
+    /// conflict and a pass where a laggard device forces a slow sync.
+    #[test]
+    fn hub_sync_counters_equal_the_report_totals() {
+        for oracle in [false, true] {
+            for shards in [1, 2] {
+                let hub = Arc::new(TelemetryHub::new());
+                let mut plane = plane(shards, 3, 2);
+                plane.use_oracle = oracle;
+                let mut totals = [0u64; 5];
+                let mut pass = |plane: &mut SyncPlane| {
+                    let r = plane.reconcile(&hub);
+                    let counts = [r.sessions, r.shipped, r.conflicts, r.slow_syncs, r.compacted];
+                    for (total, count) in totals.iter_mut().zip(counts) {
+                        *total += count as u64;
+                    }
+                    r
+                };
+                plane.edit_device("user0", 0, set_name("A")).unwrap();
+                plane.edit_device("user0", 1, set_name("B")).unwrap();
+                plane.edit_hub("user1", insert_item("2")).unwrap();
+                pass(&mut plane);
+                // The laggard: a device restored from a backup taken
+                // before item 2 existed cannot apply the hub's next edit
+                // of it, so its session falls back to a slow sync.
+                plane.star("user1").unwrap().devices[0].doc = base();
+                let vip = EditOp::SetAttr {
+                    path: NodePath::root().keyed("item", "id", "2"),
+                    name: "vip".into(),
+                    value: "1".into(),
+                };
+                plane.edit_hub("user1", vip).unwrap();
+                let laggard = pass(&mut plane);
+                assert!(laggard.slow_syncs > 0, "oracle {oracle}, {shards} shards");
+                assert_eq!(laggard.converged_users, 3);
+
+                let c = hub.counter_snapshot();
+                let counters = [
+                    c.sync_sessions,
+                    c.sync_ops_shipped,
+                    c.sync_conflicts,
+                    c.sync_slow_paths,
+                    c.compacted_ops,
+                ];
+                assert_eq!(counters, totals, "oracle {oracle}, {shards} shards");
+                assert!(totals[..4].iter().all(|&t| t > 0), "{totals:?}");
+                assert_eq!(totals[4] == 0, oracle, "only the delta plane compacts");
+            }
+        }
     }
 
     #[test]

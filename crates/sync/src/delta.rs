@@ -27,15 +27,13 @@
 //! byte-identical replicas.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::Ordering;
 
-use gupster_telemetry::{stage, SimTime, Tracer};
 use gupster_xml::{EditOp, NodePath, Step};
 
-use crate::changelog::{CompactStats, LogEntry};
+use crate::changelog::LogEntry;
 use crate::reconcile::ReconcilePolicy;
 use crate::replica::Replica;
-use crate::session::{run_session, run_traced, SyncError, SyncReport};
+use crate::session::{run_session, SyncError, SyncReport};
 
 /// A trie over [`NodePath`] steps indexing one side's new ops by target
 /// path. Conflict candidates for a probe path are the ops at every node
@@ -156,40 +154,6 @@ pub fn delta_two_way_sync(
     policy: ReconcilePolicy,
 ) -> Result<SyncReport, SyncError> {
     run_session(a, b, policy, true)
-}
-
-/// [`delta_two_way_sync`] under a telemetry [`Tracer`], charging the
-/// **same simulated cost model** as
-/// [`crate::two_way_sync_traced`] — 5µs + 10µs/KB shipped, 2µs per
-/// pair compared + 3µs per conflict, 5µs per op applied, 20µs + 20µs/KB
-/// on the slow path — plus a [`stage::SYNC_DELTA`] span of 1µs + 1µs
-/// per (pair examined + op shipped) for index build/probe and
-/// dictionary encoding. Because `compared` and `bytes_exchanged` are
-/// the *measured smaller* values, the charged session time is where
-/// the delta win shows up in experiments.
-pub fn delta_two_way_sync_traced(
-    a: &mut Replica,
-    b: &mut Replica,
-    policy: ReconcilePolicy,
-    tracer: &mut Tracer,
-) -> Result<SyncReport, SyncError> {
-    run_traced(tracer, true, || delta_two_way_sync(a, b, policy))
-}
-
-/// Compacts `r`'s change log against `anchors` under a telemetry
-/// [`Tracer`]: a [`stage::SYNC_COMPACT`] span charged 1µs per entry
-/// examined, and the fleet `compacted_ops` counter advanced by the
-/// number of entries removed.
-pub fn compact_traced(r: &mut Replica, anchors: &[u64], tracer: &mut Tracer) -> CompactStats {
-    let examined = r.log.len() as u64;
-    let stats = r.compact_log(anchors);
-    tracer.span(stage::SYNC_COMPACT, SimTime::micros(1 + examined));
-    tracer
-        .hub()
-        .counters()
-        .compacted_ops
-        .fetch_add(stats.dropped() as u64, Ordering::Relaxed);
-    stats
 }
 
 #[cfg(test)]
@@ -368,40 +332,14 @@ mod tests {
     }
 
     #[test]
-    fn traced_delta_records_delta_stage() {
-        use std::sync::Arc;
-
-        use gupster_telemetry::TelemetryHub;
-
-        let hub = Arc::new(TelemetryHub::new());
-        let (mut a, mut b) = pair();
-        a.edit(set_name("1", "A")).unwrap();
-        b.edit(set_name("1", "B")).unwrap();
-        let mut tracer = hub.tracer("sync.round");
-        let r = delta_two_way_sync_traced(&mut a, &mut b, ReconcilePolicy::LastWriterWins, &mut tracer)
-            .unwrap();
-        drop(tracer);
-        assert!(r.converged);
-        assert!(hub.stage_stats(stage::SYNC_DELTA).is_some());
-        assert_eq!(hub.counter_snapshot().sync_sessions, 1);
-    }
-
-    #[test]
-    fn traced_compaction_counts_dropped_ops() {
-        use std::sync::Arc;
-
-        use gupster_telemetry::TelemetryHub;
-
-        let hub = Arc::new(TelemetryHub::new());
+    fn compaction_coalesces_superseded_edits() {
         let (mut a, _) = pair();
         for i in 0..10 {
             a.edit(set_name("1", &format!("v{i}"))).unwrap();
         }
-        let mut tracer = hub.tracer("compact");
-        let stats = compact_traced(&mut a, &[0], &mut tracer);
-        drop(tracer);
+        let stats = a.compact_log(&[0]);
         assert_eq!(stats.coalesced, 9);
-        assert_eq!(hub.counter_snapshot().compacted_ops, 9);
-        assert!(hub.stage_stats(stage::SYNC_COMPACT).is_some());
+        assert_eq!(stats.dropped(), 9);
+        assert_eq!(a.log.len(), 1);
     }
 }

@@ -11,11 +11,9 @@
 //!   remembers how far into the peer's log it has synced; anchor
 //!   mismatch forces a *slow sync* (full-state compare),
 //! * **two-way sync sessions** ([`two_way_sync`]) with conflict
-//!   detection (overlapping edits since the last anchors),
-//! * **traced sessions** ([`two_way_sync_traced`]): the same session
-//!   under a `gupster-telemetry` tracer — ship/reconcile/apply/slow
-//!   phases become spans with deterministic simulated costs, and the
-//!   hub's sync counters advance,
+//!   detection (overlapping edits since the last anchors); each returns
+//!   a [`SyncReport`] counting the work it did (pairs compared, ops
+//!   shipped, bytes exchanged, slow syncs), which callers tally,
 //! * **reconciliation policies** ([`ReconcilePolicy`]): site priority,
 //!   last-writer-wins, or a manual queue — "end-users should be able to
 //!   provision the policies used to reconcile profile data" (Req. 6),
@@ -42,8 +40,8 @@ mod session;
 
 pub use anchor::Anchors;
 pub use changelog::{ChangeLog, CompactStats};
-pub use delta::{compact_traced, delta_two_way_sync, delta_two_way_sync_traced};
+pub use delta::delta_two_way_sync;
 pub use intern::ActorId;
 pub use reconcile::ReconcilePolicy;
 pub use replica::Replica;
-pub use session::{two_way_sync, two_way_sync_traced, SyncError, SyncReport};
+pub use session::{two_way_sync, SyncError, SyncReport};

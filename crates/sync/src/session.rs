@@ -2,9 +2,7 @@
 
 use std::cmp;
 use std::fmt;
-use std::sync::atomic::Ordering;
 
-use gupster_telemetry::{stage, SimTime, Tracer};
 use gupster_xml::{diff, merge, EditOp, Element, MergeKeys, Node};
 
 use crate::delta::{DeltaCodec, TouchedIndex};
@@ -46,7 +44,7 @@ pub struct SyncReport {
     /// Edit pairs examined during conflict detection (`|a_new| × |b_new|`
     /// in [`two_way_sync`], the index candidates in
     /// [`crate::delta_two_way_sync`]) — the work the reconcile phase
-    /// actually did, which the traced variant charges simulated time for.
+    /// actually did.
     pub compared: usize,
     /// Whether the fast (log-based) path sufficed.
     pub fast_path: bool,
@@ -257,67 +255,6 @@ fn run_slow_sync(
     a.anchors.advance(&b.id, 0);
     b.anchors.advance(&a.id, 0);
     report.converged = a.doc == b.doc;
-}
-
-/// [`two_way_sync`] under a telemetry [`Tracer`]: the session becomes a
-/// [`stage::SYNC_SESSION`] span with per-phase children, charged from a
-/// deterministic simulated cost model (the sync path has no wall clocks,
-/// like the rest of the pipeline):
-///
-/// * [`stage::SYNC_SHIP`] — wire time for the changelog-suffix (or, on
-///   the slow path, whole-document) exchange: 5µs handshake plus 10µs
-///   per KB of [`SyncReport::bytes_exchanged`].
-/// * [`stage::SYNC_RECONCILE`] — conflict detection: 2µs per edit pair
-///   compared plus 3µs per conflict resolved.
-/// * [`stage::SYNC_APPLY`] — 5µs per accepted remote op applied.
-/// * [`stage::SYNC_SLOW`] — only when the slow path ran: 20µs plus 20µs
-///   per KB for the full-document deep merge and rebase.
-///
-/// Also bumps the hub's `sync_sessions`, `sync_ops_shipped`,
-/// `sync_conflicts` and `sync_slow_paths` counters. The returned report
-/// is identical to the untraced call's.
-pub fn two_way_sync_traced(
-    a: &mut Replica,
-    b: &mut Replica,
-    policy: ReconcilePolicy,
-    tracer: &mut Tracer,
-) -> Result<SyncReport, SyncError> {
-    run_traced(tracer, false, || two_way_sync(a, b, policy))
-}
-
-/// Runs `session` inside a [`stage::SYNC_SESSION`] span and charges
-/// its report by the cost model of [`two_way_sync_traced`];
-/// `delta_stage` adds the fast path's [`stage::SYNC_DELTA`] span.
-pub(crate) fn run_traced(
-    tracer: &mut Tracer,
-    delta_stage: bool,
-    session: impl FnOnce() -> Result<SyncReport, SyncError>,
-) -> Result<SyncReport, SyncError> {
-    tracer.enter(stage::SYNC_SESSION);
-    let result = session();
-    if let Ok(report) = &result {
-        let kb_us = |bytes: usize, per_kb: u64| (bytes as u64 * per_kb) / 1024;
-        let shipped = (report.shipped_to_first + report.shipped_to_second) as u64;
-        tracer.span(stage::SYNC_SHIP, SimTime::micros(5 + kb_us(report.bytes_exchanged, 10)));
-        tracer.span(
-            stage::SYNC_RECONCILE,
-            SimTime::micros(2 * report.compared as u64 + 3 * report.conflicts as u64),
-        );
-        if delta_stage {
-            tracer.span(stage::SYNC_DELTA, SimTime::micros(1 + report.compared as u64 + shipped));
-        }
-        tracer.span(stage::SYNC_APPLY, SimTime::micros(5 * shipped));
-        if report.slow_sync {
-            tracer.span(stage::SYNC_SLOW, SimTime::micros(20 + kb_us(report.bytes_exchanged, 20)));
-        }
-        let counters = tracer.hub().counters();
-        counters.sync_sessions.fetch_add(1, Ordering::Relaxed);
-        counters.sync_ops_shipped.fetch_add(shipped, Ordering::Relaxed);
-        counters.sync_conflicts.fetch_add(report.conflicts as u64, Ordering::Relaxed);
-        counters.sync_slow_paths.fetch_add(report.slow_sync as u64, Ordering::Relaxed);
-    }
-    tracer.exit();
-    result
 }
 
 /// Refined conflict test. [`EditOp::overlaps`] is necessary but too
@@ -541,70 +478,15 @@ mod tests {
     }
 
     #[test]
-    fn traced_sync_records_stages_and_counters() {
-        use std::sync::Arc;
-
-        use gupster_telemetry::TelemetryHub;
-
-        let hub = Arc::new(TelemetryHub::new());
+    fn a_session_reports_the_pairs_it_compared() {
         let (mut a, mut b) = pair();
         a.edit(set_name("1", "A")).unwrap();
         b.edit(set_name("1", "B")).unwrap();
         b.edit(insert_item("2", "Bob")).unwrap();
-        let mut tracer = hub.tracer("sync.round");
-        let r =
-            two_way_sync_traced(&mut a, &mut b, ReconcilePolicy::LastWriterWins, &mut tracer)
-                .unwrap();
-        drop(tracer);
-
-        // The report matches an untraced run of the same session.
-        let (mut a2, mut b2) = pair();
-        a2.edit(set_name("1", "A")).unwrap();
-        b2.edit(set_name("1", "B")).unwrap();
-        b2.edit(insert_item("2", "Bob")).unwrap();
-        let plain = two_way_sync(&mut a2, &mut b2, ReconcilePolicy::LastWriterWins).unwrap();
-        assert_eq!(r, plain);
+        let r = two_way_sync(&mut a, &mut b, ReconcilePolicy::LastWriterWins).unwrap();
         assert_eq!(r.compared, 2); // |a_new| × |b_new| = 1 × 2
-
-        let counters = hub.counter_snapshot();
-        assert_eq!(counters.sync_sessions, 1);
-        assert_eq!(counters.sync_conflicts, 1);
-        assert_eq!(
-            counters.sync_ops_shipped as usize,
-            r.shipped_to_first + r.shipped_to_second
-        );
-        assert_eq!(counters.sync_slow_paths, 0);
-        // Every fast-path phase shows up in the stage histograms; the
-        // slow path was not taken, so its stage stays silent.
-        for st in [stage::SYNC_SESSION, stage::SYNC_SHIP, stage::SYNC_RECONCILE, stage::SYNC_APPLY]
-        {
-            assert!(hub.stage_stats(st).is_some(), "missing stage {st}");
-        }
-        assert!(hub.stage_stats(stage::SYNC_SLOW).is_none());
-    }
-
-    #[test]
-    fn traced_slow_sync_charges_the_slow_stage() {
-        use std::sync::Arc;
-
-        use gupster_telemetry::TelemetryHub;
-
-        let hub = Arc::new(TelemetryHub::new());
-        let (mut a, mut b) = pair();
-        a.edit(insert_item("2", "Bob")).unwrap();
-        two_way_sync(&mut a, &mut b, ReconcilePolicy::LastWriterWins).unwrap();
-        b.rebase(book(
-            r#"<address-book><item id="1"><name>Mom</name></item><item id="7"><name>Eve</name></item></address-book>"#,
-        ));
-        b.anchors.advance(&a.id, 0); // forget a's anchor
-        let mut tracer = hub.tracer("sync.round");
-        let r = two_way_sync_traced(&mut a, &mut b, ReconcilePolicy::LastWriterWins, &mut tracer)
-            .unwrap();
-        drop(tracer);
-        assert!(r.slow_sync);
-        assert_eq!(hub.counter_snapshot().sync_slow_paths, 1);
-        let slow = hub.stage_stats(stage::SYNC_SLOW).expect("slow stage recorded");
-        assert!(slow.max >= SimTime::micros(20));
+        assert_eq!(r.conflicts, 1);
+        assert!(r.fast_path && !r.slow_sync);
     }
 
     #[test]

@@ -93,23 +93,6 @@ pub mod stage {
     pub const STALE_SERVE: &str = "resilience.stale";
     /// A request abandoned on deadline-budget exhaustion (marker).
     pub const DEADLINE_EXCEEDED: &str = "resilience.deadline";
-    /// Root span of a two-way changelog sync session.
-    pub const SYNC_SESSION: &str = "sync.session";
-    /// Shipping changelog operations between the replica pair.
-    pub const SYNC_SHIP: &str = "sync.ship";
-    /// Detecting conflicting change pairs (reconciliation).
-    pub const SYNC_RECONCILE: &str = "sync.reconcile";
-    /// Applying accepted remote operations to the local document.
-    pub const SYNC_APPLY: &str = "sync.apply";
-    /// The slow path: full-document exchange and deep merge (marker
-    /// plus cost when taken).
-    pub const SYNC_SLOW: &str = "sync.slow";
-    /// Changelog compaction: truncation below the live-anchor floor
-    /// plus superseded-op coalescing and insert+delete annihilation.
-    pub const SYNC_COMPACT: &str = "sync.compact";
-    /// Delta-session reconciliation: building/probing the touched-path
-    /// index and dictionary-encoding the shipped op batches.
-    pub const SYNC_DELTA: &str = "sync.delta";
     /// One admission-control decision at an ingress queue (fixed cost
     /// per open-loop arrival).
     pub const ADMISSION_DECIDE: &str = "admission.decide";
@@ -119,7 +102,4 @@ pub mod stage {
     /// End-to-end sojourn of a profile-edit / bulk class request under
     /// open-loop load.
     pub const CLASS_PROFILE_EDIT: &str = "class.profile_edit";
-    /// Matching one store change event against the inverted
-    /// subscription index (trie walk + candidate confirmation).
-    pub const SUBS_INDEX: &str = "subs.index";
 }
