@@ -5,7 +5,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use gupster_netsim::SimTime;
-use gupster_policy::{pep, DecisionMemo, MemoKey, Pap, Pdp, Purpose, RequestContext, WeekTime};
+use gupster_policy::pep::{Enforcement, Pep};
+use gupster_policy::{Pap, Purpose, RequestContext, WeekTime};
 use gupster_schema::Schema;
 use gupster_store::StoreId;
 use gupster_telemetry::{stage, TelemetryHub, Tracer};
@@ -80,7 +81,11 @@ pub struct Gupster {
     coverage: HashMap<String, CoverageMap>,
     /// The policy administration point (owns the repository).
     pub pap: Pap,
-    pdp: Pdp,
+    /// The enforcement point (DESIGN.md §7): its decision memo lets
+    /// repeated (owner, context, path) triples skip the PDP entirely.
+    /// Generation-stamped against the policy repository, so PAP writes
+    /// invalidate it exactly.
+    pep: Pep,
     signer: Signer,
     /// owner → requester → relationship, provisioned by owners. Keyed
     /// by owner first so a lookup resolves it from two borrowed `&str`s.
@@ -90,10 +95,6 @@ pub struct Gupster {
     /// The disclosure audit trail (§7's provenance challenge).
     pub provenance: ProvenanceLog,
     telemetry: Arc<TelemetryHub>,
-    /// The decision memo (DESIGN.md §7): repeated (owner, context,
-    /// path) triples skip the PDP entirely. Generation-stamped against
-    /// the policy repository, so PAP writes invalidate it exactly.
-    memo: DecisionMemo,
     /// Referral-token cache (DESIGN.md §7), opt-in: repeated lookups
     /// producing the same rewritten path set reuse the signed token
     /// while it is inside the first half of its freshness window,
@@ -139,13 +140,12 @@ impl Gupster {
             schema,
             coverage: HashMap::new(),
             pap: Pap::new(),
-            pdp: Pdp::new(),
+            pep: Pep::new(4096),
             signer: Signer::new(key, 30),
             relationships: HashMap::new(),
             stats: RegistryStats::default(),
             provenance: ProvenanceLog::with_retention(100_000),
             telemetry: Arc::new(TelemetryHub::new()),
-            memo: DecisionMemo::new(4096),
             token_cache: None,
             write_gens: HashMap::new(),
         }
@@ -174,7 +174,8 @@ impl Gupster {
 
     /// Decision-memo occupancy and counters, for experiment reports.
     pub fn memo_stats(&self) -> (usize, u64, u64) {
-        (self.memo.len(), self.memo.hits, self.memo.misses)
+        let memo = self.pep.memo();
+        (memo.len(), memo.hits, memo.misses)
     }
 
     /// Write-through invalidation (DESIGN.md §13): a committed sync
@@ -191,7 +192,7 @@ impl Gupster {
             return 0;
         }
         *self.write_gens.entry(owner.to_string()).or_insert(0) += 1;
-        let mut dropped = self.memo.invalidate_owner(owner);
+        let mut dropped = self.pep.invalidate_owner(owner);
         if let Some(cache) = &mut self.token_cache {
             dropped += cache.invalidate_owner(owner);
         }
@@ -364,33 +365,22 @@ impl Gupster {
             return Err(GupsterError::UnknownUser(owner.to_string()));
         };
 
-        // 3. Privacy shield: decide and rewrite. The decision memo is
-        // consulted first (a hit touches no rule and is charged 1µs of
-        // simulated time); a miss runs the PDP over the bucketed
-        // candidate rules, charged per rule examined (2µs each:
-        // condition eval + overlap test).
+        // 3. Privacy shield: decide and rewrite. A memo hit touches no
+        // rule and is charged 1µs of simulated time; a miss runs the PDP
+        // over the bucketed candidate rules, charged per rule examined
+        // (2µs each: condition eval + overlap test).
         let ctx = self.context(owner, requester, purpose, time);
         tracer.enter(stage::POLICY_DECIDE);
-        let generation = self.pap.repository.generation();
-        let key = MemoKey::new(owner, &ctx, request);
-        let decision = match self.memo.get(&key, generation) {
-            Some(decision) => {
-                self.telemetry.counters().memo_hits.fetch_add(1, Ordering::Relaxed);
-                tracer.charge(SimTime::micros(1));
-                decision
-            }
-            None => {
-                let (decision, cost) =
-                    self.pdp.decide_with_cost(&self.pap.repository, owner, request, &ctx);
-                self.memo.put(key, generation, decision.clone());
-                tracer.charge(SimTime::micros(1 + 2 * cost.rules_considered));
-                decision
-            }
-        };
-        let enforcement = pep::apply(decision, request);
+        let enforced = self.pep.enforce(&self.pap.repository, owner, request, &ctx);
+        if enforced.memo_hit {
+            self.telemetry.counters().memo_hits.fetch_add(1, Ordering::Relaxed);
+            tracer.charge(SimTime::micros(1));
+        } else {
+            tracer.charge(SimTime::micros(1 + 2 * enforced.rules_considered));
+        }
         tracer.exit();
-        let permitted = match enforcement {
-            pep::Enforcement::Refused => {
+        let permitted = match enforced.enforcement {
+            Enforcement::Refused => {
                 self.stats.denied += 1;
                 self.telemetry.counters().policy_denials.fetch_add(1, Ordering::Relaxed);
                 return Err(GupsterError::AccessDenied {
@@ -398,7 +388,7 @@ impl Gupster {
                     requester: requester.to_string(),
                 });
             }
-            pep::Enforcement::Proceed(paths) => paths,
+            Enforcement::Proceed(paths) => paths,
         };
         let narrowed = !matches!(permitted.as_slice(), [only] if only == request);
 

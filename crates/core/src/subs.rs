@@ -8,10 +8,12 @@
 //! handled by GUPster internally would save this extra work."
 //!
 //! [`ShardedFanout`] implements the internal (push) variant: the shield
-//! is checked **once** at subscribe time; store change events are then
-//! forwarded to matching subscribers. The polling variant is a plain
-//! repeated lookup, which pays the shield check every round —
-//! experiment E10 quantifies the difference.
+//! is checked at subscribe time, and then only when a store change
+//! event actually matches — through a decision memo, so a repeat
+//! delivery costs a memo hit, not a PDP evaluation. The polling variant
+//! is a plain repeated lookup, which consults the shield every round
+//! whether or not anything changed — experiment E10 quantifies the
+//! difference.
 //!
 //! Three layers sit on top of that seed behaviour (DESIGN.md §12):
 //!
@@ -23,13 +25,13 @@
 //!   the pruned candidate set with [`may_overlap`] — instead of the
 //!   naive scan over every subscription in the system, which is kept
 //!   as [`ShardedFanout::on_event_naive`], the differential oracle.
-//!   Scopes are compiled into the trie once at subscribe time; `pump`
-//!   no longer clones the subscription list per cycle.
+//!   Scopes are compiled into the trie once at subscribe time.
 //! - **Policy-filtered staging.** [`ShardedFanout::stage_window`]
-//!   passes every matched notification through the PDP with the
-//!   *subscriber* as requester ([`Purpose::Query`], memoized in a
-//!   [`DecisionMemo`] invalidated by PAP generation bumps), so a push
-//!   can never leak what the equivalent direct query would refuse.
+//!   passes every matched notification through a [`Pep`] — the
+//!   enforcement routine the lookup pipeline uses — with the
+//!   *subscriber* as requester ([`Purpose::Query`]), so a push can
+//!   never leak what the equivalent direct query would refuse. Staging
+//!   is the only way into the delivery window.
 //! - **Coalesced delivery windows.** Staged notifications accumulate
 //!   until [`ShardedFanout::flush_window`], which collapses all
 //!   notifications for one subscriber into one [`DeliveryBatch`]
@@ -47,7 +49,8 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
-use gupster_policy::{pep, DecisionMemo, MemoKey, Pdp, Purpose, WeekTime};
+use gupster_policy::pep::{Enforcement, Pep};
+use gupster_policy::{Purpose, WeekTime};
 use gupster_store::ChangeEvent;
 use gupster_telemetry::TelemetryHub;
 use gupster_xpath::{may_overlap, Path};
@@ -58,7 +61,7 @@ use crate::index::CoverageTrie;
 use crate::registry::Gupster;
 use crate::shard::Shards;
 
-/// Decision-memo capacity of the fanout filter. Sized for the hub
+/// Decision-memo capacity of each shard's [`Pep`]. Sized for the hub
 /// stress shape (100k+ watchers of one owner): each watcher's first
 /// window misses once, later windows hit until the PAP generation
 /// moves.
@@ -160,13 +163,12 @@ impl OwnerIndex {
 }
 
 /// One shard of the fanout plane: the subscriptions of the owners it
-/// holds, their inverted indexes, and the policy filter's memo.
+/// holds, their inverted indexes, and the policy filter's [`Pep`].
 #[derive(Debug)]
 struct FanoutShard {
     subs: HashMap<u64, Subscription>,
     owners: HashMap<String, OwnerIndex>,
-    memo: DecisionMemo,
-    pdp: Pdp,
+    pep: Pep,
 }
 
 impl FanoutShard {
@@ -174,8 +176,7 @@ impl FanoutShard {
         FanoutShard {
             subs: HashMap::new(),
             owners: HashMap::new(),
-            memo: DecisionMemo::new(FANOUT_MEMO_CAPACITY),
-            pdp: Pdp::new(),
+            pep: Pep::new(FANOUT_MEMO_CAPACITY),
         }
     }
 
@@ -254,10 +255,9 @@ impl FanoutShard {
         }
     }
 
-    /// The fanout policy filter: exactly the decision the registry's
-    /// lookup pipeline would render for the subscriber's equivalent
-    /// direct query (same context construction, same PDP, memoized the
-    /// same way) — so deliver ⇔ the direct query is not refused.
+    /// The fanout policy filter: the subscriber's equivalent direct
+    /// query (same context construction), enforced by this shard's
+    /// [`Pep`] — so deliver ⇔ the direct query is not refused.
     fn permit(
         &mut self,
         gupster: &Gupster,
@@ -266,20 +266,11 @@ impl FanoutShard {
         hub: &TelemetryHub,
     ) -> bool {
         let ctx = gupster.context(&n.owner, &n.subscriber, Purpose::Query, time);
-        let generation = gupster.pap.repository.generation();
-        let key = MemoKey::new(&n.owner, &ctx, &n.path);
-        let decision = match self.memo.get(&key, generation) {
-            Some(decision) => {
-                hub.counters().memo_hits.fetch_add(1, Ordering::Relaxed);
-                decision
-            }
-            None => {
-                let decision = self.pdp.decide(&gupster.pap.repository, &n.owner, &n.path, &ctx);
-                self.memo.put(key, generation, decision.clone());
-                decision
-            }
-        };
-        !matches!(pep::apply(decision, &n.path), pep::Enforcement::Refused)
+        let enforced = self.pep.enforce(&gupster.pap.repository, &n.owner, &n.path, &ctx);
+        if enforced.memo_hit {
+            hub.counters().memo_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        !matches!(enforced.enforcement, Enforcement::Refused)
     }
 }
 
@@ -295,9 +286,7 @@ pub struct ShardedFanout {
     /// Notifications staged for the current delivery window.
     pending: Vec<Notification>,
     next_id: u64,
-    /// Policy checks performed (once per subscribe).
-    pub shield_checks: u64,
-    /// Notifications delivered across all pumps and flushed windows.
+    /// Notifications delivered by flushed windows.
     pub delivered: u64,
 }
 
@@ -308,7 +297,6 @@ impl ShardedFanout {
             shards: Shards::new(shards, |_| FanoutShard::new()),
             pending: Vec::new(),
             next_id: 0,
-            shield_checks: 0,
             delivered: 0,
         }
     }
@@ -328,7 +316,6 @@ impl ShardedFanout {
         time: WeekTime,
         now: u64,
     ) -> Result<u64, GupsterError> {
-        self.shield_checks += 1;
         // Reuse the lookup pipeline for the shield + schema checks (the
         // referral itself is discarded; we only need the permission).
         gupster.lookup(owner, path, subscriber, Purpose::Subscribe, time, now)?;
@@ -365,6 +352,15 @@ impl ShardedFanout {
         self.len() == 0
     }
 
+    /// Decision-memo occupancy and counters summed over the shards'
+    /// policy filters, like [`Gupster::memo_stats`]: every filtered
+    /// notification is one hit or one miss (a PDP evaluation).
+    pub fn memo_stats(&self) -> (usize, u64, u64) {
+        self.shards.parts().iter().map(|shard| shard.pep.memo()).fold((0, 0, 0), |a, m| {
+            (a.0 + m.len(), a.1 + m.hits, a.2 + m.misses)
+        })
+    }
+
     /// Notifications staged and not yet flushed.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
@@ -386,7 +382,7 @@ impl ShardedFanout {
     }
 
     /// The retained naive matcher — scans **every** subscription in
-    /// the plane, like the pre-index `pump` did, and reports matches by
+    /// the plane, like the pre-index matcher did, and reports matches by
     /// ascending id (= subscribe order). Kept as the differential
     /// oracle: its notification stream must be byte-identical to
     /// [`on_event`](Self::on_event).
@@ -403,25 +399,11 @@ impl ShardedFanout {
         MatchOutcome { notifications, examined: self.len(), indexed: false }
     }
 
-    /// Drains change events from the stores and fans them out to
-    /// matching subscriptions — the push path, through the inverted
-    /// index. No shield checks happen here; that's the §5.2 saving (use
-    /// [`stage_window`](Self::stage_window) for the policy-filtered
-    /// variant).
-    pub fn pump(&mut self, pool: &mut StorePool) -> Vec<Notification> {
-        let mut out = Vec::new();
-        for (_store, event) in pool.drain_all_events() {
-            out.append(&mut self.on_event(&event).notifications);
-        }
-        self.delivered += out.len() as u64;
-        out
-    }
-
     /// Stages one delivery window: drains change events, matches them
     /// through the index, and passes every candidate notification
-    /// through the PDP **with the subscriber as requester** before it
-    /// may queue — a push never leaks what the equivalent direct query
-    /// would refuse. Decisions are memoized per
+    /// through the owner shard's [`Pep`] **with the subscriber as
+    /// requester** before it may queue — a push never leaks what the
+    /// equivalent direct query would refuse. Decisions are memoized per
     /// `(owner, subscriber-context, path)` and invalidated when the
     /// PAP generation moves.
     pub fn stage_window(
@@ -546,32 +528,35 @@ mod tests {
         (g, pool)
     }
 
+    /// Stages and flushes one delivery window; returns what it delivered.
+    fn deliver(subs: &mut ShardedFanout, g: &Gupster, pool: &mut StorePool) -> Vec<Notification> {
+        subs.stage_window(g, pool, WeekTime::at(0, 9, 0));
+        subs.flush_window(g).into_iter().flat_map(|b| b.notifications).collect()
+    }
+
     #[test]
-    fn push_delivery_after_single_shield_check() {
+    fn push_deliveries_pass_the_memoized_shield() {
         let (mut g, mut pool) = world();
         let mut subs = ShardedFanout::new(1);
         let id = subs
             .subscribe(&mut g, "alice", &p("/user[@id='alice']/presence"), "alice", WeekTime::at(0, 9, 0), 0)
             .unwrap();
-        assert_eq!(subs.shield_checks, 1);
-        // Two updates → two notifications, zero extra shield checks.
-        pool.update(
-            &StoreId::new("gup.spcs.com"),
-            "alice",
-            &UpdateOp::SetText(p("/user/presence"), "busy".into()),
-        )
-        .unwrap();
-        pool.update(
-            &StoreId::new("gup.spcs.com"),
-            "alice",
-            &UpdateOp::SetText(p("/user/presence"), "away".into()),
-        )
-        .unwrap();
-        let notes = subs.pump(&mut pool);
-        assert_eq!(notes.len(), 2);
-        assert_eq!(notes[0].subscription_id, id);
-        assert_eq!(subs.shield_checks, 1);
+        // Two updates in two windows → two deliveries; the second one's
+        // shield check is a memo hit, not a PDP evaluation.
+        for value in ["busy", "away"] {
+            pool.update(
+                &StoreId::new("gup.spcs.com"),
+                "alice",
+                &UpdateOp::SetText(p("/user/presence"), value.into()),
+            )
+            .unwrap();
+            let notes = deliver(&mut subs, &g, &mut pool);
+            assert_eq!(notes.len(), 1);
+            assert_eq!(notes[0].subscription_id, id);
+        }
         assert_eq!(subs.delivered, 2);
+        assert_eq!(g.telemetry().counter_snapshot().memo_hits, 1);
+        assert_eq!(subs.memo_stats(), (1, 1, 1));
     }
 
     #[test]
@@ -589,7 +574,7 @@ mod tests {
             ),
         )
         .unwrap();
-        assert!(subs.pump(&mut pool).is_empty());
+        assert!(deliver(&mut subs, &g, &mut pool).is_empty());
     }
 
     #[test]
@@ -654,7 +639,7 @@ mod tests {
             &UpdateOp::SetText(p("/user/presence"), "busy".into()),
         )
         .unwrap();
-        assert!(subs.pump(&mut pool).is_empty());
+        assert!(deliver(&mut subs, &g, &mut pool).is_empty());
     }
 
     #[test]

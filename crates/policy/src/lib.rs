@@ -17,9 +17,10 @@
 //! * [`PolicyRepository`] — stores per-user rule sets,
 //! * [`Pap`] — the administration point: provision and validate rules,
 //! * [`Pdp`] — the decision point: pure decision, no side effects,
-//! * [`pep::enforce`] — the enforcement point: rewrites or refuses the
-//!   request according to the decision (GUPster plays this role; data
-//!   stores are execution points).
+//! * [`pep::Pep`] — the enforcement point: asks the PDP (through a
+//!   [`DecisionMemo`]) and rewrites or refuses the request according to
+//!   the decision (GUPster plays this role for lookups and pushes alike;
+//!   data stores are execution points).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

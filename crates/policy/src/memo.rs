@@ -101,12 +101,11 @@ impl DecisionMemo {
     }
 
     /// Drops every memoized decision about `owner`'s profile — the
-    /// write-through invalidation hook (DESIGN.md §13): a committed
-    /// profile write may change what the owner's rules evaluate to
-    /// (attribute-conditioned policies), so their decisions must be
-    /// recomputed. Walks the owner's own entry list only. Returns how
-    /// many entries were dropped.
-    pub fn invalidate_owner(&mut self, owner: &str) -> usize {
+    /// registry's write-through invalidation hook (DESIGN.md §13; a
+    /// conservative drop, since no decision reads profile data). Walks
+    /// the owner's own entry list only. Returns how many entries were
+    /// dropped.
+    pub(crate) fn invalidate_owner(&mut self, owner: &str) -> usize {
         self.entries.invalidate_owner(owner)
     }
 }

@@ -87,7 +87,7 @@ impl PolicyRepository {
     /// The repository's write generation. Bumped to a process-wide
     /// unique value on every mutation; a memoized decision stamped with
     /// an older generation is stale. `0` means "never written".
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 

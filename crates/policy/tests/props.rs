@@ -2,9 +2,8 @@
 //! condition-parser robustness, time-window semantics, and PDP
 //! determinism/monotonicity. Deterministic — see `gupster_rng::check`.
 
-use gupster_policy::{
-    pep, Condition, Pdp, PolicyRepository, Purpose, RequestContext, Rule, WeekTime,
-};
+use gupster_policy::pep::{Enforcement, Pep};
+use gupster_policy::{Condition, Pdp, PolicyRepository, Purpose, RequestContext, Rule, WeekTime};
 use gupster_rng::check::{self, cases};
 use gupster_rng::Rng;
 use gupster_xpath::Path;
@@ -123,7 +122,7 @@ fn deny_rules_never_widen_access() {
 fn enforcement_paths_nonempty() {
     cases(256, 0x90_06, |rng| {
         let rel = check::lowercase(rng, 1, 6);
-        let pdp = Pdp::new();
+        let mut pep = Pep::new(8);
         let mut repo = PolicyRepository::new();
         repo.put(
             "alice",
@@ -136,9 +135,9 @@ fn enforcement_paths_nonempty() {
         let req = Path::parse("/user/presence").unwrap();
         let ctx = RequestContext::query("rick", &rel, WeekTime::at(1, 10, 0))
             .with_purpose(Purpose::Query);
-        match pep::enforce(&pdp, &repo, "alice", &req, &ctx) {
-            pep::Enforcement::Proceed(paths) => assert!(!paths.is_empty()),
-            pep::Enforcement::Refused => panic!("matching permit must proceed"),
+        match pep.enforce(&repo, "alice", &req, &ctx).enforcement {
+            Enforcement::Proceed(paths) => assert!(!paths.is_empty()),
+            Enforcement::Refused => panic!("matching permit must proceed"),
         }
     });
 }

@@ -81,9 +81,14 @@ fn main() {
     println!("post-update schema validation: {} error(s)", errs.len());
 
     // 3. Everyone learns about it — push notifications, no re-entry.
-    let notes = subs.pump(&mut pool);
+    //    Each one passes the privacy shield before it is sent; both
+    //    subscriptions are Alice's, so the window coalesces their two
+    //    matches into one message.
+    subs.stage_window(&gupster, &mut pool, WeekTime::at(0, 10, 0));
+    let batches = subs.flush_window(&gupster);
+    let notes: Vec<_> = batches.iter().flat_map(|b| &b.notifications).collect();
     println!("\npush notifications delivered: {}", notes.len());
-    for n in &notes {
+    for n in notes {
         println!("  → subscriber {} notified of change at {}", n.subscriber, n.path);
     }
 

@@ -150,9 +150,11 @@ fn subscriptions_deliver_across_the_federation() {
         &UpdateOp::SetText(p("/user/presence"), "away".into()),
     )
     .unwrap();
-    let notes = subs.pump(&mut pool);
-    assert_eq!(notes.len(), 1);
-    assert_eq!(notes[0].owner, "alice");
+    subs.stage_window(&g, &mut pool, noon());
+    let batches = subs.flush_window(&g);
+    assert_eq!(batches.len(), 1);
+    assert_eq!(batches[0].notifications.len(), 1);
+    assert_eq!(batches[0].notifications[0].owner, "alice");
 }
 
 #[test]

@@ -5,10 +5,11 @@
 //! the same byte stream at 1, 2 and 8 shards, and a pushed notification
 //! must never leak what the direct query path would refuse.
 
-use gupster::core::{Gupster, GupsterError, ShardedFanout};
+use gupster::core::{Gupster, GupsterError, ShardedFanout, StorePool};
 use gupster::policy::{Effect, Purpose, WeekTime};
 use gupster::schema::gup_schema;
-use gupster::store::{ChangeEvent, StoreId};
+use gupster::store::{ChangeEvent, DataStore, StoreId, UpdateOp, XmlStore};
+use gupster::xml::parse;
 use gupster::xpath::Path;
 use gupster_rng::check::cases;
 use gupster_rng::{Rng, StdRng};
@@ -93,6 +94,23 @@ fn rand_event(r: &mut StdRng, generation: u64) -> ChangeEvent {
         _ => Path::parse(&format!("/user/{}", *r.pick(&COMPONENTS))).unwrap(),
     };
     ChangeEvent { user, path, generation }
+}
+
+/// One store holding a profile for every owner and for `mallory`, with
+/// every node a [`rand_event`] path can name — so writing an event's
+/// path there emits that same event.
+fn profile_pool() -> StorePool {
+    let mut store = XmlStore::new("profiles");
+    for user in OWNERS.iter().chain(&["mallory"]) {
+        let xml = format!(
+            r#"<user id="{user}"><presence>on</presence><address-book><item id="0"/><item id="1"/><item id="2"/><item id="3"/></address-book><devices><device/></devices></user>"#
+        );
+        store.put_profile(parse(&xml).unwrap()).unwrap();
+    }
+    store.drain_events();
+    let mut pool = StorePool::new();
+    pool.add(Box::new(store));
+    pool
 }
 
 /// Subscribes a random population into `targets` (same sequence into
@@ -226,10 +244,12 @@ fn unsubscribe_mid_window_is_dropped_on_every_plane() {
     });
 }
 
-/// The policy-leak differential (ISSUE 9 satellite d): tighten the
-/// shield *after* subscriptions exist, stage a window, and check both
-/// directions — every delivered notification would also be permitted
-/// on the direct query path, and every suppressed one is refused there.
+/// The policy-leak differential: tighten the shield *after*
+/// subscriptions exist, stage a window — from store writes through
+/// `stage_window` or from a replayed stream through `stage_events` —
+/// and check both directions: every delivered notification would also
+/// be permitted on the direct query path, and every suppressed one is
+/// refused there.
 // The explicit deref on `Rng::pick` below is load-bearing: without it
 // the item type infers as unsized `str` and the call fails to compile.
 #[allow(clippy::explicit_auto_deref)]
@@ -241,13 +261,17 @@ fn push_delivers_exactly_what_a_direct_query_permits() {
         let mut mgr = ShardedFanout::new(1);
         subscribe_population(r, &mut g, &mut mgr, std::slice::from_mut(&mut plane));
 
-        // Tighten: random relationships, then high-priority deny rules
-        // layered over the open permits (generation bumps flush memos).
+        // Tighten: random relationships, withdrawn open permits, then
+        // high-priority deny rules layered over the open permits that
+        // remain (generation bumps flush memos).
         for owner in OWNERS {
             for watcher in WATCHERS {
                 if r.gen_bool(0.5) {
                     g.set_relationship(owner, watcher, *r.pick(&RELATIONSHIPS));
                 }
+            }
+            if r.gen_bool(0.2) {
+                assert!(g.pap.withdraw(owner, "open"));
             }
             for (j, scope) in DENY_SCOPES.iter().enumerate() {
                 if r.gen_bool(0.3) {
@@ -260,7 +284,19 @@ fn push_delivers_exactly_what_a_direct_query_permits() {
 
         let events: Vec<ChangeEvent> =
             (0..r.gen_range(5..25)).map(|i| rand_event(r, i as u64)).collect();
-        let outcome = plane.stage_events(&g, &events, t());
+        let outcome = if r.gen_bool(0.5) {
+            let mut pool = profile_pool();
+            for e in &events {
+                let op = UpdateOp::SetAttr(e.path.clone(), "rev".into(), e.generation.to_string());
+                pool.update(&StoreId::new("profiles"), &e.user, &op).unwrap();
+            }
+            let staged = plane.stage_window(&g, &mut pool, t());
+            let replayed = mgr.stage_events(&g, &events, t());
+            assert_eq!(staged, replayed, "store-emitted window diverged from the replayed stream");
+            staged
+        } else {
+            plane.stage_events(&g, &events, t())
+        };
         let delivered = plane.flush_window(&g);
 
         for batch in &delivered {
