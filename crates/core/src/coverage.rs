@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use gupster_store::StoreId;
 use gupster_xpath::{covers, may_overlap, Path};
 
-use crate::index::CoverageTrie;
+use crate::index::{CoverageTrie, TrieWalk};
 
 /// How a request matched the registered coverage.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -144,33 +144,39 @@ impl CoverageMap {
     /// [`CoverageMap::match_request`] plus how the index answered.
     pub fn match_request_with_stats(&self, request: &Path) -> (CoverageMatch, MatchStats) {
         let mut m = CoverageMatch::default();
-        let stats = self.visit_matches(request, |store, registered, full| m.push(store, registered, request, full));
+        let stats = self.visit_matches(request, &mut TrieWalk::default(), |idx, full| {
+            let (registered, stores) = &self.entries[idx];
+            m.push(stores, registered, request, full)
+        });
         (m, stats)
     }
 
     /// The match without the copies: hands each matching registration
-    /// to `visit` as `(store, registered path, full)`, in registration
-    /// order, lending what the map holds. The trie's candidates are
+    /// to `visit` as `(entry index, full)`, in registration order; the
+    /// entry is `self.entries()[index]`. The trie's candidates are
     /// examined, or every entry when the trie cannot answer the
-    /// request.
-    pub(crate) fn visit_matches<'a>(
-        &'a self,
+    /// request. The walk works in the caller's `walk` buffers.
+    pub(crate) fn visit_matches(
+        &self,
         request: &Path,
-        mut visit: impl FnMut(&'a StoreId, &'a Path, bool),
+        walk: &mut TrieWalk,
+        mut visit: impl FnMut(usize, bool),
     ) -> MatchStats {
         let registered = self.entries.len();
-        let mut candidates = Vec::new();
-        if !self.trie.candidates(request, &mut candidates) {
-            for (path, stores) in &self.entries {
-                match_one(path, stores, request, &mut visit);
+        if !self.trie.candidates(request, walk) {
+            for (idx, (path, _)) in self.entries.iter().enumerate() {
+                if let Some(full) = serves(path, request) {
+                    visit(idx, full);
+                }
             }
             return MatchStats { candidates: registered, registered, used_index: false };
         }
-        for &idx in &candidates {
-            let (path, stores) = &self.entries[idx];
-            match_one(path, stores, request, &mut visit);
+        for &idx in &walk.candidates {
+            if let Some(full) = serves(&self.entries[idx].0, request) {
+                visit(idx, full);
+            }
         }
-        MatchStats { candidates: candidates.len(), registered, used_index: true }
+        MatchStats { candidates: walk.candidates.len(), registered, used_index: true }
     }
 
     /// The retained naive scan: examines every registration. The
@@ -178,42 +184,36 @@ impl CoverageMap {
     pub fn match_request_naive(&self, request: &Path) -> CoverageMatch {
         let mut m = CoverageMatch::default();
         for (path, stores) in &self.entries {
-            match_one(path, stores, request, &mut |store, registered, full| {
-                m.push(store, registered, request, full)
-            });
+            if let Some(full) = serves(path, request) {
+                m.push(stores, path, request, full);
+            }
         }
         m
     }
 }
 
 impl CoverageMatch {
-    /// Records one visited match: a full source is asked for the
-    /// request itself, a partial one is listed with its narrower
+    /// Records one matching registration: a full source is asked for
+    /// the request itself, a partial one is listed with its narrower
     /// registered path.
-    fn push(&mut self, store: &StoreId, registered: &Path, request: &Path, full: bool) {
-        if full {
-            self.full.push((store.clone(), request.clone()));
-        } else {
-            self.partial.push((store.clone(), registered.clone()));
+    fn push(&mut self, stores: &[StoreId], registered: &Path, request: &Path, full: bool) {
+        for store in stores {
+            if full {
+                self.full.push((store.clone(), request.clone()));
+            } else {
+                self.partial.push((store.clone(), registered.clone()));
+            }
         }
     }
 }
 
 /// The exact per-entry test, shared by the indexed and naive paths so
 /// they cannot diverge in semantics — only in which entries they
-/// examine.
-fn match_one<'a>(
-    path: &'a Path,
-    stores: &'a [StoreId],
-    request: &Path,
-    visit: &mut impl FnMut(&'a StoreId, &'a Path, bool),
-) {
+/// examine: `Some(full)` when the registration at `path` serves
+/// `request`, wholly or in part.
+fn serves(path: &Path, request: &Path) -> Option<bool> {
     let full = covers(path, request);
-    if full || may_overlap(path, request) {
-        for s in stores {
-            visit(s, path, full);
-        }
-    }
+    (full || may_overlap(path, request)).then_some(full)
 }
 
 #[cfg(test)]

@@ -106,85 +106,83 @@ impl CoverageTrie {
         self.nodes[node].entries.push(idx);
     }
 
-    /// Collects into `out` every entry index that can possibly cover or
-    /// overlap `request` (a sorted, deduplicated superset). Returns
-    /// `false` when the request leaves the core fragment — the caller
-    /// must fall back to the naive scan.
-    pub(crate) fn candidates(&self, request: &Path, out: &mut Vec<usize>) -> bool {
+    /// Collects into `walk.candidates` every entry index that can
+    /// possibly cover or overlap `request` (a sorted, deduplicated
+    /// superset), working in `walk`'s buffers. Returns `false` when the
+    /// request leaves the core fragment — the caller must fall back to
+    /// the naive scan.
+    pub(crate) fn candidates(&self, request: &Path, walk: &mut TrieWalk) -> bool {
+        let TrieWalk { candidates: out, frontier, next } = walk;
+        out.clear();
+        frontier.clear();
         if !request.is_core_fragment() {
             return false;
         }
         out.extend_from_slice(&self.fallback);
         out.extend_from_slice(&self.nodes[0].entries);
-        let mut frontier: Vec<usize> = vec![0];
-        let mut scratch: Vec<usize> = Vec::new();
+        frontier.push(0);
         let mut full_walk = true;
         for step in &request.steps {
             let NameTest::Name(name) = &step.test else {
-                // Core-fragment paths carry no wildcards.
-                unreachable!("core fragment step has a concrete name")
+                // Core-fragment paths carry no wildcards; should one
+                // slip through, the naive scan still answers exactly.
+                return false;
             };
             let Some(name_id) = NameInterner::lookup(name) else {
                 // Never-interned name: no registered spine goes deeper.
                 full_walk = false;
                 break;
             };
-            // The request step's pinned attributes: an edge keyed
-            // `[@a='w']` survives only if the request either pins a to w
-            // or does not pin a at all (then they may still overlap).
-            let mut pins: Vec<(NameId, &str)> = Vec::new();
-            for p in &step.predicates {
-                if let Predicate::AttrEq(a, v) = p {
-                    if let Some(a_id) = NameInterner::lookup(a) {
-                        pins.push((a_id, v));
-                    }
-                }
-            }
             let key = (name_id, step.axis == Axis::Attribute);
-            scratch.clear();
-            for &node in &frontier {
+            next.clear();
+            for &node in frontier.iter() {
                 let Some(bucket) = self.nodes[node].children.get(&key) else { continue };
                 if let Some(bare) = bucket.bare {
-                    scratch.push(bare);
+                    next.push(bare);
                 }
                 for (attr, values) in &bucket.by_attr {
+                    // An edge keyed `[@a='w']` survives only if the
+                    // request step either pins a to w or does not pin a
+                    // at all (then they may still overlap).
                     let mut pinned = false;
-                    for (a, v) in &pins {
-                        if a == attr {
-                            pinned = true;
-                            if let Some(&child) = values.get(*v) {
-                                scratch.push(child);
+                    for p in &step.predicates {
+                        if let Predicate::AttrEq(a, v) = p {
+                            if NameInterner::lookup(a) == Some(*attr) {
+                                pinned = true;
+                                if let Some(&child) = values.get(v.as_str()) {
+                                    next.push(child);
+                                }
                             }
                         }
                     }
                     if !pinned {
-                        scratch.extend(values.values().copied());
+                        next.extend(values.values().copied());
                     }
                 }
             }
-            std::mem::swap(&mut frontier, &mut scratch);
+            std::mem::swap(frontier, next);
             if frontier.is_empty() {
                 full_walk = false;
                 break;
             }
-            for &node in &frontier {
+            for &node in frontier.iter() {
                 out.extend_from_slice(&self.nodes[node].entries);
             }
         }
         if full_walk {
             // Registrations strictly below the request's spine are the
-            // partial-overlap candidates (Fig. 9 split sources).
-            let mut stack = frontier;
-            while let Some(node) = stack.pop() {
+            // partial-overlap candidates (Fig. 9 split sources). The
+            // frontier becomes the depth-first stack.
+            while let Some(node) = frontier.pop() {
                 for bucket in self.nodes[node].children.values() {
                     if let Some(bare) = bucket.bare {
                         out.extend_from_slice(&self.nodes[bare].entries);
-                        stack.push(bare);
+                        frontier.push(bare);
                     }
                     for (_, values) in &bucket.by_attr {
                         for &child in values.values() {
                             out.extend_from_slice(&self.nodes[child].entries);
-                            stack.push(child);
+                            frontier.push(child);
                         }
                     }
                 }
@@ -196,6 +194,19 @@ impl CoverageTrie {
     }
 }
 
+/// The buffers a trie walk works in. The caller owns them and hands
+/// the same ones to every walk, so a warm walk allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct TrieWalk {
+    /// The last walk's result: candidate entry indices, sorted and
+    /// deduplicated.
+    pub(crate) candidates: Vec<usize>,
+    /// The trie nodes the walk has reached, then its depth-first stack.
+    frontier: Vec<usize>,
+    /// The nodes one step further down, while a step is walked.
+    next: Vec<usize>,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,8 +216,8 @@ mod tests {
     }
 
     fn cands(trie: &CoverageTrie, req: &str) -> Option<Vec<usize>> {
-        let mut out = Vec::new();
-        trie.candidates(&p(req), &mut out).then_some(out)
+        let mut walk = TrieWalk::default();
+        trie.candidates(&p(req), &mut walk).then_some(walk.candidates)
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The GUPster server: registration, lookup, rewriting, referrals.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -14,6 +14,7 @@ use gupster_xpath::{KeyDigest, OwnedKey, OwnerLru, Path};
 
 use crate::coverage::CoverageMap;
 use crate::error::GupsterError;
+use crate::index::TrieWalk;
 use crate::provenance::ProvenanceLog;
 use crate::referral::{Referral, ReferralEntry};
 use crate::token::{SignedQuery, Signer};
@@ -104,6 +105,11 @@ pub struct Gupster {
     /// committed sync touching the owner's profile, alongside dropping
     /// the owner's derived registry state (memo, token cache).
     write_gens: HashMap<String, u64>,
+    /// The coverage trie walk's buffers, reused by every lookup.
+    walk: TrieWalk,
+    /// Lookup step 4b's `(entry index, full)` matches for one path,
+    /// reused by every lookup.
+    matched: Vec<(usize, bool)>,
 }
 
 /// Tokens the referral-token cache holds before the least recently
@@ -148,6 +154,8 @@ impl Gupster {
             telemetry: Arc::new(TelemetryHub::new()),
             token_cache: None,
             write_gens: HashMap::new(),
+            walk: TrieWalk::default(),
+            matched: Vec::new(),
         }
     }
 
@@ -413,13 +421,11 @@ impl Gupster {
         // ones, each store once per path.
         tracer.enter(stage::COVERAGE_MATCH);
         let mut entries: Vec<ReferralEntry> = Vec::new();
-        let mut matched: Vec<(&StoreId, bool)> = Vec::new();
-        let mut seen: HashSet<&StoreId> = HashSet::new();
         let mut examined: u64 = 0;
+        let (walk, matched) = (&mut self.walk, &mut self.matched);
         for p in rewritten {
             matched.clear();
-            let match_stats =
-                coverage.visit_matches(&p, |store, _registered, full| matched.push((store, full)));
+            let match_stats = coverage.visit_matches(&p, walk, |idx, full| matched.push((idx, full)));
             if match_stats.used_index {
                 self.telemetry.counters().trie_hits.fetch_add(1, Ordering::Relaxed);
                 tracer.enter(stage::COVERAGE_INDEX);
@@ -434,14 +440,27 @@ impl Gupster {
             if entries.iter().any(|e| e.path == p) {
                 continue;
             }
-            matched.sort_by_key(|&(_, full)| !full);
-            seen.clear();
-            matched.retain(|&(store, _)| seen.insert(store));
-            if let Some(((last, last_complete), rest)) = matched.split_last() {
-                for &(store, complete) in rest {
-                    entries.push(ReferralEntry { store: store.clone(), path: p.clone(), complete });
+            // Entries arrive in ascending index order, so ordering by
+            // (partial?, index) lists full sources first and keeps the
+            // arrival order within each kind. A store keeps its first
+            // listing only.
+            matched.sort_unstable_by_key(|&(idx, full)| (!full, idx));
+            let first = entries.len();
+            for &(idx, complete) in matched.iter() {
+                for store in &coverage.entries()[idx].1 {
+                    if !entries[first..].iter().any(|e| &e.store == store) {
+                        let path = Path { steps: Vec::new() };
+                        entries.push(ReferralEntry { store: store.clone(), path, complete });
+                    }
                 }
-                entries.push(ReferralEntry { store: (*last).clone(), path: p, complete: *last_complete });
+            }
+            // Every new entry asks for `p`: copies for all but the
+            // last, which takes it.
+            if let Some((last, rest)) = entries[first..].split_last_mut() {
+                for e in rest {
+                    e.path = p.clone();
+                }
+                last.path = p;
             }
         }
         tracer.charge(SimTime::micros(1 + examined));
@@ -786,9 +805,10 @@ mod tests {
     #[test]
     fn huge_referral_dedups_without_quadratic_scan() {
         // Regression: `push_unique` scanned the whole entry list per
-        // insert (O(n²)); a 10k-fragment referral now builds through a
-        // set. Two stores per item exercise the dedup on both the
-        // partial and full arms.
+        // insert (O(n²)); a 10k-fragment referral now scans only the
+        // entries already listed for its path, one per distinct store.
+        // Two stores per item exercise the dedup on both the partial
+        // and full arms.
         let mut g = Gupster::new(gup_schema(), b"k");
         for i in 0..10_000 {
             g.register_component(
@@ -825,6 +845,34 @@ mod tests {
         let c = g.telemetry().counter_snapshot();
         assert_eq!(c.trie_hits, 2);
         assert_eq!(c.fallback_scans, 0);
+    }
+
+    #[test]
+    fn referral_lists_full_sources_first_and_each_store_once() {
+        // The partial registration comes first, and one store holds
+        // both a partial and a full registration: it is listed once, as
+        // a full source, and full sources lead in registration order.
+        let mut g = Gupster::new(gup_schema(), b"k");
+        let book = "/user[@id='arnaud']/address-book";
+        for (path, store) in [
+            (format!("{book}/item[@type='personal']"), "gup.yahoo.com"),
+            (book.to_string(), "gup.spcs.com"),
+            (book.to_string(), "gup.yahoo.com"),
+        ] {
+            g.register_component("arnaud", p(&path), sid(store)).unwrap();
+        }
+        let out = g.lookup("arnaud", &p(book), "arnaud", Purpose::Query, noon(), 0).unwrap();
+        let listed: Vec<_> = out
+            .referral
+            .entries
+            .iter()
+            .map(|e| (e.store.0.as_str(), e.path.to_string(), e.complete))
+            .collect();
+        assert_eq!(
+            listed,
+            [("gup.spcs.com", book.to_string(), true), ("gup.yahoo.com", book.to_string(), true)]
+        );
+        assert!(!out.referral.merge_required);
     }
 
     #[test]

@@ -57,7 +57,7 @@ use gupster_xpath::{may_overlap, Path};
 
 use crate::client::StorePool;
 use crate::error::GupsterError;
-use crate::index::CoverageTrie;
+use crate::index::{CoverageTrie, TrieWalk};
 use crate::registry::Gupster;
 use crate::shard::Shards;
 
@@ -209,20 +209,24 @@ impl FanoutShard {
 
     /// [`ShardedFanout::on_event`], counting index hits and fallback
     /// scans on `hub` when one is attached.
-    fn match_event(&self, event: &ChangeEvent, hub: Option<&TelemetryHub>) -> MatchOutcome {
+    fn match_event(
+        &self,
+        event: &ChangeEvent,
+        walk: &mut TrieWalk,
+        hub: Option<&TelemetryHub>,
+    ) -> MatchOutcome {
         let Some(ix) = self.owners.get(&event.user) else {
             return MatchOutcome { notifications: Vec::new(), examined: 0, indexed: true };
         };
         let mut notifications = Vec::new();
-        let mut candidates: Vec<usize> = Vec::new();
         let examined;
-        let indexed = ix.trie.candidates(&event.path, &mut candidates);
+        let indexed = ix.trie.candidates(&event.path, walk);
         if indexed {
-            examined = candidates.len();
+            examined = walk.candidates.len();
             // Candidate slots are sorted ascending = this owner's
             // subscribe order = ascending subscription id — the same
             // order the naive oracle emits.
-            for &slot in &candidates {
+            for &slot in &walk.candidates {
                 let id = ix.slots[slot];
                 if id == u64::MAX {
                     continue; // tombstoned by unsubscribe
@@ -288,6 +292,8 @@ pub struct ShardedFanout {
     next_id: u64,
     /// Notifications delivered by flushed windows.
     pub delivered: u64,
+    /// The trie walk's buffers, reused by every staged event.
+    walk: TrieWalk,
 }
 
 impl ShardedFanout {
@@ -298,6 +304,7 @@ impl ShardedFanout {
             pending: Vec::new(),
             next_id: 0,
             delivered: 0,
+            walk: TrieWalk::default(),
         }
     }
 
@@ -378,7 +385,7 @@ impl ShardedFanout {
     /// the core fragment fall back to scanning that owner's live
     /// subscriptions (counted via `fallback_scans` when staging).
     pub fn on_event(&self, event: &ChangeEvent) -> MatchOutcome {
-        self.shards.get(&event.user).match_event(event, None)
+        self.shards.get(&event.user).match_event(event, &mut TrieWalk::default(), None)
     }
 
     /// The retained naive matcher — scans **every** subscription in
@@ -442,7 +449,7 @@ impl ShardedFanout {
         for event in events {
             let event = event.borrow();
             let shard = self.shards.get_mut(&event.user);
-            for n in shard.match_event(event, Some(&hub)).notifications {
+            for n in shard.match_event(event, &mut self.walk, Some(&hub)).notifications {
                 if shard.permit(gupster, &n, time, &hub) {
                     self.pending.push(n);
                     outcome.staged += 1;

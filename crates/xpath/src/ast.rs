@@ -151,14 +151,12 @@ impl Path {
     /// True if the path uses only child/attribute axes and no wildcards —
     /// the strict fragment of §4.5 for which containment is complete.
     pub fn is_core_fragment(&self) -> bool {
-        self.steps.iter().all(|s| {
-            !matches!(s.axis, Axis::Descendant) && !matches!(s.test, NameTest::Any)
-        })
+        is_core_fragment(&self.steps)
     }
 
     /// True if the final step is on the attribute axis.
     pub fn targets_attribute(&self) -> bool {
-        matches!(self.steps.last(), Some(s) if s.axis == Axis::Attribute)
+        targets_attribute(&self.steps)
     }
 
     /// Returns a new path with `suffix`'s steps appended.
@@ -167,6 +165,16 @@ impl Path {
         steps.extend(suffix.steps.iter().cloned());
         Path { steps }
     }
+}
+
+/// [`Path::is_core_fragment`] on a borrowed run of steps.
+pub(crate) fn is_core_fragment(steps: &[LocStep]) -> bool {
+    steps.iter().all(|s| !matches!(s.axis, Axis::Descendant) && !matches!(s.test, NameTest::Any))
+}
+
+/// [`Path::targets_attribute`] on a borrowed run of steps.
+pub(crate) fn targets_attribute(steps: &[LocStep]) -> bool {
+    matches!(steps.last(), Some(s) if s.axis == Axis::Attribute)
 }
 
 impl fmt::Display for NameTest {

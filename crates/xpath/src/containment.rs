@@ -17,57 +17,104 @@
 //!   the "store holds *part* of the answer" test; conservative `true`
 //!   when undecided, which only costs a spurious referral.
 
-use crate::ast::{Axis, LocStep, Path};
+use crate::ast::{is_core_fragment, targets_attribute, Axis, LocStep, Path};
 
 /// Node-set containment: `p ⊑ q` — every node selected by `p` (in every
 /// document) is also selected by `q`.
 pub fn contains(p: &Path, q: &Path) -> bool {
+    contains_steps(&p.steps, &q.steps)
+}
+
+/// [`contains`] on borrowed step slices.
+///
+/// The alignment DP asks, for each prefix of `q`, which prefixes of `p`
+/// it can map onto with `q`'s last step landing on `p`'s last. Only the
+/// previous row is ever read, so the table is one bit row: bit `j` set
+/// means `q`'s steps so far map onto `p`'s first `j` steps (bit 0 is the
+/// document-node anchor). The row is a single `u128` on the stack for
+/// `p` of at most 127 steps and spills to the heap beyond that.
+fn contains_steps(p: &[LocStep], q: &[LocStep]) -> bool {
     // Attribute targeting must agree: an attribute-step path selects
     // owner elements of attributes; mixing the two kinds is never a
     // containment in our semantics unless both target attributes with
     // subsuming tests, or neither does.
-    match (p.targets_attribute(), q.targets_attribute()) {
-        (true, true) | (false, false) => {}
-        _ => return false,
+    if targets_attribute(p) != targets_attribute(q) {
+        return false;
     }
-    if q.steps.is_empty() {
+    if q.is_empty() {
         // "/" selects only the document node: contains p iff p is "/".
-        return p.steps.is_empty();
+        return p.is_empty();
     }
-    if p.steps.is_empty() {
+    if p.is_empty() {
         // p selects only the document node; q selects elements.
         return false;
     }
-    // DP over alignment: can q's first i steps map onto p's first j steps
-    // with q_i ↦ p_j? hom[i][j] with 1-based i, j; hom[0][0] is the
-    // document-node anchor.
-    let (np, nq) = (p.steps.len(), q.steps.len());
-    let mut hom = vec![vec![false; np + 1]; nq + 1];
-    hom[0][0] = true;
-    for i in 1..=nq {
-        let qs = &q.steps[i - 1];
-        for j in 1..=np {
-            let ps = &p.steps[j - 1];
-            if !step_subsumes(qs, ps) {
-                continue;
-            }
-            let reachable = match qs.axis {
-                Axis::Child | Axis::Attribute => {
-                    // Must advance exactly one edge, and that edge in p
-                    // must also be a single level (child/attribute).
-                    hom[i - 1][j - 1] && ps.axis != Axis::Descendant
+    let np = p.len();
+    let mut inline = [0u128; 1];
+    let mut spilled;
+    let row: &mut [u128] = if np < 128 {
+        &mut inline
+    } else {
+        spilled = vec![0u128; np / 128 + 1];
+        &mut spilled
+    };
+    row[0] = 1; // the document-node anchor
+    for qs in q {
+        match qs.axis {
+            // Must advance exactly one edge, and that edge in p must
+            // also be a single level (child/attribute).
+            Axis::Child | Axis::Attribute => shift_up(row),
+            // May consume one or more edges in p.
+            Axis::Descendant => above_lowest(row),
+        }
+        let mut live = false;
+        for (w, word) in row.iter_mut().enumerate() {
+            let mut bits = *word;
+            let mut keep = 0u128;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let j = w * 128 + b as usize;
+                if j > np {
+                    break;
                 }
-                Axis::Descendant => {
-                    // May consume one or more edges in p.
-                    (0..j).any(|j0| hom[i - 1][j0])
+                // j ≥ 1: both moves above leave bit 0 clear.
+                let ps = &p[j - 1];
+                if (qs.axis == Axis::Descendant || ps.axis != Axis::Descendant)
+                    && step_subsumes(qs, ps)
+                {
+                    keep |= 1u128 << b;
                 }
-            };
-            if reachable {
-                hom[i][j] = true;
             }
+            *word = keep;
+            live |= keep != 0;
+        }
+        if !live {
+            return false;
         }
     }
-    hom[nq][np]
+    row[np / 128] & (1u128 << (np % 128)) != 0
+}
+
+/// Moves every bit of the row one position up: `j` → `j + 1`.
+fn shift_up(row: &mut [u128]) {
+    let mut carry = 0;
+    for word in row {
+        let next = *word >> 127;
+        *word = (*word << 1) | carry;
+        carry = next;
+    }
+}
+
+/// Sets exactly the bits strictly above the row's lowest set bit (an
+/// empty row stays empty): `j` is reachable from any `j0 < j`.
+fn above_lowest(row: &mut [u128]) {
+    let Some(first) = row.iter().position(|&w| w != 0) else { return };
+    let low = row[first] & row[first].wrapping_neg();
+    row[first] = !(low | (low - 1));
+    for word in &mut row[first + 1..] {
+        *word = u128::MAX;
+    }
 }
 
 /// True if every predicate required by `q_step` is implied by `p_step`'s
@@ -97,24 +144,26 @@ fn step_subsumes(q_step: &LocStep, p_step: &LocStep) -> bool {
 /// answers `false` (the registry then treats the store as a partial
 /// source via [`may_overlap`]).
 pub fn covers(c: &Path, r: &Path) -> bool {
-    if contains(r, c) {
+    covers_steps(&c.steps, &r.steps)
+}
+
+/// [`covers`] on borrowed step slices: `r`'s prefix is tested in place.
+fn covers_steps(c: &[LocStep], r: &[LocStep]) -> bool {
+    if contains_steps(r, c) {
         // r's nodes ⊆ c's nodes ⊆ subtrees of c's nodes.
         return true;
     }
-    if c.targets_attribute() {
+    if targets_attribute(c) {
         // An attribute subtree is just the attribute; only exact
         // containment (handled above) counts.
         return false;
     }
     // Core-fragment prefix check: r = c' · suffix where c' ⊑ c.
-    if !c.is_core_fragment() {
+    if !is_core_fragment(c) {
         return false;
     }
-    let cl = c.steps.len();
-    if r.steps.len() < cl {
-        return false;
-    }
-    if r.steps[..cl].iter().any(|s| s.axis == Axis::Descendant) {
+    let Some(prefix) = r.get(..c.len()) else { return false };
+    if prefix.iter().any(|s| s.axis == Axis::Descendant) {
         // A descendant edge inside the prefix could escape c's subtree
         // only if it matched *above* c's depth; since lengths ≥ cl and
         // every descendant edge consumes ≥1 level, the prefix of r
@@ -122,8 +171,7 @@ pub fn covers(c: &Path, r: &Path) -> bool {
         // c-node. Be conservative.
         return false;
     }
-    let prefix = Path { steps: r.steps[..cl].to_vec() };
-    contains(&prefix, c)
+    contains_steps(prefix, c)
 }
 
 /// Subtree intersection: can a document contain a node that lies both in
@@ -131,22 +179,18 @@ pub fn covers(c: &Path, r: &Path) -> bool {
 /// chains): is one of the paths' node sets reachable as ancestor-or-self
 /// of the other's? Conservative: `true` when undecidable syntactically.
 pub fn may_overlap(a: &Path, b: &Path) -> bool {
-    if covers(a, b) || covers(b, a) {
+    let (a, b) = (&a.steps[..], &b.steps[..]);
+    if covers_steps(a, b) || covers_steps(b, a) {
         return true;
     }
     // If either path leaves the core fragment, stay conservative.
-    if !a.is_core_fragment() || !b.is_core_fragment() {
+    if !is_core_fragment(a) || !is_core_fragment(b) {
         return true;
     }
     // Core fragment: subtrees intersect iff the shorter path's chain is
     // step-compatible with the longer's prefix.
-    let (short, long) =
-        if a.steps.len() <= b.steps.len() { (a, b) } else { (b, a) };
-    short
-        .steps
-        .iter()
-        .zip(&long.steps)
-        .all(|(s, l)| step_compatible(s, l))
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    short.iter().zip(long).all(|(s, l)| step_compatible(s, l))
 }
 
 fn step_compatible(a: &LocStep, b: &LocStep) -> bool {

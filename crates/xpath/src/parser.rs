@@ -1,14 +1,19 @@
-//! Parser for the XPath fragment.
+//! Parser for the XPath fragment: recursive descent over the lexer's
+//! tokens, pulled one at a time. The only allocations are the owned
+//! strings and step lists of the returned [`Path`].
 
 use std::fmt;
 
 use crate::ast::{Axis, LocStep, NameTest, Path, Predicate};
-use crate::lexer::{tokenize, Token};
+use crate::lexer::{Lexer, Token};
 
 /// A syntax error in a path expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XPathError {
-    /// Approximate byte/token offset of the error.
+    /// Byte offset into the input of the offending token, or the
+    /// input's length when the input ends where a token was expected.
+    /// Never past the end of the input. When the input has several
+    /// errors, this is the first one reading left to right.
     pub position: usize,
     /// What went wrong.
     pub message: String,
@@ -38,145 +43,149 @@ impl Path {
     /// let p = Path::parse("/user[@id='arnaud']/address-book").unwrap();
     /// assert_eq!(p.len(), 2);
     /// assert_eq!(p.to_string(), "/user[@id='arnaud']/address-book");
-    /// assert!(Path::parse("not a path").is_err());
+    /// let err = Path::parse("/user/@id/book").unwrap_err();
+    /// assert_eq!(err.position, 9, "the byte offset of the offending '/'");
     /// ```
     pub fn parse(input: &str) -> Result<Path, XPathError> {
-        let toks = tokenize(input)?;
-        let mut p = P { toks: &toks, pos: 0 };
-        let path = p.parse_path()?;
-        if p.pos != p.toks.len() {
-            return Err(XPathError::new(p.pos, "trailing tokens after path"));
-        }
-        Ok(path)
+        P { lexer: Lexer::new(input), peeked: None }.parse_path()
     }
 }
 
-struct P<'t> {
-    toks: &'t [Token],
-    pos: usize,
+/// A token with the byte offset it starts at; `None` and the input's
+/// length at the end of the input.
+type Spanned<'a> = (usize, Option<Token<'a>>);
+
+/// The parser state: the lexer and at most one token of lookahead.
+struct P<'a> {
+    lexer: Lexer<'a>,
+    peeked: Option<Spanned<'a>>,
 }
 
-impl<'t> P<'t> {
-    fn peek(&self) -> Option<&'t Token> {
-        self.toks.get(self.pos)
+impl<'a> P<'a> {
+    /// The next token, without consuming it.
+    fn peek(&mut self) -> Result<Spanned<'a>, XPathError> {
+        let next = match self.peeked {
+            Some(next) => next,
+            None => self.pull()?,
+        };
+        self.peeked = Some(next);
+        Ok(next)
     }
 
-    fn next(&mut self) -> Option<&'t Token> {
-        let t = self.toks.get(self.pos);
-        if t.is_some() {
-            self.pos += 1;
+    /// Consumes the next token.
+    fn next(&mut self) -> Result<Spanned<'a>, XPathError> {
+        match self.peeked.take() {
+            Some(next) => Ok(next),
+            None => self.pull(),
         }
-        t
     }
 
-    fn err(&self, msg: impl Into<String>) -> XPathError {
-        XPathError::new(self.pos, msg)
+    fn pull(&mut self) -> Result<Spanned<'a>, XPathError> {
+        Ok(match self.lexer.next_token()? {
+            Some((at, t)) => (at, Some(t)),
+            None => (self.lexer.end(), None),
+        })
     }
 
+    /// Parses the whole input: returns only at its end.
     fn parse_path(&mut self) -> Result<Path, XPathError> {
         let mut steps = Vec::new();
-        // "/" alone is the root path.
-        if self.toks == [Token::Slash] {
-            self.pos = 1;
-            return Ok(Path { steps });
-        }
         loop {
-            let axis = match self.peek() {
-                Some(Token::Slash) => {
-                    self.pos += 1;
-                    Axis::Child
-                }
-                Some(Token::DoubleSlash) => {
-                    self.pos += 1;
-                    Axis::Descendant
-                }
-                None if !steps.is_empty() => break,
-                _ => return Err(self.err("expected '/' or '//'")),
+            let axis = match self.next()? {
+                (_, Some(Token::Slash)) => Axis::Child,
+                (_, Some(Token::DoubleSlash)) => Axis::Descendant,
+                (at, _) => return Err(XPathError::new(at, "expected '/' or '//'")),
             };
+            // "/" alone is the root path.
+            if steps.is_empty() && axis == Axis::Child && self.peek()?.1.is_none() {
+                break;
+            }
             let step = self.parse_step(axis)?;
             let is_attr = step.axis == Axis::Attribute;
             steps.push(step);
-            if is_attr {
-                if self.pos != self.toks.len() {
-                    return Err(self.err("attribute step must be final"));
+            match self.peek()? {
+                (_, None) => break,
+                (at, Some(_)) if is_attr => {
+                    return Err(XPathError::new(at, "attribute step must be final"))
                 }
-                break;
-            }
-            if self.peek().is_none() {
-                break;
+                _ => {}
             }
         }
         Ok(Path { steps })
     }
 
     fn parse_step(&mut self, axis: Axis) -> Result<LocStep, XPathError> {
-        let (axis, test) = match self.next() {
+        let (at, t) = self.next()?;
+        let (axis, test) = match t {
             Some(Token::At) => {
                 if axis == Axis::Descendant {
-                    return Err(self.err("'//@attr' is not in the fragment"));
+                    return Err(XPathError::new(at, "'//@attr' is not in the fragment"));
                 }
-                let test = match self.next() {
-                    Some(Token::Name(n)) => NameTest::Name(n.clone()),
-                    Some(Token::Star) => NameTest::Any,
-                    _ => return Err(self.err("expected attribute name after '@'")),
+                let test = match self.next()? {
+                    (_, Some(Token::Name(n))) => NameTest::Name(n.to_owned()),
+                    (_, Some(Token::Star)) => NameTest::Any,
+                    (at, _) => {
+                        return Err(XPathError::new(at, "expected attribute name after '@'"))
+                    }
                 };
                 (Axis::Attribute, test)
             }
-            Some(Token::Name(n)) => (axis, NameTest::Name(n.clone())),
+            Some(Token::Name(n)) => (axis, NameTest::Name(n.to_owned())),
             Some(Token::Star) => (axis, NameTest::Any),
-            _ => return Err(self.err("expected a name test")),
+            _ => return Err(XPathError::new(at, "expected a name test")),
         };
         let mut predicates = Vec::new();
-        while self.peek() == Some(&Token::LBracket) {
+        while let (at, Some(Token::LBracket)) = self.peek()? {
             if axis == Axis::Attribute {
-                return Err(self.err("predicates not allowed on attribute steps"));
+                return Err(XPathError::new(at, "predicates not allowed on attribute steps"));
             }
-            self.pos += 1;
+            self.peeked = None;
             predicates.push(self.parse_predicate()?);
-            match self.next() {
-                Some(Token::RBracket) => {}
-                _ => return Err(self.err("expected ']'")),
+            match self.next()? {
+                (_, Some(Token::RBracket)) => {}
+                (at, _) => return Err(XPathError::new(at, "expected ']'")),
             }
         }
         Ok(LocStep { axis, test, predicates })
     }
 
     fn parse_predicate(&mut self) -> Result<Predicate, XPathError> {
-        match self.next() {
-            Some(Token::Integer(n)) => {
-                if *n == 0 {
-                    return Err(self.err("positions are 1-based"));
+        match self.next()? {
+            (at, Some(Token::Integer(n))) => {
+                if n == 0 {
+                    return Err(XPathError::new(at, "positions are 1-based"));
                 }
-                Ok(Predicate::Position(*n))
+                Ok(Predicate::Position(n))
             }
-            Some(Token::At) => {
-                let name = match self.next() {
-                    Some(Token::Name(n)) => n.clone(),
-                    _ => return Err(self.err("expected attribute name after '@'")),
+            (_, Some(Token::At)) => {
+                let name = match self.next()? {
+                    (_, Some(Token::Name(n))) => n,
+                    (at, _) => {
+                        return Err(XPathError::new(at, "expected attribute name after '@'"))
+                    }
                 };
-                if self.peek() == Some(&Token::Eq) {
-                    self.pos += 1;
-                    match self.next() {
-                        Some(Token::Literal(v)) => Ok(Predicate::AttrEq(name, v.clone())),
-                        _ => Err(self.err("expected string literal after '='")),
-                    }
-                } else {
-                    Ok(Predicate::AttrExists(name))
-                }
+                Ok(match self.eq_literal()? {
+                    Some(v) => Predicate::AttrEq(name.to_owned(), v.to_owned()),
+                    None => Predicate::AttrExists(name.to_owned()),
+                })
             }
-            Some(Token::Name(n)) => {
-                let name = n.clone();
-                if self.peek() == Some(&Token::Eq) {
-                    self.pos += 1;
-                    match self.next() {
-                        Some(Token::Literal(v)) => Ok(Predicate::ChildEq(name, v.clone())),
-                        _ => Err(self.err("expected string literal after '='")),
-                    }
-                } else {
-                    Ok(Predicate::ChildExists(name))
-                }
-            }
-            _ => Err(self.err("expected a predicate")),
+            (_, Some(Token::Name(name))) => Ok(match self.eq_literal()? {
+                Some(v) => Predicate::ChildEq(name.to_owned(), v.to_owned()),
+                None => Predicate::ChildExists(name.to_owned()),
+            }),
+            (at, _) => Err(XPathError::new(at, "expected a predicate")),
+        }
+    }
+
+    /// An optional `= 'literal'` after a predicate's name.
+    fn eq_literal(&mut self) -> Result<Option<&'a str>, XPathError> {
+        if self.peek()?.1 != Some(Token::Eq) {
+            return Ok(None);
+        }
+        self.peeked = None;
+        match self.next()? {
+            (_, Some(Token::Literal(v))) => Ok(Some(v)),
+            (at, _) => Err(XPathError::new(at, "expected string literal after '='")),
         }
     }
 }
@@ -250,6 +259,29 @@ mod tests {
     fn malformed_rejected() {
         for bad in ["/a[", "/a[@]", "/a[=1]", "/a]", "/a[0]", "", "/a[@x=y]", "//@id"] {
             assert!(Path::parse(bad).is_err(), "should reject {bad}");
+        }
+    }
+
+    #[test]
+    fn error_positions_are_byte_offsets_of_the_offending_token() {
+        for (bad, at) in [
+            ("", 0),               // nothing where '/' belongs
+            ("/a]", 2),            // the stray ']'
+            ("/a[", 3),            // input ends inside the predicate
+            ("/a[@]", 4),          // ']' where the attribute name belongs
+            ("/a[=1]", 3),         // '=' opens no predicate
+            ("/a[0]", 3),          // the zero position
+            ("/a[@x=y]", 6),       // a name where the literal belongs
+            ("/a[@x='1'", 9),      // input ends before ']'
+            ("//@id", 2),          // the '@' after '//'
+            ("/user/@id/book", 9), // the '/' after the attribute step
+            ("/user/@id[1]", 9),   // the '[' on an attribute step
+            ("/a|b", 2),           // a character outside the fragment
+            ("/a['x", 3),          // the unterminated literal's quote
+            ("/é/ü[", 7),          // offsets count bytes, not chars
+        ] {
+            let err = Path::parse(bad).expect_err(bad);
+            assert_eq!(err.position, at, "{bad}: {err}");
         }
     }
 

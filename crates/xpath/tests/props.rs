@@ -45,16 +45,27 @@ fn arb_path(rng: &mut StdRng) -> Path {
     Path { steps }
 }
 
-/// The parser must never panic on arbitrary input.
+/// The parser must never panic on arbitrary input, and an error points
+/// at a char boundary inside the input (or at its end). Inputs are
+/// printable ASCII and strings biased towards the lexer's special
+/// characters, digits and non-ASCII.
 #[test]
 fn parser_never_panics() {
-    cases(512, 0xa7_01, |rng| {
-        let input = check::printable(rng, 0, 80);
-        let _ = Path::parse(&input);
+    const BIASED: [char; 24] = [
+        '/', '/', '[', ']', '@', '=', '\'', '"', '*', '0', '1', '9', 'a', 'b', '-', '.', '_', ' ',
+        'é', 'ß', '→', '𝄞', '|', '(',
+    ];
+    cases(2048, 0xa7_01, |rng| {
+        for input in [check::printable(rng, 0, 80), check::string_of(rng, &BIASED, 0, 40)] {
+            if let Err(e) = Path::parse(&input) {
+                assert!(e.position <= input.len(), "{input:?}: {e}");
+                assert!(input.is_char_boundary(e.position), "{input:?}: {e}");
+            }
+        }
     });
 }
 
-/// Display → parse is the identity on generated ASTs.
+/// Display → parse is the identity on generated ASTs, shallow and deep.
 #[test]
 fn display_parse_roundtrip() {
     cases(512, 0xa7_02, |rng| {
@@ -62,6 +73,8 @@ fn display_parse_roundtrip() {
         let s = p.to_string();
         let back = Path::parse(&s).unwrap_or_else(|e| panic!("reparse {s}: {e}"));
         assert_eq!(back, p);
+        let deep = deep_path(rng);
+        assert_eq!(Path::parse(&deep.to_string()), Ok(deep));
     });
 }
 
@@ -115,4 +128,229 @@ fn join_is_concatenation() {
             assert_eq!(&j.steps[..a.len()], &a.steps[..]);
         }
     });
+}
+
+// ---------------------------------------------------------------------
+// Oracles: the table-based containment decisions, kept here to check the
+// shipped bit-row DP and in-place prefix tests against.
+// ---------------------------------------------------------------------
+
+fn oracle_name_subsumes(a: &NameTest, b: &NameTest) -> bool {
+    match (a, b) {
+        (NameTest::Any, _) => true,
+        (NameTest::Name(a), NameTest::Name(b)) => a == b,
+        (NameTest::Name(_), NameTest::Any) => false,
+    }
+}
+
+fn oracle_implied_by(a: &Predicate, b: &Predicate) -> bool {
+    a == b
+        || match (a, b) {
+            (Predicate::AttrExists(a), Predicate::AttrEq(b, _)) => a == b,
+            (Predicate::ChildExists(a), Predicate::ChildEq(b, _)) => a == b,
+            _ => false,
+        }
+}
+
+fn oracle_step_subsumes(q: &LocStep, p: &LocStep) -> bool {
+    (q.axis == Axis::Attribute) == (p.axis == Axis::Attribute)
+        && oracle_name_subsumes(&q.test, &p.test)
+        && q.predicates.iter().all(|qp| p.predicates.iter().any(|pp| oracle_implied_by(qp, pp)))
+}
+
+/// `p ⊑ q` over a full `(nq+1)×(np+1)` alignment table.
+fn oracle_contains(p: &Path, q: &Path) -> bool {
+    if p.targets_attribute() != q.targets_attribute() {
+        return false;
+    }
+    if q.steps.is_empty() {
+        return p.steps.is_empty();
+    }
+    if p.steps.is_empty() {
+        return false;
+    }
+    let (np, nq) = (p.steps.len(), q.steps.len());
+    let mut hom = vec![vec![false; np + 1]; nq + 1];
+    hom[0][0] = true;
+    for i in 1..=nq {
+        let qs = &q.steps[i - 1];
+        for j in 1..=np {
+            let ps = &p.steps[j - 1];
+            if !oracle_step_subsumes(qs, ps) {
+                continue;
+            }
+            hom[i][j] = match qs.axis {
+                Axis::Child | Axis::Attribute => hom[i - 1][j - 1] && ps.axis != Axis::Descendant,
+                Axis::Descendant => (0..j).any(|j0| hom[i - 1][j0]),
+            };
+        }
+    }
+    hom[nq][np]
+}
+
+/// Subtree coverage, testing a cloned prefix of `r`.
+fn oracle_covers(c: &Path, r: &Path) -> bool {
+    if oracle_contains(r, c) {
+        return true;
+    }
+    if c.targets_attribute() || !c.is_core_fragment() {
+        return false;
+    }
+    let cl = c.steps.len();
+    if r.steps.len() < cl || r.steps[..cl].iter().any(|s| s.axis == Axis::Descendant) {
+        return false;
+    }
+    let prefix = Path { steps: r.steps[..cl].to_vec() };
+    oracle_contains(&prefix, c)
+}
+
+fn oracle_step_compatible(a: &LocStep, b: &LocStep) -> bool {
+    let names = match (&a.test, &b.test) {
+        (NameTest::Name(x), NameTest::Name(y)) => x == y,
+        _ => true,
+    };
+    let predicates = a.predicates.iter().all(|pa| {
+        b.predicates.iter().all(|pb| match (pa, pb) {
+            (Predicate::AttrEq(x, v), Predicate::AttrEq(y, w)) => x != y || v == w,
+            (Predicate::Position(m), Predicate::Position(n)) => m == n,
+            _ => true,
+        })
+    });
+    (a.axis == Axis::Attribute) == (b.axis == Axis::Attribute) && names && predicates
+}
+
+fn oracle_may_overlap(a: &Path, b: &Path) -> bool {
+    if oracle_covers(a, b) || oracle_covers(b, a) {
+        return true;
+    }
+    if !a.is_core_fragment() || !b.is_core_fragment() {
+        return true;
+    }
+    let (short, long) = if a.steps.len() <= b.steps.len() { (a, b) } else { (b, a) };
+    short.steps.iter().zip(&long.steps).all(|(s, l)| oracle_step_compatible(s, l))
+}
+
+/// A predicate over a three-letter alphabet, so that random pairs
+/// collide often enough to make containment hold.
+fn small_predicate(rng: &mut StdRng) -> Predicate {
+    let name = |rng: &mut StdRng| ["a", "b", "c"][rng.gen_range(0usize..3)].to_string();
+    match rng.gen_range(0u32..5) {
+        0 => Predicate::AttrEq(name(rng), ["1", "2"][rng.gen_range(0usize..2)].to_string()),
+        1 => Predicate::AttrExists(name(rng)),
+        2 => Predicate::ChildEq(name(rng), ["x", "y"][rng.gen_range(0usize..2)].to_string()),
+        3 => Predicate::ChildExists(name(rng)),
+        _ => Predicate::Position(rng.gen_range(1usize..3)),
+    }
+}
+
+fn small_step(rng: &mut StdRng, axis: Axis) -> LocStep {
+    let test = if rng.gen_range(0u32..5) == 0 {
+        NameTest::Any
+    } else {
+        NameTest::Name(["a", "b", "c"][rng.gen_range(0usize..3)].to_string())
+    };
+    let predicates =
+        if axis == Axis::Attribute { vec![] } else { check::vec_of(rng, 0, 4, small_predicate) };
+    LocStep { axis, test, predicates }
+}
+
+/// A path of `len` steps with `//`, `*`, 0–4 predicates per step and,
+/// sometimes, a final `@attr` step.
+fn path_of_len(rng: &mut StdRng, len: usize) -> Path {
+    let mut steps: Vec<LocStep> = (0..len)
+        .map(|_| {
+            let axis = if rng.gen_range(0u32..5) == 0 { Axis::Descendant } else { Axis::Child };
+            small_step(rng, axis)
+        })
+        .collect();
+    if rng.gen_range(0u32..4) == 0 {
+        if let Some(last) = steps.last_mut() {
+            *last = small_step(rng, Axis::Attribute);
+        }
+    }
+    Path { steps }
+}
+
+/// Depth 1–40, or now and then 129–200 so the DP row spills past one
+/// `u128`.
+fn deep_path(rng: &mut StdRng) -> Path {
+    let len = if rng.gen_range(0u32..8) == 0 {
+        rng.gen_range(129usize..=200)
+    } else {
+        rng.gen_range(1usize..=40)
+    };
+    path_of_len(rng, len)
+}
+
+/// A path that selects at least what `p` selects, more or less: some
+/// predicates dropped, some names widened to `*`, some child edges
+/// widened to `//`, some runs of steps collapsed into one `//` step.
+fn generalize(rng: &mut StdRng, p: &Path) -> Path {
+    let mut steps = Vec::new();
+    let mut i = 0;
+    while i < p.steps.len() {
+        let mut s = p.steps[i].clone();
+        if s.axis != Axis::Attribute && rng.gen_range(0u32..6) == 0 && i + 1 < p.steps.len() {
+            // Skip a few steps behind a descendant edge.
+            let skip = rng.gen_range(1usize..=3).min(p.steps.len() - 1 - i);
+            i += skip;
+            s = p.steps[i].clone();
+            if s.axis != Axis::Attribute {
+                s.axis = Axis::Descendant;
+            }
+        }
+        s.predicates.retain(|_| rng.gen_range(0u32..3) != 0);
+        if rng.gen_range(0u32..5) == 0 {
+            s.test = NameTest::Any;
+        }
+        if s.axis == Axis::Child && rng.gen_range(0u32..6) == 0 {
+            s.axis = Axis::Descendant;
+        }
+        steps.push(s);
+        i += 1;
+    }
+    Path { steps }
+}
+
+/// `contains`, `covers` and `may_overlap` decide exactly as the table
+/// oracles do, on random, generalized, prefix, suffix and extended
+/// pairs, including paths long enough to spill the bit row.
+#[test]
+fn containment_agrees_with_table_oracle() {
+    let mut spilled = 0;
+    let mut held = 0;
+    cases(1024, 0xa7_06, |rng| {
+        let p = deep_path(rng);
+        let q = match rng.gen_range(0u32..5) {
+            0 => deep_path(rng),
+            1 => generalize(rng, &p),
+            2 => {
+                let cut = rng.gen_range(0..=p.steps.len());
+                Path { steps: p.steps[..cut].to_vec() }
+            }
+            3 => {
+                // `//` and p's last few steps: one jump across the row.
+                let k = rng.gen_range(1..=p.steps.len().min(3));
+                let mut tail = generalize(rng, &Path { steps: p.steps[p.steps.len() - k..].to_vec() });
+                if tail.steps[0].axis == Axis::Child {
+                    tail.steps[0].axis = Axis::Descendant;
+                }
+                tail
+            }
+            _ => {
+                let len = rng.gen_range(0usize..4);
+                p.join(&path_of_len(rng, len))
+            }
+        };
+        spilled += usize::from(p.len() > 127 || q.len() > 127);
+        for (a, b) in [(&p, &q), (&q, &p)] {
+            let want = oracle_contains(a, b);
+            held += usize::from(want);
+            assert_eq!(contains(a, b), want, "contains a={a} b={b}");
+            assert_eq!(covers(a, b), oracle_covers(a, b), "covers a={a} b={b}");
+            assert_eq!(may_overlap(a, b), oracle_may_overlap(a, b), "may_overlap a={a} b={b}");
+        }
+    });
+    assert!(spilled > 50, "long paths drawn: {spilled}");
+    assert!(held > 200, "containment held on too few pairs to test it: {held}");
 }
