@@ -65,19 +65,11 @@ pub struct AdmissionConfig {
     /// a deterministic latency guarantee, not a statistical one.
     /// `usize::MAX` disables the guard.
     pub call_slots: usize,
-    /// Entry bound of the admission stale cache consulted for shed
-    /// requests.
-    pub stale_capacity: usize,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        AdmissionConfig {
-            queues: 8,
-            capacity: 32,
-            call_slots: usize::MAX,
-            stale_capacity: 4096,
-        }
+        AdmissionConfig { queues: 8, capacity: 32, call_slots: usize::MAX }
     }
 }
 

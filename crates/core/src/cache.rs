@@ -7,8 +7,8 @@ use gupster_xpath::{may_overlap, KeyDigest, OwnedKey, OwnerLru, Path};
 
 /// An LRU cache of merged query results, keyed by (owner, requester,
 /// path) — one requester's view of one owner's component. Each entry
-/// carries a caller-chosen `u64` stamp (an expiry instant, a fetch
-/// time).
+/// carries a caller-chosen stamp `S`: `CachedClient`'s expiry instant,
+/// or the registry stale rung's fetch time and permitted path set.
 ///
 /// Keys include the **requester**: serving one principal's cached
 /// result to another would bypass the privacy shield.
@@ -19,8 +19,8 @@ use gupster_xpath::{may_overlap, KeyDigest, OwnedKey, OwnerLru, Path};
 /// data has become stale"). Storage is the shared [`OwnerLru`]
 /// (DESIGN.md §7).
 #[derive(Debug)]
-pub struct ResultCache {
-    entries: OwnerLru<ViewKey, (Vec<Element>, u64)>,
+pub struct ResultCache<S = u64> {
+    entries: OwnerLru<ViewKey, (Vec<Element>, S)>,
     /// Cache hits.
     pub hits: u64,
     /// Cache misses.
@@ -42,19 +42,14 @@ impl OwnedKey for ViewKey {
     }
 }
 
-impl ResultCache {
+impl<S: Clone> ResultCache<S> {
     /// A cache bounded to `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         ResultCache { entries: OwnerLru::new(capacity), hits: 0, misses: 0, invalidations: 0 }
     }
 
     /// Looks up a cached result and its stamp.
-    pub fn get(
-        &mut self,
-        owner: &str,
-        requester: &str,
-        path: &Path,
-    ) -> Option<(Vec<Element>, u64)> {
+    pub fn get(&mut self, owner: &str, requester: &str, path: &Path) -> Option<(Vec<Element>, S)> {
         let digest = KeyDigest::new(owner, &(requester, path)).key;
         let hit = self
             .entries
@@ -75,7 +70,7 @@ impl ResultCache {
         requester: &str,
         path: &Path,
         result: Vec<Element>,
-        stamp: u64,
+        stamp: S,
     ) {
         let key = ViewKey {
             owner: owner.to_string(),
@@ -136,9 +131,10 @@ impl CachedClient {
     }
 
     /// Looks up and fetches through the cache. On a hit, no shield
-    /// check, no referral, no store traffic; on a miss the full
-    /// pipeline runs (with [`gupster_policy::Purpose::Cache`], so owners
-    /// can forbid caching requesters outright).
+    /// check, no referral, no store traffic — the one deliberate
+    /// unshielded serve, bounded by the TTL (DESIGN.md §7); on a miss
+    /// the full pipeline runs (with [`gupster_policy::Purpose::Cache`],
+    /// so owners can forbid caching requesters outright).
     #[allow(clippy::too_many_arguments)]
     pub fn fetch(
         &mut self,

@@ -46,7 +46,7 @@ pub enum GupsterError {
         candidates: Vec<String>,
     },
     /// The request's deadline budget ran out before any rung of the
-    /// fallback ladder (or the stale cache) could answer.
+    /// fallback ladder (or the stale rung) could answer.
     DeadlineExceeded {
         /// Simulated time consumed when the request was abandoned.
         elapsed: SimTime,

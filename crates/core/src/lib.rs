@@ -27,7 +27,8 @@
 //! * `syncplane` — the fleet write path (DESIGN.md §13):
 //!   owner-sharded N-replica reconciliation over `gupster-sync`'s delta
 //!   sessions, with write-through invalidation of the decision memo,
-//!   token cache, result/stale caches and the push-fanout plane.
+//!   token cache, the registry's stale rung, the client result cache
+//!   and the push-fanout plane.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -62,7 +63,7 @@ pub use provenance::{Disclosure, ProvenanceLog};
 pub use error::GupsterError;
 pub use referral::{Referral, ReferralEntry};
 pub use registry::{Gupster, LookupOutcome, RegistryStats};
-pub use resilience::{ResilientExecutor, ResilientRun, RetryPolicy, ServedVia};
+pub use resilience::{ResilientExecutor, ResilientRun, ServedVia};
 pub use shard::{BatchReport, OpenLoopRequest, OverloadReport, ShardRequest, ShardedRegistry};
 pub use subs::ShardedFanout;
 pub use syncplane::{write_through, EditError, PlaneReport, SyncPlane, UserOutcome};

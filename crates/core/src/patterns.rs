@@ -237,7 +237,9 @@ impl<'a> PatternExecutor<'a> {
         keys: &MergeKeys,
         tracer: &mut Tracer,
     ) -> Result<PatternRun, GupsterError> {
-        let m0 = self.net.metrics();
+        // Read the counter only: a metrics snapshot would copy every
+        // request's hop list, making a long run quadratic.
+        let m0 = self.net.with_metrics(|m| m.messages);
         let mut journey = Journey::start();
         let leg = |journey: &Journey, t0: SimTime| SimTime(journey.elapsed().0 - t0.0);
 
@@ -354,13 +356,13 @@ impl<'a> PatternExecutor<'a> {
             }
         };
 
-        let m1 = self.net.metrics();
+        let m1 = self.net.with_metrics(|m| m.messages);
         Ok(PatternRun {
             result,
             wall: journey.elapsed(),
             client_bytes,
             gupster_bytes,
-            messages: m1.messages - m0.messages,
+            messages: m1 - m0,
             request: tracer.request(),
         })
     }

@@ -10,8 +10,10 @@ use gupster_policy::{Pap, Purpose, RequestContext, WeekTime};
 use gupster_schema::Schema;
 use gupster_store::StoreId;
 use gupster_telemetry::{stage, TelemetryHub, Tracer};
+use gupster_xml::Element;
 use gupster_xpath::{KeyDigest, OwnedKey, OwnerLru, Path};
 
+use crate::cache::ResultCache;
 use crate::coverage::CoverageMap;
 use crate::error::GupsterError;
 use crate::index::TrieWalk;
@@ -110,11 +112,22 @@ pub struct Gupster {
     /// Lookup step 4b's `(entry index, full)` matches for one path,
     /// reused by every lookup.
     matched: Vec<(usize, bool)>,
+    /// The stale rung (DESIGN.md §6c, §11): the last fresh answer per
+    /// (owner, requester, path), stamped with the request clock it was
+    /// fresh at and the path set the shield permitted then. The
+    /// resilience ladder and the open-loop engine fill it and serve
+    /// from it; [`Gupster::note_write`] drops overlapping entries, and
+    /// every serve re-enforces through `pep` first.
+    stale: ResultCache<(u64, Vec<Path>)>,
 }
 
 /// Tokens the referral-token cache holds before the least recently
 /// used one gives way.
 const TOKEN_CACHE_CAPACITY: usize = 65_536;
+
+/// Views the stale rung holds per shard before the least recently used
+/// one gives way.
+const STALE_CAPACITY: usize = 4096;
 
 /// What a cached referral token was signed for.
 #[derive(Debug, PartialEq)]
@@ -156,6 +169,7 @@ impl Gupster {
             write_gens: HashMap::new(),
             walk: TrieWalk::default(),
             matched: Vec::new(),
+            stale: ResultCache::new(STALE_CAPACITY),
         }
     }
 
@@ -189,12 +203,12 @@ impl Gupster {
     /// Write-through invalidation (DESIGN.md §13): a committed sync
     /// changed `owner`'s profile at `changed` paths. Bumps the owner's
     /// write generation and drops the derived registry state that could
-    /// now be stale — the owner's memoized PDP decisions and cached
-    /// referral tokens. Returns the number of entries dropped (also
-    /// added to the fleet `invalidations` counter). Result and stale
-    /// caches live client-side; route the same write to
-    /// [`crate::cache::CachedClient::note_write`] and
-    /// [`crate::ResilientExecutor::note_write`].
+    /// now be stale — the owner's memoized PDP decisions, cached
+    /// referral tokens and every requester's stale answer overlapping a
+    /// changed path. Returns the number of entries dropped (also added
+    /// to the fleet `invalidations` counter). The one cache outside the
+    /// registry, [`crate::cache::CachedClient`]'s, takes the same write
+    /// through [`crate::cache::CachedClient::note_write`].
     pub(crate) fn note_write(&mut self, owner: &str, changed: &[Path]) -> usize {
         if changed.is_empty() {
             return 0;
@@ -204,6 +218,7 @@ impl Gupster {
         if let Some(cache) = &mut self.token_cache {
             dropped += cache.invalidate_owner(owner);
         }
+        dropped += changed.iter().map(|path| self.stale.invalidate(owner, path)).sum::<usize>();
         self.telemetry.counters().invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
     }
@@ -212,6 +227,56 @@ impl Gupster {
     /// bumped once per `Gupster::note_write`.
     pub fn write_generation(&self, owner: &str) -> u64 {
         self.write_gens.get(owner).copied().unwrap_or(0)
+    }
+
+    /// Fills the stale rung with a fresh answer to `request`, stamped
+    /// with the request clock `now` and the path set [`Gupster::shield`]
+    /// permits `requester` under `purpose` at `time` (normally one memo
+    /// hit: the answer's own lookup just decided it). Nothing is charged
+    /// or traced.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn remember_answer(
+        &mut self,
+        owner: &str,
+        request: &Path,
+        requester: &str,
+        purpose: Purpose,
+        time: WeekTime,
+        result: Vec<Element>,
+        now: u64,
+    ) {
+        if let Ok(permitted) = self.shield(owner, request, requester, purpose, time, None) {
+            self.stale.put(owner, requester, request, result, (now, permitted));
+        }
+    }
+
+    /// The stale rung: the last fresh answer to `request` and its age
+    /// at `now`, served only if [`Gupster::shield`], asked again with
+    /// `purpose` and `time`, still permits exactly the path set it
+    /// permitted when the answer was fresh. A refusal is the shield's
+    /// [`GupsterError::AccessDenied`]; a narrowed or widened grant
+    /// serves nothing (`Ok(None)`), like a miss. Nothing is charged or
+    /// traced.
+    pub(crate) fn stale_answer(
+        &mut self,
+        owner: &str,
+        request: &Path,
+        requester: &str,
+        purpose: Purpose,
+        time: WeekTime,
+        now: u64,
+    ) -> Result<Option<(Vec<Element>, u64)>, GupsterError> {
+        let Some((result, (fresh_at, permitted))) = self.stale.get(owner, requester, request)
+        else {
+            return Ok(None);
+        };
+        let still = self.shield(owner, request, requester, purpose, time, None)?;
+        Ok((still == permitted).then(|| (result, now.saturating_sub(fresh_at))))
+    }
+
+    /// The stale rung's views, for occupancy and hit/miss counts.
+    pub fn stale_answers(&self) -> &ResultCache<(u64, Vec<Path>)> {
+        &self.stale
     }
 
     /// A clone of the signer — data stores hold this to verify tokens.
@@ -345,6 +410,65 @@ impl Gupster {
         out
     }
 
+    /// Lookup steps 1–3: the spurious-query filter, the known-owner
+    /// check and the privacy shield, with their stats and counters.
+    /// Returns the request paths the shield lets through. Besides
+    /// [`Gupster::lookup`], [`crate::ShardedFanout::subscribe`] and the
+    /// stale rung call it with no tracer, and build, sign and record no
+    /// referral.
+    ///
+    /// A memo hit touches no rule and is charged 1µs of simulated time
+    /// under a `policy.decide` span of `tracer`; a miss runs the PDP
+    /// over the bucketed candidate rules, charged per rule examined
+    /// (2µs each: condition eval + overlap test). Without a tracer
+    /// nothing is charged.
+    pub(crate) fn shield(
+        &mut self,
+        owner: &str,
+        request: &Path,
+        requester: &str,
+        purpose: Purpose,
+        time: WeekTime,
+        mut tracer: Option<&mut Tracer>,
+    ) -> Result<Vec<Path>, GupsterError> {
+        // 1. Spurious-query filter.
+        if !self.schema.admits_path(request) {
+            self.stats.spurious += 1;
+            return Err(GupsterError::SpuriousQuery(request.to_string()));
+        }
+
+        // 2. Known user?
+        if !self.coverage.contains_key(owner) {
+            self.stats.uncovered += 1;
+            return Err(GupsterError::UnknownUser(owner.to_string()));
+        }
+
+        // 3. Privacy shield: decide (step 4a rewrites what it permits).
+        let ctx = self.context(owner, requester, purpose, time);
+        if let Some(tracer) = tracer.as_deref_mut() {
+            tracer.enter(stage::POLICY_DECIDE);
+        }
+        let enforced = self.pep.enforce(&self.pap.repository, owner, request, &ctx);
+        if enforced.memo_hit {
+            self.telemetry.counters().memo_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(tracer) = tracer {
+            tracer.charge(SimTime::micros(1 + 2 * enforced.rules_considered));
+            tracer.exit();
+        }
+        match enforced.enforcement {
+            Enforcement::Refused => {
+                self.stats.denied += 1;
+                self.telemetry.counters().policy_denials.fetch_add(1, Ordering::Relaxed);
+                Err(GupsterError::AccessDenied {
+                    owner: owner.to_string(),
+                    requester: requester.to_string(),
+                })
+            }
+            Enforcement::Proceed(paths) => Ok(paths),
+        }
+    }
+
     /// The pipeline body; the caller owns the `registry.lookup` span
     /// (either the tracer's root or an entered child).
     #[allow(clippy::too_many_arguments)]
@@ -360,43 +484,10 @@ impl Gupster {
     ) -> Result<LookupOutcome, GupsterError> {
         self.stats.lookups += 1;
         self.telemetry.counters().lookups.fetch_add(1, Ordering::Relaxed);
-
-        // 1. Spurious-query filter.
-        if !self.schema.admits_path(request) {
-            self.stats.spurious += 1;
-            return Err(GupsterError::SpuriousQuery(request.to_string()));
-        }
-
-        // 2. Known user?
+        let permitted = self.shield(owner, request, requester, purpose, time, Some(&mut *tracer))?;
+        // `shield` has checked that the owner is known.
         let Some(coverage) = self.coverage.get(owner) else {
-            self.stats.uncovered += 1;
             return Err(GupsterError::UnknownUser(owner.to_string()));
-        };
-
-        // 3. Privacy shield: decide and rewrite. A memo hit touches no
-        // rule and is charged 1µs of simulated time; a miss runs the PDP
-        // over the bucketed candidate rules, charged per rule examined
-        // (2µs each: condition eval + overlap test).
-        let ctx = self.context(owner, requester, purpose, time);
-        tracer.enter(stage::POLICY_DECIDE);
-        let enforced = self.pep.enforce(&self.pap.repository, owner, request, &ctx);
-        if enforced.memo_hit {
-            self.telemetry.counters().memo_hits.fetch_add(1, Ordering::Relaxed);
-            tracer.charge(SimTime::micros(1));
-        } else {
-            tracer.charge(SimTime::micros(1 + 2 * enforced.rules_considered));
-        }
-        tracer.exit();
-        let permitted = match enforced.enforcement {
-            Enforcement::Refused => {
-                self.stats.denied += 1;
-                self.telemetry.counters().policy_denials.fetch_add(1, Ordering::Relaxed);
-                return Err(GupsterError::AccessDenied {
-                    owner: owner.to_string(),
-                    requester: requester.to_string(),
-                });
-            }
-            Enforcement::Proceed(paths) => paths,
         };
         let narrowed = !matches!(permitted.as_slice(), [only] if only == request);
 

@@ -15,48 +15,56 @@
 //! last rung trades freshness for availability. Every answer carries
 //! [`ServedVia`] provenance and an explicit staleness flag, so callers
 //! can never mistake a degraded answer for a fresh one.
+//!
+//! The stale rung belongs to the shard registry (`Gupster`) and is
+//! shared with the open-loop admission plane. A committed
+//! write reaches it through `write_through` alone, and a stale answer
+//! is served only while the registry's shield still permits exactly
+//! what it permitted when the answer was fresh — a revoked grant is
+//! refused, a narrowed one degrades to the error a cold cache gives.
 
 use std::sync::atomic::Ordering;
 
 use gupster_netsim::SimTime;
-use gupster_policy::WeekTime;
+use gupster_policy::{Purpose, WeekTime};
 use gupster_rng::{Rng, SeedableRng, StdRng};
 use gupster_telemetry::{stage, RequestId};
 use gupster_xml::{Element, MergeKeys};
 use gupster_xpath::Path;
 
-use crate::cache::ResultCache;
 use crate::client::StorePool;
 use crate::error::GupsterError;
-use crate::patterns::{PatternExecutor, PatternRun, QueryPattern};
+use crate::patterns::{PatternExecutor, QueryPattern};
 use crate::registry::Gupster;
 
 /// Bounded retry with exponential backoff and full jitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
+struct RetryPolicy {
     /// Attempts per ladder rung (1 = no retries).
-    pub max_attempts: u32,
+    max_attempts: u32,
     /// Backoff scale: the first retry waits up to this long.
-    pub base_backoff: SimTime,
+    base_backoff: SimTime,
     /// Ceiling on a single backoff wait.
-    pub max_backoff: SimTime,
+    max_backoff: SimTime,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: SimTime::millis(50),
-            max_backoff: SimTime::secs(1),
-        }
-    }
-}
+/// The retry policy of every ladder rung: 3 attempts, 50 ms base
+/// backoff, 1 s ceiling.
+const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 3,
+    base_backoff: SimTime::millis(50),
+    max_backoff: SimTime::secs(1),
+};
+
+/// The degradation ladder, tried in order before the stale rung.
+const LADDER: [QueryPattern; 3] =
+    [QueryPattern::Referral, QueryPattern::Chaining, QueryPattern::Recruiting];
 
 impl RetryPolicy {
     /// The wait before retry number `retry` (1-based): full jitter,
     /// uniform in `[0, min(max_backoff, base_backoff · 2^(retry-1))]`.
     /// Deterministic for a given RNG state.
-    pub(crate) fn backoff(&self, retry: u32, rng: &mut StdRng) -> SimTime {
+    fn backoff(&self, retry: u32, rng: &mut StdRng) -> SimTime {
         let ceiling = self
             .base_backoff
             .0
@@ -72,7 +80,7 @@ pub enum ServedVia {
     /// A query pattern ran end to end.
     Pattern(QueryPattern),
     /// Every rung failed; a previously-fetched result was served from
-    /// the stale cache.
+    /// the registry's stale rung.
     StaleCache,
 }
 
@@ -83,7 +91,7 @@ pub struct ResilientRun {
     pub result: Vec<Element>,
     /// Which rung of the ladder answered.
     pub served: ServedVia,
-    /// True when the answer came from the stale cache (then
+    /// True when the answer came from the stale rung (then
     /// [`ResilientRun::stale_age`] says how old it is).
     pub stale: bool,
     /// Age of a stale answer in profile-clock seconds.
@@ -107,40 +115,19 @@ pub struct ResilientRun {
 pub struct ResilientExecutor<'a> {
     /// The underlying pattern executor (network + topology).
     pub exec: PatternExecutor<'a>,
-    /// Retry policy applied per ladder rung.
-    pub policy: RetryPolicy,
     /// Deadline budget per request, in simulated time. Attempts only
     /// *start* while the budget holds; an answer that lands past it is
     /// discarded as [`GupsterError::DeadlineExceeded`] (the client has
-    /// given up) unless the stale cache can still serve.
+    /// given up) unless the stale rung can still serve.
     pub budget: SimTime,
-    /// The degradation ladder, tried in order.
-    pub ladder: Vec<QueryPattern>,
-    /// Last fresh answer per (owner, requester, path), stamped with
-    /// its fetch time. Keyed per requester, like
-    /// [`crate::cache::CachedClient`]: a stale serve replays only an
-    /// answer this requester was already granted — it never bypasses
-    /// the privacy shield for a principal who was refused.
-    stale: ResultCache,
     seed: u64,
 }
 
 impl<'a> ResilientExecutor<'a> {
-    /// Wraps `exec` with the default policy: 3 attempts per rung,
-    /// 50 ms base backoff, a 5 s deadline and the full ladder.
+    /// Wraps `exec` with 3 attempts per rung, 50 ms base backoff, a 5 s
+    /// deadline and the full ladder.
     pub fn new(exec: PatternExecutor<'a>, seed: u64) -> Self {
-        ResilientExecutor {
-            exec,
-            policy: RetryPolicy::default(),
-            budget: SimTime::secs(5),
-            ladder: vec![
-                QueryPattern::Referral,
-                QueryPattern::Chaining,
-                QueryPattern::Recruiting,
-            ],
-            stale: ResultCache::new(256),
-            seed,
-        }
+        ResilientExecutor { exec, budget: SimTime::secs(5), seed }
     }
 
     /// Replaces the per-request deadline budget.
@@ -157,27 +144,13 @@ impl<'a> ResilientExecutor<'a> {
         self
     }
 
-    /// The stale cache (for inspecting hit/miss counts in tests).
-    pub fn stale_cache(&self) -> &ResultCache {
-        &self.stale
-    }
-
-    /// Write-through invalidation (DESIGN.md §13): a committed sync
-    /// changed `owner`'s profile at `changed` paths, so a later outage
-    /// must not degrade to the pre-write answer — every requester's
-    /// stale copy of an overlapping path is dropped. Returns the number
-    /// of entries dropped.
-    pub fn note_write(&mut self, owner: &str, changed: &[Path]) -> usize {
-        changed.iter().map(|path| self.stale.invalidate(owner, path)).sum()
-    }
-
     /// Runs one request through the ladder.
     ///
     /// Transient faults ([`GupsterError::LinkDown`],
     /// [`GupsterError::StoreUnavailable`]) are retried with backoff,
     /// then the next rung is tried; non-transient errors (policy
     /// refusals, spurious queries, ambiguous coverage…) abort
-    /// immediately — retrying cannot fix them, and the stale cache must
+    /// immediately — retrying cannot fix them, and the stale rung must
     /// not paper over a refusal.
     #[allow(clippy::too_many_arguments)]
     pub fn fetch(
@@ -220,117 +193,101 @@ impl<'a> ResilientExecutor<'a> {
         let mut errors: Vec<GupsterError> = Vec::new();
         let mut retries = 0u32;
         let mut fallbacks = 0u32;
-        let ladder = self.ladder.clone();
         let mut over_deadline = false;
 
-        'ladder: for (rung, pattern) in ladder.iter().enumerate() {
-            if rung > 0 {
-                tracer.mark(stage::FALLBACK);
-                tracer.hub().counters().fallbacks.fetch_add(1, Ordering::Relaxed);
-                fallbacks += 1;
-                // A rung transition is a natural flush point: a long
-                // degrading request publishes its closed spans to the
-                // hub's histograms now, so an observability snapshot
-                // taken mid-ladder sees the work already done instead
-                // of an empty buffer.
-                tracer.flush_stages();
-            }
-            for attempt in 0..self.policy.max_attempts {
-                if tracer.now() >= self.budget {
-                    over_deadline = true;
-                    break 'ladder;
+        let (result, served, stale_age) = 'answered: {
+            'ladder: for (rung, &pattern) in LADDER.iter().enumerate() {
+                if rung > 0 {
+                    tracer.mark(stage::FALLBACK);
+                    tracer.hub().counters().fallbacks.fetch_add(1, Ordering::Relaxed);
+                    fallbacks += 1;
+                    // A rung transition is a natural flush point: a long
+                    // degrading request publishes its closed spans to the
+                    // hub's histograms now, so an observability snapshot
+                    // taken mid-ladder sees the work already done instead
+                    // of an empty buffer.
+                    tracer.flush_stages();
                 }
-                if attempt > 0 {
-                    let wait = self.policy.backoff(attempt, &mut rng);
-                    tracer.span(stage::RETRY_BACKOFF, wait);
-                    // Waiting advances the network clock too, so a
-                    // retry really can outlive a fault window instead
-                    // of replaying the same blocked instant.
-                    self.exec.net.advance(wait);
-                    tracer.hub().counters().retries.fetch_add(1, Ordering::Relaxed);
-                    retries += 1;
+                for attempt in 0..RETRY.max_attempts {
                     if tracer.now() >= self.budget {
                         over_deadline = true;
                         break 'ladder;
                     }
-                }
-                match self.exec.execute_traced(
-                    *pattern, gupster, pool, owner, request, requester, time, now, keys, tracer,
-                ) {
-                    Ok(run) if tracer.now() <= self.budget => {
-                        return Ok(self.fresh(run, *pattern, owner, requester, request, now, fallbacks, retries, errors, tracer));
+                    if attempt > 0 {
+                        let wait = RETRY.backoff(attempt, &mut rng);
+                        tracer.span(stage::RETRY_BACKOFF, wait);
+                        // Waiting advances the network clock too, so a
+                        // retry really can outlive a fault window instead
+                        // of replaying the same blocked instant.
+                        self.exec.net.advance(wait);
+                        tracer.hub().counters().retries.fetch_add(1, Ordering::Relaxed);
+                        retries += 1;
+                        if tracer.now() >= self.budget {
+                            over_deadline = true;
+                            break 'ladder;
+                        }
                     }
-                    Ok(_) => {
-                        // Answered, but past the deadline: the client
-                        // has given up — fall through to the stale
-                        // cache / deadline error.
-                        over_deadline = true;
-                        break 'ladder;
+                    match self.exec.execute_traced(
+                        pattern, gupster, pool, owner, request, requester, time, now, keys, tracer,
+                    ) {
+                        Ok(run) if tracer.now() <= self.budget => {
+                            // Refresh the stale rung so the next outage can
+                            // degrade to this answer. Patterns look up with
+                            // `Purpose::Query`.
+                            let fresh = run.result.clone();
+                            gupster.remember_answer(
+                                owner, request, requester, Purpose::Query, time, fresh, now,
+                            );
+                            break 'answered (run.result, ServedVia::Pattern(pattern), None);
+                        }
+                        Ok(_) => {
+                            // Answered, but past the deadline: the client
+                            // has given up — fall through to the stale
+                            // rung / deadline error.
+                            over_deadline = true;
+                            break 'ladder;
+                        }
+                        Err(e) if is_transient(&e) => errors.push(e),
+                        Err(e) => return Err(e),
                     }
-                    Err(e) if is_transient(&e) => errors.push(e),
-                    Err(e) => return Err(e),
                 }
             }
-        }
 
-        // Ladder exhausted (or deadline hit): last rung is the stale
-        // cache.
-        if let Some((result, fetched_at)) = self.stale.get(owner, requester, request) {
-            tracer.mark(stage::STALE_SERVE);
-            tracer.hub().counters().stale_serves.fetch_add(1, Ordering::Relaxed);
-            return Ok(ResilientRun {
-                result,
-                served: ServedVia::StaleCache,
-                stale: true,
-                stale_age: Some(now.saturating_sub(fetched_at)),
-                fallbacks,
-                retries,
-                wall: tracer.now(),
-                request: tracer.request(),
-                errors,
-            });
-        }
-        if over_deadline {
-            tracer.mark(stage::DEADLINE_EXCEEDED);
-            tracer.hub().counters().deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            return Err(GupsterError::DeadlineExceeded {
-                elapsed: tracer.now(),
-                budget: self.budget,
-            });
-        }
-        Err(errors
-            .pop()
-            .unwrap_or_else(|| GupsterError::Store("resilience ladder is empty".into())))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fresh(
-        &mut self,
-        run: PatternRun,
-        pattern: QueryPattern,
-        owner: &str,
-        requester: &str,
-        request: &Path,
-        now: u64,
-        fallbacks: u32,
-        retries: u32,
-        errors: Vec<GupsterError>,
-        tracer: &gupster_telemetry::Tracer,
-    ) -> ResilientRun {
-        // Refresh the stale cache so the next outage can degrade to
-        // this answer.
-        self.stale.put(owner, requester, request, run.result.clone(), now);
-        ResilientRun {
-            result: run.result,
-            served: ServedVia::Pattern(pattern),
-            stale: false,
-            stale_age: None,
+            // Ladder exhausted (or deadline hit): the last rung is the
+            // registry's stale answer, behind the shield — a revoked
+            // grant is refused here, not served.
+            match gupster.stale_answer(owner, request, requester, Purpose::Query, time, now)? {
+                Some((result, age)) => {
+                    tracer.mark(stage::STALE_SERVE);
+                    tracer.hub().counters().stale_serves.fetch_add(1, Ordering::Relaxed);
+                    (result, ServedVia::StaleCache, Some(age))
+                }
+                None if over_deadline => {
+                    tracer.mark(stage::DEADLINE_EXCEEDED);
+                    tracer.hub().counters().deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                    return Err(GupsterError::DeadlineExceeded {
+                        elapsed: tracer.now(),
+                        budget: self.budget,
+                    });
+                }
+                None => {
+                    return Err(errors
+                        .pop()
+                        .unwrap_or_else(|| GupsterError::Store("no ladder rung ran".into())))
+                }
+            }
+        };
+        Ok(ResilientRun {
+            result,
+            served,
+            stale: stale_age.is_some(),
+            stale_age,
             fallbacks,
             retries,
             wall: tracer.now(),
             request: tracer.request(),
             errors,
-        }
+        })
     }
 }
 
@@ -349,7 +306,7 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_and_deterministic() {
-        let policy = RetryPolicy::default();
+        let policy = RETRY;
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
         for retry in 1..=6 {

@@ -51,7 +51,6 @@ use gupster_xpath::Path;
 use crate::admission::{
     AdmissionConfig, Completion, IngressQueue, Priority, RequestOutcome, Shed,
 };
-use crate::cache::ResultCache;
 use crate::client::{fetch_merge_batched_traced, Singleflight, StorePool};
 use crate::error::GupsterError;
 use crate::registry::{Gupster, LookupOutcome};
@@ -244,8 +243,8 @@ pub struct OverloadReport {
     pub admitted: u64,
     /// Admitted requests whose pipeline returned `Ok`.
     pub fresh: u64,
-    /// Requests (shed or transiently failed) covered by the admission
-    /// stale cache.
+    /// Requests (shed or transiently failed) covered by the owner
+    /// shard's stale rung.
     pub stale_served: u64,
     /// Call-delivery requests shed by admission control.
     pub shed_calls: u64,
@@ -697,11 +696,12 @@ impl ShardedRegistry {
     /// the same workload runs on 1 or 8 shards. Admitted requests
     /// execute the full pipeline on the owner's shard at their service
     /// start instant; [`Priority::CallDelivery`] preempts bulk work at
-    /// every queue. Completed answers feed an admission-plane stale
-    /// cache; shed and transiently-failed requests consult it before
-    /// resolving, so every arrival lands on exactly one
+    /// every queue. Completed answers feed the owner shard's stale rung
+    /// (the one the resilience ladder uses, kept across runs); shed and
+    /// transiently-failed requests consult it, behind the shard's
+    /// shield, before resolving, so every arrival lands on exactly one
     /// [`RequestOutcome`] — a fresh answer, a stale serve, or a typed
-    /// `Overloaded` rejection. No hangs, no silent drops.
+    /// error or `Overloaded` rejection. No hangs, no silent drops.
     ///
     /// `probe` is the netsim hook: called with each request's service
     /// start instant before the pipeline runs (the chaos suite advances
@@ -747,7 +747,6 @@ impl ShardedRegistry {
         let mut results: Vec<Option<Result<Vec<Element>, GupsterError>>> =
             (0..n).map(|_| None).collect();
         let mut outcomes: Vec<Option<RequestOutcome>> = (0..n).map(|_| None).collect();
-        let mut stale = ResultCache::new(config.stale_capacity);
         let mut completions: Vec<Completion> = Vec::new();
         // Runs arrival `j`'s full pipeline on its owner's shard at its
         // service start instant `start`, under a `shard.request` trace
@@ -791,7 +790,7 @@ impl ShardedRegistry {
                     run(&mut self.shards, &mut results, &mut per_shard, j, start)
                 };
                 // Advance every queue to this arrival first, so the
-                // stale cache holds exactly the answers completed
+                // stale rung holds exactly the answers completed
                 // before `now` regardless of which queue they ran on.
                 for queue in queues.parts_mut() {
                     queue.run_until(a.arrival, &mut exec, &mut completions);
@@ -803,14 +802,14 @@ impl ShardedRegistry {
             // finish order, not queue order.
             completions.sort_by_key(|c| (c.finished, c.idx));
             for c in &completions {
-                self.settle_open(arrivals, c, &mut results, &mut outcomes, &mut stale, &mut report);
+                self.settle_open(arrivals, c, &mut results, &mut outcomes, &mut report);
             }
             if offer.preempted {
                 report.preemptions += 1;
                 hub.counters().preemptions.fetch_add(1, Ordering::Relaxed);
             }
             if let Some(shed) = offer.shed {
-                self.shed_open(arrivals, shed, &mut outcomes, &mut stale, &mut report);
+                self.shed_open(arrivals, shed, &mut outcomes, &mut report);
             }
         }
 
@@ -826,7 +825,7 @@ impl ShardedRegistry {
         }
         completions.sort_by_key(|c| (c.finished, c.idx));
         for c in &completions {
-            self.settle_open(arrivals, c, &mut results, &mut outcomes, &mut stale, &mut report);
+            self.settle_open(arrivals, c, &mut results, &mut outcomes, &mut report);
         }
 
         let queues = queues.parts();
@@ -849,21 +848,20 @@ impl ShardedRegistry {
     }
 
     /// Resolves one completed service: records per-class sojourn,
-    /// refreshes the admission stale cache on success and degrades
-    /// transient pipeline failures to the stale cache when possible.
-    #[allow(clippy::too_many_arguments)]
+    /// refreshes the owner shard's stale rung on success and degrades
+    /// transient pipeline failures to it when the shield still allows.
     fn settle_open(
-        &self,
+        &mut self,
         arrivals: &[OpenLoopRequest],
         c: &Completion,
         results: &mut [Option<Result<Vec<Element>, GupsterError>>],
         outcomes: &mut [Option<RequestOutcome>],
-        stale: &mut ResultCache,
         report: &mut OverloadReport,
     ) {
         let a = &arrivals[c.idx];
-        let r = &a.request;
-        let hub = self.shard(&r.owner).telemetry();
+        let ShardRequest { owner, path, requester, purpose, time, now } = &a.request;
+        let g = self.shards.get_mut(owner);
+        let hub = g.telemetry();
         let sojourn = c.finished.saturating_sub(c.arrived);
         match a.class {
             Priority::CallDelivery => {
@@ -882,19 +880,20 @@ impl ShardedRegistry {
         let outcome = match res {
             Ok(elems) => {
                 report.fresh += 1;
-                stale.put(&r.owner, &r.requester, &r.path, elems.clone(), r.now);
+                g.remember_answer(owner, path, requester, *purpose, *time, elems.clone(), *now);
                 RequestOutcome::Answer(Ok(elems))
             }
             Err(e) if is_transient(&e) => {
                 // A fault window bit the execution: the open-loop
                 // analogue of the ladder's stale rung.
-                match stale_outcome(stale, r) {
-                    Some(served) => {
+                match g.stale_answer(owner, path, requester, *purpose, *time, *now) {
+                    Ok(Some((result, age))) => {
                         hub.counters().stale_serves.fetch_add(1, Ordering::Relaxed);
                         report.stale_served += 1;
-                        served
+                        RequestOutcome::Stale { result, age }
                     }
-                    None => RequestOutcome::Answer(Err(e)),
+                    Ok(None) => RequestOutcome::Answer(Err(e)),
+                    Err(denied) => RequestOutcome::Answer(Err(denied)),
                 }
             }
             Err(e) => RequestOutcome::Answer(Err(e)),
@@ -902,20 +901,21 @@ impl ShardedRegistry {
         outcomes[c.idx] = Some(outcome);
     }
 
-    /// Resolves one shed request: typed rejection, unless the stale
-    /// cache still covers the (owner, requester, path).
+    /// Resolves one shed request: typed rejection, unless the owner
+    /// shard's stale rung still covers the (owner, requester, path) and
+    /// the shield still permits what it permitted then.
     fn shed_open(
-        &self,
+        &mut self,
         arrivals: &[OpenLoopRequest],
         shed: Shed,
         outcomes: &mut [Option<RequestOutcome>],
-        stale: &mut ResultCache,
         report: &mut OverloadReport,
     ) {
         let a = &arrivals[shed.idx];
-        let r = &a.request;
+        let ShardRequest { owner, path, requester, purpose, time, now } = &a.request;
         debug_assert_eq!(a.class, shed.cause.class, "shed class must match the request's");
-        let hub = self.shard(&r.owner).telemetry();
+        let g = self.shards.get_mut(owner);
+        let hub = g.telemetry();
         match a.class {
             Priority::CallDelivery => {
                 hub.counters().shed_calls.fetch_add(1, Ordering::Relaxed);
@@ -926,24 +926,18 @@ impl ShardedRegistry {
                 report.shed_edits += 1;
             }
         }
-        let outcome = match stale_outcome(stale, r) {
-            Some(served) => {
+        let outcome = match g.stale_answer(owner, path, requester, *purpose, *time, *now) {
+            Ok(Some((result, age))) => {
                 hub.counters().overload_stale_serves.fetch_add(1, Ordering::Relaxed);
                 report.stale_served += 1;
-                served
+                RequestOutcome::Stale { result, age }
             }
-            None => RequestOutcome::Overloaded(shed.cause),
+            // A refusal or a changed grant leaves the typed rejection.
+            Ok(None) | Err(_) => RequestOutcome::Overloaded(shed.cause),
         };
         debug_assert!(outcomes[shed.idx].is_none(), "a request must resolve exactly once");
         outcomes[shed.idx] = Some(outcome);
     }
-}
-
-/// The admission plane's stale rung: the last answer completed for the
-/// request's (owner, requester, path), aged against the request's clock.
-fn stale_outcome(stale: &mut ResultCache, r: &ShardRequest) -> Option<RequestOutcome> {
-    let (result, answered_at) = stale.get(&r.owner, &r.requester, &r.path)?;
-    Some(RequestOutcome::Stale { result, age: r.now.saturating_sub(answered_at) })
 }
 
 #[cfg(test)]

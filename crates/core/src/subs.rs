@@ -309,11 +309,13 @@ impl ShardedFanout {
     }
 
     /// Subscribes to changes under `path` of `owner`'s profile. The
-    /// privacy shield is consulted once, with [`Purpose::Subscribe`] —
-    /// owners can therefore write policies that allow queries but not
-    /// standing subscriptions. The scope's spine is compiled into the
-    /// owner's trie on the owner's shard here, so matching never
-    /// re-parses it. Ids are issued in ascending order.
+    /// lookup's schema filter, known-owner check and privacy shield are
+    /// consulted once, with [`Purpose::Subscribe`] — owners can
+    /// therefore write policies that allow queries but not standing
+    /// subscriptions. No referral is built, so nothing is signed or
+    /// recorded and `_now` stamps nothing. The scope's spine is
+    /// compiled into the owner's trie on the owner's shard here, so
+    /// matching never re-parses it. Ids are issued in ascending order.
     pub fn subscribe(
         &mut self,
         gupster: &mut Gupster,
@@ -321,11 +323,10 @@ impl ShardedFanout {
         path: &Path,
         subscriber: &str,
         time: WeekTime,
-        now: u64,
+        _now: u64,
     ) -> Result<u64, GupsterError> {
-        // Reuse the lookup pipeline for the shield + schema checks (the
-        // referral itself is discarded; we only need the permission).
-        gupster.lookup(owner, path, subscriber, Purpose::Subscribe, time, now)?;
+        // The lookup's schema, owner and shield checks; no referral.
+        gupster.shield(owner, path, subscriber, Purpose::Subscribe, time, None)?;
         let id = self.next_id;
         self.next_id += 1;
         let shard = self.shards.get_mut(owner);
@@ -598,6 +599,33 @@ mod tests {
         );
         assert!(err.is_err());
         assert!(subs.is_empty());
+    }
+
+    #[test]
+    fn subscribing_checks_the_shield_but_mints_no_referral() {
+        let (mut g, _) = world();
+        let mut subs = ShardedFanout::new(1);
+        let at = WeekTime::at(0, 9, 0);
+        subs.subscribe(&mut g, "alice", &p("/user[@id='alice']/presence"), "alice", at, 0).unwrap();
+        assert!(matches!(
+            subs.subscribe(&mut g, "alice", &p("/user[@id='alice']/presence"), "spy", at, 0),
+            Err(GupsterError::AccessDenied { .. })
+        ));
+        assert!(matches!(
+            subs.subscribe(&mut g, "ghost", &p("/user/presence"), "ghost", at, 0),
+            Err(GupsterError::UnknownUser(_))
+        ));
+        assert!(matches!(
+            subs.subscribe(&mut g, "alice", &p("/user/mp3-collection"), "alice", at, 0),
+            Err(GupsterError::SpuriousQuery(_))
+        ));
+        assert_eq!(subs.len(), 1);
+        // The lookup's checks ran, with their counters…
+        assert_eq!((g.stats.denied, g.stats.uncovered, g.stats.spurious), (1, 1, 1));
+        // …but no lookup, referral, token or disclosure record.
+        assert_eq!((g.stats.lookups, g.stats.referrals), (0, 0));
+        assert!(g.provenance.is_empty());
+        assert_eq!(g.telemetry().counter_snapshot().lookups, 0);
     }
 
     #[test]

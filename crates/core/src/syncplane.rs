@@ -30,7 +30,7 @@
 //!
 //! A committed reconcile is a profile **write**, and the registry holds
 //! derived state that must not survive one: memoized PDP decisions,
-//! cached referral tokens, stale-serve result caches. [`write_through`]
+//! cached referral tokens, the stale rung's answers. [`write_through`]
 //! bumps the owner's write generation ([`Gupster::note_write`]), drops
 //! the derived entries, and turns the changed paths into
 //! [`ChangeEvent`]s for the push-fanout plane — post-sync reads never
@@ -421,11 +421,13 @@ fn registry_path(owner: &str, component: &str, p: &NodePath) -> Path {
 
 /// Commits a reconcile pass against the registry: every touched owner's
 /// write generation is bumped and their derived registry state (PDP
-/// memo, referral-token cache) dropped via `Gupster::note_write`, and
-/// the changed paths come back as [`ChangeEvent`]s — feed them to
+/// memo, referral-token cache, the stale answers the resilience ladder
+/// and the open-loop engine serve) dropped via `Gupster::note_write` —
+/// the one invalidation hook of the registry's caches. The changed
+/// paths come back as [`ChangeEvent`]s: feed them to
 /// [`crate::ShardedFanout::stage_events`] (push subscribers) and to
-/// [`crate::cache::CachedClient::note_write`] /
-/// [`crate::ResilientExecutor::note_write`] (result + stale caches).
+/// [`crate::cache::CachedClient::note_write`] (the client-side result
+/// cache).
 pub fn write_through(gupster: &mut Gupster, report: &PlaneReport) -> Vec<ChangeEvent> {
     let mut events = Vec::new();
     for u in &report.users {

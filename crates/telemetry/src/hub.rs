@@ -85,7 +85,8 @@ counters! {
     fallbacks,
     /// Requests that exhausted their deadline budget.
     deadline_exceeded,
-    /// Results served from the stale cache after every rung failed.
+    /// Results served from the registry's stale rung after every ladder
+    /// rung failed, or after a transient open-loop failure.
     stale_serves,
     /// Coverage matches answered by the path-trie index.
     trie_hits,
@@ -119,7 +120,7 @@ counters! {
     shed_edits,
     /// Bulk services preempted by call-delivery arrivals.
     preemptions,
-    /// Shed requests answered from the admission stale cache.
+    /// Shed requests answered from the registry's stale rung.
     overload_stale_serves,
     /// Referral tokens reused from the registry's token cache instead
     /// of freshly signed (DESIGN.md §7).

@@ -1,16 +1,26 @@
 //! Integration test for the graceful-degradation ladder: kill the
 //! referred store's links mid-stream and watch the request degrade
 //! referral → chaining → stale-cache, in order, with provenance
-//! marking the stage that answered.
+//! marking the stage that answered. The stale rung is the shard
+//! registry's, shared with the open-loop engine, and it never serves
+//! past the privacy shield.
 
 mod common;
 
-use common::{book_request as request, fault_world, keys as merge_keys, FaultWorld};
+use common::{
+    book_request as request, build_pool, fault_world, keys as merge_keys, p, provision, user,
+    FaultWorld,
+};
 use gupster::core::patterns::{PatternExecutor, QueryPattern};
-use gupster::core::{GupsterError, ResilientExecutor, ServedVia};
+use gupster::core::{
+    AdmissionConfig, Gupster, GupsterError, OpenLoopRequest, Priority, RequestOutcome,
+    ResilientExecutor, ServedVia, ShardRequest, ShardedRegistry, StorePool,
+};
 use gupster::netsim::{FaultSchedule, SimTime};
-use gupster::policy::WeekTime;
+use gupster::policy::{Effect, Purpose, WeekTime};
+use gupster::schema::gup_schema;
 use gupster::telemetry::stage;
+use gupster::xml::MergeKeys;
 
 /// Two stores, one address-book item each.
 fn world() -> FaultWorld {
@@ -173,16 +183,175 @@ fn the_stale_cache_remembers_no_more_views_than_it_holds() {
     };
     let mut rex = ResilientExecutor::new(exec, 7);
     let t = WeekTime::at(0, 12, 0);
-    for i in 0..1_000 {
+    for i in 0..5_000 {
         let caller = format!("caller{i:04}");
         rex.fetch(&mut w.gupster, &w.pool, "alice", &request(), &caller, t, 0, &keys).unwrap();
     }
-    // The stale cache is bounded to 256 views. Everything the executor
-    // retains, not just the cache's own count: no side table may
-    // remember an evicted view.
-    assert_eq!(rex.stale_cache().len(), 256);
-    let retained = format!("{rex:?}");
+    // The shard's stale rung is bounded to 4096 views. Everything the
+    // cache retains, not just its own count: no side table may remember
+    // an evicted view. (The registry as a whole legitimately remembers
+    // every caller in its provenance audit trail.)
+    let stale = w.gupster.stale_answers();
+    assert_eq!(stale.len(), 4096);
+    let retained = format!("{stale:?}");
     let remembered: std::collections::BTreeSet<&str> =
         retained.match_indices("caller").filter_map(|(at, _)| retained.get(at..at + 10)).collect();
-    assert_eq!(remembered.len(), 256, "evicted views must leave nothing behind");
+    assert_eq!(remembered.len(), 4096, "evicted views must leave nothing behind");
+}
+
+/// Grants rick alice's whole address book and fetches it once through
+/// the ladder, warming the stale rung.
+fn warm_rick(
+    rex: &mut ResilientExecutor<'_>,
+    gupster: &mut Gupster,
+    pool: &StorePool,
+    keys: &MergeKeys,
+) {
+    gupster.set_relationship("alice", "rick", "co-worker");
+    gupster
+        .pap
+        .provision("alice", "book", Effect::Permit, "/user/address-book", "relationship='co-worker'", 0)
+        .unwrap();
+    let fresh = rex
+        .fetch(gupster, pool, "alice", &request(), "rick", WeekTime::at(0, 12, 0), 0, keys)
+        .unwrap();
+    assert!(!fresh.stale);
+    assert!(format!("{:?}", fresh.result).contains("slice1"), "the whole book reaches slice1");
+}
+
+#[test]
+fn a_narrowed_grant_is_not_widened_by_a_stale_serve() {
+    let mut w = world();
+    let keys = merge_keys();
+    let exec = PatternExecutor {
+        net: &w.net,
+        client: w.client,
+        gupster_node: w.gupster_node,
+        store_nodes: w.node_map.clone(),
+        batch_fetches: false,
+    };
+    let mut rex = ResilientExecutor::new(exec, 7);
+    warm_rick(&mut rex, &mut w.gupster, &w.pool, &keys);
+    // alice narrows rick's grant to slice0, then every store goes dark.
+    assert!(w.gupster.pap.withdraw("alice", "book"));
+    w.gupster
+        .pap
+        .provision(
+            "alice",
+            "slice0",
+            Effect::Permit,
+            "/user/address-book/item[@type='slice0']",
+            "relationship='co-worker'",
+            0,
+        )
+        .unwrap();
+    let mut all_dark = FaultSchedule::new();
+    for &node in &w.store_nodes {
+        all_dark = all_dark.node_offline(node, SimTime::ZERO, FOREVER);
+    }
+    w.net.install_faults(all_dark);
+    let t = WeekTime::at(0, 12, 0);
+    for now in [10, 20] {
+        match rex.fetch(&mut w.gupster, &w.pool, "alice", &request(), "rick", t, now, &keys) {
+            Ok(run) => {
+                assert!(!run.stale, "the whole-book answer outlived its grant: {run:?}");
+                assert!(!format!("{:?}", run.result).contains("slice1"), "{run:?}");
+            }
+            // The error a cold stale rung would give: the stores are dark.
+            Err(e) => assert!(
+                matches!(e, GupsterError::StoreUnavailable(_) | GupsterError::LinkDown { .. }),
+                "{e:?}"
+            ),
+        }
+    }
+    assert_eq!(w.gupster.telemetry().counter_snapshot().stale_serves, 0);
+}
+
+#[test]
+fn a_withdrawn_grant_is_refused_even_with_no_budget_left() {
+    let mut w = world();
+    let keys = merge_keys();
+    let exec = PatternExecutor {
+        net: &w.net,
+        client: w.client,
+        gupster_node: w.gupster_node,
+        store_nodes: w.node_map.clone(),
+        batch_fetches: false,
+    };
+    let mut rex = ResilientExecutor::new(exec, 7);
+    warm_rick(&mut rex, &mut w.gupster, &w.pool, &keys);
+    assert!(w.gupster.pap.withdraw("alice", "book"));
+    // No budget: the ladder gives up before any lookup runs, so the
+    // stale rung's own shield check is all that stands in the way.
+    rex.budget = SimTime::ZERO;
+    let err = rex
+        .fetch(&mut w.gupster, &w.pool, "alice", &request(), "rick", WeekTime::at(0, 12, 0), 5, &keys)
+        .unwrap_err();
+    assert!(matches!(err, GupsterError::AccessDenied { .. }), "{err:?}");
+    assert_eq!(w.gupster.telemetry().counter_snapshot().stale_serves, 0);
+}
+
+/// The open-loop engine keeps the shard's stale rung across runs, and
+/// a shed request is served from it only while the shield still
+/// allows: the owner's own shed requests ride run 1's answer, rick's
+/// resolve to `Overloaded` (or, when admitted, `AccessDenied`) once
+/// his grant is withdrawn.
+#[test]
+fn open_loop_stale_serves_outlive_a_run_but_not_a_grant() {
+    let pool = build_pool();
+    let keys = merge_keys();
+    let owner = user(0);
+    let book = p(&format!("/user[@id='{owner}']/address-book"));
+    let mut reg = ShardedRegistry::new(gup_schema(), b"resilience", 2);
+    provision(|u, path, store| reg.register_component(u, path, store).unwrap());
+    let g = reg.shard_mut(&owner);
+    g.set_relationship(&owner, "rick", "co-worker");
+    g.pap
+        .provision(&owner, "book", Effect::Permit, "/user/address-book", "relationship='co-worker'", 0)
+        .unwrap();
+    let ask = |requester: &str, now: u64, arrival: SimTime| OpenLoopRequest {
+        request: ShardRequest {
+            owner: owner.clone(),
+            path: book.clone(),
+            requester: requester.to_string(),
+            purpose: Purpose::Query,
+            time: WeekTime::at(1, 10, 0),
+            now,
+        },
+        arrival,
+        class: Priority::ProfileEdit,
+    };
+    // One waiting seat per queue: a burst on one owner sheds at once.
+    let config = AdmissionConfig { capacity: 1, ..AdmissionConfig::default() };
+
+    // Run 1: quiet arrivals — both views answered fresh.
+    let quiet = [ask(&owner, 0, SimTime::ZERO), ask("rick", 1, SimTime::millis(10))];
+    let (outcomes, _) = reg.answer_open_loop(&pool, &quiet, &keys, &config, None);
+    assert!(outcomes.iter().all(|o| matches!(o, RequestOutcome::Answer(Ok(_)))), "{outcomes:?}");
+
+    assert!(reg.shard_mut(&owner).pap.withdraw(&owner, "book"));
+
+    // Run 2, same registry: twelve arrivals at one instant, alternating
+    // owner and rick. One runs, one waits, the rest are shed.
+    let burst: Vec<OpenLoopRequest> = (0..12u64)
+        .map(|i| ask(if i % 2 == 0 { &owner } else { "rick" }, 10 + i, SimTime::ZERO))
+        .collect();
+    let (outcomes, report) = reg.answer_open_loop(&pool, &burst, &keys, &config, None);
+    assert!(report.shed_edits >= 8, "{report:?}");
+    let mut owner_stale = 0;
+    for (a, o) in burst.iter().zip(&outcomes) {
+        if a.request.requester == "rick" {
+            assert!(
+                matches!(
+                    o,
+                    RequestOutcome::Overloaded(_)
+                        | RequestOutcome::Answer(Err(GupsterError::AccessDenied { .. }))
+                ),
+                "rick after the withdraw: {o:?}"
+            );
+        } else if matches!(o, RequestOutcome::Stale { .. }) {
+            owner_stale += 1;
+        }
+    }
+    assert!(owner_stale > 0, "run 1's answer must cover the owner's shed requests: {outcomes:?}");
 }

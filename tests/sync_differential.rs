@@ -285,7 +285,7 @@ fn compaction_preserves_replay_for_laggard_peers() {
 /// Write-through invalidation end to end: a committed reconcile bumps
 /// the owner's write generation and drops every derived copy — the
 /// PDP decision memo, the referral-token cache, the client result
-/// cache and the resilience stale cache — and its change events reach
+/// cache and the registry's stale rung — and its change events reach
 /// the push-fanout plane. Post-sync reads must never see pre-write
 /// derived state; untouched owners keep theirs.
 #[test]
@@ -349,8 +349,9 @@ fn write_through_drops_derived_state_everywhere() {
     assert!(cc.cache().misses > misses, "post-write fetch must go back to the stores");
     assert_eq!(refetched, first, "stores were not edited; only the cache was dropped");
 
-    // Stale cache: after note_write an all-dark fleet must fail the
-    // request rather than serve the pre-write copy.
+    // Stale rung: once a committed write goes through the registry, an
+    // all-dark fleet must fail the request rather than serve the
+    // pre-write copy.
     let exec = PatternExecutor {
         net: &w.net,
         client: w.client,
@@ -360,8 +361,10 @@ fn write_through_drops_derived_state_everywhere() {
     };
     let mut rex = ResilientExecutor::new(exec, 7);
     rex.fetch(&mut w.gupster, &w.pool, "alice", &book_request(), "alice", t, 20, &merge).unwrap();
-    assert!(!rex.stale_cache().is_empty(), "the fresh fetch must warm the stale cache");
-    assert!(rex.note_write("alice", changed) >= 1);
+    assert!(!w.gupster.stale_answers().is_empty(), "the fresh fetch must warm the stale cache");
+    let before = w.gupster.stale_answers().invalidations;
+    write_through(&mut w.gupster, &report);
+    assert!(w.gupster.stale_answers().invalidations - before >= 1);
     let mut dark = FaultSchedule::new();
     for &node in &w.store_nodes {
         dark = dark.node_offline(node, SimTime::ZERO, FOREVER);
@@ -369,7 +372,7 @@ fn write_through_drops_derived_state_everywhere() {
     w.net.install_faults(dark);
     let starved =
         rex.fetch(&mut w.gupster, &w.pool, "alice", &book_request(), "alice", t, 30, &merge);
-    assert!(starved.is_err(), "a pre-write stale copy must never be served after note_write");
+    assert!(starved.is_err(), "a pre-write stale copy must never be served after write_through");
     assert_eq!(w.gupster.telemetry().counter_snapshot().stale_serves, 0);
 
     // The same events drive the push-fanout plane: a permitted
