@@ -11,17 +11,21 @@
 //! outcomes are deterministic and the plane reports them in owner order,
 //! whichever shard produced them.
 //!
-//! A reconcile pass costs what was edited, not what is registered: the
-//! plane keeps a **dirty set** — an edit marks its star, and a pass runs
-//! sessions and compaction for marked stars only (a star whose pass did
-//! not converge, or errored, stays marked). An idle star is not touched;
-//! it is still reported, as converged with zero sessions, so a report
-//! always carries one row per registered user.
+//! A reconcile pass costs what was edited, not what is registered: each
+//! shard keeps a **dirty list** — an edit appends its star's owner (once
+//! until the next pass), and a pass runs sessions and compaction for
+//! listed stars only (a star whose pass did not converge, or errored,
+//! is listed again). An idle star is neither touched nor reported: the
+//! report has one row per star the pass ran, and counts idle stars only
+//! in `converged_users`.
 //!
 //! Reconciliation itself is the delta fast path of `gupster-sync`
 //! ([`gupster_sync::delta_two_way_sync`]): two hub-centred rounds relay
 //! every device's edits to every other device, then each replica's
-//! change log is **compacted** against its live peer anchors.
+//! change log is **compacted** against its live peer anchors. A session
+//! between replicas unchanged since they last matched walks neither
+//! document, and neither does the convergence check
+//! ([`Replica::known_equal`]).
 //! [`SyncPlane::use_oracle`] switches the same plane onto the naive
 //! [`gupster_sync::two_way_sync`] path — the experiment baseline and the
 //! differential-test oracle. A pass reports what it did as counts (pairs
@@ -39,7 +43,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Bound;
+use std::mem;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -65,17 +69,26 @@ struct UserReplicas {
     /// Target paths of every edit accepted since the last reconcile,
     /// in arrival order — drained into [`UserOutcome::changed`].
     pending: Vec<NodePath>,
-    /// Membership in the plane's dirty set: the next reconcile pass
-    /// runs this star's sessions.
+    /// Listed in its shard's [`StarShard::dirty`]: the next reconcile
+    /// pass runs this star's sessions.
     dirty: bool,
 }
 
-/// Per-user outcome of one reconcile pass.
+/// One shard of the plane: its stars, and the owners of those the next
+/// pass runs.
+#[derive(Debug, Default)]
+struct StarShard {
+    stars: BTreeMap<String, UserReplicas>,
+    /// Owners of the stars flagged `dirty`, each once, in marking order.
+    dirty: Vec<String>,
+}
+
+/// Outcome of one star a reconcile pass ran.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UserOutcome {
     /// The profile owner.
     pub owner: String,
-    /// Sync sessions run (2 rounds × devices; none for an idle star).
+    /// Sync sessions run (2 rounds × devices).
     pub sessions: usize,
     /// Bytes shipped across all of the user's sessions.
     pub bytes_exchanged: usize,
@@ -96,8 +109,7 @@ pub struct UserOutcome {
     pub errors: usize,
     /// Log entries removed by post-sync compaction (all replicas).
     pub compacted: usize,
-    /// True when every device document equals the hub's after the pass
-    /// (an idle star stays as its last pass left it: converged).
+    /// True when every device document equals the hub's after the pass.
     pub converged: bool,
     /// Registry-side paths touched since the last reconcile, first-
     /// appearance order. Names-only (keys and indices dropped):
@@ -124,7 +136,9 @@ impl UserOutcome {
 /// identical at any shard count.
 #[derive(Debug, Clone, Default)]
 pub struct PlaneReport {
-    /// Per-user outcomes, sorted by owner.
+    /// Outcomes of the stars this pass ran, sorted by owner: those
+    /// edited since the last pass, and those it left unconverged or
+    /// erroring. An idle star has no row.
     pub users: Vec<UserOutcome>,
     /// Total sync sessions run.
     pub sessions: usize,
@@ -140,13 +154,16 @@ pub struct PlaneReport {
     pub shipped: usize,
     /// Total log entries removed by compaction.
     pub compacted: usize,
-    /// Users whose replicas all converged.
+    /// Registered users whose replicas all converged, idle ones included
+    /// (an idle star is as converged as its last pass left it).
     pub converged_users: usize,
 }
 
 impl PlaneReport {
-    fn from_users(users: Vec<UserOutcome>) -> Self {
-        let mut report = PlaneReport::default();
+    /// The report of a pass that ran `users` over a plane of
+    /// `registered` stars.
+    fn from_users(users: Vec<UserOutcome>, registered: usize) -> Self {
+        let mut report = PlaneReport { converged_users: registered, ..PlaneReport::default() };
         for u in &users {
             report.sessions += u.sessions;
             report.bytes_exchanged += u.bytes_exchanged;
@@ -155,7 +172,7 @@ impl PlaneReport {
             report.slow_syncs += u.slow_syncs;
             report.shipped += u.shipped;
             report.compacted += u.compacted;
-            report.converged_users += u.converged as usize;
+            report.converged_users -= !u.converged as usize;
         }
         report.users = users;
         report
@@ -196,12 +213,8 @@ impl std::error::Error for EditError {}
 /// The sharded reconciliation plane over every user's replica star.
 #[derive(Debug)]
 pub struct SyncPlane {
-    /// Each shard's replica stars, by owner.
-    stars: Shards<BTreeMap<String, UserReplicas>>,
-    /// The shard of every star, in owner order: walking the shards' maps
-    /// in step with it lists every star in owner order without comparing
-    /// owners.
-    shard_by_rank: Vec<usize>,
+    /// Each shard's replica stars, by owner, and its dirty list.
+    stars: Shards<StarShard>,
     /// Conflict policy applied in every session.
     pub policy: ReconcilePolicy,
     /// When true, sessions run through the naive
@@ -214,13 +227,13 @@ pub struct SyncPlane {
 impl SyncPlane {
     /// A plane over `shards` partitions (≥ 1).
     pub fn new(shards: usize, policy: ReconcilePolicy) -> Self {
-        let stars = Shards::new(shards, |_| BTreeMap::new());
-        SyncPlane { stars, shard_by_rank: Vec::new(), policy, use_oracle: false }
+        let stars = Shards::new(shards, |_| StarShard::default());
+        SyncPlane { stars, policy, use_oracle: false }
     }
 
     /// Number of users with replica stars.
     pub fn user_count(&self) -> usize {
-        self.shard_by_rank.len()
+        self.stars.parts().iter().map(|s| s.stars.len()).sum()
     }
 
     /// Registers a user's component: a hub replica seeded with `doc`
@@ -234,10 +247,9 @@ impl SyncPlane {
             pending: Vec::new(),
             dirty: false,
         };
-        if self.stars.get_mut(owner).insert(owner.to_string(), star).is_none() {
-            let below = (Bound::Unbounded, Bound::Excluded(owner));
-            let rank = self.stars.parts().iter().map(|s| s.range::<str, _>(below).count()).sum();
-            self.shard_by_rank.insert(rank, self.stars.index(owner));
+        let shard = self.stars.get_mut(owner);
+        if shard.stars.insert(owner.to_string(), star).is_some_and(|old| old.dirty) {
+            shard.dirty.retain(|o| o != owner);
         }
     }
 
@@ -256,7 +268,8 @@ impl SyncPlane {
     /// `device` is `None`. An accepted edit's target is pending
     /// publication and its star needs a reconcile.
     fn edit(&mut self, owner: &str, device: Option<usize>, op: EditOp) -> Result<u64, EditError> {
-        let u = self.star(owner)?;
+        let shard = self.stars.get_mut(owner);
+        let u = shard.stars.get_mut(owner).ok_or_else(|| EditError::UnknownOwner(owner.to_string()))?;
         let replica = match device {
             None => &mut u.hub,
             Some(device) => u.devices.get_mut(device).ok_or_else(|| EditError::UnknownDevice {
@@ -267,25 +280,21 @@ impl SyncPlane {
         let target = op.target().clone();
         let seq = replica.edit(op).map_err(EditError::Xml)?;
         u.pending.push(target);
-        u.dirty = true;
+        if !u.dirty {
+            u.dirty = true;
+            shard.dirty.push(owner.to_string());
+        }
         Ok(seq)
-    }
-
-    fn star(&mut self, owner: &str) -> Result<&mut UserReplicas, EditError> {
-        self.stars
-            .get_mut(owner)
-            .get_mut(owner)
-            .ok_or_else(|| EditError::UnknownOwner(owner.to_string()))
     }
 
     /// The hub document of a user (for assertions and reads).
     pub fn hub_doc(&self, owner: &str) -> &Element {
-        &self.stars.get(owner)[owner].hub.doc
+        &self.stars.get(owner).stars[owner].hub.doc
     }
 
     /// A device document of a user.
     pub fn device_doc(&self, owner: &str, device: usize) -> &Element {
-        &self.stars.get(owner)[owner].devices[device].doc
+        &self.stars.get(owner).stars[owner].devices[device].doc
     }
 
     /// Total retained change-log entries across every replica —
@@ -294,49 +303,39 @@ impl SyncPlane {
         self.stars
             .parts()
             .iter()
-            .flat_map(BTreeMap::values)
+            .flat_map(|s| s.stars.values())
             .map(|u| u.hub.log.len() + u.devices.iter().map(|d| d.log.len()).sum::<usize>())
             .sum()
     }
 
     /// Runs one reconcile pass over the dirty stars: every shard's in
     /// parallel, two hub-centred rounds each, then per-replica log
-    /// compaction (delta mode only). Idle stars get their converged,
-    /// zero-session row without being visited. The returned report has
-    /// one row per user, sorted by owner, and is byte-identical at any
-    /// shard count. Its totals are added to `telemetry`'s
-    /// `sync_sessions`, `sync_ops_shipped`, `sync_conflicts`,
-    /// `sync_slow_paths` and `compacted_ops` counters.
+    /// compaction (delta mode only). Idle stars are not visited. The
+    /// returned report has one row per star the pass ran, sorted by
+    /// owner, and is byte-identical at any shard count. Its totals are
+    /// added to `telemetry`'s `sync_sessions`, `sync_ops_shipped`,
+    /// `sync_conflicts`, `sync_slow_paths` and `compacted_ops` counters.
     pub fn reconcile(&mut self, telemetry: &Arc<TelemetryHub>) -> PlaneReport {
         let (policy, oracle) = (self.policy, self.use_oracle);
-        // One row per star in owner order; a dirty star's row is
-        // replaced by its pass's outcome.
-        let mut rows: Vec<UserOutcome> = Vec::with_capacity(self.user_count());
-        let mut dirty: Vec<usize> = Vec::with_capacity(rows.capacity());
-        let mut walks: Vec<_> = self.stars.parts().iter().map(BTreeMap::iter).collect();
-        for &shard in &self.shard_by_rank {
-            let (owner, u) = walks[shard].next().expect("one star per rank");
-            if u.dirty {
-                dirty.push(rows.len());
-            }
-            rows.push(UserOutcome { owner: owner.clone(), converged: true, ..Default::default() });
+        let mut dirty: Vec<String> =
+            self.stars.parts_mut().iter_mut().flat_map(|s| mem::take(&mut s.dirty)).collect();
+        dirty.sort_unstable();
+        let (mut outcomes, _) = self.stars.scatter(&dirty, String::as_str, |shard, bucket| {
+            let out = bucket.iter().map(|&k| {
+                let owner = &dirty[k];
+                let u = shard.stars.get_mut(owner).expect("a star lives on its owner's shard");
+                let outcome = reconcile_user(owner, u, policy, oracle);
+                if u.dirty {
+                    shard.dirty.push(owner.clone());
+                }
+                outcome
+            });
+            ((), out.collect())
+        });
+        for (outcome, owner) in outcomes.iter_mut().zip(dirty) {
+            outcome.owner = owner;
         }
-        let (outcomes, _) = self.stars.scatter(
-            &dirty,
-            |&row| &rows[row].owner,
-            |stars, bucket| {
-                let out = bucket.iter().map(|&k| {
-                    let owner = &rows[dirty[k]].owner;
-                    let u = stars.get_mut(owner).expect("a star lives on its owner's shard");
-                    reconcile_user(owner, u, policy, oracle)
-                });
-                ((), out.collect())
-            },
-        );
-        for (row, outcome) in dirty.into_iter().zip(outcomes) {
-            rows[row] = outcome;
-        }
-        let report = PlaneReport::from_users(rows);
+        let report = PlaneReport::from_users(outcomes, self.user_count());
         let counters = telemetry.counters();
         for (counter, total) in [
             (&counters.sync_sessions, report.sessions),
@@ -354,7 +353,8 @@ impl SyncPlane {
 /// Reconciles one dirty star: two rounds of hub↔device sessions (the
 /// hub is the *first* replica, so [`ReconcilePolicy::PreferFirst`]
 /// means "the primary copy wins"), then log compaction against live
-/// anchors.
+/// anchors. The outcome's `owner` is left empty for the caller, which
+/// owns the name already.
 fn reconcile_user(
     owner: &str,
     u: &mut UserReplicas,
@@ -362,7 +362,7 @@ fn reconcile_user(
     oracle: bool,
 ) -> UserOutcome {
     let session = if oracle { two_way_sync } else { delta_two_way_sync };
-    let mut outcome = UserOutcome { owner: owner.to_string(), ..Default::default() };
+    let mut outcome = UserOutcome::default();
     for _round in 0..2 {
         for d in &mut u.devices {
             match session(&mut u.hub, d, policy) {
@@ -371,7 +371,10 @@ fn reconcile_user(
             }
         }
     }
-    outcome.converged = u.devices.iter().all(|d| d.doc == u.hub.doc);
+    // The oracle compares every device; the delta plane first asks
+    // whether the last session already found the pair equal.
+    outcome.converged =
+        u.devices.iter().all(|d| (!oracle && u.hub.known_equal(d)) || d.doc == u.hub.doc);
     // Unfinished business keeps the star in the dirty set.
     u.dirty = !outcome.converged || outcome.errors > 0;
     if !oracle {
@@ -525,7 +528,31 @@ mod tests {
 
     /// A user's replica star, wherever the plane keeps it.
     fn star_of<'p>(plane: &'p SyncPlane, owner: &str) -> &'p UserReplicas {
-        &plane.stars.get(owner)[owner]
+        &plane.stars.get(owner).stars[owner]
+    }
+
+    /// A user's first device replica.
+    fn first_device<'p>(plane: &'p mut SyncPlane, owner: &str) -> &'p mut Replica {
+        &mut plane.stars.get_mut(owner).stars.get_mut(owner).unwrap().devices[0]
+    }
+
+    /// Gives a user's first device its document under another root name
+    /// (another component's, unless `name` is the star's own).
+    fn rename_first_device(plane: &mut SyncPlane, owner: &str, name: &'static str) {
+        let device = first_device(plane, owner);
+        let mut doc = (*device.doc).clone();
+        doc.name = name.into();
+        device.replace_doc(doc);
+    }
+
+    /// The row a pass reported for `owner`, if it ran the star.
+    fn row<'r>(report: &'r PlaneReport, owner: &str) -> Option<&'r UserOutcome> {
+        report.users.iter().find(|u| u.owner == owner)
+    }
+
+    /// Every registered owner of a plane built by [`plane`].
+    fn owners(users: usize) -> impl Iterator<Item = String> {
+        (0..users).map(|i| format!("user{i}"))
     }
 
     /// Every dirty star on one shard of a 3-shard plane (the other two
@@ -557,7 +584,12 @@ mod tests {
 
     /// Marks every star, as the pass did before the dirty set existed.
     fn mark_all(plane: &mut SyncPlane) {
-        plane.stars.parts_mut().iter_mut().flat_map(BTreeMap::values_mut).for_each(|u| u.dirty = true);
+        for shard in plane.stars.parts_mut() {
+            for (owner, u) in shard.stars.iter_mut().filter(|(_, u)| !u.dirty) {
+                u.dirty = true;
+                shard.dirty.push(owner.clone());
+            }
+        }
     }
 
     #[test]
@@ -572,9 +604,10 @@ mod tests {
                 let mut full_scan = plane(shards, USERS, 2);
                 full_scan.use_oracle = oracle;
 
-                // Nothing edited: nothing runs, everyone is reported.
+                // Nothing edited: nothing runs or is reported, and every
+                // star counts as converged.
                 let idle = lazy.reconcile(&hub);
-                assert_eq!((idle.users.len(), idle.converged_users, idle.sessions), (USERS, USERS, 0));
+                assert_eq!((idle.users.len(), idle.converged_users, idle.sessions), (0, USERS, 0));
 
                 lazy.edit_device("user3", 0, set_name("edited")).unwrap();
                 full_scan.edit_device("user3", 0, set_name("edited")).unwrap();
@@ -582,20 +615,21 @@ mod tests {
                 mark_all(&mut full_scan);
                 let control = full_scan.reconcile(&hub);
 
-                assert_eq!((report.users.len(), report.converged_users), (USERS, USERS));
+                assert_eq!((report.users.len(), report.converged_users), (1, USERS));
                 assert_eq!(report.sessions, 4, "2 rounds x 2 devices of the one edited star");
-                assert_eq!(control.sessions, 4 * USERS);
-                for (i, (u, c)) in report.users.iter().zip(&control.users).enumerate() {
-                    assert_eq!(u.owner, format!("user{i}"));
-                    assert_eq!(u.sessions, if i == 3 { 4 } else { 0 }, "{}", u.owner);
-                    assert!(u.converged && u.errors == 0, "{}", u.owner);
-                    assert_eq!(u.changed, c.changed, "{}", u.owner);
-                    assert_eq!(lazy.hub_doc(&u.owner), full_scan.hub_doc(&u.owner));
+                assert_eq!((control.users.len(), control.sessions), (USERS, 4 * USERS));
+                for (owner, c) in owners(USERS).zip(&control.users) {
+                    assert_eq!(c.owner, owner);
+                    let u = row(&report, &owner);
+                    assert_eq!(u.map_or(0, |u| u.sessions), if owner == "user3" { 4 } else { 0 }, "{owner}");
+                    assert!(u.is_none_or(|u| u.converged && u.errors == 0), "{owner}");
+                    assert_eq!(u.map_or(&[][..], |u| &u.changed), c.changed, "{owner}");
+                    assert_eq!(lazy.hub_doc(&owner), full_scan.hub_doc(&owner));
                     for d in 0..2 {
-                        assert_eq!(lazy.device_doc(&u.owner, d), full_scan.device_doc(&u.owner, d));
+                        assert_eq!(lazy.device_doc(&owner, d), full_scan.device_doc(&owner, d));
                     }
                 }
-                assert_eq!(report.users[3], control.users[3]);
+                assert_eq!(row(&report, "user3"), Some(&control.users[3]));
                 assert_eq!(lazy.log_entries(), full_scan.log_entries());
                 reports.push(report.users);
             }
@@ -604,29 +638,45 @@ mod tests {
         }
     }
 
+    /// A star registered again replaces the old one, dirty mark and all.
+    #[test]
+    fn re_registering_an_edited_star_leaves_nothing_to_run() {
+        let hub = Arc::new(TelemetryHub::new());
+        let mut plane = plane(2, 3, 2);
+        plane.edit_device("user1", 0, set_name("edited")).unwrap();
+        plane.edit_device("user2", 1, set_name("edited")).unwrap();
+        plane.add_user("user1", base(), keys(), 2);
+        assert_eq!(plane.user_count(), 3);
+        let report = plane.reconcile(&hub);
+        assert_eq!(report.users.iter().map(|u| u.owner.as_str()).collect::<Vec<_>>(), ["user2"]);
+        assert_eq!((report.sessions, report.converged_users), (4, 3));
+        assert_eq!(plane.hub_doc("user1"), &base());
+    }
+
     #[test]
     fn an_unfinished_star_is_revisited_until_it_settles() {
         let hub = Arc::new(TelemetryHub::new());
         let mut plane = plane(2, 3, 2);
         // A device that no longer holds the hub's component: its
         // sessions error, so the star cannot converge.
-        plane.star("user1").unwrap().devices[0].doc.name = "calendar".into();
+        rename_first_device(&mut plane, "user1", "calendar");
         plane.edit_hub("user1", insert_item("2")).unwrap();
         let first = plane.reconcile(&hub);
-        assert_eq!((first.users[1].errors, first.users[1].converged), (2, false));
-        assert_eq!(first.users[1].changed.len(), 1);
+        let user1 = |report: &PlaneReport| row(report, "user1").cloned().expect("user1 ran");
+        assert_eq!((user1(&first).errors, user1(&first).converged), (2, false));
+        assert_eq!(user1(&first).changed.len(), 1);
         assert_eq!(first.converged_users, 2);
 
         // No new edit, yet it comes round again; the idle stars do not.
         let second = plane.reconcile(&hub);
-        assert_eq!((second.users[1].errors, second.users[1].sessions), (2, 2));
+        assert_eq!((user1(&second).errors, user1(&second).sessions), (2, 2));
         assert_eq!(second.sessions, 2);
-        assert!(second.users[1].changed.is_empty(), "changed paths are published once");
+        assert!(user1(&second).changed.is_empty(), "changed paths are published once");
 
         // Once the cause is gone the star settles and drops out.
-        plane.star("user1").unwrap().devices[0].doc.name = "address-book".into();
+        rename_first_device(&mut plane, "user1", "address-book");
         let third = plane.reconcile(&hub);
-        assert_eq!((third.users[1].errors, third.converged_users), (0, 3));
+        assert_eq!((user1(&third).errors, third.converged_users), (0, 3));
         assert_eq!(plane.device_doc("user1", 0), plane.hub_doc("user1"));
         assert_eq!(plane.reconcile(&hub).sessions, 0);
     }
@@ -705,7 +755,7 @@ mod tests {
                 // The laggard: a device restored from a backup taken
                 // before item 2 existed cannot apply the hub's next edit
                 // of it, so its session falls back to a slow sync.
-                plane.star("user1").unwrap().devices[0].doc = base();
+                first_device(&mut plane, "user1").replace_doc(base());
                 let vip = EditOp::SetAttr {
                     path: NodePath::root().keyed("item", "id", "2"),
                     name: "vip".into(),
@@ -837,7 +887,7 @@ mod tests {
             for u in 0..STORM_USERS {
                 plane.add_user(&format!("user{u}"), book(), keys(), STORM_DEVICES);
             }
-            plane.star(STUCK).unwrap().devices[0].doc.name = "calendar".into();
+            rename_first_device(plane, STUCK, "calendar");
             plane.edit_device(STUCK, 0, storm_rename("c0".into(), "unsynced".into())).unwrap();
         }
         (delta, oracle)
@@ -850,7 +900,7 @@ mod tests {
     /// Gives [`STUCK`]'s first device its component back on both planes.
     fn unstick(delta: &mut SyncPlane, oracle: &mut SyncPlane) {
         for plane in [delta, oracle] {
-            plane.star(STUCK).unwrap().devices[0].doc.name = "address-book".into();
+            rename_first_device(plane, STUCK, "address-book");
         }
     }
 
@@ -924,9 +974,11 @@ mod tests {
                 let ro = oracle.reconcile(&hub);
                 assert_eq!((rd.slow_syncs, ro.slow_syncs), (0, 0), "pass {pass}");
                 converged = rd.converged_users;
-                for (d, o) in rd.users.iter().zip(&ro.users) {
-                    let owner = &d.owner;
-                    assert_eq!(d.converged, o.converged, "pass {pass}: {owner}");
+                for owner in &owners(USERS).collect::<Vec<_>>() {
+                    // Both planes run the same stars; one neither ran is
+                    // as converged as its last pass left it.
+                    let (d, o) = (row(&rd, owner), row(&ro, owner));
+                    assert_eq!(d.map(|d| d.converged), o.map(|o| o.converged), "pass {pass}: {owner}");
                     assert_eq!(delta.hub_doc(owner), oracle.hub_doc(owner), "pass {pass}: {owner}");
                     for dev in 0..DEVICES {
                         assert_eq!(
@@ -937,7 +989,7 @@ mod tests {
                     }
                     let u = star_of(&delta, owner);
                     let replicas = || std::iter::once(&u.hub).chain(&u.devices);
-                    if d.converged && replicas().all(|r| r.log.is_empty()) {
+                    if d.is_none_or(|d| d.converged) && replicas().all(|r| r.log.is_empty()) {
                         assert!(replicas().all(|r| r.seen.is_empty()), "pass {pass}: {owner}");
                         settled += 1;
                     }
@@ -981,12 +1033,11 @@ mod tests {
                 let rd = delta.reconcile(&hub);
                 let ro = oracle.reconcile(&hub);
                 for (plane, report) in [(&delta, &rd), (&oracle, &ro)] {
-                    for u in &report.users {
-                        let owner = &u.owner;
+                    for owner in &owners(STORM_USERS).collect::<Vec<_>>() {
                         if pass < 4 && owner == STUCK {
                             continue;
                         }
-                        assert!(u.converged, "pass {pass}: {owner}");
+                        assert!(row(report, owner).is_none_or(|u| u.converged), "pass {pass}: {owner}");
                         for dev in 0..STORM_DEVICES {
                             assert_eq!(
                                 plane.device_doc(owner, dev),
@@ -996,8 +1047,8 @@ mod tests {
                         }
                     }
                 }
-                for u in rd.users.iter().filter(|u| u.owner != STUCK) {
-                    let owner = &u.owner;
+                for owner in owners(STORM_USERS).filter(|owner| owner != STUCK) {
+                    let owner = &owner;
                     assert_eq!(delta.hub_doc(owner), oracle.hub_doc(owner), "pass {pass}: {owner}");
                 }
             }

@@ -5,13 +5,28 @@
 //! (cleared) since the recorded anchor, the anchors no longer line up
 //! and the pair must fall back to a slow sync — the same role SyncML's
 //! last/next anchors play.
+//!
+//! The same entry remembers the document stamps (see
+//! [`crate::Replica::doc`]) at which the pair was last found equal, so a
+//! session between replicas unchanged since then needs no document walk.
 
 use std::collections::HashMap;
 
-/// Anchor store for one replica: peer id → last incorporated peer seq.
+/// What a replica remembers about one peer.
+#[derive(Debug, Clone, Copy, Default)]
+struct Anchor {
+    /// Last incorporated peer seq.
+    seen: u64,
+    /// `(own stamp, peer stamp)` when the two documents were last found
+    /// equal and canonical; `(0, 0)` (no stamp is 0) when never.
+    matched: (u64, u64),
+}
+
+/// Anchor store for one replica: peer id → last incorporated peer seq,
+/// and the document stamps of the pair's last match.
 #[derive(Debug, Clone, Default)]
 pub struct Anchors {
-    seen: HashMap<String, u64>,
+    peers: HashMap<String, Anchor>,
 }
 
 impl Anchors {
@@ -22,19 +37,39 @@ impl Anchors {
 
     /// How far into `peer`'s log this replica has synced (0 = never).
     pub fn last_seen(&self, peer: &str) -> u64 {
-        self.seen.get(peer).copied().unwrap_or(0)
+        self.peers.get(peer).map_or(0, |a| a.seen)
     }
 
     /// Records that this replica has incorporated `peer`'s log up to
-    /// `seq`.
+    /// `seq`. Only a first contact allocates (the peer's name).
     pub(crate) fn advance(&mut self, peer: &str, seq: u64) {
-        self.seen.insert(peer.to_string(), seq);
+        self.update(peer, |a| a.seen = seq);
     }
 
     /// True if the recorded anchor is consistent with the peer's current
     /// log head (an anchor *beyond* the head means the peer rebased).
     pub(crate) fn consistent_with(&self, peer: &str, peer_head: u64) -> bool {
         self.last_seen(peer) <= peer_head
+    }
+
+    /// Whether this replica's document (stamp `own`) was found equal to
+    /// `peer`'s (stamp `theirs`), both canonical, with neither changed
+    /// since.
+    pub(crate) fn matched(&self, peer: &str, own: u64, theirs: u64) -> bool {
+        self.peers.get(peer).is_some_and(|a| a.matched == (own, theirs))
+    }
+
+    /// Remembers that the documents stamped `own` (here) and `theirs`
+    /// (at `peer`) are equal and canonical.
+    pub(crate) fn record_match(&mut self, peer: &str, own: u64, theirs: u64) {
+        self.update(peer, |a| a.matched = (own, theirs));
+    }
+
+    fn update(&mut self, peer: &str, f: impl FnOnce(&mut Anchor)) {
+        match self.peers.get_mut(peer) {
+            Some(anchor) => f(anchor),
+            None => f(self.peers.entry(peer.to_string()).or_default()),
+        }
     }
 }
 
@@ -59,5 +94,17 @@ mod tests {
         assert!(a.consistent_with("phone", 7));
         assert!(a.consistent_with("phone", 5));
         assert!(!a.consistent_with("phone", 3)); // peer log shrank: rebase
+    }
+
+    #[test]
+    fn a_match_is_kept_beside_the_anchor_and_only_for_its_stamps() {
+        let mut a = Anchors::new();
+        assert!(!a.matched("phone", 0, 0), "never synced is never matched");
+        a.record_match("phone", 3, 4);
+        a.advance("phone", 9);
+        assert!(a.matched("phone", 3, 4));
+        assert!(!a.matched("phone", 3, 5) && !a.matched("phone", 2, 4));
+        assert!(!a.matched("portal", 3, 4));
+        assert_eq!(a.last_seen("phone"), 9);
     }
 }

@@ -147,7 +147,11 @@ impl<'a> DeltaCodec<'a> {
 /// holds this under seeded random storms). Only the *measured work*
 /// differs: [`SyncReport::compared`] counts candidate pairs actually
 /// examined instead of `|a| × |b|`, and
-/// [`SyncReport::bytes_exchanged`] reflects delta framing.
+/// [`SyncReport::bytes_exchanged`] reflects delta framing. It also
+/// skips document walks that cannot find anything: a side no op could
+/// have reordered is not canonicalized, and a session with nothing to
+/// ship between replicas whose documents are
+/// [`known equal`](crate::Replica::known_equal) walks neither.
 pub fn delta_two_way_sync(
     a: &mut Replica,
     b: &mut Replica,

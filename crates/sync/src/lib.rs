@@ -10,6 +10,10 @@
 //! * **sync anchors** ([`Anchors`]) in the SyncML style: each side
 //!   remembers how far into the peer's log it has synced; anchor
 //!   mismatch forces a *slow sync* (full-state compare),
+//! * **stamped documents** ([`Doc`]): every document state has a
+//!   process-wide stamp, and the anchor entry keeps the stamps at which
+//!   the pair last matched, so a session between replicas unchanged
+//!   since then skips the document walks,
 //! * **two-way sync sessions** ([`two_way_sync`]) with conflict
 //!   detection (overlapping edits since the last anchors); each returns
 //!   a [`SyncReport`] counting the work it did (pairs compared, ops
@@ -43,5 +47,5 @@ pub use changelog::{ChangeLog, CompactStats};
 pub use delta::delta_two_way_sync;
 pub use intern::ActorId;
 pub use reconcile::ReconcilePolicy;
-pub use replica::Replica;
+pub use replica::{Doc, Replica};
 pub use session::{two_way_sync, SyncError, SyncReport};

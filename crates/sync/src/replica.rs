@@ -1,12 +1,117 @@
 //! A synchronizable replica of a profile component.
 
 use std::collections::HashSet;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use gupster_xml::{EditOp, Element, MergeKeys, XmlError};
 
 use crate::anchor::Anchors;
 use crate::changelog::ChangeLog;
 use crate::intern::ActorId;
+use crate::session::canonicalize;
+
+/// The one process-wide source of document stamps, so no two document
+/// states anywhere, cloned replicas included, share a stamp unless they
+/// share content. 0 is never handed out.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    // Relaxed: a stamp only has to be unique, and it publishes no data.
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A replica's document: an [`Element`] (read through `Deref`) that only
+/// `gupster-sync` changes. Each change takes a fresh [`stamp`](Self::stamp),
+/// so two equal stamps mean equal content, which is what lets a session
+/// between replicas unchanged since they last matched skip comparing
+/// them. Equality compares the documents only.
+#[derive(Clone)]
+pub struct Doc {
+    element: Element,
+    stamp: u64,
+    /// No op since the last canonicalization could have reordered the
+    /// children (see [`keeps_order`]).
+    ordered: bool,
+}
+
+impl Doc {
+    /// A document state of unknown order.
+    fn new(element: Element) -> Self {
+        Doc { element, stamp: fresh_stamp(), ordered: false }
+    }
+
+    /// `element` canonicalized under `keys`.
+    pub(crate) fn canonical(element: Element, keys: &MergeKeys) -> Self {
+        let mut doc = Doc::new(element);
+        doc.canonicalize(keys, true);
+        doc
+    }
+
+    /// The identity of this content state: any change takes a fresh one.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// True when the children are known to be in canonical order: no op
+    /// since the last canonicalization could have reordered them.
+    pub fn is_ordered(&self) -> bool {
+        self.ordered
+    }
+
+    /// Applies `op`; a failed op changes nothing.
+    fn apply(&mut self, op: &EditOp, keys: &MergeKeys) -> Result<(), XmlError> {
+        op.apply(&mut self.element)?;
+        self.stamp = fresh_stamp();
+        self.ordered &= keeps_order(op, keys);
+        Ok(())
+    }
+
+    /// Puts keyed children in canonical order; skipped, unless `force`d,
+    /// when no op could have disturbed it.
+    pub(crate) fn canonicalize(&mut self, keys: &MergeKeys, force: bool) {
+        if (force || !self.ordered) && canonicalize(&mut self.element, keys) {
+            self.stamp = fresh_stamp();
+        }
+        self.ordered = true;
+    }
+}
+
+/// Whether `op` keeps a canonical document canonical. `SetText` and
+/// `Delete` never move a sibling; an insert appends, and an attribute
+/// write can change an element's key and so its place.
+fn keeps_order(op: &EditOp, keys: &MergeKeys) -> bool {
+    match op {
+        EditOp::SetText { .. } | EditOp::Delete { .. } => true,
+        EditOp::Insert { .. } => false,
+        EditOp::SetAttr { path, name, .. } | EditOp::RemoveAttr { path, name } => {
+            path.steps.last().is_none_or(|step| !keys.may_key(&step.name, name))
+        }
+    }
+}
+
+impl Deref for Doc {
+    type Target = Element;
+
+    fn deref(&self) -> &Element {
+        &self.element
+    }
+}
+
+impl PartialEq for Doc {
+    fn eq(&self, other: &Doc) -> bool {
+        self.element == other.element
+    }
+}
+
+impl Eq for Doc {}
+
+impl fmt::Debug for Doc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.element.fmt(f)
+    }
+}
 
 /// One replica: a site id, the component document, a change log, a
 /// Lamport clock and per-peer anchors.
@@ -22,8 +127,10 @@ pub struct Replica {
     /// The site id interned once at construction — log appends and
     /// dedup-set probes copy 4 bytes instead of cloning the string.
     pub actor: ActorId,
-    /// The component document.
-    pub doc: Element,
+    /// The component document, read-only: edits go through
+    /// [`edit`](Self::edit), wholesale replacement through
+    /// [`replace_doc`](Self::replace_doc).
+    pub doc: Doc,
     /// Edits made here since the last baseline.
     pub log: ChangeLog,
     /// Per-peer sync anchors.
@@ -44,7 +151,7 @@ impl Replica {
         Replica {
             id: id.to_string(),
             actor: ActorId::intern(id),
-            doc,
+            doc: Doc::new(doc),
             log: ChangeLog::new(),
             anchors: Anchors::new(),
             clock: 0,
@@ -55,10 +162,24 @@ impl Replica {
 
     /// Applies a local edit: mutates the document and logs the op.
     pub fn edit(&mut self, op: EditOp) -> Result<u64, XmlError> {
-        op.apply(&mut self.doc)?;
+        self.doc.apply(&op, &self.keys)?;
         self.clock += 1;
         self.seen.insert((self.actor, self.clock));
         Ok(self.log.append(op, self.actor, self.clock))
+    }
+
+    /// Replaces the document behind the log's back (a device restored
+    /// from a backup, say). Logs, anchors and clock are kept; the next
+    /// session finds what changed by comparing documents.
+    pub fn replace_doc(&mut self, doc: Element) {
+        self.doc = Doc::new(doc);
+    }
+
+    /// True when this replica's last session with `peer` left the two
+    /// documents equal and neither has changed since — known without
+    /// walking either. `false` means "not known", not "different".
+    pub fn known_equal(&self, peer: &Replica) -> bool {
+        self.anchors.matched(&peer.id, self.doc.stamp, peer.doc.stamp)
     }
 
     /// Applies a remote edit during sync: mutates the document,
@@ -72,7 +193,7 @@ impl Replica {
         actor: ActorId,
         remote_ts: u64,
     ) -> Result<(), XmlError> {
-        op.apply(&mut self.doc)?;
+        self.doc.apply(op, &self.keys)?;
         self.clock = self.clock.max(remote_ts) + 1;
         self.seen.insert((actor, remote_ts));
         self.log.append(op.clone(), actor, remote_ts);
@@ -87,7 +208,7 @@ impl Replica {
 
     /// Establishes a new baseline after a slow sync: replaces the
     /// document, clears the log and the dedup set.
-    pub(crate) fn rebase(&mut self, doc: Element) {
+    pub(crate) fn rebase(&mut self, doc: Doc) {
         self.doc = doc;
         self.log.clear();
         self.seen.clear();

@@ -80,6 +80,16 @@ impl MergeKeys {
         DEFAULTS.get_or_init(|| ["id", "name", "type"].map(interned))
     }
 
+    /// True when `attr` can decide a `tag` element's
+    /// [`identity`](Self::identity): the tag's explicit key attribute,
+    /// else any of the fallback ones.
+    pub fn may_key(&self, tag: &str, attr: &str) -> bool {
+        match self.keys.iter().find(|(t, _)| t.1 == tag) {
+            Some((_, key)) => key.1 == attr,
+            None => self.fallback().iter().any(|key| key.1 == attr),
+        }
+    }
+
     /// Returns the key of `e` among its siblings, `(attribute, value)`
     /// borrowed from `e`, when a key attribute applies and is present:
     /// the tag's explicit key attribute (and *only* that one if the tag
@@ -250,6 +260,18 @@ mod tests {
 
     fn keys() -> MergeKeys {
         MergeKeys::new().with_key("item", "id")
+    }
+
+    /// `may_key` names exactly the attributes `identity` can read.
+    #[test]
+    fn may_key_covers_the_explicit_key_or_the_fallbacks() {
+        let mut k = keys();
+        assert!(k.may_key("item", "id"));
+        assert!(!k.may_key("item", "name"), "an explicit key shadows the fallbacks");
+        assert!(k.may_key("group", "name") && k.may_key("group", "type"));
+        assert!(!k.may_key("group", "note"));
+        k.use_default_keys = false;
+        assert!(k.may_key("item", "id") && !k.may_key("group", "id"));
     }
 
     #[test]

@@ -104,7 +104,7 @@ fn main() {
     pool.update(
         &StoreId::new("gup.yahoo.com"),
         "alice",
-        &UpdateOp::Replace(Path::parse("/user/address-book").unwrap(), portal_replica.doc.clone()),
+        &UpdateOp::Replace(Path::parse("/user/address-book").unwrap(), (*portal_replica.doc).clone()),
     )
     .unwrap();
 

@@ -189,7 +189,7 @@ fn phone_sync_roundtrip_through_portal_store() {
     pool.update(
         &StoreId::new("gup.yahoo.com"),
         "alice",
-        &UpdateOp::Replace(p("/user/address-book"), portal.doc.clone()),
+        &UpdateOp::Replace(p("/user/address-book"), (*portal.doc).clone()),
     )
     .unwrap();
     let back = pool
