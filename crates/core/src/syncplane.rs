@@ -101,7 +101,9 @@ pub struct UserOutcome {
     /// Ops shipped (both directions, all sessions).
     pub shipped: usize,
     /// Conflict pairs parked for the user under
-    /// [`ReconcilePolicy::Manual`].
+    /// [`ReconcilePolicy::Manual`]. Parked, not held: the star's next
+    /// pass slow-syncs each such device with the hub, and the hub's
+    /// side wins.
     pub queued: usize,
     /// Sessions that fell back to a slow sync.
     pub slow_syncs: usize,

@@ -11,6 +11,7 @@
 //! session between replicas unchanged since then needs no document walk.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// What a replica remembers about one peer.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,10 +24,11 @@ struct Anchor {
 }
 
 /// Anchor store for one replica: peer id → last incorporated peer seq,
-/// and the document stamps of the pair's last match.
+/// and the document stamps of the pair's last match. Keyed on the
+/// peer's shared id, so a first contact allocates no string.
 #[derive(Debug, Clone, Default)]
 pub struct Anchors {
-    peers: HashMap<String, Anchor>,
+    peers: HashMap<Arc<str>, Anchor>,
 }
 
 impl Anchors {
@@ -41,9 +43,9 @@ impl Anchors {
     }
 
     /// Records that this replica has incorporated `peer`'s log up to
-    /// `seq`. Only a first contact allocates (the peer's name).
-    pub(crate) fn advance(&mut self, peer: &str, seq: u64) {
-        self.update(peer, |a| a.seen = seq);
+    /// `seq`.
+    pub(crate) fn advance(&mut self, peer: &Arc<str>, seq: u64) {
+        self.peers.entry(peer.clone()).or_default().seen = seq;
     }
 
     /// True if the recorded anchor is consistent with the peer's current
@@ -61,15 +63,8 @@ impl Anchors {
 
     /// Remembers that the documents stamped `own` (here) and `theirs`
     /// (at `peer`) are equal and canonical.
-    pub(crate) fn record_match(&mut self, peer: &str, own: u64, theirs: u64) {
-        self.update(peer, |a| a.matched = (own, theirs));
-    }
-
-    fn update(&mut self, peer: &str, f: impl FnOnce(&mut Anchor)) {
-        match self.peers.get_mut(peer) {
-            Some(anchor) => f(anchor),
-            None => f(self.peers.entry(peer.to_string()).or_default()),
-        }
+    pub(crate) fn record_match(&mut self, peer: &Arc<str>, own: u64, theirs: u64) {
+        self.peers.entry(peer.clone()).or_default().matched = (own, theirs);
     }
 }
 
@@ -81,8 +76,8 @@ mod tests {
     fn anchors_track_peers_independently() {
         let mut a = Anchors::new();
         assert_eq!(a.last_seen("phone"), 0);
-        a.advance("phone", 5);
-        a.advance("portal", 2);
+        a.advance(&"phone".into(), 5);
+        a.advance(&"portal".into(), 2);
         assert_eq!(a.last_seen("phone"), 5);
         assert_eq!(a.last_seen("portal"), 2);
     }
@@ -90,7 +85,7 @@ mod tests {
     #[test]
     fn consistency_detects_rebase() {
         let mut a = Anchors::new();
-        a.advance("phone", 5);
+        a.advance(&"phone".into(), 5);
         assert!(a.consistent_with("phone", 7));
         assert!(a.consistent_with("phone", 5));
         assert!(!a.consistent_with("phone", 3)); // peer log shrank: rebase
@@ -100,8 +95,8 @@ mod tests {
     fn a_match_is_kept_beside_the_anchor_and_only_for_its_stamps() {
         let mut a = Anchors::new();
         assert!(!a.matched("phone", 0, 0), "never synced is never matched");
-        a.record_match("phone", 3, 4);
-        a.advance("phone", 9);
+        a.record_match(&"phone".into(), 3, 4);
+        a.advance(&"phone".into(), 9);
         assert!(a.matched("phone", 3, 4));
         assert!(!a.matched("phone", 3, 5) && !a.matched("phone", 2, 4));
         assert!(!a.matched("portal", 3, 4));

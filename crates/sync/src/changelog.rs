@@ -10,9 +10,9 @@
 //! `since` binary-searches instead of slicing), so anchors taken before
 //! a compaction remain valid after it.
 
-use gupster_xml::{EditOp, MergeKeys, NodePath};
+use std::sync::Arc;
 
-use crate::intern::ActorId;
+use gupster_xml::{EditOp, MergeKeys, NodePath};
 
 /// One logged edit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,17 +22,10 @@ pub(crate) struct LogEntry {
     pub seq: u64,
     /// The edit.
     pub op: EditOp,
-    /// Who made it (an interned replica/site id).
-    pub actor: ActorId,
+    /// Who made it: the originating replica's id, shared with it.
+    pub actor: Arc<str>,
     /// Logical timestamp (Lamport-style: max(local, seen) + 1).
     pub timestamp: u64,
-}
-
-impl LogEntry {
-    /// The actor id as a string (resolved from the interner).
-    pub(crate) fn actor_str(&self) -> &'static str {
-        self.actor.as_str()
-    }
 }
 
 /// What one `ChangeLog::compact` call removed.
@@ -69,9 +62,9 @@ impl ChangeLog {
         Self::default()
     }
 
-    /// Appends an edit; returns its sequence number. The actor is an
-    /// interned id, so nothing is cloned per append.
-    pub(crate) fn append(&mut self, op: EditOp, actor: ActorId, timestamp: u64) -> u64 {
+    /// Appends an edit; returns its sequence number. The actor is a
+    /// shared id, so an append allocates no string.
+    pub(crate) fn append(&mut self, op: EditOp, actor: Arc<str>, timestamp: u64) -> u64 {
         self.head += 1;
         let seq = self.head;
         self.entries.push(LogEntry { seq, op, actor, timestamp });
@@ -255,8 +248,8 @@ mod tests {
     use super::*;
     use gupster_xml::Element;
 
-    fn aid() -> ActorId {
-        ActorId::intern("phone")
+    fn aid() -> Arc<str> {
+        "phone".into()
     }
 
     fn op(text: &str) -> EditOp {

@@ -20,9 +20,12 @@
 //!   shipped, bytes exchanged, slow syncs), which callers tally,
 //! * **reconciliation policies** ([`ReconcilePolicy`]): site priority,
 //!   last-writer-wins, or a manual queue — "end-users should be able to
-//!   provision the policies used to reconcile profile data" (Req. 6),
-//! * the **write path at scale** (DESIGN.md §13): interned actor ids
-//!   ([`ActorId`]), anchor-safe **changelog compaction**
+//!   provision the policies used to reconcile profile data" (Req. 6);
+//!   the manual queue parks conflicts for the user, and the pair's next
+//!   session slow-syncs them in the first replica's favour,
+//! * the **write path at scale** (DESIGN.md §13): each replica's id is
+//!   its actor, shared by refcount with its log entries, dedup sets and
+//!   peers' anchors ([`Replica::id`]), anchor-safe **changelog compaction**
 //!   (`ChangeLog::compact`), and **delta-encoded sessions**
 //!   ([`delta_two_way_sync`]) — a touched-path trie replaces the
 //!   pairwise conflict scan and dictionary encoding replaces owned-path
@@ -33,11 +36,14 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 mod anchor;
 mod changelog;
 mod delta;
-mod intern;
 mod reconcile;
 mod replica;
 mod session;
@@ -45,7 +51,6 @@ mod session;
 pub use anchor::Anchors;
 pub use changelog::{ChangeLog, CompactStats};
 pub use delta::delta_two_way_sync;
-pub use intern::ActorId;
 pub use reconcile::ReconcilePolicy;
 pub use replica::{Doc, Replica};
 pub use session::{two_way_sync, SyncError, SyncReport};

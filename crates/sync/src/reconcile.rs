@@ -12,8 +12,13 @@ pub enum ReconcilePolicy {
     /// The edit with the larger Lamport timestamp wins; ties break by
     /// actor id (deterministic on both sides).
     LastWriterWins,
-    /// Neither side applies conflicting edits; they are queued for the
-    /// user ("or by some more sophisticated method").
+    /// Neither side applies conflicting edits; they are parked for the
+    /// user ("or by some more sophisticated method") in
+    /// [`SyncReport::queued`](crate::SyncReport::queued), and the session
+    /// leaves the pair diverged. Nothing waits for the user's answer: the
+    /// next session between the pair finds the documents unequal and
+    /// slow-syncs, which settles every parked conflict in the first
+    /// replica's favour.
     Manual,
 }
 
@@ -33,7 +38,9 @@ impl ReconcilePolicy {
             ReconcilePolicy::LastWriterWins => {
                 (first_ts, first_actor) > (second_ts, second_actor)
             }
-            ReconcilePolicy::Manual => true, // unused; session queues instead
+            // The fast path parks conflicts instead of asking; this is
+            // the slow sync that settles them for the first replica.
+            ReconcilePolicy::Manual => true,
         }
     }
 }

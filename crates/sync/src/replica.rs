@@ -4,12 +4,12 @@ use std::collections::HashSet;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use gupster_xml::{EditOp, Element, MergeKeys, XmlError};
 
 use crate::anchor::Anchors;
 use crate::changelog::ChangeLog;
-use crate::intern::ActorId;
 use crate::session::canonicalize;
 
 /// The one process-wide source of document stamps, so no two document
@@ -122,11 +122,11 @@ impl fmt::Debug for Doc {
 /// internet portal").
 #[derive(Debug, Clone)]
 pub struct Replica {
-    /// Site id, e.g. `phone` or `gup.yahoo.com`.
-    pub id: String,
-    /// The site id interned once at construction — log appends and
-    /// dedup-set probes copy 4 bytes instead of cloning the string.
-    pub actor: ActorId,
+    /// Site id, e.g. `phone` or `gup.yahoo.com`, and the actor of every
+    /// edit made here. Log entries, dedup sets and peers' anchors hold
+    /// clones of it, so relaying an edit allocates no string, and the
+    /// id is freed with the last replica, entry or anchor that holds it.
+    pub id: Arc<str>,
     /// The component document, read-only: edits go through
     /// [`edit`](Self::edit), wholesale replacement through
     /// [`replace_doc`](Self::replace_doc).
@@ -142,15 +142,14 @@ pub struct Replica {
     /// Identities `(actor, timestamp)` of every edit incorporated here —
     /// the dedup set that lets a hub **relay** edits between devices
     /// without echoing them back to their originator.
-    pub seen: HashSet<(ActorId, u64)>,
+    pub seen: HashSet<(Arc<str>, u64)>,
 }
 
 impl Replica {
     /// Creates a replica holding `doc`.
     pub fn new(id: &str, doc: Element, keys: MergeKeys) -> Self {
         Replica {
-            id: id.to_string(),
-            actor: ActorId::intern(id),
+            id: id.into(),
             doc: Doc::new(doc),
             log: ChangeLog::new(),
             anchors: Anchors::new(),
@@ -164,8 +163,8 @@ impl Replica {
     pub fn edit(&mut self, op: EditOp) -> Result<u64, XmlError> {
         self.doc.apply(&op, &self.keys)?;
         self.clock += 1;
-        self.seen.insert((self.actor, self.clock));
-        Ok(self.log.append(op, self.actor, self.clock))
+        self.seen.insert((self.id.clone(), self.clock));
+        Ok(self.log.append(op, self.id.clone(), self.clock))
     }
 
     /// Replaces the document behind the log's back (a device restored
@@ -190,20 +189,20 @@ impl Replica {
     pub(crate) fn apply_remote(
         &mut self,
         op: &EditOp,
-        actor: ActorId,
+        actor: &Arc<str>,
         remote_ts: u64,
     ) -> Result<(), XmlError> {
         self.doc.apply(op, &self.keys)?;
         self.clock = self.clock.max(remote_ts) + 1;
-        self.seen.insert((actor, remote_ts));
-        self.log.append(op.clone(), actor, remote_ts);
+        self.seen.insert((actor.clone(), remote_ts));
+        self.log.append(op.clone(), actor.clone(), remote_ts);
         Ok(())
     }
 
     /// Marks an op incorporated without applying it (the losing side of
     /// a resolved conflict): the peer must not re-ship it later.
-    pub(crate) fn mark_seen(&mut self, actor: ActorId, remote_ts: u64) {
-        self.seen.insert((actor, remote_ts));
+    pub(crate) fn mark_seen(&mut self, actor: &Arc<str>, remote_ts: u64) {
+        self.seen.insert((actor.clone(), remote_ts));
     }
 
     /// Establishes a new baseline after a slow sync: replaces the
@@ -255,13 +254,13 @@ mod tests {
     fn remote_apply_advances_clock_and_relays() {
         let mut r = Replica::new("phone", parse("<b><v>1</v></b>").unwrap(), MergeKeys::new());
         let op = EditOp::SetText { path: NodePath::root().child("v", 0), text: "2".into() };
-        let portal = ActorId::intern("portal");
-        r.apply_remote(&op, portal, 41).unwrap();
+        let portal: Arc<str> = "portal".into();
+        r.apply_remote(&op, &portal, 41).unwrap();
         assert_eq!(r.clock, 42);
         // The op is re-logged under its ORIGINAL actor, so this replica
         // relays it onward — and the dedup set prevents echo.
         assert_eq!(r.log.len(), 1);
-        assert_eq!(r.log.since(0)[0].actor_str(), "portal");
+        assert_eq!(&*r.log.since(0)[0].actor, "portal");
         assert_eq!(r.log.since(0)[0].timestamp, 41);
         assert!(r.seen.contains(&(portal, 41)));
     }

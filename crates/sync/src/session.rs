@@ -5,6 +5,7 @@ use std::fmt;
 
 use gupster_xml::{diff, merge, EditOp, Element, MergeKeys, Node};
 
+use crate::changelog::LogEntry;
 use crate::delta::{DeltaCodec, TouchedIndex};
 use crate::reconcile::ReconcilePolicy;
 use crate::replica::{Doc, Replica};
@@ -39,7 +40,10 @@ pub struct SyncReport {
     pub conflicts: usize,
     /// Conflicts where the first replica's edit won.
     pub first_wins: usize,
-    /// Conflicts queued for manual resolution (policy `Manual`).
+    /// Conflicts parked for the user (policy `Manual`): neither side
+    /// applied either edit. The queue does not bind: the next session
+    /// between the pair slow-syncs, settling each parked pair in the
+    /// first replica's favour (see [`ReconcilePolicy::Manual`]).
     pub queued: Vec<(EditOp, EditOp)>,
     /// Edit pairs examined during conflict detection (`|a_new| × |b_new|`
     /// in [`two_way_sync`], the index candidates in
@@ -121,20 +125,7 @@ pub(crate) fn run_session(
         // Ship log suffixes past the peer's anchor, minus anything the
         // peer has already incorporated (hub relay would otherwise echo
         // a device's own edits back to it).
-        let a_new: Vec<_> = a
-            .log
-            .since(b.anchors.last_seen(&a.id))
-            .iter()
-            .filter(|e| !b.seen.contains(&(e.actor, e.timestamp)))
-            .cloned()
-            .collect();
-        let b_new: Vec<_> = b
-            .log
-            .since(a.anchors.last_seen(&b.id))
-            .iter()
-            .filter(|e| !a.seen.contains(&(e.actor, e.timestamp)))
-            .cloned()
-            .collect();
+        let (a_new, b_new) = (unseen(a, b), unseen(b, a));
         if delta && a_new.is_empty() && b_new.is_empty() && a.known_equal(b) {
             a.anchors.advance(&b.id, b.log.head());
             b.anchors.advance(&a.id, a.log.head());
@@ -167,9 +158,7 @@ pub(crate) fn run_session(
                             report.queued.push((ea.op.clone(), eb.op.clone()));
                         }
                         _ => {
-                            if policy
-                                .first_wins(ea.timestamp, ea.actor_str(), eb.timestamp, eb.actor_str())
-                            {
+                            if policy.first_wins(ea.timestamp, &ea.actor, eb.timestamp, &eb.actor) {
                                 report.first_wins += 1;
                                 b_drop[j] = true;
                             } else {
@@ -188,11 +177,11 @@ pub(crate) fn run_session(
         let mut diverged = false;
         for (j, eb) in b_new.iter().enumerate() {
             if b_drop[j] {
-                a.mark_seen(eb.actor, eb.timestamp);
+                a.mark_seen(&eb.actor, eb.timestamp);
                 continue;
             }
             report.bytes_exchanged += wire_size(&eb.op);
-            if a.apply_remote(&eb.op, eb.actor, eb.timestamp).is_err() {
+            if a.apply_remote(&eb.op, &eb.actor, eb.timestamp).is_err() {
                 diverged = true;
             } else {
                 report.shipped_to_first += 1;
@@ -200,11 +189,11 @@ pub(crate) fn run_session(
         }
         for (i, ea) in a_new.iter().enumerate() {
             if a_drop[i] {
-                b.mark_seen(ea.actor, ea.timestamp);
+                b.mark_seen(&ea.actor, ea.timestamp);
                 continue;
             }
             report.bytes_exchanged += wire_size(&ea.op);
-            if b.apply_remote(&ea.op, ea.actor, ea.timestamp).is_err() {
+            if b.apply_remote(&ea.op, &ea.actor, ea.timestamp).is_err() {
                 diverged = true;
             } else {
                 report.shipped_to_second += 1;
@@ -232,6 +221,16 @@ pub(crate) fn run_session(
 
     run_slow_sync(a, b, policy, &mut report);
     Ok(report)
+}
+
+/// `from`'s log suffix past `to`'s anchor for it, minus the edits `to`
+/// has already incorporated. Reserved at the suffix's length, where a
+/// collected `filter` would reserve four entries for one survivor.
+fn unseen(from: &Replica, to: &Replica) -> Vec<LogEntry> {
+    let suffix = from.log.since(to.anchors.last_seen(&from.id));
+    let mut new = Vec::with_capacity(suffix.len());
+    new.extend(suffix.iter().filter(|e| !to.seen.contains(&(e.actor.clone(), e.timestamp))).cloned());
+    new
 }
 
 /// The slow (full-state) sync: deep-merge document states; on merge
