@@ -1,5 +1,7 @@
 //! Microbench for E14: result-cache operations under skew.
 
+use std::sync::Arc;
+
 use gupster_bench::microbench::{bench, suite};
 use gupster_bench::workload::{rng, user_id, Zipf};
 use gupster_core::cache::ResultCache;
@@ -15,7 +17,7 @@ fn main() {
     bench("cache_zipf_get_put", || {
         let u = user_id(zipf.sample(&mut r));
         if cache.get(&u, &u, &path).is_none() {
-            cache.put(&u, &u, &path, vec![Element::new("presence").with_text("x")], 0);
+            cache.put(&u, &u, &path, Arc::new([Element::new("presence").with_text("x")]), 0);
         }
     });
 
@@ -24,7 +26,7 @@ fn main() {
     let mut cache = ResultCache::new(1_000);
     for i in 0..500 {
         let u = user_id(i);
-        cache.put(&u, &u, &book, vec![Element::new("address-book")], 0);
+        cache.put(&u, &u, &book, Arc::new([Element::new("address-book")]), 0);
     }
     bench("cache_invalidate_overlap", || cache.invalidate(&user_id(250), &item));
 }

@@ -2,6 +2,8 @@
 //! skew (hit ratios, zero-staleness via invalidation-on-update) and
 //! replicated-store routing to the closest replica.
 
+use std::sync::Arc;
+
 use gupster_core::cache::{CachedClient, ResultCache};
 use gupster_core::{Gupster, StorePool};
 use gupster_netsim::{Domain, LatencyModel, Network, SimTime};
@@ -52,8 +54,8 @@ pub fn run() {
                                 &user,
                                 &user,
                                 &path,
-                                vec![Element::new("presence")
-                                    .with_text(versions[u].to_string())],
+                                Arc::new([Element::new("presence")
+                                    .with_text(versions[u].to_string())]),
                                 0,
                             );
                         }
@@ -180,7 +182,7 @@ mod tests {
             for _ in 0..20_000 {
                 let user = user_id(zipf.sample(&mut r));
                 if cache.get(&user, &user, &path).is_none() {
-                    cache.put(&user, &user, &path, vec![Element::new("presence")], 0);
+                    cache.put(&user, &user, &path, Arc::new([Element::new("presence")]), 0);
                 }
             }
             cache.hit_ratio()
@@ -192,7 +194,7 @@ mod tests {
     fn invalidation_prevents_stale_reads() {
         let mut cache = ResultCache::new(10);
         let path = Path::parse("/user/presence").unwrap();
-        cache.put("u", "u", &path, vec![Element::new("presence").with_text("0")], 0);
+        cache.put("u", "u", &path, Arc::new([Element::new("presence").with_text("0")]), 0);
         cache.invalidate("u", &path);
         assert!(cache.get("u", "u", &path).is_none(), "stale entry must be gone");
     }

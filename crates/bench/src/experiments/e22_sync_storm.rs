@@ -18,10 +18,15 @@
 //! with its full path string; the delta session ships an 8-byte header
 //! plus a once-per-session dictionary entry). The acceptance bars — ≥5×
 //! fewer pairs compared and ≥3× fewer bytes at the 10k-edit storm and
-//! above — are asserted in-run, with the measured wall ratio printed
-//! beside them; `bench_compare` then requires a quick run to reproduce
-//! the checked-in `BENCH_sync.json` exactly, outside its `wall_`
-//! fields.
+//! above — are asserted in-run; `bench_compare` then requires a quick
+//! run to reproduce the checked-in `BENCH_sync.json` exactly, outside
+//! its `wall_` fields.
+//!
+//! The `wall speedup (1 run)` column is one run's wall ratio, printed
+//! for information only. It moves from run to run while every count
+//! column stays put: twelve full runs on an idle 2-vCPU VM read
+//! 1.2×–3.2× at 1 000 edits, 1.2×–2.8× at 10 000 and 1.6×–2.4× at
+//! 100 000. One run resolves no change in it.
 //!
 //! The compaction column shows the other half of the story: after the
 //! delta pass every replica's changelog truncates behind its live peer
@@ -247,11 +252,15 @@ pub fn run() {
             "naive bytes",
             "delta bytes",
             "ratio",
-            "wall speedup",
+            "wall speedup (1 run)",
             "compacted",
             "log after (d/n)",
         ],
         &table,
+    );
+    println!(
+        "  wall speedup: one run's wall ratio, informative only; it moves run to run \
+         (1.2x-2.8x at 10 000 edits over twelve runs). The counts are the measurement."
     );
     println!(
         "  paper check: Req. 6/7 sync at fleet scale — the delta session compares only \

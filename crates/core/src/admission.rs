@@ -32,8 +32,8 @@
 use std::collections::VecDeque;
 
 use gupster_netsim::SimTime;
-use gupster_xml::Element;
 
+use crate::client::SharedAnswer;
 use crate::error::GupsterError;
 
 /// The priority class of a request, per the paper's traffic split.
@@ -96,13 +96,13 @@ pub struct ShedCause {
 pub enum RequestOutcome {
     /// The request was admitted and executed; this is the pipeline's
     /// own result (which may itself be a typed error).
-    Answer(Result<Vec<Element>, GupsterError>),
+    Answer(Result<SharedAnswer, GupsterError>),
     /// The request was shed (or failed transiently) but a previously
     /// completed answer for the same (owner, requester, path) covered
     /// it; `age` is profile-clock ticks since that answer was fresh.
     Stale {
-        /// The cached merged result.
-        result: Vec<Element>,
+        /// The cached merged result, shared with the stale rung.
+        result: SharedAnswer,
         /// Staleness in profile-clock ticks.
         age: u64,
     },

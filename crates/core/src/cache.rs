@@ -2,13 +2,18 @@
 //! offer some caching services", "GUPster should probably also offer
 //! some caching to make the access to user profile components faster").
 
-use gupster_xml::Element;
+use std::sync::Arc;
+
 use gupster_xpath::{may_overlap, KeyDigest, OwnedKey, OwnerLru, Path};
+
+use crate::client::SharedAnswer;
 
 /// An LRU cache of merged query results, keyed by (owner, requester,
 /// path) — one requester's view of one owner's component. Each entry
 /// carries a caller-chosen stamp `S`: `CachedClient`'s expiry instant,
 /// or the registry stale rung's fetch time and permitted path set.
+/// Results are held as `Arc<[Element]>`: a hit hands out the answer
+/// its fill materialized, never a copy of it.
 ///
 /// Keys include the **requester**: serving one principal's cached
 /// result to another would bypass the privacy shield.
@@ -20,7 +25,7 @@ use gupster_xpath::{may_overlap, KeyDigest, OwnedKey, OwnerLru, Path};
 /// (DESIGN.md §7).
 #[derive(Debug)]
 pub struct ResultCache<S = u64> {
-    entries: OwnerLru<ViewKey, (Vec<Element>, S)>,
+    entries: OwnerLru<ViewKey, (SharedAnswer, S)>,
     /// Cache hits.
     pub hits: u64,
     /// Cache misses.
@@ -42,24 +47,36 @@ impl OwnedKey for ViewKey {
     }
 }
 
-impl<S: Clone> ResultCache<S> {
+impl<S> ResultCache<S> {
     /// A cache bounded to `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         ResultCache { entries: OwnerLru::new(capacity), hits: 0, misses: 0, invalidations: 0 }
     }
 
-    /// Looks up a cached result and its stamp.
-    pub fn get(&mut self, owner: &str, requester: &str, path: &Path) -> Option<(Vec<Element>, S)> {
+    /// Looks up a cached result and its stamp, borrowed: the caller
+    /// clones the `Arc` it keeps, and reads the stamp in place.
+    pub fn get(&mut self, owner: &str, requester: &str, path: &Path) -> Option<&(SharedAnswer, S)> {
         let digest = KeyDigest::new(owner, &(requester, path)).key;
         let hit = self
             .entries
-            .get(digest, |k| k.owner == owner && k.requester == requester && k.path == *path)
-            .cloned();
+            .get(digest, |k| k.owner == owner && k.requester == requester && k.path == *path);
         match hit {
             Some(_) => self.hits += 1,
             None => self.misses += 1,
         }
         hit
+    }
+
+    /// [`ResultCache::get`] that neither counts nor refreshes recency.
+    pub(crate) fn peek(
+        &self,
+        owner: &str,
+        requester: &str,
+        path: &Path,
+    ) -> Option<&(SharedAnswer, S)> {
+        let digest = KeyDigest::new(owner, &(requester, path)).key;
+        self.entries
+            .peek(digest, |k| k.owner == owner && k.requester == requester && k.path == *path)
     }
 
     /// Inserts a stamped result, evicting the least-recently-used entry
@@ -69,7 +86,7 @@ impl<S: Clone> ResultCache<S> {
         owner: &str,
         requester: &str,
         path: &Path,
-        result: Vec<Element>,
+        result: SharedAnswer,
         stamp: S,
     ) {
         let key = ViewKey {
@@ -146,7 +163,7 @@ impl CachedClient {
         time: gupster_policy::WeekTime,
         now: u64,
         keys: &gupster_xml::MergeKeys,
-    ) -> Result<Vec<Element>, crate::error::GupsterError> {
+    ) -> Result<SharedAnswer, crate::error::GupsterError> {
         use std::sync::atomic::Ordering;
 
         use gupster_telemetry::stage;
@@ -155,11 +172,11 @@ impl CachedClient {
         let mut tracer = hub.tracer("cache.fetch");
         // An expired entry is not served; the re-fetch below replaces it.
         if let Some((hit, _)) =
-            self.cache.get(owner, requester, request).filter(|&(_, expiry)| now < expiry)
+            self.cache.get(owner, requester, request).filter(|&&(_, expiry)| now < expiry)
         {
             hub.counters().cache_hits.fetch_add(1, Ordering::Relaxed);
             tracer.mark(stage::CACHE_HIT);
-            return Ok(hit);
+            return Ok(Arc::clone(hit));
         }
         hub.counters().cache_misses.fetch_add(1, Ordering::Relaxed);
         tracer.mark(stage::CACHE_MISS);
@@ -173,15 +190,16 @@ impl CachedClient {
             &mut tracer,
         )?;
         let signer = gupster.signer();
-        let result = crate::client::fetch_merge_traced(
+        let result: SharedAnswer = crate::client::fetch_merge_into(
             pool,
             &out.referral,
             &signer,
             now,
             keys,
             &mut tracer,
+            false,
         )?;
-        self.cache.put(owner, requester, request, result.clone(), now + self.ttl);
+        self.cache.put(owner, requester, request, Arc::clone(&result), now + self.ttl);
         Ok(result)
     }
 
@@ -208,8 +226,8 @@ mod tests {
         Path::parse(s).unwrap()
     }
 
-    fn result(s: &str) -> Vec<Element> {
-        vec![parse(s).unwrap()]
+    fn result(s: &str) -> SharedAnswer {
+        Arc::new([parse(s).unwrap()])
     }
 
     #[test]
@@ -219,7 +237,7 @@ mod tests {
         c.put("a", "a", &p("/user/presence"), result("<presence>online</presence>"), 7);
         let (r, stamp) = c.get("a", "a", &p("/user/presence")).unwrap();
         assert_eq!(r[0].text(), "online");
-        assert_eq!(stamp, 7);
+        assert_eq!(*stamp, 7);
         assert_eq!(c.hits, 1);
         assert_eq!(c.misses, 1);
         assert!((c.hit_ratio() - 0.5).abs() < 1e-9);

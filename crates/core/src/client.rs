@@ -5,7 +5,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write;
+use std::ops::Deref;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use gupster_netsim::SimTime;
 use gupster_store::{DataStore, Fragment, StoreError, StoreId, UpdateOp};
@@ -43,6 +45,12 @@ fn merge_spine_cost(stats: &MergeStats) -> SimTime {
 fn serialize_compute_cost(bytes: usize) -> SimTime {
     SimTime::micros(1 + (bytes as u64).div_ceil(2048))
 }
+
+/// A merged answer, materialized once and shared by everything that
+/// keeps or hands it on: the singleflight table, the result and stale
+/// caches, batch results and request outcomes. A clone is a reference
+/// count, never a copy of the answer's lists.
+pub type SharedAnswer = Arc<[Element]>;
 
 /// The set of live data stores, keyed by store id. In deployment these
 /// are remote machines; here they are trait objects the harness owns.
@@ -128,10 +136,7 @@ pub fn fetch_merge_traced(
     keys: &MergeKeys,
     tracer: &mut Tracer,
 ) -> Result<Vec<Element>, GupsterError> {
-    tracer.enter(stage::FETCH_MERGE);
-    let out = fetch_merge_inner(pool, referral, store_signer, now, keys, Some(tracer), false);
-    tracer.exit();
-    out
+    fetch_merge_into(pool, referral, store_signer, now, keys, tracer, false)
 }
 
 /// [`fetch_merge`] with per-store batching: a merge referral's
@@ -150,24 +155,30 @@ pub fn fetch_merge_batched(
     fetch_merge_inner(pool, referral, store_signer, now, keys, None, true)
 }
 
-/// [`fetch_merge_batched`] nested under a caller-owned trace; records
-/// one `store.fetch` span per destination store and bumps the
-/// batched-fetch counter per coalesced round.
-pub(crate) fn fetch_merge_batched_traced(
+/// The traced fetch behind [`fetch_merge_traced`] and, when `batch`,
+/// the batched one (one `store.fetch` span per destination store, the
+/// batched-fetch counter bumped per coalesced round). The answer is
+/// materialized straight into the caller's container `C`, a
+/// `Vec<Element>` or a [`SharedAnswer`]: one allocation either way.
+pub(crate) fn fetch_merge_into<C>(
     pool: &StorePool,
     referral: &Referral,
     store_signer: &Signer,
     now: u64,
     keys: &MergeKeys,
     tracer: &mut Tracer,
-) -> Result<Vec<Element>, GupsterError> {
+    batch: bool,
+) -> Result<C, GupsterError>
+where
+    C: FromIterator<Element> + Deref<Target = [Element]>,
+{
     tracer.enter(stage::FETCH_MERGE);
-    let out = fetch_merge_inner(pool, referral, store_signer, now, keys, Some(tracer), true);
+    let out = fetch_merge_inner(pool, referral, store_signer, now, keys, Some(tracer), batch);
     tracer.exit();
     out
 }
 
-fn fetch_merge_inner(
+fn fetch_merge_inner<C>(
     pool: &StorePool,
     referral: &Referral,
     store_signer: &Signer,
@@ -175,7 +186,10 @@ fn fetch_merge_inner(
     keys: &MergeKeys,
     mut tracer: Option<&mut Tracer>,
     batch: bool,
-) -> Result<Vec<Element>, GupsterError> {
+) -> Result<C, GupsterError>
+where
+    C: FromIterator<Element> + Deref<Target = [Element]>,
+{
     // Every store checks the token before answering (§5.3). A token
     // reused from the registry's referral-token cache carries a
     // signature the store has verified before, so the cost model
@@ -269,10 +283,11 @@ fn fetch_merge_inner(
         t.span(stage::XML_PARSE, parse_compute_cost(fragment_bytes));
     }
     let out = fold(&fragments, keys);
-    // The one materialization of the answer, at the `Vec<Element>`
-    // boundary the callers fix. It copies no value bytes: the answer's
-    // values share, and keep alive, the stores' buffers.
-    let result: Vec<Element> = out.iter().map(MergeOut::to_element).collect();
+    // The one materialization of the answer, straight into the
+    // caller's container (one allocation: the iterator knows its
+    // length). It copies no value bytes: the answer's values share, and
+    // keep alive, the stores' buffers.
+    let result: C = out.iter().map(MergeOut::to_element).collect();
     if let Some(t) = tracer {
         let mut spine = MergeStats::default();
         for m in &out {
@@ -324,13 +339,10 @@ fn fold<'a>(fragments: &'a [Fragment<'_>], keys: &MergeKeys) -> Vec<MergeOut<'a>
 /// `(owner, requester, referral)` fetches within one scatter window, so
 /// a burst of identical requests hits each store **once**.
 ///
-/// Answers are held, not handed out: `Singleflight::fetch_merge`
-/// returns a [`FlightTicket`] and the window's worker redeems its
-/// tickets with `Singleflight::collect` once the window's fetches are
-/// done. The last ticket on an answer takes the original, so an answer
-/// nobody duplicated is never copied; only actual duplicates clone, and
-/// a clone copies the answer's child and attribute lists but no value
-/// bytes: its values share the stores' buffers with the original.
+/// Each answer is materialized once, into an `Arc<[Element]>`; the
+/// table keeps one handle and every request in the window, first or
+/// duplicate, gets another. A duplicate costs a reference count, not a
+/// copy of the answer's child and attribute lists.
 ///
 /// The table is window-scoped by construction: callers create one per
 /// scatter-gather batch (stores are quiescent within a window) and drop
@@ -339,19 +351,13 @@ fn fold<'a>(fragments: &'a [Fragment<'_>], keys: &MergeKeys) -> Vec<MergeOut<'a>
 /// [`crate::cache::CachedClient`]'s job.
 #[derive(Debug, Default)]
 pub(crate) struct Singleflight {
-    /// Coalescing key → position in `answers`.
-    table: HashMap<String, usize>,
-    /// Each fetched answer with the number of tickets still out on it.
-    answers: Vec<(Vec<Element>, usize)>,
+    /// Coalescing key → the answer fetched under it.
+    table: HashMap<String, SharedAnswer>,
     /// Fetches answered from the table.
     pub hits: u64,
     /// Fetches that went to the stores.
     pub misses: u64,
 }
-
-/// A claim on one answer held by a [`Singleflight`] window.
-#[derive(Debug)]
-pub(crate) struct FlightTicket(usize);
 
 impl Singleflight {
     /// An empty table for one scatter window.
@@ -380,9 +386,9 @@ impl Singleflight {
     }
 
     /// [`fetch_merge`] through the table: a duplicate of an in-window
-    /// fetch gets a ticket on the first answer without touching the
-    /// pool. `batch` selects the batched cost model on a miss; errors
-    /// are never cached (the next duplicate retries the stores).
+    /// fetch shares the first answer without touching the pool. `batch`
+    /// selects the batched cost model on a miss; errors are never
+    /// cached (the next duplicate retries the stores).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fetch_merge(
         &mut self,
@@ -394,35 +400,21 @@ impl Singleflight {
         keys: &MergeKeys,
         batch: bool,
         mut tracer: Option<&mut Tracer>,
-    ) -> Result<FlightTicket, GupsterError> {
+    ) -> Result<SharedAnswer, GupsterError> {
         let key = Self::key(referral, requester);
-        if let Some(&slot) = self.table.get(&key) {
+        if let Some(answer) = self.table.get(&key) {
             self.hits += 1;
             if let Some(t) = tracer.as_deref_mut() {
                 t.hub().counters().singleflight_hits.fetch_add(1, Ordering::Relaxed);
                 t.span(stage::SINGLEFLIGHT_HIT, SimTime::micros(1));
             }
-            self.answers[slot].1 += 1;
-            return Ok(FlightTicket(slot));
+            return Ok(Arc::clone(answer));
         }
-        let out = fetch_merge_inner(pool, referral, store_signer, now, keys, tracer, batch)?;
+        let answer: SharedAnswer =
+            fetch_merge_inner(pool, referral, store_signer, now, keys, tracer, batch)?;
         self.misses += 1;
-        self.table.insert(key, self.answers.len());
-        self.answers.push((out, 1));
-        Ok(FlightTicket(self.answers.len() - 1))
-    }
-
-    /// Redeems a ticket: a clone of the answer (lists copied, value
-    /// bytes shared) while other tickets are still out on it, the answer
-    /// itself for the last one.
-    pub(crate) fn collect(&mut self, ticket: FlightTicket) -> Vec<Element> {
-        let (answer, outstanding) = &mut self.answers[ticket.0];
-        *outstanding -= 1;
-        if *outstanding == 0 {
-            std::mem::take(answer)
-        } else {
-            answer.clone()
-        }
+        self.table.insert(key, Arc::clone(&answer));
+        Ok(answer)
     }
 }
 
@@ -823,10 +815,9 @@ mod tests {
             .fetch_merge(&pool, &out.referral, "arnaud", &signer, 110, &keys(), false, None)
             .unwrap();
         assert_eq!((sf.hits, sf.misses), (1, 1));
-        let first = sf.collect(first);
-        let second = sf.collect(second);
         assert_eq!(first, second);
-        assert_eq!(first, fetch_merge(&pool, &out.referral, &signer, 110, &keys()).unwrap());
+        assert!(Arc::ptr_eq(&first, &second), "a duplicate shares the first answer");
+        assert_eq!(*first, *fetch_merge(&pool, &out.referral, &signer, 110, &keys()).unwrap());
         // A different requester never coalesces onto another principal's
         // answer.
         assert_ne!(Singleflight::key(&out.referral, "arnaud"), Singleflight::key(&out.referral, "mallory"));

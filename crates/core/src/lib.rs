@@ -56,7 +56,7 @@ pub use admission::{
     AdmissionConfig, Completion, IngressQueue, OfferOutcome, Priority, RequestOutcome, Shed,
     ShedCause,
 };
-pub use client::{fetch_merge, fetch_merge_batched, fetch_merge_traced, StorePool};
+pub use client::{fetch_merge, fetch_merge_batched, fetch_merge_traced, SharedAnswer, StorePool};
 pub use constellation::Constellation;
 pub use coverage::{CoverageMap, CoverageMatch, MatchStats};
 pub use provenance::{Disclosure, ProvenanceLog};

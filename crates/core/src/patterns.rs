@@ -19,7 +19,7 @@ use gupster_telemetry::{stage, RequestId, Tracer};
 use gupster_xml::{Element, MergeKeys};
 use gupster_xpath::Path;
 
-use crate::client::{fetch_merge_batched_traced, fetch_merge_traced, StorePool};
+use crate::client::{fetch_merge_into, SharedAnswer, StorePool};
 use crate::error::GupsterError;
 use crate::registry::Gupster;
 
@@ -52,7 +52,7 @@ impl QueryPattern {
 #[derive(Debug, Clone)]
 pub struct PatternRun {
     /// The merged result (identical across patterns).
-    pub result: Vec<Element>,
+    pub result: SharedAnswer,
     /// End-to-end wall clock.
     pub wall: SimTime,
     /// Result/fragment payload bytes that crossed the *client's* access
@@ -159,12 +159,8 @@ impl<'a> PatternExecutor<'a> {
         now: u64,
         keys: &MergeKeys,
         tracer: &mut Tracer,
-    ) -> Result<Vec<Element>, GupsterError> {
-        if self.batch_fetches {
-            fetch_merge_batched_traced(pool, referral, signer, now, keys, tracer)
-        } else {
-            fetch_merge_traced(pool, referral, signer, now, keys, tracer)
-        }
+    ) -> Result<SharedAnswer, GupsterError> {
+        fetch_merge_into(pool, referral, signer, now, keys, tracer, self.batch_fetches)
     }
 
     /// Runs one pattern end to end.

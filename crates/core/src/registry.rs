@@ -10,10 +10,10 @@ use gupster_policy::{Pap, Purpose, RequestContext, WeekTime};
 use gupster_schema::Schema;
 use gupster_store::StoreId;
 use gupster_telemetry::{stage, TelemetryHub, Tracer};
-use gupster_xml::Element;
 use gupster_xpath::{KeyDigest, OwnedKey, OwnerLru, Path};
 
 use crate::cache::ResultCache;
+use crate::client::SharedAnswer;
 use crate::coverage::CoverageMap;
 use crate::error::GupsterError;
 use crate::index::TrieWalk;
@@ -242,7 +242,7 @@ impl Gupster {
         requester: &str,
         purpose: Purpose,
         time: WeekTime,
-        result: Vec<Element>,
+        result: SharedAnswer,
         now: u64,
     ) {
         if let Ok(permitted) = self.shield(owner, request, requester, purpose, time, None) {
@@ -256,7 +256,8 @@ impl Gupster {
     /// permitted when the answer was fresh. A refusal is the shield's
     /// [`GupsterError::AccessDenied`]; a narrowed or widened grant
     /// serves nothing (`Ok(None)`), like a miss. Nothing is charged or
-    /// traced.
+    /// traced. A serve shares the remembered answer; the recorded path
+    /// set is compared where it lies.
     pub(crate) fn stale_answer(
         &mut self,
         owner: &str,
@@ -265,13 +266,16 @@ impl Gupster {
         purpose: Purpose,
         time: WeekTime,
         now: u64,
-    ) -> Result<Option<(Vec<Element>, u64)>, GupsterError> {
-        let Some((result, (fresh_at, permitted))) = self.stale.get(owner, requester, request)
-        else {
+    ) -> Result<Option<(SharedAnswer, u64)>, GupsterError> {
+        let Some((result, (fresh_at, _))) = self.stale.get(owner, requester, request) else {
             return Ok(None);
         };
+        let (result, age) = (Arc::clone(result), now.saturating_sub(*fresh_at));
         let still = self.shield(owner, request, requester, purpose, time, None)?;
-        Ok((still == permitted).then(|| (result, now.saturating_sub(fresh_at))))
+        // The shield leaves the rung alone, so the entry is still there.
+        let same =
+            self.stale.peek(owner, requester, request).is_some_and(|(_, (_, then))| *then == still);
+        Ok(same.then_some((result, age)))
     }
 
     /// The stale rung's views, for occupancy and hit/miss counts.

@@ -24,15 +24,16 @@
 //! refused, a narrowed one degrades to the error a cold cache gives.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use gupster_netsim::SimTime;
 use gupster_policy::{Purpose, WeekTime};
 use gupster_rng::{Rng, SeedableRng, StdRng};
 use gupster_telemetry::{stage, RequestId};
-use gupster_xml::{Element, MergeKeys};
+use gupster_xml::MergeKeys;
 use gupster_xpath::Path;
 
-use crate::client::StorePool;
+use crate::client::{SharedAnswer, StorePool};
 use crate::error::GupsterError;
 use crate::patterns::{PatternExecutor, QueryPattern};
 use crate::registry::Gupster;
@@ -87,8 +88,8 @@ pub enum ServedVia {
 /// The outcome of one resilient request, with fallback provenance.
 #[derive(Debug, Clone)]
 pub struct ResilientRun {
-    /// The merged result.
-    pub result: Vec<Element>,
+    /// The merged result (shared with the stale rung).
+    pub result: SharedAnswer,
     /// Which rung of the ladder answered.
     pub served: ServedVia,
     /// True when the answer came from the stale rung (then
@@ -234,7 +235,7 @@ impl<'a> ResilientExecutor<'a> {
                             // Refresh the stale rung so the next outage can
                             // degrade to this answer. Patterns look up with
                             // `Purpose::Query`.
-                            let fresh = run.result.clone();
+                            let fresh = Arc::clone(&run.result);
                             gupster.remember_answer(
                                 owner, request, requester, Purpose::Query, time, fresh, now,
                             );

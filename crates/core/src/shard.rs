@@ -35,6 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread;
 
 use gupster_netsim::SimTime;
@@ -45,13 +46,13 @@ use gupster_telemetry::obs::{FleetObs, HotKey, ObsSnapshot, ShardObs, StageRow};
 use gupster_telemetry::{
     merge_exemplars, stage, CounterSnapshot, ExemplarSummary, Histogram, StageStats, Tracer,
 };
-use gupster_xml::{Element, MergeKeys};
+use gupster_xml::MergeKeys;
 use gupster_xpath::Path;
 
 use crate::admission::{
     AdmissionConfig, Completion, IngressQueue, Priority, RequestOutcome, Shed,
 };
-use crate::client::{fetch_merge_batched_traced, Singleflight, StorePool};
+use crate::client::{fetch_merge_into, SharedAnswer, Singleflight, StorePool};
 use crate::error::GupsterError;
 use crate::registry::{Gupster, LookupOutcome};
 use crate::resilience::is_transient;
@@ -562,14 +563,12 @@ impl ShardedRegistry {
 
     /// Scatter-gather core: runs `requests` on the executor, each under
     /// its own `shard.request` trace, one singleflight window per shard.
-    /// `work` answers one request, possibly with a claim on the
-    /// worker's singleflight window; once the shard's slice is done,
-    /// `finish` turns each claim into the result.
-    fn scatter<P, R, F, G>(
+    /// `work` answers one request, possibly through the worker's
+    /// singleflight window.
+    fn scatter<R, F>(
         &mut self,
         requests: &[ShardRequest],
         work: F,
-        finish: G,
     ) -> (Vec<Result<R, GupsterError>>, BatchReport)
     where
         R: Send,
@@ -578,9 +577,8 @@ impl ShardedRegistry {
                 &mut Singleflight,
                 &ShardRequest,
                 &mut Tracer,
-            ) -> Result<P, GupsterError>
+            ) -> Result<R, GupsterError>
             + Sync,
-        G: Fn(&mut Singleflight, P) -> R + Sync,
     {
         self.note_hot_keys(requests.iter());
         let key_base = self.ops;
@@ -594,18 +592,20 @@ impl ShardedRegistry {
                 // within it are safe to coalesce.
                 let mut flight = Singleflight::new();
                 let mut busy = SimTime::ZERO;
-                let mut pending: Vec<Result<P, GupsterError>> = Vec::with_capacity(bucket.len());
-                for &i in bucket {
-                    let mut tracer = hub.tracer(stage::SHARD_REQUEST);
-                    // Exemplar identity must not depend on the
-                    // partitioning, so key by global submission index,
-                    // not the hub-local request id.
-                    tracer.set_key(key_base + i as u64);
-                    pending.push(work(gupster, &mut flight, &requests[i], &mut tracer));
-                    busy += tracer.now();
-                }
-                let out = pending.into_iter().map(|res| res.map(|p| finish(&mut flight, p)));
-                (busy, out.collect())
+                let out = bucket
+                    .iter()
+                    .map(|&i| {
+                        let mut tracer = hub.tracer(stage::SHARD_REQUEST);
+                        // Exemplar identity must not depend on the
+                        // partitioning, so key by global submission
+                        // index, not the hub-local request id.
+                        tracer.set_key(key_base + i as u64);
+                        let res = work(gupster, &mut flight, &requests[i], &mut tracer);
+                        busy += tracer.now();
+                        res
+                    })
+                    .collect();
+                (busy, out)
             },
         );
         let shard_sim: Vec<SimTime> = per_shard.iter().map(|&(_, busy)| busy).collect();
@@ -650,21 +650,21 @@ impl ShardedRegistry {
             |g, _flight, r, tracer| {
                 g.lookup_traced(&r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, tracer)
             },
-            |_flight, outcome| outcome,
         )
     }
 
     /// Runs a batch of full answers: lookup on the owning shard, then
     /// fetch-and-merge against the shared pool — deduped through the
     /// shard's per-batch singleflight window and (when `batch_fetches`)
-    /// coalesced into one fetch round per destination store.
+    /// coalesced into one fetch round per destination store. Each
+    /// answer is materialized once; in-window duplicates share it.
     pub fn answer_batch(
         &mut self,
         pool: &StorePool,
         requests: &[ShardRequest],
         keys: &MergeKeys,
         batch_fetches: bool,
-    ) -> (Vec<Result<Vec<Element>, GupsterError>>, BatchReport) {
+    ) -> (Vec<Result<SharedAnswer, GupsterError>>, BatchReport) {
         self.scatter(
             requests,
             |g, flight, r, tracer| {
@@ -683,7 +683,6 @@ impl ShardedRegistry {
                     Some(tracer),
                 )
             },
-            Singleflight::collect,
         )
     }
 
@@ -744,7 +743,7 @@ impl ShardedRegistry {
             }
         }
 
-        let mut results: Vec<Option<Result<Vec<Element>, GupsterError>>> =
+        let mut results: Vec<Option<Result<SharedAnswer, GupsterError>>> =
             (0..n).map(|_| None).collect();
         let mut outcomes: Vec<Option<RequestOutcome>> = (0..n).map(|_| None).collect();
         let mut completions: Vec<Completion> = Vec::new();
@@ -754,7 +753,7 @@ impl ShardedRegistry {
         // The mutable run state is passed in so the borrow ends with
         // each queue call.
         let run = |shards: &mut Shards<Gupster>,
-                   results: &mut [Option<Result<Vec<Element>, GupsterError>>],
+                   results: &mut [Option<Result<SharedAnswer, GupsterError>>],
                    per_shard: &mut [(usize, SimTime)],
                    j: usize,
                    start: SimTime| {
@@ -769,7 +768,7 @@ impl ShardedRegistry {
                 let out = g.lookup_traced(
                     &r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, &mut tracer,
                 )?;
-                fetch_merge_batched_traced(pool, &out.referral, &g.signer(), r.now, keys, &mut tracer)
+                fetch_merge_into(pool, &out.referral, &g.signer(), r.now, keys, &mut tracer, true)
             })();
             let cost = tracer.now();
             per_shard[shards.index(&r.owner)].1 += cost;
@@ -854,7 +853,7 @@ impl ShardedRegistry {
         &mut self,
         arrivals: &[OpenLoopRequest],
         c: &Completion,
-        results: &mut [Option<Result<Vec<Element>, GupsterError>>],
+        results: &mut [Option<Result<SharedAnswer, GupsterError>>],
         outcomes: &mut [Option<RequestOutcome>],
         report: &mut OverloadReport,
     ) {
@@ -880,7 +879,8 @@ impl ShardedRegistry {
         let outcome = match res {
             Ok(elems) => {
                 report.fresh += 1;
-                g.remember_answer(owner, path, requester, *purpose, *time, elems.clone(), *now);
+                let kept = Arc::clone(&elems);
+                g.remember_answer(owner, path, requester, *purpose, *time, kept, *now);
                 RequestOutcome::Answer(Ok(elems))
             }
             Err(e) if is_transient(&e) => {

@@ -188,14 +188,14 @@ impl Replica {
     /// timestamp.
     pub(crate) fn apply_remote(
         &mut self,
-        op: &EditOp,
-        actor: &Arc<str>,
+        op: EditOp,
+        actor: Arc<str>,
         remote_ts: u64,
     ) -> Result<(), XmlError> {
-        self.doc.apply(op, &self.keys)?;
+        self.doc.apply(&op, &self.keys)?;
         self.clock = self.clock.max(remote_ts) + 1;
         self.seen.insert((actor.clone(), remote_ts));
-        self.log.append(op.clone(), actor.clone(), remote_ts);
+        self.log.append(op, actor, remote_ts);
         Ok(())
     }
 
@@ -255,7 +255,7 @@ mod tests {
         let mut r = Replica::new("phone", parse("<b><v>1</v></b>").unwrap(), MergeKeys::new());
         let op = EditOp::SetText { path: NodePath::root().child("v", 0), text: "2".into() };
         let portal: Arc<str> = "portal".into();
-        r.apply_remote(&op, &portal, 41).unwrap();
+        r.apply_remote(op, portal.clone(), 41).unwrap();
         assert_eq!(r.clock, 42);
         // The op is re-logged under its ORIGINAL actor, so this replica
         // relays it onward — and the dedup set prevents echo.

@@ -170,30 +170,32 @@ pub(crate) fn run_session(
             }
         }
 
-        // Apply surviving edits cross-wise; losing halves are marked
-        // seen so they are never re-shipped.
+        // Price the surviving edits in shipping order (second → first,
+        // then first → second), before they move: the codec borrows
+        // their paths.
         let mut codec = DeltaCodec::default();
-        let mut wire_size = |op| if delta { codec.encode(op) } else { op_bytes(op) };
+        let shipped = b_new.iter().zip(&b_drop).chain(a_new.iter().zip(&a_drop));
+        for (e, _) in shipped.filter(|&(_, &dropped)| !dropped) {
+            report.bytes_exchanged += if delta { codec.encode(&e.op) } else { op_bytes(&e.op) };
+        }
+
+        // Apply surviving edits cross-wise, each moved into the peer's
+        // log; losing halves are marked seen so they are never
+        // re-shipped.
         let mut diverged = false;
-        for (j, eb) in b_new.iter().enumerate() {
-            if b_drop[j] {
+        for (eb, dropped) in b_new.into_iter().zip(b_drop) {
+            if dropped {
                 a.mark_seen(&eb.actor, eb.timestamp);
-                continue;
-            }
-            report.bytes_exchanged += wire_size(&eb.op);
-            if a.apply_remote(&eb.op, &eb.actor, eb.timestamp).is_err() {
+            } else if a.apply_remote(eb.op, eb.actor, eb.timestamp).is_err() {
                 diverged = true;
             } else {
                 report.shipped_to_first += 1;
             }
         }
-        for (i, ea) in a_new.iter().enumerate() {
-            if a_drop[i] {
+        for (ea, dropped) in a_new.into_iter().zip(a_drop) {
+            if dropped {
                 b.mark_seen(&ea.actor, ea.timestamp);
-                continue;
-            }
-            report.bytes_exchanged += wire_size(&ea.op);
-            if b.apply_remote(&ea.op, &ea.actor, ea.timestamp).is_err() {
+            } else if b.apply_remote(ea.op, ea.actor, ea.timestamp).is_err() {
                 diverged = true;
             } else {
                 report.shipped_to_second += 1;

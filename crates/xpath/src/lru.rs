@@ -123,6 +123,11 @@ impl<K: OwnedKey + PartialEq, V> OwnerLru<K, V> {
         Some(&self.slot(s).value)
     }
 
+    /// [`OwnerLru::get`] without the recency update.
+    pub fn peek(&self, digest: u64, same: impl FnOnce(&K) -> bool) -> Option<&V> {
+        self.find(digest, same).map(|s| &self.slot(s).value)
+    }
+
     /// Stores `value` under `key` as the most recently used entry,
     /// replacing the key's previous value or, at capacity, evicting the
     /// least recently used entry.

@@ -20,12 +20,16 @@
 
 mod common;
 
-use common::{build_pool, keys, provision, request_stream};
+use common::{build_pool, keys, p, provision, request_stream};
 use gupster::core::{
-    AdmissionConfig, IngressQueue, OpenLoopRequest, Priority, RequestOutcome, ShardedRegistry,
+    AdmissionConfig, IngressQueue, OpenLoopRequest, Priority, RequestOutcome, ShardRequest,
+    ShardedRegistry, StorePool,
 };
 use gupster::netsim::SimTime;
+use gupster::policy::{Purpose, WeekTime};
 use gupster::schema::gup_schema;
+use gupster::store::{StoreId, XmlStore};
+use gupster::xml::Element;
 use gupster_rng::check::cases;
 use gupster_rng::Rng;
 
@@ -160,6 +164,83 @@ fn above_saturation_every_request_resolves_exactly_once() {
             );
         }
     }
+}
+
+// ------------------------------------ the stale rung's view bound —
+
+/// Views each shard's stale rung holds (DESIGN.md §11).
+const RUNG_VIEWS: usize = 4096;
+
+/// Outcomes of `views` owners' presence reads, each answered once in a
+/// quiet open-loop run, then offered again all at one instant, newest
+/// first, so that the queues fill and the oldest views are shed and
+/// fall back to the stale rung. Also returns how many views shard 0's
+/// rung holds after the quiet run.
+fn rung_outcomes(views: usize, shards: usize) -> (Vec<String>, usize) {
+    let owner = |i: usize| format!("v{i:04}");
+    let mut store = XmlStore::new("s1");
+    let mut reg = ShardedRegistry::new(gup_schema(), b"adm", shards);
+    for i in 0..views {
+        let u = owner(i);
+        store
+            .put_profile(
+                Element::new("user")
+                    .with_attr("id", u.clone())
+                    .with_child(Element::new("presence").with_text(format!("online-{i}"))),
+            )
+            .unwrap();
+        reg.register_component(&u, p(&format!("/user[@id='{u}']/presence")), StoreId::new("s1"))
+            .unwrap();
+    }
+    let mut pool = StorePool::new();
+    pool.add(Box::new(store));
+    let read = |i: usize, now: u64, arrival: SimTime| {
+        let u = owner(i);
+        OpenLoopRequest {
+            request: ShardRequest {
+                path: p(&format!("/user[@id='{u}']/presence")),
+                owner: u.clone(),
+                requester: u,
+                purpose: Purpose::Query,
+                time: WeekTime::at(1, 10, 0),
+                now,
+            },
+            arrival,
+            class: Priority::ProfileEdit,
+        }
+    };
+    let config = AdmissionConfig::default();
+    let quiet: Vec<_> =
+        (0..views).map(|i| read(i, 100, SimTime::micros(i as u64 * 10_000))).collect();
+    let (fresh, _) = reg.answer_open_loop(&pool, &quiet, &keys(), &config, None);
+    assert!(fresh.iter().all(|o| matches!(o, RequestOutcome::Answer(Ok(_)))), "{views} views");
+    let held = reg.shards()[0].stale_answers().len();
+    let burst: Vec<_> =
+        (0..views).rev().map(|i| read(i, 160, SimTime::micros(100_000_000))).collect();
+    let (outcomes, report) = reg.answer_open_loop(&pool, &burst, &keys(), &config, None);
+    assert!(report.shed_edits as usize > views / 2, "the burst must shed most reads");
+    (outcomes.iter().map(|o| format!("{o:?}")).collect(), held)
+}
+
+#[test]
+fn stale_rung_outcomes_are_shard_count_invariant_up_to_its_view_bound() {
+    // At the bound: one shard's rung holds every view, and every shed
+    // read, the oldest view's included, is served stale at either
+    // shard count.
+    let (one, held) = rung_outcomes(RUNG_VIEWS, 1);
+    assert_eq!(held, RUNG_VIEWS);
+    let (two, _) = rung_outcomes(RUNG_VIEWS, 2);
+    assert_eq!(one, two, "outcomes diverged between 1 and 2 shards at {RUNG_VIEWS} views");
+    assert!(one.last().unwrap().starts_with("Stale"), "{}", one.last().unwrap());
+    assert!(!one.iter().any(|o| o.starts_with("Overloaded")));
+
+    // One view past it: the lone rung evicts the oldest view, which
+    // two half-full rungs still hold, so its shed read diverges.
+    let (one, held) = rung_outcomes(RUNG_VIEWS + 1, 1);
+    assert_eq!(held, RUNG_VIEWS);
+    let (two, _) = rung_outcomes(RUNG_VIEWS + 1, 2);
+    assert!(one.last().unwrap().starts_with("Overloaded"), "{}", one.last().unwrap());
+    assert!(two.last().unwrap().starts_with("Stale"), "{}", two.last().unwrap());
 }
 
 // ------------------------------------------------ property test —
