@@ -32,10 +32,11 @@
 //! the next [`ArenaDoc::compact`], which packs them into a fresh buffer;
 //! see the edit methods.
 //!
-//! The owned tree remains the differential oracle: for every input,
-//! [`ArenaDoc::parse`] must accept/reject exactly as [`crate::parse`]
-//! does, [`ArenaDoc::to_element`] must equal the owned parse, and
-//! [`ArenaDoc::to_xml`] must be byte-identical to the owned
+//! [`ArenaDoc::parse`] and the owned [`crate::parse`] are two builders
+//! over one scanner (`scan.rs`), so they accept and reject exactly the
+//! same inputs by construction. The owned tree remains the differential
+//! oracle for the rest: [`ArenaDoc::to_element`] must equal the owned
+//! parse, and [`ArenaDoc::to_xml`] must be byte-identical to the owned
 //! serializer. `tests/xml_differential.rs` enforces this over seeded
 //! random documents, and `crates/xml/tests/arena_model.rs` holds the
 //! edit methods to the owned tree edited alike.
@@ -43,12 +44,10 @@
 use std::borrow::Cow;
 
 use crate::error::ParseError;
-use crate::escape::{
-    escape_attr, escape_text, escaped_attr_len, escaped_text_len, resolve_entity,
-};
+use crate::escape::{escape_attr, escape_text, escaped_attr_len, escaped_text_len};
 use crate::intern::{NameId, NameInterner};
 use crate::node::{Element, Node};
-use crate::parser::{is_name_char, is_name_start};
+use crate::scan::{scan, Chars, Sink};
 use crate::value::{offset, Value};
 use crate::writer::tag_len;
 
@@ -161,31 +160,22 @@ impl Room {
 impl ArenaDoc {
     /// Parses a complete XML document into arena form, retaining a copy
     /// of the input as the value buffer. Accepts and rejects exactly
-    /// the same inputs as the owned [`crate::parse`], and applies the
-    /// same whitespace normalization.
+    /// the inputs the owned [`crate::parse`] does, with the same errors,
+    /// and applies the same whitespace normalization: both read the
+    /// input through one scanner.
     pub fn parse(input: &str) -> Result<ArenaDoc, ParseError> {
-        let mut p = ArenaParser {
+        let mut rows = Rows {
             input,
-            pos: 0,
-            elems: Vec::new(),
-            attrs: Vec::new(),
-            kids: Vec::new(),
-            texts: Vec::new(),
-            held: Vec::new(),
+            doc: ArenaDoc::empty(),
             scratch: Vec::new(),
+            open: Vec::new(),
             dropped: Room::default(),
         };
-        p.skip_prolog()?;
-        let root = p.parse_element()?;
-        p.skip_misc();
-        if p.pos < p.input.len() {
-            return Err(p.err("trailing content after document element"));
-        }
-        let ArenaParser { elems, attrs, kids, texts, held, dropped, .. } = p;
-        let buf = Value::from(input);
-        let mut doc = ArenaDoc { buf, elems, attrs, kids, texts, held, root, ..ArenaDoc::empty() };
+        scan(input, &mut rows)?;
+        let Rows { mut doc, dropped, .. } = rows;
+        doc.buf = Value::from(input);
         let values = doc.texts.iter().chain(doc.attrs.iter().map(|(_, v)| v));
-        doc.value_bytes = values.map(|&v| doc.val(v).len()).sum::<usize>() as u32;
+        doc.value_bytes = offset(values.map(|&v| doc.val(v).len()).sum());
         doc.retire(dropped.rows(), dropped.bytes);
         Ok(doc)
     }
@@ -800,261 +790,26 @@ fn hold(held: &mut Vec<Value>, v: Value) -> AVal {
     AVal::Held(offset(held.len() - 1))
 }
 
-/// In-progress text run during content parsing. Tracks whether the run
-/// is still a single contiguous raw segment (→ [`AVal::Slice`]) or has
-/// been forced owned (→ [`AVal::Held`]) by an entity, CDATA section, or
-/// an interrupting comment/PI splitting it into several segments.
-struct TextRun {
-    seg_start: usize,
-    slice: Option<(usize, usize)>,
-    acc: String,
-}
-
-impl TextRun {
-    fn new(pos: usize) -> Self {
-        TextRun { seg_start: pos, slice: None, acc: String::new() }
-    }
-
-    /// Closes the raw segment `[seg_start, upto)` into the run.
-    fn close_seg(&mut self, input: &str, upto: usize) {
-        if upto <= self.seg_start {
-            return;
-        }
-        if self.slice.is_none() && self.acc.is_empty() {
-            self.slice = Some((self.seg_start, upto));
-        } else {
-            self.force_owned(input);
-            self.acc.push_str(&input[self.seg_start..upto]);
-        }
-        self.seg_start = upto;
-    }
-
-    fn force_owned(&mut self, input: &str) {
-        if let Some((s, e)) = self.slice.take() {
-            self.acc.push_str(&input[s..e]);
-        }
-    }
-
-    /// An entity reference: raw bytes up to `at` close the segment, the
-    /// resolved char goes into the owned accumulator, raw scanning
-    /// resumes at `resume`.
-    fn push_char(&mut self, input: &str, at: usize, c: char, resume: usize) {
-        self.close_seg(input, at);
-        self.force_owned(input);
-        self.acc.push(c);
-        self.seg_start = resume;
-    }
-
-    /// A CDATA section: like [`TextRun::push_char`] for a raw slice.
-    fn push_str(&mut self, input: &str, at: usize, s: &str, resume: usize) {
-        self.close_seg(input, at);
-        self.force_owned(input);
-        self.acc.push_str(s);
-        self.seg_start = resume;
-    }
-
-    /// A comment or PI inside character data: contributes nothing, but
-    /// splits the raw run into segments (which forces the owned form
-    /// only if text actually continues on both sides).
-    fn interrupt(&mut self, input: &str, at: usize, resume: usize) {
-        self.close_seg(input, at);
-        self.seg_start = resume;
-    }
-
-    /// Ends the run at a node boundary, yielding its value if any text
-    /// accumulated; an owned run goes into `held`.
-    fn finish(&mut self, input: &str, at: usize, held: &mut Vec<Value>) -> Option<AVal> {
-        self.close_seg(input, at);
-        self.seg_start = at;
-        if let Some((s, e)) = self.slice.take() {
-            debug_assert!(self.acc.is_empty());
-            Some(AVal::Slice(s as u32, e as u32))
-        } else if self.acc.is_empty() {
-            None
-        } else {
-            let v = hold(held, Value::from(self.acc.as_str()));
-            self.acc.clear();
-            Some(v)
-        }
-    }
-}
-
-/// The arena parser: same grammar and error behavior as the owned
-/// [`crate::parse`], but emitting flat vectors and value slices.
-struct ArenaParser<'a> {
+/// The arena builder: rows for the scanner's events.
+struct Rows<'a> {
     input: &'a str,
-    pos: usize,
-    elems: Vec<AElem>,
-    attrs: Vec<(NameId, AVal)>,
-    kids: Vec<AKid>,
-    texts: Vec<AVal>,
-    held: Vec<Value>,
-    /// Pending children of open elements; each element drains its own
-    /// suffix into the flat `kids` vector when it closes, so child
-    /// ranges end up contiguous.
+    doc: ArenaDoc,
+    /// Children of the open elements, as in [`ArenaDoc::open`].
     scratch: Vec<AKid>,
+    /// The open elements, innermost last, with their marks in `scratch`.
+    open: Vec<(NodeId, usize)>,
     /// Whitespace runs normalization dropped: text rows nothing points to.
     dropped: Room,
 }
 
-impl<'a> ArenaParser<'a> {
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError::new(self.pos, self.input, msg)
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.input.as_bytes().get(self.pos).copied()
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.rest().starts_with(s)
-    }
-
-    fn bump(&mut self, n: usize) {
-        self.pos += n;
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
+impl Rows<'_> {
+    /// A literal value is a range of the input, which becomes the
+    /// buffer; a decoded one is held.
+    fn store(&mut self, v: Chars<'_>) -> AVal {
+        match v {
+            Chars::Source(r) => AVal::Slice(offset(r.start), offset(r.end)),
+            Chars::Decoded(s) => hold(&mut self.doc.held, Value::from(s)),
         }
-    }
-
-    fn skip_prolog(&mut self) -> Result<(), ParseError> {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<?") {
-                self.skip_pi()?;
-            } else if self.starts_with("<!--") {
-                self.skip_comment()?;
-            } else if self.starts_with("<!DOCTYPE") {
-                return Err(self.err("DTDs are not supported"));
-            } else {
-                return Ok(());
-            }
-        }
-    }
-
-    fn skip_misc(&mut self) {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                if self.skip_comment().is_err() {
-                    return;
-                }
-            } else if self.starts_with("<?") {
-                if self.skip_pi().is_err() {
-                    return;
-                }
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn skip_pi(&mut self) -> Result<(), ParseError> {
-        debug_assert!(self.starts_with("<?"));
-        match self.rest().find("?>") {
-            Some(end) => {
-                self.bump(end + 2);
-                Ok(())
-            }
-            None => Err(self.err("unterminated processing instruction")),
-        }
-    }
-
-    fn skip_comment(&mut self) -> Result<(), ParseError> {
-        debug_assert!(self.starts_with("<!--"));
-        match self.rest()[4..].find("-->") {
-            Some(end) => {
-                self.bump(4 + end + 3);
-                Ok(())
-            }
-            None => Err(self.err("unterminated comment")),
-        }
-    }
-
-    fn parse_name(&mut self) -> Result<&'a str, ParseError> {
-        let start = self.pos;
-        let bytes = self.input.as_bytes();
-        if self.pos >= bytes.len() || !is_name_start(bytes[self.pos]) {
-            return Err(self.err("expected a name"));
-        }
-        while self.pos < bytes.len() && is_name_char(bytes[self.pos]) {
-            self.pos += 1;
-        }
-        Ok(&self.input[start..self.pos])
-    }
-
-    fn parse_element(&mut self) -> Result<NodeId, ParseError> {
-        if self.peek() != Some(b'<') {
-            return Err(self.err("expected '<'"));
-        }
-        self.bump(1);
-        let name = NameInterner::intern(self.parse_name()?);
-        let attr_start = self.attrs.len() as u32;
-
-        let self_closing = loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'/') => {
-                    if !self.starts_with("/>") {
-                        return Err(self.err("expected '/>'"));
-                    }
-                    self.bump(2);
-                    break true;
-                }
-                Some(b'>') => {
-                    self.bump(1);
-                    break false;
-                }
-                Some(_) => {
-                    let (an, av) = self.parse_attribute()?;
-                    let dup = self.attrs[attr_start as usize..].iter().any(|(n, _)| *n == an);
-                    if dup {
-                        let an = NameInterner::resolve(an);
-                        return Err(self.err(format!("duplicate attribute '{an}'")));
-                    }
-                    self.attrs.push((an, av));
-                }
-                None => return Err(self.err("unexpected end of input in tag")),
-            }
-        };
-        let attr_end = self.attrs.len() as u32;
-        let id = NodeId(self.elems.len() as u32);
-        self.elems.push(AElem { name, attr_start, attr_end, kid_start: 0, kid_end: 0 });
-        let mark = self.scratch.len();
-
-        if !self_closing {
-            self.parse_content(name)?;
-            // Closing tag: parse_content stops right before "</".
-            self.bump(2);
-            let close = self.parse_name()?;
-            if close != NameInterner::resolve(name) {
-                let open = NameInterner::resolve(name);
-                return Err(self.err(format!(
-                    "mismatched closing tag: expected </{open}>, found </{close}>"
-                )));
-            }
-            self.skip_ws();
-            if self.peek() != Some(b'>') {
-                return Err(self.err("expected '>' to end closing tag"));
-            }
-            self.bump(1);
-            self.normalize_whitespace(mark);
-        }
-
-        let kid_start = self.kids.len() as u32;
-        self.kids.extend(self.scratch.drain(mark..));
-        let kid_end = self.kids.len() as u32;
-        let slot = &mut self.elems[id.0 as usize];
-        slot.kid_start = kid_start;
-        slot.kid_end = kid_end;
-        Ok(id)
     }
 
     /// Same rule as the owned parser: whitespace-only text children are
@@ -1070,9 +825,10 @@ impl<'a> ArenaParser<'a> {
             let keep = match k {
                 AKid::Elem(_) => true,
                 AKid::Text(t) => {
-                    let s = match self.texts[t as usize] {
+                    // The buffer is not in place yet: read the input.
+                    let s = match self.doc.texts[t as usize] {
                         AVal::Slice(s, e) => &self.input[s as usize..e as usize],
-                        AVal::Held(i) => &self.held[i as usize],
+                        AVal::Held(i) => &self.doc.held[i as usize],
                     };
                     let blank = s.chars().all(char::is_whitespace);
                     if blank {
@@ -1089,134 +845,38 @@ impl<'a> ArenaParser<'a> {
         }
         self.scratch.truncate(write);
     }
+}
 
-    fn parse_attribute(&mut self) -> Result<(NameId, AVal), ParseError> {
-        let name = NameInterner::intern(self.parse_name()?);
-        self.skip_ws();
-        if self.peek() != Some(b'=') {
-            return Err(self.err("expected '=' after attribute name"));
-        }
-        self.bump(1);
-        self.skip_ws();
-        let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => q,
-            _ => return Err(self.err("expected quoted attribute value")),
-        };
-        self.bump(1);
-        let vstart = self.pos;
-        // Fast scan: a value with no entity reference is a pure slice.
-        let bytes = self.input.as_bytes();
-        while self.pos < bytes.len() {
-            match bytes[self.pos] {
-                q if q == quote => {
-                    let v = AVal::Slice(vstart as u32, self.pos as u32);
-                    self.bump(1);
-                    return Ok((name, v));
-                }
-                b'<' => return Err(self.err("'<' not allowed in attribute value")),
-                b'&' => break,
-                _ => self.pos += 1,
-            }
-        }
-        if self.pos >= bytes.len() {
-            return Err(self.err("unterminated attribute value"));
-        }
-        // Slow path: entity seen — fall back to an owned value.
-        let mut value = self.input[vstart..self.pos].to_string();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated attribute value")),
-                Some(q) if q == quote => {
-                    self.bump(1);
-                    return Ok((name, hold(&mut self.held, Value::from(value))));
-                }
-                Some(b'<') => return Err(self.err("'<' not allowed in attribute value")),
-                Some(b'&') => {
-                    self.bump(1);
-                    match resolve_entity(self.rest()) {
-                        Some((c, n)) => {
-                            value.push(c);
-                            self.bump(n);
-                        }
-                        None => return Err(self.err("malformed entity reference")),
-                    }
-                }
-                Some(_) => {
-                    let c = self.rest().chars().next().expect("peeked");
-                    value.push(c);
-                    self.bump(c.len_utf8());
-                }
-            }
+impl<'a> Sink<'a> for Rows<'a> {
+    fn open(&mut self, name: &'a str) {
+        let attr_start = self.doc.attrs.len();
+        let open = self.doc.open(NameInterner::intern(name), attr_start, &self.scratch);
+        self.open.push(open);
+    }
+
+    fn attr(&mut self, name: &'a str, value: Chars<'_>) {
+        let v = self.store(value);
+        self.doc.attrs.push((NameInterner::intern(name), v));
+        // `open` left the element's attribute range empty; it grows here.
+        if let Some(&(id, _)) = self.open.last() {
+            self.doc.elems[id.0 as usize].attr_end += 1;
         }
     }
 
-    fn parse_content(&mut self, elem_name: NameId) -> Result<(), ParseError> {
-        let mut run = TextRun::new(self.pos);
-        loop {
-            if self.starts_with("</") {
-                if let Some(v) = run.finish(self.input, self.pos, &mut self.held) {
-                    self.push_text(v);
-                }
-                return Ok(());
-            }
-            match self.peek() {
-                None => {
-                    let name = NameInterner::resolve(elem_name);
-                    return Err(self.err(format!("unclosed element <{name}>")));
-                }
-                Some(b'<') => {
-                    if self.starts_with("<!--") {
-                        let at = self.pos;
-                        self.skip_comment()?;
-                        run.interrupt(self.input, at, self.pos);
-                    } else if self.starts_with("<![CDATA[") {
-                        let at = self.pos;
-                        self.bump(9);
-                        match self.rest().find("]]>") {
-                            Some(end) => {
-                                let cdata = &self.rest()[..end];
-                                self.bump(end + 3);
-                                run.push_str(self.input, at, cdata, self.pos);
-                            }
-                            None => return Err(self.err("unterminated CDATA section")),
-                        }
-                    } else if self.starts_with("<?") {
-                        let at = self.pos;
-                        self.skip_pi()?;
-                        run.interrupt(self.input, at, self.pos);
-                    } else {
-                        if let Some(v) = run.finish(self.input, self.pos, &mut self.held) {
-                            self.push_text(v);
-                        }
-                        let child = self.parse_element()?;
-                        self.scratch.push(AKid::Elem(child));
-                        run = TextRun::new(self.pos);
-                    }
-                }
-                Some(b'&') => {
-                    let at = self.pos;
-                    self.bump(1);
-                    match resolve_entity(self.rest()) {
-                        Some((c, n)) => {
-                            self.bump(n);
-                            run.push_char(self.input, at, c, self.pos);
-                        }
-                        None => return Err(self.err("malformed entity reference")),
-                    }
-                }
-                Some(_) => {
-                    // Raw character data: extend the current segment.
-                    let c = self.rest().chars().next().expect("peeked");
-                    self.bump(c.len_utf8());
-                }
-            }
-        }
+    fn text(&mut self, text: Chars<'_>) {
+        let v = self.store(text);
+        self.doc.add_text(v, &mut self.scratch);
     }
 
-    fn push_text(&mut self, v: AVal) {
-        let ti = self.texts.len() as u32;
-        self.texts.push(v);
-        self.scratch.push(AKid::Text(ti));
+    fn close(&mut self) {
+        let Some((id, mark)) = self.open.pop() else { return };
+        self.normalize_whitespace(mark);
+        let id = self.doc.close(id, mark, &mut self.scratch);
+        if self.open.is_empty() {
+            self.doc.root = id;
+        } else {
+            self.scratch.push(AKid::Elem(id));
+        }
     }
 }
 

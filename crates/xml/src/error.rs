@@ -5,6 +5,8 @@ use std::fmt;
 /// A parse error with byte offset and a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
+    /// Why the input was refused.
+    pub kind: ParseErrorKind,
     /// Byte offset into the input where the error was detected.
     pub offset: usize,
     /// 1-based line number of the error.
@@ -16,7 +18,12 @@ pub struct ParseError {
 }
 
 impl ParseError {
-    pub(crate) fn new(offset: usize, input: &str, message: impl Into<String>) -> Self {
+    pub(crate) fn new(
+        offset: usize,
+        input: &str,
+        kind: ParseErrorKind,
+        message: impl Into<String>,
+    ) -> Self {
         let mut line = 1usize;
         let mut col = 1usize;
         for b in input.as_bytes()[..offset.min(input.len())].iter() {
@@ -27,8 +34,19 @@ impl ParseError {
                 col += 1;
             }
         }
-        ParseError { offset, line, column: col, message: message.into() }
+        ParseError { kind, offset, line, column: col, message: message.into() }
     }
+}
+
+/// Why a [`ParseError`] refused its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The input is not a document of the XML subset GUPster reads.
+    Syntax,
+    /// Elements nest more than 256 levels deep.
+    TooDeep,
+    /// The input is 4 GiB or longer, past what a `u32` offset addresses.
+    TooLong,
 }
 
 impl fmt::Display for ParseError {

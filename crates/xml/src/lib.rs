@@ -11,7 +11,8 @@
 //!
 //! * an owned tree value model ([`Element`], [`Node`]) whose text and
 //!   attribute values are shared byte ranges ([`Value`]),
-//! * an XML 1.0 subset parser ([`parse`]),
+//! * an XML 1.0 subset parser ([`parse`]) with bounded nesting and input
+//!   size ([`ParseErrorKind`]),
 //! * a serializer with compact and pretty modes ([`Element::to_xml`],
 //!   [`Element::to_pretty_xml`]),
 //! * **deep-union merge** in the style of Buneman et al.'s deterministic
@@ -39,13 +40,14 @@ mod merge;
 mod node;
 mod parser;
 mod path;
+mod scan;
 mod tree_diff;
 mod value;
 mod writer;
 
 pub use arena::{ArenaDoc, NodeId};
 pub use arena_merge::{merge_arena, merge_arena_all, Identity, MergeOut, MergeStats};
-pub use error::{ParseError, XmlError};
+pub use error::{ParseError, ParseErrorKind, XmlError};
 pub use intern::{NameId, NameInterner};
 pub use merge::{merge, merge_all, MergeKeys};
 pub use node::{Element, Name, Node};

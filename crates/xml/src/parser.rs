@@ -1,279 +1,61 @@
-//! A recursive-descent parser for the XML 1.0 subset GUPster exchanges.
+//! The owned parser: an [`Element`] tree built from the scanner's events.
 //!
-//! Supported: elements, attributes (single- or double-quoted), character
-//! data with the five predefined entities plus numeric references, CDATA
-//! sections, comments, an optional XML declaration and processing
-//! instructions (both skipped). Not supported (rejected or ignored by
-//! design): DTDs, namespaces, entity definitions.
+//! The grammar, its error messages and its limits live in `scan.rs`,
+//! which [`crate::ArenaDoc::parse`] builds from too; this module only
+//! turns elements, attributes and text runs into [`Node`]s.
 
 use crate::error::ParseError;
-use crate::escape::resolve_entity;
 use crate::node::{Element, Node};
+use crate::scan::{scan, Chars, Sink};
+use crate::value::Value;
 
 /// Parses a complete XML document and returns its root element.
 ///
 /// Whitespace-only text between elements is preserved inside mixed
 /// content but dropped when an element contains only element children —
 /// "pretty printed" profile documents round-trip to the same value.
+/// Accepts and rejects exactly the inputs [`crate::ArenaDoc::parse`]
+/// does, with the same errors: both read the input through one scanner.
 pub fn parse(input: &str) -> Result<Element, ParseError> {
-    let mut p = Parser { input, pos: 0 };
-    p.skip_prolog()?;
-    let root = p.parse_element()?;
-    p.skip_misc();
-    if p.pos < p.input.len() {
-        return Err(p.err("trailing content after document element"));
-    }
-    Ok(root)
+    let mut tree = Tree { input, open: Vec::new(), root: Element::default() };
+    scan(input, &mut tree)?;
+    Ok(tree.root)
 }
 
-struct Parser<'a> {
+/// The owned builder: the open elements, innermost last, and the
+/// document element once it has closed.
+struct Tree<'a> {
     input: &'a str,
-    pos: usize,
+    open: Vec<Element>,
+    root: Element,
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError::new(self.pos, self.input, msg)
+impl<'a> Sink<'a> for Tree<'a> {
+    fn open(&mut self, name: &'a str) {
+        self.open.push(Element::new(name.to_owned()));
     }
 
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.input.as_bytes().get(self.pos).copied()
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.rest().starts_with(s)
-    }
-
-    fn bump(&mut self, n: usize) {
-        self.pos += n;
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
+    fn attr(&mut self, name: &'a str, value: Chars<'_>) {
+        let value = Value::from(value.text(self.input));
+        if let Some(e) = self.open.last_mut() {
+            e.attrs.push((name.to_owned().into(), value));
         }
     }
 
-    /// Skips the XML declaration, comments, PIs and whitespace before the
-    /// document element.
-    fn skip_prolog(&mut self) -> Result<(), ParseError> {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<?") {
-                self.skip_pi()?;
-            } else if self.starts_with("<!--") {
-                self.skip_comment()?;
-            } else if self.starts_with("<!DOCTYPE") {
-                return Err(self.err("DTDs are not supported"));
-            } else {
-                return Ok(());
-            }
+    fn text(&mut self, text: Chars<'_>) {
+        let text = Value::from(text.text(self.input));
+        if let Some(e) = self.open.last_mut() {
+            e.children.push(Node::Text(text));
         }
     }
 
-    /// Skips comments/PIs/whitespace after the document element.
-    fn skip_misc(&mut self) {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                if self.skip_comment().is_err() {
-                    return;
-                }
-            } else if self.starts_with("<?") {
-                if self.skip_pi().is_err() {
-                    return;
-                }
-            } else {
-                return;
-            }
+    fn close(&mut self) {
+        let Some(mut e) = self.open.pop() else { return };
+        normalize_whitespace(&mut e);
+        match self.open.last_mut() {
+            Some(parent) => parent.children.push(Node::Element(e)),
+            None => self.root = e,
         }
-    }
-
-    fn skip_pi(&mut self) -> Result<(), ParseError> {
-        debug_assert!(self.starts_with("<?"));
-        match self.rest().find("?>") {
-            Some(end) => {
-                self.bump(end + 2);
-                Ok(())
-            }
-            None => Err(self.err("unterminated processing instruction")),
-        }
-    }
-
-    fn skip_comment(&mut self) -> Result<(), ParseError> {
-        debug_assert!(self.starts_with("<!--"));
-        match self.rest()[4..].find("-->") {
-            Some(end) => {
-                self.bump(4 + end + 3);
-                Ok(())
-            }
-            None => Err(self.err("unterminated comment")),
-        }
-    }
-
-    fn parse_name(&mut self) -> Result<&'a str, ParseError> {
-        let start = self.pos;
-        let bytes = self.input.as_bytes();
-        if self.pos >= bytes.len() || !is_name_start(bytes[self.pos]) {
-            return Err(self.err("expected a name"));
-        }
-        while self.pos < bytes.len() && is_name_char(bytes[self.pos]) {
-            self.pos += 1;
-        }
-        Ok(&self.input[start..self.pos])
-    }
-
-    fn parse_element(&mut self) -> Result<Element, ParseError> {
-        if self.peek() != Some(b'<') {
-            return Err(self.err("expected '<'"));
-        }
-        self.bump(1);
-        let name = self.parse_name()?.to_owned();
-        let mut elem = Element::new(name);
-
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'/') => {
-                    if !self.starts_with("/>") {
-                        return Err(self.err("expected '/>'"));
-                    }
-                    self.bump(2);
-                    return Ok(elem);
-                }
-                Some(b'>') => {
-                    self.bump(1);
-                    break;
-                }
-                Some(_) => {
-                    let (an, av) = self.parse_attribute()?;
-                    if elem.attr(&an).is_some() {
-                        return Err(self.err(format!("duplicate attribute '{an}'")));
-                    }
-                    elem.attrs.push((an.into(), av.into()));
-                }
-                None => return Err(self.err("unexpected end of input in tag")),
-            }
-        }
-
-        self.parse_content(&mut elem)?;
-
-        // Closing tag: parse_content stops right before "</".
-        self.bump(2);
-        let close = self.parse_name()?;
-        if close != elem.name {
-            return Err(self.err(format!(
-                "mismatched closing tag: expected </{}>, found </{close}>",
-                elem.name
-            )));
-        }
-        self.skip_ws();
-        if self.peek() != Some(b'>') {
-            return Err(self.err("expected '>' to end closing tag"));
-        }
-        self.bump(1);
-        normalize_whitespace(&mut elem);
-        Ok(elem)
-    }
-
-    fn parse_attribute(&mut self) -> Result<(String, String), ParseError> {
-        let name = self.parse_name()?.to_owned();
-        self.skip_ws();
-        if self.peek() != Some(b'=') {
-            return Err(self.err("expected '=' after attribute name"));
-        }
-        self.bump(1);
-        self.skip_ws();
-        let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => q,
-            _ => return Err(self.err("expected quoted attribute value")),
-        };
-        self.bump(1);
-        let mut value = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated attribute value")),
-                Some(q) if q == quote => {
-                    self.bump(1);
-                    return Ok((name, value));
-                }
-                Some(b'<') => return Err(self.err("'<' not allowed in attribute value")),
-                Some(b'&') => {
-                    self.bump(1);
-                    match resolve_entity(self.rest()) {
-                        Some((c, n)) => {
-                            value.push(c);
-                            self.bump(n);
-                        }
-                        None => return Err(self.err("malformed entity reference")),
-                    }
-                }
-                Some(_) => {
-                    let c = self.rest().chars().next().expect("peeked");
-                    value.push(c);
-                    self.bump(c.len_utf8());
-                }
-            }
-        }
-    }
-
-    fn parse_content(&mut self, elem: &mut Element) -> Result<(), ParseError> {
-        let mut text = String::new();
-        loop {
-            if self.starts_with("</") {
-                flush_text(&mut text, elem);
-                return Ok(());
-            }
-            match self.peek() {
-                None => return Err(self.err(format!("unclosed element <{}>", elem.name))),
-                Some(b'<') => {
-                    if self.starts_with("<!--") {
-                        self.skip_comment()?;
-                    } else if self.starts_with("<![CDATA[") {
-                        self.bump(9);
-                        match self.rest().find("]]>") {
-                            Some(end) => {
-                                text.push_str(&self.rest()[..end]);
-                                self.bump(end + 3);
-                            }
-                            None => return Err(self.err("unterminated CDATA section")),
-                        }
-                    } else if self.starts_with("<?") {
-                        self.skip_pi()?;
-                    } else {
-                        flush_text(&mut text, elem);
-                        let child = self.parse_element()?;
-                        elem.children.push(Node::Element(child));
-                    }
-                }
-                Some(b'&') => {
-                    self.bump(1);
-                    match resolve_entity(self.rest()) {
-                        Some((c, n)) => {
-                            text.push(c);
-                            self.bump(n);
-                        }
-                        None => return Err(self.err("malformed entity reference")),
-                    }
-                }
-                Some(_) => {
-                    let c = self.rest().chars().next().expect("peeked");
-                    text.push(c);
-                    self.bump(c.len_utf8());
-                }
-            }
-        }
-    }
-}
-
-fn flush_text(text: &mut String, elem: &mut Element) {
-    if !text.is_empty() {
-        elem.children.push(Node::Text(text.as_str().into()));
-        text.clear();
     }
 }
 
@@ -288,14 +70,6 @@ fn normalize_whitespace(elem: &mut Element) {
             Node::Element(_) => true,
         });
     }
-}
-
-pub(crate) fn is_name_start(b: u8) -> bool {
-    b.is_ascii_alphabetic() || b == b'_' || b >= 0x80
-}
-
-pub(crate) fn is_name_char(b: u8) -> bool {
-    is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.' || b == b':'
 }
 
 #[cfg(test)]

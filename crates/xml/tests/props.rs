@@ -1,18 +1,65 @@
 //! Randomized invariant tests local to the XML crate: parser robustness
-//! (no panics on arbitrary input), escaping totality, and NodePath laws.
+//! (no panics on arbitrary input, for both parsers, and bounded
+//! nesting), escaping totality, and NodePath laws.
 //! Deterministic — see `gupster_rng::check`.
 
 use gupster_rng::check::{self, cases};
-use gupster_rng::Rng;
-use gupster_xml::{parse, ArenaDoc, Element, NodePath};
+use gupster_rng::{Rng, StdRng};
+use gupster_xml::{parse, ArenaDoc, Element, NodePath, ParseErrorKind};
 
-/// The parser must never panic, whatever bytes arrive (stores parse
+/// Both parsers on `input`: the same result, and a rejection is a typed
+/// error inside the input, whatever bytes arrive.
+fn parse_both(input: &str) -> Option<Element> {
+    let owned = parse(input);
+    let arena = ArenaDoc::parse(input);
+    match (&owned, &arena) {
+        (Ok(o), Ok(a)) => assert_eq!(&a.root_element(), o, "{input:?}"),
+        (Err(o), Err(a)) => {
+            assert_eq!(a, o, "{input:?}");
+            assert!(o.offset <= input.len(), "{input:?}: {o}");
+            assert_ne!(o.kind, ParseErrorKind::TooLong, "{input:?}");
+        }
+        _ => panic!("accept/reject disagreement on {input:?}"),
+    }
+    owned.ok()
+}
+
+/// Elements nested on both sides of the depth bound, around a text
+/// run, closed or cut short.
+fn nested(rng: &mut StdRng) -> String {
+    let depth = *rng.pick(&[1usize, 2, 255, 256, 257, 1000]);
+    let mut src = "<a>".repeat(depth);
+    src.push_str(&interrupted_text(rng));
+    if rng.gen_bool(0.8) {
+        src.push_str(&"</a>".repeat(depth));
+    }
+    src
+}
+
+/// A text run that comments, PIs, entity references and CDATA sections
+/// interrupt, sometimes broken.
+fn interrupted_text(rng: &mut StdRng) -> String {
+    let pieces =
+        ["x", " ", "é", "&amp;", "&#65;", "&bogus;", "<!--c-->", "<?p?>", "<![CDATA[<y>]]>", "<!--"];
+    let mut src = String::from("<t>");
+    for _ in 0..rng.gen_range(0usize..8) {
+        src.push_str(pieces[rng.gen_range(0..pieces.len())]);
+    }
+    src.push_str("</t>");
+    src
+}
+
+/// The parsers must never panic, whatever bytes arrive (stores parse
 /// fragments received from untrusted peers).
 #[test]
 fn parser_never_panics() {
     cases(256, 0x1ab1, |rng| {
-        let input = check::printable(rng, 0, 200);
-        let _ = parse(&input);
+        let input = match rng.gen_range(0u32..4) {
+            0 => nested(rng),
+            1 => interrupted_text(rng),
+            _ => check::printable(rng, 0, 200),
+        };
+        let _ = parse_both(&input);
     });
 }
 
@@ -22,19 +69,45 @@ fn parser_never_panics() {
 #[test]
 fn mutated_documents_never_panic() {
     cases(512, 0x1ab2, |rng| {
-        let base = r#"<user id="a"><book><item id="1"><n>Bob</n></item></book></user>"#;
+        let base = match rng.gen_range(0u32..4) {
+            0 => nested(rng),
+            1 => format!("<u>{}</u>", interrupted_text(rng)),
+            _ => r#"<user id="a"><book><item id="1"><n>Bob</n></item></book></user>"#.to_string(),
+        };
         let mut bytes = base.as_bytes().to_vec();
-        let pos = rng.gen_range(0usize..60);
+        let pos = rng.gen_range(0usize..bytes.len().min(60));
         let byte = (rng.gen_range(0u32..=255)) as u8;
         if pos < bytes.len() {
             bytes[pos] = byte;
         }
         if let Ok(s) = String::from_utf8(bytes) {
-            if let Ok(doc) = parse(&s) {
+            if let Some(doc) = parse_both(&s) {
                 assert!(!doc.name.is_empty());
             }
         }
     });
+}
+
+/// A document nested far past the bound gets a typed error from both
+/// parsers on a thread with the default stack, where it used to abort
+/// the process: neither recurses per level. One at the bound parses,
+/// serializes and drops there.
+#[test]
+fn deep_nesting_is_refused_on_a_default_stack() {
+    std::thread::spawn(|| {
+        let src = format!("{}{}", "<a>".repeat(100_000), "</a>".repeat(100_000));
+        let owned = parse(&src).unwrap_err();
+        assert_eq!(owned.kind, ParseErrorKind::TooDeep);
+        assert_eq!(owned.offset, 256 * "<a>".len(), "refused at the first element too deep");
+        assert_eq!(ArenaDoc::parse(&src).unwrap_err(), owned);
+
+        let src = format!("{}{}", "<a>".repeat(256), "</a>".repeat(256));
+        let owned = parse(&src).unwrap();
+        assert_eq!(owned.to_xml().len(), src.len() - "<a></a>".len() + "<a/>".len());
+        assert_eq!(ArenaDoc::parse(&src).unwrap().root_element(), owned);
+    })
+    .join()
+    .unwrap();
 }
 
 /// Attribute values with arbitrary printable content round-trip.
