@@ -65,7 +65,7 @@ pub fn run() {
         let t_fetch = net.rpc(client, yahoo_node, out.referral.token.byte_size() + 32, frag_bytes);
         tracer.span(stage::NET_FETCH, t_fetch);
         let signer = gupster.signer();
-        let result =
+        let result: Vec<_> =
             fetch_merge_traced(&pool, &out.referral, &signer, now, &keys, &mut tracer)
                 .expect("fetches");
         net.end_request();

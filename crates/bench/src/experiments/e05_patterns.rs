@@ -114,7 +114,6 @@ pub fn run() {
                     client: w.client,
                     gupster_node: w.gupster_node,
                     store_nodes: w.store_nodes.clone(),
-                    batch_fetches: false,
                 };
                 let run = exec
                     .execute(
@@ -177,7 +176,6 @@ mod tests {
                 client: w.client,
                 gupster_node: w.gupster_node,
                 store_nodes: w.store_nodes.clone(),
-                    batch_fetches: false,
             };
             let run = exec
                 .execute(

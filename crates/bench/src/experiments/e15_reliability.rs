@@ -142,7 +142,6 @@ pub fn fault_sweep(seed: u64) -> FaultSweep {
             client: w.client,
             gupster_node: w.gupster_node,
             store_nodes: w.store_nodes.clone(),
-            batch_fetches: false,
         };
         let mut rex = ResilientExecutor::new(exec, seed).with_budget(SimTime::secs(2));
         // Warm the stale cache before the faults start — a store that

@@ -13,9 +13,10 @@
 //!    is asserted here in both modes.
 //! 2. **Batch sweep** — the E15 fault schedule replayed over a
 //!    privacy-narrowed split address book whose referrals carry
-//!    several fragments per store, with the resilience ladder running
-//!    batched vs. unbatched fetches. Reports per-request messages,
-//!    availability and simulated throughput per split width.
+//!    several fragments per store, through the resilience ladder's
+//!    per-store fetches. Reports per-request messages, the coalesced
+//!    RPCs and the fragments they carried, availability and simulated
+//!    throughput per split width.
 //!
 //! Every row lands in `BENCH_shards.json` (see [`crate::benchjson`]);
 //! CI re-runs the reduced sweep (`experiments --quick e17`) and
@@ -339,15 +340,18 @@ struct BatchCell {
     fresh: usize,
     stale: usize,
     failed: usize,
-    results: Vec<String>,
     sim_wall: SimTime,
     messages_per_req: f64,
+    /// Coalesced per-store fetch RPCs netsim counted.
+    batched_rpcs: u64,
+    /// Fragments those RPCs carried.
+    coalesced_fragments: u64,
 }
 
 /// Replays the request stream through the resilience ladder at one
-/// (split width, fault rate, batching) cell. Fully deterministic for a
-/// given seed.
-fn batch_cell(k: usize, rate: f64, batch: bool, seed: u64) -> BatchCell {
+/// (split width, fault rate) cell. Fully deterministic for a given
+/// seed.
+fn batch_cell(k: usize, rate: f64, seed: u64) -> BatchCell {
     const REQUESTS: usize = 150;
     let gap = SimTime::millis(200);
     let keys = MergeKeys::new().with_key("item", "id");
@@ -358,7 +362,6 @@ fn batch_cell(k: usize, rate: f64, batch: bool, seed: u64) -> BatchCell {
         client: w.client,
         gupster_node: w.gupster_node,
         store_nodes: w.store_nodes.clone(),
-        batch_fetches: batch,
     };
     let mut rex = ResilientExecutor::new(exec, seed).with_budget(SimTime::secs(2));
     rex.fetch(&mut w.gupster, &w.pool, "alice", &request, "rick", WeekTime::at(1, 10, 0), 0, &keys)
@@ -370,7 +373,6 @@ fn batch_cell(k: usize, rate: f64, batch: bool, seed: u64) -> BatchCell {
     w.net.reset_metrics();
 
     let (mut fresh, mut stale, mut failed) = (0usize, 0usize, 0usize);
-    let mut results = Vec::with_capacity(REQUESTS);
     let mut sim_wall = SimTime::ZERO;
     for i in 0..REQUESTS {
         w.net.advance(gap);
@@ -391,12 +393,8 @@ fn batch_cell(k: usize, rate: f64, batch: bool, seed: u64) -> BatchCell {
                     fresh += 1;
                 }
                 sim_wall += run.wall;
-                results.push(format!("{:?}", run.result));
             }
-            Err(e) => {
-                failed += 1;
-                results.push(format!("{e:?}"));
-            }
+            Err(_) => failed += 1,
         }
     }
     let m = w.net.metrics();
@@ -404,9 +402,10 @@ fn batch_cell(k: usize, rate: f64, batch: bool, seed: u64) -> BatchCell {
         fresh,
         stale,
         failed,
-        results,
         sim_wall,
         messages_per_req: m.messages as f64 / REQUESTS as f64,
+        batched_rpcs: m.batched_rpcs,
+        coalesced_fragments: m.coalesced_fragments,
     }
 }
 
@@ -414,68 +413,49 @@ fn batch_sweep(rows_out: &mut Vec<Row>) {
     const RATE: f64 = 0.10; // the E15 ladder's headline fault rate
     let mut table = Vec::new();
     for &k in &SPLITS {
-        // Fault-free leg first: batched and unbatched answers must be
-        // byte-identical when nothing interferes.
-        let calm_plain = batch_cell(k, 0.0, false, 15);
-        let calm_batched = batch_cell(k, 0.0, true, 15);
-        assert_eq!(
-            calm_plain.results, calm_batched.results,
-            "batched answers diverged at k={k} with no faults"
-        );
+        // Fault-free leg first: every referral lists each store up to
+        // three times, so each per-store RPC must carry more than one
+        // fragment.
+        let calm = batch_cell(k, 0.0, 15);
+        assert_eq!(calm.failed, 0, "fault-free requests failed at k={k}");
         assert!(
-            calm_batched.messages_per_req < calm_plain.messages_per_req,
-            "batching must cut messages at k={k}: {} vs {}",
-            calm_batched.messages_per_req,
-            calm_plain.messages_per_req
+            calm.coalesced_fragments > calm.batched_rpcs,
+            "batching must coalesce fragments at k={k}: {} fragments in {} RPCs",
+            calm.coalesced_fragments,
+            calm.batched_rpcs
         );
 
-        // Faulted leg: the ladder must hold availability in both modes
-        // (messages differ, so the two schedules interleave
-        // differently — each mode is deterministic on its own).
-        let plain = batch_cell(k, RATE, false, 15);
-        let batched = batch_cell(k, RATE, true, 15);
-        for (label, cell) in [("unbatched", &plain), ("batched", &batched)] {
-            assert_eq!(cell.fresh + cell.stale + cell.failed, 150, "{label} lost requests");
-            let avail = 1.0 - cell.failed as f64 / 150.0;
-            assert!(avail >= 0.9, "{label} availability {avail} at k={k}");
-        }
-        let ops = |c: &BatchCell| {
-            1e6 * (c.fresh + c.stale) as f64 / c.sim_wall.0.max(1) as f64
-        };
+        // Faulted leg: the ladder must hold availability.
+        let faulted = batch_cell(k, RATE, 15);
+        assert_eq!(faulted.fresh + faulted.stale + faulted.failed, 150, "lost requests");
+        let avail = 1.0 - faulted.failed as f64 / 150.0;
+        assert!(avail >= 0.9, "availability {avail} at k={k}");
+        let ops = 1e6 * (faulted.fresh + faulted.stale) as f64 / faulted.sim_wall.0.max(1) as f64;
         table.push(vec![
             k.to_string(),
-            f2(calm_plain.messages_per_req),
-            f2(calm_batched.messages_per_req),
-            format!("{:.0}", ops(&plain)),
-            format!("{:.0}", ops(&batched)),
-            pct((plain.fresh + plain.stale) as f64 / 150.0),
-            pct((batched.fresh + batched.stale) as f64 / 150.0),
+            f2(calm.messages_per_req),
+            calm.batched_rpcs.to_string(),
+            f2(calm.coalesced_fragments as f64 / calm.batched_rpcs as f64),
+            format!("{ops:.0}"),
+            pct(avail),
         ]);
         rows_out.push(
             Row::new("batch")
                 .count("slices", k as u64)
-                .real("sim_plain_ops", ops(&plain))
-                .real("sim_batched_ops", ops(&batched))
-                .ratio("plain_messages_per_request", calm_plain.messages_per_req)
-                .ratio("batched_messages_per_request", calm_batched.messages_per_req),
+                .count("batched_rpcs", calm.batched_rpcs)
+                .count("coalesced_fragments", calm.coalesced_fragments)
+                .real("sim_batched_ops", ops)
+                .ratio("batched_messages_per_request", calm.messages_per_req),
         );
     }
     print_table(
-        "E17b — batched vs. unbatched fetches under the E15 fault ladder (150 requests, 10% faults)",
-        &[
-            "slices",
-            "msgs/req plain",
-            "msgs/req batched",
-            "plain sim ops/s",
-            "batched sim ops/s",
-            "plain avail",
-            "batched avail",
-        ],
+        "E17b — per-store fetches under the E15 fault ladder (150 requests, 10% faults)",
+        &["slices", "msgs/req", "store RPCs", "fragments/RPC", "sim ops/s", "avail"],
         &table,
     );
     println!(
-        "  paper check: one header per destination store — message count per request drops \
-         while answers and availability hold."
+        "  paper check: one header per destination store — each fetch RPC carries every \
+         fragment its store holds, while answers and availability hold."
     );
 }
 
@@ -510,11 +490,11 @@ mod tests {
 
     #[test]
     fn narrowed_referral_batches_fewer_messages() {
-        let calm_plain = batch_cell(2, 0.0, false, 7);
-        let calm_batched = batch_cell(2, 0.0, true, 7);
-        assert_eq!(calm_plain.results, calm_batched.results);
-        assert!(calm_batched.messages_per_req < calm_plain.messages_per_req);
-        assert_eq!(calm_plain.failed, 0);
-        assert_eq!(calm_batched.failed, 0);
+        let calm = batch_cell(2, 0.0, 7);
+        assert_eq!(calm.failed, 0);
+        // One store, three fragments per referral: one RPC each.
+        assert_eq!(calm.batched_rpcs, 150);
+        assert_eq!(calm.coalesced_fragments, 450);
+        assert_eq!(calm.messages_per_req, 4.0);
     }
 }

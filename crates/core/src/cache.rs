@@ -190,15 +190,8 @@ impl CachedClient {
             &mut tracer,
         )?;
         let signer = gupster.signer();
-        let result: SharedAnswer = crate::client::fetch_merge_into(
-            pool,
-            &out.referral,
-            &signer,
-            now,
-            keys,
-            &mut tracer,
-            false,
-        )?;
+        let result: SharedAnswer =
+            crate::client::fetch_merge_traced(pool, &out.referral, &signer, now, keys, &mut tracer)?;
         self.cache.put(owner, requester, request, Arc::clone(&result), now + self.ttl);
         Ok(result)
     }

@@ -2,6 +2,12 @@
 //! directly from the stores (§4.3: "The client application will then use
 //! the referral (one of them, or both) to get the data directly from the
 //! GUP data stores").
+//!
+//! There is one fetch shape: a merge referral's fragments are fetched
+//! per destination store, one round per store whatever the number of
+//! fragments it holds, in referral-entry order. [`fetch_merge`] is the
+//! untraced entry and [`fetch_merge_traced`] the traced one; both run
+//! the same body.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write;
@@ -18,9 +24,9 @@ use crate::error::GupsterError;
 use crate::referral::{Referral, ReferralEntry};
 use crate::token::Signer;
 
-/// Synthetic per-fragment fetch cost: ~50µs of store work plus ~10µs
-/// per KB of fragment serialized (matches the merge throughput model in
-/// [`crate::patterns`]).
+/// Synthetic cost of one fetch round at one store: ~50µs of store work
+/// plus ~10µs per KB of fragments serialized (matches the merge
+/// throughput model in [`crate::patterns`]).
 fn fetch_cost(bytes: usize) -> SimTime {
     SimTime::micros(50 + (bytes as u64).div_ceil(1024) * 10)
 }
@@ -111,10 +117,11 @@ impl StorePool {
 /// way each data store would, fetches, and merges fragments that denote
 /// the same logical component.
 ///
-/// For a choice referral (`||`) only the first alternative is consulted;
-/// for a merge referral every fragment source is fetched and same-
-/// identity fragments are deep-unioned (Fig. 9's "way to merge the two
-/// XML fragments").
+/// For a choice referral (`||`) the alternatives are tried in order
+/// until one answers; for a merge referral every fragment source is
+/// fetched, one round per destination store, and same-identity
+/// fragments are deep-unioned (Fig. 9's "way to merge the two XML
+/// fragments").
 pub fn fetch_merge(
     pool: &StorePool,
     referral: &Referral,
@@ -122,58 +129,29 @@ pub fn fetch_merge(
     now: u64,
     keys: &MergeKeys,
 ) -> Result<Vec<Element>, GupsterError> {
-    fetch_merge_inner(pool, referral, store_signer, now, keys, None, false)
+    fetch_merge_inner(pool, referral, store_signer, now, keys, None)
 }
 
 /// [`fetch_merge`] nested under a caller-owned trace: records a
-/// `fetch.merge` span with `token.verify` / per-fragment `store.fetch` /
-/// `xml.merge` children, and bumps the signature-verification counter.
-pub fn fetch_merge_traced(
+/// `fetch.merge` span with `token.verify` / `store.fetch` /
+/// `xml.merge` children, and bumps the signature-verification counter
+/// (and, for a merge referral, the batched-fetch counter once per
+/// destination store). The answer is materialized straight into the
+/// caller's container `C`, a `Vec<Element>` or a [`SharedAnswer`]: one
+/// allocation either way.
+pub fn fetch_merge_traced<C>(
     pool: &StorePool,
     referral: &Referral,
     store_signer: &Signer,
     now: u64,
     keys: &MergeKeys,
     tracer: &mut Tracer,
-) -> Result<Vec<Element>, GupsterError> {
-    fetch_merge_into(pool, referral, store_signer, now, keys, tracer, false)
-}
-
-/// [`fetch_merge`] with per-store batching: a merge referral's
-/// fragments are grouped by destination store and each store is charged
-/// **one** fetch round (one ~50µs header) for its whole group instead
-/// of one per fragment. Queries still run in referral-entry order, so
-/// the merged result — and the error observed when a store is down —
-/// are byte-identical to the unbatched path.
-pub fn fetch_merge_batched(
-    pool: &StorePool,
-    referral: &Referral,
-    store_signer: &Signer,
-    now: u64,
-    keys: &MergeKeys,
-) -> Result<Vec<Element>, GupsterError> {
-    fetch_merge_inner(pool, referral, store_signer, now, keys, None, true)
-}
-
-/// The traced fetch behind [`fetch_merge_traced`] and, when `batch`,
-/// the batched one (one `store.fetch` span per destination store, the
-/// batched-fetch counter bumped per coalesced round). The answer is
-/// materialized straight into the caller's container `C`, a
-/// `Vec<Element>` or a [`SharedAnswer`]: one allocation either way.
-pub(crate) fn fetch_merge_into<C>(
-    pool: &StorePool,
-    referral: &Referral,
-    store_signer: &Signer,
-    now: u64,
-    keys: &MergeKeys,
-    tracer: &mut Tracer,
-    batch: bool,
 ) -> Result<C, GupsterError>
 where
     C: FromIterator<Element> + Deref<Target = [Element]>,
 {
     tracer.enter(stage::FETCH_MERGE);
-    let out = fetch_merge_inner(pool, referral, store_signer, now, keys, Some(tracer), batch);
+    let out = fetch_merge_inner(pool, referral, store_signer, now, keys, Some(tracer));
     tracer.exit();
     out
 }
@@ -185,7 +163,6 @@ fn fetch_merge_inner<C>(
     now: u64,
     keys: &MergeKeys,
     mut tracer: Option<&mut Tracer>,
-    batch: bool,
 ) -> Result<C, GupsterError>
 where
     C: FromIterator<Element> + Deref<Target = [Element]>,
@@ -222,12 +199,13 @@ where
         fragments.extend(got);
         Ok::<usize, GupsterError>(bytes)
     };
-    if referral.merge_required && batch {
-        // Batched: fragments bound for the same store share one fetch
-        // round. Queries run in entry order (identical fragment order
-        // and error precedence to the unbatched arm below); only the
-        // cost accounting coalesces — one header charge per store over
-        // the group's total bytes.
+    if referral.merge_required {
+        // Every fragment source must answer (there is no alternative
+        // holding the same fragment unless it was listed as a choice).
+        // Fragments bound for the same store share one fetch round:
+        // queries run in entry order, so fragment order and error
+        // precedence follow the referral, and the traced cost is one
+        // header charge per store over the group's total bytes.
         let mut groups: Vec<(&StoreId, usize)> = Vec::new();
         for entry in &referral.entries {
             let bytes = fetch(entry)?;
@@ -240,15 +218,6 @@ where
             for (_, bytes) in &groups {
                 t.hub().counters().batched_fetches.fetch_add(1, Ordering::Relaxed);
                 t.span(stage::STORE_FETCH, fetch_cost(*bytes));
-            }
-        }
-    } else if referral.merge_required {
-        // Every fragment source must answer (there is no alternative
-        // holding the same fragment unless it was listed as a choice).
-        for entry in &referral.entries {
-            let bytes = fetch(entry)?;
-            if let Some(t) = tracer.as_deref_mut() {
-                t.span(stage::STORE_FETCH, fetch_cost(bytes));
             }
         }
     } else {
@@ -386,9 +355,8 @@ impl Singleflight {
     }
 
     /// [`fetch_merge`] through the table: a duplicate of an in-window
-    /// fetch shares the first answer without touching the pool. `batch`
-    /// selects the batched cost model on a miss; errors are never
-    /// cached (the next duplicate retries the stores).
+    /// fetch shares the first answer without touching the pool; errors
+    /// are never cached (the next duplicate retries the stores).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fetch_merge(
         &mut self,
@@ -398,7 +366,6 @@ impl Singleflight {
         store_signer: &Signer,
         now: u64,
         keys: &MergeKeys,
-        batch: bool,
         mut tracer: Option<&mut Tracer>,
     ) -> Result<SharedAnswer, GupsterError> {
         let key = Self::key(referral, requester);
@@ -411,7 +378,7 @@ impl Singleflight {
             return Ok(Arc::clone(answer));
         }
         let answer: SharedAnswer =
-            fetch_merge_inner(pool, referral, store_signer, now, keys, tracer, batch)?;
+            fetch_merge_inner(pool, referral, store_signer, now, keys, tracer)?;
         self.misses += 1;
         self.table.insert(key, Arc::clone(&answer));
         Ok(answer)
@@ -603,25 +570,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn batched_fetch_identical_to_unbatched() {
-        let (mut g, pool) = split_world();
-        let out = g
-            .lookup(
-                "arnaud",
-                &p("/user[@id='arnaud']/address-book"),
-                "arnaud",
-                Purpose::Query,
-                WeekTime::at(0, 12, 0),
-                100,
-            )
-            .unwrap();
-        let signer = g.signer();
-        let plain = fetch_merge(&pool, &out.referral, &signer, 110, &keys()).unwrap();
-        let batched = fetch_merge_batched(&pool, &out.referral, &signer, 110, &keys()).unwrap();
-        assert_eq!(plain, batched);
-    }
-
     /// A store that cannot lend: every fragment is a document built for
     /// the answer, the way an LDAP or relational adapter answers.
     struct BuildingStore(XmlStore);
@@ -708,11 +656,8 @@ mod tests {
             Err(e) => Err(e.to_string()),
         };
         for (what, referral, now) in &cases {
-            let plain = render(fetch_merge(&lent, referral, &signer, *now, &keys()));
-            assert_eq!(plain, render(fetch_merge(&built, referral, &signer, *now, &keys())), "{what}");
-            let batched = render(fetch_merge_batched(&lent, referral, &signer, *now, &keys()));
-            assert_eq!(batched, render(fetch_merge_batched(&built, referral, &signer, *now, &keys())), "{what} (batched)");
-            assert_eq!(plain, batched, "{what}: batching changes charges, not answers");
+            let lent_answer = render(fetch_merge(&lent, referral, &signer, *now, &keys()));
+            assert_eq!(lent_answer, render(fetch_merge(&built, referral, &signer, *now, &keys())), "{what}");
         }
         // The cases are what their names say.
         let answer = |i: usize| render(fetch_merge(&lent, &cases[i].1, &signer, cases[i].2, &keys()));
@@ -809,10 +754,10 @@ mod tests {
         let signer = g.signer();
         let mut sf = Singleflight::new();
         let first = sf
-            .fetch_merge(&pool, &out.referral, "arnaud", &signer, 110, &keys(), false, None)
+            .fetch_merge(&pool, &out.referral, "arnaud", &signer, 110, &keys(), None)
             .unwrap();
         let second = sf
-            .fetch_merge(&pool, &out.referral, "arnaud", &signer, 110, &keys(), false, None)
+            .fetch_merge(&pool, &out.referral, "arnaud", &signer, 110, &keys(), None)
             .unwrap();
         assert_eq!((sf.hits, sf.misses), (1, 1));
         assert_eq!(first, second);

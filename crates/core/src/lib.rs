@@ -56,7 +56,10 @@ pub use admission::{
     AdmissionConfig, Completion, IngressQueue, OfferOutcome, Priority, RequestOutcome, Shed,
     ShedCause,
 };
-pub use client::{fetch_merge, fetch_merge_batched, fetch_merge_traced, SharedAnswer, StorePool};
+pub use client::{fetch_merge, fetch_merge_traced, SharedAnswer, StorePool};
+/// The old name of [`fetch_merge`], kept for the wall-clock benchmark:
+/// every fetch is per store now, so the two are one function.
+pub use client::fetch_merge as fetch_merge_batched;
 pub use constellation::Constellation;
 pub use coverage::{CoverageMap, CoverageMatch, MatchStats};
 pub use provenance::{Disclosure, ProvenanceLog};

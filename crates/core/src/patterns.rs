@@ -8,7 +8,9 @@
 //! All three patterns produce the *same answer*; they move different
 //! bytes across different links. The executor runs the real registry +
 //! stores for correctness and charges the simulated network for costs,
-//! so experiment E5 reports both.
+//! so experiment E5 reports both. Whoever fetches — client, GUPster or
+//! the recruited store — fetches per store: one coalesced RPC to each
+//! destination store, whatever the number of fragments it holds.
 
 use std::collections::HashMap;
 
@@ -19,7 +21,7 @@ use gupster_telemetry::{stage, RequestId, Tracer};
 use gupster_xml::{Element, MergeKeys};
 use gupster_xpath::Path;
 
-use crate::client::{fetch_merge_into, SharedAnswer, StorePool};
+use crate::client::{fetch_merge_traced, SharedAnswer, StorePool};
 use crate::error::GupsterError;
 use crate::registry::Gupster;
 
@@ -80,21 +82,15 @@ pub struct PatternExecutor<'a> {
     pub gupster_node: NodeId,
     /// Where each store lives.
     pub store_nodes: HashMap<StoreId, NodeId>,
-    /// When set, a referral's fragments are grouped by destination
-    /// store and each group travels as **one** coalesced RPC (one
-    /// header charge per destination instead of per fragment — see
-    /// [`Journey::try_batch_rpcs`]); the fetch/merge side charges one
-    /// fetch round per store (the traced form of
-    /// [`crate::fetch_merge_batched`]). The
-    /// merged answer is byte-identical either way.
-    pub batch_fetches: bool,
 }
 
-/// Groups per-fragment calls by destination node, preserving first-seen
-/// order: one `(node, request, response, fragments)` batch call per
-/// distinct node. The request carries one header plus ~16 bytes per
-/// additional fragment path; the response carries the group's summed
-/// fragment bytes.
+/// The fragment fan-out: groups per-fragment calls by destination node,
+/// preserving first-seen order, into one `(node, request, response,
+/// fragments)` call per distinct node for [`Journey::try_batch_rpcs`] —
+/// the network side of the one fetch round per store that
+/// [`fetch_merge_traced`] charges. The request carries one header plus
+/// ~16 bytes per additional fragment path; the response carries the
+/// group's summed fragment bytes.
 fn group_calls(frag_bytes: &[(NodeId, usize)], header: usize) -> Vec<(NodeId, usize, usize, u64)> {
     let mut order: Vec<NodeId> = Vec::new();
     let mut agg: HashMap<NodeId, (usize, u64)> = HashMap::new();
@@ -126,41 +122,6 @@ impl<'a> PatternExecutor<'a> {
             .get(id)
             .copied()
             .ok_or_else(|| GupsterError::Store(format!("no node for store {id}")))
-    }
-
-    /// The fragment fan-out leg from `from`: per-fragment parallel RPCs,
-    /// or one coalesced RPC per destination store when
-    /// [`PatternExecutor::batch_fetches`] is set.
-    fn fetch_fan_out(
-        &self,
-        journey: &mut Journey,
-        from: NodeId,
-        frag_bytes: &[(NodeId, usize)],
-        header: usize,
-    ) -> Result<(), gupster_netsim::NetError> {
-        if self.batch_fetches {
-            journey.try_batch_rpcs(self.net, from, &group_calls(frag_bytes, header))?;
-        } else {
-            let calls: Vec<(NodeId, usize, usize)> =
-                frag_bytes.iter().map(|(node, bytes)| (*node, header, *bytes)).collect();
-            journey.try_parallel_rpcs(self.net, from, &calls)?;
-        }
-        Ok(())
-    }
-
-    /// Fetches and merges the referral with the cost model matching the
-    /// configured fan-out shape.
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_leg(
-        &self,
-        pool: &StorePool,
-        referral: &crate::referral::Referral,
-        signer: &crate::token::Signer,
-        now: u64,
-        keys: &MergeKeys,
-        tracer: &mut Tracer,
-    ) -> Result<SharedAnswer, GupsterError> {
-        fetch_merge_into(pool, referral, signer, now, keys, tracer, self.batch_fetches)
     }
 
     /// Runs one pattern end to end.
@@ -268,15 +229,12 @@ impl<'a> PatternExecutor<'a> {
                 tracer.span(stage::NET_LOOKUP, leg(&journey, t0));
                 // …then the client fetches all fragments in parallel…
                 let t0 = journey.elapsed();
-                self.fetch_fan_out(
-                    &mut journey,
-                    self.client,
-                    &frag_bytes,
-                    referral.token.byte_size() + 32,
-                )?;
+                let calls = group_calls(&frag_bytes, referral.token.byte_size() + 32);
+                journey.try_batch_rpcs(self.net, self.client, &calls)?;
                 tracer.span(stage::NET_FETCH, leg(&journey, t0));
                 // …and merges locally.
-                let result = self.fetch_leg(pool, referral, &signer, now, keys, tracer)?;
+                let result: SharedAnswer =
+                    fetch_merge_traced(pool, referral, &signer, now, keys, tracer)?;
                 journey.compute(merge_cost(total_frag_bytes));
                 (result, total_frag_bytes, 0)
             }
@@ -287,14 +245,11 @@ impl<'a> PatternExecutor<'a> {
                 journey.try_send(self.net, self.client, self.gupster_node, request_bytes)?;
                 tracer.span(stage::NET_LOOKUP, leg(&journey, t0));
                 let t0 = journey.elapsed();
-                self.fetch_fan_out(
-                    &mut journey,
-                    self.gupster_node,
-                    &frag_bytes,
-                    referral.token.byte_size() + 32,
-                )?;
+                let calls = group_calls(&frag_bytes, referral.token.byte_size() + 32);
+                journey.try_batch_rpcs(self.net, self.gupster_node, &calls)?;
                 tracer.span(stage::NET_FETCH, leg(&journey, t0));
-                let result = self.fetch_leg(pool, referral, &signer, now, keys, tracer)?;
+                let result: SharedAnswer =
+                    fetch_merge_traced(pool, referral, &signer, now, keys, tracer)?;
                 journey.compute(merge_cost(total_frag_bytes));
                 let result_bytes: usize = result.iter().map(Element::byte_size).sum();
                 let t0 = journey.elapsed();
@@ -335,14 +290,11 @@ impl<'a> PatternExecutor<'a> {
                     .copied()
                     .collect();
                 let t0 = journey.elapsed();
-                self.fetch_fan_out(
-                    &mut journey,
-                    exec_node,
-                    &remote,
-                    referral.token.byte_size() + 32,
-                )?;
+                let calls = group_calls(&remote, referral.token.byte_size() + 32);
+                journey.try_batch_rpcs(self.net, exec_node, &calls)?;
                 tracer.span(stage::NET_FETCH, leg(&journey, t0));
-                let result = self.fetch_leg(pool, referral, &signer, now, keys, tracer)?;
+                let result: SharedAnswer =
+                    fetch_merge_traced(pool, referral, &signer, now, keys, tracer)?;
                 journey.compute(merge_cost(total_frag_bytes));
                 let result_bytes: usize = result.iter().map(Element::byte_size).sum();
                 let t0 = journey.elapsed();
@@ -444,7 +396,6 @@ mod tests {
             client: w.client,
             gupster_node: w.gupster_node,
             store_nodes: w.nodes.clone(),
-            batch_fetches: false,
         };
         exec.execute(
             pattern,
@@ -523,15 +474,14 @@ mod tests {
                 .provision("arnaud", id, Effect::Permit, scope, "relationship='co-worker'", 0)
                 .unwrap();
         }
-        let run_as_rick = |w: &mut World, batch: bool| {
-            let exec = PatternExecutor {
-                net: &w.net,
-                client: w.client,
-                gupster_node: w.gupster_node,
-                store_nodes: w.nodes.clone(),
-                batch_fetches: batch,
-            };
-            exec.execute(
+        let exec = PatternExecutor {
+            net: &w.net,
+            client: w.client,
+            gupster_node: w.gupster_node,
+            store_nodes: w.nodes.clone(),
+        };
+        let run = exec
+            .execute(
                 QueryPattern::Referral,
                 &mut w.gupster,
                 &w.pool,
@@ -542,15 +492,14 @@ mod tests {
                 100,
                 &MergeKeys::new().with_key("item", "id"),
             )
-            .unwrap()
-        };
-        let plain = run_as_rick(&mut w, false);
-        let batched = run_as_rick(&mut w, true);
-        assert_eq!(plain.result, batched.result);
-        // 3 fragments: unbatched = 3 fetch RPCs + lookup = 8 messages;
-        // batched = 2 per-store RPCs + lookup = 6.
-        assert_eq!(plain.messages, 8);
-        assert_eq!(batched.messages, 6);
+            .unwrap();
+        // The narrowed answer: every item once, merged by id across the
+        // overlapping fragments.
+        assert_eq!(run.result.len(), 51);
+        assert!(run.result.iter().all(|e| e.name == "item"));
+        // 3 fragments on 2 stores: 2 per-store RPCs + the lookup RPC
+        // = 6 messages (one fetch RPC per fragment would be 8).
+        assert_eq!(run.messages, 6);
         let m = w.net.metrics();
         assert_eq!(m.batched_rpcs, 2);
         assert_eq!(m.coalesced_fragments, 3);
@@ -570,7 +519,6 @@ mod tests {
                     client: w.client,
                     gupster_node: w.gupster_node,
                     store_nodes: w.nodes.clone(),
-            batch_fetches: false,
                 };
                 exec.execute(
                     pattern,
@@ -639,7 +587,7 @@ mod tests {
         let mut nodes = HashMap::new();
         nodes.insert(StoreId::new("gup.a.com"), a_node);
         nodes.insert(StoreId::new("gup.b.com"), b_node);
-        let exec = PatternExecutor { net: &net, client, gupster_node, store_nodes: nodes, batch_fetches: false };
+        let exec = PatternExecutor { net: &net, client, gupster_node, store_nodes: nodes };
         let err = exec
             .execute(
                 QueryPattern::Recruiting,
@@ -686,7 +634,7 @@ mod tests {
             .unwrap();
         let mut nodes = HashMap::new();
         nodes.insert(StoreId::new("gup.a.com"), a_node);
-        let exec = PatternExecutor { net: &net, client, gupster_node, store_nodes: nodes, batch_fetches: false };
+        let exec = PatternExecutor { net: &net, client, gupster_node, store_nodes: nodes };
         let run = exec
             .execute(
                 QueryPattern::Recruiting,

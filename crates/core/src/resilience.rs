@@ -137,14 +137,6 @@ impl<'a> ResilientExecutor<'a> {
         self
     }
 
-    /// Toggles per-store batched fetches on the underlying pattern
-    /// executor — every rung of the ladder (and every retry) then moves
-    /// fragments as one coalesced RPC per destination store.
-    pub fn with_batched_fetches(mut self, on: bool) -> Self {
-        self.exec.batch_fetches = on;
-        self
-    }
-
     /// Runs one request through the ladder.
     ///
     /// Transient faults ([`GupsterError::LinkDown`],

@@ -29,6 +29,11 @@
 //! 4. the gather step merges results into **stable request order**
 //!    (the scatter index), not completion order.
 //!
+//! A full answer ([`ShardedRegistry::answer_batch`], the open loop)
+//! fetches the way every client does: one round per destination store
+//! ([`crate::fetch_merge`]), through the shard's per-window
+//! singleflight table in `answer_batch`.
+//!
 //! Scatter-gather uses `std::thread::scope` workers over persistent
 //! shard state — zero external deps, and the borrow checker proves the
 //! partitioning (each worker holds `&mut` to exactly one part).
@@ -52,7 +57,7 @@ use gupster_xpath::Path;
 use crate::admission::{
     AdmissionConfig, Completion, IngressQueue, Priority, RequestOutcome, Shed,
 };
-use crate::client::{fetch_merge_into, SharedAnswer, Singleflight, StorePool};
+use crate::client::{fetch_merge_traced, SharedAnswer, Singleflight, StorePool};
 use crate::error::GupsterError;
 use crate::registry::{Gupster, LookupOutcome};
 use crate::resilience::is_transient;
@@ -655,15 +660,18 @@ impl ShardedRegistry {
 
     /// Runs a batch of full answers: lookup on the owning shard, then
     /// fetch-and-merge against the shared pool — deduped through the
-    /// shard's per-batch singleflight window and (when `batch_fetches`)
-    /// coalesced into one fetch round per destination store. Each
-    /// answer is materialized once; in-window duplicates share it.
+    /// shard's per-batch singleflight window, one fetch round per
+    /// destination store. Each answer is materialized once; in-window
+    /// duplicates share it.
+    ///
+    /// `_batch_fetches` is ignored: every fetch is per store. It stays
+    /// only because the wall-clock benchmark passes it.
     pub fn answer_batch(
         &mut self,
         pool: &StorePool,
         requests: &[ShardRequest],
         keys: &MergeKeys,
-        batch_fetches: bool,
+        _batch_fetches: bool,
     ) -> (Vec<Result<SharedAnswer, GupsterError>>, BatchReport) {
         self.scatter(
             requests,
@@ -679,7 +687,6 @@ impl ShardedRegistry {
                     &signer,
                     r.now,
                     keys,
-                    batch_fetches,
                     Some(tracer),
                 )
             },
@@ -768,7 +775,7 @@ impl ShardedRegistry {
                 let out = g.lookup_traced(
                     &r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, &mut tracer,
                 )?;
-                fetch_merge_into(pool, &out.referral, &g.signer(), r.now, keys, &mut tracer, true)
+                fetch_merge_traced(pool, &out.referral, &g.signer(), r.now, keys, &mut tracer)
             })();
             let cost = tracer.now();
             per_shard[shards.index(&r.owner)].1 += cost;

@@ -42,7 +42,10 @@ pub fn export(spans: &[Span]) -> String {
     out
 }
 
-fn escape(s: &str) -> String {
+/// Escapes `s` as the body of a JSON string: the one string encoding of
+/// the trace lines and the `ObsSnapshot` rows, which [`Parser::string`]
+/// decodes.
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -89,7 +92,7 @@ pub fn parse(text: &str) -> Result<Vec<Span>, ParseError> {
 
 /// Parses one exported line back into a [`Span`].
 pub(crate) fn parse_line(line: &str) -> Result<Span, String> {
-    let mut p = Parser { bytes: line.trim().as_bytes(), pos: 0 };
+    let mut p = Parser::new(line.trim());
     p.expect(b'{')?;
     let mut request = None;
     let mut span = None;
@@ -125,17 +128,49 @@ pub(crate) fn parse_line(line: &str) -> Result<Span, String> {
     })
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A cursor over one line of flat JSON.
+pub(crate) struct Parser<'a> {
+    text: &'a str,
+    /// Byte offset of the next unread character: always a character
+    /// boundary.
     pos: usize,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+impl<'a> Parser<'a> {
+    pub(crate) fn new(line: &'a str) -> Self {
+        Parser { text: line, pos: 0 }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Skips spaces.
+    pub(crate) fn skip_spaces(&mut self) {
+        while self.peek() == Some(b' ') {
+            self.pos += 1;
+        }
+    }
+
+    /// A bare (number) token: everything up to the next `,` or `}`.
+    pub(crate) fn token(&mut self) -> Result<&'a str, String> {
+        let start = self.pos;
+        while !matches!(self.peek(), None | Some(b',' | b'}')) {
+            self.pos += 1;
+        }
+        self.text.get(start..self.pos).ok_or_else(|| format!("bad token at byte {start}"))
+    }
+
+    /// Skips one value: a string or a bare token.
+    pub(crate) fn skip_value(&mut self) -> Result<(), String> {
+        if self.peek() == Some(b'"') {
+            self.string().map(drop)
+        } else {
+            self.token().map(drop)
+        }
+    }
+
+    pub(crate) fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -144,7 +179,7 @@ impl Parser<'_> {
         }
     }
 
-    fn eat(&mut self, b: u8) -> bool {
+    pub(crate) fn eat(&mut self, b: u8) -> bool {
         if self.peek() == Some(b) {
             self.pos += 1;
             true
@@ -154,7 +189,7 @@ impl Parser<'_> {
     }
 
     fn end(&self) -> Result<(), String> {
-        if self.pos == self.bytes.len() {
+        if self.pos == self.text.len() {
             Ok(())
         } else {
             Err(format!("trailing bytes at {}", self.pos))
@@ -169,14 +204,13 @@ impl Parser<'_> {
         if self.pos == start {
             return Err(format!("expected number at byte {start}"));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
+        self.text[start..self.pos]
             .parse()
             .map_err(|e| format!("bad number: {e}"))
     }
 
     fn null_or_number(&mut self) -> Result<Option<u64>, String> {
-        if self.bytes[self.pos..].starts_with(b"null") {
+        if self.text[self.pos..].starts_with("null") {
             self.pos += 4;
             Ok(None)
         } else {
@@ -184,7 +218,7 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    pub(crate) fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -203,14 +237,11 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|e| format!("bad \\u escape: {e}"))?;
                             out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
                             self.pos += 4;
                         }
@@ -219,9 +250,8 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| e.to_string())?;
+                    // Consume one UTF-8 scalar, reading no further.
+                    let rest = &self.text[self.pos..];
                     let c = rest.chars().next().ok_or("unterminated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();

@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 use gupster_netsim::SimTime;
 
 use crate::hub::{CounterSnapshot, Exemplar, StageStats};
+use crate::export::escape;
 use crate::scan::{scan_f64, scan_str, scan_u64};
 use crate::{stage, table};
 
@@ -167,8 +168,10 @@ fn counter_rows(out: &mut String, scope: &str, c: &CounterSnapshot, comma: bool)
         let trailing = if comma || i + 1 < fields.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{\"row\": \"counter\", \"scope\": \"{scope}\", \"name\": \"{name}\", \
-             \"value\": {value}}}{trailing}"
+            "    {{\"row\": \"counter\", \"scope\": \"{}\", \"name\": \"{}\", \
+             \"value\": {value}}}{trailing}",
+            escape(scope),
+            escape(name)
         );
     }
 }
@@ -186,7 +189,7 @@ fn fleet_rows(out: &mut String, f: &FleetObs, comma_after_last: bool) {
             out,
             "    {{\"row\": \"stage\", \"stage\": \"{}\", \"count\": {}, \"p50_us\": {}, \
              \"p95_us\": {}, \"p99_us\": {}, \"mean_us\": {}, \"max_us\": {}}},",
-            r.stage, s.count, s.p50.0, s.p95.0, s.p99.0, s.mean.0, s.max.0
+            escape(&r.stage), s.count, s.p50.0, s.p95.0, s.p99.0, s.mean.0, s.max.0
         );
     }
     for e in &f.exemplars {
@@ -198,8 +201,8 @@ fn fleet_rows(out: &mut String, f: &FleetObs, comma_after_last: bool) {
              \"provenance\": \"{}\", \"breakdown\": \"{}\"}},",
             e.key,
             e.duration.0,
-            e.provenance,
-            breakdown.join(";")
+            escape(&e.provenance),
+            escape(&breakdown.join(";"))
         );
     }
     let mut hot = Vec::new();
@@ -214,7 +217,8 @@ fn fleet_rows(out: &mut String, f: &FleetObs, comma_after_last: bool) {
         let _ = writeln!(
             out,
             "    {{\"row\": \"{row}\", \"name\": \"{}\", \"count\": {}}}{trailing}",
-            h.name, h.count
+            escape(&h.name),
+            h.count
         );
     }
 }
@@ -624,12 +628,18 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let snap = sample();
-        let text = snap.render_json();
-        let back = ObsSnapshot::parse_json(&text).unwrap();
-        assert_eq!(back, snap);
-        // Rendering the parse is byte-identical to the original render.
-        assert_eq!(back.render_json(), text);
+        // Owner ids arrive in requests: a name must not end its string
+        // early or forge the fields after it.
+        for name in ["u7", r#"x", "count": 999, "y"#, r#"a"b"#, "back\\slash\ttab"] {
+            let mut snap = sample();
+            snap.fleet.hot_users[0].name = name.to_string();
+            snap.fleet.exemplars[0].provenance = name.to_string();
+            let text = snap.render_json();
+            let back = ObsSnapshot::parse_json(&text).unwrap();
+            assert_eq!(back, snap, "{name}");
+            // Rendering the parse is byte-identical to the original render.
+            assert_eq!(back.render_json(), text);
+        }
     }
 
     #[test]

@@ -1,32 +1,49 @@
 //! Field scanners for the one-object-per-line JSON of
-//! `OBS_snapshot.json`. Not a JSON parser: the reader knows its
-//! writer's line shape and pulls `"key": value` pairs out of a line. A
-//! missing, truncated or unparsable field is an `Err` naming the key —
-//! a damaged artifact must fail loudly.
+//! `OBS_snapshot.json`. Not a general JSON parser: a row is one flat
+//! object of `"key": value` pairs whose values are strings or bare
+//! numbers. A lookup walks the pairs in order with the trace codec's
+//! [`Parser`], so a key is only ever matched as a key, never inside a
+//! string value, and strings decode the escapes
+//! [`escape`](crate::export::escape) writes. A missing, truncated or
+//! unparsable field is an `Err` naming the key — a damaged artifact
+//! must fail loudly.
 
 use std::fmt::Display;
 use std::str::FromStr;
 
-fn scan_after<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat).ok_or_else(|| format!("no {key} in: {line}"))? + pat.len();
-    Ok(line[at..].trim_start())
+use crate::export::Parser;
+
+/// A parser positioned at the value of `key` in `line`.
+fn value_of<'a>(line: &'a str, key: &str) -> Result<Parser<'a>, String> {
+    let missing = || format!("no {key} in: {line}");
+    let mut p = Parser::new(line.trim_start());
+    p.expect(b'{').map_err(|_| missing())?;
+    loop {
+        p.skip_spaces();
+        let k = p.string().map_err(|_| missing())?;
+        p.expect(b':').map_err(|_| missing())?;
+        p.skip_spaces();
+        if k == key {
+            return Ok(p);
+        }
+        p.skip_value().map_err(|_| missing())?;
+        if !p.eat(b',') {
+            return Err(missing());
+        }
+    }
 }
 
 fn scan_num<T: FromStr>(line: &str, key: &str) -> Result<T, String>
 where
     T::Err: Display,
 {
-    let rest = scan_after(line, key)?;
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().map_err(|e| format!("bad {key}: {e}"))
+    let token = value_of(line, key)?.token().map_err(|e| format!("bad {key}: {e}"))?;
+    token.trim().parse().map_err(|e| format!("bad {key}: {e}"))
 }
 
 /// The string value of `key` in `line`.
 pub(crate) fn scan_str(line: &str, key: &str) -> Result<String, String> {
-    let unterminated = || format!("bad {key}: not a closed string in: {line}");
-    let rest = scan_after(line, key)?.strip_prefix('"').ok_or_else(unterminated)?;
-    Ok(rest[..rest.find('"').ok_or_else(unterminated)?].to_string())
+    value_of(line, key)?.string().map_err(|e| format!("bad {key}: {e} in: {line}"))
 }
 
 /// The unsigned integer value of `key` in `line`.

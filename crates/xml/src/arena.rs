@@ -164,19 +164,12 @@ impl ArenaDoc {
     /// and applies the same whitespace normalization: both read the
     /// input through one scanner.
     pub fn parse(input: &str) -> Result<ArenaDoc, ParseError> {
-        let mut rows = Rows {
-            input,
-            doc: ArenaDoc::empty(),
-            scratch: Vec::new(),
-            open: Vec::new(),
-            dropped: Room::default(),
-        };
+        let mut rows = Rows { doc: ArenaDoc::empty(), scratch: Vec::new(), open: Vec::new() };
         scan(input, &mut rows)?;
-        let Rows { mut doc, dropped, .. } = rows;
+        let mut doc = rows.doc;
         doc.buf = Value::from(input);
         let values = doc.texts.iter().chain(doc.attrs.iter().map(|(_, v)| v));
         doc.value_bytes = offset(values.map(|&v| doc.val(v).len()).sum());
-        doc.retire(dropped.rows(), dropped.bytes);
         Ok(doc)
     }
 
@@ -791,18 +784,15 @@ fn hold(held: &mut Vec<Value>, v: Value) -> AVal {
 }
 
 /// The arena builder: rows for the scanner's events.
-struct Rows<'a> {
-    input: &'a str,
+struct Rows {
     doc: ArenaDoc,
     /// Children of the open elements, as in [`ArenaDoc::open`].
     scratch: Vec<AKid>,
     /// The open elements, innermost last, with their marks in `scratch`.
     open: Vec<(NodeId, usize)>,
-    /// Whitespace runs normalization dropped: text rows nothing points to.
-    dropped: Room,
 }
 
-impl Rows<'_> {
+impl Rows {
     /// A literal value is a range of the input, which becomes the
     /// buffer; a decoded one is held.
     fn store(&mut self, v: Chars<'_>) -> AVal {
@@ -811,43 +801,9 @@ impl Rows<'_> {
             Chars::Decoded(s) => hold(&mut self.doc.held, Value::from(s)),
         }
     }
-
-    /// Same rule as the owned parser: whitespace-only text children are
-    /// dropped from elements that also contain element children.
-    fn normalize_whitespace(&mut self, mark: usize) {
-        let has_elem = self.scratch[mark..].iter().any(|k| matches!(k, AKid::Elem(_)));
-        if !has_elem {
-            return;
-        }
-        let mut write = mark;
-        for i in mark..self.scratch.len() {
-            let k = self.scratch[i];
-            let keep = match k {
-                AKid::Elem(_) => true,
-                AKid::Text(t) => {
-                    // The buffer is not in place yet: read the input.
-                    let s = match self.doc.texts[t as usize] {
-                        AVal::Slice(s, e) => &self.input[s as usize..e as usize],
-                        AVal::Held(i) => &self.doc.held[i as usize],
-                    };
-                    let blank = s.chars().all(char::is_whitespace);
-                    if blank {
-                        self.dropped.texts += 1;
-                        self.dropped.bytes += s.len();
-                    }
-                    !blank
-                }
-            };
-            if keep {
-                self.scratch[write] = k;
-                write += 1;
-            }
-        }
-        self.scratch.truncate(write);
-    }
 }
 
-impl<'a> Sink<'a> for Rows<'a> {
+impl<'a> Sink<'a> for Rows {
     fn open(&mut self, name: &'a str) {
         let attr_start = self.doc.attrs.len();
         let open = self.doc.open(NameInterner::intern(name), attr_start, &self.scratch);
@@ -870,7 +826,6 @@ impl<'a> Sink<'a> for Rows<'a> {
 
     fn close(&mut self) {
         let Some((id, mark)) = self.open.pop() else { return };
-        self.normalize_whitespace(mark);
         let id = self.doc.close(id, mark, &mut self.scratch);
         if self.open.is_empty() {
             self.doc.root = id;

@@ -50,25 +50,11 @@ impl<'a> Sink<'a> for Tree<'a> {
     }
 
     fn close(&mut self) {
-        let Some(mut e) = self.open.pop() else { return };
-        normalize_whitespace(&mut e);
+        let Some(e) = self.open.pop() else { return };
         match self.open.last_mut() {
             Some(parent) => parent.children.push(Node::Element(e)),
             None => self.root = e,
         }
-    }
-}
-
-/// Drops whitespace-only text children from elements that also contain
-/// element children ("element content" indentation); an element whose
-/// only children are whitespace text keeps them (it is genuine data).
-fn normalize_whitespace(elem: &mut Element) {
-    let has_elem = elem.children.iter().any(|c| matches!(c, Node::Element(_)));
-    if has_elem {
-        elem.children.retain(|c| match c {
-            Node::Text(t) => !t.chars().all(char::is_whitespace),
-            Node::Element(_) => true,
-        });
     }
 }
 

@@ -60,7 +60,9 @@ pub(crate) trait Sink<'a> {
     fn attr(&mut self, name: &'a str, value: Chars<'_>);
     /// A non-empty run of character data in the innermost open element:
     /// everything between two tags, with comments and PIs left out and
-    /// entity references and CDATA sections resolved.
+    /// entity references and CDATA sections resolved. A whitespace-only
+    /// run in an element that has, or will get, an element child is
+    /// indentation and is not reported; in a leaf it is data.
     fn text(&mut self, text: Chars<'_>);
     /// The end of the innermost open element: its end tag, or `/>`.
     fn close(&mut self);
@@ -204,15 +206,19 @@ impl<'a> Scanner<'a> {
             return Ok(());
         }
         let mut run = TextRun { start: self.pos, slice: None, acc: String::new() };
+        // Whether the innermost open element has an element child yet.
+        let mut has_child = false;
         loop {
             let at = self.pos;
             if self.starts_with("</") {
-                run.finish(self.input, at, sink);
+                run.finish(self.input, at, sink, has_child);
                 self.end_tag()?;
                 sink.close();
                 if self.open.is_empty() {
                     return Ok(());
                 }
+                // Back in the parent, which has just had this child.
+                has_child = true;
                 run.start = self.pos;
                 continue;
             }
@@ -235,8 +241,10 @@ impl<'a> Scanner<'a> {
                     run.interrupt(self.input, at, self.pos);
                 }
                 Some(b'<') => {
-                    run.finish(self.input, at, sink);
-                    self.start_tag(sink)?;
+                    run.finish(self.input, at, sink, true);
+                    // Inside the new element, or still in its parent
+                    // after an empty `<x/>`.
+                    has_child = !self.start_tag(sink)?;
                     run.start = self.pos;
                 }
                 Some(b'&') => {
@@ -409,13 +417,26 @@ impl TextRun {
         self.start = resume;
     }
 
-    /// Ends the run at the tag at `at`, handing `sink` what it read.
-    fn finish<'a, S: Sink<'a>>(&mut self, input: &str, at: usize, sink: &mut S) {
+    /// Ends the run at the tag at `at`, handing `sink` what it read
+    /// unless it is indentation: whitespace only, in an element that
+    /// has, or will get, an element child (`element_content`).
+    fn finish<'a, S: Sink<'a>>(
+        &mut self,
+        input: &str,
+        at: usize,
+        sink: &mut S,
+        element_content: bool,
+    ) {
         self.close_seg(input, at);
+        let indentation = |s: &str| element_content && s.chars().all(char::is_whitespace);
         if let Some(r) = self.slice.take() {
-            sink.text(Chars::Source(r));
+            if !indentation(&input[r.clone()]) {
+                sink.text(Chars::Source(r));
+            }
         } else if !self.acc.is_empty() {
-            sink.text(Chars::Decoded(&self.acc));
+            if !indentation(&self.acc) {
+                sink.text(Chars::Decoded(&self.acc));
+            }
             self.acc.clear();
         }
     }

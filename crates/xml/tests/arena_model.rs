@@ -92,7 +92,15 @@ fn random_edits_match_the_owned_tree_model() {
         let start = tree(rng, 3);
         let (mut doc, mut model) = if rng.gen_bool(0.5) {
             let xml = start.to_xml();
-            (ArenaDoc::parse(&xml).expect("own output"), parse(&xml).expect("own output"))
+            // The same document indented: the parse drops the
+            // indentation as it reads, so it is born without garbage.
+            let indented = xml.replace("><", ">\n  <");
+            let doc = ArenaDoc::parse(&indented).expect("own output, indented");
+            assert_eq!((doc.dead_rows(), doc.dead_value_bytes()), (0, 0), "{indented}");
+            agree(&doc, &parse(&indented).expect("own output, indented"), "indented parse");
+            let doc = ArenaDoc::parse(&xml).expect("own output");
+            assert_eq!((doc.dead_rows(), doc.dead_value_bytes()), (0, 0), "{xml}");
+            (doc, parse(&xml).expect("own output"))
         } else {
             (ArenaDoc::from_element(&start), start)
         };

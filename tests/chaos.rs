@@ -62,7 +62,6 @@ fn chaos_run(seed: u64) -> Vec<Outcome> {
         client: w.client,
         gupster_node: w.gupster_node,
         store_nodes: w.node_map.clone(),
-        batch_fetches: false,
     };
     let mut rex = ResilientExecutor::new(exec, seed).with_budget(BUDGET);
     // Fault-free reference answer (also warms the stale cache).

@@ -213,7 +213,7 @@ fn indexes_stay_correct_under_the_fault_ladder() {
             pool.add(Box::new(store));
         }
 
-        let exec = PatternExecutor { net: &net, client, gupster_node, store_nodes: node_map, batch_fetches: false };
+        let exec = PatternExecutor { net: &net, client, gupster_node, store_nodes: node_map };
         let mut rex = ResilientExecutor::new(exec, seed).with_budget(SimTime::secs(3));
         let reference = rex
             .fetch(&mut gupster, &pool, "alice", &request, "alice", t, 0, &keys)

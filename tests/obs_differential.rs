@@ -4,8 +4,7 @@
 //! [`ObsSnapshot`] — counters, stage histograms, exemplar top-k, hot
 //! keys — is a function of the *workload*, not of the deployment
 //! layout. For a seeded request stream it must be byte-identical
-//! across shard counts, and across batched vs. unbatched fetches up to
-//! the one counter that defines batching (`batched_fetches`).
+//! across shard counts.
 
 use gupster::core::{ShardRequest, ShardedRegistry, StorePool};
 use gupster::policy::{Purpose, WeekTime};
@@ -25,10 +24,7 @@ fn user(i: usize) -> String {
     format!("user{i:02}")
 }
 
-/// Every user's presence plus a split address book: one fragment per
-/// destination store per referral, so batched and unbatched fetches
-/// walk identical span trees and the only difference batching can make
-/// is its own counter.
+/// Every user's presence plus a split address book on three stores.
 fn provision(reg: &mut ShardedRegistry) {
     for i in 0..USERS {
         let u = user(i);
@@ -118,7 +114,6 @@ fn request_stream(n: usize) -> Vec<ShardRequest> {
 fn snapshot(
     requests: &[ShardRequest],
     shards: usize,
-    batch: bool,
     exemplar_threshold: SimTime,
     cap: usize,
 ) -> ObsSnapshot {
@@ -129,7 +124,7 @@ fn snapshot(
     reg.set_span_limit(0);
     reg.set_exemplar_policy(exemplar_threshold, cap);
     for window in requests.chunks(requests.len().div_ceil(2).max(1)) {
-        let (results, _) = reg.answer_batch(&pool, window, &keys, batch);
+        let (results, _) = reg.answer_batch(&pool, window, &keys, true);
         assert!(results.iter().all(Result::is_ok), "workload is fault-free");
     }
     reg.obs_snapshot()
@@ -141,12 +136,13 @@ fn fleet_snapshot_byte_identical_across_shard_counts() {
     // Tail threshold between the presence path (~3 stage costs) and
     // the merged two-store answer — only merged answers exemplify.
     let threshold = SimTime::micros(100);
-    let base = snapshot(&requests, 1, true, threshold, 6);
+    let base = snapshot(&requests, 1, threshold, 6);
     assert!(!base.fleet.exemplars.is_empty(), "threshold must catch the merged tail");
     assert_eq!(base.fleet.requests, 160);
+    assert!(base.fleet.totals.batched_fetches > 0, "merged answers fetch per store");
     let base_json = base.fleet_json();
     for shards in [2usize, 4, 8] {
-        let snap = snapshot(&requests, shards, true, threshold, 6);
+        let snap = snapshot(&requests, shards, threshold, 6);
         assert_eq!(
             base_json,
             snap.fleet_json(),
@@ -163,9 +159,9 @@ fn fleet_snapshot_byte_identical_across_shard_counts() {
 fn exemplar_selection_is_shard_count_invariant() {
     let requests = request_stream(160);
     let threshold = SimTime::micros(100);
-    let base = snapshot(&requests, 1, true, threshold, 4);
+    let base = snapshot(&requests, 1, threshold, 4);
     for shards in [2usize, 8] {
-        let snap = snapshot(&requests, shards, true, threshold, 4);
+        let snap = snapshot(&requests, shards, threshold, 4);
         let keys = |s: &ObsSnapshot| -> Vec<(u64, SimTime, String)> {
             s.fleet
                 .exemplars
@@ -182,39 +178,9 @@ fn exemplar_selection_is_shard_count_invariant() {
 }
 
 #[test]
-fn batched_and_unbatched_agree_up_to_the_batching_counter() {
-    let requests = request_stream(160);
-    let threshold = SimTime::micros(100);
-    for shards in [1usize, 4] {
-        let plain = snapshot(&requests, shards, false, threshold, 6);
-        let batched = snapshot(&requests, shards, true, threshold, 6);
-        assert_eq!(plain.fleet.totals.batched_fetches, 0);
-        assert!(batched.fleet.totals.batched_fetches > 0, "batching must engage");
-
-        // Zero the one legitimately different field on both sides,
-        // fleet totals and per-shard counters alike, then demand byte
-        // identity of the full snapshot.
-        let normalize = |mut s: ObsSnapshot| -> ObsSnapshot {
-            s.fleet.totals.batched_fetches = 0;
-            for sh in &mut s.shards {
-                sh.counters.batched_fetches = 0;
-            }
-            s
-        };
-        let plain = normalize(plain);
-        let batched = normalize(batched);
-        assert_eq!(
-            plain.render_json(),
-            batched.render_json(),
-            "batched run altered observable behaviour at {shards} shards"
-        );
-    }
-}
-
-#[test]
 fn snapshot_survives_its_own_codec() {
     let requests = request_stream(80);
-    let snap = snapshot(&requests, 4, true, SimTime::micros(100), 4);
+    let snap = snapshot(&requests, 4, SimTime::micros(100), 4);
     let text = snap.render_json();
     let back = ObsSnapshot::parse_json(&text).unwrap();
     assert_eq!(back.render_json(), text, "render∘parse must be the identity on artifacts");

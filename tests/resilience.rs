@@ -38,7 +38,6 @@ fn ladder_degrades_referral_to_chaining_to_stale_in_order() {
         client: w.client,
         gupster_node: w.gupster_node,
         store_nodes: w.node_map.clone(),
-        batch_fetches: false,
     };
     let mut rex = ResilientExecutor::new(exec, 7);
     let t = WeekTime::at(0, 12, 0);
@@ -112,7 +111,6 @@ fn refusals_are_never_papered_over_by_the_stale_cache() {
         client: w.client,
         gupster_node: w.gupster_node,
         store_nodes: w.node_map.clone(),
-        batch_fetches: false,
     };
     let mut rex = ResilientExecutor::new(exec, 7);
     let t = WeekTime::at(0, 12, 0);
@@ -143,7 +141,6 @@ fn deadline_budget_is_a_typed_error_when_nothing_can_serve() {
         client: w.client,
         gupster_node: w.gupster_node,
         store_nodes: w.node_map.clone(),
-        batch_fetches: false,
     };
     let mut rex = ResilientExecutor::new(exec, 7).with_budget(SimTime::micros(200));
     let err = rex
@@ -179,7 +176,6 @@ fn the_stale_cache_remembers_no_more_views_than_it_holds() {
         client: w.client,
         gupster_node: w.gupster_node,
         store_nodes: w.node_map.clone(),
-        batch_fetches: false,
     };
     let mut rex = ResilientExecutor::new(exec, 7);
     let t = WeekTime::at(0, 12, 0);
@@ -228,7 +224,6 @@ fn a_narrowed_grant_is_not_widened_by_a_stale_serve() {
         client: w.client,
         gupster_node: w.gupster_node,
         store_nodes: w.node_map.clone(),
-        batch_fetches: false,
     };
     let mut rex = ResilientExecutor::new(exec, 7);
     warm_rick(&mut rex, &mut w.gupster, &w.pool, &keys);
@@ -276,7 +271,6 @@ fn a_withdrawn_grant_is_refused_even_with_no_budget_left() {
         client: w.client,
         gupster_node: w.gupster_node,
         store_nodes: w.node_map.clone(),
-        batch_fetches: false,
     };
     let mut rex = ResilientExecutor::new(exec, 7);
     warm_rick(&mut rex, &mut w.gupster, &w.pool, &keys);

@@ -1,11 +1,11 @@
 //! Differential suite for the sharded scatter-gather executor and the
-//! batched/coalesced fetch path (DESIGN.md §8).
+//! per-store (batched) fetch path (DESIGN.md §8).
 //!
-//! The contract under test: sharding and batching are pure *execution*
-//! optimizations — for a seeded workload the referrals, answers and
-//! errors must be byte-identical to the sequential, unbatched path at
-//! every shard count, including when the resilience ladder is running
-//! over an injected fault schedule.
+//! The contract under test: sharding is a pure *execution*
+//! optimization — for a seeded workload the referrals, answers and
+//! errors must be byte-identical to the sequential path at every shard
+//! count — and the resilience ladder's per-store fetches replay
+//! byte-identically under an injected fault schedule.
 
 mod common;
 
@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use common::{build_pool, keys, p, provision, request_stream};
 use gupster::core::patterns::PatternExecutor;
+use gupster::core::cache::CachedClient;
 use gupster::core::{fetch_merge, Gupster, ResilientExecutor, ShardRequest, ShardedRegistry, StorePool};
 use gupster::netsim::{FaultRates, FaultSchedule, LatencyModel, SimTime};
 use gupster::netsim::{Domain, Network, NodeId};
@@ -65,7 +66,7 @@ fn sharded_answers_byte_identical_across_shards_and_batching() {
     let pool = build_pool();
     let keys = keys();
 
-    // Sequential oracle: one registry, plain unbatched fetch_merge.
+    // Sequential oracle: one registry, plain fetch_merge.
     let mut seq = Gupster::new(gup_schema(), b"diff");
     provision(|u, path, store| seq.register_component(u, path, store).unwrap());
     let signer = seq.signer();
@@ -84,25 +85,18 @@ fn sharded_answers_byte_identical_across_shards_and_batching() {
 
     let mut sim_makespans = Vec::new();
     for shards in [1usize, 2, 8] {
-        for batch in [false, true] {
-            let mut reg = ShardedRegistry::new(gup_schema(), b"diff", shards);
-            provision(|u, path, store| reg.register_component(u, path, store).unwrap());
-            let (results, report) = reg.answer_batch(&pool, &requests, &keys, batch);
-            let got: Vec<String> = results
-                .iter()
-                .map(|r| match r {
-                    Ok(elems) => format!("{elems:?}"),
-                    Err(e) => format!("{e:?}"),
-                })
-                .collect();
-            assert_eq!(
-                expected, got,
-                "answer stream diverged at {shards} shards (batch={batch})"
-            );
-            if batch {
-                sim_makespans.push((shards, report.makespan));
-            }
-        }
+        let mut reg = ShardedRegistry::new(gup_schema(), b"diff", shards);
+        provision(|u, path, store| reg.register_component(u, path, store).unwrap());
+        let (results, report) = reg.answer_batch(&pool, &requests, &keys, true);
+        let got: Vec<String> = results
+            .iter()
+            .map(|r| match r {
+                Ok(elems) => format!("{elems:?}"),
+                Err(e) => format!("{e:?}"),
+            })
+            .collect();
+        assert_eq!(expected, got, "answer stream diverged at {shards} shards");
+        sim_makespans.push((shards, report.makespan));
     }
     // More shards, shorter simulated makespan — the scaling direction
     // E17 measures at volume.
@@ -170,7 +164,7 @@ fn duplicate_concurrent_fetches_hit_the_store_once() {
             now: 5,
         })
         .collect();
-    let (results, _) = reg.answer_batch(&pool, &requests, &keys(), false);
+    let (results, _) = reg.answer_batch(&pool, &requests, &keys(), true);
     for r in &results {
         assert_eq!(r.as_ref().unwrap()[0].text(), "online");
     }
@@ -180,7 +174,7 @@ fn duplicate_concurrent_fetches_hit_the_store_once() {
 
     // A fresh batch is a fresh window: the table must not cache across
     // scatter windows (stores may change between them).
-    let (_, _) = reg.answer_batch(&pool, &requests[..2], &keys(), false);
+    let (_, _) = reg.answer_batch(&pool, &requests[..2], &keys(), true);
     assert_eq!(queries.load(Ordering::Relaxed), 2);
 }
 
@@ -198,9 +192,9 @@ struct LadderWorld {
 
 /// A 4-slice address book on 2 stores, shield-narrowed for rick so
 /// referrals carry several fragments per store. All links use
-/// `LatencyModel::fixed`, so batched and unbatched runs advance the
-/// simulated clock identically and see the exact same fault windows —
-/// making byte-identical outcomes a fair demand even under faults.
+/// `LatencyModel::fixed`, so two runs of one seed advance the simulated
+/// clock identically and see the exact same fault windows — making
+/// byte-identical outcomes a fair demand even under faults.
 fn ladder_world(seed: u64) -> LadderWorld {
     const K: usize = 4;
     let mut net = Network::new(seed);
@@ -277,7 +271,7 @@ fn ladder_world(seed: u64) -> LadderWorld {
     LadderWorld { net, client, gupster_node, fault_nodes, store_nodes, gupster, pool }
 }
 
-fn ladder_run(batch: bool, seed: u64) -> (Vec<String>, SimTime) {
+fn ladder_run(seed: u64) -> Vec<String> {
     const REQUESTS: usize = 80;
     let gap = SimTime::millis(200);
     let request = p("/user[@id='alice']/address-book");
@@ -287,10 +281,8 @@ fn ladder_run(batch: bool, seed: u64) -> (Vec<String>, SimTime) {
         client: w.client,
         gupster_node: w.gupster_node,
         store_nodes: w.store_nodes.clone(),
-        batch_fetches: false,
     };
-    let mut rex =
-        ResilientExecutor::new(exec, seed).with_budget(SimTime::secs(2)).with_batched_fetches(batch);
+    let mut rex = ResilientExecutor::new(exec, seed).with_budget(SimTime::secs(2));
     rex.fetch(&mut w.gupster, &w.pool, "alice", &request, "rick", WeekTime::at(1, 10, 0), 0, &keys())
         .expect("fault-free warm-up");
     let rates = FaultRates::links(0.10).with_node_outages(0.02).with_latency_spikes(0.01);
@@ -298,7 +290,6 @@ fn ladder_run(batch: bool, seed: u64) -> (Vec<String>, SimTime) {
     w.net.install_faults(FaultSchedule::generate(seed, &rates, &w.fault_nodes, horizon));
 
     let mut outcomes = Vec::with_capacity(REQUESTS);
-    let mut total_wall = SimTime::ZERO;
     for i in 0..REQUESTS {
         w.net.advance(gap);
         match rex.fetch(
@@ -312,36 +303,132 @@ fn ladder_run(batch: bool, seed: u64) -> (Vec<String>, SimTime) {
             &keys(),
         ) {
             Ok(run) => {
-                total_wall += run.wall;
                 outcomes.push(format!(
-                    "via={:?} stale={} result={:?}",
-                    run.served, run.stale, run.result
+                    "via={:?} stale={} wall={:?} result={:?}",
+                    run.served, run.stale, run.wall, run.result
                 ));
             }
             Err(e) => outcomes.push(format!("err={e:?}")),
         }
     }
-    (outcomes, total_wall)
+    outcomes
 }
 
 #[test]
 fn fault_ladder_batched_byte_identical_under_fixed_latency() {
-    let (plain, plain_wall) = ladder_run(false, 42);
-    let (batched, batched_wall) = ladder_run(true, 42);
-    assert_eq!(plain.len(), batched.len());
-    for (i, (a, b)) in plain.iter().zip(&batched).enumerate() {
+    let first = ladder_run(42);
+    let again = ladder_run(42);
+    assert_eq!(first.len(), again.len());
+    for (i, (a, b)) in first.iter().zip(&again).enumerate() {
         assert_eq!(a, b, "request {i} diverged under the fault ladder");
     }
-    // Batching only removes per-fragment fetch headers from the traced
-    // cost; the answers above are identical while the clock improves.
-    assert!(batched_wall < plain_wall, "{batched_wall:?} vs {plain_wall:?}");
     // The schedule actually bit (some requests degraded or failed) —
     // otherwise this proves nothing about the ladder.
     assert!(
-        plain.iter().any(|o| o.contains("err=") || !o.contains("via=Pattern(Referral)")),
+        first.iter().any(|o| o.contains("err=") || !o.contains("via=Pattern(Referral)")),
         "fault schedule never interfered; weaken the seed check"
     );
     // And a different seed produces a different stream (the equality
     // above is not vacuous determinism).
-    assert_ne!(plain, ladder_run(false, 43).0);
+    assert_ne!(first, ladder_run(43));
+}
+
+// --------------------------------- every entry point fetches per store —
+
+/// Alice's address book as two components on one store, and two
+/// permits for rick that split his request for it into two paths: his
+/// referral lists two fragments, both bound for `s1`.
+fn two_fragments_on_one_store(g: &mut Gupster) {
+    for kind in ["personal", "corporate"] {
+        let component = format!("/user[@id='alice']/address-book/item[@type='{kind}']");
+        g.register_component("alice", p(&component), StoreId::new("s1")).unwrap();
+    }
+    g.set_relationship("alice", "rick", "co-worker");
+    for (id, scope) in [
+        ("cw-items", "/user/address-book/item"),
+        ("cw-personal", "/user/address-book/item[@type='personal']"),
+    ] {
+        g.pap.provision("alice", id, Effect::Permit, scope, "relationship='co-worker'", 0).unwrap();
+    }
+}
+
+fn one_store_pool() -> StorePool {
+    let mut book = Element::new("address-book");
+    for (id, kind) in [("1", "personal"), ("2", "corporate"), ("3", "personal")] {
+        book.push_child(
+            Element::new("item")
+                .with_attr("id", id)
+                .with_attr("type", kind)
+                .with_child(Element::new("name").with_text(format!("Contact {id}"))),
+        );
+    }
+    let mut store = XmlStore::new("s1");
+    store.put_profile(Element::new("user").with_attr("id", "alice").with_child(book)).unwrap();
+    let mut pool = StorePool::new();
+    pool.add(Box::new(store));
+    pool
+}
+
+/// The `store.fetch` spans and batched-fetch bumps `g`'s hub recorded.
+fn fetch_rounds(g: &Gupster) -> (usize, u64) {
+    let hub = g.telemetry();
+    let spans = hub.spans().iter().filter(|s| s.stage == "store.fetch").count();
+    (spans, hub.counter_snapshot().batched_fetches)
+}
+
+#[test]
+fn every_fetch_entry_point_fetches_per_store() {
+    let pool = one_store_pool();
+    let request = p("/user[@id='alice']/address-book");
+    let at = WeekTime::at(1, 10, 0);
+
+    let mut g = Gupster::new(gup_schema(), b"one");
+    two_fragments_on_one_store(&mut g);
+    let out = g.lookup("alice", &request, "rick", Purpose::Query, at, 0).unwrap();
+    assert!(out.referral.merge_required);
+    assert_eq!(out.referral.entries.len(), 2);
+    assert!(out.referral.entries.iter().all(|e| e.store == StoreId::new("s1")));
+    let expected = fetch_merge(&pool, &out.referral, &g.signer(), 0, &keys()).unwrap();
+
+    let mut g = Gupster::new(gup_schema(), b"one");
+    two_fragments_on_one_store(&mut g);
+    let answer = CachedClient::new(16, 60)
+        .fetch(&mut g, &pool, "alice", &request, "rick", at, 0, &keys())
+        .unwrap();
+    assert_eq!(*answer, *expected);
+    assert_eq!(fetch_rounds(&g), (1, 1), "CachedClient::fetch");
+
+    let mut net = Network::new(1);
+    let client = net.add_node("phone", Domain::Client);
+    let gupster_node = net.add_node("gupster.net", Domain::Internet);
+    let store_node = net.add_node("s1", Domain::Internet);
+    let mut g = Gupster::new(gup_schema(), b"one");
+    two_fragments_on_one_store(&mut g);
+    let exec = PatternExecutor {
+        net: &net,
+        client,
+        gupster_node,
+        store_nodes: [(StoreId::new("s1"), store_node)].into_iter().collect(),
+    };
+    let run = ResilientExecutor::new(exec, 1)
+        .fetch(&mut g, &pool, "alice", &request, "rick", at, 0, &keys())
+        .unwrap();
+    assert_eq!(*run.result, *expected);
+    assert_eq!(fetch_rounds(&g), (1, 1), "ResilientExecutor::fetch");
+    let m = net.metrics();
+    assert_eq!((m.batched_rpcs, m.coalesced_fragments), (1, 2), "one RPC carries both fragments");
+
+    let mut reg = ShardedRegistry::new(gup_schema(), b"one", 1);
+    two_fragments_on_one_store(reg.shard_mut("alice"));
+    let rick = ShardRequest {
+        owner: "alice".to_string(),
+        path: request.clone(),
+        requester: "rick".to_string(),
+        purpose: Purpose::Query,
+        time: at,
+        now: 0,
+    };
+    let (results, _) = reg.answer_batch(&pool, &[rick], &keys(), true);
+    assert_eq!(**results[0].as_ref().unwrap(), *expected);
+    assert_eq!(fetch_rounds(reg.shard("alice")), (1, 1), "ShardedRegistry::answer_batch");
 }

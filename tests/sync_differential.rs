@@ -357,7 +357,6 @@ fn write_through_drops_derived_state_everywhere() {
         client: w.client,
         gupster_node: w.gupster_node,
         store_nodes: w.node_map.clone(),
-        batch_fetches: false,
     };
     let mut rex = ResilientExecutor::new(exec, 7);
     rex.fetch(&mut w.gupster, &w.pool, "alice", &book_request(), "alice", t, 20, &merge).unwrap();
