@@ -279,6 +279,10 @@ where
 /// answer so far; the pair never needs re-keying, because merging two
 /// roots of equal identity keeps that identity.
 fn fold<'a>(fragments: &'a [Fragment<'_>], keys: &MergeKeys) -> Vec<MergeOut<'a>> {
+    // The usual answer: one fragment, which is its own answer.
+    if let [f] = fragments {
+        return vec![MergeOut::from_node(f.doc(), f.node())];
+    }
     let mut out: Vec<MergeOut<'a>> = Vec::new();
     let mut by_root: HashMap<(NameId, Option<Identity<'a>>), Vec<usize>> = HashMap::new();
     for f in fragments {

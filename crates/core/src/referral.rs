@@ -55,7 +55,7 @@ impl Referral {
     pub fn byte_size(&self) -> usize {
         self.entries
             .iter()
-            .map(|e| e.store.0.len() + e.path.to_string().len() + 2)
+            .map(|e| e.store.0.len() + e.path.display_len() + 2)
             .sum::<usize>()
             + self.token.byte_size()
     }

@@ -573,7 +573,7 @@ impl Gupster {
         // ≈0.7–0.9µs (two SHA-256 blocks for a presence token; DESIGN.md
         // §7).
         let merge_required = entries.iter().any(|e| !e.complete);
-        let paths: Vec<String> = entries.iter().map(|e| e.path.to_string()).collect();
+        let paths: Vec<String> = entries.iter().map(|e| render(&e.path)).collect();
         tracer.enter(stage::TOKEN_SIGN);
         let mut token_cached = false;
         let token = match &mut self.token_cache {
@@ -650,6 +650,16 @@ impl Gupster {
         }
         Ok(out)
     }
+}
+
+/// `p` as a token path: its display form, written once into a string
+/// of exactly its size rather than grown by doubling.
+fn render(p: &Path) -> String {
+    use std::fmt::Write;
+    let mut s = String::with_capacity(p.display_len());
+    // Writing to a `String` never fails.
+    let _ = write!(s, "{p}");
+    s
 }
 
 /// Ensures the first step carries `[@id='owner']`.

@@ -597,10 +597,18 @@ impl ShardedRegistry {
                 // within it are safe to coalesce.
                 let mut flight = Singleflight::new();
                 let mut busy = SimTime::ZERO;
+                // One tracer for the bucket, restarted per request: each
+                // request still gets its own id and span tree, on the
+                // buffers of the first. `scatter` calls `work` only for
+                // a non-empty bucket.
+                let mut tracer = hub.tracer(stage::SHARD_REQUEST);
                 let out = bucket
                     .iter()
-                    .map(|&i| {
-                        let mut tracer = hub.tracer(stage::SHARD_REQUEST);
+                    .enumerate()
+                    .map(|(n, &i)| {
+                        if n > 0 {
+                            tracer.restart(stage::SHARD_REQUEST);
+                        }
                         // Exemplar identity must not depend on the
                         // partitioning, so key by global submission
                         // index, not the hub-local request id.

@@ -67,20 +67,14 @@ impl XmlStore {
         self.docs.is_empty()
     }
 
-    /// The documents a query path addresses: the one named by the
-    /// `[@id='…']` predicate on the first step, if present, else all.
-    fn target_docs<'a>(&'a self, path: &Path) -> Vec<&'a ArenaDoc> {
+    /// The owner a query path names with an `[@id='…']` predicate on its
+    /// first step, if it does: only that owner's document can match.
+    fn owner_of(path: &Path) -> Option<&str> {
         use gupster_xpath::Predicate;
-        let id_pred = path.steps.first().and_then(|s| {
-            s.predicates.iter().find_map(|p| match p {
-                Predicate::AttrEq(a, v) if a == "id" => Some(v),
-                _ => None,
-            })
-        });
-        match id_pred {
-            Some(uid) => self.docs.get(uid).into_iter().collect(),
-            None => self.docs.values().collect(),
-        }
+        path.steps.first()?.predicates.iter().find_map(|p| match p {
+            Predicate::AttrEq(a, v) if a == "id" => Some(v.as_str()),
+            _ => None,
+        })
     }
 }
 
@@ -156,11 +150,12 @@ impl DataStore for XmlStore {
     }
 
     fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError> {
-        let mut out = Vec::new();
-        for doc in self.target_docs(path) {
-            out.extend(path.select_arena(doc).into_iter().map(|n| Fragment::lent(doc, n)));
-        }
-        Ok(out)
+        let lend = |doc| path.select_arena(doc).into_iter().map(move |n| Fragment::lent(doc, n));
+        Ok(match Self::owner_of(path) {
+            // Straight to the owner's document: the usual, id-keyed read.
+            Some(owner) => self.docs.get(owner).map_or_else(Vec::new, |doc| lend(doc).collect()),
+            None => self.docs.values().flat_map(lend).collect(),
+        })
     }
 
     fn update(&mut self, user: &str, op: &UpdateOp) -> Result<(), StoreError> {

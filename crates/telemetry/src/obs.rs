@@ -16,6 +16,7 @@
 //! idiom (no serde): one self-describing row object per line,
 //! discriminated by its `"row"` key, so the parser is a line scanner.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use gupster_netsim::SimTime;
@@ -464,7 +465,10 @@ impl ObsSnapshot {
             );
         }
         let hot_line = |keys: &[HotKey]| -> String {
-            keys.iter().map(|h| format!("{} ({})", h.name, h.count)).collect::<Vec<_>>().join("  ")
+            keys.iter()
+                .map(|h| format!("{} ({})", printable(&h.name), h.count))
+                .collect::<Vec<_>>()
+                .join("  ")
         };
         if !f.hot_users.is_empty() {
             let _ = writeln!(out, "hottest users: {}", hot_line(&f.hot_users));
@@ -484,7 +488,7 @@ impl ObsSnapshot {
                 let _ = writeln!(
                     out,
                     "  {:<24} {:>9} {:>9} {:>9} {:>9} {:>9}",
-                    r.stage,
+                    printable(&r.stage),
                     s.count,
                     table::fmt_time(s.p50),
                     table::fmt_time(s.p95),
@@ -507,7 +511,7 @@ impl ObsSnapshot {
                         } else {
                             100.0 * t.0 as f64 / e.duration.0 as f64
                         };
-                        format!("{label} {share:.0}%")
+                        format!("{} {share:.0}%", printable(label))
                     })
                     .collect();
                 let _ = writeln!(
@@ -515,13 +519,32 @@ impl ObsSnapshot {
                     "  key {:>6}  {:>9}  {:<8}  {}",
                     e.key,
                     table::fmt_time(e.duration),
-                    e.provenance,
+                    printable(&e.provenance),
                     top.join(" | ")
                 );
             }
         }
         out
     }
+}
+
+/// `s` with its control characters escaped (`\n`, `\r`, `\u{1b}`, …),
+/// for the dashboard: names and labels are read back from a snapshot
+/// file, and owner ids and paths arrive in requests, so a raw newline
+/// in one would print as a forged dashboard line.
+fn printable(s: &str) -> Cow<'_, str> {
+    if !s.chars().any(char::is_control) {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len() + 4);
+    for c in s.chars() {
+        if c.is_control() {
+            out.extend(c.escape_debug());
+        } else {
+            out.push(c);
+        }
+    }
+    Cow::Owned(out)
 }
 
 /// The slot of shard `idx`, growing `shards` up to it. `idx` is read
@@ -674,6 +697,26 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn dashboard_escapes_control_characters_in_names() {
+        let render = |name: &str| {
+            let mut snap = sample();
+            snap.fleet.hot_users[0].name = name.to_string();
+            snap.fleet.hot_paths[0].name = name.to_string();
+            snap.render_dashboard()
+        };
+        let plain = render("u7");
+        let forged = render("u7 (1)\nfleet: 999999 requests | 99 shards\r");
+        assert_eq!(forged.lines().count(), plain.lines().count(), "{forged}");
+        assert!(
+            forged.contains(r"hottest users: u7 (1)\nfleet: 999999 requests | 99 shards\r (31)"),
+            "{forged}"
+        );
+        assert_eq!(forged.matches("fleet: ").count(), 1 + 2, "one real line, two escaped names");
+        assert_eq!(printable("/user[@id='u7']/presence"), "/user[@id='u7']/presence");
+        assert_eq!(printable("a\u{1b}[2Jb"), r"a\u{1b}[2Jb");
     }
 
     #[test]

@@ -93,7 +93,8 @@ struct RawSpan {
 /// to every open span), and [`Tracer::exit`] closes the innermost span
 /// and feeds its duration into the hub's per-stage histogram. Dropping
 /// the tracer finishes the trace: open spans are closed and the whole
-/// tree is handed to the [`TelemetryHub`].
+/// tree is handed to the [`TelemetryHub`]. [`Tracer::restart`] does the
+/// same and goes on with the next request.
 #[derive(Debug)]
 pub struct Tracer {
     hub: Arc<TelemetryHub>,
@@ -107,8 +108,9 @@ pub struct Tracer {
     /// Ids of the open spans, innermost last.
     open: Vec<usize>,
     /// Stage timings buffered locally and flushed to the hub's
-    /// histograms in one batch on drop, so closing a span never takes
-    /// the hub's stage lock (shard workers close thousands per second).
+    /// histograms in one batch when the request finishes, so closing a
+    /// span never takes the hub's stage lock (shard workers close
+    /// thousands per second).
     stage_buf: Vec<(NameId, SimTime)>,
 }
 
@@ -145,6 +147,21 @@ impl Tracer {
     /// that makes exemplar selection byte-identical at any shard count.
     pub fn set_key(&mut self, key: u64) {
         self.key = key;
+    }
+
+    /// Finishes the current request exactly as dropping the tracer
+    /// would, then starts the next one — a fresh [`RequestId`] (and
+    /// exemplar key) with its root span `root_stage` — on the same
+    /// buffers. A shard worker traces its whole bucket with one tracer
+    /// this way: after the first request, tracing allocates nothing
+    /// unless a trace is retained or captured as an exemplar.
+    pub fn restart(&mut self, root_stage: &str) {
+        self.finish();
+        self.request = self.hub.next_request();
+        self.key = self.request.0;
+        self.cursor = SimTime::ZERO;
+        self.spans.clear();
+        self.enter(root_stage);
     }
 
     /// The hub this tracer reports to (for bumping counters mid-trace).
@@ -228,15 +245,15 @@ impl Tracer {
         span.end = self.cursor;
         self.stage_buf.push((span.stage, SimTime(span.end.0.saturating_sub(span.start.0))));
     }
-}
 
-impl Drop for Tracer {
-    fn drop(&mut self) {
+    /// Finishes the request: open spans are closed, the buffered stage
+    /// timings reach the hub under one lock, and the span tree is
+    /// offered as an exemplar and retained, as the hub's policies ask.
+    fn finish(&mut self) {
         while !self.open.is_empty() {
             self.close_innermost();
         }
-        // One lock for all buffered stage timings of the request.
-        self.hub.record_stage_ids(&std::mem::take(&mut self.stage_buf));
+        self.flush_stages();
         // Labels materialize only when someone will actually hold the
         // spans: the retention store, the exemplar store, or both.
         let exemplify = self.hub.wants_exemplar(self.cursor);
@@ -255,6 +272,12 @@ impl Drop for Tracer {
         if retain {
             self.hub.absorb(spans);
         }
+    }
+}
+
+impl Drop for Tracer {
+    fn drop(&mut self) {
+        self.finish();
     }
 }
 
@@ -325,6 +348,61 @@ mod tests {
         let h = hub();
         let mut t = h.tracer("root");
         t.exit();
+    }
+
+    /// Request `i` of the restart scenario: a nested trace whose length
+    /// and shape depend on `i`, keyed like a shard worker keys it.
+    fn trace_request(t: &mut Tracer, i: u64) {
+        t.set_key(100 + i);
+        t.span("policy.decide", SimTime::micros(1 + i % 3));
+        t.enter("coverage.match");
+        t.charge(SimTime::micros(2 * i));
+        if i.is_multiple_of(2) {
+            // Left open: finishing the request closes it.
+            t.enter("query.rewrite");
+            t.charge(SimTime::micros(1));
+        }
+    }
+
+    /// A hub keeping the three slowest requests of at least 5µs and
+    /// room for 20 spans, so retention runs out part way through.
+    fn policed_hub() -> Arc<TelemetryHub> {
+        let h = hub();
+        h.set_exemplar_policy(SimTime::micros(5), 3);
+        h.set_span_limit(20);
+        h
+    }
+
+    #[test]
+    fn a_restarted_tracer_reports_like_one_tracer_per_request() {
+        const N: u64 = 9;
+        let (fresh, reused) = (policed_hub(), policed_hub());
+        let mut fresh_ids = Vec::new();
+        for i in 0..N {
+            let mut t = fresh.tracer("shard.request");
+            fresh_ids.push(t.request());
+            trace_request(&mut t, i);
+        }
+        let mut reused_ids = Vec::new();
+        let mut t = reused.tracer("shard.request");
+        for i in 0..N {
+            if i > 0 {
+                t.restart("shard.request");
+            }
+            reused_ids.push(t.request());
+            trace_request(&mut t, i);
+        }
+        drop(t);
+        assert_eq!(reused_ids, fresh_ids);
+        assert_eq!(reused.spans(), fresh.spans());
+        assert_eq!(reused.spans().len(), 20);
+        assert_eq!(reused.exemplars(), fresh.exemplars());
+        assert_eq!(reused.exemplars().len(), 3);
+        assert_eq!(
+            format!("{:?}", reused.stage_histograms()),
+            format!("{:?}", fresh.stage_histograms())
+        );
+        assert_eq!(reused.tracer("next").request(), fresh.tracer("next").request());
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! pointers. Selection never clones a subtree: the result is a set of
 //! node ids into the arena, and context deduplication compares ids
 //! directly (the arena analogue of pointer identity).
+//!
+//! Selection allocates only what it returns: two id buffers take turns
+//! as a step's contexts and its results, predicates filter each
+//! context's run of results in place, and deduplication (needed only
+//! after a descendant step) compacts the results in place too.
 
 use gupster_xml::{ArenaDoc, NodeId};
 
@@ -18,69 +23,50 @@ impl Path {
     /// attribute step the *owner elements* of matching attributes are
     /// returned (read the values with `ArenaDoc::attr`).
     pub fn select_arena(&self, doc: &ArenaDoc) -> Vec<NodeId> {
-        let mut contexts: Vec<ACtx> = vec![ACtx::Document];
-        for step in &self.steps {
+        // `contexts` stays empty before the first step: the virtual
+        // document node above the root is the context there, and an
+        // attribute step from it selects nothing.
+        let mut contexts: Vec<NodeId> = Vec::new();
+        let mut next: Vec<NodeId> = Vec::new();
+        for (i, step) in self.steps.iter().enumerate() {
             if step.axis == Axis::Attribute {
-                return contexts
-                    .into_iter()
-                    .filter_map(ACtx::node)
-                    .filter(|&n| match &step.test {
-                        NameTest::Any => doc.attr_count(n) > 0,
-                        NameTest::Name(a) => doc.attr(n, a).is_some(),
-                    })
-                    .collect();
+                contexts.retain(|&n| match &step.test {
+                    NameTest::Any => doc.attr_count(n) > 0,
+                    NameTest::Name(a) => doc.attr(n, a).is_some(),
+                });
+                return contexts;
             }
-            let mut next: Vec<ACtx> = Vec::new();
-            for ctx in &contexts {
-                let mut candidates: Vec<NodeId> = Vec::new();
-                match step.axis {
-                    Axis::Child => match ctx {
-                        ACtx::Document => {
-                            if step.test.accepts(doc.name(doc.root())) {
-                                candidates.push(doc.root());
-                            }
-                        }
-                        ACtx::Node(e) => {
-                            candidates.extend(
-                                doc.child_elements(*e).filter(|&c| step.test.accepts(doc.name(c))),
-                            );
-                        }
-                    },
-                    Axis::Descendant => match ctx {
-                        ACtx::Document => {
-                            collect_self_and_descendants(doc, doc.root(), &step.test, &mut candidates)
-                        }
-                        ACtx::Node(e) => collect_descendants(doc, *e, &step.test, &mut candidates),
-                    },
-                    Axis::Attribute => unreachable!("handled above"),
+            next.clear();
+            if i == 0 {
+                let root = doc.root();
+                if step.axis == Axis::Descendant {
+                    collect_self_and_descendants(doc, root, &step.test, &mut next);
+                } else if step.test.accepts(doc.name(root)) {
+                    next.push(root);
                 }
-                apply_predicates(doc, &step.predicates, &mut candidates);
-                next.extend(candidates.into_iter().map(ACtx::Node));
+                apply_predicates(doc, &step.predicates, &mut next, 0);
+            } else {
+                for &ctx in &contexts {
+                    let run = next.len();
+                    if step.axis == Axis::Descendant {
+                        collect_descendants(doc, ctx, &step.test, &mut next);
+                    } else {
+                        next.extend(doc.child_elements(ctx).filter(|&c| step.test.accepts(doc.name(c))));
+                    }
+                    apply_predicates(doc, &step.predicates, &mut next, run);
+                }
             }
-            dedup_ids(&mut next);
-            contexts = next;
+            // Distinct contexts have distinct children, since a node has
+            // one parent; only descendant runs of nested contexts overlap.
+            if step.axis == Axis::Descendant {
+                dedup_ids(&mut next);
+            }
+            std::mem::swap(&mut contexts, &mut next);
             if contexts.is_empty() {
                 break;
             }
         }
-        contexts.into_iter().filter_map(ACtx::node).collect()
-    }
-}
-
-#[derive(Clone, Copy)]
-enum ACtx {
-    /// The virtual document node above the root element.
-    Document,
-    /// A real element in the arena.
-    Node(NodeId),
-}
-
-impl ACtx {
-    fn node(self) -> Option<NodeId> {
-        match self {
-            ACtx::Document => None,
-            ACtx::Node(n) => Some(n),
-        }
+        contexts
     }
 }
 
@@ -100,47 +86,56 @@ fn collect_self_and_descendants(doc: &ArenaDoc, e: NodeId, test: &NameTest, out:
     collect_descendants(doc, e, test, out);
 }
 
-fn apply_predicates(doc: &ArenaDoc, preds: &[Predicate], candidates: &mut Vec<NodeId>) {
+/// Filters one context's candidates, `ids[run..]`, through `preds` in
+/// place; `ids[..run]` (earlier contexts' results) is left alone.
+fn apply_predicates(doc: &ArenaDoc, preds: &[Predicate], ids: &mut Vec<NodeId>, run: usize) {
     for p in preds {
         match p {
-            Predicate::Position(n) => {
-                let idx = n - 1;
-                if idx < candidates.len() {
-                    let kept = candidates[idx];
-                    candidates.clear();
-                    candidates.push(kept);
-                } else {
-                    candidates.clear();
+            Predicate::Position(n) => match n.checked_sub(1).and_then(|k| (run..ids.len()).nth(k)) {
+                Some(at) => {
+                    ids[run] = ids[at];
+                    ids.truncate(run + 1);
                 }
-            }
-            Predicate::AttrEq(a, v) => {
-                candidates.retain(|&e| doc.attr(e, a) == Some(v.as_str()))
-            }
-            Predicate::AttrExists(a) => candidates.retain(|&e| doc.attr(e, a).is_some()),
-            Predicate::ChildEq(c, v) => candidates.retain(|&e| {
+                None => ids.truncate(run),
+            },
+            Predicate::AttrEq(a, v) => keep(ids, run, |e| doc.attr(e, a) == Some(v.as_str())),
+            Predicate::AttrExists(a) => keep(ids, run, |e| doc.attr(e, a).is_some()),
+            Predicate::ChildEq(c, v) => keep(ids, run, |e| {
                 doc.child_elements(e).any(|ch| doc.name(ch) == c && doc.text(ch).trim() == v)
             }),
             Predicate::ChildExists(c) => {
-                candidates.retain(|&e| doc.child_elements(e).any(|ch| doc.name(ch) == c))
+                keep(ids, run, |e| doc.child_elements(e).any(|ch| doc.name(ch) == c))
             }
         }
     }
 }
 
-/// Contexts are deduplicated by node id — within one arena, equal ids
-/// *are* the same node, so this matches the owned evaluator's
-/// pointer-identity dedup exactly.
-fn dedup_ids(ctxs: &mut Vec<ACtx>) {
-    let mut seen: Vec<Option<NodeId>> = Vec::new();
-    ctxs.retain(|c| {
-        let key = c.node();
-        if seen.contains(&key) {
-            false
-        } else {
-            seen.push(key);
-            true
+/// `retain` over `ids[run..]` only, keeping order.
+fn keep(ids: &mut Vec<NodeId>, run: usize, mut pred: impl FnMut(NodeId) -> bool) {
+    let mut kept = run;
+    for at in run..ids.len() {
+        let id = ids[at];
+        if pred(id) {
+            ids[kept] = id;
+            kept += 1;
         }
-    });
+    }
+    ids.truncate(kept);
+}
+
+/// Drops every id after its first occurrence, in place. Within one
+/// arena equal ids *are* the same node, so this matches the owned
+/// evaluator's pointer-identity dedup exactly.
+fn dedup_ids(ids: &mut Vec<NodeId>) {
+    let mut kept = 0;
+    for at in 0..ids.len() {
+        let id = ids[at];
+        if !ids[..kept].contains(&id) {
+            ids[kept] = id;
+            kept += 1;
+        }
+    }
+    ids.truncate(kept);
 }
 
 #[cfg(test)]

@@ -165,6 +165,23 @@ impl Path {
         steps.extend(suffix.steps.iter().cloned());
         Path { steps }
     }
+
+    /// The length in bytes of the path's [`Display`](fmt::Display) form,
+    /// counted without building it: a caller that renders the path can
+    /// size its buffer once.
+    pub fn display_len(&self) -> usize {
+        struct Count(usize);
+        impl fmt::Write for Count {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                Ok(())
+            }
+        }
+        let mut n = Count(0);
+        // Neither `Count` nor `Path`'s `Display` ever fails.
+        let _ = fmt::write(&mut n, format_args!("{self}"));
+        n.0
+    }
 }
 
 /// [`Path::is_core_fragment`] on a borrowed run of steps.
@@ -248,6 +265,8 @@ mod tests {
             ],
         };
         assert_eq!(p.to_string(), "/user[@id='arnaud']/address-book//*[2]/@type");
+        assert_eq!(p.display_len(), p.to_string().len());
+        assert_eq!(Path { steps: vec![] }.display_len(), 1);
         assert!(p.targets_attribute());
         assert!(!p.is_core_fragment());
     }

@@ -1,7 +1,8 @@
 //! Allocations made by the XPath work on a lookup: deciding
 //! containment, coverage and overlap allocates nothing on paths of up
-//! to 127 steps, and parsing allocates only what the returned `Path`
-//! owns.
+//! to 127 steps, parsing allocates only what the returned `Path` owns,
+//! and selecting over an arena document allocates only its two id
+//! buffers, one of which it returns.
 //!
 //! Its own test binary, so that it can count allocations with a global
 //! allocator. Counts are per thread: other tests cannot disturb them.
@@ -9,6 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use gupster_xml::ArenaDoc;
 use gupster_xpath::{contains, covers, may_overlap, Path};
 
 thread_local! {
@@ -100,4 +102,26 @@ fn parsing_allocates_only_the_returned_path() {
     // no heap memory.
     assert_eq!(path.steps[1].predicates.capacity(), 0);
     assert_eq!(n, 6);
+}
+
+#[test]
+fn child_only_selection_allocates_two_id_buffers() {
+    // Eight nested `a` levels, each also holding an empty `a` without
+    // `d` that the `[@d]` predicate filters out, so every step keeps
+    // one context.
+    let mut xml = String::new();
+    for depth in 0..8 {
+        xml.push_str(&format!("<a d='{depth}'><a/>"));
+    }
+    for _ in 0..8 {
+        xml.push_str("</a>");
+    }
+    let doc = ArenaDoc::parse(&xml).expect("parses");
+    for steps in 2..=8 {
+        let path = p(&format!("/a{}", "/a[@d]".repeat(steps - 1)));
+        let (hits, n) = counted(|| path.select_arena(&doc));
+        assert_eq!(hits.len(), 1, "{path}");
+        assert_eq!(doc.attr(hits[0], "d"), Some((steps - 1).to_string().as_str()), "{path}");
+        assert!(n <= 2, "{path}: {n} allocations");
+    }
 }

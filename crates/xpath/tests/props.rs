@@ -5,6 +5,7 @@
 
 use gupster_rng::check::{self, cases};
 use gupster_rng::{Rng, StdRng};
+use gupster_xml::{ArenaDoc, Element};
 use gupster_xpath::{contains, covers, may_overlap, Axis, LocStep, NameTest, Path, Predicate};
 
 fn arb_predicate(rng: &mut StdRng) -> Predicate {
@@ -353,4 +354,116 @@ fn containment_agrees_with_table_oracle() {
     });
     assert!(spilled > 50, "long paths drawn: {spilled}");
     assert!(held > 200, "containment held on too few pairs to test it: {held}");
+}
+
+/// A random element tree over a three-name alphabet, so names repeat
+/// along every branch and nested matches are common. Every element
+/// carries a unique `n` attribute (its creation number), which the
+/// differential below compares as node identity; the generated paths
+/// never test `n`.
+fn arb_doc(rng: &mut StdRng, depth: usize, serial: &mut usize) -> Element {
+    const NAMES: [&str; 3] = ["a", "b", "c"];
+    let mut e = Element::new(NAMES[rng.gen_range(0..3usize)]).with_attr("n", serial.to_string());
+    *serial += 1;
+    if rng.gen_range(0u32..3) == 0 {
+        e.set_attr("k", ["x", "y"][rng.gen_range(0..2usize)]);
+    }
+    if rng.gen_range(0u32..4) == 0 {
+        e.set_attr("t", "z");
+    }
+    if rng.gen_range(0u32..3) == 0 {
+        e.push_text(["x", "y"][rng.gen_range(0..2usize)]);
+    }
+    if depth > 0 {
+        for _ in 0..rng.gen_range(0..4usize) {
+            e.push_child(arb_doc(rng, depth - 1, serial));
+        }
+    }
+    e
+}
+
+fn doc_predicate(rng: &mut StdRng) -> Predicate {
+    let name = |rng: &mut StdRng| ["a", "b", "c"][rng.gen_range(0..3usize)].to_string();
+    let value = |rng: &mut StdRng| ["x", "y"][rng.gen_range(0..2usize)].to_string();
+    match rng.gen_range(0u32..5) {
+        0 => Predicate::AttrEq("k".into(), value(rng)),
+        1 => Predicate::AttrExists(["k", "t"][rng.gen_range(0..2usize)].into()),
+        2 => Predicate::ChildEq(name(rng), value(rng)),
+        3 => Predicate::ChildExists(name(rng)),
+        _ => Predicate::Position(rng.gen_range(1usize..4)),
+    }
+}
+
+/// A path of child and descendant steps over the document alphabet,
+/// with up to two predicates a step, optionally ending in an attribute
+/// step.
+fn doc_path(rng: &mut StdRng) -> Path {
+    let mut steps: Vec<LocStep> = (0..rng.gen_range(1..5usize))
+        .map(|_| LocStep {
+            axis: if rng.gen_range(0u32..2) == 0 { Axis::Child } else { Axis::Descendant },
+            test: match rng.gen_range(0u32..4) {
+                0 => NameTest::Any,
+                k => NameTest::Name(["a", "b", "c"][k as usize - 1].into()),
+            },
+            predicates: check::vec_of(rng, 0, 2, doc_predicate),
+        })
+        .collect();
+    if rng.gen_range(0u32..4) == 0 {
+        let test = if rng.gen_range(0u32..2) == 0 { NameTest::Any } else { NameTest::Name("k".into()) };
+        steps.push(LocStep { axis: Axis::Attribute, test, predicates: vec![] });
+    }
+    Path { steps }
+}
+
+/// How many of `e`'s proper descendants `test` accepts, each counted
+/// once per context it is reached from, and how many distinct ones.
+fn descendant_reach(contexts: &[&Element], test: &NameTest) -> (usize, usize) {
+    fn walk<'a>(e: &'a Element, test: &NameTest, out: &mut Vec<&'a Element>) {
+        for c in e.child_elements() {
+            if matches!(test, NameTest::Any) || c.name == test.to_string() {
+                out.push(c);
+            }
+            walk(c, test, out);
+        }
+    }
+    let mut reached = Vec::new();
+    for c in contexts {
+        walk(c, test, &mut reached);
+    }
+    let total = reached.len();
+    let mut distinct: Vec<*const Element> = reached.iter().map(|&e| e as *const Element).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    (total, distinct.len())
+}
+
+/// The arena evaluator selects exactly the owned evaluator's nodes, in
+/// the same order, with duplicates removed the same way. The documents
+/// nest repeated names, so descendant steps from nested contexts reach
+/// some nodes more than once; the count at the end proves the
+/// generator exercises that deduplication.
+#[test]
+fn select_arena_matches_owned_select() {
+    let mut overlapping = 0;
+    cases(1024, 0xa7_07, |rng| {
+        let owned = arb_doc(rng, 4, &mut 0);
+        let doc = ArenaDoc::from_element(&owned);
+        for _ in 0..8 {
+            let path = doc_path(rng);
+            let want: Vec<&str> = path.select(&owned).iter().map(|e| e.attr("n").unwrap()).collect();
+            let got: Vec<&str> =
+                path.select_arena(&doc).iter().map(|&id| doc.attr(id, "n").unwrap()).collect();
+            assert_eq!(got, want, "{path} over {}", owned.to_xml());
+            for (i, step) in path.steps.iter().enumerate().skip(1) {
+                if step.axis == Axis::Descendant {
+                    let prefix = Path { steps: path.steps[..i].to_vec() };
+                    let (total, distinct) = descendant_reach(&prefix.select(&owned), &step.test);
+                    if total > distinct {
+                        overlapping += 1;
+                    }
+                }
+            }
+        }
+    });
+    assert!(overlapping > 200, "only {overlapping} descendant steps reached a node twice");
 }
