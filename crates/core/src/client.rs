@@ -10,7 +10,6 @@
 //! the same body.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write;
 use std::ops::Deref;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -53,7 +52,7 @@ fn serialize_compute_cost(bytes: usize) -> SimTime {
 }
 
 /// A merged answer, materialized once and shared by everything that
-/// keeps or hands it on: the singleflight table, the result and stale
+/// keeps or hands it on: the shard's window table, the result and stale
 /// caches, batch results and request outcomes. A clone is a reference
 /// count, never a copy of the answer's lists.
 pub type SharedAnswer = Arc<[Element]>;
@@ -156,7 +155,10 @@ where
     out
 }
 
-fn fetch_merge_inner<C>(
+/// The body of [`fetch_merge`] and [`fetch_merge_traced`]; the shard's
+/// window table (`ShardedRegistry::answer_batch`) calls it too, under
+/// the tracer's `shard.request` span.
+pub(crate) fn fetch_merge_inner<C>(
     pool: &StorePool,
     referral: &Referral,
     store_signer: &Signer,
@@ -306,87 +308,6 @@ fn fold<'a>(fragments: &'a [Fragment<'_>], keys: &MergeKeys) -> Vec<MergeOut<'a>
         }
     }
     out
-}
-
-/// A singleflight table: dedups identical in-flight
-/// `(owner, requester, referral)` fetches within one scatter window, so
-/// a burst of identical requests hits each store **once**.
-///
-/// Each answer is materialized once, into an `Arc<[Element]>`; the
-/// table keeps one handle and every request in the window, first or
-/// duplicate, gets another. A duplicate costs a reference count, not a
-/// copy of the answer's child and attribute lists.
-///
-/// The table is window-scoped by construction: callers create one per
-/// scatter-gather batch (stores are quiescent within a window) and drop
-/// it afterwards — there is no TTL and no invalidation, which is what
-/// keeps a hit byte-identical to a recompute. Cross-window caching is
-/// [`crate::cache::CachedClient`]'s job.
-#[derive(Debug, Default)]
-pub(crate) struct Singleflight {
-    /// Coalescing key → the answer fetched under it.
-    table: HashMap<String, SharedAnswer>,
-    /// Fetches answered from the table.
-    pub hits: u64,
-    /// Fetches that went to the stores.
-    pub misses: u64,
-}
-
-impl Singleflight {
-    /// An empty table for one scatter window.
-    pub(crate) fn new() -> Self {
-        Singleflight::default()
-    }
-
-    /// The coalescing key: owner, requester and the full referral shape
-    /// (every `store=path` entry plus the merge/choice marker). Two
-    /// requests coalesce only when the registry resolved them to the
-    /// same fragments for the same principal.
-    pub(crate) fn key(referral: &Referral, requester: &str) -> String {
-        let mut k = String::with_capacity(64);
-        k.push_str(&referral.token.user);
-        k.push('\u{0}');
-        k.push_str(requester);
-        k.push('\u{0}');
-        k.push(if referral.merge_required { '+' } else { '|' });
-        for e in &referral.entries {
-            k.push('\u{0}');
-            k.push_str(&e.store.0);
-            k.push('=');
-            write!(k, "{}", e.path).expect("writing to a String cannot fail");
-        }
-        k
-    }
-
-    /// [`fetch_merge`] through the table: a duplicate of an in-window
-    /// fetch shares the first answer without touching the pool; errors
-    /// are never cached (the next duplicate retries the stores).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fetch_merge(
-        &mut self,
-        pool: &StorePool,
-        referral: &Referral,
-        requester: &str,
-        store_signer: &Signer,
-        now: u64,
-        keys: &MergeKeys,
-        mut tracer: Option<&mut Tracer>,
-    ) -> Result<SharedAnswer, GupsterError> {
-        let key = Self::key(referral, requester);
-        if let Some(answer) = self.table.get(&key) {
-            self.hits += 1;
-            if let Some(t) = tracer.as_deref_mut() {
-                t.hub().counters().singleflight_hits.fetch_add(1, Ordering::Relaxed);
-                t.span(stage::SINGLEFLIGHT_HIT, SimTime::micros(1));
-            }
-            return Ok(Arc::clone(answer));
-        }
-        let answer: SharedAnswer =
-            fetch_merge_inner(pool, referral, store_signer, now, keys, tracer)?;
-        self.misses += 1;
-        self.table.insert(key, Arc::clone(&answer));
-        Ok(answer)
-    }
 }
 
 #[cfg(test)]
@@ -740,36 +661,6 @@ mod tests {
                 "{path}"
             );
         });
-    }
-
-    #[test]
-    fn singleflight_serves_duplicates_from_first_answer() {
-        let (mut g, pool) = split_world();
-        let out = g
-            .lookup(
-                "arnaud",
-                &p("/user[@id='arnaud']/address-book"),
-                "arnaud",
-                Purpose::Query,
-                WeekTime::at(0, 12, 0),
-                100,
-            )
-            .unwrap();
-        let signer = g.signer();
-        let mut sf = Singleflight::new();
-        let first = sf
-            .fetch_merge(&pool, &out.referral, "arnaud", &signer, 110, &keys(), None)
-            .unwrap();
-        let second = sf
-            .fetch_merge(&pool, &out.referral, "arnaud", &signer, 110, &keys(), None)
-            .unwrap();
-        assert_eq!((sf.hits, sf.misses), (1, 1));
-        assert_eq!(first, second);
-        assert!(Arc::ptr_eq(&first, &second), "a duplicate shares the first answer");
-        assert_eq!(*first, *fetch_merge(&pool, &out.referral, &signer, 110, &keys()).unwrap());
-        // A different requester never coalesces onto another principal's
-        // answer.
-        assert_ne!(Singleflight::key(&out.referral, "arnaud"), Singleflight::key(&out.referral, "mallory"));
     }
 
     #[test]

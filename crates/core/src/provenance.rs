@@ -63,6 +63,18 @@ pub struct ProvenanceLog {
     pub retention: usize,
     /// Total records ever appended (survives trimming).
     pub total_recorded: u64,
+    /// Packed bytes ever trimmed off the front: turns a [`RecordRef`]'s
+    /// offset into a place in `bytes`.
+    trimmed: u64,
+}
+
+/// A handle on one appended record: its place in append order and the
+/// offset of its packed part among all bytes ever appended. It stays
+/// valid while the record is retained.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordRef {
+    seq: u64,
+    at: u64,
 }
 
 #[derive(Debug)]
@@ -103,11 +115,44 @@ impl ProvenanceLog {
         }
         let len = self.bytes.len() - start;
         self.heads.push_back(Head { when, purpose, narrowed, len });
+        self.trim();
+    }
+
+    /// Drops the oldest records past the retention.
+    fn trim(&mut self) {
         while self.retention > 0 && self.heads.len() > self.retention {
             if let Some(oldest) = self.heads.pop_front() {
                 self.bytes.drain(..oldest.len);
+                self.trimmed += oldest.len as u64;
             }
         }
+    }
+
+    /// The newest record, if any is retained.
+    pub(crate) fn newest(&self) -> Option<RecordRef> {
+        let head = self.heads.back()?;
+        let at = self.trimmed + (self.bytes.len() - head.len) as u64;
+        Some(RecordRef { seq: self.total_recorded - 1, at })
+    }
+
+    /// Appends a copy of `record`, stamped `when` instead of its own
+    /// time: the same disclosure made again. Copies the packed bytes
+    /// where they lie. False, appending nothing, once retention has
+    /// dropped `record`.
+    pub(crate) fn record_again(&mut self, record: RecordRef, when: u64) -> bool {
+        let Some(back) = self.total_recorded.checked_sub(record.seq) else { return false };
+        let Some(i) = self.heads.len().checked_sub(back as usize) else { return false };
+        let Some(&Head { purpose, narrowed, len, .. }) = self.heads.get(i) else { return false };
+        self.total_recorded += 1;
+        let start = (record.at - self.trimmed) as usize;
+        self.bytes.reserve(len);
+        for k in start..start + len {
+            let b = self.bytes[k];
+            self.bytes.push_back(b);
+        }
+        self.heads.push_back(Head { when, purpose, narrowed, len });
+        self.trim();
+        true
     }
 
     /// Every disclosure of one owner's data, oldest first.
@@ -353,9 +398,10 @@ mod tests {
         assert_eq!(log.disclosures_of("alice")[0].when, 3);
     }
 
-    /// Whatever goes in comes back out field for field, across trimming
-    /// — including strings no path syntax could quote, an owner or
-    /// requester that is a prefix of another, and positions past `u32`.
+    /// Whatever goes in, or is copied in again, comes back out field for
+    /// field, across trimming — including strings no path syntax could
+    /// quote, an owner or requester that is a prefix of another, and
+    /// positions past `u32`.
     #[test]
     fn packed_records_decode_exactly() {
         use gupster_rng::check::{self, cases};
@@ -383,26 +429,39 @@ mod tests {
             let retention = rng.gen_range(0..6usize);
             let mut log = ProvenanceLog::with_retention(retention);
             let purposes = [Purpose::Query, Purpose::Cache, Purpose::Subscribe, Purpose::Provision];
-            let written: Vec<Disclosure> = (0..rng.gen_range(1..10usize))
-                .map(|_| {
-                    let (paths, stores) = check::vec_of(rng, 0, 3, |r| {
-                        (Path { steps: check::vec_of(r, 0, 4, step) }, StoreId::new(text(r)))
-                    })
-                    .into_iter()
-                    .unzip();
-                    Disclosure {
-                        when: rng.gen_range(0..u64::MAX),
-                        owner: ["o", "o2", "p"][rng.gen_range(0..3usize)].to_string(),
-                        requester: ["r", "r2", "s"][rng.gen_range(0..3usize)].to_string(),
-                        purpose: purposes[rng.gen_range(0..4usize)],
-                        paths,
-                        stores,
-                        narrowed: rng.gen_bool(0.5),
+            // Fresh records, and copies of earlier ones stamped anew:
+            // a copy lands only while its original is retained.
+            let mut written: Vec<Disclosure> = Vec::new();
+            let mut handles = Vec::new();
+            for _ in 0..rng.gen_range(1..10usize) {
+                let when = rng.gen_range(0..u64::MAX);
+                if !handles.is_empty() && rng.gen_bool(0.4) {
+                    let j = rng.gen_range(0..handles.len());
+                    let retained = retention == 0 || j + retention >= written.len();
+                    assert_eq!(log.record_again(handles[j], when), retained, "copy of record {j}");
+                    if retained {
+                        written.push(Disclosure { when, ..written[j].clone() });
+                        handles.push(log.newest().unwrap());
                     }
+                    continue;
+                }
+                let (paths, stores) = check::vec_of(rng, 0, 3, |r| {
+                    (Path { steps: check::vec_of(r, 0, 4, step) }, StoreId::new(text(r)))
                 })
-                .collect();
-            for d in &written {
-                record(&mut log, d);
+                .into_iter()
+                .unzip();
+                let d = Disclosure {
+                    when,
+                    owner: ["o", "o2", "p"][rng.gen_range(0..3usize)].to_string(),
+                    requester: ["r", "r2", "s"][rng.gen_range(0..3usize)].to_string(),
+                    purpose: purposes[rng.gen_range(0..4usize)],
+                    paths,
+                    stores,
+                    narrowed: rng.gen_bool(0.5),
+                };
+                record(&mut log, &d);
+                written.push(d);
+                handles.push(log.newest().unwrap());
             }
             let kept = match retention {
                 0 => &written[..],

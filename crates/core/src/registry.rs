@@ -17,7 +17,7 @@ use crate::client::SharedAnswer;
 use crate::coverage::CoverageMap;
 use crate::error::GupsterError;
 use crate::index::TrieWalk;
-use crate::provenance::ProvenanceLog;
+use crate::provenance::{ProvenanceLog, RecordRef};
 use crate::referral::{Referral, ReferralEntry};
 use crate::token::{SignedQuery, Signer};
 
@@ -625,6 +625,46 @@ impl Gupster {
             referral: Referral { entries, merge_required, token, token_cached },
             narrowed,
         })
+    }
+
+    /// Accounts a lookup answered by an identical earlier one instead
+    /// of the pipeline (the shard's window table, DESIGN.md §8).
+    /// `earlier` is that lookup's provenance record, or its refusal.
+    /// The request counters move as if the pipeline had run; the work
+    /// counters (memo hits, trie hits, token reuse) do not, since no
+    /// work ran. A permitted lookup is disclosed again, stamped `now`.
+    /// Returns false, accounting nothing, when retention has dropped
+    /// the record to copy: the caller runs the pipeline instead.
+    pub(crate) fn repeat_lookup(
+        &mut self,
+        earlier: Result<RecordRef, &GupsterError>,
+        now: u64,
+    ) -> bool {
+        if let Ok(record) = earlier {
+            if !self.provenance.record_again(record, now) {
+                return false;
+            }
+        }
+        let counters = self.telemetry.counters();
+        self.stats.lookups += 1;
+        counters.lookups.fetch_add(1, Ordering::Relaxed);
+        match earlier {
+            Ok(_) => {
+                self.stats.referrals += 1;
+                counters.referrals.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(GupsterError::SpuriousQuery(_)) => self.stats.spurious += 1,
+            Err(GupsterError::AccessDenied { .. }) => {
+                self.stats.denied += 1;
+                counters.policy_denials.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(GupsterError::UnknownUser(_) | GupsterError::NoCoverage(_)) => {
+                self.stats.uncovered += 1;
+            }
+            // The pipeline refuses with the four above only.
+            Err(_) => {}
+        }
+        true
     }
 
     /// Routes an update (provisioning request, Req. 11): the stores

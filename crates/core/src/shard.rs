@@ -31,14 +31,17 @@
 //!
 //! A full answer ([`ShardedRegistry::answer_batch`], the open loop)
 //! fetches the way every client does: one round per destination store
-//! ([`crate::fetch_merge`]), through the shard's per-window
-//! singleflight table in `answer_batch`.
+//! ([`crate::fetch_merge`]). In `answer_batch`, each shard's per-window
+//! singleflight table is keyed on the request, so a request identical to
+//! an earlier one in the window runs neither the lookup nor the fetch:
+//! it shares that request's answer or refusal, and a permitted one still
+//! leaves its own provenance record.
 //!
 //! Scatter-gather uses `std::thread::scope` workers over persistent
 //! shard state — zero external deps, and the borrow checker proves the
 //! partitioning (each worker holds `&mut` to exactly one part).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
@@ -57,8 +60,9 @@ use gupster_xpath::Path;
 use crate::admission::{
     AdmissionConfig, Completion, IngressQueue, Priority, RequestOutcome, Shed,
 };
-use crate::client::{fetch_merge_traced, SharedAnswer, Singleflight, StorePool};
+use crate::client::{fetch_merge_inner, fetch_merge_traced, SharedAnswer, StorePool};
 use crate::error::GupsterError;
+use crate::provenance::RecordRef;
 use crate::registry::{Gupster, LookupOutcome};
 use crate::resilience::is_transient;
 
@@ -206,6 +210,62 @@ pub struct ShardRequest {
     pub time: WeekTime,
     /// Profile-clock seconds (token timestamp).
     pub now: u64,
+}
+
+/// A request's identity within a window: everything the shield and the
+/// coverage walk read, borrowed from the batch. `now` is left out, since
+/// neither reads it: it only stamps the token and the provenance record.
+type RequestKey<'a> = (&'a str, &'a str, &'a Path, Purpose, WeekTime);
+
+/// What the first request under a key came to.
+#[derive(Debug)]
+enum Earlier {
+    /// Its answer, and its provenance record.
+    Answer(SharedAnswer, RecordRef),
+    /// The pipeline's refusal.
+    Refused(GupsterError),
+}
+
+/// One shard's singleflight table for one `answer_batch` window: a
+/// request identical to an earlier one in the window is served that
+/// request's outcome without a lookup or a fetch. Within a window no
+/// write or policy change runs and stores are quiescent, so the reuse is
+/// exact; the table is dropped with the window, so there is no TTL and
+/// no invalidation. Cross-window caching is
+/// [`crate::cache::CachedClient`]'s job.
+#[derive(Debug)]
+struct Singleflight<'a> {
+    table: HashMap<RequestKey<'a>, Earlier>,
+}
+
+impl<'a> Singleflight<'a> {
+    /// A table for a bucket of `requests`: sized once, since it never
+    /// holds more keys than that.
+    fn new(requests: usize) -> Self {
+        Singleflight { table: HashMap::with_capacity(requests) }
+    }
+
+    fn key(r: &'a ShardRequest) -> RequestKey<'a> {
+        (&r.owner, &r.requester, &r.path, r.purpose, r.time)
+    }
+
+    /// `r`'s outcome, if an identical earlier request in the window has
+    /// one `g` can account as `r`'s (see [`Gupster::repeat_lookup`]).
+    fn serve(
+        &self,
+        g: &mut Gupster,
+        r: &'a ShardRequest,
+    ) -> Option<Result<SharedAnswer, GupsterError>> {
+        match self.table.get(&Self::key(r))? {
+            Earlier::Answer(answer, record) => {
+                g.repeat_lookup(Ok(*record), r.now).then(|| Ok(Arc::clone(answer)))
+            }
+            Earlier::Refused(refused) => {
+                g.repeat_lookup(Err(refused), r.now);
+                Some(Err(refused.clone()))
+            }
+        }
+    }
 }
 
 /// Per-batch execution accounting from the scatter-gather run.
@@ -567,22 +627,19 @@ impl ShardedRegistry {
     }
 
     /// Scatter-gather core: runs `requests` on the executor, each under
-    /// its own `shard.request` trace, one singleflight window per shard.
-    /// `work` answers one request, possibly through the worker's
-    /// singleflight window.
-    fn scatter<R, F>(
+    /// its own `shard.request` trace. Each shard's bucket gets one fresh
+    /// window state, `window(bucket length)`, which `work` sees beside
+    /// each request of it: `answer_batch`'s [`Singleflight`] table, or
+    /// nothing.
+    fn scatter<'a, W, R, F>(
         &mut self,
-        requests: &[ShardRequest],
+        requests: &'a [ShardRequest],
+        window: impl Fn(usize) -> W + Sync,
         work: F,
     ) -> (Vec<Result<R, GupsterError>>, BatchReport)
     where
         R: Send,
-        F: Fn(
-                &mut Gupster,
-                &mut Singleflight,
-                &ShardRequest,
-                &mut Tracer,
-            ) -> Result<R, GupsterError>
+        F: Fn(&mut Gupster, &mut W, &'a ShardRequest, &mut Tracer) -> Result<R, GupsterError>
             + Sync,
     {
         self.note_hot_keys(requests.iter());
@@ -592,10 +649,7 @@ impl ShardedRegistry {
             |r| &r.owner,
             |gupster, bucket| {
                 let hub = gupster.telemetry();
-                // One singleflight window per shard per batch: stores
-                // are quiescent for the batch's duration, so duplicates
-                // within it are safe to coalesce.
-                let mut flight = Singleflight::new();
+                let mut window = window(bucket.len());
                 let mut busy = SimTime::ZERO;
                 // One tracer for the bucket, restarted per request: each
                 // request still gets its own id and span tree, on the
@@ -613,7 +667,7 @@ impl ShardedRegistry {
                         // partitioning, so key by global submission
                         // index, not the hub-local request id.
                         tracer.set_key(key_base + i as u64);
-                        let res = work(gupster, &mut flight, &requests[i], &mut tracer);
+                        let res = work(gupster, &mut window, &requests[i], &mut tracer);
                         busy += tracer.now();
                         res
                     })
@@ -658,19 +712,18 @@ impl ShardedRegistry {
         &mut self,
         requests: &[ShardRequest],
     ) -> (Vec<Result<LookupOutcome, GupsterError>>, BatchReport) {
-        self.scatter(
-            requests,
-            |g, _flight, r, tracer| {
-                g.lookup_traced(&r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, tracer)
-            },
-        )
+        self.scatter(requests, |_| (), |g, _, r, tracer| {
+            g.lookup_traced(&r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, tracer)
+        })
     }
 
     /// Runs a batch of full answers: lookup on the owning shard, then
-    /// fetch-and-merge against the shared pool — deduped through the
-    /// shard's per-batch singleflight window, one fetch round per
-    /// destination store. Each answer is materialized once; in-window
-    /// duplicates share it.
+    /// fetch-and-merge against the shared pool, one fetch round per
+    /// destination store. Each answer is materialized once. A request
+    /// identical to an earlier one in the shard's window runs neither:
+    /// it shares that request's answer or refusal through the shard's
+    /// per-window singleflight table, and a permitted one still leaves
+    /// its own provenance record.
     ///
     /// `_batch_fetches` is ignored: every fetch is per store. It stays
     /// only because the wall-clock benchmark passes it.
@@ -681,24 +734,30 @@ impl ShardedRegistry {
         keys: &MergeKeys,
         _batch_fetches: bool,
     ) -> (Vec<Result<SharedAnswer, GupsterError>>, BatchReport) {
-        self.scatter(
-            requests,
-            |g, flight, r, tracer| {
-                let out = g.lookup_traced(
-                    &r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, tracer,
-                )?;
-                let signer = g.signer();
-                flight.fetch_merge(
-                    pool,
-                    &out.referral,
-                    &r.requester,
-                    &signer,
-                    r.now,
-                    keys,
-                    Some(tracer),
-                )
-            },
-        )
+        self.scatter(requests, Singleflight::new, |g, flight, r, tracer| {
+            if let Some(shared) = flight.serve(g, r) {
+                tracer.hub().counters().singleflight_hits.fetch_add(1, Ordering::Relaxed);
+                tracer.span(stage::SINGLEFLIGHT_HIT, SimTime::micros(1));
+                return shared;
+            }
+            let out = match g.lookup_traced(
+                &r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, tracer,
+            ) {
+                Ok(out) => out,
+                Err(refused) => {
+                    flight.table.insert(Singleflight::key(r), Earlier::Refused(refused.clone()));
+                    return Err(refused);
+                }
+            };
+            let answer: SharedAnswer =
+                fetch_merge_inner(pool, &out.referral, &g.signer(), r.now, keys, Some(tracer))?;
+            // A fetch error is never kept: the next duplicate retries.
+            if let Some(record) = g.provenance.newest() {
+                let earlier = Earlier::Answer(Arc::clone(&answer), record);
+                flight.table.insert(Singleflight::key(r), earlier);
+            }
+            Ok(answer)
+        })
     }
 
     /// Open-loop execution under admission control (DESIGN.md §11).
@@ -1099,6 +1158,74 @@ mod tests {
         }
         // 8 identical requests, one flight: 7 coalesced.
         assert_eq!(sharded.counter_totals().singleflight_hits, 7);
+    }
+
+    /// Alice's presence on `s1`, readable by her co-worker rick.
+    fn presence_world(shards: usize) -> (ShardedRegistry, StorePool) {
+        let mut sharded = ShardedRegistry::new(gup_schema(), b"k", shards);
+        populate(&mut sharded, &["alice"]);
+        let g = sharded.shard_mut("alice");
+        g.set_relationship("alice", "rick", "co-worker");
+        g.pap
+            .provision(
+                "alice",
+                "cw",
+                gupster_policy::Effect::Permit,
+                "/user/presence",
+                "relationship='co-worker'",
+                0,
+            )
+            .unwrap();
+        let mut store = XmlStore::new("s1");
+        store
+            .put_profile(parse(r#"<user id="alice"><presence>online</presence></user>"#).unwrap())
+            .unwrap();
+        let mut pool = StorePool::new();
+        pool.add(Box::new(store));
+        (sharded, pool)
+    }
+
+    #[test]
+    fn singleflight_serves_duplicates_from_first_answer() {
+        let (mut sharded, pool) = presence_world(1);
+        let read = req("alice", "/user[@id='alice']/presence");
+        let window = [read.clone(), read.clone()];
+        let (results, _) = sharded.answer_batch(&pool, &window, &MergeKeys::new(), true);
+        let (first, second) = (results[0].as_ref().unwrap(), results[1].as_ref().unwrap());
+        assert!(Arc::ptr_eq(first, second), "a duplicate shares the first answer");
+        assert_eq!(sharded.counter_totals().singleflight_hits, 1);
+        // The shared answer is the one a lookup and a fetch give alone.
+        let g = sharded.shard_mut("alice");
+        let ShardRequest { owner, path, requester, purpose, time, now } = &read;
+        let out = g.lookup(owner, path, requester, *purpose, *time, *now).unwrap();
+        let keys = MergeKeys::new();
+        let alone = crate::client::fetch_merge(&pool, &out.referral, &g.signer(), *now, &keys);
+        assert_eq!(**first, *alone.unwrap());
+    }
+
+    #[test]
+    fn singleflight_never_shares_across_requester_purpose_or_time() {
+        let base = req("alice", "/user[@id='alice']/presence");
+        let variants = [
+            ShardRequest { requester: "rick".into(), ..base.clone() },
+            ShardRequest { purpose: Purpose::Cache, ..base.clone() },
+            ShardRequest { time: WeekTime::at(3, 9, 0), ..base.clone() },
+        ];
+        for v in &variants {
+            assert_ne!(Singleflight::key(&base), Singleflight::key(v), "{v:?}");
+        }
+        // Only the profile clock may differ: neither the shield nor the
+        // coverage walk reads it.
+        let later = ShardRequest { now: base.now + 7, ..base.clone() };
+        assert_eq!(Singleflight::key(&base), Singleflight::key(&later));
+
+        let (mut sharded, pool) = presence_world(1);
+        let mut window = vec![base];
+        window.extend(variants);
+        let (results, _) = sharded.answer_batch(&pool, &window, &MergeKeys::new(), true);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(sharded.counter_totals().singleflight_hits, 0);
+        assert_eq!(sharded.shard("alice").stats.lookups, 4);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //!   per-request scratch (selection buffers, tracer buffers, merge
 //!   scaffolding around a lone fragment).
 //! - Within one window, identical requests share the first request's
-//!   answer: a duplicate costs its lookup and a reference count, never
-//!   a copy of the answer. So what k duplicates add to a window must not
-//!   depend on how big the answer is.
+//!   outcome: a duplicate runs no lookup and no fetch, and costs a
+//!   reference count, never a copy of the answer. So what k duplicates
+//!   add to a window is a small fixed count each, whatever the request,
+//!   and does not depend on how big the answer is.
 //!
 //! One shard, so the window's lone bucket runs on the calling thread
 //! and a per-thread count sees all of it. Its own test binary, so that
@@ -18,8 +19,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use gupster_core::{ShardRequest, ShardedRegistry, StorePool};
-use gupster_policy::{Purpose, WeekTime};
+use gupster_core::{GupsterError, ShardRequest, ShardedRegistry, SharedAnswer, StorePool};
+use gupster_policy::{Effect, Purpose, WeekTime};
 use gupster_schema::gup_schema;
 use gupster_store::{StoreId, XmlStore};
 use gupster_xml::{Element, MergeKeys};
@@ -86,30 +87,33 @@ fn world(items: usize) -> (ShardedRegistry, StorePool) {
     (reg, pool)
 }
 
-/// A window of `n` identical reads of u7's book by u7.
-fn window(n: usize) -> Vec<ShardRequest> {
-    let read = ShardRequest {
+/// u7's read of `path`, by `requester`.
+fn read(requester: &str, path: &str) -> ShardRequest {
+    ShardRequest {
         owner: "u7".into(),
-        path: Path::parse(BOOK).unwrap(),
-        requester: "u7".into(),
+        path: Path::parse(path).unwrap(),
+        requester: requester.into(),
         purpose: Purpose::Query,
         time: WeekTime::at(0, 12, 0),
         now: 100,
-    };
-    vec![read; n]
+    }
 }
 
-/// The allocations `k` duplicates add to a window, in a world whose
-/// book has `items` entries: a window of `1 + k` reads less a window of
-/// one, each measured after the same warm-up, so both see the same
-/// registry state.
-fn duplicates_cost(items: usize, k: usize) -> usize {
-    let (mut reg, pool) = world(items);
+/// The allocations `k` duplicates of `first` add to a window: a window
+/// of `1 + k` copies less a window of one, each measured after the same
+/// warm-up, so both see the same registry state. Also returns the
+/// larger window's results.
+fn duplicates_cost(
+    reg: &mut ShardedRegistry,
+    pool: &StorePool,
+    first: &ShardRequest,
+    k: usize,
+) -> (usize, Vec<Result<SharedAnswer, GupsterError>>) {
     let keys = MergeKeys::new().with_key("item", "id");
-    let (one, burst) = (window(1), window(1 + k));
+    let (one, burst) = (vec![first.clone()], vec![first.clone(); 1 + k]);
     let mut run = |requests: &[ShardRequest]| {
         counted(|| {
-            let (results, _) = reg.answer_batch(&pool, requests, &keys, true);
+            let (results, _) = reg.answer_batch(pool, requests, &keys, true);
             results
         })
     };
@@ -119,22 +123,62 @@ fn duplicates_cost(items: usize, k: usize) -> usize {
         run(&one);
         run(&burst);
     }
-    let (results, single) = run(&one);
-    assert_eq!(results[0].as_ref().unwrap()[0].children_named("item").count(), items);
+    let (_, single) = run(&one);
     let (results, all) = run(&burst);
+    (all - single, results)
+}
+
+/// What `k` duplicates of u7's own book read add to a window, in a world
+/// whose book has `items` entries.
+fn book_duplicates_cost(items: usize, k: usize) -> usize {
+    let (mut reg, pool) = world(items);
+    let (cost, results) = duplicates_cost(&mut reg, &pool, &read("u7", BOOK), k);
     let first = results[0].as_ref().unwrap();
+    assert_eq!(first[0].children_named("item").count(), items);
     for r in &results[1..] {
         assert!(Arc::ptr_eq(first, r.as_ref().unwrap()), "a duplicate shares the first answer");
     }
-    all - single
+    cost
 }
 
 #[test]
 fn duplicates_cost_the_same_whatever_the_answer_size() {
     let k = 8;
-    let small = duplicates_cost(20, k);
-    let large = duplicates_cost(200, k);
+    let small = book_duplicates_cost(20, k);
+    let large = book_duplicates_cost(200, k);
     assert_eq!(small, large, "{k} duplicates: {small} allocations at 20 items, {large} at 200");
+}
+
+/// The most allocations one duplicate may cost: its span tree as the
+/// hub retains it (the list and two stage labels), and for a refusal
+/// the clone of the first request's error (owner and requester).
+/// Before the window table was keyed on the request, a duplicate ran
+/// the whole lookup: 8 duplicates of a book read cost 209 allocations.
+const DUPLICATE_ALLOCS: usize = 5;
+
+#[test]
+fn a_duplicate_costs_a_fixed_count_whatever_the_request() {
+    let (mut reg, pool) = world(20);
+    let u7 = reg.shard_mut("u7");
+    u7.set_relationship("u7", "rick", "co-worker");
+    let scope = "/user/address-book/item[@type='personal']";
+    u7.pap.provision("u7", "cw", Effect::Permit, scope, "relationship='co-worker'", 0).unwrap();
+    let k = 8;
+    for (what, first) in [
+        ("own book", read("u7", BOOK)),
+        ("narrowed book", read("rick", BOOK)),
+        ("refused", read("eve", BOOK)),
+        ("uncovered", read("u7", "/user[@id='u7']/presence")),
+        ("spurious", read("u7", "/user[@id='u7']/no-such-component")),
+    ] {
+        let (cost, results) = duplicates_cost(&mut reg, &pool, &first, k);
+        assert!(
+            cost <= k * DUPLICATE_ALLOCS,
+            "{what}: {k} duplicates cost {cost} allocations (pin {DUPLICATE_ALLOCS} each)"
+        );
+        let rendered: Vec<String> = results.iter().map(|r| format!("{r:?}")).collect();
+        assert!(rendered.iter().all(|r| *r == rendered[0]), "{what}: duplicates share the outcome");
+    }
 }
 
 /// A one-shard registry and a one-store pool holding the presence of
@@ -156,11 +200,12 @@ fn presence_world(owners: usize) -> (ShardedRegistry, StorePool) {
 }
 
 /// Allocations of a warm window of 64 distinct presence reads, each
-/// owner reading their own presence: 39.3 a request. Before selection
+/// owner reading their own presence: 38.3 a request. Before selection
 /// kept to two id buffers, shard workers restarted one tracer and a
 /// lone fragment skipped the fold's index, the same window made 3 346
-/// (52.3 a request).
-const PRESENCE_WINDOW_ALLOCS: usize = 2517;
+/// (52.3 a request); before the window table was keyed on the request
+/// instead of a string rendered from each referral, 2 517.
+const PRESENCE_WINDOW_ALLOCS: usize = 2448;
 
 #[test]
 fn a_distinct_presence_read_allocates_only_what_it_returns() {

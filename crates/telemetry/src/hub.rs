@@ -94,7 +94,8 @@ counters! {
     memo_hits,
     /// Coverage matches that fell back to the naive full scan.
     fallback_scans,
-    /// Duplicate in-flight fetches coalesced by a singleflight table.
+    /// Requests served by a singleflight table from an identical earlier
+    /// request in their window, with no lookup and no fetch.
     singleflight_hits,
     /// Per-store batch RPCs issued in place of per-fragment fetches.
     batched_fetches,

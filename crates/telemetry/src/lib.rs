@@ -72,7 +72,8 @@ pub mod stage {
     pub const CACHE_MISS: &str = "cache.miss";
     /// Client-side fetch-and-merge of a referral.
     pub const FETCH_MERGE: &str = "fetch.merge";
-    /// A fetch coalesced onto an identical in-flight one (singleflight).
+    /// A request served from an identical earlier one in its window
+    /// (singleflight): no lookup, no fetch.
     pub const SINGLEFLIGHT_HIT: &str = "fetch.singleflight";
     /// One request processed by a shard worker (root of a sharded
     /// scatter-gather trace).

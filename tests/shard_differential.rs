@@ -12,7 +12,7 @@ mod common;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use common::{build_pool, keys, p, provision, request_stream};
+use common::{build_pool, keys, p, provision, request_stream, user, USERS};
 use gupster::core::patterns::PatternExecutor;
 use gupster::core::cache::CachedClient;
 use gupster::core::{fetch_merge, Gupster, ResilientExecutor, ShardRequest, ShardedRegistry, StorePool};
@@ -176,6 +176,104 @@ fn duplicate_concurrent_fetches_hit_the_store_once() {
     // scatter windows (stores may change between them).
     let (_, _) = reg.answer_batch(&pool, &requests[..2], &keys(), true);
     assert_eq!(queries.load(Ordering::Relaxed), 2);
+}
+
+/// Every user lets co-worker rick see the corporate half of the address
+/// book only: his book reads are narrowed. Anyone else is refused.
+fn shield_for_rick(reg: &mut ShardedRegistry) {
+    for i in 0..USERS {
+        let u = user(i);
+        let g = reg.shard_mut(&u);
+        g.set_relationship(&u, "rick", "co-worker");
+        let scope = "/user/address-book/item[@type='corporate']";
+        g.pap.provision(&u, "cw", Effect::Permit, scope, "relationship='co-worker'", 0).unwrap();
+    }
+}
+
+#[test]
+fn in_window_duplicates_leave_the_stats_and_records_of_lone_requests() {
+    // Three rounds over six owners of a permitted, a narrowed and a
+    // refused book read, a presence read and two reads that fail the
+    // pipeline early (a spurious path, an unknown owner): all but the
+    // first of each kind are in-window duplicates, each with its own
+    // profile clock. A last pair differs only in that clock.
+    let owners: Vec<String> = (0..6).map(user).collect();
+    let mut window = Vec::new();
+    for round in 0..3u64 {
+        for u in &owners {
+            let book = format!("/user[@id='{u}']/address-book");
+            let presence = format!("/user[@id='{u}']/presence");
+            for (owner, requester, path) in [
+                (u.as_str(), u.as_str(), book.as_str()),
+                (u, "rick", &book),
+                (u, "eve", &book),
+                (u, u, &presence),
+                (u, u, "/user/no-such-component"),
+                ("nobody", "nobody", "/user[@id='nobody']/presence"),
+            ] {
+                window.push(ShardRequest {
+                    owner: owner.to_string(),
+                    path: p(path),
+                    requester: requester.to_string(),
+                    purpose: Purpose::Query,
+                    time: WeekTime::at(1, 10, 0),
+                    now: 100 * round + window.len() as u64,
+                });
+            }
+        }
+    }
+    let last = window.last().unwrap().clone();
+    window.push(ShardRequest { now: last.now + 1, ..last });
+    let pool = build_pool();
+    let mut everyone = owners.clone();
+    everyone.push("nobody".to_string());
+
+    for shards in [1usize, 2] {
+        let world = || {
+            let mut reg = ShardedRegistry::new(gup_schema(), b"dup", shards);
+            provision(|u, path, store| reg.register_component(u, path, store).unwrap());
+            shield_for_rick(&mut reg);
+            reg
+        };
+        // What the registry keeps of a run: its answers, every shard's
+        // stats and every owner's disclosures, in order.
+        let kept = |reg: &ShardedRegistry, answers: Vec<String>| {
+            let stats: Vec<_> = reg.shards().iter().map(|g| g.stats.clone()).collect();
+            let records: Vec<_> =
+                everyone.iter().map(|u| reg.shard(u).provenance.disclosures_of(u)).collect();
+            (answers, stats, records)
+        };
+        let render = |r: &Result<_, _>| format!("{r:?}");
+
+        let mut alone = world();
+        let answers = window
+            .iter()
+            .map(|r| {
+                let lone = std::slice::from_ref(r);
+                render(&alone.answer_batch(&pool, lone, &keys(), true).0[0])
+            })
+            .collect();
+        let alone = kept(&alone, answers);
+
+        let mut shared = world();
+        let (results, _) = shared.answer_batch(&pool, &window, &keys(), true);
+        let served = shared.counter_totals().singleflight_hits;
+        let shared = kept(&shared, results.iter().map(render).collect());
+
+        assert_eq!(alone.0, shared.0, "answers at {shards} shards");
+        assert_eq!(alone.1, shared.1, "registry stats at {shards} shards");
+        assert_eq!(alone.2, shared.2, "disclosures at {shards} shards");
+        // The window did share: every request but the first of its kind.
+        let kinds: std::collections::HashSet<_> =
+            window.iter().map(|r| (&r.owner, &r.requester, &r.path)).collect();
+        assert_eq!(served, (window.len() - kinds.len()) as u64, "{shards} shards");
+        let (_, stats, records) = &shared;
+        let narrowed = records.iter().flatten().filter(|d| d.narrowed).count();
+        assert_eq!(narrowed, 18, "rick's reads are narrowed and recorded");
+        assert!(stats.iter().map(|s| s.denied).sum::<u64>() > 0);
+        assert!(stats.iter().map(|s| s.spurious).sum::<u64>() > 0);
+        assert!(stats.iter().map(|s| s.uncovered).sum::<u64>() > 0);
+    }
 }
 
 // ------------------------------------- fault ladder, batched fetches —
