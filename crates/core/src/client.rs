@@ -550,18 +550,21 @@ mod tests {
         }
 
         let signer = Signer::new(b"k", 30);
-        let referral = |entries: &[(&str, &str)], merge_required: bool| Referral {
-            entries: entries
-                .iter()
-                .map(|(store, path)| ReferralEntry {
-                    store: StoreId::new(*store),
-                    path: p(path),
-                    complete: !merge_required,
-                })
-                .collect(),
-            merge_required,
-            token: signer.sign("a", "a", entries.iter().map(|(_, path)| path.to_string()).collect(), 100),
-            token_cached: false,
+        let referral = |entries: &[(&str, &str)], merge_required: bool| {
+            let paths: Vec<String> = entries.iter().map(|(_, path)| path.to_string()).collect();
+            Referral {
+                entries: entries
+                    .iter()
+                    .map(|(store, path)| ReferralEntry {
+                        store: StoreId::new(*store),
+                        path: p(path),
+                        complete: !merge_required,
+                    })
+                    .collect(),
+                merge_required,
+                token: signer.sign("a", "a", paths, 100),
+                token_cached: false,
+            }
         };
         let book = "/user[@id='a']/address-book";
         let cases = [

@@ -70,4 +70,4 @@ pub use resilience::{ResilientExecutor, ResilientRun, ServedVia};
 pub use shard::{BatchReport, OpenLoopRequest, OverloadReport, ShardRequest, ShardedRegistry};
 pub use subs::ShardedFanout;
 pub use syncplane::{write_through, EditError, PlaneReport, SyncPlane, UserOutcome};
-pub use token::{SignedQuery, Signer, TokenError};
+pub use token::{SignedQuery, Signer, TokenError, TokenPaths};

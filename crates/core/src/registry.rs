@@ -5,8 +5,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use gupster_netsim::SimTime;
-use gupster_policy::pep::{Enforcement, Pep};
-use gupster_policy::{Pap, Purpose, RequestContext, WeekTime};
+use gupster_policy::pep::Pep;
+use gupster_policy::{Decision, Pap, Purpose, RequestContext, WeekTime};
 use gupster_schema::Schema;
 use gupster_store::StoreId;
 use gupster_telemetry::{stage, TelemetryHub, Tracer};
@@ -19,7 +19,7 @@ use crate::error::GupsterError;
 use crate::index::TrieWalk;
 use crate::provenance::{ProvenanceLog, RecordRef};
 use crate::referral::{Referral, ReferralEntry};
-use crate::token::{SignedQuery, Signer};
+use crate::token::{SignedQuery, Signer, TokenPaths};
 
 /// Operation counters (§5.3: the scalability story is that lookups are
 /// cheap and spurious/denied queries are filtered before touching any
@@ -81,7 +81,9 @@ pub struct LookupOutcome {
 pub struct Gupster {
     /// The GUP schema in force.
     pub schema: Schema,
-    coverage: HashMap<String, CoverageMap>,
+    /// owner → registered components. Its keys are the owner ids a
+    /// lookup shares with its memo key, token and token-cache key.
+    coverage: HashMap<Arc<str>, CoverageMap>,
     /// The policy administration point (owns the repository).
     pub pap: Pap,
     /// The enforcement point (DESIGN.md §7): its decision memo lets
@@ -91,8 +93,10 @@ pub struct Gupster {
     pep: Pep,
     signer: Signer,
     /// owner → requester → relationship, provisioned by owners. Keyed
-    /// by owner first so a lookup resolves it from two borrowed `&str`s.
-    relationships: HashMap<String, HashMap<String, String>>,
+    /// by owner first so a lookup resolves it from two borrowed `&str`s;
+    /// the requester keys are the ids a provisioned requester's tokens
+    /// share.
+    relationships: HashMap<String, HashMap<Arc<str>, String>>,
     /// Counters.
     pub stats: RegistryStats,
     /// The disclosure audit trail (§7's provenance challenge).
@@ -118,7 +122,7 @@ pub struct Gupster {
     /// resilience ladder and the open-loop engine fill it and serve
     /// from it; [`Gupster::note_write`] drops overlapping entries, and
     /// every serve re-enforces through `pep` first.
-    stale: ResultCache<(u64, Vec<Path>)>,
+    stale: ResultCache<(u64, Decision)>,
 }
 
 /// Tokens the referral-token cache holds before the least recently
@@ -129,19 +133,34 @@ const TOKEN_CACHE_CAPACITY: usize = 65_536;
 /// one gives way.
 const STALE_CAPACITY: usize = 4096;
 
-/// What a cached referral token was signed for.
+/// What a cached referral token was signed for. The ids are shared
+/// with the lookup that signed it.
 #[derive(Debug, PartialEq)]
 struct TokenKey {
-    owner: String,
-    requester: String,
+    owner: Arc<str>,
+    requester: Arc<str>,
     /// The rewritten path set, serialized.
-    paths: Vec<String>,
+    paths: TokenPaths,
 }
 
 impl OwnedKey for TokenKey {
     fn owner(&self) -> &str {
         &self.owner
     }
+}
+
+/// What [`Gupster::shield`] lets through, and the ids it resolved on the
+/// way.
+pub(crate) struct Shielded {
+    /// The owner id: the coverage table's key.
+    owner: Arc<str>,
+    /// The requester id as the registry already holds it: the owner's
+    /// on a self read, the relationship table's key for a provisioned
+    /// requester, `None` for anyone else.
+    requester: Option<Arc<str>>,
+    /// [`Decision::Permit`] (the request as given) or
+    /// [`Decision::PermitNarrowed`]; a refusal is an error.
+    decision: Decision,
 }
 
 /// What the referral-token cache keeps of a token besides its key: the
@@ -245,8 +264,8 @@ impl Gupster {
         result: SharedAnswer,
         now: u64,
     ) {
-        if let Ok(permitted) = self.shield(owner, request, requester, purpose, time, None) {
-            self.stale.put(owner, requester, request, result, (now, permitted));
+        if let Ok(shielded) = self.shield(owner, request, requester, purpose, time, None) {
+            self.stale.put(owner, requester, request, result, (now, shielded.decision));
         }
     }
 
@@ -271,7 +290,7 @@ impl Gupster {
             return Ok(None);
         };
         let (result, age) = (Arc::clone(result), now.saturating_sub(*fresh_at));
-        let still = self.shield(owner, request, requester, purpose, time, None)?;
+        let still = self.shield(owner, request, requester, purpose, time, None)?.decision;
         // The shield leaves the rung alone, so the entry is still there.
         let same =
             self.stale.peek(owner, requester, request).is_some_and(|(_, (_, then))| *then == still);
@@ -279,7 +298,7 @@ impl Gupster {
     }
 
     /// The stale rung's views, for occupancy and hit/miss counts.
-    pub fn stale_answers(&self) -> &ResultCache<(u64, Vec<Path>)> {
+    pub fn stale_answers(&self) -> &ResultCache<(u64, Decision)> {
         &self.stale
     }
 
@@ -312,7 +331,10 @@ impl Gupster {
         if !self.schema.admits_path(&path) {
             return Err(GupsterError::SpuriousQuery(path.to_string()));
         }
-        self.coverage.entry(user.to_string()).or_default().register(path, store);
+        match self.coverage.get_mut(user) {
+            Some(coverage) => coverage.register(path, store),
+            None => self.coverage.entry(Arc::from(user)).or_default().register(path, store),
+        }
         self.stats.registrations += 1;
         Ok(())
     }
@@ -333,6 +355,12 @@ impl Gupster {
         self.coverage.get(user)
     }
 
+    /// The registry's own copy of a known owner's id, for keys that
+    /// share it.
+    pub(crate) fn owner_id(&self, owner: &str) -> Option<&Arc<str>> {
+        self.coverage.get_key_value(owner).map(|(id, _)| id)
+    }
+
     /// Copies all meta-data (coverage, relationships, policies) from a
     /// healthy mirror — the recovery half of mirror anti-entropy. The
     /// schema and signing key are deployment constants and stay as-is.
@@ -345,10 +373,13 @@ impl Gupster {
     /// Provisions a relationship (owners declare who their co-workers,
     /// boss, family are — the shield conditions of §4.6 test these).
     pub fn set_relationship(&mut self, owner: &str, requester: &str, relationship: &str) {
-        self.relationships
-            .entry(owner.to_string())
-            .or_default()
-            .insert(requester.to_string(), relationship.to_string());
+        let of_owner = self.relationships.entry(owner.to_string()).or_default();
+        match of_owner.get_mut(requester) {
+            Some(held) => relationship.clone_into(held),
+            None => {
+                of_owner.insert(Arc::from(requester), relationship.to_string());
+            }
+        }
     }
 
     /// Resolves the relationship of a requester to an owner.
@@ -356,20 +387,18 @@ impl Gupster {
         if owner == requester {
             return "self";
         }
-        self.relationships
-            .get(owner)
-            .and_then(|of_owner| of_owner.get(requester))
-            .map_or("third-party", String::as_str)
+        provisioned(&self.relationships, owner, requester).map_or("third-party", |(_, rel)| rel)
     }
 
-    /// Builds the request context the PDP sees.
-    pub fn context(
-        &self,
+    /// Builds the request context the PDP sees. It borrows `requester`
+    /// and the registry's relationship table.
+    pub fn context<'a>(
+        &'a self,
         owner: &str,
-        requester: &str,
+        requester: &'a str,
         purpose: Purpose,
         time: WeekTime,
-    ) -> RequestContext {
+    ) -> RequestContext<'a> {
         RequestContext::query(requester, self.relationship(owner, requester), time)
             .with_purpose(purpose)
     }
@@ -416,7 +445,9 @@ impl Gupster {
 
     /// Lookup steps 1–3: the spurious-query filter, the known-owner
     /// check and the privacy shield, with their stats and counters.
-    /// Returns the request paths the shield lets through. Besides
+    /// Returns what the shield lets through, with the owner and
+    /// requester ids the registry already holds: nothing is copied and
+    /// nothing allocated unless the shield narrows the request. Besides
     /// [`Gupster::lookup`], [`crate::ShardedFanout::subscribe`] and the
     /// stale rung call it with no tracer, and build, sign and record no
     /// referral.
@@ -434,25 +465,35 @@ impl Gupster {
         purpose: Purpose,
         time: WeekTime,
         mut tracer: Option<&mut Tracer>,
-    ) -> Result<Vec<Path>, GupsterError> {
+    ) -> Result<Shielded, GupsterError> {
         // 1. Spurious-query filter.
         if !self.schema.admits_path(request) {
             self.stats.spurious += 1;
             return Err(GupsterError::SpuriousQuery(request.to_string()));
         }
 
-        // 2. Known user?
-        if !self.coverage.contains_key(owner) {
+        // 2. Known user? The coverage table's key is the owner id every
+        // later step shares.
+        let Some(owner_id) = self.owner_id(owner).cloned() else {
             self.stats.uncovered += 1;
             return Err(GupsterError::UnknownUser(owner.to_string()));
-        }
+        };
 
         // 3. Privacy shield: decide (step 4a rewrites what it permits).
-        let ctx = self.context(owner, requester, purpose, time);
+        // The context borrows the relationship where it is provisioned.
+        let (relationship, requester_id) = if owner == requester {
+            ("self", Some(Arc::clone(&owner_id)))
+        } else {
+            match provisioned(&self.relationships, owner, requester) {
+                Some((id, rel)) => (rel, Some(Arc::clone(id))),
+                None => ("third-party", None),
+            }
+        };
+        let ctx = RequestContext::query(requester, relationship, time).with_purpose(purpose);
         if let Some(tracer) = tracer.as_deref_mut() {
             tracer.enter(stage::POLICY_DECIDE);
         }
-        let enforced = self.pep.enforce(&self.pap.repository, owner, request, &ctx);
+        let enforced = self.pep.enforce(&self.pap.repository, &owner_id, request, &ctx);
         if enforced.memo_hit {
             self.telemetry.counters().memo_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -460,8 +501,8 @@ impl Gupster {
             tracer.charge(SimTime::micros(1 + 2 * enforced.rules_considered));
             tracer.exit();
         }
-        match enforced.enforcement {
-            Enforcement::Refused => {
+        match enforced.decision {
+            Decision::Deny => {
                 self.stats.denied += 1;
                 self.telemetry.counters().policy_denials.fetch_add(1, Ordering::Relaxed);
                 Err(GupsterError::AccessDenied {
@@ -469,7 +510,7 @@ impl Gupster {
                     requester: requester.to_string(),
                 })
             }
-            Enforcement::Proceed(paths) => Ok(paths),
+            decision => Ok(Shielded { owner: owner_id, requester: requester_id, decision }),
         }
     }
 
@@ -488,20 +529,27 @@ impl Gupster {
     ) -> Result<LookupOutcome, GupsterError> {
         self.stats.lookups += 1;
         self.telemetry.counters().lookups.fetch_add(1, Ordering::Relaxed);
-        let permitted = self.shield(owner, request, requester, purpose, time, Some(&mut *tracer))?;
+        let shielded = self.shield(owner, request, requester, purpose, time, Some(&mut *tracer))?;
         // `shield` has checked that the owner is known.
         let Some(coverage) = self.coverage.get(owner) else {
             return Err(GupsterError::UnknownUser(owner.to_string()));
         };
-        let narrowed = !matches!(permitted.as_slice(), [only] if only == request);
+        // The whole request, or the narrowings the shield permits.
+        let (whole, parts) = match shielded.decision {
+            Decision::PermitNarrowed(parts) => (None, parts),
+            _ => (Some(request), Vec::new()),
+        };
+        let narrowed = whole.is_none() && !matches!(parts.as_slice(), [only] if only == request);
 
         // 4a. Rewrite: policy scopes omit the user-id predicate;
         // requests to the stores must carry it so multi-tenant stores
-        // answer for the right user.
+        // answer for the right user. Each permitted path is rewritten as
+        // the coverage match takes it; the whole request is copied once,
+        // into its first referral entry.
         tracer.enter(stage::QUERY_REWRITE);
-        let rewritten: Vec<Path> = permitted.into_iter().map(|p| with_user_id(p, owner)).collect();
-        tracer.charge(SimTime::micros(rewritten.len() as u64));
+        tracer.charge(SimTime::micros(whole.map_or(parts.len(), |_| 1) as u64));
         tracer.exit();
+        let rewritten = whole.cloned().into_iter().chain(parts).map(|p| with_user_id(p, owner));
 
         // 4b. Coverage match per permitted path. The trie index prunes
         // each match to its candidate entries (charged ~1µs per
@@ -571,16 +619,19 @@ impl Gupster {
         // token. The charges are the cost model's simulated time: 20µs
         // for an HMAC pass, 1µs for a reuse. On the wall a sign measures
         // ≈0.7–0.9µs (two SHA-256 blocks for a presence token; DESIGN.md
-        // §7).
+        // §7). The token shares the shield's ids; only a requester the
+        // registry has never heard of gets a copy of its own.
         let merge_required = entries.iter().any(|e| !e.complete);
-        let paths: Vec<String> = entries.iter().map(|e| render(&e.path)).collect();
+        let paths = TokenPaths::render(entries.iter().map(|e| &e.path));
+        let user = shielded.owner;
+        let requester_id = shielded.requester.unwrap_or_else(|| Arc::from(requester));
         tracer.enter(stage::TOKEN_SIGN);
         let mut token_cached = false;
         let token = match &mut self.token_cache {
             Some(cache) => {
                 let digest = KeyDigest::new(owner, &(requester, &paths));
                 let held = cache.get(digest.key, |k| {
-                    k.owner == owner && k.requester == requester && k.paths == paths
+                    *k.owner == *owner && *k.requester == *requester && k.paths == paths
                 });
                 match held {
                     Some(t)
@@ -591,8 +642,8 @@ impl Gupster {
                         self.telemetry.counters().token_reuse.fetch_add(1, Ordering::Relaxed);
                         tracer.charge(SimTime::micros(1));
                         SignedQuery {
-                            user: owner.to_string(),
-                            requester: requester.to_string(),
+                            user,
+                            requester: requester_id,
                             paths,
                             issued_at: t.issued_at,
                             signature: t.signature,
@@ -600,11 +651,11 @@ impl Gupster {
                     }
                     _ => {
                         let key = TokenKey {
-                            owner: owner.to_string(),
-                            requester: requester.to_string(),
+                            owner: Arc::clone(&user),
+                            requester: Arc::clone(&requester_id),
                             paths: paths.clone(),
                         };
-                        let t = self.signer.sign(owner, requester, paths, now);
+                        let t = self.signer.sign_shared(user, requester_id, paths, now);
                         cache.put(digest, key, CachedToken { issued_at: t.issued_at, signature: t.signature });
                         tracer.charge(SimTime::micros(20));
                         t
@@ -612,7 +663,7 @@ impl Gupster {
                 }
             }
             None => {
-                let t = self.signer.sign(owner, requester, paths, now);
+                let t = self.signer.sign_shared(user, requester_id, paths, now);
                 tracer.charge(SimTime::micros(20));
                 t
             }
@@ -692,14 +743,15 @@ impl Gupster {
     }
 }
 
-/// `p` as a token path: its display form, written once into a string
-/// of exactly its size rather than grown by doubling.
-fn render(p: &Path) -> String {
-    use std::fmt::Write;
-    let mut s = String::with_capacity(p.display_len());
-    // Writing to a `String` never fails.
-    let _ = write!(s, "{p}");
-    s
+/// `requester`'s provisioned relationship to `owner`, with the table's
+/// own copy of the requester id.
+fn provisioned<'t>(
+    relationships: &'t HashMap<String, HashMap<Arc<str>, String>>,
+    owner: &str,
+    requester: &str,
+) -> Option<(&'t Arc<str>, &'t str)> {
+    let (id, rel) = relationships.get(owner)?.get_key_value(requester)?;
+    Some((id, rel))
 }
 
 /// Ensures the first step carries `[@id='owner']`.

@@ -217,13 +217,15 @@ pub struct ShardRequest {
 /// neither reads it: it only stamps the token and the provenance record.
 type RequestKey<'a> = (&'a str, &'a str, &'a Path, Purpose, WeekTime);
 
-/// What the first request under a key came to.
+/// What the first request under a key came to. The larger parts live
+/// out of line, in the window's lists, so the table — sized to the
+/// whole bucket — stays small per entry.
 #[derive(Debug)]
 enum Earlier {
-    /// Its answer, and its provenance record.
-    Answer(SharedAnswer, RecordRef),
-    /// The pipeline's refusal.
-    Refused(GupsterError),
+    /// Its answer, and its provenance record's place in `records`.
+    Answer(SharedAnswer, usize),
+    /// The pipeline's refusal's place in `refusals`.
+    Refused(usize),
 }
 
 /// One shard's singleflight table for one `answer_batch` window: a
@@ -236,13 +238,36 @@ enum Earlier {
 #[derive(Debug)]
 struct Singleflight<'a> {
     table: HashMap<RequestKey<'a>, Earlier>,
+    /// The provenance records of the window's answers, in answer order.
+    records: Vec<RecordRef>,
+    /// The window's refusals, in refusal order.
+    refusals: Vec<GupsterError>,
 }
 
 impl<'a> Singleflight<'a> {
     /// A table for a bucket of `requests`: sized once, since it never
-    /// holds more keys than that.
+    /// holds more keys than that. The lists grow as outcomes arrive.
     fn new(requests: usize) -> Self {
-        Singleflight { table: HashMap::with_capacity(requests) }
+        Singleflight {
+            table: HashMap::with_capacity(requests),
+            records: Vec::new(),
+            refusals: Vec::new(),
+        }
+    }
+
+    /// Keeps `r`'s answer and its provenance record for the rest of the
+    /// window.
+    fn answered(&mut self, r: &'a ShardRequest, answer: &SharedAnswer, record: RecordRef) {
+        let at = self.records.len();
+        self.records.push(record);
+        self.table.insert(Self::key(r), Earlier::Answer(Arc::clone(answer), at));
+    }
+
+    /// Keeps `r`'s refusal for the rest of the window.
+    fn refused(&mut self, r: &'a ShardRequest, refused: &GupsterError) {
+        let at = self.refusals.len();
+        self.refusals.push(refused.clone());
+        self.table.insert(Self::key(r), Earlier::Refused(at));
     }
 
     fn key(r: &'a ShardRequest) -> RequestKey<'a> {
@@ -256,11 +281,13 @@ impl<'a> Singleflight<'a> {
         g: &mut Gupster,
         r: &'a ShardRequest,
     ) -> Option<Result<SharedAnswer, GupsterError>> {
-        match self.table.get(&Self::key(r))? {
-            Earlier::Answer(answer, record) => {
-                g.repeat_lookup(Ok(*record), r.now).then(|| Ok(Arc::clone(answer)))
+        match *self.table.get(&Self::key(r))? {
+            Earlier::Answer(ref answer, at) => {
+                let record = self.records[at];
+                g.repeat_lookup(Ok(record), r.now).then(|| Ok(Arc::clone(answer)))
             }
-            Earlier::Refused(refused) => {
+            Earlier::Refused(at) => {
+                let refused = &self.refusals[at];
                 g.repeat_lookup(Err(refused), r.now);
                 Some(Err(refused.clone()))
             }
@@ -745,7 +772,7 @@ impl ShardedRegistry {
             ) {
                 Ok(out) => out,
                 Err(refused) => {
-                    flight.table.insert(Singleflight::key(r), Earlier::Refused(refused.clone()));
+                    flight.refused(r, &refused);
                     return Err(refused);
                 }
             };
@@ -753,8 +780,7 @@ impl ShardedRegistry {
                 fetch_merge_inner(pool, &out.referral, &g.signer(), r.now, keys, Some(tracer))?;
             // A fetch error is never kept: the next duplicate retries.
             if let Some(record) = g.provenance.newest() {
-                let earlier = Earlier::Answer(Arc::clone(&answer), record);
-                flight.table.insert(Singleflight::key(r), earlier);
+                flight.answered(r, &answer, record);
             }
             Ok(answer)
         })
@@ -1201,6 +1227,16 @@ mod tests {
         let keys = MergeKeys::new();
         let alone = crate::client::fetch_merge(&pool, &out.referral, &g.signer(), *now, &keys);
         assert_eq!(**first, *alone.unwrap());
+    }
+
+    /// The window table is sized to the whole bucket, so what it holds
+    /// per request stays small: a shared answer and an index, or an
+    /// index, never an error inline.
+    #[test]
+    fn a_window_table_entry_keeps_its_outcome_out_of_line() {
+        let size = std::mem::size_of::<Earlier>();
+        assert!(size <= 24, "{size} bytes per entry");
+        assert!(std::mem::size_of::<GupsterError>() > 24, "the bound shows something");
     }
 
     #[test]

@@ -48,8 +48,9 @@
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-use gupster_policy::pep::{Enforcement, Pep};
+use gupster_policy::pep::Pep;
 use gupster_policy::{Purpose, WeekTime};
 use gupster_store::ChangeEvent;
 use gupster_telemetry::TelemetryHub;
@@ -270,11 +271,14 @@ impl FanoutShard {
         hub: &TelemetryHub,
     ) -> bool {
         let ctx = gupster.context(&n.owner, &n.subscriber, Purpose::Query, time);
-        let enforced = self.pep.enforce(&gupster.pap.repository, &n.owner, &n.path, &ctx);
+        // The memo key shares the registry's copy of the owner id.
+        let owner =
+            gupster.owner_id(&n.owner).cloned().unwrap_or_else(|| Arc::from(n.owner.as_str()));
+        let enforced = self.pep.enforce(&gupster.pap.repository, &owner, &n.path, &ctx);
         if enforced.memo_hit {
             hub.counters().memo_hits.fetch_add(1, Ordering::Relaxed);
         }
-        !matches!(enforced.enforcement, Enforcement::Refused)
+        enforced.decision.allows_anything()
     }
 }
 

@@ -9,6 +9,9 @@
 //! store will only accept queries which have been signed by GUPster."
 
 use std::fmt;
+use std::sync::Arc;
+
+use gupster_xpath::Path;
 
 use crate::sha256::HmacKey;
 
@@ -39,15 +42,70 @@ impl fmt::Display for TokenError {
 
 impl std::error::Error for TokenError {}
 
+/// A token's rewritten path set, written once as its part of the
+/// canonical payload: each path's display form followed by a NUL, back
+/// to back in one buffer. It hashes as it lies; nothing is rebuilt to
+/// sign or verify it.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+pub struct TokenPaths {
+    payload: String,
+    count: usize,
+}
+
+impl TokenPaths {
+    /// Renders `paths` into one buffer, sized once.
+    pub(crate) fn render<'a>(paths: impl Iterator<Item = &'a Path> + Clone) -> TokenPaths {
+        use std::fmt::Write;
+        let size = paths.clone().map(|p| p.display_len() + 1).sum();
+        let mut set = TokenPaths { payload: String::with_capacity(size), count: 0 };
+        for p in paths {
+            // Writing to a `String` never fails.
+            let _ = write!(set.payload, "{p}\0");
+            set.count += 1;
+        }
+        set
+    }
+
+    /// The paths, in order (a path holding a NUL reads as two).
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        self.payload.split_terminator('\0')
+    }
+
+    /// The paths' bytes, NULs left out.
+    fn text_len(&self) -> usize {
+        self.payload.len() - self.count
+    }
+}
+
+impl From<Vec<String>> for TokenPaths {
+    fn from(paths: Vec<String>) -> Self {
+        let mut set = TokenPaths::default();
+        for p in &paths {
+            set.payload.push_str(p);
+            set.payload.push('\0');
+        }
+        set.count = paths.len();
+        set
+    }
+}
+
+/// Shown as the list of paths it holds.
+impl fmt::Debug for TokenPaths {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A rewritten query, signed by GUPster, presentable to data stores.
+/// The ids are shared with the registry's tables, not copied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedQuery {
     /// The profile owner the query concerns.
-    pub user: String,
+    pub user: Arc<str>,
     /// The requester identity (so stores can log provenance).
-    pub requester: String,
+    pub requester: Arc<str>,
     /// The (rewritten) query paths, serialized.
-    pub paths: Vec<String>,
+    pub paths: TokenPaths,
     /// Issue timestamp (seconds, simulated wall clock).
     pub issued_at: u64,
     /// HMAC-SHA256 over the canonical payload.
@@ -57,11 +115,7 @@ pub struct SignedQuery {
 impl SignedQuery {
     /// Serialized size (for network charging).
     pub fn byte_size(&self) -> usize {
-        self.user.len()
-            + self.requester.len()
-            + self.paths.iter().map(String::len).sum::<usize>()
-            + 8
-            + 32
+        self.user.len() + self.requester.len() + self.paths.text_len() + 8 + 32
     }
 }
 
@@ -92,13 +146,15 @@ impl Signer {
 
     /// The MAC of the canonical payload — user, requester and each path,
     /// each followed by a NUL, then the big-endian issue time — streamed
-    /// into the hasher field by field.
-    fn mac(&self, user: &str, requester: &str, paths: &[String], issued_at: u64) -> [u8; 32] {
+    /// into the hasher field by field (the path set is already laid out
+    /// that way).
+    fn mac(&self, user: &str, requester: &str, paths: &TokenPaths, issued_at: u64) -> [u8; 32] {
         self.key.mac(|h| {
-            for field in [user, requester].into_iter().chain(paths.iter().map(String::as_str)) {
+            for field in [user, requester] {
                 h.update(field.as_bytes());
                 h.update(&[0]);
             }
+            h.update(paths.payload.as_bytes());
             h.update(&issued_at.to_be_bytes());
         })
     }
@@ -108,11 +164,23 @@ impl Signer {
         &self,
         user: &str,
         requester: &str,
-        paths: Vec<String>,
+        paths: impl Into<TokenPaths>,
         now: u64,
     ) -> SignedQuery {
-        let signature = self.mac(user, requester, &paths, now);
-        SignedQuery { user: user.to_string(), requester: requester.to_string(), paths, issued_at: now, signature }
+        self.sign_shared(Arc::from(user), Arc::from(requester), paths.into(), now)
+    }
+
+    /// [`Signer::sign`] over ids the caller already shares: the token
+    /// holds them as given.
+    pub(crate) fn sign_shared(
+        &self,
+        user: Arc<str>,
+        requester: Arc<str>,
+        paths: TokenPaths,
+        now: u64,
+    ) -> SignedQuery {
+        let signature = self.mac(&user, &requester, &paths, now);
+        SignedQuery { user, requester, paths, issued_at: now, signature }
     }
 
     /// Store-side verification: signature plus freshness. A token from
@@ -165,7 +233,7 @@ mod tests {
     fn tamper_detected() {
         let s = signer();
         let mut q = s.sign("alice", "rick", vec!["/user/presence".into()], 1000);
-        q.paths = vec!["/user/wallet".into()]; // privilege escalation attempt
+        q.paths = vec!["/user/wallet".to_string()].into(); // privilege escalation attempt
         assert_eq!(s.verify(&q, 1000), Err(TokenError::BadSignature));
 
         let mut q2 = s.sign("alice", "rick", vec!["/user/presence".into()], 1000);
@@ -242,6 +310,55 @@ mod tests {
             let q = Signer::new(key.as_bytes(), 30).sign(&user, &requester, paths, now);
             assert_eq!(q.signature, oracle_hmac(key.as_bytes(), &payload), "{target}-byte payload");
         });
+    }
+
+    /// A token signed from shared ids over a rendered path set is the
+    /// token `sign` makes from borrowed ids and a list of path strings:
+    /// every field and the signature agree, the signature is the
+    /// one-shot HMAC over the NUL-separated payload, and the buffer
+    /// round-trips — it lists the paths it was rendered from, verifies,
+    /// and signs the same token again.
+    #[test]
+    fn shared_ids_and_a_rendered_path_set_sign_the_same_token() {
+        use crate::sha256::tests::oracle_hmac;
+        use gupster_rng::check::{alnum, cases, lowercase};
+        use gupster_rng::Rng;
+        cases(300, 0x70_4f, |rng| {
+            let key = alnum(rng, 1, 40);
+            let (user, requester) = (alnum(rng, 0, 12), alnum(rng, 0, 12));
+            let paths: Vec<Path> = (0..rng.gen_range(0..5usize))
+                .map(|_| {
+                    let below = lowercase(rng, 1, 12);
+                    Path::parse(&format!("/user[@id='{user}']/{below}")).unwrap()
+                })
+                .collect();
+            let strings: Vec<String> = paths.iter().map(Path::to_string).collect();
+            let now = rng.gen_range(0..u64::MAX / 2);
+            let signer = Signer::new(key.as_bytes(), 30);
+
+            let shared = signer.sign_shared(
+                Arc::from(user.as_str()),
+                Arc::from(requester.as_str()),
+                TokenPaths::render(paths.iter()),
+                now,
+            );
+            let plain = signer.sign(&user, &requester, strings.clone(), now);
+            assert_eq!(shared, plain);
+            let payload = oracle_payload(&user, &requester, &strings, now);
+            assert_eq!(shared.signature, oracle_hmac(key.as_bytes(), &payload));
+            assert_eq!(shared.paths.iter().collect::<Vec<_>>(), strings);
+            let text: usize = strings.iter().map(String::len).sum();
+            assert_eq!(shared.byte_size(), user.len() + requester.len() + text + 40);
+            assert_eq!(signer.verify(&shared, now), Ok(()));
+            let again = signer.sign(&shared.user, &shared.requester, shared.paths.clone(), now);
+            assert_eq!(again, shared);
+        });
+    }
+
+    #[test]
+    fn debug_lists_the_paths() {
+        let q = signer().sign("alice", "rick", vec!["/a".to_string(), "/b".to_string()], 1);
+        assert!(format!("{q:?}").contains(r#"paths: ["/a", "/b"]"#), "{q:?}");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! - A distinct presence read costs a pinned number of allocations:
 //!   its referral and token, the lent fragment and the answer, and no
 //!   per-request scratch (selection buffers, tracer buffers, merge
-//!   scaffolding around a lone fragment).
+//!   scaffolding around a lone fragment) or copy of the ids it was
+//!   handed. A friend's read, whose decision runs the PDP, costs the
+//!   same.
 //! - Within one window, identical requests share the first request's
 //!   outcome: a duplicate runs no lookup and no fetch, and costs a
 //!   reference count, never a copy of the answer. So what k duplicates
@@ -200,23 +202,37 @@ fn presence_world(owners: usize) -> (ShardedRegistry, StorePool) {
 }
 
 /// Allocations of a warm window of 64 distinct presence reads, each
-/// owner reading their own presence: 38.3 a request. Before selection
+/// owner reading their own presence: 31.3 a request. Before selection
 /// kept to two id buffers, shard workers restarted one tracer and a
 /// lone fragment skipped the fold's index, the same window made 3 346
 /// (52.3 a request); before the window table was keyed on the request
-/// instead of a string rendered from each referral, 2 517.
-const PRESENCE_WINDOW_ALLOCS: usize = 2448;
+/// instead of a string rendered from each referral, 2 517; before the
+/// lookup shared the registry's ids and decided on the request as
+/// given, 2 448.
+const PRESENCE_WINDOW_ALLOCS: usize = 2005;
 
-#[test]
-fn a_distinct_presence_read_allocates_only_what_it_returns() {
+/// 64 distinct presence reads `requester_of(u)` makes of user `u`'s
+/// presence, in a one-shard registry whose every owner lets friends see
+/// it: their results and the allocations of the last of four windows,
+/// each run after `before_window`.
+fn presence_window(
+    requester_of: impl Fn(usize) -> String,
+    mut before_window: impl FnMut(&mut ShardedRegistry),
+) -> (Vec<Result<SharedAnswer, GupsterError>>, usize, ShardedRegistry) {
     const OWNERS: usize = 64;
     let (mut reg, pool) = presence_world(OWNERS);
+    for u in 0..OWNERS {
+        let (owner, friend) = (format!("u{u}"), format!("f{u}"));
+        let g = reg.shard_mut(&owner);
+        g.set_relationship(&owner, &friend, "friend");
+        g.pap.provision(&owner, "friends", Effect::Permit, "/user/presence", "relationship='friend'", 0).unwrap();
+    }
     let keys = MergeKeys::new();
     let reads: Vec<ShardRequest> = (0..OWNERS)
         .map(|u| ShardRequest {
             owner: format!("u{u}"),
             path: Path::parse(&format!("/user[@id='u{u}']/presence")).unwrap(),
-            requester: format!("u{u}"),
+            requester: requester_of(u),
             purpose: Purpose::Query,
             time: WeekTime::at(0, 12, 0),
             now: 100,
@@ -225,15 +241,52 @@ fn a_distinct_presence_read_allocates_only_what_it_returns() {
     // Warm the decision memo, the hot-key views and the telemetry
     // buffers, so the measured window pays no first-time cost.
     for _ in 0..3 {
+        before_window(&mut reg);
         reg.answer_batch(&pool, &reads, &keys, true);
     }
+    before_window(&mut reg);
     let ((results, _), n) = counted(|| reg.answer_batch(&pool, &reads, &keys, true));
     for r in &results {
         assert_eq!(r.as_ref().unwrap()[0].text(), "online");
     }
+    (results, n, reg)
+}
+
+#[test]
+fn a_distinct_presence_read_allocates_only_what_it_returns() {
+    let (results, n, _) = presence_window(|u| format!("u{u}"), |_| {});
     assert!(
         n <= PRESENCE_WINDOW_ALLOCS,
-        "{OWNERS} presence reads: {n} allocations, {:.1} each (pin {PRESENCE_WINDOW_ALLOCS})",
-        n as f64 / OWNERS as f64
+        "{} presence reads: {n} allocations, {:.1} each (pin {PRESENCE_WINDOW_ALLOCS})",
+        results.len(),
+        n as f64 / results.len() as f64
+    );
+}
+
+/// Allocations of a window of 64 distinct presence reads by a friend of
+/// each owner, with every memoized decision stale: 31.3 a request, the
+/// same as an owner's own read, since a decision the PDP makes on a
+/// permit allocates nothing. Before the PDP decided on the request as
+/// given, without copying it or listing its rules, and the lookup
+/// shared the registry's ids, the same window made 3 024 (47.3 a
+/// request).
+const FRIEND_WINDOW_ALLOCS: usize = 2005;
+
+#[test]
+fn a_friend_read_that_runs_the_pdp_allocates_only_what_it_returns() {
+    // A policy write before each window leaves every memoized decision
+    // stale, so all 64 decisions run the PDP.
+    let bump = |reg: &mut ShardedRegistry| {
+        let g = reg.shard_mut("u0");
+        g.pap.provision("u0", "bump", Effect::Deny, "/user/calendar", "relationship='boss'", 0).unwrap();
+    };
+    let (results, n, reg) = presence_window(|u| format!("f{u}"), bump);
+    let (_, hits, misses) = reg.shard("u0").memo_stats();
+    assert_eq!((hits, misses), (0, 4 * results.len() as u64), "every decision ran the PDP");
+    assert!(
+        n <= FRIEND_WINDOW_ALLOCS,
+        "{} friend presence reads: {n} allocations, {:.1} each (pin {FRIEND_WINDOW_ALLOCS})",
+        results.len(),
+        n as f64 / results.len() as f64
     );
 }

@@ -387,7 +387,7 @@ mod tests {
     use super::*;
     use crate::context::{Purpose, RequestContext};
 
-    fn ctx(rel: &str, day: u32, hour: u32) -> RequestContext {
+    fn ctx(rel: &str, day: u32, hour: u32) -> RequestContext<'_> {
         RequestContext::query("rick", rel, WeekTime::at(day, hour, 0))
     }
 

@@ -84,16 +84,17 @@ impl WeekTime {
 /// The full context of a profile request (§4.6: "the context provides
 /// some information about … identity of the requester, purpose of the
 /// request, etc."). `Hash` covers every facet, so the decision memo can
-/// key on a context digest.
+/// key on a context digest. The identity facets are borrowed: a lookup
+/// reads them where the request and the registry's tables hold them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RequestContext {
+pub struct RequestContext<'a> {
     /// Who asks (a user id or an application id).
-    pub requester: String,
+    pub requester: &'a str,
     /// The requester's relationship to the profile owner: `self`,
     /// `family`, `co-worker`, `boss`, `third-party`, … Relationships are
     /// provisioned by the owner (the paper's boss/family/co-worker
     /// policies) and resolved by the registry before deciding.
-    pub relationship: String,
+    pub relationship: &'a str,
     /// Why.
     pub purpose: Purpose,
     /// When (simulated week time).
@@ -102,12 +103,12 @@ pub struct RequestContext {
     pub attrs: BTreeMap<String, String>,
 }
 
-impl RequestContext {
+impl<'a> RequestContext<'a> {
     /// A plain query context.
-    pub fn query(requester: &str, relationship: &str, time: WeekTime) -> Self {
+    pub fn query(requester: &'a str, relationship: &'a str, time: WeekTime) -> Self {
         RequestContext {
-            requester: requester.to_string(),
-            relationship: relationship.to_string(),
+            requester,
+            relationship,
             purpose: Purpose::Query,
             time,
             attrs: BTreeMap::new(),
@@ -121,7 +122,7 @@ impl RequestContext {
     }
 
     /// The owner's own context (always `self` relationship).
-    pub fn owner(user: &str, time: WeekTime) -> Self {
+    pub fn owner(user: &'a str, time: WeekTime) -> Self {
         Self::query(user, "self", time)
     }
 }

@@ -14,6 +14,8 @@
 //! so no stale decision can ever be served — without the memo having to
 //! know *which* rules changed.
 
+use std::sync::Arc;
+
 use gupster_xpath::{KeyDigest, OwnedKey, OwnerLru, Path};
 
 use crate::context::RequestContext;
@@ -21,10 +23,11 @@ use crate::pdp::Decision;
 
 /// The memo key: the profile owner plus two digests — of the owner
 /// alone (the route to the owner's entry list) and of the whole
-/// `(owner, request context, request path)` triple.
+/// `(owner, request context, request path)` triple. The owner id is
+/// shared, not copied: a key costs a reference count.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MemoKey {
-    owner: String,
+    owner: Arc<str>,
     owner_digest: u64,
     digest: u64,
 }
@@ -37,8 +40,13 @@ impl MemoKey {
     /// collision between *simultaneously live* keys of one owner.
     /// Nothing is interned: a dropped key leaves no trace.
     pub fn new(owner: &str, ctx: &RequestContext, request: &Path) -> MemoKey {
+        MemoKey::shared(&Arc::from(owner), ctx, request)
+    }
+
+    /// [`MemoKey::new`] over an owner id the caller already shares.
+    pub fn shared(owner: &Arc<str>, ctx: &RequestContext, request: &Path) -> MemoKey {
         let d = KeyDigest::new(owner, &(ctx, request));
-        MemoKey { owner: owner.to_string(), owner_digest: d.owner, digest: d.key }
+        MemoKey { owner: Arc::clone(owner), owner_digest: d.owner, digest: d.key }
     }
 }
 

@@ -2,7 +2,7 @@
 //! rule set and a context; the decision point only returns a decision
 //! and has absolutely no side-effect on the environment").
 
-use gupster_xpath::{covers, may_overlap, Path};
+use gupster_xpath::{covers_view, may_overlap, may_overlap_view, Path, PathView};
 
 use crate::context::RequestContext;
 use crate::repository::PolicyRepository;
@@ -65,6 +65,12 @@ impl Pdp {
     /// cover. The result is `Permit` when a permit covers the whole
     /// request and no deny intersects it; `PermitNarrowed` when permits
     /// cover only parts (minus denied parts); `Deny` otherwise.
+    ///
+    /// Normalisation: rules are stored per owner, so the `[@id]` /
+    /// `[@id='…']` predicates on the request's first step are ignored —
+    /// `/user[@id='alice']/presence` is decided as `/user/presence`. The
+    /// request is read as given, never copied; only a narrowing that is
+    /// the request itself is built, without those predicates.
     pub fn decide(
         &self,
         repo: &PolicyRepository,
@@ -89,38 +95,21 @@ impl Pdp {
         request: &Path,
         ctx: &RequestContext,
     ) -> (Decision, DecisionCost) {
-        let mut cost = DecisionCost::default();
         if ctx.relationship == "self" {
             // The owner always reaches their own data; deny rules do not
             // apply to self (the owner edits the shield through the PAP).
-            return (Decision::Permit, cost);
+            return (Decision::Permit, DecisionCost::default());
         }
-        // Rules are stored per owner, so their scopes omit the
-        // `[@id='…']` predicate requests carry on the first step;
-        // normalize the request the same way before matching.
-        let request = &strip_user_id(request);
         let rules = repo.rules_for(owner);
-        let applicable: Vec<&Rule> = match repo.candidate_indices(owner, request) {
+        match repo.candidate_indices(owner, request) {
             Some(candidates) => {
-                cost.rules_considered = candidates.len() as u64;
-                candidates
-                    .iter()
-                    .map(|&i| &rules[i])
-                    .filter(|r| r.condition.eval(ctx) && may_overlap(&r.scope, request))
-                    .collect()
+                let considered = candidates.len() as u64;
+                self.weigh(candidates.map(|i| &rules[i]), considered, request, ctx)
             }
-            None => {
-                // Unbucketable request (wildcards, bare `/user`): every
-                // rule is a candidate.
-                cost.rules_considered = rules.len() as u64;
-                rules
-                    .iter()
-                    .filter(|r| r.condition.eval(ctx) && may_overlap(&r.scope, request))
-                    .collect()
-            }
-        };
-        cost.rules_applicable = applicable.len() as u64;
-        (self.weigh(applicable, request), cost)
+            // Unbucketable request (wildcards, bare `/user`): every rule
+            // is a candidate.
+            None => self.weigh(rules.iter(), rules.len() as u64, request, ctx),
+        }
     }
 
     /// The retained naive decision: scans every rule of the owner. The
@@ -134,104 +123,119 @@ impl Pdp {
         request: &Path,
         ctx: &RequestContext,
     ) -> (Decision, DecisionCost) {
-        let mut cost = DecisionCost::default();
         if ctx.relationship == "self" {
-            return (Decision::Permit, cost);
+            return (Decision::Permit, DecisionCost::default());
         }
-        let request = &strip_user_id(request);
         let rules = repo.rules_for(owner);
-        cost.rules_considered = rules.len() as u64;
-        let applicable: Vec<&Rule> = rules
-            .iter()
-            .filter(|r| r.condition.eval(ctx) && may_overlap(&r.scope, request))
-            .collect();
-        cost.rules_applicable = applicable.len() as u64;
-        (self.weigh(applicable, request), cost)
+        self.weigh(rules.iter(), rules.len() as u64, request, ctx)
     }
 
-    /// Weighs the applicable rules against the (normalized) request.
-    fn weigh(&self, applicable: Vec<&Rule>, request: &Path) -> Decision {
+    /// Weighs the `considered` candidate `rules`, in rule order, against
+    /// the request as given: every containment test reads it through
+    /// [`PathView::owner_free`] (see [`Pdp::decide`]'s normalisation).
+    ///
+    /// Rules whose condition holds and whose scope may overlap the
+    /// request are *applicable*. The permit and deny verdicts come from
+    /// one pass over them that keeps three priorities; only a narrowing
+    /// walks them again, pairwise, and builds its parts.
+    fn weigh<'r>(
+        &self,
+        rules: impl Iterator<Item = &'r Rule> + Clone,
+        considered: u64,
+        request: &Path,
+        ctx: &RequestContext,
+    ) -> (Decision, DecisionCost) {
+        let req = PathView::owner_free(request);
+        let applicable = rules.filter(|r| {
+            r.condition.eval(ctx) && may_overlap_view(PathView::of(&r.scope), req)
+        });
+        let mut cost = DecisionCost { rules_considered: considered, rules_applicable: 0 };
+        // The highest priority of any deny, of a deny covering the whole
+        // request, and of a permit covering it.
+        let (mut deny, mut covering_deny, mut covering_permit) = (None, None, None);
+        let mut permits = false;
+        for r in applicable.clone() {
+            cost.rules_applicable += 1;
+            let covering = covers_view(PathView::of(&r.scope), req);
+            match r.effect {
+                Effect::Deny => {
+                    deny = deny.max(Some(r.priority));
+                    if covering {
+                        covering_deny = covering_deny.max(Some(r.priority));
+                    }
+                }
+                Effect::Permit => {
+                    permits = true;
+                    if covering {
+                        covering_permit = covering_permit.max(Some(r.priority));
+                    }
+                }
+            }
+        }
 
         // Deny wins at equal or higher priority than the permits that
         // would admit the same region; we implement the paper's simple
         // posture: any applicable deny covering the whole request denies
-        // it outright, and denies always knock out overlapping permits
-        // unless a strictly higher-priority permit exists.
-        let denies: Vec<&&Rule> =
-            applicable.iter().filter(|r| r.effect == Effect::Deny).collect();
-        let permits: Vec<&&Rule> =
-            applicable.iter().filter(|r| r.effect == Effect::Permit).collect();
-
-        let deny_whole = denies.iter().any(|d| {
-            covers(&d.scope, request)
-                && !permits.iter().any(|p| p.priority > d.priority && covers(&p.scope, request))
-        });
-        if deny_whole {
-            return Decision::Deny;
+        // it outright unless a strictly higher-priority permit covers it
+        // too, and denies always knock out overlapping permits unless a
+        // strictly higher-priority permit exists.
+        if let Some(d) = covering_deny {
+            if covering_permit.is_none_or(|p| p <= d) {
+                return (Decision::Deny, cost);
+            }
         }
 
-        // Full-cover permits not shadowed by a covering deny of ≥ priority.
-        let full = permits.iter().find(|p| {
-            covers(&p.scope, request)
-                && !denies
-                    .iter()
-                    .any(|d| d.priority >= p.priority && may_overlap(&d.scope, request))
-        });
-        if full.is_some() {
-            return Decision::Permit;
+        // A full-cover permit not shadowed by a deny of ≥ priority (every
+        // applicable deny overlaps the request).
+        if let Some(p) = covering_permit {
+            if deny.is_none_or(|d| d < p) {
+                return (Decision::Permit, cost);
+            }
         }
 
         // Partial permits: permit scopes *inside* the request that are
         // not knocked out by an overlapping deny of ≥ priority.
         let mut parts: Vec<Path> = Vec::new();
-        for p in &permits {
-            let knocked = denies
-                .iter()
-                .any(|d| d.priority >= p.priority && may_overlap(&d.scope, &p.scope));
-            if knocked {
-                continue;
-            }
-            let narrowed = if covers(request, &p.scope) {
-                p.scope.clone()
-            } else if covers(&p.scope, request) {
-                request.clone()
-            } else {
-                continue;
-            };
-            if !parts.contains(&narrowed) {
-                parts.push(narrowed);
+        if permits {
+            for p in applicable.clone().filter(|r| r.effect == Effect::Permit) {
+                let knocked = applicable.clone().any(|d| {
+                    d.effect == Effect::Deny
+                        && d.priority >= p.priority
+                        && may_overlap(&d.scope, &p.scope)
+                });
+                if knocked {
+                    continue;
+                }
+                let scope = PathView::of(&p.scope);
+                let narrowed = if covers_view(req, scope) {
+                    p.scope.clone()
+                } else if covers_view(scope, req) {
+                    req.to_path()
+                } else {
+                    continue;
+                };
+                if !parts.contains(&narrowed) {
+                    parts.push(narrowed);
+                }
             }
         }
-        if !parts.is_empty() {
+        let decision = if !parts.is_empty() {
             // A permit covering the whole request would have returned
             // above; these are genuine narrowings (or the request
             // itself, if a permit scope equals it but was shadowed for
             // other parts — still correct to disclose).
-            if parts.iter().any(|p| covers(p, request)) {
-                return Decision::Permit;
+            if parts.iter().any(|p| covers_view(PathView::of(p), req)) {
+                Decision::Permit
+            } else {
+                Decision::PermitNarrowed(parts)
             }
-            return Decision::PermitNarrowed(parts);
-        }
-
-        if self.default_closed || !denies.is_empty() {
+        } else if self.default_closed || deny.is_some() {
             Decision::Deny
         } else {
             Decision::Permit
-        }
+        };
+        (decision, cost)
     }
-}
-
-/// Removes `[@id='…']` predicates from the first step (the user
-/// identity is implicit in per-owner rule sets).
-fn strip_user_id(p: &Path) -> Path {
-    use gupster_xpath::Predicate;
-    let mut p = p.clone();
-    if let Some(first) = p.steps.first_mut() {
-        first
-            .predicates
-            .retain(|pr| !matches!(pr, Predicate::AttrEq(a, _) | Predicate::AttrExists(a) if a == "id"));
-    }
-    p
 }
 
 #[cfg(test)]
@@ -283,7 +287,7 @@ mod tests {
         repo
     }
 
-    fn ctx(rel: &str, day: u32, hour: u32) -> RequestContext {
+    fn ctx(rel: &str, day: u32, hour: u32) -> RequestContext<'_> {
         RequestContext::query("rick", rel, WeekTime::at(day, hour, 0))
     }
 

@@ -8,6 +8,8 @@
 //! can be returned)" (§5.3). Every access GUPster mediates — a direct
 //! lookup or a pushed notification — is enforced by a [`Pep`].
 
+use std::sync::Arc;
+
 use gupster_xpath::Path;
 
 use crate::context::RequestContext;
@@ -15,22 +17,14 @@ use crate::memo::{DecisionMemo, MemoKey};
 use crate::pdp::{Decision, Pdp};
 use crate::repository::PolicyRepository;
 
-/// The result of enforcing a decision on a request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Enforcement {
-    /// Proceed with the request paths listed (the original request, or
-    /// its permitted narrowings).
-    Proceed(Vec<Path>),
-    /// Refuse the request.
-    Refused,
-}
-
 /// One [`Pep::enforce`] call: the verdict and the work behind it, so
 /// callers can count memo hits and charge rule-proportional costs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Enforced {
-    /// What the request may do.
-    pub enforcement: Enforcement,
+    /// What the request may do: [`Decision::Permit`] proceeds with the
+    /// request as given, [`Decision::PermitNarrowed`] with its permitted
+    /// narrowings only, and [`Decision::Deny`] refuses it.
+    pub decision: Decision,
     /// True when the decision memo answered (the PDP was not asked).
     pub memo_hit: bool,
     /// Rules the PDP examined; 0 on a memo hit.
@@ -39,7 +33,7 @@ pub struct Enforced {
 
 /// The enforcement point: a default-closed [`Pdp`] behind a
 /// [`DecisionMemo`]. It turns (repository, owner, request, context)
-/// into an [`Enforcement`], asking the PDP only when the memo holds no
+/// into a [`Decision`], asking the PDP only when the memo holds no
 /// decision stamped with the repository's current generation — so a
 /// PAP write is enforced on the very next request.
 #[derive(Debug, Clone)]
@@ -54,32 +48,27 @@ impl Pep {
         Pep { pdp: Pdp::new(), memo: DecisionMemo::new(memo_capacity) }
     }
 
-    /// Decides `request` on `owner`'s profile under `ctx` and returns
-    /// the (possibly narrowed) set of request paths that may continue,
-    /// or a refusal.
+    /// Decides `request` on `owner`'s profile under `ctx`: the whole
+    /// request may continue, only its narrowings, or nothing. The memo
+    /// key shares the caller's owner id; a permit or a refusal
+    /// allocates nothing.
     pub fn enforce(
         &mut self,
         repo: &PolicyRepository,
-        owner: &str,
+        owner: &Arc<str>,
         request: &Path,
         ctx: &RequestContext,
     ) -> Enforced {
         let generation = repo.generation();
-        let key = MemoKey::new(owner, ctx, request);
-        let (decision, memo_hit, rules_considered) = match self.memo.get(&key, generation) {
-            Some(decision) => (decision, true, 0),
+        let key = MemoKey::shared(owner, ctx, request);
+        match self.memo.get(&key, generation) {
+            Some(decision) => Enforced { decision, memo_hit: true, rules_considered: 0 },
             None => {
                 let (decision, cost) = self.pdp.decide_with_cost(repo, owner, request, ctx);
                 self.memo.put(key, generation, decision.clone());
-                (decision, false, cost.rules_considered)
+                Enforced { decision, memo_hit: false, rules_considered: cost.rules_considered }
             }
-        };
-        let enforcement = match decision {
-            Decision::Permit => Enforcement::Proceed(vec![request.clone()]),
-            Decision::Deny => Enforcement::Refused,
-            Decision::PermitNarrowed(parts) => Enforcement::Proceed(parts),
-        };
-        Enforced { enforcement, memo_hit, rules_considered }
+        }
     }
 
     /// The decision memo, for occupancy and hit/miss counts.
@@ -104,6 +93,7 @@ mod tests {
     #[test]
     fn enforcement_mirrors_decisions() {
         let mut pep = Pep::new(8);
+        let alice: Arc<str> = Arc::from("alice");
         let mut repo = PolicyRepository::new();
         repo.put(
             "alice",
@@ -116,27 +106,25 @@ mod tests {
         let request = Path::parse("/user[@id='alice']/address-book").unwrap();
 
         let family = RequestContext::query("mom", "family", WeekTime::at(0, 10, 0));
-        match pep.enforce(&repo, "alice", &request, &family).enforcement {
-            Enforcement::Proceed(paths) => {
+        match pep.enforce(&repo, &alice, &request, &family).decision {
+            Decision::PermitNarrowed(paths) => {
                 assert_eq!(paths.len(), 1);
                 assert!(paths[0].to_string().contains("personal"));
             }
-            Enforcement::Refused => panic!("family should get the personal split"),
+            other => panic!("family should get the personal split, got {other:?}"),
         }
 
         let stranger = RequestContext::query("spy", "third-party", WeekTime::at(0, 10, 0));
-        assert_eq!(pep.enforce(&repo, "alice", &request, &stranger).enforcement, Enforcement::Refused);
+        assert_eq!(pep.enforce(&repo, &alice, &request, &stranger).decision, Decision::Deny);
 
         let owner = RequestContext::owner("alice", WeekTime::at(0, 10, 0));
-        assert_eq!(
-            pep.enforce(&repo, "alice", &request, &owner).enforcement,
-            Enforcement::Proceed(vec![request.clone()])
-        );
+        assert_eq!(pep.enforce(&repo, &alice, &request, &owner).decision, Decision::Permit);
     }
 
     #[test]
     fn the_memo_answers_until_the_repository_moves() {
         let mut pep = Pep::new(8);
+        let alice: Arc<str> = Arc::from("alice");
         let mut repo = PolicyRepository::new();
         let presence = Rule::permit(
             "p",
@@ -147,18 +135,18 @@ mod tests {
         let request = Path::parse("/user[@id='alice']/presence").unwrap();
         let rick = RequestContext::query("rick", "co-worker", WeekTime::at(1, 10, 0));
 
-        let first = pep.enforce(&repo, "alice", &request, &rick);
+        let first = pep.enforce(&repo, &alice, &request, &rick);
         assert!(!first.memo_hit);
         assert_eq!(first.rules_considered, 1);
-        let again = pep.enforce(&repo, "alice", &request, &rick);
+        let again = pep.enforce(&repo, &alice, &request, &rick);
         assert_eq!((again.memo_hit, again.rules_considered), (true, 0));
-        assert_eq!(again.enforcement, first.enforcement);
+        assert_eq!(again.decision, first.decision);
 
         // Withdrawing the permit bumps the generation: refused at once.
         assert!(repo.remove("alice", "p"));
-        let after = pep.enforce(&repo, "alice", &request, &rick);
+        let after = pep.enforce(&repo, &alice, &request, &rick);
         assert!(!after.memo_hit);
-        assert_eq!(after.enforcement, Enforcement::Refused);
+        assert_eq!(after.decision, Decision::Deny);
         assert_eq!((pep.memo().hits, pep.memo().misses), (1, 2));
 
         assert_eq!(pep.invalidate_owner("alice"), 1);

@@ -64,6 +64,39 @@ fn bucket_for_scope(scope: &Path) -> Option<NameId> {
     }
 }
 
+/// A request's candidate rule positions: its component's bucket and the
+/// catch-all, both ascending, merged into rule order as they are read —
+/// so the indexed decision weighs rules in the exact order the naive
+/// scan would, and listing them allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct Candidates<'a> {
+    catch_all: &'a [usize],
+    bucket: &'a [usize],
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        // A rule sits in one list only, so the heads never tie.
+        let side = match (self.catch_all.first(), self.bucket.first()) {
+            (Some(a), Some(b)) if b < a => &mut self.bucket,
+            (Some(_), _) => &mut self.catch_all,
+            (None, _) => &mut self.bucket,
+        };
+        let (&i, rest) = side.split_first()?;
+        *side = rest;
+        Some(i)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.catch_all.len() + self.bucket.len();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Candidates<'_> {}
+
 /// Per-user rule storage. GUPster hosts one repository; hierarchical
 /// deployments (§5.1.2) host one per meta-data manager.
 #[derive(Debug, Clone, Default)]
@@ -98,7 +131,7 @@ impl PolicyRepository {
     /// names differ can neither contain nor overlap one another.
     /// Returns `None` when the request cannot be bucketed (wildcards,
     /// or a bare `/user` request) — the caller must scan every rule.
-    pub(crate) fn candidate_indices(&self, user: &str, request: &Path) -> Option<Vec<usize>> {
+    pub(crate) fn candidate_indices(&self, user: &str, request: &Path) -> Option<Candidates<'_>> {
         if !request.is_core_fragment() || request.steps.len() < 2 {
             return None;
         }
@@ -106,16 +139,11 @@ impl PolicyRepository {
             return None;
         };
         let Some(index) = self.index.get(user) else {
-            return Some(Vec::new());
+            return Some(Candidates { catch_all: &[], bucket: &[] });
         };
-        let mut out = index.catch_all.clone();
         // A name that was never interned cannot have a bucket.
         let bucket = NameInterner::lookup(name).and_then(|id| index.by_component.get(&id));
-        out.extend(bucket.into_iter().flatten());
-        // Rule order — so the indexed decision weighs rules in the
-        // exact order the naive scan would.
-        out.sort_unstable();
-        Some(out)
+        Some(Candidates { catch_all: &index.catch_all, bucket: bucket.map_or(&[], Vec::as_slice) })
     }
 
     /// Inserts a rule, replacing any rule with the same id.
@@ -164,6 +192,14 @@ mod tests {
 
     fn scoped(id: &str, scope: &str) -> Rule {
         Rule::permit(id, Path::parse(scope).unwrap(), Condition::True)
+    }
+
+    /// The candidate positions, listed.
+    fn candidates(repo: &PolicyRepository, user: &str, req: &Path) -> Option<Vec<usize>> {
+        repo.candidate_indices(user, req).map(|c| {
+            assert_eq!(c.len(), c.clone().count(), "the length is the count");
+            c.collect()
+        })
     }
 
     #[test]
@@ -225,16 +261,16 @@ mod tests {
         repo.put("alice", scoped("r4", "/user/presence/status"));
 
         let req = Path::parse("/user/presence").unwrap();
-        assert_eq!(repo.candidate_indices("alice", &req), Some(vec![0, 2, 3, 4]));
+        assert_eq!(candidates(&repo, "alice", &req), Some(vec![0, 2, 3, 4]));
         let req = Path::parse("/user/calendar/event[@id='e']").unwrap();
-        assert_eq!(repo.candidate_indices("alice", &req), Some(vec![1, 2, 3]));
+        assert_eq!(candidates(&repo, "alice", &req), Some(vec![1, 2, 3]));
         let req = Path::parse("/user/never-ruled-component").unwrap();
-        assert_eq!(repo.candidate_indices("alice", &req), Some(vec![2, 3]));
+        assert_eq!(candidates(&repo, "alice", &req), Some(vec![2, 3]));
         // Unbucketable requests force the full scan.
-        assert_eq!(repo.candidate_indices("alice", &Path::parse("/user").unwrap()), None);
-        assert_eq!(repo.candidate_indices("alice", &Path::parse("//presence").unwrap()), None);
+        assert_eq!(candidates(&repo, "alice", &Path::parse("/user").unwrap()), None);
+        assert_eq!(candidates(&repo, "alice", &Path::parse("//presence").unwrap()), None);
         // Unknown user: empty candidate set, not a scan.
-        assert_eq!(repo.candidate_indices("ghost", &req), Some(Vec::new()));
+        assert_eq!(candidates(&repo, "ghost", &req), Some(Vec::new()));
     }
 
     #[test]
@@ -246,10 +282,10 @@ mod tests {
         repo.put("alice", scoped("r0", "/user/calendar"));
         let presence = Path::parse("/user/presence").unwrap();
         let calendar = Path::parse("/user/calendar").unwrap();
-        assert_eq!(repo.candidate_indices("alice", &presence), Some(Vec::new()));
-        assert_eq!(repo.candidate_indices("alice", &calendar), Some(vec![0, 1]));
+        assert_eq!(candidates(&repo, "alice", &presence), Some(Vec::new()));
+        assert_eq!(candidates(&repo, "alice", &calendar), Some(vec![0, 1]));
         assert!(repo.remove("alice", "r0"));
-        assert_eq!(repo.candidate_indices("alice", &calendar), Some(vec![0]));
+        assert_eq!(candidates(&repo, "alice", &calendar), Some(vec![0]));
         assert_eq!(repo.rules_for("alice")[0].id, "r1");
     }
 }

@@ -438,12 +438,16 @@ impl ObsSnapshot {
                 format!("{:.1}%", 100.0 * num as f64 / den as f64)
             }
         };
+        // Memo and trie hits are work: a duplicate the singleflight
+        // table served ran no lookup, so they count against the lookups
+        // that ran, and singleflight hits against every lookup request.
+        let ran = t.lookups.saturating_sub(t.singleflight_hits);
         let _ = writeln!(out);
         let _ = writeln!(
             out,
             "hit rates: memo {} | trie {} | singleflight {} | cache {}",
-            pct(t.memo_hits, t.lookups),
-            pct(t.trie_hits, t.lookups),
+            pct(t.memo_hits, ran),
+            pct(t.trie_hits, ran),
             pct(t.singleflight_hits, t.lookups),
             pct(t.cache_hits, t.cache_hits + t.cache_misses)
         );
@@ -681,6 +685,19 @@ mod tests {
     fn parse_rejects_foreign_rows() {
         assert!(ObsSnapshot::parse_json("{\"row\": \"mystery\"}").is_err());
         assert!(ObsSnapshot::parse_json("no rows").is_err(), "fleet row required");
+    }
+
+    /// Duplicates served 40 of 100 lookup requests; each of the 60
+    /// lookups that ran hit the trie, and 45 of them the memo.
+    #[test]
+    fn dashboard_hit_rates_count_the_lookups_that_ran() {
+        let mut snap = sample();
+        for (field, n) in [("lookups", 100), ("singleflight_hits", 40), ("trie_hits", 60), ("memo_hits", 45)] {
+            snap.fleet.totals.set_field(field, n);
+        }
+        let text = snap.render_dashboard();
+        let needle = "hit rates: memo 75.0% | trie 100.0% | singleflight 40.0%";
+        assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
 
     #[test]

@@ -16,16 +16,72 @@
 //!   at `a`-nodes and `b`-nodes may share nodes in some document. This is
 //!   the "store holds *part* of the answer" test; conservative `true`
 //!   when undecided, which only costs a spurious referral.
+//!
+//! [`covers_view`] and [`may_overlap_view`] decide the same over a
+//! [`PathView`], which can read a request as a per-owner rule set does:
+//! without the user-id predicates of its first step.
 
-use crate::ast::{is_core_fragment, targets_attribute, Axis, LocStep, Path};
+use crate::ast::{is_core_fragment, targets_attribute, Axis, LocStep, Path, Predicate};
+
+/// A borrowed path as the containment tests read it: its steps, and
+/// whether the `[@id]` / `[@id='…']` predicates of the first step count.
+#[derive(Debug, Clone, Copy)]
+pub struct PathView<'a> {
+    steps: &'a [LocStep],
+    owner_free: bool,
+}
+
+impl<'a> PathView<'a> {
+    /// `path` as written.
+    pub fn of(path: &'a Path) -> Self {
+        PathView { steps: &path.steps, owner_free: false }
+    }
+
+    /// `path` read without the `[@id]` / `[@id='…']` predicates of its
+    /// first step: how a per-owner rule set, whose scopes leave the
+    /// owner implicit, reads a request that names it.
+    pub fn owner_free(path: &'a Path) -> Self {
+        PathView { steps: &path.steps, owner_free: true }
+    }
+
+    /// The path this view reads, built: a copy of the steps, less the
+    /// first step's user-id predicates when the view ignores them.
+    pub fn to_path(self) -> Path {
+        let mut steps = self.steps.to_vec();
+        if let (true, Some(first)) = (self.owner_free, steps.first_mut()) {
+            first.predicates.retain(|p| !is_user_id(p));
+        }
+        Path { steps }
+    }
+
+    fn len(self) -> usize {
+        self.steps.len()
+    }
+
+    /// The first `n` steps, read the same way.
+    fn prefix(self, n: usize) -> Option<Self> {
+        Some(PathView { steps: self.steps.get(..n)?, ..self })
+    }
+
+    /// The predicates of step `i` that count.
+    fn predicates(self, i: usize) -> impl Iterator<Item = &'a Predicate> + Clone {
+        let skip = self.owner_free && i == 0;
+        self.steps[i].predicates.iter().filter(move |p| !(skip && is_user_id(p)))
+    }
+}
+
+/// `[@id]` or `[@id='…']`: the predicates that name a profile's owner.
+fn is_user_id(p: &Predicate) -> bool {
+    matches!(p, Predicate::AttrEq(a, _) | Predicate::AttrExists(a) if a == "id")
+}
 
 /// Node-set containment: `p ⊑ q` — every node selected by `p` (in every
 /// document) is also selected by `q`.
 pub fn contains(p: &Path, q: &Path) -> bool {
-    contains_steps(&p.steps, &q.steps)
+    contains_steps(PathView::of(p), PathView::of(q))
 }
 
-/// [`contains`] on borrowed step slices.
+/// [`contains`] on path views.
 ///
 /// The alignment DP asks, for each prefix of `q`, which prefixes of `p`
 /// it can map onto with `q`'s last step landing on `p`'s last. Only the
@@ -33,19 +89,19 @@ pub fn contains(p: &Path, q: &Path) -> bool {
 /// means `q`'s steps so far map onto `p`'s first `j` steps (bit 0 is the
 /// document-node anchor). The row is a single `u128` on the stack for
 /// `p` of at most 127 steps and spills to the heap beyond that.
-fn contains_steps(p: &[LocStep], q: &[LocStep]) -> bool {
+fn contains_steps(p: PathView, q: PathView) -> bool {
     // Attribute targeting must agree: an attribute-step path selects
     // owner elements of attributes; mixing the two kinds is never a
     // containment in our semantics unless both target attributes with
     // subsuming tests, or neither does.
-    if targets_attribute(p) != targets_attribute(q) {
+    if targets_attribute(p.steps) != targets_attribute(q.steps) {
         return false;
     }
-    if q.is_empty() {
+    if q.steps.is_empty() {
         // "/" selects only the document node: contains p iff p is "/".
-        return p.is_empty();
+        return p.steps.is_empty();
     }
-    if p.is_empty() {
+    if p.steps.is_empty() {
         // p selects only the document node; q selects elements.
         return false;
     }
@@ -59,7 +115,7 @@ fn contains_steps(p: &[LocStep], q: &[LocStep]) -> bool {
         &mut spilled
     };
     row[0] = 1; // the document-node anchor
-    for qs in q {
+    for (qi, qs) in q.steps.iter().enumerate() {
         match qs.axis {
             // Must advance exactly one edge, and that edge in p must
             // also be a single level (child/attribute).
@@ -79,9 +135,9 @@ fn contains_steps(p: &[LocStep], q: &[LocStep]) -> bool {
                     break;
                 }
                 // j ≥ 1: both moves above leave bit 0 clear.
-                let ps = &p[j - 1];
+                let ps = &p.steps[j - 1];
                 if (qs.axis == Axis::Descendant || ps.axis != Axis::Descendant)
-                    && step_subsumes(qs, ps)
+                    && step_subsumes((q, qi), (p, j - 1))
                 {
                     keep |= 1u128 << b;
                 }
@@ -117,9 +173,11 @@ fn above_lowest(row: &mut [u128]) {
     }
 }
 
-/// True if every predicate required by `q_step` is implied by `p_step`'s
-/// predicates and `q_step`'s name test subsumes `p_step`'s.
-fn step_subsumes(q_step: &LocStep, p_step: &LocStep) -> bool {
+/// True if every predicate of `q`'s step `qi` that counts is implied by
+/// one of `p`'s step `pi`, and the first step's name test subsumes the
+/// second's.
+fn step_subsumes((q, qi): (PathView, usize), (p, pi): (PathView, usize)) -> bool {
+    let (q_step, p_step) = (&q.steps[qi], &p.steps[pi]);
     if q_step.axis == Axis::Attribute && p_step.axis != Axis::Attribute {
         return false;
     }
@@ -129,10 +187,8 @@ fn step_subsumes(q_step: &LocStep, p_step: &LocStep) -> bool {
     if !q_step.test.subsumes(&p_step.test) {
         return false;
     }
-    q_step
-        .predicates
-        .iter()
-        .all(|qp| p_step.predicates.iter().any(|pp| qp.implied_by(pp)))
+    let held = p.predicates(pi);
+    q.predicates(qi).all(|qp| held.clone().any(|pp| qp.implied_by(pp)))
 }
 
 /// Subtree coverage: every node selected by `r` lies in the subtree of
@@ -144,26 +200,26 @@ fn step_subsumes(q_step: &LocStep, p_step: &LocStep) -> bool {
 /// answers `false` (the registry then treats the store as a partial
 /// source via [`may_overlap`]).
 pub fn covers(c: &Path, r: &Path) -> bool {
-    covers_steps(&c.steps, &r.steps)
+    covers_view(PathView::of(c), PathView::of(r))
 }
 
-/// [`covers`] on borrowed step slices: `r`'s prefix is tested in place.
-fn covers_steps(c: &[LocStep], r: &[LocStep]) -> bool {
+/// [`covers`] on path views: `r`'s prefix is tested in place.
+pub fn covers_view(c: PathView, r: PathView) -> bool {
     if contains_steps(r, c) {
         // r's nodes ⊆ c's nodes ⊆ subtrees of c's nodes.
         return true;
     }
-    if targets_attribute(c) {
+    if targets_attribute(c.steps) {
         // An attribute subtree is just the attribute; only exact
         // containment (handled above) counts.
         return false;
     }
     // Core-fragment prefix check: r = c' · suffix where c' ⊑ c.
-    if !is_core_fragment(c) {
+    if !is_core_fragment(c.steps) {
         return false;
     }
-    let Some(prefix) = r.get(..c.len()) else { return false };
-    if prefix.iter().any(|s| s.axis == Axis::Descendant) {
+    let Some(prefix) = r.prefix(c.len()) else { return false };
+    if prefix.steps.iter().any(|s| s.axis == Axis::Descendant) {
         // A descendant edge inside the prefix could escape c's subtree
         // only if it matched *above* c's depth; since lengths ≥ cl and
         // every descendant edge consumes ≥1 level, the prefix of r
@@ -179,30 +235,35 @@ fn covers_steps(c: &[LocStep], r: &[LocStep]) -> bool {
 /// chains): is one of the paths' node sets reachable as ancestor-or-self
 /// of the other's? Conservative: `true` when undecidable syntactically.
 pub fn may_overlap(a: &Path, b: &Path) -> bool {
-    let (a, b) = (&a.steps[..], &b.steps[..]);
-    if covers_steps(a, b) || covers_steps(b, a) {
+    may_overlap_view(PathView::of(a), PathView::of(b))
+}
+
+/// [`may_overlap`] on path views.
+pub fn may_overlap_view(a: PathView, b: PathView) -> bool {
+    if covers_view(a, b) || covers_view(b, a) {
         return true;
     }
     // If either path leaves the core fragment, stay conservative.
-    if !is_core_fragment(a) || !is_core_fragment(b) {
+    if !is_core_fragment(a.steps) || !is_core_fragment(b.steps) {
         return true;
     }
     // Core fragment: subtrees intersect iff the shorter path's chain is
     // step-compatible with the longer's prefix.
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    short.iter().zip(long).all(|(s, l)| step_compatible(s, l))
+    (0..short.len()).all(|i| step_compatible((short, i), (long, i)))
 }
 
-fn step_compatible(a: &LocStep, b: &LocStep) -> bool {
-    if (a.axis == Axis::Attribute) != (b.axis == Axis::Attribute) {
+/// True if step `ai` of `a` and step `bi` of `b` can select one node.
+fn step_compatible((a, ai): (PathView, usize), (b, bi): (PathView, usize)) -> bool {
+    let (a_step, b_step) = (&a.steps[ai], &b.steps[bi]);
+    if (a_step.axis == Axis::Attribute) != (b_step.axis == Axis::Attribute) {
         return false;
     }
-    if !a.test.compatible(&b.test) {
+    if !a_step.test.compatible(&b_step.test) {
         return false;
     }
-    a.predicates
-        .iter()
-        .all(|pa| b.predicates.iter().all(|pb| pa.compatible(pb)))
+    let theirs = b.predicates(bi);
+    a.predicates(ai).all(|pa| theirs.clone().all(|pb| pa.compatible(pb)))
 }
 
 #[cfg(test)]
@@ -322,6 +383,33 @@ mod tests {
         // Undecided syntactically → conservative true.
         assert!(may_overlap(&p("//item"), &p("/u/book/item")));
         assert!(may_overlap(&p("//a"), &p("//b")));
+    }
+
+    /// An owner-free view ignores `[@id]` and `[@id='…']` on the first
+    /// step only, and keeps every other predicate.
+    #[test]
+    fn owner_free_views_ignore_the_first_steps_user_id_only() {
+        let request = p("/user[@id='a'][@k='x']/book/item[@id='7']");
+        let free = PathView::owner_free(&request);
+        assert_eq!(free.to_path(), p("/user[@k='x']/book/item[@id='7']"));
+        assert_eq!(PathView::of(&request).to_path(), request);
+        for (scope, covered) in [
+            ("/user[@k='x']/book", true),
+            ("/user[@id='a']/book", false),
+            ("/user[@id]/book", false),
+            ("/user[@k='y']/book", false),
+            ("/user/book/item[@id='7']", true),
+        ] {
+            let scope = p(scope);
+            assert_eq!(covers_view(PathView::of(&scope), free), covered, "{scope}");
+            assert!(covers(&scope, &request) || !covered, "{scope}");
+        }
+        // Overlap reads the same way: a different owner id is no
+        // contradiction once the request's own is ignored.
+        let other = p("/user[@id='b']/book");
+        assert!(!may_overlap(&other, &request));
+        assert!(may_overlap_view(PathView::of(&other), free));
+        assert!(may_overlap_view(PathView::owner_free(&other), free));
     }
 
     #[test]

@@ -126,7 +126,7 @@ fn main() {
         .lookup("alice", &path, "dan", Purpose::Query, WeekTime::at(1, 11, 0), 200)
         .unwrap();
     let mut forged = out.referral.clone();
-    forged.token.paths = vec!["/user[@id='alice']/wallet".to_string()];
+    forged.token.paths = vec!["/user[@id='alice']/wallet".to_string()].into();
     println!("\nforged token accepted by store? {:?}", fetch_merge(&pool, &forged, &signer, 200, &keys).is_ok());
     println!("stale token (61s later) accepted? {:?}", fetch_merge(&pool, &out.referral, &signer, 261, &keys).is_ok());
     println!("fresh, untampered token accepted? {:?}", fetch_merge(&pool, &out.referral, &signer, 210, &keys).is_ok());

@@ -59,7 +59,7 @@ fn rand_path(r: &mut StdRng, min: usize, max: usize) -> Path {
 // The explicit deref is load-bearing: without it `Rng::pick` infers
 // its item type as unsized `str` and the call fails to compile.
 #[allow(clippy::explicit_auto_deref)]
-fn rand_ctx(r: &mut StdRng) -> RequestContext {
+fn rand_ctx(r: &mut StdRng) -> RequestContext<'static> {
     RequestContext::query(
         "rick",
         *r.pick(&RELATIONSHIPS),

@@ -333,12 +333,12 @@ fn token_tampering_always_detected() {
         assert!(signer.verify(&q, t).is_ok());
         if mutated_user != user {
             let mut bad = q.clone();
-            bad.user = mutated_user;
+            bad.user = mutated_user.into();
             assert!(signer.verify(&bad, t).is_err());
         }
         if mutated_path != path {
             let mut bad = q.clone();
-            bad.paths = vec![mutated_path];
+            bad.paths = vec![mutated_path].into();
             assert!(signer.verify(&bad, t).is_err());
         }
     });
