@@ -182,7 +182,7 @@ mod tests {
             .gupster
             .lookup(&u, &req, &u, Purpose::Query, WeekTime::at(0, 12, 0), 0)
             .unwrap();
-        assert_eq!(out.referral.entries[0].store, f.carrier);
+        assert_eq!(*out.referral.entries[0].store, f.carrier);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use gupster_netsim::SimTime;
 use gupster_store::{DataStore, Fragment, StoreError, StoreId, UpdateOp};
 use gupster_telemetry::{stage, Tracer};
 use gupster_xml::{Element, Identity, MergeKeys, MergeOut, MergeStats, NameId};
+use gupster_xpath::Path;
 
 use crate::error::GupsterError;
 use crate::referral::{Referral, ReferralEntry};
@@ -183,11 +184,15 @@ where
     store_signer
         .verify(&referral.token, now)
         .map_err(|e| GupsterError::Token(e.to_string()))?;
+    // The signature covers the token's paths, not the entries beside
+    // it: a store asks only for what was signed.
+    signed_entries(referral)?;
 
-    // What the stores answered, in referral-entry order: subtrees lent
-    // out of their resident documents (or documents an adapter built),
-    // never copies. A fragment's serialized size only feeds the
-    // simulated charges, so it is counted once, and only when tracing.
+    // What the stores answered, in referral-entry order, in one buffer:
+    // subtrees lent out of their resident documents (or documents an
+    // adapter built), never copies. A fragment's serialized size only
+    // feeds the simulated charges, so it is counted once, and only when
+    // tracing.
     let mut fragments: Vec<Fragment<'_>> = Vec::new();
     let mut fragment_bytes = 0usize;
     let traced = tracer.is_some();
@@ -195,10 +200,15 @@ where
         let store = pool
             .get(&entry.store)
             .ok_or_else(|| GupsterError::Store(format!("store {} unreachable", entry.store)))?;
-        let got = store.fragments(&entry.path).map_err(|e| GupsterError::Store(e.to_string()))?;
-        let bytes: usize = if traced { got.iter().map(Fragment::byte_size).sum() } else { 0 };
+        let from = fragments.len();
+        if let Err(e) = store.fragments(&entry.path, &mut fragments) {
+            // A failed store leaves nothing behind for the next choice.
+            fragments.truncate(from);
+            return Err(GupsterError::Store(e.to_string()));
+        }
+        let bytes: usize =
+            if traced { fragments[from..].iter().map(Fragment::byte_size).sum() } else { 0 };
         fragment_bytes += bytes;
-        fragments.extend(got);
         Ok::<usize, GupsterError>(bytes)
     };
     if referral.merge_required {
@@ -211,7 +221,7 @@ where
         let mut groups: Vec<(&StoreId, usize)> = Vec::new();
         for entry in &referral.entries {
             let bytes = fetch(entry)?;
-            match groups.iter_mut().find(|(store, _)| *store == &entry.store) {
+            match groups.iter_mut().find(|(store, _)| **store == *entry.store) {
                 Some((_, total)) => *total += bytes,
                 None => groups.push((&entry.store, bytes)),
             }
@@ -225,8 +235,9 @@ where
     } else {
         // Choice referral (`||`): the alternatives are interchangeable —
         // fail over down the list (Req. 12 reliability: any replica
-        // answers).
-        let mut last_err = GupsterError::Store("referral had no choices".into());
+        // answers). The error is the last choice's, built only when no
+        // choice answers.
+        let mut last_err = None;
         let mut served = false;
         for entry in referral.choices() {
             match fetch(entry) {
@@ -237,11 +248,12 @@ where
                     served = true;
                     break;
                 }
-                Err(e) => last_err = e,
+                Err(e) => last_err = Some(e),
             }
         }
         if !served {
-            return Err(last_err);
+            let no_choices = || GupsterError::Store("referral had no choices".into());
+            return Err(last_err.unwrap_or_else(no_choices));
         }
     }
 
@@ -253,25 +265,72 @@ where
     if let Some(t) = tracer.as_deref_mut() {
         t.span(stage::XML_PARSE, parse_compute_cost(fragment_bytes));
     }
-    let out = fold(&fragments, keys);
     // The one materialization of the answer, straight into the
     // caller's container (one allocation: the iterator knows its
     // length). It copies no value bytes: the answer's values share, and
     // keep alive, the stores' buffers.
-    let result: C = out.iter().map(MergeOut::to_element).collect();
-    if let Some(t) = tracer {
-        let mut spine = MergeStats::default();
-        for m in &out {
-            let s = m.stats();
-            spine.fresh_nodes += s.fresh_nodes;
-            spine.shared_subtrees += s.shared_subtrees;
-            spine.shared_nodes += s.shared_nodes;
+    let (result, spine): (C, MergeStats) = match fragments.as_slice() {
+        // The usual answer: one fragment, which is its own answer, as
+        // the fold would graft it — one shared subtree, no fresh spine
+        // — materialized straight from its document.
+        [f] => {
+            let lone = MergeStats { shared_subtrees: 1, ..MergeStats::default() };
+            (std::iter::once(f.doc().to_element(f.node())).collect(), lone)
         }
+        _ => {
+            let out = fold(&fragments, keys);
+            let mut spine = MergeStats::default();
+            for m in &out {
+                let s = m.stats();
+                spine.fresh_nodes += s.fresh_nodes;
+                spine.shared_subtrees += s.shared_subtrees;
+                spine.shared_nodes += s.shared_nodes;
+            }
+            (out.iter().map(MergeOut::to_element).collect(), spine)
+        }
+    };
+    if let Some(t) = tracer {
         t.span(stage::XML_MERGE, merge_spine_cost(&spine));
         let bytes: usize = result.iter().map(Element::byte_size).sum();
         t.span(stage::XML_SERIALIZE, serialize_compute_cost(bytes));
     }
     Ok(result)
+}
+
+/// Refuses a referral whose entries are not the token's signed paths,
+/// entry by entry: each entry's path must render as the signed path at
+/// its position. Compares the rendering as it is written, copying
+/// nothing.
+fn signed_entries(referral: &Referral) -> Result<(), GupsterError> {
+    let mut signed = referral.token.paths.iter();
+    for (i, entry) in referral.entries.iter().enumerate() {
+        if !signed.next().is_some_and(|s| renders_as(&entry.path, s)) {
+            let path = &entry.path;
+            return Err(GupsterError::Token(format!("referral entry {i} asks for {path}, which is not signed")));
+        }
+    }
+    Ok(())
+}
+
+/// Whether `path`'s display form is exactly `text`.
+fn renders_as(path: &Path, text: &str) -> bool {
+    use std::fmt::Write;
+    /// What is left of the expected text; a write that does not match
+    /// its front fails.
+    struct Rest<'a>(&'a [u8]);
+    impl Write for Rest<'_> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            match self.0.strip_prefix(s.as_bytes()) {
+                Some(rest) => {
+                    self.0 = rest;
+                    Ok(())
+                }
+                None => Err(std::fmt::Error),
+            }
+        }
+    }
+    let mut rest = Rest(text.as_bytes());
+    write!(rest, "{path}").is_ok() && rest.0.is_empty()
 }
 
 /// Folds fragments, in order, into answers: each fragment merges into
@@ -281,10 +340,6 @@ where
 /// answer so far; the pair never needs re-keying, because merging two
 /// roots of equal identity keeps that identity.
 fn fold<'a>(fragments: &'a [Fragment<'_>], keys: &MergeKeys) -> Vec<MergeOut<'a>> {
-    // The usual answer: one fragment, which is its own answer.
-    if let [f] = fragments {
-        return vec![MergeOut::from_node(f.doc(), f.node())];
-    }
     let mut out: Vec<MergeOut<'a>> = Vec::new();
     let mut by_root: HashMap<(NameId, Option<Identity<'a>>), Vec<usize>> = HashMap::new();
     for f in fragments {
@@ -431,6 +486,46 @@ mod tests {
         ));
     }
 
+    /// The token signs paths, and the entries beside it are the
+    /// client's to edit: a store must ask only for what was signed.
+    /// Before fetches checked the entries, this read returned alice's
+    /// book to rick.
+    #[test]
+    fn an_entry_asking_for_what_was_not_signed_is_refused() {
+        use gupster_policy::Effect;
+        let mut g = Gupster::new(gup_schema(), b"k");
+        let mut s = XmlStore::new("s1");
+        let profile = r#"<user id="alice"><presence>online</presence><address-book><item id="1"><name>Mom</name></item></address-book></user>"#;
+        s.put_profile(parse(profile).unwrap()).unwrap();
+        let (presence, book) = (p("/user[@id='alice']/presence"), p("/user[@id='alice']/address-book"));
+        g.register_component("alice", presence.clone(), StoreId::new("s1")).unwrap();
+        g.register_component("alice", book.clone(), StoreId::new("s1")).unwrap();
+        g.set_relationship("alice", "rick", "co-worker");
+        g.pap.provision("alice", "cw", Effect::Permit, "/user/presence", "relationship='co-worker'", 0).unwrap();
+        let mut pool = StorePool::new();
+        pool.add(Box::new(s));
+        let (noon, now, signer) = (WeekTime::at(0, 12, 0), 100, g.signer());
+
+        let refused = g.lookup("alice", &book, "rick", Purpose::Query, noon, now);
+        assert!(matches!(refused, Err(GupsterError::AccessDenied { .. })), "{refused:?}");
+        let out = g.lookup("alice", &presence, "rick", Purpose::Query, noon, now).unwrap();
+        let answer = fetch_merge(&pool, &out.referral, &signer, now, &keys()).unwrap();
+        assert_eq!(answer[0].to_xml(), "<presence>online</presence>");
+
+        // The presence token, with its entry edited to ask for the book.
+        let mut edited = out.referral.clone();
+        edited.entries[0].path = Arc::new(book.clone());
+        let got = fetch_merge(&pool, &edited, &signer, now, &keys());
+        assert!(matches!(got, Err(GupsterError::Token(_))), "{got:?}");
+        // Or with the book asked for beside the signed presence.
+        let mut extended = out.referral.clone();
+        let store = Arc::clone(&extended.entries[0].store);
+        extended.entries.push(ReferralEntry { store, path: Arc::new(book), complete: false });
+        extended.merge_required = true;
+        let got = fetch_merge(&pool, &extended, &signer, now, &keys());
+        assert!(matches!(got, Err(GupsterError::Token(_))), "{got:?}");
+    }
+
     #[test]
     fn choice_referral_uses_one_store() {
         let mut g = Gupster::new(gup_schema(), b"k");
@@ -503,9 +598,10 @@ mod tests {
         fn id(&self) -> &StoreId {
             self.0.id()
         }
-        fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError> {
+        fn fragments<'a>(&'a self, path: &Path, out: &mut Vec<Fragment<'a>>) -> Result<(), StoreError> {
             let built = self.0.query(path)?;
-            Ok(built.iter().map(|e| Fragment::built(ArenaDoc::from_element(e))).collect())
+            out.extend(built.iter().map(|e| Fragment::built(ArenaDoc::from_element(e))));
+            Ok(())
         }
         fn update(&mut self, user: &str, op: &UpdateOp) -> Result<(), StoreError> {
             self.0.update(user, op)
@@ -556,8 +652,8 @@ mod tests {
                 entries: entries
                     .iter()
                     .map(|(store, path)| ReferralEntry {
-                        store: StoreId::new(*store),
-                        path: p(path),
+                        store: Arc::new(StoreId::new(*store)),
+                        path: Arc::new(p(path)),
                         complete: !merge_required,
                     })
                     .collect(),
@@ -652,8 +748,10 @@ mod tests {
                 })
                 .collect();
             let path = p(if rng.gen_bool(0.8) { "/user[@id='a']/address-book/item" } else { "/user[@id='a']/address-book" });
-            let fragments: Vec<Fragment<'_>> =
-                stores.iter().flat_map(|s| s.fragments(&path).unwrap()).collect();
+            let mut fragments: Vec<Fragment<'_>> = Vec::new();
+            for s in &stores {
+                s.fragments(&path, &mut fragments).unwrap();
+            }
             let keys = if rng.gen_bool(0.5) { keys() } else { MergeKeys::new() };
             let render = |out: Vec<MergeOut<'_>>| {
                 out.iter().map(|m| (m.to_xml(), m.stats())).collect::<Vec<_>>()

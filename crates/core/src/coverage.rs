@@ -12,6 +12,7 @@
 //! which the trie cannot prune, examine every registration.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use gupster_store::StoreId;
 use gupster_xpath::{covers, may_overlap, Path};
@@ -45,11 +46,14 @@ pub struct MatchStats {
 }
 
 /// Per-user coverage: the list of (component path, stores) registrations.
+/// Paths and store ids are shared: the referral entries that name a
+/// registered store, or ask for exactly a registered path, hold the same
+/// `Arc`s.
 #[derive(Debug, Clone, Default)]
 pub struct CoverageMap {
-    entries: Vec<(Path, Vec<StoreId>)>,
+    entries: Vec<(Arc<Path>, Vec<Arc<StoreId>>)>,
     /// path → entry index, so registration is O(1) instead of a scan.
-    by_path: HashMap<Path, usize>,
+    by_path: HashMap<Arc<Path>, usize>,
     trie: CoverageTrie,
 }
 
@@ -65,15 +69,16 @@ impl CoverageMap {
         match self.by_path.get(&path) {
             Some(&idx) => {
                 let stores = &mut self.entries[idx].1;
-                if !stores.contains(&store) {
-                    stores.push(store);
+                if !stores.iter().any(|s| **s == store) {
+                    stores.push(Arc::new(store));
                 }
             }
             None => {
                 let idx = self.entries.len();
                 self.trie.insert(&path, idx);
-                self.by_path.insert(path.clone(), idx);
-                self.entries.push((path, vec![store]));
+                let path = Arc::new(path);
+                self.by_path.insert(Arc::clone(&path), idx);
+                self.entries.push((path, vec![Arc::new(store)]));
             }
         }
     }
@@ -85,7 +90,7 @@ impl CoverageMap {
         if let Some(&idx) = self.by_path.get(path) {
             let stores = &mut self.entries[idx].1;
             let before = stores.len();
-            stores.retain(|s| s != store);
+            stores.retain(|s| **s != *store);
             removed = stores.len() != before;
             if stores.is_empty() {
                 self.entries.remove(idx);
@@ -101,7 +106,7 @@ impl CoverageMap {
         let mut n = 0;
         for (_, stores) in &mut self.entries {
             let before = stores.len();
-            stores.retain(|s| s != store);
+            stores.retain(|s| **s != *store);
             n += before - stores.len();
         }
         let before = self.entries.len();
@@ -118,13 +123,13 @@ impl CoverageMap {
         self.by_path.clear();
         self.trie = CoverageTrie::default();
         for (idx, (path, _)) in self.entries.iter().enumerate() {
-            self.by_path.insert(path.clone(), idx);
+            self.by_path.insert(Arc::clone(path), idx);
             self.trie.insert(path, idx);
         }
     }
 
     /// All registrations.
-    pub fn entries(&self) -> &[(Path, Vec<StoreId>)] {
+    pub fn entries(&self) -> &[(Arc<Path>, Vec<Arc<StoreId>>)] {
         &self.entries
     }
 
@@ -196,12 +201,12 @@ impl CoverageMatch {
     /// Records one matching registration: a full source is asked for
     /// the request itself, a partial one is listed with its narrower
     /// registered path.
-    fn push(&mut self, stores: &[StoreId], registered: &Path, request: &Path, full: bool) {
+    fn push(&mut self, stores: &[Arc<StoreId>], registered: &Path, request: &Path, full: bool) {
         for store in stores {
             if full {
-                self.full.push((store.clone(), request.clone()));
+                self.full.push((StoreId::clone(store), request.clone()));
             } else {
-                self.partial.push((store.clone(), registered.clone()));
+                self.partial.push((StoreId::clone(store), registered.clone()));
             }
         }
     }

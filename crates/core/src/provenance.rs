@@ -355,7 +355,7 @@ mod tests {
             .paths
             .iter()
             .zip(&d.stores)
-            .map(|(path, store)| ReferralEntry { store: store.clone(), path: path.clone(), complete: true })
+            .map(|(path, store)| ReferralEntry { store: std::sync::Arc::new(store.clone()), path: std::sync::Arc::new(path.clone()), complete: true })
             .collect();
         log.record(d.when, &d.owner, &d.requester, d.purpose, &entries, d.narrowed);
     }

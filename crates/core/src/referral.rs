@@ -1,19 +1,23 @@
 //! Referrals — what GUPster returns instead of data (§4.3).
 
 use std::fmt;
+use std::sync::Arc;
 
 use gupster_store::StoreId;
 use gupster_xpath::Path;
 
 use crate::token::SignedQuery;
 
-/// One fetch the client should perform.
+/// One fetch the client should perform. The store id is the coverage
+/// table's; the path is the registration's when it asks for exactly a
+/// registered path, and otherwise one copy every entry of that path
+/// shares.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReferralEntry {
     /// The data store to ask.
-    pub store: StoreId,
+    pub store: Arc<StoreId>,
     /// The (possibly narrowed) path to ask it for.
-    pub path: Path,
+    pub path: Arc<Path>,
     /// Whether this entry alone answers the whole request.
     pub complete: bool,
 }
@@ -84,8 +88,8 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, c)| ReferralEntry {
-                store: StoreId::new(format!("store{i}")),
-                path: Path::parse("/user/address-book").unwrap(),
+                store: Arc::new(StoreId::new(format!("store{i}"))),
+                path: Arc::new(Path::parse("/user/address-book").unwrap()),
                 complete: *c,
             })
             .collect();

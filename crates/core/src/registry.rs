@@ -1,5 +1,6 @@
 //! The GUPster server: registration, lookup, rewriting, referrals.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -480,6 +481,13 @@ impl Gupster {
         };
 
         // 3. Privacy shield: decide (step 4a rewrites what it permits).
+        // A requester id holding a NUL is refused before any rule is
+        // read: a token's fields are NUL-terminated in its signed
+        // payload, so such an id would sign as a shorter id followed by
+        // paths the shield never saw.
+        if requester.as_bytes().contains(&0) {
+            return Err(self.refuse(owner, requester));
+        }
         // The context borrows the relationship where it is provisioned.
         let (relationship, requester_id) = if owner == requester {
             ("self", Some(Arc::clone(&owner_id)))
@@ -502,16 +510,16 @@ impl Gupster {
             tracer.exit();
         }
         match enforced.decision {
-            Decision::Deny => {
-                self.stats.denied += 1;
-                self.telemetry.counters().policy_denials.fetch_add(1, Ordering::Relaxed);
-                Err(GupsterError::AccessDenied {
-                    owner: owner.to_string(),
-                    requester: requester.to_string(),
-                })
-            }
+            Decision::Deny => Err(self.refuse(owner, requester)),
             decision => Ok(Shielded { owner: owner_id, requester: requester_id, decision }),
         }
+    }
+
+    /// Counts a refusal by the shield and returns its error.
+    fn refuse(&mut self, owner: &str, requester: &str) -> GupsterError {
+        self.stats.denied += 1;
+        self.telemetry.counters().policy_denials.fetch_add(1, Ordering::Relaxed);
+        GupsterError::AccessDenied { owner: owner.to_string(), requester: requester.to_string() }
     }
 
     /// The pipeline body; the caller owns the `registry.lookup` span
@@ -544,12 +552,16 @@ impl Gupster {
         // 4a. Rewrite: policy scopes omit the user-id predicate;
         // requests to the stores must carry it so multi-tenant stores
         // answer for the right user. Each permitted path is rewritten as
-        // the coverage match takes it; the whole request is copied once,
-        // into its first referral entry.
+        // the coverage match takes it; the whole request is borrowed,
+        // and copied only if it lacks the predicate.
         tracer.enter(stage::QUERY_REWRITE);
         tracer.charge(SimTime::micros(whole.map_or(parts.len(), |_| 1) as u64));
         tracer.exit();
-        let rewritten = whole.cloned().into_iter().chain(parts).map(|p| with_user_id(p, owner));
+        let rewritten = whole
+            .map(Cow::Borrowed)
+            .into_iter()
+            .chain(parts.into_iter().map(Cow::Owned))
+            .map(|p| with_user_id(p, owner));
 
         // 4b. Coverage match per permitted path. The trie index prunes
         // each match to its candidate entries (charged ~1µs per
@@ -561,7 +573,9 @@ impl Gupster {
         // fragment they hold under it for the client to deep-union
         // (Fig. 9) — the narrower registered path only selects *which*
         // stores participate. Full sources are listed before partial
-        // ones, each store once per path.
+        // ones, each store once per path. The entries of one path share
+        // one `Arc` of it: the registration's own when the path is
+        // registered (the usual whole-request read), else one copy.
         tracer.enter(stage::COVERAGE_MATCH);
         let mut entries: Vec<ReferralEntry> = Vec::new();
         let mut examined: u64 = 0;
@@ -578,9 +592,10 @@ impl Gupster {
                 self.telemetry.counters().fallback_scans.fetch_add(1, Ordering::Relaxed);
             }
             examined += match_stats.candidates as u64;
-            // A path the shield permitted twice names the same stores
-            // again: its first occurrence listed them.
-            if entries.iter().any(|e| e.path == p) {
+            // A path nothing serves lists no entry. A path the shield
+            // permitted twice names the same stores again: its first
+            // occurrence listed them.
+            if matched.is_empty() || entries.iter().any(|e| *e.path == *p) {
                 continue;
             }
             // Entries arrive in ascending index order, so ordering by
@@ -588,22 +603,19 @@ impl Gupster {
             // arrival order within each kind. A store keeps its first
             // listing only.
             matched.sort_unstable_by_key(|&(idx, full)| (!full, idx));
+            let registered = coverage.entries();
+            let path = match matched.iter().find(|&&(idx, full)| full && *registered[idx].0 == *p) {
+                Some(&(idx, _)) => Arc::clone(&registered[idx].0),
+                None => Arc::new(p.into_owned()),
+            };
             let first = entries.len();
             for &(idx, complete) in matched.iter() {
-                for store in &coverage.entries()[idx].1 {
-                    if !entries[first..].iter().any(|e| &e.store == store) {
-                        let path = Path { steps: Vec::new() };
-                        entries.push(ReferralEntry { store: store.clone(), path, complete });
+                for store in &registered[idx].1 {
+                    if !entries[first..].iter().any(|e| e.store == *store) {
+                        let (store, path) = (Arc::clone(store), Arc::clone(&path));
+                        entries.push(ReferralEntry { store, path, complete });
                     }
                 }
-            }
-            // Every new entry asks for `p`: copies for all but the
-            // last, which takes it.
-            if let Some((last, rest)) = entries[first..].split_last_mut() {
-                for e in rest {
-                    e.path = p.clone();
-                }
-                last.path = p;
             }
         }
         tracer.charge(SimTime::micros(1 + examined));
@@ -622,7 +634,7 @@ impl Gupster {
         // §7). The token shares the shield's ids; only a requester the
         // registry has never heard of gets a copy of its own.
         let merge_required = entries.iter().any(|e| !e.complete);
-        let paths = TokenPaths::render(entries.iter().map(|e| &e.path));
+        let paths = TokenPaths::render(entries.iter().map(|e| &*e.path));
         let user = shielded.owner;
         let requester_id = shielded.requester.unwrap_or_else(|| Arc::from(requester));
         tracer.enter(stage::TOKEN_SIGN);
@@ -754,15 +766,15 @@ fn provisioned<'t>(
     Some((id, rel))
 }
 
-/// Ensures the first step carries `[@id='owner']`.
-fn with_user_id(mut p: Path, owner: &str) -> Path {
+/// Ensures the first step carries `[@id='owner']`, copying a borrowed
+/// path only when it must add it.
+fn with_user_id<'p>(mut p: Cow<'p, Path>, owner: &str) -> Cow<'p, Path> {
     use gupster_xpath::Predicate;
-    if let Some(first) = p.steps.first_mut() {
-        let has = first
-            .predicates
-            .iter()
-            .any(|pr| matches!(pr, Predicate::AttrEq(a, _) if a == "id"));
-        if !has {
+    let lacks = p.steps.first().is_some_and(|first| {
+        !first.predicates.iter().any(|pr| matches!(pr, Predicate::AttrEq(a, _) if a == "id"))
+    });
+    if lacks {
+        if let Some(first) = p.to_mut().steps.first_mut() {
             first.predicates.insert(0, Predicate::AttrEq("id".into(), owner.into()));
         }
     }
@@ -811,6 +823,55 @@ mod tests {
         // The token covers the rewritten paths and verifies.
         assert!(g.signer().verify(&out.referral.token, 120).is_ok());
         assert_eq!(g.stats.referrals, 1);
+    }
+
+    /// A whole-request permit of a registered path asks for the
+    /// registration's own path and names the table's own store ids; any
+    /// other permitted path is one copy its entries share.
+    #[test]
+    fn entries_share_the_registered_path_and_store_ids() {
+        let mut g = server();
+        let book = p("/user[@id='arnaud']/address-book");
+        let out = g.lookup("arnaud", &book, "arnaud", Purpose::Query, noon(), 0).unwrap();
+        let (registered, stores) = g.coverage_of("arnaud").unwrap().entries()[0].clone();
+        assert_eq!(*registered, book);
+        assert_eq!(out.referral.entries.len(), 2);
+        for (entry, store) in out.referral.entries.iter().zip(&stores) {
+            assert!(Arc::ptr_eq(&entry.path, &registered), "{entry:?}");
+            assert!(Arc::ptr_eq(&entry.store, store), "{entry:?}");
+        }
+
+        // A deeper request is covered by the book but is not it: one
+        // copy, shared by both choices.
+        let item = p("/user[@id='arnaud']/address-book/item[@id='7']");
+        let out = g.lookup("arnaud", &item, "arnaud", Purpose::Query, noon(), 0).unwrap();
+        let [a, b] = &out.referral.entries[..] else { panic!("two choices: {:?}", out.referral) };
+        assert_eq!(*a.path, item);
+        assert!(Arc::ptr_eq(&a.path, &b.path));
+        assert!(!Arc::ptr_eq(&a.path, &registered));
+    }
+
+    /// A token's fields are NUL-terminated in its signed payload, so a
+    /// requester id holding a NUL would sign as a shorter id plus the
+    /// paths after its NUL: eve, allowed alice's presence, would hold a
+    /// token signing her alice's address book too. The shield refuses
+    /// such an id; before it did, this lookup was granted.
+    #[test]
+    fn a_requester_id_holding_nul_is_refused() {
+        let mut g = server();
+        g.pap.provision("arnaud", "pub", Effect::Permit, "/user/presence", "true", 0).unwrap();
+        let (book, presence) = ("/user[@id='arnaud']/address-book", p("/user[@id='arnaud']/presence"));
+        assert!(g.lookup("arnaud", &presence, "eve", Purpose::Query, noon(), 0).is_ok());
+        let smuggler = format!("eve\0{book}");
+        let got = g.lookup("arnaud", &presence, &smuggler, Purpose::Query, noon(), 0);
+        assert!(matches!(got, Err(GupsterError::AccessDenied { .. })), "{got:?}");
+        assert_eq!(g.stats.denied, 1);
+        // What the refused token would have signed: eve's own token for
+        // the book and the presence.
+        let s = g.signer();
+        let smuggled = s.sign("arnaud", &smuggler, vec![presence.to_string()], 0);
+        let both = s.sign("arnaud", "eve", vec![book.to_string(), presence.to_string()], 0);
+        assert_eq!(smuggled.signature, both.signature);
     }
 
     #[test]
@@ -931,7 +992,7 @@ mod tests {
             .lookup("arnaud", &p("/user[@id='arnaud']/address-book"), "arnaud", Purpose::Query, noon(), 0)
             .unwrap();
         assert_eq!(out.referral.entries.len(), 1);
-        assert_eq!(out.referral.entries[0].store, sid("gup.yahoo.com"));
+        assert_eq!(*out.referral.entries[0].store, sid("gup.yahoo.com"));
         // Presence is gone.
         let err = g.lookup("arnaud", &p("/user[@id='arnaud']/presence"), "arnaud", Purpose::Query, noon(), 0);
         assert!(matches!(err, Err(GupsterError::NoCoverage(_))));
@@ -1038,7 +1099,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.referral.entries.len(), 1);
-        assert_eq!(out.referral.entries[0].store, sid("store-1"));
+        assert_eq!(*out.referral.entries[0].store, sid("store-1"));
         let c = g.telemetry().counter_snapshot();
         assert_eq!(c.trie_hits, 2);
         assert_eq!(c.fallback_scans, 0);

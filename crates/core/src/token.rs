@@ -212,6 +212,33 @@ mod tests {
         Signer::new(b"gupster-shared-key", 30)
     }
 
+    /// A path set signs as its paths' renderings, each NUL-terminated,
+    /// so one path rendering as NUL-separated text would sign as a
+    /// set of several. The request below would have signed as the
+    /// three-path set holding alice's wallet; its NULs no longer parse,
+    /// and without them its quote renders as the quote that holds it,
+    /// so it stays one path.
+    #[test]
+    fn no_request_signs_as_another_path_set() {
+        let s = signer();
+        let smuggled = "/user[@id='alice']/presence[@x=\"a'][@y='\0/user[@id='alice']/wallet\0\"]";
+        let three = vec![
+            "/user[@id='alice']/presence[@x='a'][@y='".to_string(),
+            "/user[@id='alice']/wallet".to_string(),
+            "']".to_string(),
+        ];
+        // The collision itself: the old rendering of the one path.
+        let old_rendering = smuggled.replace('"', "'");
+        assert_eq!(s.sign("alice", "eve", vec![old_rendering], 7).signature, s.sign("alice", "eve", three, 7).signature);
+
+        let err = Path::parse(smuggled).unwrap_err();
+        assert_eq!((err.position, err.message.as_str()), (smuggled.find('\0').unwrap(), "NUL in string literal"));
+        let quoted = Path::parse("/user[@id='alice']/presence[@x=\"a'][@y='\"]").unwrap();
+        let set = TokenPaths::render(std::iter::once(&quoted));
+        assert_eq!(set.iter().collect::<Vec<_>>(), ["/user[@id='alice']/presence[@x=\"a'][@y='\"]"]);
+        assert_eq!(set.iter().map(Path::parse).collect::<Vec<_>>(), [Ok(quoted)]);
+    }
+
     #[test]
     fn sign_verify_roundtrip() {
         let s = signer();

@@ -2,10 +2,11 @@
 //!
 //! - A distinct presence read costs a pinned number of allocations:
 //!   its referral and token, the lent fragment and the answer, and no
-//!   per-request scratch (selection buffers, tracer buffers, merge
-//!   scaffolding around a lone fragment) or copy of the ids it was
-//!   handed. A friend's read, whose decision runs the PDP, costs the
-//!   same.
+//!   per-request scratch (a second selection buffer, tracer buffers,
+//!   merge scaffolding around a lone fragment, span labels) or copy of
+//!   the ids and paths it was handed. A friend's read, whose decision
+//!   runs the PDP, costs the same. A read of a book split over two
+//!   stores adds its merge and its items.
 //! - Within one window, identical requests share the first request's
 //!   outcome: a duplicate runs no lookup and no fetch, and costs a
 //!   reference count, never a copy of the answer. So what k duplicates
@@ -152,11 +153,13 @@ fn duplicates_cost_the_same_whatever_the_answer_size() {
 }
 
 /// The most allocations one duplicate may cost: its span tree as the
-/// hub retains it (the list and two stage labels), and for a refusal
-/// the clone of the first request's error (owner and requester).
-/// Before the window table was keyed on the request, a duplicate ran
-/// the whole lookup: 8 duplicates of a book read cost 209 allocations.
-const DUPLICATE_ALLOCS: usize = 5;
+/// hub retains it (the list; its labels are the interner's), and for a
+/// refusal the clone of the first request's error (owner and
+/// requester). Before the window table was keyed on the request, a
+/// duplicate ran the whole lookup: 8 duplicates of a book read cost
+/// 209 allocations. Before retained spans borrowed their labels, a
+/// duplicate could cost 5.
+const DUPLICATE_ALLOCS: usize = 3;
 
 #[test]
 fn a_duplicate_costs_a_fixed_count_whatever_the_request() {
@@ -202,14 +205,21 @@ fn presence_world(owners: usize) -> (ShardedRegistry, StorePool) {
 }
 
 /// Allocations of a warm window of 64 distinct presence reads, each
-/// owner reading their own presence: 31.3 a request. Before selection
-/// kept to two id buffers, shard workers restarted one tracer and a
-/// lone fragment skipped the fold's index, the same window made 3 346
-/// (52.3 a request); before the window table was keyed on the request
-/// instead of a string rendered from each referral, 2 517; before the
-/// lookup shared the registry's ids and decided on the request as
-/// given, 2 448.
-const PRESENCE_WINDOW_ALLOCS: usize = 2005;
+/// owner reading their own presence: 7.3 a request. A read allocates
+/// its referral's entry list, its token's path buffer, the store's one
+/// selection buffer, the fetch's fragment buffer, the answer's `Arc`
+/// and its element's child list, and the hub's list of its retained
+/// spans. Before selection kept to two id buffers, shard workers
+/// restarted one tracer and a lone fragment skipped the fold's index,
+/// the same window made 3 346 (52.3 a request); before the window
+/// table was keyed on the request instead of a string rendered from
+/// each referral, 2 517; before the lookup shared the registry's ids
+/// and decided on the request as given, 2 448; before referral entries
+/// shared the registered path and store id, a lone fragment skipped
+/// the merge scaffolding, a store appended into the fetch's buffer
+/// from one selection buffer and retained spans borrowed their labels,
+/// 2 005 (31.3 a request).
+const PRESENCE_WINDOW_ALLOCS: usize = 469;
 
 /// 64 distinct presence reads `requester_of(u)` makes of user `u`'s
 /// presence, in a one-shard registry whose every owner lets friends see
@@ -264,13 +274,14 @@ fn a_distinct_presence_read_allocates_only_what_it_returns() {
 }
 
 /// Allocations of a window of 64 distinct presence reads by a friend of
-/// each owner, with every memoized decision stale: 31.3 a request, the
+/// each owner, with every memoized decision stale: 7.3 a request, the
 /// same as an owner's own read, since a decision the PDP makes on a
 /// permit allocates nothing. Before the PDP decided on the request as
 /// given, without copying it or listing its rules, and the lookup
 /// shared the registry's ids, the same window made 3 024 (47.3 a
-/// request).
-const FRIEND_WINDOW_ALLOCS: usize = 2005;
+/// request); before the changes listed at
+/// [`PRESENCE_WINDOW_ALLOCS`], 2 005.
+const FRIEND_WINDOW_ALLOCS: usize = 469;
 
 #[test]
 fn a_friend_read_that_runs_the_pdp_allocates_only_what_it_returns() {
@@ -286,6 +297,76 @@ fn a_friend_read_that_runs_the_pdp_allocates_only_what_it_returns() {
     assert!(
         n <= FRIEND_WINDOW_ALLOCS,
         "{} friend presence reads: {n} allocations, {:.1} each (pin {FRIEND_WINDOW_ALLOCS})",
+        results.len(),
+        n as f64 / results.len() as f64
+    );
+}
+
+/// A one-shard registry and two stores splitting the address book of
+/// `owners` users, `items` personal items in one and `items` corporate
+/// items in the other (Fig. 9), each slice registered at its own path.
+fn split_book_world(owners: usize, items: usize) -> (ShardedRegistry, StorePool) {
+    let mut reg = ShardedRegistry::new(gup_schema(), b"k", 1);
+    let mut stores = [XmlStore::new("s1"), XmlStore::new("s2")];
+    for u in 0..owners {
+        for ((store, kind), id) in stores.iter_mut().zip(["personal", "corporate"]).zip(["s1", "s2"]) {
+            let mut book = Element::new("address-book");
+            for k in 0..items {
+                book.push_child(
+                    Element::new("item")
+                        .with_attr("id", format!("{kind}-{k}"))
+                        .with_attr("type", kind)
+                        .with_child(Element::new("name").with_text(format!("Contact {k} of u{u}"))),
+                );
+            }
+            store.put_profile(Element::new("user").with_attr("id", format!("u{u}")).with_child(book)).unwrap();
+            let path = Path::parse(&format!("/user[@id='u{u}']/address-book/item[@type='{kind}']")).unwrap();
+            reg.register_component(&format!("u{u}"), path, StoreId::new(id)).unwrap();
+        }
+    }
+    let mut pool = StorePool::new();
+    for store in stores {
+        pool.add(Box::new(store));
+    }
+    (reg, pool)
+}
+
+/// Allocations of a warm window of 64 distinct reads of a book split
+/// over two stores, two items in each: 40.3 a request. Each read asks
+/// both stores (one fetch round each) and deep-unions the two slices,
+/// so beyond a presence read's plumbing it pays for the fold, the
+/// merged spine and three allocations per materialized item. Before
+/// the changes listed at [`PRESENCE_WINDOW_ALLOCS`], the same window
+/// made 4 117 (64.3 a request).
+const SPLIT_BOOK_WINDOW_ALLOCS: usize = 2581;
+
+#[test]
+fn a_split_book_read_allocates_its_merge_and_its_items() {
+    const OWNERS: usize = 64;
+    let (mut reg, pool) = split_book_world(OWNERS, 2);
+    let keys = MergeKeys::new().with_key("item", "id");
+    let reads: Vec<ShardRequest> = (0..OWNERS)
+        .map(|u| ShardRequest {
+            owner: format!("u{u}"),
+            path: Path::parse(&format!("/user[@id='u{u}']/address-book")).unwrap(),
+            requester: format!("u{u}"),
+            purpose: Purpose::Query,
+            time: WeekTime::at(0, 12, 0),
+            now: 100,
+        })
+        .collect();
+    for _ in 0..3 {
+        reg.answer_batch(&pool, &reads, &keys, true);
+    }
+    let ((results, _), n) = counted(|| reg.answer_batch(&pool, &reads, &keys, true));
+    for r in &results {
+        let answer = r.as_ref().unwrap();
+        assert_eq!(answer.len(), 1, "one merged book");
+        assert_eq!(answer[0].children_named("item").count(), 4);
+    }
+    assert!(
+        n <= SPLIT_BOOK_WINDOW_ALLOCS,
+        "{} split-book reads: {n} allocations, {:.1} each (pin {SPLIT_BOOK_WINDOW_ALLOCS})",
         results.len(),
         n as f64 / results.len() as f64
     );

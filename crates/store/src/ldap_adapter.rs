@@ -154,18 +154,17 @@ impl DataStore for LdapAdapter {
         &self.id
     }
 
-    fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError> {
+    fn fragments<'a>(&'a self, path: &Path, out: &mut Vec<Fragment<'a>>) -> Result<(), StoreError> {
         let users = match Self::path_user(path) {
             Some(u) => vec![u],
             None => self.users(),
         };
-        let mut out = Vec::new();
         for u in users {
             if let Some(view) = self.gup_view(&u) {
-                out.extend(Fragment::select_built(path, &view));
+                Fragment::select_built(path, &view, out);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn update(&mut self, user: &str, op: &UpdateOp) -> Result<(), StoreError> {

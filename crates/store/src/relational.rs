@@ -324,7 +324,7 @@ impl DataStore for RelationalAdapter {
         &self.id
     }
 
-    fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError> {
+    fn fragments<'a>(&'a self, path: &Path, out: &mut Vec<Fragment<'a>>) -> Result<(), StoreError> {
         let users: Vec<String> = match Self::path_user(path) {
             Some(u) => vec![u],
             None => self
@@ -333,13 +333,12 @@ impl DataStore for RelationalAdapter {
                 .map(|t| t.rows().map(|r| r[0].render()).collect())
                 .unwrap_or_default(),
         };
-        let mut out = Vec::new();
         for u in users {
             if let Some(view) = self.gup_view(&u) {
-                out.extend(Fragment::select_built(path, &view));
+                Fragment::select_built(path, &view, out);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn update(&mut self, user: &str, op: &UpdateOp) -> Result<(), StoreError> {

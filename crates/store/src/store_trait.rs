@@ -98,7 +98,7 @@ pub struct Fragment<'a> {
 
 /// Where a fragment's document lives. A built one is boxed, so that a
 /// fragment stays three words either way: every fetch collects its
-/// fragments by value.
+/// fragments by value, into one buffer.
 #[derive(Debug)]
 enum Source<'a> {
     Lent(&'a ArenaDoc),
@@ -117,10 +117,11 @@ impl<'a> Fragment<'a> {
         Fragment { doc: Source::Built(Box::new(doc)), node }
     }
 
-    /// What `path` selects in `view`, each as a built fragment — how an
-    /// adapter answers from the GUP view it translated its backend into.
-    pub(crate) fn select_built(path: &Path, view: &Element) -> Vec<Self> {
-        path.select(view).into_iter().map(|e| Fragment::built(ArenaDoc::from_element(e))).collect()
+    /// Appends what `path` selects in `view` to `out`, each as a built
+    /// fragment — how an adapter answers from the GUP view it
+    /// translated its backend into.
+    pub(crate) fn select_built(path: &Path, view: &Element, out: &mut Vec<Self>) {
+        out.extend(path.select(view).into_iter().map(|e| Fragment::built(ArenaDoc::from_element(e))));
     }
 
     /// The document the fragment lives in.
@@ -159,16 +160,20 @@ pub trait DataStore: Send + Sync {
     /// The store's identity (referral target).
     fn id(&self) -> &StoreId;
 
-    /// Evaluates a query path and returns the selected fragments —
-    /// the store's one read. A request like
-    /// `/user[@id='arnaud']/address-book` returns the address-book
-    /// subtree(s), lent or built (see [`Fragment`]).
-    fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError>;
+    /// Evaluates a query path and appends the selected fragments to
+    /// `out` — the store's one read. A request like
+    /// `/user[@id='arnaud']/address-book` appends the address-book
+    /// subtree(s), lent or built (see [`Fragment`]). The caller's
+    /// buffer collects a whole fetch, whatever the number of stores it
+    /// asks. On an error, what was appended before it stays.
+    fn fragments<'a>(&'a self, path: &Path, out: &mut Vec<Fragment<'a>>) -> Result<(), StoreError>;
 
     /// [`DataStore::fragments`] as owned trees. They copy no value
     /// bytes: each shares its document's buffer, and keeps it alive.
     fn query(&self, path: &Path) -> Result<Vec<Element>, StoreError> {
-        Ok(self.fragments(path)?.iter().map(Fragment::to_element).collect())
+        let mut got = Vec::new();
+        self.fragments(path, &mut got)?;
+        Ok(got.iter().map(Fragment::to_element).collect())
     }
 
     /// Applies an update for the given user.
@@ -192,7 +197,11 @@ pub trait DataStore: Send + Sync {
     /// network simulator to charge transfer time without materializing
     /// the answer.
     fn result_bytes(&self, path: &Path) -> usize {
-        self.fragments(path).map(|fs| fs.iter().map(Fragment::byte_size).sum()).unwrap_or(0)
+        let mut got = Vec::new();
+        match self.fragments(path, &mut got) {
+            Ok(()) => got.iter().map(Fragment::byte_size).sum(),
+            Err(_) => 0,
+        }
     }
 }
 

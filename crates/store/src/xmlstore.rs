@@ -149,13 +149,14 @@ impl DataStore for XmlStore {
         &self.id
     }
 
-    fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError> {
-        let lend = |doc| path.select_arena(doc).into_iter().map(move |n| Fragment::lent(doc, n));
-        Ok(match Self::owner_of(path) {
+    fn fragments<'a>(&'a self, path: &Path, out: &mut Vec<Fragment<'a>>) -> Result<(), StoreError> {
+        let lend = |doc| out.extend(path.select_arena(doc).into_iter().map(|n| Fragment::lent(doc, n)));
+        match Self::owner_of(path) {
             // Straight to the owner's document: the usual, id-keyed read.
-            Some(owner) => self.docs.get(owner).map_or_else(Vec::new, |doc| lend(doc).collect()),
-            None => self.docs.values().flat_map(lend).collect(),
-        })
+            Some(owner) => self.docs.get(owner).into_iter().for_each(lend),
+            None => self.docs.values().for_each(lend),
+        }
+        Ok(())
     }
 
     fn update(&mut self, user: &str, op: &UpdateOp) -> Result<(), StoreError> {
@@ -341,7 +342,8 @@ mod tests {
     #[test]
     fn reads_lend_out_of_the_resident_document() {
         let s = store();
-        let got = s.fragments(&p("/user[@id='arnaud']/address-book/item")).unwrap();
+        let mut got = Vec::new();
+        s.fragments(&p("/user[@id='arnaud']/address-book/item"), &mut got).unwrap();
         assert_eq!(got.len(), 1);
         assert!(std::ptr::eq(got[0].doc(), &s.docs["arnaud"]), "lent, not copied");
         assert_eq!(got[0].to_element().attr("id"), Some("1"));

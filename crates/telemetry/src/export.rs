@@ -11,6 +11,7 @@
 //! round-trip tests) can parse it without a JSON library.
 
 use gupster_netsim::SimTime;
+use gupster_xml::NameInterner;
 
 use crate::span::{RequestId, Span};
 
@@ -25,7 +26,7 @@ pub(crate) fn to_line(s: &Span) -> String {
         s.request.0,
         s.id,
         parent,
-        escape(&s.stage),
+        escape(s.stage),
         s.start.0,
         s.end.0
     )
@@ -90,7 +91,8 @@ pub fn parse(text: &str) -> Result<Vec<Span>, ParseError> {
     Ok(out)
 }
 
-/// Parses one exported line back into a [`Span`].
+/// Parses one exported line back into a [`Span`]. Its stage label is
+/// interned, as every label a tracer records already is.
 pub(crate) fn parse_line(line: &str) -> Result<Span, String> {
     let mut p = Parser::new(line.trim());
     p.expect(b'{')?;
@@ -122,7 +124,7 @@ pub(crate) fn parse_line(line: &str) -> Result<Span, String> {
         request: RequestId(request.ok_or("missing \"request\"")?),
         id: span.ok_or("missing \"span\"")?,
         parent: parent.ok_or("missing \"parent\"")?,
-        stage: stage.ok_or("missing \"stage\"")?,
+        stage: NameInterner::resolve(NameInterner::intern(&stage.ok_or("missing \"stage\"")?)),
         start: SimTime(start.ok_or("missing \"start_us\"")?),
         end: SimTime(end.ok_or("missing \"end_us\"")?),
     })
@@ -265,12 +267,12 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    fn span(request: u64, id: u64, parent: Option<u64>, stage: &str) -> Span {
+    fn span(request: u64, id: u64, parent: Option<u64>, stage: &'static str) -> Span {
         Span {
             request: RequestId(request),
             id,
             parent,
-            stage: stage.into(),
+            stage,
             start: SimTime::micros(10 * id),
             end: SimTime::micros(10 * id + 7),
         }

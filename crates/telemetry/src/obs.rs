@@ -101,7 +101,7 @@ impl ExemplarSummary {
         for s in spans {
             let self_time =
                 s.duration().0.saturating_sub(child_sum.get(&s.id).copied().unwrap_or(0));
-            *per_stage.entry(s.stage.as_str()).or_default() += self_time;
+            *per_stage.entry(s.stage).or_default() += self_time;
         }
         let mut breakdown: Vec<(String, SimTime)> =
             per_stage.into_iter().map(|(k, v)| (k.to_string(), SimTime(v))).collect();
@@ -738,11 +738,11 @@ mod tests {
 
     #[test]
     fn exemplar_summary_attributes_self_time() {
-        let span = |id, parent, stage: &str, start: u64, end: u64| Span {
+        let span = |id, parent, stage: &'static str, start: u64, end: u64| Span {
             request: RequestId(0),
             id,
             parent,
-            stage: stage.to_string(),
+            stage,
             start: SimTime::micros(start),
             end: SimTime::micros(end),
         };

@@ -29,8 +29,9 @@ pub struct Span {
     pub id: u64,
     /// Parent span id; `None` exactly for the root span.
     pub parent: Option<u64>,
-    /// Stage label (see [`crate::stage`]).
-    pub stage: String,
+    /// Stage label (see [`crate::stage`]): the name interner's own
+    /// copy, so a retained span holds no label of its own.
+    pub stage: &'static str,
     /// Start instant (request-relative simulated time).
     pub start: SimTime,
     /// End instant.
@@ -74,9 +75,9 @@ pub fn single_rooted_tree(spans: &[Span]) -> bool {
 
 /// A span in the tracer's hot-path representation: the stage is an
 /// interned [`NameId`], so opening and closing a span allocates
-/// nothing, and `end` is set when the span closes. The owned-label
-/// [`Span`] is materialized only when a trace is retained or captured
-/// as an exemplar.
+/// nothing, and `end` is set when the span closes. The [`Span`] is
+/// materialized only when a trace is retained or captured as an
+/// exemplar, and borrows its label from the interner.
 #[derive(Debug, Clone, Copy)]
 struct RawSpan {
     parent: Option<u64>,
@@ -226,14 +227,14 @@ impl Tracer {
         self.stage_buf.clear();
     }
 
-    /// The owned-label [`Span`] of span `id`.
+    /// The [`Span`] of span `id`, its label the interner's.
     fn materialize(&self, id: usize) -> Span {
         let raw = &self.spans[id];
         Span {
             request: self.request,
             id: id as u64,
             parent: raw.parent,
-            stage: raw.stage.to_string(),
+            stage: NameInterner::resolve(raw.stage),
             start: raw.start,
             end: raw.end,
         }
@@ -254,8 +255,8 @@ impl Tracer {
             self.close_innermost();
         }
         self.flush_stages();
-        // Labels materialize only when someone will actually hold the
-        // spans: the retention store, the exemplar store, or both.
+        // Spans materialize only when someone will actually hold them:
+        // the retention store, the exemplar store, or both.
         let exemplify = self.hub.wants_exemplar(self.cursor);
         let retain = self.hub.span_room() > 0;
         if !(exemplify || retain) {
@@ -411,7 +412,7 @@ mod tests {
             request: RequestId(1),
             id,
             parent,
-            stage: "s".into(),
+            stage: "s",
             start: SimTime::ZERO,
             end: SimTime::ZERO,
         };

@@ -1,78 +1,78 @@
 //! Entity escaping and unescaping for text and attribute values.
 //!
-//! Both escape directions are scan-first: a byte scan (escapable
-//! characters are all ASCII, so scanning bytes is UTF-8 safe) decides
-//! whether anything needs escaping at all, and the overwhelmingly
-//! common clean string is appended in one `push_str` — the [`Cow`]
-//! variants hand it back borrowed without touching an output buffer.
+//! Escaping writes straight into the caller's buffer. It first counts
+//! what escaping would add, one table lookup per byte and no branch
+//! (escapable characters are all ASCII, so counting bytes is UTF-8
+//! safe), and appends the overwhelmingly common clean string whole.
+//! Nothing is built on the side.
 
-use std::borrow::Cow;
-
-/// Escapes the predefined XML entities for text content, returning the
-/// input borrowed when nothing needs escaping.
-pub(crate) fn escape_text_cow(s: &str) -> Cow<'_, str> {
-    if !s.bytes().any(|b| matches!(b, b'&' | b'<' | b'>')) {
-        return Cow::Borrowed(s);
+/// What escaping adds to each byte's length: `&` → `&amp;`, `<` and
+/// `>` → `&lt;` / `&gt;`, and for an attribute value `"` and `'` →
+/// `&quot;` / `&apos;`.
+const fn extra_table(attr: bool) -> [u8; 256] {
+    let mut t = [0u8; 256];
+    t[b'&' as usize] = 4;
+    t[b'<' as usize] = 3;
+    t[b'>' as usize] = 3;
+    if attr {
+        t[b'"' as usize] = 5;
+        t[b'\'' as usize] = 5;
     }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
-    Cow::Owned(out)
+    t
 }
 
-/// Escapes for a double-quoted attribute value, returning the input
-/// borrowed when nothing needs escaping.
-pub(crate) fn escape_attr_cow(s: &str) -> Cow<'_, str> {
-    if !s.bytes().any(|b| matches!(b, b'&' | b'<' | b'>' | b'"' | b'\'')) {
-        return Cow::Borrowed(s);
-    }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(c),
-        }
-    }
-    Cow::Owned(out)
+static TEXT_EXTRA: [u8; 256] = extra_table(false);
+static ATTR_EXTRA: [u8; 256] = extra_table(true);
+
+/// Length of `s` once escaped by `extra`.
+fn escaped_len(s: &str, extra: &[u8; 256]) -> usize {
+    s.len() + s.bytes().map(|b| usize::from(extra[usize::from(b)])).sum::<usize>()
 }
 
-/// Escapes the five predefined XML entities for use in text content.
+/// Appends `s` to `out` escaped by `extra`: clean runs whole, each
+/// escapable byte as its entity.
+fn escape_into(s: &str, out: &mut String, extra: &[u8; 256]) {
+    if escaped_len(s, extra) == s.len() {
+        return out.push_str(s);
+    }
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if extra[usize::from(b)] == 0 {
+            continue;
+        }
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => "&apos;",
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Escapes the predefined XML entities text content needs.
 pub(crate) fn escape_text(s: &str, out: &mut String) {
-    out.push_str(&escape_text_cow(s));
+    escape_into(s, out, &TEXT_EXTRA);
 }
 
-/// Escapes for a double-quoted attribute value.
+/// Escapes for a double-quoted attribute value: all five predefined
+/// entities.
 pub(crate) fn escape_attr(s: &str, out: &mut String) {
-    out.push_str(&escape_attr_cow(s));
+    escape_into(s, out, &ATTR_EXTRA);
 }
 
 /// Length of `s` once escaped as text content ([`escape_text`]).
 pub(crate) fn escaped_text_len(s: &str) -> usize {
-    s.bytes().fold(s.len(), |n, b| match b {
-        b'&' => n + 4,
-        b'<' | b'>' => n + 3,
-        _ => n,
-    })
+    escaped_len(s, &TEXT_EXTRA)
 }
 
 /// Length of `s` once escaped as an attribute value ([`escape_attr`]).
 pub(crate) fn escaped_attr_len(s: &str) -> usize {
-    s.bytes().fold(s.len(), |n, b| match b {
-        b'&' => n + 4,
-        b'<' | b'>' => n + 3,
-        b'"' | b'\'' => n + 5,
-        _ => n,
-    })
+    escaped_len(s, &ATTR_EXTRA)
 }
 
 /// Resolves one entity reference starting *after* the `&`. Returns the
@@ -118,23 +118,36 @@ mod tests {
         assert_eq!(a, "say &quot;hi&quot; &amp; &apos;bye&apos;");
     }
 
+    fn text(s: &str) -> String {
+        let mut out = String::new();
+        escape_text(s, &mut out);
+        out
+    }
+
+    fn attr(s: &str) -> String {
+        let mut out = String::new();
+        escape_attr(s, &mut out);
+        out
+    }
+
     #[test]
     fn escaped_lengths_match_the_escapers() {
         for s in ["", "plain", "a<b&c>d", r#"say "hi" & 'bye'"#, "déjà <vü>"] {
-            assert_eq!(escaped_text_len(s), escape_text_cow(s).len(), "{s}");
-            assert_eq!(escaped_attr_len(s), escape_attr_cow(s).len(), "{s}");
+            assert_eq!(escaped_text_len(s), text(s).len(), "{s}");
+            assert_eq!(escaped_attr_len(s), attr(s).len(), "{s}");
         }
     }
 
     #[test]
-    fn clean_strings_borrow() {
-        assert!(matches!(escape_text_cow("plain text"), std::borrow::Cow::Borrowed(_)));
-        assert!(matches!(escape_attr_cow("plain attr"), std::borrow::Cow::Borrowed(_)));
+    fn clean_strings_pass_through() {
+        assert_eq!(text("plain text"), "plain text");
+        assert_eq!(attr("plain attr"), "plain attr");
         // Attribute escaping is stricter than text escaping.
-        assert!(matches!(escape_text_cow(r#"has "quotes""#), std::borrow::Cow::Borrowed(_)));
-        assert!(matches!(escape_attr_cow(r#"has "quotes""#), std::borrow::Cow::Owned(_)));
-        // UTF-8 passes the byte scan untouched.
-        assert!(matches!(escape_text_cow("déjà vü"), std::borrow::Cow::Borrowed(_)));
+        assert_eq!(text(r#"has "quotes""#), r#"has "quotes""#);
+        assert_eq!(attr(r#"has "quotes""#), "has &quot;quotes&quot;");
+        // UTF-8 passes the byte scan untouched, around an entity too.
+        assert_eq!(text("déjà vü"), "déjà vü");
+        assert_eq!(text("é<ü"), "é&lt;ü");
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl NameInterner {
 
     /// The name a [`NameId`] was interned from. Lock-free unless the id
     /// is newer than this thread's snapshot.
-    pub(crate) fn resolve(id: NameId) -> &'static str {
+    pub fn resolve(id: NameId) -> &'static str {
         SNAPSHOT.with_borrow_mut(|snap| {
             if id.0 as usize >= snap.names.len() {
                 snap.catch_up();

@@ -206,9 +206,16 @@ impl Element {
         writer::compact_len(self)
     }
 
-    /// Compact (single-line) XML serialization.
+    /// Compact (single-line) XML serialization. A leaf (an element
+    /// whose children are all text, like a presence answer) is written
+    /// into one buffer sized up front by [`Element::byte_size`]: one
+    /// scan of its text costs less than the two or three regrowths it
+    /// saves. A deeper tree grows its buffer instead, since sizing it
+    /// is a second walk of the whole tree, which costs more than the
+    /// regrowths.
     pub fn to_xml(&self) -> String {
-        let mut out = String::new();
+        let leaf = self.children.iter().all(|c| matches!(c, Node::Text(_)));
+        let mut out = if leaf { String::with_capacity(self.byte_size()) } else { String::new() };
         writer::write_compact(self, &mut out);
         out
     }

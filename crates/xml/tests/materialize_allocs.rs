@@ -6,13 +6,16 @@
 //! child list. Cloning the answer costs the same and copies no value
 //! bytes.
 //!
+//! Serializing a leaf answer writes one buffer, sized up front; a tree
+//! grows its buffer by doubling.
+//!
 //! Its own test binary, so that it can count allocations with a global
 //! allocator. Counts are per thread: other tests cannot disturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gupster_xml::{ArenaDoc, Element, MergeKeys, MergeOut};
+use gupster_xml::{ArenaDoc, Element, MergeKeys, MergeOut, Node};
 
 thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
@@ -89,4 +92,29 @@ fn a_materialized_item_costs_three_allocations() {
 
     // Nothing was lost on the way: the answer serializes as the merge does.
     assert_eq!(copy.to_xml(), merged.to_xml());
+}
+
+#[test]
+fn serializing_a_leaf_allocates_one_buffer() {
+    let (personal, corporate) = (stored("personal", 'p', 120), stored("corporate", 'c', 80));
+    let book = |d: &ArenaDoc| d.child_elements(d.root()).next().expect("the book");
+    let keys = MergeKeys::new().with_key("item", "id");
+    let merged = MergeOut::from_node(&personal, book(&personal))
+        .merge_with_node(&corporate, book(&corporate), &keys)
+        .expect("disjoint slices merge")
+        .to_element();
+    let presence = Element::new("presence").with_text("on & off");
+    for answer in [&presence, &merged] {
+        let (xml, made) = counted(|| answer.to_xml());
+        let leaf = answer.children.iter().all(|c| matches!(c, Node::Text(_)));
+        if leaf {
+            assert_eq!(made, 1, "{} bytes", xml.len());
+        } else {
+            // One allocation per doubling from 8 bytes, at most.
+            let doublings = (xml.len().next_power_of_two().trailing_zeros() - 2) as usize;
+            assert!(made <= doublings, "{} bytes: {made} allocations", xml.len());
+        }
+        assert_eq!(xml.len(), answer.byte_size());
+        assert_eq!(ArenaDoc::parse(&xml).expect("parses").root_element(), *answer);
+    }
 }

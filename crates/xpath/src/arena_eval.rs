@@ -6,8 +6,8 @@
 //! node ids into the arena, and context deduplication compares ids
 //! directly (the arena analogue of pointer identity).
 //!
-//! Selection allocates only what it returns: two id buffers take turns
-//! as a step's contexts and its results, predicates filter each
+//! Selection allocates only what it returns: one id buffer holds a
+//! step's contexts with its results behind them, predicates filter each
 //! context's run of results in place, and deduplication (needed only
 //! after a descendant step) compacts the results in place too.
 
@@ -23,50 +23,51 @@ impl Path {
     /// attribute step the *owner elements* of matching attributes are
     /// returned (read the values with `ArenaDoc::attr`).
     pub fn select_arena(&self, doc: &ArenaDoc) -> Vec<NodeId> {
-        // `contexts` stays empty before the first step: the virtual
+        // One buffer: a step's contexts lie at its front, each appends
+        // what it selects behind them, and the contexts are then drained
+        // off the front. It is empty before the first step: the virtual
         // document node above the root is the context there, and an
         // attribute step from it selects nothing.
-        let mut contexts: Vec<NodeId> = Vec::new();
-        let mut next: Vec<NodeId> = Vec::new();
+        let mut ids: Vec<NodeId> = Vec::new();
         for (i, step) in self.steps.iter().enumerate() {
             if step.axis == Axis::Attribute {
-                contexts.retain(|&n| match &step.test {
+                ids.retain(|&n| match &step.test {
                     NameTest::Any => doc.attr_count(n) > 0,
                     NameTest::Name(a) => doc.attr(n, a).is_some(),
                 });
-                return contexts;
+                return ids;
             }
-            next.clear();
             if i == 0 {
                 let root = doc.root();
                 if step.axis == Axis::Descendant {
-                    collect_self_and_descendants(doc, root, &step.test, &mut next);
+                    collect_self_and_descendants(doc, root, &step.test, &mut ids);
                 } else if step.test.accepts(doc.name(root)) {
-                    next.push(root);
+                    ids.push(root);
                 }
-                apply_predicates(doc, &step.predicates, &mut next, 0);
+                apply_predicates(doc, &step.predicates, &mut ids, 0);
             } else {
-                for &ctx in &contexts {
-                    let run = next.len();
+                let contexts = ids.len();
+                for at in 0..contexts {
+                    let (ctx, run) = (ids[at], ids.len());
                     if step.axis == Axis::Descendant {
-                        collect_descendants(doc, ctx, &step.test, &mut next);
+                        collect_descendants(doc, ctx, &step.test, &mut ids);
                     } else {
-                        next.extend(doc.child_elements(ctx).filter(|&c| step.test.accepts(doc.name(c))));
+                        ids.extend(doc.child_elements(ctx).filter(|&c| step.test.accepts(doc.name(c))));
                     }
-                    apply_predicates(doc, &step.predicates, &mut next, run);
+                    apply_predicates(doc, &step.predicates, &mut ids, run);
                 }
+                ids.drain(..contexts);
             }
             // Distinct contexts have distinct children, since a node has
             // one parent; only descendant runs of nested contexts overlap.
             if step.axis == Axis::Descendant {
-                dedup_ids(&mut next);
+                dedup_ids(&mut ids);
             }
-            std::mem::swap(&mut contexts, &mut next);
-            if contexts.is_empty() {
+            if ids.is_empty() {
                 break;
             }
         }
-        contexts
+        ids
     }
 }
 

@@ -203,12 +203,24 @@ impl fmt::Display for NameTest {
     }
 }
 
+/// A literal in the quotes that can hold it: single quotes, or double
+/// quotes for a value containing `'`, so that a parsed path renders as
+/// text that parses back to it.
+struct Quoted<'a>(&'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let q = if self.0.contains('\'') { '"' } else { '\'' };
+        write!(f, "{q}{}{q}", self.0)
+    }
+}
+
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Predicate::AttrEq(a, v) => write!(f, "[@{a}='{v}']"),
+            Predicate::AttrEq(a, v) => write!(f, "[@{a}={}]", Quoted(v)),
             Predicate::AttrExists(a) => write!(f, "[@{a}]"),
-            Predicate::ChildEq(c, v) => write!(f, "[{c}='{v}']"),
+            Predicate::ChildEq(c, v) => write!(f, "[{c}={}]", Quoted(v)),
             Predicate::ChildExists(c) => write!(f, "[{c}]"),
             Predicate::Position(n) => write!(f, "[{n}]"),
         }

@@ -61,9 +61,14 @@ impl<'a> Lexer<'a> {
             b']' => Token::RBracket,
             b'=' => Token::Eq,
             q @ (b'\'' | b'"') => {
-                let Some(len) = bytes[i..].iter().position(|&b| b == q) else {
+                let Some(len) = bytes[i..].iter().position(|&b| b == q || b == 0) else {
                     return Err(XPathError::new(start, "unterminated string literal"));
                 };
+                // A referral token separates its paths with NUL, so no
+                // path may carry one.
+                if bytes[i + len] == 0 {
+                    return Err(XPathError::new(i + len, "NUL in string literal"));
+                }
                 let literal = &input[i..i + len];
                 i += len + 1;
                 Token::Literal(literal)
@@ -148,6 +153,14 @@ mod tests {
     #[test]
     fn unterminated_literal_rejected() {
         assert!(tokenize("'oops").is_err());
+    }
+
+    #[test]
+    fn nul_in_literal_rejected_where_it_stands() {
+        for input in ["/a[@x='b\0c']", "/a[@x=\"b\0c\"]", "/a[@x='b\0"] {
+            let err = tokenize(input).unwrap_err();
+            assert_eq!((err.position, err.message.as_str()), (8, "NUL in string literal"), "{input:?}");
+        }
     }
 
     #[test]

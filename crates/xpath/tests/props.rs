@@ -79,6 +79,46 @@ fn display_parse_roundtrip() {
     });
 }
 
+/// A literal the grammar can write: any text without NUL that does not
+/// hold both quote characters, biased towards quotes and the bytes that
+/// delimit a path or a predicate.
+fn quotable(rng: &mut StdRng) -> String {
+    const BIASED: [char; 10] = ['a', 'b', ' ', '/', '[', ']', '=', '@', 'é', '\''];
+    let mut v = check::string_of(rng, &BIASED, 0, 8);
+    if rng.gen_range(0u32..2) == 0 {
+        v = v.replace('\'', "\"");
+    }
+    v
+}
+
+/// Display → parse is the identity on predicates whose values hold a
+/// quote character, a bracket or a slash: a value holding `'` renders
+/// in double quotes. A path whose literal holds a NUL does not parse.
+#[test]
+fn quoted_literals_round_trip() {
+    cases(1024, 0xa7_06, |rng| {
+        let mut p = arb_path(rng);
+        let step = &mut p.steps[0];
+        step.predicates.push(match rng.gen_range(0u32..2) {
+            0 => Predicate::AttrEq(check::lowercase(rng, 1, 4), quotable(rng)),
+            _ => Predicate::ChildEq(check::lowercase(rng, 1, 4), quotable(rng)),
+        });
+        let s = p.to_string();
+        assert_eq!(Path::parse(&s).as_ref(), Ok(&p), "{s}");
+        assert_eq!(p.display_len(), s.len());
+        let Some(Predicate::AttrEq(_, v) | Predicate::ChildEq(_, v)) = p.steps[0].predicates.last_mut() else {
+            unreachable!("a value predicate was pushed");
+        };
+        let mut at = rng.gen_range(0..=v.len());
+        while !v.is_char_boundary(at) {
+            at -= 1;
+        }
+        v.insert(at, '\0');
+        let with_nul = p.to_string();
+        assert!(Path::parse(&with_nul).is_err(), "{with_nul:?}");
+    });
+}
+
 /// Containment is reflexive, and both covers/overlap are consistent
 /// with it.
 #[test]

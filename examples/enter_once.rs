@@ -64,7 +64,7 @@ fn main() {
         pool.update(
             &entry.store,
             "alice",
-            &UpdateOp::SetText(entry.path.clone(), "908-555-9999".into()),
+            &UpdateOp::SetText(Path::clone(&entry.path), "908-555-9999".into()),
         )
         .expect("store applies");
     }

@@ -69,7 +69,7 @@ fn federated_lookup_across_three_backend_kinds() {
     let out = g
         .lookup("alice", &p("/user[@id='alice']/presence"), "alice", Purpose::Query, noon(), 0)
         .unwrap();
-    assert_eq!(out.referral.entries[0].store, StoreId::new("gup.spcs.com"));
+    assert_eq!(*out.referral.entries[0].store, StoreId::new("gup.spcs.com"));
     let r = fetch_merge(&pool, &out.referral, &signer, 0, &keys()).unwrap();
     assert_eq!(r[0].text(), "unknown");
 
@@ -99,7 +99,7 @@ fn provisioning_flows_through_adapters() {
     pool.update(
         &routing.referral.entries[0].store,
         "alice",
-        &UpdateOp::SetText(routing.referral.entries[0].path.clone(), "busy".into()),
+        &UpdateOp::SetText(Path::clone(&routing.referral.entries[0].path), "busy".into()),
     )
     .unwrap();
     let signer = g.signer();

@@ -118,9 +118,9 @@ impl DataStore for CountingStore {
     fn id(&self) -> &StoreId {
         self.inner.id()
     }
-    fn fragments(&self, path: &Path) -> Result<Vec<Fragment<'_>>, StoreError> {
+    fn fragments<'a>(&'a self, path: &Path, out: &mut Vec<Fragment<'a>>) -> Result<(), StoreError> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.inner.fragments(path)
+        self.inner.fragments(path, out)
     }
     fn update(&mut self, user: &str, op: &UpdateOp) -> Result<(), StoreError> {
         self.inner.update(user, op)
@@ -485,7 +485,7 @@ fn every_fetch_entry_point_fetches_per_store() {
     let out = g.lookup("alice", &request, "rick", Purpose::Query, at, 0).unwrap();
     assert!(out.referral.merge_required);
     assert_eq!(out.referral.entries.len(), 2);
-    assert!(out.referral.entries.iter().all(|e| e.store == StoreId::new("s1")));
+    assert!(out.referral.entries.iter().all(|e| *e.store == StoreId::new("s1")));
     let expected = fetch_merge(&pool, &out.referral, &g.signer(), 0, &keys()).unwrap();
 
     let mut g = Gupster::new(gup_schema(), b"one");
