@@ -8,7 +8,7 @@
 //! * a plain name (`naive_examined`, `delta_bytes`, `items`) is a count
 //!   of work done or a sweep position — deterministic;
 //! * a `sim_` name is read off a simulated model (netsim latencies, the
-//!   read path's stage costs, the admission queues) — deterministic;
+//!   admission queues and their service table) — deterministic;
 //! * a [`WALL_PREFIX`] name is measured on the wall clock and differs
 //!   from run to run.
 //!

@@ -11,16 +11,16 @@
 //! 2. **policy** — `Pdp::decide` over the bucketed rule index vs. the
 //!    full rule scan as the rule count grows.
 //! 3. **pipeline** — full `Gupster::lookup` referrals at scale, with
-//!    the per-stage p50/p95/p99 table and the `index.*` counters from
-//!    the telemetry hub.
+//!    the `index.*` counters from the telemetry hub and the measured
+//!    wall rate.
 //!
 //! Every row lands in `BENCH_registry.json` (see [`crate::benchjson`]);
 //! CI re-runs the reduced sweep (`experiments --quick e16`) and
 //! `bench_compare` fails the build unless it reproduces the checked-in
 //! quick-mode file exactly. The coverage and policy rows carry the work
-//! each path did — entries or rules examined — which is
-//! machine-independent; the pipeline row carries the registry's
-//! simulated stage cost. The gate ignores the `wall_` fields.
+//! each path did — entries or rules examined — and the pipeline row the
+//! trie and memo hits, all machine-independent. The gate ignores the
+//! `wall_` fields.
 
 use std::time::Instant;
 
@@ -285,8 +285,7 @@ fn policy_sweep(quick: bool, rows_out: &mut Vec<Row>) {
     );
 }
 
-/// Full-pipeline referrals at scale, with the per-stage latency table
-/// and the index counters.
+/// Full-pipeline referrals at scale, with the index counters.
 fn pipeline_at(n: usize, ops_count: usize, rows_out: &mut Vec<Row>) {
     let mut g = Gupster::new(gup_schema(), b"bench-key");
     for i in 0..n {
@@ -320,12 +319,7 @@ fn pipeline_at(n: usize, ops_count: usize, rows_out: &mut Vec<Row>) {
     let dt = t0.elapsed();
 
     let hub = g.telemetry();
-    print!(
-        "{}",
-        hub.render_stage_table(&format!(
-            "E16c — referral pipeline stage latencies at {n} components ({ops_count} lookups)"
-        ))
-    );
+    println!("E16c — referral pipeline at {n} components ({ops_count} lookups)");
     let c = hub.counter_snapshot();
     let (memo_len, memo_hits, memo_misses) = g.memo_stats();
     println!(
@@ -345,13 +339,12 @@ fn pipeline_at(n: usize, ops_count: usize, rows_out: &mut Vec<Row>) {
     assert_eq!(c.fallback_scans, 0, "point lookups must never fall back");
     assert!(c.memo_hits > 0, "Zipf repeats must hit the decision memo");
 
-    // Simulated pipeline throughput from the deterministic stage model.
-    let lookup = hub.stage_stats(gupster_telemetry::stage::REGISTRY_LOOKUP).expect("traced");
-    let sim_ops = 1e6 / lookup.mean.as_micros().max(1) as f64;
     rows_out.push(
         Row::new("pipeline")
             .count("components", n as u64)
-            .real("sim_ops", sim_ops)
+            .count("lookups", ops_count as u64)
+            .count("trie_hits", c.trie_hits)
+            .count("memo_hits", c.memo_hits)
             .real("wall_ops", ops(ops_count, dt)),
     );
     super::dump_traces(&hub);

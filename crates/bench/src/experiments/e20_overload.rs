@@ -3,8 +3,9 @@
 //!
 //! Closed-loop E17 can only report throughput *at* capacity; this
 //! experiment drives the sharded registry with an open Poisson arrival
-//! process from 0.25× to 4× the measured saturation rate and watches
-//! what admission control does past the knee:
+//! process from 0.25× to 4× the saturation rate that the admission
+//! service table implies and watches what admission control does past
+//! the knee:
 //!
 //! * **Goodput plateaus instead of collapsing** — bounded ingress
 //!   queues shed excess bulk work, so fresh answers per simulated
@@ -43,7 +44,8 @@ use crate::experiments::e17_shards::{provision, ShardWorkload};
 use crate::table::{pct, print_table};
 use crate::workload::{rng, Zipf};
 
-/// Offered-load points, in percent of the measured saturation rate.
+/// Offered-load points, in percent of the saturation rate that the
+/// service table implies.
 const LOADS_FULL: [u64; 7] = [25, 50, 100, 150, 200, 300, 400];
 const LOADS_QUICK: [u64; 4] = [50, 100, 200, 400];
 /// Arrivals per load point — identical in both modes so the quick CI
@@ -54,23 +56,25 @@ const N_USERS: usize = 1_024;
 /// Physical shards (the admission plane is invariant to this; see
 /// tests/overload.rs for the proof at other counts).
 const N_SHARDS: usize = 4;
-/// Requests used to calibrate the mean service cost.
-const N_CALIBRATE: usize = 512;
 /// The call-path p99 budget (simulated) the sweep must hold at ≥2×.
 const CALL_P99_BUDGET: SimTime = SimTime::micros(256);
 /// Share of arrivals on the call-delivery class.
 const CALL_SHARE: f64 = 0.25;
 /// Address-book bulk: items per user in the personal / corporate
-/// slices. Profile edits drag whole merged books through the pipeline
-/// (~0.4ms each), while a presence read stays a two-digit-µs referral —
-/// the cost asymmetry the priority classes exist for.
+/// slices. Profile edits drag whole merged books through the pipeline,
+/// while a presence read stays a referral to one leaf — the cost
+/// asymmetry the priority classes exist for, and that the service
+/// table prices.
 const PERSONAL_ITEMS: usize = 120;
 const CORPORATE_ITEMS: usize = 80;
 /// Call-class trunk count per ingress queue: an admitted call's sojourn
-/// is bounded by `E20_CALL_SLOTS × max call service`, which must sit
-/// under [`CALL_P99_BUDGET`] (asserted against the measured calibration
-/// cost in `run`).
+/// is bounded by `E20_CALL_SLOTS × call service`, which must sit under
+/// [`CALL_P99_BUDGET`].
 const E20_CALL_SLOTS: usize = 3;
+const _: () = assert!(
+    E20_CALL_SLOTS as u64 * Priority::CallDelivery.service().0 <= CALL_P99_BUDGET.0,
+    "the call trunks' worst sojourn must fit the call-path budget"
+);
 /// Token freshness window (profile-clock seconds) for the sweep: long
 /// enough that warmed referral tokens stay reusable across the whole
 /// arrival span.
@@ -160,30 +164,6 @@ fn to_arrivals(
             class: *class,
         })
         .collect()
-}
-
-/// Measures the mean per-request pipeline cost by running a prefix of
-/// the stream far below saturation (10ms gaps — every queue idle).
-fn calibrate(w: &ShardWorkload, stream: &[(ShardRequest, Priority)], keys: &MergeKeys) -> SimTime {
-    let mut reg = provision_e20(w, keys);
-    let instants: Vec<SimTime> =
-        (1..=N_CALIBRATE).map(|i| SimTime::millis(10) * i as u64).collect();
-    let arrivals = to_arrivals(&stream[..N_CALIBRATE], &instants);
-    let config = AdmissionConfig::default();
-    let (_, report) = reg.answer_open_loop(&w.pool, &arrivals, keys, &config, None);
-    assert_eq!(report.fresh as usize, N_CALIBRATE, "calibration must not shed");
-    // The structural call-latency guarantee (`call_slots × max call
-    // service ≤ budget`) only holds if a call's service really fits
-    // `budget / call_slots` — check it against measured reality here,
-    // where the queues are idle and sojourn == service.
-    let worst = SimTime(E20_CALL_SLOTS as u64 * report.call_latency.max().0);
-    assert!(
-        worst <= CALL_P99_BUDGET,
-        "call service {} × {E20_CALL_SLOTS} trunks = {worst} does not fit the \
-         {CALL_P99_BUDGET} budget",
-        report.call_latency.max()
-    );
-    SimTime(report.busy.0 / N_CALIBRATE as u64)
 }
 
 /// A provisioned registry with warm decision memos and referral-token
@@ -277,14 +257,17 @@ pub fn run() {
     let keys = MergeKeys::new().with_key("item", "id");
     let config = AdmissionConfig { call_slots: E20_CALL_SLOTS, ..AdmissionConfig::default() };
 
-    let mean_cost = calibrate(&w, &stream, &keys);
+    let mean_us =
+        stream.iter().map(|(_, class)| class.service().0).sum::<u64>() as f64 / N_ARRIVALS as f64;
     // Ideal capacity: `queues` independent servers, one request each
     // per mean service time. Queue imbalance puts the real knee below
     // this — which is exactly what the sweep shows.
-    let saturation_per_sec = config.queues as f64 * 1e6 / mean_cost.0.max(1) as f64;
+    let saturation_per_sec = config.queues as f64 * 1e6 / mean_us;
     println!(
-        "  calibration: mean pipeline cost {mean_cost}, ideal saturation \
-         {saturation_per_sec:.0} req/s over {} ingress queues",
+        "  service table: call {}, edit {}; mean {mean_us:.0}µs over the stream, ideal \
+         saturation {saturation_per_sec:.0} req/s over {} ingress queues",
+        Priority::CallDelivery.service(),
+        Priority::ProfileEdit.service(),
         config.queues
     );
 

@@ -47,6 +47,21 @@ pub enum Priority {
     ProfileEdit,
 }
 
+impl Priority {
+    /// The class's simulated service time, the one CPU time the
+    /// simulation knows (DESIGN.md §11): the open-loop engine prices
+    /// every admitted request at its class's entry, whatever it reads.
+    /// The entries are the per-class means that the retired per-stage
+    /// cost model gave E20's workload, a presence read and a merged
+    /// 200-item address book.
+    pub const fn service(self) -> SimTime {
+        match self {
+            Priority::CallDelivery => SimTime::micros(75),
+            Priority::ProfileEdit => SimTime::micros(302),
+        }
+    }
+}
+
 /// Sizing of the admission plane.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {

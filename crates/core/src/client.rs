@@ -14,43 +14,14 @@ use std::ops::Deref;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use gupster_netsim::SimTime;
 use gupster_store::{DataStore, Fragment, StoreError, StoreId, UpdateOp};
 use gupster_telemetry::{stage, Tracer};
-use gupster_xml::{Element, Identity, MergeKeys, MergeOut, MergeStats, NameId};
+use gupster_xml::{Element, Identity, MergeKeys, MergeOut, NameId};
 use gupster_xpath::Path;
 
 use crate::error::GupsterError;
 use crate::referral::{Referral, ReferralEntry};
 use crate::token::Signer;
-
-/// Synthetic cost of one fetch round at one store: ~50µs of store work
-/// plus ~10µs per KB of fragments serialized (matches the merge
-/// throughput model in [`crate::patterns`]).
-fn fetch_cost(bytes: usize) -> SimTime {
-    SimTime::micros(50 + (bytes as u64).div_ceil(1024) * 10)
-}
-
-/// Synthetic zero-copy parse cost: the arena parser slices names and
-/// character data straight out of the retained buffer instead of
-/// building an owned tree — ~2µs of setup plus 1µs per 4 KB.
-fn parse_compute_cost(bytes: usize) -> SimTime {
-    SimTime::micros(2 + (bytes as u64).div_ceil(4096))
-}
-
-/// Synthetic structural-sharing merge cost: work is proportional to the
-/// changed spine (fresh node allocations plus graft bookkeeping), never
-/// to the size of shared subtrees. Sits well under the pre-arena deep-
-/// union model (10µs per KB of fragment bytes) for every fragment mix.
-fn merge_spine_cost(stats: &MergeStats) -> SimTime {
-    SimTime::micros(2 + stats.fresh_nodes.div_ceil(8) + stats.shared_subtrees.div_ceil(8))
-}
-
-/// Synthetic serializer cost: one escape-scanning pass over the merged
-/// result, 1µs per 2 KB.
-fn serialize_compute_cost(bytes: usize) -> SimTime {
-    SimTime::micros(1 + (bytes as u64).div_ceil(2048))
-}
 
 /// A merged answer, materialized once and shared by everything that
 /// keeps or hands it on: the shard's window table, the result and stale
@@ -170,16 +141,10 @@ pub(crate) fn fetch_merge_inner<C>(
 where
     C: FromIterator<Element> + Deref<Target = [Element]>,
 {
-    // Every store checks the token before answering (§5.3). A token
-    // reused from the registry's referral-token cache carries a
-    // signature the store has verified before, so the cost model
-    // charges its check as a memo hit (1µs of simulated time) instead
-    // of an HMAC pass (15µs). On the wall a verify measures ≈0.7–0.8µs
-    // (DESIGN.md §7).
+    // Every store checks the token before answering (§5.3).
     if let Some(t) = tracer.as_deref_mut() {
         t.hub().counters().signature_verifications.fetch_add(1, Ordering::Relaxed);
-        let verify_cost = if referral.token_cached { 1 } else { 15 };
-        t.span(stage::TOKEN_VERIFY, SimTime::micros(verify_cost));
+        t.mark(stage::TOKEN_VERIFY);
     }
     store_signer
         .verify(&referral.token, now)
@@ -190,46 +155,35 @@ where
 
     // What the stores answered, in referral-entry order, in one buffer:
     // subtrees lent out of their resident documents (or documents an
-    // adapter built), never copies. A fragment's serialized size only
-    // feeds the simulated charges, so it is counted once, and only when
-    // tracing.
+    // adapter built), never copies.
     let mut fragments: Vec<Fragment<'_>> = Vec::new();
-    let mut fragment_bytes = 0usize;
-    let traced = tracer.is_some();
     let mut fetch = |entry: &ReferralEntry| {
         let store = pool
             .get(&entry.store)
             .ok_or_else(|| GupsterError::Store(format!("store {} unreachable", entry.store)))?;
         let from = fragments.len();
-        if let Err(e) = store.fragments(&entry.path, &mut fragments) {
+        store.fragments(&entry.path, &mut fragments).map_err(|e| {
             // A failed store leaves nothing behind for the next choice.
             fragments.truncate(from);
-            return Err(GupsterError::Store(e.to_string()));
-        }
-        let bytes: usize =
-            if traced { fragments[from..].iter().map(Fragment::byte_size).sum() } else { 0 };
-        fragment_bytes += bytes;
-        Ok::<usize, GupsterError>(bytes)
+            GupsterError::Store(e.to_string())
+        })
     };
     if referral.merge_required {
         // Every fragment source must answer (there is no alternative
         // holding the same fragment unless it was listed as a choice).
         // Fragments bound for the same store share one fetch round:
         // queries run in entry order, so fragment order and error
-        // precedence follow the referral, and the traced cost is one
-        // header charge per store over the group's total bytes.
-        let mut groups: Vec<(&StoreId, usize)> = Vec::new();
+        // precedence follow the referral.
         for entry in &referral.entries {
-            let bytes = fetch(entry)?;
-            match groups.iter_mut().find(|(store, _)| **store == *entry.store) {
-                Some((_, total)) => *total += bytes,
-                None => groups.push((&entry.store, bytes)),
-            }
+            fetch(entry)?;
         }
         if let Some(t) = tracer.as_deref_mut() {
-            for (_, bytes) in &groups {
-                t.hub().counters().batched_fetches.fetch_add(1, Ordering::Relaxed);
-                t.span(stage::STORE_FETCH, fetch_cost(*bytes));
+            let entries = &referral.entries;
+            for (i, entry) in entries.iter().enumerate() {
+                if !entries[..i].iter().any(|e| e.store == entry.store) {
+                    t.hub().counters().batched_fetches.fetch_add(1, Ordering::Relaxed);
+                    t.mark(stage::STORE_FETCH);
+                }
             }
         }
     } else {
@@ -241,9 +195,9 @@ where
         let mut served = false;
         for entry in referral.choices() {
             match fetch(entry) {
-                Ok(bytes) => {
+                Ok(()) => {
                     if let Some(t) = tracer.as_deref_mut() {
-                        t.span(stage::STORE_FETCH, fetch_cost(bytes));
+                        t.mark(stage::STORE_FETCH);
                     }
                     served = true;
                     break;
@@ -262,37 +216,20 @@ where
     // id-reference so only the changed spine is ever allocated. The
     // result is byte-identical to the owned deep-union (the arena merge
     // mirrors its grammar, key precedence and conflict rules exactly).
-    if let Some(t) = tracer.as_deref_mut() {
-        t.span(stage::XML_PARSE, parse_compute_cost(fragment_bytes));
-    }
-    // The one materialization of the answer, straight into the
+    // The one materialization of the answer goes straight into the
     // caller's container (one allocation: the iterator knows its
     // length). It copies no value bytes: the answer's values share, and
     // keep alive, the stores' buffers.
-    let (result, spine): (C, MergeStats) = match fragments.as_slice() {
-        // The usual answer: one fragment, which is its own answer, as
-        // the fold would graft it — one shared subtree, no fresh spine
-        // — materialized straight from its document.
-        [f] => {
-            let lone = MergeStats { shared_subtrees: 1, ..MergeStats::default() };
-            (std::iter::once(f.doc().to_element(f.node())).collect(), lone)
-        }
-        _ => {
-            let out = fold(&fragments, keys);
-            let mut spine = MergeStats::default();
-            for m in &out {
-                let s = m.stats();
-                spine.fresh_nodes += s.fresh_nodes;
-                spine.shared_subtrees += s.shared_subtrees;
-                spine.shared_nodes += s.shared_nodes;
-            }
-            (out.iter().map(MergeOut::to_element).collect(), spine)
-        }
+    let result: C = match fragments.as_slice() {
+        // The usual answer: one fragment, which is its own answer,
+        // materialized straight from its document.
+        [f] => std::iter::once(f.doc().to_element(f.node())).collect(),
+        _ => fold(&fragments, keys).iter().map(MergeOut::to_element).collect(),
     };
     if let Some(t) = tracer {
-        t.span(stage::XML_MERGE, merge_spine_cost(&spine));
-        let bytes: usize = result.iter().map(Element::byte_size).sum();
-        t.span(stage::XML_SERIALIZE, serialize_compute_cost(bytes));
+        t.mark(stage::XML_PARSE);
+        t.mark(stage::XML_MERGE);
+        t.mark(stage::XML_SERIALIZE);
     }
     Ok(result)
 }

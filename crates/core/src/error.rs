@@ -21,6 +21,9 @@ pub enum GupsterError {
     NoCoverage(String),
     /// The user is unknown to this meta-data manager.
     UnknownUser(String),
+    /// An owner id holds a NUL, which a token's NUL-terminated signed
+    /// payload cannot carry.
+    NulInId(String),
     /// A data-store fetch failed.
     Store(String),
     /// Token verification failed at a store.
@@ -64,6 +67,7 @@ impl fmt::Display for GupsterError {
             }
             GupsterError::NoCoverage(p) => write!(f, "no registered coverage for {p}"),
             GupsterError::UnknownUser(u) => write!(f, "unknown user: {u}"),
+            GupsterError::NulInId(u) => write!(f, "id holds a NUL: {u:?}"),
             GupsterError::Store(e) => write!(f, "data store error: {e}"),
             GupsterError::Token(e) => write!(f, "token error: {e}"),
             GupsterError::Merge(e) => write!(f, "merge error: {e}"),

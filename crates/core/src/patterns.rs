@@ -7,7 +7,7 @@
 //!
 //! All three patterns produce the *same answer*; they move different
 //! bytes across different links. The executor runs the real registry +
-//! stores for correctness and charges the simulated network for costs,
+//! stores for correctness and the simulated network for costs,
 //! so experiment E5 reports both. Whoever fetches — client, GUPster or
 //! the recruited store — fetches per store: one coalesced RPC to each
 //! destination store, whatever the number of fragments it holds.
@@ -88,7 +88,7 @@ pub struct PatternExecutor<'a> {
 /// preserving first-seen order, into one `(node, request, response,
 /// fragments)` call per distinct node for [`Journey::try_batch_rpcs`] —
 /// the network side of the one fetch round per store that
-/// [`fetch_merge_traced`] charges. The request carries one header plus
+/// [`fetch_merge_traced`] makes. The request carries one header plus
 /// ~16 bytes per additional fragment path; the response carries the
 /// group's summed fragment bytes.
 fn group_calls(frag_bytes: &[(NodeId, usize)], header: usize) -> Vec<(NodeId, usize, usize, u64)> {
@@ -109,11 +109,6 @@ fn group_calls(frag_bytes: &[(NodeId, usize)], header: usize) -> Vec<(NodeId, us
             (node, header + 16 * (frags as usize - 1), bytes, frags)
         })
         .collect()
-}
-
-/// Local merge throughput: ~100 MB/s ⇒ 10 µs per KB.
-fn merge_cost(bytes: usize) -> SimTime {
-    SimTime::micros((bytes as u64).div_ceil(1024) * 10)
 }
 
 impl<'a> PatternExecutor<'a> {
@@ -235,7 +230,6 @@ impl<'a> PatternExecutor<'a> {
                 // …and merges locally.
                 let result: SharedAnswer =
                     fetch_merge_traced(pool, referral, &signer, now, keys, tracer)?;
-                journey.compute(merge_cost(total_frag_bytes));
                 (result, total_frag_bytes, 0)
             }
             QueryPattern::Chaining => {
@@ -250,7 +244,6 @@ impl<'a> PatternExecutor<'a> {
                 tracer.span(stage::NET_FETCH, leg(&journey, t0));
                 let result: SharedAnswer =
                     fetch_merge_traced(pool, referral, &signer, now, keys, tracer)?;
-                journey.compute(merge_cost(total_frag_bytes));
                 let result_bytes: usize = result.iter().map(Element::byte_size).sum();
                 let t0 = journey.elapsed();
                 journey.try_send(self.net, self.gupster_node, self.client, result_bytes)?;
@@ -295,7 +288,6 @@ impl<'a> PatternExecutor<'a> {
                 tracer.span(stage::NET_FETCH, leg(&journey, t0));
                 let result: SharedAnswer =
                     fetch_merge_traced(pool, referral, &signer, now, keys, tracer)?;
-                journey.compute(merge_cost(total_frag_bytes));
                 let result_bytes: usize = result.iter().map(Element::byte_size).sum();
                 let t0 = journey.elapsed();
                 journey.try_send(self.net, exec_node, self.client, result_bytes)?;

@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use gupster_netsim::SimTime;
 use gupster_policy::pep::Pep;
 use gupster_policy::{Decision, Pap, Purpose, RequestContext, WeekTime};
 use gupster_schema::Schema;
@@ -195,13 +194,11 @@ impl Gupster {
 
     /// Switches on the referral-token cache: lookups that rewrite to a
     /// path set signed earlier for the same (owner, requester) reuse
-    /// that token while it is younger than half its freshness window.
-    /// The cost model charges a reuse 1µs of simulated time instead of
-    /// the 20µs it charges an HMAC pass (a real sign measures ≈0.7–0.9µs
-    /// on the wall, DESIGN.md §7). Stores see a token they have already
-    /// verified, so their signature check memoizes too (see the
-    /// client's `token.verify` charge). Off by default — enabling it
-    /// changes simulated costs, so experiments opt in.
+    /// that token while it is younger than half its freshness window,
+    /// instead of an HMAC pass (a real sign measures ≈0.7–0.9µs on the
+    /// wall, DESIGN.md §7). Off by default — a reused token carries its
+    /// first issue time, so enabling it changes token bytes, and
+    /// experiments opt in.
     pub fn enable_token_cache(&mut self) {
         self.token_cache.get_or_insert_with(|| OwnerLru::new(TOKEN_CACHE_CAPACITY));
     }
@@ -252,8 +249,7 @@ impl Gupster {
     /// Fills the stale rung with a fresh answer to `request`, stamped
     /// with the request clock `now` and the path set [`Gupster::shield`]
     /// permits `requester` under `purpose` at `time` (normally one memo
-    /// hit: the answer's own lookup just decided it). Nothing is charged
-    /// or traced.
+    /// hit: the answer's own lookup just decided it). Nothing is traced.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn remember_answer(
         &mut self,
@@ -275,9 +271,9 @@ impl Gupster {
     /// `purpose` and `time`, still permits exactly the path set it
     /// permitted when the answer was fresh. A refusal is the shield's
     /// [`GupsterError::AccessDenied`]; a narrowed or widened grant
-    /// serves nothing (`Ok(None)`), like a miss. Nothing is charged or
-    /// traced. A serve shares the remembered answer; the recorded path
-    /// set is compared where it lies.
+    /// serves nothing (`Ok(None)`), like a miss. Nothing is traced. A
+    /// serve shares the remembered answer; the recorded path set is
+    /// compared where it lies.
     pub(crate) fn stale_answer(
         &mut self,
         owner: &str,
@@ -323,12 +319,19 @@ impl Gupster {
     /// Registers a data store as holding `path` for `user` — the
     /// Napster "join the community" step (§4.3). The path must fit the
     /// schema.
+    ///
+    /// An owner id holding a NUL is refused: a token's fields are
+    /// NUL-terminated in its signed payload, so `alice\0eve` would sign
+    /// as owner `alice`, requester `eve`.
     pub fn register_component(
         &mut self,
         user: &str,
         path: Path,
         store: StoreId,
     ) -> Result<(), GupsterError> {
+        if user.as_bytes().contains(&0) {
+            return Err(GupsterError::NulInId(user.to_string()));
+        }
         if !self.schema.admits_path(&path) {
             return Err(GupsterError::SpuriousQuery(path.to_string()));
         }
@@ -453,11 +456,9 @@ impl Gupster {
     /// stale rung call it with no tracer, and build, sign and record no
     /// referral.
     ///
-    /// A memo hit touches no rule and is charged 1µs of simulated time
-    /// under a `policy.decide` span of `tracer`; a miss runs the PDP
-    /// over the bucketed candidate rules, charged per rule examined
-    /// (2µs each: condition eval + overlap test). Without a tracer
-    /// nothing is charged.
+    /// The decision runs under a `policy.decide` span of `tracer`, if
+    /// one is given: a memo hit touches no rule, a miss runs the PDP
+    /// over the bucketed candidate rules.
     pub(crate) fn shield(
         &mut self,
         owner: &str,
@@ -502,11 +503,13 @@ impl Gupster {
             tracer.enter(stage::POLICY_DECIDE);
         }
         let enforced = self.pep.enforce(&self.pap.repository, &owner_id, request, &ctx);
-        if enforced.memo_hit {
-            self.telemetry.counters().memo_hits.fetch_add(1, Ordering::Relaxed);
-        }
         if let Some(tracer) = tracer {
-            tracer.charge(SimTime::micros(1 + 2 * enforced.rules_considered));
+            // Only a lookup's memo hit counts: the dashboard divides it
+            // by the lookups that ran, and the stale rung's and a
+            // subscription's checks are not lookups.
+            if enforced.memo_hit {
+                self.telemetry.counters().memo_hits.fetch_add(1, Ordering::Relaxed);
+            }
             tracer.exit();
         }
         match enforced.decision {
@@ -554,9 +557,7 @@ impl Gupster {
         // answer for the right user. Each permitted path is rewritten as
         // the coverage match takes it; the whole request is borrowed,
         // and copied only if it lacks the predicate.
-        tracer.enter(stage::QUERY_REWRITE);
-        tracer.charge(SimTime::micros(whole.map_or(parts.len(), |_| 1) as u64));
-        tracer.exit();
+        tracer.mark(stage::QUERY_REWRITE);
         let rewritten = whole
             .map(Cow::Borrowed)
             .into_iter()
@@ -564,9 +565,9 @@ impl Gupster {
             .map(|p| with_user_id(p, owner));
 
         // 4b. Coverage match per permitted path. The trie index prunes
-        // each match to its candidate entries (charged ~1µs per
-        // candidate examined, with the walk itself a `coverage.index`
-        // child span); wildcard requests fall back to the full scan.
+        // each match to its candidate entries (the walk is a
+        // `coverage.index` child span); wildcard requests fall back to
+        // the full scan.
         //
         // Every entry a path yields is asked for that path: a full
         // source answers it whole, and partial sources each return the
@@ -578,20 +579,16 @@ impl Gupster {
         // registered (the usual whole-request read), else one copy.
         tracer.enter(stage::COVERAGE_MATCH);
         let mut entries: Vec<ReferralEntry> = Vec::new();
-        let mut examined: u64 = 0;
         let (walk, matched) = (&mut self.walk, &mut self.matched);
         for p in rewritten {
             matched.clear();
             let match_stats = coverage.visit_matches(&p, walk, |idx, full| matched.push((idx, full)));
             if match_stats.used_index {
                 self.telemetry.counters().trie_hits.fetch_add(1, Ordering::Relaxed);
-                tracer.enter(stage::COVERAGE_INDEX);
-                tracer.charge(SimTime::micros(1));
-                tracer.exit();
+                tracer.mark(stage::COVERAGE_INDEX);
             } else {
                 self.telemetry.counters().fallback_scans.fetch_add(1, Ordering::Relaxed);
             }
-            examined += match_stats.candidates as u64;
             // A path nothing serves lists no entry. A path the shield
             // permitted twice names the same stores again: its first
             // occurrence listed them.
@@ -618,7 +615,6 @@ impl Gupster {
                 }
             }
         }
-        tracer.charge(SimTime::micros(1 + examined));
         tracer.exit();
         if entries.is_empty() {
             self.stats.uncovered += 1;
@@ -628,11 +624,10 @@ impl Gupster {
         // 5. Sign the rewritten query — or reuse a cached token for the
         // same (owner, requester, path set) while it is younger than
         // half its freshness window, so stores never see a near-expiry
-        // token. The charges are the cost model's simulated time: 20µs
-        // for an HMAC pass, 1µs for a reuse. On the wall a sign measures
-        // ≈0.7–0.9µs (two SHA-256 blocks for a presence token; DESIGN.md
-        // §7). The token shares the shield's ids; only a requester the
-        // registry has never heard of gets a copy of its own.
+        // token. On the wall a sign measures ≈0.7–0.9µs (two SHA-256
+        // blocks for a presence token; DESIGN.md §7). The token shares
+        // the shield's ids; only a requester the registry has never
+        // heard of gets a copy of its own.
         let merge_required = entries.iter().any(|e| !e.complete);
         let paths = TokenPaths::render(entries.iter().map(|e| &*e.path));
         let user = shielded.owner;
@@ -652,7 +647,6 @@ impl Gupster {
                     {
                         token_cached = true;
                         self.telemetry.counters().token_reuse.fetch_add(1, Ordering::Relaxed);
-                        tracer.charge(SimTime::micros(1));
                         SignedQuery {
                             user,
                             requester: requester_id,
@@ -669,16 +663,11 @@ impl Gupster {
                         };
                         let t = self.signer.sign_shared(user, requester_id, paths, now);
                         cache.put(digest, key, CachedToken { issued_at: t.issued_at, signature: t.signature });
-                        tracer.charge(SimTime::micros(20));
                         t
                     }
                 }
             }
-            None => {
-                let t = self.signer.sign_shared(user, requester_id, paths, now);
-                tracer.charge(SimTime::micros(20));
-                t
-            }
+            None => self.signer.sign_shared(user, requester_id, paths, now),
         };
         tracer.exit();
         self.stats.referrals += 1;
@@ -872,6 +861,28 @@ mod tests {
         let smuggled = s.sign("arnaud", &smuggler, vec![presence.to_string()], 0);
         let both = s.sign("arnaud", "eve", vec![book.to_string(), presence.to_string()], 0);
         assert_eq!(smuggled.signature, both.signature);
+    }
+
+    /// An owner id is the first NUL-terminated field of a token's
+    /// signed payload, so `arnaud\0eve`'s tokens would sign as owner
+    /// arnaud, requester eve: registration refuses it, on one shard or
+    /// through the sharded front end.
+    #[test]
+    fn an_owner_id_holding_nul_is_refused() {
+        let owner = "arnaud\0eve";
+        let presence = p("/user[@id='arnaud']/presence");
+        let mut g = server();
+        let got = g.register_component(owner, presence.clone(), StoreId::new("s1"));
+        assert_eq!(got, Err(GupsterError::NulInId(owner.to_string())));
+        assert!(g.coverage_of(owner).is_none());
+        let mut reg = crate::ShardedRegistry::new(gup_schema(), b"k", 2);
+        let got = reg.register_component(owner, presence.clone(), StoreId::new("s1"));
+        assert_eq!(got, Err(GupsterError::NulInId(owner.to_string())));
+        // What such an owner's token would have signed.
+        let s = g.signer();
+        let smuggled = s.sign(owner, "x", vec![presence.to_string()], 0);
+        let other = s.sign("arnaud", "eve", vec!["x".to_string(), presence.to_string()], 0);
+        assert_eq!(smuggled.signature, other.signature);
     }
 
     #[test]

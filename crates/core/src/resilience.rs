@@ -116,7 +116,8 @@ pub struct ResilientRun {
 pub struct ResilientExecutor<'a> {
     /// The underlying pattern executor (network + topology).
     pub exec: PatternExecutor<'a>,
-    /// Deadline budget per request, in simulated time. Attempts only
+    /// Deadline budget per request, in simulated time: netsim legs and
+    /// backoffs, since CPU stages take none. Attempts only
     /// *start* while the budget holds; an answer that lands past it is
     /// discarded as [`GupsterError::DeadlineExceeded`] (the client has
     /// given up) unless the stale rung can still serve.

@@ -298,14 +298,8 @@ impl<'a> Singleflight<'a> {
 /// Per-batch execution accounting from the scatter-gather run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchReport {
-    /// Simulated busy time each shard spent on its slice of the batch
-    /// (sum of its requests' traced pipeline costs).
-    pub shard_sim: Vec<SimTime>,
-    /// The simulated makespan: the busiest shard's time — what a
-    /// wall clock would show with one core per shard.
-    pub makespan: SimTime,
-    /// Total simulated work across all shards (the one-core cost).
-    pub total_sim: SimTime,
+    /// Requests each shard was routed, in shard order.
+    pub shard_requests: Vec<usize>,
 }
 
 /// Fault-injection hook for open-loop runs: invoked once per admitted
@@ -397,7 +391,8 @@ impl OverloadReport {
 struct ShardAccum {
     /// Requests routed to the shard so far.
     requests: u64,
-    /// Simulated busy time accumulated by the shard.
+    /// Simulated busy time accumulated by the shard: the service table
+    /// prices of the open-loop requests it ran.
     busy: SimTime,
     /// Scatter windows observed (including ones where this shard got
     /// no requests — a zero-depth queue is a real observation).
@@ -410,10 +405,6 @@ struct ShardAccum {
 
 /// How many hottest users/paths the observability snapshot keeps.
 const HOT_KEY_TOP_K: usize = 10;
-
-/// Simulated cost charged per admission decision (the
-/// `admission.decide` stage).
-const ADMISSION_DECIDE_COST: SimTime = SimTime::micros(1);
 
 /// N independent [`Gupster`] shards behind one facade: mutations route
 /// to the owning shard, batches scatter across shard worker threads
@@ -428,7 +419,7 @@ pub struct ShardedRegistry {
     /// is what keeps exemplar selection byte-identical across shard
     /// counts even though hub-local request ids differ.
     ops: u64,
-    /// Accumulated makespan across batches (simulated wall clock).
+    /// Accumulated open-loop horizons (simulated wall clock).
     makespan_total: SimTime,
     /// Request counts per profile owner (hot-user skew view).
     hot_users: BTreeMap<String, u64>,
@@ -493,7 +484,7 @@ impl ShardedRegistry {
     /// Switches on the referral-token cache on every shard (see
     /// [`Gupster::enable_token_cache`]). An owner's requests always land
     /// on the same shard, so per-key cache behavior — and therefore
-    /// every simulated cost — is identical at any shard count.
+    /// every token — is identical at any shard count.
     pub fn enable_token_cache(&mut self) {
         for g in self.shards.parts_mut() {
             g.enable_token_cache();
@@ -677,7 +668,6 @@ impl ShardedRegistry {
             |gupster, bucket| {
                 let hub = gupster.telemetry();
                 let mut window = window(bucket.len());
-                let mut busy = SimTime::ZERO;
                 // One tracer for the bucket, restarted per request: each
                 // request still gets its own id and span tree, on the
                 // buffers of the first. `scatter` calls `work` only for
@@ -694,24 +684,20 @@ impl ShardedRegistry {
                         // partitioning, so key by global submission
                         // index, not the hub-local request id.
                         tracer.set_key(key_base + i as u64);
-                        let res = work(gupster, &mut window, &requests[i], &mut tracer);
-                        busy += tracer.now();
-                        res
+                        work(gupster, &mut window, &requests[i], &mut tracer)
                     })
                     .collect();
-                (busy, out)
+                ((), out)
             },
         );
-        let shard_sim: Vec<SimTime> = per_shard.iter().map(|&(_, busy)| busy).collect();
-        let makespan = shard_sim.iter().copied().max().unwrap_or(SimTime::ZERO);
-        let total_sim = SimTime(shard_sim.iter().map(|t| t.0).sum());
-        let report = BatchReport { shard_sim, makespan, total_sim };
-        self.close_window(requests.len(), report.makespan, per_shard);
-        (results, report)
+        let shard_requests: Vec<usize> = per_shard.iter().map(|&(depth, ())| depth).collect();
+        self.close_window(requests.len(), SimTime::ZERO, shard_requests.iter().map(|&d| (d, SimTime::ZERO)));
+        (results, BatchReport { shard_requests })
     }
 
     /// Gather-join accounting for one observation window: `per_shard`
-    /// holds each shard's `(requests routed, simulated busy time)`.
+    /// holds each shard's `(requests routed, simulated busy time)`;
+    /// only an open-loop run has busy time or a makespan.
     /// Gauges only ever change here, on the routing thread, so snapshot
     /// readers never see a torn window.
     fn close_window(
@@ -764,7 +750,7 @@ impl ShardedRegistry {
         self.scatter(requests, Singleflight::new, |g, flight, r, tracer| {
             if let Some(shared) = flight.serve(g, r) {
                 tracer.hub().counters().singleflight_hits.fetch_add(1, Ordering::Relaxed);
-                tracer.span(stage::SINGLEFLIGHT_HIT, SimTime::micros(1));
+                tracer.mark(stage::SINGLEFLIGHT_HIT);
                 return shared;
             }
             let out = match g.lookup_traced(
@@ -849,15 +835,16 @@ impl ShardedRegistry {
         let mut completions: Vec<Completion> = Vec::new();
         // Runs arrival `j`'s full pipeline on its owner's shard at its
         // service start instant `start`, under a `shard.request` trace
-        // keyed by global submission index, and returns its traced cost.
-        // The mutable run state is passed in so the borrow ends with
-        // each queue call.
+        // keyed by global submission index, and returns its service
+        // time: its class's entry in the service table, which closes
+        // the trace as an `admission.service` span. The mutable run
+        // state is passed in so the borrow ends with each queue call.
         let run = |shards: &mut Shards<Gupster>,
                    results: &mut [Option<Result<SharedAnswer, GupsterError>>],
                    per_shard: &mut [(usize, SimTime)],
                    j: usize,
                    start: SimTime| {
-            let r = &arrivals[j].request;
+            let OpenLoopRequest { request: r, class, .. } = &arrivals[j];
             let g = shards.get_mut(&r.owner);
             let mut tracer = g.telemetry().tracer(stage::SHARD_REQUEST);
             tracer.set_key(key_base + j as u64);
@@ -870,18 +857,19 @@ impl ShardedRegistry {
                 )?;
                 fetch_merge_traced(pool, &out.referral, &g.signer(), r.now, keys, &mut tracer)
             })();
-            let cost = tracer.now();
-            per_shard[shards.index(&r.owner)].1 += cost;
+            let service = class.service();
+            tracer.span(stage::ADMISSION_SERVICE, service);
+            per_shard[shards.index(&r.owner)].1 += service;
             results[j] = Some(res);
-            cost
+            service
         };
 
         for (i, a) in arrivals.iter().enumerate() {
             let hub = self.shard(&a.request.owner).telemetry();
-            // The admission decision itself is a per-request fixed-cost
-            // stage charged to the owning shard's hub, so the fleet
-            // `admission.decide` histogram is shard-count invariant.
-            hub.record_stage(stage::ADMISSION_DECIDE, ADMISSION_DECIDE_COST);
+            // The admission decision is a zero-width stage on the
+            // owning shard's hub, so the fleet `admission.decide`
+            // histogram is shard-count invariant.
+            hub.record_stage(stage::ADMISSION_DECIDE, SimTime::ZERO);
 
             completions.clear();
             let offer = {
@@ -1158,9 +1146,8 @@ mod tests {
             })
             .collect();
         assert_eq!(expected, got);
-        assert_eq!(report.shard_sim.len(), 3);
-        assert!(report.makespan <= report.total_sim);
-        assert!(report.makespan > SimTime::ZERO);
+        assert_eq!(report.shard_requests.len(), 3);
+        assert_eq!(report.shard_requests.iter().sum::<usize>(), requests.len());
     }
 
     #[test]
@@ -1303,13 +1290,14 @@ mod tests {
         let snap = sharded.obs_snapshot();
 
         assert_eq!(snap.fleet.requests, 12);
-        assert_eq!(snap.shards.iter().map(|s| s.requests).sum::<u64>(), 12);
-        assert_eq!(snap.fleet.busy, report.total_sim + report2.total_sim);
-        assert_eq!(snap.makespan, report.makespan + report2.makespan);
+        for (s, (a, b)) in snap.shards.iter().zip(report.shard_requests.iter().zip(&report2.shard_requests)) {
+            assert_eq!(s.requests, (a + b) as u64);
+        }
+        // Closed-loop windows advance no simulated time.
+        assert_eq!((snap.fleet.busy, snap.makespan), (SimTime::ZERO, SimTime::ZERO));
         assert_eq!(snap.fleet.totals.lookups, 12);
         for s in &snap.shards {
             assert_eq!(s.windows, 2, "every shard observes every window");
-            assert!(s.utilization > 0.0 && s.utilization <= 1.0);
             // Identical windows: the mean queue depth equals the max.
             assert!((s.queued_mean - s.queued_max as f64).abs() < 1e-9);
         }

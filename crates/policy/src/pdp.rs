@@ -28,10 +28,9 @@ impl Decision {
     }
 }
 
-/// How much work one [`Pdp::decide`] call performed — the hook the
-/// telemetry layer uses to charge a deterministic, rule-proportional
-/// cost to the `policy.decide` stage without coupling this crate to the
-/// tracer.
+/// How much work one [`Pdp::decide`] call performed: the count E16
+/// and the differential suites compare between the bucketed rule index
+/// and the full scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionCost {
     /// Rules of the owner that were examined (condition + overlap test).

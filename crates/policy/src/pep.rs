@@ -17,8 +17,8 @@ use crate::memo::{DecisionMemo, MemoKey};
 use crate::pdp::{Decision, Pdp};
 use crate::repository::PolicyRepository;
 
-/// One [`Pep::enforce`] call: the verdict and the work behind it, so
-/// callers can count memo hits and charge rule-proportional costs.
+/// One [`Pep::enforce`] call: the verdict, and whether the memo gave
+/// it, so callers can count memo hits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Enforced {
     /// What the request may do: [`Decision::Permit`] proceeds with the
@@ -27,8 +27,6 @@ pub struct Enforced {
     pub decision: Decision,
     /// True when the decision memo answered (the PDP was not asked).
     pub memo_hit: bool,
-    /// Rules the PDP examined; 0 on a memo hit.
-    pub rules_considered: u64,
 }
 
 /// The enforcement point: a default-closed [`Pdp`] behind a
@@ -62,11 +60,11 @@ impl Pep {
         let generation = repo.generation();
         let key = MemoKey::shared(owner, ctx, request);
         match self.memo.get(&key, generation) {
-            Some(decision) => Enforced { decision, memo_hit: true, rules_considered: 0 },
+            Some(decision) => Enforced { decision, memo_hit: true },
             None => {
-                let (decision, cost) = self.pdp.decide_with_cost(repo, owner, request, ctx);
+                let decision = self.pdp.decide(repo, owner, request, ctx);
                 self.memo.put(key, generation, decision.clone());
-                Enforced { decision, memo_hit: false, rules_considered: cost.rules_considered }
+                Enforced { decision, memo_hit: false }
             }
         }
     }
@@ -137,9 +135,8 @@ mod tests {
 
         let first = pep.enforce(&repo, &alice, &request, &rick);
         assert!(!first.memo_hit);
-        assert_eq!(first.rules_considered, 1);
         let again = pep.enforce(&repo, &alice, &request, &rick);
-        assert_eq!((again.memo_hit, again.rules_considered), (true, 0));
+        assert!(again.memo_hit);
         assert_eq!(again.decision, first.decision);
 
         // Withdrawing the permit bumps the generation: refused at once.

@@ -123,17 +123,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
-
-    /// Number of recorded samples strictly above the bucket containing
-    /// `threshold` — the histogram's resolution-bounded count of
-    /// SLO-violating samples. Samples sharing the threshold's bucket
-    /// are counted as *within* budget (the under-count is bounded by
-    /// one bucket width), so the estimate is conservative, deterministic
-    /// and merge-stable.
-    pub(crate) fn count_over(&self, threshold: SimTime) -> u64 {
-        let cut = bucket_of(threshold.0);
-        self.counts.iter().skip(cut + 1).sum()
-    }
 }
 
 #[cfg(test)]
@@ -220,19 +209,6 @@ mod tests {
         let mut flipped = b.clone();
         flipped.merge(&a);
         assert_eq!(flipped.p99(), merged.p99());
-    }
-
-    #[test]
-    fn count_over_is_conservative() {
-        let mut h = Histogram::new();
-        for us in [10u64, 100, 1000, 10_000, 100_000] {
-            h.record(SimTime::micros(us));
-        }
-        // 1000µs lives in bucket [512, 1024); everything above that
-        // bucket counts as over.
-        assert_eq!(h.count_over(SimTime::micros(1000)), 2);
-        assert_eq!(h.count_over(SimTime::ZERO), 5);
-        assert_eq!(h.count_over(SimTime::micros(200_000)), 0);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! Durations are measured in simulated [`SimTime`] — the workspace has
 //! no wall clocks in its hot paths, so traces are **deterministic**:
 //! the same seed produces byte-identical trace files, which keeps the
-//! experiments reproducible and the telemetry assertions testable.
+//! experiments reproducible and the telemetry assertions testable. Only
+//! netsim legs, retry backoffs and the admission service table advance
+//! that time; a CPU stage's span is zero-width.
 //!
 //! * [`Span`]s carry a monotonically-assigned [`RequestId`], nest via
 //!   parent links and are labelled with pipeline stages
@@ -94,9 +96,12 @@ pub mod stage {
     pub const STALE_SERVE: &str = "resilience.stale";
     /// A request abandoned on deadline-budget exhaustion (marker).
     pub const DEADLINE_EXCEEDED: &str = "resilience.deadline";
-    /// One admission-control decision at an ingress queue (fixed cost
-    /// per open-loop arrival).
+    /// One admission-control decision at an ingress queue (zero-width,
+    /// one per open-loop arrival).
     pub const ADMISSION_DECIDE: &str = "admission.decide";
+    /// An admitted open-loop request's service time, its class's entry
+    /// in the admission service table.
+    pub const ADMISSION_SERVICE: &str = "admission.service";
     /// End-to-end sojourn (queue wait + service) of a call-delivery
     /// class request under open-loop load.
     pub const CLASS_CALL_DELIVERY: &str = "class.call_delivery";

@@ -33,10 +33,12 @@ pub struct ShardObs {
     pub shard: usize,
     /// Requests the shard has processed.
     pub requests: u64,
-    /// Simulated busy time the shard accumulated.
+    /// Simulated busy time the shard accumulated: the admission service
+    /// times of the open-loop requests it ran.
     pub busy: SimTime,
-    /// `busy / fleet makespan` — 1.0 means this shard was the critical
-    /// path of every batch window.
+    /// `busy / fleet makespan`: the servers the shard's load kept busy.
+    /// Above 1.0 when fewer shards than ingress queues carry an
+    /// open-loop run.
     pub utilization: f64,
     /// Scatter windows the shard participated in.
     pub windows: u64,
@@ -155,9 +157,10 @@ pub struct FleetObs {
 pub struct ObsSnapshot {
     /// Merged, shard-count-invariant section.
     pub fleet: FleetObs,
-    /// Accumulated makespan (sum over scatter windows of the busiest
-    /// shard's window time) — the fleet's simulated wall clock. A
-    /// parallelism metric, so it lives outside the invariant section.
+    /// Accumulated makespan (the sum of the open-loop runs' horizons;
+    /// a closed-loop window adds nothing) — the fleet's simulated wall
+    /// clock. It lives outside the invariant section, beside the
+    /// gauges it divides.
     pub makespan: SimTime,
     /// Per-shard gauges, shard order.
     pub shards: Vec<ShardObs>,

@@ -4,19 +4,15 @@
 //! The paper's delivery constraint — resolve reach-me profiles in
 //! "hundreds of milliseconds" — is an SLO, so we model it the SRE way:
 //!
-//! * an [`SloSpec`] names an objective: a latency budget (`p99 ≤
-//!   budget`) over a stage histogram, an availability target
-//!   (`good/(good+bad) ≥ target`), or both;
+//! * an [`SloSpec`] names an objective: an availability target
+//!   (`good/(good+bad) ≥ target`), a latency budget on the observed
+//!   p99 (`p99 ≤ budget`), or both;
 //! * the **error budget** is the allowed bad fraction, `1 − target`;
 //! * the **burn rate** is `observed bad fraction / error budget` over
 //!   the evaluated simulated window — 1.0 means the run consumed its
 //!   budget exactly, above 1.0 the objective regressed.
 //!
-//! For latency objectives a request is *bad* when its duration exceeds
-//! the budget; the count comes from
-//! the histogram's count above the budget, so it is deterministic,
-//! merge-stable and conservative by at most one log₂ bucket. Every
-//! evaluation happens on simulated time, so the artifact is
+//! Every evaluation happens on simulated time, so the artifact is
 //! byte-identical run to run and across shard counts — CI requires a
 //! fresh run to reproduce the checked-in file exactly.
 
@@ -24,12 +20,10 @@ use std::fmt::Write as _;
 
 use gupster_netsim::SimTime;
 
-use crate::histogram::Histogram;
-
 /// One service-level objective.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloSpec {
-    /// Objective name (`call-path-p99`, `fault-availability`, …).
+    /// Objective name (`fault-availability`, …).
     pub name: String,
     /// The stage histogram the objective measures (informational).
     pub stage: String,
@@ -109,14 +103,6 @@ fn verdict(
     let latency_ok = p99_budget == SimTime::ZERO || p99 <= p99_budget;
     let availability_ok = target <= 0.0 || (availability >= target && burn_rate <= 1.0);
     latency_ok && availability_ok
-}
-
-/// Evaluates a latency objective over a stage histogram: events above
-/// the p99 budget burn the error budget.
-pub fn evaluate_latency(spec: SloSpec, hist: &Histogram, window: SimTime) -> SloOutcome {
-    let count = hist.count();
-    let bad = hist.count_over(spec.p99_budget);
-    finish(spec, count, hist.p99(), bad, window)
 }
 
 /// Evaluates an availability objective from explicit good/bad event
@@ -215,44 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_objective_burns_on_over_budget_samples() {
-        // Exactly 1% of samples over budget: the error budget is spent
-        // to the last drop but not exceeded, and p99 still sits in the
-        // fast bucket — the objective holds at burn rate 1.0.
-        let mut at_budget = Histogram::new();
-        for _ in 0..990 {
-            at_budget.record(SimTime::micros(100));
-        }
-        for _ in 0..10 {
-            at_budget.record(SimTime::micros(50_000));
-        }
-        let o = evaluate_latency(spec("p99", 1_000, 0.99), &at_budget, SimTime::millis(500));
-        assert_eq!((o.count, o.bad), (1000, 10));
-        assert!((o.availability - 0.99).abs() < 1e-9);
-        assert!((o.burn_rate - 1.0).abs() < 1e-9, "{}", o.burn_rate);
-        assert!(o.ok);
-
-        // 3% over budget: p99 lands on the slow samples and the burn
-        // rate triples — both halves of the verdict fail.
-        let mut blown = Histogram::new();
-        for _ in 0..970 {
-            blown.record(SimTime::micros(100));
-        }
-        for _ in 0..30 {
-            blown.record(SimTime::micros(50_000));
-        }
-        let o = evaluate_latency(spec("p99", 1_000, 0.99), &blown, SimTime::millis(500));
-        assert_eq!(o.bad, 30);
-        assert_eq!(o.p99, SimTime::micros(50_000));
-        assert!((o.burn_rate - 3.0).abs() < 1e-9, "{}", o.burn_rate);
-        assert!(!o.ok);
-
-        let relaxed = evaluate_latency(spec("p99", 100_000, 0.99), &blown, SimTime::millis(500));
-        assert!(relaxed.ok);
-        assert_eq!(relaxed.bad, 0, "all samples fit the relaxed budget");
-    }
-
-    #[test]
     fn availability_objective_and_budget_math() {
         let o = evaluate_availability(
             spec("avail", 0, 0.99),
@@ -275,6 +223,11 @@ mod tests {
         );
         assert!((burned.burn_rate - 3.0).abs() < 1e-9);
         assert!(!burned.ok);
+
+        // Within its availability target but over its p99 budget.
+        let slow =
+            evaluate_availability(spec("p99", 500, 0.99), 995, 5, SimTime::micros(800), SimTime::secs(1));
+        assert!(!slow.ok);
     }
 
     #[test]
@@ -291,7 +244,7 @@ mod tests {
 
     #[test]
     fn empty_windows_are_vacuously_ok() {
-        let o = evaluate_latency(spec("p99", 1_000, 0.99), &Histogram::new(), SimTime::ZERO);
+        let o = evaluate_availability(spec("p99", 1_000, 0.99), 0, 0, SimTime::ZERO, SimTime::ZERO);
         assert!(o.ok);
         assert_eq!(o.availability, 1.0);
         assert_eq!(o.burn_rate, 0.0);

@@ -89,10 +89,13 @@ struct RawSpan {
 /// Builds the span tree of one request.
 ///
 /// The tracer keeps a **cursor** in request-relative simulated time.
-/// [`Tracer::enter`] opens a child span at the cursor,
-/// [`Tracer::charge`] advances the cursor (attributing the elapsed time
-/// to every open span), and [`Tracer::exit`] closes the innermost span
-/// and feeds its duration into the hub's per-stage histogram. Dropping
+/// [`Tracer::enter`] opens a child span at the cursor, [`Tracer::span`]
+/// records a leaf of a given duration (a netsim leg, a retry backoff,
+/// an admission service), advancing the cursor and so every open span,
+/// and [`Tracer::exit`] closes the innermost span and feeds its
+/// duration into the hub's per-stage histogram. A CPU stage opens its
+/// span and closes it at the same instant: only the network and the
+/// admission service table advance simulated time. Dropping
 /// the tracer finishes the trace: open spans are closed and the whole
 /// tree is handed to the [`TelemetryHub`]. [`Tracer::restart`] does the
 /// same and goes on with the next request.
@@ -170,7 +173,7 @@ impl Tracer {
         &self.hub
     }
 
-    /// The cursor: request-relative simulated time charged so far.
+    /// The cursor: request-relative simulated time spent so far.
     pub fn now(&self) -> SimTime {
         self.cursor
     }
@@ -189,7 +192,7 @@ impl Tracer {
 
     /// Advances the cursor by `dt`, attributing the time to every open
     /// span (the innermost is the one whose *exclusive* time grows).
-    pub fn charge(&mut self, dt: SimTime) {
+    pub(crate) fn charge(&mut self, dt: SimTime) {
         self.cursor += dt;
     }
 

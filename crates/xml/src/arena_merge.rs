@@ -18,9 +18,8 @@
 //! attributes are interned when [`MergeKeys`] is built, so finding a
 //! sibling's identity compares integers and hashes no string.
 //!
-//! [`MergeStats`] counts fresh spine nodes vs. shared subtree nodes;
-//! the bench harness (E19) and the fetch pipeline's simulated
-//! `xml.merge` stage cost both derive from these deterministic counts.
+//! [`MergeStats`] counts fresh spine nodes vs. shared subtree nodes,
+//! the deterministic counts the bench harness (E19) reports.
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;

@@ -6,7 +6,10 @@
 //! layout. For a seeded request stream it must be byte-identical
 //! across shard counts.
 
-use gupster::core::{ShardRequest, ShardedRegistry, StorePool};
+use gupster::core::{
+    fetch_merge_traced, AdmissionConfig, OpenLoopRequest, Priority, ShardRequest, ShardedRegistry,
+    StorePool,
+};
 use gupster::policy::{Purpose, WeekTime};
 use gupster::schema::gup_schema;
 use gupster::store::{StoreId, XmlStore};
@@ -87,7 +90,7 @@ fn build_pool() -> StorePool {
 }
 
 /// A deterministic stream with duplicates (singleflight fodder),
-/// merged answers (the tail the exemplars must catch) and a hot user.
+/// merged answers and a hot user.
 fn request_stream(n: usize) -> Vec<ShardRequest> {
     (0..n)
         .map(|op| {
@@ -110,7 +113,10 @@ fn request_stream(n: usize) -> Vec<ShardRequest> {
         .collect()
 }
 
-/// Runs the stream in two scatter windows and snapshots.
+/// Runs the stream open-loop, 50µs apart, in two runs, and snapshots.
+/// A presence read is a call delivery and a book a bulk read, so each
+/// admitted request's trace lasts its class's service time: the merged
+/// books are the tail the exemplars must catch.
 fn snapshot(
     requests: &[ShardRequest],
     shards: usize,
@@ -123,23 +129,39 @@ fn snapshot(
     provision(&mut reg);
     reg.set_span_limit(0);
     reg.set_exemplar_policy(exemplar_threshold, cap);
-    for window in requests.chunks(requests.len().div_ceil(2).max(1)) {
-        let (results, _) = reg.answer_batch(&pool, window, &keys, true);
-        assert!(results.iter().all(Result::is_ok), "workload is fault-free");
+    for run in requests.chunks(requests.len().div_ceil(2).max(1)) {
+        let arrivals: Vec<OpenLoopRequest> = (0..)
+            .zip(run)
+            .map(|(i, r)| OpenLoopRequest {
+                class: if is_book(r) { Priority::ProfileEdit } else { Priority::CallDelivery },
+                request: r.clone(),
+                arrival: SimTime::micros(50 * i),
+            })
+            .collect();
+        let config = AdmissionConfig::default();
+        let (outcomes, report) = reg.answer_open_loop(&pool, &arrivals, &keys, &config, None);
+        assert_eq!(report.fresh as usize, outcomes.len(), "workload is fault-free and admitted");
     }
     reg.obs_snapshot()
+}
+
+fn is_book(r: &ShardRequest) -> bool {
+    r.path.to_string().ends_with("/address-book")
 }
 
 #[test]
 fn fleet_snapshot_byte_identical_across_shard_counts() {
     let requests = request_stream(160);
-    // Tail threshold between the presence path (~3 stage costs) and
-    // the merged two-store answer — only merged answers exemplify.
+    // Tail threshold between the call and bulk service times — only
+    // merged answers exemplify.
     let threshold = SimTime::micros(100);
     let base = snapshot(&requests, 1, threshold, 6);
     assert!(!base.fleet.exemplars.is_empty(), "threshold must catch the merged tail");
     assert_eq!(base.fleet.requests, 160);
     assert!(base.fleet.totals.batched_fetches > 0, "merged answers fetch per store");
+    // Each book is split over two stores: one round each.
+    let books = requests.iter().filter(|r| is_book(r)).count() as u64;
+    assert_eq!(base.fleet.totals.batched_fetches, 2 * books);
     let base_json = base.fleet_json();
     for shards in [2usize, 4, 8] {
         let snap = snapshot(&requests, shards, threshold, 6);
@@ -185,4 +207,85 @@ fn snapshot_survives_its_own_codec() {
     let back = ObsSnapshot::parse_json(&text).unwrap();
     assert_eq!(back.render_json(), text, "render∘parse must be the identity on artifacts");
     assert_eq!(back.fleet_json(), snap.fleet_json());
+}
+
+/// Only netsim legs and the admission service table advance simulated
+/// time (DESIGN.md §10): a read's CPU stages open their spans, one per
+/// stage as before, but every span is zero-width.
+#[test]
+fn a_warm_read_advances_no_simulated_time() {
+    let pool = build_pool();
+    let keys = MergeKeys::new().with_key("item", "id");
+    let at = WeekTime::at(1, 10, 0);
+
+    // One traced read of a book split over two stores, warm: its lookup
+    // has run once already.
+    let mut reg = ShardedRegistry::new(gup_schema(), b"obs", 1);
+    provision(&mut reg);
+    let u = user(0);
+    let book = p(&format!("/user[@id='{u}']/address-book"));
+    let g = reg.shard_mut(&u);
+    g.lookup(&u, &book, &u, Purpose::Query, at, 0).unwrap();
+    let out = g.lookup(&u, &book, &u, Purpose::Query, at, 1).unwrap();
+    assert_ne!(out.referral.entries[0].store, out.referral.entries[1].store);
+    let hub = g.telemetry();
+    let mut tracer = hub.tracer("test.read");
+    let answer: Vec<Element> =
+        fetch_merge_traced(&pool, &out.referral, &g.signer(), 1, &keys, &mut tracer).unwrap();
+    assert_eq!(answer.len(), 1);
+    assert_eq!(tracer.now(), SimTime::ZERO);
+    drop(tracer);
+    // Two lookups, then the read: one span per stage as before, the
+    // read's two store rounds included.
+    let stages: Vec<(String, u64)> =
+        hub.stage_histograms().into_iter().map(|(s, h)| (s, h.count())).collect();
+    let expected = [
+        ("coverage.index", 2),
+        ("coverage.match", 2),
+        ("fetch.merge", 1),
+        ("policy.decide", 2),
+        ("query.rewrite", 2),
+        ("registry.lookup", 2),
+        ("store.fetch", 2),
+        ("test.read", 1),
+        ("token.sign", 2),
+        ("token.verify", 1),
+        ("xml.merge", 1),
+        ("xml.parse", 1),
+        ("xml.serialize", 1),
+    ];
+    assert_eq!(stages, expected.map(|(s, n)| (s.to_string(), n)));
+    for (stage, h) in hub.stage_histograms() {
+        assert_eq!(h.max(), SimTime::ZERO, "{stage} advanced simulated time");
+    }
+
+    // One answer_batch window: one span per stage run, the counts the
+    // benchmark's traced runs read.
+    let mut reg = ShardedRegistry::new(gup_schema(), b"obs", 1);
+    provision(&mut reg);
+    let (results, _) = reg.answer_batch(&pool, &request_stream(160), &keys, true);
+    assert!(results.iter().all(Result::is_ok));
+    let snap = reg.obs_snapshot();
+    let counts: Vec<(&str, u64)> = snap.fleet.stages.iter().map(|r| (&*r.stage, r.stats.count)).collect();
+    assert_eq!(
+        counts,
+        [
+            ("coverage.index", 48),
+            ("coverage.match", 48),
+            ("fetch.singleflight", 112),
+            ("policy.decide", 48),
+            ("query.rewrite", 48),
+            ("registry.lookup", 48),
+            ("shard.request", 160),
+            ("store.fetch", 72),
+            ("token.sign", 48),
+            ("token.verify", 48),
+            ("xml.merge", 48),
+            ("xml.parse", 48),
+            ("xml.serialize", 48),
+        ]
+    );
+    for row in &snap.fleet.stages {
+        assert_eq!(row.stats.max, SimTime::ZERO, "{} advanced simulated time", row.stage);
+    }
 }

@@ -55,8 +55,7 @@ fn sharded_lookups_byte_identical_to_sequential() {
             })
             .collect();
         assert_eq!(expected, got, "lookup stream diverged at {shards} shards");
-        assert_eq!(report.shard_sim.len(), shards);
-        assert!(report.makespan <= report.total_sim);
+        assert_eq!(report.shard_requests.len(), shards);
     }
 }
 
@@ -83,11 +82,10 @@ fn sharded_answers_byte_identical_across_shards_and_batching() {
         })
         .collect();
 
-    let mut sim_makespans = Vec::new();
     for shards in [1usize, 2, 8] {
         let mut reg = ShardedRegistry::new(gup_schema(), b"diff", shards);
         provision(|u, path, store| reg.register_component(u, path, store).unwrap());
-        let (results, report) = reg.answer_batch(&pool, &requests, &keys, true);
+        let (results, _) = reg.answer_batch(&pool, &requests, &keys, true);
         let got: Vec<String> = results
             .iter()
             .map(|r| match r {
@@ -96,13 +94,7 @@ fn sharded_answers_byte_identical_across_shards_and_batching() {
             })
             .collect();
         assert_eq!(expected, got, "answer stream diverged at {shards} shards");
-        sim_makespans.push((shards, report.makespan));
     }
-    // More shards, shorter simulated makespan — the scaling direction
-    // E17 measures at volume.
-    let one = sim_makespans.iter().find(|(s, _)| *s == 1).unwrap().1;
-    let eight = sim_makespans.iter().find(|(s, _)| *s == 8).unwrap().1;
-    assert!(eight < one, "8 shards {eight:?} vs 1 shard {one:?}");
 }
 
 // -------------------------------------------------- singleflight —
