@@ -11,7 +11,6 @@
 //! which stays as the differential-testing oracle. Wildcard requests,
 //! which the trie cannot prune, examine every registration.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use gupster_store::StoreId;
@@ -45,15 +44,14 @@ pub struct MatchStats {
     pub used_index: bool,
 }
 
-/// Per-user coverage: the list of (component path, stores) registrations.
-/// Paths and store ids are shared: the referral entries that name a
-/// registered store, or ask for exactly a registered path, hold the same
-/// `Arc`s.
+/// Per-user coverage: the list of (component path, stores) registrations
+/// and the trie over them. Paths and store ids are shared: the referral
+/// entries that name a registered store, or ask for exactly a registered
+/// path, hold the same `Arc`s, and a registry hands every registration
+/// naming one store the same id.
 #[derive(Debug, Clone, Default)]
 pub struct CoverageMap {
     entries: Vec<(Arc<Path>, Vec<Arc<StoreId>>)>,
-    /// path → entry index, so registration is O(1) instead of a scan.
-    by_path: HashMap<Arc<Path>, usize>,
     trie: CoverageTrie,
 }
 
@@ -66,19 +64,27 @@ impl CoverageMap {
     /// Registers a store as holding the component at `path`.
     /// Idempotent per (path, store).
     pub fn register(&mut self, path: Path, store: StoreId) {
-        match self.by_path.get(&path) {
-            Some(&idx) => {
+        self.register_shared(path, &Arc::new(store));
+    }
+
+    /// [`CoverageMap::register`] with a shared store id; returns whether
+    /// the (path, store) pair is new. The trie finds an existing
+    /// registration of `path` at the node where its spine ends.
+    pub(crate) fn register_shared(&mut self, path: Path, store: &Arc<StoreId>) -> bool {
+        match self.trie.find(&path, |idx| *self.entries[idx].0 == path) {
+            Some(idx) => {
                 let stores = &mut self.entries[idx].1;
-                if !stores.iter().any(|s| **s == store) {
-                    stores.push(Arc::new(store));
+                let new = !stores.iter().any(|s| s == store);
+                if new {
+                    stores.push(Arc::clone(store));
                 }
+                new
             }
             None => {
                 let idx = self.entries.len();
                 self.trie.insert(&path, idx);
-                let path = Arc::new(path);
-                self.by_path.insert(Arc::clone(&path), idx);
-                self.entries.push((path, vec![Arc::new(store)]));
+                self.entries.push((Arc::new(path), vec![Arc::clone(store)]));
+                true
             }
         }
     }
@@ -86,16 +92,16 @@ impl CoverageMap {
     /// Unregisters a store from a component; returns whether anything
     /// was removed. Empty entries are dropped.
     pub fn unregister(&mut self, path: &Path, store: &StoreId) -> bool {
-        let mut removed = false;
-        if let Some(&idx) = self.by_path.get(path) {
-            let stores = &mut self.entries[idx].1;
-            let before = stores.len();
-            stores.retain(|s| **s != *store);
-            removed = stores.len() != before;
-            if stores.is_empty() {
-                self.entries.remove(idx);
-                self.rebuild_index();
-            }
+        let Some(idx) = self.trie.find(path, |idx| *self.entries[idx].0 == *path) else {
+            return false;
+        };
+        let stores = &mut self.entries[idx].1;
+        let before = stores.len();
+        stores.retain(|s| **s != *store);
+        let removed = stores.len() != before;
+        if stores.is_empty() {
+            self.entries.remove(idx);
+            self.rebuild_index();
         }
         removed
     }
@@ -117,13 +123,11 @@ impl CoverageMap {
         n
     }
 
-    /// Rebuilds the trie and the path map after entry indices shifted.
-    /// Removal is the cold path (carrier churn); lookups never pay this.
+    /// Rebuilds the trie after entry indices shifted. Removal is the
+    /// cold path (carrier churn); lookups never pay this.
     fn rebuild_index(&mut self) {
-        self.by_path.clear();
         self.trie = CoverageTrie::default();
         for (idx, (path, _)) in self.entries.iter().enumerate() {
-            self.by_path.insert(Arc::clone(path), idx);
             self.trie.insert(path, idx);
         }
     }

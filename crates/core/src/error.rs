@@ -28,8 +28,6 @@ pub enum GupsterError {
     Store(String),
     /// Token verification failed at a store.
     Token(String),
-    /// Fragments could not be merged.
-    Merge(String),
     /// A simulated network link was down when a request leg crossed it.
     LinkDown {
         /// Sending node label.
@@ -70,7 +68,6 @@ impl fmt::Display for GupsterError {
             GupsterError::NulInId(u) => write!(f, "id holds a NUL: {u:?}"),
             GupsterError::Store(e) => write!(f, "data store error: {e}"),
             GupsterError::Token(e) => write!(f, "token error: {e}"),
-            GupsterError::Merge(e) => write!(f, "merge error: {e}"),
             GupsterError::LinkDown { from, to } => write!(f, "link down: {from} ↮ {to}"),
             GupsterError::StoreUnavailable(s) => write!(f, "store unavailable: {s}"),
             GupsterError::AmbiguousCoverage { path, candidates } => write!(

@@ -94,9 +94,14 @@ pub struct Gupster {
     signer: Signer,
     /// owner → requester → relationship, provisioned by owners. Keyed
     /// by owner first so a lookup resolves it from two borrowed `&str`s;
-    /// the requester keys are the ids a provisioned requester's tokens
-    /// share.
-    relationships: HashMap<String, HashMap<Arc<str>, String>>,
+    /// an owner key is the coverage table's, and the requester keys are
+    /// the ids a provisioned requester's tokens share.
+    relationships: HashMap<Arc<str>, HashMap<Arc<str>, Arc<str>>>,
+    /// Relationship labels, each held once, with the relationships
+    /// naming it.
+    labels: HashMap<Arc<str>, usize>,
+    /// Store ids, each held once, with the registrations naming it.
+    store_ids: HashMap<Arc<StoreId>, usize>,
     /// Counters.
     pub stats: RegistryStats,
     /// The disclosure audit trail (§7's provenance challenge).
@@ -181,6 +186,8 @@ impl Gupster {
             pep: Pep::new(4096),
             signer: Signer::new(key, 30),
             relationships: HashMap::new(),
+            labels: HashMap::new(),
+            store_ids: HashMap::new(),
             stats: RegistryStats::default(),
             provenance: ProvenanceLog::with_retention(100_000),
             telemetry: Arc::new(TelemetryHub::new()),
@@ -335,9 +342,16 @@ impl Gupster {
         if !self.schema.admits_path(&path) {
             return Err(GupsterError::SpuriousQuery(path.to_string()));
         }
-        match self.coverage.get_mut(user) {
-            Some(coverage) => coverage.register(path, store),
-            None => self.coverage.entry(Arc::from(user)).or_default().register(path, store),
+        let store = intern(&mut self.store_ids, store);
+        let added = match self.coverage.get_mut(user) {
+            Some(coverage) => coverage.register_shared(path, &store),
+            None => {
+                let owner = self.owner_key(user);
+                self.coverage.entry(owner).or_default().register_shared(path, &store)
+            }
+        };
+        if !added {
+            release(&mut self.store_ids, &store, 1);
         }
         self.stats.registrations += 1;
         Ok(())
@@ -345,13 +359,27 @@ impl Gupster {
 
     /// Unregisters one component registration.
     pub fn unregister_component(&mut self, user: &str, path: &Path, store: &StoreId) -> bool {
-        self.coverage.get_mut(user).map(|c| c.unregister(path, store)).unwrap_or(false)
+        let removed = self.coverage.get_mut(user).is_some_and(|c| c.unregister(path, store));
+        if removed {
+            release(&mut self.store_ids, store, 1);
+        }
+        removed
     }
 
     /// Drops every registration of a store for a user (carrier switch,
     /// §2.1). Returns how many registrations were removed.
     pub fn unregister_store(&mut self, user: &str, store: &StoreId) -> usize {
-        self.coverage.get_mut(user).map(|c| c.unregister_store(store)).unwrap_or(0)
+        let removed = self.coverage.get_mut(user).map_or(0, |c| c.unregister_store(store));
+        release(&mut self.store_ids, store, removed);
+        removed
+    }
+
+    /// The id the registry holds for `owner`: the coverage table's or
+    /// the relationship table's key, or a new one.
+    fn owner_key(&self, owner: &str) -> Arc<str> {
+        let held = self.coverage.get_key_value(owner).map(|(id, _)| id);
+        let held = held.or_else(|| self.relationships.get_key_value(owner).map(|(id, _)| id));
+        held.map_or_else(|| Arc::from(owner), Arc::clone)
     }
 
     /// The coverage map of a user (for inspection / experiments).
@@ -371,18 +399,29 @@ impl Gupster {
     pub(crate) fn clone_metadata_from(&mut self, other: &Gupster) {
         self.coverage = other.coverage.clone();
         self.relationships = other.relationships.clone();
+        self.labels = other.labels.clone();
+        self.store_ids = other.store_ids.clone();
         self.pap.repository = other.pap.repository.clone();
     }
 
     /// Provisions a relationship (owners declare who their co-workers,
     /// boss, family are — the shield conditions of §4.6 test these).
     pub fn set_relationship(&mut self, owner: &str, requester: &str, relationship: &str) {
-        let of_owner = self.relationships.entry(owner.to_string()).or_default();
-        match of_owner.get_mut(requester) {
-            Some(held) => relationship.clone_into(held),
-            None => {
-                of_owner.insert(Arc::from(requester), relationship.to_string());
-            }
+        if !self.relationships.contains_key(owner) {
+            let owner = self.owner_key(owner);
+            self.relationships.insert(owner, HashMap::new());
+        }
+        let of_owner = self.relationships.get_mut(owner).expect("inserted above");
+        if of_owner.get(requester).is_some_and(|held| **held == *relationship) {
+            return;
+        }
+        let label = intern(&mut self.labels, relationship);
+        let replaced = match of_owner.get_mut(requester) {
+            Some(held) => Some(std::mem::replace(held, label)),
+            None => of_owner.insert(Arc::from(requester), label),
+        };
+        if let Some(replaced) = replaced {
+            release(&mut self.labels, &replaced, 1);
         }
     }
 
@@ -744,10 +783,45 @@ impl Gupster {
     }
 }
 
+/// The held copy of `value` in an intern table that counts its holders,
+/// counting one more; a value not held yet enters the table.
+fn intern<T, Q>(table: &mut HashMap<Arc<T>, usize>, value: Q) -> Arc<T>
+where
+    T: ?Sized + Eq + std::hash::Hash,
+    Q: std::borrow::Borrow<T> + Into<Arc<T>>,
+{
+    if let Some(held) = table.get_key_value(value.borrow()).map(|(held, _)| Arc::clone(held)) {
+        if let Some(holders) = table.get_mut(&*held) {
+            *holders += 1;
+        }
+        return held;
+    }
+    let held: Arc<T> = value.into();
+    table.insert(Arc::clone(&held), 1);
+    held
+}
+
+/// `n` holders of `value` let it go: the last one's release drops it
+/// from the intern table.
+fn release<T>(table: &mut HashMap<Arc<T>, usize>, value: &T, n: usize)
+where
+    T: ?Sized + Eq + std::hash::Hash,
+{
+    if n == 0 {
+        return;
+    }
+    if let Some(holders) = table.get_mut(value) {
+        *holders -= n;
+        if *holders == 0 {
+            table.remove(value);
+        }
+    }
+}
+
 /// `requester`'s provisioned relationship to `owner`, with the table's
 /// own copy of the requester id.
 fn provisioned<'t>(
-    relationships: &'t HashMap<String, HashMap<Arc<str>, String>>,
+    relationships: &'t HashMap<Arc<str>, HashMap<Arc<str>, Arc<str>>>,
     owner: &str,
     requester: &str,
 ) -> Option<(&'t Arc<str>, &'t str)> {
@@ -1247,5 +1321,41 @@ mod tests {
         assert_eq!(g.relationship("arnaud", "rick"), "co-worker");
         // Relationships are directional.
         assert_eq!(g.relationship("rick", "arnaud"), "third-party");
+    }
+
+    #[test]
+    fn owners_share_store_ids_labels_and_their_own_id() {
+        let mut g = server();
+        g.register_component("bob", p("/user[@id='bob']/presence"), sid("gup.spcs.com")).unwrap();
+        let held = |g: &Gupster, owner: &str, entry: usize| {
+            Arc::clone(&g.coverage_of(owner).unwrap().entries()[entry].1[0])
+        };
+        assert!(Arc::ptr_eq(&held(&g, "bob", 0), &held(&g, "arnaud", 1)));
+        assert_eq!(g.store_ids.len(), 2);
+
+        // The relationship table's owner key is the coverage table's.
+        g.set_relationship("arnaud", "rick", "co-worker");
+        g.set_relationship("bob", "rick", "co-worker");
+        let (owner, _) = g.relationships.get_key_value("arnaud").unwrap();
+        assert!(Arc::ptr_eq(owner, g.owner_id("arnaud").unwrap()));
+        let label = |g: &Gupster, owner: &str| Arc::clone(&g.relationships[owner]["rick"]);
+        assert!(Arc::ptr_eq(&label(&g, "arnaud"), &label(&g, "bob")));
+        // An owner provisioned before registering keeps one id too.
+        g.set_relationship("carol", "rick", "family");
+        g.register_component("carol", p("/user[@id='carol']/presence"), sid("s3")).unwrap();
+        let (owner, _) = g.relationships.get_key_value("carol").unwrap();
+        assert!(Arc::ptr_eq(owner, g.owner_id("carol").unwrap()));
+
+        // A table entry goes with its last holder.
+        g.set_relationship("carol", "rick", "co-worker");
+        assert_eq!(g.labels.len(), 1);
+        assert_eq!(g.unregister_store("arnaud", &sid("gup.spcs.com")), 2);
+        assert_eq!(g.store_ids.len(), 3, "bob still names gup.spcs.com");
+        let bob = p("/user[@id='bob']/presence");
+        assert!(g.unregister_component("bob", &bob, &sid("gup.spcs.com")));
+        assert!(g.unregister_component("carol", &p("/user[@id='carol']/presence"), &sid("s3")));
+        let names: Vec<String> = g.store_ids.keys().map(|s| s.to_string()).collect();
+        assert_eq!(names, ["gup.yahoo.com"]);
+        assert_eq!(g.store_ids[&sid("gup.yahoo.com")], 1);
     }
 }

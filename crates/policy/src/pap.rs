@@ -59,9 +59,12 @@ impl Pap {
         condition: &str,
         priority: i32,
     ) -> Result<(), RuleError> {
-        let rule = Self::validate(rule_id, effect, scope, condition, priority)?;
-        self.repository.put(user, rule);
-        Ok(())
+        // A rule provisioned from the same texts before is shared, not
+        // parsed again.
+        let texts = (rule_id, &effect, scope, condition, priority);
+        self.repository.provision(user, texts, || {
+            Self::validate(rule_id, effect.clone(), scope, condition, priority)
+        })
     }
 
     /// Validation without provisioning (the PAP's "checking that the
@@ -89,7 +92,7 @@ impl Pap {
 
     /// Lists a user's rules in textual form (the self-provisioning UI).
     pub fn list(&self, user: &str) -> Vec<String> {
-        self.repository.rules_for(user).iter().map(Rule::to_string).collect()
+        self.repository.rules_for(user).iter().map(|r| r.rule.to_string()).collect()
     }
 }
 

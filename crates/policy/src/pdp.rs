@@ -99,15 +99,18 @@ impl Pdp {
             // apply to self (the owner edits the shield through the PAP).
             return (Decision::Permit, DecisionCost::default());
         }
-        let rules = repo.rules_for(owner);
-        match repo.candidate_indices(owner, request) {
+        let Some(set) = repo.rule_set(owner) else {
+            return self.weigh(std::iter::empty(), 0, request, ctx);
+        };
+        let rules = set.rules();
+        match set.candidates(request) {
             Some(candidates) => {
                 let considered = candidates.len() as u64;
-                self.weigh(candidates.map(|i| &rules[i]), considered, request, ctx)
+                self.weigh(candidates.map(|i| &rules[i].rule), considered, request, ctx)
             }
             // Unbucketable request (wildcards, bare `/user`): every rule
             // is a candidate.
-            None => self.weigh(rules.iter(), rules.len() as u64, request, ctx),
+            None => self.weigh(rules.iter().map(|r| &r.rule), rules.len() as u64, request, ctx),
         }
     }
 
@@ -126,7 +129,7 @@ impl Pdp {
             return (Decision::Permit, DecisionCost::default());
         }
         let rules = repo.rules_for(owner);
-        self.weigh(rules.iter(), rules.len() as u64, request, ctx)
+        self.weigh(rules.iter().map(|r| &r.rule), rules.len() as u64, request, ctx)
     }
 
     /// Weighs the `considered` candidate `rules`, in rule order, against

@@ -5,7 +5,8 @@
 
 use gupster_policy::pep::Pep;
 use gupster_policy::{
-    Condition, Decision, Effect, Pdp, PolicyRepository, Purpose, RequestContext, Rule, WeekTime,
+    Condition, Decision, DecisionCost, Effect, Pap, Pdp, PolicyRepository, Purpose, RequestContext,
+    Rule, WeekTime,
 };
 use gupster_rng::check::{self, cases};
 use gupster_rng::Rng;
@@ -305,4 +306,173 @@ fn deciding_on_the_request_as_given_matches_the_strip_first_oracle() {
 
 fn day(d: u32) -> &'static str {
     ["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"][d as usize % 7]
+}
+
+/// The rule texts the shared-repository property provisions from: few
+/// enough that owners often hold identical rules and rule lists.
+type RuleTexts = (&'static str, Effect, &'static str, &'static str, i32);
+
+fn random_rule_texts(rng: &mut impl Rng) -> RuleTexts {
+    let id = *rng.pick(&["a", "b", "c", "d"]);
+    let effect = if rng.gen_range(0u32..4) == 0 { Effect::Deny } else { Effect::Permit };
+    let scope = *rng.pick(&[
+        "/user/presence",
+        "/user/address-book",
+        "/user/address-book/item[@type='personal']",
+        "//item",
+    ]);
+    let condition = *rng.pick(&["true", "relationship='friend'", "purpose='subscribe'"]);
+    (id, effect, scope, condition, rng.gen_range(0i32..2))
+}
+
+/// The rule the model holds for `texts`, parsed by the test itself.
+fn model_rule((id, effect, scope, condition, priority): &RuleTexts) -> Rule {
+    Rule {
+        id: id.to_string(),
+        scope: Path::parse(scope).unwrap(),
+        condition: Condition::parse(condition).unwrap(),
+        effect: effect.clone(),
+        priority: *priority,
+    }
+}
+
+/// A model repository: each owner's rule texts, owned, in rule order.
+type Model = Vec<Vec<RuleTexts>>;
+
+fn provision(pap: &mut Pap, model: &mut Model, owner: usize, texts: RuleTexts) {
+    let (id, effect, scope, condition, priority) = texts.clone();
+    pap.provision(&format!("o{owner}"), id, effect, scope, condition, priority).unwrap();
+    let rules = &mut model[owner];
+    match rules.iter_mut().find(|held| held.0 == id) {
+        Some(held) => *held = texts,
+        None => rules.push(texts),
+    }
+}
+
+/// Every owner's decisions over a fixed request set, checked against
+/// the model: `Pap::list` lists the model's rules, and
+/// `Pdp::decide_with_cost` answers as the strip-first oracle over them
+/// and, cost included, as a repository holding that owner alone.
+fn answers(pap: &Pap, model: &Model) -> Vec<(Decision, DecisionCost)> {
+    let requests = [
+        "/user[@id='o1']/presence",
+        "/user/address-book",
+        "/user/address-book/item[@type='personal']",
+        "/user/address-book/item[@type='corporate']",
+        "//item",
+        "/user",
+    ]
+    .map(|p| Path::parse(p).unwrap());
+    let contexts = [
+        RequestContext::query("rick", "friend", WeekTime::at(1, 10, 0)),
+        RequestContext::query("rick", "third-party", WeekTime::at(1, 10, 0))
+            .with_purpose(Purpose::Subscribe),
+    ];
+    let pdp = Pdp::new();
+    let mut out = Vec::new();
+    for (owner, texts) in model.iter().enumerate() {
+        let user = format!("o{owner}");
+        let rules: Vec<Rule> = texts.iter().map(model_rule).collect();
+        let listed: Vec<String> = rules.iter().map(Rule::to_string).collect();
+        assert_eq!(pap.list(&user), listed, "{user}'s rules");
+        let mut alone = PolicyRepository::new();
+        for rule in &rules {
+            alone.put(&user, rule.clone());
+        }
+        for request in &requests {
+            for ctx in &contexts {
+                let got = pdp.decide_with_cost(&pap.repository, &user, request, ctx);
+                let (oracle, applicable) = strip_first_oracle(true, &rules, request, ctx);
+                let shown = format!("{user}: {request}");
+                assert_eq!((&got.0, got.1.rules_applicable), (&oracle, applicable), "{shown}");
+                assert_eq!(got, pdp.decide_with_cost(&alone, &user, request, ctx), "{shown}");
+                out.push(got);
+            }
+        }
+    }
+    out
+}
+
+/// Owners share rules and rule sets, and mirrors share them with the
+/// repository they were cloned from, yet every owner's rules and
+/// decisions are its own: random provision / replace / remove sequences
+/// over 8 owners (some copying another owner's whole list, so lists
+/// coincide), with one repository cloned mid-sequence the way a
+/// recovering mirror is, agree with a model holding each owner's rules
+/// privately, and an edit to one owner changes no other owner's
+/// answers.
+#[test]
+fn shared_rule_sets_answer_like_private_copies() {
+    const OWNERS: usize = 8;
+    cases(48, 0x90_08, |rng| {
+        let mut paps = vec![Pap::new()];
+        let mut models: Vec<Model> = vec![vec![Vec::new(); OWNERS]];
+        let steps = rng.gen_range(10usize..40);
+        for step in 0..steps {
+            if step == steps / 2 {
+                paps.push(Pap { repository: paps[0].repository.clone() });
+                models.push(models[0].clone());
+            }
+            let which = rng.gen_range(0..paps.len());
+            let (pap, model) = (&mut paps[which], &mut models[which]);
+            let owner = rng.gen_range(0..OWNERS);
+            let before = answers(pap, model);
+            match rng.gen_range(0u32..8) {
+                0..=4 => provision(pap, model, owner, random_rule_texts(rng)),
+                5 | 6 => {
+                    let id = *rng.pick(&["a", "b", "c", "d"]);
+                    let held = model[owner].iter().any(|t| t.0 == id);
+                    assert_eq!(pap.withdraw(&format!("o{owner}"), id), held);
+                    model[owner].retain(|t| t.0 != id);
+                }
+                _ => {
+                    // Owner takes another owner's list, rule by rule.
+                    let from = rng.gen_range(0..OWNERS);
+                    let copy = model[from].clone();
+                    for texts in std::mem::take(&mut model[owner]) {
+                        assert!(pap.withdraw(&format!("o{owner}"), texts.0));
+                    }
+                    for texts in copy {
+                        provision(pap, model, owner, texts);
+                    }
+                }
+            }
+            let after = answers(pap, model);
+            let per_owner = before.len() / OWNERS;
+            for other in (0..OWNERS).filter(|&o| o != owner) {
+                let range = other * per_owner..(other + 1) * per_owner;
+                assert_eq!(before[range.clone()], after[range], "o{owner}'s edit moved o{other}");
+            }
+            for (pap, model) in paps.iter().zip(&models) {
+                answers(pap, model);
+            }
+        }
+    });
+}
+
+/// The intern tables hold only what some owner uses: provisioning and
+/// then withdrawing 10 000 distinct rule texts on one owner, 100 at a
+/// time, beside rules other owners keep, leaves both tables as long as
+/// they were.
+#[test]
+fn churned_rule_texts_leave_the_intern_tables_as_they_were() {
+    let mut pap = Pap::new();
+    for owner in ["alice", "bob"] {
+        pap.provision(owner, "base", Effect::Permit, "/user/presence", "true", 0).unwrap();
+    }
+    let start = pap.repository.interned();
+    assert_eq!(start, (1, 1));
+    for batch in 0..100 {
+        for i in 0..100 {
+            let condition = format!("requester='r{batch}-{i}'");
+            let id = format!("churn-{i}");
+            pap.provision("alice", &id, Effect::Permit, "/user/calendar", &condition, 0).unwrap();
+        }
+        assert_eq!(pap.repository.count_for("alice"), 101);
+        for i in 0..100 {
+            assert!(pap.withdraw("alice", &format!("churn-{i}")));
+        }
+    }
+    assert_eq!(pap.repository.interned(), start);
+    assert_eq!(pap.list("alice"), pap.list("bob"));
 }

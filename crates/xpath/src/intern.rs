@@ -8,7 +8,7 @@
 //! [`NameInterner`] — the same table arena documents use — its axis
 //! kind and its first `[@attr='value']` predicate (the coverage trie's
 //! discriminating edge key). Name comparison is `u32` equality, and
-//! the indexes key dense `HashMap<NameId, _>`s instead of hashing
+//! the indexes key on `NameId`s instead of hashing or comparing
 //! strings on every probe. The predicate *value* stays a borrowed
 //! string: values are user data (`[@id='u4711']`), unbounded at fleet
 //! scale, and the trie that keys on one owns its copy, which goes when
