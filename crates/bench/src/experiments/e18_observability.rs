@@ -21,8 +21,9 @@
 //!    (burn ≤ 1.0) for the experiment to pass. (The call path's
 //!    latency budget is E20's to assert, over open-loop sojourns.)
 //! 3. **Dashboard** — the widest run's snapshot rendered as the text
-//!    dashboard (per-shard utilization bars, queue depths, hit rates,
-//!    ladder counts, hottest users/paths, tail exemplars).
+//!    dashboard (per-shard utilization bars, routed requests and busy
+//!    time, hit rates, ladder counts, the hottest users by lookups,
+//!    tail exemplars).
 //!
 //! Artifacts: `BENCH_slo.json` (SLO outcomes + per-shard p99
 //! attribution; CI's `bench_compare` requires a quick run to reproduce
@@ -198,7 +199,7 @@ pub fn run() {
     );
     println!(
         "  paper check: the merged fleet section (counters, stage histograms, exemplar top-k, \
-         hot keys) is byte-identical at every shard count — observability does not depend on \
+         hottest users) is byte-identical at every shard count — observability does not depend on \
          the deployment layout."
     );
 

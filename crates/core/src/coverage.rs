@@ -53,6 +53,8 @@ pub struct MatchStats {
 pub struct CoverageMap {
     entries: Vec<(Arc<Path>, Vec<Arc<StoreId>>)>,
     trie: CoverageTrie,
+    /// Lookups the registry ran for the owner: the hot-user view.
+    pub(crate) lookups: u64,
 }
 
 impl CoverageMap {

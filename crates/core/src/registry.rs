@@ -579,11 +579,20 @@ impl Gupster {
     ) -> Result<LookupOutcome, GupsterError> {
         self.stats.lookups += 1;
         self.telemetry.counters().lookups.fetch_add(1, Ordering::Relaxed);
-        let shielded = self.shield(owner, request, requester, purpose, time, Some(&mut *tracer))?;
+        let shielded = self.shield(owner, request, requester, purpose, time, Some(&mut *tracer));
+        let shielded = match shielded {
+            Ok(shielded) => shielded,
+            Err(refused) => {
+                self.count_lookup(owner, Some(&refused));
+                return Err(refused);
+            }
+        };
         // `shield` has checked that the owner is known.
-        let Some(coverage) = self.coverage.get(owner) else {
+        let Some(coverage) = self.coverage.get_mut(owner) else {
             return Err(GupsterError::UnknownUser(owner.to_string()));
         };
+        coverage.lookups += 1;
+        let coverage = &*coverage;
         // The whole request, or the narrowings the shield permits.
         let (whole, parts) = match shielded.decision {
             Decision::PermitNarrowed(parts) => (None, parts),
@@ -728,6 +737,7 @@ impl Gupster {
     /// the record to copy: the caller runs the pipeline instead.
     pub(crate) fn repeat_lookup(
         &mut self,
+        owner: &str,
         earlier: Result<RecordRef, &GupsterError>,
         now: u64,
     ) -> bool {
@@ -736,6 +746,7 @@ impl Gupster {
                 return false;
             }
         }
+        self.count_lookup(owner, earlier.err());
         let counters = self.telemetry.counters();
         self.stats.lookups += 1;
         counters.lookups.fetch_add(1, Ordering::Relaxed);
@@ -756,6 +767,21 @@ impl Gupster {
             Err(_) => {}
         }
         true
+    }
+
+    /// Counts a lookup on its owner's coverage entry, unless the request
+    /// did not fit the schema; an unknown owner has no entry to count on.
+    fn count_lookup(&mut self, owner: &str, refused: Option<&GupsterError>) {
+        if !matches!(refused, Some(GupsterError::SpuriousQuery(_))) {
+            if let Some(coverage) = self.coverage.get_mut(owner) {
+                coverage.lookups += 1;
+            }
+        }
+    }
+
+    /// Every owner with a lookup counted, and its count.
+    pub(crate) fn owner_lookups(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.coverage.iter().filter(|(_, c)| c.lookups > 0).map(|(owner, c)| (&**owner, c.lookups))
     }
 
     /// Routes an update (provisioning request, Req. 11): the stores

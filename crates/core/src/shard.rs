@@ -37,6 +37,12 @@
 //! it shares that request's answer or refusal, and a permitted one still
 //! leaves its own provenance record.
 //!
+//! The routing thread only routes: it hashes each owner id and keeps
+//! no per-request state. A request is counted where its owner lives:
+//! each lookup, and each duplicate a window table serves, bumps a count
+//! on the owner's coverage entry on its shard, and
+//! [`ShardedRegistry::obs_snapshot`] reads the hottest users from there.
+//!
 //! Scatter-gather uses `std::thread::scope` workers over persistent
 //! shard state — zero external deps, and the borrow checker proves the
 //! partitioning (each worker holds `&mut` to exactly one part).
@@ -284,11 +290,11 @@ impl<'a> Singleflight<'a> {
         match *self.table.get(&Self::key(r))? {
             Earlier::Answer(ref answer, at) => {
                 let record = self.records[at];
-                g.repeat_lookup(Ok(record), r.now).then(|| Ok(Arc::clone(answer)))
+                g.repeat_lookup(&r.owner, Ok(record), r.now).then(|| Ok(Arc::clone(answer)))
             }
             Earlier::Refused(at) => {
                 let refused = &self.refusals[at];
-                g.repeat_lookup(Err(refused), r.now);
+                g.repeat_lookup(&r.owner, Err(refused), r.now);
                 Some(Err(refused.clone()))
             }
         }
@@ -394,17 +400,10 @@ struct ShardAccum {
     /// Simulated busy time accumulated by the shard: the service table
     /// prices of the open-loop requests it ran.
     busy: SimTime,
-    /// Scatter windows observed (including ones where this shard got
-    /// no requests — a zero-depth queue is a real observation).
-    windows: u64,
-    /// Sum of per-window queue depths (for the mean).
-    queued_total: u64,
-    /// Deepest per-window queue.
-    queued_max: u64,
 }
 
-/// How many hottest users/paths the observability snapshot keeps.
-const HOT_KEY_TOP_K: usize = 10;
+/// How many hottest users the observability snapshot keeps.
+const HOT_USERS_TOP_K: usize = 10;
 
 /// N independent [`Gupster`] shards behind one facade: mutations route
 /// to the owning shard, batches scatter across shard worker threads
@@ -421,10 +420,6 @@ pub struct ShardedRegistry {
     ops: u64,
     /// Accumulated open-loop horizons (simulated wall clock).
     makespan_total: SimTime,
-    /// Request counts per profile owner (hot-user skew view).
-    hot_users: BTreeMap<String, u64>,
-    /// Request counts per requested path (hot-path skew view).
-    hot_paths: BTreeMap<String, u64>,
 }
 
 impl ShardedRegistry {
@@ -439,8 +434,6 @@ impl ShardedRegistry {
             accum: vec![ShardAccum::default(); shards],
             ops: 0,
             makespan_total: SimTime::ZERO,
-            hot_users: BTreeMap::new(),
-            hot_paths: BTreeMap::new(),
         }
     }
 
@@ -521,9 +514,10 @@ impl ShardedRegistry {
     /// Assembles the fleet observability snapshot by merging the
     /// per-shard hubs at the gather boundary: histograms merge
     /// bucket-wise, counters sum field-wise, exemplars re-rank under
-    /// their total order and hot keys sum by name — every fleet
-    /// section is byte-identical for any shard count over the same
-    /// seeded workload.
+    /// their total order, and the hot users are the top owners by
+    /// lookups over every shard's coverage table (a shard holds its
+    /// owners alone) — every fleet section is byte-identical for any
+    /// shard count over the same seeded workload.
     pub fn obs_snapshot(&self) -> ObsSnapshot {
         let mut merged: BTreeMap<String, Histogram> = BTreeMap::new();
         for g in self.shards() {
@@ -555,13 +549,10 @@ impl ShardedRegistry {
         .map(ExemplarSummary::from_exemplar)
         .collect();
 
-        let top_k = |map: &BTreeMap<String, u64>| -> Vec<HotKey> {
-            let mut rows: Vec<HotKey> =
-                map.iter().map(|(name, &count)| HotKey { name: name.clone(), count }).collect();
-            rows.sort_by(|a, b| b.count.cmp(&a.count).then(a.name.cmp(&b.name)));
-            rows.truncate(HOT_KEY_TOP_K);
-            rows
-        };
+        let mut hot_users: Vec<(&str, u64)> =
+            self.shards().iter().flat_map(Gupster::owner_lookups).collect();
+        hot_users.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        hot_users.truncate(HOT_USERS_TOP_K);
 
         let shards = self
             .shards()
@@ -576,13 +567,6 @@ impl ShardedRegistry {
                     0.0
                 } else {
                     acc.busy.0 as f64 / self.makespan_total.0 as f64
-                },
-                windows: acc.windows,
-                queued_max: acc.queued_max,
-                queued_mean: if acc.windows == 0 {
-                    0.0
-                } else {
-                    acc.queued_total as f64 / acc.windows as f64
                 },
                 p99_request: g
                     .telemetry()
@@ -600,8 +584,10 @@ impl ShardedRegistry {
                 totals: self.counter_totals(),
                 stages,
                 exemplars,
-                hot_users: top_k(&self.hot_users),
-                hot_paths: top_k(&self.hot_paths),
+                hot_users: hot_users
+                    .into_iter()
+                    .map(|(name, count)| HotKey { name: name.to_string(), count })
+                    .collect(),
             },
             makespan: self.makespan_total,
             shards,
@@ -622,28 +608,6 @@ impl ShardedRegistry {
         total
     }
 
-    /// Counts `requests` into the hot-user and hot-path views. Keys
-    /// are looked up borrowed (paths rendered into one reused buffer);
-    /// only a first-seen key allocates.
-    fn note_hot_keys<'a>(&mut self, requests: impl Iterator<Item = &'a ShardRequest>) {
-        use std::fmt::Write;
-        fn bump(counts: &mut BTreeMap<String, u64>, key: &str) {
-            match counts.get_mut(key) {
-                Some(n) => *n += 1,
-                None => {
-                    counts.insert(key.to_string(), 1);
-                }
-            }
-        }
-        let mut path = String::new();
-        for r in requests {
-            bump(&mut self.hot_users, &r.owner);
-            path.clear();
-            write!(path, "{}", r.path).expect("writing to a String cannot fail");
-            bump(&mut self.hot_paths, &path);
-        }
-    }
-
     /// Scatter-gather core: runs `requests` on the executor, each under
     /// its own `shard.request` trace. Each shard's bucket gets one fresh
     /// window state, `window(bucket length)`, which `work` sees beside
@@ -660,7 +624,6 @@ impl ShardedRegistry {
         F: Fn(&mut Gupster, &mut W, &'a ShardRequest, &mut Tracer) -> Result<R, GupsterError>
             + Sync,
     {
-        self.note_hot_keys(requests.iter());
         let key_base = self.ops;
         let (results, per_shard) = self.shards.scatter(
             requests,
@@ -709,12 +672,8 @@ impl ShardedRegistry {
         self.ops += requests as u64;
         self.makespan_total += makespan;
         for (acc, (depth, busy)) in self.accum.iter_mut().zip(per_shard) {
-            let depth = depth as u64;
-            acc.requests += depth;
+            acc.requests += depth as u64;
             acc.busy += busy;
-            acc.windows += 1;
-            acc.queued_total += depth;
-            acc.queued_max = acc.queued_max.max(depth);
         }
     }
 
@@ -816,10 +775,8 @@ impl ShardedRegistry {
         report.horizon = arrivals[n - 1].arrival;
         let key_base = self.ops;
 
-        // Hot-key views and per-shard routing gauges are fleet-level
-        // bookkeeping: same values at any shard count. `per_shard` holds
-        // each shard's (requests routed, simulated execution time).
-        self.note_hot_keys(arrivals.iter().map(|a| &a.request));
+        // `per_shard` holds each shard's (requests routed, simulated
+        // execution time).
         let mut per_shard = vec![(0usize, SimTime::ZERO); self.shard_count()];
         for a in arrivals {
             per_shard[self.shard_of(&a.request.owner)].0 += 1;
@@ -1296,13 +1253,11 @@ mod tests {
         // Closed-loop windows advance no simulated time.
         assert_eq!((snap.fleet.busy, snap.makespan), (SimTime::ZERO, SimTime::ZERO));
         assert_eq!(snap.fleet.totals.lookups, 12);
-        for s in &snap.shards {
-            assert_eq!(s.windows, 2, "every shard observes every window");
-            // Identical windows: the mean queue depth equals the max.
-            assert!((s.queued_mean - s.queued_max as f64).abs() < 1e-9);
-        }
-        assert_eq!(snap.fleet.hot_users[0].name, "alice");
-        assert_eq!(snap.fleet.hot_users[0].count, 4);
+        // Alice's four lookups first, then two each, ties by id.
+        assert_eq!(
+            hot_users(&snap),
+            [("alice", 4), ("bob", 2), ("carol", 2), ("dave", 2), ("erin", 2)]
+        );
         // Zero threshold + cap 4 keeps the four slowest requests, keyed
         // by global submission index.
         assert_eq!(snap.fleet.exemplars.len(), 4);
@@ -1310,5 +1265,97 @@ mod tests {
         // The snapshot round-trips through its JSON codec.
         let back = gupster_telemetry::ObsSnapshot::parse_json(&snap.render_json()).unwrap();
         assert_eq!(back, snap);
+    }
+
+    fn hot_users(snap: &ObsSnapshot) -> Vec<(&str, u64)> {
+        snap.fleet.hot_users.iter().map(|h| (&*h.name, h.count)).collect()
+    }
+
+    /// `users`, each with a presence on `s1` they may read themselves.
+    fn self_read_world(shards: usize, users: &[&str]) -> (ShardedRegistry, StorePool) {
+        let mut sharded = ShardedRegistry::new(gup_schema(), b"k", shards);
+        populate(&mut sharded, users);
+        let mut store = XmlStore::new("s1");
+        for u in users {
+            let profile = format!(r#"<user id="{u}"><presence>online</presence></user>"#);
+            store.put_profile(parse(&profile).unwrap()).unwrap();
+        }
+        let mut pool = StorePool::new();
+        pool.add(Box::new(store));
+        (sharded, pool)
+    }
+
+    fn presence(owner: &str) -> ShardRequest {
+        req(owner, &format!("/user[@id='{owner}']/presence"))
+    }
+
+    /// An owner's hot-user count is its lookups: the ones the pipeline
+    /// ran, refusals included, and the duplicates a window table served.
+    /// A request for an unknown owner or one the schema refuses counts
+    /// nowhere. Each owner is counted on its own shard, so the fleet
+    /// section reads the same at any shard count.
+    #[test]
+    fn hot_users_count_each_owners_lookups_at_any_shard_count() {
+        let users = ["alice", "bob", "carol"];
+        let stranger = |owner| ShardRequest { requester: "mallory".into(), ..presence(owner) };
+        let window = [
+            presence("alice"),
+            presence("alice"),
+            presence("bob"),
+            stranger("carol"),
+            stranger("carol"),
+            presence("alice"),
+            presence("zed"),
+            req("bob", "/user[@id='bob']/no-such-component"),
+        ];
+        let mut fleets = Vec::new();
+        for shards in [1, 2, 8] {
+            let (mut sharded, pool) = self_read_world(shards, &users);
+            let (results, _) = sharded.answer_batch(&pool, &window, &MergeKeys::new(), true);
+            let refused: Vec<usize> = (0..window.len()).filter(|&i| results[i].is_err()).collect();
+            assert_eq!(refused, [3, 4, 6, 7], "{shards} shards");
+            // Two of alice's reads and carol's second refusal were duplicates.
+            assert_eq!(sharded.counter_totals().singleflight_hits, 3, "{shards} shards");
+            let _ = sharded.lookup_batch(&[presence("bob")]);
+            let snap = sharded.obs_snapshot();
+            let expected = [("alice", 3), ("bob", 2), ("carol", 2)];
+            assert_eq!(hot_users(&snap), expected, "{shards} shards");
+            let spurious: u64 = sharded.shards().iter().map(|g| g.stats.spurious).sum();
+            assert_eq!((sharded.counter_totals().lookups, spurious), (9, 1), "{shards} shards");
+            fleets.push(snap.fleet_json());
+        }
+        assert!(fleets.iter().all(|f| *f == fleets[0]));
+    }
+
+    /// Admission sheds before any lookup runs, so an open-loop run
+    /// counts its admitted requests only.
+    #[test]
+    fn hot_users_count_admitted_open_loop_requests_only() {
+        use crate::admission::RequestOutcome;
+
+        let users = ["alice", "bob", "carol"];
+        let (mut sharded, pool) = self_read_world(2, &users);
+        // Calls every 20 µs into one queue that holds one waiting call:
+        // each takes 75 µs, so most are shed.
+        let arrivals: Vec<OpenLoopRequest> = (0..24)
+            .map(|i| OpenLoopRequest {
+                request: presence(users[i % 3]),
+                arrival: SimTime::micros(20 * i as u64),
+                class: Priority::CallDelivery,
+            })
+            .collect();
+        let config = AdmissionConfig { queues: 1, capacity: 1, call_slots: usize::MAX };
+        let (outcomes, report) =
+            sharded.answer_open_loop(&pool, &arrivals, &MergeKeys::new(), &config, None);
+        assert!(report.shed_calls > 0 && report.admitted > 3, "{report:?}");
+        let mut admitted: BTreeMap<&str, u64> = BTreeMap::new();
+        for (a, outcome) in arrivals.iter().zip(&outcomes) {
+            if matches!(outcome, RequestOutcome::Answer(Ok(_))) {
+                *admitted.entry(&*a.request.owner).or_default() += 1;
+            }
+        }
+        assert_eq!(admitted.values().sum::<u64>(), report.admitted);
+        let snap = sharded.obs_snapshot();
+        assert_eq!(hot_users(&snap).into_iter().collect::<BTreeMap<_, _>>(), admitted);
     }
 }

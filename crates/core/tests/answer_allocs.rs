@@ -120,8 +120,8 @@ fn duplicates_cost(
             results
         })
     };
-    // Warm the decision memo, the hot-key views and the telemetry
-    // buffers, so neither measured window pays a first-time cost.
+    // Warm the decision memo and the telemetry buffers, so neither
+    // measured window pays a first-time cost.
     for _ in 0..3 {
         run(&one);
         run(&burst);
@@ -248,8 +248,8 @@ fn presence_window(
             now: 100,
         })
         .collect();
-    // Warm the decision memo, the hot-key views and the telemetry
-    // buffers, so the measured window pays no first-time cost.
+    // Warm the decision memo and the telemetry buffers, so the
+    // measured window pays no first-time cost.
     for _ in 0..3 {
         before_window(&mut reg);
         reg.answer_batch(&pool, &reads, &keys, true);

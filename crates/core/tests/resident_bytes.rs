@@ -25,14 +25,18 @@
 //! and this test read 2 439, 620 and 2 066 B (29.0, 10.0 and 29.3
 //! blocks): 5 126 B per owner in all, where its bound is half of that.
 //!
+//! A request adds nothing resident either: lookups of owners and paths
+//! the fleet has never seen leave live bytes where they were, once the
+//! registry's bounded caches are full.
+//!
 //! Its own test binary, so that it can count with a global allocator;
 //! counts are per thread, and the registry is provisioned on this one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gupster_core::ShardedRegistry;
-use gupster_policy::Effect;
+use gupster_core::{ShardRequest, ShardedRegistry};
+use gupster_policy::{Effect, Purpose, WeekTime};
 use gupster_schema::gup_schema;
 use gupster_store::StoreId;
 use gupster_xpath::Path;
@@ -173,3 +177,79 @@ fn a_resident_owner_holds_only_its_own_facts() {
 const COVERAGE: (f64, f64) = (920.0, 12.1);
 const RELATIONSHIPS: (f64, f64) = (525.0, 5.1);
 const POLICIES: (f64, f64) = (70.0, 1.1);
+
+/// Lookups each shard's decision memo holds before it evicts: the warm
+/// round fills every shard's past it.
+const MEMO_CAPACITY: usize = 4_096;
+/// Requests in each measured round: new registered owners' presence,
+/// each refused to a stranger, and as many unknown owners'.
+const ROUND: usize = 1_000;
+/// Live bytes a measured round may leave beyond the one before it.
+const ROUND_SLACK: isize = 1_024;
+
+/// A stranger's read of `owner`'s presence: refused by the shield, so it
+/// leaves no provenance record, only a decision in the bounded memo.
+fn stranger_read(owner: &str) -> ShardRequest {
+    ShardRequest {
+        owner: owner.to_string(),
+        path: Path::parse(&format!("/user[@id='{owner}']/presence")).unwrap(),
+        requester: "stranger".to_string(),
+        purpose: Purpose::Query,
+        time: WeekTime::at(1, 10, 0),
+        now: 0,
+    }
+}
+
+/// Runs `requests` in `lookup_batch` windows of one shard's requests
+/// each: a window's lone bucket runs on this thread, where the count
+/// sees every allocation and every free.
+fn run_windows(reg: &mut ShardedRegistry, requests: &[ShardRequest]) {
+    for shard in 0..reg.shard_count() {
+        let mine: Vec<ShardRequest> =
+            requests.iter().filter(|r| reg.shard_of(&r.owner) == shard).cloned().collect();
+        for window in mine.chunks(256) {
+            let (results, _) = reg.lookup_batch(window);
+            assert!(results.iter().all(Result::is_err), "every request here is refused");
+        }
+    }
+}
+
+#[test]
+fn lookups_of_new_owners_and_paths_leave_live_bytes_flat() {
+    for shards in [1, 2] {
+        let mut reg = ShardedRegistry::new(gup_schema(), b"k", shards);
+        reg.set_span_limit(0);
+        let fresh = |prefix: &str, n: usize| -> Vec<String> {
+            (0..n).map(|i| format!("{prefix}{i:06}")).collect()
+        };
+        // Enough warm owners to fill every shard's memo.
+        let mut warm: Vec<String> = Vec::new();
+        let mut per_shard = vec![0; shards];
+        while per_shard.iter().any(|&n| n < MEMO_CAPACITY + ROUND) {
+            let id = format!("w{:06}", warm.len());
+            per_shard[reg.shard_of(&id)] += 1;
+            warm.push(id);
+        }
+        // Each round: new registered owners, and as many unknown ones.
+        let round = |known, unknown| (fresh(known, ROUND / 2), fresh(unknown, ROUND / 2));
+        let rounds = [round("a", "x"), round("b", "y")];
+        for id in warm.iter().chain(rounds.iter().flat_map(|(known, _)| known)) {
+            let path = Path::parse(&format!("/user[@id='{id}']/presence")).unwrap();
+            reg.register_component(id, path, StoreId::new("store0.net")).unwrap();
+        }
+        let warm: Vec<ShardRequest> =
+            warm.iter().chain(&fresh("u", ROUND)).map(|id| stranger_read(id)).collect();
+        run_windows(&mut reg, &warm);
+
+        let mut after = Vec::new();
+        for (known, unknown) in &rounds {
+            let requests: Vec<ShardRequest> =
+                known.iter().chain(unknown).map(|id| stranger_read(id)).collect();
+            run_windows(&mut reg, &requests);
+            after.push(LIVE.with(Cell::get).0);
+        }
+        let grew = after[1] - after[0];
+        println!("{shards} shard(s): the second round left {grew} B");
+        assert!(grew <= ROUND_SLACK, "{shards} shard(s): {grew} B more live after round two");
+    }
+}

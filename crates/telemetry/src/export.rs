@@ -79,7 +79,9 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a whole JSON-lines trace (empty lines ignored).
+/// Parses a whole JSON-lines trace (empty lines ignored). A stage label
+/// this process never recorded is refused: the name table it would be
+/// interned into lives as long as the process.
 pub fn parse(text: &str) -> Result<Vec<Span>, ParseError> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -91,8 +93,8 @@ pub fn parse(text: &str) -> Result<Vec<Span>, ParseError> {
     Ok(out)
 }
 
-/// Parses one exported line back into a [`Span`]. Its stage label is
-/// interned, as every label a tracer records already is.
+/// Parses one exported line back into a [`Span`] whose stage label is
+/// the interned one a tracer recorded.
 pub(crate) fn parse_line(line: &str) -> Result<Span, String> {
     let mut p = Parser::new(line.trim());
     p.expect(b'{')?;
@@ -120,11 +122,13 @@ pub(crate) fn parse_line(line: &str) -> Result<Span, String> {
     }
     p.expect(b'}')?;
     p.end()?;
+    let stage = stage.ok_or("missing \"stage\"")?;
+    let stage = NameInterner::lookup(&stage).ok_or_else(|| format!("unknown stage {stage:?}"))?;
     Ok(Span {
         request: RequestId(request.ok_or("missing \"request\"")?),
         id: span.ok_or("missing \"span\"")?,
         parent: parent.ok_or("missing \"parent\"")?,
-        stage: NameInterner::resolve(NameInterner::intern(&stage.ok_or("missing \"stage\"")?)),
+        stage: NameInterner::resolve(stage),
         start: SimTime(start.ok_or("missing \"start_us\"")?),
         end: SimTime(end.ok_or("missing \"end_us\"")?),
     })
@@ -267,12 +271,14 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    /// A span whose stage label this process recorded, as a tracer
+    /// does.
     fn span(request: u64, id: u64, parent: Option<u64>, stage: &'static str) -> Span {
         Span {
             request: RequestId(request),
             id,
             parent,
-            stage,
+            stage: NameInterner::resolve(NameInterner::intern(stage)),
             start: SimTime::micros(10 * id),
             end: SimTime::micros(10 * id + 7),
         }
@@ -316,6 +322,26 @@ mod tests {
         assert!(parse_line(r#"{"request":1,"span":0,"parent":null,"stage":"s","start_us":0,"end_us":0} extra"#).is_err());
         let err = parse("{\"request\":oops}\n").unwrap_err();
         assert_eq!(err.line, 1);
+    }
+
+    /// A label no tracer in this process recorded is refused, naming its
+    /// line, and never reaches the process-wide name table.
+    #[test]
+    fn unrecorded_labels_are_refused_and_not_interned() {
+        let label = |i: usize| format!("made-up.label-5c4f-{i}");
+        // A recorded root span's line, relabelled.
+        let line = |id, stage: &str| {
+            let recorded = span(0, id, id.checked_sub(1), "registry.lookup");
+            to_line(&recorded).replace("registry.lookup", stage)
+        };
+        for i in 0..100_000 {
+            let err = parse(&line(0, &label(i))).unwrap_err();
+            assert_eq!(err.line, 1);
+            assert!(err.message.contains(&label(i)), "{err}");
+        }
+        let text = format!("{}\n{}\n", line(0, "registry.lookup"), line(1, &label(7)));
+        assert_eq!(parse(&text).unwrap_err().line, 2);
+        assert!((0..100_000).all(|i| NameInterner::lookup(&label(i)).is_none()));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The fleet observability snapshot: per-shard gauges, merged stage
-//! histograms, counter totals, tail-latency exemplars and hot-key
-//! views, in one machine-readable [`ObsSnapshot`].
+//! histograms, counter totals, tail-latency exemplars and the hottest
+//! users, in one machine-readable [`ObsSnapshot`].
 //!
 //! The snapshot is assembled at the scatter-gather join by merging
 //! per-shard [`crate::TelemetryHub`]s. Every merged section is
 //! **shard-count invariant**: histograms merge bucket-wise
 //! ([`crate::Histogram::merge`]), counters sum field-wise, exemplar
 //! top-k selection runs under a total order ([`crate::hub::Exemplar::
-//! rank_cmp`]) and hot-key counts sum by name — so
+//! rank_cmp`]), and the hottest users are the top owners by lookup
+//! count, each counted on the one shard that holds it — so
 //! [`ObsSnapshot::fleet_json`] is byte-identical whether the same
 //! seeded workload ran on 1 shard or 8. Per-shard rows are naturally
 //! shaped by the shard count and live outside the invariant section.
@@ -40,13 +41,6 @@ pub struct ShardObs {
     /// Above 1.0 when fewer shards than ingress queues carry an
     /// open-loop run.
     pub utilization: f64,
-    /// Scatter windows the shard participated in.
-    pub windows: u64,
-    /// Deepest per-window queue (requests routed to the shard in one
-    /// scatter window).
-    pub queued_max: u64,
-    /// Mean per-window queue depth.
-    pub queued_mean: f64,
     /// p99 of the shard's `shard.request` root spans.
     pub p99_request: SimTime,
     /// The shard's own pipeline counters.
@@ -62,12 +56,12 @@ pub struct StageRow {
     pub stats: StageStats,
 }
 
-/// One hot-key row (user or path) of the top-k skew view.
+/// One row of the hottest-users view.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotKey {
-    /// The key (user id or path text).
+    /// The profile owner's id.
     pub name: String,
-    /// Requests that carried the key.
+    /// Lookups the registry ran for the owner.
     pub count: u64,
 }
 
@@ -145,10 +139,8 @@ pub struct FleetObs {
     pub stages: Vec<StageRow>,
     /// Fleet-wide top-k tail exemplars, slowest first.
     pub exemplars: Vec<ExemplarSummary>,
-    /// Top-k hottest profile owners.
+    /// Top-k profile owners by lookups, most first (ties by id).
     pub hot_users: Vec<HotKey>,
-    /// Top-k hottest requested paths.
-    pub hot_paths: Vec<HotKey>,
 }
 
 /// The full observability snapshot: the merged fleet section plus the
@@ -209,18 +201,11 @@ fn fleet_rows(out: &mut String, f: &FleetObs, comma_after_last: bool) {
             escape(&breakdown.join(";"))
         );
     }
-    let mut hot = Vec::new();
-    for h in &f.hot_users {
-        hot.push(("hot_user", h));
-    }
-    for h in &f.hot_paths {
-        hot.push(("hot_path", h));
-    }
-    for (i, (row, h)) in hot.iter().enumerate() {
-        let trailing = if comma_after_last || i + 1 < hot.len() { "," } else { "" };
+    for (i, h) in f.hot_users.iter().enumerate() {
+        let trailing = if comma_after_last || i + 1 < f.hot_users.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{\"row\": \"{row}\", \"name\": \"{}\", \"count\": {}}}{trailing}",
+            "    {{\"row\": \"hot_user\", \"name\": \"{}\", \"count\": {}}}{trailing}",
             escape(&h.name),
             h.count
         );
@@ -246,15 +231,11 @@ impl ObsSnapshot {
             let _ = writeln!(
                 out,
                 "    {{\"row\": \"shard\", \"shard\": {}, \"requests\": {}, \"busy_us\": {}, \
-                 \"utilization\": {:.4}, \"windows\": {}, \"queued_max\": {}, \
-                 \"queued_mean\": {:.2}, \"p99_request_us\": {}}},",
+                 \"utilization\": {:.4}, \"p99_request_us\": {}}},",
                 s.shard,
                 s.requests,
                 s.busy.0,
                 s.utilization,
-                s.windows,
-                s.queued_max,
-                s.queued_mean,
                 s.p99_request.0
             );
             counter_rows(&mut out, &format!("shard{}", s.shard), &s.counters, i + 1 < self.shards.len());
@@ -290,7 +271,6 @@ impl ObsSnapshot {
             stages: Vec::new(),
             exemplars: Vec::new(),
             hot_users: Vec::new(),
-            hot_paths: Vec::new(),
         };
         let mut makespan = SimTime::ZERO;
         let mut shards: Vec<ShardObs> = Vec::new();
@@ -366,26 +346,16 @@ impl ObsSnapshot {
                         breakdown,
                     });
                 }
-                "hot_user" | "hot_path" => {
-                    let key = HotKey {
-                        name: scan_str(line, "name")?,
-                        count: scan_u64(line, "count")?,
-                    };
-                    if row == "hot_user" {
-                        fleet.hot_users.push(key);
-                    } else {
-                        fleet.hot_paths.push(key);
-                    }
-                }
+                "hot_user" => fleet.hot_users.push(HotKey {
+                    name: scan_str(line, "name")?,
+                    count: scan_u64(line, "count")?,
+                }),
                 "shard" => {
                     let idx = scan_u64(line, "shard")?;
                     let slot = shard_slot(&mut shards, idx, shard_rows, "shard")?;
                     slot.requests = scan_u64(line, "requests")?;
                     slot.busy = SimTime(scan_u64(line, "busy_us")?);
                     slot.utilization = scan_f64(line, "utilization")?;
-                    slot.windows = scan_u64(line, "windows")?;
-                    slot.queued_max = scan_u64(line, "queued_max")?;
-                    slot.queued_mean = scan_f64(line, "queued_mean")?;
                     slot.p99_request = SimTime(scan_u64(line, "p99_request_us")?);
                 }
                 other => return Err(format!("unknown row kind {other:?}")),
@@ -414,8 +384,8 @@ impl ObsSnapshot {
             let _ = writeln!(out);
             let _ = writeln!(
                 out,
-                "  {:>5}  {:<22} {:>9} {:>10} {:>7} {:>8} {:>10}",
-                "shard", "utilization", "requests", "busy", "q.max", "q.mean", "p99(req)"
+                "  {:>5}  {:<22} {:>9} {:>10} {:>10}",
+                "shard", "utilization", "requests", "busy", "p99(req)"
             );
             for s in &self.shards {
                 let filled = (s.utilization * 20.0).round().clamp(0.0, 20.0) as usize;
@@ -423,12 +393,10 @@ impl ObsSnapshot {
                     "#".repeat(filled) + &" ".repeat(20usize.saturating_sub(filled));
                 let _ = writeln!(
                     out,
-                    "  {:>5}  [{bar}] {:>8} {:>10} {:>7} {:>8.2} {:>10}",
+                    "  {:>5}  [{bar}] {:>8} {:>10} {:>10}",
                     s.shard,
                     s.requests,
                     table::fmt_time(s.busy),
-                    s.queued_max,
-                    s.queued_mean,
                     table::fmt_time(s.p99_request)
                 );
             }
@@ -471,17 +439,10 @@ impl ObsSnapshot {
                 t.sync_sessions, t.sync_ops_shipped, t.sync_conflicts, t.sync_slow_paths
             );
         }
-        let hot_line = |keys: &[HotKey]| -> String {
-            keys.iter()
-                .map(|h| format!("{} ({})", printable(&h.name), h.count))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
         if !f.hot_users.is_empty() {
-            let _ = writeln!(out, "hottest users: {}", hot_line(&f.hot_users));
-        }
-        if !f.hot_paths.is_empty() {
-            let _ = writeln!(out, "hottest paths: {}", hot_line(&f.hot_paths));
+            let row = |h: &HotKey| format!("{} ({})", printable(&h.name), h.count);
+            let hot: Vec<String> = f.hot_users.iter().map(row).collect();
+            let _ = writeln!(out, "hottest users: {}", hot.join("  "));
         }
         if !f.stages.is_empty() {
             let _ = writeln!(out);
@@ -575,9 +536,6 @@ fn shard_slot<'a>(
             requests: 0,
             busy: SimTime::ZERO,
             utilization: 0.0,
-            windows: 0,
-            queued_max: 0,
-            queued_mean: 0.0,
             p99_request: SimTime::ZERO,
             counters: CounterSnapshot::default(),
         });
@@ -623,10 +581,6 @@ mod tests {
                     ],
                 }],
                 hot_users: vec![HotKey { name: "u7".to_string(), count: 31 }],
-                hot_paths: vec![HotKey {
-                    name: "/user[@id='u7']/presence".to_string(),
-                    count: 29,
-                }],
             },
             makespan: SimTime::millis(4),
             shards: vec![
@@ -635,9 +589,6 @@ mod tests {
                     requests: 60,
                     busy: SimTime::millis(8),
                     utilization: 0.75,
-                    windows: 4,
-                    queued_max: 20,
-                    queued_mean: 15.0,
                     p99_request: SimTime::micros(300),
                     counters: shard_counters,
                 },
@@ -646,9 +597,6 @@ mod tests {
                     requests: 40,
                     busy: SimTime::millis(4),
                     utilization: 0.5,
-                    windows: 4,
-                    queued_max: 12,
-                    queued_mean: 10.0,
                     p99_request: SimTime::micros(260),
                     counters: CounterSnapshot::default(),
                 },
@@ -713,7 +661,7 @@ mod tests {
             "store.fetch",
             "key     42",
             "hottest users: u7 (31)",
-            "q.max",
+            "p99(req)",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
@@ -724,7 +672,7 @@ mod tests {
         let render = |name: &str| {
             let mut snap = sample();
             snap.fleet.hot_users[0].name = name.to_string();
-            snap.fleet.hot_paths[0].name = name.to_string();
+            snap.fleet.exemplars[0].provenance = name.to_string();
             snap.render_dashboard()
         };
         let plain = render("u7");
