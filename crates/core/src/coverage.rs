@@ -374,4 +374,18 @@ mod tests {
         assert_eq!(cov.match_request(&other), CoverageMatch::default());
         assert_eq!(NameInterner::lookup(unique), None);
     }
+
+    #[test]
+    fn unregistering_an_unknown_path_interns_nothing() {
+        use gupster_xml::NameInterner;
+
+        let mut cov = CoverageMap::new();
+        cov.register(p("/user[@id='a']/presence"), sid("s"));
+        for s in ["/user[@id='a']/never-registered-step", "/user[@never-registered-attr='a']"] {
+            assert!(!cov.unregister(&p(s), &sid("s")), "{s}");
+        }
+        assert_eq!(NameInterner::lookup("never-registered-step"), None);
+        assert_eq!(NameInterner::lookup("never-registered-attr"), None);
+        assert!(cov.unregister(&p("/user[@id='a']/presence"), &sid("s")));
+    }
 }

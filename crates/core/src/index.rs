@@ -179,9 +179,12 @@ impl CoverageTrie {
     /// fragment, the wildcard bucket's): the only entries that can hold
     /// `path` itself. Nothing is inserted.
     pub(crate) fn find(&self, path: &Path, mut is: impl FnMut(usize) -> bool) -> Option<usize> {
-        let Some(compiled) = InternedPath::compile(path) else {
+        if !path.is_core_fragment() {
             return self.fallback.iter().map(|&i| i as usize).find(|&i| is(i));
-        };
+        }
+        // A name never interned is on no registered spine; compiling
+        // would intern it.
+        let compiled = InternedPath::lookup(path)?;
         let mut node = 0u32;
         for step in &compiled.steps {
             node = self.edges[self.search(node, step).ok()?].child;

@@ -309,14 +309,14 @@ impl Reader<'_> {
                 };
                 let test = match self.byte() {
                     0 => NameTest::Any,
-                    _ => NameTest::Name(self.string()),
+                    _ => NameTest::Name(self.string().into()),
                 };
                 let predicates = (0..self.num())
                     .map(|_| match self.byte() {
-                        0 => Predicate::AttrEq(self.string(), self.string()),
-                        1 => Predicate::AttrExists(self.string()),
-                        2 => Predicate::ChildEq(self.string(), self.string()),
-                        3 => Predicate::ChildExists(self.string()),
+                        0 => Predicate::AttrEq(self.string().into(), self.string()),
+                        1 => Predicate::AttrExists(self.string().into()),
+                        2 => Predicate::ChildEq(self.string().into(), self.string()),
+                        3 => Predicate::ChildExists(self.string().into()),
                         _ => Predicate::Position(self.num()),
                     })
                     .collect();
@@ -415,12 +415,13 @@ mod tests {
         }
         fn step(rng: &mut StdRng) -> LocStep {
             let axis = [Axis::Child, Axis::Descendant, Axis::Attribute][rng.gen_range(0..3usize)];
-            let test = if rng.gen_bool(0.8) { NameTest::Name(text(rng)) } else { NameTest::Any };
+            let test =
+                if rng.gen_bool(0.8) { NameTest::Name(text(rng).into()) } else { NameTest::Any };
             let predicates = check::vec_of(rng, 0, 3, |rng| match rng.gen_range(0..5u32) {
-                0 => Predicate::AttrEq(text(rng), text(rng)),
-                1 => Predicate::AttrExists(text(rng)),
-                2 => Predicate::ChildEq(text(rng), text(rng)),
-                3 => Predicate::ChildExists(text(rng)),
+                0 => Predicate::AttrEq(text(rng).into(), text(rng)),
+                1 => Predicate::AttrExists(text(rng).into()),
+                2 => Predicate::ChildEq(text(rng).into(), text(rng)),
+                3 => Predicate::ChildExists(text(rng).into()),
                 _ => Predicate::Position([1, 300, usize::MAX][rng.gen_range(0..3usize)]),
             });
             LocStep { axis, test, predicates }

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use gupster_store::ChangeEvent;
 use gupster_sync::{delta_two_way_sync, two_way_sync, ReconcilePolicy, Replica, SyncReport};
 use gupster_telemetry::TelemetryHub;
-use gupster_xml::{EditOp, Element, MergeKeys, NodePath, XmlError};
+use gupster_xml::{EditOp, Element, MergeKeys, NameInterner, NodePath, XmlError};
 use gupster_xpath::{LocStep, Path};
 
 use crate::registry::Gupster;
@@ -418,9 +418,11 @@ fn reconcile_user(
 /// least everything the edit touched. Built step by step, not parsed:
 /// an owner id or element name need not be valid XPath text.
 fn registry_path(owner: &str, component: &str, p: &NodePath) -> Path {
-    let mut steps =
-        vec![LocStep::child("user").with_attr_eq("id", owner), LocStep::child(component)];
-    steps.extend(p.steps.iter().map(|step| LocStep::child(step.name.as_str())));
+    let mut steps = vec![
+        LocStep::child("user").with_attr_eq("id", owner),
+        LocStep::child(NameInterner::name(component)),
+    ];
+    steps.extend(p.steps.iter().map(|step| LocStep::child(NameInterner::name(&step.name))));
     Path { steps }
 }
 

@@ -205,11 +205,12 @@ fn presence_world(owners: usize) -> (ShardedRegistry, StorePool) {
 }
 
 /// Allocations of a warm window of 64 distinct presence reads, each
-/// owner reading their own presence: 7.3 a request. A read allocates
-/// its referral's entry list, its token's path buffer, the store's one
-/// selection buffer, the fetch's fragment buffer, the answer's `Arc`
-/// and its element's child list, and the hub's list of its retained
-/// spans. Before selection kept to two id buffers, shard workers
+/// owner reading their own presence: 6.3 a request. A read allocates
+/// its referral's entry list, its token's path buffer, the fetch's
+/// fragment buffer, the answer's `Arc` and its element's child list,
+/// and the hub's list of its retained spans. Before the store selected
+/// into an id buffer each thread keeps, the same window made 469.
+/// Before selection kept to two id buffers, shard workers
 /// restarted one tracer and a lone fragment skipped the fold's index,
 /// the same window made 3 346 (52.3 a request); before the window
 /// table was keyed on the request instead of a string rendered from
@@ -219,7 +220,7 @@ fn presence_world(owners: usize) -> (ShardedRegistry, StorePool) {
 /// the merge scaffolding, a store appended into the fetch's buffer
 /// from one selection buffer and retained spans borrowed their labels,
 /// 2 005 (31.3 a request).
-const PRESENCE_WINDOW_ALLOCS: usize = 469;
+const PRESENCE_WINDOW_ALLOCS: usize = 402;
 
 /// 64 distinct presence reads `requester_of(u)` makes of user `u`'s
 /// presence, in a one-shard registry whose every owner lets friends see
@@ -274,14 +275,15 @@ fn a_distinct_presence_read_allocates_only_what_it_returns() {
 }
 
 /// Allocations of a window of 64 distinct presence reads by a friend of
-/// each owner, with every memoized decision stale: 7.3 a request, the
+/// each owner, with every memoized decision stale: 6.3 a request, the
 /// same as an owner's own read, since a decision the PDP makes on a
-/// permit allocates nothing. Before the PDP decided on the request as
+/// permit allocates nothing. Before the store kept its selection
+/// buffer, 469. Before the PDP decided on the request as
 /// given, without copying it or listing its rules, and the lookup
 /// shared the registry's ids, the same window made 3 024 (47.3 a
 /// request); before the changes listed at
 /// [`PRESENCE_WINDOW_ALLOCS`], 2 005.
-const FRIEND_WINDOW_ALLOCS: usize = 469;
+const FRIEND_WINDOW_ALLOCS: usize = 402;
 
 #[test]
 fn a_friend_read_that_runs_the_pdp_allocates_only_what_it_returns() {
@@ -332,13 +334,15 @@ fn split_book_world(owners: usize, items: usize) -> (ShardedRegistry, StorePool)
 }
 
 /// Allocations of a warm window of 64 distinct reads of a book split
-/// over two stores, two items in each: 40.3 a request. Each read asks
+/// over two stores, two items in each: 34.3 a request. Each read asks
 /// both stores (one fetch round each) and deep-unions the two slices,
 /// so beyond a presence read's plumbing it pays for the fold, the
 /// merged spine and three allocations per materialized item. Before
-/// the changes listed at [`PRESENCE_WINDOW_ALLOCS`], the same window
-/// made 4 117 (64.3 a request).
-const SPLIT_BOOK_WINDOW_ALLOCS: usize = 2581;
+/// the stores kept their selection buffers and the copy of the request
+/// path its referral entries share borrowed its names, 2 581 (40.3 a
+/// request); before the changes listed at [`PRESENCE_WINDOW_ALLOCS`],
+/// the same window made 4 117 (64.3 a request).
+const SPLIT_BOOK_WINDOW_ALLOCS: usize = 2194;
 
 #[test]
 fn a_split_book_read_allocates_its_merge_and_its_items() {

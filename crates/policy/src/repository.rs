@@ -159,7 +159,8 @@ impl RuleSet {
 /// Per-user rule storage. GUPster hosts one repository; hierarchical
 /// deployments (§5.1.2) host one per meta-data manager.
 ///
-/// An owner holds one pointer to a shared [`RuleSet`]. Rules are
+/// An owner holds one pointer to a shared rule set: its rules in
+/// order, with their index. Rules are
 /// hash-consed: a rule provisioned from the same texts is parsed once
 /// and shared, and owners whose rules are the same rules in the same
 /// order share one set and its index. Both intern tables count their

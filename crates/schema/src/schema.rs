@@ -180,7 +180,7 @@ impl Schema {
                 continue;
             }
             if let NameTest::Name(n) = &step.test {
-                if !self.elements.contains_key(n) {
+                if !self.elements.contains_key(n.as_ref()) {
                     return false;
                 }
             }

@@ -348,7 +348,7 @@ impl DataStore for RelationalAdapter {
             .steps
             .iter()
             .filter_map(|s| match &s.test {
-                gupster_xpath::NameTest::Name(n) => Some(n.as_str()),
+                gupster_xpath::NameTest::Name(n) => Some(n.as_ref()),
                 gupster_xpath::NameTest::Any => None,
             })
             .collect();

@@ -11,10 +11,15 @@
 //! document is compacted whenever its dead rows outnumber its live ones
 //! or its dead value bytes outnumber its live ones, so it never grows
 //! past about twice what it holds.
+//!
+//! Documents are found by hashing the owner id: a read names its owner
+//! (`/user[@id='…']`), and a fleet's store holds thousands. A read that
+//! names no owner, and [`DataStore::users`], go in user order.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::HashMap;
 
-use gupster_xml::{ArenaDoc, Element, XmlError};
+use gupster_xml::{ArenaDoc, Element, NodeId, XmlError};
 use gupster_xpath::Path;
 
 use crate::error::StoreError;
@@ -24,15 +29,21 @@ use crate::store_trait::{Capabilities, ChangeEvent, DataStore, Fragment, StoreId
 #[derive(Debug, Clone)]
 pub struct XmlStore {
     id: StoreId,
-    docs: BTreeMap<String, ArenaDoc>,
+    docs: HashMap<String, ArenaDoc>,
     generation: u64,
     events: Vec<ChangeEvent>,
+}
+
+thread_local! {
+    /// The node ids a read selects, kept from one read to the next on
+    /// this thread so that a warm read allocates no id buffer.
+    static SELECTED: RefCell<Vec<NodeId>> = const { RefCell::new(Vec::new()) };
 }
 
 impl XmlStore {
     /// Creates an empty store.
     pub fn new(id: impl Into<String>) -> Self {
-        XmlStore { id: StoreId::new(id), docs: BTreeMap::new(), generation: 0, events: Vec::new() }
+        XmlStore { id: StoreId::new(id), docs: HashMap::new(), generation: 0, events: Vec::new() }
     }
 
     /// Inserts or replaces a user's whole profile document. The document
@@ -81,7 +92,8 @@ impl XmlStore {
 /// Applies `op` at the nodes its path selects in `doc`, in place, with
 /// the results of editing the owned tree at the same nodes.
 fn apply(doc: &mut ArenaDoc, op: &UpdateOp) -> Result<(), StoreError> {
-    let targets = op.path().select_arena(doc);
+    let mut targets = Vec::new();
+    op.path().select_arena(doc, &mut targets);
     if targets.is_empty() {
         return Err(StoreError::NoSuchTarget(op.path().to_string()));
     }
@@ -150,12 +162,21 @@ impl DataStore for XmlStore {
     }
 
     fn fragments<'a>(&'a self, path: &Path, out: &mut Vec<Fragment<'a>>) -> Result<(), StoreError> {
-        let lend = |doc| out.extend(path.select_arena(doc).into_iter().map(|n| Fragment::lent(doc, n)));
-        match Self::owner_of(path) {
-            // Straight to the owner's document: the usual, id-keyed read.
-            Some(owner) => self.docs.get(owner).into_iter().for_each(lend),
-            None => self.docs.values().for_each(lend),
-        }
+        SELECTED.with_borrow_mut(|ids| {
+            let mut lend = |doc: &'a ArenaDoc| {
+                path.select_arena(doc, ids);
+                out.extend(ids.iter().map(|&n| Fragment::lent(doc, n)));
+            };
+            match Self::owner_of(path) {
+                // Straight to the owner's document: the usual, id-keyed read.
+                Some(owner) => self.docs.get(owner).into_iter().for_each(lend),
+                None => {
+                    let mut docs: Vec<_> = self.docs.iter().collect();
+                    docs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                    docs.into_iter().for_each(|(_, doc)| lend(doc));
+                }
+            }
+        });
         Ok(())
     }
 
@@ -181,7 +202,9 @@ impl DataStore for XmlStore {
     }
 
     fn users(&self) -> Vec<String> {
-        self.docs.keys().cloned().collect()
+        let mut users: Vec<String> = self.docs.keys().cloned().collect();
+        users.sort_unstable();
+        users
     }
 
     fn generation(&self) -> u64 {
@@ -199,6 +222,8 @@ impl DataStore for XmlStore {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use gupster_xml::parse;
 

@@ -16,6 +16,11 @@
 //! Values are never interned: predicate values such as
 //! `[@id='u4711']`, attribute and text values and sync node paths are
 //! user data, and a leaked table would keep every one of them forever.
+//! Nor does a parse or a builder intern: an owned tree's parser owns
+//! its names, builders borrow `&'static str` literals and own the rest,
+//! and a parsed XPath names its steps with [`NameInterner::name`],
+//! which borrows the table's copy when the table holds the name and
+//! owns one otherwise, so arbitrary input leaves the table as it was.
 //!
 //! Interned strings are leaked into `'static` storage so
 //! [`NameInterner::resolve`] can hand back a `&'static str` without
@@ -35,6 +40,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{OnceLock, RwLock};
+
+use crate::Name;
 
 /// An interned name. Two `NameId`s are equal iff the names they were
 /// interned from are equal, so tag comparison on the merge hot path is
@@ -117,11 +124,33 @@ impl NameInterner {
     /// stage. Never grows the table. Lock-free unless the table grew
     /// since this thread last looked.
     pub fn lookup(s: &str) -> Option<NameId> {
-        SNAPSHOT.with_borrow_mut(|snap| match snap.map.get(s) {
-            Some(&id) => Some(id),
+        Self::find(s).map(|(_, id)| id)
+    }
+
+    /// The number of distinct names interned so far, in the whole
+    /// process.
+    pub fn interned() -> usize {
+        PUBLISHED.load(Ordering::Acquire)
+    }
+
+    /// `s` as a [`Name`]: the table's `&'static` copy when `s` was ever
+    /// interned, an owned copy otherwise. Never grows the table: this
+    /// is how the XPath parser, and code building a path from a
+    /// borrowed string, name a path step.
+    pub fn name(s: &str) -> Name {
+        match Self::find(s) {
+            Some((stored, _)) => Name::Borrowed(stored),
+            None => Name::Owned(s.to_owned()),
+        }
+    }
+
+    /// The table's copy of `s` and its id, if `s` was ever interned.
+    fn find(s: &str) -> Option<(&'static str, NameId)> {
+        SNAPSHOT.with_borrow_mut(|snap| match snap.map.get_key_value(s) {
+            Some((&stored, &id)) => Some((stored, id)),
             None if snap.names.len() < PUBLISHED.load(Ordering::Acquire) => {
                 snap.catch_up();
-                snap.map.get(s).copied()
+                snap.map.get_key_value(s).map(|(&stored, &id)| (stored, id))
             }
             None => None,
         })
@@ -149,11 +178,6 @@ impl fmt::Display for NameId {
 mod tests {
     use super::*;
 
-    /// Number of distinct names interned so far.
-    fn interned() -> usize {
-        global().read().expect("name interner lock").names.len()
-    }
-
     #[test]
     fn interning_is_stable_and_comparable() {
         let a = NameInterner::intern("address-book");
@@ -164,14 +188,24 @@ mod tests {
         assert_eq!(NameInterner::resolve(a), "address-book");
         assert_eq!(NameInterner::lookup("address-book"), Some(a));
         assert_eq!(a.to_string(), "address-book");
-        assert!(interned() >= 2);
+        assert!(NameInterner::interned() >= 2);
     }
 
     #[test]
     fn lookup_does_not_grow_the_table() {
-        let before = interned();
+        let before = NameInterner::interned();
         assert_eq!(NameInterner::lookup("never-interned-name-xyzzy"), None);
-        assert_eq!(interned(), before);
+        assert!(matches!(NameInterner::name("never-interned-name-xyzzy"), Name::Owned(_)));
+        assert_eq!(NameInterner::interned(), before);
+    }
+
+    #[test]
+    fn a_name_borrows_the_tables_copy() {
+        let id = NameInterner::intern("borrowed-name-test");
+        let Name::Borrowed(held) = NameInterner::name(&String::from("borrowed-name-test")) else {
+            panic!("an interned name is borrowed");
+        };
+        assert!(std::ptr::eq(held, NameInterner::resolve(id)));
     }
 
     #[test]

@@ -6,68 +6,70 @@
 //! node ids into the arena, and context deduplication compares ids
 //! directly (the arena analogue of pointer identity).
 //!
-//! Selection allocates only what it returns: one id buffer holds a
-//! step's contexts with its results behind them, predicates filter each
-//! context's run of results in place, and deduplication (needed only
-//! after a descendant step) compacts the results in place too.
+//! Selection works in one id buffer the caller owns, and allocates only
+//! when that buffer must grow: it holds a step's contexts with its
+//! results behind them, predicates filter each context's run of results
+//! in place, and deduplication (needed only after a descendant step)
+//! compacts the results in place too. A caller that keeps its buffer
+//! from one read to the next selects without allocating.
 
 use gupster_xml::{ArenaDoc, NodeId};
 
 use crate::ast::{Axis, NameTest, Path, Predicate};
 
 impl Path {
-    /// Selects the element nodes addressed by this path within `doc`.
+    /// Selects the element nodes addressed by this path within `doc`
+    /// into `ids`, replacing what it held, in document order.
     ///
     /// Arena counterpart of [`Path::select`]: the first step is matched
     /// against the document root, and for a path whose final step is an
     /// attribute step the *owner elements* of matching attributes are
-    /// returned (read the values with `ArenaDoc::attr`).
-    pub fn select_arena(&self, doc: &ArenaDoc) -> Vec<NodeId> {
+    /// selected (read the values with `ArenaDoc::attr`).
+    pub fn select_arena(&self, doc: &ArenaDoc, ids: &mut Vec<NodeId>) {
         // One buffer: a step's contexts lie at its front, each appends
         // what it selects behind them, and the contexts are then drained
         // off the front. It is empty before the first step: the virtual
         // document node above the root is the context there, and an
         // attribute step from it selects nothing.
-        let mut ids: Vec<NodeId> = Vec::new();
+        ids.clear();
         for (i, step) in self.steps.iter().enumerate() {
             if step.axis == Axis::Attribute {
                 ids.retain(|&n| match &step.test {
                     NameTest::Any => doc.attr_count(n) > 0,
                     NameTest::Name(a) => doc.attr(n, a).is_some(),
                 });
-                return ids;
+                return;
             }
             if i == 0 {
                 let root = doc.root();
                 if step.axis == Axis::Descendant {
-                    collect_self_and_descendants(doc, root, &step.test, &mut ids);
+                    collect_self_and_descendants(doc, root, &step.test, ids);
                 } else if step.test.accepts(doc.name(root)) {
                     ids.push(root);
                 }
-                apply_predicates(doc, &step.predicates, &mut ids, 0);
+                apply_predicates(doc, &step.predicates, ids, 0);
             } else {
                 let contexts = ids.len();
                 for at in 0..contexts {
                     let (ctx, run) = (ids[at], ids.len());
                     if step.axis == Axis::Descendant {
-                        collect_descendants(doc, ctx, &step.test, &mut ids);
+                        collect_descendants(doc, ctx, &step.test, ids);
                     } else {
                         ids.extend(doc.child_elements(ctx).filter(|&c| step.test.accepts(doc.name(c))));
                     }
-                    apply_predicates(doc, &step.predicates, &mut ids, run);
+                    apply_predicates(doc, &step.predicates, ids, run);
                 }
                 ids.drain(..contexts);
             }
             // Distinct contexts have distinct children, since a node has
             // one parent; only descendant runs of nested contexts overlap.
             if step.axis == Axis::Descendant {
-                dedup_ids(&mut ids);
+                dedup_ids(ids);
             }
             if ids.is_empty() {
                 break;
             }
         }
-        ids
     }
 }
 
@@ -158,19 +160,22 @@ mod tests {
                </user>"#;
 
     /// Asserts the arena evaluator agrees with the owned one on `path`
-    /// over `src`, node for node (compared through serialization).
-    fn agree(src: &str, path: &str) {
+    /// over `src`, node for node (compared through serialization),
+    /// selecting into `ids` whatever it held before.
+    fn agree(src: &str, path: &str, ids: &mut Vec<NodeId>) {
         let owned: Element = gupster_xml::parse(src).unwrap();
         let doc = ArenaDoc::parse(src).unwrap();
         let p = Path::parse(path).unwrap();
         let a: Vec<String> = p.select(&owned).iter().map(|e| e.to_xml()).collect();
-        let b: Vec<String> =
-            p.select_arena(&doc).iter().map(|&n| doc.to_element(n).to_xml()).collect();
+        p.select_arena(&doc, ids);
+        let b: Vec<String> = ids.iter().map(|&n| doc.to_element(n).to_xml()).collect();
         assert_eq!(a, b, "select disagreement on {path}");
     }
 
     #[test]
     fn mirrors_owned_eval() {
+        // One buffer for every path: each selection replaces the last.
+        let mut ids = Vec::new();
         for path in [
             "/user",
             "/nope",
@@ -198,23 +203,23 @@ mod tests {
             "/user/devices/device/@*",
             "/",
         ] {
-            agree(DOC, path);
+            agree(DOC, path, &mut ids);
         }
     }
 
     #[test]
     fn no_duplicate_results_from_descendant() {
-        agree("<a><b><b><c/></b></b></a>", "//b//c");
-        let doc = ArenaDoc::parse("<a><b><b><c/></b></b></a>").unwrap();
-        assert_eq!(Path::parse("//b//c").unwrap().select_arena(&doc).len(), 1);
+        let mut ids = Vec::new();
+        agree("<a><b><b><c/></b></b></a>", "//b//c", &mut ids);
+        assert_eq!(ids.len(), 1);
     }
 
     #[test]
     fn selection_is_zero_copy() {
         let doc = ArenaDoc::parse(DOC).unwrap();
-        let hits = Path::parse("/user/address-book/item[@type='personal']")
-            .unwrap()
-            .select_arena(&doc);
+        let mut hits = Vec::new();
+        let path = Path::parse("/user/address-book/item[@type='personal']").unwrap();
+        path.select_arena(&doc, &mut hits);
         assert_eq!(hits.len(), 2);
         // The ids address straight into the arena — no tree was built.
         assert_eq!(doc.attr(hits[0], "id"), Some("1"));

@@ -1,6 +1,16 @@
 //! Abstract syntax for the GUPster XPath fragment.
+//!
+//! Every tag and attribute name in a path is a [`Name`], the type
+//! `gupster-xml`'s owned trees name their nodes with: it borrows the
+//! process name table's `&'static` copy when the table holds the name
+//! and owns one otherwise. Neither parsing nor the builders intern, so
+//! arbitrary input leaves the table as it was. Predicate values stay
+//! owned `String`s: they are user data. Equality, hashing and display
+//! see only the characters, never whether a name borrows.
 
 use std::fmt;
+
+use gupster_xml::{Name, NameInterner};
 
 /// Navigation axis of a location step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -19,7 +29,7 @@ pub enum NameTest {
     /// `*` — any element (or any attribute on the attribute axis).
     Any,
     /// A literal tag or attribute name.
-    Name(String),
+    Name(Name),
 }
 
 impl NameTest {
@@ -53,13 +63,13 @@ impl NameTest {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Predicate {
     /// `[@attr='value']`
-    AttrEq(String, String),
+    AttrEq(Name, String),
     /// `[@attr]`
-    AttrExists(String),
+    AttrExists(Name),
     /// `[child='value']` — compares the child element's trimmed text.
-    ChildEq(String, String),
+    ChildEq(Name, String),
     /// `[child]`
-    ChildExists(String),
+    ChildExists(Name),
     /// `[n]` — 1-based position among the nodes matched so far.
     Position(usize),
 }
@@ -108,13 +118,15 @@ pub struct LocStep {
 }
 
 impl LocStep {
-    /// A child-axis step with no predicates.
-    pub fn child(name: impl Into<String>) -> Self {
+    /// A child-axis step with no predicates. A `&'static str` or a
+    /// `String` becomes the name as is; a caller holding a shorter-lived
+    /// `&str` passes [`NameInterner::name`] of it.
+    pub fn child(name: impl Into<Name>) -> Self {
         LocStep { axis: Axis::Child, test: NameTest::Name(name.into()), predicates: Vec::new() }
     }
 
     /// Builder: adds an `[@attr='value']` predicate.
-    pub fn with_attr_eq(mut self, attr: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_attr_eq(mut self, attr: impl Into<Name>, value: impl Into<String>) -> Self {
         self.predicates.push(Predicate::AttrEq(attr.into(), value.into()));
         self
     }
@@ -135,7 +147,8 @@ pub struct Path {
 impl Path {
     /// Builds a simple child-axis path from tag names.
     pub fn from_names<S: AsRef<str>>(names: &[S]) -> Self {
-        Path { steps: names.iter().map(|n| LocStep::child(n.as_ref())).collect() }
+        let step = |n: &S| LocStep::child(NameInterner::name(n.as_ref()));
+        Path { steps: names.iter().map(step).collect() }
     }
 
     /// The number of location steps.

@@ -56,21 +56,36 @@ impl<'a> InternedPath<'a> {
     /// (`//` or `*` anywhere) — such paths belong in the indexes'
     /// wildcard buckets.
     pub fn compile(path: &'a Path) -> Option<InternedPath<'a>> {
+        Self::compile_by(path, |name| Some(NameInterner::intern(name)))
+    }
+
+    /// [`InternedPath::compile`] against the names already interned:
+    /// never grows the table. Also `None` when the path names a name
+    /// that was never interned, which no compiled path holds.
+    pub fn lookup(path: &'a Path) -> Option<InternedPath<'a>> {
+        Self::compile_by(path, NameInterner::lookup)
+    }
+
+    fn compile_by(
+        path: &'a Path,
+        id: impl Fn(&str) -> Option<NameId>,
+    ) -> Option<InternedPath<'a>> {
         if !path.is_core_fragment() {
             return None;
         }
         let mut steps = Vec::with_capacity(path.steps.len());
         for step in &path.steps {
             let NameTest::Name(name) = &step.test else { return None };
-            let pred_key = step.predicates.iter().find_map(|p| match p {
-                Predicate::AttrEq(a, v) => Some((NameInterner::intern(a), v.as_str())),
+            let first_eq = step.predicates.iter().find_map(|p| match p {
+                Predicate::AttrEq(a, v) => Some((a, v)),
                 _ => None,
             });
-            steps.push(InternedStep {
-                name: NameInterner::intern(name),
-                attribute: step.axis == Axis::Attribute,
-                pred_key,
-            });
+            let pred_key = match first_eq {
+                Some((a, v)) => Some((id(a)?, v.as_str())),
+                None => None,
+            };
+            let attribute = step.axis == Axis::Attribute;
+            steps.push(InternedStep { name: id(name)?, attribute, pred_key });
         }
         Some(InternedPath { steps })
     }
@@ -126,6 +141,20 @@ mod tests {
         assert_eq!(ip.steps[2].pred_key, Some((NameInterner::intern("type"), "x")));
         assert!(ip.steps[3].attribute);
         assert!(!ip.steps[2].attribute);
+    }
+
+    #[test]
+    fn lookup_compiles_only_known_names() {
+        let known = Path::parse("/user[@id='a']/address-book").unwrap();
+        NameInterner::intern("user");
+        NameInterner::intern("id");
+        NameInterner::intern("address-book");
+        assert_eq!(InternedPath::lookup(&known), InternedPath::compile(&known));
+        for s in ["/user/never-interned-lookup-step", "/user[@never-interned-lookup-attr='v']"] {
+            assert!(InternedPath::lookup(&Path::parse(s).unwrap()).is_none(), "{s}");
+        }
+        assert_eq!(NameInterner::lookup("never-interned-lookup-step"), None);
+        assert_eq!(NameInterner::lookup("never-interned-lookup-attr"), None);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * a parser ([`Path::parse`]),
 //! * an evaluator over [`gupster_xml::Element`] trees ([`Path::select`],
 //!   [`Path::select_strings`]) and a zero-copy twin over
-//!   [`gupster_xml::ArenaDoc`] ([`Path::select_arena`]) that returns node
-//!   ids instead of cloned subtrees,
+//!   [`gupster_xml::ArenaDoc`] ([`Path::select_arena`]) that selects node
+//!   ids into the caller's buffer instead of cloning subtrees,
 //! * **containment** ([`contains`]) and **overlap** ([`may_overlap`])
 //!   decision procedures in the homomorphism style of Deutsch–Tannen /
 //!   Miklau–Suciu, which the registry uses to match request paths against

@@ -1,8 +1,14 @@
 //! Parser for the XPath fragment: recursive descent over the lexer's
-//! tokens, pulled one at a time. The only allocations are the owned
-//! strings and step lists of the returned [`Path`].
+//! tokens, pulled one at a time. Once a thread's scratch lists are
+//! warm, the only allocations are the step and predicate lists of the
+//! returned [`Path`], each at its exact length, its predicate values,
+//! and a copy of each name the process name table does not hold (a
+//! held name is borrowed from the table; the table never grows here).
 
+use std::cell::RefCell;
 use std::fmt;
+
+use gupster_xml::NameInterner;
 
 use crate::ast::{Axis, LocStep, NameTest, Path, Predicate};
 use crate::lexer::{Lexer, Token};
@@ -47,8 +53,30 @@ impl Path {
     /// assert_eq!(err.position, 9, "the byte offset of the offending '/'");
     /// ```
     pub fn parse(input: &str) -> Result<Path, XPathError> {
-        P { lexer: Lexer::new(input), peeked: None }.parse_path()
+        SCRATCH.with_borrow_mut(|(steps, predicates)| {
+            let parsed = P { lexer: Lexer::new(input), peeked: None }.parse_path(steps, predicates);
+            steps.clear();
+            predicates.clear();
+            parsed
+        })
     }
+}
+
+thread_local! {
+    /// The lists a parse fills before it knows their lengths: the steps
+    /// so far, and the current step's predicates. The returned path
+    /// copies each out at its exact length, so a path kept for the life
+    /// of a registration holds no spare capacity.
+    static SCRATCH: RefCell<(Vec<LocStep>, Vec<Predicate>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Moves `scratch`'s elements into a list of exactly their length,
+/// leaving `scratch` empty with its capacity.
+fn exact<T>(scratch: &mut Vec<T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(scratch.len());
+    out.append(scratch);
+    out
 }
 
 /// A token with the byte offset it starts at; `None` and the input's
@@ -87,9 +115,13 @@ impl<'a> P<'a> {
         })
     }
 
-    /// Parses the whole input: returns only at its end.
-    fn parse_path(&mut self) -> Result<Path, XPathError> {
-        let mut steps = Vec::new();
+    /// Parses the whole input: returns only at its end. `steps` and
+    /// `predicates` are empty scratch lists.
+    fn parse_path(
+        &mut self,
+        steps: &mut Vec<LocStep>,
+        predicates: &mut Vec<Predicate>,
+    ) -> Result<Path, XPathError> {
         loop {
             let axis = match self.next()? {
                 (_, Some(Token::Slash)) => Axis::Child,
@@ -100,7 +132,7 @@ impl<'a> P<'a> {
             if steps.is_empty() && axis == Axis::Child && self.peek()?.1.is_none() {
                 break;
             }
-            let step = self.parse_step(axis)?;
+            let step = self.parse_step(axis, predicates)?;
             let is_attr = step.axis == Axis::Attribute;
             steps.push(step);
             match self.peek()? {
@@ -111,10 +143,16 @@ impl<'a> P<'a> {
                 _ => {}
             }
         }
-        Ok(Path { steps })
+        Ok(Path { steps: exact(steps) })
     }
 
-    fn parse_step(&mut self, axis: Axis) -> Result<LocStep, XPathError> {
+    /// Parses one step, filling its predicates in the empty scratch
+    /// list `predicates`.
+    fn parse_step(
+        &mut self,
+        axis: Axis,
+        predicates: &mut Vec<Predicate>,
+    ) -> Result<LocStep, XPathError> {
         let (at, t) = self.next()?;
         let (axis, test) = match t {
             Some(Token::At) => {
@@ -122,7 +160,7 @@ impl<'a> P<'a> {
                     return Err(XPathError::new(at, "'//@attr' is not in the fragment"));
                 }
                 let test = match self.next()? {
-                    (_, Some(Token::Name(n))) => NameTest::Name(n.to_owned()),
+                    (_, Some(Token::Name(n))) => NameTest::Name(NameInterner::name(n)),
                     (_, Some(Token::Star)) => NameTest::Any,
                     (at, _) => {
                         return Err(XPathError::new(at, "expected attribute name after '@'"))
@@ -130,11 +168,10 @@ impl<'a> P<'a> {
                 };
                 (Axis::Attribute, test)
             }
-            Some(Token::Name(n)) => (axis, NameTest::Name(n.to_owned())),
+            Some(Token::Name(n)) => (axis, NameTest::Name(NameInterner::name(n))),
             Some(Token::Star) => (axis, NameTest::Any),
             _ => return Err(XPathError::new(at, "expected a name test")),
         };
-        let mut predicates = Vec::new();
         while let (at, Some(Token::LBracket)) = self.peek()? {
             if axis == Axis::Attribute {
                 return Err(XPathError::new(at, "predicates not allowed on attribute steps"));
@@ -146,7 +183,7 @@ impl<'a> P<'a> {
                 (at, _) => return Err(XPathError::new(at, "expected ']'")),
             }
         }
-        Ok(LocStep { axis, test, predicates })
+        Ok(LocStep { axis, test, predicates: exact(predicates) })
     }
 
     fn parse_predicate(&mut self) -> Result<Predicate, XPathError> {
@@ -165,13 +202,13 @@ impl<'a> P<'a> {
                     }
                 };
                 Ok(match self.eq_literal()? {
-                    Some(v) => Predicate::AttrEq(name.to_owned(), v.to_owned()),
-                    None => Predicate::AttrExists(name.to_owned()),
+                    Some(v) => Predicate::AttrEq(NameInterner::name(name), v.to_owned()),
+                    None => Predicate::AttrExists(NameInterner::name(name)),
                 })
             }
             (_, Some(Token::Name(name))) => Ok(match self.eq_literal()? {
-                Some(v) => Predicate::ChildEq(name.to_owned(), v.to_owned()),
-                None => Predicate::ChildExists(name.to_owned()),
+                Some(v) => Predicate::ChildEq(NameInterner::name(name), v.to_owned()),
+                None => Predicate::ChildExists(NameInterner::name(name)),
             }),
             (at, _) => Err(XPathError::new(at, "expected a predicate")),
         }

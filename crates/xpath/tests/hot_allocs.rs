@@ -1,8 +1,8 @@
 //! Allocations made by the XPath work on a lookup: deciding
 //! containment, coverage and overlap allocates nothing on paths of up
 //! to 127 steps, parsing allocates only what the returned `Path` owns,
-//! and selecting over an arena document allocates only the one id
-//! buffer it returns.
+//! and selecting over an arena document allocates only when the
+//! caller's id buffer is fresh.
 //!
 //! Its own test binary, so that it can count allocations with a global
 //! allocator. Counts are per thread: other tests cannot disturb them.
@@ -10,8 +10,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gupster_xml::ArenaDoc;
-use gupster_xpath::{contains, covers, may_overlap, Path};
+use gupster_xml::{ArenaDoc, Name, NameInterner};
+use gupster_xpath::{contains, covers, may_overlap, NameTest, Path, Predicate};
 
 thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
@@ -95,13 +95,33 @@ fn a_path_past_127_steps_spills_one_row() {
 
 #[test]
 fn parsing_allocates_only_the_returned_path() {
+    for name in ["user", "id", "address-book"] {
+        NameInterner::intern(name);
+    }
+    // This thread's copy of the name table catches up, and its scratch
+    // lists grow, once, here.
+    Path::parse("/user[@id='u1']/address-book").expect("parses");
     let (path, n) = counted(|| Path::parse("/user[@id='u1']/address-book"));
     let path = path.expect("parses");
-    // The step list, "user", its predicate list, "id", "u1" and
-    // "address-book"; the empty predicate list of the second step owns
-    // no heap memory.
+    // The step list, its first step's predicate list and "u1"; every
+    // name borrows the table's copy, and the empty predicate list of
+    // the second step owns no heap memory.
     assert_eq!(path.steps[1].predicates.capacity(), 0);
-    assert_eq!(n, 6);
+    assert_eq!(n, 3);
+}
+
+#[test]
+fn a_name_the_table_lacks_is_parsed_as_owned() {
+    // This thread's scratch lists grow once, here.
+    Path::parse("/warm[@up='1']").expect("parses");
+    let (path, n) = counted(|| Path::parse("/never-interned-step[@never-interned-attr='v']"));
+    let path = path.expect("parses");
+    assert!(matches!(&path.steps[0].test, NameTest::Name(Name::Owned(_))));
+    assert!(matches!(&path.steps[0].predicates[0], Predicate::AttrEq(Name::Owned(_), _)));
+    // The step list, the predicate list, the value and the two copied
+    // names.
+    assert_eq!(n, 5);
+    assert_eq!(NameInterner::lookup("never-interned-step"), None);
 }
 
 #[test]
@@ -119,11 +139,15 @@ fn child_only_selection_allocates_one_id_buffer() {
     let doc = ArenaDoc::parse(&xml).expect("parses");
     for steps in 2..=8 {
         let path = p(&format!("/a{}", "/a[@d]".repeat(steps - 1)));
-        let (hits, n) = counted(|| path.select_arena(&doc));
+        let mut hits = Vec::new();
+        let ((), n) = counted(|| path.select_arena(&doc, &mut hits));
         assert_eq!(hits.len(), 1, "{path}");
         assert_eq!(doc.attr(hits[0], "d"), Some((steps - 1).to_string().as_str()), "{path}");
         // The buffer never holds more than a context and its two
         // children, so its first allocation is its last.
-        assert_eq!(n, 1, "{path}: {n} allocations");
+        assert_eq!(n, 1, "{path}: {n} allocations into a fresh buffer");
+        let ((), n) = counted(|| path.select_arena(&doc, &mut hits));
+        assert_eq!(hits.len(), 1, "{path}");
+        assert_eq!(n, 0, "{path}: {n} allocations into a kept buffer");
     }
 }

@@ -3,17 +3,21 @@
 //! and containment partial-order sanity. Deterministic — see
 //! `gupster_rng::check`.
 
+use std::hash::{BuildHasher, RandomState};
+
 use gupster_rng::check::{self, cases};
 use gupster_rng::{Rng, StdRng};
-use gupster_xml::{ArenaDoc, Element};
-use gupster_xpath::{contains, covers, may_overlap, Axis, LocStep, NameTest, Path, Predicate};
+use gupster_xml::{ArenaDoc, Element, Name, NameInterner};
+use gupster_xpath::{
+    contains, covers, may_overlap, Axis, KeyDigest, LocStep, NameTest, Path, Predicate,
+};
 
 fn arb_predicate(rng: &mut StdRng) -> Predicate {
     match rng.gen_range(0u32..5) {
-        0 => Predicate::AttrEq(check::lowercase(rng, 1, 4), check::alnum(rng, 1, 4)),
-        1 => Predicate::AttrExists(check::lowercase(rng, 1, 4)),
-        2 => Predicate::ChildEq(check::lowercase(rng, 1, 4), check::alnum(rng, 1, 4)),
-        3 => Predicate::ChildExists(check::lowercase(rng, 1, 4)),
+        0 => Predicate::AttrEq(check::lowercase(rng, 1, 4).into(), check::alnum(rng, 1, 4)),
+        1 => Predicate::AttrExists(check::lowercase(rng, 1, 4).into()),
+        2 => Predicate::ChildEq(check::lowercase(rng, 1, 4).into(), check::alnum(rng, 1, 4)),
+        3 => Predicate::ChildExists(check::lowercase(rng, 1, 4).into()),
         _ => Predicate::Position(rng.gen_range(1usize..5)),
     }
 }
@@ -31,7 +35,7 @@ fn arb_step(rng: &mut StdRng, last: bool) -> LocStep {
         Axis::Descendant
     };
     let test = if rng.gen_range(0u32..4) < 3 {
-        NameTest::Name(check::lowercase(rng, 1, 6))
+        NameTest::Name(check::lowercase(rng, 1, 6).into())
     } else {
         NameTest::Any
     };
@@ -91,6 +95,106 @@ fn quotable(rng: &mut StdRng) -> String {
     v
 }
 
+/// Names the process name table holds, which a parse borrows, and
+/// names nothing interns, which a parse copies; ASCII and not.
+const INTERNED_NAMES: [&str; 4] = ["user", "address-book", "prés-ence", "名前"];
+const NEVER_INTERNED_NAMES: [&str; 4] =
+    ["never-interned", "ñever-interned", "nie-名-interned", "_n.i"];
+
+fn pooled_name(rng: &mut StdRng) -> Name {
+    let pool = if rng.gen_range(0u32..2) == 0 { INTERNED_NAMES } else { NEVER_INTERNED_NAMES };
+    Name::Borrowed(pool[rng.gen_range(0..pool.len())])
+}
+
+/// A path over the two name pools, every name borrowed, with quotable
+/// predicate values.
+fn pooled_path(rng: &mut StdRng) -> Path {
+    let len = rng.gen_range(1..5usize);
+    let steps = (0..len)
+        .map(|i| {
+            let axis = match rng.gen_range(0u32..4) {
+                0 => Axis::Descendant,
+                1 if i + 1 == len => Axis::Attribute,
+                _ => Axis::Child,
+            };
+            let test = match rng.gen_range(0u32..5) {
+                0 => NameTest::Any,
+                _ => NameTest::Name(pooled_name(rng)),
+            };
+            let predicates = if axis == Axis::Attribute {
+                vec![]
+            } else {
+                check::vec_of(rng, 0, 3, |rng| match rng.gen_range(0u32..5) {
+                    0 => Predicate::AttrEq(pooled_name(rng), quotable(rng)),
+                    1 => Predicate::AttrExists(pooled_name(rng)),
+                    2 => Predicate::ChildEq(pooled_name(rng), quotable(rng)),
+                    3 => Predicate::ChildExists(pooled_name(rng)),
+                    _ => Predicate::Position(rng.gen_range(1usize..4)),
+                })
+            };
+            LocStep { axis, test, predicates }
+        })
+        .collect();
+    Path { steps }
+}
+
+/// `p` with every name in it rewritten by `f`.
+fn respelled(p: &Path, f: impl Fn(&Name) -> Name) -> Path {
+    let steps = p.steps.iter().map(|s| LocStep {
+        axis: s.axis,
+        test: match &s.test {
+            NameTest::Any => NameTest::Any,
+            NameTest::Name(n) => NameTest::Name(f(n)),
+        },
+        predicates: s
+            .predicates
+            .iter()
+            .map(|pr| match pr {
+                Predicate::AttrEq(a, v) => Predicate::AttrEq(f(a), v.clone()),
+                Predicate::AttrExists(a) => Predicate::AttrExists(f(a)),
+                Predicate::ChildEq(c, v) => Predicate::ChildEq(f(c), v.clone()),
+                Predicate::ChildExists(c) => Predicate::ChildExists(f(c)),
+                Predicate::Position(n) => Predicate::Position(*n),
+            })
+            .collect(),
+    });
+    Path { steps: steps.collect() }
+}
+
+/// Whether a name borrows or owns its characters is invisible: a
+/// borrowed and an owned spelling of the same path compare equal, hash
+/// alike (so the memo digests keyed on paths agree), display alike, and
+/// parse back to a path equal to both, in which exactly the names the
+/// name table holds are borrowed. No parse interns a name.
+#[test]
+fn borrowed_and_owned_names_are_indistinguishable() {
+    for name in INTERNED_NAMES {
+        NameInterner::intern(name);
+    }
+    let hasher = RandomState::new();
+    cases(1024, 0xa7_08, |rng| {
+        let borrowed = pooled_path(rng);
+        let owned = respelled(&borrowed, |n| Name::Owned(n.to_string()));
+        assert_eq!(borrowed, owned);
+        assert_eq!(hasher.hash_one(&borrowed), hasher.hash_one(&owned), "{borrowed}");
+        assert_eq!(KeyDigest::new("owner", &borrowed), KeyDigest::new("owner", &owned));
+        let text = borrowed.to_string();
+        assert_eq!(owned.to_string(), text);
+        assert_eq!(owned.display_len(), borrowed.display_len());
+        let parsed = Path::parse(&text).unwrap_or_else(|e| panic!("reparse {text}: {e}"));
+        assert_eq!(parsed, owned, "{text}");
+        // Visits every parsed name; the respelled copy is dropped.
+        respelled(&parsed, |n| {
+            let held = INTERNED_NAMES.contains(&n.as_ref());
+            assert_eq!(matches!(n, Name::Borrowed(_)), held, "{n} in {text}");
+            n.clone()
+        });
+    });
+    for name in NEVER_INTERNED_NAMES {
+        assert_eq!(NameInterner::lookup(name), None, "a parse interned {name}");
+    }
+}
+
 /// Display → parse is the identity on predicates whose values hold a
 /// quote character, a bracket or a slash: a value holding `'` renders
 /// in double quotes. A path whose literal holds a NUL does not parse.
@@ -100,8 +204,8 @@ fn quoted_literals_round_trip() {
         let mut p = arb_path(rng);
         let step = &mut p.steps[0];
         step.predicates.push(match rng.gen_range(0u32..2) {
-            0 => Predicate::AttrEq(check::lowercase(rng, 1, 4), quotable(rng)),
-            _ => Predicate::ChildEq(check::lowercase(rng, 1, 4), quotable(rng)),
+            0 => Predicate::AttrEq(check::lowercase(rng, 1, 4).into(), quotable(rng)),
+            _ => Predicate::ChildEq(check::lowercase(rng, 1, 4).into(), quotable(rng)),
         });
         let s = p.to_string();
         assert_eq!(Path::parse(&s).as_ref(), Ok(&p), "{s}");
@@ -274,7 +378,7 @@ fn oracle_may_overlap(a: &Path, b: &Path) -> bool {
 /// A predicate over a three-letter alphabet, so that random pairs
 /// collide often enough to make containment hold.
 fn small_predicate(rng: &mut StdRng) -> Predicate {
-    let name = |rng: &mut StdRng| ["a", "b", "c"][rng.gen_range(0usize..3)].to_string();
+    let name = |rng: &mut StdRng| ["a", "b", "c"][rng.gen_range(0usize..3)].into();
     match rng.gen_range(0u32..5) {
         0 => Predicate::AttrEq(name(rng), ["1", "2"][rng.gen_range(0usize..2)].to_string()),
         1 => Predicate::AttrExists(name(rng)),
@@ -288,7 +392,7 @@ fn small_step(rng: &mut StdRng, axis: Axis) -> LocStep {
     let test = if rng.gen_range(0u32..5) == 0 {
         NameTest::Any
     } else {
-        NameTest::Name(["a", "b", "c"][rng.gen_range(0usize..3)].to_string())
+        NameTest::Name(["a", "b", "c"][rng.gen_range(0usize..3)].into())
     };
     let predicates =
         if axis == Axis::Attribute { vec![] } else { check::vec_of(rng, 0, 4, small_predicate) };
@@ -423,7 +527,7 @@ fn arb_doc(rng: &mut StdRng, depth: usize, serial: &mut usize) -> Element {
 }
 
 fn doc_predicate(rng: &mut StdRng) -> Predicate {
-    let name = |rng: &mut StdRng| ["a", "b", "c"][rng.gen_range(0..3usize)].to_string();
+    let name = |rng: &mut StdRng| ["a", "b", "c"][rng.gen_range(0..3usize)].into();
     let value = |rng: &mut StdRng| ["x", "y"][rng.gen_range(0..2usize)].to_string();
     match rng.gen_range(0u32..5) {
         0 => Predicate::AttrEq("k".into(), value(rng)),
@@ -485,14 +589,15 @@ fn descendant_reach(contexts: &[&Element], test: &NameTest) -> (usize, usize) {
 #[test]
 fn select_arena_matches_owned_select() {
     let mut overlapping = 0;
+    let mut ids = Vec::new();
     cases(1024, 0xa7_07, |rng| {
         let owned = arb_doc(rng, 4, &mut 0);
         let doc = ArenaDoc::from_element(&owned);
         for _ in 0..8 {
             let path = doc_path(rng);
             let want: Vec<&str> = path.select(&owned).iter().map(|e| e.attr("n").unwrap()).collect();
-            let got: Vec<&str> =
-                path.select_arena(&doc).iter().map(|&id| doc.attr(id, "n").unwrap()).collect();
+            path.select_arena(&doc, &mut ids);
+            let got: Vec<&str> = ids.iter().map(|&id| doc.attr(id, "n").unwrap()).collect();
             assert_eq!(got, want, "{path} over {}", owned.to_xml());
             for (i, step) in path.steps.iter().enumerate().skip(1) {
                 if step.axis == Axis::Descendant {
