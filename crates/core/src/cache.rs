@@ -1,19 +1,22 @@
 //! Result caching with invalidation-on-update (§5.3: "GUPster can also
 //! offer some caching services", "GUPster should probably also offer
 //! some caching to make the access to user profile components faster").
+//! Each registry's stale rung is the one cache that hands out answers,
+//! and every serve from it passes the shield first (DESIGN.md §7).
 
-use std::sync::Arc;
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+use gupster_policy::Decision;
 use gupster_xpath::{may_overlap, KeyDigest, OwnedKey, OwnerLru, Path};
 
 use crate::client::SharedAnswer;
+use crate::provenance::RecordRef;
 
 /// An LRU cache of merged query results, keyed by (owner, requester,
 /// path) — one requester's view of one owner's component. Each entry
-/// carries a caller-chosen stamp `S`: `CachedClient`'s expiry instant,
-/// or the registry stale rung's fetch time and permitted path set.
-/// Results are held as `Arc<[Element]>`: a hit hands out the answer
-/// its fill materialized, never a copy of it.
+/// carries the [`Stamp`] of its fill. Results are held as
+/// `Arc<[Element]>`: a hit hands out the answer its fill materialized,
+/// never a copy of it.
 ///
 /// Keys include the **requester**: serving one principal's cached
 /// result to another would bypass the privacy shield.
@@ -24,14 +27,28 @@ use crate::client::SharedAnswer;
 /// data has become stale"). Storage is the shared [`OwnerLru`]
 /// (DESIGN.md §7).
 #[derive(Debug)]
-pub struct ResultCache<S = u64> {
-    entries: OwnerLru<ViewKey, (SharedAnswer, S)>,
+pub struct ResultCache {
+    entries: OwnerLru<ViewKey, (SharedAnswer, Stamp)>,
     /// Cache hits.
     pub hits: u64,
     /// Cache misses.
     pub misses: u64,
     /// Entries dropped by invalidation.
     pub invalidations: u64,
+}
+
+/// What a cached answer was fresh under.
+#[derive(Debug)]
+pub struct Stamp {
+    /// The request clock the answer was fresh at; a serve is aged
+    /// against it.
+    pub fresh_at: u64,
+    /// The path set the shield permitted then.
+    pub decision: Decision,
+    /// The provenance record of the lookup that filled the entry, when
+    /// the fill kept it: a hit of the registry's cached read discloses
+    /// it again.
+    pub record: Option<RecordRef>,
 }
 
 #[derive(Debug, PartialEq)]
@@ -47,7 +64,7 @@ impl OwnedKey for ViewKey {
     }
 }
 
-impl<S> ResultCache<S> {
+impl ResultCache {
     /// A cache bounded to `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         ResultCache { entries: OwnerLru::new(capacity), hits: 0, misses: 0, invalidations: 0 }
@@ -55,7 +72,7 @@ impl<S> ResultCache<S> {
 
     /// Looks up a cached result and its stamp, borrowed: the caller
     /// clones the `Arc` it keeps, and reads the stamp in place.
-    pub fn get(&mut self, owner: &str, requester: &str, path: &Path) -> Option<&(SharedAnswer, S)> {
+    pub fn get(&mut self, owner: &str, requester: &str, path: &Path) -> Option<&(SharedAnswer, Stamp)> {
         let digest = KeyDigest::new(owner, &(requester, path)).key;
         let hit = self
             .entries
@@ -73,7 +90,7 @@ impl<S> ResultCache<S> {
         owner: &str,
         requester: &str,
         path: &Path,
-    ) -> Option<&(SharedAnswer, S)> {
+    ) -> Option<&(SharedAnswer, Stamp)> {
         let digest = KeyDigest::new(owner, &(requester, path)).key;
         self.entries
             .peek(digest, |k| k.owner == owner && k.requester == requester && k.path == *path)
@@ -87,7 +104,7 @@ impl<S> ResultCache<S> {
         requester: &str,
         path: &Path,
         result: SharedAnswer,
-        stamp: S,
+        stamp: Stamp,
     ) {
         let key = ViewKey {
             owner: owner.to_string(),
@@ -127,91 +144,11 @@ impl<S> ResultCache<S> {
     }
 }
 
-/// A caching front end over the full lookup+fetch pipeline.
-///
-/// Entries are stamped with their expiry instant and stop being served
-/// `ttl` seconds after the fetch, bounding how long a *time-conditioned*
-/// permission (e.g. "co-workers during working hours") can outlive its
-/// window; write-through invalidations arrive through
-/// [`CachedClient::note_write`].
-#[derive(Debug)]
-pub struct CachedClient {
-    cache: ResultCache,
-    /// Seconds a permitted result may be served from cache.
-    pub ttl: u64,
-}
-
-impl CachedClient {
-    /// A client with the given cache capacity and TTL (seconds).
-    pub fn new(capacity: usize, ttl: u64) -> Self {
-        CachedClient { cache: ResultCache::new(capacity), ttl }
-    }
-
-    /// Looks up and fetches through the cache. On a hit, no shield
-    /// check, no referral, no store traffic — the one deliberate
-    /// unshielded serve, bounded by the TTL (DESIGN.md §7); on a miss
-    /// the full pipeline runs (with [`gupster_policy::Purpose::Cache`],
-    /// so owners can forbid caching requesters outright).
-    #[allow(clippy::too_many_arguments)]
-    pub fn fetch(
-        &mut self,
-        gupster: &mut crate::registry::Gupster,
-        pool: &crate::client::StorePool,
-        owner: &str,
-        request: &Path,
-        requester: &str,
-        time: gupster_policy::WeekTime,
-        now: u64,
-        keys: &gupster_xml::MergeKeys,
-    ) -> Result<SharedAnswer, crate::error::GupsterError> {
-        use std::sync::atomic::Ordering;
-
-        use gupster_telemetry::stage;
-
-        let hub = gupster.telemetry();
-        let mut tracer = hub.tracer("cache.fetch");
-        // An expired entry is not served; the re-fetch below replaces it.
-        if let Some((hit, _)) =
-            self.cache.get(owner, requester, request).filter(|&&(_, expiry)| now < expiry)
-        {
-            hub.counters().cache_hits.fetch_add(1, Ordering::Relaxed);
-            tracer.mark(stage::CACHE_HIT);
-            return Ok(Arc::clone(hit));
-        }
-        hub.counters().cache_misses.fetch_add(1, Ordering::Relaxed);
-        tracer.mark(stage::CACHE_MISS);
-        let out = gupster.lookup_traced(
-            owner,
-            request,
-            requester,
-            gupster_policy::Purpose::Cache,
-            time,
-            now,
-            &mut tracer,
-        )?;
-        let signer = gupster.signer();
-        let result: SharedAnswer =
-            crate::client::fetch_merge_traced(pool, &out.referral, &signer, now, keys, &mut tracer)?;
-        self.cache.put(owner, requester, request, Arc::clone(&result), now + self.ttl);
-        Ok(result)
-    }
-
-    /// Write-through invalidation (DESIGN.md §13): a committed sync
-    /// changed `owner`'s profile at `changed` paths — drop every
-    /// requester's cached view of them so no post-sync fetch serves a
-    /// pre-write result. Returns the number of entries dropped.
-    pub fn note_write(&mut self, owner: &str, changed: &[Path]) -> usize {
-        changed.iter().map(|path| self.cache.invalidate(owner, path)).sum()
-    }
-
-    /// Cache statistics (hits, misses, invalidations).
-    pub fn cache(&self) -> &ResultCache {
-        &self.cache
-    }
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use gupster_xml::parse;
 
@@ -223,14 +160,18 @@ mod tests {
         Arc::new([parse(s).unwrap()])
     }
 
+    fn at(fresh_at: u64) -> Stamp {
+        Stamp { fresh_at, decision: Decision::Permit, record: None }
+    }
+
     #[test]
     fn hit_after_put() {
         let mut c = ResultCache::new(4);
         assert!(c.get("a", "a", &p("/user/presence")).is_none());
-        c.put("a", "a", &p("/user/presence"), result("<presence>online</presence>"), 7);
+        c.put("a", "a", &p("/user/presence"), result("<presence>online</presence>"), at(7));
         let (r, stamp) = c.get("a", "a", &p("/user/presence")).unwrap();
         assert_eq!(r[0].text(), "online");
-        assert_eq!(*stamp, 7);
+        assert_eq!(stamp.fresh_at, 7);
         assert_eq!(c.hits, 1);
         assert_eq!(c.misses, 1);
         assert!((c.hit_ratio() - 0.5).abs() < 1e-9);
@@ -239,7 +180,7 @@ mod tests {
     #[test]
     fn per_user_keys() {
         let mut c = ResultCache::new(4);
-        c.put("a", "a", &p("/user/presence"), result("<presence>a</presence>"), 0);
+        c.put("a", "a", &p("/user/presence"), result("<presence>a</presence>"), at(0));
         assert!(c.get("b", "b", &p("/user/presence")).is_none());
         assert!(c.get("a", "b", &p("/user/presence")).is_none(), "nor another requester's view");
     }
@@ -247,11 +188,11 @@ mod tests {
     #[test]
     fn lru_eviction() {
         let mut c = ResultCache::new(2);
-        c.put("a", "a", &p("/user/presence"), result("<presence>1</presence>"), 0);
-        c.put("a", "a", &p("/user/calendar"), result("<calendar/>"), 0);
+        c.put("a", "a", &p("/user/presence"), result("<presence>1</presence>"), at(0));
+        c.put("a", "a", &p("/user/calendar"), result("<calendar/>"), at(0));
         // Touch presence so calendar is the LRU.
         c.get("a", "a", &p("/user/presence"));
-        c.put("a", "a", &p("/user/devices"), result("<devices/>"), 0);
+        c.put("a", "a", &p("/user/devices"), result("<devices/>"), at(0));
         assert!(c.get("a", "a", &p("/user/presence")).is_some());
         assert!(c.get("a", "a", &p("/user/calendar")).is_none());
         assert_eq!(c.len(), 2);
@@ -260,11 +201,11 @@ mod tests {
     #[test]
     fn invalidation_by_overlap() {
         let mut c = ResultCache::new(8);
-        c.put("a", "a", &p("/user/address-book"), result("<address-book/>"), 0);
-        c.put("a", "a", &p("/user/address-book/item[@type='personal']"), result("<item/>"), 0);
-        c.put("a", "a", &p("/user/presence"), result("<presence/>"), 0);
-        c.put("b", "b", &p("/user/address-book"), result("<address-book/>"), 0);
-        c.put("a", "b", &p("/user/address-book"), result("<address-book/>"), 0);
+        c.put("a", "a", &p("/user/address-book"), result("<address-book/>"), at(0));
+        c.put("a", "a", &p("/user/address-book/item[@type='personal']"), result("<item/>"), at(0));
+        c.put("a", "a", &p("/user/presence"), result("<presence/>"), at(0));
+        c.put("b", "b", &p("/user/address-book"), result("<address-book/>"), at(0));
+        c.put("a", "b", &p("/user/address-book"), result("<address-book/>"), at(0));
         // A change inside a's address book kills both book entries and
         // b's view of a's book, but not presence, and not b's own book.
         let n = c.invalidate("a", &p("/user/address-book/item[@id='3']"));
@@ -276,10 +217,12 @@ mod tests {
         assert_eq!(c.invalidations, 3);
     }
 
-    mod cached_client {
-        use super::super::CachedClient;
+    /// [`crate::Gupster::fetch_cached`], the cached read over the
+    /// registry's stale rung.
+    mod cached_read {
         use crate::client::StorePool;
-        use crate::registry::Gupster;
+        use crate::registry::{Gupster, STALE_CAPACITY};
+        use crate::GupsterError;
         use gupster_policy::{Effect, WeekTime};
         use gupster_schema::gup_schema;
         use gupster_store::{DataStore, StoreId, UpdateOp, XmlStore};
@@ -290,13 +233,15 @@ mod tests {
             Path::parse(s).unwrap()
         }
 
-        /// Drains store change events and invalidates overlapping entries
-        /// for every requester's view of the changed owner (the trigger
-        /// of Req. 7). Returns the number of entries dropped.
-        fn pump_invalidations(cc: &mut CachedClient, pool: &mut StorePool) -> usize {
-            pool.drain_all_events()
-                .map(|(_store, event)| cc.cache.invalidate(&event.user, &event.path))
-                .sum()
+        /// Drains store change events into the registry's write hook
+        /// (the trigger of Req. 7). Returns the number of cached views
+        /// dropped.
+        fn pump_invalidations(g: &mut Gupster, pool: &mut StorePool) -> u64 {
+            let before = g.stale_answers().invalidations;
+            for (_store, event) in pool.drain_all_events() {
+                g.note_write(&event.user, &[event.path]);
+            }
+            g.stale_answers().invalidations - before
         }
 
         fn world() -> (Gupster, StorePool) {
@@ -318,19 +263,26 @@ mod tests {
             (g, pool)
         }
 
+        /// Store-side token verifications so far: one per fetch.
+        fn fetches(g: &Gupster) -> u64 {
+            g.telemetry().counter_snapshot().signature_verifications
+        }
+
         #[test]
-        fn second_fetch_hits_and_skips_shield() {
+        fn second_fetch_hits_and_asks_the_shield() {
             let (mut g, pool) = world();
-            let mut cc = CachedClient::new(16, 60);
             let keys = MergeKeys::new();
             let req = p("/user[@id='alice']/presence");
             let t = WeekTime::at(0, 10, 0);
-            cc.fetch(&mut g, &pool, "alice", &req, "alice", t, 0, &keys).unwrap();
-            let lookups_after_first = g.stats.lookups;
-            let r = cc.fetch(&mut g, &pool, "alice", &req, "alice", t, 1, &keys).unwrap();
+            g.fetch_cached(&pool, "alice", &req, "alice", t, 0, &keys, 60).unwrap();
+            let (lookups, fetched) = (g.stats.lookups, fetches(&g));
+            let (_, memo_hits, _) = g.memo_stats();
+            let r = g.fetch_cached(&pool, "alice", &req, "alice", t, 1, &keys, 60).unwrap();
             assert_eq!(r[0].text(), "online");
-            assert_eq!(g.stats.lookups, lookups_after_first, "hit must not touch GUPster");
-            assert_eq!(cc.cache().hits, 1);
+            assert_eq!(fetches(&g), fetched, "a hit fetches nothing");
+            assert_eq!(g.memo_stats().1, memo_hits + 1, "a hit asks the shield");
+            assert_eq!(g.stats.lookups, lookups + 1, "the registry counts a hit as a lookup");
+            assert_eq!(g.stale_answers().hits, 1);
         }
 
         #[test]
@@ -340,26 +292,24 @@ mod tests {
             g.pap
                 .provision("alice", "cw", Effect::Permit, "/user/presence", "relationship='co-worker'", 0)
                 .unwrap();
-            let mut cc = CachedClient::new(16, 60);
             let keys = MergeKeys::new();
             let req = p("/user[@id='alice']/presence");
             let t = WeekTime::at(0, 10, 0);
             // rick populates the cache…
-            cc.fetch(&mut g, &pool, "alice", &req, "rick", t, 0, &keys).unwrap();
+            g.fetch_cached(&pool, "alice", &req, "rick", t, 0, &keys, 60).unwrap();
             // …but mallory must still be refused, not served rick's copy.
-            let err = cc.fetch(&mut g, &pool, "alice", &req, "mallory", t, 1, &keys);
+            let err = g.fetch_cached(&pool, "alice", &req, "mallory", t, 1, &keys, 60);
             assert!(err.is_err());
         }
 
         #[test]
         fn cache_hits_and_misses_reach_the_hub() {
             let (mut g, pool) = world();
-            let mut cc = CachedClient::new(16, 60);
             let keys = MergeKeys::new();
             let req = p("/user[@id='alice']/presence");
             let t = WeekTime::at(0, 10, 0);
-            cc.fetch(&mut g, &pool, "alice", &req, "alice", t, 0, &keys).unwrap();
-            cc.fetch(&mut g, &pool, "alice", &req, "alice", t, 1, &keys).unwrap();
+            g.fetch_cached(&pool, "alice", &req, "alice", t, 0, &keys, 60).unwrap();
+            g.fetch_cached(&pool, "alice", &req, "alice", t, 1, &keys, 60).unwrap();
             let c = g.telemetry().counter_snapshot();
             assert_eq!(c.cache_misses, 1);
             assert_eq!(c.cache_hits, 1);
@@ -371,73 +321,153 @@ mod tests {
         }
 
         #[test]
-        fn ttl_expires_time_conditioned_permissions() {
+        fn max_age_expires_a_cached_view() {
             let (mut g, pool) = world();
-            let mut cc = CachedClient::new(16, 10);
             let keys = MergeKeys::new();
             let req = p("/user[@id='alice']/presence");
             let t = WeekTime::at(0, 10, 0);
-            cc.fetch(&mut g, &pool, "alice", &req, "alice", t, 0, &keys).unwrap();
-            let lookups = g.stats.lookups;
-            // Within TTL: hit.
-            cc.fetch(&mut g, &pool, "alice", &req, "alice", t, 5, &keys).unwrap();
-            assert_eq!(g.stats.lookups, lookups);
-            // Past TTL: full pipeline again.
-            cc.fetch(&mut g, &pool, "alice", &req, "alice", t, 11, &keys).unwrap();
-            assert_eq!(g.stats.lookups, lookups + 1);
+            g.fetch_cached(&pool, "alice", &req, "alice", t, 0, &keys, 10).unwrap();
+            let fetched = fetches(&g);
+            // Younger than `max_age`: hit.
+            g.fetch_cached(&pool, "alice", &req, "alice", t, 5, &keys, 10).unwrap();
+            assert_eq!(fetches(&g), fetched);
+            // Older: full pipeline again.
+            g.fetch_cached(&pool, "alice", &req, "alice", t, 11, &keys, 10).unwrap();
+            assert_eq!(fetches(&g), fetched + 1);
         }
 
         #[test]
-        fn a_thousand_distinct_views_leave_at_most_capacity_behind() {
+        fn distinct_views_past_the_bound_leave_at_most_capacity_behind() {
             let (mut g, pool) = world();
             g.pap
                 .provision("alice", "anyone", Effect::Permit, "/user/presence", "relationship='third-party'", 0)
                 .unwrap();
-            let mut cc = CachedClient::new(4, 60);
             let keys = MergeKeys::new();
             let req = p("/user[@id='alice']/presence");
             let t = WeekTime::at(0, 10, 0);
-            for i in 0..1_000 {
-                cc.fetch(&mut g, &pool, "alice", &req, &format!("caller{i:04}"), t, 0, &keys).unwrap();
+            for i in 0..STALE_CAPACITY + 1_000 {
+                g.fetch_cached(&pool, "alice", &req, &format!("caller{i:05}"), t, 0, &keys, 60).unwrap();
             }
-            assert_eq!(cc.cache().len(), 4);
-            // Everything the client retains, not just the LRU's count:
+            assert_eq!(g.stale_answers().len(), STALE_CAPACITY);
+            // Everything the cache retains, not just the LRU's count:
             // no side table may remember an evicted view.
-            let retained = format!("{cc:?}");
+            let retained = format!("{:?}", g.stale_answers());
             let remembered: std::collections::BTreeSet<&str> = retained
                 .match_indices("caller")
-                .filter_map(|(at, _)| retained.get(at..at + 10))
+                .filter_map(|(at, _)| retained.get(at..at + 11))
                 .collect();
-            assert_eq!(remembered.len(), 4, "evicted views must leave nothing behind");
+            assert_eq!(remembered.len(), STALE_CAPACITY, "evicted views must leave nothing behind");
         }
 
         #[test]
         fn store_update_invalidates_before_stale_read() {
             let (mut g, mut pool) = world();
-            let mut cc = CachedClient::new(16, 600);
             let keys = MergeKeys::new();
             let req = p("/user[@id='alice']/presence");
             let t = WeekTime::at(0, 10, 0);
-            cc.fetch(&mut g, &pool, "alice", &req, "alice", t, 0, &keys).unwrap();
+            g.fetch_cached(&pool, "alice", &req, "alice", t, 0, &keys, 600).unwrap();
             pool.update(
                 &StoreId::new("gup.spcs.com"),
                 "alice",
                 &UpdateOp::SetText(p("/user/presence"), "busy".into()),
             )
             .unwrap();
-            let dropped = pump_invalidations(&mut cc, &mut pool);
+            let dropped = pump_invalidations(&mut g, &mut pool);
             assert_eq!(dropped, 1);
-            let r = cc.fetch(&mut g, &pool, "alice", &req, "alice", t, 1, &keys).unwrap();
+            let r = g.fetch_cached(&pool, "alice", &req, "alice", t, 1, &keys, 600).unwrap();
             assert_eq!(r[0].text(), "busy", "must re-fetch, not serve stale");
+        }
+
+        /// A grant withdrawn through the PAP stops the very next read,
+        /// however young its cached view.
+        #[test]
+        fn a_rule_withdrawn_through_pap_is_refused_within_max_age() {
+            let (mut g, pool) = world();
+            g.set_relationship("alice", "rick", "co-worker");
+            g.pap
+                .provision("alice", "cw", Effect::Permit, "/user/presence", "relationship='co-worker'", 0)
+                .unwrap();
+            let keys = MergeKeys::new();
+            let req = p("/user[@id='alice']/presence");
+            let t = WeekTime::at(0, 10, 0);
+            g.fetch_cached(&pool, "alice", &req, "rick", t, 0, &keys, 600).unwrap();
+            g.fetch_cached(&pool, "alice", &req, "rick", t, 1, &keys, 600).unwrap();
+            assert!(g.pap.withdraw("alice", "cw"));
+            let got = g.fetch_cached(&pool, "alice", &req, "rick", t, 2, &keys, 600);
+            assert!(matches!(got, Err(GupsterError::AccessDenied { .. })), "{got:?}");
+            assert_eq!(g.stats.lookups, 3, "a refused read is a lookup too");
+            assert_eq!(g.stats.denied, 1, "counted once");
+            assert_eq!(g.telemetry().counter_snapshot().cache_hits, 1);
+        }
+
+        /// A co-worker's view cached in working hours is refused when
+        /// the same read comes out of hours.
+        #[test]
+        fn a_working_hours_grant_is_refused_out_of_hours() {
+            let (mut g, pool) = world();
+            g.set_relationship("alice", "rick", "co-worker");
+            g.pap
+                .provision(
+                    "alice",
+                    "cw",
+                    Effect::Permit,
+                    "/user/presence",
+                    "relationship='co-worker' and time in Mon-Fri 09:00-18:00",
+                    0,
+                )
+                .unwrap();
+            let keys = MergeKeys::new();
+            let req = p("/user[@id='alice']/presence");
+            g.fetch_cached(&pool, "alice", &req, "rick", WeekTime::at(2, 12, 0), 0, &keys, 600).unwrap();
+            let got = g.fetch_cached(&pool, "alice", &req, "rick", WeekTime::at(2, 22, 0), 1, &keys, 600);
+            assert!(matches!(got, Err(GupsterError::AccessDenied { .. })), "{got:?}");
+        }
+
+        /// Every cached read is a disclosure, so each leaves its own
+        /// provenance record, hits included.
+        #[test]
+        fn each_cached_read_leaves_its_own_provenance_record() {
+            let (mut g, pool) = world();
+            let keys = MergeKeys::new();
+            let req = p("/user[@id='alice']/presence");
+            let t = WeekTime::at(0, 10, 0);
+            for now in 0..5 {
+                g.fetch_cached(&pool, "alice", &req, "alice", t, now, &keys, 60).unwrap();
+            }
+            assert_eq!(fetches(&g), 1, "one fill, four hits");
+            let audit = g.provenance.disclosures_of("alice");
+            assert_eq!(audit.iter().map(|d| d.when).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+            assert!(audit.iter().all(|d| d.requester == "alice" && d.paths == audit[0].paths));
+            assert_eq!(g.stats.referrals, 5);
+        }
+
+        /// A hit whose fill's record the log no longer retains cannot be
+        /// disclosed again: the read runs the pipeline instead.
+        #[test]
+        fn a_hit_whose_record_is_gone_runs_the_pipeline() {
+            let (mut g, pool) = world();
+            g.provenance.retention = 1;
+            let keys = MergeKeys::new();
+            let req = p("/user[@id='alice']/presence");
+            let t = WeekTime::at(0, 10, 0);
+            g.fetch_cached(&pool, "alice", &req, "alice", t, 0, &keys, 60).unwrap();
+            g.lookup("alice", &req, "alice", gupster_policy::Purpose::Query, t, 1).unwrap();
+            let fetched = fetches(&g);
+            g.fetch_cached(&pool, "alice", &req, "alice", t, 2, &keys, 60).unwrap();
+            assert_eq!(fetches(&g), fetched + 1);
+            assert_eq!(g.provenance.disclosures_of("alice")[0].when, 2);
+            // The refill keeps the new record, so the next read hits.
+            g.fetch_cached(&pool, "alice", &req, "alice", t, 3, &keys, 60).unwrap();
+            assert_eq!(fetches(&g), fetched + 1);
         }
     }
 
     #[test]
     fn replace_does_not_evict_others() {
         let mut c = ResultCache::new(2);
-        c.put("a", "a", &p("/user/presence"), result("<presence>1</presence>"), 0);
-        c.put("a", "a", &p("/user/calendar"), result("<calendar/>"), 0);
-        c.put("a", "a", &p("/user/presence"), result("<presence>2</presence>"), 0);
+        c.put("a", "a", &p("/user/presence"), result("<presence>1</presence>"), at(0));
+        c.put("a", "a", &p("/user/calendar"), result("<calendar/>"), at(0));
+        c.put("a", "a", &p("/user/presence"), result("<presence>2</presence>"), at(0));
         assert_eq!(c.len(), 2);
         assert_eq!(c.get("a", "a", &p("/user/presence")).unwrap().0[0].text(), "2");
         assert!(c.get("a", "a", &p("/user/calendar")).is_some());

@@ -9,6 +9,8 @@
 //! untraced entry and [`fetch_merge_traced`] the traced one; both run
 //! the same body.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
 use std::sync::atomic::Ordering;
@@ -303,6 +305,7 @@ fn fold<'a>(fragments: &'a [Fragment<'_>], keys: &MergeKeys) -> Vec<MergeOut<'a>
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::registry::Gupster;

@@ -27,8 +27,8 @@
 //! * `syncplane` — the fleet write path (DESIGN.md §13):
 //!   owner-sharded N-replica reconciliation over `gupster-sync`'s delta
 //!   sessions, with write-through invalidation of the decision memo,
-//!   token cache, the registry's stale rung, the client result cache
-//!   and the push-fanout plane.
+//!   token cache, the registry's stale rung (cached reads included) and
+//!   the push-fanout plane.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -62,7 +62,7 @@ pub use client::{fetch_merge, fetch_merge_traced, SharedAnswer, StorePool};
 pub use client::fetch_merge as fetch_merge_batched;
 pub use constellation::Constellation;
 pub use coverage::{CoverageMap, CoverageMatch, MatchStats};
-pub use provenance::{Disclosure, ProvenanceLog};
+pub use provenance::{Disclosure, ProvenanceLog, RecordRef};
 pub use error::GupsterError;
 pub use referral::{Referral, ReferralEntry};
 pub use registry::{Gupster, LookupOutcome, RegistryStats};

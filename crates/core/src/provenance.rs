@@ -72,7 +72,7 @@ pub struct ProvenanceLog {
 /// offset of its packed part among all bytes ever appended. It stays
 /// valid while the record is retained.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RecordRef {
+pub struct RecordRef {
     seq: u64,
     at: u64,
 }
@@ -135,14 +135,24 @@ impl ProvenanceLog {
         Some(RecordRef { seq: self.total_recorded - 1, at })
     }
 
+    /// True while retention keeps `record`, so that
+    /// [`ProvenanceLog::record_again`] can copy it.
+    pub(crate) fn holds(&self, record: RecordRef) -> bool {
+        self.head(record).is_some()
+    }
+
+    /// `record`'s fixed-size fields, while retention keeps it.
+    fn head(&self, record: RecordRef) -> Option<&Head> {
+        let back = self.total_recorded.checked_sub(record.seq)?;
+        self.heads.get(self.heads.len().checked_sub(back as usize)?)
+    }
+
     /// Appends a copy of `record`, stamped `when` instead of its own
     /// time: the same disclosure made again. Copies the packed bytes
     /// where they lie. False, appending nothing, once retention has
     /// dropped `record`.
     pub(crate) fn record_again(&mut self, record: RecordRef, when: u64) -> bool {
-        let Some(back) = self.total_recorded.checked_sub(record.seq) else { return false };
-        let Some(i) = self.heads.len().checked_sub(back as usize) else { return false };
-        let Some(&Head { purpose, narrowed, len, .. }) = self.heads.get(i) else { return false };
+        let Some(&Head { purpose, narrowed, len, .. }) = self.head(record) else { return false };
         self.total_recorded += 1;
         let start = (record.at - self.trimmed) as usize;
         self.bytes.reserve(len);

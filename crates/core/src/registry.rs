@@ -10,10 +10,11 @@ use gupster_policy::{Decision, Pap, Purpose, RequestContext, WeekTime};
 use gupster_schema::Schema;
 use gupster_store::StoreId;
 use gupster_telemetry::{stage, TelemetryHub, Tracer};
+use gupster_xml::MergeKeys;
 use gupster_xpath::{KeyDigest, OwnedKey, OwnerLru, Path};
 
-use crate::cache::ResultCache;
-use crate::client::SharedAnswer;
+use crate::cache::{ResultCache, Stamp};
+use crate::client::{fetch_merge_traced, SharedAnswer, StorePool};
 use crate::coverage::CoverageMap;
 use crate::error::GupsterError;
 use crate::index::TrieWalk;
@@ -124,10 +125,11 @@ pub struct Gupster {
     /// The stale rung (DESIGN.md §6c, §11): the last fresh answer per
     /// (owner, requester, path), stamped with the request clock it was
     /// fresh at and the path set the shield permitted then. The
-    /// resilience ladder and the open-loop engine fill it and serve
-    /// from it; [`Gupster::note_write`] drops overlapping entries, and
-    /// every serve re-enforces through `pep` first.
-    stale: ResultCache<(u64, Decision)>,
+    /// resilience ladder, the open-loop engine and the cached read
+    /// ([`Gupster::fetch_cached`]) fill it and serve from it;
+    /// [`Gupster::note_write`] drops overlapping entries, and every
+    /// serve re-enforces through `pep` first.
+    stale: ResultCache,
 }
 
 /// Tokens the referral-token cache holds before the least recently
@@ -136,7 +138,7 @@ const TOKEN_CACHE_CAPACITY: usize = 65_536;
 
 /// Views the stale rung holds per shard before the least recently used
 /// one gives way.
-const STALE_CAPACITY: usize = 4096;
+pub(crate) const STALE_CAPACITY: usize = 4096;
 
 /// What a cached referral token was signed for. The ids are shared
 /// with the lookup that signed it.
@@ -229,11 +231,11 @@ impl Gupster {
     /// write generation and drops the derived registry state that could
     /// now be stale — the owner's memoized PDP decisions, cached
     /// referral tokens and every requester's stale answer overlapping a
-    /// changed path. Returns the number of entries dropped (also added
-    /// to the fleet `invalidations` counter). The one cache outside the
-    /// registry, [`crate::cache::CachedClient`]'s, takes the same write
-    /// through [`crate::cache::CachedClient::note_write`].
-    pub(crate) fn note_write(&mut self, owner: &str, changed: &[Path]) -> usize {
+    /// changed path, cached reads' views included. Returns the number of
+    /// entries dropped (also added to the fleet `invalidations` counter).
+    /// It is the one write hook: no cache outside the registry holds
+    /// answers.
+    pub fn note_write(&mut self, owner: &str, changed: &[Path]) -> usize {
         if changed.is_empty() {
             return 0;
         }
@@ -256,7 +258,9 @@ impl Gupster {
     /// Fills the stale rung with a fresh answer to `request`, stamped
     /// with the request clock `now` and the path set [`Gupster::shield`]
     /// permits `requester` under `purpose` at `time` (normally one memo
-    /// hit: the answer's own lookup just decided it). Nothing is traced.
+    /// hit: the answer's own lookup just decided it), and with the
+    /// lookup's provenance `record` if the caller keeps it. Nothing is
+    /// traced.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn remember_answer(
         &mut self,
@@ -267,9 +271,11 @@ impl Gupster {
         time: WeekTime,
         result: SharedAnswer,
         now: u64,
+        record: Option<RecordRef>,
     ) {
         if let Ok(shielded) = self.shield(owner, request, requester, purpose, time, None) {
-            self.stale.put(owner, requester, request, result, (now, shielded.decision));
+            let stamp = Stamp { fresh_at: now, decision: shielded.decision, record };
+            self.stale.put(owner, requester, request, result, stamp);
         }
     }
 
@@ -278,7 +284,8 @@ impl Gupster {
     /// `purpose` and `time`, still permits exactly the path set it
     /// permitted when the answer was fresh. A refusal is the shield's
     /// [`GupsterError::AccessDenied`]; a narrowed or widened grant
-    /// serves nothing (`Ok(None)`), like a miss. Nothing is traced. A
+    /// serves nothing (`Ok(None)`), like a miss. Only a serve counts a
+    /// hit and refreshes the entry's recency. Nothing is traced. A
     /// serve shares the remembered answer; the recorded path set is
     /// compared where it lies.
     pub(crate) fn stale_answer(
@@ -290,20 +297,87 @@ impl Gupster {
         time: WeekTime,
         now: u64,
     ) -> Result<Option<(SharedAnswer, u64)>, GupsterError> {
-        let Some((result, (fresh_at, _))) = self.stale.get(owner, requester, request) else {
+        if self.stale.peek(owner, requester, request).is_none() {
+            self.stale.misses += 1;
             return Ok(None);
-        };
-        let (result, age) = (Arc::clone(result), now.saturating_sub(*fresh_at));
-        let still = self.shield(owner, request, requester, purpose, time, None)?.decision;
+        }
+        let still = self.shield(owner, request, requester, purpose, time, None).map(|s| s.decision);
         // The shield leaves the rung alone, so the entry is still there.
-        let same =
-            self.stale.peek(owner, requester, request).is_some_and(|(_, (_, then))| *then == still);
-        Ok(same.then_some((result, age)))
+        let same = self.stale.peek(owner, requester, request).is_some_and(|(_, then)| {
+            still.as_ref().is_ok_and(|still| then.decision == *still)
+        });
+        if !same {
+            self.stale.misses += 1;
+            return still.map(|_| None);
+        }
+        let served = self.stale.get(owner, requester, request);
+        Ok(served.map(|(result, then)| (Arc::clone(result), now.saturating_sub(then.fresh_at))))
     }
 
     /// The stale rung's views, for occupancy and hit/miss counts.
-    pub fn stale_answers(&self) -> &ResultCache<(u64, Decision)> {
+    pub fn stale_answers(&self) -> &ResultCache {
         &self.stale
+    }
+
+    /// The cached read (§5.3's caching service): `request`'s answer from
+    /// the stale rung, if an earlier cached read filled it less than
+    /// `max_age` seconds before `now` and the rung serves it — the
+    /// shield, asked again with [`Purpose::Cache`] at `time`, permits
+    /// exactly the path set it permitted then. A hit
+    /// runs no referral, token or fetch, but the registry counts it as
+    /// a lookup and records its disclosure again, stamped `now`, as it
+    /// does an in-window duplicate's. Otherwise the full pipeline runs —
+    /// a lookup with [`Purpose::Cache`], so owners can forbid caching
+    /// requesters outright, then the fetch — and refills the rung.
+    /// Traced as a `cache.fetch` request marked `cache.hit` or
+    /// `cache.miss`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn fetch_cached(
+        &mut self,
+        pool: &StorePool,
+        owner: &str,
+        request: &Path,
+        requester: &str,
+        time: WeekTime,
+        now: u64,
+        keys: &MergeKeys,
+        max_age: u64,
+    ) -> Result<SharedAnswer, GupsterError> {
+        let hub = Arc::clone(&self.telemetry);
+        let mut tracer = hub.tracer("cache.fetch");
+        // Only a cached read's fill keeps the record a hit discloses
+        // again, and the log must still hold it.
+        let fill = self.stale.peek(owner, requester, request).and_then(|(_, stamp)| {
+            let young = now.saturating_sub(stamp.fresh_at) < max_age;
+            stamp.record.filter(|&record| young && self.provenance.holds(record))
+        });
+        let served = match fill {
+            Some(_) => self.stale_answer(owner, request, requester, Purpose::Cache, time, now),
+            None => Ok(None),
+        };
+        if let (Ok(Some((hit, _))), Some(record)) = (&served, fill) {
+            self.repeat_lookup(owner, Ok(record), now);
+            hub.counters().cache_hits.fetch_add(1, Ordering::Relaxed);
+            tracer.mark(stage::CACHE_HIT);
+            return Ok(Arc::clone(hit));
+        }
+        hub.counters().cache_misses.fetch_add(1, Ordering::Relaxed);
+        tracer.mark(stage::CACHE_MISS);
+        if let Err(refused) = served {
+            // The shield counted the refusal; this is the lookup it
+            // answered.
+            self.stats.lookups += 1;
+            hub.counters().lookups.fetch_add(1, Ordering::Relaxed);
+            self.count_lookup(owner, Some(&refused));
+            return Err(refused);
+        }
+        let out =
+            self.lookup_traced(owner, request, requester, Purpose::Cache, time, now, &mut tracer)?;
+        let record = self.provenance.newest();
+        let result = fetch_merge_traced(pool, &out.referral, &self.signer, now, keys, &mut tracer)?;
+        let kept = Arc::clone(&result);
+        self.remember_answer(owner, request, requester, Purpose::Cache, time, kept, now, record);
+        Ok(result)
     }
 
     /// A clone of the signer — data stores hold this to verify tokens.
@@ -1300,6 +1374,34 @@ mod tests {
         // A second write finds only what was rebuilt since.
         assert_eq!(g.note_write("arnaud", &[p("/user[@id='arnaud']/presence")]), 2);
         assert_eq!(g.telemetry().counter_snapshot().invalidations, 6);
+    }
+
+    /// A stale view the shield now refuses serves nothing, so it counts
+    /// no hit and keeps its place in the recency order.
+    #[test]
+    fn a_refused_stale_view_counts_no_hit_and_is_not_refreshed() {
+        let mut g = server();
+        // The seam: the shipped bound is 4096; two shows the same.
+        g.stale = ResultCache::new(2);
+        g.set_relationship("arnaud", "rick", "co-worker");
+        g.pap
+            .provision("arnaud", "cw", Effect::Permit, "/user/presence", "relationship='co-worker'", 0)
+            .unwrap();
+        let (presence, book) = (p("/user[@id='arnaud']/presence"), p("/user[@id='arnaud']/address-book"));
+        let answer = || -> SharedAnswer { Arc::new([gupster_xml::Element::new("x")]) };
+        g.remember_answer("arnaud", &presence, "rick", Purpose::Query, noon(), answer(), 0, None);
+        g.remember_answer("arnaud", &book, "arnaud", Purpose::Query, noon(), answer(), 0, None);
+        assert!(g.pap.withdraw("arnaud", "cw"));
+        let got = g.stale_answer("arnaud", &presence, "rick", Purpose::Query, noon(), 1);
+        assert!(matches!(got, Err(GupsterError::AccessDenied { .. })), "{got:?}");
+        assert_eq!((g.stale_answers().hits, g.stale_answers().misses), (0, 1));
+        // rick's refused view is still the least recently used: the next
+        // fill evicts it, not arnaud's book.
+        g.remember_answer("arnaud", &presence, "arnaud", Purpose::Query, noon(), answer(), 1, None);
+        assert!(g.stale_answers().peek("arnaud", "rick", &presence).is_none());
+        let served = g.stale_answer("arnaud", &book, "arnaud", Purpose::Query, noon(), 3).unwrap();
+        assert_eq!(served.map(|(_, age)| age), Some(3));
+        assert_eq!((g.stale_answers().hits, g.stale_answers().misses), (1, 1));
     }
 
     #[test]

@@ -230,7 +230,7 @@ impl<'a> ResilientExecutor<'a> {
                             // `Purpose::Query`.
                             let fresh = Arc::clone(&run.result);
                             gupster.remember_answer(
-                                owner, request, requester, Purpose::Query, time, fresh, now,
+                                owner, request, requester, Purpose::Query, time, fresh, now, None,
                             );
                             break 'answered (run.result, ServedVia::Pattern(pattern), None);
                         }

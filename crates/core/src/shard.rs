@@ -239,8 +239,8 @@ enum Earlier {
 /// request's outcome without a lookup or a fetch. Within a window no
 /// write or policy change runs and stores are quiescent, so the reuse is
 /// exact; the table is dropped with the window, so there is no TTL and
-/// no invalidation. Cross-window caching is
-/// [`crate::cache::CachedClient`]'s job.
+/// no invalidation. Cross-window caching is the registry's cached read,
+/// [`Gupster::fetch_cached`], behind the shield.
 #[derive(Debug)]
 struct Singleflight<'a> {
     table: HashMap<RequestKey<'a>, Earlier>,
@@ -925,7 +925,7 @@ impl ShardedRegistry {
             Ok(elems) => {
                 report.fresh += 1;
                 let kept = Arc::clone(&elems);
-                g.remember_answer(owner, path, requester, *purpose, *time, kept, *now);
+                g.remember_answer(owner, path, requester, *purpose, *time, kept, *now, None);
                 RequestOutcome::Answer(Ok(elems))
             }
             Err(e) if is_transient(&e) => {

@@ -428,13 +428,12 @@ fn registry_path(owner: &str, component: &str, p: &NodePath) -> Path {
 
 /// Commits a reconcile pass against the registry: every touched owner's
 /// write generation is bumped and their derived registry state (PDP
-/// memo, referral-token cache, the stale answers the resilience ladder
-/// and the open-loop engine serve) dropped via `Gupster::note_write` —
-/// the one invalidation hook of the registry's caches. The changed
-/// paths come back as [`ChangeEvent`]s: feed them to
-/// [`crate::ShardedFanout::stage_events`] (push subscribers) and to
-/// [`crate::cache::CachedClient::note_write`] (the client-side result
-/// cache).
+/// memo, referral-token cache, the stale answers the resilience ladder,
+/// the open-loop engine and the cached read serve) dropped via
+/// [`Gupster::note_write`] — the one write hook, since no answer cache
+/// lives outside the registry. The changed paths come back as
+/// [`ChangeEvent`]s: feed them to [`crate::ShardedFanout::stage_events`]
+/// (push subscribers).
 pub fn write_through(gupster: &mut Gupster, report: &PlaneReport) -> Vec<ChangeEvent> {
     let mut events = Vec::new();
     for u in &report.users {

@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use common::{build_pool, keys, p, provision, request_stream, user, USERS};
 use gupster::core::patterns::PatternExecutor;
-use gupster::core::cache::CachedClient;
 use gupster::core::{fetch_merge, Gupster, ResilientExecutor, ShardRequest, ShardedRegistry, StorePool};
 use gupster::netsim::{FaultRates, FaultSchedule, LatencyModel, SimTime};
 use gupster::netsim::{Domain, Network, NodeId};
@@ -482,11 +481,9 @@ fn every_fetch_entry_point_fetches_per_store() {
 
     let mut g = Gupster::new(gup_schema(), b"one");
     two_fragments_on_one_store(&mut g);
-    let answer = CachedClient::new(16, 60)
-        .fetch(&mut g, &pool, "alice", &request, "rick", at, 0, &keys())
-        .unwrap();
+    let answer = g.fetch_cached(&pool, "alice", &request, "rick", at, 0, &keys(), 60).unwrap();
     assert_eq!(*answer, *expected);
-    assert_eq!(fetch_rounds(&g), (1, 1), "CachedClient::fetch");
+    assert_eq!(fetch_rounds(&g), (1, 1), "Gupster::fetch_cached");
 
     let mut net = Network::new(1);
     let client = net.add_node("phone", Domain::Client);

@@ -12,9 +12,8 @@ mod common;
 use std::sync::Arc;
 
 use common::{book_request, fault_world, keys, p};
-use gupster::core::cache::CachedClient;
 use gupster::core::patterns::PatternExecutor;
-use gupster::core::{write_through, ResilientExecutor, ShardedFanout, SyncPlane};
+use gupster::core::{write_through, Gupster, ResilientExecutor, ShardedFanout, StorePool, SyncPlane};
 use gupster::netsim::{FaultSchedule, SimTime};
 use gupster::policy::{Purpose, WeekTime};
 use gupster::sync::{delta_two_way_sync, two_way_sync, ReconcilePolicy, Replica};
@@ -332,21 +331,27 @@ fn write_through_drops_derived_state_everywhere() {
     let (_, _, misses_after) = w.gupster.memo_stats();
     assert!(misses_after > misses_before, "post-sync lookup must not reuse a pre-write decision");
 
-    // Result cache: warm → hit → note_write drops it → forced miss.
+    // Cached read: warm → hit → note_write drops it → forced miss.
     let changed = &report.users[0].changed;
     assert!(!changed.is_empty());
-    let mut cc = CachedClient::new(64, 1_000);
-    let first = cc
-        .fetch(&mut w.gupster, &w.pool, "alice", &book_request(), "alice", t, 10, &merge)
-        .unwrap();
-    cc.fetch(&mut w.gupster, &w.pool, "alice", &book_request(), "alice", t, 11, &merge).unwrap();
-    assert!(cc.cache().hits >= 1, "repeat fetch must hit the result cache");
-    assert!(cc.note_write("alice", changed) >= 1, "the cached book overlaps the changed paths");
-    let misses = cc.cache().misses;
-    let refetched = cc
-        .fetch(&mut w.gupster, &w.pool, "alice", &book_request(), "alice", t, 12, &merge)
-        .unwrap();
-    assert!(cc.cache().misses > misses, "post-write fetch must go back to the stores");
+    let cached = |g: &mut Gupster, pool: &StorePool, now| {
+        g.fetch_cached(pool, "alice", &book_request(), "alice", t, now, &merge, 1_000).unwrap()
+    };
+    let first = cached(&mut w.gupster, &w.pool, 10);
+    cached(&mut w.gupster, &w.pool, 11);
+    assert!(w.gupster.stale_answers().hits >= 1, "repeat fetch must hit the result cache");
+    let views_before = w.gupster.stale_answers().invalidations;
+    w.gupster.note_write("alice", changed);
+    assert!(
+        w.gupster.stale_answers().invalidations - views_before >= 1,
+        "the cached book overlaps the changed paths"
+    );
+    let misses = w.gupster.telemetry().counter_snapshot().cache_misses;
+    let refetched = cached(&mut w.gupster, &w.pool, 12);
+    assert!(
+        w.gupster.telemetry().counter_snapshot().cache_misses > misses,
+        "post-write fetch must go back to the stores"
+    );
     assert_eq!(refetched, first, "stores were not edited; only the cache was dropped");
 
     // Stale rung: once a committed write goes through the registry, an
