@@ -1,5 +1,8 @@
 //! E16 — registry at scale: the indexed lookup fast path (DESIGN.md §7)
-//! against the retained naive scans.
+//! against naive scans. The coverage baseline is `gupster-oracle`'s
+//! [`naive_match`]; the policy baseline is
+//! [`Pdp::decide_with_cost_naive`], which stays in `gupster-policy`
+//! because it shares the PDP's private rule weighing.
 //!
 //! Three sweeps over one mega-user whose address book splits into N
 //! per-item components (the worst case §4.5 allows — every item its own
@@ -29,7 +32,8 @@ use gupster_policy::{Condition, Effect, Pdp, PolicyRepository, Purpose, RequestC
 use gupster_rng::Rng;
 use gupster_schema::gup_schema;
 use gupster_store::StoreId;
-use gupster_xpath::{Path, PathCache};
+use gupster_oracle::naive_match;
+use gupster_xpath::Path;
 
 use crate::benchjson::{self, Row};
 use crate::table::{f2, print_table};
@@ -52,14 +56,11 @@ fn build_coverage(n: usize) -> CoverageMap {
     cov
 }
 
-/// Zipf-sampled point requests, parsed through the client's
-/// [`PathCache`] so repeated textual queries skip the parser.
-fn sample_requests(n: usize, trials: usize, seed: u64, cache: &mut PathCache) -> Vec<Path> {
+/// Zipf-sampled point requests.
+fn sample_requests(n: usize, trials: usize, seed: u64) -> Vec<Path> {
     let zipf = Zipf::new(n, 0.99);
     let mut r = rng(seed);
-    (0..trials)
-        .map(|_| cache.parse(&item_path(zipf.sample(&mut r))).expect("static"))
-        .collect()
+    (0..trials).map(|_| Path::parse(&item_path(zipf.sample(&mut r))).expect("static")).collect()
 }
 
 fn ops(count: usize, dt: std::time::Duration) -> f64 {
@@ -74,11 +75,10 @@ fn coverage_sweep(quick: bool, rows_out: &mut Vec<Row>) {
     let mut table = Vec::new();
     for &n in sizes {
         let cov = build_coverage(n);
-        let mut cache = PathCache::new(1024);
-        let reqs = sample_requests(n, TRIALS, 16, &mut cache);
+        let reqs = sample_requests(n, TRIALS, 16);
 
         let t0 = Instant::now();
-        let naive: Vec<_> = reqs.iter().map(|q| cov.match_request_naive(q)).collect();
+        let naive: Vec<_> = reqs.iter().map(|q| naive_match(&cov, q)).collect();
         let naive_dt = t0.elapsed();
 
         let mut candidates_total = 0u64;
@@ -122,10 +122,6 @@ fn coverage_sweep(quick: bool, rows_out: &mut Vec<Row>) {
                 .real("wall_naive_ops", naive_ops)
                 .real("wall_indexed_ops", indexed_ops),
         );
-        println!(
-            "  n={n}: path cache {} hits / {} misses over {TRIALS} parses",
-            cache.hits, cache.misses
-        );
     }
 
     if !quick {
@@ -133,8 +129,7 @@ fn coverage_sweep(quick: bool, rows_out: &mut Vec<Row>) {
         // point of the index), spot-checked against the oracle.
         let n = 1_000_000;
         let cov = build_coverage(n);
-        let mut cache = PathCache::new(1024);
-        let reqs = sample_requests(n, TRIALS, 16, &mut cache);
+        let reqs = sample_requests(n, TRIALS, 16);
         let mut candidates_total = 0u64;
         let t0 = Instant::now();
         let indexed: Vec<_> = reqs
@@ -147,7 +142,7 @@ fn coverage_sweep(quick: bool, rows_out: &mut Vec<Row>) {
             .collect();
         let dt = t0.elapsed();
         for k in [0usize, 117, 499] {
-            assert_eq!(indexed[k], cov.match_request_naive(&reqs[k]), "1M spot check {k}");
+            assert_eq!(indexed[k], naive_match(&cov, &reqs[k]), "1M spot check {k}");
         }
         table.push(vec![
             n.to_string(),
@@ -309,10 +304,9 @@ fn pipeline_at(n: usize, ops_count: usize, rows_out: &mut Vec<Row>) {
 
     let zipf = Zipf::new(n, 0.99);
     let mut r = rng(17);
-    let mut cache = PathCache::new(4096);
     let t0 = Instant::now();
     for op in 0..ops_count {
-        let q = cache.parse(&item_path(zipf.sample(&mut r))).expect("static");
+        let q = Path::parse(&item_path(zipf.sample(&mut r))).expect("static");
         g.lookup("scale", &q, "friend", Purpose::Query, WeekTime::at(1, 10, 0), op as u64)
             .expect("family is permitted");
     }
@@ -327,9 +321,7 @@ fn pipeline_at(n: usize, ops_count: usize, rows_out: &mut Vec<Row>) {
         c.trie_hits, c.memo_hits, c.fallback_scans
     );
     println!(
-        "  decision memo: {memo_len} live entries, {memo_hits} hits / {memo_misses} misses; \
-         path cache: {} hits / {} misses",
-        cache.hits, cache.misses
+        "  decision memo: {memo_len} live entries, {memo_hits} hits / {memo_misses} misses"
     );
     println!(
         "  wall: {:.0} referrals/s ({:.1}µs/op)",
@@ -376,11 +368,10 @@ mod tests {
     #[test]
     fn coverage_head_to_head_small() {
         let cov = build_coverage(200);
-        let mut cache = PathCache::new(64);
-        for q in sample_requests(200, 50, 3, &mut cache) {
+        for q in sample_requests(200, 50, 3) {
             let (m, s) = cov.match_request_with_stats(&q);
             assert!(s.used_index);
-            assert_eq!(m, cov.match_request_naive(&q));
+            assert_eq!(m, naive_match(&cov, &q));
         }
     }
 

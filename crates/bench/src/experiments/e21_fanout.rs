@@ -7,7 +7,8 @@
 //!    watcher counts over the owner population, including wildcard
 //!    self-scopes in the trie's fallback bucket) at growing
 //!    subscription counts. Every store write is matched through the
-//!    inverted index *and* the retained naive scan; the notification
+//!    inverted index *and* `gupster-oracle`'s [`NaiveFanout`], a naive
+//!    scan over a copy of the same subscriptions; the notification
 //!    streams are asserted byte-identical event by event before any
 //!    number is reported. The rows count subscriptions examined: the
 //!    naive matcher examines every subscription in the system, the
@@ -34,6 +35,7 @@ use std::time::Instant;
 
 use gupster_core::{Gupster, ShardedFanout, StorePool};
 use gupster_netsim::{Domain, Journey, Network, NodeId, SimTime};
+use gupster_oracle::NaiveFanout;
 use gupster_policy::{Effect, WeekTime};
 use gupster_rng::Rng;
 use gupster_schema::gup_schema;
@@ -95,34 +97,37 @@ fn open_registry(owners: &[String]) -> Gupster {
 /// Builds `n_subs` subscriptions over `owners` with Zipf-skewed
 /// watcher counts. Most scopes are concrete component paths; a slice
 /// are wildcard `//presence` self-subscriptions, exercising the
-/// trie's always-scanned fallback bucket.
+/// trie's always-scanned fallback bucket. Returns the oracle's copy of
+/// the same subscriptions.
 fn subscribe_population(
     g: &mut Gupster,
     subs: &mut ShardedFanout,
     owners: &[String],
     n_subs: usize,
     seed: u64,
-) {
+) -> NaiveFanout {
     let mut r = rng(seed);
+    let mut naive = NaiveFanout::new();
     let owner_of = social_watchers(owners.len(), n_subs, 0.99, &mut r);
     for (w, &oi) in owner_of.iter().enumerate() {
         let owner = &owners[oi];
-        if w % 20 == 19 {
+        let (scope, subscriber) = if w % 20 == 19 {
             // Wildcard self-scope: owners watching their whole profile
             // from any store ("self" always passes the shield).
-            subs.subscribe(g, owner, &Path::parse("//presence").expect("static"), owner, at(), 0)
-                .expect("self may subscribe");
-            continue;
-        }
-        let comp = match r.gen_range(0..10u32) {
-            0..=5 => "presence",
-            6..=8 => "address-book",
-            _ => "devices",
+            (Path::parse("//presence").expect("static"), owner.clone())
+        } else {
+            let comp = match r.gen_range(0..10u32) {
+                0..=5 => "presence",
+                6..=8 => "address-book",
+                _ => "devices",
+            };
+            let scope = Path::parse(&format!("/user[@id='{owner}']/{comp}")).expect("static");
+            (scope, format!("watcher{w:06}"))
         };
-        let scope = Path::parse(&format!("/user[@id='{owner}']/{comp}")).expect("static");
-        subs.subscribe(g, owner, &scope, &format!("watcher{w:06}"), at(), 0)
-            .expect("open shield");
+        let id = subs.subscribe(g, owner, &scope, &subscriber, at(), 0).expect("open shield");
+        naive.subscribe(id, owner, &scope, &subscriber);
     }
+    naive
 }
 
 /// A pre-built write stream: change events over the owner population
@@ -158,7 +163,7 @@ fn match_sweep(quick: bool, rows_out: &mut Vec<Row>) {
     for &n_subs in scales {
         let mut g = open_registry(&owners);
         let mut subs = ShardedFanout::new(1);
-        subscribe_population(&mut g, &mut subs, &owners, n_subs, 2102);
+        let naive = subscribe_population(&mut g, &mut subs, &owners, n_subs, 2102);
         assert_eq!(subs.len(), n_subs);
 
         // One pass: match each event both ways, assert the streams are
@@ -174,7 +179,7 @@ fn match_sweep(quick: bool, rows_out: &mut Vec<Row>) {
             let fast = subs.on_event(e);
             indexed_wall += t0.elapsed();
             let t1 = Instant::now();
-            let slow = subs.on_event_naive(e);
+            let slow = naive.on_event(e);
             naive_wall += t1.elapsed();
             assert_eq!(
                 fast.notifications, slow.notifications,
@@ -444,11 +449,11 @@ mod tests {
         let owners: Vec<String> = (0..16).map(user_id).collect();
         let mut g = open_registry(&owners);
         let mut subs = ShardedFanout::new(1);
-        subscribe_population(&mut g, &mut subs, &owners, 400, 5);
+        let naive = subscribe_population(&mut g, &mut subs, &owners, 400, 5);
         assert_eq!(subs.len(), 400);
         for e in write_stream(&owners, 64, 6) {
             let fast = subs.on_event(&e);
-            let slow = subs.on_event_naive(&e);
+            let slow = naive.on_event(&e);
             assert_eq!(fast.notifications, slow.notifications);
             assert!(fast.examined <= slow.examined);
         }

@@ -3,9 +3,10 @@
 //!
 //! A fleet of users each owns an N-replica star (hub + device replicas
 //! of one address-book component). A seeded **write storm** lands edits
-//! across the fleet, then a [`SyncPlane`] reconciles every star — once
-//! through the naive pairwise path (`use_oracle = true`, the measured
-//! baseline *and* the correctness oracle) and once through the delta
+//! across the fleet, then every star is reconciled twice: once by
+//! `gupster-oracle`'s [`NaivePlane`] through the pairwise
+//! [`gupster_sync::two_way_sync`] session (the measured baseline *and*
+//! the correctness oracle) and once by a [`SyncPlane`] through the delta
 //! path (touched-path trie conflict pruning, dictionary-coded op
 //! batches, post-sync log compaction). Both planes see the identical
 //! storm; their converged hub documents are asserted **byte-identical**
@@ -23,10 +24,11 @@
 //! its `wall_` fields.
 //!
 //! The `wall speedup (1 run)` column is one run's wall ratio, printed
-//! for information only. It moves from run to run while every count
-//! column stays put: twelve full runs on an idle 2-vCPU VM read
-//! 1.2×–3.2× at 1 000 edits, 1.2×–2.8× at 10 000 and 1.6×–2.4× at
-//! 100 000. One run resolves no change in it.
+//! for information only. It compares the 4-shard delta plane
+//! with the oracle, which runs its stars serially, and it moves from
+//! run to run while every count column stays put: three full runs on
+//! an idle 2-vCPU VM read 1.2×–1.6× at 1 000 edits, 3.0×–5.3× at
+//! 10 000 and 2.2×–4.2× at 100 000. One run resolves no change in it.
 //!
 //! The compaction column shows the other half of the story: after the
 //! delta pass every replica's changelog truncates behind its live peer
@@ -37,6 +39,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gupster_core::{PlaneReport, SyncPlane};
+use gupster_oracle::NaivePlane;
 use gupster_rng::Rng;
 use gupster_sync::ReconcilePolicy;
 use gupster_telemetry::TelemetryHub;
@@ -142,20 +145,76 @@ struct PlaneRun {
     hub_docs: Vec<Element>,
 }
 
+/// The calls a storm run makes, on the delta plane and on the oracle.
+trait Plane {
+    fn add_user(&mut self, owner: &str, devices: usize);
+    /// Applies a storm edit to a device, or to the hub when `device` is
+    /// `None`.
+    fn edit(&mut self, owner: &str, device: Option<usize>, op: EditOp);
+    fn reconcile(&mut self, hub: &Arc<TelemetryHub>) -> PlaneReport;
+    fn hub_doc(&self, owner: &str) -> &Element;
+    fn log_entries(&self) -> usize;
+}
+
+impl Plane for SyncPlane {
+    fn add_user(&mut self, owner: &str, devices: usize) {
+        SyncPlane::add_user(self, owner, base_book(), keys(), devices);
+    }
+    fn edit(&mut self, owner: &str, device: Option<usize>, op: EditOp) {
+        match device {
+            Some(device) => self.edit_device(owner, device, op),
+            None => self.edit_hub(owner, op),
+        }
+        .expect("storm edits apply");
+    }
+    fn reconcile(&mut self, hub: &Arc<TelemetryHub>) -> PlaneReport {
+        SyncPlane::reconcile(self, hub)
+    }
+    fn hub_doc(&self, owner: &str) -> &Element {
+        SyncPlane::hub_doc(self, owner)
+    }
+    fn log_entries(&self) -> usize {
+        SyncPlane::log_entries(self)
+    }
+}
+
+impl Plane for NaivePlane {
+    fn add_user(&mut self, owner: &str, devices: usize) {
+        NaivePlane::add_user(self, owner, base_book(), keys(), devices);
+    }
+    fn edit(&mut self, owner: &str, device: Option<usize>, op: EditOp) {
+        match device {
+            Some(device) => self.edit_device(owner, device, op),
+            None => self.edit_hub(owner, op),
+        }
+        .expect("storm edits apply");
+    }
+    fn reconcile(&mut self, _hub: &Arc<TelemetryHub>) -> PlaneReport {
+        NaivePlane::reconcile(self)
+    }
+    fn hub_doc(&self, owner: &str) -> &Element {
+        NaivePlane::hub_doc(self, owner)
+    }
+    fn log_entries(&self) -> usize {
+        NaivePlane::log_entries(self)
+    }
+}
+
+/// Runs one storm through the oracle plane when `oracle`, else through
+/// a [`SHARDS`]-shard delta plane.
 fn run_plane(devices: usize, users: usize, storm: &[StormEdit], oracle: bool) -> PlaneRun {
     let hub = Arc::new(TelemetryHub::new());
-    let mut plane = SyncPlane::new(SHARDS, ReconcilePolicy::LastWriterWins);
-    plane.use_oracle = oracle;
+    let mut plane: Box<dyn Plane> = if oracle {
+        Box::new(NaivePlane::new(ReconcilePolicy::LastWriterWins))
+    } else {
+        Box::new(SyncPlane::new(SHARDS, ReconcilePolicy::LastWriterWins))
+    };
     for u in 0..users {
-        plane.add_user(&format!("user{u:03}"), base_book(), keys(), devices);
+        plane.add_user(&format!("user{u:03}"), devices);
     }
     for (user, replica, op) in storm {
-        let owner = format!("user{user:03}");
-        if *replica == devices {
-            plane.edit_hub(&owner, op.clone()).expect("storm edits apply");
-        } else {
-            plane.edit_device(&owner, *replica, op.clone()).expect("storm edits apply");
-        }
+        let device = (*replica != devices).then_some(*replica);
+        plane.edit(&format!("user{user:03}"), device, op.clone());
     }
     let t0 = Instant::now();
     let report = plane.reconcile(&hub);
@@ -259,8 +318,9 @@ pub fn run() {
         &table,
     );
     println!(
-        "  wall speedup: one run's wall ratio, informative only; it moves run to run \
-         (1.2x-2.8x at 10 000 edits over twelve runs). The counts are the measurement."
+        "  wall speedup: one run's wall ratio of the {SHARDS}-shard delta plane over the serial \
+         oracle, informative only; it moves run to run (3.0x-5.3x at 10 000 edits over three \
+         runs). The counts are the measurement."
     );
     println!(
         "  paper check: Req. 6/7 sync at fleet scale — the delta session compares only \

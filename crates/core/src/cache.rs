@@ -441,6 +441,27 @@ mod tests {
             assert_eq!(g.stats.referrals, 5);
         }
 
+        /// A view filled under another purpose (the ladder's
+        /// `Purpose::Query`) does not serve a cached read, whose hit would
+        /// copy a record naming that purpose: the read runs the pipeline.
+        #[test]
+        fn a_fill_under_another_purpose_does_not_serve_a_cached_read() {
+            use gupster_policy::Purpose;
+
+            let (mut g, pool) = world();
+            let keys = MergeKeys::new();
+            let req = p("/user[@id='alice']/presence");
+            let t = WeekTime::at(0, 10, 0);
+            g.lookup("alice", &req, "alice", Purpose::Query, t, 0).unwrap();
+            let (record, answer) = (g.provenance.newest(), std::sync::Arc::new([parse("<presence/>").unwrap()]));
+            g.remember_answer("alice", &req, "alice", Purpose::Query, t, answer, 0, record);
+            let fetched = fetches(&g);
+            g.fetch_cached(&pool, "alice", &req, "alice", t, 1, &keys, 60).unwrap();
+            assert_eq!(fetches(&g), fetched + 1);
+            let audit = g.provenance.disclosures_of("alice");
+            assert_eq!(audit.last().map(|d| (d.purpose, d.when)), Some((Purpose::Cache, 1)));
+        }
+
         /// A hit whose fill's record the log no longer retains cannot be
         /// disclosed again: the read runs the pipeline instead.
         #[test]

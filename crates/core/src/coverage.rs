@@ -7,9 +7,9 @@
 //! never interned) prunes the registrations to a sound candidate
 //! superset, and the
 //! exact containment tests run only on those candidates — byte-
-//! identical to the retained naive scan ([`CoverageMap::match_request_naive`]),
-//! which stays as the differential-testing oracle. Wildcard requests,
-//! which the trie cannot prune, examine every registration.
+//! identical to a scan of every registration (the differential suites
+//! check it against `gupster-oracle`'s `naive_match`). Wildcard
+//! requests, which the trie cannot prune, examine every registration.
 
 use std::sync::Arc;
 
@@ -190,17 +190,6 @@ impl CoverageMap {
         MatchStats { candidates: walk.candidates.len(), registered, used_index: true }
     }
 
-    /// The retained naive scan: examines every registration. The
-    /// differential-testing oracle for the trie.
-    pub fn match_request_naive(&self, request: &Path) -> CoverageMatch {
-        let mut m = CoverageMatch::default();
-        for (path, stores) in &self.entries {
-            if let Some(full) = serves(path, request) {
-                m.push(stores, path, request, full);
-            }
-        }
-        m
-    }
 }
 
 impl CoverageMatch {
@@ -218,10 +207,10 @@ impl CoverageMatch {
     }
 }
 
-/// The exact per-entry test, shared by the indexed and naive paths so
-/// they cannot diverge in semantics — only in which entries they
-/// examine: `Some(full)` when the registration at `path` serves
-/// `request`, wholly or in part.
+/// The exact per-entry test, shared by the trie's candidates and the
+/// wildcard fallback scan so they cannot diverge in semantics — only in
+/// which entries they examine: `Some(full)` when the registration at
+/// `path` serves `request`, wholly or in part.
 fn serves(path: &Path, request: &Path) -> Option<bool> {
     let full = covers(path, request);
     (full || may_overlap(path, request)).then_some(full)
@@ -302,44 +291,6 @@ mod tests {
         assert!(cov.unregister(&p("/user/presence"), &sid("s1")));
         assert!(!cov.unregister(&p("/user/presence"), &sid("s1")));
         assert_eq!(cov.match_request(&p("/user/presence")), CoverageMatch::default());
-    }
-
-    #[test]
-    fn indexed_match_reports_stats_and_agrees_with_naive() {
-        let mut cov = CoverageMap::new();
-        for i in 0..50 {
-            cov.register(p(&format!("/user/address-book/item[@id='{i}']")), sid("s"));
-        }
-        cov.register(p("/user/presence"), sid("s2"));
-        let req = p("/user/address-book/item[@id='7']");
-        let (m, stats) = cov.match_request_with_stats(&req);
-        assert!(stats.used_index);
-        assert_eq!(stats.registered, 51);
-        assert!(stats.candidates <= 2, "point lookup must prune: {stats:?}");
-        assert_eq!(m, cov.match_request_naive(&req));
-        // Wildcard request: naive fallback, still identical semantics.
-        let wild = p("//item");
-        let (m, stats) = cov.match_request_with_stats(&wild);
-        assert!(!stats.used_index);
-        assert_eq!(stats.candidates, 51);
-        assert_eq!(m, cov.match_request_naive(&wild));
-    }
-
-    #[test]
-    fn index_stays_correct_after_unregister_shifts_indices() {
-        let mut cov = CoverageMap::new();
-        cov.register(p("/user/presence"), sid("s1"));
-        cov.register(p("/user/address-book"), sid("s2"));
-        cov.register(p("/user/calendar"), sid("s3"));
-        assert!(cov.unregister(&p("/user/presence"), &sid("s1")));
-        for req in ["/user/address-book", "/user/calendar", "/user/presence"] {
-            assert_eq!(
-                cov.match_request(&p(req)),
-                cov.match_request_naive(&p(req)),
-                "{req}"
-            );
-        }
-        assert_eq!(cov.match_request(&p("/user/calendar")).full[0].0, sid("s3"));
     }
 
     #[test]

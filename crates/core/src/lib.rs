@@ -22,8 +22,6 @@
 //! * `resilience` — deadline budgets, deterministic retry/backoff and
 //!   the referral → chaining → recruiting → stale-cache degradation
 //!   ladder (Req. 12 availability);
-//! * [`mdm`] — centralized vs. user-distributed (white pages, listed or
-//!   unlisted) vs. hierarchical meta-data management (§5.1.2);
 //! * `syncplane` — the fleet write path (DESIGN.md §13):
 //!   owner-sharded N-replica reconciliation over `gupster-sync`'s delta
 //!   sessions, with write-through invalidation of the decision memo,
@@ -40,7 +38,6 @@ pub(crate) mod constellation;
 mod coverage;
 mod error;
 mod index;
-pub mod mdm;
 pub mod patterns;
 pub(crate) mod provenance;
 mod referral;

@@ -141,6 +141,12 @@ impl ProvenanceLog {
         self.head(record).is_some()
     }
 
+    /// The purpose `record` was disclosed under, while retention keeps
+    /// it.
+    pub(crate) fn purpose(&self, record: RecordRef) -> Option<Purpose> {
+        self.head(record).map(|head| head.purpose)
+    }
+
     /// `record`'s fixed-size fields, while retention keeps it.
     fn head(&self, record: RecordRef) -> Option<&Head> {
         let back = self.total_recorded.checked_sub(record.seq)?;

@@ -259,8 +259,8 @@ impl Gupster {
     /// with the request clock `now` and the path set [`Gupster::shield`]
     /// permits `requester` under `purpose` at `time` (normally one memo
     /// hit: the answer's own lookup just decided it), and with the
-    /// lookup's provenance `record` if the caller keeps it. Nothing is
-    /// traced.
+    /// lookup's provenance `record`, which every serve of the entry
+    /// discloses again. Nothing is traced.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn remember_answer(
         &mut self,
@@ -282,12 +282,15 @@ impl Gupster {
     /// The stale rung: the last fresh answer to `request` and its age
     /// at `now`, served only if [`Gupster::shield`], asked again with
     /// `purpose` and `time`, still permits exactly the path set it
-    /// permitted when the answer was fresh. A refusal is the shield's
-    /// [`GupsterError::AccessDenied`]; a narrowed or widened grant
-    /// serves nothing (`Ok(None)`), like a miss. Only a serve counts a
-    /// hit and refreshes the entry's recency. Nothing is traced. A
-    /// serve shares the remembered answer; the recorded path set is
-    /// compared where it lies.
+    /// permitted when the answer was fresh, and the provenance log
+    /// still holds the fill's record. A refusal is the shield's
+    /// [`GupsterError::AccessDenied`]; a narrowed or widened grant, or
+    /// a record retention has dropped, serves nothing (`Ok(None)`),
+    /// like a miss. A serve is a disclosure: it records the fill's
+    /// disclosure again, stamped `now`. Only a serve counts a hit and
+    /// refreshes the entry's recency. Nothing is traced. A serve shares
+    /// the remembered answer; the recorded path set is compared where
+    /// it lies.
     pub(crate) fn stale_answer(
         &mut self,
         owner: &str,
@@ -303,13 +306,15 @@ impl Gupster {
         }
         let still = self.shield(owner, request, requester, purpose, time, None).map(|s| s.decision);
         // The shield leaves the rung alone, so the entry is still there.
-        let same = self.stale.peek(owner, requester, request).is_some_and(|(_, then)| {
-            still.as_ref().is_ok_and(|still| then.decision == *still)
+        let record = self.stale.peek(owner, requester, request).and_then(|(_, then)| {
+            let same = still.as_ref().is_ok_and(|still| then.decision == *still);
+            then.record.filter(|&record| same && self.provenance.holds(record))
         });
-        if !same {
+        let Some(record) = record else {
             self.stale.misses += 1;
             return still.map(|_| None);
-        }
+        };
+        self.provenance.record_again(record, now);
         let served = self.stale.get(owner, requester, request);
         Ok(served.map(|(result, then)| (Arc::clone(result), now.saturating_sub(then.fresh_at))))
     }
@@ -320,13 +325,14 @@ impl Gupster {
     }
 
     /// The cached read (§5.3's caching service): `request`'s answer from
-    /// the stale rung, if an earlier cached read filled it less than
-    /// `max_age` seconds before `now` and the rung serves it — the
-    /// shield, asked again with [`Purpose::Cache`] at `time`, permits
-    /// exactly the path set it permitted then. A hit
-    /// runs no referral, token or fetch, but the registry counts it as
-    /// a lookup and records its disclosure again, stamped `now`, as it
-    /// does an in-window duplicate's. Otherwise the full pipeline runs —
+    /// the stale rung, if a lookup under [`Purpose::Cache`] filled it
+    /// less than `max_age` seconds before `now` and the rung serves it —
+    /// the shield, asked again with [`Purpose::Cache`] at `time`,
+    /// permits exactly the path set it permitted then, and the log
+    /// still holds the fill's record. A hit runs no referral, token or
+    /// fetch, but the registry counts it as a lookup, and the rung
+    /// records its disclosure again, stamped `now`, as an in-window
+    /// duplicate's is. Otherwise the full pipeline runs —
     /// a lookup with [`Purpose::Cache`], so owners can forbid caching
     /// requesters outright, then the fetch — and refills the rung.
     /// Traced as a `cache.fetch` request marked `cache.hit` or
@@ -345,18 +351,19 @@ impl Gupster {
     ) -> Result<SharedAnswer, GupsterError> {
         let hub = Arc::clone(&self.telemetry);
         let mut tracer = hub.tracer("cache.fetch");
-        // Only a cached read's fill keeps the record a hit discloses
-        // again, and the log must still hold it.
-        let fill = self.stale.peek(owner, requester, request).and_then(|(_, stamp)| {
-            let young = now.saturating_sub(stamp.fresh_at) < max_age;
-            stamp.record.filter(|&record| young && self.provenance.holds(record))
+        // Only a fill made under `Purpose::Cache` serves a cached read, so
+        // the disclosure a hit copies names the purpose it was asked for.
+        let fill_serves = self.stale.peek(owner, requester, request).is_some_and(|(_, stamp)| {
+            let purpose = stamp.record.and_then(|record| self.provenance.purpose(record));
+            now.saturating_sub(stamp.fresh_at) < max_age && purpose == Some(Purpose::Cache)
         });
-        let served = match fill {
-            Some(_) => self.stale_answer(owner, request, requester, Purpose::Cache, time, now),
-            None => Ok(None),
+        let served = if fill_serves {
+            self.stale_answer(owner, request, requester, Purpose::Cache, time, now)
+        } else {
+            Ok(None)
         };
-        if let (Ok(Some((hit, _))), Some(record)) = (&served, fill) {
-            self.repeat_lookup(owner, Ok(record), now);
+        if let Ok(Some((hit, _))) = &served {
+            self.count_repeat(owner, None);
             hub.counters().cache_hits.fetch_add(1, Ordering::Relaxed);
             tracer.mark(stage::CACHE_HIT);
             return Ok(Arc::clone(hit));
@@ -820,27 +827,33 @@ impl Gupster {
                 return false;
             }
         }
-        self.count_lookup(owner, earlier.err());
+        self.count_repeat(owner, earlier.err());
+        true
+    }
+
+    /// The request counters of a lookup answered without the pipeline:
+    /// a referral, or the refusal `refused`.
+    fn count_repeat(&mut self, owner: &str, refused: Option<&GupsterError>) {
+        self.count_lookup(owner, refused);
         let counters = self.telemetry.counters();
         self.stats.lookups += 1;
         counters.lookups.fetch_add(1, Ordering::Relaxed);
-        match earlier {
-            Ok(_) => {
+        match refused {
+            None => {
                 self.stats.referrals += 1;
                 counters.referrals.fetch_add(1, Ordering::Relaxed);
             }
-            Err(GupsterError::SpuriousQuery(_)) => self.stats.spurious += 1,
-            Err(GupsterError::AccessDenied { .. }) => {
+            Some(GupsterError::SpuriousQuery(_)) => self.stats.spurious += 1,
+            Some(GupsterError::AccessDenied { .. }) => {
                 self.stats.denied += 1;
                 counters.policy_denials.fetch_add(1, Ordering::Relaxed);
             }
-            Err(GupsterError::UnknownUser(_) | GupsterError::NoCoverage(_)) => {
+            Some(GupsterError::UnknownUser(_) | GupsterError::NoCoverage(_)) => {
                 self.stats.uncovered += 1;
             }
             // The pipeline refuses with the four above only.
-            Err(_) => {}
+            Some(_) => {}
         }
-        true
     }
 
     /// Counts a lookup on its owner's coverage entry, unless the request
@@ -1388,16 +1401,22 @@ mod tests {
             .provision("arnaud", "cw", Effect::Permit, "/user/presence", "relationship='co-worker'", 0)
             .unwrap();
         let (presence, book) = (p("/user[@id='arnaud']/presence"), p("/user[@id='arnaud']/address-book"));
-        let answer = || -> SharedAnswer { Arc::new([gupster_xml::Element::new("x")]) };
-        g.remember_answer("arnaud", &presence, "rick", Purpose::Query, noon(), answer(), 0, None);
-        g.remember_answer("arnaud", &book, "arnaud", Purpose::Query, noon(), answer(), 0, None);
+        // A fill keeps its own lookup's disclosure record.
+        let fill = |g: &mut Gupster, path: &Path, requester: &str, now: u64| {
+            g.lookup("arnaud", path, requester, Purpose::Query, noon(), now).unwrap();
+            let (answer, record): (SharedAnswer, _) =
+                (Arc::new([gupster_xml::Element::new("x")]), g.provenance.newest());
+            g.remember_answer("arnaud", path, requester, Purpose::Query, noon(), answer, now, record);
+        };
+        fill(&mut g, &presence, "rick", 0);
+        fill(&mut g, &book, "arnaud", 0);
         assert!(g.pap.withdraw("arnaud", "cw"));
         let got = g.stale_answer("arnaud", &presence, "rick", Purpose::Query, noon(), 1);
         assert!(matches!(got, Err(GupsterError::AccessDenied { .. })), "{got:?}");
         assert_eq!((g.stale_answers().hits, g.stale_answers().misses), (0, 1));
         // rick's refused view is still the least recently used: the next
         // fill evicts it, not arnaud's book.
-        g.remember_answer("arnaud", &presence, "arnaud", Purpose::Query, noon(), answer(), 1, None);
+        fill(&mut g, &presence, "arnaud", 1);
         assert!(g.stale_answers().peek("arnaud", "rick", &presence).is_none());
         let served = g.stale_answer("arnaud", &book, "arnaud", Purpose::Query, noon(), 3).unwrap();
         assert_eq!(served.map(|(_, age)| age), Some(3));

@@ -227,10 +227,12 @@ impl<'a> ResilientExecutor<'a> {
                         Ok(run) if tracer.now() <= self.budget => {
                             // Refresh the stale rung so the next outage can
                             // degrade to this answer. Patterns look up with
-                            // `Purpose::Query`.
+                            // `Purpose::Query`, and the lookup is the run's
+                            // only record, so the newest is its disclosure.
                             let fresh = Arc::clone(&run.result);
+                            let record = gupster.provenance.newest();
                             gupster.remember_answer(
-                                owner, request, requester, Purpose::Query, time, fresh, now, None,
+                                owner, request, requester, Purpose::Query, time, fresh, now, record,
                             );
                             break 'answered (run.result, ServedVia::Pattern(pattern), None);
                         }
@@ -249,7 +251,8 @@ impl<'a> ResilientExecutor<'a> {
 
             // Ladder exhausted (or deadline hit): the last rung is the
             // registry's stale answer, behind the shield — a revoked
-            // grant is refused here, not served.
+            // grant is refused here, not served — and recorded as a
+            // disclosure.
             match gupster.stale_answer(owner, request, requester, Purpose::Query, time, now)? {
                 Some((result, age)) => {
                     tracer.mark(stage::STALE_SERVE);

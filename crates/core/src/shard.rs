@@ -313,6 +313,10 @@ pub struct BatchReport {
 /// fails that execution before it reaches the pipeline.
 pub(crate) type OpenLoopProbe<'a> = &'a dyn Fn(SimTime, &ShardRequest) -> Option<GupsterError>;
 
+/// An open-loop request's executed pipeline: its answer and the
+/// lookup's provenance record, or why it failed.
+type Executed = Result<(SharedAnswer, Option<RecordRef>), GupsterError>;
+
 /// One arrival in an open-loop run: a request plus its arrival instant
 /// and priority class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -786,8 +790,7 @@ impl ShardedRegistry {
             }
         }
 
-        let mut results: Vec<Option<Result<SharedAnswer, GupsterError>>> =
-            (0..n).map(|_| None).collect();
+        let mut results: Vec<Option<Executed>> = (0..n).map(|_| None).collect();
         let mut outcomes: Vec<Option<RequestOutcome>> = (0..n).map(|_| None).collect();
         let mut completions: Vec<Completion> = Vec::new();
         // Runs arrival `j`'s full pipeline on its owner's shard at its
@@ -797,7 +800,7 @@ impl ShardedRegistry {
         // the trace as an `admission.service` span. The mutable run
         // state is passed in so the borrow ends with each queue call.
         let run = |shards: &mut Shards<Gupster>,
-                   results: &mut [Option<Result<SharedAnswer, GupsterError>>],
+                   results: &mut [Option<Executed>],
                    per_shard: &mut [(usize, SimTime)],
                    j: usize,
                    start: SimTime| {
@@ -812,7 +815,11 @@ impl ShardedRegistry {
                 let out = g.lookup_traced(
                     &r.owner, &r.path, &r.requester, r.purpose, r.time, r.now, &mut tracer,
                 )?;
+                // The lookup's disclosure, which a stale serve of this
+                // answer records again.
+                let record = g.provenance.newest();
                 fetch_merge_traced(pool, &out.referral, &g.signer(), r.now, keys, &mut tracer)
+                    .map(|answer| (answer, record))
             })();
             let service = class.service();
             tracer.span(stage::ADMISSION_SERVICE, service);
@@ -898,7 +905,7 @@ impl ShardedRegistry {
         &mut self,
         arrivals: &[OpenLoopRequest],
         c: &Completion,
-        results: &mut [Option<Result<SharedAnswer, GupsterError>>],
+        results: &mut [Option<Executed>],
         outcomes: &mut [Option<RequestOutcome>],
         report: &mut OverloadReport,
     ) {
@@ -922,10 +929,10 @@ impl ShardedRegistry {
         report.horizon = report.horizon.max(c.finished);
         let res = results[c.idx].take().expect("completed service without an executed result");
         let outcome = match res {
-            Ok(elems) => {
+            Ok((elems, record)) => {
                 report.fresh += 1;
                 let kept = Arc::clone(&elems);
-                g.remember_answer(owner, path, requester, *purpose, *time, kept, *now, None);
+                g.remember_answer(owner, path, requester, *purpose, *time, kept, *now, record);
                 RequestOutcome::Answer(Ok(elems))
             }
             Err(e) if is_transient(&e) => {

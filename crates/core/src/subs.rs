@@ -23,8 +23,8 @@
 //!   values kept as strings in the owner's trie (wildcard scopes land
 //!   in the trie's always-scanned fallback bucket). A write walks the trie once and confirms only
 //!   the pruned candidate set with [`may_overlap`] — instead of the
-//!   naive scan over every subscription in the system, which is kept
-//!   as [`ShardedFanout::on_event_naive`], the differential oracle.
+//!   naive scan over every subscription in the system (the
+//!   differential suites' oracle, `gupster-oracle`'s `NaiveFanout`).
 //!   Scopes are compiled into the trie once at subscribe time.
 //! - **Policy-filtered staging.** [`ShardedFanout::stage_window`]
 //!   passes every matched notification through a [`Pep`] — the
@@ -391,24 +391,6 @@ impl ShardedFanout {
     /// subscriptions (counted via `fallback_scans` when staging).
     pub fn on_event(&self, event: &ChangeEvent) -> MatchOutcome {
         self.shards.get(&event.user).match_event(event, &mut TrieWalk::default(), None)
-    }
-
-    /// The retained naive matcher — scans **every** subscription in
-    /// the plane, like the pre-index matcher did, and reports matches by
-    /// ascending id (= subscribe order). Kept as the differential
-    /// oracle: its notification stream must be byte-identical to
-    /// [`on_event`](Self::on_event).
-    pub fn on_event_naive(&self, event: &ChangeEvent) -> MatchOutcome {
-        let mut notifications: Vec<Notification> = self
-            .shards
-            .parts()
-            .iter()
-            .flat_map(|shard| &shard.subs)
-            .filter(|(_, sub)| sub.owner == event.user && may_overlap(&sub.path, &event.path))
-            .map(|(&id, sub)| sub.notify(id, event))
-            .collect();
-        notifications.sort_unstable_by_key(|n| n.subscription_id);
-        MatchOutcome { notifications, examined: self.len(), indexed: false }
     }
 
     /// Stages one delivery window: drains change events, matches them
@@ -802,30 +784,5 @@ mod tests {
                 1
             )
             .is_err());
-    }
-
-    #[test]
-    fn indexed_matches_naive_on_the_seed_world() {
-        let (mut g, mut pool) = world();
-        let mut subs = ShardedFanout::new(1);
-        subs.subscribe(&mut g, "alice", &p("/user[@id='alice']/presence"), "alice", WeekTime::at(0, 9, 0), 0)
-            .unwrap();
-        subs.subscribe(&mut g, "alice", &p("/user[@id='alice']"), "alice", WeekTime::at(0, 9, 0), 0)
-            .unwrap();
-        pool.update(
-            &StoreId::new("gup.spcs.com"),
-            "alice",
-            &UpdateOp::SetText(p("/user/presence"), "busy".into()),
-        )
-        .unwrap();
-        let events: Vec<ChangeEvent> =
-            pool.drain_all_events().map(|(_, e)| e).collect();
-        for e in &events {
-            let fast = subs.on_event(e);
-            let slow = subs.on_event_naive(e);
-            assert_eq!(fast.notifications, slow.notifications);
-            assert!(fast.indexed);
-            assert!(fast.examined <= slow.examined);
-        }
     }
 }

@@ -49,5 +49,5 @@ pub use clock::SimTime;
 pub use faults::{FaultKind, FaultRates, FaultSchedule, FaultWindow};
 pub use journey::Journey;
 pub use link::{Domain, LatencyModel};
-pub use metrics::Metrics;
+pub use metrics::{Hop, Metrics};
 pub use network::{NetError, Network, Node, NodeId};

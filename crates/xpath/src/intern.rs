@@ -1,5 +1,5 @@
 //! The compiled path representation the indexed lookup fast path keys
-//! on, and the client-side parse memo.
+//! on.
 //!
 //! The registry's hot path compares path-step names millions of times
 //! per second (coverage matching, rule bucketing). [`InternedPath`] is
@@ -15,16 +15,10 @@
 //! the trie drops the edge. Paths outside the core fragment (`//`,
 //! `*`) do not compile — the indexes place them in always-scanned
 //! wildcard buckets instead.
-//!
-//! [`PathCache`] is the client-side companion: a bounded memo of parsed
-//! query strings, so a client replaying the same textual queries skips
-//! the lexer/parser entirely.
 
 use gupster_xml::{NameId, NameInterner};
 
 use crate::ast::{Axis, NameTest, Path, Predicate};
-use crate::lru::{KeyDigest, OwnerLru};
-use crate::parser::XPathError;
 
 /// One compiled location step: the interned name, whether it rides the
 /// attribute axis, and the first `[@attr='value']` predicate (the
@@ -91,39 +85,6 @@ impl<'a> InternedPath<'a> {
     }
 }
 
-/// A bounded memo of parsed query strings: clients replaying the same
-/// textual queries (HLR-style lookup storms) skip the lexer/parser.
-/// Failures are not cached — bad queries stay cheap to re-reject.
-#[derive(Debug)]
-pub struct PathCache {
-    entries: OwnerLru<String, Path>,
-    /// Parse calls answered from the memo.
-    pub hits: u64,
-    /// Parse calls that ran the parser.
-    pub misses: u64,
-}
-
-impl PathCache {
-    /// A cache bounded to `capacity` parsed paths.
-    pub fn new(capacity: usize) -> Self {
-        PathCache { entries: OwnerLru::new(capacity), hits: 0, misses: 0 }
-    }
-
-    /// Parses `s`, serving repeats from the memo. Least-recently-used
-    /// entries are evicted at capacity.
-    pub fn parse(&mut self, s: &str) -> Result<Path, XPathError> {
-        let digest = KeyDigest::new("", s);
-        if let Some(path) = self.entries.get(digest.key, |k| k == s) {
-            self.hits += 1;
-            return Ok(path.clone());
-        }
-        self.misses += 1;
-        let path = Path::parse(s)?;
-        self.entries.put(digest, s.to_string(), path.clone());
-        Ok(path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,23 +123,5 @@ mod tests {
         for s in ["//item", "/user/*", "/user//presence"] {
             assert!(InternedPath::compile(&Path::parse(s).unwrap()).is_none(), "{s}");
         }
-    }
-
-    #[test]
-    fn path_cache_hits_and_evicts() {
-        let mut c = PathCache::new(2);
-        let p1 = c.parse("/user/presence").unwrap();
-        assert_eq!(p1.to_string(), "/user/presence");
-        c.parse("/user/presence").unwrap();
-        assert_eq!((c.hits, c.misses), (1, 1));
-        c.parse("/user/calendar").unwrap();
-        // Touch presence so calendar is the LRU victim.
-        c.parse("/user/presence").unwrap();
-        c.parse("/user/devices").unwrap();
-        assert_eq!(c.entries.len(), 2);
-        c.parse("/user/calendar").unwrap();
-        assert_eq!(c.misses, 4, "evicted entry re-parses");
-        assert!(c.parse("not a path").is_err());
-        assert!(c.parse("not a path").is_err(), "failures are not cached");
     }
 }

@@ -38,6 +38,6 @@ mod parser;
 
 pub use ast::{Axis, LocStep, NameTest, Path, Predicate};
 pub use containment::{contains, covers, covers_view, may_overlap, may_overlap_view, PathView};
-pub use intern::{InternedPath, InternedStep, PathCache};
+pub use intern::{InternedPath, InternedStep};
 pub use lru::{KeyDigest, OwnedKey, OwnerLru};
 pub use parser::XPathError;

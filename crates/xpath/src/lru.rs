@@ -1,7 +1,6 @@
 //! A bounded, owner-indexed LRU map (DESIGN.md §7, "Bounded
 //! owner-indexed cache") — the one structure behind the PDP decision
-//! memo, the referral-token cache, the result and stale caches and
-//! [`crate::PathCache`].
+//! memo, the referral-token cache and the registry's stale rung.
 //!
 //! §5.3's caching service and Req. 7's staleness trigger describe one
 //! thing: a bounded map that drops *one owner's* entries when that
@@ -21,14 +20,6 @@ use std::hash::{Hash, Hasher};
 pub trait OwnedKey {
     /// The owner this key's entry belongs to.
     fn owner(&self) -> &str;
-}
-
-/// A bare string key has no owner dimension: every such entry shares
-/// the unit owner.
-impl OwnedKey for String {
-    fn owner(&self) -> &str {
-        ""
-    }
 }
 
 /// The two digests an entry is filed under, from one unkeyed hash pass
@@ -429,12 +420,13 @@ mod tests {
 
     #[test]
     fn unit_owner_keys_share_one_list() {
-        let mut lru: OwnerLru<String, u8> = OwnerLru::new(2);
-        for (i, q) in ["a", "b", "c"].into_iter().enumerate() {
-            lru.put(KeyDigest::new("", q), q.to_string(), i as u8);
+        let mut lru: OwnerLru<Key, u8> = OwnerLru::new(2);
+        let key = |rest: u8| Key { owner: "", rest };
+        for rest in 0..3u8 {
+            lru.put(KeyDigest::new("", &rest), key(rest), rest);
         }
-        assert_eq!(lru.get(KeyDigest::new("", "a").key, |k| k == "a"), None, "LRU victim");
-        assert_eq!(lru.get(KeyDigest::new("", "c").key, |k| k == "c"), Some(&2));
+        assert_eq!(lru.get(KeyDigest::new("", &0u8).key, |k| *k == key(0)), None, "LRU victim");
+        assert_eq!(lru.get(KeyDigest::new("", &2u8).key, |k| *k == key(2)), Some(&2));
         assert_eq!(lru.invalidate_owner(""), 2);
         assert!(lru.is_empty());
     }

@@ -1,9 +1,10 @@
 //! Seeded differential suite for the indexed lookup fast path
 //! (DESIGN.md §7): across random coverage maps, wildcard mixes, rule
 //! sets and priorities, the path-trie `CoverageMap::match_request` and
-//! the bucketed `Pdp::decide` must stay byte-identical to the retained
-//! naive implementations — including under registration churn and the
-//! E15 fault ladder's chaining/recruiting fallbacks.
+//! the bucketed `Pdp::decide` must stay byte-identical to the naive
+//! implementations (`gupster-oracle`'s `naive_match` and
+//! `Pdp::decide_with_cost_naive`) — including under registration churn
+//! and the E15 fault ladder's chaining/recruiting fallbacks.
 
 use std::collections::HashMap;
 
@@ -17,6 +18,7 @@ use gupster::schema::gup_schema;
 use gupster::store::StoreId;
 use gupster::xml::{Element, MergeKeys};
 use gupster::xpath::Path;
+use gupster_oracle::naive_match;
 use gupster_rng::check::cases;
 use gupster_rng::{Rng, StdRng};
 
@@ -76,7 +78,7 @@ fn trie_match_is_byte_identical_to_naive_scan() {
         }
         for _ in 0..8 {
             let q = rand_path(r, 1, 4);
-            let naive = cov.match_request_naive(&q);
+            let naive = naive_match(&cov, &q);
             assert_eq!(cov.match_request(&q), naive, "query {q} over {} entries", cov.entries().len());
             let (m, stats) = cov.match_request_with_stats(&q);
             assert_eq!(m, naive);
@@ -120,7 +122,7 @@ fn trie_match_survives_register_unregister_churn() {
                 let q = rand_path(r, 1, 3);
                 assert_eq!(
                     cov.match_request(&q),
-                    cov.match_request_naive(&q),
+                    naive_match(&cov, &q),
                     "round {round}, query {q}"
                 );
             }
@@ -246,7 +248,7 @@ fn indexes_stay_correct_under_the_fault_ladder() {
             let cov = gupster.coverage_of("alice").expect("registered");
             assert_eq!(
                 cov.match_request(&request),
-                cov.match_request_naive(&request),
+                naive_match(cov, &request),
                 "seed {seed} req {i}: trie diverged after churn"
             );
 

@@ -349,3 +349,98 @@ fn open_loop_stale_serves_outlive_a_run_but_not_a_grant() {
     }
     assert!(owner_stale > 0, "run 1's answer must cover the owner's shed requests: {outcomes:?}");
 }
+
+/// A stale serve is a disclosure. With no budget left the ladder runs
+/// no lookup, so the stale rung's serve is the request's one record: a
+/// copy of the fill's disclosure, stamped with the serve's clock.
+#[test]
+fn a_ladder_stale_serve_leaves_one_disclosure_record() {
+    let mut w = world();
+    let keys = merge_keys();
+    let exec = PatternExecutor {
+        net: &w.net,
+        client: w.client,
+        gupster_node: w.gupster_node,
+        store_nodes: w.node_map.clone(),
+    };
+    let mut rex = ResilientExecutor::new(exec, 7);
+    warm_rick(&mut rex, &mut w.gupster, &w.pool, &keys);
+    let before = w.gupster.provenance.disclosures_of("alice");
+    rex.budget = SimTime::ZERO;
+    let run = rex
+        .fetch(&mut w.gupster, &w.pool, "alice", &request(), "rick", WeekTime::at(0, 12, 0), 5, &keys)
+        .unwrap();
+    assert_eq!(run.served, ServedVia::StaleCache);
+    let after = w.gupster.provenance.disclosures_of("alice");
+    assert_eq!(after.len(), before.len() + 1, "one record per stale serve");
+    let (fill, serve) = (before.last().unwrap(), after.last().unwrap());
+    assert_eq!((serve.requester.as_str(), serve.when), ("rick", 5));
+    assert_eq!((&serve.paths, &serve.stores), (&fill.paths, &fill.stores));
+}
+
+/// The open-loop engine's owner, its book and a registry whose stale
+/// rung holds the owner's view of it: one quiet run answered it fresh.
+fn open_loop_world() -> (ShardedRegistry, StorePool, String, impl Fn(&str, u64) -> OpenLoopRequest) {
+    let pool = build_pool();
+    let owner = user(0);
+    let book = p(&format!("/user[@id='{owner}']/address-book"));
+    let mut reg = ShardedRegistry::new(gup_schema(), b"resilience", 2);
+    provision(|u, path, store| reg.register_component(u, path, store).unwrap());
+    let who = owner.clone();
+    let ask = move |requester: &str, now: u64| OpenLoopRequest {
+        request: ShardRequest {
+            owner: who.clone(),
+            path: book.clone(),
+            requester: requester.to_string(),
+            purpose: Purpose::Query,
+            time: WeekTime::at(1, 10, 0),
+            now,
+        },
+        arrival: SimTime::ZERO,
+        class: Priority::ProfileEdit,
+    };
+    let quiet = [ask(&owner, 0)];
+    let config = AdmissionConfig::default();
+    let (outcomes, _) = reg.answer_open_loop(&pool, &quiet, &merge_keys(), &config, None);
+    assert!(matches!(outcomes[0], RequestOutcome::Answer(Ok(_))), "{outcomes:?}");
+    (reg, pool, owner, ask)
+}
+
+/// A request whose stores fail transiently is served from the stale
+/// rung, and that serve leaves one disclosure record. The probe fails
+/// it before its lookup, so the serve is its only record.
+#[test]
+fn an_open_loop_transient_stale_serve_leaves_one_disclosure_record() {
+    let (mut reg, pool, owner, ask) = open_loop_world();
+    let before = reg.shard_mut(&owner).provenance.disclosures_of(&owner);
+    let down = |_: SimTime, r: &ShardRequest| Some(GupsterError::StoreUnavailable(r.owner.clone()));
+    let config = AdmissionConfig::default();
+    let (outcomes, report) =
+        reg.answer_open_loop(&pool, &[ask(&owner, 7)], &merge_keys(), &config, Some(&down));
+    assert!(matches!(outcomes[0], RequestOutcome::Stale { .. }), "{outcomes:?}");
+    assert_eq!(report.stale_served, 1);
+    let after = reg.shard_mut(&owner).provenance.disclosures_of(&owner);
+    assert_eq!(after.len(), before.len() + 1, "one record per stale serve");
+    let serve = after.last().unwrap();
+    assert_eq!((serve.requester.as_str(), serve.when), (&*owner, 7));
+}
+
+/// A shed request served from the stale rung leaves one disclosure
+/// record. The two requests ahead of it run, but their requester has no
+/// grant, so their lookups disclose nothing.
+#[test]
+fn an_open_loop_shed_stale_serve_leaves_one_disclosure_record() {
+    let (mut reg, pool, owner, ask) = open_loop_world();
+    let before = reg.shard_mut(&owner).provenance.disclosures_of(&owner);
+    // One waiting seat: the first arrival runs, the second waits, the
+    // third is shed.
+    let config = AdmissionConfig { capacity: 1, ..AdmissionConfig::default() };
+    let burst = [ask("mallory", 7), ask("mallory", 8), ask(&owner, 9)];
+    let (outcomes, report) = reg.answer_open_loop(&pool, &burst, &merge_keys(), &config, None);
+    assert_eq!(report.shed_edits, 1, "{report:?}");
+    assert!(matches!(outcomes[2], RequestOutcome::Stale { .. }), "{outcomes:?}");
+    let after = reg.shard_mut(&owner).provenance.disclosures_of(&owner);
+    assert_eq!(after.len(), before.len() + 1, "one record per stale serve");
+    let serve = after.last().unwrap();
+    assert_eq!((serve.requester.as_str(), serve.when), (&*owner, 9));
+}

@@ -1,7 +1,7 @@
 //! Seeded differential suite for the inverted-index push fanout
 //! (DESIGN.md §12): across random subscription populations — wildcard
 //! scopes included — the trie-backed matcher must stay byte-identical
-//! to the retained naive scan, the sharded plane must stage and flush
+//! to `gupster-oracle`'s naive scan, the sharded plane must stage and flush
 //! the same byte stream at 1, 2 and 8 shards, and a pushed notification
 //! must never leak what the direct query path would refuse.
 
@@ -11,6 +11,7 @@ use gupster::schema::gup_schema;
 use gupster::store::{ChangeEvent, DataStore, StoreId, UpdateOp, XmlStore};
 use gupster::xml::parse;
 use gupster::xpath::Path;
+use gupster_oracle::NaiveFanout;
 use gupster_rng::check::cases;
 use gupster_rng::{Rng, StdRng};
 
@@ -114,14 +115,15 @@ fn profile_pool() -> StorePool {
 }
 
 /// Subscribes a random population into `targets` (same sequence into
-/// each), returning the ids that were accepted. Shield verdicts depend
-/// only on policy state, so acceptance — and with it the shared id
-/// sequence — is identical across planes.
+/// each), returning the ids that were accepted and copying each into
+/// `naive`. Shield verdicts depend only on policy state, so acceptance
+/// — and with it the shared id sequence — is identical across planes.
 fn subscribe_population(
     r: &mut StdRng,
     g: &mut Gupster,
     mgr: &mut ShardedFanout,
     planes: &mut [ShardedFanout],
+    naive: &mut NaiveFanout,
 ) -> Vec<u64> {
     let mut ids = Vec::new();
     for _ in 0..r.gen_range(5..40) {
@@ -141,6 +143,7 @@ fn subscribe_population(
             }
         }
         if let Ok(id) = direct {
+            naive.subscribe(id, owner, &scope, subscriber);
             ids.push(id);
         }
     }
@@ -152,17 +155,19 @@ fn indexed_match_is_byte_identical_to_naive_scan() {
     cases(80, 0xFA11, |r| {
         let mut g = open_world();
         let mut mgr = ShardedFanout::new(1);
-        let mut ids = subscribe_population(r, &mut g, &mut mgr, &mut []);
+        let mut oracle = NaiveFanout::new();
+        let mut ids = subscribe_population(r, &mut g, &mut mgr, &mut [], &mut oracle);
         for i in 0..r.gen_range(10..40) {
             // Churn: occasionally drop a live subscription so the
             // tombstone / rebuild machinery is exercised mid-stream.
             if !ids.is_empty() && r.gen_range(0..4) == 0 {
                 let id = ids.swap_remove(r.gen_range(0..ids.len()));
                 assert!(mgr.unsubscribe(id));
+                assert!(oracle.unsubscribe(id));
             }
             let event = rand_event(r, i as u64);
             let indexed = mgr.on_event(&event);
-            let naive = mgr.on_event_naive(&event);
+            let naive = oracle.on_event(&event);
             assert_eq!(
                 indexed.notifications, naive.notifications,
                 "event {} on {} diverged over {} subscriptions",
@@ -185,7 +190,7 @@ fn sharded_staging_is_shard_count_invariant() {
         let mut mgr = ShardedFanout::new(1);
         let mut planes: Vec<ShardedFanout> =
             SHARD_COUNTS.iter().map(|&s| ShardedFanout::new(s)).collect();
-        subscribe_population(r, &mut g, &mut mgr, &mut planes);
+        subscribe_population(r, &mut g, &mut mgr, &mut planes, &mut NaiveFanout::new());
 
         let events: Vec<ChangeEvent> =
             (0..r.gen_range(5..30)).map(|i| rand_event(r, i as u64)).collect();
@@ -214,7 +219,7 @@ fn unsubscribe_mid_window_is_dropped_on_every_plane() {
         let mut mgr = ShardedFanout::new(1);
         let mut planes: Vec<ShardedFanout> =
             SHARD_COUNTS.iter().map(|&s| ShardedFanout::new(s)).collect();
-        subscribe_population(r, &mut g, &mut mgr, &mut planes);
+        subscribe_population(r, &mut g, &mut mgr, &mut planes, &mut NaiveFanout::new());
 
         let events: Vec<ChangeEvent> =
             (0..r.gen_range(5..25)).map(|i| rand_event(r, i as u64)).collect();
@@ -259,7 +264,7 @@ fn push_delivers_exactly_what_a_direct_query_permits() {
         let mut g = open_world();
         let mut plane = ShardedFanout::new(*r.pick(&SHARD_COUNTS));
         let mut mgr = ShardedFanout::new(1);
-        subscribe_population(r, &mut g, &mut mgr, std::slice::from_mut(&mut plane));
+        subscribe_population(r, &mut g, &mut mgr, std::slice::from_mut(&mut plane), &mut NaiveFanout::new());
 
         // Tighten: random relationships, withdrawn open permits, then
         // high-priority deny rules layered over the open permits that

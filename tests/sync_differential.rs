@@ -1,8 +1,9 @@
 //! Seeded differential suite for the write path at scale (DESIGN.md
 //! §13): across random edit storms the delta-encoded sync session must
-//! stay byte-identical to the retained naive oracle under every
-//! reconcile policy, the sharded sync plane must emit the same outcome
-//! stream at 1, 2 and 8 shards, changelog compaction must preserve
+//! stay byte-identical to the pairwise `two_way_sync` session under
+//! every reconcile policy, the sharded sync plane must emit the same
+//! outcome stream at 1, 2 and 8 shards and land on `gupster-oracle`'s
+//! naive plane's documents, changelog compaction must preserve
 //! replay for laggard peers, and a committed reconcile must never
 //! leave a pre-write copy servable from any derived cache (decision
 //! memo, referral tokens, result cache, stale cache).
@@ -18,6 +19,7 @@ use gupster::netsim::{FaultSchedule, SimTime};
 use gupster::policy::{Purpose, WeekTime};
 use gupster::sync::{delta_two_way_sync, two_way_sync, ReconcilePolicy, Replica};
 use gupster::telemetry::TelemetryHub;
+use gupster_oracle::NaivePlane;
 use gupster::xml::{EditOp, Element, NodePath};
 use gupster_rng::check::cases;
 use gupster_rng::{Rng, StdRng};
@@ -174,11 +176,10 @@ fn plane_outcomes_are_shard_invariant_and_match_the_oracle() {
             let replica = r.gen_range(0..=DEVICES);
             ops.push((owner, replica, rand_op_fast(r, serial)));
         }
-        let run = |shards: usize, oracle: bool| {
+        let run = |shards: usize| {
             let hub = Arc::new(TelemetryHub::new());
             hub.set_span_limit(0);
             let mut plane = SyncPlane::new(shards, ReconcilePolicy::LastWriterWins);
-            plane.use_oracle = oracle;
             for u in 0..USERS {
                 plane.add_user(&format!("user{u}"), base_book(), keys(), DEVICES);
             }
@@ -195,14 +196,30 @@ fn plane_outcomes_are_shard_invariant_and_match_the_oracle() {
             let retained = plane.log_entries();
             (report, docs, retained)
         };
-        let (r1, d1, l1) = run(1, false);
-        let (r2, d2, _) = run(2, false);
-        let (r8, d8, _) = run(8, false);
+        let (r1, d1, l1) = run(1);
+        let (r2, d2, _) = run(2);
+        let (r8, d8, _) = run(8);
         assert_eq!(r1.users, r2.users, "outcome stream differs at 1 vs 2 shards");
         assert_eq!(r1.users, r8.users, "outcome stream differs at 1 vs 8 shards");
         assert_eq!(d1, d2);
         assert_eq!(d1, d8);
-        let (ro, docs_oracle, lo) = run(2, true);
+        let (ro, docs_oracle, lo) = {
+            let mut oracle = NaivePlane::new(ReconcilePolicy::LastWriterWins);
+            for u in 0..USERS {
+                oracle.add_user(&format!("user{u}"), base_book(), keys(), DEVICES);
+            }
+            for (owner, replica, op) in &ops {
+                let _ = if *replica == DEVICES {
+                    oracle.edit_hub(owner, op.clone())
+                } else {
+                    oracle.edit_device(owner, *replica, op.clone())
+                };
+            }
+            let report = oracle.reconcile();
+            let docs: Vec<Element> =
+                (0..USERS).map(|u| oracle.hub_doc(&format!("user{u}")).clone()).collect();
+            (report, docs, oracle.log_entries())
+        };
         assert_eq!(d1, docs_oracle, "delta plane must converge to the oracle's documents");
         assert_eq!(r1.converged_users, USERS);
         assert_eq!(ro.converged_users, USERS);
@@ -399,11 +416,8 @@ fn chaos_storm_rounds_stay_converged_with_bounded_logs() {
         const DEVICES: usize = 3;
         let hub_d = Arc::new(TelemetryHub::new());
         hub_d.set_span_limit(0);
-        let hub_o = Arc::new(TelemetryHub::new());
-        hub_o.set_span_limit(0);
         let mut delta_plane = SyncPlane::new(4, ReconcilePolicy::LastWriterWins);
-        let mut oracle_plane = SyncPlane::new(4, ReconcilePolicy::LastWriterWins);
-        oracle_plane.use_oracle = true;
+        let mut oracle_plane = NaivePlane::new(ReconcilePolicy::LastWriterWins);
         for u in 0..USERS {
             delta_plane.add_user(&format!("user{u}"), base_book(), keys(), DEVICES);
             oracle_plane.add_user(&format!("user{u}"), base_book(), keys(), DEVICES);
@@ -426,7 +440,7 @@ fn chaos_storm_rounds_stay_converged_with_bounded_logs() {
                 }
             }
             let rd = delta_plane.reconcile(&hub_d);
-            let ro = oracle_plane.reconcile(&hub_o);
+            let ro = oracle_plane.reconcile();
             assert_eq!(rd.converged_users, USERS, "round {round}: delta star did not converge");
             assert_eq!(ro.converged_users, USERS, "round {round}: oracle star did not converge");
             assert_eq!(rd.conflicts, ro.conflicts, "round {round}");
