@@ -2,6 +2,7 @@
 
 use gupster_bench::microbench::{bench, suite};
 use gupster_schema::sample_profile;
+use gupster_xml::ArenaDoc;
 use gupster_xpath::{contains, may_overlap, Path};
 
 fn chain(depth: usize, preds: usize) -> Path {
@@ -28,8 +29,15 @@ fn main() {
         ("pred", Path::parse("/user/address-book/item[@type='corporate']/name").unwrap()),
         ("descendant", Path::parse("//phone").unwrap()),
     ];
+    // The evaluator every store read runs: arena selection into an id
+    // buffer kept from one run to the next.
+    let arena = ArenaDoc::from_element(&doc);
+    let mut ids = Vec::new();
     for (name, p) in &paths {
-        bench(&format!("xpath_eval/{name}"), || p.select(&doc));
+        bench(&format!("xpath_eval/{name}"), || {
+            p.select_arena(&arena, &mut ids);
+            ids.len()
+        });
     }
 
     for depth in [4usize, 8, 16, 32] {

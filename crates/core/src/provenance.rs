@@ -153,12 +153,13 @@ impl ProvenanceLog {
         self.heads.get(self.heads.len().checked_sub(back as usize)?)
     }
 
-    /// Appends a copy of `record`, stamped `when` instead of its own
-    /// time: the same disclosure made again. Copies the packed bytes
-    /// where they lie. False, appending nothing, once retention has
-    /// dropped `record`.
-    pub(crate) fn record_again(&mut self, record: RecordRef, when: u64) -> bool {
-        let Some(&Head { purpose, narrowed, len, .. }) = self.head(record) else { return false };
+    /// Appends a copy of `record`, stamped `when` and `purpose` instead
+    /// of its own: the same paths disclosed again, under the purpose
+    /// they were asked for this time. Copies the packed bytes where they
+    /// lie. False, appending nothing, once retention has dropped
+    /// `record`.
+    pub(crate) fn record_again(&mut self, record: RecordRef, purpose: Purpose, when: u64) -> bool {
+        let Some(&Head { narrowed, len, .. }) = self.head(record) else { return false };
         self.total_recorded += 1;
         let start = (record.at - self.trimmed) as usize;
         self.bytes.reserve(len);
@@ -455,9 +456,11 @@ mod tests {
                 if !handles.is_empty() && rng.gen_bool(0.4) {
                     let j = rng.gen_range(0..handles.len());
                     let retained = retention == 0 || j + retention >= written.len();
-                    assert_eq!(log.record_again(handles[j], when), retained, "copy of record {j}");
+                    let purpose = purposes[rng.gen_range(0..4usize)];
+                    let again = log.record_again(handles[j], purpose, when);
+                    assert_eq!(again, retained, "copy of record {j}");
                     if retained {
-                        written.push(Disclosure { when, ..written[j].clone() });
+                        written.push(Disclosure { when, purpose, ..written[j].clone() });
                         handles.push(log.newest().unwrap());
                     }
                     continue;

@@ -287,7 +287,9 @@ impl Gupster {
     /// [`GupsterError::AccessDenied`]; a narrowed or widened grant, or
     /// a record retention has dropped, serves nothing (`Ok(None)`),
     /// like a miss. A serve is a disclosure: it records the fill's
-    /// disclosure again, stamped `now`. Only a serve counts a hit and
+    /// disclosure again, stamped `now` and `purpose`, since the serve
+    /// discloses under the purpose it was asked with, whatever the
+    /// fill's was. Only a serve counts a hit and
     /// refreshes the entry's recency. Nothing is traced. A serve shares
     /// the remembered answer; the recorded path set is compared where
     /// it lies.
@@ -314,7 +316,7 @@ impl Gupster {
             self.stale.misses += 1;
             return still.map(|_| None);
         };
-        self.provenance.record_again(record, now);
+        self.provenance.record_again(record, purpose, now);
         let served = self.stale.get(owner, requester, request);
         Ok(served.map(|(result, then)| (Arc::clone(result), now.saturating_sub(then.fresh_at))))
     }
@@ -813,17 +815,20 @@ impl Gupster {
     /// `earlier` is that lookup's provenance record, or its refusal.
     /// The request counters move as if the pipeline had run; the work
     /// counters (memo hits, trie hits, token reuse) do not, since no
-    /// work ran. A permitted lookup is disclosed again, stamped `now`.
-    /// Returns false, accounting nothing, when retention has dropped
-    /// the record to copy: the caller runs the pipeline instead.
+    /// work ran. A permitted lookup is disclosed again, stamped `now`
+    /// and `purpose` (the earlier lookup's own, since only an identical
+    /// request is answered this way). Returns false, accounting
+    /// nothing, when retention has dropped the record to copy: the
+    /// caller runs the pipeline instead.
     pub(crate) fn repeat_lookup(
         &mut self,
         owner: &str,
         earlier: Result<RecordRef, &GupsterError>,
+        purpose: Purpose,
         now: u64,
     ) -> bool {
         if let Ok(record) = earlier {
-            if !self.provenance.record_again(record, now) {
+            if !self.provenance.record_again(record, purpose, now) {
                 return false;
             }
         }

@@ -290,11 +290,12 @@ impl<'a> Singleflight<'a> {
         match *self.table.get(&Self::key(r))? {
             Earlier::Answer(ref answer, at) => {
                 let record = self.records[at];
-                g.repeat_lookup(&r.owner, Ok(record), r.now).then(|| Ok(Arc::clone(answer)))
+                let again = g.repeat_lookup(&r.owner, Ok(record), r.purpose, r.now);
+                again.then(|| Ok(Arc::clone(answer)))
             }
             Earlier::Refused(at) => {
                 let refused = &self.refusals[at];
-                g.repeat_lookup(&r.owner, Err(refused), r.now);
+                g.repeat_lookup(&r.owner, Err(refused), r.purpose, r.now);
                 Some(Err(refused.clone()))
             }
         }

@@ -12,7 +12,15 @@
 //!   against the fanout plane's inverted index;
 //! * [`NaivePlane`] — replica stars reconciled through the pairwise
 //!   [`two_way_sync`] session and never compacted, against the sync
-//!   plane's delta sessions and compaction.
+//!   plane's delta sessions and compaction;
+//! * [`select`] and [`select_strings`] — path selection over owned
+//!   [`Element`] trees, against the arena selection every store read
+//!   runs ([`Path::select_arena`]);
+//! * [`select_node_paths`] — the same selection as
+//!   [`NodePath`](gupster_xml::NodePath) addresses, which the store
+//!   tests' owned-tree model edits through;
+//! * [`merge_all`] — a left fold of the owned pairwise [`merge`],
+//!   against the arena fold [`gupster_xml::merge_arena_all`].
 //!
 //! The crate is dev-only: no library crate may depend on it through a
 //! normal dependency (CI checks this with `cargo tree`).
@@ -20,14 +28,18 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod select;
+
 use std::collections::BTreeMap;
 
 use gupster_core::subs::{MatchOutcome, Notification};
 use gupster_core::{CoverageMap, CoverageMatch, EditError, PlaneReport, UserOutcome};
 use gupster_store::{ChangeEvent, StoreId};
 use gupster_sync::{two_way_sync, ReconcilePolicy, Replica};
-use gupster_xml::{EditOp, Element, MergeKeys};
+use gupster_xml::{merge, EditOp, Element, MergeKeys, XmlError};
 use gupster_xpath::{covers, may_overlap, Path};
+
+pub use select::{select, select_node_paths, select_strings};
 
 /// Matches `request` against every registration of `map`, in entry
 /// order and, within an entry, in store order: a registration that
@@ -51,6 +63,20 @@ pub fn naive_match(map: &CoverageMap, request: &Path) -> CoverageMatch {
         }
     }
     m
+}
+
+/// Merges a non-empty sequence of fragments left to right with the
+/// owned pairwise [`merge`].
+pub fn merge_all(parts: &[Element], keys: &MergeKeys) -> Result<Element, XmlError> {
+    let (first, rest) = parts.split_first().ok_or_else(|| XmlError::MergeConflict {
+        tag: String::new(),
+        detail: "merge_all of zero fragments".into(),
+    })?;
+    let mut acc = first.clone();
+    for p in rest {
+        acc = merge(&acc, p, keys)?;
+    }
+    Ok(acc)
 }
 
 /// A copy of a fanout plane's subscriptions, matched by scanning every
@@ -223,5 +249,23 @@ impl NaivePlane {
             report.users.push(u);
         }
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gupster_xml::parse;
+
+    #[test]
+    fn merge_all_three_fragments() {
+        let keys = MergeKeys::new().with_key("item", "id");
+        let parts: Vec<_> = ["1", "2", "3"]
+            .iter()
+            .map(|i| parse(&format!(r#"<b><item id="{i}"/></b>"#)).unwrap())
+            .collect();
+        let m = merge_all(&parts, &keys).unwrap();
+        assert_eq!(m.children_named("item").count(), 3);
+        assert!(merge_all(&[], &keys).is_err());
     }
 }

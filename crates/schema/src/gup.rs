@@ -309,6 +309,7 @@ pub fn sample_profile(user_id: &str) -> Element {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gupster_oracle::select_strings;
 
     #[test]
     fn sample_profile_validates() {
@@ -343,7 +344,7 @@ mod tests {
     #[test]
     fn builder_components_queryable() {
         let doc = sample_profile("arnaud");
-        let q = |s: &str| Path::parse(s).unwrap().select_strings(&doc);
+        let q = |s: &str| select_strings(&Path::parse(s).unwrap(), &doc);
         assert_eq!(q("/user/presence"), vec!["online"]);
         assert_eq!(q("/user/address-book/item[@type='corporate']/name"), vec!["Rick"]);
         assert_eq!(q("/user/devices/device[@kind='phone']/number"), vec!["908-555-0199"]);

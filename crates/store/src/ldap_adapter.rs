@@ -11,7 +11,9 @@ use gupster_xml::Element;
 use gupster_xpath::{Path, Predicate};
 
 use crate::error::StoreError;
-use crate::store_trait::{Capabilities, ChangeEvent, DataStore, Fragment, StoreId, UpdateOp};
+use crate::store_trait::{
+    owner_of, Capabilities, ChangeEvent, DataStore, Fragment, StoreId, UpdateOp,
+};
 
 /// A GUP adapter over an LDAP [`Directory`].
 #[derive(Debug, Clone)]
@@ -114,38 +116,19 @@ impl LdapAdapter {
         for e in &hits {
             book.push_child(
                 Element::new("item")
-                    .with_attr("id", e.first("cn").unwrap_or_default_str())
+                    .with_attr("id", e.first("cn").unwrap_or(""))
                     .with_attr("type", e.first("description").unwrap_or("personal"))
                     .with_child(
-                        Element::new("name").with_text(e.first("sn").unwrap_or_default_str()),
+                        Element::new("name").with_text(e.first("sn").unwrap_or("")),
                     )
                     .with_child(
                         Element::new("phone")
-                            .with_text(e.first("telephoneNumber").unwrap_or_default_str()),
+                            .with_text(e.first("telephoneNumber").unwrap_or("")),
                     ),
             );
         }
         doc.push_child(book);
         Some(doc)
-    }
-
-    fn path_user(path: &Path) -> Option<String> {
-        path.steps.first().and_then(|s| {
-            s.predicates.iter().find_map(|p| match p {
-                Predicate::AttrEq(a, v) if a == "id" => Some(v.clone()),
-                _ => None,
-            })
-        })
-    }
-}
-
-trait OrDefaultStr<'a> {
-    fn unwrap_or_default_str(self) -> &'a str;
-}
-
-impl<'a> OrDefaultStr<'a> for Option<&'a str> {
-    fn unwrap_or_default_str(self) -> &'a str {
-        self.unwrap_or("")
     }
 }
 
@@ -155,14 +138,14 @@ impl DataStore for LdapAdapter {
     }
 
     fn fragments<'a>(&'a self, path: &Path, out: &mut Vec<Fragment<'a>>) -> Result<(), StoreError> {
-        let users = match Self::path_user(path) {
-            Some(u) => vec![u],
-            None => self.users(),
-        };
-        for u in users {
-            if let Some(view) = self.gup_view(&u) {
+        let mut answer = |user: &str| {
+            if let Some(view) = self.gup_view(user) {
                 Fragment::select_built(path, &view, out);
             }
+        };
+        match owner_of(path) {
+            Some(user) => answer(user),
+            None => self.users().iter().for_each(|user| answer(user)),
         }
         Ok(())
     }
@@ -256,6 +239,9 @@ impl DataStore for LdapAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapter_views::{check_answers, Answered};
+    use gupster_rng::check::{self, cases};
+    use gupster_rng::Rng;
 
     fn p(s: &str) -> Path {
         Path::parse(s).unwrap()
@@ -336,5 +322,29 @@ mod tests {
     fn users_listed() {
         let a = adapter();
         assert_eq!(a.users(), vec!["arnaud"]);
+    }
+
+    /// The adapter answers every query byte for byte as the oracle's
+    /// selection over its views does.
+    #[test]
+    fn answers_match_the_oracle_over_the_views() {
+        let mut answered = Answered::default();
+        cases(128, 0x1da9, |rng| {
+            let mut a = LdapAdapter::new("gup.lucent.com", "lucent");
+            a.add_user("alice", "Alice Smith", "Smith").unwrap();
+            a.add_user("bob", "Bob Jones", "Jones").unwrap();
+            let mut names = vec!["Alice Smith".to_string()];
+            for _ in 0..rng.gen_range(0..8usize) {
+                let name = check::string_of(rng, &['A', 'b', 'c', ' '], 1, 6);
+                let owner = *rng.pick(&["alice", "bob"]);
+                let kind = *rng.pick(&["personal", "corporate"]);
+                a.add_contact(owner, kind, &name, &check::alnum(rng, 3, 8)).unwrap();
+                names.push(name);
+            }
+            let query = |p: &Path| a.query(p).unwrap();
+            check_answers(rng, &names, &a.users(), |u| a.gup_view(u), query, &mut answered);
+        });
+        let [unnamed, named, attribute] = answered;
+        assert!(unnamed > 100 && named > 100 && attribute > 25, "{answered:?}");
     }
 }

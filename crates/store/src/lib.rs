@@ -28,3 +28,7 @@ pub use ldap_adapter::LdapAdapter;
 pub use relational::RelationalAdapter;
 pub use store_trait::{Capabilities, ChangeEvent, DataStore, Fragment, StoreId, UpdateOp};
 pub use xmlstore::XmlStore;
+
+#[cfg(test)]
+#[path = "../tests/support/adapter_views.rs"]
+mod adapter_views;

@@ -14,7 +14,9 @@ use gupster_xml::Element;
 use gupster_xpath::{Path, Predicate};
 
 use crate::error::StoreError;
-use crate::store_trait::{Capabilities, ChangeEvent, DataStore, Fragment, StoreId, UpdateOp};
+use crate::store_trait::{
+    owner_of, Capabilities, ChangeEvent, DataStore, Fragment, StoreId, UpdateOp,
+};
 
 /// A column value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -308,15 +310,6 @@ impl RelationalAdapter {
         doc.push_child(book);
         Some(doc)
     }
-
-    fn path_user(path: &Path) -> Option<String> {
-        path.steps.first().and_then(|s| {
-            s.predicates.iter().find_map(|p| match p {
-                Predicate::AttrEq(a, v) if a == "id" => Some(v.clone()),
-                _ => None,
-            })
-        })
-    }
 }
 
 impl DataStore for RelationalAdapter {
@@ -325,18 +318,14 @@ impl DataStore for RelationalAdapter {
     }
 
     fn fragments<'a>(&'a self, path: &Path, out: &mut Vec<Fragment<'a>>) -> Result<(), StoreError> {
-        let users: Vec<String> = match Self::path_user(path) {
-            Some(u) => vec![u],
-            None => self
-                .db
-                .table("subscriber")
-                .map(|t| t.rows().map(|r| r[0].render()).collect())
-                .unwrap_or_default(),
-        };
-        for u in users {
-            if let Some(view) = self.gup_view(&u) {
+        let mut answer = |user: &str| {
+            if let Some(view) = self.gup_view(user) {
                 Fragment::select_built(path, &view, out);
             }
+        };
+        match owner_of(path) {
+            Some(user) => answer(user),
+            None => self.users().iter().for_each(|user| answer(user)),
         }
         Ok(())
     }
@@ -427,6 +416,7 @@ impl DataStore for RelationalAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gupster_oracle::select_strings;
 
     fn p(s: &str) -> Path {
         Path::parse(s).unwrap()
@@ -472,7 +462,7 @@ mod tests {
         assert_eq!(v.attr("id"), Some("arnaud"));
         assert_eq!(v.child("address-book").unwrap().children_named("item").count(), 2);
         assert_eq!(
-            p("/user/devices/device/number").select_strings(&v),
+            select_strings(&p("/user/devices/device/number"), &v),
             vec!["908-555-0199"]
         );
     }

@@ -1,9 +1,10 @@
 //! The GUP-compliant data-store interface.
 
 use std::fmt;
+use std::sync::Arc;
 
 use gupster_xml::{ArenaDoc, Element, NodeId};
-use gupster_xpath::Path;
+use gupster_xpath::{Path, Predicate};
 
 use crate::error::StoreError;
 
@@ -71,6 +72,15 @@ impl UpdateOp {
     }
 }
 
+/// The owner a query path names with an `[@id='…']` predicate on its
+/// first step, if it does: only that owner's profile can match.
+pub(crate) fn owner_of(path: &Path) -> Option<&str> {
+    path.steps.first()?.predicates.iter().find_map(|p| match p {
+        Predicate::AttrEq(a, v) if a == "id" => Some(v.as_str()),
+        _ => None,
+    })
+}
+
 /// A change notification emitted by a store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChangeEvent {
@@ -86,7 +96,8 @@ pub struct ChangeEvent {
 /// either **lent** out of a document the store keeps resident (nothing
 /// is copied; the borrow keeps the store read-only while the answer is
 /// in use) or **built** for this answer by a store whose backend is not
-/// XML (an adapter's translated view).
+/// XML (an adapter's translated view, shared by every fragment selected
+/// from it).
 ///
 /// Readers do not care which: [`Fragment::doc`] and [`Fragment::node`]
 /// are what the arena merge and serializer take.
@@ -96,13 +107,14 @@ pub struct Fragment<'a> {
     node: NodeId,
 }
 
-/// Where a fragment's document lives. A built one is boxed, so that a
-/// fragment stays three words either way: every fetch collects its
-/// fragments by value, into one buffer.
+/// Where a fragment's document lives. A built one is reference
+/// counted, so that a fragment stays three words either way (every
+/// fetch collects its fragments by value, into one buffer) and the
+/// fragments selected from one view share it.
 #[derive(Debug)]
 enum Source<'a> {
     Lent(&'a ArenaDoc),
-    Built(Box<ArenaDoc>),
+    Built(Arc<ArenaDoc>),
 }
 
 impl<'a> Fragment<'a> {
@@ -114,14 +126,18 @@ impl<'a> Fragment<'a> {
     /// A document built for this answer; the fragment is all of it.
     pub fn built(doc: ArenaDoc) -> Self {
         let node = doc.root();
-        Fragment { doc: Source::Built(Box::new(doc)), node }
+        Fragment { doc: Source::Built(Arc::new(doc)), node }
     }
 
-    /// Appends what `path` selects in `view` to `out`, each as a built
-    /// fragment — how an adapter answers from the GUP view it
-    /// translated its backend into.
+    /// Appends what `path` selects in `view` to `out`, one built
+    /// fragment per selected node — how an adapter answers from the GUP
+    /// view it translated its backend into. The view becomes one arena
+    /// document, which its fragments share.
     pub(crate) fn select_built(path: &Path, view: &Element, out: &mut Vec<Self>) {
-        out.extend(path.select(view).into_iter().map(|e| Fragment::built(ArenaDoc::from_element(e))));
+        let doc = Arc::new(ArenaDoc::from_element(view));
+        let mut ids = Vec::new();
+        path.select_arena(&doc, &mut ids);
+        out.extend(ids.into_iter().map(|node| Fragment { doc: Source::Built(Arc::clone(&doc)), node }));
     }
 
     /// The document the fragment lives in.

@@ -23,7 +23,9 @@ use gupster_xml::{ArenaDoc, Element, NodeId, XmlError};
 use gupster_xpath::Path;
 
 use crate::error::StoreError;
-use crate::store_trait::{Capabilities, ChangeEvent, DataStore, Fragment, StoreId, UpdateOp};
+use crate::store_trait::{
+    owner_of, Capabilities, ChangeEvent, DataStore, Fragment, StoreId, UpdateOp,
+};
 
 /// In-memory XML data store holding one profile document per user.
 #[derive(Debug, Clone)]
@@ -63,11 +65,6 @@ impl XmlStore {
         Ok(())
     }
 
-    /// A copy of a user's profile document.
-    pub fn profile(&self, user: &str) -> Option<Element> {
-        self.docs.get(user).map(ArenaDoc::root_element)
-    }
-
     /// Number of profiles held.
     pub fn len(&self) -> usize {
         self.docs.len()
@@ -76,16 +73,6 @@ impl XmlStore {
     /// True if the store holds no profiles.
     pub fn is_empty(&self) -> bool {
         self.docs.is_empty()
-    }
-
-    /// The owner a query path names with an `[@id='…']` predicate on its
-    /// first step, if it does: only that owner's document can match.
-    fn owner_of(path: &Path) -> Option<&str> {
-        use gupster_xpath::Predicate;
-        path.steps.first()?.predicates.iter().find_map(|p| match p {
-            Predicate::AttrEq(a, v) if a == "id" => Some(v.as_str()),
-            _ => None,
-        })
     }
 }
 
@@ -167,7 +154,7 @@ impl DataStore for XmlStore {
                 path.select_arena(doc, ids);
                 out.extend(ids.iter().map(|&n| Fragment::lent(doc, n)));
             };
-            match Self::owner_of(path) {
+            match owner_of(path) {
                 // Straight to the owner's document: the usual, id-keyed read.
                 Some(owner) => self.docs.get(owner).into_iter().for_each(lend),
                 None => {
@@ -225,7 +212,15 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
+    use gupster_oracle::{select, select_node_paths};
     use gupster_xml::parse;
+
+    impl XmlStore {
+        /// A copy of a user's profile document.
+        fn profile(&self, user: &str) -> Option<Element> {
+            self.docs.get(user).map(ArenaDoc::root_element)
+        }
+    }
 
     fn store() -> XmlStore {
         let mut s = XmlStore::new("gup.yahoo.com");
@@ -515,18 +510,11 @@ mod tests {
         }
 
         fn query(&self, path: &Path) -> Vec<Element> {
-            use gupster_xpath::Predicate;
-            let id_pred = path.steps.first().and_then(|s| {
-                s.predicates.iter().find_map(|p| match p {
-                    Predicate::AttrEq(a, v) if a == "id" => Some(v),
-                    _ => None,
-                })
-            });
-            let docs: Vec<&Element> = match id_pred {
+            let docs: Vec<&Element> = match owner_of(path) {
                 Some(uid) => self.docs.get(uid).into_iter().collect(),
                 None => self.docs.values().collect(),
             };
-            docs.into_iter().flat_map(|d| path.select(d).into_iter().cloned()).collect()
+            docs.into_iter().flat_map(|d| select(path, d).into_iter().cloned()).collect()
         }
 
         fn update(&mut self, user: &str, op: &UpdateOp) -> Result<(), StoreError> {
@@ -534,7 +522,7 @@ mod tests {
                 .docs
                 .get_mut(user)
                 .ok_or_else(|| StoreError::UnknownUser(user.to_string()))?;
-            let addrs = op.path().select_node_paths(doc);
+            let addrs = select_node_paths(op.path(), doc);
             if addrs.is_empty() {
                 return Err(StoreError::NoSuchTarget(op.path().to_string()));
             }

@@ -2,12 +2,18 @@
 //! view/query consistency, relational index coherence, and update/event
 //! laws. Deterministic — see `gupster_rng::check`.
 
+use gupster_oracle::select;
 use gupster_rng::check::{self, cases};
 use gupster_rng::{Rng, StdRng};
 use gupster_store::relational::{Table, Value};
 use gupster_store::{DataStore, LdapAdapter, RelationalAdapter, StoreId, UpdateOp, XmlStore};
 use gupster_xml::Element;
 use gupster_xpath::Path;
+use support::adapter_views::{check_answers, Answered};
+
+mod support {
+    pub mod adapter_views;
+}
 
 fn name(rng: &mut StdRng) -> String {
     let letters: Vec<char> = ('A'..='Z').chain('a'..='z').collect();
@@ -43,7 +49,7 @@ fn relational_adapter_query_matches_view() {
             let path = Path::parse(expr).unwrap();
             let through: Vec<String> =
                 a.query(&path).unwrap().iter().map(Element::to_xml).collect();
-            let direct: Vec<String> = path.select(&view).iter().map(|e| e.to_xml()).collect();
+            let direct: Vec<String> = select(&path, &view).iter().map(|e| e.to_xml()).collect();
             assert_eq!(through, direct, "{expr}");
         }
         assert_eq!(
@@ -53,6 +59,29 @@ fn relational_adapter_query_matches_view() {
             cs.len()
         );
     });
+}
+
+/// The relational adapter answers every query byte for byte as the
+/// oracle's selection over its views does.
+#[test]
+fn relational_adapter_answers_match_the_oracle_over_its_views() {
+    let mut answered = Answered::default();
+    cases(128, 0x57_05, |rng| {
+        let mut a = RelationalAdapter::new("gup.spcs.com");
+        a.add_subscriber("alice", "Alice", "908-555-0199");
+        a.add_subscriber("bob", "Bob", "908-555-0200");
+        let mut names = vec!["Alice".to_string()];
+        for (name, phone) in contacts(rng) {
+            let owner = *rng.pick(&["alice", "bob"]);
+            let kind = *rng.pick(&["personal", "corporate"]);
+            a.add_contact(owner, kind, &name, &phone);
+            names.push(name);
+        }
+        let query = |p: &Path| a.query(p).unwrap();
+        check_answers(rng, &names, &a.users(), |u| a.gup_view(u), query, &mut answered);
+    });
+    let [unnamed, named, attribute] = answered;
+    assert!(unnamed > 100 && named > 100 && attribute > 25, "{answered:?}");
 }
 
 /// The LDAP adapter round-trips contacts added through the GUP

@@ -516,8 +516,8 @@ pub fn merge_arena<'a>(
     MergeOut::from_doc(a).merge_with(b, keys)
 }
 
-/// Structural-sharing counterpart of [`crate::merge_all`]: left fold
-/// over a non-empty sequence of fragments.
+/// Left fold of [`merge_arena`] over a non-empty sequence of
+/// fragments: the structural-sharing union of one referral's answers.
 pub fn merge_arena_all<'a>(
     parts: &[&'a ArenaDoc],
     keys: &MergeKeys,
@@ -536,7 +536,7 @@ pub fn merge_arena_all<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::{merge, merge_all};
+    use crate::merge::merge;
     use crate::parse;
 
     fn keys() -> MergeKeys {
@@ -679,21 +679,6 @@ mod tests {
         assert_eq!(s.fresh_nodes, 1, "{s:?}");
         assert_eq!(s.shared_subtrees, 1 + 3, "{s:?}"); // initial doc + 3 items
         assert!(s.shared_nodes > s.fresh_nodes);
-    }
-
-    #[test]
-    fn merge_all_matches_owned_fold() {
-        let srcs: Vec<String> = (1..=4)
-            .map(|i| format!(r#"<b><item id="{i}"><n>N{i}</n></item></b>"#))
-            .collect();
-        let owned: Vec<Element> = srcs.iter().map(|s| parse(s).unwrap()).collect();
-        let arena: Vec<ArenaDoc> = srcs.iter().map(|s| ArenaDoc::parse(s).unwrap()).collect();
-        let refs: Vec<&ArenaDoc> = arena.iter().collect();
-        let o = merge_all(&owned, &keys()).unwrap();
-        let m = merge_arena_all(&refs, &keys()).unwrap();
-        assert_eq!(m.to_element(), o);
-        assert_eq!(m.to_xml(), o.to_xml());
-        assert!(merge_arena_all(&[], &keys()).is_err());
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use arena::{ArenaDoc, NodeId};
 pub use arena_merge::{merge_arena, merge_arena_all, Identity, MergeOut, MergeStats};
 pub use error::{ParseError, ParseErrorKind, XmlError};
 pub use intern::{NameId, NameInterner};
-pub use merge::{merge, merge_all, MergeKeys};
+pub use merge::{merge, MergeKeys};
 pub use node::{Element, Name, Node};
 pub use parser::parse;
 pub use path::{NodePath, Step};

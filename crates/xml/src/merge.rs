@@ -240,19 +240,6 @@ pub fn merge<'e>(a: &'e Element, b: &'e Element, keys: &MergeKeys) -> Result<Ele
     Ok(out)
 }
 
-/// Merges a non-empty sequence of fragments left to right.
-pub fn merge_all(parts: &[Element], keys: &MergeKeys) -> Result<Element, XmlError> {
-    let (first, rest) = parts.split_first().ok_or_else(|| XmlError::MergeConflict {
-        tag: String::new(),
-        detail: "merge_all of zero fragments".into(),
-    })?;
-    let mut acc = first.clone();
-    for p in rest {
-        acc = merge(&acc, p, keys)?;
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,16 +355,5 @@ mod tests {
         xs.sort();
         ys.sort();
         assert_eq!(xs, ys);
-    }
-
-    #[test]
-    fn merge_all_three_fragments() {
-        let parts: Vec<_> = ["1", "2", "3"]
-            .iter()
-            .map(|i| parse(&format!(r#"<b><item id="{i}"/></b>"#)).unwrap())
-            .collect();
-        let m = merge_all(&parts, &keys()).unwrap();
-        assert_eq!(m.children_named("item").count(), 3);
-        assert!(merge_all(&[], &keys()).is_err());
     }
 }

@@ -1,10 +1,10 @@
 //! Evaluation of path expressions over arena documents.
 //!
-//! Mirrors [`eval`](crate::ast::Path::select) step for step, but walks a
-//! [`gupster_xml::ArenaDoc`] by [`NodeId`] instead of chasing `&Element`
-//! pointers. Selection never clones a subtree: the result is a set of
+//! Walks a [`gupster_xml::ArenaDoc`] by [`NodeId`], one location step
+//! at a time. Selection never clones a subtree: the result is a set of
 //! node ids into the arena, and context deduplication compares ids
-//! directly (the arena analogue of pointer identity).
+//! directly. The differential tests check it against an evaluator over
+//! owned trees, kept in `gupster-oracle`.
 //!
 //! Selection works in one id buffer the caller owns, and allocates only
 //! when that buffer must grow: it holds a step's contexts with its
@@ -21,10 +21,11 @@ impl Path {
     /// Selects the element nodes addressed by this path within `doc`
     /// into `ids`, replacing what it held, in document order.
     ///
-    /// Arena counterpart of [`Path::select`]: the first step is matched
-    /// against the document root, and for a path whose final step is an
-    /// attribute step the *owner elements* of matching attributes are
-    /// selected (read the values with `ArenaDoc::attr`).
+    /// The first step is matched against the document root (GUPster
+    /// paths are absolute into a profile document, `/user[@id=…]/…`),
+    /// and for a path whose final step is an attribute step the *owner
+    /// elements* of matching attributes are selected (read the values
+    /// with `ArenaDoc::attr`).
     pub fn select_arena(&self, doc: &ArenaDoc, ids: &mut Vec<NodeId>) {
         // One buffer: a step's contexts lie at its front, each appends
         // what it selects behind them, and the contexts are then drained
@@ -127,8 +128,7 @@ fn keep(ids: &mut Vec<NodeId>, run: usize, mut pred: impl FnMut(NodeId) -> bool)
 }
 
 /// Drops every id after its first occurrence, in place. Within one
-/// arena equal ids *are* the same node, so this matches the owned
-/// evaluator's pointer-identity dedup exactly.
+/// arena equal ids *are* the same node.
 fn dedup_ids(ids: &mut Vec<NodeId>) {
     let mut kept = 0;
     for at in 0..ids.len() {
@@ -144,7 +144,6 @@ fn dedup_ids(ids: &mut Vec<NodeId>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gupster_xml::Element;
 
     const DOC: &str = r#"<user id="arnaud">
                  <address-book>
@@ -158,61 +157,6 @@ mod tests {
                    <device kind="pda"><name>Palm</name></device>
                  </devices>
                </user>"#;
-
-    /// Asserts the arena evaluator agrees with the owned one on `path`
-    /// over `src`, node for node (compared through serialization),
-    /// selecting into `ids` whatever it held before.
-    fn agree(src: &str, path: &str, ids: &mut Vec<NodeId>) {
-        let owned: Element = gupster_xml::parse(src).unwrap();
-        let doc = ArenaDoc::parse(src).unwrap();
-        let p = Path::parse(path).unwrap();
-        let a: Vec<String> = p.select(&owned).iter().map(|e| e.to_xml()).collect();
-        p.select_arena(&doc, ids);
-        let b: Vec<String> = ids.iter().map(|&n| doc.to_element(n).to_xml()).collect();
-        assert_eq!(a, b, "select disagreement on {path}");
-    }
-
-    #[test]
-    fn mirrors_owned_eval() {
-        // One buffer for every path: each selection replaces the last.
-        let mut ids = Vec::new();
-        for path in [
-            "/user",
-            "/nope",
-            "/user[@id='arnaud']",
-            "/user[@id='rick']",
-            "/user[@id='arnaud']/presence",
-            "/user/address-book/item[@type='personal']",
-            "/user/address-book/item[@type='corporate']",
-            "/user/@id",
-            "/user/devices/device/@kind",
-            "/user/@missing",
-            "//item",
-            "//name",
-            "//user",
-            "/user//name",
-            "/user/address-book//name",
-            "/user/*",
-            "/*",
-            "/user/address-book/item[2]/name",
-            "/user/address-book/item[9]",
-            "/user/address-book/item[@type='personal'][2]/name",
-            "/user/address-book/item[name='Rick']",
-            "/user/address-book/item[phone]",
-            "/user/address-book/item[name='Nobody']",
-            "/user/devices/device/@*",
-            "/",
-        ] {
-            agree(DOC, path, &mut ids);
-        }
-    }
-
-    #[test]
-    fn no_duplicate_results_from_descendant() {
-        let mut ids = Vec::new();
-        agree("<a><b><b><c/></b></b></a>", "//b//c", &mut ids);
-        assert_eq!(ids.len(), 1);
-    }
 
     #[test]
     fn selection_is_zero_copy() {

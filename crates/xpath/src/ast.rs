@@ -138,6 +138,14 @@ impl LocStep {
 /// whose root is the user's `<MyProfile>`/`<user>` element); the first
 /// step matches the root element itself when its test accepts the root's
 /// name, mirroring how the paper writes `/user[@id='arnaud']/...`.
+///
+/// A path selects over arena documents only ([`Path::select_arena`]);
+/// there is no evaluator over owned trees to drift from it:
+///
+/// ```compile_fail,E0599
+/// let doc = gupster_xml::parse("<user/>").unwrap();
+/// gupster_xpath::Path::parse("/user").unwrap().select(&doc);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Path {
     /// The location steps, outermost first.

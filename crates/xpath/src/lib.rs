@@ -9,10 +9,10 @@
 //!
 //! * an AST ([`Path`], [`LocStep`], [`Predicate`]),
 //! * a parser ([`Path::parse`]),
-//! * an evaluator over [`gupster_xml::Element`] trees ([`Path::select`],
-//!   [`Path::select_strings`]) and a zero-copy twin over
-//!   [`gupster_xml::ArenaDoc`] ([`Path::select_arena`]) that selects node
-//!   ids into the caller's buffer instead of cloning subtrees,
+//! * an evaluator over [`gupster_xml::ArenaDoc`] documents
+//!   ([`Path::select_arena`]) that selects node ids into the caller's
+//!   buffer instead of cloning subtrees — the one every store read runs,
+//!   adapters included (an adapter converts its view to an arena first);
 //! * **containment** ([`contains`]) and **overlap** ([`may_overlap`])
 //!   decision procedures in the homomorphism style of Deutsch–Tannen /
 //!   Miklau–Suciu, which the registry uses to match request paths against
@@ -29,10 +29,8 @@
 mod arena_eval;
 mod ast;
 mod containment;
-mod eval;
 mod intern;
 mod lexer;
-mod locate;
 mod lru;
 mod parser;
 

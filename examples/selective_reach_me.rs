@@ -16,6 +16,7 @@
 use gupster::netsim::topology::ConvergedNetwork;
 use gupster::netsim::{Journey, SimTime};
 use gupster::policy::WeekTime;
+use gupster::store::DataStore;
 use gupster::xpath::Path;
 
 #[derive(Debug)]
@@ -65,9 +66,8 @@ fn main() {
         let devices = world
             .portal
             .store
-            .profile("alice")
-            .map(|p| Path::parse("/user/devices/device").unwrap().select(&p).len())
-            .unwrap_or(0);
+            .query(&Path::parse("/user[@id='alice']/devices/device").unwrap())
+            .map_or(0, |found| found.len());
 
         let decision = decide(when, &presence, office_line.busy, on_air);
         j.compute(SimTime::millis(1));

@@ -10,6 +10,7 @@ use gupster::schema::DataType;
 use gupster::sync::{two_way_sync, ReconcilePolicy, Replica};
 use gupster::xml::{diff, merge, parse, EditOp, Element, MergeKeys, Node, NodePath};
 use gupster::xpath::{contains, covers, may_overlap, Path};
+use gupster_oracle::{select, select_node_paths};
 use gupster_rng::check::{self, cases};
 use gupster_rng::{Rng, StdRng};
 
@@ -194,9 +195,9 @@ fn containment_sound_wrt_evaluation() {
         let doc = keyed_forest(rng);
         if contains(&p, &q) {
             let sel_p: Vec<*const Element> =
-                p.select(&doc).into_iter().map(|e| e as *const _).collect();
+                select(&p, &doc).into_iter().map(|e| e as *const _).collect();
             let sel_q: Vec<*const Element> =
-                q.select(&doc).into_iter().map(|e| e as *const _).collect();
+                select(&q, &doc).into_iter().map(|e| e as *const _).collect();
             for n in &sel_p {
                 assert!(sel_q.contains(n), "p={p} q={q} doc={}", doc.to_xml());
             }
@@ -213,8 +214,8 @@ fn covers_sound_wrt_subtrees() {
         // If c covers r, every node selected by r is inside the subtree
         // of some node selected by c.
         if covers(&c, &r) {
-            let c_roots = c.select(&doc);
-            for node in r.select(&doc) {
+            let c_roots = select(&c, &doc);
+            for node in select(&r, &doc) {
                 let inside = c_roots.iter().any(|root| subtree_contains(root, node));
                 assert!(inside, "c={c} r={r} doc={}", doc.to_xml());
             }
@@ -250,9 +251,8 @@ fn select_node_paths_agree_with_select() {
     cases(256, 0xee_0c, |rng| {
         let p = small_path(rng);
         let doc = keyed_forest(rng);
-        let by_ref: Vec<String> = p.select(&doc).iter().map(|e| e.to_xml()).collect();
-        let by_addr: Vec<String> = p
-            .select_node_paths(&doc)
+        let by_ref: Vec<String> = select(&p, &doc).iter().map(|e| e.to_xml()).collect();
+        let by_addr: Vec<String> = select_node_paths(&p, &doc)
             .iter()
             .map(|a| a.resolve(&doc).unwrap().to_xml())
             .collect();

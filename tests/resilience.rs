@@ -444,3 +444,42 @@ fn an_open_loop_shed_stale_serve_leaves_one_disclosure_record() {
     let serve = after.last().unwrap();
     assert_eq!((serve.requester.as_str(), serve.when), (&*owner, 9));
 }
+
+/// A stale serve is disclosed under the purpose it is served for, not
+/// the fill's. The ladder asks with `Purpose::Query`, so a view that an
+/// open-loop `Purpose::Cache` request filled is recorded as a query
+/// when the ladder serves it.
+#[test]
+fn a_stale_serve_records_the_purpose_it_was_served_under() {
+    let (mut reg, pool, owner, ask) = open_loop_world();
+    let mut fill = ask(&owner, 1);
+    fill.request.purpose = Purpose::Cache;
+    let config = AdmissionConfig::default();
+    let (outcomes, _) = reg.answer_open_loop(&pool, &[fill], &merge_keys(), &config, None);
+    assert!(matches!(outcomes[0], RequestOutcome::Answer(Ok(_))), "{outcomes:?}");
+    let g = reg.shard_mut(&owner);
+    let filled = g.provenance.disclosures_of(&owner);
+    assert_eq!(filled.last().unwrap().purpose, Purpose::Cache);
+
+    // No budget: the ladder runs no rung and goes straight to the stale
+    // rung, so the network is never asked.
+    let w = world();
+    let exec = PatternExecutor {
+        net: &w.net,
+        client: w.client,
+        gupster_node: w.gupster_node,
+        store_nodes: w.node_map.clone(),
+    };
+    let mut rex = ResilientExecutor::new(exec, 7);
+    rex.budget = SimTime::ZERO;
+    let book = p(&format!("/user[@id='{owner}']/address-book"));
+    let run = rex
+        .fetch(g, &pool, &owner, &book, &owner, WeekTime::at(1, 10, 0), 5, &merge_keys())
+        .unwrap();
+    assert_eq!(run.served, ServedVia::StaleCache);
+    let after = g.provenance.disclosures_of(&owner);
+    assert_eq!(after.len(), filled.len() + 1, "one record per stale serve");
+    let serve = after.last().unwrap();
+    assert_eq!((serve.when, serve.purpose), (5, Purpose::Query));
+    assert_eq!(serve.paths, filled.last().unwrap().paths);
+}
