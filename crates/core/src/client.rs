@@ -466,6 +466,39 @@ mod tests {
         assert!(matches!(got, Err(GupsterError::Token(_))), "{got:?}");
     }
 
+    /// A store shared by several owners routes a query by the owner its
+    /// first step names. A path starting on `//` names none, so the
+    /// registry must pin it to the owner before signing: otherwise
+    /// alice's `//item[@id='1']` would read bob's item 1 as well, and
+    /// a `/user[@id='bob']` path asked as alice's would read bob's.
+    #[test]
+    fn a_path_naming_no_owner_reads_only_the_owners_profile() {
+        let mut g = Gupster::new(gup_schema(), b"k");
+        let mut s = XmlStore::new("s1");
+        for (user, name) in [("alice", "Mom"), ("bob", "Boss")] {
+            let profile = format!(
+                r#"<user id="{user}"><presence>{user}-online</presence><address-book><item id="1"><name>{name}</name></item></address-book></user>"#
+            );
+            s.put_profile(parse(&profile).unwrap()).unwrap();
+            let book = p(&format!("/user[@id='{user}']/address-book"));
+            g.register_component(user, book, StoreId::new("s1")).unwrap();
+            let presence = p(&format!("/user[@id='{user}']/presence"));
+            g.register_component(user, presence, StoreId::new("s1")).unwrap();
+        }
+        let mut pool = StorePool::new();
+        pool.add(Box::new(s));
+        let (noon, now, signer) = (WeekTime::at(0, 12, 0), 100, g.signer());
+        let read = |g: &mut Gupster, path: &str| -> Vec<String> {
+            let out = g.lookup("alice", &p(path), "alice", Purpose::Query, noon, now).unwrap();
+            let answer = fetch_merge(&pool, &out.referral, &signer, now, &keys()).unwrap();
+            answer.iter().map(Element::to_xml).collect()
+        };
+
+        assert_eq!(read(&mut g, "//item[@id='1']"), [r#"<item id="1"><name>Mom</name></item>"#]);
+        assert_eq!(read(&mut g, "//presence"), ["<presence>alice-online</presence>"]);
+        assert!(read(&mut g, "/user[@id='bob']/presence").is_empty());
+    }
+
     #[test]
     fn choice_referral_uses_one_store() {
         let mut g = Gupster::new(gup_schema(), b"k");

@@ -29,7 +29,7 @@
 //!   the push-fanout plane.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub(crate) mod admission;
 pub mod cache;

@@ -1,4 +1,5 @@
-//! SHA-256 and HMAC-SHA256, implemented from scratch.
+//! SHA-256 and HMAC-SHA256, implemented from scratch, on the CPU's SHA
+//! extensions where present.
 //!
 //! The signed-query protocol of §5.3 needs a MAC; no cryptography crate
 //! is in the sanctioned dependency set, and FIPS 180-4 SHA-256 is ~150
@@ -9,6 +10,15 @@
 //! field by field is never assembled in memory. [`HmacKey`] hashes the
 //! key's ipad and opad blocks once and keeps the two midstates: a MAC
 //! then costs the message's own blocks plus one outer block.
+//!
+//! The block function has two implementations of the same FIPS 180-4
+//! arithmetic. On x86-64 CPUs with the SHA extensions, [`compress`]
+//! runs [`shani::compress`] (`sha256rnds2`/`msg1`/`msg2`); everywhere
+//! else it runs the portable [`compress_soft`]. The CPU decides at run
+//! time; there is no option. The hardware call is the crate's only
+//! `unsafe`.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
@@ -31,7 +41,21 @@ const H0: [u32; 8] = [
 const BLOCK: usize = 64;
 
 /// Folds one 64-byte block into the state.
+#[allow(unsafe_code)]
 fn compress(h: &mut [u32; 8], block: &[u8; BLOCK]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `shani::compress` is safe but for its target features
+        // (`sha`, `ssse3`, `sse4.1`), and `available` has just found all
+        // three on this CPU.
+        return unsafe { shani::compress(h, block) };
+    }
+    compress_soft(h, block);
+}
+
+/// FIPS 180-4's block function in portable code: the path on CPUs
+/// without the SHA extensions.
+fn compress_soft(h: &mut [u32; 8], block: &[u8; BLOCK]) {
     let mut w = [0u32; 64];
     for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
         *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
@@ -60,6 +84,72 @@ fn compress(h: &mut [u32; 8], block: &[u8; BLOCK]) {
     }
     for (word, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
         *word = word.wrapping_add(v);
+    }
+}
+
+/// The block function on the x86-64 SHA extensions. The vectors are
+/// built and read lane by lane (`_mm_setr_epi32`, `_mm_extract_epi32`),
+/// so nothing here touches memory through a pointer.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::{BLOCK, K};
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_setr_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Whether this CPU runs [`compress`]. The standard library caches
+    /// the CPUID answer, so a call costs one load.
+    pub(super) fn available() -> bool {
+        std::is_x86_feature_detected!("sha")
+            && std::is_x86_feature_detected!("ssse3")
+            && std::is_x86_feature_detected!("sse4.1")
+    }
+
+    /// The next four schedule words W[t..t+4] from the previous sixteen.
+    #[target_feature(enable = "sha,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// Folds one block into `h`. The state lives in two registers as
+    /// Intel orders it: ABEF (lanes F, E, B, A) and CDGH (H, G, D, C).
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) fn compress(h: &mut [u32; 8], block: &[u8; BLOCK]) {
+        let lanes = |[a, b, c, d]: [u32; 4]| {
+            _mm_setr_epi32(a as i32, b as i32, c as i32, d as i32)
+        };
+        let (words, _) = block.as_chunks::<4>();
+        let (quads, _) = words.as_chunks::<4>();
+        let (rounds, _) = K.as_chunks::<4>();
+        let mut msg = [lanes([0; 4]); 4];
+        for (v, q) in msg.iter_mut().zip(quads) {
+            *v = lanes(q.map(u32::from_be_bytes));
+        }
+        let [mut w0, mut w1, mut w2, mut w3] = msg;
+        let [a, b, c, d, e, f, g, hh] = *h;
+        let (mut abef, mut cdgh) = (lanes([f, e, b, a]), lanes([hh, g, d, c]));
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        for (i, k) in rounds.iter().enumerate() {
+            let wk = _mm_add_epi32(w0, lanes(*k));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            let next = if i < 12 { schedule(w0, w1, w2, w3) } else { w0 };
+            (w0, w1, w2, w3) = (w1, w2, w3, next);
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        *h = [
+            _mm_extract_epi32(abef, 3) as u32,
+            _mm_extract_epi32(abef, 2) as u32,
+            _mm_extract_epi32(cdgh, 3) as u32,
+            _mm_extract_epi32(cdgh, 2) as u32,
+            _mm_extract_epi32(abef, 1) as u32,
+            _mm_extract_epi32(abef, 0) as u32,
+            _mm_extract_epi32(cdgh, 1) as u32,
+            _mm_extract_epi32(cdgh, 0) as u32,
+        ];
     }
 }
 
@@ -97,11 +187,10 @@ impl Sha256 {
             compress(&mut self.state, &self.buf);
             self.buffered = 0;
         }
-        let mut blocks = data.chunks_exact(BLOCK);
-        for block in &mut blocks {
-            compress(&mut self.state, block.try_into().expect("chunks_exact yields whole blocks"));
+        let (blocks, rest) = data.as_chunks::<BLOCK>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
-        let rest = blocks.remainder();
         self.buf[..rest.len()].copy_from_slice(rest);
         self.buffered = rest.len();
     }
@@ -293,6 +382,50 @@ pub(crate) mod tests {
         ] {
             assert_eq!(hex(&sha256(data)), digest);
             assert_eq!(hex(&oracle_sha256(data)), digest);
+        }
+    }
+
+    #[test]
+    fn portable_compress_equals_the_one_shot() {
+        // The hasher dispatches to the SHA extensions where the CPU has
+        // them; this keeps the portable loop tested on such a CPU too.
+        for n in [0usize, 3, 55, 56, 64, 119, 200] {
+            let data = vec![0x61; n];
+            let mut padded = data.clone();
+            padded.push(0x80);
+            while padded.len() % BLOCK != BLOCK - 8 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(n as u64 * 8).to_be_bytes());
+            let mut state = H0;
+            for block in padded.as_chunks::<BLOCK>().0 {
+                compress_soft(&mut state, block);
+            }
+            let digest: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
+            assert_eq!(digest, oracle_sha256(&data), "n={n}");
+        }
+    }
+
+    #[test]
+    fn hardware_compress_equals_the_portable_one() {
+        cases(2000, 0x5a_4e1, |rng| {
+            let mut state = [0u32; 8];
+            state.fill_with(|| rng.gen_range(0..=u32::MAX));
+            let mut block = [0u8; BLOCK];
+            block.fill_with(|| rng.gen_range(0..=255u8));
+            let mut soft = state;
+            compress_soft(&mut soft, &block);
+            compress(&mut state, &block);
+            assert_eq!(state, soft);
+        });
+        #[cfg(target_arch = "x86_64")]
+        let hardware = shani::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let hardware = false;
+        if hardware {
+            println!("2000 cases ran on the CPU's SHA extensions");
+        } else {
+            println!("this CPU lacks the SHA extensions: only the portable path ran");
         }
     }
 

@@ -67,7 +67,7 @@ impl TokenPaths {
     }
 
     /// The paths, in order (a path holding a NUL reads as two).
-    pub fn iter(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
         self.payload.split_terminator('\0')
     }
 

@@ -36,11 +36,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// As whole microseconds.
-    pub fn as_micros(self) -> u64 {
-        self.0
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))

@@ -20,7 +20,9 @@
 //!   [`NodePath`](gupster_xml::NodePath) addresses, which the store
 //!   tests' owned-tree model edits through;
 //! * [`merge_all`] — a left fold of the owned pairwise [`merge`],
-//!   against the arena fold [`gupster_xml::merge_arena_all`].
+//!   against the arena fold [`gupster_xml::merge_arena_all`];
+//! * [`render_path`] — path text by nested `write!`s, against the flat
+//!   `Display` every signed query renders its paths with.
 //!
 //! The crate is dev-only: no library crate may depend on it through a
 //! normal dependency (CI checks this with `cargo tree`).
@@ -28,6 +30,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod render;
 mod select;
 
 use std::collections::BTreeMap;
@@ -39,6 +42,7 @@ use gupster_sync::{two_way_sync, ReconcilePolicy, Replica};
 use gupster_xml::{merge, EditOp, Element, MergeKeys, XmlError};
 use gupster_xpath::{covers, may_overlap, Path};
 
+pub use render::render_path;
 pub use select::{select, select_node_paths, select_strings};
 
 /// Matches `request` against every registration of `map`, in entry

@@ -44,7 +44,7 @@ impl MemoKey {
     }
 
     /// [`MemoKey::new`] over an owner id the caller already shares.
-    pub fn shared(owner: &Arc<str>, ctx: &RequestContext, request: &Path) -> MemoKey {
+    pub(crate) fn shared(owner: &Arc<str>, ctx: &RequestContext, request: &Path) -> MemoKey {
         let d = KeyDigest::new(owner, &(ctx, request));
         MemoKey { owner: Arc::clone(owner), owner_digest: d.owner, digest: d.key }
     }

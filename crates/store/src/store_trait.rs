@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use gupster_xml::{ArenaDoc, Element, NodeId};
-use gupster_xpath::{Path, Predicate};
+use gupster_xpath::{Axis, Path, Predicate};
 
 use crate::error::StoreError;
 
@@ -73,9 +73,12 @@ impl UpdateOp {
 }
 
 /// The owner a query path names with an `[@id='…']` predicate on its
-/// first step, if it does: only that owner's profile can match.
+/// first step, if that step is a child step (the profile root): only
+/// that owner's profile can match. On `//item[@id='1']` the predicate
+/// names an item, not an owner.
 pub(crate) fn owner_of(path: &Path) -> Option<&str> {
-    path.steps.first()?.predicates.iter().find_map(|p| match p {
+    let first = path.steps.first().filter(|s| s.axis == Axis::Child)?;
+    first.predicates.iter().find_map(|p| match p {
         Predicate::AttrEq(a, v) if a == "id" => Some(v.as_str()),
         _ => None,
     })
@@ -160,7 +163,7 @@ impl<'a> Fragment<'a> {
     }
 
     /// Serialized size of the fragment, counted without serializing.
-    pub fn byte_size(&self) -> usize {
+    pub(crate) fn byte_size(&self) -> usize {
         self.doc().byte_size(self.node)
     }
 }

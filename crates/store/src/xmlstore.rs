@@ -270,6 +270,14 @@ mod tests {
     }
 
     #[test]
+    fn descendant_id_predicate_names_an_item_not_an_owner() {
+        let s = store();
+        let r = s.query(&p("//item[@id='1']")).unwrap();
+        assert_eq!(r.len(), 1);
+        assert_eq!(r[0].attr("type"), Some("personal"));
+    }
+
+    #[test]
     fn query_unknown_user_is_empty() {
         let s = store();
         assert!(s.query(&p("/user[@id='ghost']/presence")).unwrap().is_empty());
@@ -477,6 +485,19 @@ mod tests {
 
     // ------------------------------------------- model: the owned tree —
 
+    /// The model's own reading of which profile a path can match,
+    /// written apart from the store's routing: the first `[@id=…]` on
+    /// a child first step (the profile root) names the owner; a path
+    /// starting on any other axis names none and is read in every
+    /// profile.
+    fn model_owner(path: &Path) -> Option<&str> {
+        let root = path.steps.first().filter(|s| s.axis == gupster_xpath::Axis::Child)?;
+        root.predicates.iter().find_map(|pr| match pr {
+            gupster_xpath::Predicate::AttrEq(a, v) if a == "id" => Some(v.as_str()),
+            _ => None,
+        })
+    }
+
     /// The store as it was before it held arenas: one owned tree per
     /// user, updates applied through `NodePath` addresses. Kept as the
     /// model the arena store is checked against.
@@ -510,7 +531,7 @@ mod tests {
         }
 
         fn query(&self, path: &Path) -> Vec<Element> {
-            let docs: Vec<&Element> = match owner_of(path) {
+            let docs: Vec<&Element> = match model_owner(path) {
                 Some(uid) => self.docs.get(uid).into_iter().collect(),
                 None => self.docs.values().collect(),
             };
@@ -670,7 +691,14 @@ mod tests {
 
     #[test]
     fn random_operations_match_the_owned_tree_model() {
-        let probes: Vec<Path> = ["/user", "/user[@id='u1']/address-book", "//name", "/user/l/v", "/user/@id"]
+        let probes: Vec<Path> = [
+            "/user",
+            "/user[@id='u1']/address-book",
+            "//name",
+            "//item[@id='i1']",
+            "/user/l/v",
+            "/user/@id",
+        ]
             .iter()
             .map(|s| p(s))
             .collect();

@@ -229,34 +229,46 @@ impl fmt::Display for NameTest {
 /// text that parses back to it.
 struct Quoted<'a>(&'a str);
 
+// The renderers below write their pieces straight to the formatter: a
+// nested `write!` would build and walk a fresh argument list per piece,
+// and every signed query renders its paths twice (sized, then written).
+
 impl fmt::Display for Quoted<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let q = if self.0.contains('\'') { '"' } else { '\'' };
-        write!(f, "{q}{}{q}", self.0)
+        let q = if self.0.contains('\'') { "\"" } else { "'" };
+        f.write_str(q)?;
+        f.write_str(self.0)?;
+        f.write_str(q)
     }
 }
 
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Predicate::AttrEq(a, v) => write!(f, "[@{a}={}]", Quoted(v)),
-            Predicate::AttrExists(a) => write!(f, "[@{a}]"),
-            Predicate::ChildEq(c, v) => write!(f, "[{c}={}]", Quoted(v)),
-            Predicate::ChildExists(c) => write!(f, "[{c}]"),
-            Predicate::Position(n) => write!(f, "[{n}]"),
+        let (open, name, value) = match self {
+            Predicate::AttrEq(a, v) => ("[@", a, Some(v)),
+            Predicate::AttrExists(a) => ("[@", a, None),
+            Predicate::ChildEq(c, v) => ("[", c, Some(v)),
+            Predicate::ChildExists(c) => ("[", c, None),
+            Predicate::Position(n) => return write!(f, "[{n}]"),
+        };
+        f.write_str(open)?;
+        f.write_str(name)?;
+        if let Some(v) = value {
+            f.write_str("=")?;
+            Quoted(v).fmt(f)?;
         }
+        f.write_str("]")
     }
 }
 
 impl fmt::Display for LocStep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.axis == Axis::Attribute {
-            write!(f, "@{}", self.test)?;
-        } else {
-            write!(f, "{}", self.test)?;
+            f.write_str("@")?;
         }
+        self.test.fmt(f)?;
         for p in &self.predicates {
-            write!(f, "{p}")?;
+            p.fmt(f)?;
         }
         Ok(())
     }
@@ -269,7 +281,7 @@ impl fmt::Display for Path {
         }
         for step in &self.steps {
             f.write_str(if step.axis == Axis::Descendant { "//" } else { "/" })?;
-            write!(f, "{step}")?;
+            step.fmt(f)?;
         }
         Ok(())
     }

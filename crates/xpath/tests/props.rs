@@ -5,7 +5,7 @@
 
 use std::hash::{BuildHasher, RandomState};
 
-use gupster_oracle::select;
+use gupster_oracle::{render_path, select};
 use gupster_rng::check::{self, cases};
 use gupster_rng::{Rng, StdRng};
 use gupster_xml::{ArenaDoc, Element, Name, NameInterner};
@@ -222,6 +222,34 @@ fn quoted_literals_round_trip() {
         let with_nul = p.to_string();
         assert!(Path::parse(&with_nul).is_err(), "{with_nul:?}");
     });
+}
+
+/// The flat `Display` writes what the nested renderer it replaced wrote,
+/// and `display_len` counts it, on paths with `//`, `*`, `@`, every
+/// predicate kind, multi-digit positions and values holding either
+/// quote or both.
+#[test]
+fn display_equals_the_nested_renderer() {
+    const VALUE: [char; 8] = ['\'', '"', 'a', 'b', '/', ']', ' ', 'é'];
+    cases(1024, 0xa7_0d, |rng| {
+        let mut p = arb_path(rng);
+        for step in &mut p.steps {
+            for pred in &mut step.predicates {
+                match pred {
+                    Predicate::AttrEq(_, v) | Predicate::ChildEq(_, v) => {
+                        *v = check::string_of(rng, &VALUE, 0, 6);
+                    }
+                    Predicate::Position(n) => *n = rng.gen_range(1usize..=100_000),
+                    _ => {}
+                }
+            }
+        }
+        let text = render_path(&p);
+        assert_eq!(p.to_string(), text);
+        assert_eq!(p.display_len(), text.len(), "{text}");
+    });
+    let root = Path { steps: vec![] };
+    assert_eq!((root.to_string(), root.display_len()), (render_path(&root), 1));
 }
 
 /// Containment is reflexive, and both covers/overlap are consistent
