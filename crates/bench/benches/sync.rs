@@ -1,8 +1,8 @@
-//! Microbench for E11: sync sessions and XML diff/merge.
+//! Microbench for E11: sync sessions and the arena deep-union merge.
 
 use gupster_bench::microbench::{bench, suite};
 use gupster_sync::{two_way_sync, ReconcilePolicy, Replica};
-use gupster_xml::{diff, merge, EditOp, Element, MergeKeys, NodePath};
+use gupster_xml::{merge_arena, ArenaDoc, EditOp, Element, MergeKeys, NodePath};
 
 fn book(n: usize) -> Element {
     let mut b = Element::new("address-book");
@@ -38,14 +38,11 @@ fn main() {
         });
     }
 
-    let a = book(200);
-    let mut b_ = a.clone();
-    b_.child_elements_mut().nth(5).unwrap().set_attr("edited", "yes");
-    bench("xml_diff_200_items", || diff(&a, &b_, &keys));
-    let half1 = book(100);
+    let half1 = ArenaDoc::from_element(&book(100));
     let mut half2 = Element::new("address-book");
     for i in 100..200 {
         half2.push_child(Element::new("item").with_attr("id", i.to_string()));
     }
-    bench("xml_deep_union_200_items", || merge(&half1, &half2, &keys).unwrap());
+    let half2 = ArenaDoc::from_element(&half2);
+    bench("xml_deep_union_200_items", || merge_arena(&half1, &half2, &keys).unwrap().to_xml());
 }

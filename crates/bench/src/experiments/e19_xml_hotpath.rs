@@ -41,9 +41,8 @@
 
 use std::time::Instant;
 
-use gupster_xml::{
-    merge, merge_arena_all, parse, ArenaDoc, Element, MergeKeys, MergeOut, MergeStats,
-};
+use gupster_oracle::merge;
+use gupster_xml::{merge_arena_all, parse, ArenaDoc, Element, MergeKeys, MergeOut, MergeStats};
 
 use crate::benchjson::{self, Row};
 use crate::table::{f2, print_table};

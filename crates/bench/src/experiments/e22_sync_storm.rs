@@ -43,7 +43,7 @@ use gupster_oracle::NaivePlane;
 use gupster_rng::Rng;
 use gupster_sync::ReconcilePolicy;
 use gupster_telemetry::TelemetryHub;
-use gupster_xml::{EditOp, Element, MergeKeys, NodePath};
+use gupster_xml::{ArenaDoc, EditOp, Element, MergeKeys, NodePath};
 
 use crate::benchjson::{self, Row};
 use crate::table::{bytes as fmt_bytes, f2, print_table};
@@ -142,7 +142,7 @@ struct PlaneRun {
     /// Changelog entries retained across the whole fleet after the pass.
     log_entries: usize,
     /// Converged hub documents, one per user in owner order.
-    hub_docs: Vec<Element>,
+    hub_docs: Vec<ArenaDoc>,
 }
 
 /// The calls a storm run makes, on the delta plane and on the oracle.
@@ -152,7 +152,7 @@ trait Plane {
     /// `None`.
     fn edit(&mut self, owner: &str, device: Option<usize>, op: EditOp);
     fn reconcile(&mut self, hub: &Arc<TelemetryHub>) -> PlaneReport;
-    fn hub_doc(&self, owner: &str) -> &Element;
+    fn hub_doc(&self, owner: &str) -> &ArenaDoc;
     fn log_entries(&self) -> usize;
 }
 
@@ -170,7 +170,7 @@ impl Plane for SyncPlane {
     fn reconcile(&mut self, hub: &Arc<TelemetryHub>) -> PlaneReport {
         SyncPlane::reconcile(self, hub)
     }
-    fn hub_doc(&self, owner: &str) -> &Element {
+    fn hub_doc(&self, owner: &str) -> &ArenaDoc {
         SyncPlane::hub_doc(self, owner)
     }
     fn log_entries(&self) -> usize {
@@ -192,7 +192,7 @@ impl Plane for NaivePlane {
     fn reconcile(&mut self, _hub: &Arc<TelemetryHub>) -> PlaneReport {
         NaivePlane::reconcile(self)
     }
-    fn hub_doc(&self, owner: &str) -> &Element {
+    fn hub_doc(&self, owner: &str) -> &ArenaDoc {
         NaivePlane::hub_doc(self, owner)
     }
     fn log_entries(&self) -> usize {

@@ -49,7 +49,7 @@ use std::sync::Arc;
 use gupster_store::ChangeEvent;
 use gupster_sync::{delta_two_way_sync, ReconcilePolicy, Replica, SyncReport};
 use gupster_telemetry::TelemetryHub;
-use gupster_xml::{EditOp, Element, MergeKeys, NameInterner, NodePath, XmlError};
+use gupster_xml::{ArenaDoc, EditOp, Element, MergeKeys, NameInterner, NodePath, XmlError};
 use gupster_xpath::{LocStep, Path};
 
 use crate::registry::Gupster;
@@ -235,7 +235,8 @@ impl SyncPlane {
     /// Registers a user's component: a hub replica seeded with `doc`
     /// plus `device_count` device replicas holding the same baseline.
     pub fn add_user(&mut self, owner: &str, doc: Element, keys: MergeKeys, device_count: usize) {
-        let replica = |id: String| Replica::new(&id, doc.clone(), keys.clone());
+        let arena = ArenaDoc::from_element(&doc);
+        let replica = |id: String| Replica::new(&id, arena.clone(), keys.clone());
         let star = UserReplicas {
             component: doc.name.to_string(),
             hub: replica(format!("{owner}#hub")),
@@ -283,13 +284,15 @@ impl SyncPlane {
         Ok(seq)
     }
 
-    /// The hub document of a user (for assertions and reads).
-    pub fn hub_doc(&self, owner: &str) -> &Element {
+    /// The hub document of a user (for assertions and reads, and the
+    /// payload of a store write-back: a clone of it shares its tables'
+    /// layout and its value bytes, see `UpdateOp::Replace`).
+    pub fn hub_doc(&self, owner: &str) -> &ArenaDoc {
         &self.stars.get(owner).stars[owner].hub.doc
     }
 
     /// A device document of a user.
-    pub fn device_doc(&self, owner: &str, device: usize) -> &Element {
+    pub fn device_doc(&self, owner: &str, device: usize) -> &ArenaDoc {
         &self.stars.get(owner).stars[owner].devices[device].doc
     }
 
@@ -488,7 +491,7 @@ mod tests {
             }
         }
         // user0's two edits reached the hub and every device.
-        assert!(plane.hub_doc("user0").children.len() == 2);
+        assert!(plane.hub_doc("user0").root_element().children.len() == 2);
         assert_eq!(report.users.len(), 3);
         assert_eq!(report.users[0].changed.len(), 2);
     }
@@ -531,7 +534,7 @@ mod tests {
 
     /// Gives a replica its document under another root name.
     fn rename(device: &mut Replica, name: &'static str) {
-        let mut doc = (*device.doc).clone();
+        let mut doc = device.doc.root_element();
         doc.name = name.into();
         device.replace_doc(doc);
     }
@@ -637,7 +640,7 @@ mod tests {
         let report = plane.reconcile(&hub);
         assert_eq!(report.users.iter().map(|u| u.owner.as_str()).collect::<Vec<_>>(), ["user2"]);
         assert_eq!((report.sessions, report.converged_users), (4, 3));
-        assert_eq!(plane.hub_doc("user1"), &base());
+        assert_eq!(plane.hub_doc("user1").root_element(), base());
     }
 
     #[test]
@@ -687,7 +690,8 @@ mod tests {
         let report = plane.reconcile(&hub);
         assert_eq!(report.converged_users, 1);
         assert_eq!(report.slow_syncs, 0, "compaction must not force slow syncs");
-        assert_eq!(plane.hub_doc("user0").child("item").unwrap().child("name").unwrap().text(), "final");
+        let hub = plane.hub_doc("user0").root_element();
+        assert_eq!(hub.child("item").unwrap().child("name").unwrap().text(), "final");
     }
 
     /// A pass adds its report's totals to the hub's five sync counters,
@@ -827,24 +831,24 @@ mod tests {
     /// than this test build, so its report is that build's
     /// `PlaneReport`, read field by field.
     trait StarDocs {
-        fn hub(&self, owner: &str) -> &Element;
-        fn device(&self, owner: &str, device: usize) -> &Element;
+        fn hub(&self, owner: &str) -> &ArenaDoc;
+        fn device(&self, owner: &str, device: usize) -> &ArenaDoc;
     }
 
     impl StarDocs for SyncPlane {
-        fn hub(&self, owner: &str) -> &Element {
+        fn hub(&self, owner: &str) -> &ArenaDoc {
             self.hub_doc(owner)
         }
-        fn device(&self, owner: &str, device: usize) -> &Element {
+        fn device(&self, owner: &str, device: usize) -> &ArenaDoc {
             self.device_doc(owner, device)
         }
     }
 
     impl StarDocs for NaivePlane {
-        fn hub(&self, owner: &str) -> &Element {
+        fn hub(&self, owner: &str) -> &ArenaDoc {
             self.hub_doc(owner)
         }
-        fn device(&self, owner: &str, device: usize) -> &Element {
+        fn device(&self, owner: &str, device: usize) -> &ArenaDoc {
             self.device_doc(owner, device)
         }
     }

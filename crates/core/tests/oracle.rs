@@ -124,9 +124,9 @@ fn oracle_plane_matches_delta_outcomes() {
     let delta = plane.reconcile(&hub);
     let naive = oracle.reconcile();
     let delta_docs: Vec<Element> =
-        (0..4).map(|i| plane.hub_doc(&format!("user{i}")).clone()).collect();
+        (0..4).map(|i| plane.hub_doc(&format!("user{i}")).root_element()).collect();
     let naive_docs: Vec<Element> =
-        (0..4).map(|i| oracle.hub_doc(&format!("user{i}")).clone()).collect();
+        (0..4).map(|i| oracle.hub_doc(&format!("user{i}")).root_element()).collect();
     assert_eq!(delta_docs, naive_docs, "converged documents must be byte-identical");
     assert_eq!(delta.conflicts, naive.conflicts);
     assert_eq!(delta.converged_users, naive.converged_users);

@@ -25,7 +25,8 @@
 //! * [`pstn`] — a Class-5 switch holding call-forwarding/barring/caller-id
 //!   subscriber records (§3.1.1);
 //! * [`voip`] — SIP registrar and proxy (§3.1.3);
-//! * [`web`] — portal, ISP and enterprise nodes (§3.1.4);
+//! * [`Portal`], [`Enterprise`] and [`PresenceServer`] — the web-side
+//!   nodes (§3.1.4);
 //! * [`topology`] — [`topology::ConvergedNetwork`], the full Figure-1
 //!   world with profile fragments placed exactly where Figure 5 says
 //!   they live.
@@ -42,7 +43,7 @@ mod network;
 pub mod pstn;
 pub mod topology;
 pub mod voip;
-pub mod web;
+mod web;
 pub mod wireless;
 
 pub use clock::SimTime;
@@ -51,3 +52,4 @@ pub use journey::Journey;
 pub use link::{Domain, LatencyModel};
 pub use metrics::{Hop, Metrics};
 pub use network::{NetError, Network, Node, NodeId};
+pub use web::{Enterprise, Portal, PresenceServer};

@@ -19,8 +19,14 @@
 //! * [`select_node_paths`] — the same selection as
 //!   [`NodePath`](gupster_xml::NodePath) addresses, which the store
 //!   tests' owned-tree model edits through;
-//! * [`merge_all`] — a left fold of the owned pairwise [`merge`],
-//!   against the arena fold [`gupster_xml::merge_arena_all`];
+//! * [`merge`] and [`merge_all`] — the owned pairwise deep union and
+//!   its left fold, against [`gupster_xml::merge_arena`] and
+//!   [`gupster_xml::merge_arena_all`];
+//! * [`diff`], [`apply`], [`resolve`], [`resolve_mut`], [`ensure`],
+//!   [`remove`] and [`canonicalize`] — the owned-tree edit machinery the
+//!   arena replicas replaced: a structural diff, [`EditOp`] application
+//!   through [`NodePath`](gupster_xml::NodePath) resolution, and
+//!   canonical sibling order, which the replica model drives;
 //! * [`render_path`] — path text by nested `write!`s, against the flat
 //!   `Display` every signed query renders its paths with.
 //!
@@ -32,6 +38,7 @@
 
 mod render;
 mod select;
+mod tree;
 
 use std::collections::BTreeMap;
 
@@ -39,11 +46,12 @@ use gupster_core::subs::{MatchOutcome, Notification};
 use gupster_core::{CoverageMap, CoverageMatch, EditError, PlaneReport, UserOutcome};
 use gupster_store::{ChangeEvent, StoreId};
 use gupster_sync::{two_way_sync, ReconcilePolicy, Replica};
-use gupster_xml::{merge, EditOp, Element, MergeKeys, XmlError};
+use gupster_xml::{ArenaDoc, EditOp, Element, MergeKeys, XmlError};
 use gupster_xpath::{covers, may_overlap, Path};
 
 pub use render::render_path;
 pub use select::{select, select_node_paths, select_strings};
+pub use tree::{apply, canonicalize, diff, ensure, merge, remove, resolve, resolve_mut};
 
 /// Matches `request` against every registration of `map`, in entry
 /// order and, within an entry, in store order: a registration that
@@ -158,7 +166,8 @@ impl NaivePlane {
     /// Registers a user's component: a hub replica seeded with `doc`
     /// plus `device_count` device replicas holding the same baseline.
     pub fn add_user(&mut self, owner: &str, doc: Element, keys: MergeKeys, device_count: usize) {
-        let replica = |id: String| Replica::new(&id, doc.clone(), keys.clone());
+        let arena = ArenaDoc::from_element(&doc);
+        let replica = |id: String| Replica::new(&id, arena.clone(), keys.clone());
         let star = Star {
             hub: replica(format!("{owner}#hub")),
             devices: (0..device_count).map(|i| replica(format!("{owner}#dev{i}"))).collect(),
@@ -198,12 +207,12 @@ impl NaivePlane {
     }
 
     /// The hub document of a user.
-    pub fn hub_doc(&self, owner: &str) -> &Element {
+    pub fn hub_doc(&self, owner: &str) -> &ArenaDoc {
         &self.stars[owner].hub.doc
     }
 
     /// A device document of a user.
-    pub fn device_doc(&self, owner: &str, device: usize) -> &Element {
+    pub fn device_doc(&self, owner: &str, device: usize) -> &ArenaDoc {
         &self.stars[owner].devices[device].doc
     }
 

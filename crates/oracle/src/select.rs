@@ -9,6 +9,8 @@ use std::collections::{HashMap, HashSet};
 use gupster_xml::{Element, NodePath};
 use gupster_xpath::{Axis, NameTest, Path, Predicate};
 
+use crate::tree::resolve;
+
 /// True if `test` accepts the tag or attribute `name`.
 fn accepts(test: &NameTest, name: &str) -> bool {
     match test {
@@ -181,7 +183,7 @@ pub fn select_node_paths(path: &Path, root: &Element) -> Vec<NodePath> {
                 .filter_map(|c| match c {
                     Located::Document => None,
                     Located::Node(p) => {
-                        let e = p.resolve(root).expect("address valid");
+                        let e = resolve(&p, root).expect("address valid");
                         let ok = match &step.test {
                             NameTest::Any => !e.attrs.is_empty(),
                             NameTest::Name(n) => e.attr(n).is_some(),
@@ -207,11 +209,11 @@ pub fn select_node_paths(path: &Path, root: &Element) -> Vec<NodePath> {
                     locate_descendants(root, NodePath::root(), &step.test, &mut candidates);
                 }
                 (Located::Node(p), Axis::Child) => {
-                    let e = p.resolve(root).expect("address valid");
+                    let e = resolve(p, root).expect("address valid");
                     locate_children(e, p, &step.test, &mut candidates);
                 }
                 (Located::Node(p), Axis::Descendant) => {
-                    let e = p.resolve(root).expect("address valid");
+                    let e = resolve(p, root).expect("address valid");
                     locate_descendants(e, p.clone(), &step.test, &mut candidates);
                 }
                 (_, Axis::Attribute) => unreachable!("handled above"),
@@ -281,18 +283,18 @@ fn filter_located(root: &Element, preds: &[Predicate], candidates: &mut Vec<Node
                 }
             }
             Predicate::AttrEq(a, v) => candidates.retain(|p| {
-                p.resolve(root).is_some_and(|e| e.attr(a) == Some(v.as_str()))
+                resolve(p, root).is_some_and(|e| e.attr(a) == Some(v.as_str()))
             }),
             Predicate::AttrExists(a) => {
-                candidates.retain(|p| p.resolve(root).is_some_and(|e| e.attr(a).is_some()))
+                candidates.retain(|p| resolve(p, root).is_some_and(|e| e.attr(a).is_some()))
             }
             Predicate::ChildEq(c, v) => candidates.retain(|p| {
-                p.resolve(root).is_some_and(|e| {
+                resolve(p, root).is_some_and(|e| {
                     e.child_elements().any(|ch| ch.name == *c && ch.text().trim() == v)
                 })
             }),
             Predicate::ChildExists(c) => candidates.retain(|p| {
-                p.resolve(root).is_some_and(|e| e.child_elements().any(|ch| ch.name == *c))
+                resolve(p, root).is_some_and(|e| e.child_elements().any(|ch| ch.name == *c))
             }),
         }
     }
@@ -301,6 +303,7 @@ fn filter_located(root: &Element, preds: &[Predicate], candidates: &mut Vec<Node
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::resolve_mut;
     use gupster_xml::parse;
 
     fn doc() -> Element {
@@ -421,7 +424,7 @@ mod tests {
         let by_ref: Vec<String> = select(&path, &d).iter().map(|e| e.to_xml()).collect();
         let by_addr: Vec<String> = select_node_paths(&path, &d)
             .iter()
-            .map(|a| a.resolve(&d).expect("resolvable").to_xml())
+            .map(|a| resolve(a, &d).expect("resolvable").to_xml())
             .collect();
         assert_eq!(by_ref, by_addr, "{expr}");
     }
@@ -452,7 +455,7 @@ mod tests {
         let addrs = select_node_paths(&p("//item[@type='p']"), &d);
         assert_eq!(addrs.len(), 2);
         for a in &addrs {
-            a.resolve_mut(&mut d).unwrap().set_attr("marked", "yes");
+            resolve_mut(a, &mut d).unwrap().set_attr("marked", "yes");
         }
         assert_eq!(select(&p("//item[@marked='yes']"), &d).len(), 2);
     }

@@ -55,8 +55,10 @@ pub enum UpdateOp {
     InsertChild(Path, Element),
     /// Delete every node the path selects.
     Delete(Path),
-    /// Replace every node the path selects with `element`.
-    Replace(Path, Element),
+    /// Replace every node the path selects with the whole of `doc` — a
+    /// replica's document, say, written back. A store that keeps arena
+    /// documents takes its rows as they are, sharing its value bytes.
+    Replace(Path, ArenaDoc),
 }
 
 impl UpdateOp {

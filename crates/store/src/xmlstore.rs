@@ -125,7 +125,7 @@ fn apply(doc: &mut ArenaDoc, op: &UpdateOp) -> Result<(), StoreError> {
                 let Some(parent) = parents[t.0 as usize] else {
                     // The root: the replacement is the whole document,
                     // and every other target went with the old one.
-                    *doc = ArenaDoc::from_element(new);
+                    *doc = new.clone();
                     break;
                 };
                 // Document order puts an outer target first; one inside
@@ -134,7 +134,7 @@ fn apply(doc: &mut ArenaDoc, op: &UpdateOp) -> Result<(), StoreError> {
                 if ancestors.into_iter().any(|a| replaced.contains(&a)) {
                     continue;
                 }
-                let fresh = doc.graft_element(new);
+                let fresh = doc.graft_subtree(new, new.root());
                 doc.replace_child(parent, t, fresh);
                 replaced.push(t);
             }
@@ -175,9 +175,7 @@ impl DataStore for XmlStore {
         let applied = apply(doc, op);
         // Also after a refusal: a refused root delete has removed
         // everything else by then.
-        if doc.dead_rows() > doc.live_rows() || doc.dead_value_bytes() > doc.live_value_bytes() {
-            doc.compact();
-        }
+        doc.compact_if_mostly_dead();
         applied?;
         self.generation += 1;
         self.events.push(ChangeEvent {
@@ -212,7 +210,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use gupster_oracle::{select, select_node_paths};
+    use gupster_oracle::{remove, resolve_mut, select, select_node_paths};
     use gupster_xml::parse;
 
     impl XmlStore {
@@ -391,16 +389,17 @@ mod tests {
             parse(r#"<user id="u"><l><v>1</v><w/><v>2</v><v>3</v></l></user>"#).unwrap(),
         )
         .unwrap();
-        s.update("u", &UpdateOp::Replace(p("/user/l/v"), parse("<x/>").unwrap())).unwrap();
+        s.update("u", &UpdateOp::Replace(p("/user/l/v"), ArenaDoc::parse("<x/>").unwrap())).unwrap();
         assert_eq!(s.profile("u").unwrap().to_xml(), r#"<user id="u"><l><x/><w/><x/><x/></l></user>"#);
 
         s.put_profile(parse(r#"<user id="u"><v><v>in</v><k/></v></user>"#).unwrap()).unwrap();
-        s.update("u", &UpdateOp::Replace(p("//v"), parse("<v><v>new</v></v>").unwrap())).unwrap();
+        s.update("u", &UpdateOp::Replace(p("//v"), ArenaDoc::parse("<v><v>new</v></v>").unwrap()))
+            .unwrap();
         assert_eq!(s.profile("u").unwrap().to_xml(), r#"<user id="u"><v><v>new</v></v></user>"#);
 
         // The root is the whole document; nothing else is left to replace.
-        s.update("u", &UpdateOp::Replace(p("//*"), parse(r#"<user id="u"><n/></user>"#).unwrap()))
-            .unwrap();
+        let root = ArenaDoc::parse(r#"<user id="u"><n/></user>"#).unwrap();
+        s.update("u", &UpdateOp::Replace(p("//*"), root)).unwrap();
         assert_eq!(s.profile("u").unwrap().to_xml(), r#"<user id="u"><n/></user>"#);
     }
 
@@ -435,7 +434,8 @@ mod tests {
         let mut compactions = 0;
         for round in 1..=1000 {
             let before = s.docs["u"].node_count();
-            s.update("u", &UpdateOp::Replace(p("/user/address-book"), book(round))).unwrap();
+            let new = ArenaDoc::from_element(&book(round));
+            s.update("u", &UpdateOp::Replace(p("/user/address-book"), new)).unwrap();
             let doc = &s.docs["u"];
             assert_eq!(doc.subtree_size(doc.root()), live);
             assert!(doc.node_count() <= 2 * live + 8, "round {round}: {}", doc.node_count());
@@ -444,6 +444,54 @@ mod tests {
         }
         assert!((400..=600).contains(&compactions), "every other round: {compactions}");
         assert_eq!(s.query(&p("/user/address-book")).unwrap(), vec![book(1000)]);
+    }
+
+    /// A write-back hands the store a replica's arena as it stands:
+    /// edited in place, its values held outside its buffer, its dead
+    /// rows not yet compacted. The store takes its rows and shares its
+    /// value bytes, and answers byte for byte what it answers after a
+    /// write-back of the same book built fresh from an owned tree.
+    #[test]
+    fn an_arena_write_back_answers_as_an_owned_one_does() {
+        let mut hub = ArenaDoc::parse(
+            r#"<address-book><item id="p1"><name>Mom &amp; Dad</name></item><item id="p2"><name>Rick</name><phone>555</phone></item></address-book>"#,
+        )
+        .unwrap();
+        let items: Vec<NodeId> = hub.child_elements(hub.root()).collect();
+        let name = hub.child_elements(items[0]).next().unwrap();
+        hub.set_text(name, "Mother");
+        hub.set_attr(items[1], "type", "corporate");
+        let fresh = hub.graft_element(
+            &Element::new("item").with_attr("id", "p3").with_child(Element::new("name").with_text("<Eve>")),
+        );
+        hub.push_child(hub.root(), fresh);
+        let phone = hub.child_elements(items[1]).nth(1).unwrap();
+        hub.remove_child(items[1], phone);
+        assert!(hub.dead_rows() > 0 && hub.owned_value_bytes() > 0, "an edited, uncompacted arena");
+
+        let book = p("/user[@id='arnaud']/address-book");
+        let (mut arena, mut owned) = (store(), store());
+        arena.update("arnaud", &UpdateOp::Replace(book.clone(), hub.clone())).unwrap();
+        let rebuilt = ArenaDoc::from_element(&hub.root_element());
+        owned.update("arnaud", &UpdateOp::Replace(book.clone(), rebuilt)).unwrap();
+        let answer = |s: &XmlStore, path: &Path| -> Vec<String> {
+            s.query(path).unwrap().iter().map(Element::to_xml).collect()
+        };
+        for path in [p("/user[@id='arnaud']"), book.clone(), p("//item[@id='p3']/name")] {
+            assert_eq!(answer(&arena, &path), answer(&owned, &path), "{path}");
+        }
+        assert_eq!(arena.docs["arnaud"], owned.docs["arnaud"]);
+        assert_eq!(
+            answer(&arena, &book)[0],
+            r#"<address-book><item id="p1"><name>Mother</name></item><item id="p2" type="corporate"><name>Rick</name></item><item id="p3"><name>&lt;Eve&gt;</name></item></address-book>"#
+        );
+        // The rows outlive the replica's document, and a compaction.
+        drop(hub);
+        for s in [&mut arena, &mut owned] {
+            s.update("arnaud", &UpdateOp::SetText(p("/user/presence"), "away".into())).unwrap();
+            s.docs.get_mut("arnaud").unwrap().compact();
+        }
+        assert_eq!(answer(&arena, &p("/user")), answer(&owned, &p("/user")));
     }
 
     /// 1 000 rewrites of a 64 KiB value on a 200-item profile: every
@@ -550,17 +598,17 @@ mod tests {
             match op {
                 UpdateOp::SetText(_, text) => {
                     for a in &addrs {
-                        a.resolve_mut(doc).expect("addressed").set_text(text.clone());
+                        resolve_mut(a, doc).expect("addressed").set_text(text.clone());
                     }
                 }
                 UpdateOp::SetAttr(_, name, value) => {
                     for a in &addrs {
-                        a.resolve_mut(doc).expect("addressed").set_attr(name.clone(), value.clone());
+                        resolve_mut(a, doc).expect("addressed").set_attr(name.clone(), value.clone());
                     }
                 }
                 UpdateOp::InsertChild(_, child) => {
                     for a in &addrs {
-                        a.resolve_mut(doc).expect("addressed").push_child(child.clone());
+                        resolve_mut(a, doc).expect("addressed").push_child(child.clone());
                     }
                 }
                 UpdateOp::Delete(_) => {
@@ -573,12 +621,12 @@ mod tests {
                         kb.cmp(&ka)
                     });
                     for a in &sorted {
-                        a.remove(doc).map_err(|e| StoreError::Backend(e.to_string()))?;
+                        remove(a, doc).map_err(|e| StoreError::Backend(e.to_string()))?;
                     }
                 }
                 UpdateOp::Replace(_, new) => {
                     for a in &addrs {
-                        *a.resolve_mut(doc).expect("addressed") = new.clone();
+                        *resolve_mut(a, doc).expect("addressed") = new.root_element();
                     }
                 }
             }
@@ -684,7 +732,7 @@ mod tests {
                         .with_attr("mark", check::printable(rng, 0, 4))
                         .with_text(check::printable(rng, 0, 6)),
                 };
-                UpdateOp::Replace(p(path), new)
+                UpdateOp::Replace(p(path), ArenaDoc::from_element(&new))
             }
         }
     }

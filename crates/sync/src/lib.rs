@@ -10,10 +10,12 @@
 //! * **sync anchors** ([`Anchors`]) in the SyncML style: each side
 //!   remembers how far into the peer's log it has synced; anchor
 //!   mismatch forces a *slow sync* (full-state compare),
-//! * **stamped documents** ([`Doc`]): every document state has a
-//!   process-wide stamp, and the anchor entry keeps the stamps at which
-//!   the pair last matched, so a session between replicas unchanged
-//!   since then skips the document walks,
+//! * **stamped arena documents** ([`Doc`]): a replica holds its
+//!   component as an `ArenaDoc`, the form the stores keep, edited in
+//!   place by each op and compacted on the stores' rule; every document
+//!   state has a process-wide stamp, and the anchor entry keeps the
+//!   stamps at which the pair last matched, so a session between
+//!   replicas unchanged since then skips the document walks,
 //! * **two-way sync sessions** ([`two_way_sync`]) with conflict
 //!   detection (overlapping edits since the last anchors); each returns
 //!   a [`SyncReport`] counting the work it did (pairs compared, ops

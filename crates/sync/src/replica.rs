@@ -6,7 +6,7 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gupster_xml::{EditOp, Element, MergeKeys, XmlError};
+use gupster_xml::{ArenaDoc, EditOp, MergeKeys, XmlError};
 
 use crate::anchor::Anchors;
 use crate::changelog::ChangeLog;
@@ -22,14 +22,21 @@ fn fresh_stamp() -> u64 {
     NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A replica's document: an [`Element`] (read through `Deref`) that only
-/// `gupster-sync` changes. Each change takes a fresh [`stamp`](Self::stamp),
-/// so two equal stamps mean equal content, which is what lets a session
-/// between replicas unchanged since they last matched skip comparing
-/// them. Equality compares the documents only.
+/// A replica's document: an [`ArenaDoc`] (read through `Deref`) that
+/// only `gupster-sync` changes. Each change takes a fresh
+/// [`stamp`](Self::stamp), so two equal stamps mean equal content,
+/// which is what lets a session between replicas unchanged since they
+/// last matched skip comparing them. Equality compares the documents
+/// only, as owned trees compare (see `ArenaDoc`'s `PartialEq`).
+///
+/// Edits apply in place through the arena's edit methods and leave
+/// garbage rows behind; after each, the document compacts on the rule
+/// a store uses ([`ArenaDoc::compact_if_mostly_dead`]), so it never
+/// grows past about twice what it holds. Compaction changes no content,
+/// so it keeps the stamp.
 #[derive(Clone)]
 pub struct Doc {
-    element: Element,
+    arena: ArenaDoc,
     stamp: u64,
     /// No op since the last canonicalization could have reordered the
     /// children (see [`keeps_order`]).
@@ -38,13 +45,13 @@ pub struct Doc {
 
 impl Doc {
     /// A document state of unknown order.
-    fn new(element: Element) -> Self {
-        Doc { element, stamp: fresh_stamp(), ordered: false }
+    fn new(arena: ArenaDoc) -> Self {
+        Doc { arena, stamp: fresh_stamp(), ordered: false }
     }
 
-    /// `element` canonicalized under `keys`.
-    pub(crate) fn canonical(element: Element, keys: &MergeKeys) -> Self {
-        let mut doc = Doc::new(element);
+    /// `arena` canonicalized under `keys`.
+    pub(crate) fn canonical(arena: ArenaDoc, keys: &MergeKeys) -> Self {
+        let mut doc = Doc::new(arena);
         doc.canonicalize(keys, true);
         doc
     }
@@ -62,16 +69,17 @@ impl Doc {
 
     /// Applies `op`; a failed op changes nothing.
     fn apply(&mut self, op: &EditOp, keys: &MergeKeys) -> Result<(), XmlError> {
-        op.apply(&mut self.element)?;
+        op.apply_to(&mut self.arena)?;
         self.stamp = fresh_stamp();
         self.ordered &= keeps_order(op, keys);
+        self.arena.compact_if_mostly_dead();
         Ok(())
     }
 
     /// Puts keyed children in canonical order; skipped, unless `force`d,
     /// when no op could have disturbed it.
     pub(crate) fn canonicalize(&mut self, keys: &MergeKeys, force: bool) {
-        if (force || !self.ordered) && canonicalize(&mut self.element, keys) {
+        if (force || !self.ordered) && canonicalize(&mut self.arena, keys) {
             self.stamp = fresh_stamp();
         }
         self.ordered = true;
@@ -92,16 +100,16 @@ fn keeps_order(op: &EditOp, keys: &MergeKeys) -> bool {
 }
 
 impl Deref for Doc {
-    type Target = Element;
+    type Target = ArenaDoc;
 
-    fn deref(&self) -> &Element {
-        &self.element
+    fn deref(&self) -> &ArenaDoc {
+        &self.arena
     }
 }
 
 impl PartialEq for Doc {
     fn eq(&self, other: &Doc) -> bool {
-        self.element == other.element
+        self.arena == other.arena
     }
 }
 
@@ -109,7 +117,7 @@ impl Eq for Doc {}
 
 impl fmt::Debug for Doc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.element.fmt(f)
+        self.arena.root_element().fmt(f)
     }
 }
 
@@ -146,11 +154,13 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Creates a replica holding `doc`.
-    pub fn new(id: &str, doc: Element, keys: MergeKeys) -> Self {
+    /// Creates a replica holding `doc`: an arena, or a tree converted
+    /// to one. Replicas seeded alike can share one conversion: a clone
+    /// of an arena copies its tables and shares its value bytes.
+    pub fn new(id: &str, doc: impl Into<ArenaDoc>, keys: MergeKeys) -> Self {
         Replica {
             id: id.into(),
-            doc: Doc::new(doc),
+            doc: Doc::new(doc.into()),
             log: ChangeLog::new(),
             anchors: Anchors::new(),
             clock: 0,
@@ -170,8 +180,8 @@ impl Replica {
     /// Replaces the document behind the log's back (a device restored
     /// from a backup, say). Logs, anchors and clock are kept; the next
     /// session finds what changed by comparing documents.
-    pub fn replace_doc(&mut self, doc: Element) {
-        self.doc = Doc::new(doc);
+    pub fn replace_doc(&mut self, doc: impl Into<ArenaDoc>) {
+        self.doc = Doc::new(doc.into());
     }
 
     /// True when this replica's last session with `peer` left the two
@@ -237,7 +247,7 @@ mod tests {
         };
         let seq = r.edit(op).unwrap();
         assert_eq!(seq, 1);
-        assert_eq!(r.doc.child("item").unwrap().child("name").unwrap().text(), "Mother");
+        assert_eq!(r.doc.root_element().child("item").unwrap().child("name").unwrap().text(), "Mother");
         assert_eq!(r.clock, 1);
     }
 

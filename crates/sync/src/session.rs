@@ -3,7 +3,7 @@
 use std::cmp;
 use std::fmt;
 
-use gupster_xml::{diff, merge, EditOp, Element, MergeKeys, Node};
+use gupster_xml::{merge_arena, ArenaDoc, EditOp, MergeKeys};
 
 use crate::changelog::LogEntry;
 use crate::delta::{DeltaCodec, TouchedIndex};
@@ -113,8 +113,9 @@ pub(crate) fn run_session(
     policy: ReconcilePolicy,
     delta: bool,
 ) -> Result<SyncReport, SyncError> {
-    if a.doc.name != b.doc.name {
-        return Err(SyncError::ComponentMismatch(a.doc.name.to_string(), b.doc.name.to_string()));
+    let (a_name, b_name) = (a.doc.name(a.doc.root()), b.doc.name(b.doc.root()));
+    if a_name != b_name {
+        return Err(SyncError::ComponentMismatch(a_name.to_string(), b_name.to_string()));
     }
     let mut report = SyncReport { fast_path: true, ..Default::default() };
 
@@ -236,9 +237,9 @@ fn unseen(from: &Replica, to: &Replica) -> Vec<LogEntry> {
 }
 
 /// The slow (full-state) sync: deep-merge document states; on merge
-/// conflict, take the winning side's subtree by diffing the loser onto
-/// the winner. The documents are shipped whole, so there is nothing to
-/// delta-encode here.
+/// conflict, keep the winning side's document plus the loser's entries
+/// the winner lacks. The documents are shipped whole, so there is
+/// nothing to delta-encode here.
 fn run_slow_sync(
     a: &mut Replica,
     b: &mut Replica,
@@ -247,23 +248,20 @@ fn run_slow_sync(
 ) {
     report.fast_path = false;
     report.slow_sync = true;
-    report.bytes_exchanged += a.doc.byte_size() + b.doc.byte_size();
+    report.bytes_exchanged += a.doc.byte_size(a.doc.root()) + b.doc.byte_size(b.doc.root());
     let (winner, loser) = if policy.first_wins(a.clock, &a.id, b.clock, &b.id) {
         (&*a.doc, &*b.doc)
     } else {
         (&*b.doc, &*a.doc)
     };
-    let merged = match merge(loser, winner, &a.keys) {
-        Ok(m) => m,
+    let merged = match merge_arena(loser, winner, &a.keys) {
+        Ok(m) => ArenaDoc::from_element(&m.to_element()),
         Err(_) => {
             // Conflicting scalars: winner's state, plus loser's entries
-            // that don't conflict (apply loser→winner diff inserts only).
+            // that don't conflict.
             let mut m = winner.clone();
-            for op in diff(winner, loser, &a.keys) {
-                if let EditOp::Insert { .. } = op {
-                    let _ = op.apply(&mut m);
-                }
-            }
+            m.add_missing_entries(loser, &a.keys);
+            m.compact_if_mostly_dead();
             m
         }
     };
@@ -319,32 +317,13 @@ pub(crate) fn ops_conflict(a: &EditOp, b: &EditOp, keys: &gupster_xml::MergeKeys
 
 /// Stable-sorts element children by [`canonical_order`] at every level
 /// and says whether anything moved. Only element-content nodes are
-/// sorted (mixed content keeps order), and a child list already in
-/// order is left untouched — the common case after a session, which
-/// nothing is allocated for.
-pub(crate) fn canonicalize(e: &mut Element, keys: &MergeKeys) -> bool {
-    let mut moved = false;
-    for ch in e.child_elements_mut() {
-        moved |= canonicalize(ch, keys);
-    }
-    if e.children.len() < 2 || !e.children.iter().all(|c| matches!(c, Node::Element(_))) {
-        return moved;
-    }
-    let in_order = e
-        .children
-        .iter()
-        .filter_map(Node::as_element)
-        .map(|el| (&*el.name, keys.identity(el)))
-        .is_sorted_by(|x, y| canonical_order(*x, *y).is_le());
-    if !in_order {
-        e.children.sort_by(|x, y| match (x, y) {
-            (Node::Element(x), Node::Element(y)) => {
-                canonical_order((&*x.name, keys.identity(x)), (&*y.name, keys.identity(y)))
-            }
-            _ => cmp::Ordering::Equal,
-        });
-    }
-    moved || !in_order
+/// sorted (mixed content keeps order); each child list is sorted where
+/// it lies in the arena, and one already in order — the common case
+/// after a session — is left untouched. Nothing is allocated.
+pub(crate) fn canonicalize(doc: &mut ArenaDoc, keys: &MergeKeys) -> bool {
+    doc.sort_children_by(|d, x, y| {
+        canonical_order((d.name(x), keys.identity_in(d, x)), (d.name(y), keys.identity_in(d, y)))
+    })
 }
 
 /// A sibling's tag and [`MergeKeys::identity`] key.
@@ -380,7 +359,7 @@ fn op_bytes(op: &EditOp) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gupster_xml::{parse, Element, MergeKeys, NodePath};
+    use gupster_xml::{parse, Element, MergeKeys, Node, NodePath};
 
     fn keys() -> MergeKeys {
         MergeKeys::new().with_key("item", "id")
@@ -424,7 +403,7 @@ mod tests {
         let r = two_way_sync(&mut a, &mut b, ReconcilePolicy::LastWriterWins).unwrap();
         assert!(r.fast_path && r.converged && !r.slow_sync);
         assert_eq!(r.conflicts, 0);
-        assert_eq!(a.doc.children_named("item").count(), 3);
+        assert_eq!(a.doc.root_element().children_named("item").count(), 3);
         assert_eq!(a.doc, b.doc);
     }
 
@@ -438,7 +417,7 @@ mod tests {
         let r = two_way_sync(&mut a, &mut b, ReconcilePolicy::LastWriterWins).unwrap();
         assert!(r.converged);
         assert_eq!(
-            a.doc.child("item").unwrap().child("name").unwrap().text(),
+            a.doc.root_element().child("item").unwrap().child("name").unwrap().text(),
             "Mummy"
         );
         assert_eq!(a.doc, b.doc);
@@ -451,13 +430,13 @@ mod tests {
         b.edit(set_name("1", "PortalWins")).unwrap();
         let r = two_way_sync(&mut a, &mut b, ReconcilePolicy::PreferFirst).unwrap();
         assert!(r.converged);
-        assert_eq!(a.doc.child("item").unwrap().child("name").unwrap().text(), "PhoneWins");
+        assert_eq!(a.doc.root_element().child("item").unwrap().child("name").unwrap().text(), "PhoneWins");
 
         let (mut a, mut b) = pair();
         a.edit(set_name("1", "PhoneWins")).unwrap();
         b.edit(set_name("1", "PortalWins")).unwrap();
         two_way_sync(&mut a, &mut b, ReconcilePolicy::PreferSecond).unwrap();
-        assert_eq!(a.doc.child("item").unwrap().child("name").unwrap().text(), "PortalWins");
+        assert_eq!(a.doc.root_element().child("item").unwrap().child("name").unwrap().text(), "PortalWins");
     }
 
     #[test]
@@ -469,8 +448,8 @@ mod tests {
         assert_eq!(r.queued.len(), 1);
         assert!(!r.converged);
         // Neither side applied the other's conflicting edit.
-        assert_eq!(a.doc.child("item").unwrap().child("name").unwrap().text(), "A");
-        assert_eq!(b.doc.child("item").unwrap().child("name").unwrap().text(), "B");
+        assert_eq!(a.doc.root_element().child("item").unwrap().child("name").unwrap().text(), "A");
+        assert_eq!(b.doc.root_element().child("item").unwrap().child("name").unwrap().text(), "B");
     }
 
     #[test]
@@ -493,9 +472,9 @@ mod tests {
         two_way_sync(&mut a, &mut b, ReconcilePolicy::LastWriterWins).unwrap();
         // b rebases (e.g. restored from backup) with extra data.
         b.rebase(Doc::canonical(
-            book(
+            ArenaDoc::from_element(&book(
                 r#"<address-book><item id="1"><name>Mom</name><phone>111</phone></item><item id="7"><name>Eve</name></item></address-book>"#,
-            ),
+            )),
             &keys(),
         ));
         b.anchors.advance(&a.id, 0); // forget a's anchor
@@ -505,6 +484,7 @@ mod tests {
         assert!(r.converged);
         let ids: Vec<_> = a
             .doc
+            .root_element()
             .children_named("item")
             .map(|i| i.attr("id").unwrap().to_string())
             .collect();
@@ -596,15 +576,19 @@ mod tests {
                 }
             }
             let mut doc = random_element(r, 3);
-            if r.gen_bool(0.3) {
+            let was_ordered = r.gen_bool(0.3);
+            if was_ordered {
                 // Already in order: the fast path must leave it as is.
                 canonicalize_model(&mut doc, &keys);
             }
-            let mut model = doc.clone();
-            canonicalize_model(&mut model, &keys);
-            canonicalize(&mut doc, &keys);
-            assert_eq!(doc.to_xml(), model.to_xml(), "{keys:?}");
-            assert_eq!(doc, model);
+            let mut arena = ArenaDoc::from_element(&doc);
+            let before = arena.to_xml();
+            canonicalize_model(&mut doc, &keys);
+            let moved = canonicalize(&mut arena, &keys);
+            assert_eq!(arena.to_xml(), doc.to_xml(), "{keys:?}");
+            assert_eq!(arena.root_element(), doc);
+            assert_eq!(moved, arena.to_xml() != before, "says whether anything moved");
+            assert!(!(was_ordered && moved), "an ordered document is left as it is");
         });
     }
 

@@ -89,7 +89,7 @@ fn is_canonical(e: &Element, keys: &MergeKeys) -> bool {
 /// match it, and no side is known to be in order.
 fn unmemoized(r: &Replica) -> Replica {
     let mut r = r.clone();
-    r.replace_doc((*r.doc).clone());
+    r.replace_doc(r.doc.root_element());
     r
 }
 
@@ -125,7 +125,7 @@ fn memoized_sessions_match_unmemoized_ones_under_random_interleavings() {
                     // Forced divergence: a document changed behind the
                     // log, which the next session must find and slow-sync.
                     let k = r.gen_range(0..pool.len());
-                    let mut doc = (*pool[k].doc).clone();
+                    let mut doc = pool[k].doc.root_element();
                     doc.push_child(Element::new("item").with_attr("id", format!("b{step}")));
                     pool[k].replace_doc(doc);
                 }
@@ -158,7 +158,7 @@ fn memoized_sessions_match_unmemoized_ones_under_random_interleavings() {
             }
             for (k, x) in pool.iter().enumerate() {
                 if x.doc.is_ordered() {
-                    assert!(is_canonical(&x.doc, &x.keys), "step {step}: r{k} is flagged ordered");
+                    assert!(is_canonical(&x.doc.root_element(), &x.keys), "step {step}: r{k} is flagged ordered");
                 }
                 for (l, y) in pool.iter().enumerate() {
                     if x.doc.stamp() == y.doc.stamp() {
@@ -238,20 +238,20 @@ fn replace_doc_defeats_the_memo() {
     assert!(a.known_equal(&b) && b.known_equal(&a));
 
     // The same content re-entered: not known equal, found equal.
-    b.replace_doc((*b.doc).clone());
+    b.replace_doc(b.doc.root_element());
     assert!(!a.known_equal(&b) && !b.known_equal(&a));
     let r = delta_two_way_sync(&mut a, &mut b, ReconcilePolicy::LastWriterWins).unwrap();
     assert!(r.converged && !r.slow_sync, "{r:?}");
     assert!(a.known_equal(&b));
 
     // Different content: the session finds the difference.
-    let mut restored = (*b.doc).clone();
+    let mut restored = b.doc.root_element();
     restored.push_child(Element::new("item").with_attr("id", "restored"));
     b.replace_doc(restored);
     let r = delta_two_way_sync(&mut a, &mut b, ReconcilePolicy::LastWriterWins).unwrap();
     assert!(r.slow_sync && r.converged, "{r:?}");
     assert_eq!(a.doc, b.doc);
-    assert!(a.doc.child_elements().any(|e| e.attr("id") == Some("restored")));
+    assert!(a.doc.root_element().child_elements().any(|e| e.attr("id") == Some("restored")));
 }
 
 /// Remote edits change a document as surely as local ones. Here the

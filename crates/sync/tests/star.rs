@@ -51,7 +51,7 @@ fn star_propagates_edits_between_devices_via_portal() {
     sync(&mut phone, &mut portal);
     let r = sync(&mut pda, &mut portal);
     assert!(r.converged);
-    assert_eq!(pda.doc.children_named("item").count(), 3);
+    assert_eq!(pda.doc.root_element().children_named("item").count(), 3);
     assert_eq!(phone.doc, portal.doc);
     assert_eq!(pda.doc, portal.doc);
 }
@@ -76,9 +76,9 @@ fn concurrent_device_edits_converge_through_hub() {
     sync(&mut phone, &mut portal);
     assert_eq!(phone.doc, portal.doc);
     assert_eq!(pda.doc, portal.doc);
-    assert_eq!(portal.doc.children_named("item").count(), 4);
-    let mom = portal
-        .doc
+    assert_eq!(portal.doc.root_element().children_named("item").count(), 4);
+    let book = portal.doc.root_element();
+    let mom = book
         .children_named("item")
         .into_iter()
         .find(|i| i.attr("id") == Some("1"))
@@ -109,8 +109,8 @@ fn conflicting_device_edits_resolve_consistently_everywhere() {
     // Everyone agrees on one winner.
     assert_eq!(phone.doc, portal.doc);
     assert_eq!(pda.doc, portal.doc);
-    let name = portal
-        .doc
+    let book = portal.doc.root_element();
+    let name = book
         .children_named("item")
         .into_iter()
         .find(|i| i.attr("id") == Some("1"))
@@ -137,7 +137,7 @@ fn device_restored_from_backup_slow_syncs_and_rejoins() {
     assert!(r.slow_sync);
     assert!(r.converged);
     assert_eq!(phone.doc, portal.doc);
-    assert_eq!(phone.doc.children_named("item").count(), 3);
+    assert_eq!(phone.doc.root_element().children_named("item").count(), 3);
 }
 
 #[test]
@@ -160,5 +160,5 @@ fn hub_sequences_many_devices() {
     for d in &devices {
         assert_eq!(d.doc, portal.doc, "{} diverged", d.id);
     }
-    assert_eq!(portal.doc.children_named("item").count(), 2 + devices.len());
+    assert_eq!(portal.doc.root_element().children_named("item").count(), 2 + devices.len());
 }

@@ -41,7 +41,10 @@
 //! random documents, and `crates/xml/tests/arena_model.rs` holds the
 //! edit methods to the owned tree edited alike.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::borrow::Cow;
+use std::cmp::Ordering;
 
 use crate::error::ParseError;
 use crate::escape::{escape_attr, escape_text, escaped_attr_len, escaped_text_len};
@@ -649,6 +652,23 @@ impl ArenaDoc {
         slot.attr_end = self.attrs.len() as u32;
     }
 
+    /// Removes the attribute `name` from `id`, keeping the order of the
+    /// rest — exactly [`Element::remove_attr`]. Returns whether it was
+    /// there. The attribute range shrinks where it lies; its last row
+    /// and the removed value become garbage.
+    pub fn remove_attr(&mut self, id: NodeId, name: &str) -> bool {
+        let Some(nid) = NameInterner::lookup(name) else { return false };
+        let e = self.elems[id.0 as usize];
+        let range = e.attr_start as usize..e.attr_end as usize;
+        let Some(slot) = range.clone().find(|&slot| self.attrs[slot].0 == nid) else {
+            return false;
+        };
+        self.retire(1, self.val(self.attrs[slot].1).len());
+        self.attrs[slot..range.end].rotate_left(1);
+        self.elems[id.0 as usize].attr_end -= 1;
+        true
+    }
+
     /// Appends `child` (a node of this document, typically fresh from
     /// [`ArenaDoc::graft_element`]) to `parent`'s child list.
     pub fn push_child(&mut self, parent: NodeId, child: NodeId) {
@@ -732,6 +752,19 @@ impl ArenaDoc {
         (self.value_bytes - self.dead_bytes) as usize
     }
 
+    /// [`ArenaDoc::compact`]s the document once its dead rows outnumber
+    /// its live ones or its dead value bytes its live ones — the rule
+    /// every holder of an edited document follows, so none grows past
+    /// about twice what it holds. Says whether it compacted.
+    pub fn compact_if_mostly_dead(&mut self) -> bool {
+        let wasteful = self.dead_rows() > self.live_rows()
+            || self.dead_value_bytes() > self.live_value_bytes();
+        if wasteful {
+            self.compact();
+        }
+        wasteful
+    }
+
     /// Rebuilds the document from its live tree: the four tables sized
     /// exactly by one counting walk, every live value packed into a
     /// fresh, exactly-sized buffer, nothing dead left. Every [`NodeId`]
@@ -742,22 +775,35 @@ impl ArenaDoc {
         let mut room = Room::default();
         self.tally(self.root, &mut room);
         let old = std::mem::replace(self, ArenaDoc::with_room(&room));
-        let mut packed = String::with_capacity(room.bytes);
+        let mut packed = Some(String::with_capacity(room.bytes));
         self.root = self.copy_subtree(&old, old.root, &mut packed, &mut Vec::new());
-        self.buf = Value::from(packed);
+        self.buf = Value::from(packed.unwrap_or_default());
     }
 
+    /// Copies the subtree at `id` of `src` into fresh rows of this
+    /// document, returning their root, unattached like
+    /// [`ArenaDoc::graft_element`]'s. Names are copied as ids, and
+    /// values are held as they are: slices of `src`'s buffer and its
+    /// held values, sharing their bytes, so no value byte is copied.
+    /// This is how a store takes a replica's document.
+    pub fn graft_subtree(&mut self, src: &ArenaDoc, id: NodeId) -> NodeId {
+        self.copy_subtree(src, id, &mut None, &mut Vec::new())
+    }
+
+    /// Appends the rows of `old`'s subtree at `id`, its values packed
+    /// into `packed` (a compaction) or held, sharing `old`'s bytes (a
+    /// graft).
     fn copy_subtree(
         &mut self,
         old: &ArenaDoc,
         id: NodeId,
-        packed: &mut String,
+        packed: &mut Option<String>,
         scratch: &mut Vec<AKid>,
     ) -> NodeId {
         let e = old.elems[id.0 as usize];
         let attr_start = self.attrs.len();
         for &(n, v) in &old.attrs[e.attr_start as usize..e.attr_end as usize] {
-            let v = self.pack(packed, old.val(v));
+            let v = self.copy_value(old, v, packed);
             self.attrs.push((n, v));
         }
         let (new_id, mark) = self.open(e.name, attr_start, scratch);
@@ -768,14 +814,105 @@ impl ArenaDoc {
                     scratch.push(AKid::Elem(cid));
                 }
                 AKid::Text(t) => {
-                    let v = self.pack(packed, old.val(old.texts[t as usize]));
+                    let v = self.copy_value(old, old.texts[t as usize], packed);
                     self.add_text(v, scratch);
                 }
             }
         }
         self.close(new_id, mark, scratch)
     }
+
+    fn copy_value(&mut self, old: &ArenaDoc, v: AVal, packed: &mut Option<String>) -> AVal {
+        match packed {
+            Some(packed) => self.pack(packed, old.val(v)),
+            None => self.hold(old.value(v)),
+        }
+    }
+
+    /// Stable-sorts every child list of the live tree whose children
+    /// are all elements by `cmp`, and says whether anything moved. Each
+    /// child range is permuted where it lies: nothing is allocated and
+    /// no row dies. An insertion sort, so a list already in order costs
+    /// one comparison per child, and a child appended to a sorted list
+    /// moves into place in one pass.
+    pub fn sort_children_by(
+        &mut self,
+        mut cmp: impl FnMut(&ArenaDoc, NodeId, NodeId) -> Ordering,
+    ) -> bool {
+        self.sort_subtree(self.root, &mut cmp)
+    }
+
+    fn sort_subtree(
+        &mut self,
+        id: NodeId,
+        cmp: &mut impl FnMut(&ArenaDoc, NodeId, NodeId) -> Ordering,
+    ) -> bool {
+        let e = self.elems[id.0 as usize];
+        let range = e.kid_start as usize..e.kid_end as usize;
+        let mut moved = false;
+        if !self.kids[range.clone()].iter().any(|k| matches!(k, AKid::Text(_))) {
+            for i in range.start + 1..range.end {
+                let mut j = i;
+                while j > range.start {
+                    let (AKid::Elem(x), AKid::Elem(y)) = (self.kids[j - 1], self.kids[j]) else {
+                        break;
+                    };
+                    if cmp(self, x, y).is_le() {
+                        break;
+                    }
+                    self.kids.swap(j - 1, j);
+                    moved = true;
+                    j -= 1;
+                }
+            }
+        }
+        for slot in range {
+            if let AKid::Elem(c) = self.kids[slot] {
+                moved |= self.sort_subtree(c, cmp);
+            }
+        }
+        moved
+    }
+
+    /// True when the subtree at `a` equals the subtree of `other` at
+    /// `b` as owned trees compare ([`Element`]'s `==`): same names,
+    /// the same attribute *set*, and equal children in the same order.
+    pub(crate) fn subtree_eq(&self, a: NodeId, other: &ArenaDoc, b: NodeId) -> bool {
+        let (x, y) = (self.elems[a.0 as usize], other.elems[b.0 as usize]);
+        let xk = &self.kids[x.kid_start as usize..x.kid_end as usize];
+        let yk = &other.kids[y.kid_start as usize..y.kid_end as usize];
+        x.name == y.name
+            && x.attr_end - x.attr_start == y.attr_end - y.attr_start
+            && xk.len() == yk.len()
+            && self.attr_rows(a).all(|(n, v)| other.attr_by_id(b, n) == Some(v))
+            && xk.iter().zip(yk).all(|(k, l)| match (*k, *l) {
+                (AKid::Elem(c), AKid::Elem(d)) => self.subtree_eq(c, other, d),
+                (AKid::Text(t), AKid::Text(u)) => {
+                    self.val(self.texts[t as usize]) == other.val(other.texts[u as usize])
+                }
+                _ => false,
+            })
+    }
 }
+
+/// [`ArenaDoc::from_element`], for callers that hand a tree over.
+impl From<Element> for ArenaDoc {
+    fn from(e: Element) -> ArenaDoc {
+        ArenaDoc::from_element(&e)
+    }
+}
+
+/// Structural equality of the two live trees, with [`Element`]'s
+/// semantics: attribute order does not count, child order does. How
+/// the rows lie, dead rows, and where values are held do not count
+/// either.
+impl PartialEq for ArenaDoc {
+    fn eq(&self, other: &ArenaDoc) -> bool {
+        self.subtree_eq(self.root, other, other.root)
+    }
+}
+
+impl Eq for ArenaDoc {}
 
 /// `v` appended to `held`, as the row that addresses it.
 fn hold(held: &mut Vec<Value>, v: Value) -> AVal {
@@ -836,6 +973,7 @@ impl<'a> Sink<'a> for Rows {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::parse;

@@ -1,10 +1,11 @@
 //! Structural-sharing deep-union merge over arena documents.
 //!
-//! The owned [`crate::merge`] deep-clones both inputs into the result:
+//! A deep union over owned trees clones both inputs into the result:
 //! merging k fragments of n nodes copies O(k·n) nodes even when the
 //! fragments are disjoint. [`MergeOut`] keeps the Buneman deep-union
-//! semantics (it must stay *byte-identical* to the owned oracle — the
-//! seeded differential suite enforces it) but replaces copying with
+//! semantics (it must stay *byte-identical* to the owned merge of
+//! `gupster-oracle` — the seeded differential suite enforces it) but
+//! replaces copying with
 //! **grafting**: a child subtree that only one side contributes is
 //! recorded as an id-reference into its source [`ArenaDoc`], and new
 //! nodes ([`MNode`]) are allocated only along the changed spine where
@@ -29,7 +30,7 @@ use crate::arena::{ArenaChild, ArenaDoc, NodeId};
 use crate::error::XmlError;
 use crate::escape::{escape_attr, escape_text};
 use crate::intern::{NameId, NameInterner};
-use crate::merge::MergeKeys;
+use crate::keys::MergeKeys;
 use crate::node::{Element, Node};
 use crate::value::Value;
 
@@ -160,7 +161,7 @@ impl<'a> MergeOut<'a> {
     }
 
     /// Materializes the result as an owned [`Element`] — byte-identical
-    /// to what the owned [`crate::merge`] would have produced. Names are
+    /// to what the owned merge of `gupster-oracle` would have produced. Names are
     /// borrowed from the interner, and the values of grafted subtrees
     /// share their source documents' buffers (see
     /// [`ArenaDoc::to_element`]); only spine values, the attributes of
@@ -378,7 +379,7 @@ impl<'a> MergeOut<'a> {
             .count()
     }
 
-    /// The recursive deep union. Mirrors the owned [`crate::merge`]
+    /// The recursive deep union. Mirrors the owned merge of `gupster-oracle`
     /// case-for-case (same conflicts, same messages, same ordering) —
     /// the only difference is that untouched subtrees are grafted.
     fn merge_h(&mut self, a: H, b: H, keys: &MergeKeys) -> Result<u32, XmlError> {
@@ -506,8 +507,28 @@ impl<'a> MergeOut<'a> {
     }
 }
 
-/// Structural-sharing counterpart of [`crate::merge`]: deep-union of
-/// two arena documents denoting the same logical node.
+/// Deep-union merge of two arena documents denoting the same logical
+/// node.
+///
+/// Requirements: equal root names. Attributes are unioned (conflicting
+/// values for the same attribute are an error). Keyed children with
+/// equal identity merge recursively; unkeyed children that occur once
+/// per side under one tag merge as the same singleton field; all other
+/// children are unioned with duplicate suppression. If both sides have
+/// (non-whitespace) text and it differs, the merge conflicts.
+///
+/// ```
+/// use gupster_xml::{merge_arena, ArenaDoc, MergeKeys};
+///
+/// // The Figure-9 scenario: personal entries at Yahoo!, corporate at
+/// // Lucent — merged back into one address book by the client.
+/// let yahoo = ArenaDoc::parse(r#"<address-book><item id="1"><name>Mom</name></item></address-book>"#)?;
+/// let lucent = ArenaDoc::parse(r#"<address-book><item id="2"><name>Rick</name></item></address-book>"#)?;
+/// let keys = MergeKeys::new().with_key("item", "id");
+/// let book = merge_arena(&yahoo, &lucent, &keys)?;
+/// assert_eq!(book.to_element().children_named("item").count(), 2);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub fn merge_arena<'a>(
     a: &'a ArenaDoc,
     b: &'a ArenaDoc,
@@ -536,116 +557,9 @@ pub fn merge_arena_all<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::merge;
-    use crate::parse;
 
     fn keys() -> MergeKeys {
         MergeKeys::new().with_key("item", "id")
-    }
-
-    /// Oracle check: the arena merge must agree with the owned merge
-    /// byte-for-byte, including on whether it errors at all.
-    fn agree(a_src: &str, b_src: &str, keys: &MergeKeys) {
-        let (ea, eb) = (parse(a_src).unwrap(), parse(b_src).unwrap());
-        let (da, db) = (ArenaDoc::parse(a_src).unwrap(), ArenaDoc::parse(b_src).unwrap());
-        let owned = merge(&ea, &eb, keys);
-        let arena = merge_arena(&da, &db, keys);
-        match (owned, arena) {
-            (Ok(o), Ok(m)) => {
-                assert_eq!(m.to_element(), o, "tree mismatch: {a_src} + {b_src}");
-                assert_eq!(m.to_xml(), o.to_xml(), "bytes mismatch: {a_src} + {b_src}");
-            }
-            (Err(oe), Err(me)) => assert_eq!(oe, me, "error mismatch: {a_src} + {b_src}"),
-            (o, m) => panic!("divergence on {a_src} + {b_src}: owned {o:?} vs arena {m:?}"),
-        }
-    }
-
-    #[test]
-    fn mirrors_owned_merge() {
-        let k = keys();
-        agree(
-            r#"<b><item id="1" type="personal"><name>Mom</name></item></b>"#,
-            r#"<b><item id="2" type="corporate"><name>Rick</name></item></b>"#,
-            &k,
-        );
-        agree(
-            r#"<b><item id="1"><name>Bob</name></item></b>"#,
-            r#"<b><item id="1"><phone>555</phone></item></b>"#,
-            &k,
-        );
-        agree(
-            r#"<b><item id="1"><name>Bob</name></item></b>"#,
-            r#"<b><item id="1"><name>Robert</name></item></b>"#,
-            &k,
-        );
-        agree(r#"<e x="1"/>"#, r#"<e y="2"/>"#, &k);
-        agree(r#"<e x="1"/>"#, r#"<e x="9"/>"#, &k);
-        agree("<a/>", "<b/>", &k);
-        agree("<n>Bob</n>", "<n>Bob</n>", &k);
-        let plain = MergeKeys::new();
-        agree("<l><v>1</v><v>2</v></l>", "<l><v>2</v><v>3</v></l>", &plain);
-        agree(
-            r#"<l><entry id="x"><a>1</a></entry></l>"#,
-            r#"<l><entry id="x"><b>2</b></entry></l>"#,
-            &plain,
-        );
-        let items = |a: &str, b: &str, keys: &MergeKeys, tag: &str| {
-            let (da, db) = (ArenaDoc::parse(a).unwrap(), ArenaDoc::parse(b).unwrap());
-            let m = merge_arena(&da, &db, keys).unwrap();
-            m.to_element().children_named(tag).count()
-        };
-        // Same value under different key attributes: two identities.
-        let (a, b) = (r#"<l><e id="x"><a>1</a></e></l>"#, r#"<l><e name="x"><b>2</b></e></l>"#);
-        agree(a, b, &plain);
-        assert_eq!(items(a, b, &plain, "e"), 2);
-        // An explicit key the element lacks leaves it without identity:
-        // no fall back to `id`, so item 1 is not merged across sides.
-        let sku = MergeKeys::new().with_key("item", "sku");
-        let (a, b) = (
-            r#"<b><item id="1"><n>A</n></item><item id="2"><n>B</n></item></b>"#,
-            r#"<b><item id="1"><m>C</m></item></b>"#,
-        );
-        agree(a, b, &sku);
-        assert_eq!(items(a, b, &sku, "item"), 3);
-    }
-
-    /// Key specifications the interned identity must read exactly as the
-    /// owned merge reads them.
-    #[test]
-    fn interned_keys_match_owned_identity() {
-        let (a, b) = (
-            r#"<b><item id="1" sku="x"><n>A</n></item><item id="2" sku="y"><n>B</n></item><v name="k">1</v></b>"#,
-            r#"<b><item id="1" sku="z"><m>C</m></item><item sku="y"><p>D</p></item><v name="k">1</v></b>"#,
-        );
-        // Re-keying a tag: the later key replaces the earlier one, so
-        // items match on `sku` (y with y), not on `id` (which conflicts).
-        let rekeyed = MergeKeys::new().with_key("item", "id").with_key("item", "sku");
-        agree(a, b, &rekeyed);
-        let (da, db) = (ArenaDoc::parse(a).unwrap(), ArenaDoc::parse(b).unwrap());
-        let rk = merge_arena(&da, &db, &rekeyed).unwrap();
-        assert_eq!(rk.to_element().children_named("item").count(), 3);
-        assert!(merge_arena(&da, &db, &MergeKeys::new().with_key("item", "id")).is_err());
-        // A key attribute no document carries: items lose their identity.
-        let absent = MergeKeys::new().with_key("item", "interned-key-on-no-node");
-        agree(a, b, &absent);
-        // No fallback keys at all: only explicit keys identify, so no
-        // item matches another and all four are kept.
-        agree(a, b, &MergeKeys::default());
-        let plain = merge_arena(&da, &db, &MergeKeys::default()).unwrap();
-        assert_eq!(plain.to_element().children_named("item").count(), 4);
-        agree(a, b, &MergeKeys::default().with_key("v", "name"));
-        let mut defaults_on = MergeKeys::default();
-        defaults_on.use_default_keys = true;
-        agree(a, b, &defaults_on);
-        let ea = parse(a).unwrap();
-        for keys in [&rekeyed, &absent, &MergeKeys::default(), &defaults_on] {
-            for (e, n) in ea.child_elements().zip(da.child_elements(da.root())) {
-                let owned = keys.identity(e);
-                let arena = MergeOut::from_node(&da, n).root_identity(keys);
-                let arena = arena.map(|(_, attr, v)| (NameInterner::resolve(attr), v));
-                assert_eq!(arena, owned, "{e:?} under {keys:?}");
-            }
-        }
     }
 
     #[test]

@@ -15,15 +15,22 @@
 //!   size ([`ParseErrorKind`]),
 //! * a serializer with compact and pretty modes ([`Element::to_xml`],
 //!   [`Element::to_pretty_xml`]),
-//! * **deep-union merge** in the style of Buneman et al.'s deterministic
-//!   model for semistructured data ([`merge`]),
-//! * a structural diff used by the synchronization subsystem ([`diff`]),
 //! * the **zero-copy hot path** (DESIGN.md §10): arena documents with
 //!   interned names and value slices over the retained input
-//!   ([`ArenaDoc`]), and structural-sharing merge that grafts unchanged
-//!   subtrees instead of cloning them ([`merge_arena`], [`MergeOut`]).
-//!   The owned tree is retained as the differential oracle — the arena
-//!   path must stay byte-identical through parse/merge/serialize.
+//!   ([`ArenaDoc`]), edited in place, and the **deep-union merge** in
+//!   the style of Buneman et al.'s deterministic model for
+//!   semistructured data, which grafts unchanged subtrees instead of
+//!   cloning them ([`merge_arena`], [`MergeOut`]),
+//! * the edit operations the synchronization subsystem logs, ships and
+//!   applies to its arena replicas ([`EditOp`], [`EditOp::apply_to`]),
+//!   addressed by [`NodePath`]s that resolve on an arena
+//!   ([`NodePath::resolve_arena`]).
+//!
+//! Every store and sync replica holds its documents as arenas. The owned
+//! tree is an input type (builders, the parser, edit payloads) and what
+//! an arena materializes for inspection; its merge, diff and edit
+//! application live in the dev-only `gupster-oracle`, against which the
+//! differential suites hold the arena path byte-identical.
 //!
 //! No external XML crate is used: the data model *is* part of the system
 //! being reproduced.
@@ -33,25 +40,25 @@
 
 mod arena;
 mod arena_merge;
+mod edit;
 mod error;
 mod escape;
 mod intern;
-mod merge;
+mod keys;
 mod node;
 mod parser;
 mod path;
 mod scan;
-mod tree_diff;
 mod value;
 mod writer;
 
 pub use arena::{ArenaDoc, NodeId};
 pub use arena_merge::{merge_arena, merge_arena_all, Identity, MergeOut, MergeStats};
 pub use error::{ParseError, ParseErrorKind, XmlError};
+pub use edit::EditOp;
 pub use intern::{NameId, NameInterner};
-pub use merge::{merge, MergeKeys};
+pub use keys::MergeKeys;
 pub use node::{Element, Name, Node};
 pub use parser::parse;
 pub use path::{NodePath, Step};
-pub use tree_diff::{diff, EditOp};
 pub use value::Value;

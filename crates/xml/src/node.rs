@@ -31,7 +31,7 @@ pub enum Node {
 
 impl Node {
     /// Returns the contained element, if this node is one.
-    pub fn as_element(&self) -> Option<&Element> {
+    pub(crate) fn as_element(&self) -> Option<&Element> {
         match self {
             Node::Element(e) => Some(e),
             Node::Text(_) => None,

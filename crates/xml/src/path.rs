@@ -5,11 +5,18 @@
 //! attribute* (preferred — stable under reordering, which matters for
 //! synchronizing address books whose entries move around) or an
 //! occurrence index among same-named siblings.
+//!
+//! A path resolves to a [`NodeId`] of an [`ArenaDoc`], the form every
+//! replica and store keeps its documents in; resolution fails with
+//! [`XmlError::PathNotFound`], never a panic.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use std::fmt;
 
+use crate::arena::{ArenaDoc, NodeId};
 use crate::error::XmlError;
-use crate::node::{Element, Node};
+use crate::intern::NameInterner;
 
 /// One step in a [`NodePath`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -39,14 +46,22 @@ impl Step {
         Step { name: name.into(), key: Some((attr.into(), value.into())), index: 0 }
     }
 
-    fn matches(&self, e: &Element) -> bool {
-        if e.name != self.name {
-            return false;
-        }
-        match &self.key {
-            Some((a, v)) => e.attr(a) == Some(v.as_str()),
-            None => true,
-        }
+    /// The child of `parent` this step selects: the `index`-th child
+    /// element with the step's name (and key). Names are compared as
+    /// interned ids; a name or key attribute never interned is on no
+    /// node.
+    fn find(&self, doc: &ArenaDoc, parent: NodeId) -> Option<NodeId> {
+        let name = NameInterner::lookup(&self.name)?;
+        let key = match &self.key {
+            Some((a, v)) => Some((NameInterner::lookup(a)?, v.as_str())),
+            None => None,
+        };
+        doc.child_elements(parent)
+            .filter(|&c| {
+                doc.name_id(c) == name
+                    && key.is_none_or(|(a, v)| doc.attr_by_id(c, a) == Some(v))
+            })
+            .nth(self.index)
     }
 }
 
@@ -101,94 +116,23 @@ impl NodePath {
             && self.steps.iter().zip(&other.steps).all(|(a, b)| a == b)
     }
 
-    /// Resolves the path against `root`, returning the addressed element.
-    pub fn resolve<'a>(&self, root: &'a Element) -> Option<&'a Element> {
-        let mut cur = root;
-        for step in &self.steps {
-            cur = cur
-                .child_elements()
-                .filter(|e| step.matches(e))
-                .nth(step.index)?;
-        }
-        Some(cur)
+    /// Resolves the path in `doc`, returning the addressed element.
+    pub fn resolve_arena(&self, doc: &ArenaDoc) -> Result<NodeId, XmlError> {
+        self.steps
+            .iter()
+            .try_fold(doc.root(), |at, step| step.find(doc, at))
+            .ok_or_else(|| XmlError::PathNotFound(self.to_string()))
     }
 
-    /// Resolves the path mutably.
-    pub fn resolve_mut<'a>(&self, root: &'a mut Element) -> Option<&'a mut Element> {
-        let mut cur = root;
-        for step in &self.steps {
-            cur = cur
-                .child_elements_mut()
-                .filter(|e| step.matches(e))
-                .nth(step.index)?;
-        }
-        Some(cur)
-    }
-
-    /// Resolves the path, creating missing elements along the way (keyed
-    /// steps create an element carrying the key attribute).
-    pub fn ensure<'a>(&self, root: &'a mut Element) -> &'a mut Element {
-        let mut cur = root;
-        for step in &self.steps {
-            let mut seen = 0usize;
-            let pos = cur.children.iter().position(|c| match c {
-                Node::Element(e) if step.matches(e) => {
-                    if seen == step.index {
-                        true
-                    } else {
-                        seen += 1;
-                        false
-                    }
-                }
-                _ => false,
-            });
-            let idx = match pos {
-                Some(i) => i,
-                None => {
-                    let mut fresh = Element::new(step.name.clone());
-                    if let Some((a, v)) = &step.key {
-                        fresh.set_attr(a.clone(), v.clone());
-                    }
-                    cur.children.push(Node::Element(fresh));
-                    cur.children.len() - 1
-                }
-            };
-            cur = match &mut cur.children[idx] {
-                Node::Element(e) => e,
-                Node::Text(_) => unreachable!("position only matches elements"),
-            };
-        }
-        cur
-    }
-
-    /// Removes the addressed element from the tree. Errors if the path
-    /// does not resolve. The root itself cannot be removed.
-    pub fn remove(&self, root: &mut Element) -> Result<Element, XmlError> {
-        let Some((last, prefix)) = self.steps.split_last() else {
-            return Err(XmlError::PathNotFound("cannot remove the root".into()));
-        };
-        let parent = NodePath { steps: prefix.to_vec() }
-            .resolve_mut(root)
-            .ok_or_else(|| XmlError::PathNotFound(self.to_string()))?;
-        let mut seen = 0usize;
-        let pos = parent.children.iter().position(|c| match c {
-            Node::Element(e) if last.matches(e) => {
-                if seen == last.index {
-                    true
-                } else {
-                    seen += 1;
-                    false
-                }
-            }
-            _ => false,
-        });
-        match pos {
-            Some(i) => match parent.children.remove(i) {
-                Node::Element(e) => Ok(e),
-                Node::Text(_) => unreachable!(),
-            },
-            None => Err(XmlError::PathNotFound(self.to_string())),
-        }
+    /// Resolves the path in `doc` to the addressed element and its
+    /// parent. The root has no parent, so its path does not resolve.
+    pub fn resolve_parent_arena(&self, doc: &ArenaDoc) -> Result<(NodeId, NodeId), XmlError> {
+        let not_found = || XmlError::PathNotFound(self.to_string());
+        let (last, prefix) = self.steps.split_last().ok_or_else(not_found)?;
+        let parent = prefix.iter().try_fold(doc.root(), |at, step| step.find(doc, at));
+        let parent = parent.ok_or_else(not_found)?;
+        let node = last.find(doc, parent).ok_or_else(not_found)?;
+        Ok((parent, node))
     }
 }
 
@@ -205,68 +149,60 @@ impl fmt::Display for NodePath {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::parse;
 
-    fn sample() -> Element {
-        parse(
+    fn sample() -> ArenaDoc {
+        ArenaDoc::parse(
             r#"<user id="alice"><book><item id="a"><n>A</n></item><item id="b"><n>B</n></item><item><n>C</n></item></book></user>"#,
         )
         .unwrap()
     }
 
+    fn text_at(doc: &ArenaDoc, p: &NodePath) -> String {
+        let n = doc.child_elements(p.resolve_arena(doc).unwrap()).next().unwrap();
+        doc.text(n).into_owned()
+    }
+
     #[test]
     fn keyed_resolution() {
-        let root = sample();
+        let doc = sample();
         let p = NodePath::root().child("book", 0).keyed("item", "id", "b");
-        assert_eq!(p.resolve(&root).unwrap().child("n").unwrap().text(), "B");
+        assert_eq!(text_at(&doc, &p), "B");
     }
 
     #[test]
     fn indexed_resolution() {
-        let root = sample();
+        let doc = sample();
         let p = NodePath::root().child("book", 0).child("item", 2);
-        assert_eq!(p.resolve(&root).unwrap().child("n").unwrap().text(), "C");
+        assert_eq!(text_at(&doc, &p), "C");
     }
 
     #[test]
-    fn missing_resolution_is_none() {
-        let root = sample();
-        assert!(NodePath::root().child("nope", 0).resolve(&root).is_none());
-        assert!(NodePath::root()
-            .child("book", 0)
-            .keyed("item", "id", "zz")
-            .resolve(&root)
-            .is_none());
+    fn missing_resolution_is_an_error() {
+        let doc = sample();
+        for p in [
+            NodePath::root().child("nope", 0),
+            NodePath::root().child("book", 0).keyed("item", "id", "zz"),
+            NodePath::root().child("book", 0).keyed("item", "never-interned-attr", "a"),
+            NodePath::root().child("book", 0).child("item", 3),
+        ] {
+            assert_eq!(p.resolve_arena(&doc), Err(XmlError::PathNotFound(p.to_string())));
+            assert!(p.resolve_parent_arena(&doc).is_err());
+        }
     }
 
     #[test]
-    fn ensure_creates_with_key() {
-        let mut root = Element::new("user");
-        let p = NodePath::root().child("book", 0).keyed("item", "id", "x");
-        p.ensure(&mut root).push_text("hi");
-        assert_eq!(p.resolve(&root).unwrap().text(), "hi");
-        assert_eq!(p.resolve(&root).unwrap().attr("id"), Some("x"));
-        // Idempotent.
-        p.ensure(&mut root);
-        assert_eq!(root.child("book").unwrap().child_elements().count(), 1);
-    }
-
-    #[test]
-    fn remove_keyed() {
-        let mut root = sample();
-        let p = NodePath::root().child("book", 0).keyed("item", "id", "a");
-        let removed = p.remove(&mut root).unwrap();
-        assert_eq!(removed.child("n").unwrap().text(), "A");
-        assert!(p.resolve(&root).is_none());
-        assert!(p.remove(&mut root).is_err());
-    }
-
-    #[test]
-    fn remove_root_rejected() {
-        let mut root = sample();
-        assert!(NodePath::root().remove(&mut root).is_err());
+    fn parent_resolution() {
+        let doc = sample();
+        let book = NodePath::root().child("book", 0);
+        let p = book.clone().keyed("item", "id", "a");
+        let (parent, node) = p.resolve_parent_arena(&doc).unwrap();
+        assert_eq!(parent, book.resolve_arena(&doc).unwrap());
+        assert_eq!(node, p.resolve_arena(&doc).unwrap());
+        assert_eq!(NodePath::root().resolve_arena(&doc), Ok(doc.root()));
+        assert!(NodePath::root().resolve_parent_arena(&doc).is_err(), "the root has no parent");
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Model test for the arena edit surface: the same random edits applied
 //! to an [`ArenaDoc`] and to an owned [`Element`] must leave the two
-//! equal after every step — tree, bytes and counted size, at every live
-//! node — however the document was built and across compactions. The
+//! equal after every step — tree, bytes, counted size and structural
+//! equality, at every live node — however the document was built, for
+//! subtrees grafted from another arena, after sorts, and across
+//! compactions. The
 //! document's dead-row and dead-byte counts must be exact: a compacted
 //! copy holds precisely the rows and value bytes it reports as live.
 //! A tree materialized before an edit or a compaction shares the
@@ -67,7 +69,21 @@ fn slot(e: &Element, i: usize) -> usize {
     elems.nth(i).expect("element child").0
 }
 
+/// Stable-sorts every element-only child list by tag name.
+fn sort_by_name(e: &mut Element) {
+    for c in e.child_elements_mut() {
+        sort_by_name(c);
+    }
+    if e.children.iter().all(|c| matches!(c, Node::Element(_))) {
+        e.children.sort_by(|x, y| match (x, y) {
+            (Node::Element(x), Node::Element(y)) => x.name.cmp(&y.name),
+            _ => std::cmp::Ordering::Equal,
+        });
+    }
+}
+
 fn agree(doc: &ArenaDoc, model: &Element, what: &str) {
+    assert_eq!(doc, &ArenaDoc::from_element(model), "{what}: structural equality");
     assert_eq!(doc.root_element(), *model, "{what}");
     assert_eq!(doc.to_xml(), model.to_xml(), "{what}");
     for (id, path) in live(doc) {
@@ -111,7 +127,7 @@ fn random_edits_match_the_owned_tree_model() {
             let nodes = live(&doc);
             let (id, path) = rng.pick(&nodes).clone();
             let kids: Vec<NodeId> = doc.child_elements(id).collect();
-            let what = match rng.gen_range(0..6u32) {
+            let what = match rng.gen_range(0..10u32) {
                 0 => {
                     let t = tree(rng, 1);
                     let fresh = doc.graft_element(&t);
@@ -148,6 +164,39 @@ fn random_edits_match_the_owned_tree_model() {
                     let s = slot(m, i);
                     m.children[s] = Node::Element(t);
                     "replace_child"
+                }
+                5 => {
+                    let k = *rng.pick(&ATTRS);
+                    let had = doc.remove_attr(id, k);
+                    assert_eq!(had, at_mut(&mut model, &path).remove_attr(k).is_some());
+                    "remove_attr"
+                }
+                6 => {
+                    // From another document, edited so that it holds
+                    // values outside its buffer too, dropped after.
+                    let mut other = ArenaDoc::from_element(&tree(rng, 2));
+                    let (oid, _) = rng.pick(&live(&other)).clone();
+                    other.set_attr(oid, "mark", &value(rng));
+                    let src = rng.pick(&live(&other)).0;
+                    let fresh = doc.graft_subtree(&other, src);
+                    doc.push_child(id, fresh);
+                    at_mut(&mut model, &path).push_child(other.to_element(src));
+                    "graft_subtree"
+                }
+                7 => {
+                    let by_name = |d: &ArenaDoc, x: NodeId, y: NodeId| d.name(x).cmp(d.name(y));
+                    let before = doc.to_xml();
+                    let moved = doc.sort_children_by(by_name);
+                    sort_by_name(&mut model);
+                    assert_eq!(moved, doc.to_xml() != before, "says whether anything moved");
+                    "sort_children_by"
+                }
+                8 => {
+                    let wasteful = doc.dead_rows() > doc.live_rows()
+                        || doc.dead_value_bytes() > doc.live_value_bytes();
+                    assert_eq!(doc.compact_if_mostly_dead(), wasteful);
+                    assert!(doc.dead_rows() <= doc.live_rows());
+                    "compact_if_mostly_dead"
                 }
                 _ => {
                     doc.compact();

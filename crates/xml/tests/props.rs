@@ -5,7 +5,8 @@
 
 use gupster_rng::check::{self, cases};
 use gupster_rng::{Rng, StdRng};
-use gupster_xml::{parse, ArenaDoc, Element, NodePath, ParseErrorKind};
+use gupster_oracle::{ensure, remove, resolve};
+use gupster_xml::{parse, ArenaDoc, Element, NodePath, ParseErrorKind, XmlError};
 
 /// Both parsers on `input`: the same result, and a rejection is a typed
 /// error inside the input, whatever bytes arrive.
@@ -172,7 +173,8 @@ fn attr_store_laws() {
 }
 
 /// ensure() then resolve() round-trips for arbitrary keyed paths,
-/// and is idempotent on the tree shape.
+/// and is idempotent on the tree shape; the arena resolves the same
+/// path to the same element, and to an error once it is removed.
 #[test]
 fn nodepath_ensure_resolve() {
     cases(256, 0x1ab5, |rng| {
@@ -189,14 +191,23 @@ fn nodepath_ensure_resolve() {
             };
         }
         let mut tree = Element::new("root");
-        path.ensure(&mut tree).set_text("payload");
-        assert_eq!(path.resolve(&tree).unwrap().text(), "payload");
+        ensure(&path, &mut tree).set_text("payload");
+        assert_eq!(resolve(&path, &tree).unwrap().text(), "payload");
         let size_before = tree.subtree_size();
-        path.ensure(&mut tree);
+        ensure(&path, &mut tree);
         assert_eq!(tree.subtree_size(), size_before, "ensure must be idempotent");
+        // The arena resolves the path to the same element.
+        let doc = ArenaDoc::from_element(&tree);
+        let node = path.resolve_arena(&doc).unwrap();
+        assert_eq!(doc.to_element(node), *resolve(&path, &tree).unwrap());
+        let (parent, child) = path.resolve_parent_arena(&doc).unwrap();
+        assert_eq!(child, node);
+        assert!(doc.child_elements(parent).any(|c| c == node));
         // And removal empties it.
-        assert!(path.remove(&mut tree).is_ok());
-        assert!(path.resolve(&tree).is_none());
+        assert!(remove(&path, &mut tree).is_ok());
+        assert!(resolve(&path, &tree).is_none());
+        let doc = ArenaDoc::from_element(&tree);
+        assert_eq!(path.resolve_arena(&doc), Err(XmlError::PathNotFound(path.to_string())));
     });
 }
 

@@ -20,7 +20,7 @@ use gupster::policy::{Purpose, WeekTime};
 use gupster::sync::{delta_two_way_sync, two_way_sync, ReconcilePolicy, Replica};
 use gupster::telemetry::TelemetryHub;
 use gupster_oracle::NaivePlane;
-use gupster::xml::{EditOp, Element, NodePath};
+use gupster::xml::{EditOp, Element, MergeKeys, NodePath};
 use gupster_rng::check::cases;
 use gupster_rng::{Rng, StdRng};
 
@@ -192,7 +192,7 @@ fn plane_outcomes_are_shard_invariant_and_match_the_oracle() {
             }
             let report = plane.reconcile(&hub);
             let docs: Vec<Element> =
-                (0..USERS).map(|u| plane.hub_doc(&format!("user{u}")).clone()).collect();
+                (0..USERS).map(|u| plane.hub_doc(&format!("user{u}")).root_element()).collect();
             let retained = plane.log_entries();
             (report, docs, retained)
         };
@@ -217,7 +217,7 @@ fn plane_outcomes_are_shard_invariant_and_match_the_oracle() {
             }
             let report = oracle.reconcile();
             let docs: Vec<Element> =
-                (0..USERS).map(|u| oracle.hub_doc(&format!("user{u}")).clone()).collect();
+                (0..USERS).map(|u| oracle.hub_doc(&format!("user{u}")).root_element()).collect();
             (report, docs, oracle.log_entries())
         };
         assert_eq!(d1, docs_oracle, "delta plane must converge to the oracle's documents");
@@ -478,4 +478,249 @@ fn chaos_storm_rounds_stay_converged_with_bounded_logs() {
         }
         assert!(total_compacted > 0, "the delta plane must have compacted real entries");
     });
+}
+
+/// The owned model of one replica: its document as an [`Element`], its
+/// change log in full (this property never compacts a log) and its
+/// Lamport clock.
+struct Shadow {
+    id: String,
+    doc: Element,
+    log: Vec<(String, u64, EditOp)>,
+    clock: u64,
+}
+
+/// The session's conflict rule: inserts into one container conflict
+/// only when they add the same logical entry, an insert conflicts with
+/// a delete of its container, and other ops conflict when their targets
+/// overlap.
+fn model_conflict(a: &EditOp, b: &EditOp, keys: &MergeKeys) -> bool {
+    use EditOp::*;
+    match (a, b) {
+        (Insert { parent: pa, element: ea }, Insert { parent: pb, element: eb }) => {
+            pa == pb
+                && match (keys.identity(ea), keys.identity(eb)) {
+                    (Some(ia), Some(ib)) => ea.name == eb.name && ia == ib,
+                    _ => ea == eb,
+                }
+        }
+        (Insert { parent, .. }, Delete { path }) | (Delete { path }, Insert { parent, .. }) => {
+            path.is_prefix_of(parent)
+        }
+        (Insert { .. }, _) | (_, Insert { .. }) => false,
+        _ => a.overlaps(b),
+    }
+}
+
+/// Whether the first side wins a conflict, or a slow sync, under
+/// `policy` (see [`ReconcilePolicy`]).
+fn model_first_wins(policy: ReconcilePolicy, first: (u64, &str), second: (u64, &str)) -> bool {
+    match policy {
+        ReconcilePolicy::PreferFirst | ReconcilePolicy::Manual => true,
+        ReconcilePolicy::PreferSecond => false,
+        ReconcilePolicy::LastWriterWins => first > second,
+    }
+}
+
+/// One session between the owned models `sa` and `sb` of the replicas
+/// `a` and `b`, as they stood before it ran: the ops each has that the
+/// other has not seen, the conflict losers dropped, the rest applied
+/// with `gupster_oracle::apply`, both documents canonicalized; then,
+/// unless they agree (or `Manual` parked a conflict), the slow sync:
+/// the owned `merge` of loser and winner, or on a conflict the winner
+/// plus the inserts of the owned `diff` from winner to loser. Returns
+/// whether the session went slow and whether it converged.
+fn model_session(
+    (sa, a): (&mut Shadow, &Replica),
+    (sb, b): (&mut Shadow, &Replica),
+    policy: ReconcilePolicy,
+    keys: &MergeKeys,
+) -> (bool, bool) {
+    use gupster_oracle::{apply, canonicalize, diff, merge};
+    let anchors_ok = a.anchors.last_seen(&b.id) <= sb.log.len() as u64
+        && b.anchors.last_seen(&a.id) <= sa.log.len() as u64;
+    if anchors_ok {
+        let unseen = |from: &Shadow, to: &Replica| -> Vec<(String, u64, EditOp)> {
+            from.log[to.anchors.last_seen(&from.id) as usize..]
+                .iter()
+                .filter(|(actor, ts, _)| !to.seen.contains(&(Arc::from(actor.as_str()), *ts)))
+                .cloned()
+                .collect()
+        };
+        let (a_new, b_new) = (unseen(sa, b), unseen(sb, a));
+        let (mut a_drop, mut b_drop) = (vec![false; a_new.len()], vec![false; b_new.len()]);
+        let mut queued = 0;
+        for (i, (a_actor, a_ts, a_op)) in a_new.iter().enumerate() {
+            for (j, (b_actor, b_ts, b_op)) in b_new.iter().enumerate() {
+                if !model_conflict(a_op, b_op, keys) {
+                    continue;
+                }
+                if policy == ReconcilePolicy::Manual {
+                    (a_drop[i], b_drop[j]) = (true, true);
+                    queued += 1;
+                } else if model_first_wins(policy, (*a_ts, a_actor), (*b_ts, b_actor)) {
+                    b_drop[j] = true;
+                } else {
+                    a_drop[i] = true;
+                }
+            }
+        }
+        let mut diverged = false;
+        for (to, new, drop) in [(&mut *sa, b_new, b_drop), (&mut *sb, a_new, a_drop)] {
+            for (entry, _) in new.into_iter().zip(drop).filter(|&(_, dropped)| !dropped) {
+                if apply(&entry.2, &mut to.doc).is_ok() {
+                    to.clock = to.clock.max(entry.1) + 1;
+                    to.log.push(entry);
+                } else {
+                    diverged = true;
+                }
+            }
+        }
+        canonicalize(&mut sa.doc, keys);
+        canonicalize(&mut sb.doc, keys);
+        if !diverged && sa.doc == sb.doc {
+            return (false, true);
+        }
+        if policy == ReconcilePolicy::Manual && queued > 0 {
+            return (false, sa.doc == sb.doc);
+        }
+    }
+    let a_wins = model_first_wins(policy, (sa.clock, &sa.id), (sb.clock, &sb.id));
+    let (winner, loser) = if a_wins { (&sa.doc, &sb.doc) } else { (&sb.doc, &sa.doc) };
+    let mut merged = merge(loser, winner, keys).unwrap_or_else(|_| {
+        let mut m = winner.clone();
+        for op in diff(winner, loser, keys) {
+            if let EditOp::Insert { .. } = op {
+                let _ = apply(&op, &mut m);
+            }
+        }
+        m
+    });
+    canonicalize(&mut merged, keys);
+    for s in [&mut *sa, &mut *sb] {
+        s.doc = merged.clone();
+        s.log.clear();
+        s.clock += 1;
+    }
+    (true, true)
+}
+
+/// Replicas hold arena documents; this holds them to the owned tree.
+/// Random interleavings of local edits on three replicas, delta
+/// sessions between any two of them under every policy, documents
+/// replaced behind the log (a device restored from a backup, which the
+/// next session must slow-sync) and the compactions the edits trigger
+/// are run against an owned model of each replica driven by
+/// `gupster-oracle`'s `apply`, `merge`, `diff` and `canonicalize`:
+/// after every step each replica's document materializes to exactly
+/// its model's tree, and its clock matches; every edit succeeds or
+/// fails on both; every session goes slow, and converges, exactly when
+/// the model's does.
+///
+/// Within a document, sibling identities stay unique and keyed entries
+/// never share their parent with text: where either fails, the owned
+/// diff inserts in hash-map order, which no model can predict.
+#[test]
+fn arena_replicas_match_the_owned_model() {
+    let keys = keys();
+    let base = || {
+        let mut book = base_book();
+        book.push_child(Element::new("note").with_text("n"));
+        book.push_child(Element::new("tag").with_text("x"));
+        book.push_child(Element::new("tag").with_text("y"));
+        book
+    };
+    let (mut compactions, mut slow, mut fallbacks_possible) = (0, 0, 0);
+    cases(200, 0xA4E9A, |r| {
+        let ids = ["hub", "dev0", "dev1"];
+        let mut replicas: Vec<Replica> =
+            ids.iter().map(|id| Replica::new(id, base(), keys.clone())).collect();
+        let mut shadows: Vec<Shadow> = ids
+            .iter()
+            .map(|id| Shadow { id: id.to_string(), doc: base(), log: Vec::new(), clock: 0 })
+            .collect();
+        for step in 0..120 {
+            let k = r.gen_range(0..ids.len());
+            let what = match r.gen_range(0..20u32) {
+                0..=11 => {
+                    let op = model_op(r, step, &shadows[k].doc);
+                    let dead = replicas[k].doc.dead_rows();
+                    let got = replicas[k].edit(op.clone());
+                    let want = gupster_oracle::apply(&op, &mut shadows[k].doc);
+                    assert_eq!(got.is_ok(), want.is_ok(), "step {step}: {op:?} on {}", ids[k]);
+                    if want.is_ok() {
+                        shadows[k].clock += 1;
+                        let (id, clock) = (ids[k].to_string(), shadows[k].clock);
+                        shadows[k].log.push((id, clock, op.clone()));
+                        compactions += usize::from(replicas[k].doc.dead_rows() < dead);
+                    }
+                    format!("edit {op:?} on {}", ids[k])
+                }
+                12..=17 => {
+                    let l = (k + r.gen_range(1..ids.len())) % ids.len();
+                    let policy = *r.pick(&POLICIES);
+                    let [first, second] = replicas.get_disjoint_mut([k, l]).unwrap();
+                    let [sfirst, ssecond] = shadows.get_disjoint_mut([k, l]).unwrap();
+                    let want = model_session((sfirst, &*first), (ssecond, &*second), policy, &keys);
+                    let report = delta_two_way_sync(first, second, policy).unwrap();
+                    assert_eq!((report.slow_sync, report.converged), want, "step {step}: {report:?}");
+                    slow += usize::from(report.slow_sync);
+                    format!("{policy:?} session {} with {}", ids[k], ids[l])
+                }
+                _ => {
+                    // Restored from a backup: the document changes
+                    // behind the log, so the next session diverges.
+                    let mut doc = shadows[k].doc.clone();
+                    let _ = gupster_oracle::apply(&model_op(r, step, &doc), &mut doc);
+                    fallbacks_possible += 1;
+                    replicas[k].replace_doc(doc.clone());
+                    shadows[k].doc = doc;
+                    format!("restore {}", ids[k])
+                }
+            };
+            for (replica, shadow) in replicas.iter().zip(&shadows) {
+                assert_eq!(replica.doc.root_element(), shadow.doc, "step {step} ({what}): {}", shadow.id);
+                assert_eq!(replica.clock, shadow.clock, "step {step} ({what}): {}", shadow.id);
+                assert!(replica.doc.dead_rows() <= replica.doc.live_rows(), "step {step}: garbage");
+            }
+        }
+    });
+    assert!(compactions > 0 && slow > 0 && fallbacks_possible > 0, "{compactions} {slow}");
+}
+
+/// A random edit for [`arena_replicas_match_the_owned_model`]: text and
+/// note-attribute writes that collide across replicas, deletes, inserts
+/// of fresh items (or of a base item `doc` lacks, so identities stay
+/// unique), unkeyed `tag` entries, and writes by occurrence index.
+fn model_op(r: &mut StdRng, serial: usize, doc: &Element) -> EditOp {
+    let id = format!("c{:03}", r.gen_range(0..8usize));
+    let word = |r: &mut StdRng| (*r.pick(&["a", "b", "c"])).to_string();
+    match r.gen_range(0..12u32) {
+        0 => EditOp::Insert {
+            parent: NodePath::root(),
+            element: Element::new("item")
+                .with_attr("id", format!("m{serial:03}"))
+                .with_child(Element::new("name").with_text(word(r))),
+        },
+        1 if !doc.children_named("item").any(|i| i.attr("id") == Some(&id)) => EditOp::Insert {
+            parent: NodePath::root(),
+            element: Element::new("item")
+                .with_attr("id", id)
+                .with_child(Element::new("name").with_text(word(r))),
+        },
+        2 => EditOp::Insert {
+            parent: NodePath::root(),
+            element: Element::new("tag").with_text(word(r)),
+        },
+        3 => EditOp::Delete { path: item(&id) },
+        4 => EditOp::Delete { path: NodePath::root().child("tag", r.gen_range(0..3usize)) },
+        5 | 6 => EditOp::SetAttr { path: item(&id), name: "note".into(), value: word(r) },
+        7 => EditOp::RemoveAttr { path: item(&id), name: "note".into() },
+        8 => EditOp::SetText {
+            path: NodePath::root().child("tag", r.gen_range(0..3usize)),
+            text: word(r),
+        },
+        9 => EditOp::SetText { path: NodePath::root().child("note", 0), text: word(r) },
+        _ => set_name(&id, &word(r)),
+    }
 }

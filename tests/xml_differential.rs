@@ -7,14 +7,14 @@
 //! inputs are rejected and with what error. All randomness is seeded
 //! (`gupster_rng::check`), so failures replay exactly.
 
-use gupster_oracle::merge_all;
+use gupster_oracle::{merge, merge_all};
 use gupster_rng::check::{self, cases};
 use gupster_rng::{Rng, SeedableRng, StdRng};
 use gupster::core::{fetch_merge, Gupster, ShardRequest, ShardedRegistry, StorePool};
 use gupster::policy::{Purpose, WeekTime};
 use gupster::schema::gup_schema;
 use gupster::store::{StoreId, XmlStore};
-use gupster::xml::{merge, merge_arena, merge_arena_all, ArenaDoc, Element, MergeKeys, MergeOut};
+use gupster::xml::{merge_arena, merge_arena_all, ArenaDoc, Element, MergeKeys, MergeOut};
 use gupster::xpath::Path;
 
 // ------------------------------------------------- doc generation —
